@@ -61,9 +61,9 @@
 use crate::compaction::{CompactionMode, CompactionPolicy};
 use crate::key_runs::KeyRuns;
 use crate::metrics::QueryMetrics;
-use crate::pending::PendingDelta;
+use crate::pending::{DeltaAdjust, PairView, PendingDelta};
 use crate::piece_registry::{OperationGuard, PieceLatchRegistry};
-use crate::protocol::{Aggregate, LatchProtocol, RefinementPolicy};
+use crate::protocol::{LatchProtocol, RefinementPolicy};
 use crate::rowid_set::RowIdSet;
 use crate::shared_array::SharedCrackerArray;
 use aidx_cracking::{Piece, PieceLookup, PieceMap};
@@ -234,6 +234,282 @@ enum MainPlan {
     },
 }
 
+/// What one read accumulates over the qualifying pieces. Every shape runs
+/// the same plan → piece walk → delta fold ([`ConcurrentCracker::read`]);
+/// only the per-piece accumulator differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadShape {
+    /// Q1: how many rows qualify. With both bounds resolved into cracks
+    /// the count is *positional* — range width minus recorded holes — and
+    /// touches neither the data nor a read latch.
+    Count,
+    /// Q2: the sum of the qualifying values.
+    Sum,
+    /// The qualifying row ids as one flat ascending vector — the
+    /// uncompressed reference the other row shapes are checked against.
+    RowIds,
+    /// The qualifying row ids as a block-compressed [`RowIdSet`]: each
+    /// visited piece yields one sorted run, and the (position-disjoint,
+    /// hence rowid-disjoint) runs are k-way merged straight into the
+    /// encoder — no flat vector of the whole candidate set ever exists.
+    RowIdSet,
+    /// The qualifying `(key, rowid)` pairs as lazily-merged [`KeyRuns`]:
+    /// each visited piece contributes one *raw* run in its physical order
+    /// and nothing is sorted here — the consuming
+    /// [`KeyRunsIter`](crate::key_runs::KeyRunsIter) pays for a run only
+    /// when its merge frontier reaches the run's key envelope.
+    KeyRuns,
+}
+
+/// The answer to one read, by [`ReadShape`].
+#[derive(Debug)]
+pub enum ReadAnswer {
+    /// [`ReadShape::Count`] or [`ReadShape::Sum`].
+    Agg(i128),
+    /// [`ReadShape::RowIds`], sorted ascending.
+    RowIds(Vec<RowId>),
+    /// [`ReadShape::RowIdSet`].
+    Set(RowIdSet),
+    /// [`ReadShape::KeyRuns`].
+    Runs(KeyRuns),
+}
+
+impl ReadAnswer {
+    /// The answer of `shape` over nothing.
+    pub fn empty(shape: ReadShape) -> Self {
+        Self::merge(shape, []).0
+    }
+
+    /// Fan-in of one `shape` read executed across chunks or partitions:
+    /// partial answers are summed / concatenated and re-sorted / k-way
+    /// merged without decoding / absorbed run by run (key runs stay
+    /// unsorted), the workers' metrics merge as
+    /// [`QueryMetrics::merge_parallel`], and the result size and
+    /// candidate-set footprint are those of the *merged* answer the caller
+    /// receives, not the sum of the transient parts. Callers that know the
+    /// fan-out's wall-clock overwrite `total`.
+    ///
+    /// # Panics
+    /// Panics if a part's variant does not match `shape`.
+    pub fn merge(
+        shape: ReadShape,
+        parts: impl IntoIterator<Item = (ReadAnswer, QueryMetrics)>,
+    ) -> (ReadAnswer, QueryMetrics) {
+        let (answers, part_metrics): (Vec<ReadAnswer>, Vec<QueryMetrics>) =
+            parts.into_iter().unzip();
+        let answers = answers.into_iter();
+        let merged = match shape {
+            ReadShape::Count | ReadShape::Sum => {
+                ReadAnswer::Agg(answers.map(ReadAnswer::into_agg).sum())
+            }
+            ReadShape::RowIds => {
+                let mut rows: Vec<RowId> = answers.flat_map(ReadAnswer::into_rowids).collect();
+                rows.sort_unstable();
+                ReadAnswer::RowIds(rows)
+            }
+            ReadShape::RowIdSet => {
+                let sets: Vec<RowIdSet> = answers.map(ReadAnswer::into_set).collect();
+                ReadAnswer::Set(RowIdSet::merge_sets(&sets))
+            }
+            ReadShape::KeyRuns => {
+                let mut runs = KeyRuns::default();
+                answers.for_each(|part| runs.absorb(part.into_runs()));
+                ReadAnswer::Runs(runs)
+            }
+        };
+        let mut metrics = QueryMetrics::merge_parallel(part_metrics);
+        merged.stamp(&mut metrics);
+        (merged, metrics)
+    }
+
+    /// Rows in a row-carrying answer; `None` for aggregates, whose row
+    /// count travels in [`QueryMetrics::result_count`] instead.
+    pub fn rows(&self) -> Option<u64> {
+        match self {
+            ReadAnswer::Agg(_) => None,
+            ReadAnswer::RowIds(rows) => Some(rows.len() as u64),
+            ReadAnswer::Set(set) => Some(set.len() as u64),
+            ReadAnswer::Runs(runs) => Some(runs.total_rows() as u64),
+        }
+    }
+
+    /// Records this answer's size (and compressed footprint) in `metrics`.
+    fn stamp(&self, metrics: &mut QueryMetrics) {
+        if let Some(rows) = self.rows() {
+            metrics.result_count = rows;
+        }
+        if let ReadAnswer::Set(set) = self {
+            metrics.candidate_set_bytes = set.heap_bytes() as u64;
+        }
+    }
+
+    /// The aggregate value. Panics unless the read was a count or a sum.
+    pub fn into_agg(self) -> i128 {
+        match self {
+            ReadAnswer::Agg(value) => value,
+            other => panic!("expected an aggregate answer, got {other:?}"),
+        }
+    }
+
+    /// The flat row ids. Panics unless the read was [`ReadShape::RowIds`].
+    pub fn into_rowids(self) -> Vec<RowId> {
+        match self {
+            ReadAnswer::RowIds(rows) => rows,
+            other => panic!("expected a flat rowid answer, got {other:?}"),
+        }
+    }
+
+    /// The compressed set. Panics unless the read was
+    /// [`ReadShape::RowIdSet`].
+    pub fn into_set(self) -> RowIdSet {
+        match self {
+            ReadAnswer::Set(set) => set,
+            other => panic!("expected a rowid-set answer, got {other:?}"),
+        }
+    }
+
+    /// The key runs. Panics unless the read was [`ReadShape::KeyRuns`].
+    pub fn into_runs(self) -> KeyRuns {
+        match self {
+            ReadAnswer::Runs(runs) => runs,
+            other => panic!("expected a key-runs answer, got {other:?}"),
+        }
+    }
+}
+
+/// What one read accumulates while the walk feeds it latched pieces — one
+/// variant per [`ReadShape`]. Row shapes keep one run per piece (the
+/// compressed encoder and the lazy join merge both want the runs apart);
+/// the flat shape is the same walk with the runs concatenated.
+enum Accumulator {
+    Count(u64),
+    Sum { rows: u64, sum: i128 },
+    RowIds(Vec<RowId>),
+    IdRuns(Vec<Vec<RowId>>),
+    PairRuns(Vec<Vec<(i64, RowId)>>),
+}
+
+/// The delta's contribution to one read, snapshotted inside the seqlock
+/// window and folded only once the window validated.
+enum DeltaView {
+    Counts(DeltaAdjust),
+    Rows(PairView),
+}
+
+impl Accumulator {
+    fn new(shape: ReadShape) -> Self {
+        match shape {
+            ReadShape::Count => Accumulator::Count(0),
+            ReadShape::Sum => Accumulator::Sum { rows: 0, sum: 0 },
+            ReadShape::RowIds => Accumulator::RowIds(Vec::new()),
+            ReadShape::RowIdSet => Accumulator::IdRuns(Vec::new()),
+            ReadShape::KeyRuns => Accumulator::PairRuns(Vec::new()),
+        }
+    }
+
+    /// Aggregates do not care where one piece ends and the next begins.
+    fn is_aggregate(&self) -> bool {
+        matches!(self, Accumulator::Count(_) | Accumulator::Sum { .. })
+    }
+
+    /// Folds in the live range `[start, end)` — one piece, or for
+    /// aggregates any hole-free union of pieces — optionally filtered by
+    /// the original query bounds. Caller holds latches covering the range.
+    fn feed(
+        &mut self,
+        data: &SharedCrackerArray,
+        start: usize,
+        end: usize,
+        filter: Option<(i64, i64)>,
+    ) {
+        let pairs = || match filter {
+            None => data.pairs_in_range(start, end),
+            Some((low, high)) => data.pairs_filtered(start, end, low, high),
+        };
+        let rowids = || match filter {
+            None => data.rowids_in_range(start, end),
+            Some(_) => pairs().into_iter().map(|(_, rowid)| rowid).collect(),
+        };
+        match self {
+            Accumulator::Count(rows) => {
+                *rows += match filter {
+                    None => (end - start) as u64,
+                    Some((low, high)) => data.count_filtered(start, end, low, high),
+                }
+            }
+            Accumulator::Sum { rows, sum } => match filter {
+                None => {
+                    *rows += (end - start) as u64;
+                    *sum += data.sum_range(start, end);
+                }
+                Some((low, high)) => {
+                    *rows += data.count_filtered(start, end, low, high);
+                    *sum += data.sum_filtered(start, end, low, high);
+                }
+            },
+            Accumulator::RowIds(out) => out.extend(rowids()),
+            Accumulator::IdRuns(runs) => runs.push(rowids()),
+            Accumulator::PairRuns(runs) => runs.push(pairs()),
+        }
+    }
+
+    /// Folds the delta view into the main-array accumulation: logical
+    /// contents are always `live main + pending inserts − tombstones` (at
+    /// the snapshot epoch, for snapshot reads). Aggregates record their
+    /// logical row count in `metrics`; row answers carry their own.
+    fn finish(self, view: DeltaView, metrics: &mut QueryMetrics) -> ReadAnswer {
+        match (self, view) {
+            (Accumulator::Count(rows), DeltaView::Counts(adjust)) => {
+                let count = (rows + adjust.insert_count).saturating_sub(adjust.tombstone_count);
+                metrics.result_count = count;
+                ReadAnswer::Agg(count as i128)
+            }
+            (Accumulator::Sum { rows, sum }, DeltaView::Counts(adjust)) => {
+                metrics.result_count =
+                    (rows + adjust.insert_count).saturating_sub(adjust.tombstone_count);
+                ReadAnswer::Agg(sum + adjust.insert_sum - adjust.tombstone_sum)
+            }
+            (Accumulator::RowIds(mut rows), DeltaView::Rows(view)) => {
+                if !view.hidden.is_empty() {
+                    rows.retain(|rowid| !view.hidden.contains(rowid));
+                }
+                rows.extend(view.extra.into_iter().map(|(_, rowid)| rowid));
+                rows.sort_unstable();
+                ReadAnswer::RowIds(rows)
+            }
+            (Accumulator::IdRuns(mut runs), DeltaView::Rows(view)) => {
+                for run in &mut runs {
+                    if !view.hidden.is_empty() {
+                        run.retain(|rowid| !view.hidden.contains(rowid));
+                    }
+                    run.sort_unstable();
+                }
+                let mut extra: Vec<RowId> =
+                    view.extra.into_iter().map(|(_, rowid)| rowid).collect();
+                extra.sort_unstable();
+                runs.push(extra);
+                ReadAnswer::Set(RowIdSet::from_runs(runs))
+            }
+            (Accumulator::PairRuns(runs), DeltaView::Rows(view)) => {
+                let mut out = KeyRuns::default();
+                for mut run in runs {
+                    if !view.hidden.is_empty() {
+                        run.retain(|(_, rowid)| !view.hidden.contains(rowid));
+                    }
+                    out.push_run(run);
+                }
+                // The delta's rows (pending inserts / snapshot ghosts)
+                // form one additional, pre-sorted run.
+                let mut extra = view.extra;
+                extra.sort_unstable();
+                out.push_run(extra);
+                ReadAnswer::Runs(out)
+            }
+            _ => unreachable!("aggregates fold counts, row shapes fold rows"),
+        }
+    }
+}
+
 /// A cracker index shared by concurrent query threads.
 #[derive(Debug)]
 pub struct ConcurrentCracker {
@@ -311,26 +587,44 @@ impl Snapshot<'_> {
         self.epoch
     }
 
+    /// [`ConcurrentCracker::read`] frozen at the snapshot epoch.
+    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        self.idx.read(low, high, Some(self.epoch), shape)
+    }
+
     /// Q1 at the snapshot epoch: count of values in `[low, high)`.
     pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        self.idx.count_at(low, high, self.epoch)
+        let (answer, metrics) = self.read(low, high, ReadShape::Count);
+        (answer.into_agg() as u64, metrics)
     }
 
     /// Q2 at the snapshot epoch: sum of values in `[low, high)`.
     pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.idx.sum_at(low, high, self.epoch)
+        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
+        (answer.into_agg(), metrics)
     }
 
     /// Row ids of the rows with values in `[low, high)` as of the
-    /// snapshot epoch (sorted ascending).
+    /// snapshot epoch (sorted ascending): rows inserted or physically
+    /// placed after the epoch are invisible, rows deleted or reclaimed
+    /// after it are restored (ghosts).
     pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        self.idx.select_rowids_at(low, high, self.epoch)
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
+        (answer.into_rowids(), metrics)
     }
 
     /// As [`Snapshot::rowids`], but materialised as a compressed
     /// [`RowIdSet`] built from per-piece sorted runs.
     pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        self.idx.select_rowid_set_at(low, high, self.epoch)
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
+        (answer.into_set(), metrics)
+    }
+
+    /// As [`Snapshot::rowids`], but as raw per-piece `(key, rowid)`
+    /// [`KeyRuns`] (the join-side read).
+    pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
+        (answer.into_runs(), metrics)
     }
 }
 
@@ -632,14 +926,15 @@ impl ConcurrentCracker {
     /// Q1: count of values in `[low, high)`, refining the index as a side
     /// effect. Returns the count and the query's metrics breakdown.
     pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (v, m) = self.run_query(low, high, Aggregate::Count, None);
-        (v as u64, m)
+        let (answer, metrics) = self.read(low, high, None, ReadShape::Count);
+        (answer.into_agg() as u64, metrics)
     }
 
     /// Q2: sum of values in `[low, high)`, refining the index as a side
     /// effect. Returns the sum and the query's metrics breakdown.
     pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.run_query(low, high, Aggregate::Sum, None)
+        let (answer, metrics) = self.read(low, high, None, ReadShape::Sum);
+        (answer.into_agg(), metrics)
     }
 
     /// Opens a snapshot at the current column epoch. Reads through the
@@ -679,18 +974,6 @@ impl ConcurrentCracker {
         self.delta.current_epoch()
     }
 
-    /// Q1 as of snapshot `epoch` (which must be registered; see
-    /// [`ConcurrentCracker::register_snapshot_epoch`]).
-    pub fn count_at(&self, low: i64, high: i64, epoch: u64) -> (u64, QueryMetrics) {
-        let (v, m) = self.run_query(low, high, Aggregate::Count, Some(epoch));
-        (v as u64, m)
-    }
-
-    /// Q2 as of snapshot `epoch` (which must be registered).
-    pub fn sum_at(&self, low: i64, high: i64, epoch: u64) -> (i128, QueryMetrics) {
-        self.run_query(low, high, Aggregate::Sum, Some(epoch))
-    }
-
     /// Row ids of every live row whose value falls in `[low, high)`,
     /// sorted ascending, refining the index as a side effect exactly like
     /// a count/sum query. This is the rowid-set read a table engine
@@ -699,51 +982,24 @@ impl ConcurrentCracker {
     /// rebuilds) never changes the answer, because every row carries its
     /// id through every swap.
     pub fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        self.run_rowid_query(low, high, None)
-    }
-
-    /// As [`ConcurrentCracker::select_rowids`], frozen at snapshot `epoch`
-    /// (which must be registered): rows inserted or physically placed
-    /// after the epoch are invisible, rows deleted or reclaimed after it
-    /// are restored (ghosts).
-    pub fn select_rowids_at(&self, low: i64, high: i64, epoch: u64) -> (Vec<RowId>, QueryMetrics) {
-        self.run_rowid_query(low, high, Some(epoch))
+        let (answer, metrics) = self.read(low, high, None, ReadShape::RowIds);
+        (answer.into_rowids(), metrics)
     }
 
     /// As [`ConcurrentCracker::select_rowids`], but materialised as a
-    /// block-compressed [`RowIdSet`]: each piece the read visits yields one
-    /// sorted run, and the runs (pieces are position-disjoint, so the runs
-    /// are rowid-disjoint) are k-way merged straight into the delta
-    /// encoder — no flat `Vec<RowId>` of the whole candidate set exists at
-    /// any point. `metrics.candidate_set_bytes` records the compressed
-    /// footprint.
+    /// block-compressed [`RowIdSet`] ([`ReadShape::RowIdSet`]);
+    /// `metrics.candidate_set_bytes` records the compressed footprint.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        self.run_rowid_set_query(low, high, None)
-    }
-
-    /// As [`ConcurrentCracker::select_rowid_set`], frozen at snapshot
-    /// `epoch` (which must be registered).
-    pub fn select_rowid_set_at(&self, low: i64, high: i64, epoch: u64) -> (RowIdSet, QueryMetrics) {
-        self.run_rowid_set_query(low, high, Some(epoch))
+        let (answer, metrics) = self.read(low, high, None, ReadShape::RowIdSet);
+        (answer.into_set(), metrics)
     }
 
     /// Live `(key, rowid)` pairs of `[low, high)` as lazily-merged
-    /// [`KeyRuns`]: each piece the read visits contributes one *raw* run
-    /// (its physical pair order, typically unsorted within the piece), and
-    /// no run is sorted here. Sorting is deferred to the consumer's
-    /// [`KeyRunsIter`](crate::key_runs::KeyRunsIter), which only pays for a
-    /// run when the merge frontier actually reaches its key envelope — the
-    /// substrate of the gallop equi-join, where seeks discard whole
-    /// off-frontier runs unsorted. Refines the index as a side effect
-    /// exactly like any other read.
+    /// [`KeyRuns`] ([`ReadShape::KeyRuns`]) — the substrate of the gallop
+    /// equi-join, where seeks discard whole off-frontier runs unsorted.
     pub fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        self.run_key_runs_query(low, high, None)
-    }
-
-    /// As [`ConcurrentCracker::select_key_runs`], frozen at snapshot
-    /// `epoch` (which must be registered).
-    pub fn select_key_runs_at(&self, low: i64, high: i64, epoch: u64) -> (KeyRuns, QueryMetrics) {
-        self.run_key_runs_query(low, high, Some(epoch))
+        let (answer, metrics) = self.read(low, high, None, ReadShape::KeyRuns);
+        (answer.into_runs(), metrics)
     }
 
     /// Inserts one row with the given key, self-assigning a fresh row id.
@@ -900,10 +1156,17 @@ impl ConcurrentCracker {
             Some(next) => self.force_bound(next, metrics),
             None => self.data.len(),
         };
-        self.collect_pairs(a, b, None, metrics)
-            .into_iter()
-            .map(|(_, rowid)| rowid)
-            .collect()
+        let mut doomed = Accumulator::RowIds(Vec::new());
+        self.walk(
+            MainPlan::Exact { start: a, end: b },
+            (value, value),
+            &mut doomed,
+            metrics,
+        );
+        // No delta to fold: the delete applies it under the delta lock.
+        doomed
+            .finish(DeltaView::Rows(PairView::default()), metrics)
+            .into_rowids()
     }
 
     /// Ensures a crack exists at `bound` under the active latch protocol,
@@ -951,228 +1214,72 @@ impl ConcurrentCracker {
     /// progress even under a pathological stream of reclaiming writers.
     const SEQLOCK_RETRY_CAP: u32 = 3;
 
-    fn run_query(
-        &self,
-        low: i64,
-        high: i64,
-        agg: Aggregate,
-        at: Option<u64>,
-    ) -> (i128, QueryMetrics) {
-        let start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics::default();
-        if low >= high {
-            metrics.total = start.elapsed();
-            return (0, metrics);
-        }
-        // Register with the quiesce gate for the whole operation: positions
-        // resolved by the plan phase stay valid because no compaction can
-        // rebuild the array underneath us.
-        let (main, adjust) = {
-            let _op = self.enter_if_compactable();
-            let plan = if self.data.is_empty() {
-                None
-            } else {
-                Some(match self.protocol {
-                    LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
-                    LatchProtocol::Column | LatchProtocol::None => {
-                        self.plan_column(low, high, &mut metrics)
-                    }
-                })
-            };
-            // Fold in the pending delta: logical contents are always
-            // `live main + pending inserts − tombstones` (at the snapshot
-            // epoch, for snapshot reads). The main multiset changes only
-            // through epoch-stamped reclamations (piece shrinks and
-            // incremental hole-fills), so a (main phase, delta snapshot)
-            // pair taken at one stable epoch is consistent; on an epoch
-            // change, re-read — bounds are already cracks, so a retry is a
-            // cheap re-scan. Retries are bounded: past the cap the read
-            // pauses reclamations outright and finishes in one pass.
-            let mut failures = 0u32;
-            loop {
-                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                let epoch = self.seq_read_epoch();
-                let mut attempt = QueryMetrics::default();
-                let main = match plan {
-                    Some(plan) => self.aggregate_main(plan, low, high, agg, &mut attempt),
-                    None => 0,
-                };
-                let adjust = match at {
-                    Some(snapshot_epoch) => self.delta.adjust_at(low, high, snapshot_epoch),
-                    None => self.delta.adjust(low, high),
-                };
-                if self.seq_read_valid(epoch, paused.is_some()) {
-                    metrics.accumulate(&attempt);
-                    break (main, adjust);
-                }
-                // A reclamation raced the read: keep the failed attempt's
-                // latch timing honest, discard its counts, and retry.
-                failures += 1;
-                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                emit(TraceEvent::SnapshotRetry { attempt: failures });
-                metrics.wait_time += attempt.wait_time;
-                metrics.aggregate_time += attempt.aggregate_time;
-                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
-            }
-        };
-        let result = match agg {
-            Aggregate::Count => main + adjust.insert_count as i128 - adjust.tombstone_count as i128,
-            Aggregate::Sum => main + adjust.insert_sum - adjust.tombstone_sum,
-        };
-        metrics.total = start.elapsed();
-        metrics.result_count = match agg {
-            Aggregate::Count => result as u64,
-            Aggregate::Sum => {
-                (metrics.result_count + adjust.insert_count).saturating_sub(adjust.tombstone_count)
-            }
-        };
-        (result, metrics)
-    }
-
-    /// The rowid twin of [`ConcurrentCracker::run_query`]: same plan phase
-    /// (both bounds refined, or a conservative filtered range under
-    /// conflict avoidance), same shrink-epoch seqlock around the
-    /// (main read, delta view) pair, but the main phase *collects* the
-    /// qualifying `(value, rowid)` pairs under the protocol's read latches
-    /// and the delta contributes a [`crate::pending::RowidView`] instead
-    /// of count adjustments.
-    fn run_rowid_query(&self, low: i64, high: i64, at: Option<u64>) -> (Vec<RowId>, QueryMetrics) {
-        let start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics::default();
-        if low >= high {
-            metrics.total = start.elapsed();
-            return (Vec::new(), metrics);
-        }
-        let rows = {
-            let _op = self.enter_if_compactable();
-            let plan = if self.data.is_empty() {
-                None
-            } else {
-                Some(match self.protocol {
-                    LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
-                    LatchProtocol::Column | LatchProtocol::None => {
-                        self.plan_column(low, high, &mut metrics)
-                    }
-                })
-            };
-            let mut failures = 0u32;
-            loop {
-                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                let epoch = self.seq_read_epoch();
-                let mut attempt = QueryMetrics::default();
-                let pairs = match plan {
-                    Some(MainPlan::Exact { start, end }) => {
-                        self.collect_pairs(start, end, None, &mut attempt)
-                    }
-                    Some(MainPlan::Filtered { start, end }) => {
-                        self.collect_pairs(start, end, Some((low, high)), &mut attempt)
-                    }
-                    None => Vec::new(),
-                };
-                let view = match at {
-                    Some(snapshot_epoch) => self.delta.rowid_view_at(low, high, snapshot_epoch),
-                    None => self.delta.rowid_view(low, high),
-                };
-                if self.seq_read_valid(epoch, paused.is_some()) {
-                    metrics.accumulate(&attempt);
-                    let mut rows: Vec<RowId> = pairs
-                        .into_iter()
-                        .filter(|(_, rowid)| !view.hidden.contains(rowid))
-                        .map(|(_, rowid)| rowid)
-                        .collect();
-                    rows.extend(view.extra);
-                    rows.sort_unstable();
-                    break rows;
-                }
-                // A reclamation raced the read: keep the failed attempt's
-                // latch timing honest, discard its rows, and retry.
-                failures += 1;
-                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                emit(TraceEvent::SnapshotRetry { attempt: failures });
-                metrics.wait_time += attempt.wait_time;
-                metrics.aggregate_time += attempt.aggregate_time;
-                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
-            }
-        };
-        metrics.result_count = rows.len() as u64;
-        metrics.total = start.elapsed();
-        (rows, metrics)
-    }
-
-    /// The compressed-set twin of [`ConcurrentCracker::run_rowid_query`]:
-    /// same plan phase and shrink-epoch seqlock, but each visited piece
-    /// contributes one *sorted run* of row ids (minus the delta view's
-    /// hidden rows), the delta's extra rows form one more run, and
-    /// [`RowIdSet::from_runs`] k-way merges the runs straight into the
-    /// block-delta encoder.
-    fn run_rowid_set_query(
+    /// The one read path. Every read — any [`ReadShape`], now (`at =
+    /// None`) or frozen at a registered snapshot epoch — runs the paper's
+    /// crack-select operator: resolve both bounds under write latches
+    /// (refining the index as a side effect, or falling back to a
+    /// conservative filtered range under conflict avoidance), walk the
+    /// qualifying pieces under read latches, fold the pending delta.
+    /// Invariants every shape inherits:
+    ///
+    /// * **One delta view per seqlock window.** The main multiset changes
+    ///   only through epoch-stamped reclamations (piece shrinks and
+    ///   incremental hole-fills), so a (piece walk, delta view) pair taken
+    ///   at one stable shrink epoch is consistent; on an epoch change the
+    ///   pair is re-read — bounds are already cracks, so a retry is a
+    ///   cheap re-scan. Retries are bounded: past
+    ///   [`Self::SEQLOCK_RETRY_CAP`] the read pauses reclamations outright
+    ///   and finishes in one pass.
+    /// * **Per-piece run granularity.** Row shapes receive one run per
+    ///   visited piece, and [`ReadShape::KeyRuns`] runs are never sorted.
+    /// * **Positional count.** An exact-plan [`ReadShape::Count`] takes no
+    ///   read latch and reads no data.
+    pub fn read(
         &self,
         low: i64,
         high: i64,
         at: Option<u64>,
-    ) -> (RowIdSet, QueryMetrics) {
+        shape: ReadShape,
+    ) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
         self.queries.fetch_add(1, Ordering::Relaxed);
         let mut metrics = QueryMetrics::default();
         if low >= high {
             metrics.total = start.elapsed();
-            return (RowIdSet::default(), metrics);
+            return (ReadAnswer::empty(shape), metrics);
         }
-        let set = {
+        let answer = {
+            // Register with the quiesce gate for the whole operation:
+            // positions resolved by the plan phase stay valid because no
+            // compaction can rebuild the array underneath us.
             let _op = self.enter_if_compactable();
-            let plan = if self.data.is_empty() {
-                None
-            } else {
-                Some(match self.protocol {
-                    LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
-                    LatchProtocol::Column | LatchProtocol::None => {
-                        self.plan_column(low, high, &mut metrics)
-                    }
-                })
-            };
+            let plan = (!self.data.is_empty()).then(|| match self.protocol {
+                LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
+                LatchProtocol::Column | LatchProtocol::None => {
+                    self.plan_column(low, high, &mut metrics)
+                }
+            });
             let mut failures = 0u32;
             loop {
                 let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
                 let epoch = self.seq_read_epoch();
                 let mut attempt = QueryMetrics::default();
-                let mut runs: Vec<Vec<RowId>> = Vec::new();
-                {
-                    let sink = |pairs: Vec<(i64, RowId)>| {
-                        runs.push(pairs.into_iter().map(|(_, rowid)| rowid).collect())
-                    };
-                    match plan {
-                        Some(MainPlan::Exact { start, end }) => {
-                            self.collect_piece_runs(start, end, None, &mut attempt, sink)
-                        }
-                        Some(MainPlan::Filtered { start, end }) => self.collect_piece_runs(
-                            start,
-                            end,
-                            Some((low, high)),
-                            &mut attempt,
-                            sink,
-                        ),
-                        None => {}
-                    }
+                let mut acc = Accumulator::new(shape);
+                if let Some(plan) = plan {
+                    self.walk(plan, (low, high), &mut acc, &mut attempt);
                 }
-                let view = match at {
-                    Some(snapshot_epoch) => self.delta.rowid_view_at(low, high, snapshot_epoch),
-                    None => self.delta.rowid_view(low, high),
+                let view = if acc.is_aggregate() {
+                    DeltaView::Counts(self.delta.adjust(low, high, at))
+                } else {
+                    DeltaView::Rows(self.delta.pair_view(low, high, at))
                 };
                 if self.seq_read_valid(epoch, paused.is_some()) {
                     metrics.accumulate(&attempt);
-                    for run in &mut runs {
-                        if !view.hidden.is_empty() {
-                            run.retain(|rowid| !view.hidden.contains(rowid));
-                        }
-                        run.sort_unstable();
-                    }
-                    let mut extra = view.extra;
-                    extra.sort_unstable();
-                    runs.push(extra);
-                    break RowIdSet::from_runs(runs);
+                    break acc.finish(view, &mut metrics);
                 }
+                // A reclamation raced the read: keep the failed attempt's
+                // latch timing honest, discard what it accumulated, and
+                // retry.
                 failures += 1;
                 metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
                 emit(TraceEvent::SnapshotRetry { attempt: failures });
@@ -1181,124 +1288,52 @@ impl ConcurrentCracker {
                 metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
             }
         };
-        metrics.result_count = set.len() as u64;
-        metrics.candidate_set_bytes = set.heap_bytes() as u64;
+        answer.stamp(&mut metrics);
         metrics.total = start.elapsed();
-        (set, metrics)
+        (answer, metrics)
     }
 
-    /// The join-side twin of [`ConcurrentCracker::run_rowid_set_query`]:
-    /// same plan phase and shrink-epoch seqlock, but each visited piece's
-    /// `(key, rowid)` batch is kept as one raw [`KeyRuns`] run — never
-    /// sorted here — while the delta view's hidden rows are filtered out
-    /// of every run and its extra rows (pending inserts / snapshot ghosts)
-    /// form one additional, pre-sorted run.
-    fn run_key_runs_query(&self, low: i64, high: i64, at: Option<u64>) -> (KeyRuns, QueryMetrics) {
-        let start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics::default();
-        if low >= high {
-            metrics.total = start.elapsed();
-            return (KeyRuns::default(), metrics);
-        }
-        let key_runs = {
-            let _op = self.enter_if_compactable();
-            let plan = if self.data.is_empty() {
-                None
-            } else {
-                Some(match self.protocol {
-                    LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
-                    LatchProtocol::Column | LatchProtocol::None => {
-                        self.plan_column(low, high, &mut metrics)
-                    }
-                })
-            };
-            let mut failures = 0u32;
-            loop {
-                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                let epoch = self.seq_read_epoch();
-                let mut attempt = QueryMetrics::default();
-                let mut runs: Vec<Vec<(i64, RowId)>> = Vec::new();
-                {
-                    let sink = |pairs: Vec<(i64, RowId)>| runs.push(pairs);
-                    match plan {
-                        Some(MainPlan::Exact { start, end }) => {
-                            self.collect_piece_runs(start, end, None, &mut attempt, sink)
-                        }
-                        Some(MainPlan::Filtered { start, end }) => self.collect_piece_runs(
-                            start,
-                            end,
-                            Some((low, high)),
-                            &mut attempt,
-                            sink,
-                        ),
-                        None => {}
-                    }
-                }
-                let view = match at {
-                    Some(snapshot_epoch) => self.delta.pair_view_at(low, high, snapshot_epoch),
-                    None => self.delta.pair_view(low, high),
-                };
-                if self.seq_read_valid(epoch, paused.is_some()) {
-                    metrics.accumulate(&attempt);
-                    let mut out = KeyRuns::default();
-                    for mut run in runs {
-                        if !view.hidden.is_empty() {
-                            run.retain(|(_, rowid)| !view.hidden.contains(rowid));
-                        }
-                        out.push_run(run);
-                    }
-                    let mut extra = view.extra;
-                    extra.sort_unstable();
-                    out.push_run(extra);
-                    break out;
-                }
-                failures += 1;
-                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                emit(TraceEvent::SnapshotRetry { attempt: failures });
-                metrics.wait_time += attempt.wait_time;
-                metrics.aggregate_time += attempt.aggregate_time;
-                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
-            }
-        };
-        metrics.result_count = key_runs.total_rows() as u64;
-        metrics.total = start.elapsed();
-        (key_runs, metrics)
-    }
-
-    /// Collects the live `(value, rowid)` pairs of `[start, end)` (a
-    /// union of whole pieces), holding the latches the active protocol
-    /// prescribes — piece read latches one piece at a time, or the column
-    /// read latch — and skipping each piece's dead hole tail. `filter`
-    /// carries the original query bounds when refinement was skipped and
-    /// exact filtering is required.
-    fn collect_pairs(
+    /// The piece walk: feeds `acc` the live part of every piece of the
+    /// plan's range, holding the latches the active protocol prescribes —
+    /// piece read latches one piece at a time, or the column read latch —
+    /// and skipping each piece's dead hole tail. A filtered plan (skipped
+    /// refinement) passes the original query `bounds` along for exact
+    /// filtering. Only reads, so seqlock retries may repeat it.
+    fn walk(
         &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
+        plan: MainPlan,
+        bounds: (i64, i64),
+        acc: &mut Accumulator,
         metrics: &mut QueryMetrics,
-    ) -> Vec<(i64, RowId)> {
-        let mut out = Vec::new();
-        self.collect_piece_runs(start, end, filter, metrics, |pairs| out.extend(pairs));
-        out
-    }
-
-    /// The piece walk under [`ConcurrentCracker::collect_pairs`], with the
-    /// destination abstracted: `sink` receives each visited piece's live
-    /// pairs as one batch, so callers can either flatten them (the legacy
-    /// pair vector) or keep per-piece runs (the compressed-set encoder).
-    fn collect_piece_runs(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        metrics: &mut QueryMetrics,
-        mut sink: impl FnMut(Vec<(i64, RowId)>),
     ) {
+        let (start, end, filter) = match plan {
+            MainPlan::Exact { start, end } => (start, end, None),
+            MainPlan::Filtered { start, end } => (start, end, Some(bounds)),
+        };
         if start >= end {
             return;
         }
+        // A fully-resolved count is purely positional: range width minus
+        // the dead slots recorded in the hole ledger, no data access — and
+        // no toc lock at all in the common hole-free state (a racing
+        // shrink that invalidates the lock-free probe is caught by the
+        // caller's epoch validation).
+        if let (Accumulator::Count(rows), None) = (&mut *acc, filter) {
+            let holes = if self.hole_rows.load(Ordering::Acquire) == 0 {
+                0
+            } else {
+                self.lock_toc().holes_in(start, end)
+            };
+            *rows += (end - start - holes) as u64;
+            return;
+        }
+        // `[pos, piece end)` and its live end, for the piece starting at
+        // `pos` (clipped to the walked range).
+        let piece_extent = |pos: usize| {
+            let toc = self.lock_toc();
+            let piece_end = toc.piece_end_after(pos).min(end);
+            (piece_end, toc.live_end(pos, piece_end))
+        };
         match self.protocol {
             LatchProtocol::Piece => {
                 let mut pos = start;
@@ -1312,13 +1347,9 @@ impl ConcurrentCracker {
                         guard.outcome().wait_time(),
                         guard.outcome().contended(),
                     );
-                    let (piece_end, live_end) = {
-                        let toc = self.lock_toc();
-                        let piece_end = toc.piece_end_after(pos).min(end);
-                        (piece_end, toc.live_end(pos, piece_end))
-                    };
+                    let (piece_end, live_end) = piece_extent(pos);
                     let agg_start = Instant::now();
-                    sink(self.read_pairs(pos, live_end, filter));
+                    acc.feed(&self.data, pos, live_end, filter);
                     metrics.aggregate_time += agg_start.elapsed();
                     drop(guard);
                     pos = piece_end;
@@ -1337,33 +1368,28 @@ impl ConcurrentCracker {
                     g
                 });
                 let agg_start = Instant::now();
-                let mut pos = start;
-                while pos < end {
-                    let (piece_end, live_end) = {
-                        let toc = self.lock_toc();
-                        let piece_end = toc.piece_end_after(pos).min(end);
-                        (piece_end, toc.live_end(pos, piece_end))
-                    };
-                    sink(self.read_pairs(pos, live_end, filter));
-                    pos = piece_end;
+                // The hole layout is frozen while we hold the column read
+                // latch (shrinks run only under the column *write* latch),
+                // so one probe lets a hole-free aggregate scan the whole
+                // range in a single pass. `[start, end)` is a union of
+                // whole pieces, so the range-scoped probe is exact: holes
+                // elsewhere in the array don't matter here.
+                let one_pass = acc.is_aggregate()
+                    && (self.hole_rows.load(Ordering::Acquire) == 0
+                        || self.lock_toc().holes_in(start, end) == 0);
+                if one_pass {
+                    acc.feed(&self.data, start, end, filter);
+                } else {
+                    let mut pos = start;
+                    while pos < end {
+                        let (piece_end, live_end) = piece_extent(pos);
+                        acc.feed(&self.data, pos, live_end, filter);
+                        pos = piece_end;
+                    }
                 }
                 metrics.aggregate_time += agg_start.elapsed();
                 drop(guard);
             }
-        }
-    }
-
-    /// One piece's live pairs, optionally filtered by the original query
-    /// bounds. Caller holds latches covering the range.
-    fn read_pairs(
-        &self,
-        start: usize,
-        live_end: usize,
-        filter: Option<(i64, i64)>,
-    ) -> Vec<(i64, RowId)> {
-        match filter {
-            None => self.data.pairs_in_range(start, live_end),
-            Some((low, high)) => self.data.pairs_filtered(start, live_end, low, high),
         }
     }
 
@@ -1428,51 +1454,6 @@ impl ConcurrentCracker {
                 return epoch;
             }
             std::thread::yield_now();
-        }
-    }
-
-    /// Aggregates one query's main-array contribution according to its
-    /// plan. Safe to call repeatedly (seqlock retries): it only reads.
-    fn aggregate_main(
-        &self,
-        plan: MainPlan,
-        low: i64,
-        high: i64,
-        agg: Aggregate,
-        metrics: &mut QueryMetrics,
-    ) -> i128 {
-        let (start, end, filter) = match plan {
-            MainPlan::Exact { start, end } => (start, end, None),
-            MainPlan::Filtered { start, end } => (start, end, Some((low, high))),
-        };
-        if start >= end {
-            return 0;
-        }
-        // A fully-resolved count is purely positional: range width minus
-        // the dead slots recorded in the hole ledger, no data access — and
-        // no toc lock at all in the common hole-free state (a racing
-        // shrink that invalidates the lock-free probe is caught by the
-        // caller's epoch validation).
-        if filter.is_none() && agg == Aggregate::Count {
-            let count = if self.hole_rows.load(Ordering::Acquire) == 0 {
-                (end - start) as u64
-            } else {
-                let toc = self.lock_toc();
-                (end - start - toc.holes_in(start, end)) as u64
-            };
-            metrics.result_count += count;
-            return count as i128;
-        }
-        match self.protocol {
-            LatchProtocol::Piece => self.walk_aggregate(start, end, filter, agg, metrics),
-            LatchProtocol::Column | LatchProtocol::None => self.aggregate_column(
-                start,
-                end,
-                filter,
-                agg,
-                metrics,
-                self.protocol != LatchProtocol::None,
-            ),
         }
     }
 
@@ -1596,98 +1577,6 @@ impl ConcurrentCracker {
             });
         }
         (pos, true)
-    }
-
-    fn aggregate_column(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        agg: Aggregate,
-        metrics: &mut QueryMetrics,
-        latched: bool,
-    ) -> i128 {
-        let guard = if latched {
-            let g = self.column_latch.acquire_read();
-            Self::note_wait(
-                metrics,
-                TraceEvent::COLUMN_LATCH,
-                LatchMode::Read,
-                g.outcome().wait_time(),
-                g.outcome().contended(),
-            );
-            Some(g)
-        } else {
-            None
-        };
-        let agg_start = Instant::now();
-        // The hole layout is frozen while we hold the column read latch
-        // (shrinks run only under the column *write* latch), so one probe
-        // decides between the single-pass scan and the hole-skipping walk.
-        // `[start, end)` is a union of whole pieces, so the range-scoped
-        // probe is exact: holes elsewhere in the array don't matter here.
-        let any_holes =
-            self.hole_rows.load(Ordering::Acquire) != 0 && self.lock_toc().holes_in(start, end) > 0;
-        let (count, acc) = if any_holes {
-            self.scan_pieces(start, end, filter, agg)
-        } else {
-            self.aggregate_range(start, end, filter, agg)
-        };
-        metrics.aggregate_time += agg_start.elapsed();
-        drop(guard);
-        metrics.result_count += count;
-        match agg {
-            Aggregate::Count => count as i128,
-            Aggregate::Sum => acc,
-        }
-    }
-
-    /// Aggregates one contiguous, hole-free live range: `(qualifying row
-    /// count, sum)`. The single definition the column scan, the piece
-    /// walk, and the hole-skipping scan all dispatch through. Caller holds
-    /// latches covering the range.
-    fn aggregate_range(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        agg: Aggregate,
-    ) -> (u64, i128) {
-        match (agg, filter) {
-            (Aggregate::Count, None) => ((end - start) as u64, 0),
-            (Aggregate::Count, Some((lo, hi))) => (self.data.count_filtered(start, end, lo, hi), 0),
-            (Aggregate::Sum, None) => ((end - start) as u64, self.data.sum_range(start, end)),
-            (Aggregate::Sum, Some((lo, hi))) => (
-                self.data.count_filtered(start, end, lo, hi),
-                self.data.sum_filtered(start, end, lo, hi),
-            ),
-        }
-    }
-
-    /// Piece-by-piece scan of `[start, end)` (whole pieces) that skips each
-    /// piece's dead tail. Caller holds latches covering the range.
-    fn scan_pieces(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        agg: Aggregate,
-    ) -> (u64, i128) {
-        let mut count = 0u64;
-        let mut acc = 0i128;
-        let mut pos = start;
-        while pos < end {
-            let (piece_end, live_end) = {
-                let toc = self.lock_toc();
-                let piece_end = toc.piece_end_after(pos).min(end);
-                (piece_end, toc.live_end(pos, piece_end))
-            };
-            let (c, a) = self.aggregate_range(pos, live_end, filter, agg);
-            count += c;
-            acc += a;
-            pos = piece_end;
-        }
-        (count, acc)
     }
 
     // ----- piece-latch protocol -------------------------------------------
@@ -1927,51 +1816,6 @@ impl ConcurrentCracker {
         }
         self.shrink_epoch.fetch_add(1, Ordering::AcqRel); // even: done
         (new_live_end, moved)
-    }
-
-    /// Aggregates over `[start, end)` piece by piece, holding each piece's
-    /// read latch only while scanning it (and skipping each piece's dead
-    /// tail). `filter` carries the original query bounds when refinement
-    /// was skipped and exact filtering is required.
-    fn walk_aggregate(
-        &self,
-        start: usize,
-        end: usize,
-        filter: Option<(i64, i64)>,
-        agg: Aggregate,
-        metrics: &mut QueryMetrics,
-    ) -> i128 {
-        let mut acc: i128 = 0;
-        let mut count: u64 = 0;
-        let mut pos = start;
-        while pos < end {
-            let latch = self.registry.latch_for(pos);
-            let guard = latch.acquire_read();
-            Self::note_wait(
-                metrics,
-                pos as u64,
-                LatchMode::Read,
-                guard.outcome().wait_time(),
-                guard.outcome().contended(),
-            );
-            let (piece_end, live_end) = {
-                let toc = self.lock_toc();
-                let piece_end = toc.piece_end_after(pos).min(end);
-                (piece_end, toc.live_end(pos, piece_end))
-            };
-            let agg_start = Instant::now();
-            let (c, a) = self.aggregate_range(pos, live_end, filter, agg);
-            count += c;
-            acc += a;
-            metrics.aggregate_time += agg_start.elapsed();
-            drop(guard);
-            pos = piece_end;
-        }
-        metrics.result_count += count;
-        match agg {
-            Aggregate::Count => count as i128,
-            Aggregate::Sum => acc,
-        }
     }
 
     /// Records one latch acquisition's wait into the metrics and, for

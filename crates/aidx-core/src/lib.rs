@@ -59,13 +59,13 @@ pub use aidx_latch::dcheck;
 pub use aidx_latch::facade;
 
 pub use compaction::{CompactionMode, CompactionPolicy};
-pub use concurrent_index::{ConcurrentCracker, Snapshot};
+pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, Snapshot};
 pub use key_runs::{
     merge_join_pairs, note_merge_join, KeyRun, KeyRuns, KeyRunsIter, MergeJoinStats,
 };
 pub use merge_concurrent::ConcurrentAdaptiveMerge;
 pub use metrics::{Completion, LatencyBreakdown, QueryMetrics, RunMetrics, WindowThroughput};
-pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta, RowidView};
+pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta};
 pub use piece_registry::PieceLatchRegistry;
 pub use protocol::{Aggregate, LatchProtocol, RefinementPolicy};
 pub use rowid_set::{

@@ -29,7 +29,8 @@
 //! Every write is stamped with a monotonically increasing **column
 //! epoch**. A reader that wants a frozen view registers a snapshot at the
 //! current epoch `e` and asks the delta for the adjustment *as of* `e`
-//! ([`PendingDelta::adjust_at`]): stamps with epoch `> e` are invisible.
+//! ([`PendingDelta::adjust`] with `at = Some(e)`): stamps with epoch `> e` are
+//! invisible.
 //! Because the main array is reconciled physically over time (piece
 //! shrinking reclaims tombstoned rows, incremental compaction merges
 //! pending inserts into holes, full compaction rebuilds the array), the
@@ -70,9 +71,8 @@
 //! * **placed rows** — rows physically merged into the main array that a
 //!   pre-insert snapshot must *not* see.
 //!
-//! [`PendingDelta::rowid_view`]/[`PendingDelta::rowid_view_at`] fold the
-//! ledger into a `(hidden main rows, extra rows)` pair a main-array scan
-//! combines with. Entries invisible to every live snapshot are dropped
+//! [`PendingDelta::pair_view`] folds the ledger into a `(hidden main rows,
+//! extra rows)` pair a main-array scan combines with. Entries invisible to every live snapshot are dropped
 //! eagerly, so the row ledger obeys the same boundedness as the stamps.
 //!
 //! The logical content of the index is therefore always
@@ -100,34 +100,20 @@ pub struct DeltaAdjust {
     pub tombstone_sum: i128,
 }
 
-/// The delta's contribution to one *row id* range read: main-array rows to
-/// hide plus delta-resident rows to add. Produced in one consistent
-/// snapshot of the delta state ([`PendingDelta::rowid_view`] /
-/// [`PendingDelta::rowid_view_at`]).
+/// The delta's contribution to one row-carrying range read: main-array
+/// rows to hide plus delta-resident `(key, rowid)` pairs to add. Produced
+/// in one consistent snapshot of the delta state
+/// ([`PendingDelta::pair_view`]); row-id reads simply drop the keys.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RowidView {
+pub struct PairView {
     /// Row ids the main-array scan must suppress: tombstoned rows (already
     /// deleted at the read epoch) and — for snapshot reads — rows placed
     /// into the main array after the snapshot epoch.
     pub hidden: HashSet<RowId>,
-    /// Row ids the scan must add: pending inserted rows (alive at the read
-    /// epoch) and — for snapshot reads — ghost rows physically reclaimed
-    /// after the snapshot epoch.
-    pub extra: Vec<RowId>,
-}
-
-/// The delta's contribution to one *(key, rowid)* range read — the
-/// key-carrying twin of [`RowidView`], produced for join-side key-run
-/// reads where the consumer needs the key beside every added row.
-/// Produced in one consistent snapshot of the delta state
-/// ([`PendingDelta::pair_view`] / [`PendingDelta::pair_view_at`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PairView {
-    /// Row ids the main-array scan must suppress (same contents as
-    /// [`RowidView::hidden`]).
-    pub hidden: HashSet<RowId>,
-    /// `(key, rowid)` pairs the scan must add, keyed because the delta's
-    /// BTreeMaps index by value — no main-array probe needed.
+    /// `(key, rowid)` pairs the scan must add: pending inserted rows
+    /// (alive at the read epoch) and — for snapshot reads — ghost rows
+    /// physically reclaimed after the snapshot epoch. Keyed because the
+    /// delta's BTreeMaps index by value — no main-array probe needed.
     pub extra: Vec<(i64, RowId)>,
 }
 
@@ -529,7 +515,7 @@ impl PendingDelta {
 
     /// Registers a snapshot at the current epoch and returns that epoch.
     /// While registered, reconciliations keep enough history for
-    /// [`PendingDelta::adjust_at`] at the epoch to stay answerable; every
+    /// [`PendingDelta::adjust`] at the epoch to stay answerable; every
     /// registration must be paired with a
     /// [`PendingDelta::release_snapshot`].
     pub fn register_snapshot(&self) -> u64 {
@@ -1099,39 +1085,33 @@ impl PendingDelta {
         pending + tombstoned
     }
 
-    /// One consistent snapshot of the delta's *current* contribution to a
-    /// query over `[low, high)`.
-    pub fn adjust(&self, low: i64, high: i64) -> DeltaAdjust {
+    /// One consistent snapshot of the delta's contribution to an aggregate
+    /// over `[low, high)` — the *current* contribution when `at` is `None`
+    /// (net counters answer it; stamp histories and the ledger are never
+    /// touched), or the contribution *as of* snapshot epoch `at`: stamps
+    /// newer than the epoch are invisible, and compensation-ledger entries
+    /// newer than the epoch are folded back in (restoring rows the
+    /// physical array has since reconciled). The per-value snapshot net is
+    /// signed; positive nets land on the insert side of the returned
+    /// [`DeltaAdjust`] and negative nets on the tombstone side, so callers
+    /// combine it exactly like a current-epoch adjustment.
+    pub fn adjust(&self, low: i64, high: i64, at: Option<u64>) -> DeltaAdjust {
         if low >= high {
             return DeltaAdjust::default();
         }
         let state = self.lock_state();
         let mut adjust = DeltaAdjust::default();
-        for (&v, cell) in state.inserts.range(low..high) {
-            adjust.insert_count += cell.net;
-            adjust.insert_sum += v as i128 * cell.net as i128;
-        }
-        for (&v, cell) in state.tombstones.range(low..high) {
-            adjust.tombstone_count += cell.net;
-            adjust.tombstone_sum += v as i128 * cell.net as i128;
-        }
-        adjust
-    }
-
-    /// One consistent snapshot of the delta's contribution to a query over
-    /// `[low, high)` *as of* snapshot epoch `epoch`: stamps newer than the
-    /// epoch are invisible, and compensation-ledger entries newer than the
-    /// epoch are folded back in (restoring rows the physical array has
-    /// since reconciled). The per-value net adjustment is signed; positive
-    /// nets land on the insert side of the returned [`DeltaAdjust`] and
-    /// negative nets on the tombstone side, so callers combine it exactly
-    /// like a current-epoch adjustment.
-    pub fn adjust_at(&self, low: i64, high: i64, epoch: u64) -> DeltaAdjust {
-        if low >= high {
-            return DeltaAdjust::default();
-        }
-        let state = self.lock_state();
-        let mut adjust = DeltaAdjust::default();
+        let Some(epoch) = at else {
+            for (&v, cell) in state.inserts.range(low..high) {
+                adjust.insert_count += cell.net;
+                adjust.insert_sum += v as i128 * cell.net as i128;
+            }
+            for (&v, cell) in state.tombstones.range(low..high) {
+                adjust.tombstone_count += cell.net;
+                adjust.tombstone_sum += v as i128 * cell.net as i128;
+            }
+            return adjust;
+        };
         let mut per_value: BTreeMap<i64, i128> = BTreeMap::new();
         for (&v, cell) in state.inserts.range(low..high) {
             *per_value.entry(v).or_insert(0) += cell.prefix(epoch);
@@ -1159,112 +1139,49 @@ impl PendingDelta {
         adjust
     }
 
-    /// The delta's contribution to a *current-epoch* row-id read over
-    /// `[low, high)`: tombstoned main rows to hide, alive pending rows to
-    /// add. One consistent snapshot under a single lock acquisition.
-    pub fn rowid_view(&self, low: i64, high: i64) -> RowidView {
-        if low >= high {
-            return RowidView::default();
-        }
-        let state = self.lock_state();
-        let mut view = RowidView::default();
-        for (_, rows) in state.tomb_rows.range(low..high) {
-            view.hidden.extend(rows.iter().map(|t| t.rowid));
-        }
-        for (_, rows) in state.pending_rows.range(low..high) {
-            view.extra
-                .extend(rows.iter().filter(|r| r.died == ALIVE).map(|r| r.rowid));
-        }
-        view
-    }
-
-    /// The delta's contribution to a row-id read over `[low, high)` *as
-    /// of* snapshot epoch `epoch` (which must be registered): main rows
-    /// tombstoned at or before the epoch — or placed after it — are
-    /// hidden; pending rows alive at the epoch and ghost rows whose
-    /// visibility window contains it are added.
-    pub fn rowid_view_at(&self, low: i64, high: i64, epoch: u64) -> RowidView {
-        if low >= high {
-            return RowidView::default();
-        }
-        let state = self.lock_state();
-        let mut view = RowidView::default();
-        for (_, rows) in state.tomb_rows.range(low..high) {
-            view.hidden
-                .extend(rows.iter().filter(|t| t.epoch <= epoch).map(|t| t.rowid));
-        }
-        for (_, rows) in state.placed_rows.range(low..high) {
-            view.hidden
-                .extend(rows.iter().filter(|p| p.born > epoch).map(|p| p.rowid));
-        }
-        for (_, rows) in state.pending_rows.range(low..high) {
-            view.extra.extend(
-                rows.iter()
-                    .filter(|r| r.born <= epoch && epoch < r.died)
-                    .map(|r| r.rowid),
-            );
-        }
-        for (_, rows) in state.ghost_rows.range(low..high) {
-            view.extra.extend(
-                rows.iter()
-                    .filter(|g| g.born <= epoch && epoch < g.died)
-                    .map(|g| g.rowid),
-            );
-        }
-        view
-    }
-
-    /// The key-carrying twin of [`PendingDelta::rowid_view`]: tombstoned
-    /// main rows to hide, alive pending rows to add *with their keys*,
-    /// for current-epoch `(key, rowid)` run reads (the join path).
-    pub fn pair_view(&self, low: i64, high: i64) -> PairView {
+    /// The delta's contribution to a row-carrying read over `[low, high)`,
+    /// one consistent snapshot under a single lock acquisition. With `at`
+    /// `None` (current epoch): tombstoned main rows are hidden, alive
+    /// pending rows added. As of snapshot epoch `at` (which must be
+    /// registered): main rows tombstoned at or before the epoch — or
+    /// placed after it — are hidden; pending rows alive at the epoch and
+    /// ghost rows whose visibility window contains it are added.
+    pub fn pair_view(&self, low: i64, high: i64, at: Option<u64>) -> PairView {
         if low >= high {
             return PairView::default();
         }
         let state = self.lock_state();
         let mut view = PairView::default();
+        let visible = |born: u64, died: u64| match at {
+            None => died == ALIVE,
+            Some(epoch) => born <= epoch && epoch < died,
+        };
         for (_, rows) in state.tomb_rows.range(low..high) {
-            view.hidden.extend(rows.iter().map(|t| t.rowid));
+            view.hidden.extend(
+                rows.iter()
+                    .filter(|t| at.is_none_or(|epoch| t.epoch <= epoch))
+                    .map(|t| t.rowid),
+            );
         }
         for (&value, rows) in state.pending_rows.range(low..high) {
             view.extra.extend(
                 rows.iter()
-                    .filter(|r| r.died == ALIVE)
+                    .filter(|r| visible(r.born, r.died))
                     .map(|r| (value, r.rowid)),
             );
         }
-        view
-    }
-
-    /// The key-carrying twin of [`PendingDelta::rowid_view_at`]: the
-    /// delta's `(key, rowid)` contribution as of snapshot `epoch`.
-    pub fn pair_view_at(&self, low: i64, high: i64, epoch: u64) -> PairView {
-        if low >= high {
-            return PairView::default();
-        }
-        let state = self.lock_state();
-        let mut view = PairView::default();
-        for (_, rows) in state.tomb_rows.range(low..high) {
-            view.hidden
-                .extend(rows.iter().filter(|t| t.epoch <= epoch).map(|t| t.rowid));
-        }
-        for (_, rows) in state.placed_rows.range(low..high) {
-            view.hidden
-                .extend(rows.iter().filter(|p| p.born > epoch).map(|p| p.rowid));
-        }
-        for (&value, rows) in state.pending_rows.range(low..high) {
-            view.extra.extend(
-                rows.iter()
-                    .filter(|r| r.born <= epoch && epoch < r.died)
-                    .map(|r| (value, r.rowid)),
-            );
-        }
-        for (&value, rows) in state.ghost_rows.range(low..high) {
-            view.extra.extend(
-                rows.iter()
-                    .filter(|g| g.born <= epoch && epoch < g.died)
-                    .map(|g| (value, g.rowid)),
-            );
+        if let Some(epoch) = at {
+            for (_, rows) in state.placed_rows.range(low..high) {
+                view.hidden
+                    .extend(rows.iter().filter(|p| p.born > epoch).map(|p| p.rowid));
+            }
+            for (&value, rows) in state.ghost_rows.range(low..high) {
+                view.extra.extend(
+                    rows.iter()
+                        .filter(|g| visible(g.born, g.died))
+                        .map(|g| (value, g.rowid)),
+                );
+            }
         }
         view
     }
@@ -1348,6 +1265,20 @@ fn range_iter<'a, T>(
 mod tests {
     use super::*;
 
+    /// A [`PairView`] with the keys dropped — what a row-id read folds.
+    struct RowidView {
+        hidden: HashSet<RowId>,
+        extra: Vec<RowId>,
+    }
+
+    fn rowid_view(delta: &PendingDelta, low: i64, high: i64, at: Option<u64>) -> RowidView {
+        let view = delta.pair_view(low, high, at);
+        RowidView {
+            hidden: view.hidden,
+            extra: view.extra.into_iter().map(|(_, rowid)| rowid).collect(),
+        }
+    }
+
     /// Test shorthand for one pending insert.
     fn ins(delta: &PendingDelta, value: i64, rowid: RowId) {
         delta.insert_row(value, rowid);
@@ -1357,7 +1288,10 @@ mod tests {
     fn fresh_delta_adjusts_nothing() {
         let delta = PendingDelta::new();
         assert!(delta.is_empty());
-        assert_eq!(delta.adjust(i64::MIN, i64::MAX), DeltaAdjust::default());
+        assert_eq!(
+            delta.adjust(i64::MIN, i64::MAX, None),
+            DeltaAdjust::default()
+        );
         assert_eq!(delta.pending_inserts(), 0);
         assert_eq!(delta.tombstoned_rows(), 0);
         assert_eq!(delta.current_epoch(), 0);
@@ -1371,18 +1305,18 @@ mod tests {
         ins(&delta, 5, 101);
         ins(&delta, 10, 102);
         assert_eq!(delta.pending_inserts(), 3);
-        let a = delta.adjust(5, 6);
+        let a = delta.adjust(5, 6, None);
         assert_eq!(a.insert_count, 2);
         assert_eq!(a.insert_sum, 10);
-        let a = delta.adjust(0, 11);
+        let a = delta.adjust(0, 11, None);
         assert_eq!(a.insert_count, 3);
         assert_eq!(a.insert_sum, 20);
         // Exclusive upper bound: value 10 is outside [5, 10).
-        assert_eq!(delta.adjust(5, 10).insert_count, 2);
+        assert_eq!(delta.adjust(5, 10, None).insert_count, 2);
         // Inverted range contributes nothing.
-        assert_eq!(delta.adjust(10, 5), DeltaAdjust::default());
+        assert_eq!(delta.adjust(10, 5, None), DeltaAdjust::default());
         // Rowid view returns the pending rows.
-        let view = delta.rowid_view(0, 11);
+        let view = rowid_view(&delta, 0, 11, None);
         assert!(view.hidden.is_empty());
         let mut extra = view.extra;
         extra.sort_unstable();
@@ -1400,11 +1334,11 @@ mod tests {
             "repeat delete suppresses 0"
         );
         assert_eq!(delta.tombstoned_rows(), 3);
-        let a = delta.adjust(7, 8);
+        let a = delta.adjust(7, 8, None);
         assert_eq!(a.tombstone_count, 3);
         assert_eq!(a.tombstone_sum, 21);
         // The tombstoned rowids are hidden from rowid reads.
-        let view = delta.rowid_view(0, 10);
+        let view = rowid_view(&delta, 0, 10, None);
         assert_eq!(view.hidden.len(), 3);
         assert!(view.hidden.contains(&2));
         assert!(delta.check_ledger_invariants());
@@ -1418,10 +1352,10 @@ mod tests {
         assert_eq!(delta.apply_delete(4, &[0]), (2, 1));
         assert_eq!(delta.apply_delete(4, &[0]), (0, 0));
         assert!(delta.pending_inserts() == 0);
-        let a = delta.adjust(0, 10);
+        let a = delta.adjust(0, 10, None);
         assert_eq!(a.insert_count, 0);
         assert_eq!(a.tombstone_count, 1);
-        let view = delta.rowid_view(0, 10);
+        let view = rowid_view(&delta, 0, 10, None);
         assert!(view.extra.is_empty(), "pending rows died");
         assert!(view.hidden.contains(&0));
         assert!(delta.check_ledger_invariants());
@@ -1438,7 +1372,7 @@ mod tests {
             Some(1)
         );
         assert_eq!(delta.pending_inserts(), 1);
-        let view = delta.rowid_view(0, 10);
+        let view = rowid_view(&delta, 0, 10, None);
         assert_eq!(view.extra, vec![10]);
         // Tombstone main row 3; repeating is a no-op.
         assert_eq!(
@@ -1495,14 +1429,14 @@ mod tests {
         delta.apply_delete(8, &[4]);
         assert_eq!(delta.retire_tombstones(&[(7, 1), (7, 3), (99, 5)]), 2);
         assert_eq!(delta.tombstoned_rows(), 2);
-        assert_eq!(delta.adjust(7, 8).tombstone_count, 1);
-        let view = delta.rowid_view(0, 10);
+        assert_eq!(delta.adjust(7, 8, None).tombstone_count, 1);
+        let view = rowid_view(&delta, 0, 10, None);
         assert!(view.hidden.contains(&2), "unretired tombstone still hides");
         assert!(!view.hidden.contains(&1), "retired rows are gone from main");
         // Retiring an already-retired row is a no-op.
         assert_eq!(delta.retire_tombstones(&[(7, 1)]), 0);
         assert_eq!(delta.retire_tombstones(&[(7, 2)]), 1);
-        assert_eq!(delta.adjust(7, 8).tombstone_count, 0);
+        assert_eq!(delta.adjust(7, 8, None).tombstone_count, 0);
         assert!(delta.check_ledger_invariants());
     }
 
@@ -1521,11 +1455,11 @@ mod tests {
         let delta = PendingDelta::new();
         delta.apply_delete(9, &[5]);
         ins(&delta, 9, 90);
-        let a = delta.adjust(9, 10);
+        let a = delta.adjust(9, 10, None);
         assert_eq!(a.insert_count, 1);
         assert_eq!(a.tombstone_count, 1);
         // The new row is visible, the doomed main row hidden.
-        let view = delta.rowid_view(9, 10);
+        let view = rowid_view(&delta, 9, 10, None);
         assert_eq!(view.extra, vec![90]);
         assert!(view.hidden.contains(&5));
         assert!(delta.check_ledger_invariants());
@@ -1553,12 +1487,12 @@ mod tests {
         ins(&delta, 5, 2);
         ins(&delta, 7, 3);
         // Current view: three pending rows.
-        assert_eq!(delta.adjust(0, 10).insert_count, 3);
+        assert_eq!(delta.adjust(0, 10, None).insert_count, 3);
         // Snapshot view: only the pre-snapshot insert.
-        let at = delta.adjust_at(0, 10, epoch);
+        let at = delta.adjust(0, 10, Some(epoch));
         assert_eq!(at.insert_count, 1);
         assert_eq!(at.insert_sum, 5);
-        let view = delta.rowid_view_at(0, 10, epoch);
+        let view = rowid_view(&delta, 0, 10, Some(epoch));
         assert_eq!(view.extra, vec![1], "only the pre-snapshot row");
         delta.release_snapshot(epoch);
         assert_eq!(delta.live_snapshots(), 0);
@@ -1571,13 +1505,13 @@ mod tests {
         ins(&delta, 4, 2);
         let epoch = delta.register_snapshot();
         delta.apply_delete(4, &[9]); // negates the pending rows + tombstones main
-        assert_eq!(delta.adjust(0, 10).insert_count, 0);
-        assert_eq!(delta.adjust(0, 10).tombstone_count, 1);
+        assert_eq!(delta.adjust(0, 10, None).insert_count, 0);
+        assert_eq!(delta.adjust(0, 10, None).tombstone_count, 1);
         // The snapshot still sees both pending rows and no tombstone.
-        let at = delta.adjust_at(0, 10, epoch);
+        let at = delta.adjust(0, 10, Some(epoch));
         assert_eq!(at.insert_count, 2);
         assert_eq!(at.tombstone_count, 0);
-        let view = delta.rowid_view_at(0, 10, epoch);
+        let view = rowid_view(&delta, 0, 10, Some(epoch));
         let mut extra = view.extra;
         extra.sort_unstable();
         assert_eq!(extra, vec![1, 2]);
@@ -1596,17 +1530,17 @@ mod tests {
         assert_eq!(delta.tombstoned_rows(), 0);
         // The pre-delete snapshot must count the two removed rows as
         // ghosts; the post-delete snapshot must not.
-        let at = delta.adjust_at(0, 10, before);
+        let at = delta.adjust(0, 10, Some(before));
         assert_eq!(at.insert_count, 2, "ghost rows restored");
         assert_eq!(at.insert_sum, 14);
-        let view = delta.rowid_view_at(0, 10, before);
+        let view = rowid_view(&delta, 0, 10, Some(before));
         let mut extra = view.extra;
         extra.sort_unstable();
         assert_eq!(extra, vec![1, 2], "ghost rowids restored");
-        let at = delta.adjust_at(0, 10, after);
+        let at = delta.adjust(0, 10, Some(after));
         assert_eq!(at.insert_count, 0);
         assert_eq!(at.tombstone_count, 0);
-        assert!(delta.rowid_view_at(0, 10, after).extra.is_empty());
+        assert!(rowid_view(&delta, 0, 10, Some(after)).extra.is_empty());
         delta.release_snapshot(before);
         delta.release_snapshot(after);
     }
@@ -1624,13 +1558,13 @@ mod tests {
         assert_eq!(delta.pending_inserts(), 1);
         // Current view: one pending row (9). A pre-insert snapshot must
         // subtract the two physically placed rows it never saw.
-        assert_eq!(delta.adjust(0, 10).insert_count, 1);
-        let at = delta.adjust_at(0, 10, before);
+        assert_eq!(delta.adjust(0, 10, None).insert_count, 1);
+        let at = delta.adjust(0, 10, Some(before));
         assert_eq!(at.insert_count, 0);
         assert_eq!(at.tombstone_count, 2, "merged rows suppressed");
         assert_eq!(at.tombstone_sum, 10);
         // And the rowid view hides the physically placed rows.
-        let view = delta.rowid_view_at(0, 10, before);
+        let view = rowid_view(&delta, 0, 10, Some(before));
         assert!(view.hidden.contains(&1));
         assert!(view.hidden.contains(&2));
         assert!(view.extra.is_empty());
@@ -1669,7 +1603,7 @@ mod tests {
         // After the rebuild, main holds both 5s and no 7. The snapshot
         // (epoch between the two inserts, before the delete) must net:
         // one 5 fewer than main, one 7 more.
-        let at = delta.adjust_at(0, 10, epoch);
+        let at = delta.adjust(0, 10, Some(epoch));
         assert_eq!(at.insert_count, 1, "the ghost 7");
         assert_eq!(at.insert_sum, 7);
         assert_eq!(at.tombstone_count, 1, "the unseen second 5");
@@ -1677,7 +1611,7 @@ mod tests {
         // Rowid view: row 2 (placed after the snapshot) hidden, ghost 9
         // restored; row 1 is just a main row now (placed before the
         // snapshot — no entry needed).
-        let view = delta.rowid_view_at(0, 10, epoch);
+        let view = rowid_view(&delta, 0, 10, Some(epoch));
         assert!(view.hidden.contains(&2));
         assert!(!view.hidden.contains(&1));
         assert_eq!(view.extra, vec![9]);
@@ -1702,7 +1636,7 @@ mod tests {
         for i in 100..110 {
             ins(&delta, 5, i);
         }
-        assert_eq!(delta.adjust_at(0, 10, epoch).insert_count, 100);
+        assert_eq!(delta.adjust(0, 10, Some(epoch)).insert_count, 100);
         delta.release_snapshot(epoch);
         assert_eq!(delta.state.lock().inserts.get(&5).unwrap().stamps.len(), 1);
     }
@@ -1717,10 +1651,10 @@ mod tests {
         ins(&delta, 5, 3);
         delta.release_snapshot(young);
         // The old snapshot still distinguishes write 1 from writes 2-3.
-        assert_eq!(delta.adjust_at(0, 10, old).insert_count, 1);
-        assert_eq!(delta.adjust(0, 10).insert_count, 3);
+        assert_eq!(delta.adjust(0, 10, Some(old)).insert_count, 1);
+        assert_eq!(delta.adjust(0, 10, None).insert_count, 3);
         delta.release_snapshot(old);
-        assert_eq!(delta.adjust(0, 10).insert_count, 3);
+        assert_eq!(delta.adjust(0, 10, None).insert_count, 3);
     }
 
     #[test]
@@ -1734,7 +1668,7 @@ mod tests {
         delta.release_snapshot(a);
         assert_eq!(delta.live_snapshots(), 1);
         ins(&delta, 1, 2);
-        assert_eq!(delta.adjust_at(0, 10, b).insert_count, 1);
+        assert_eq!(delta.adjust(0, 10, Some(b)).insert_count, 1);
         delta.release_snapshot(b);
         assert_eq!(delta.live_snapshots(), 0);
     }
@@ -1761,10 +1695,10 @@ mod tests {
             "hot-key churn must stay bounded under a live snapshot, got {history}"
         );
         // The snapshot still answers exactly: one pending row (rowid 0).
-        assert_eq!(delta.adjust_at(0, 100, epoch).insert_count, 1);
-        assert_eq!(delta.rowid_view_at(0, 100, epoch).extra, vec![0]);
+        assert_eq!(delta.adjust(0, 100, Some(epoch)).insert_count, 1);
+        assert_eq!(rowid_view(&delta, 0, 100, Some(epoch)).extra, vec![0]);
         // Current view: the last churn iteration's delete killed all.
-        assert_eq!(delta.adjust(0, 100).insert_count, 0);
+        assert_eq!(delta.adjust(0, 100, None).insert_count, 0);
         delta.release_snapshot(epoch);
         assert!(delta.check_ledger_invariants());
     }
@@ -1792,8 +1726,8 @@ mod tests {
         // The snapshot predates every delete: the removed rows were main
         // rows at its epoch, so the count compensation restores all 1000
         // and the ghosts restore their rowids.
-        assert_eq!(delta.adjust_at(0, 100, epoch).insert_count, 1000);
-        assert_eq!(delta.rowid_view_at(0, 100, epoch).extra.len(), 1000);
+        assert_eq!(delta.adjust(0, 100, Some(epoch)).insert_count, 1000);
+        assert_eq!(rowid_view(&delta, 0, 100, Some(epoch)).extra.len(), 1000);
         delta.release_snapshot(epoch);
         assert_eq!(delta.history_len(), 0, "release drops everything");
         assert!(delta.check_ledger_invariants());
@@ -1806,7 +1740,7 @@ mod tests {
         // Rows 1..=3 existed at the snapshot; delete + retire them after.
         delta.apply_delete(7, &[1, 2, 3]);
         assert_eq!(delta.retire_tombstones(&[(7, 1), (7, 2), (7, 3)]), 3);
-        let view = delta.rowid_view_at(0, 10, epoch);
+        let view = rowid_view(&delta, 0, 10, Some(epoch));
         let mut extra = view.extra;
         extra.sort_unstable();
         assert_eq!(extra, vec![1, 2, 3], "ghosts the snapshot must still see");

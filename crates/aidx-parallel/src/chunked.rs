@@ -23,8 +23,8 @@
 use crate::pool::WorkerPool;
 use aidx_core::facade::{Mutex, RwLock};
 use aidx_core::{
-    Aggregate, CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics,
-    RefinementPolicy, RowIdSet,
+    CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics, ReadAnswer,
+    ReadShape, RefinementPolicy, RowIdSet,
 };
 use aidx_cracking::StochasticCracker;
 use aidx_obs::StructureProbe;
@@ -58,37 +58,19 @@ enum Chunk {
 }
 
 impl Chunk {
-    /// Answers `agg` over `[low, high)` in this chunk — at the given
-    /// chunk-local snapshot epoch if one is supplied (concurrent chunks
-    /// only; the caller guarantees stochastic chunks never get an epoch).
-    fn query_at(
+    /// Answers one `shape` read over `[low, high)` in this chunk — at the
+    /// given chunk-local snapshot epoch if one is supplied (concurrent
+    /// chunks only; the caller guarantees stochastic chunks never get an
+    /// epoch, nor a row shape: they keep no row identity).
+    fn read(
         &self,
         low: i64,
         high: i64,
-        agg: Aggregate,
         epoch: Option<u64>,
-    ) -> (i128, QueryMetrics) {
-        if let (Chunk::Concurrent(cracker), Some(epoch)) = (self, epoch) {
-            return match agg {
-                Aggregate::Count => {
-                    let (c, m) = cracker.count_at(low, high, epoch);
-                    (c as i128, m)
-                }
-                Aggregate::Sum => cracker.sum_at(low, high, epoch),
-            };
-        }
-        self.query(low, high, agg)
-    }
-
-    fn query(&self, low: i64, high: i64, agg: Aggregate) -> (i128, QueryMetrics) {
+        shape: ReadShape,
+    ) -> (ReadAnswer, QueryMetrics) {
         match self {
-            Chunk::Concurrent(cracker) => match agg {
-                Aggregate::Count => {
-                    let (c, m) = cracker.count(low, high);
-                    (c as i128, m)
-                }
-                Aggregate::Sum => cracker.sum(low, high),
-            },
+            Chunk::Concurrent(cracker) => cracker.read(low, high, epoch, shape),
             Chunk::Stochastic(cracker) => {
                 let start = Instant::now();
                 let mut metrics = QueryMetrics::default();
@@ -111,9 +93,12 @@ impl Chunk {
                 // positional and sums scan the qualifying range once.
                 let range = guard.crack_select(low, high).range;
                 metrics.result_count = range.len() as u64;
-                let result = match agg {
-                    Aggregate::Count => range.len() as i128,
-                    Aggregate::Sum => guard.array().sum_range(range.start, range.end),
+                let result = match shape {
+                    ReadShape::Count => range.len() as i128,
+                    ReadShape::Sum => guard.array().sum_range(range.start, range.end),
+                    ReadShape::RowIds | ReadShape::RowIdSet | ReadShape::KeyRuns => {
+                        unreachable!("row shapes are only routed to concurrent chunks")
+                    }
                 };
                 // Saturate instead of truncating: a `u64 as u32` here would
                 // silently wrap on long runs, violating the
@@ -123,7 +108,7 @@ impl Chunk {
                         .unwrap_or(u32::MAX);
                 drop(guard);
                 metrics.total = start.elapsed();
-                (result, metrics)
+                (ReadAnswer::Agg(result), metrics)
             }
         }
     }
@@ -143,59 +128,6 @@ impl Chunk {
                 metrics.total = start.elapsed();
                 metrics
             }
-        }
-    }
-
-    /// Rowid read over this chunk, optionally at a chunk-local snapshot
-    /// epoch. `None` for stochastic chunks (no row identity).
-    fn select_rowids_at(
-        &self,
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-    ) -> Option<(Vec<RowId>, QueryMetrics)> {
-        match self {
-            Chunk::Concurrent(cracker) => Some(match epoch {
-                Some(epoch) => cracker.select_rowids_at(low, high, epoch),
-                None => cracker.select_rowids(low, high),
-            }),
-            Chunk::Stochastic(_) => None,
-        }
-    }
-
-    /// Compressed rowid-set read over this chunk, optionally at a
-    /// chunk-local snapshot epoch. `None` for stochastic chunks (no row
-    /// identity).
-    fn select_rowid_set_at(
-        &self,
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-    ) -> Option<(RowIdSet, QueryMetrics)> {
-        match self {
-            Chunk::Concurrent(cracker) => Some(match epoch {
-                Some(epoch) => cracker.select_rowid_set_at(low, high, epoch),
-                None => cracker.select_rowid_set(low, high),
-            }),
-            Chunk::Stochastic(_) => None,
-        }
-    }
-
-    /// Lazy `(key, rowid)` run read over this chunk, optionally at a
-    /// chunk-local snapshot epoch. `None` for stochastic chunks (no row
-    /// identity).
-    fn select_key_runs_at(
-        &self,
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-    ) -> Option<(KeyRuns, QueryMetrics)> {
-        match self {
-            Chunk::Concurrent(cracker) => Some(match epoch {
-                Some(epoch) => cracker.select_key_runs_at(low, high, epoch),
-                None => cracker.select_key_runs(low, high),
-            }),
-            Chunk::Stochastic(_) => None,
         }
     }
 
@@ -551,15 +483,34 @@ impl ChunkedCracker {
         Some(ChunkedSnapshot { idx: self, epochs })
     }
 
+    /// One `shape` read over `[low, high)`, fanned out to every chunk and
+    /// merged ([`ReadAnswer::merge`]). `None` when `shape` carries row
+    /// identity and any chunk runs the stochastic backend, which keeps
+    /// none; aggregates are answered by every backend.
+    pub fn read(
+        &self,
+        low: i64,
+        high: i64,
+        shape: ReadShape,
+    ) -> Option<(ReadAnswer, QueryMetrics)> {
+        let answerable = matches!(shape, ReadShape::Count | ReadShape::Sum)
+            || !self
+                .chunks
+                .iter()
+                .any(|c| matches!(c, Chunk::Stochastic(_)));
+        answerable.then(|| self.fan_out(low, high, shape, None))
+    }
+
     /// Q1: count of values in `[low, high)` across all chunks.
     pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (value, metrics) = self.fan_out(low, high, Aggregate::Count, None);
-        (value as u64, metrics)
+        let (answer, metrics) = self.fan_out(low, high, ReadShape::Count, None);
+        (answer.into_agg() as u64, metrics)
     }
 
     /// Q2: sum of values in `[low, high)` across all chunks.
     pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.fan_out(low, high, Aggregate::Sum, None)
+        let (answer, metrics) = self.fan_out(low, high, ReadShape::Sum, None);
+        (answer.into_agg(), metrics)
     }
 
     /// Row ids of every live row with a value in `[low, high)`, unioned
@@ -567,7 +518,8 @@ impl ChunkedCracker {
     /// Returns `None` when any chunk runs the stochastic backend, which
     /// keeps no row identity.
     pub fn select_rowids(&self, low: i64, high: i64) -> Option<(Vec<RowId>, QueryMetrics)> {
-        self.fan_out_rowids(low, high, None)
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIds)?;
+        Some((answer.into_rowids(), metrics))
     }
 
     /// As [`ChunkedCracker::select_rowids`], but each chunk builds a
@@ -576,7 +528,8 @@ impl ChunkedCracker {
     /// are rowid-disjoint) are k-way merged without decoding to a flat
     /// vector. `None` when any chunk runs the stochastic backend.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> Option<(RowIdSet, QueryMetrics)> {
-        self.fan_out_rowid_set(low, high, None)
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet)?;
+        Some((answer.into_set(), metrics))
     }
 
     /// Lazily-merged `(key, rowid)` runs of every live row with a value
@@ -586,7 +539,8 @@ impl ChunkedCracker {
     /// [`KeyRunsIter`](aidx_core::KeyRunsIter)). `None` when any chunk
     /// runs the stochastic backend, which keeps no row identity.
     pub fn select_key_runs(&self, low: i64, high: i64) -> Option<(KeyRuns, QueryMetrics)> {
-        self.fan_out_key_runs(low, high, None)
+        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns)?;
+        Some((answer.into_runs(), metrics))
     }
 
     /// Deletes one specific row `(value, rowid)`. Chunks partition
@@ -623,177 +577,23 @@ impl ChunkedCracker {
         (removed, metrics)
     }
 
-    /// Fans one rowid read out to every chunk and unions the results,
-    /// optionally pinned at per-chunk snapshot epochs. `None` if any
-    /// chunk is stochastic.
-    fn fan_out_rowids(
-        &self,
-        low: i64,
-        high: i64,
-        epochs: Option<&[u64]>,
-    ) -> Option<(Vec<RowId>, QueryMetrics)> {
-        let start = Instant::now();
-        if self
-            .chunks
-            .iter()
-            .any(|c| matches!(c, Chunk::Stochastic(_)))
-        {
-            return None;
-        }
-        if low >= high {
-            let metrics = QueryMetrics {
-                total: start.elapsed(),
-                ..QueryMetrics::default()
-            };
-            return Some((Vec::new(), metrics));
-        }
-        let (tx, rx) = channel();
-        for chunk_id in 0..self.chunks.len() {
-            let chunks = Arc::clone(&self.chunks);
-            let tx = tx.clone();
-            let epoch = epochs.map(|e| e[chunk_id]);
-            self.pool.execute(move || {
-                let result = chunks[chunk_id]
-                    .select_rowids_at(low, high, epoch)
-                    .expect("all chunks checked concurrent above");
-                let _ = tx.send(result);
-            });
-        }
-        drop(tx);
-        let mut rows = Vec::new();
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (partial, part_metrics) = rx.recv().expect("chunk worker died");
-            rows.extend(partial);
-            parts.push(part_metrics);
-        }
-        rows.sort_unstable();
-        let mut metrics = QueryMetrics::merge_parallel(parts);
-        metrics.result_count = rows.len() as u64;
-        metrics.total = start.elapsed();
-        Some((rows, metrics))
-    }
-
-    /// Fans one compressed-set read out to every chunk and merges the
-    /// per-chunk sets, optionally pinned at per-chunk snapshot epochs.
-    /// `None` if any chunk is stochastic.
-    fn fan_out_rowid_set(
-        &self,
-        low: i64,
-        high: i64,
-        epochs: Option<&[u64]>,
-    ) -> Option<(RowIdSet, QueryMetrics)> {
-        let start = Instant::now();
-        if self
-            .chunks
-            .iter()
-            .any(|c| matches!(c, Chunk::Stochastic(_)))
-        {
-            return None;
-        }
-        if low >= high {
-            let metrics = QueryMetrics {
-                total: start.elapsed(),
-                ..QueryMetrics::default()
-            };
-            return Some((RowIdSet::default(), metrics));
-        }
-        let (tx, rx) = channel();
-        for chunk_id in 0..self.chunks.len() {
-            let chunks = Arc::clone(&self.chunks);
-            let tx = tx.clone();
-            let epoch = epochs.map(|e| e[chunk_id]);
-            self.pool.execute(move || {
-                let result = chunks[chunk_id]
-                    .select_rowid_set_at(low, high, epoch)
-                    .expect("all chunks checked concurrent above");
-                let _ = tx.send(result);
-            });
-        }
-        drop(tx);
-        let mut sets = Vec::with_capacity(self.chunks.len());
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (partial, part_metrics) = rx.recv().expect("chunk worker died");
-            sets.push(partial);
-            parts.push(part_metrics);
-        }
-        let merged = RowIdSet::merge_sets(&sets);
-        let mut metrics = QueryMetrics::merge_parallel(parts);
-        metrics.result_count = merged.len() as u64;
-        // Report the footprint of the set the caller actually receives,
-        // not the sum of the transient per-chunk parts.
-        metrics.candidate_set_bytes = merged.heap_bytes() as u64;
-        metrics.total = start.elapsed();
-        Some((merged, metrics))
-    }
-
-    /// Fans one key-run read out to every chunk and absorbs the per-chunk
-    /// run collections, optionally pinned at per-chunk snapshot epochs.
-    /// `None` if any chunk is stochastic.
-    fn fan_out_key_runs(
-        &self,
-        low: i64,
-        high: i64,
-        epochs: Option<&[u64]>,
-    ) -> Option<(KeyRuns, QueryMetrics)> {
-        let start = Instant::now();
-        if self
-            .chunks
-            .iter()
-            .any(|c| matches!(c, Chunk::Stochastic(_)))
-        {
-            return None;
-        }
-        if low >= high {
-            let metrics = QueryMetrics {
-                total: start.elapsed(),
-                ..QueryMetrics::default()
-            };
-            return Some((KeyRuns::default(), metrics));
-        }
-        let (tx, rx) = channel();
-        for chunk_id in 0..self.chunks.len() {
-            let chunks = Arc::clone(&self.chunks);
-            let tx = tx.clone();
-            let epoch = epochs.map(|e| e[chunk_id]);
-            self.pool.execute(move || {
-                let result = chunks[chunk_id]
-                    .select_key_runs_at(low, high, epoch)
-                    .expect("all chunks checked concurrent above");
-                let _ = tx.send(result);
-            });
-        }
-        drop(tx);
-        let mut merged = KeyRuns::default();
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (partial, part_metrics) = rx.recv().expect("chunk worker died");
-            merged.absorb(partial);
-            parts.push(part_metrics);
-        }
-        let mut metrics = QueryMetrics::merge_parallel(parts);
-        metrics.result_count = merged.total_rows() as u64;
-        metrics.total = start.elapsed();
-        Some((merged, metrics))
-    }
-
-    /// Fans one query out to every chunk and merges the partial results,
-    /// optionally pinned at per-chunk snapshot epochs.
+    /// Fans one read out to every chunk and merges the partial answers,
+    /// optionally pinned at per-chunk snapshot epochs. The caller
+    /// guarantees every chunk can answer `shape`.
     fn fan_out(
         &self,
         low: i64,
         high: i64,
-        agg: Aggregate,
+        shape: ReadShape,
         epochs: Option<&[u64]>,
-    ) -> (i128, QueryMetrics) {
+    ) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
         if low >= high {
             let metrics = QueryMetrics {
                 total: start.elapsed(),
                 ..QueryMetrics::default()
             };
-            return (0, metrics);
+            return (ReadAnswer::empty(shape), metrics);
         }
 
         let (tx, rx) = channel();
@@ -805,21 +605,15 @@ impl ChunkedCracker {
                 // A send error means the query thread gave up (it never
                 // does: it blocks on all replies); ignore rather than panic
                 // a pool worker.
-                let _ = tx.send(chunks[chunk_id].query_at(low, high, agg, epoch));
+                let _ = tx.send(chunks[chunk_id].read(low, high, epoch, shape));
             });
         }
         drop(tx);
 
-        let mut value: i128 = 0;
-        let mut parts = Vec::with_capacity(self.chunks.len());
-        for _ in 0..self.chunks.len() {
-            let (partial, part_metrics) = rx.recv().expect("chunk worker died");
-            value += partial;
-            parts.push(part_metrics);
-        }
-        let mut metrics = QueryMetrics::merge_parallel(parts);
+        let parts = (0..self.chunks.len()).map(|_| rx.recv().expect("chunk worker died"));
+        let (answer, mut metrics) = ReadAnswer::merge(shape, parts);
         metrics.total = start.elapsed();
-        (value, metrics)
+        (answer, metrics)
     }
 
     /// One merged structure probe across every chunk: total pieces, the
@@ -856,44 +650,45 @@ impl ChunkedSnapshot<'_> {
         &self.epochs
     }
 
+    /// [`ChunkedCracker::read`] with every chunk answering at its pinned
+    /// epoch. Snapshots only exist over concurrent chunks, which answer
+    /// every shape.
+    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        self.idx.fan_out(low, high, shape, Some(&self.epochs))
+    }
+
     /// Q1 at the snapshot: count of values in `[low, high)`.
     pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (value, metrics) = self
-            .idx
-            .fan_out(low, high, Aggregate::Count, Some(&self.epochs));
-        (value as u64, metrics)
+        let (answer, metrics) = self.read(low, high, ReadShape::Count);
+        (answer.into_agg() as u64, metrics)
     }
 
     /// Q2 at the snapshot: sum of values in `[low, high)`.
     pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.idx
-            .fan_out(low, high, Aggregate::Sum, Some(&self.epochs))
+        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
+        (answer.into_agg(), metrics)
     }
 
     /// Row ids of the rows with values in `[low, high)` as of the
-    /// snapshot (sorted ascending). Snapshots only exist over concurrent
-    /// chunks, so the read cannot fail.
+    /// snapshot (sorted ascending).
     pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        self.idx
-            .fan_out_rowids(low, high, Some(&self.epochs))
-            .expect("snapshots only exist over concurrent chunks")
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
+        (answer.into_rowids(), metrics)
     }
 
     /// As [`ChunkedSnapshot::rowids`], materialised as a compressed
     /// [`RowIdSet`] merged across the chunks' pinned epochs.
     pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        self.idx
-            .fan_out_rowid_set(low, high, Some(&self.epochs))
-            .expect("snapshots only exist over concurrent chunks")
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
+        (answer.into_set(), metrics)
     }
 
     /// Lazily-merged `(key, rowid)` runs of the rows with values in
     /// `[low, high)` as of the snapshot, absorbed across the chunks'
     /// pinned epochs.
     pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        self.idx
-            .fan_out_key_runs(low, high, Some(&self.epochs))
-            .expect("snapshots only exist over concurrent chunks")
+        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
+        (answer.into_runs(), metrics)
     }
 }
 
@@ -1337,31 +1132,6 @@ mod tests {
         assert_eq!(after.len(), before.len());
         assert_ne!(after, before, "replacement rows have fresh ids");
         assert!(idx.check_invariants());
-    }
-
-    #[test]
-    fn compressed_set_reads_match_flat_rowid_reads() {
-        let values = shuffled(3000);
-        let idx = ChunkedCracker::new(
-            values,
-            4,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
-        );
-        idx.insert_row(950, 9000);
-        for (low, high) in [(0, 3000), (900, 1100), (2999, 3000), (5, 5)] {
-            let (flat, _) = idx.select_rowids(low, high).expect("concurrent chunks");
-            let (set, m) = idx.select_rowid_set(low, high).expect("concurrent chunks");
-            assert_eq!(set.to_vec(), flat, "[{low},{high})");
-            assert_eq!(m.result_count, flat.len() as u64);
-            assert_eq!(m.candidate_set_bytes, set.heap_bytes() as u64);
-        }
-        // Snapshot set reads stay frozen like the flat path.
-        let snap = idx.snapshot().expect("concurrent chunks");
-        let before = snap.rowid_set(100, 200).0;
-        assert_eq!(idx.delete(150).0, 1);
-        idx.insert(150);
-        assert_eq!(snap.rowid_set(100, 200).0, before, "pinned set view");
-        assert_eq!(snap.rowids(100, 200).0, before.to_vec());
     }
 
     #[test]

@@ -51,7 +51,8 @@
 use aidx_core::{
     dcheck,
     facade::{Condvar, Mutex, RwLock},
-    Aggregate, CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics, RowIdSet,
+    CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics, ReadAnswer,
+    ReadShape, RowIdSet,
 };
 use aidx_obs::{emit, StructureProbe, TraceEvent};
 use aidx_storage::RowId;
@@ -65,15 +66,17 @@ use std::time::{Duration, Instant};
 
 /// A request routed to one partition owner.
 enum OwnerRequest {
-    /// Answer `agg` over `[low, high)` within the partition, cracking as a
-    /// side effect — at the partition-local snapshot `epoch` if one is
-    /// given — and reply with `(partial value, metrics)`.
-    Query {
+    /// Answer one `shape` read over `[low, high)` within the partition,
+    /// cracking as a side effect — at the partition-local snapshot `epoch`
+    /// if one is given — and reply with `(partial answer, metrics)`. Row
+    /// answers stay per-partition (sets compressed, key runs raw and
+    /// unsorted); the router merges them ([`ReadAnswer::merge`]).
+    Read {
         low: i64,
         high: i64,
-        agg: Aggregate,
         epoch: Option<u64>,
-        reply: Sender<(i128, QueryMetrics)>,
+        shape: ReadShape,
+        reply: Sender<(ReadAnswer, QueryMetrics)>,
     },
     /// Insert one row `(value, rowid)` into the partition's index (the
     /// partition *owns* the key range, so no other partition is involved).
@@ -94,35 +97,6 @@ enum OwnerRequest {
         value: i64,
         rowid: RowId,
         reply: Sender<(u64, QueryMetrics)>,
-    },
-    /// Reply with the row ids of the partition's rows in `[low, high)` —
-    /// at the partition-local snapshot `epoch` if one is given.
-    SelectRowids {
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-        reply: Sender<(Vec<RowId>, QueryMetrics)>,
-    },
-    /// Reply with a block-compressed [`RowIdSet`] of the partition's rows
-    /// in `[low, high)` — at the partition-local snapshot `epoch` if one
-    /// is given. The owner builds the set from its own per-piece sorted
-    /// runs; the router merges the per-partition sets without decoding.
-    SelectRowidSet {
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-        reply: Sender<(RowIdSet, QueryMetrics)>,
-    },
-    /// Reply with the partition's `[low, high)` rows as lazily-merged
-    /// [`KeyRuns`] — at the partition-local snapshot `epoch` if one is
-    /// given. Runs stay raw (unsorted, per-piece); the router absorbs the
-    /// per-partition collections so the consuming join pays for sorting
-    /// only at runs its merge frontier actually reaches.
-    SelectKeyRuns {
-        low: i64,
-        high: i64,
-        epoch: Option<u64>,
-        reply: Sender<(KeyRuns, QueryMetrics)>,
     },
     /// Register a snapshot at the partition's current epoch and reply
     /// with it.
@@ -594,10 +568,7 @@ impl OwnerCtx {
             OwnerRequest::Insert { value, .. }
             | OwnerRequest::Delete { value, .. }
             | OwnerRequest::DeleteRow { value, .. } => *value >= at,
-            OwnerRequest::Query { low, .. }
-            | OwnerRequest::SelectRowids { low, .. }
-            | OwnerRequest::SelectRowidSet { low, .. }
-            | OwnerRequest::SelectKeyRuns { low, .. } => *low >= at,
+            OwnerRequest::Read { low, .. } => *low >= at,
             _ => false,
         };
         if forward_whole {
@@ -605,96 +576,26 @@ impl OwnerCtx {
             return None;
         }
         match request {
-            OwnerRequest::Query {
+            OwnerRequest::Read {
                 low,
                 high,
-                agg,
                 epoch,
+                shape,
                 reply,
             } if high > at => {
                 debug_assert!(epoch.is_none(), "no snapshots during a repartition");
                 self.note_op();
-                let (local, local_m) = self.run_query(low, at, agg, epoch);
+                let local = self.index.read(low, at, epoch, shape);
                 let (tx, rx) = channel();
-                let _ = to.send(OwnerRequest::Query {
-                    low: at,
-                    high,
-                    agg,
-                    epoch,
-                    reply: tx,
-                });
-                if let Ok((remote, remote_m)) = rx.recv() {
-                    let merged = QueryMetrics::merge_parallel(vec![local_m, remote_m]);
-                    let _ = reply.send((local + remote, merged));
-                }
-                None
-            }
-            OwnerRequest::SelectRowids {
-                low,
-                high,
-                epoch,
-                reply,
-            } if high > at => {
-                debug_assert!(epoch.is_none(), "no snapshots during a repartition");
-                self.note_op();
-                let (mut rows, local_m) = self.run_rowids(low, at, epoch);
-                let (tx, rx) = channel();
-                let _ = to.send(OwnerRequest::SelectRowids {
+                let _ = to.send(OwnerRequest::Read {
                     low: at,
                     high,
                     epoch,
+                    shape,
                     reply: tx,
                 });
-                if let Ok((remote, remote_m)) = rx.recv() {
-                    rows.extend(remote);
-                    let merged = QueryMetrics::merge_parallel(vec![local_m, remote_m]);
-                    let _ = reply.send((rows, merged));
-                }
-                None
-            }
-            OwnerRequest::SelectRowidSet {
-                low,
-                high,
-                epoch,
-                reply,
-            } if high > at => {
-                debug_assert!(epoch.is_none(), "no snapshots during a repartition");
-                self.note_op();
-                let (local, local_m) = self.run_rowid_set(low, at, epoch);
-                let (tx, rx) = channel();
-                let _ = to.send(OwnerRequest::SelectRowidSet {
-                    low: at,
-                    high,
-                    epoch,
-                    reply: tx,
-                });
-                if let Ok((remote, remote_m)) = rx.recv() {
-                    let set = RowIdSet::merge_sets(&[local, remote]);
-                    let merged = QueryMetrics::merge_parallel(vec![local_m, remote_m]);
-                    let _ = reply.send((set, merged));
-                }
-                None
-            }
-            OwnerRequest::SelectKeyRuns {
-                low,
-                high,
-                epoch,
-                reply,
-            } if high > at => {
-                debug_assert!(epoch.is_none(), "no snapshots during a repartition");
-                self.note_op();
-                let (mut local, local_m) = self.run_key_runs(low, at, epoch);
-                let (tx, rx) = channel();
-                let _ = to.send(OwnerRequest::SelectKeyRuns {
-                    low: at,
-                    high,
-                    epoch,
-                    reply: tx,
-                });
-                if let Ok((remote, remote_m)) = rx.recv() {
-                    local.absorb(remote);
-                    let merged = QueryMetrics::merge_parallel(vec![local_m, remote_m]);
-                    let _ = reply.send((local, merged));
+                if let Ok(remote) = rx.recv() {
+                    let _ = reply.send(ReadAnswer::merge(shape, [local, remote]));
                 }
                 None
             }
@@ -702,60 +603,18 @@ impl OwnerCtx {
         }
     }
 
-    fn run_query(
-        &self,
-        low: i64,
-        high: i64,
-        agg: Aggregate,
-        epoch: Option<u64>,
-    ) -> (i128, QueryMetrics) {
-        match (agg, epoch) {
-            (Aggregate::Count, None) => {
-                let (c, m) = self.index.count(low, high);
-                (c as i128, m)
-            }
-            (Aggregate::Sum, None) => self.index.sum(low, high),
-            (Aggregate::Count, Some(epoch)) => {
-                let (c, m) = self.index.count_at(low, high, epoch);
-                (c as i128, m)
-            }
-            (Aggregate::Sum, Some(epoch)) => self.index.sum_at(low, high, epoch),
-        }
-    }
-
-    fn run_rowids(&self, low: i64, high: i64, epoch: Option<u64>) -> (Vec<RowId>, QueryMetrics) {
-        match epoch {
-            Some(epoch) => self.index.select_rowids_at(low, high, epoch),
-            None => self.index.select_rowids(low, high),
-        }
-    }
-
-    fn run_rowid_set(&self, low: i64, high: i64, epoch: Option<u64>) -> (RowIdSet, QueryMetrics) {
-        match epoch {
-            Some(epoch) => self.index.select_rowid_set_at(low, high, epoch),
-            None => self.index.select_rowid_set(low, high),
-        }
-    }
-
-    fn run_key_runs(&self, low: i64, high: i64, epoch: Option<u64>) -> (KeyRuns, QueryMetrics) {
-        match epoch {
-            Some(epoch) => self.index.select_key_runs_at(low, high, epoch),
-            None => self.index.select_key_runs(low, high),
-        }
-    }
-
     fn handle_local(&mut self, request: OwnerRequest) {
         match request {
-            OwnerRequest::Query {
+            OwnerRequest::Read {
                 low,
                 high,
-                agg,
                 epoch,
+                shape,
                 reply,
             } => {
                 // The router may have given up only if the whole index
                 // was dropped mid-query; nothing useful to do then.
-                let _ = reply.send(self.run_query(low, high, agg, epoch));
+                let _ = reply.send(self.index.read(low, high, epoch, shape));
             }
             OwnerRequest::Insert {
                 value,
@@ -779,30 +638,6 @@ impl OwnerCtx {
                 let (removed, metrics) = self.index.delete_row(value, rowid);
                 self.size.fetch_sub(removed as usize, Ordering::Relaxed);
                 let _ = reply.send((removed, metrics));
-            }
-            OwnerRequest::SelectRowids {
-                low,
-                high,
-                epoch,
-                reply,
-            } => {
-                let _ = reply.send(self.run_rowids(low, high, epoch));
-            }
-            OwnerRequest::SelectRowidSet {
-                low,
-                high,
-                epoch,
-                reply,
-            } => {
-                let _ = reply.send(self.run_rowid_set(low, high, epoch));
-            }
-            OwnerRequest::SelectKeyRuns {
-                low,
-                high,
-                epoch,
-                reply,
-            } => {
-                let _ = reply.send(self.run_key_runs(low, high, epoch));
             }
             OwnerRequest::SnapshotOpen { reply } => {
                 let _ = reply.send(self.index.register_snapshot_epoch());
@@ -1356,30 +1191,39 @@ impl RangePartitionedCracker {
         (removed, metrics)
     }
 
+    /// One `shape` read over `[low, high)`, routed to the owners of the
+    /// partitions the range overlaps (clipped per partition) — partitions
+    /// outside it are never touched — and merged
+    /// ([`ReadAnswer::merge`]).
+    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        let start = Instant::now();
+        // The pin covers only the sends: once a request is enqueued, a
+        // routing-table swap can't lose it (the redirect protocol drains
+        // the old generation before retiring).
+        let (reply_rx, fanout) = {
+            let table = self.shared.pin_table();
+            send_read(&table, low, high, shape, None)
+        };
+        collect_read(reply_rx, fanout, shape, start)
+    }
+
     /// Q1: count of values in `[low, high)`.
     pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (value, metrics) = self.route(low, high, Aggregate::Count);
-        (value as u64, metrics)
+        let (answer, metrics) = self.read(low, high, ReadShape::Count);
+        (answer.into_agg() as u64, metrics)
     }
 
     /// Q2: sum of values in `[low, high)`.
     pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        self.route(low, high, Aggregate::Sum)
+        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
+        (answer.into_agg(), metrics)
     }
 
     /// Row ids of every live row with a value in `[low, high)` (sorted
-    /// ascending), routed to the owners of the partitions the range
-    /// overlaps — partitions outside it are never touched.
+    /// ascending).
     pub fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (Vec::new(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_rowids(&table, low, high, None)
-        };
-        collect_rowids(reply_rx, fanout, start)
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
+        (answer.into_rowids(), metrics)
     }
 
     /// As [`RangePartitionedCracker::select_rowids`], but each
@@ -1388,32 +1232,17 @@ impl RangePartitionedCracker {
     /// per-partition sets (partitions are key-disjoint, hence
     /// rowid-disjoint) without decoding them to flat vectors.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (RowIdSet::default(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_rowid_set(&table, low, high, None)
-        };
-        collect_rowid_sets(reply_rx, fanout, start)
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
+        (answer.into_set(), metrics)
     }
 
     /// Lazily-merged `(key, rowid)` runs of every live row with a value
-    /// in `[low, high)`, routed to the owners of the partitions the range
-    /// overlaps and absorbed into one [`KeyRuns`] collection. Runs keep
-    /// their raw per-piece order; the consuming join's merge iterator
+    /// in `[low, high)`, absorbed into one [`KeyRuns`] collection. Runs
+    /// keep their raw per-piece order; the consuming join's merge iterator
     /// sorts only the runs its frontier reaches.
     pub fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (KeyRuns::default(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_key_runs(&table, low, high, None)
-        };
-        collect_key_runs(reply_rx, fanout, start)
+        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
+        (answer.into_runs(), metrics)
     }
 
     /// Opens a snapshot across every partition: one epoch per owner,
@@ -1451,23 +1280,6 @@ impl RangePartitionedCracker {
             table,
             epochs,
         }
-    }
-
-    /// Routes one aggregate to the owners of the partitions it overlaps
-    /// (clipped per partition) and merges their partial answers.
-    fn route(&self, low: i64, high: i64, agg: Aggregate) -> (i128, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (0, empty_metrics(start));
-        }
-        // The pin covers only the sends: once a request is enqueued, a
-        // routing-table swap can't lose it (the redirect protocol drains
-        // the old generation before retiring).
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_query(&table, low, high, agg, None)
-        };
-        collect_aggregates(reply_rx, fanout, start)
     }
 
     /// Sums `(delta rows, compactions + incremental steps)` across all
@@ -1872,61 +1684,46 @@ impl RangeSnapshot<'_> {
         &self.epochs
     }
 
+    /// [`RangePartitionedCracker::read`] with every owner answering at
+    /// its pinned epoch, routed through the captured generation.
+    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        let start = Instant::now();
+        let (reply_rx, fanout) = send_read(&self.table, low, high, shape, Some(&self.epochs));
+        collect_read(reply_rx, fanout, shape, start)
+    }
+
     /// Q1 at the snapshot: count of values in `[low, high)`.
     pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (0, empty_metrics(start));
-        }
-        let (reply_rx, fanout) =
-            send_query(&self.table, low, high, Aggregate::Count, Some(&self.epochs));
-        let (value, metrics) = collect_aggregates(reply_rx, fanout, start);
-        (value as u64, metrics)
+        let (answer, metrics) = self.read(low, high, ReadShape::Count);
+        (answer.into_agg() as u64, metrics)
     }
 
     /// Q2 at the snapshot: sum of values in `[low, high)`.
     pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (0, empty_metrics(start));
-        }
-        let (reply_rx, fanout) =
-            send_query(&self.table, low, high, Aggregate::Sum, Some(&self.epochs));
-        collect_aggregates(reply_rx, fanout, start)
+        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
+        (answer.into_agg(), metrics)
     }
 
     /// Row ids of the rows with values in `[low, high)` as of the
     /// snapshot (sorted ascending).
     pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (Vec::new(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = send_rowids(&self.table, low, high, Some(&self.epochs));
-        collect_rowids(reply_rx, fanout, start)
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
+        (answer.into_rowids(), metrics)
     }
 
     /// As [`RangeSnapshot::rowids`], materialised as a compressed
     /// [`RowIdSet`] merged across the partitions' pinned epochs.
     pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (RowIdSet::default(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = send_rowid_set(&self.table, low, high, Some(&self.epochs));
-        collect_rowid_sets(reply_rx, fanout, start)
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
+        (answer.into_set(), metrics)
     }
 
     /// Lazily-merged `(key, rowid)` runs of the rows with values in
     /// `[low, high)` as of the snapshot, absorbed across the partitions'
     /// pinned epochs.
     pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let start = Instant::now();
-        if low >= high {
-            return (KeyRuns::default(), empty_metrics(start));
-        }
-        let (reply_rx, fanout) = send_key_runs(&self.table, low, high, Some(&self.epochs));
-        collect_key_runs(reply_rx, fanout, start)
+        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
+        (answer.into_runs(), metrics)
     }
 }
 
@@ -1949,35 +1746,32 @@ fn partition_of(splits: &[i64], v: i64) -> usize {
     splits.partition_point(|&s| s <= v)
 }
 
-fn empty_metrics(start: Instant) -> QueryMetrics {
-    QueryMetrics {
-        total: start.elapsed(),
-        ..QueryMetrics::default()
-    }
-}
-
-/// Fans an aggregate out to the owners of the partitions `[low, high)`
-/// overlaps, clipped per partition. Returns the shared reply channel and
-/// the fan-out count; the caller collects after releasing its table pin.
-fn send_query(
+/// Fans one read out to the owners of the partitions `[low, high)`
+/// overlaps, clipped per partition (none at all for an empty range).
+/// Returns the shared reply channel and the fan-out count; the caller
+/// collects after releasing its table pin.
+fn send_read(
     table: &RoutingTable,
     low: i64,
     high: i64,
-    agg: Aggregate,
+    shape: ReadShape,
     epochs: Option<&[u64]>,
-) -> (Receiver<(i128, QueryMetrics)>, usize) {
+) -> (Receiver<(ReadAnswer, QueryMetrics)>, usize) {
+    let (reply_tx, reply_rx) = channel();
+    if low >= high {
+        return (reply_rx, 0);
+    }
     let first = partition_of(&table.splits, low);
     let last = partition_of(&table.splits, high - 1);
-    let (reply_tx, reply_rx) = channel();
     for p in first..=last {
         let (lo, hi) = table.clip(p, low, high);
         table.partitions[p]
             .sender
-            .send(OwnerRequest::Query {
+            .send(OwnerRequest::Read {
                 low: lo,
                 high: hi,
-                agg,
                 epoch: epochs.map(|e| e[p]),
+                shape,
                 reply: reply_tx.clone(),
             })
             .expect("partition owner exited early");
@@ -1985,152 +1779,17 @@ fn send_query(
     (reply_rx, last - first + 1)
 }
 
-fn send_rowids(
-    table: &RoutingTable,
-    low: i64,
-    high: i64,
-    epochs: Option<&[u64]>,
-) -> (Receiver<(Vec<RowId>, QueryMetrics)>, usize) {
-    let first = partition_of(&table.splits, low);
-    let last = partition_of(&table.splits, high - 1);
-    let (reply_tx, reply_rx) = channel();
-    for p in first..=last {
-        let (lo, hi) = table.clip(p, low, high);
-        table.partitions[p]
-            .sender
-            .send(OwnerRequest::SelectRowids {
-                low: lo,
-                high: hi,
-                epoch: epochs.map(|e| e[p]),
-                reply: reply_tx.clone(),
-            })
-            .expect("partition owner exited early");
-    }
-    (reply_rx, last - first + 1)
-}
-
-fn send_rowid_set(
-    table: &RoutingTable,
-    low: i64,
-    high: i64,
-    epochs: Option<&[u64]>,
-) -> (Receiver<(RowIdSet, QueryMetrics)>, usize) {
-    let first = partition_of(&table.splits, low);
-    let last = partition_of(&table.splits, high - 1);
-    let (reply_tx, reply_rx) = channel();
-    for p in first..=last {
-        let (lo, hi) = table.clip(p, low, high);
-        table.partitions[p]
-            .sender
-            .send(OwnerRequest::SelectRowidSet {
-                low: lo,
-                high: hi,
-                epoch: epochs.map(|e| e[p]),
-                reply: reply_tx.clone(),
-            })
-            .expect("partition owner exited early");
-    }
-    (reply_rx, last - first + 1)
-}
-
-fn collect_aggregates(
-    reply_rx: Receiver<(i128, QueryMetrics)>,
+/// Collects and merges the `fanout` partial answers of one routed read.
+fn collect_read(
+    reply_rx: Receiver<(ReadAnswer, QueryMetrics)>,
     fanout: usize,
+    shape: ReadShape,
     start: Instant,
-) -> (i128, QueryMetrics) {
-    let mut value: i128 = 0;
-    let mut parts = Vec::with_capacity(fanout);
-    for _ in 0..fanout {
-        let (partial, part_metrics) = reply_rx.recv().expect("partition owner died");
-        value += partial;
-        parts.push(part_metrics);
-    }
-    let mut metrics = QueryMetrics::merge_parallel(parts);
+) -> (ReadAnswer, QueryMetrics) {
+    let parts = (0..fanout).map(|_| reply_rx.recv().expect("partition owner died"));
+    let (answer, mut metrics) = ReadAnswer::merge(shape, parts);
     metrics.total = start.elapsed();
-    (value, metrics)
-}
-
-fn collect_rowids(
-    reply_rx: Receiver<(Vec<RowId>, QueryMetrics)>,
-    fanout: usize,
-    start: Instant,
-) -> (Vec<RowId>, QueryMetrics) {
-    let mut rows = Vec::new();
-    let mut parts = Vec::with_capacity(fanout);
-    for _ in 0..fanout {
-        let (partial, part_metrics) = reply_rx.recv().expect("partition owner died");
-        rows.extend(partial);
-        parts.push(part_metrics);
-    }
-    rows.sort_unstable();
-    let mut metrics = QueryMetrics::merge_parallel(parts);
-    metrics.result_count = rows.len() as u64;
-    metrics.total = start.elapsed();
-    (rows, metrics)
-}
-
-fn send_key_runs(
-    table: &RoutingTable,
-    low: i64,
-    high: i64,
-    epochs: Option<&[u64]>,
-) -> (Receiver<(KeyRuns, QueryMetrics)>, usize) {
-    let first = partition_of(&table.splits, low);
-    let last = partition_of(&table.splits, high - 1);
-    let (reply_tx, reply_rx) = channel();
-    for p in first..=last {
-        let (lo, hi) = table.clip(p, low, high);
-        table.partitions[p]
-            .sender
-            .send(OwnerRequest::SelectKeyRuns {
-                low: lo,
-                high: hi,
-                epoch: epochs.map(|e| e[p]),
-                reply: reply_tx.clone(),
-            })
-            .expect("partition owner exited early");
-    }
-    (reply_rx, last - first + 1)
-}
-
-fn collect_key_runs(
-    reply_rx: Receiver<(KeyRuns, QueryMetrics)>,
-    fanout: usize,
-    start: Instant,
-) -> (KeyRuns, QueryMetrics) {
-    let mut merged = KeyRuns::default();
-    let mut parts = Vec::with_capacity(fanout);
-    for _ in 0..fanout {
-        let (partial, part_metrics) = reply_rx.recv().expect("partition owner died");
-        merged.absorb(partial);
-        parts.push(part_metrics);
-    }
-    let mut metrics = QueryMetrics::merge_parallel(parts);
-    metrics.result_count = merged.total_rows() as u64;
-    metrics.total = start.elapsed();
-    (merged, metrics)
-}
-
-fn collect_rowid_sets(
-    reply_rx: Receiver<(RowIdSet, QueryMetrics)>,
-    fanout: usize,
-    start: Instant,
-) -> (RowIdSet, QueryMetrics) {
-    let mut sets = Vec::with_capacity(fanout);
-    let mut parts = Vec::with_capacity(fanout);
-    for _ in 0..fanout {
-        let (partial, part_metrics) = reply_rx.recv().expect("partition owner died");
-        sets.push(partial);
-        parts.push(part_metrics);
-    }
-    let merged = RowIdSet::merge_sets(&sets);
-    let mut metrics = QueryMetrics::merge_parallel(parts);
-    metrics.result_count = merged.len() as u64;
-    // Report the footprint of the set the caller actually receives, not
-    // the sum of the transient per-partition parts.
-    metrics.candidate_set_bytes = merged.heap_bytes() as u64;
-    metrics.total = start.elapsed();
-    (merged, metrics)
+    (answer, metrics)
 }
 
 /// Picks `partitions - 1` split keys from a deterministic sample so the
@@ -2543,29 +2202,6 @@ mod tests {
         let after = idx.select_rowids(1000, 1100).0;
         assert_eq!(after.len(), before.len());
         assert_ne!(after, before, "replacement rows have fresh ids");
-        assert!(idx.check_invariants());
-    }
-
-    #[test]
-    fn compressed_set_reads_match_flat_rowid_reads() {
-        let values = shuffled(4000);
-        let idx = RangePartitionedCracker::new(values, 4);
-        idx.insert_row(700, 9000);
-        for (low, high) in [(0, 4000), (600, 800), (3999, 4000), (300, 100)] {
-            let (flat, _) = idx.select_rowids(low, high);
-            let (set, m) = idx.select_rowid_set(low, high);
-            assert_eq!(set.to_vec(), flat, "[{low},{high})");
-            assert_eq!(m.result_count, flat.len() as u64);
-            assert_eq!(m.candidate_set_bytes, set.heap_bytes() as u64);
-        }
-        // Snapshot set reads stay frozen like the flat path.
-        let snap = idx.snapshot();
-        let before = snap.rowid_set(1000, 1100).0;
-        assert_eq!(idx.delete(1050).0, 1);
-        idx.insert(1050);
-        assert_eq!(snap.rowid_set(1000, 1100).0, before, "pinned set view");
-        assert_eq!(snap.rowids(1000, 1100).0, before.to_vec());
-        drop(snap);
         assert!(idx.check_invariants());
     }
 

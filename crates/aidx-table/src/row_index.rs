@@ -3,7 +3,7 @@
 //! stack, so "serial vs chunked vs range-partitioned" is a per-table
 //! configuration knob rather than three different engines.
 
-use aidx_core::{ConcurrentCracker, KeyRuns, QueryMetrics, RowIdSet};
+use aidx_core::{ConcurrentCracker, KeyRuns, QueryMetrics, ReadAnswer, ReadShape, RowIdSet};
 use aidx_obs::StructureProbe;
 use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::RowId;
@@ -13,24 +13,41 @@ use aidx_storage::RowId;
 /// space, so several instances over different columns of one table stay
 /// aligned through any amount of per-column physical reorganisation.
 pub trait RowIndex: Send + Sync {
+    /// One `shape` read over `[low, high)`, refining the index as a side
+    /// effect — the single read a backend implements; the typed reads
+    /// below all go through it.
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics);
+
     /// Row ids of every live row whose value falls in `[low, high)`,
-    /// sorted ascending, refining the index as a side effect.
-    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics);
+    /// sorted ascending.
+    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
+        (answer.into_rowids(), metrics)
+    }
 
     /// Same read, but as a block-compressed [`RowIdSet`] — the planner's
     /// working representation for multi-predicate intersection (galloping
     /// seeks skip whole blocks of the larger side).
-    fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics);
+    fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
+        (answer.into_set(), metrics)
+    }
 
     /// The same read as raw per-piece `(key, rowid)` runs — the join
     /// paths' lazy-merge substrate: the merge sorts (or skips) runs only
     /// as its frontier reaches them.
-    fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics);
+    fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
+        (answer.into_runs(), metrics)
+    }
 
     /// Q1 over the column (used by tests and diagnostics; the planner
     /// estimates selectivity from predicate widths instead, so estimating
     /// never cracks).
-    fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics);
+    fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::Count);
+        (answer.into_agg() as u64, metrics)
+    }
 
     /// Inserts one row with an externally assigned row id.
     fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics;
@@ -47,20 +64,8 @@ pub trait RowIndex: Send + Sync {
 }
 
 impl RowIndex for ConcurrentCracker {
-    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        ConcurrentCracker::select_rowids(self, low, high)
-    }
-
-    fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        ConcurrentCracker::select_rowid_set(self, low, high)
-    }
-
-    fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        ConcurrentCracker::select_key_runs(self, low, high)
-    }
-
-    fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        ConcurrentCracker::count(self, low, high)
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        ConcurrentCracker::read(self, low, high, None, shape)
     }
 
     fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
@@ -81,25 +86,11 @@ impl RowIndex for ConcurrentCracker {
 }
 
 impl RowIndex for ChunkedCracker {
-    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         // Table columns are always built with concurrent chunk backends
         // (see `TableEngine`); stochastic chunks keep no row identity.
-        ChunkedCracker::select_rowids(self, low, high)
+        ChunkedCracker::read(self, low, high, shape)
             .expect("table columns use concurrent chunk backends")
-    }
-
-    fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        ChunkedCracker::select_rowid_set(self, low, high)
-            .expect("table columns use concurrent chunk backends")
-    }
-
-    fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        ChunkedCracker::select_key_runs(self, low, high)
-            .expect("table columns use concurrent chunk backends")
-    }
-
-    fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        ChunkedCracker::count(self, low, high)
     }
 
     fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
@@ -120,20 +111,8 @@ impl RowIndex for ChunkedCracker {
 }
 
 impl RowIndex for RangePartitionedCracker {
-    fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        RangePartitionedCracker::select_rowids(self, low, high)
-    }
-
-    fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        RangePartitionedCracker::select_rowid_set(self, low, high)
-    }
-
-    fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        RangePartitionedCracker::select_key_runs(self, low, high)
-    }
-
-    fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        RangePartitionedCracker::count(self, low, high)
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        RangePartitionedCracker::read(self, low, high, shape)
     }
 
     fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
