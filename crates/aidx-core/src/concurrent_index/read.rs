@@ -1,0 +1,998 @@
+//! The one read path of [`ConcurrentCracker`]: plan (bound resolution under
+//! write latches), piece walk under read latches, per-shape accumulators,
+//! and the shrink-epoch seqlock that ties the walk to one delta view.
+
+use super::*;
+
+/// How one query bound was resolved.
+#[derive(Debug, Clone, Copy)]
+enum BoundResolution {
+    /// The bound is (now) an exact crack; qualifying values start/stop here.
+    Exact(usize),
+    /// Refinement was skipped (conflict avoidance); the bound lies somewhere
+    /// inside this piece, which must be filtered during aggregation.
+    SkippedInPiece(Piece),
+}
+
+/// The main-array part of one query, produced by the (cracking) plan phase
+/// and consumed — possibly several times, if a concurrent reclamation
+/// forces a retry — by the aggregation phase. Positions stay valid across
+/// retries: cracks never move, and compaction (which would move them) is
+/// excluded by the operation's quiesce-gate guard.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum MainPlan {
+    /// Both bounds are cracks: aggregate `[start, end)` positionally.
+    Exact {
+        /// First qualifying position.
+        start: usize,
+        /// One past the last qualifying position.
+        end: usize,
+    },
+    /// Refinement was skipped for at least one bound: scan `[start, end)`
+    /// (whole pieces) filtering by the original query bounds.
+    Filtered {
+        /// Start of the first (conservatively included) piece.
+        start: usize,
+        /// End of the last (conservatively included) piece.
+        end: usize,
+    },
+}
+
+/// What one read accumulates over the qualifying pieces. Every shape runs
+/// the same plan → piece walk → delta fold ([`ConcurrentCracker::read`]);
+/// only the per-piece accumulator differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadShape {
+    /// Q1: how many rows qualify. With both bounds resolved into cracks
+    /// the count is *positional* — range width minus recorded holes — and
+    /// touches neither the data nor a read latch.
+    Count,
+    /// Q2: the sum of the qualifying values.
+    Sum,
+    /// The qualifying row ids as one flat ascending vector — the
+    /// uncompressed reference the other row shapes are checked against.
+    RowIds,
+    /// The qualifying row ids as a block-compressed [`RowIdSet`]: each
+    /// visited piece yields one sorted run, and the (position-disjoint,
+    /// hence rowid-disjoint) runs are k-way merged straight into the
+    /// encoder — no flat vector of the whole candidate set ever exists.
+    RowIdSet,
+    /// The qualifying `(key, rowid)` pairs as lazily-merged [`KeyRuns`]:
+    /// each visited piece contributes one *raw* run in its physical order
+    /// and nothing is sorted here — the consuming
+    /// [`KeyRunsIter`](crate::key_runs::KeyRunsIter) pays for a run only
+    /// when its merge frontier reaches the run's key envelope.
+    KeyRuns,
+}
+
+/// The answer to one read, by [`ReadShape`].
+#[derive(Debug)]
+pub enum ReadAnswer {
+    /// [`ReadShape::Count`] or [`ReadShape::Sum`].
+    Agg(i128),
+    /// [`ReadShape::RowIds`], sorted ascending.
+    RowIds(Vec<RowId>),
+    /// [`ReadShape::RowIdSet`].
+    Set(RowIdSet),
+    /// [`ReadShape::KeyRuns`].
+    Runs(KeyRuns),
+}
+
+impl ReadAnswer {
+    /// The answer of `shape` over nothing.
+    pub fn empty(shape: ReadShape) -> Self {
+        Self::merge(shape, []).0
+    }
+
+    /// Fan-in of one `shape` read executed across chunks or partitions:
+    /// partial answers are summed / concatenated and re-sorted / k-way
+    /// merged without decoding / absorbed run by run (key runs stay
+    /// unsorted), the workers' metrics merge as
+    /// [`QueryMetrics::merge_parallel`], and the result size and
+    /// candidate-set footprint are those of the *merged* answer the caller
+    /// receives, not the sum of the transient parts. Callers that know the
+    /// fan-out's wall-clock overwrite `total`.
+    ///
+    /// # Panics
+    /// Panics if a part's variant does not match `shape`.
+    pub fn merge(
+        shape: ReadShape,
+        parts: impl IntoIterator<Item = (ReadAnswer, QueryMetrics)>,
+    ) -> (ReadAnswer, QueryMetrics) {
+        let (answers, part_metrics): (Vec<ReadAnswer>, Vec<QueryMetrics>) =
+            parts.into_iter().unzip();
+        let answers = answers.into_iter();
+        let merged = match shape {
+            ReadShape::Count | ReadShape::Sum => {
+                ReadAnswer::Agg(answers.map(ReadAnswer::into_agg).sum())
+            }
+            ReadShape::RowIds => {
+                let mut rows: Vec<RowId> = answers.flat_map(ReadAnswer::into_rowids).collect();
+                rows.sort_unstable();
+                ReadAnswer::RowIds(rows)
+            }
+            ReadShape::RowIdSet => {
+                let sets: Vec<RowIdSet> = answers.map(ReadAnswer::into_set).collect();
+                ReadAnswer::Set(RowIdSet::merge_sets(&sets))
+            }
+            ReadShape::KeyRuns => {
+                let mut runs = KeyRuns::default();
+                answers.for_each(|part| runs.absorb(part.into_runs()));
+                ReadAnswer::Runs(runs)
+            }
+        };
+        let mut metrics = QueryMetrics::merge_parallel(part_metrics);
+        merged.stamp(&mut metrics);
+        (merged, metrics)
+    }
+
+    /// Rows in a row-carrying answer; `None` for aggregates, whose row
+    /// count travels in [`QueryMetrics::result_count`] instead.
+    pub fn rows(&self) -> Option<u64> {
+        match self {
+            ReadAnswer::Agg(_) => None,
+            ReadAnswer::RowIds(rows) => Some(rows.len() as u64),
+            ReadAnswer::Set(set) => Some(set.len() as u64),
+            ReadAnswer::Runs(runs) => Some(runs.total_rows() as u64),
+        }
+    }
+
+    /// Records this answer's size (and compressed footprint) in `metrics`.
+    fn stamp(&self, metrics: &mut QueryMetrics) {
+        if let Some(rows) = self.rows() {
+            metrics.result_count = rows;
+        }
+        if let ReadAnswer::Set(set) = self {
+            metrics.candidate_set_bytes = set.heap_bytes() as u64;
+        }
+    }
+
+    /// The aggregate value. Panics unless the read was a count or a sum.
+    pub fn into_agg(self) -> i128 {
+        match self {
+            ReadAnswer::Agg(value) => value,
+            other => panic!("expected an aggregate answer, got {other:?}"),
+        }
+    }
+
+    /// The flat row ids. Panics unless the read was [`ReadShape::RowIds`].
+    pub fn into_rowids(self) -> Vec<RowId> {
+        match self {
+            ReadAnswer::RowIds(rows) => rows,
+            other => panic!("expected a flat rowid answer, got {other:?}"),
+        }
+    }
+
+    /// The compressed set. Panics unless the read was
+    /// [`ReadShape::RowIdSet`].
+    pub fn into_set(self) -> RowIdSet {
+        match self {
+            ReadAnswer::Set(set) => set,
+            other => panic!("expected a rowid-set answer, got {other:?}"),
+        }
+    }
+
+    /// The key runs. Panics unless the read was [`ReadShape::KeyRuns`].
+    pub fn into_runs(self) -> KeyRuns {
+        match self {
+            ReadAnswer::Runs(runs) => runs,
+            other => panic!("expected a key-runs answer, got {other:?}"),
+        }
+    }
+}
+
+/// What one read accumulates while the walk feeds it latched pieces — one
+/// variant per [`ReadShape`]. Row shapes keep one run per piece (the
+/// compressed encoder and the lazy join merge both want the runs apart);
+/// the flat shape is the same walk with the runs concatenated.
+pub(super) enum Accumulator {
+    Count(u64),
+    Sum { rows: u64, sum: i128 },
+    RowIds(Vec<RowId>),
+    IdRuns(Vec<Vec<RowId>>),
+    PairRuns(Vec<Vec<(i64, RowId)>>),
+}
+
+/// The delta's contribution to one read, snapshotted inside the seqlock
+/// window and folded only once the window validated.
+pub(super) enum DeltaView {
+    Counts(DeltaAdjust),
+    Rows(PairView),
+}
+
+impl Accumulator {
+    fn new(shape: ReadShape) -> Self {
+        match shape {
+            ReadShape::Count => Accumulator::Count(0),
+            ReadShape::Sum => Accumulator::Sum { rows: 0, sum: 0 },
+            ReadShape::RowIds => Accumulator::RowIds(Vec::new()),
+            ReadShape::RowIdSet => Accumulator::IdRuns(Vec::new()),
+            ReadShape::KeyRuns => Accumulator::PairRuns(Vec::new()),
+        }
+    }
+
+    /// Aggregates do not care where one piece ends and the next begins.
+    fn is_aggregate(&self) -> bool {
+        matches!(self, Accumulator::Count(_) | Accumulator::Sum { .. })
+    }
+
+    /// Folds in the live range `[start, end)` — one piece, or for
+    /// aggregates any hole-free union of pieces — optionally filtered by
+    /// the original query bounds. Caller holds latches covering the range.
+    fn feed(
+        &mut self,
+        data: &SharedCrackerArray,
+        start: usize,
+        end: usize,
+        filter: Option<(i64, i64)>,
+    ) {
+        let pairs = || match filter {
+            None => data.pairs_in_range(start, end),
+            Some((low, high)) => data.pairs_filtered(start, end, low, high),
+        };
+        let rowids = || match filter {
+            None => data.rowids_in_range(start, end),
+            Some(_) => pairs().into_iter().map(|(_, rowid)| rowid).collect(),
+        };
+        match self {
+            Accumulator::Count(rows) => {
+                *rows += match filter {
+                    None => (end - start) as u64,
+                    Some((low, high)) => data.count_filtered(start, end, low, high),
+                }
+            }
+            Accumulator::Sum { rows, sum } => match filter {
+                None => {
+                    *rows += (end - start) as u64;
+                    *sum += data.sum_range(start, end);
+                }
+                Some((low, high)) => {
+                    *rows += data.count_filtered(start, end, low, high);
+                    *sum += data.sum_filtered(start, end, low, high);
+                }
+            },
+            Accumulator::RowIds(out) => out.extend(rowids()),
+            Accumulator::IdRuns(runs) => runs.push(rowids()),
+            Accumulator::PairRuns(runs) => runs.push(pairs()),
+        }
+    }
+
+    /// Folds the delta view into the main-array accumulation: logical
+    /// contents are always `live main + pending inserts − tombstones` (at
+    /// the snapshot epoch, for snapshot reads). Aggregates record their
+    /// logical row count in `metrics`; row answers carry their own.
+    pub(super) fn finish(self, view: DeltaView, metrics: &mut QueryMetrics) -> ReadAnswer {
+        match (self, view) {
+            (Accumulator::Count(rows), DeltaView::Counts(adjust)) => {
+                let count = (rows + adjust.insert_count).saturating_sub(adjust.tombstone_count);
+                metrics.result_count = count;
+                ReadAnswer::Agg(count as i128)
+            }
+            (Accumulator::Sum { rows, sum }, DeltaView::Counts(adjust)) => {
+                metrics.result_count =
+                    (rows + adjust.insert_count).saturating_sub(adjust.tombstone_count);
+                ReadAnswer::Agg(sum + adjust.insert_sum - adjust.tombstone_sum)
+            }
+            (Accumulator::RowIds(mut rows), DeltaView::Rows(view)) => {
+                if !view.hidden.is_empty() {
+                    rows.retain(|rowid| !view.hidden.contains(rowid));
+                }
+                rows.extend(view.extra.into_iter().map(|(_, rowid)| rowid));
+                rows.sort_unstable();
+                ReadAnswer::RowIds(rows)
+            }
+            (Accumulator::IdRuns(mut runs), DeltaView::Rows(view)) => {
+                for run in &mut runs {
+                    if !view.hidden.is_empty() {
+                        run.retain(|rowid| !view.hidden.contains(rowid));
+                    }
+                    run.sort_unstable();
+                }
+                let mut extra: Vec<RowId> =
+                    view.extra.into_iter().map(|(_, rowid)| rowid).collect();
+                extra.sort_unstable();
+                runs.push(extra);
+                ReadAnswer::Set(RowIdSet::from_runs(runs))
+            }
+            (Accumulator::PairRuns(runs), DeltaView::Rows(view)) => {
+                let mut out = KeyRuns::default();
+                for mut run in runs {
+                    if !view.hidden.is_empty() {
+                        run.retain(|(_, rowid)| !view.hidden.contains(rowid));
+                    }
+                    out.push_run(run);
+                }
+                // The delta's rows (pending inserts / snapshot ghosts)
+                // form one additional, pre-sorted run.
+                let mut extra = view.extra;
+                extra.sort_unstable();
+                out.push_run(extra);
+                ReadAnswer::Runs(out)
+            }
+            _ => unreachable!("aggregates fold counts, row shapes fold rows"),
+        }
+    }
+}
+
+/// A registered snapshot of a [`ConcurrentCracker`]: reads through the
+/// handle see exactly `main@epoch + delta≤epoch` — the column as of the
+/// moment [`ConcurrentCracker::snapshot`] was called — no matter how many
+/// writes, piece shrinks, or (incremental or full) compactions race or
+/// complete in between. Dropping the handle releases the registration and
+/// lets the delta garbage-collect the history kept on its behalf.
+#[derive(Debug)]
+pub struct Snapshot<'a> {
+    idx: &'a ConcurrentCracker,
+    epoch: u64,
+}
+
+impl Snapshot<'_> {
+    /// The column epoch this snapshot reads at.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// [`ConcurrentCracker::read`] frozen at the snapshot epoch.
+    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        self.idx.read(low, high, Some(self.epoch), shape)
+    }
+
+    /// Q1 at the snapshot epoch: count of values in `[low, high)`.
+    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::Count);
+        (answer.into_agg() as u64, metrics)
+    }
+
+    /// Q2 at the snapshot epoch: sum of values in `[low, high)`.
+    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
+        (answer.into_agg(), metrics)
+    }
+
+    /// Row ids of the rows with values in `[low, high)` as of the
+    /// snapshot epoch (sorted ascending): rows inserted or physically
+    /// placed after the epoch are invisible, rows deleted or reclaimed
+    /// after it are restored (ghosts).
+    pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
+        (answer.into_rowids(), metrics)
+    }
+
+    /// As [`Snapshot::rowids`], but materialised as a compressed
+    /// [`RowIdSet`] built from per-piece sorted runs.
+    pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
+        (answer.into_set(), metrics)
+    }
+
+    /// As [`Snapshot::rowids`], but as raw per-piece `(key, rowid)`
+    /// [`KeyRuns`] (the join-side read).
+    pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
+        (answer.into_runs(), metrics)
+    }
+}
+
+impl Drop for Snapshot<'_> {
+    fn drop(&mut self) {
+        self.idx.release_snapshot_epoch(self.epoch);
+    }
+}
+
+/// RAII guard for the bounded-retry fallback: physical reclamations are
+/// deferred while at least one of these is live.
+#[derive(Debug)]
+pub(super) struct ReclaimPauseGuard<'a> {
+    idx: &'a ConcurrentCracker,
+}
+
+impl Drop for ReclaimPauseGuard<'_> {
+    fn drop(&mut self) {
+        self.idx.reclaim_pause.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+impl ConcurrentCracker {
+    /// Q1: count of values in `[low, high)`, refining the index as a side
+    /// effect. Returns the count and the query's metrics breakdown.
+    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, None, ReadShape::Count);
+        (answer.into_agg() as u64, metrics)
+    }
+
+    /// Q2: sum of values in `[low, high)`, refining the index as a side
+    /// effect. Returns the sum and the query's metrics breakdown.
+    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, None, ReadShape::Sum);
+        (answer.into_agg(), metrics)
+    }
+
+    /// Opens a snapshot at the current column epoch. Reads through the
+    /// returned handle are frozen at that epoch — concurrent inserts,
+    /// deletes, piece shrinks, and compaction steps (incremental or full)
+    /// are all invisible to them — while still refining the index like any
+    /// other query.
+    pub fn snapshot(&self) -> Snapshot<'_> {
+        Snapshot {
+            idx: self,
+            epoch: self.register_snapshot_epoch(),
+        }
+    }
+
+    /// Registers a snapshot at the current column epoch and returns it.
+    /// Raw building block for the RAII [`ConcurrentCracker::snapshot`];
+    /// parallel wrappers that manage many chunk/partition epochs at once
+    /// use this pair directly. Every registration must be matched by a
+    /// [`ConcurrentCracker::release_snapshot_epoch`].
+    pub fn register_snapshot_epoch(&self) -> u64 {
+        self.delta.register_snapshot()
+    }
+
+    /// Releases one snapshot registration taken by
+    /// [`ConcurrentCracker::register_snapshot_epoch`].
+    pub fn release_snapshot_epoch(&self, epoch: u64) {
+        self.delta.release_snapshot(epoch);
+    }
+
+    /// Number of currently registered snapshot handles.
+    pub fn live_snapshots(&self) -> usize {
+        self.delta.live_snapshots()
+    }
+
+    /// The current column epoch (advanced by every insert/delete).
+    pub fn current_epoch(&self) -> u64 {
+        self.delta.current_epoch()
+    }
+
+    /// Row ids of every live row whose value falls in `[low, high)`,
+    /// sorted ascending, refining the index as a side effect exactly like
+    /// a count/sum query. This is the rowid-set read a table engine
+    /// intersects across columns for multi-column conjunctive selections:
+    /// physical reorganisation (cracks, shrinks, compaction steps, full
+    /// rebuilds) never changes the answer, because every row carries its
+    /// id through every swap.
+    pub fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, None, ReadShape::RowIds);
+        (answer.into_rowids(), metrics)
+    }
+
+    /// As [`ConcurrentCracker::select_rowids`], but materialised as a
+    /// block-compressed [`RowIdSet`] ([`ReadShape::RowIdSet`]);
+    /// `metrics.candidate_set_bytes` records the compressed footprint.
+    pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, None, ReadShape::RowIdSet);
+        (answer.into_set(), metrics)
+    }
+
+    /// Live `(key, rowid)` pairs of `[low, high)` as lazily-merged
+    /// [`KeyRuns`] ([`ReadShape::KeyRuns`]) — the substrate of the gallop
+    /// equi-join, where seeks discard whole off-frontier runs unsorted.
+    pub fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
+        let (answer, metrics) = self.read(low, high, None, ReadShape::KeyRuns);
+        (answer.into_runs(), metrics)
+    }
+
+    /// Ensures a crack exists at `bound` under the active latch protocol,
+    /// blocking for latches even under [`RefinementPolicy::SkipOnContention`].
+    pub(super) fn force_bound(&self, bound: i64, metrics: &mut QueryMetrics) -> usize {
+        match self.protocol {
+            LatchProtocol::Piece => {
+                match self.resolve_bound_piece_with(bound, RefinementPolicy::Always, metrics) {
+                    BoundResolution::Exact(pos) => pos,
+                    BoundResolution::SkippedInPiece(_) => {
+                        unreachable!("Always policy never skips refinement")
+                    }
+                }
+            }
+            LatchProtocol::Column | LatchProtocol::None => {
+                let guard = (self.protocol != LatchProtocol::None).then(|| {
+                    let g = self.column_latch.acquire_write(bound);
+                    Self::note_wait(
+                        metrics,
+                        TraceEvent::COLUMN_LATCH,
+                        LatchMode::Write,
+                        g.outcome().wait_time(),
+                        g.outcome().contended(),
+                    );
+                    g
+                });
+                let crack_start = Instant::now();
+                let (pos, cracked) = self.crack_bound_locked(bound);
+                if cracked {
+                    let mut txn = self.systxn.begin(1);
+                    txn.complete_step();
+                    txn.commit();
+                    metrics.crack_time += crack_start.elapsed();
+                    metrics.cracks_performed += 1;
+                    self.cracks.fetch_add(1, Ordering::Relaxed);
+                }
+                drop(guard);
+                pos
+            }
+        }
+    }
+
+    /// Seqlock-validation failures tolerated before a read switches to the
+    /// pausing fallback ([`ConcurrentCracker::reclaim_pause`]): bounded
+    /// progress even under a pathological stream of reclaiming writers.
+    pub(super) const SEQLOCK_RETRY_CAP: u32 = 3;
+
+    /// The one read path. Every read — any [`ReadShape`], now (`at =
+    /// None`) or frozen at a registered snapshot epoch — runs the paper's
+    /// crack-select operator: resolve both bounds under write latches
+    /// (refining the index as a side effect, or falling back to a
+    /// conservative filtered range under conflict avoidance), walk the
+    /// qualifying pieces under read latches, fold the pending delta.
+    /// Invariants every shape inherits:
+    ///
+    /// * **One delta view per seqlock window.** The main multiset changes
+    ///   only through epoch-stamped reclamations (piece shrinks and
+    ///   incremental hole-fills), so a (piece walk, delta view) pair taken
+    ///   at one stable shrink epoch is consistent; on an epoch change the
+    ///   pair is re-read — bounds are already cracks, so a retry is a
+    ///   cheap re-scan. Retries are bounded: past
+    ///   [`Self::SEQLOCK_RETRY_CAP`] the read pauses reclamations outright
+    ///   and finishes in one pass.
+    /// * **Per-piece run granularity.** Row shapes receive one run per
+    ///   visited piece, and [`ReadShape::KeyRuns`] runs are never sorted.
+    /// * **Positional count.** An exact-plan [`ReadShape::Count`] takes no
+    ///   read latch and reads no data.
+    pub fn read(
+        &self,
+        low: i64,
+        high: i64,
+        at: Option<u64>,
+        shape: ReadShape,
+    ) -> (ReadAnswer, QueryMetrics) {
+        let start = Instant::now();
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        let mut metrics = QueryMetrics::default();
+        if low >= high {
+            metrics.total = start.elapsed();
+            return (ReadAnswer::empty(shape), metrics);
+        }
+        let answer = {
+            // Register with the quiesce gate for the whole operation:
+            // positions resolved by the plan phase stay valid because no
+            // compaction can rebuild the array underneath us.
+            let _op = self.enter_if_compactable();
+            let plan = (!self.data.is_empty()).then(|| match self.protocol {
+                LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
+                LatchProtocol::Column | LatchProtocol::None => {
+                    self.plan_column(low, high, &mut metrics)
+                }
+            });
+            let mut failures = 0u32;
+            loop {
+                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
+                let epoch = self.seq_read_epoch();
+                let mut attempt = QueryMetrics::default();
+                let mut acc = Accumulator::new(shape);
+                if let Some(plan) = plan {
+                    self.walk(plan, (low, high), &mut acc, &mut attempt);
+                }
+                let view = if acc.is_aggregate() {
+                    DeltaView::Counts(self.delta.adjust(low, high, at))
+                } else {
+                    DeltaView::Rows(self.delta.pair_view(low, high, at))
+                };
+                if self.seq_read_valid(epoch, paused.is_some()) {
+                    metrics.accumulate(&attempt);
+                    break acc.finish(view, &mut metrics);
+                }
+                // A reclamation raced the read: keep the failed attempt's
+                // latch timing honest, discard what it accumulated, and
+                // retry.
+                failures += 1;
+                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
+                emit(TraceEvent::SnapshotRetry { attempt: failures });
+                metrics.wait_time += attempt.wait_time;
+                metrics.aggregate_time += attempt.aggregate_time;
+                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
+            }
+        };
+        answer.stamp(&mut metrics);
+        metrics.total = start.elapsed();
+        (answer, metrics)
+    }
+
+    /// The piece walk: feeds `acc` the live part of every piece of the
+    /// plan's range, holding the latches the active protocol prescribes —
+    /// piece read latches one piece at a time, or the column read latch —
+    /// and skipping each piece's dead hole tail. A filtered plan (skipped
+    /// refinement) passes the original query `bounds` along for exact
+    /// filtering. Only reads, so seqlock retries may repeat it.
+    pub(super) fn walk(
+        &self,
+        plan: MainPlan,
+        bounds: (i64, i64),
+        acc: &mut Accumulator,
+        metrics: &mut QueryMetrics,
+    ) {
+        let (start, end, filter) = match plan {
+            MainPlan::Exact { start, end } => (start, end, None),
+            MainPlan::Filtered { start, end } => (start, end, Some(bounds)),
+        };
+        if start >= end {
+            return;
+        }
+        // A fully-resolved count is purely positional: range width minus
+        // the dead slots recorded in the hole ledger, no data access — and
+        // no toc lock at all in the common hole-free state (a racing
+        // shrink that invalidates the lock-free probe is caught by the
+        // caller's epoch validation).
+        if let (Accumulator::Count(rows), None) = (&mut *acc, filter) {
+            let holes = if self.hole_rows.load(Ordering::Acquire) == 0 {
+                0
+            } else {
+                self.lock_toc().holes_in(start, end)
+            };
+            *rows += (end - start - holes) as u64;
+            return;
+        }
+        // `[pos, piece end)` and its live end, for the piece starting at
+        // `pos` (clipped to the walked range).
+        let piece_extent = |pos: usize| {
+            let toc = self.lock_toc();
+            let piece_end = toc.piece_end_after(pos).min(end);
+            (piece_end, toc.live_end(pos, piece_end))
+        };
+        match self.protocol {
+            LatchProtocol::Piece => {
+                let mut pos = start;
+                while pos < end {
+                    let latch = self.registry.latch_for(pos);
+                    let guard = latch.acquire_read();
+                    Self::note_wait(
+                        metrics,
+                        pos as u64,
+                        LatchMode::Read,
+                        guard.outcome().wait_time(),
+                        guard.outcome().contended(),
+                    );
+                    let (piece_end, live_end) = piece_extent(pos);
+                    let agg_start = Instant::now();
+                    acc.feed(&self.data, pos, live_end, filter);
+                    metrics.aggregate_time += agg_start.elapsed();
+                    drop(guard);
+                    pos = piece_end;
+                }
+            }
+            LatchProtocol::Column | LatchProtocol::None => {
+                let guard = (self.protocol == LatchProtocol::Column).then(|| {
+                    let g = self.column_latch.acquire_read();
+                    Self::note_wait(
+                        metrics,
+                        TraceEvent::COLUMN_LATCH,
+                        LatchMode::Read,
+                        g.outcome().wait_time(),
+                        g.outcome().contended(),
+                    );
+                    g
+                });
+                let agg_start = Instant::now();
+                // The hole layout is frozen while we hold the column read
+                // latch (shrinks run only under the column *write* latch),
+                // so one probe lets a hole-free aggregate scan the whole
+                // range in a single pass. `[start, end)` is a union of
+                // whole pieces, so the range-scoped probe is exact: holes
+                // elsewhere in the array don't matter here.
+                let one_pass = acc.is_aggregate()
+                    && (self.hole_rows.load(Ordering::Acquire) == 0
+                        || self.lock_toc().holes_in(start, end) == 0);
+                if one_pass {
+                    acc.feed(&self.data, start, end, filter);
+                } else {
+                    let mut pos = start;
+                    while pos < end {
+                        let (piece_end, live_end) = piece_extent(pos);
+                        acc.feed(&self.data, pos, live_end, filter);
+                        pos = piece_end;
+                    }
+                }
+                metrics.aggregate_time += agg_start.elapsed();
+                drop(guard);
+            }
+        }
+    }
+
+    /// Opens one seqlock read attempt: waits for a stable (even) shrink
+    /// epoch and registers the read with dcheck, which will insist it is
+    /// closed via [`ConcurrentCracker::seq_read_valid`] before the next
+    /// attempt begins.
+    pub(super) fn seq_read_epoch(&self) -> u64 {
+        let epoch = self.stable_shrink_epoch();
+        dcheck::seq_read_begin(epoch);
+        epoch
+    }
+
+    /// Closes the seqlock read attempt opened by
+    /// [`ConcurrentCracker::seq_read_epoch`] and reports whether the pair
+    /// of (main phase, delta snapshot) taken under `epoch` is consistent:
+    /// always when reclamations were paused, otherwise iff no reclamation
+    /// bumped the epoch in between.
+    pub(super) fn seq_read_valid(&self, epoch: u64, paused: bool) -> bool {
+        dcheck::seq_read_end();
+        paused || self.shrink_epoch.load(Ordering::Acquire) == epoch
+    }
+
+    /// Enters the bounded-retry fallback: while the returned guard lives,
+    /// no physical reclamation can start (sweeps and hole-fills defer),
+    /// and any in-flight reclamation has drained, so a subsequent
+    /// (main phase, delta snapshot) pair cannot be torn. Taken *before*
+    /// any piece latch, so the `gate → shrink_serial → latch` order is
+    /// never inverted.
+    pub(super) fn pause_reclaims(&self) -> ReclaimPauseGuard<'_> {
+        self.reclaim_pause.fetch_add(1, Ordering::AcqRel);
+        // Barrier: reclamations already past their pause check finish
+        // here; later ones observe the pause under the same mutex.
+        drop(self.lock_shrink_serial());
+        ReclaimPauseGuard { idx: self }
+    }
+
+    /// Waits for (and returns) an even shrink epoch: no physical
+    /// reclamation in flight. Reclamation windows are short — one piece
+    /// sweep plus two map updates — so yielding is enough.
+    fn stable_shrink_epoch(&self) -> u64 {
+        loop {
+            let epoch = self.shrink_epoch.load(Ordering::Acquire);
+            if epoch.is_multiple_of(2) {
+                return epoch;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    // ----- column-latch (and latch-free) protocol ------------------------
+
+    /// Crack-select phase under the column write latch: resolves both
+    /// bounds into cracks, or falls back to a conservative filtered plan
+    /// when conflict avoidance skips the refinement.
+    fn plan_column(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
+        let latched = self.protocol != LatchProtocol::None;
+        let mut skipped = false;
+        let guard = if latched {
+            match self.policy {
+                RefinementPolicy::Always => {
+                    let g = self.column_latch.acquire_write(low);
+                    Self::note_wait(
+                        metrics,
+                        TraceEvent::COLUMN_LATCH,
+                        LatchMode::Write,
+                        g.outcome().wait_time(),
+                        g.outcome().contended(),
+                    );
+                    Some(g)
+                }
+                RefinementPolicy::SkipOnContention => match self.column_latch.try_acquire_write() {
+                    Some(g) => Some(g),
+                    None => {
+                        skipped = true;
+                        None
+                    }
+                },
+            }
+        } else {
+            None
+        };
+
+        if skipped {
+            metrics.refinements_skipped += 2;
+            self.systxn.begin(2).abandon();
+            // Fall back to a filtered scan of the conservative range.
+            let (lo_piece, hi_piece) = {
+                let toc = self.lock_toc();
+                (toc.map.piece_for_value(low), toc.map.piece_for_value(high))
+            };
+            return MainPlan::Filtered {
+                start: lo_piece.start,
+                end: hi_piece.end,
+            };
+        }
+
+        let crack_start = Instant::now();
+        let (a, cracked_low) = self.crack_bound_locked(low);
+        let (b, cracked_high) = self.crack_bound_locked(high);
+        let planned = u32::from(cracked_low) + u32::from(cracked_high);
+        if planned > 0 {
+            let mut txn = self.systxn.begin(planned);
+            for _ in 0..planned {
+                txn.complete_step();
+            }
+            txn.commit();
+            metrics.crack_time += crack_start.elapsed();
+            metrics.cracks_performed += planned;
+            self.cracks.fetch_add(planned as u64, Ordering::Relaxed);
+        }
+        drop(guard);
+        MainPlan::Exact { start: a, end: b }
+    }
+
+    /// Partitions `[start, live_end)` around `bound` under the caller's
+    /// write latch, routing through the hole-aware gap walk when the piece
+    /// carries a dead tail (`live_end < piece_end`): the first dead slot is
+    /// free scratch — its contents are reclaimed-tombstone garbage no read
+    /// path ever touches — and the gap walk writes every misplaced element
+    /// once instead of paying three moves per swap.
+    fn crack_range_hole_aware(
+        &self,
+        start: usize,
+        live_end: usize,
+        piece_end: usize,
+        bound: i64,
+    ) -> usize {
+        if live_end < piece_end {
+            let (pos, moves) = self
+                .data
+                .crack_in_two_with_hole(start, live_end, bound, live_end);
+            if moves > 0 {
+                self.hole_cracks.fetch_add(1, Ordering::Relaxed);
+            }
+            pos
+        } else {
+            self.data.crack_in_two_range(start, live_end, bound)
+        }
+    }
+
+    /// Resolves one bound while the caller holds exclusive access to the
+    /// whole column (column write latch, or single-threaded execution).
+    /// Sweeps reclaimable tombstoned rows out of the piece first — the
+    /// exclusive access is exactly the write latch piece shrinking needs.
+    fn crack_bound_locked(&self, bound: i64) -> (usize, bool) {
+        let piece = {
+            let toc = self.lock_toc();
+            match toc.map.lookup(bound) {
+                PieceLookup::Exact(pos) => return (pos, false),
+                PieceLookup::NeedsCrack(p) => p,
+            }
+        };
+        // Timestamps only when tracing is live: the untraced hot path pays
+        // nothing beyond the `enabled` load.
+        let traced = aidx_obs::enabled().then(Instant::now);
+        let (live_end, _) = self.shrink_piece_locked(&piece);
+        let pos = self.crack_range_hole_aware(piece.start, live_end, piece.end, bound);
+        let mut toc = self.lock_toc();
+        toc.add_crack(bound, pos);
+        toc.on_piece_split(piece.start, pos);
+        drop(toc);
+        if let Some(t0) = traced {
+            emit(TraceEvent::Crack {
+                piece: piece.start as u64,
+                pivot: bound,
+                ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            });
+        }
+        (pos, true)
+    }
+
+    // ----- piece-latch protocol -------------------------------------------
+
+    /// Bound-resolution phase under piece latches, producing the plan the
+    /// aggregation walk executes.
+    fn plan_piece(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
+        let r_low = self.resolve_bound_piece(low, metrics);
+        let r_high = self.resolve_bound_piece(high, metrics);
+
+        // Wrap this query's refinement in a system transaction record.
+        let performed = metrics.cracks_performed;
+        let skipped = metrics.refinements_skipped;
+        if performed + skipped > 0 {
+            let mut txn = self.systxn.begin(performed + skipped);
+            if performed == 0 {
+                txn.abandon();
+            } else {
+                for _ in 0..performed {
+                    txn.complete_step();
+                }
+                txn.commit();
+            }
+        }
+
+        match (r_low, r_high) {
+            (BoundResolution::Exact(a), BoundResolution::Exact(b)) => {
+                MainPlan::Exact { start: a, end: b }
+            }
+            (r_low, r_high) => {
+                let start = match r_low {
+                    BoundResolution::Exact(p) => p,
+                    BoundResolution::SkippedInPiece(piece) => piece.start,
+                };
+                let end = match r_high {
+                    BoundResolution::Exact(p) => p,
+                    BoundResolution::SkippedInPiece(piece) => piece.end,
+                };
+                MainPlan::Filtered { start, end }
+            }
+        }
+    }
+
+    /// Ensures a crack exists at `bound`, latching only the piece that
+    /// contains it. Implements bound re-evaluation after wake-up.
+    fn resolve_bound_piece(&self, bound: i64, metrics: &mut QueryMetrics) -> BoundResolution {
+        self.resolve_bound_piece_with(bound, self.policy, metrics)
+    }
+
+    /// As [`Self::resolve_bound_piece`] but with an explicit refinement
+    /// policy, so writes can force refinement regardless of the index's
+    /// configured conflict avoidance.
+    fn resolve_bound_piece_with(
+        &self,
+        bound: i64,
+        policy: RefinementPolicy,
+        metrics: &mut QueryMetrics,
+    ) -> BoundResolution {
+        loop {
+            let piece = {
+                let toc = self.lock_toc();
+                match toc.map.lookup(bound) {
+                    PieceLookup::Exact(pos) => return BoundResolution::Exact(pos),
+                    PieceLookup::NeedsCrack(p) => p,
+                }
+            };
+            let latch = self.registry.latch_for(piece.start);
+
+            let guard = match policy {
+                RefinementPolicy::Always => {
+                    let g = latch.acquire_write(bound);
+                    Self::note_wait(
+                        metrics,
+                        piece.start as u64,
+                        LatchMode::Write,
+                        g.outcome().wait_time(),
+                        g.outcome().contended(),
+                    );
+                    g
+                }
+                RefinementPolicy::SkipOnContention => match latch.try_acquire_write() {
+                    Some(g) => g,
+                    None => {
+                        metrics.refinements_skipped += 1;
+                        return BoundResolution::SkippedInPiece(piece);
+                    }
+                },
+            };
+
+            // Bound re-evaluation: while we waited, the piece we queued on
+            // may have been cracked. Walk to the piece the bound falls in
+            // *now* (Figure 10); if it is a different piece, release and try
+            // again against that piece's latch.
+            let current = {
+                let toc = self.lock_toc();
+                match toc.map.lookup(bound) {
+                    PieceLookup::Exact(pos) => {
+                        drop(guard);
+                        return BoundResolution::Exact(pos);
+                    }
+                    PieceLookup::NeedsCrack(p) => p,
+                }
+            };
+            if current.start != piece.start {
+                drop(guard);
+                continue;
+            }
+
+            // We hold the write latch of the piece the bound falls in:
+            // sweep reclaimable tombstoned rows to its tail, then crack the
+            // live range.
+            let crack_start = Instant::now();
+            let (live_end, _) = self.shrink_piece_locked(&current);
+            let pos = self.crack_range_hole_aware(current.start, live_end, current.end, bound);
+            {
+                let mut toc = self.lock_toc();
+                toc.add_crack(bound, pos);
+                toc.on_piece_split(current.start, pos);
+            }
+            let cracked_in = crack_start.elapsed();
+            metrics.crack_time += cracked_in;
+            metrics.cracks_performed += 1;
+            self.cracks.fetch_add(1, Ordering::Relaxed);
+            emit(TraceEvent::Crack {
+                piece: current.start as u64,
+                pivot: bound,
+                ns: u64::try_from(cracked_in.as_nanos()).unwrap_or(u64::MAX),
+            });
+            drop(guard);
+            return BoundResolution::Exact(pos);
+        }
+    }
+}

@@ -1,0 +1,282 @@
+//! The write path of [`ConcurrentCracker`]: inserts, deletes, and the
+//! delete-aware reclamation (piece shrinking) cracks and deletes perform.
+
+use super::read::{Accumulator, DeltaView, MainPlan};
+use super::*;
+
+impl ConcurrentCracker {
+    /// Inserts one row with the given key, self-assigning a fresh row id.
+    /// The row lands in the pending delta (the main cracker array keeps
+    /// its footprint between compactions) and is folded into every
+    /// subsequent query's answer; if the insert pushes the delta past the
+    /// compaction threshold, this write pays for the rebuild.
+    pub fn insert(&self, value: i64) -> QueryMetrics {
+        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
+        self.insert_row(value, rowid)
+    }
+
+    /// Inserts one row with the given key and an externally assigned row
+    /// id — the table-engine path, where one tuple's row id must be the
+    /// same in every column's cracker. The caller owns row-id uniqueness.
+    pub fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
+        let start = Instant::now();
+        self.inserts.fetch_add(1, Ordering::Relaxed);
+        // Self-assigned ids must never collide with externally assigned
+        // ones, so the counter always stays past the largest id seen.
+        self.next_rowid
+            .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
+        let delta_rows = self.delta.insert_row(value, rowid);
+        let mut metrics = QueryMetrics {
+            inserts_applied: 1,
+            result_count: 1,
+            ..QueryMetrics::default()
+        };
+        self.maybe_compact_with(delta_rows, &mut metrics);
+        metrics.total = start.elapsed();
+        metrics
+    }
+
+    /// Deletes every row whose key equals `value`, returning how many rows
+    /// were removed. The index is first refined at the key's bounds under
+    /// the normal latch protocol (merge-on-crack: the delete performs —
+    /// and pays for — exactly the cracks a query for `[value, value + 1)`
+    /// would), which pins down exactly *which* main-array rows carry the
+    /// key; then the delta drops the key's pending inserts and tombstones
+    /// those rows in one atomic step, so concurrent selects see the whole
+    /// delete or none of it.
+    pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
+        let start = Instant::now();
+        self.deletes.fetch_add(1, Ordering::Relaxed);
+        let mut metrics = QueryMetrics {
+            deletes_applied: 1,
+            ..QueryMetrics::default()
+        };
+        let (from_pending, newly) = {
+            let _op = self.enter_if_compactable();
+            if self.data.is_empty() {
+                self.delta.apply_delete(value, &[])
+            } else {
+                // The collected row set is exact only against a main
+                // multiset no reclamation has touched since it was taken:
+                // validate the shrink epoch under the delta lock and
+                // recollect on a race (the bounds are cracks after the
+                // first pass, so a retry re-reads one small piece).
+                // Retries are bounded the same way as reads: past the
+                // cap, pause reclamations and the set can no longer go
+                // stale.
+                let mut failures = 0u32;
+                let (from_pending, newly) = loop {
+                    let paused =
+                        (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
+                    let epoch = self.seq_read_epoch();
+                    let doomed = self.main_rows_exact(value, &mut metrics);
+                    let applied = self.delta.apply_delete_validated(value, &doomed, || {
+                        self.seq_read_valid(epoch, paused.is_some())
+                    });
+                    if let Some(result) = applied {
+                        break result;
+                    }
+                    failures += 1;
+                    metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
+                    emit(TraceEvent::SnapshotRetry { attempt: failures });
+                };
+                if newly > 0 {
+                    // The delete's own cracks made the doomed rows
+                    // contiguous: re-latch that piece and sweep them out
+                    // right away (delete-aware piece shrinking), retiring
+                    // the tombstones this very delete raised.
+                    self.reclaim_key_piece(value, &mut metrics);
+                }
+                (from_pending, newly)
+            }
+        };
+        let removed = from_pending + newly;
+        metrics.result_count = removed;
+        self.maybe_compact(&mut metrics);
+        metrics.total = start.elapsed();
+        (removed, metrics)
+    }
+
+    /// Deletes one specific row `(value, rowid)` — the positional delete a
+    /// table engine issues against every column of a doomed tuple, so
+    /// exactly that tuple dies even when other tuples share the value.
+    /// Refines the index at the key's bounds like
+    /// [`ConcurrentCracker::delete`], decides under the shrink-epoch
+    /// seqlock whether the row currently lives in the main array or the
+    /// pending delta, and applies the removal atomically under the delta
+    /// latch. Returns `(rows removed — 0 or 1, metrics)`.
+    pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
+        let start = Instant::now();
+        self.deletes.fetch_add(1, Ordering::Relaxed);
+        let mut metrics = QueryMetrics {
+            deletes_applied: 1,
+            ..QueryMetrics::default()
+        };
+        let removed = {
+            let _op = self.enter_if_compactable();
+            if self.data.is_empty() {
+                self.delta
+                    .apply_delete_row_validated(value, rowid, false, || true)
+                    .expect("validation closure always passes")
+            } else {
+                let mut failures = 0u32;
+                let (removed, in_main) = loop {
+                    let paused =
+                        (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
+                    let epoch = self.seq_read_epoch();
+                    let in_main = self.main_rows_exact(value, &mut metrics).contains(&rowid);
+                    let applied =
+                        self.delta
+                            .apply_delete_row_validated(value, rowid, in_main, || {
+                                self.seq_read_valid(epoch, paused.is_some())
+                            });
+                    if let Some(removed) = applied {
+                        break (removed, in_main);
+                    }
+                    failures += 1;
+                    metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
+                    emit(TraceEvent::SnapshotRetry { attempt: failures });
+                };
+                if removed > 0 && in_main {
+                    self.reclaim_key_piece(value, &mut metrics);
+                }
+                removed
+            }
+        };
+        metrics.result_count = removed;
+        self.maybe_compact(&mut metrics);
+        metrics.total = start.elapsed();
+        (removed, metrics)
+    }
+
+    /// The exact set of *live* main-array rows carrying `value`: refines
+    /// both bounds into cracks (deletes are mandatory writes, so conflict
+    /// avoidance does not apply), then reads the doomed rows' ids under
+    /// the protocol's read latches, skipping dead hole tails.
+    fn main_rows_exact(&self, value: i64, metrics: &mut QueryMetrics) -> Vec<RowId> {
+        let a = self.force_bound(value, metrics);
+        let b = match value.checked_add(1) {
+            Some(next) => self.force_bound(next, metrics),
+            None => self.data.len(),
+        };
+        let mut doomed = Accumulator::RowIds(Vec::new());
+        self.walk(
+            MainPlan::Exact { start: a, end: b },
+            (value, value),
+            &mut doomed,
+            metrics,
+        );
+        // No delta to fold: the delete applies it under the delta lock.
+        doomed
+            .finish(DeltaView::Rows(PairView::default()), metrics)
+            .into_rowids()
+    }
+
+    /// Re-latches the piece whose key interval contains `value` and sweeps
+    /// its tombstoned rows out (called after a delete raised tombstones:
+    /// the delete's bound cracks left `value`'s rows contiguous in exactly
+    /// one piece, since no crack value can lie strictly between `value`
+    /// and `value + 1`).
+    fn reclaim_key_piece(&self, value: i64, metrics: &mut QueryMetrics) {
+        match self.protocol {
+            LatchProtocol::Piece => loop {
+                let piece = self.lock_toc().map.piece_for_value(value);
+                let latch = self.registry.latch_for(piece.start);
+                let guard = latch.acquire_write(value);
+                Self::note_wait(
+                    metrics,
+                    piece.start as u64,
+                    LatchMode::Write,
+                    guard.outcome().wait_time(),
+                    guard.outcome().contended(),
+                );
+                // Bound re-evaluation, as for any piece-latch acquisition.
+                let current = self.lock_toc().map.piece_for_value(value);
+                if current.start != piece.start {
+                    drop(guard);
+                    continue;
+                }
+                let _ = self.shrink_piece_locked(&current);
+                drop(guard);
+                return;
+            },
+            LatchProtocol::Column => {
+                let guard = self.column_latch.acquire_write(value);
+                Self::note_wait(
+                    metrics,
+                    TraceEvent::COLUMN_LATCH,
+                    LatchMode::Write,
+                    guard.outcome().wait_time(),
+                    guard.outcome().contended(),
+                );
+                let piece = self.lock_toc().map.piece_for_value(value);
+                let _ = self.shrink_piece_locked(&piece);
+                drop(guard);
+            }
+            LatchProtocol::None => {
+                let piece = self.lock_toc().map.piece_for_value(value);
+                let _ = self.shrink_piece_locked(&piece);
+            }
+        }
+    }
+
+    /// Delete-aware piece shrinking (the caller holds the write latch — or
+    /// exclusive column access — covering `piece`): moves every row the
+    /// delta has tombstoned out of the piece's live range into its dead
+    /// tail, retires the matching tombstones, and records the new holes.
+    /// Returns `(live end, rows swept)` — the live end is exact whether or
+    /// not anything was swept.
+    ///
+    /// The reclamation is stamped with the shrink epoch (odd while in
+    /// flight) so concurrent readers and deletes — whose main phase and
+    /// delta snapshot are taken under different locks — detect that rows
+    /// moved between the main multiset and the delta domain and retry.
+    /// While a bounded-retry reader holds the reclaim pause, the sweep is
+    /// deferred (reclamation is always opportunistic).
+    pub(super) fn shrink_piece_locked(&self, piece: &Piece) -> (usize, usize) {
+        // Fast path for the read-only steady state: two lock-free probes
+        // and no mutex at all. This piece's holes cannot change under our
+        // write latch (a prior shrink of it released that same latch, so
+        // its `hole_rows` increment is visible to us), and a stale
+        // tombstone miss merely defers reclamation to a later crack.
+        let live_end = if self.hole_rows.load(Ordering::Acquire) == 0 {
+            piece.end
+        } else {
+            let toc = self.lock_toc();
+            toc.live_end(piece.start, piece.end)
+        };
+        if !self.delta.has_tombstones() {
+            return (live_end, 0);
+        }
+        let doomed = self
+            .delta
+            .tombstone_rows_in(piece.low_value, piece.high_value);
+        if doomed.is_empty() {
+            return (live_end, 0);
+        }
+        // Serialise reclamations so epoch parity stays meaningful when
+        // cracks on different pieces race.
+        let _serial = self.lock_shrink_serial();
+        if self.reclaim_pause.load(Ordering::Acquire) > 0 {
+            // A reader in the bounded fallback is mid-pass: defer.
+            return (live_end, 0);
+        }
+        self.shrink_epoch.fetch_add(1, Ordering::AcqRel); // odd: in flight
+        let doomed_ids: HashSet<RowId> = doomed.values().flatten().copied().collect();
+        let (new_live_end, removed) = self.data.sweep_rowids(piece.start, live_end, &doomed_ids);
+        let moved = removed.len();
+        if moved > 0 {
+            let retired = self.delta.retire_tombstones(&removed);
+            debug_assert_eq!(retired as usize, moved, "tombstones are exact");
+            self.lock_toc().add_holes(piece.start, moved);
+            // Mirror the ledger total before the epoch goes even again, so
+            // a reader whose epoch validates also saw a current mirror.
+            self.hole_rows.fetch_add(moved as u64, Ordering::Release);
+            self.shrinks.fetch_add(1, Ordering::Relaxed);
+            self.tombstones_reclaimed
+                .fetch_add(moved as u64, Ordering::Relaxed);
+        }
+        self.shrink_epoch.fetch_add(1, Ordering::AcqRel); // even: done
+        (new_live_end, moved)
+    }
+}
