@@ -530,9 +530,8 @@ impl ConcurrentCracker {
     ///   incremental hole-fills), so a (piece walk, delta view) pair taken
     ///   at one stable shrink epoch is consistent; on an epoch change the
     ///   pair is re-read — bounds are already cracks, so a retry is a
-    ///   cheap re-scan. Retries are bounded: past
-    ///   [`Self::SEQLOCK_RETRY_CAP`] the read pauses reclamations outright
-    ///   and finishes in one pass.
+    ///   cheap re-scan — a bounded number of times, after which the read
+    ///   pauses reclamations outright and finishes in one pass.
     /// * **Per-piece run granularity.** Row shapes receive one run per
     ///   visited piece, and [`ReadShape::KeyRuns`] runs are never sorted.
     /// * **Positional count.** An exact-plan [`ReadShape::Count`] takes no
@@ -562,38 +561,57 @@ impl ConcurrentCracker {
                     self.plan_column(low, high, &mut metrics)
                 }
             });
-            let mut failures = 0u32;
-            loop {
-                let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                let epoch = self.seq_read_epoch();
-                let mut attempt = QueryMetrics::default();
+            let (acc, view) = self.seqlock_retry(&mut metrics, |attempt, valid| {
                 let mut acc = Accumulator::new(shape);
                 if let Some(plan) = plan {
-                    self.walk(plan, (low, high), &mut acc, &mut attempt);
+                    self.walk(plan, (low, high), &mut acc, attempt);
                 }
                 let view = if acc.is_aggregate() {
                     DeltaView::Counts(self.delta.adjust(low, high, at))
                 } else {
                     DeltaView::Rows(self.delta.pair_view(low, high, at))
                 };
-                if self.seq_read_valid(epoch, paused.is_some()) {
-                    metrics.accumulate(&attempt);
-                    break acc.finish(view, &mut metrics);
-                }
-                // A reclamation raced the read: keep the failed attempt's
-                // latch timing honest, discard what it accumulated, and
-                // retry.
-                failures += 1;
-                metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                emit(TraceEvent::SnapshotRetry { attempt: failures });
-                metrics.wait_time += attempt.wait_time;
-                metrics.aggregate_time += attempt.aggregate_time;
-                metrics.conflicts = metrics.conflicts.saturating_add(attempt.conflicts);
-            }
+                valid().then_some((acc, view))
+            });
+            acc.finish(view, &mut metrics)
         };
         answer.stamp(&mut metrics);
         metrics.total = start.elapsed();
         (answer, metrics)
+    }
+
+    /// The seqlock retry loop — the only one: runs `attempt` inside
+    /// shrink-epoch windows until one validates, and returns its value.
+    /// `attempt` gets scratch metrics for the window and the window's
+    /// validity probe, which it must call exactly once — after everything
+    /// it read from the main array and the delta, or (writes) as the
+    /// validation hook under the delta lock — returning `None` iff the
+    /// probe failed. A window that loses the race to a reclamation keeps
+    /// its latch timing honest, discards what it counted, and is retried;
+    /// retries are bounded: past [`Self::SEQLOCK_RETRY_CAP`] reclamations
+    /// are paused outright and the next window cannot fail.
+    pub(super) fn seqlock_retry<T>(
+        &self,
+        metrics: &mut QueryMetrics,
+        mut attempt: impl FnMut(&mut QueryMetrics, &dyn Fn() -> bool) -> Option<T>,
+    ) -> T {
+        let mut failures = 0u32;
+        loop {
+            let paused = (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
+            let epoch = self.seq_read_epoch();
+            let mut spent = QueryMetrics::default();
+            let valid = || self.seq_read_valid(epoch, paused.is_some());
+            if let Some(value) = attempt(&mut spent, &valid) {
+                metrics.accumulate(&spent);
+                return value;
+            }
+            failures += 1;
+            metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
+            emit(TraceEvent::SnapshotRetry { attempt: failures });
+            metrics.wait_time += spent.wait_time;
+            metrics.aggregate_time += spent.aggregate_time;
+            metrics.conflicts = metrics.conflicts.saturating_add(spent.conflicts);
+        }
     }
 
     /// The piece walk: feeds `acc` the live part of every piece of the

@@ -59,27 +59,13 @@ impl ConcurrentCracker {
                 // The collected row set is exact only against a main
                 // multiset no reclamation has touched since it was taken:
                 // validate the shrink epoch under the delta lock and
-                // recollect on a race (the bounds are cracks after the
-                // first pass, so a retry re-reads one small piece).
-                // Retries are bounded the same way as reads: past the
-                // cap, pause reclamations and the set can no longer go
-                // stale.
-                let mut failures = 0u32;
-                let (from_pending, newly) = loop {
-                    let paused =
-                        (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                    let epoch = self.seq_read_epoch();
-                    let doomed = self.main_rows_exact(value, &mut metrics);
-                    let applied = self.delta.apply_delete_validated(value, &doomed, || {
-                        self.seq_read_valid(epoch, paused.is_some())
-                    });
-                    if let Some(result) = applied {
-                        break result;
-                    }
-                    failures += 1;
-                    metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                    emit(TraceEvent::SnapshotRetry { attempt: failures });
-                };
+                // recollect on a race (the bounds are cracks already, so a
+                // retry re-reads one small piece).
+                let key_rows = self.plan_key(value, &mut metrics);
+                let (from_pending, newly) = self.seqlock_retry(&mut metrics, |attempt, valid| {
+                    let doomed = self.main_rows(key_rows, attempt);
+                    self.delta.apply_delete_validated(value, &doomed, valid)
+                });
                 if newly > 0 {
                     // The delete's own cracks made the doomed rows
                     // contiguous: re-latch that piece and sweep them out
@@ -119,24 +105,13 @@ impl ConcurrentCracker {
                     .apply_delete_row_validated(value, rowid, false, || true)
                     .expect("validation closure always passes")
             } else {
-                let mut failures = 0u32;
-                let (removed, in_main) = loop {
-                    let paused =
-                        (failures >= Self::SEQLOCK_RETRY_CAP).then(|| self.pause_reclaims());
-                    let epoch = self.seq_read_epoch();
-                    let in_main = self.main_rows_exact(value, &mut metrics).contains(&rowid);
-                    let applied =
-                        self.delta
-                            .apply_delete_row_validated(value, rowid, in_main, || {
-                                self.seq_read_valid(epoch, paused.is_some())
-                            });
-                    if let Some(removed) = applied {
-                        break (removed, in_main);
-                    }
-                    failures += 1;
-                    metrics.snapshot_retries = metrics.snapshot_retries.saturating_add(1);
-                    emit(TraceEvent::SnapshotRetry { attempt: failures });
-                };
+                let key_rows = self.plan_key(value, &mut metrics);
+                let (removed, in_main) = self.seqlock_retry(&mut metrics, |attempt, valid| {
+                    let in_main = self.main_rows(key_rows, attempt).contains(&rowid);
+                    self.delta
+                        .apply_delete_row_validated(value, rowid, in_main, valid)
+                        .map(|removed| (removed, in_main))
+                });
                 if removed > 0 && in_main {
                     self.reclaim_key_piece(value, &mut metrics);
                 }
@@ -149,26 +124,25 @@ impl ConcurrentCracker {
         (removed, metrics)
     }
 
-    /// The exact set of *live* main-array rows carrying `value`: refines
-    /// both bounds into cracks (deletes are mandatory writes, so conflict
-    /// avoidance does not apply), then reads the doomed rows' ids under
-    /// the protocol's read latches, skipping dead hole tails.
-    fn main_rows_exact(&self, value: i64, metrics: &mut QueryMetrics) -> Vec<RowId> {
-        let a = self.force_bound(value, metrics);
-        let b = match value.checked_add(1) {
+    /// Refines both bounds of `[value, value + 1)` into cracks (deletes are
+    /// mandatory writes, so conflict avoidance does not apply): the
+    /// returned plan covers exactly the main-array rows carrying `value`.
+    fn plan_key(&self, value: i64, metrics: &mut QueryMetrics) -> MainPlan {
+        let start = self.force_bound(value, metrics);
+        let end = match value.checked_add(1) {
             Some(next) => self.force_bound(next, metrics),
             None => self.data.len(),
         };
-        let mut doomed = Accumulator::RowIds(Vec::new());
-        self.walk(
-            MainPlan::Exact { start: a, end: b },
-            (value, value),
-            &mut doomed,
-            metrics,
-        );
+        MainPlan::Exact { start, end }
+    }
+
+    /// The ids of the *live* main-array rows of `plan`, read under the
+    /// protocol's read latches (dead hole tails skipped).
+    fn main_rows(&self, plan: MainPlan, metrics: &mut QueryMetrics) -> Vec<RowId> {
+        let mut rows = Accumulator::RowIds(Vec::new());
+        self.walk(plan, (0, 0), &mut rows, metrics);
         // No delta to fold: the delete applies it under the delta lock.
-        doomed
-            .finish(DeltaView::Rows(PairView::default()), metrics)
+        rows.finish(DeltaView::Rows(PairView::default()), metrics)
             .into_rowids()
     }
 
