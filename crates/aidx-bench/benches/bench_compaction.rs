@@ -9,7 +9,7 @@
 //!    threshold the delta stays bounded (asserted) and late selects cost
 //!    about the same as early ones (reported: first-quarter vs
 //!    last-quarter mean select time). Select answers are checked exactly.
-//! 2. **Mixed 50%-write sweep** — the `bench_updates` operation mix at a
+//! 2. **Mixed 50%-write sweep** — `generate_mixed`'s operation mix at a
 //!    50% write ratio through the serial and parallel arms, compaction
 //!    off versus on, every arm verified against the `BTreeMap` multiset
 //!    oracle replay. Reported: wall clock and mean per-select time.

@@ -6,10 +6,10 @@
 //!   intersection, and `OrderedWaitLatch` run on virtual threads. This works
 //!   because `aidx-core` is built with the `check` feature in this crate's
 //!   test graph, so every facade lock the production code takes routes
-//!   through the scheduler. (Deletes are excluded from real-cracker
-//!   scenarios: the shrink seqlock's reader side spins on a *raw* atomic,
-//!   which the virtual scheduler cannot preempt — those protocols are
-//!   modelled by hand below instead.)
+//!   through the scheduler — and so does the shrink-epoch seqlock, whose
+//!   `AtomicU64` comes from the same facade and whose reader waits for an
+//!   in-flight reclamation on `shrink_serial` instead of spinning, so the
+//!   real delete path is explorable too.
 //! * **Protocol mini-models** — hand-written reductions of the cracker's
 //!   trickiest protocols (seqlock select-vs-shrink, bounded-retry
 //!   reclaim-pause, incremental compaction vs snapshots, delete-vs-sweep
@@ -33,6 +33,7 @@ use aidx_check::sync::{yield_now, CheckedAtomicU64, CheckedAtomicUsize, CheckedM
 use aidx_check::{explore, explore_default, ExploreConfig, Scenario};
 use aidx_core::{
     intersect_iters_gallop, intersect_iters_linear, ConcurrentCracker, LatchProtocol, RowIdSet,
+    WriteOp,
 };
 use aidx_latch::ordered::OrderedWaitLatch;
 
@@ -126,6 +127,63 @@ fn real_cracker_count_vs_insert_linearises() {
             })
     });
     report.assert_ok();
+}
+
+/// The real delete path — `write(WriteOp::Delete)`: bound cracks, the
+/// seqlock window, the validated delta applier, the reclaiming piece
+/// shrink — racing a `Sum` on a two-piece cracker. The sum's piece walk
+/// and its delta view are taken under different locks, and the delete's
+/// shrink moves the doomed rows from one domain to the other in between;
+/// every schedule must see the whole delete or none of it, and both
+/// outcomes must occur (the sum is the first thread, so the schedules
+/// nearest the default one preempt it mid-read and send it through the
+/// seqlock retry).
+#[test]
+fn real_cracker_delete_vs_sum_is_atomic() {
+    const VALUES: [i64; 6] = [5, 1, 7, 3, 5, 9];
+    const ALL: i128 = 30;
+    let saw_none = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let saw_all = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (none, all) = (Arc::clone(&saw_none), Arc::clone(&saw_all));
+    let report = explore(capped(1500), move || {
+        let idx = Arc::new(ConcurrentCracker::from_values(
+            VALUES.to_vec(),
+            LatchProtocol::Piece,
+        ));
+        idx.count(i64::MIN, 5); // two non-empty pieces: < 5 and >= 5
+        assert_eq!(idx.piece_sizes(), [0, 2, 4]);
+        let a = Arc::clone(&idx);
+        let b = Arc::clone(&idx);
+        let (none, all) = (Arc::clone(&none), Arc::clone(&all));
+        Scenario::new()
+            .thread(move || {
+                let (sum, _) = a.sum(0, 10);
+                match ALL - sum {
+                    0 => none.store(true, Ordering::SeqCst),
+                    10 => all.store(true, Ordering::SeqCst),
+                    _ => panic!("sum racing the delete saw half of it: {sum}"),
+                }
+            })
+            .thread(move || {
+                let (removed, _) = b.write(WriteOp::Delete { value: 5 });
+                assert_eq!(removed, 2, "both rows of key 5 are deleted");
+            })
+            .finale(move || {
+                assert_eq!(idx.sum(0, 10).0, ALL - 10, "delete lost");
+                assert_eq!(idx.count(i64::MIN, i64::MAX).0, 4);
+                assert_eq!(
+                    idx.tombstoned_rows(),
+                    0,
+                    "the shrink retired the tombstones"
+                );
+                assert!(idx.check_invariants());
+            })
+    });
+    report.assert_ok();
+    assert!(
+        saw_none.load(Ordering::SeqCst) && saw_all.load(Ordering::SeqCst),
+        "the explored schedules must include a sum on either side of the delete"
+    );
 }
 
 /// The real `OrderedWaitLatch` (bound-ordered writer queue) model-checked

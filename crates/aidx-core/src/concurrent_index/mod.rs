@@ -66,6 +66,7 @@ mod tests;
 mod write;
 
 pub use read::{ReadAnswer, ReadShape, Snapshot};
+pub use write::WriteOp;
 
 use crate::compaction::{CompactionMode, CompactionPolicy};
 use crate::key_runs::KeyRuns;
@@ -77,7 +78,7 @@ use crate::rowid_set::RowIdSet;
 use crate::shared_array::SharedCrackerArray;
 use aidx_cracking::{Piece, PieceLookup, PieceMap};
 use aidx_latch::dcheck;
-use aidx_latch::facade::{Mutex, MutexGuard};
+use aidx_latch::facade::{self, Mutex, MutexGuard};
 use aidx_latch::ordered::OrderedWaitLatch;
 use aidx_latch::stats::LatchStatsSnapshot;
 use aidx_latch::systxn::{SystemTxnManager, SystemTxnStats};
@@ -226,7 +227,7 @@ pub struct ConcurrentCracker {
     /// when it completes. Readers snapshot an even value before their main
     /// phase and retry if it changed by the time their delta snapshot is
     /// taken; deletes validate it under the delta lock.
-    shrink_epoch: AtomicU64,
+    shrink_epoch: facade::AtomicU64,
     /// Serialises shrink critical sections so the epoch's odd/even parity
     /// stays meaningful when cracks on different pieces race.
     shrink_serial: Mutex<()>,
@@ -303,7 +304,7 @@ impl ConcurrentCracker {
             compaction: CompactionPolicy::disabled(),
             systxn: SystemTxnManager::new(),
             delta: PendingDelta::new(),
-            shrink_epoch: AtomicU64::new(0),
+            shrink_epoch: facade::AtomicU64::new(0),
             shrink_serial: Mutex::new(()),
             reclaim_pause: AtomicU64::new(0),
             walk_cursor: AtomicUsize::new(0),

@@ -749,15 +749,19 @@ impl ConcurrentCracker {
     }
 
     /// Waits for (and returns) an even shrink epoch: no physical
-    /// reclamation in flight. Reclamation windows are short — one piece
-    /// sweep plus two map updates — so yielding is enough.
+    /// reclamation in flight. A reclamation holds `shrink_serial` for its
+    /// whole odd window, so waiting on that mutex *is* waiting for the
+    /// epoch to turn even — and, unlike a spin, it is a wait the
+    /// `aidx-check` scheduler can model (a window opens before any piece
+    /// latch is taken, so the latch order holds as for
+    /// [`ConcurrentCracker::pause_reclaims`]).
     fn stable_shrink_epoch(&self) -> u64 {
         loop {
             let epoch = self.shrink_epoch.load(Ordering::Acquire);
             if epoch.is_multiple_of(2) {
                 return epoch;
             }
-            std::thread::yield_now();
+            drop(self.lock_shrink_serial());
         }
     }
 

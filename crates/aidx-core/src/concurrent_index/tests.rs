@@ -291,6 +291,35 @@ fn inserts_and_deletes_adjust_answers_for_all_protocols() {
 }
 
 #[test]
+fn write_reports_rows_affected_and_the_ops_own_bookkeeping() {
+    let idx = ConcurrentCracker::from_values(vec![7, 42, 9, 42], LatchProtocol::Piece);
+    let insert = WriteOp::Insert {
+        value: 42,
+        rowid: 90,
+    };
+    let delete_row = WriteOp::DeleteRow {
+        value: 42,
+        rowid: 1,
+    };
+    let delete = WriteOp::Delete { value: 42 };
+    assert_eq!([insert.key(), delete_row.key(), delete.key()], [42; 3]);
+    let mut len = idx.logical_len() as isize;
+    for (op, rows) in [(insert, 1), (delete_row, 1), (delete_row, 0), (delete, 2)] {
+        let (affected, m) = idx.write(op);
+        assert_eq!(affected, rows, "{op:?}");
+        assert_eq!(m.result_count, rows, "{op:?}");
+        let is_insert = matches!(op, WriteOp::Insert { .. });
+        assert_eq!(m.inserts_applied, u32::from(is_insert), "{op:?}");
+        assert_eq!(m.deletes_applied, u32::from(!is_insert), "{op:?}");
+        len += op.len_delta(affected);
+        assert_eq!(idx.logical_len() as isize, len, "{op:?}");
+    }
+    assert_eq!(idx.select_rowids(i64::MIN, i64::MAX).0, vec![0, 2]);
+    assert_eq!((idx.inserts_applied(), idx.deletes_applied()), (1, 3));
+    assert!(idx.check_invariants());
+}
+
+#[test]
 fn repeated_and_missing_deletes_remove_nothing_extra() {
     let idx = ConcurrentCracker::from_values(shuffled(500), LatchProtocol::Piece);
     assert_eq!(idx.delete(42).0, 1);

@@ -4,124 +4,149 @@
 use super::read::{Accumulator, DeltaView, MainPlan};
 use super::*;
 
+/// One content-changing operation on a single-column index. Refinement is
+/// latch-only side work; these are the few operations that change what the
+/// index *contains*, and every backend executes them through one
+/// `write(op)` ([`ConcurrentCracker::write`] at the bottom).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteOp {
+    /// Insert one row. The caller owns row-id uniqueness: a table engine
+    /// gives one tuple the same id in every column's index.
+    Insert {
+        /// The row's key.
+        value: i64,
+        /// The row's id.
+        rowid: RowId,
+    },
+    /// Delete every row whose key equals `value`.
+    Delete {
+        /// The doomed key.
+        value: i64,
+    },
+    /// Delete the one row `(value, rowid)` — the positional delete a table
+    /// engine issues against every column of a doomed tuple, so exactly
+    /// that tuple dies even when other tuples share the value.
+    DeleteRow {
+        /// The doomed row's key.
+        value: i64,
+        /// The doomed row's id.
+        rowid: RowId,
+    },
+}
+
+impl WriteOp {
+    /// The key the operation addresses — what partitioned backends route
+    /// it by.
+    pub fn key(&self) -> i64 {
+        match *self {
+            WriteOp::Insert { value, .. }
+            | WriteOp::Delete { value }
+            | WriteOp::DeleteRow { value, .. } => value,
+        }
+    }
+
+    /// The change in logical row count when the operation affected `rows`
+    /// rows: what a backend adds to its `len`/size ledgers.
+    pub fn len_delta(&self, rows: u64) -> isize {
+        match self {
+            WriteOp::Insert { .. } => rows as isize,
+            WriteOp::Delete { .. } | WriteOp::DeleteRow { .. } => -(rows as isize),
+        }
+    }
+}
+
 impl ConcurrentCracker {
-    /// Inserts one row with the given key, self-assigning a fresh row id.
-    /// The row lands in the pending delta (the main cracker array keeps
+    /// The one write path: applies `op` and returns `(rows affected,
+    /// metrics)` — 1 for an insert, the rows removed for a delete.
+    ///
+    /// An insert lands in the pending delta (the main cracker array keeps
     /// its footprint between compactions) and is folded into every
-    /// subsequent query's answer; if the insert pushes the delta past the
-    /// compaction threshold, this write pays for the rebuild.
+    /// subsequent query's answer.
+    ///
+    /// A delete first refines the index at the key's bounds under the
+    /// normal latch protocol (merge-on-crack: it performs — and pays for —
+    /// exactly the cracks a query for `[value, value + 1)` would), which
+    /// pins down exactly *which* main-array rows carry the key. Inside one
+    /// shrink-epoch seqlock window it then re-reads those rows and hands
+    /// them, with the delete's target, to the delta, which negates the
+    /// doomed pending rows and tombstones the doomed main rows in one
+    /// atomic step under its latch — so concurrent selects see the whole
+    /// delete or none of it. The delete's own cracks made the doomed main
+    /// rows contiguous, so they are swept out right away.
+    ///
+    /// Either way, if the write pushed the delta past the compaction
+    /// threshold, this write pays for the merge.
+    pub fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+        let start = Instant::now();
+        let mut metrics = QueryMetrics::default();
+        let affected = match op {
+            WriteOp::Insert { value, rowid } => {
+                self.inserts.fetch_add(1, Ordering::Relaxed);
+                metrics.inserts_applied = 1;
+                // Self-assigned ids must never collide with externally
+                // assigned ones, so the counter stays past the largest seen.
+                self.next_rowid
+                    .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
+                let delta_rows = self.delta.insert_row(value, rowid);
+                self.maybe_compact_with(delta_rows, &mut metrics);
+                1
+            }
+            WriteOp::Delete { value } | WriteOp::DeleteRow { value, .. } => {
+                self.deletes.fetch_add(1, Ordering::Relaxed);
+                metrics.deletes_applied = 1;
+                let only = match op {
+                    WriteOp::DeleteRow { rowid, .. } => Some(rowid),
+                    _ => None,
+                };
+                let gate = self.enter_if_compactable();
+                let key_rows = (!self.data.is_empty()).then(|| self.plan_key(value, &mut metrics));
+                // The collected row set is exact only against a main
+                // multiset no reclamation has touched since it was taken:
+                // the delta validates the shrink epoch under its lock, and
+                // a lost race recollects (the bounds are cracks already, so
+                // a retry re-reads one small piece).
+                let (from_pending, newly) = self.seqlock_retry(&mut metrics, |attempt, valid| {
+                    let main = key_rows.map_or_else(Vec::new, |p| self.main_rows(p, attempt));
+                    self.delta.apply_delete(value, only, &main, valid)
+                });
+                if newly > 0 {
+                    // Delete-aware piece shrinking: re-latch the key's
+                    // piece and retire the tombstones just raised.
+                    self.reclaim_key_piece(value, &mut metrics);
+                }
+                // The trigger runs outside the operation's own gate entry.
+                drop(gate);
+                self.maybe_compact(&mut metrics);
+                from_pending + newly
+            }
+        };
+        metrics.result_count = affected;
+        metrics.total = start.elapsed();
+        (affected, metrics)
+    }
+
+    /// Inserts one row with the given key, self-assigning a fresh row id.
     pub fn insert(&self, value: i64) -> QueryMetrics {
         let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
         self.insert_row(value, rowid)
     }
 
-    /// Inserts one row with the given key and an externally assigned row
-    /// id — the table-engine path, where one tuple's row id must be the
-    /// same in every column's cracker. The caller owns row-id uniqueness.
+    /// [`WriteOp::Insert`]: inserts one row with an externally assigned row
+    /// id.
     pub fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        let start = Instant::now();
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        // Self-assigned ids must never collide with externally assigned
-        // ones, so the counter always stays past the largest id seen.
-        self.next_rowid
-            .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
-        let delta_rows = self.delta.insert_row(value, rowid);
-        let mut metrics = QueryMetrics {
-            inserts_applied: 1,
-            result_count: 1,
-            ..QueryMetrics::default()
-        };
-        self.maybe_compact_with(delta_rows, &mut metrics);
-        metrics.total = start.elapsed();
-        metrics
+        self.write(WriteOp::Insert { value, rowid }).1
     }
 
-    /// Deletes every row whose key equals `value`, returning how many rows
-    /// were removed. The index is first refined at the key's bounds under
-    /// the normal latch protocol (merge-on-crack: the delete performs —
-    /// and pays for — exactly the cracks a query for `[value, value + 1)`
-    /// would), which pins down exactly *which* main-array rows carry the
-    /// key; then the delta drops the key's pending inserts and tombstones
-    /// those rows in one atomic step, so concurrent selects see the whole
-    /// delete or none of it.
+    /// [`WriteOp::Delete`]: deletes every row whose key equals `value`,
+    /// returning how many rows were removed.
     pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        self.deletes.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics {
-            deletes_applied: 1,
-            ..QueryMetrics::default()
-        };
-        let (from_pending, newly) = {
-            let _op = self.enter_if_compactable();
-            if self.data.is_empty() {
-                self.delta.apply_delete(value, &[])
-            } else {
-                // The collected row set is exact only against a main
-                // multiset no reclamation has touched since it was taken:
-                // validate the shrink epoch under the delta lock and
-                // recollect on a race (the bounds are cracks already, so a
-                // retry re-reads one small piece).
-                let key_rows = self.plan_key(value, &mut metrics);
-                let (from_pending, newly) = self.seqlock_retry(&mut metrics, |attempt, valid| {
-                    let doomed = self.main_rows(key_rows, attempt);
-                    self.delta.apply_delete_validated(value, &doomed, valid)
-                });
-                if newly > 0 {
-                    // The delete's own cracks made the doomed rows
-                    // contiguous: re-latch that piece and sweep them out
-                    // right away (delete-aware piece shrinking), retiring
-                    // the tombstones this very delete raised.
-                    self.reclaim_key_piece(value, &mut metrics);
-                }
-                (from_pending, newly)
-            }
-        };
-        let removed = from_pending + newly;
-        metrics.result_count = removed;
-        self.maybe_compact(&mut metrics);
-        metrics.total = start.elapsed();
-        (removed, metrics)
+        self.write(WriteOp::Delete { value })
     }
 
-    /// Deletes one specific row `(value, rowid)` — the positional delete a
-    /// table engine issues against every column of a doomed tuple, so
-    /// exactly that tuple dies even when other tuples share the value.
-    /// Refines the index at the key's bounds like
-    /// [`ConcurrentCracker::delete`], decides under the shrink-epoch
-    /// seqlock whether the row currently lives in the main array or the
-    /// pending delta, and applies the removal atomically under the delta
-    /// latch. Returns `(rows removed — 0 or 1, metrics)`.
+    /// [`WriteOp::DeleteRow`]: deletes the row `(value, rowid)`, returning
+    /// `(rows removed — 0 or 1, metrics)`.
     pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        self.deletes.fetch_add(1, Ordering::Relaxed);
-        let mut metrics = QueryMetrics {
-            deletes_applied: 1,
-            ..QueryMetrics::default()
-        };
-        let removed = {
-            let _op = self.enter_if_compactable();
-            if self.data.is_empty() {
-                self.delta
-                    .apply_delete_row_validated(value, rowid, false, || true)
-                    .expect("validation closure always passes")
-            } else {
-                let key_rows = self.plan_key(value, &mut metrics);
-                let (removed, in_main) = self.seqlock_retry(&mut metrics, |attempt, valid| {
-                    let in_main = self.main_rows(key_rows, attempt).contains(&rowid);
-                    self.delta
-                        .apply_delete_row_validated(value, rowid, in_main, valid)
-                        .map(|removed| (removed, in_main))
-                });
-                if removed > 0 && in_main {
-                    self.reclaim_key_piece(value, &mut metrics);
-                }
-                removed
-            }
-        };
-        metrics.result_count = removed;
-        self.maybe_compact(&mut metrics);
-        metrics.total = start.elapsed();
-        (removed, metrics)
+        self.write(WriteOp::DeleteRow { value, rowid })
     }
 
     /// Refines both bounds of `[value, value + 1)` into cracks (deletes are

@@ -59,7 +59,7 @@ pub use aidx_latch::dcheck;
 pub use aidx_latch::facade;
 
 pub use compaction::{CompactionMode, CompactionPolicy};
-pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, Snapshot};
+pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, Snapshot, WriteOp};
 pub use key_runs::{
     merge_join_pairs, note_merge_join, KeyRun, KeyRuns, KeyRunsIter, MergeJoinStats,
 };

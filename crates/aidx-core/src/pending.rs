@@ -598,29 +598,28 @@ impl PendingDelta {
         state.pending_inserts + state.tombstoned_rows
     }
 
-    /// Applies one delete of `value` to the delta in a single atomic step:
-    /// drops every pending inserted row with the value and tombstones
-    /// exactly the given main-array rows (the caller collected every live
-    /// main row carrying the value under its latch protocol). Returns
-    /// `(pending rows removed, main rows newly suppressed)`.
-    pub fn apply_delete(&self, value: i64, main_rowids: &[RowId]) -> (u64, u64) {
-        self.apply_delete_validated(value, main_rowids, || true)
-            .expect("validation closure always passes")
-    }
-
-    /// As [`PendingDelta::apply_delete`], but the delete only applies if
-    /// `validate` returns true *while the delta lock is held*; otherwise
-    /// nothing changes and `None` is returned.
+    /// Applies one delete against key `value` to the delta in a single
+    /// atomic step, or nothing at all. `only` is the delete's target:
+    /// `None` dooms every row carrying the key, `Some(rowid)` exactly that
+    /// row (the positional delete a table engine issues against every
+    /// column of a doomed tuple). The doomed alive pending rows are negated
+    /// and the doomed rows among `main_rowids` — the live main-array rows
+    /// the caller collected for the target under its latch protocol — are
+    /// tombstoned unless they already are. Returns `(pending rows removed,
+    /// main rows newly tombstoned)`.
     ///
+    /// The delete only applies if `validate` returns true *while the delta
+    /// lock is held*; otherwise nothing changes and `None` is returned.
     /// This is the hook for the piece-shrinking seqlock: a physical
     /// reclamation (which moves rows between the main multiset and the
     /// delta domain) bumps the index's shrink epoch before touching the
     /// delta, so a delete whose `main_rowids` were collected against a
     /// since-reclaimed main state validates the epoch under this lock and
     /// retries instead of tombstoning stale rows.
-    pub fn apply_delete_validated(
+    pub fn apply_delete(
         &self,
         value: i64,
+        only: Option<RowId>,
         main_rowids: &[RowId],
         validate: impl FnOnce() -> bool,
     ) -> Option<(u64, u64)> {
@@ -630,7 +629,7 @@ impl PendingDelta {
         }
         state.epoch += 1;
         let epoch = state.epoch;
-        let from_pending = Self::kill_pending_locked(&mut state, value, None, epoch);
+        let from_pending = Self::kill_pending_locked(&mut state, value, only, epoch);
 
         // Tombstone exactly the main rows not already tombstoned.
         let already: HashSet<RowId> = state
@@ -641,51 +640,13 @@ impl PendingDelta {
         let fresh: Vec<RowId> = main_rowids
             .iter()
             .copied()
-            .filter(|r| !already.contains(r))
+            .filter(|r| only.is_none_or(|o| o == *r) && !already.contains(r))
             .collect();
         let newly = fresh.len() as u64;
         Self::raise_tombstones_locked(&mut state, value, &fresh, epoch);
         self.tombstoned_hint
             .store(state.tombstoned_rows, Ordering::Release);
         Some((from_pending, newly))
-    }
-
-    /// Deletes one specific row `(value, rowid)`: if `in_main` the row is
-    /// tombstoned (unless already), otherwise the matching alive pending
-    /// row is negated. Returns how many rows were removed (0 or 1), or
-    /// `None` if `validate` failed under the delta lock. This is the
-    /// positional delete a table engine issues against every non-driving
-    /// column of a doomed tuple.
-    pub fn apply_delete_row_validated(
-        &self,
-        value: i64,
-        rowid: RowId,
-        in_main: bool,
-        validate: impl FnOnce() -> bool,
-    ) -> Option<u64> {
-        let mut state = self.lock_state();
-        if !validate() {
-            return None;
-        }
-        state.epoch += 1;
-        let epoch = state.epoch;
-        let removed = if in_main {
-            let already = state
-                .tomb_rows
-                .get(&value)
-                .is_some_and(|rows| rows.iter().any(|t| t.rowid == rowid));
-            if already {
-                0
-            } else {
-                Self::raise_tombstones_locked(&mut state, value, &[rowid], epoch);
-                1
-            }
-        } else {
-            Self::kill_pending_locked(&mut state, value, Some(rowid), epoch)
-        };
-        self.tombstoned_hint
-            .store(state.tombstoned_rows, Ordering::Release);
-        Some(removed)
     }
 
     /// Negates alive pending rows of `value` at `epoch`: all of them, or
@@ -1284,6 +1245,13 @@ mod tests {
         delta.insert_row(value, rowid);
     }
 
+    /// Test shorthand for an unconditional delete of every row of `value`.
+    fn del(delta: &PendingDelta, value: i64, main_rowids: &[RowId]) -> (u64, u64) {
+        delta
+            .apply_delete(value, None, main_rowids, || true)
+            .expect("validation closure always passes")
+    }
+
     #[test]
     fn fresh_delta_adjusts_nothing() {
         let delta = PendingDelta::new();
@@ -1327,9 +1295,9 @@ mod tests {
     #[test]
     fn tombstones_are_idempotent_per_row() {
         let delta = PendingDelta::new();
-        assert_eq!(delta.apply_delete(7, &[1, 2, 3]), (0, 3));
+        assert_eq!(del(&delta, 7, &[1, 2, 3]), (0, 3));
         assert_eq!(
-            delta.apply_delete(7, &[1, 2, 3]),
+            del(&delta, 7, &[1, 2, 3]),
             (0, 0),
             "repeat delete suppresses 0"
         );
@@ -1349,8 +1317,8 @@ mod tests {
         let delta = PendingDelta::new();
         ins(&delta, 4, 10);
         ins(&delta, 4, 11);
-        assert_eq!(delta.apply_delete(4, &[0]), (2, 1));
-        assert_eq!(delta.apply_delete(4, &[0]), (0, 0));
+        assert_eq!(del(&delta, 4, &[0]), (2, 1));
+        assert_eq!(del(&delta, 4, &[0]), (0, 0));
         assert!(delta.pending_inserts() == 0);
         let a = delta.adjust(0, 10, None);
         assert_eq!(a.insert_count, 0);
@@ -1367,25 +1335,24 @@ mod tests {
         ins(&delta, 4, 10);
         ins(&delta, 4, 11);
         // Kill the pending row 11 only.
-        assert_eq!(
-            delta.apply_delete_row_validated(4, 11, false, || true),
-            Some(1)
-        );
+        assert_eq!(delta.apply_delete(4, Some(11), &[], || true), Some((1, 0)));
         assert_eq!(delta.pending_inserts(), 1);
         let view = rowid_view(&delta, 0, 10, None);
         assert_eq!(view.extra, vec![10]);
-        // Tombstone main row 3; repeating is a no-op.
+        // Tombstone main row 3 among the key's main rows; repeating is a
+        // no-op, and the untargeted main row 5 and pending row 10 survive.
         assert_eq!(
-            delta.apply_delete_row_validated(4, 3, true, || true),
-            Some(1)
+            delta.apply_delete(4, Some(3), &[3, 5], || true),
+            Some((0, 1))
         );
         assert_eq!(
-            delta.apply_delete_row_validated(4, 3, true, || true),
-            Some(0)
+            delta.apply_delete(4, Some(3), &[3, 5], || true),
+            Some((0, 0))
         );
         assert_eq!(delta.tombstoned_rows(), 1);
+        assert_eq!(delta.pending_inserts(), 1);
         // A failed validation changes nothing.
-        assert_eq!(delta.apply_delete_row_validated(4, 9, true, || false), None);
+        assert_eq!(delta.apply_delete(4, Some(9), &[9], || false), None);
         assert_eq!(delta.tombstoned_rows(), 1);
         assert!(delta.check_ledger_invariants());
     }
@@ -1396,7 +1363,7 @@ mod tests {
         ins(&delta, 1, 20);
         ins(&delta, 1, 21);
         ins(&delta, 9, 22);
-        delta.apply_delete(5, &[7, 8]);
+        del(&delta, 5, &[7, 8]);
         let drained = delta.drain();
         assert!(!drained.is_empty());
         assert_eq!(drained.pending_inserts, 3);
@@ -1411,9 +1378,9 @@ mod tests {
     #[test]
     fn tombstone_rows_in_respects_piece_bounds() {
         let delta = PendingDelta::new();
-        delta.apply_delete(5, &[50]);
-        delta.apply_delete(10, &[60, 61]);
-        delta.apply_delete(20, &[70, 71, 72]);
+        del(&delta, 5, &[50]);
+        del(&delta, 10, &[60, 61]);
+        del(&delta, 20, &[70, 71, 72]);
         assert_eq!(delta.tombstone_rows_in(None, None).len(), 3);
         let mid = delta.tombstone_rows_in(Some(10), Some(20));
         assert_eq!(mid.len(), 1);
@@ -1425,8 +1392,8 @@ mod tests {
     #[test]
     fn retire_tombstones_drops_reclaimed_rows() {
         let delta = PendingDelta::new();
-        delta.apply_delete(7, &[1, 2, 3]);
-        delta.apply_delete(8, &[4]);
+        del(&delta, 7, &[1, 2, 3]);
+        del(&delta, 8, &[4]);
         assert_eq!(delta.retire_tombstones(&[(7, 1), (7, 3), (99, 5)]), 2);
         assert_eq!(delta.tombstoned_rows(), 2);
         assert_eq!(delta.adjust(7, 8, None).tombstone_count, 1);
@@ -1441,19 +1408,19 @@ mod tests {
     }
 
     #[test]
-    fn apply_delete_validated_refuses_on_failed_validation() {
+    fn apply_delete_refuses_on_failed_validation() {
         let delta = PendingDelta::new();
         ins(&delta, 3, 30);
-        assert_eq!(delta.apply_delete_validated(3, &[0], || false), None);
+        assert_eq!(delta.apply_delete(3, None, &[0], || false), None);
         assert_eq!(delta.pending_inserts(), 1, "nothing changed");
-        assert_eq!(delta.apply_delete_validated(3, &[0], || true), Some((1, 1)));
+        assert_eq!(delta.apply_delete(3, None, &[0], || true), Some((1, 1)));
         assert_eq!(delta.pending_inserts(), 0);
     }
 
     #[test]
     fn insert_after_delete_of_same_value_survives() {
         let delta = PendingDelta::new();
-        delta.apply_delete(9, &[5]);
+        del(&delta, 9, &[5]);
         ins(&delta, 9, 90);
         let a = delta.adjust(9, 10, None);
         assert_eq!(a.insert_count, 1);
@@ -1473,7 +1440,7 @@ mod tests {
         assert_eq!(delta.current_epoch(), 0);
         ins(&delta, 5, 1);
         assert_eq!(delta.current_epoch(), 1);
-        delta.apply_delete(5, &[]);
+        del(&delta, 5, &[]);
         assert_eq!(delta.current_epoch(), 2);
         ins(&delta, 6, 2);
         assert_eq!(delta.current_epoch(), 3);
@@ -1504,7 +1471,7 @@ mod tests {
         ins(&delta, 4, 1);
         ins(&delta, 4, 2);
         let epoch = delta.register_snapshot();
-        delta.apply_delete(4, &[9]); // negates the pending rows + tombstones main
+        del(&delta, 4, &[9]); // negates the pending rows + tombstones main
         assert_eq!(delta.adjust(0, 10, None).insert_count, 0);
         assert_eq!(delta.adjust(0, 10, None).tombstone_count, 1);
         // The snapshot still sees both pending rows and no tombstone.
@@ -1523,7 +1490,7 @@ mod tests {
     fn retired_tombstones_compensate_older_snapshots() {
         let delta = PendingDelta::new();
         let before = delta.register_snapshot();
-        delta.apply_delete(7, &[1, 2]);
+        del(&delta, 7, &[1, 2]);
         let after = delta.register_snapshot();
         // Physically reclaim both rows (as a piece shrink would).
         assert_eq!(delta.retire_tombstones(&[(7, 1), (7, 2)]), 2);
@@ -1594,7 +1561,7 @@ mod tests {
         ins(&delta, 5, 1);
         let epoch = delta.register_snapshot();
         ins(&delta, 5, 2);
-        delta.apply_delete(7, &[9]);
+        del(&delta, 7, &[9]);
         // Full compaction drains everything into the main array.
         let drained = delta.drain();
         assert_eq!(drained.pending_inserts, 2);
@@ -1687,7 +1654,7 @@ mod tests {
         let epoch = delta.register_snapshot();
         for i in 1..2000u32 {
             ins(&delta, 42, i);
-            delta.apply_delete(42, &[]);
+            del(&delta, 42, &[]);
         }
         let history = delta.history_len();
         assert!(
@@ -1715,7 +1682,7 @@ mod tests {
         let delta = PendingDelta::new();
         let epoch = delta.register_snapshot();
         for i in 0..1000u32 {
-            delta.apply_delete(7, &[i]);
+            del(&delta, 7, &[i]);
             assert_eq!(delta.retire_tombstones(&[(7, i)]), 1);
         }
         let history = delta.history_len();
@@ -1738,7 +1705,7 @@ mod tests {
         let delta = PendingDelta::new();
         let epoch = delta.register_snapshot();
         // Rows 1..=3 existed at the snapshot; delete + retire them after.
-        delta.apply_delete(7, &[1, 2, 3]);
+        del(&delta, 7, &[1, 2, 3]);
         assert_eq!(delta.retire_tombstones(&[(7, 1), (7, 2), (7, 3)]), 3);
         let view = rowid_view(&delta, 0, 10, Some(epoch));
         let mut extra = view.extra;

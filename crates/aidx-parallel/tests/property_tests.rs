@@ -4,7 +4,7 @@
 //! whichever worker owns the write.
 
 use aidx_core::{CompactionPolicy, LatchProtocol, RefinementPolicy};
-use aidx_parallel::{ChunkBackend, ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -45,7 +45,8 @@ proptest! {
         let idx = ChunkedCracker::new(
             values.clone(),
             chunks,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         )
         .with_compaction(CompactionPolicy::rows(4));
         let mut oracle = oracle_from(&values);
@@ -137,7 +138,8 @@ proptest! {
         let chunked = ChunkedCracker::new(
             values.clone(),
             workers,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         )
         .with_compaction(policy);
         let ranged = RangePartitionedCracker::with_compaction(values.clone(), workers, policy);
@@ -159,7 +161,7 @@ proptest! {
             apply(kind, v, &mut oracle);
         }
         let frozen = oracle.clone();
-        let chunk_snap = chunked.snapshot().expect("concurrent chunks");
+        let chunk_snap = chunked.snapshot();
         let range_snap = ranged.snapshot();
         for &(kind, v) in &post_ops {
             apply(kind, v, &mut oracle);

@@ -1,16 +1,21 @@
-//! Cross-shape parity: every [`ReadShape`] of one range must describe the
-//! same logical rows — on every backend, now and through a snapshot, and
-//! across the range arm's straddle merges while partitions split.
+//! Backend parity, reads and writes.
 //!
+//! **Cross-shape reads**: every [`ReadShape`] of one range must describe
+//! the same logical rows — on every backend, now and through a snapshot,
+//! and across the range arm's straddle merges while partitions split.
 //! `Count == RowIds.len() == RowIdSet.len() == KeyRuns.total_rows()`,
 //! `Sum ==` Σ keys of the runs, `RowIdSet.to_vec() == RowIds ==` sorted
 //! rowids of the runs — all equal to a scan oracle over the logical rows.
+//!
+//! **One write stream**: one seeded [`WriteOp`] sequence must report the
+//! same rows affected, op for op, and leave the same rows behind on every
+//! backend — the tuple oracle's.
 
 use aidx_core::{
     CompactionPolicy, ConcurrentCracker, LatchProtocol, QueryMetrics, ReadAnswer, ReadShape,
-    RefinementPolicy,
+    RefinementPolicy, WriteOp,
 };
-use aidx_parallel::{AdaptiveConfig, ChunkBackend, ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{AdaptiveConfig, ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::RowId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,13 +24,17 @@ use std::thread;
 
 type Reader<'a> = Box<dyn Fn(i64, i64, ReadShape) -> (ReadAnswer, QueryMetrics) + 'a>;
 
-/// The slice of each backend the parity body drives.
+/// The slice of each backend the parity bodies drive.
 trait Engine {
     fn reader(&self) -> Reader<'_>;
     /// A reader frozen at a snapshot opened by this call.
     fn snapshot_reader(&self) -> Reader<'_>;
-    fn insert_row(&self, value: i64, rowid: RowId);
-    fn delete(&self, value: i64) -> u64;
+    /// Applies `op`, returning the rows affected.
+    fn write(&self, op: WriteOp) -> u64;
+    /// The backend's own logical row count.
+    fn len(&self) -> usize;
+    /// Compaction rebuilds plus incremental steps so far.
+    fn merges(&self) -> u64;
     fn check_invariants(&self) -> bool;
 }
 
@@ -37,11 +46,14 @@ impl Engine for ConcurrentCracker {
         let snap = self.snapshot();
         Box::new(move |low, high, shape| snap.read(low, high, shape))
     }
-    fn insert_row(&self, value: i64, rowid: RowId) {
-        ConcurrentCracker::insert_row(self, value, rowid);
+    fn write(&self, op: WriteOp) -> u64 {
+        ConcurrentCracker::write(self, op).0
     }
-    fn delete(&self, value: i64) -> u64 {
-        ConcurrentCracker::delete(self, value).0
+    fn len(&self) -> usize {
+        self.logical_len() as usize
+    }
+    fn merges(&self) -> u64 {
+        self.compactions_performed() + self.compaction_steps_performed()
     }
     fn check_invariants(&self) -> bool {
         ConcurrentCracker::check_invariants(self)
@@ -50,17 +62,20 @@ impl Engine for ConcurrentCracker {
 
 impl Engine for ChunkedCracker {
     fn reader(&self) -> Reader<'_> {
-        Box::new(|low, high, shape| self.read(low, high, shape).expect("concurrent chunks"))
+        Box::new(|low, high, shape| self.read(low, high, shape))
     }
     fn snapshot_reader(&self) -> Reader<'_> {
-        let snap = self.snapshot().expect("concurrent chunks");
+        let snap = self.snapshot();
         Box::new(move |low, high, shape| snap.read(low, high, shape))
     }
-    fn insert_row(&self, value: i64, rowid: RowId) {
-        ChunkedCracker::insert_row(self, value, rowid);
+    fn write(&self, op: WriteOp) -> u64 {
+        ChunkedCracker::write(self, op).0
     }
-    fn delete(&self, value: i64) -> u64 {
-        ChunkedCracker::delete(self, value).0
+    fn len(&self) -> usize {
+        ChunkedCracker::len(self)
+    }
+    fn merges(&self) -> u64 {
+        self.compactions_performed()
     }
     fn check_invariants(&self) -> bool {
         ChunkedCracker::check_invariants(self)
@@ -75,11 +90,14 @@ impl Engine for RangePartitionedCracker {
         let snap = self.snapshot();
         Box::new(move |low, high, shape| snap.read(low, high, shape))
     }
-    fn insert_row(&self, value: i64, rowid: RowId) {
-        RangePartitionedCracker::insert_row(self, value, rowid);
+    fn write(&self, op: WriteOp) -> u64 {
+        RangePartitionedCracker::write(self, op).0
     }
-    fn delete(&self, value: i64) -> u64 {
-        RangePartitionedCracker::delete(self, value).0
+    fn len(&self) -> usize {
+        RangePartitionedCracker::len(self)
+    }
+    fn merges(&self) -> u64 {
+        self.delta_stats().1
     }
     fn check_invariants(&self) -> bool {
         RangePartitionedCracker::check_invariants(self)
@@ -188,12 +206,14 @@ fn check_engine(label: &str, engine: &dyn Engine, n: usize) {
     for step in 0..120i64 {
         let key = (step * 37) % half;
         let doomed = rows.values().filter(|&&k| k == key).count() as u64;
-        assert_eq!(engine.delete(key), doomed, "{label} delete {key}");
+        let removed = engine.write(WriteOp::Delete { value: key });
+        assert_eq!(removed, doomed, "{label} delete {key}");
         rows.retain(|_, k| *k != key);
         // Re-insert some deleted keys, add some fresh ones past the domain.
         for value in [key, half + step] {
             if step % 3 != 0 {
-                engine.insert_row(value, next_rowid);
+                let rowid = next_rowid;
+                engine.write(WriteOp::Insert { value, rowid });
                 rows.insert(next_rowid, value);
                 next_rowid += 1;
             }
@@ -222,15 +242,266 @@ fn every_shape_agrees_on_every_backend_now_and_pinned() {
         .with_policy(RefinementPolicy::SkipOnContention)
         .with_compaction(policy);
     check_engine("serial/Piece/skip", &skipping, n);
-    let chunked = ChunkedCracker::new(
-        keys(n),
-        3,
-        ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
-    )
-    .with_compaction(policy);
+    let chunked = ChunkedCracker::new(keys(n), 3, LatchProtocol::Piece, RefinementPolicy::Always)
+        .with_compaction(policy);
     check_engine("chunked", &chunked, n);
     let range = RangePartitionedCracker::with_compaction(keys(n), 4, policy);
     check_engine("range", &range, n);
+}
+
+/// Splitmix64: the write stream must be the same on every backend.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> Option<T> {
+        (!from.is_empty()).then(|| from[self.below(from.len() as u64) as usize])
+    }
+}
+
+const WRITE_ROWS: usize = 1000;
+const WRITE_KEYS: i64 = 200;
+
+/// The seed column of the write body: `WRITE_ROWS` rows over
+/// `WRITE_KEYS` keys (five duplicates each) plus a row at either edge of
+/// the key domain.
+fn write_seed() -> Vec<i64> {
+    let mut values: Vec<i64> = (0..WRITE_ROWS as i64)
+        .map(|i| (i * 48271) % WRITE_KEYS)
+        .collect();
+    values.extend([i64::MIN, i64::MAX]);
+    values
+}
+
+/// One seeded write stream with, per op, the rows the tuple oracle says
+/// it affects, and the rows left at the end. Half the ops insert (keys
+/// repeat, so every key has duplicates in the seed column *and* in the
+/// delta; the domain edges are written too), enough of them to push any
+/// backend's delta across a `rows(64)` threshold several times; the rest
+/// delete a key (present, absent, or a domain edge) or one row: a seed
+/// row, a row inserted a few ops ago, a row that is already gone, or a
+/// live row under the wrong key.
+fn write_stream() -> (Vec<(WriteOp, u64)>, BTreeMap<RowId, i64>) {
+    let mut rng = Rng(0x5EED_0016);
+    let mut rows: BTreeMap<RowId, i64> = write_seed()
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| (i as RowId, k))
+        .collect();
+    let seed_rows = rows.len() as RowId;
+    let mut next_rowid = 10 * seed_rows;
+    let mut recent: Vec<RowId> = Vec::new();
+    let mut gone: Vec<(RowId, i64)> = Vec::new();
+    let mut ops = Vec::new();
+    let key = |rng: &mut Rng| match rng.below(16) {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        // A tenth of the plain keys lie past the seeded domain.
+        _ => rng.below(WRITE_KEYS as u64 * 11 / 10) as i64,
+    };
+    for _ in 0..1600 {
+        let op = match rng.below(10) {
+            0..=4 => {
+                let rowid = next_rowid;
+                next_rowid += 1;
+                recent.push(rowid);
+                WriteOp::Insert {
+                    value: key(&mut rng),
+                    rowid,
+                }
+            }
+            5 => WriteOp::Delete {
+                value: key(&mut rng),
+            },
+            kind => {
+                let live: Vec<RowId> = rows.keys().copied().collect();
+                let target = match kind {
+                    6 => rng
+                        .pick(&live[..live.partition_point(|&r| r < seed_rows)])
+                        .map(|r| (r, rows[&r])),
+                    7 => recent.pop().and_then(|r| Some((r, *rows.get(&r)?))),
+                    8 => rng.pick(&gone),
+                    _ => rng.pick(&live).map(|r| (r, rows[&r] ^ 1)),
+                };
+                let Some((rowid, value)) = target else {
+                    continue;
+                };
+                WriteOp::DeleteRow { value, rowid }
+            }
+        };
+        let affected = match op {
+            WriteOp::Insert { value, rowid } => {
+                rows.insert(rowid, value);
+                1
+            }
+            WriteOp::Delete { value } => {
+                let before = rows.len();
+                rows.retain(|&rowid, k| {
+                    let doomed = *k == value;
+                    if doomed {
+                        gone.push((rowid, value));
+                    }
+                    !doomed
+                });
+                (before - rows.len()) as u64
+            }
+            WriteOp::DeleteRow { value, rowid } => {
+                let doomed = rows.get(&rowid) == Some(&value);
+                if doomed {
+                    rows.remove(&rowid);
+                    gone.push((rowid, value));
+                }
+                doomed as u64
+            }
+        };
+        ops.push((op, affected));
+    }
+    (ops, rows)
+}
+
+/// The one write body: apply the stream, checking the rows affected op
+/// by op, then the surviving rows, the backend's own row count, and its
+/// invariants.
+fn check_writes(label: &str, engine: &dyn Engine) {
+    let (ops, rows) = write_stream();
+    for (i, &(op, expected)) in ops.iter().enumerate() {
+        assert_eq!(engine.write(op), expected, "{label} op {i}: {op:?}");
+    }
+    let survivors: Vec<RowId> = rows
+        .iter()
+        .filter(|&(_, &key)| key < i64::MAX)
+        .map(|(&rowid, _)| rowid)
+        .collect();
+    let (all, _) = engine.reader()(i64::MIN, i64::MAX, ReadShape::RowIds);
+    assert_eq!(all.into_rowids(), survivors, "{label} surviving rows");
+    assert_eq!(engine.len(), rows.len(), "{label} row count");
+    assert!(engine.check_invariants(), "{label}");
+}
+
+#[test]
+fn the_write_stream_hits_every_corner() {
+    let (ops, _) = write_stream();
+    let seed_rows = write_seed().len() as RowId;
+    let hits = |wanted: &dyn Fn(WriteOp, u64) -> bool| {
+        ops.iter().filter(|&&(op, rows)| wanted(op, rows)).count()
+    };
+    let edge = |value: i64| value == i64::MIN || value == i64::MAX;
+    for (corner, seen) in [
+        (
+            "edge inserts",
+            hits(&|op, _| matches!(op, WriteOp::Insert { value, .. } if edge(value))),
+        ),
+        (
+            "edge deletes that remove rows",
+            hits(&|op, rows| matches!(op, WriteOp::Delete { value } if edge(value)) && rows > 0),
+        ),
+        (
+            "deletes of several rows",
+            hits(&|op, rows| matches!(op, WriteOp::Delete { .. }) && rows > 1),
+        ),
+        (
+            "deletes of an absent key",
+            hits(&|op, rows| matches!(op, WriteOp::Delete { .. }) && rows == 0),
+        ),
+        (
+            "row deletes of seed rows",
+            hits(&|op, rows| {
+                matches!(op, WriteOp::DeleteRow { rowid, .. } if rowid < seed_rows) && rows == 1
+            }),
+        ),
+        (
+            "row deletes of inserted rows",
+            hits(&|op, rows| {
+                matches!(op, WriteOp::DeleteRow { rowid, .. } if rowid >= seed_rows) && rows == 1
+            }),
+        ),
+        (
+            "row deletes that miss",
+            hits(&|op, rows| matches!(op, WriteOp::DeleteRow { .. }) && rows == 0),
+        ),
+    ] {
+        assert!(seen >= 10, "only {seen} {corner}");
+    }
+}
+
+#[test]
+fn one_write_stream_gives_the_same_answers_on_every_backend() {
+    let policy = CompactionPolicy::rows(64);
+    let merged = |label: &str, engine: &dyn Engine| {
+        check_writes(label, engine);
+        assert!(engine.merges() > 0, "{label} never crossed rows(64)");
+    };
+    for protocol in [
+        LatchProtocol::Piece,
+        LatchProtocol::Column,
+        LatchProtocol::None,
+    ] {
+        let idx = ConcurrentCracker::from_values(write_seed(), protocol).with_compaction(policy);
+        merged(&format!("serial/{protocol:?}"), &idx);
+    }
+    let skipping = ConcurrentCracker::from_values(write_seed(), LatchProtocol::Piece)
+        .with_policy(RefinementPolicy::SkipOnContention)
+        .with_compaction(policy.incremental(4));
+    merged("serial/Piece/skip/incremental", &skipping);
+    for (protocol, refinement) in [
+        (LatchProtocol::Piece, RefinementPolicy::Always),
+        (LatchProtocol::Column, RefinementPolicy::Always),
+        (LatchProtocol::Piece, RefinementPolicy::SkipOnContention),
+    ] {
+        let chunked =
+            ChunkedCracker::new(write_seed(), 3, protocol, refinement).with_compaction(policy);
+        merged(&format!("chunked/{protocol:?}/{refinement:?}"), &chunked);
+    }
+    let range = RangePartitionedCracker::with_compaction(write_seed(), 4, policy);
+    merged("range", &range);
+}
+
+#[test]
+fn the_write_stream_gives_the_same_answers_while_partitions_split() {
+    // The adaptive range arm, with partitions splitting and merging under
+    // the stream: writes routed by a stale table reach the owner of the
+    // key through the redirects.
+    let config = AdaptiveConfig {
+        check_interval: None,
+        imbalance_threshold: 1.05,
+        min_partition_rows: 16,
+        min_window_ops: 1,
+        max_partitions: 5,
+        steal: false,
+        ..AdaptiveConfig::default()
+    };
+    let adaptive = RangePartitionedCracker::adaptive(write_seed(), 3, config);
+    let stop = AtomicBool::new(false);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut round = 0i64;
+            while !stop.load(Ordering::Acquire) {
+                for i in 0..40 {
+                    let low = (round * 7 + i) % 60;
+                    adaptive.count(low, low + 10);
+                }
+                adaptive.try_rebalance();
+                round += 1;
+            }
+        });
+        check_writes("range/adaptive", &adaptive);
+        stop.store(true, Ordering::Release);
+    });
+    assert!(
+        adaptive.splits_performed() >= 1,
+        "the stream must race at least one split"
+    );
 }
 
 #[test]

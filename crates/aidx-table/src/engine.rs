@@ -44,7 +44,7 @@ use aidx_core::{
     SeekingIterator,
 };
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
-use aidx_parallel::{ChunkBackend, ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::{Catalog, RowId, StorageResult, Table};
 use std::collections::{HashMap, HashSet};
 use std::str::FromStr;
@@ -77,8 +77,7 @@ pub enum TableBackend {
     /// One serial [`aidx_core::ConcurrentCracker`] per column under the
     /// given latch protocol (concurrent clients, one shared index).
     Serial(LatchProtocol),
-    /// One [`ChunkedCracker`] per column (per-core chunks, concurrent
-    /// chunk backends only — stochastic chunks keep no row identity).
+    /// One [`ChunkedCracker`] per column (per-core chunks).
     Chunked {
         /// Chunks per column (0 = one per available core).
         chunks: usize,
@@ -257,7 +256,8 @@ impl TableEngine {
                         values.clone(),
                         rowids,
                         effective_workers(chunks),
-                        ChunkBackend::Concurrent(protocol, RefinementPolicy::Always),
+                        protocol,
+                        RefinementPolicy::Always,
                     );
                     index.set_compaction(compaction);
                     Box::new(index)
@@ -569,7 +569,12 @@ impl TableEngine {
             for (col, &col_value) in tuple.iter().enumerate() {
                 let (removed, m) = self.indexes[col].delete_row(col_value, rowid);
                 metrics.accumulate(&m);
-                debug_assert_eq!(removed, 1, "live tuples are live in every column");
+                assert_eq!(
+                    removed, 1,
+                    "live tuples are live in every column: column {col} ({}) \
+                     does not hold ({col_value}, row {rowid})",
+                    self.column_names[col]
+                );
             }
         }
         // Reclaim the doomed tuples' row-store entries (base rows keep

@@ -19,8 +19,11 @@
 //!
 //! Pieces:
 //!
-//! * [`RowIndex`] — the rowid-carrying single-column index surface
-//!   (`select_rowids` / `insert_row` / `delete_row`), implemented by the
+//! * [`RowIndex`] — the rowid-carrying single-column index surface: one
+//!   required `read(low, high, shape)` and one required
+//!   `write(`[`aidx_core::WriteOp`]`)`, with `select_rowids` /
+//!   `insert_row` / `delete_row` and the rest as provided wrappers —
+//!   implemented by the
 //!   serial [`aidx_core::ConcurrentCracker`], the parallel-chunked
 //!   [`aidx_parallel::ChunkedCracker`], and the range-partitioned
 //!   [`aidx_parallel::RangePartitionedCracker`] — every latch protocol

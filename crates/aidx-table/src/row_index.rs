@@ -3,7 +3,9 @@
 //! stack, so "serial vs chunked vs range-partitioned" is a per-table
 //! configuration knob rather than three different engines.
 
-use aidx_core::{ConcurrentCracker, KeyRuns, QueryMetrics, ReadAnswer, ReadShape, RowIdSet};
+use aidx_core::{
+    ConcurrentCracker, KeyRuns, QueryMetrics, ReadAnswer, ReadShape, RowIdSet, WriteOp,
+};
 use aidx_obs::StructureProbe;
 use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::RowId;
@@ -11,7 +13,9 @@ use aidx_storage::RowId;
 /// A single-column adaptive index whose reads yield *row ids* (tuple
 /// identity) and whose writes are positional: the caller owns the row-id
 /// space, so several instances over different columns of one table stay
-/// aligned through any amount of per-column physical reorganisation.
+/// aligned through any amount of per-column physical reorganisation. A
+/// backend implements one `read` and one `write`; every typed method is
+/// a provided wrapper.
 pub trait RowIndex: Send + Sync {
     /// One `shape` read over `[low, high)`, refining the index as a side
     /// effect — the single read a backend implements; the typed reads
@@ -49,11 +53,20 @@ pub trait RowIndex: Send + Sync {
         (answer.into_agg() as u64, metrics)
     }
 
+    /// Applies one write and returns `(rows affected, metrics)` — the
+    /// single write a backend implements; the typed writes below go
+    /// through it.
+    fn write(&self, op: WriteOp) -> (u64, QueryMetrics);
+
     /// Inserts one row with an externally assigned row id.
-    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics;
+    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
+        self.write(WriteOp::Insert { value, rowid }).1
+    }
 
     /// Deletes one specific row `(value, rowid)`; returns 0 or 1.
-    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics);
+    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
+        self.write(WriteOp::DeleteRow { value, rowid })
+    }
 
     /// Quiescent structural self-check.
     fn check_invariants(&self) -> bool;
@@ -68,12 +81,8 @@ impl RowIndex for ConcurrentCracker {
         ConcurrentCracker::read(self, low, high, None, shape)
     }
 
-    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        ConcurrentCracker::insert_row(self, value, rowid)
-    }
-
-    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        ConcurrentCracker::delete_row(self, value, rowid)
+    fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+        ConcurrentCracker::write(self, op)
     }
 
     fn check_invariants(&self) -> bool {
@@ -87,18 +96,11 @@ impl RowIndex for ConcurrentCracker {
 
 impl RowIndex for ChunkedCracker {
     fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
-        // Table columns are always built with concurrent chunk backends
-        // (see `TableEngine`); stochastic chunks keep no row identity.
         ChunkedCracker::read(self, low, high, shape)
-            .expect("table columns use concurrent chunk backends")
     }
 
-    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        ChunkedCracker::insert_row(self, value, rowid)
-    }
-
-    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        ChunkedCracker::delete_row(self, value, rowid)
+    fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+        ChunkedCracker::write(self, op)
     }
 
     fn check_invariants(&self) -> bool {
@@ -115,12 +117,8 @@ impl RowIndex for RangePartitionedCracker {
         RangePartitionedCracker::read(self, low, high, shape)
     }
 
-    fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        RangePartitionedCracker::insert_row(self, value, rowid)
-    }
-
-    fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        RangePartitionedCracker::delete_row(self, value, rowid)
+    fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+        RangePartitionedCracker::write(self, op)
     }
 
     fn check_invariants(&self) -> bool {
@@ -129,5 +127,72 @@ impl RowIndex for RangePartitionedCracker {
 
     fn structure_probe(&self) -> StructureProbe {
         RangePartitionedCracker::structure_probe(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aidx_core::facade::Mutex;
+
+    /// A backend that implements only the two required methods and logs
+    /// what reaches them.
+    #[derive(Default)]
+    struct Recorder {
+        reads: Mutex<Vec<(i64, i64, ReadShape)>>,
+        writes: Mutex<Vec<WriteOp>>,
+    }
+
+    impl RowIndex for Recorder {
+        fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+            self.reads.lock().push((low, high, shape));
+            (ReadAnswer::empty(shape), QueryMetrics::default())
+        }
+
+        fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+            self.writes.lock().push(op);
+            (1, QueryMetrics::default())
+        }
+
+        fn check_invariants(&self) -> bool {
+            true
+        }
+
+        fn structure_probe(&self) -> StructureProbe {
+            StructureProbe::default()
+        }
+    }
+
+    #[test]
+    fn every_typed_method_goes_through_read_or_write() {
+        let index = Recorder::default();
+        index.insert_row(4, 40);
+        assert_eq!(index.delete_row(4, 40).0, 1);
+        index.select_rowids(0, 9);
+        index.select_rowid_set(0, 9);
+        index.select_key_runs(0, 9);
+        index.count(0, 9);
+        assert_eq!(
+            *index.writes.lock(),
+            [
+                WriteOp::Insert {
+                    value: 4,
+                    rowid: 40
+                },
+                WriteOp::DeleteRow {
+                    value: 4,
+                    rowid: 40
+                },
+            ]
+        );
+        assert_eq!(
+            *index.reads.lock(),
+            [
+                (0, 9, ReadShape::RowIds),
+                (0, 9, ReadShape::RowIdSet),
+                (0, 9, ReadShape::KeyRuns),
+                (0, 9, ReadShape::Count),
+            ]
+        );
     }
 }

@@ -448,3 +448,22 @@ fn structure_probes_span_every_column_and_backend() {
         assert_eq!(after.rows, 2 * n as u64 + 2);
     }
 }
+
+#[test]
+#[should_panic(expected = "column 1 (b) does not hold (7, row 2)")]
+fn a_column_that_lost_a_live_tuples_row_fails_the_delete_loudly() {
+    // Columns may never diverge silently — in release builds either. Kill
+    // one tuple's row in column b behind the engine's back; the next
+    // delete of that tuple must name the column, value and row id.
+    let engine = TableEngine::new(
+        "r",
+        vec![("a".into(), vec![1, 2, 3]), ("b".into(), vec![5, 6, 7])],
+        TableBackend::Serial(LatchProtocol::Piece),
+        CompactionPolicy::disabled(),
+    );
+    assert_eq!(engine.column_index(1).delete_row(7, 2).0, 1);
+    engine.execute(&TableOp::DeleteWhere {
+        column: 0,
+        value: 3,
+    });
+}

@@ -69,7 +69,7 @@ pub trait AdaptiveEngine: Send + Sync {
     /// opens a snapshot at the current column epoch, answers the query
     /// frozen there (ignoring every concurrent write, piece shrink, and
     /// compaction step), and releases it. Engines without snapshot
-    /// machinery (scan, sort, adaptive-merge, stochastic chunks) answer at
+    /// machinery (scan, sort, adaptive-merge) answer at
     /// the latest state, which is what a single serialized read observes
     /// anyway.
     fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
@@ -128,6 +128,23 @@ macro_rules! execute_on_index {
     }};
 }
 pub(crate) use execute_on_index;
+
+/// [`AdaptiveEngine::snapshot_select`] for any index with a `snapshot()`
+/// whose handle answers `count`/`sum` (the concurrent cracker and both
+/// parallel crackers): open, answer frozen there, release on drop.
+macro_rules! snapshot_select_on_index {
+    ($index:expr, $query:expr) => {{
+        let snapshot = $index.snapshot();
+        match $query.aggregate {
+            Aggregate::Count => {
+                let (c, m) = snapshot.count($query.low, $query.high);
+                (c as i128, m)
+            }
+            Aggregate::Sum => snapshot.sum($query.low, $query.high),
+        }
+    }};
+}
+pub(crate) use snapshot_select_on_index;
 
 impl<T: AdaptiveEngine + ?Sized> AdaptiveEngine for Box<T> {
     fn name(&self) -> &str {
@@ -406,14 +423,7 @@ impl AdaptiveEngine for CrackEngine {
     }
 
     fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
-        let snapshot = self.cracker.snapshot();
-        match query.aggregate {
-            Aggregate::Count => {
-                let (c, m) = snapshot.count(query.low, query.high);
-                (c as i128, m)
-            }
-            Aggregate::Sum => snapshot.sum(query.low, query.high),
-        }
+        snapshot_select_on_index!(self.cracker, query)
     }
 
     fn structure_stats(&self) -> Option<StructureStats> {
@@ -528,7 +538,7 @@ impl<E: AdaptiveEngine> CheckedEngine<E> {
 /// Applies one operation to a `value → multiplicity` oracle multiset and
 /// returns the result a correct engine must produce. This is the single
 /// definition of the oracle semantics — [`CheckedEngine`] and the
-/// `bench_updates` harness both use it, so they can never drift apart.
+/// `bench_compaction` harness both use it, so they can never drift apart.
 pub fn oracle_apply(oracle: &mut BTreeMap<i64, u64>, op: Operation) -> i128 {
     match op {
         Operation::Select(q) => {

@@ -1,11 +1,12 @@
 //! Multi-core parallel adaptive indexing in action: the same workload
-//! answered by the serial concurrent cracker, parallel-chunked cracking
-//! (with both the concurrent and the stochastic chunk backend), and
+//! answered by the serial concurrent cracker, serial stochastic cracking
+//! (the robust-pivot reference), parallel-chunked cracking, and
 //! range-partitioned latch-free cracking — all verified against a scan.
 //!
 //! Run with `cargo run --release --example parallel_cracking`.
 
 use adaptive_indexing::prelude::*;
+use std::cell::RefCell;
 use std::time::Instant;
 
 const ROWS: usize = 2_000_000;
@@ -39,26 +40,20 @@ fn main() {
     let serial = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece);
     report("crack-piece (serial)", &|lo, hi| serial.sum(lo, hi).0);
 
+    // Single-threaded: every crack also splits the piece at a random
+    // pivot, which is what keeps adversarial bound sequences cheap.
+    let stochastic = RefCell::new(StochasticCracker::with_threshold(values.clone(), 4096, 11));
+    report("stochastic crack (serial)", &|lo, hi| {
+        stochastic.borrow_mut().sum(lo, hi)
+    });
+
     let chunked = ChunkedCracker::new(
         values.clone(),
         workers,
-        ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+        LatchProtocol::Piece,
+        RefinementPolicy::Always,
     );
-    report("parallel-chunk (concurrent)", &|lo, hi| {
-        chunked.sum(lo, hi).0
-    });
-
-    let stochastic = ChunkedCracker::new(
-        values.clone(),
-        workers,
-        ChunkBackend::Stochastic {
-            piece_threshold: 4096,
-            seed: 11,
-        },
-    );
-    report("parallel-chunk (stochastic)", &|lo, hi| {
-        stochastic.sum(lo, hi).0
-    });
+    report("parallel-chunk", &|lo, hi| chunked.sum(lo, hi).0);
 
     let ranged = RangePartitionedCracker::new(values, workers);
     report("parallel-range (latch-free)", &|lo, hi| {
@@ -69,9 +64,11 @@ fn main() {
         "\nrange partition sizes: {:?} (router only wakes owners a query overlaps)",
         ranged.partition_sizes()
     );
+    let stochastic = stochastic.into_inner();
     println!(
-        "chunked crack totals: concurrent={} stochastic={} (stochastic adds random splits)",
+        "crack totals: chunked={} stochastic={} bound + {} random",
         chunked.crack_count(),
-        stochastic.crack_count()
+        stochastic.bound_cracks(),
+        stochastic.random_cracks()
     );
 }

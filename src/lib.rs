@@ -20,7 +20,7 @@
 //! |-------|----------|
 //! | [`storage`] | column-store substrate (columns, tables, bulk operators, data generator) |
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
-//! | [`cracking`] | database cracking: cracker array, AVL table of contents, baselines, stochastic cracking |
+//! | [`cracking`] | serial database cracking: cracker array, AVL table of contents, baselines, stochastic cracking |
 //! | [`btree`] | B+-tree, partitioned B-tree, adaptive merging, hybrid crack-sort, key-range locks |
 //! | [`core`] | **the paper's contribution**: concurrent cracker with column/piece latch protocols, conflict avoidance, metrics |
 //! | [`parallel`] | multi-core parallel cracking: per-core chunks, range-partitioned latch-free workers |
@@ -54,9 +54,16 @@
 //! let index = ChunkedCracker::new(
 //!     generate_unique_shuffled(1_000_000, 42),
 //!     4,
-//!     ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+//!     LatchProtocol::Piece,
+//!     RefinementPolicy::Always,
 //! );
 //! assert_eq!(index.sum(250_000, 260_000).0, sum);
+//!
+//! // Every backend changes contents through one `write(WriteOp)`; the
+//! // typed `insert`/`delete` methods are wrappers over it.
+//! let (removed, _) = index.write(WriteOp::Delete { value: 255_000 });
+//! assert_eq!(removed, 1);
+//! assert_eq!(index.sum(250_000, 260_000).0, sum - 255_000);
 //! ```
 
 pub use aidx_btree as btree;
@@ -73,13 +80,11 @@ pub mod prelude {
     pub use aidx_btree::{AdaptiveMergeIndex, HybridCrackSort, PartitionedBTree};
     pub use aidx_core::{
         Aggregate, ConcurrentAdaptiveMerge, ConcurrentCracker, LatchProtocol, QueryMetrics,
-        RefinementPolicy, RunMetrics,
+        RefinementPolicy, RunMetrics, WriteOp,
     };
     pub use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex, StochasticCracker};
     pub use aidx_latch::{LockManager, LockMode, LockResource};
-    pub use aidx_parallel::{
-        available_cores, ChunkBackend, ChunkedCracker, RangePartitionedCracker, WorkerPool,
-    };
+    pub use aidx_parallel::{available_cores, ChunkedCracker, RangePartitionedCracker, WorkerPool};
     pub use aidx_storage::{generate_unique_shuffled, Catalog, Column, RowId, Table};
     pub use aidx_table::{
         CheckedTableEngine, ColumnPredicate, RowIndex, TableBackend, TableEngine, TableOp,
@@ -109,7 +114,8 @@ mod tests {
         let chunked = ChunkedCracker::new(
             values.clone(),
             2,
-            ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
         );
         assert_eq!(chunked.count(1000, 2000).0, 1000);
         let ranged = RangePartitionedCracker::new(values, 2);

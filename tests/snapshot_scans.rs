@@ -8,7 +8,7 @@
 use adaptive_indexing::core::{
     CompactionPolicy, ConcurrentCracker, LatchProtocol, RefinementPolicy,
 };
-use adaptive_indexing::parallel::{ChunkBackend, ChunkedCracker, RangePartitionedCracker};
+use adaptive_indexing::parallel::{ChunkedCracker, RangePartitionedCracker};
 use std::collections::BTreeMap;
 
 fn shuffled(n: usize) -> Vec<i64> {
@@ -105,12 +105,13 @@ fn chunked_snapshot_scan_across_incremental_steps_matches_the_oracle() {
     let idx = ChunkedCracker::new(
         values.clone(),
         3,
-        ChunkBackend::Concurrent(LatchProtocol::Piece, RefinementPolicy::Always),
+        LatchProtocol::Piece,
+        RefinementPolicy::Always,
     )
     .with_compaction(CompactionPolicy::rows(4).incremental(4));
     idx.sum(0, 4096);
     let frozen = oracle_from(&values);
-    let snap = idx.snapshot().expect("concurrent chunks support snapshots");
+    let snap = idx.snapshot();
     // Threshold 4 with 16 churn pairs: the per-chunk incremental policy
     // fires several walk steps while the snapshot stays pinned.
     for key in CHURN_KEYS {
