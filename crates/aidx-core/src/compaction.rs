@@ -19,12 +19,12 @@
 /// *How* a triggered compaction reconciles the delta with the main array.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CompactionMode {
-    /// Quiesce the whole index (piece-registry gate exclusive) and rebuild
+    /// Quiesce the whole index (piece directory's gate exclusive) and rebuild
     /// the main array in one pass — the PR 3 system transaction. Readers
     /// and writers all stall for the rebuild's duration.
     #[default]
     Quiesce,
-    /// Walk the piece registry one piece write latch at a time, merging
+    /// Walk the piece directory one piece write latch at a time, merging
     /// each piece's epoch-visible pending inserts into its tombstone holes
     /// and advancing a per-piece `compacted_through` watermark. Readers
     /// never block on the walk; the exclusive gate is taken only for the

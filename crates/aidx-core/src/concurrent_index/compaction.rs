@@ -55,7 +55,7 @@ impl ConcurrentCracker {
     /// The incremental trigger path: walk the pieces (at most one full lap)
     /// merging deltas in place until the delta is back under the
     /// threshold. Only if a whole lap cannot get there — no holes to fill,
-    /// e.g. an insert-only stream — does the exclusive piece-registry gate
+    /// e.g. an insert-only stream — does the exclusive quiesce gate
     /// come out for the final fixup: the quiescing rebuild.
     fn compact_incremental(&self, pieces_per_step: usize, metrics: &mut QueryMetrics) {
         let len = self.data.len();
@@ -66,7 +66,7 @@ impl ConcurrentCracker {
                 // In-place progress needs either existing holes to fill or
                 // tombstones to sweep into new ones; with neither, go
                 // straight to the fallback.
-                if self.hole_rows.load(Ordering::Acquire) == 0 && !self.delta.has_tombstones() {
+                if !self.dir.has_holes() && !self.delta.has_tombstones() {
                     break;
                 }
                 let span = self.compact_step_with(pieces_per_step, metrics);
@@ -97,7 +97,7 @@ impl ConcurrentCracker {
 
     /// One bounded walk step: visits up to `max_pieces` pieces starting at
     /// the persistent walk cursor (wrapping at the array end). Holds the
-    /// piece-registry gate in *shared* mode for the walk — full rebuilds
+    /// quiesce gate in *shared* mode for the walk — full rebuilds
     /// are excluded, ordinary operations are not. Returns the number of
     /// positions covered (the trigger loop's lap accounting).
     fn compact_step_with(&self, max_pieces: usize, metrics: &mut QueryMetrics) -> usize {
@@ -106,14 +106,13 @@ impl ConcurrentCracker {
             return 0;
         }
         let start = Instant::now();
-        let _op = self.registry.enter();
-        self.steer_walk_cursor();
-        let step_start = self.walk_cursor.load(Ordering::Relaxed) % len;
+        let _op = self.dir.enter();
+        self.dir.steer_walk(&self.delta.value_counts());
+        let step_start = self.dir.walk_cursor() % len;
         let reclaimed_before = metrics.rows_reclaimed;
         let mut covered = 0usize;
         for _ in 0..max_pieces.max(1) {
-            let cursor = self.walk_cursor.load(Ordering::Relaxed) % len;
-            let span = self.compact_piece_at(cursor, metrics);
+            let span = self.compact_piece_at(self.dir.walk_cursor() % len, metrics);
             covered += span;
             if covered >= len {
                 break;
@@ -131,113 +130,24 @@ impl ConcurrentCracker {
         covered
     }
 
-    /// Watermark-driven walk scheduling: points the walk cursor at the
-    /// piece with the densest pending delta (pending rows plus tombstones
-    /// per live position), breaking ties toward the stalest
-    /// `compacted_through` watermark, so the pieces with the most
-    /// reconciliation work per latch acquisition merge first. Leaves the
-    /// cursor where the round-robin walk parked it when no piece has any
-    /// delta rows (hole-only reclamation keeps the lap order).
-    ///
-    /// Cost: the delta's distinct values are grouped into pieces in one
-    /// pass — `O(delta · log pieces)` against the *bounded* delta, so
-    /// steering stays cheap no matter how finely cracked the column is.
-    fn steer_walk_cursor(&self) {
-        let counts = self.delta.value_counts();
-        if counts.is_empty() {
-            return;
-        }
-        let toc = self.lock_toc();
-        if toc.map.piece_count() <= 1 {
-            return;
-        }
-        let floor = self.compacted_floor.load(Ordering::Acquire);
-        // piece start → (delta rows, piece span).
-        let mut per_piece: BTreeMap<usize, (u64, usize)> = BTreeMap::new();
-        for (value, rows) in counts {
-            let piece = toc.map.piece_for_value(value);
-            let entry = per_piece.entry(piece.start).or_insert((0, piece.len()));
-            entry.0 += rows;
-        }
-        let mut best: Option<(usize, f64, u64)> = None; // (start, density, watermark)
-        for (&start, &(rows, span)) in &per_piece {
-            if span == 0 {
-                continue;
-            }
-            let density = rows as f64 / span as f64;
-            let watermark = toc.compacted_through.get(&start).copied().unwrap_or(floor);
-            let better = match best {
-                None => true,
-                Some((_, d, w)) => density > d || (density == d && watermark < w),
-            };
-            if better {
-                best = Some((start, density, watermark));
-            }
-        }
-        drop(toc);
-        if let Some((start, _, _)) = best {
-            self.walk_cursor.store(start, Ordering::Relaxed);
-        }
-    }
-
     /// Merges the delta of the piece containing position `cursor` in
-    /// place, under that piece's write latch (or the column latch, per
-    /// protocol), then advances the walk cursor past the piece. Returns
-    /// the piece's span in positions.
+    /// place, under write access to that piece, then advances the walk
+    /// cursor past it. Returns the piece's span in positions.
     fn compact_piece_at(&self, cursor: usize, metrics: &mut QueryMetrics) -> usize {
-        let piece = match self.protocol {
-            LatchProtocol::Piece => loop {
-                let piece = self.lock_toc().piece_containing(cursor);
-                let latch = self.registry.latch_for(piece.start);
-                let guard = latch.acquire_write(piece.low_value.unwrap_or(i64::MIN));
-                Self::note_wait(
-                    metrics,
-                    piece.start as u64,
-                    LatchMode::Write,
-                    guard.outcome().wait_time(),
-                    guard.outcome().contended(),
-                );
-                // Bound re-evaluation, as for any piece-latch acquisition:
-                // a crack may have split the piece while we waited. The
-                // piece *containing the cursor* may then start elsewhere —
-                // release and latch that one instead. (A split behind the
-                // cursor keeps the start and only shrinks the end, which
-                // re-reading under the latch handles.)
-                let current = self.lock_toc().piece_containing(cursor);
-                if current.start != piece.start {
-                    drop(guard);
-                    continue;
-                }
-                self.merge_piece_locked(&current, metrics);
-                drop(guard);
-                break current;
-            },
-            LatchProtocol::Column => {
-                let guard = self.column_latch.acquire_write(i64::MIN);
-                Self::note_wait(
-                    metrics,
-                    TraceEvent::COLUMN_LATCH,
-                    LatchMode::Write,
-                    guard.outcome().wait_time(),
-                    guard.outcome().contended(),
-                );
-                let piece = self.lock_toc().piece_containing(cursor);
-                self.merge_piece_locked(&piece, metrics);
-                drop(guard);
-                piece
-            }
-            LatchProtocol::None => {
-                let piece = self.lock_toc().piece_containing(cursor);
-                self.merge_piece_locked(&piece, metrics);
-                piece
-            }
+        let merge = |piece: &Piece, m: &mut QueryMetrics| {
+            self.merge_piece_locked(piece, m);
+            *piece
         };
+        let always = RefinementPolicy::Always;
+        let piece = self
+            .write_piece(Target::Position(cursor), always, metrics, merge)
+            .done();
         let next = if piece.end >= self.data.len() {
             0
         } else {
             piece.end
         };
-        self.walk_cursor.store(next, Ordering::Relaxed);
+        self.dir.set_walk_cursor(next);
         piece.end.saturating_sub(cursor.min(piece.start)).max(1)
     }
 
@@ -274,19 +184,7 @@ impl ConcurrentCracker {
                     let values: Vec<i64> = rows.iter().map(|&(v, _)| v).collect();
                     let rowids: Vec<RowId> = rows.iter().map(|&(_, r)| r).collect();
                     self.data.write_rows(live_end, &values, &rowids);
-                    {
-                        let mut toc = self.lock_toc();
-                        let entry = toc
-                            .holes
-                            .get_mut(&piece.start)
-                            .expect("holes exist: the ledger has the entry");
-                        *entry -= merged;
-                        if *entry == 0 {
-                            toc.holes.remove(&piece.start);
-                        }
-                        toc.total_holes -= merged;
-                    }
-                    self.hole_rows.fetch_sub(merged as u64, Ordering::Release);
+                    self.dir.fill_holes(piece.start, merged);
                     self.pending_compacted
                         .fetch_add(merged as u64, Ordering::Relaxed);
                 }
@@ -298,10 +196,7 @@ impl ConcurrentCracker {
         // reader, or more pending inserts than the hole budget could
         // place) mean epochs up to `through` are *not* all merged here.
         if self.delta.rows_in(piece.low_value, piece.high_value) == 0 {
-            self.toc
-                .lock()
-                .compacted_through
-                .insert(piece.start, through);
+            self.dir.mark_compacted(piece.start, through);
         }
         metrics.rows_reclaimed = metrics
             .rows_reclaimed
@@ -323,13 +218,13 @@ impl ConcurrentCracker {
     /// first one through the gate pays for the rebuild.
     fn compact_now(&self, metrics: &mut QueryMetrics, recheck: Option<CompactionPolicy>) -> bool {
         let start = Instant::now();
-        let quiesce = self.registry.quiesce();
+        let quiesce = self.dir.quiesce();
         let delta_rows = self.delta_rows();
         if let Some(policy) = recheck {
             if !policy.should_compact(delta_rows, self.data.len()) {
                 return false;
             }
-        } else if delta_rows == 0 && self.lock_toc().total_holes == 0 {
+        } else if delta_rows == 0 && !self.dir.has_holes() {
             return false;
         }
         // Column-latch regime: the quiesce is also expressed through the
@@ -342,14 +237,6 @@ impl ConcurrentCracker {
         let (merged, reclaimed) = self.rebuild_from_delta();
         txn.complete_step();
         txn.commit();
-        // Everything stamped so far is merged: raise the column-wide
-        // watermark floor and restart the incremental walk.
-        self.compacted_floor
-            .store(self.delta.current_epoch(), Ordering::Release);
-        self.walk_cursor.store(0, Ordering::Relaxed);
-        // Piece start positions changed meaning: stale piece latches must
-        // not be reused.
-        self.registry.reset_latches();
         drop(column_guard);
         drop(quiesce);
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -374,21 +261,20 @@ impl ConcurrentCracker {
     /// contains it — so every existing crack value survives, its position
     /// shifted by the net row movement below it, exactly the boundary
     /// fixup `PieceMap::apply_insert_batch`/`apply_delete` perform for the
-    /// single-threaded cracker's delta merge. Returns `(pending rows
-    /// merged, tombstoned rows dropped)`.
+    /// single-threaded cracker's delta merge — and the rebuilt structure is
+    /// installed with everything stamped so far merged. Returns `(pending
+    /// rows merged, tombstoned rows dropped)`.
     pub(super) fn rebuild_from_delta(&self) -> (u64, u64) {
         let drained = self.delta.drain();
-        let mut toc = self.lock_toc();
-        let pieces = toc.map.pieces();
+        let pieces = self.dir.live_pieces();
         let old_len = self.data.len();
-        let new_len = (old_len - toc.total_holes + drained.pending_inserts as usize)
+        let new_len = (old_len - self.dir.total_holes() + drained.pending_inserts as usize)
             .saturating_sub(drained.tombstoned_rows as usize);
         let mut inserts = drained.inserts.iter().copied().peekable();
         let mut values = Vec::with_capacity(new_len);
         let mut rowids = Vec::with_capacity(new_len);
         let mut cracks: Vec<(i64, usize)> = Vec::with_capacity(pieces.len().saturating_sub(1));
-        for piece in &pieces {
-            let live_end = toc.live_end(piece.start, piece.end);
+        for &(piece, live_end) in &pieces {
             for (v, rid) in self.data.pairs_in_range(piece.start, live_end) {
                 if drained.doomed.contains(&rid) {
                     continue;
@@ -417,14 +303,8 @@ impl ConcurrentCracker {
         );
         let rebuilt_len = values.len();
         self.data.replace(values, rowids);
-        let mut fresh = TocState::new(rebuilt_len);
-        for (value, position) in cracks {
-            fresh.add_crack(value, position);
-        }
-        *toc = fresh;
-        // The rebuild reclaimed every hole (quiesced, so no reader races
-        // the mirror reset).
-        self.hole_rows.store(0, Ordering::Release);
+        self.dir
+            .install(rebuilt_len, cracks, self.delta.current_epoch());
         (drained.pending_inserts, drained.tombstoned_rows)
     }
 }

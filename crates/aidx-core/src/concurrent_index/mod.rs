@@ -37,14 +37,14 @@
 //!   threshold, the write that tripped it rebuilds the cracker array from
 //!   `main + pending inserts − tombstones` in one pass as an
 //!   instantly-committing system transaction. The rebuild quiesces the
-//!   index through the piece registry's gate (column-latch regime: the
+//!   index through the piece directory's gate (column-latch regime: the
 //!   exclusive column latch is also taken, making the quiesce visible to
 //!   the protocol's own latch statistics), preserves every existing crack
 //!   value — each pending insert lands inside the piece whose key interval
 //!   contains it and each boundary shifts by the net row movement below
 //!   it, the same fixup `aidx-cracking`'s delta merge applies — and then
-//!   resets the piece-latch registry, since piece start positions changed
-//!   meaning.
+//!   installs the rebuilt structure in the directory, retiring every piece
+//!   latch, since piece start positions changed meaning.
 //! * **Delete-aware piece shrinking**: a crack already holds the write
 //!   latch of the piece it reorganises, so before partitioning it sweeps
 //!   rows whose values the delta has tombstoned to the piece's tail, turns
@@ -72,150 +72,28 @@ use crate::compaction::{CompactionMode, CompactionPolicy};
 use crate::key_runs::KeyRuns;
 use crate::metrics::QueryMetrics;
 use crate::pending::{DeltaAdjust, PairView, PendingDelta};
-use crate::piece_registry::{OperationGuard, PieceLatchRegistry};
+use crate::piece_directory::{AlreadyCrack, OperationGuard, PieceDirectory, Target};
 use crate::protocol::{LatchProtocol, RefinementPolicy};
 use crate::rowid_set::RowIdSet;
 use crate::shared_array::SharedCrackerArray;
-use aidx_cracking::{Piece, PieceLookup, PieceMap};
+use aidx_cracking::Piece;
 use aidx_latch::dcheck;
 use aidx_latch::facade::{self, Mutex, MutexGuard};
-use aidx_latch::ordered::OrderedWaitLatch;
+use aidx_latch::ordered::{OrderedWaitLatch, OrderedWriteGuard, WaitOutcome};
 use aidx_latch::stats::LatchStatsSnapshot;
 use aidx_latch::systxn::{SystemTxnManager, SystemTxnStats};
 use aidx_obs::{emit, LatchMode, StructureProbe, TraceEvent};
 use aidx_storage::{Column, RowId};
-use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-
-/// Table-of-contents state guarded by the index latch (a short-held mutex):
-/// the piece map plus an auxiliary position index for piece-walk queries
-/// and the hole ledger for delete-aware piece shrinking.
-#[derive(Debug)]
-struct TocState {
-    map: PieceMap,
-    /// Crack positions in ascending order: position → `(min, max)` crack
-    /// value recorded at that position (several crack values share a
-    /// position when the piece between them is empty). Lets the
-    /// aggregation walk find "the end of the piece starting at position p"
-    /// in O(log #cracks), and lets the incremental compactor reconstruct a
-    /// piece's *exact* key interval from a position: the piece starting at
-    /// `s` holds values `>= max(s)` and `< min(end)`.
-    crack_positions: BTreeMap<usize, (i64, i64)>,
-    /// Piece start → dead slots at the piece's *tail*: physically
-    /// reclaimed tombstoned rows that every scan skips, awaiting the next
-    /// compaction. Holes only ever sit at a piece's tail, so the live part
-    /// of piece `[s, e)` with `h` holes is `[s, e − h)`.
-    holes: BTreeMap<usize, usize>,
-    /// Sum of all hole counts (cheap "are there any holes?" probe).
-    total_holes: usize,
-    /// Piece start → delta epoch the incremental compactor has merged
-    /// that piece through. Pieces absent from the map sit at the
-    /// column-wide floor (the epoch of the last full rebuild).
-    compacted_through: BTreeMap<usize, u64>,
-}
-
-impl TocState {
-    fn new(len: usize) -> Self {
-        TocState {
-            map: PieceMap::new(len),
-            crack_positions: BTreeMap::new(),
-            holes: BTreeMap::new(),
-            total_holes: 0,
-            compacted_through: BTreeMap::new(),
-        }
-    }
-
-    fn add_crack(&mut self, value: i64, position: usize) {
-        self.map.add_crack(value, position);
-        self.crack_positions
-            .entry(position)
-            .and_modify(|(min, max)| {
-                *min = (*min).min(value);
-                *max = (*max).max(value);
-            })
-            .or_insert((value, value));
-    }
-
-    /// The piece containing position `pos`, with exact key bounds
-    /// reconstructed from the crack-position index (the piece starting at
-    /// a crack position holds values `>=` the *largest* crack value there;
-    /// its upper bound is the *smallest* crack value at its end).
-    fn piece_containing(&self, pos: usize) -> Piece {
-        let start_entry = self.crack_positions.range(..=pos).next_back();
-        let start = start_entry.map(|(&s, _)| s).unwrap_or(0);
-        let low_value = start_entry.map(|(_, &(_, max))| max);
-        let end_entry = self.crack_positions.range(pos + 1..).next();
-        let end = end_entry.map(|(&e, _)| e).unwrap_or(self.map.array_len());
-        let high_value = end_entry.map(|(_, &(min, _))| min);
-        Piece {
-            start,
-            end,
-            low_value,
-            high_value,
-        }
-    }
-
-    /// End of the piece starting at `pos`: the smallest crack position
-    /// strictly greater than `pos`, or the array length.
-    fn piece_end_after(&self, pos: usize) -> usize {
-        self.crack_positions
-            .range(pos + 1..)
-            .next()
-            .map(|(&p, _)| p)
-            .unwrap_or_else(|| self.map.array_len())
-    }
-
-    /// Dead slots at the tail of the piece starting at `piece_start`.
-    fn holes_at(&self, piece_start: usize) -> usize {
-        self.holes.get(&piece_start).copied().unwrap_or(0)
-    }
-
-    /// Dead slots across all pieces starting in `[start, end)`. Valid for
-    /// any `[start, end)` that is a union of whole pieces (hole zones
-    /// never straddle piece boundaries).
-    fn holes_in(&self, start: usize, end: usize) -> usize {
-        self.holes.range(start..end).map(|(_, &h)| h).sum()
-    }
-
-    /// Records `n` freshly swept dead slots at the tail of the piece
-    /// starting at `piece_start`.
-    fn add_holes(&mut self, piece_start: usize, n: usize) {
-        if n > 0 {
-            *self.holes.entry(piece_start).or_insert(0) += n;
-            self.total_holes += n;
-        }
-    }
-
-    /// After a crack split piece `old_start` at `new_start`: the dead tail
-    /// (if any) belongs to the upper sub-piece, so its hole-ledger entry
-    /// moves; both sub-pieces inherit the original piece's
-    /// `compacted_through` watermark.
-    fn on_piece_split(&mut self, old_start: usize, new_start: usize) {
-        if old_start == new_start {
-            return;
-        }
-        if let Some(h) = self.holes.remove(&old_start) {
-            *self.holes.entry(new_start).or_insert(0) += h;
-        }
-        if let Some(&w) = self.compacted_through.get(&old_start) {
-            self.compacted_through.insert(new_start, w);
-        }
-    }
-
-    /// The live (non-hole) extent of the piece starting at `start` and
-    /// physically ending at `end`.
-    fn live_end(&self, start: usize, end: usize) -> usize {
-        end - self.holes_at(start).min(end - start)
-    }
-}
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// A cracker index shared by concurrent query threads.
 #[derive(Debug)]
 pub struct ConcurrentCracker {
     data: SharedCrackerArray,
-    toc: Mutex<TocState>,
-    registry: PieceLatchRegistry,
+    /// The table of contents, the per-piece latches and the quiesce gate.
+    dir: PieceDirectory,
     column_latch: OrderedWaitLatch,
     protocol: LatchProtocol,
     policy: RefinementPolicy,
@@ -240,18 +118,6 @@ pub struct ConcurrentCracker {
     /// too many times is guaranteed to finish on its next attempt instead
     /// of spinning unbounded under a pathological writer stream.
     reclaim_pause: AtomicU64,
-    /// Next main-array position the incremental compaction walk resumes
-    /// from (wraps at the array length; racing walkers merely duplicate a
-    /// piece probe).
-    walk_cursor: AtomicUsize,
-    /// Delta epoch the last *full* rebuild merged everything through;
-    /// pieces without a `compacted_through` entry sit at this floor.
-    compacted_floor: AtomicU64,
-    /// Lock-free mirror of the hole ledger's total (the toc mutex holds
-    /// the truth): lets the hot read paths skip the toc lock entirely in
-    /// the common hole-free state. Readers that race a shrink making it
-    /// stale are caught by the shrink-epoch validation.
-    hole_rows: AtomicU64,
     /// Next row id handed to a compacted-in pending insert (survivor rows
     /// keep their original ids).
     next_rowid: AtomicU64,
@@ -295,8 +161,7 @@ impl ConcurrentCracker {
         let instance = dcheck::instance_id();
         let idx = ConcurrentCracker {
             data,
-            toc: Mutex::new(TocState::new(len)),
-            registry: PieceLatchRegistry::new(),
+            dir: PieceDirectory::new(len),
             column_latch: OrderedWaitLatch::new(),
             instance,
             protocol,
@@ -307,9 +172,6 @@ impl ConcurrentCracker {
             shrink_epoch: facade::AtomicU64::new(0),
             shrink_serial: Mutex::new(()),
             reclaim_pause: AtomicU64::new(0),
-            walk_cursor: AtomicUsize::new(0),
-            compacted_floor: AtomicU64::new(0),
-            hole_rows: AtomicU64::new(0),
             hole_cracks: AtomicU64::new(0),
             next_rowid: AtomicU64::new(next_rowid),
             queries: AtomicU64::new(0),
@@ -370,7 +232,7 @@ impl ConcurrentCracker {
     /// the value is exact only in quiescence (like every other aggregate
     /// accessor here).
     pub fn logical_len(&self) -> u64 {
-        let live = self.data.len() - self.lock_toc().total_holes;
+        let live = self.data.len() - self.dir.total_holes();
         let (pending, tombstoned) = self.delta.counters();
         live as u64 + pending - tombstoned
     }
@@ -387,7 +249,7 @@ impl ConcurrentCracker {
 
     /// Number of pieces the index currently has.
     pub fn piece_count(&self) -> usize {
-        self.lock_toc().map.piece_count()
+        self.dir.piece_count()
     }
 
     /// Total cracks performed so far.
@@ -442,20 +304,7 @@ impl ConcurrentCracker {
     /// main array everywhere. Advanced piece by piece by the incremental
     /// walk and column-wide by full rebuilds.
     pub fn compacted_through(&self) -> u64 {
-        let floor = self.compacted_floor.load(Ordering::Acquire);
-        let toc = self.lock_toc();
-        let pieces = toc.map.piece_count();
-        if toc.compacted_through.len() < pieces {
-            // Some piece has never been visited since the last rebuild.
-            return floor;
-        }
-        let min_entry = toc
-            .compacted_through
-            .values()
-            .copied()
-            .min()
-            .unwrap_or(floor);
-        floor.max(min_entry)
+        self.dir.compacted_through()
     }
 
     /// Pending inserted rows physically merged into the main array by
@@ -479,7 +328,7 @@ impl ConcurrentCracker {
     /// Dead (hole) slots currently awaiting reclamation by the next
     /// compaction.
     pub fn hole_count(&self) -> usize {
-        self.lock_toc().total_holes
+        self.dir.total_holes()
     }
 
     /// Number of cracks that partitioned through the hole-aware gap walk
@@ -491,7 +340,7 @@ impl ConcurrentCracker {
 
     /// Merged latch statistics: piece latches plus the column latch.
     pub fn latch_stats(&self) -> LatchStatsSnapshot {
-        let mut stats = self.registry.stats();
+        let mut stats = self.dir.latch_stats();
         stats.merge(&self.column_latch.stats());
         stats
     }
@@ -501,7 +350,7 @@ impl ConcurrentCracker {
     /// folded into [`ConcurrentCracker::latch_stats`] but carry no
     /// position here.
     pub fn latch_stats_by_piece(&self) -> Vec<(usize, LatchStatsSnapshot)> {
-        self.registry.stats_by_piece()
+        self.dir.latch_stats_by_piece()
     }
 
     /// The column latch's own statistics (None-protocol indexes report
@@ -513,8 +362,8 @@ impl ConcurrentCracker {
     /// Current size of every piece, in positions (dead hole tails
     /// included), in position order.
     pub fn piece_sizes(&self) -> Vec<u64> {
-        let toc = self.lock_toc();
-        toc.map.pieces().iter().map(|p| p.len() as u64).collect()
+        let pieces = self.dir.live_pieces();
+        pieces.iter().map(|(p, _)| p.len() as u64).collect()
     }
 
     /// One observation of the index's physical structure, for convergence
@@ -545,12 +394,6 @@ impl ConcurrentCracker {
         self.systxn.stats()
     }
 
-    /// Locks the table of contents, tracked at dcheck level `Toc`
-    /// (innermost in the global latch order).
-    fn lock_toc(&self) -> dcheck::Tracked<MutexGuard<'_, TocState>> {
-        dcheck::Tracked::new(dcheck::Level::Toc, self.instance, "toc", self.toc.lock())
-    }
-
     /// Locks the shrink-serial mutex, tracked at dcheck level
     /// `ShrinkSerial` (above the delta lock and the TOC).
     fn lock_shrink_serial(&self) -> dcheck::Tracked<MutexGuard<'_, ()>> {
@@ -566,14 +409,8 @@ impl ConcurrentCracker {
     /// contended acquisitions, emits a piece-attributed trace event
     /// (`piece` is the piece start position, or
     /// [`TraceEvent::COLUMN_LATCH`] for the column latch).
-    fn note_wait(
-        metrics: &mut QueryMetrics,
-        piece: u64,
-        mode: LatchMode,
-        waited: Duration,
-        contended: bool,
-    ) {
-        if contended {
+    fn note_wait(metrics: &mut QueryMetrics, piece: u64, mode: LatchMode, outcome: WaitOutcome) {
+        if let WaitOutcome::Waited(waited) = outcome {
             metrics.conflicts += 1;
             metrics.wait_time += waited;
             emit(TraceEvent::LatchWait {
@@ -584,6 +421,14 @@ impl ConcurrentCracker {
         }
     }
 
+    /// Takes the column write latch, queued under `wake_key`.
+    fn column_write(&self, wake_key: i64, metrics: &mut QueryMetrics) -> OrderedWriteGuard<'_> {
+        let guard = self.column_latch.acquire_write(wake_key);
+        let outcome = guard.outcome();
+        Self::note_wait(metrics, TraceEvent::COLUMN_LATCH, LatchMode::Write, outcome);
+        guard
+    }
+
     /// Registers the operation with the quiesce gate — but only when a
     /// policy-triggered compaction could actually rebuild the array
     /// underneath it. With compaction disabled (the default) the gate is
@@ -592,66 +437,56 @@ impl ConcurrentCracker {
     /// before the index is shared (`with_compaction`/`set_compaction`
     /// need ownership), so the decision cannot flip mid-flight.
     fn enter_if_compactable(&self) -> Option<OperationGuard<'_>> {
-        self.compaction.is_enabled().then(|| self.registry.enter())
+        self.compaction.is_enabled().then(|| self.dir.enter())
     }
 
-    /// Verifies piece/array consistency: the piece map's structure, the
-    /// value bounds of every piece's *live* range (dead tails hold stale
-    /// values by design), and the hole ledger (each hole zone fits inside
-    /// its piece; totals agree). Only meaningful when no other thread is
-    /// using the index (tests call this after joining workers).
+    /// Records one query's (or forced bound's) refinement as an
+    /// instantly-committing system transaction of `performed + skipped`
+    /// planned steps: committed with the cracks it performed, abandoned if
+    /// conflict avoidance skipped them all.
+    fn note_refinement(&self, performed: u32, skipped: u32) {
+        if performed + skipped == 0 {
+            return;
+        }
+        let mut txn = self.systxn.begin(performed + skipped);
+        if performed == 0 {
+            txn.abandon();
+            return;
+        }
+        for _ in 0..performed {
+            txn.complete_step();
+        }
+        txn.commit();
+    }
+
+    /// Verifies piece/array consistency: the piece directory's own
+    /// invariants (piece map, records, hole ledger, watermarks — see
+    /// [`PieceDirectory::check_invariants`]) and the value bounds of every
+    /// piece's *live* range (dead tails hold stale values by design). Only
+    /// meaningful when no other thread is using the index (tests call this
+    /// after joining workers).
     pub fn check_invariants(&self) -> bool {
-        let toc = self.lock_toc();
-        if !toc.map.check_invariants() {
-            return false;
-        }
         let (values, rowids) = self.data.snapshot();
-        if values.len() != rowids.len() {
-            return false;
-        }
-        let pieces = toc.map.pieces();
-        for piece in &pieces {
-            // Empty pieces share their start with the non-empty piece that
-            // physically owns the hole zone; clamping attributes the dead
-            // tail to the piece that can actually hold it.
-            let holes = toc.holes_at(piece.start).min(piece.len());
-            for &v in &values[piece.start..piece.end - holes] {
-                if piece.low_value.is_some_and(|lo| v < lo) {
-                    return false;
-                }
-                if piece.high_value.is_some_and(|hi| v >= hi) {
-                    return false;
-                }
-            }
-        }
-        // Ledger sanity: every entry fits inside the (unique non-empty)
-        // piece starting at its key, and the counts add up.
-        let mut holes_seen = 0usize;
-        for (&start, &h) in &toc.holes {
-            if h == 0 {
-                continue;
-            }
-            holes_seen += h;
-            if !pieces.iter().any(|p| p.start == start && p.len() >= h) {
-                return false;
-            }
-        }
-        holes_seen == toc.total_holes
+        values.len() == rowids.len()
+            && self
+                .dir
+                .check_invariants(values.len(), self.delta.current_epoch())
+            && self.dir.live_pieces().iter().all(|(piece, live_end)| {
+                values[piece.start..*live_end].iter().all(|&v| {
+                    piece.low_value.is_none_or(|lo| v >= lo)
+                        && piece.high_value.is_none_or(|hi| v < hi)
+                })
+            })
     }
 
     /// A quiescent snapshot of the *live* cracker-array values (dead hole
     /// tails excluded; tests only).
     pub fn snapshot_values(&self) -> Vec<i64> {
-        let toc = self.lock_toc();
         let values = self.data.snapshot().0;
-        if toc.total_holes == 0 {
-            return values;
-        }
-        let mut live = Vec::with_capacity(values.len() - toc.total_holes);
-        for piece in toc.map.pieces() {
-            let live_end = toc.live_end(piece.start, piece.end);
-            live.extend_from_slice(&values[piece.start..live_end]);
-        }
-        live
+        let pieces = self.dir.live_pieces();
+        let live = pieces
+            .iter()
+            .map(|(p, live_end)| &values[p.start..*live_end]);
+        live.flatten().copied().collect()
     }
 }

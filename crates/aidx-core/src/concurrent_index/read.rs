@@ -4,14 +4,30 @@
 
 use super::*;
 
-/// How one query bound was resolved.
+/// How a request for write access to one piece
+/// ([`ConcurrentCracker::write_piece`]) ended.
 #[derive(Debug, Clone, Copy)]
-enum BoundResolution {
-    /// The bound is (now) an exact crack; qualifying values start/stop here.
-    Exact(usize),
-    /// Refinement was skipped (conflict avoidance); the bound lies somewhere
-    /// inside this piece, which must be filtered during aggregation.
-    SkippedInPiece(Piece),
+pub(super) enum PieceWrite<R> {
+    /// A [`Target::Bound`] that is a crack already, at this position: no
+    /// piece needs reorganising.
+    Crack(usize),
+    /// Conflict avoidance: the piece's latch was busy and the optional
+    /// work was skipped. The bound lies somewhere inside this piece, which
+    /// a reader must filter instead.
+    Skipped(Piece),
+    /// The work ran under write access to the piece; its result.
+    Done(R),
+}
+
+impl<R> PieceWrite<R> {
+    /// The result of work that had to run: a blocking request for the
+    /// piece of a key or a position.
+    pub(super) fn done(self) -> R {
+        match self {
+            PieceWrite::Done(result) => result,
+            _ => unreachable!("a blocking request for a key or position always runs"),
+        }
+    }
 }
 
 /// The main-array part of one query, produced by the (cracking) plan phase
@@ -475,39 +491,77 @@ impl ConcurrentCracker {
     /// Ensures a crack exists at `bound` under the active latch protocol,
     /// blocking for latches even under [`RefinementPolicy::SkipOnContention`].
     pub(super) fn force_bound(&self, bound: i64, metrics: &mut QueryMetrics) -> usize {
-        match self.protocol {
-            LatchProtocol::Piece => {
-                match self.resolve_bound_piece_with(bound, RefinementPolicy::Always, metrics) {
-                    BoundResolution::Exact(pos) => pos,
-                    BoundResolution::SkippedInPiece(_) => {
-                        unreachable!("Always policy never skips refinement")
-                    }
+        let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
+        let always = RefinementPolicy::Always;
+        match self.write_piece(Target::Bound(bound), always, metrics, crack) {
+            PieceWrite::Crack(pos) => pos,
+            PieceWrite::Done(pos) => {
+                // A forced crack is its own system transaction where the
+                // column is held exclusively; under piece latches only
+                // queries record theirs.
+                if self.protocol != LatchProtocol::Piece {
+                    self.note_refinement(1, 0);
                 }
-            }
-            LatchProtocol::Column | LatchProtocol::None => {
-                let guard = (self.protocol != LatchProtocol::None).then(|| {
-                    let g = self.column_latch.acquire_write(bound);
-                    Self::note_wait(
-                        metrics,
-                        TraceEvent::COLUMN_LATCH,
-                        LatchMode::Write,
-                        g.outcome().wait_time(),
-                        g.outcome().contended(),
-                    );
-                    g
-                });
-                let crack_start = Instant::now();
-                let (pos, cracked) = self.crack_bound_locked(bound);
-                if cracked {
-                    let mut txn = self.systxn.begin(1);
-                    txn.complete_step();
-                    txn.commit();
-                    metrics.crack_time += crack_start.elapsed();
-                    metrics.cracks_performed += 1;
-                    self.cracks.fetch_add(1, Ordering::Relaxed);
-                }
-                drop(guard);
                 pos
+            }
+            PieceWrite::Skipped(_) => unreachable!("Always policy never skips refinement"),
+        }
+    }
+
+    /// Write access to one piece under the active latch protocol — the
+    /// paper's Figure 10, and the only place it is spelled out: find the
+    /// piece `target` addresses, take the latch that covers it, and once
+    /// granted *re-evaluate the target* — the piece queued on may have
+    /// been split while this thread waited, so if the target now falls in
+    /// a piece with another start, release and go after that piece's latch
+    /// instead. (A split that keeps the start only moved the end, which
+    /// the re-evaluated piece reflects.) `work` then runs on the piece as
+    /// it is now, under its write latch; under the column protocol under
+    /// the column write latch; latch-free under the caller's exclusivity.
+    /// `policy` applies to piece latches: with `SkipOnContention` a busy
+    /// latch is not waited for and `work` is skipped.
+    pub(super) fn write_piece<R>(
+        &self,
+        target: Target,
+        policy: RefinementPolicy,
+        metrics: &mut QueryMetrics,
+        work: impl FnOnce(&Piece, &mut QueryMetrics) -> R,
+    ) -> PieceWrite<R> {
+        match self.protocol {
+            LatchProtocol::Piece => loop {
+                let (piece, latch) = match self.dir.find_latched(target) {
+                    Ok(found) => found,
+                    Err(AlreadyCrack(pos)) => return PieceWrite::Crack(pos),
+                };
+                let _guard = match policy {
+                    RefinementPolicy::Always => {
+                        let g = latch.acquire_write(target.wake_key(Some(&piece)));
+                        Self::note_wait(metrics, piece.start as u64, LatchMode::Write, g.outcome());
+                        g
+                    }
+                    RefinementPolicy::SkipOnContention => match latch.try_acquire_write() {
+                        Some(g) => g,
+                        None => {
+                            metrics.refinements_skipped += 1;
+                            return PieceWrite::Skipped(piece);
+                        }
+                    },
+                };
+                match self.dir.find(target) {
+                    Err(AlreadyCrack(pos)) => return PieceWrite::Crack(pos),
+                    Ok(current) if current.start == piece.start => {
+                        return PieceWrite::Done(work(&current, metrics));
+                    }
+                    Ok(_) => {}
+                }
+            },
+            LatchProtocol::Column | LatchProtocol::None => {
+                let _guard = (self.protocol == LatchProtocol::Column)
+                    .then(|| self.column_write(target.wake_key(None), metrics));
+                match self.dir.find(target) {
+                    Err(AlreadyCrack(pos)) => PieceWrite::Crack(pos),
+                    Ok(piece) => PieceWrite::Done(work(&piece, metrics)),
+                }
             }
         }
     }
@@ -635,45 +689,28 @@ impl ConcurrentCracker {
             return;
         }
         // A fully-resolved count is purely positional: range width minus
-        // the dead slots recorded in the hole ledger, no data access — and
-        // no toc lock at all in the common hole-free state (a racing
+        // the dead slots the directory records, no data access — and no
+        // directory lock at all in the common hole-free state (a racing
         // shrink that invalidates the lock-free probe is caught by the
         // caller's epoch validation).
         if let (Accumulator::Count(rows), None) = (&mut *acc, filter) {
-            let holes = if self.hole_rows.load(Ordering::Acquire) == 0 {
-                0
-            } else {
-                self.lock_toc().holes_in(start, end)
-            };
-            *rows += (end - start - holes) as u64;
+            *rows += (end - start - self.dir.holes_in(start, end)) as u64;
             return;
         }
-        // `[pos, piece end)` and its live end, for the piece starting at
-        // `pos` (clipped to the walked range).
-        let piece_extent = |pos: usize| {
-            let toc = self.lock_toc();
-            let piece_end = toc.piece_end_after(pos).min(end);
-            (piece_end, toc.live_end(pos, piece_end))
-        };
         match self.protocol {
             LatchProtocol::Piece => {
-                let mut pos = start;
-                while pos < end {
-                    let latch = self.registry.latch_for(pos);
-                    let guard = latch.acquire_read();
-                    Self::note_wait(
-                        metrics,
-                        pos as u64,
-                        LatchMode::Read,
-                        guard.outcome().wait_time(),
-                        guard.outcome().contended(),
-                    );
-                    let (piece_end, live_end) = piece_extent(pos);
+                // One directory acquisition per walked piece: its extent,
+                // read under its latch, comes with the next piece's latch.
+                let (mut pos, mut latch) = (start, Some(self.dir.latch_at(start)));
+                while let Some(current) = latch {
+                    let guard = current.acquire_read();
+                    Self::note_wait(metrics, pos as u64, LatchMode::Read, guard.outcome());
+                    let step = self.dir.walk_step(pos, end, true);
                     let agg_start = Instant::now();
-                    acc.feed(&self.data, pos, live_end, filter);
+                    acc.feed(&self.data, pos, step.live_end, filter);
                     metrics.aggregate_time += agg_start.elapsed();
                     drop(guard);
-                    pos = piece_end;
+                    (pos, latch) = (step.piece_end, step.next_latch);
                 }
             }
             LatchProtocol::Column | LatchProtocol::None => {
@@ -683,8 +720,7 @@ impl ConcurrentCracker {
                         metrics,
                         TraceEvent::COLUMN_LATCH,
                         LatchMode::Read,
-                        g.outcome().wait_time(),
-                        g.outcome().contended(),
+                        g.outcome(),
                     );
                     g
                 });
@@ -695,17 +731,14 @@ impl ConcurrentCracker {
                 // range in a single pass. `[start, end)` is a union of
                 // whole pieces, so the range-scoped probe is exact: holes
                 // elsewhere in the array don't matter here.
-                let one_pass = acc.is_aggregate()
-                    && (self.hole_rows.load(Ordering::Acquire) == 0
-                        || self.lock_toc().holes_in(start, end) == 0);
-                if one_pass {
+                if acc.is_aggregate() && self.dir.holes_in(start, end) == 0 {
                     acc.feed(&self.data, start, end, filter);
                 } else {
                     let mut pos = start;
                     while pos < end {
-                        let (piece_end, live_end) = piece_extent(pos);
-                        acc.feed(&self.data, pos, live_end, filter);
-                        pos = piece_end;
+                        let step = self.dir.walk_step(pos, end, false);
+                        acc.feed(&self.data, pos, step.live_end, filter);
+                        pos = step.piece_end;
                     }
                 }
                 metrics.aggregate_time += agg_start.elapsed();
@@ -771,63 +804,37 @@ impl ConcurrentCracker {
     /// bounds into cracks, or falls back to a conservative filtered plan
     /// when conflict avoidance skips the refinement.
     fn plan_column(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
-        let latched = self.protocol != LatchProtocol::None;
-        let mut skipped = false;
-        let guard = if latched {
-            match self.policy {
-                RefinementPolicy::Always => {
-                    let g = self.column_latch.acquire_write(low);
-                    Self::note_wait(
-                        metrics,
-                        TraceEvent::COLUMN_LATCH,
-                        LatchMode::Write,
-                        g.outcome().wait_time(),
-                        g.outcome().contended(),
-                    );
-                    Some(g)
+        let guard = match (self.protocol, self.policy) {
+            (LatchProtocol::None, _) => None,
+            (_, RefinementPolicy::Always) => Some(self.column_write(low, metrics)),
+            (_, RefinementPolicy::SkipOnContention) => {
+                let granted = self.column_latch.try_acquire_write();
+                if granted.is_none() {
+                    metrics.refinements_skipped += 2;
+                    self.note_refinement(0, 2);
+                    // Fall back to a filtered scan of the conservative range.
+                    let piece_of = |value| {
+                        self.dir
+                            .find(Target::Key(value))
+                            .expect("a key has a piece")
+                    };
+                    return MainPlan::Filtered {
+                        start: piece_of(low).start,
+                        end: piece_of(high).end,
+                    };
                 }
-                RefinementPolicy::SkipOnContention => match self.column_latch.try_acquire_write() {
-                    Some(g) => Some(g),
-                    None => {
-                        skipped = true;
-                        None
-                    }
-                },
+                granted
             }
-        } else {
-            None
         };
-
-        if skipped {
-            metrics.refinements_skipped += 2;
-            self.systxn.begin(2).abandon();
-            // Fall back to a filtered scan of the conservative range.
-            let (lo_piece, hi_piece) = {
-                let toc = self.lock_toc();
-                (toc.map.piece_for_value(low), toc.map.piece_for_value(high))
-            };
-            return MainPlan::Filtered {
-                start: lo_piece.start,
-                end: hi_piece.end,
-            };
-        }
-
-        let crack_start = Instant::now();
-        let (a, cracked_low) = self.crack_bound_locked(low);
-        let (b, cracked_high) = self.crack_bound_locked(high);
-        let planned = u32::from(cracked_low) + u32::from(cracked_high);
-        if planned > 0 {
-            let mut txn = self.systxn.begin(planned);
-            for _ in 0..planned {
-                txn.complete_step();
-            }
-            txn.commit();
-            metrics.crack_time += crack_start.elapsed();
-            metrics.cracks_performed += planned;
-            self.cracks.fetch_add(planned as u64, Ordering::Relaxed);
-        }
+        // One hold of the column latch covers both bounds.
+        let mut crack = |bound| match self.dir.find(Target::Bound(bound)) {
+            Err(AlreadyCrack(pos)) => pos,
+            Ok(piece) => self.crack_piece(&piece, bound, metrics),
+        };
+        let (start, end) = (crack(low), crack(high));
+        self.note_refinement(metrics.cracks_performed, 0);
         drop(guard);
-        MainPlan::Exact { start: a, end: b }
+        MainPlan::Exact { start, end }
     }
 
     /// Partitions `[start, live_end)` around `bound` under the caller's
@@ -856,165 +863,53 @@ impl ConcurrentCracker {
         }
     }
 
-    /// Resolves one bound while the caller holds exclusive access to the
-    /// whole column (column write latch, or single-threaded execution).
-    /// Sweeps reclaimable tombstoned rows out of the piece first — the
-    /// exclusive access is exactly the write latch piece shrinking needs.
-    fn crack_bound_locked(&self, bound: i64) -> (usize, bool) {
-        let piece = {
-            let toc = self.lock_toc();
-            match toc.map.lookup(bound) {
-                PieceLookup::Exact(pos) => return (pos, false),
-                PieceLookup::NeedsCrack(p) => p,
-            }
-        };
-        // Timestamps only when tracing is live: the untraced hot path pays
-        // nothing beyond the `enabled` load.
-        let traced = aidx_obs::enabled().then(Instant::now);
-        let (live_end, _) = self.shrink_piece_locked(&piece);
+    /// Cracks `piece` at `bound` and records the split (the caller holds
+    /// write access to the piece). Sweeps reclaimable tombstoned rows to
+    /// the piece's tail first — write access is exactly what piece
+    /// shrinking needs — then partitions the live range. Returns the
+    /// crack's position.
+    fn crack_piece(&self, piece: &Piece, bound: i64, metrics: &mut QueryMetrics) -> usize {
+        let crack_start = Instant::now();
+        let (live_end, _) = self.shrink_piece_locked(piece);
         let pos = self.crack_range_hole_aware(piece.start, live_end, piece.end, bound);
-        let mut toc = self.lock_toc();
-        toc.add_crack(bound, pos);
-        toc.on_piece_split(piece.start, pos);
-        drop(toc);
-        if let Some(t0) = traced {
-            emit(TraceEvent::Crack {
-                piece: piece.start as u64,
-                pivot: bound,
-                ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            });
-        }
-        (pos, true)
+        self.dir.split(piece.start, bound, pos);
+        let cracked_in = crack_start.elapsed();
+        metrics.crack_time += cracked_in;
+        metrics.cracks_performed += 1;
+        self.cracks.fetch_add(1, Ordering::Relaxed);
+        emit(TraceEvent::Crack {
+            piece: piece.start as u64,
+            pivot: bound,
+            ns: u64::try_from(cracked_in.as_nanos()).unwrap_or(u64::MAX),
+        });
+        pos
     }
 
     // ----- piece-latch protocol -------------------------------------------
 
-    /// Bound-resolution phase under piece latches, producing the plan the
+    /// Bound-resolution phase under piece latches — each bound latches
+    /// only the piece that contains it — producing the plan the
     /// aggregation walk executes.
     fn plan_piece(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
-        let r_low = self.resolve_bound_piece(low, metrics);
-        let r_high = self.resolve_bound_piece(high, metrics);
-
+        let mut resolve = |bound| {
+            let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
+            self.write_piece(Target::Bound(bound), self.policy, metrics, crack)
+        };
+        let (r_low, r_high) = (resolve(low), resolve(high));
         // Wrap this query's refinement in a system transaction record.
-        let performed = metrics.cracks_performed;
-        let skipped = metrics.refinements_skipped;
-        if performed + skipped > 0 {
-            let mut txn = self.systxn.begin(performed + skipped);
-            if performed == 0 {
-                txn.abandon();
-            } else {
-                for _ in 0..performed {
-                    txn.complete_step();
-                }
-                txn.commit();
-            }
-        }
-
-        match (r_low, r_high) {
-            (BoundResolution::Exact(a), BoundResolution::Exact(b)) => {
-                MainPlan::Exact { start: a, end: b }
-            }
-            (r_low, r_high) => {
-                let start = match r_low {
-                    BoundResolution::Exact(p) => p,
-                    BoundResolution::SkippedInPiece(piece) => piece.start,
-                };
-                let end = match r_high {
-                    BoundResolution::Exact(p) => p,
-                    BoundResolution::SkippedInPiece(piece) => piece.end,
-                };
-                MainPlan::Filtered { start, end }
-            }
-        }
-    }
-
-    /// Ensures a crack exists at `bound`, latching only the piece that
-    /// contains it. Implements bound re-evaluation after wake-up.
-    fn resolve_bound_piece(&self, bound: i64, metrics: &mut QueryMetrics) -> BoundResolution {
-        self.resolve_bound_piece_with(bound, self.policy, metrics)
-    }
-
-    /// As [`Self::resolve_bound_piece`] but with an explicit refinement
-    /// policy, so writes can force refinement regardless of the index's
-    /// configured conflict avoidance.
-    fn resolve_bound_piece_with(
-        &self,
-        bound: i64,
-        policy: RefinementPolicy,
-        metrics: &mut QueryMetrics,
-    ) -> BoundResolution {
-        loop {
-            let piece = {
-                let toc = self.lock_toc();
-                match toc.map.lookup(bound) {
-                    PieceLookup::Exact(pos) => return BoundResolution::Exact(pos),
-                    PieceLookup::NeedsCrack(p) => p,
-                }
-            };
-            let latch = self.registry.latch_for(piece.start);
-
-            let guard = match policy {
-                RefinementPolicy::Always => {
-                    let g = latch.acquire_write(bound);
-                    Self::note_wait(
-                        metrics,
-                        piece.start as u64,
-                        LatchMode::Write,
-                        g.outcome().wait_time(),
-                        g.outcome().contended(),
-                    );
-                    g
-                }
-                RefinementPolicy::SkipOnContention => match latch.try_acquire_write() {
-                    Some(g) => g,
-                    None => {
-                        metrics.refinements_skipped += 1;
-                        return BoundResolution::SkippedInPiece(piece);
-                    }
-                },
-            };
-
-            // Bound re-evaluation: while we waited, the piece we queued on
-            // may have been cracked. Walk to the piece the bound falls in
-            // *now* (Figure 10); if it is a different piece, release and try
-            // again against that piece's latch.
-            let current = {
-                let toc = self.lock_toc();
-                match toc.map.lookup(bound) {
-                    PieceLookup::Exact(pos) => {
-                        drop(guard);
-                        return BoundResolution::Exact(pos);
-                    }
-                    PieceLookup::NeedsCrack(p) => p,
-                }
-            };
-            if current.start != piece.start {
-                drop(guard);
-                continue;
-            }
-
-            // We hold the write latch of the piece the bound falls in:
-            // sweep reclaimable tombstoned rows to its tail, then crack the
-            // live range.
-            let crack_start = Instant::now();
-            let (live_end, _) = self.shrink_piece_locked(&current);
-            let pos = self.crack_range_hole_aware(current.start, live_end, current.end, bound);
-            {
-                let mut toc = self.lock_toc();
-                toc.add_crack(bound, pos);
-                toc.on_piece_split(current.start, pos);
-            }
-            let cracked_in = crack_start.elapsed();
-            metrics.crack_time += cracked_in;
-            metrics.cracks_performed += 1;
-            self.cracks.fetch_add(1, Ordering::Relaxed);
-            emit(TraceEvent::Crack {
-                piece: current.start as u64,
-                pivot: bound,
-                ns: u64::try_from(cracked_in.as_nanos()).unwrap_or(u64::MAX),
-            });
-            drop(guard);
-            return BoundResolution::Exact(pos);
+        self.note_refinement(metrics.cracks_performed, metrics.refinements_skipped);
+        let start = match r_low {
+            PieceWrite::Crack(pos) | PieceWrite::Done(pos) => pos,
+            PieceWrite::Skipped(piece) => piece.start,
+        };
+        let end = match r_high {
+            PieceWrite::Crack(pos) | PieceWrite::Done(pos) => pos,
+            PieceWrite::Skipped(piece) => piece.end,
+        };
+        if matches!(r_low, PieceWrite::Skipped(_)) || matches!(r_high, PieceWrite::Skipped(_)) {
+            MainPlan::Filtered { start, end }
+        } else {
+            MainPlan::Exact { start, end }
         }
     }
 }

@@ -16,12 +16,7 @@ impl ConcurrentCracker {
         protocol: LatchProtocol,
     ) -> Self {
         let idx = Self::from_rows(values, rowids, protocol);
-        {
-            let mut toc = idx.lock_toc();
-            for &(value, position) in cracks {
-                toc.add_crack(value, position);
-            }
-        }
+        idx.dir.install(idx.data.len(), cracks.iter().copied(), 0);
         idx
     }
 
@@ -32,14 +27,13 @@ impl ConcurrentCracker {
     /// positions include dead hole tails and ignore delta rows, which is
     /// fine for load balancing.
     pub fn median_crack_key(&self) -> Option<i64> {
-        let toc = self.lock_toc();
         let len = self.data.len();
         if len < 2 {
             return None;
         }
         let mid = len / 2;
         let mut best: Option<(usize, i64)> = None;
-        for piece in toc.map.pieces() {
+        for (piece, _) in self.dir.live_pieces() {
             let Some(hv) = piece.high_value else { continue };
             if piece.end == 0 || piece.end >= len {
                 continue;
@@ -63,21 +57,19 @@ impl ConcurrentCracker {
     /// [`ConcurrentCracker::from_rows_with_cracks`] or
     /// [`ConcurrentCracker::absorb_upper`].
     pub fn split_off(&self, at: i64) -> (Vec<i64>, Vec<RowId>, Vec<(i64, usize)>) {
-        let quiesce = self.registry.quiesce();
+        let quiesce = self.dir.quiesce();
         debug_assert_eq!(self.live_snapshots(), 0, "split_off with a live snapshot");
         let column_guard = (self.protocol == LatchProtocol::Column)
             .then(|| self.column_latch.acquire_write(i64::MIN));
         let mut txn = self.systxn.begin(1);
         let drained = self.delta.drain();
-        let mut toc = self.lock_toc();
-        let pieces = toc.map.pieces();
+        let pieces = self.dir.live_pieces();
         let mut inserts = drained.inserts.iter().copied().peekable();
         let (mut kept_values, mut kept_rowids) = (Vec::new(), Vec::<RowId>::new());
         let mut kept_cracks: Vec<(i64, usize)> = Vec::new();
         let (mut moved_values, mut moved_rowids) = (Vec::new(), Vec::<RowId>::new());
         let mut moved_cracks: Vec<(i64, usize)> = Vec::new();
-        for piece in &pieces {
-            let live_end = toc.live_end(piece.start, piece.end);
+        for &(piece, live_end) in &pieces {
             for (v, rid) in self.data.pairs_in_range(piece.start, live_end) {
                 if drained.doomed.contains(&rid) {
                     continue;
@@ -117,17 +109,8 @@ impl ConcurrentCracker {
         debug_assert!(inserts.peek().is_none(), "every pending insert placed");
         let kept_len = kept_values.len();
         self.data.replace(kept_values, kept_rowids);
-        let mut fresh = TocState::new(kept_len);
-        for (value, position) in kept_cracks {
-            fresh.add_crack(value, position);
-        }
-        *toc = fresh;
-        self.hole_rows.store(0, Ordering::Release);
-        drop(toc);
-        self.compacted_floor
-            .store(self.delta.current_epoch(), Ordering::Release);
-        self.walk_cursor.store(0, Ordering::Relaxed);
-        self.registry.reset_latches();
+        self.dir
+            .install(kept_len, kept_cracks, self.delta.current_epoch());
         txn.complete_step();
         txn.commit();
         drop(column_guard);
@@ -151,20 +134,18 @@ impl ConcurrentCracker {
         boundary: i64,
     ) {
         debug_assert!(values.iter().all(|&v| v >= boundary));
-        let quiesce = self.registry.quiesce();
+        let quiesce = self.dir.quiesce();
         debug_assert_eq!(self.live_snapshots(), 0, "absorb with a live snapshot");
         let column_guard = (self.protocol == LatchProtocol::Column)
             .then(|| self.column_latch.acquire_write(i64::MIN));
         let mut txn = self.systxn.begin(1);
         self.rebuild_from_delta();
-        let mut toc = self.lock_toc();
         let (mut all_values, mut all_rowids) = self.data.snapshot();
         let base_len = all_values.len();
-        let mut all_cracks: Vec<(i64, usize)> = toc
-            .map
-            .pieces()
+        let pieces = self.dir.live_pieces();
+        let mut all_cracks: Vec<(i64, usize)> = pieces
             .iter()
-            .filter_map(|p| p.high_value.map(|hv| (hv, p.end)))
+            .filter_map(|(p, _)| p.high_value.map(|hv| (hv, p.end)))
             .collect();
         if base_len > 0 && !values.is_empty() {
             all_cracks.push((boundary, base_len));
@@ -177,19 +158,11 @@ impl ConcurrentCracker {
         all_rowids.extend_from_slice(&rowids);
         let new_len = all_values.len();
         self.data.replace(all_values, all_rowids);
-        let mut fresh = TocState::new(new_len);
-        for (value, position) in all_cracks {
-            fresh.add_crack(value, position);
-        }
-        *toc = fresh;
-        drop(toc);
+        self.dir
+            .install(new_len, all_cracks, self.delta.current_epoch());
         if let Some(m) = max_rid {
             self.next_rowid.fetch_max(m as u64 + 1, Ordering::Relaxed);
         }
-        self.compacted_floor
-            .store(self.delta.current_epoch(), Ordering::Release);
-        self.walk_cursor.store(0, Ordering::Relaxed);
-        self.registry.reset_latches();
         txn.complete_step();
         txn.commit();
         drop(column_guard);
@@ -212,14 +185,9 @@ impl ConcurrentCracker {
         // re-enters the gate itself, and holding our entry across that
         // call could deadlock against a structural quiesce.
         let (p1, p2, rows) = {
-            let _enter = self.registry.enter();
-            let toc = self.lock_toc();
-            let best = toc
-                .map
-                .pieces()
-                .into_iter()
-                .max_by_key(|p| toc.live_end(p.start, p.end) - p.start)?;
-            let live_end = toc.live_end(best.start, best.end);
+            let _enter = self.dir.enter();
+            let pieces = self.dir.live_pieces().into_iter();
+            let (best, live_end) = pieces.max_by_key(|(p, live_end)| live_end - p.start)?;
             let n = live_end - best.start;
             if n < min_rows {
                 return None;
@@ -228,7 +196,6 @@ impl ConcurrentCracker {
                 .map(|i| best.start + i * n / 32)
                 .flat_map(|pos| self.data.values_in_range(pos, pos + 1))
                 .collect();
-            drop(toc);
             sample.sort_unstable();
             (sample[sample.len() / 3], sample[2 * sample.len() / 3], n)
         };

@@ -2,6 +2,7 @@ use super::*;
 use aidx_storage::ops;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 fn shuffled(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| (i * 48271) % n as i64).collect()

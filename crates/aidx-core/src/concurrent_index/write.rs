@@ -111,8 +111,16 @@ impl ConcurrentCracker {
                 });
                 if newly > 0 {
                     // Delete-aware piece shrinking: re-latch the key's
-                    // piece and retire the tombstones just raised.
-                    self.reclaim_key_piece(value, &mut metrics);
+                    // piece — the bound cracks left `value`'s rows
+                    // contiguous in exactly one, since no crack value lies
+                    // strictly between `value` and `value + 1` — and retire
+                    // the tombstones just raised.
+                    let sweep = |piece: &Piece, _: &mut QueryMetrics| {
+                        self.shrink_piece_locked(piece);
+                    };
+                    let always = RefinementPolicy::Always;
+                    self.write_piece(Target::Key(value), always, &mut metrics, sweep)
+                        .done();
                 }
                 // The trigger runs outside the operation's own gate entry.
                 drop(gate);
@@ -171,54 +179,6 @@ impl ConcurrentCracker {
             .into_rowids()
     }
 
-    /// Re-latches the piece whose key interval contains `value` and sweeps
-    /// its tombstoned rows out (called after a delete raised tombstones:
-    /// the delete's bound cracks left `value`'s rows contiguous in exactly
-    /// one piece, since no crack value can lie strictly between `value`
-    /// and `value + 1`).
-    fn reclaim_key_piece(&self, value: i64, metrics: &mut QueryMetrics) {
-        match self.protocol {
-            LatchProtocol::Piece => loop {
-                let piece = self.lock_toc().map.piece_for_value(value);
-                let latch = self.registry.latch_for(piece.start);
-                let guard = latch.acquire_write(value);
-                Self::note_wait(
-                    metrics,
-                    piece.start as u64,
-                    LatchMode::Write,
-                    guard.outcome().wait_time(),
-                    guard.outcome().contended(),
-                );
-                // Bound re-evaluation, as for any piece-latch acquisition.
-                let current = self.lock_toc().map.piece_for_value(value);
-                if current.start != piece.start {
-                    drop(guard);
-                    continue;
-                }
-                let _ = self.shrink_piece_locked(&current);
-                drop(guard);
-                return;
-            },
-            LatchProtocol::Column => {
-                let guard = self.column_latch.acquire_write(value);
-                Self::note_wait(
-                    metrics,
-                    TraceEvent::COLUMN_LATCH,
-                    LatchMode::Write,
-                    guard.outcome().wait_time(),
-                    guard.outcome().contended(),
-                );
-                let piece = self.lock_toc().map.piece_for_value(value);
-                let _ = self.shrink_piece_locked(&piece);
-                drop(guard);
-            }
-            LatchProtocol::None => {
-                let piece = self.lock_toc().map.piece_for_value(value);
-                let _ = self.shrink_piece_locked(&piece);
-            }
-        }
-    }
-
     /// Delete-aware piece shrinking (the caller holds the write latch — or
     /// exclusive column access — covering `piece`): moves every row the
     /// delta has tombstoned out of the piece's live range into its dead
@@ -234,16 +194,11 @@ impl ConcurrentCracker {
     /// deferred (reclamation is always opportunistic).
     pub(super) fn shrink_piece_locked(&self, piece: &Piece) -> (usize, usize) {
         // Fast path for the read-only steady state: two lock-free probes
-        // and no mutex at all. This piece's holes cannot change under our
+        // and no lock at all. This piece's holes cannot change under our
         // write latch (a prior shrink of it released that same latch, so
-        // its `hole_rows` increment is visible to us), and a stale
+        // its hole-mirror increment is visible to us), and a stale
         // tombstone miss merely defers reclamation to a later crack.
-        let live_end = if self.hole_rows.load(Ordering::Acquire) == 0 {
-            piece.end
-        } else {
-            let toc = self.lock_toc();
-            toc.live_end(piece.start, piece.end)
-        };
+        let live_end = self.dir.live_end(piece);
         if !self.delta.has_tombstones() {
             return (live_end, 0);
         }
@@ -267,10 +222,7 @@ impl ConcurrentCracker {
         if moved > 0 {
             let retired = self.delta.retire_tombstones(&removed);
             debug_assert_eq!(retired as usize, moved, "tombstones are exact");
-            self.lock_toc().add_holes(piece.start, moved);
-            // Mirror the ledger total before the epoch goes even again, so
-            // a reader whose epoch validates also saw a current mirror.
-            self.hole_rows.fetch_add(moved as u64, Ordering::Release);
+            self.dir.add_holes(piece.start, moved);
             self.shrinks.fetch_add(1, Ordering::Relaxed);
             self.tombstones_reclaimed
                 .fetch_add(moved as u64, Ordering::Relaxed);

@@ -38,6 +38,11 @@
 //! * [`QueryMetrics`] / [`RunMetrics`] — the wait/refinement/conflict
 //!   breakdown the paper's evaluation reports (Figures 13–15).
 //! * [`SharedCrackerArray`] — the latch-mediated shared cracker array.
+//!
+//! Crate-internal: `piece_directory` owns what a piece *is* — the value →
+//! position tree, one record per piece start (crack values, dead tail,
+//! compaction watermark, latch), and the quiesce gate. `concurrent_index`
+//! finds and write-latches pieces through it and nowhere else.
 
 #![warn(missing_docs)]
 
@@ -47,7 +52,7 @@ pub mod key_runs;
 pub mod merge_concurrent;
 pub mod metrics;
 pub mod pending;
-pub mod piece_registry;
+mod piece_directory;
 pub mod protocol;
 pub mod rowid_set;
 pub mod shared_array;
@@ -66,7 +71,6 @@ pub use key_runs::{
 pub use merge_concurrent::ConcurrentAdaptiveMerge;
 pub use metrics::{Completion, LatencyBreakdown, QueryMetrics, RunMetrics, WindowThroughput};
 pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta};
-pub use piece_registry::PieceLatchRegistry;
 pub use protocol::{Aggregate, LatchProtocol, RefinementPolicy};
 pub use rowid_set::{
     intersect_iters_gallop, intersect_iters_linear, intersect_sets, IntersectStats,

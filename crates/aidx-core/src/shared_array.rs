@@ -109,7 +109,7 @@ impl SharedCrackerArray {
     /// Caller contract: **exclusive access** — no other thread may be
     /// inside any method of this array, and none may enter until this call
     /// returns. [`crate::ConcurrentCracker`] guarantees this by holding
-    /// the piece-registry quiesce gate in write mode for the duration of a
+    /// the piece directory's quiesce gate in write mode for the duration of a
     /// compaction.
     ///
     /// # Panics

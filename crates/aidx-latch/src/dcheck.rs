@@ -9,7 +9,7 @@
 //!    enforced global order is documented in `docs/latch-order.md`:
 //!    repartition controller (1) → snapshot gate (2) → routing table (3) →
 //!    quiesce gate (4) → column latch (5) → piece latch (6) → shrink
-//!    serial (7) → delta lock (8) → TOC mutex (9).
+//!    serial (7) → delta lock (8) → TOC lock (9).
 //! 2. **Witness graph** — acquisitions also record held-before edges in a
 //!    process-wide graph, so *same-level* inversions that never collide on
 //!    one thread (thread A: p1 then p2; thread B: p2 then p1) are caught the
@@ -45,7 +45,7 @@ pub enum Level {
     /// The range-router's routing-table lock: readers pin the current
     /// table briefly, a repartition swaps it exclusively.
     Router = 3,
-    /// The piece-registry quiesce gate (entered once per operation).
+    /// The piece directory's quiesce gate (entered once per operation).
     Gate = 4,
     /// The column-wide `OrderedWaitLatch` (compaction rebuilds).
     Column = 5,
@@ -55,7 +55,7 @@ pub enum Level {
     ShrinkSerial = 7,
     /// The pending-delta state lock.
     Delta = 8,
-    /// The table-of-contents mutex (innermost).
+    /// The table-of-contents (piece directory) lock (innermost).
     Toc = 9,
 }
 
