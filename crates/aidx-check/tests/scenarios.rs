@@ -32,8 +32,8 @@ use std::sync::Arc;
 use aidx_check::sync::{yield_now, CheckedAtomicU64, CheckedAtomicUsize, CheckedMutex};
 use aidx_check::{explore, explore_default, ExploreConfig, Scenario};
 use aidx_core::{
-    intersect_iters_gallop, intersect_iters_linear, ConcurrentCracker, LatchProtocol, RowIdSet,
-    WriteOp,
+    intersect_iters_gallop, intersect_iters_linear, ConcurrentCracker, LatchProtocol, ReadShape,
+    RowIdSet, WriteOp,
 };
 use aidx_latch::ordered::OrderedWaitLatch;
 
@@ -183,6 +183,79 @@ fn real_cracker_delete_vs_sum_is_atomic() {
     assert!(
         saw_none.load(Ordering::SeqCst) && saw_all.load(Ordering::SeqCst),
         "the explored schedules must include a sum on either side of the delete"
+    );
+}
+
+/// The delta's record lifecycle on the real cracker: `write(WriteOp::
+/// DeleteRow)` — tombstone, sweep, `Main → Delta` retirement — racing a
+/// `Count` and a `RowIds` read pinned at an epoch registered *before* the
+/// delete. Whichever state the doomed row's record is in when a read
+/// takes its delta view — not recorded yet, a tombstone (hidden from
+/// current readers, nothing to a pinned one), or retired (an extra row
+/// for the pinned one) — both folds must give the pre-delete answer, and
+/// once the epoch is released the record must be gone and the delta
+/// consistent with the array. Full DFS under the cap only ever varies the
+/// tail of the first thread, so the exploration is bounded to one
+/// preemption instead and covers every such schedule: with the deleting
+/// thread first the reads start at each step of the delete and meet all
+/// three states; with the reading thread first the whole delete lands
+/// inside a read's seqlock window and sends it through the retry.
+#[test]
+fn real_cracker_delete_row_vs_pinned_reads_keeps_the_snapshot() {
+    const VALUES: [i64; 6] = [5, 1, 7, 3, 5, 9];
+    let states_met = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    for reads_first in [false, true] {
+        let met = Arc::clone(&states_met);
+        let one_preemption = ExploreConfig {
+            preemption_bound: Some(1),
+            ..capped(1500)
+        };
+        let report = explore(one_preemption, move || {
+            let idx = Arc::new(ConcurrentCracker::from_values(
+                VALUES.to_vec(),
+                LatchProtocol::Piece,
+            ));
+            let epoch = idx.register_snapshot_epoch();
+            let (a, b, met) = (Arc::clone(&idx), Arc::clone(&idx), Arc::clone(&met));
+            let delete = move || {
+                let (removed, _) = a.write(WriteOp::DeleteRow { value: 5, rowid: 0 });
+                assert_eq!(removed, 1, "row 0 carries key 5");
+            };
+            let reads = move || {
+                // Bit 0: no record yet, bit 1: tombstone, bit 2: retired.
+                let state = b.tombstoned_rows() + 2 * b.hole_count() as u64;
+                let (count, counted) = b.read(0, 10, Some(epoch), ReadShape::Count);
+                let (rows, listed) = b.read(0, 10, Some(epoch), ReadShape::RowIds);
+                assert_eq!(count.into_agg(), 6, "pinned count saw the later delete");
+                assert_eq!(rows.into_rowids(), [0, 1, 2, 3, 4, 5]);
+                let retried = counted.snapshot_retries + listed.snapshot_retries > 0;
+                met.fetch_or(1 << state | (retried as u64) << 3, Ordering::SeqCst);
+            };
+            let threads = if reads_first {
+                Scenario::new().thread(reads).thread(delete)
+            } else {
+                Scenario::new().thread(delete).thread(reads)
+            };
+            threads.finale(move || {
+                let pinned = idx.read(0, 10, Some(epoch), ReadShape::Count).0;
+                assert_eq!(pinned.into_agg(), 6);
+                idx.release_snapshot_epoch(epoch);
+                assert_eq!(idx.select_rowids(0, 10).0, [1, 2, 3, 4, 5]);
+                assert_eq!(
+                    (idx.tombstoned_rows(), idx.hole_count()),
+                    (0, 1),
+                    "the delete's own sweep reclaimed the row"
+                );
+                assert!(idx.check_invariants());
+            })
+        });
+        report.assert_ok();
+        assert!(report.exhausted, "one preemption fits under the cap");
+    }
+    assert_eq!(
+        states_met.load(Ordering::SeqCst),
+        0b1111,
+        "reads must meet the record absent, tombstoned and retired, and retry once"
     );
 }
 

@@ -154,7 +154,7 @@ impl ConcurrentCracker {
     /// The per-piece merge (caller holds the write latch — or exclusive
     /// column access — covering `piece`): sweep the piece's tombstoned
     /// rows into its dead tail, then fill that tail's holes with the
-    /// piece's pending inserts, retiring/compensating the moved stamps so
+    /// piece's pending inserts; the delta flips each moved row's record so
     /// current readers and snapshots both stay exact. Advances the piece's
     /// `compacted_through` watermark — but only when the merge actually
     /// left nothing of the piece's key range in the delta (a deferred

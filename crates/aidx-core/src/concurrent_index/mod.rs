@@ -462,21 +462,29 @@ impl ConcurrentCracker {
     /// Verifies piece/array consistency: the piece directory's own
     /// invariants (piece map, records, hole ledger, watermarks — see
     /// [`PieceDirectory::check_invariants`]) and the value bounds of every
-    /// piece's *live* range (dead tails hold stale values by design). Only
-    /// meaningful when no other thread is using the index (tests call this
-    /// after joining workers).
+    /// piece's *live* range (dead tails hold stale values by design), and
+    /// the delta against those live slots (see
+    /// [`PendingDelta::check_invariants`]). Only meaningful when no other
+    /// thread is using the index (tests call this after joining workers).
     pub fn check_invariants(&self) -> bool {
         let (values, rowids) = self.data.snapshot();
+        let pieces = self.dir.live_pieces();
+        let live_slots = pieces
+            .iter()
+            .flat_map(|(piece, live_end)| piece.start..*live_end);
         values.len() == rowids.len()
             && self
                 .dir
                 .check_invariants(values.len(), self.delta.current_epoch())
-            && self.dir.live_pieces().iter().all(|(piece, live_end)| {
+            && pieces.iter().all(|(piece, live_end)| {
                 values[piece.start..*live_end].iter().all(|&v| {
                     piece.low_value.is_none_or(|lo| v >= lo)
                         && piece.high_value.is_none_or(|hi| v < hi)
                 })
             })
+            && self
+                .delta
+                .check_invariants(live_slots.map(|slot| (values[slot], rowids[slot])))
     }
 
     /// A quiescent snapshot of the *live* cracker-array values (dead hole

@@ -26,7 +26,9 @@
 //!   respect user-transaction key-range locks.
 //! * [`PendingDelta`] — the pending-update side structure (Section 4):
 //!   inserts and deletes reconciled with the cracked structure under the
-//!   same latch protocols, making every index read/write.
+//!   same latch protocols, making every index read/write. One record per
+//!   row — its place (main array or delta) and its `[born, died)` epochs
+//!   — from which every count, row-id view and snapshot answer is folded.
 //! * [`CompactionPolicy`] — the bound on the pending delta: past the
 //!   threshold the main array is rebuilt from `main + pending −
 //!   tombstones` under a quiescing system transaction, and cracks that

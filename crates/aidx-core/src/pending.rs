@@ -6,14 +6,13 @@
 //! index as queries touch the affected key ranges. [`PendingDelta`]
 //! implements that side structure for the cracker family:
 //!
-//! * **Inserts** accumulate as a `value → multiplicity` map, each inserted
-//!   row carrying the **row id** its table assigned (tuple identity, kept
-//!   through every later physical move). The cracker array is allocated
-//!   once and never grows (that fixed footprint is what makes the
-//!   piece-latch `unsafe` contract of
-//!   [`SharedCrackerArray`](crate::SharedCrackerArray) sound), so pending
-//!   inserts stay in the delta and every query folds the qualifying ones
-//!   into its answer with an `O(log n + k)` range probe.
+//! * **Inserts** stay in the delta, each row carrying the **row id** its
+//!   table assigned (tuple identity, kept through every later physical
+//!   move). The cracker array is allocated once and never grows (that
+//!   fixed footprint is what makes the piece-latch `unsafe` contract of
+//!   [`SharedCrackerArray`](crate::SharedCrackerArray) sound), so every
+//!   query folds the qualifying pending rows into its answer with an
+//!   `O(log n + k)` range probe.
 //! * **Deletes** are resolved against the *cracked* main structure: a
 //!   delete first refines the index at the deleted key's bounds under the
 //!   normal latch protocol (merge-on-crack — the delete pays for the
@@ -24,79 +23,68 @@
 //!   and a physical sweep removes exactly the doomed rows, never a
 //!   same-valued row inserted later.
 //!
-//! # Epoch stamps and snapshot reads
+//! # One record per row
 //!
-//! Every write is stamped with a monotonically increasing **column
-//! epoch**. A reader that wants a frozen view registers a snapshot at the
-//! current epoch `e` and asks the delta for the adjustment *as of* `e`
-//! ([`PendingDelta::adjust`] with `at = Some(e)`): stamps with epoch `> e` are
-//! invisible.
-//! Because the main array is reconciled physically over time (piece
-//! shrinking reclaims tombstoned rows, incremental compaction merges
-//! pending inserts into holes, full compaction rebuilds the array), the
-//! delta also keeps a **compensation ledger**: whenever stamped rows move
-//! between the delta domain and the main array, the moved stamps land in
-//! the ledger — tombstone stamps positively (the row is physically gone
-//! but was logically alive before its delete epoch), insert stamps negated
-//! (the row is physically in main but logically absent before its insert
-//! epoch). A snapshot at epoch `e` folds ledger entries with epoch `> e`
-//! on top of `main@now`, which restores exactly `main@e + delta≤e`:
+//! Every row the delta knows about is **one record** — `{ rowid, born,
+//! died, place }` — in **one** `value → records` map. `place` says where
+//! the row *physically* is (in the main array, or only here); `[born,
+//! died)` says when it is *logically* visible, in **column epochs**: every
+//! write advances the epoch and stamps the records it touches. A reader
+//! asks either for *now* (`at = None`: visible means not dead) or for a
+//! registered snapshot epoch `e` (visible means `born <= e < died`), and a
+//! record's contribution to the answer on top of a main-array scan is read
+//! off this table:
 //!
-//! ```text
-//! answer(e) = main@now + stamps(≤ e) + compensation(> e)
-//! ```
+//! | place   | visible at the read epoch | not visible         |
+//! |---------|---------------------------|---------------------|
+//! | `Delta` | **extra** row (+1)        | nothing             |
+//! | `Main`  | nothing                   | **hidden** row (−1) |
 //!
-//! Current-epoch readers skip both stamp histories and the ledger
-//! entirely (net counters answer them), so the read-only fast path is
-//! unchanged. Ledger entries and stamp histories are garbage-collected as
-//! snapshots retire, and **compressed while snapshots are live**: two
-//! stamps with no live snapshot epoch between them are indistinguishable
-//! to every reader that can ever ask (snapshot epochs only move forward),
-//! so they merge into one on arrival. A long-lived snapshot over a hot
-//! key therefore keeps O(live snapshots) history per value instead of
-//! O(writes).
+//! [`PendingDelta::adjust`] (counts and sums) and
+//! [`PendingDelta::pair_view`] (row ids and keys) are two folds of that
+//! one rule over the same key range, so `answer(e) = main@now + extra(e) −
+//! hidden(e)` for every read shape, and the counts of one are the set
+//! sizes of the other by construction. A record is kept exactly while it
+//! contributes *now* or at some live snapshot epoch; with no snapshot
+//! registered that leaves the pending inserts and the tombstones, nothing
+//! else. Every mutation is a field update on the record:
 //!
-//! # The row ledger
+//! | transition | physically                              | record                                 |
+//! |------------|-----------------------------------------|----------------------------------------|
+//! | insert     | nothing: the row waits here             | new `{Delta, now, alive}`              |
+//! | delete     | nothing: the row is only marked         | `died = now` (base row: new `{Main, 0, now}`) |
+//! | placement  | a hole-fill or a rebuild copies it in   | `Delta → Main`, `born` kept            |
+//! | retirement | a piece shrink or a rebuild drops it    | `Main → Delta`, `[born, died)` kept    |
 //!
-//! Counts answer Q1/Q2; *row id* reads (multi-column selection via rowid
-//! intersection) need to know which tuples qualify. Alongside the count
-//! stamps the delta keeps a per-value row ledger:
+//! A pending insert is `{Delta, alive}`, a tombstone `{Main, dead}`; a
+//! placed row a pre-insert snapshot must not see is `{Main, alive, born >
+//! e}`, a reclaimed row a pre-delete snapshot must still see `{Delta,
+//! dead, died > e}` — the four combinations of the two fields, not four
+//! structures.
 //!
-//! * **pending rows** — inserted rows not yet physically placed, with
-//!   `born` (insert epoch) and `died` (delete epoch, or alive),
-//! * **tombstone rows** — main-array rows logically deleted but still
-//!   physically present, with their delete epoch,
-//! * **ghost rows** — rows physically removed from the main array that a
-//!   pre-delete snapshot must still see,
-//! * **placed rows** — rows physically merged into the main array that a
-//!   pre-insert snapshot must *not* see.
-//!
-//! [`PendingDelta::pair_view`] folds the ledger into a `(hidden main rows,
-//! extra rows)` pair a main-array scan combines with. Entries invisible to every live snapshot are dropped
-//! eagerly, so the row ledger obeys the same boundedness as the stamps.
-//!
-//! The logical content of the index is therefore always
-//! `main multiset + pending inserts − tombstones`, and since the main
-//! multiset changes only through epoch-guarded reclamations, a query needs
-//! one consistent snapshot of the delta (a single short mutex) plus the
-//! shrink-epoch validation to be linearizable.
+//! The main multiset changes only through epoch-guarded reclamations, so a
+//! query needs one consistent view of the delta (a single short mutex)
+//! plus the shrink-epoch validation to be linearizable.
 
 use aidx_latch::dcheck;
 use aidx_latch::facade::{Mutex, MutexGuard};
 use aidx_storage::RowId;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Aggregate adjustments the delta contributes to one range query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaAdjust {
-    /// Pending inserted rows with values in the queried range.
+    /// Extra rows (pending inserts; for snapshot reads also rows reclaimed
+    /// after the epoch) with values in the queried range.
     pub insert_count: u64,
-    /// Sum of the pending inserted values in the queried range.
+    /// Sum of the extra rows' values.
     pub insert_sum: i128,
-    /// Tombstoned (logically deleted) main-array rows in the range.
+    /// Hidden main-array rows (tombstones; for snapshot reads also rows
+    /// placed after the epoch) in the range.
     pub tombstone_count: u64,
-    /// Sum of the tombstoned values in the range.
+    /// Sum of the hidden rows' values.
     pub tombstone_sum: i128,
 }
 
@@ -111,333 +99,120 @@ pub struct PairView {
     /// into the main array after the snapshot epoch.
     pub hidden: HashSet<RowId>,
     /// `(key, rowid)` pairs the scan must add: pending inserted rows
-    /// (alive at the read epoch) and — for snapshot reads — ghost rows
+    /// (alive at the read epoch) and — for snapshot reads — rows
     /// physically reclaimed after the snapshot epoch. Keyed because the
-    /// delta's BTreeMaps index by value — no main-array probe needed.
+    /// delta indexes by value — no main-array probe needed.
     pub extra: Vec<(i64, RowId)>,
 }
 
-/// Sentinel for "row still alive" in the row ledger.
+/// `died` of a row no delete has reached.
 const ALIVE: u64 = u64::MAX;
 
-/// One epoch-stamped adjustment to a value's multiplicity. Insert stamps
-/// are signed (a delete negates the pending rows it found); tombstone
-/// stamps are always positive.
+/// Where a recorded row physically is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Stamp {
-    epoch: u64,
-    count: i64,
+enum Place {
+    /// Only in the delta: a main-array scan does not find it.
+    Delta,
+    /// In a live slot of the main array: a scan finds it.
+    Main,
 }
 
-/// A pending inserted row: born at its insert epoch, dead once a delete
-/// negates it ([`ALIVE`] until then).
+/// One row the delta knows about (see the module docs for the table this
+/// record is read through).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PendingRow {
+struct DeltaRow {
     rowid: RowId,
+    /// Insert epoch (0 for a row of the base column).
     born: u64,
+    /// Delete epoch, [`ALIVE`] until a delete reaches the row.
     died: u64,
+    place: Place,
 }
 
-/// A logically deleted main-array row, still physically present.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TombRow {
-    rowid: RowId,
-    epoch: u64,
-}
-
-/// A row physically removed from the main array (swept or dropped by a
-/// rebuild): visible exactly to snapshots with `born <= e < died`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GhostRow {
-    rowid: RowId,
-    born: u64,
-    died: u64,
-}
-
-/// A row physically merged into the main array: a snapshot with
-/// `e < born` must not see it even though the scan finds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlacedRow {
-    rowid: RowId,
-    born: u64,
-}
-
-/// Per-value stamped multiplicity: the net *current* count plus the epoch
-/// history that lets snapshots reconstruct earlier prefixes. With no live
-/// snapshot the history is collapsed to a single stamp; with live
-/// snapshots, stamps in the same inter-snapshot gap merge on arrival.
-#[derive(Debug, Default)]
-struct StampCell {
-    /// Current visible count (sum of all stamps; never negative).
-    net: u64,
-    /// Epoch history, ascending by epoch (epochs are assigned under the
-    /// delta lock, so append order is epoch order).
-    stamps: Vec<Stamp>,
-}
-
-impl StampCell {
-    /// Sum of the stamps visible at snapshot epoch `epoch` (may be
-    /// negative mid-history; the caller's main-array term compensates).
-    fn prefix(&self, epoch: u64) -> i128 {
-        self.stamps
-            .iter()
-            .take_while(|s| s.epoch <= epoch)
-            .map(|s| s.count as i128)
-            .sum()
+impl DeltaRow {
+    fn alive(&self) -> bool {
+        self.died == ALIVE
     }
 
-    /// Collapses the whole history into one stamp at `epoch` (correct
-    /// whenever no live snapshot predates `epoch`).
-    fn collapse(&mut self, epoch: u64) {
-        self.stamps.clear();
-        if self.net > 0 {
-            self.stamps.push(Stamp {
-                epoch,
-                count: self.net as i64,
-            });
-        }
+    /// The contribution rule, written once: at read epoch `at` (`None` =
+    /// now) a row outside the main array counts iff it is visible (an
+    /// *extra*), a row inside it iff it is not (a *hidden*).
+    fn contributes(&self, at: Option<u64>) -> bool {
+        let visible = match at {
+            None => self.alive(),
+            Some(epoch) => self.born <= epoch && epoch < self.died,
+        };
+        visible != (self.place == Place::Main)
     }
 
-    /// Pushes a stamp, merging it into the previous one when no live
-    /// snapshot epoch separates them (snapshot-bounded compression: no
-    /// reader that can ever exist distinguishes the two, because snapshot
-    /// epochs only move forward).
-    fn push(&mut self, stamp: Stamp, live: &BTreeMap<u64, usize>) {
-        if let Some(last) = self.stamps.last_mut() {
-            if live.range(last.epoch..stamp.epoch).next().is_none() {
-                last.count += stamp.count;
-                last.epoch = stamp.epoch;
-                if last.count == 0 {
-                    self.stamps.pop();
-                }
-                return;
-            }
-        }
-        self.stamps.push(stamp);
+    /// True while some reader that can still ask — now, or at a live
+    /// snapshot epoch — gets a contribution from this record.
+    fn observable(&self, live_snapshots: &BTreeMap<u64, usize>) -> bool {
+        self.contributes(None) || live_snapshots.keys().any(|&e| self.contributes(Some(e)))
     }
 }
 
 #[derive(Debug, Default)]
 struct DeltaState {
-    /// Epoch of the most recent stamped write (0 = nothing written yet).
+    /// Epoch of the most recent write (0 = nothing written yet).
     epoch: u64,
-    /// value → stamped pending-insert multiplicity.
-    inserts: BTreeMap<i64, StampCell>,
-    /// value → stamped tombstone multiplicity. The net never exceeds the
-    /// value's multiplicity in the main array (enforced by the delete
-    /// path), and all stamps are positive.
-    tombstones: BTreeMap<i64, StampCell>,
-    /// The compensation ledger: stamps whose rows were physically
-    /// reconciled with the main array. Positive entries are retired
-    /// tombstones (ghost rows a pre-delete snapshot must still count),
-    /// negative entries are merged-in inserts (rows a pre-insert snapshot
-    /// must not count). An entry at epoch `t` affects only snapshots with
-    /// epoch `< t`.
-    compensation: BTreeMap<i64, Vec<Stamp>>,
-    /// value → pending inserted rows (the row ledger twin of `inserts`;
-    /// alive rows are the net, dead rows linger only while a live
-    /// snapshot can see them).
-    pending_rows: BTreeMap<i64, Vec<PendingRow>>,
-    /// value → tombstoned main-array row ids (the row ledger twin of
-    /// `tombstones`; exactly `net` entries per value).
-    tomb_rows: BTreeMap<i64, Vec<TombRow>>,
-    /// value → ghost rows (physically reclaimed; row-level compensation).
-    ghost_rows: BTreeMap<i64, Vec<GhostRow>>,
-    /// value → placed rows (physically merged; row-level compensation).
-    placed_rows: BTreeMap<i64, Vec<PlacedRow>>,
-    /// Net current pending inserted rows (sum of insert-cell nets).
+    /// value → the recorded rows carrying it, in arrival order (appended,
+    /// filtered with `retain`, never reordered: placement hands rows out
+    /// in insertion order, so rebuilt arrays are reproducible).
+    rows: BTreeMap<i64, Vec<DeltaRow>>,
+    /// Rows waiting for placement: `{Delta, alive}` records.
     pending_inserts: u64,
-    /// Net current tombstoned rows (sum of tombstone-cell nets).
+    /// Main-array rows logically deleted: `{Main, dead}` records.
     tombstoned_rows: u64,
     /// snapshot epoch → number of live snapshot handles registered at it.
     live_snapshots: BTreeMap<u64, usize>,
 }
 
+/// Map range of a piece key interval: `low = None` unbounded below, `high
+/// = None` unbounded above, matching [`aidx_cracking::Piece`] bounds.
+fn piece_keys(low: Option<i64>, high: Option<i64>) -> (Bound<i64>, Bound<i64>) {
+    (
+        low.map_or(Bound::Unbounded, Bound::Included),
+        high.map_or(Bound::Unbounded, Bound::Excluded),
+    )
+}
+
 impl DeltaState {
-    /// Smallest live snapshot epoch, if any snapshot is registered.
-    fn min_live_snapshot(&self) -> Option<u64> {
-        self.live_snapshots.keys().next().copied()
+    /// The read side: every `(value, record)` of the key range that
+    /// contributes at read epoch `at`, ascending by value, arrival order
+    /// within a value.
+    fn contributing(
+        &self,
+        keys: impl RangeBounds<i64>,
+        at: Option<u64>,
+    ) -> impl Iterator<Item = (i64, &DeltaRow)> {
+        self.rows
+            .range(keys)
+            .flat_map(|(&value, rows)| rows.iter().map(move |row| (value, row)))
+            .filter(move |(_, row)| row.contributes(at))
     }
 
-    /// True when at least one snapshot handle is live (cells must keep
-    /// their stamp histories and reconciliations must write the ledger).
-    fn snapshots_live(&self) -> bool {
-        !self.live_snapshots.is_empty()
-    }
-
-    /// True when some live snapshot can see a row alive on `[born, died)`.
-    fn row_relevant(&self, born: u64, died: u64) -> bool {
-        self.live_snapshots.range(born..died).next().is_some()
-    }
-
-    /// True when some live snapshot predates `born` (a placed row must
-    /// stay hidden from it).
-    fn placed_relevant(&self, born: u64) -> bool {
-        self.live_snapshots.range(..born).next().is_some()
-    }
-
-    /// Removes the placed-ledger entry for a row (it is about to become a
-    /// ghost, which carries the born epoch itself). Returns the born
-    /// epoch (0 when the row was a base row).
-    fn take_placed(&mut self, value: i64, rowid: RowId) -> u64 {
-        if let Some(rows) = self.placed_rows.get_mut(&value) {
-            if let Some(pos) = rows.iter().position(|p| p.rowid == rowid) {
-                let born = rows.swap_remove(pos).born;
-                if rows.is_empty() {
-                    self.placed_rows.remove(&value);
-                }
-                return born;
+    /// The write side: lets `change` update every record of the key range
+    /// in place (same order as [`DeltaState::contributing`]), then drops
+    /// the records no reader can observe any more.
+    fn update(&mut self, keys: impl RangeBounds<i64>, mut change: impl FnMut(i64, &mut DeltaRow)) {
+        let mut emptied = Vec::new();
+        for (&value, rows) in self.rows.range_mut(keys) {
+            rows.iter_mut().for_each(|row| change(value, row));
+            rows.retain(|row| row.observable(&self.live_snapshots));
+            if rows.is_empty() {
+                emptied.push(value);
             }
         }
-        0
-    }
-
-    /// Records a ghost row if any live snapshot can still see it.
-    fn add_ghost(&mut self, value: i64, rowid: RowId, born: u64, died: u64) {
-        if self.row_relevant(born, died) {
-            self.ghost_rows
-                .entry(value)
-                .or_default()
-                .push(GhostRow { rowid, born, died });
+        for value in emptied {
+            self.rows.remove(&value);
         }
     }
 
-    /// Garbage-collects history no live snapshot can observe: ledger
-    /// entries at epochs `<=` the oldest live snapshot, stamp prefixes the
-    /// oldest live snapshot already sees in full, row-ledger entries whose
-    /// visibility window contains no live snapshot epoch, and empty cells.
+    /// Drops every record that stopped being observable because a
+    /// snapshot epoch left `live_snapshots`.
     fn gc(&mut self) {
-        match self.min_live_snapshot() {
-            None => {
-                self.compensation.clear();
-                self.ghost_rows.clear();
-                self.placed_rows.clear();
-                let epoch = self.epoch;
-                self.inserts.retain(|_, cell| {
-                    cell.collapse(epoch);
-                    cell.net > 0
-                });
-                self.tombstones.retain(|_, cell| {
-                    cell.collapse(epoch);
-                    cell.net > 0
-                });
-                self.pending_rows.retain(|_, rows| {
-                    rows.retain(|r| r.died == ALIVE);
-                    !rows.is_empty()
-                });
-            }
-            Some(min_live) => {
-                self.compensation.retain(|_, stamps| {
-                    stamps.retain(|s| s.epoch > min_live);
-                    !stamps.is_empty()
-                });
-                for cells in [&mut self.inserts, &mut self.tombstones] {
-                    cells.retain(|_, cell| {
-                        // Merge the prefix every live snapshot sees in full
-                        // into one stamp (at the prefix's own last epoch).
-                        let split = cell
-                            .stamps
-                            .iter()
-                            .take_while(|s| s.epoch <= min_live)
-                            .count();
-                        if split > 1 {
-                            let merged: i128 =
-                                cell.stamps[..split].iter().map(|s| s.count as i128).sum();
-                            let epoch = cell.stamps[split - 1].epoch;
-                            cell.stamps.drain(..split - 1);
-                            cell.stamps[0] = Stamp {
-                                epoch,
-                                count: merged as i64,
-                            };
-                            if cell.stamps[0].count == 0 {
-                                cell.stamps.remove(0);
-                            }
-                        }
-                        cell.net > 0 || !cell.stamps.is_empty()
-                    });
-                }
-                let live = std::mem::take(&mut self.live_snapshots);
-                self.pending_rows.retain(|_, rows| {
-                    rows.retain(|r| r.died == ALIVE || live.range(r.born..r.died).next().is_some());
-                    !rows.is_empty()
-                });
-                self.ghost_rows.retain(|_, rows| {
-                    rows.retain(|r| live.range(r.born..r.died).next().is_some());
-                    !rows.is_empty()
-                });
-                self.placed_rows.retain(|_, rows| {
-                    rows.retain(|r| live.range(..r.born).next().is_some());
-                    !rows.is_empty()
-                });
-                self.live_snapshots = live;
-            }
-        }
-    }
-
-    /// Moves `mass` rows of stamp weight out of `cell` (oldest positive
-    /// stamps first) and records each moved piece in the compensation
-    /// ledger for `value` with the given `sign` — `+1` for retired
-    /// tombstones, `-1` for merged-in inserts. Skipped entirely when no
-    /// snapshot is live (`record` false). Adjacent ledger entries with no
-    /// live snapshot epoch between them merge (snapshot-bounded
-    /// compression).
-    fn reconcile_mass(
-        compensation: &mut BTreeMap<i64, Vec<Stamp>>,
-        live_snapshots: &BTreeMap<u64, usize>,
-        cell: &mut StampCell,
-        value: i64,
-        mut mass: u64,
-        sign: i64,
-        record: bool,
-    ) {
-        let mut idx = 0;
-        while mass > 0 && idx < cell.stamps.len() {
-            if cell.stamps[idx].count <= 0 {
-                idx += 1;
-                continue;
-            }
-            let take = (cell.stamps[idx].count as u64).min(mass);
-            cell.stamps[idx].count -= take as i64;
-            mass -= take;
-            if record {
-                let entry = compensation.entry(value).or_default();
-                // Ledger entries for one value arrive in epoch order too
-                // (mass moves oldest-first), but a later reconciliation
-                // may move an older stamp than a previous one recorded —
-                // keep the vec sorted by epoch for deterministic folds.
-                let stamp = Stamp {
-                    epoch: cell.stamps[idx].epoch,
-                    count: sign * take as i64,
-                };
-                match entry.iter().rposition(|s| s.epoch <= stamp.epoch) {
-                    Some(p) if entry[p].epoch == stamp.epoch => entry[p].count += stamp.count,
-                    Some(p)
-                        if live_snapshots
-                            .range(entry[p].epoch..stamp.epoch)
-                            .next()
-                            .is_none() =>
-                    {
-                        // No live snapshot separates the entries: merge
-                        // (an entry at `t` affects epochs `< t`, and no
-                        // askable epoch falls between the two).
-                        entry[p].count += stamp.count;
-                        entry[p].epoch = stamp.epoch;
-                    }
-                    Some(p) => entry.insert(p + 1, stamp),
-                    None => entry.insert(0, stamp),
-                }
-                entry.retain(|s| s.count != 0);
-                if entry.is_empty() {
-                    compensation.remove(&value);
-                }
-            }
-            if cell.stamps[idx].count == 0 {
-                cell.stamps.remove(idx);
-            } else {
-                idx += 1;
-            }
-        }
-        debug_assert_eq!(mass, 0, "stamp mass covers every reconciled row");
+        self.update(.., |_, _| {});
     }
 }
 
@@ -507,15 +282,16 @@ impl PendingDelta {
         dcheck::Tracked::new(dcheck::Level::Delta, id, "delta-state", self.state.lock())
     }
 
-    /// The epoch of the most recent stamped write (the epoch a snapshot
-    /// registered *now* would read at).
+    /// The epoch of the most recent write (the epoch a snapshot registered
+    /// *now* would read at).
     pub fn current_epoch(&self) -> u64 {
         self.lock_state().epoch
     }
 
     /// Registers a snapshot at the current epoch and returns that epoch.
-    /// While registered, reconciliations keep enough history for
-    /// [`PendingDelta::adjust`] at the epoch to stay answerable; every
+    /// While registered, every record the epoch can observe is kept, so
+    /// [`PendingDelta::adjust`] and [`PendingDelta::pair_view`] at the
+    /// epoch stay answerable across any physical reorganisation; every
     /// registration must be paired with a
     /// [`PendingDelta::release_snapshot`].
     pub fn register_snapshot(&self) -> u64 {
@@ -525,18 +301,18 @@ impl PendingDelta {
         epoch
     }
 
-    /// Releases one snapshot registration at `epoch` and garbage-collects
-    /// whatever history no remaining snapshot can observe.
+    /// Releases one snapshot registration at `epoch`; when it was the
+    /// epoch's last, drops the records only that epoch could observe.
     pub fn release_snapshot(&self, epoch: u64) {
         let mut state = self.lock_state();
         match state.live_snapshots.get_mut(&epoch) {
             Some(n) if *n > 1 => *n -= 1,
             Some(_) => {
                 state.live_snapshots.remove(&epoch);
+                state.gc();
             }
             None => debug_assert!(false, "released an unregistered snapshot epoch"),
         }
-        state.gc();
     }
 
     /// Number of live snapshot registrations (diagnostics/tests).
@@ -544,28 +320,15 @@ impl PendingDelta {
         self.lock_state().live_snapshots.values().sum()
     }
 
-    /// Total retained history entries — count stamps, compensation
-    /// entries, dead pending rows, ghosts, and placed rows (alive pending
-    /// rows and live tombstones are real state, not history). With the
-    /// snapshot-bounded compression this stays O(values × live snapshots)
-    /// no matter how hot a key churns under a pinned snapshot.
+    /// Records kept only for live snapshots — everything that does not
+    /// contribute now (pending inserts and tombstones are state, not
+    /// history). A dead record is dropped as soon as no live epoch falls
+    /// in its window, so a hot key churning under a pinned snapshot leaves
+    /// nothing behind; 0 whenever no snapshot is live.
     pub fn history_len(&self) -> usize {
         let state = self.lock_state();
-        let stamps: usize = state
-            .inserts
-            .values()
-            .chain(state.tombstones.values())
-            .map(|c| c.stamps.len())
-            .sum();
-        let comp: usize = state.compensation.values().map(Vec::len).sum();
-        let dead: usize = state
-            .pending_rows
-            .values()
-            .map(|rows| rows.iter().filter(|r| r.died != ALIVE).count())
-            .sum();
-        let ghosts: usize = state.ghost_rows.values().map(Vec::len).sum();
-        let placed: usize = state.placed_rows.values().map(Vec::len).sum();
-        stamps + comp + dead + ghosts + placed
+        let rows = state.rows.values().flatten();
+        rows.filter(|row| !row.contributes(None)).count()
     }
 
     /// Records one pending inserted row `(value, rowid)`, returning the
@@ -575,25 +338,13 @@ impl PendingDelta {
     pub fn insert_row(&self, value: i64, rowid: RowId) -> u64 {
         let mut state = self.lock_state();
         state.epoch += 1;
-        let epoch = state.epoch;
-        let snapshots_live = state.snapshots_live();
-        let live = std::mem::take(&mut state.live_snapshots);
-        let cell = state.inserts.entry(value).or_default();
-        cell.net += 1;
-        cell.push(Stamp { epoch, count: 1 }, &live);
-        if !snapshots_live {
-            cell.collapse(epoch);
-        }
-        state.live_snapshots = live;
-        state
-            .pending_rows
-            .entry(value)
-            .or_default()
-            .push(PendingRow {
-                rowid,
-                born: epoch,
-                died: ALIVE,
-            });
+        let born = state.epoch;
+        state.rows.entry(value).or_default().push(DeltaRow {
+            rowid,
+            born,
+            died: ALIVE,
+            place: Place::Delta,
+        });
         state.pending_inserts += 1;
         state.pending_inserts + state.tombstoned_rows
     }
@@ -602,9 +353,9 @@ impl PendingDelta {
     /// atomic step, or nothing at all. `only` is the delete's target:
     /// `None` dooms every row carrying the key, `Some(rowid)` exactly that
     /// row (the positional delete a table engine issues against every
-    /// column of a doomed tuple). The doomed alive pending rows are negated
-    /// and the doomed rows among `main_rowids` — the live main-array rows
-    /// the caller collected for the target under its latch protocol — are
+    /// column of a doomed tuple). The doomed alive pending rows die, and
+    /// the doomed rows among `main_rowids` — the live main-array rows the
+    /// caller collected for the target under its latch protocol — are
     /// tombstoned unless they already are. Returns `(pending rows removed,
     /// main rows newly tombstoned)`.
     ///
@@ -628,208 +379,77 @@ impl PendingDelta {
             return None;
         }
         state.epoch += 1;
-        let epoch = state.epoch;
-        let from_pending = Self::kill_pending_locked(&mut state, value, only, epoch);
-
-        // Tombstone exactly the main rows not already tombstoned.
-        let already: HashSet<RowId> = state
-            .tomb_rows
-            .get(&value)
-            .map(|rows| rows.iter().map(|t| t.rowid).collect())
-            .unwrap_or_default();
-        let fresh: Vec<RowId> = main_rowids
-            .iter()
-            .copied()
-            .filter(|r| only.is_none_or(|o| o == *r) && !already.contains(r))
-            .collect();
-        let newly = fresh.len() as u64;
-        Self::raise_tombstones_locked(&mut state, value, &fresh, epoch);
+        let now = state.epoch;
+        let doomed = |rowid: RowId| only.is_none_or(|o| o == rowid);
+        // The doomed main rows; the recorded ones leave the set below, so
+        // what remains are rows of the base column.
+        let mut base: HashSet<RowId> = main_rowids.iter().copied().filter(|&r| doomed(r)).collect();
+        let (mut from_pending, mut newly) = (0u64, 0u64);
+        state.update(value..=value, |_, row| {
+            let in_main = row.place == Place::Main && base.remove(&row.rowid);
+            if !row.alive() || !doomed(row.rowid) {
+                return;
+            }
+            match row.place {
+                Place::Delta => from_pending += 1,
+                Place::Main if in_main => newly += 1,
+                Place::Main => return,
+            }
+            row.died = now;
+        });
+        if !base.is_empty() {
+            let rows = state.rows.entry(value).or_default();
+            for &rowid in main_rowids {
+                if base.remove(&rowid) {
+                    newly += 1;
+                    rows.push(DeltaRow {
+                        rowid,
+                        born: 0,
+                        died: now,
+                        place: Place::Main,
+                    });
+                }
+            }
+        }
+        state.pending_inserts -= from_pending;
+        state.tombstoned_rows += newly;
         self.tombstoned_hint
             .store(state.tombstoned_rows, Ordering::Release);
         Some((from_pending, newly))
-    }
-
-    /// Negates alive pending rows of `value` at `epoch`: all of them, or
-    /// just the one with `rowid`. Returns how many died.
-    fn kill_pending_locked(
-        state: &mut DeltaState,
-        value: i64,
-        rowid: Option<RowId>,
-        epoch: u64,
-    ) -> u64 {
-        let snapshots_live = state.snapshots_live();
-        let live = std::mem::take(&mut state.live_snapshots);
-        let mut killed = 0u64;
-        if let Some(rows) = state.pending_rows.get_mut(&value) {
-            for row in rows.iter_mut() {
-                if row.died == ALIVE && rowid.is_none_or(|r| r == row.rowid) {
-                    row.died = epoch;
-                    killed += 1;
-                }
-            }
-            rows.retain(|r| r.died == ALIVE || live.range(r.born..r.died).next().is_some());
-            if rows.is_empty() {
-                state.pending_rows.remove(&value);
-            }
-        }
-        if killed > 0 {
-            let cell = state
-                .inserts
-                .get_mut(&value)
-                .expect("alive pending rows imply an insert cell");
-            cell.net -= killed;
-            cell.push(
-                Stamp {
-                    epoch,
-                    count: -(killed as i64),
-                },
-                &live,
-            );
-            if !snapshots_live {
-                cell.collapse(epoch);
-            }
-            if cell.net == 0 && cell.stamps.is_empty() {
-                state.inserts.remove(&value);
-            }
-            state.pending_inserts -= killed;
-        }
-        state.live_snapshots = live;
-        killed
-    }
-
-    /// Raises tombstones for `fresh` (not-yet-tombstoned) main rows of
-    /// `value` at `epoch`, updating the count cell and the row ledger.
-    fn raise_tombstones_locked(state: &mut DeltaState, value: i64, fresh: &[RowId], epoch: u64) {
-        let snapshots_live = state.snapshots_live();
-        if fresh.is_empty() {
-            // Keep the "remove empty husk" behaviour of the old path.
-            if state
-                .tombstones
-                .get(&value)
-                .is_some_and(|cell| cell.net == 0 && cell.stamps.is_empty())
-            {
-                state.tombstones.remove(&value);
-            }
-            return;
-        }
-        let live = std::mem::take(&mut state.live_snapshots);
-        let cell = state.tombstones.entry(value).or_default();
-        cell.net += fresh.len() as u64;
-        cell.push(
-            Stamp {
-                epoch,
-                count: fresh.len() as i64,
-            },
-            &live,
-        );
-        if !snapshots_live {
-            cell.collapse(epoch);
-        }
-        state.live_snapshots = live;
-        let rows = state.tomb_rows.entry(value).or_default();
-        rows.extend(fresh.iter().map(|&rowid| TombRow { rowid, epoch }));
-        state.tombstoned_rows += fresh.len() as u64;
     }
 
     /// Takes the delta's entire *current* contents in one atomic step,
     /// leaving it logically empty. Compaction calls this while holding the
     /// index's quiesce gate, folds the result into the rebuilt main array,
     /// and any insert that lands after the drain simply waits for the next
-    /// compaction. If snapshots are live, every drained stamp moves into
-    /// the compensation ledger (inserts negated, tombstones positive) and
-    /// every drained row into the placed/ghost row ledgers, so pre-drain
-    /// snapshots stay answerable against the rebuilt array.
+    /// compaction. Every record that contributes now changes place — the
+    /// pending inserts are placed, the tombstoned rows retired — so
+    /// nothing contributes now afterwards, and what pre-drain snapshots
+    /// can still observe stays answerable against the rebuilt array.
     pub fn drain(&self) -> DrainedDelta {
         let mut state = self.lock_state();
-        let record = state.snapshots_live();
-        let inserts = std::mem::take(&mut state.inserts);
-        let tombstones = std::mem::take(&mut state.tombstones);
-        let pending_rows = std::mem::take(&mut state.pending_rows);
-        let tomb_rows = std::mem::take(&mut state.tomb_rows);
         let mut drained = DrainedDelta {
             pending_inserts: state.pending_inserts,
             tombstoned_rows: state.tombstoned_rows,
             ..DrainedDelta::default()
         };
-        for (value, mut cell) in inserts {
-            if record {
-                let net = cell.net;
-                let live = std::mem::take(&mut state.live_snapshots);
-                DeltaState::reconcile_mass(
-                    &mut state.compensation,
-                    &live,
-                    &mut cell,
-                    value,
-                    net,
-                    -1,
-                    true,
-                );
-                // Residual stamp history (negated pending rows a delete
-                // already consumed) still matters to old snapshots: move
-                // it wholesale, negated.
-                let entry = state.compensation.entry(value).or_default();
-                for stamp in cell.stamps {
-                    if stamp.count != 0 {
-                        entry.push(Stamp {
-                            epoch: stamp.epoch,
-                            count: -stamp.count,
-                        });
-                    }
-                }
-                entry.sort_by_key(|s| s.epoch);
-                if entry.is_empty() {
-                    state.compensation.remove(&value);
-                }
-                state.live_snapshots = live;
+        state.update(.., |value, row| {
+            if !row.contributes(None) {
+                return;
             }
-        }
-        for (value, rows) in pending_rows {
-            for row in rows {
-                if row.died == ALIVE {
+            row.place = match row.place {
+                Place::Delta => {
                     drained.inserts.push((value, row.rowid));
-                    if record && state.placed_relevant(row.born) {
-                        state.placed_rows.entry(value).or_default().push(PlacedRow {
-                            rowid: row.rowid,
-                            born: row.born,
-                        });
-                    }
+                    Place::Main
                 }
-                // Dead pending rows never reach main, but a snapshot whose
-                // epoch falls inside their visibility window must still
-                // see them in rowid reads: keep them as ghosts.
-                else if record {
-                    state.add_ghost(value, row.rowid, row.born, row.died);
+                Place::Main => {
+                    drained.doomed.insert(row.rowid);
+                    Place::Delta
                 }
-            }
-        }
-        for (value, mut cell) in tombstones {
-            if record {
-                let net = cell.net;
-                let live = std::mem::take(&mut state.live_snapshots);
-                DeltaState::reconcile_mass(
-                    &mut state.compensation,
-                    &live,
-                    &mut cell,
-                    value,
-                    net,
-                    1,
-                    true,
-                );
-                state.live_snapshots = live;
-            }
-        }
-        for (value, rows) in tomb_rows {
-            for row in rows {
-                drained.doomed.insert(row.rowid);
-                if record {
-                    let born = state.take_placed(value, row.rowid);
-                    state.add_ghost(value, row.rowid, born, row.epoch);
-                }
-            }
-        }
+            };
+        });
         state.pending_inserts = 0;
         state.tombstoned_rows = 0;
-        state.gc();
         self.tombstoned_hint.store(0, Ordering::Release);
         drained
     }
@@ -846,75 +466,37 @@ impl PendingDelta {
         high: Option<i64>,
     ) -> BTreeMap<i64, Vec<RowId>> {
         let state = self.lock_state();
-        range_iter(&state.tomb_rows, low, high)
-            .filter(|(_, rows)| !rows.is_empty())
-            .map(|(&v, rows)| (v, rows.iter().map(|t| t.rowid).collect()))
-            .collect()
+        let mut doomed: BTreeMap<i64, Vec<RowId>> = BTreeMap::new();
+        for (value, row) in state.contributing(piece_keys(low, high), None) {
+            if row.place == Place::Main {
+                doomed.entry(value).or_default().push(row.rowid);
+            }
+        }
+        doomed
     }
 
     /// Retires tombstones whose rows were physically removed from the
-    /// main array: every `(value, rowid)` pair in `removed` drops out of
-    /// the tombstone row ledger and its count stamp moves into the
-    /// compensation ledger (positively) while snapshots are live, with a
-    /// matching ghost row so a snapshot that predates the delete still
-    /// *sees* the physically removed row. Returns the number of rows
-    /// retired.
+    /// main array: every tombstoned `(value, rowid)` pair in `removed`
+    /// moves `Main → Delta`, so it stops hiding anything now while a
+    /// snapshot that predates the delete still *sees* the physically
+    /// removed row. Returns the number of rows retired.
     pub fn retire_tombstones(&self, removed: &[(i64, RowId)]) -> u64 {
         let mut state = self.lock_state();
-        let record = state.snapshots_live();
-        let mut retired = 0u64;
-        // Group per value so each value's row vector is drained in one
+        // Group per value so each value's records are visited in one
         // pass: a sweep that reclaims k duplicates of one hot key costs
         // O(k), not O(k²) under the delta lock.
         let mut by_value: BTreeMap<i64, HashSet<RowId>> = BTreeMap::new();
         for &(value, rowid) in removed {
             by_value.entry(value).or_default().insert(rowid);
         }
+        let mut retired = 0u64;
         for (value, ids) in by_value {
-            let Some(mut rows) = state.tomb_rows.remove(&value) else {
-                continue;
-            };
-            let mut kept = Vec::with_capacity(rows.len());
-            let mut hit = Vec::new();
-            for row in rows.drain(..) {
-                if ids.contains(&row.rowid) {
-                    hit.push(row);
-                } else {
-                    kept.push(row);
+            state.update(value..=value, |_, row| {
+                if row.place == Place::Main && !row.alive() && ids.contains(&row.rowid) {
+                    row.place = Place::Delta;
+                    retired += 1;
                 }
-            }
-            if !kept.is_empty() {
-                state.tomb_rows.insert(value, kept);
-            }
-            if hit.is_empty() {
-                continue;
-            }
-            let Some(mut cell) = state.tombstones.remove(&value) else {
-                debug_assert!(false, "tomb rows without a count cell");
-                continue;
-            };
-            let live = std::mem::take(&mut state.live_snapshots);
-            DeltaState::reconcile_mass(
-                &mut state.compensation,
-                &live,
-                &mut cell,
-                value,
-                hit.len() as u64,
-                1,
-                record,
-            );
-            state.live_snapshots = live;
-            cell.net -= hit.len() as u64;
-            retired += hit.len() as u64;
-            if cell.net > 0 || (record && !cell.stamps.is_empty()) {
-                state.tombstones.insert(value, cell);
-            }
-            if record {
-                for row in hit {
-                    let born = state.take_placed(value, row.rowid);
-                    state.add_ghost(value, row.rowid, born, row.epoch);
-                }
-            }
+            });
         }
         state.tombstoned_rows -= retired;
         self.tombstoned_hint
@@ -926,78 +508,25 @@ impl PendingDelta {
     /// fall in the piece key interval `[low, high)` (bounds as in
     /// [`PendingDelta::tombstone_rows_in`]) out of the delta, for physical
     /// placement into that piece's holes by incremental compaction.
-    /// Returns the taken `(value, rowid)` pairs. The taken stamps move
-    /// into the compensation ledger negated — and the rows into the
-    /// placed ledger — while snapshots are live, so a snapshot that
-    /// predates an insert does not double-count its row once it sits in
-    /// the main array.
+    /// Returns the taken `(value, rowid)` pairs, ascending by value,
+    /// insertion order within a value. The taken records move `Delta →
+    /// Main`, so a snapshot that predates an insert does not double-count
+    /// its row once it sits in the main array.
     pub fn take_inserts_in(
         &self,
         low: Option<i64>,
         high: Option<i64>,
         max_rows: u64,
     ) -> Vec<(i64, RowId)> {
-        if max_rows == 0 {
-            return Vec::new();
-        }
         let mut state = self.lock_state();
-        let record = state.snapshots_live();
-        let mut budget = max_rows;
         let mut taken = Vec::new();
-        let candidates: Vec<i64> = range_iter(&state.pending_rows, low, high)
-            .filter(|(_, rows)| rows.iter().any(|r| r.died == ALIVE))
-            .map(|(&v, _)| v)
-            .collect();
-        for value in candidates {
-            if budget == 0 {
-                break;
+        state.update(piece_keys(low, high), |value, row| {
+            if row.place == Place::Delta && row.alive() && (taken.len() as u64) < max_rows {
+                row.place = Place::Main;
+                taken.push((value, row.rowid));
             }
-            let Some(mut rows) = state.pending_rows.remove(&value) else {
-                continue;
-            };
-            let mut moved = 0u64;
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows.drain(..) {
-                if row.died == ALIVE && moved < budget {
-                    moved += 1;
-                    taken.push((value, row.rowid));
-                    if record && state.placed_relevant(row.born) {
-                        state.placed_rows.entry(value).or_default().push(PlacedRow {
-                            rowid: row.rowid,
-                            born: row.born,
-                        });
-                    }
-                } else {
-                    kept.push(row);
-                }
-            }
-            if !kept.is_empty() {
-                state.pending_rows.insert(value, kept);
-            }
-            if moved > 0 {
-                let Some(mut cell) = state.inserts.remove(&value) else {
-                    debug_assert!(false, "alive pending rows without a count cell");
-                    continue;
-                };
-                let live = std::mem::take(&mut state.live_snapshots);
-                DeltaState::reconcile_mass(
-                    &mut state.compensation,
-                    &live,
-                    &mut cell,
-                    value,
-                    moved,
-                    -1,
-                    record,
-                );
-                state.live_snapshots = live;
-                cell.net -= moved;
-                budget -= moved;
-                state.pending_inserts -= moved;
-                if cell.net > 0 || (record && !cell.stamps.is_empty()) {
-                    state.inserts.insert(value, cell);
-                }
-            }
-        }
+        });
+        state.pending_inserts -= taken.len() as u64;
         taken
     }
 
@@ -1016,18 +545,14 @@ impl PendingDelta {
     /// `O(pieces)` probes against the unbounded piece count.
     pub fn value_counts(&self) -> Vec<(i64, u64)> {
         let state = self.lock_state();
-        let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
-        for (&v, cell) in &state.inserts {
-            if cell.net > 0 {
-                *counts.entry(v).or_insert(0) += cell.net;
+        let mut counts: Vec<(i64, u64)> = Vec::new();
+        for (value, _) in state.contributing(.., None) {
+            match counts.last_mut() {
+                Some((last, n)) if *last == value => *n += 1,
+                _ => counts.push((value, 1)),
             }
         }
-        for (&v, cell) in &state.tombstones {
-            if cell.net > 0 {
-                *counts.entry(v).or_insert(0) += cell.net;
-            }
-        }
-        counts.into_iter().collect()
+        counts
     }
 
     /// Current delta rows (pending inserts plus tombstones) whose values
@@ -1037,65 +562,28 @@ impl PendingDelta {
     /// advancing its watermark.
     pub fn rows_in(&self, low: Option<i64>, high: Option<i64>) -> u64 {
         let state = self.lock_state();
-        let pending: u64 = range_iter(&state.inserts, low, high)
-            .map(|(_, cell)| cell.net)
-            .sum();
-        let tombstoned: u64 = range_iter(&state.tombstones, low, high)
-            .map(|(_, cell)| cell.net)
-            .sum();
-        pending + tombstoned
+        state.contributing(piece_keys(low, high), None).count() as u64
     }
 
     /// One consistent snapshot of the delta's contribution to an aggregate
-    /// over `[low, high)` — the *current* contribution when `at` is `None`
-    /// (net counters answer it; stamp histories and the ledger are never
-    /// touched), or the contribution *as of* snapshot epoch `at`: stamps
-    /// newer than the epoch are invisible, and compensation-ledger entries
-    /// newer than the epoch are folded back in (restoring rows the
-    /// physical array has since reconciled). The per-value snapshot net is
-    /// signed; positive nets land on the insert side of the returned
-    /// [`DeltaAdjust`] and negative nets on the tombstone side, so callers
-    /// combine it exactly like a current-epoch adjustment.
+    /// over `[low, high)`: the current one when `at` is `None`, or the one
+    /// *as of* snapshot epoch `at` (which must be registered). Extra rows
+    /// land on the insert side of the returned [`DeltaAdjust`], hidden
+    /// rows on the tombstone side — the counts of exactly the rows
+    /// [`PendingDelta::pair_view`] lists.
     pub fn adjust(&self, low: i64, high: i64, at: Option<u64>) -> DeltaAdjust {
+        let mut adjust = DeltaAdjust::default();
         if low >= high {
-            return DeltaAdjust::default();
+            return adjust;
         }
         let state = self.lock_state();
-        let mut adjust = DeltaAdjust::default();
-        let Some(epoch) = at else {
-            for (&v, cell) in state.inserts.range(low..high) {
-                adjust.insert_count += cell.net;
-                adjust.insert_sum += v as i128 * cell.net as i128;
-            }
-            for (&v, cell) in state.tombstones.range(low..high) {
-                adjust.tombstone_count += cell.net;
-                adjust.tombstone_sum += v as i128 * cell.net as i128;
-            }
-            return adjust;
-        };
-        let mut per_value: BTreeMap<i64, i128> = BTreeMap::new();
-        for (&v, cell) in state.inserts.range(low..high) {
-            *per_value.entry(v).or_insert(0) += cell.prefix(epoch);
-        }
-        for (&v, cell) in state.tombstones.range(low..high) {
-            *per_value.entry(v).or_insert(0) -= cell.prefix(epoch);
-        }
-        for (&v, stamps) in state.compensation.range(low..high) {
-            let late: i128 = stamps
-                .iter()
-                .filter(|s| s.epoch > epoch)
-                .map(|s| s.count as i128)
-                .sum();
-            *per_value.entry(v).or_insert(0) += late;
-        }
-        for (v, net) in per_value {
-            if net >= 0 {
-                adjust.insert_count += net as u64;
-                adjust.insert_sum += v as i128 * net;
-            } else {
-                adjust.tombstone_count += (-net) as u64;
-                adjust.tombstone_sum += v as i128 * -net;
-            }
+        for (value, row) in state.contributing(low..high, at) {
+            let (count, sum) = match row.place {
+                Place::Delta => (&mut adjust.insert_count, &mut adjust.insert_sum),
+                Place::Main => (&mut adjust.tombstone_count, &mut adjust.tombstone_sum),
+            };
+            *count += 1;
+            *sum += value as i128;
         }
         adjust
     }
@@ -1104,44 +592,21 @@ impl PendingDelta {
     /// one consistent snapshot under a single lock acquisition. With `at`
     /// `None` (current epoch): tombstoned main rows are hidden, alive
     /// pending rows added. As of snapshot epoch `at` (which must be
-    /// registered): main rows tombstoned at or before the epoch — or
-    /// placed after it — are hidden; pending rows alive at the epoch and
-    /// ghost rows whose visibility window contains it are added.
+    /// registered): main rows deleted at or before the epoch — or placed
+    /// after it — are hidden; rows outside the main array whose `[born,
+    /// died)` contains the epoch are added.
     pub fn pair_view(&self, low: i64, high: i64, at: Option<u64>) -> PairView {
+        let mut view = PairView::default();
         if low >= high {
-            return PairView::default();
+            return view;
         }
         let state = self.lock_state();
-        let mut view = PairView::default();
-        let visible = |born: u64, died: u64| match at {
-            None => died == ALIVE,
-            Some(epoch) => born <= epoch && epoch < died,
-        };
-        for (_, rows) in state.tomb_rows.range(low..high) {
-            view.hidden.extend(
-                rows.iter()
-                    .filter(|t| at.is_none_or(|epoch| t.epoch <= epoch))
-                    .map(|t| t.rowid),
-            );
-        }
-        for (&value, rows) in state.pending_rows.range(low..high) {
-            view.extra.extend(
-                rows.iter()
-                    .filter(|r| visible(r.born, r.died))
-                    .map(|r| (value, r.rowid)),
-            );
-        }
-        if let Some(epoch) = at {
-            for (_, rows) in state.placed_rows.range(low..high) {
-                view.hidden
-                    .extend(rows.iter().filter(|p| p.born > epoch).map(|p| p.rowid));
-            }
-            for (&value, rows) in state.ghost_rows.range(low..high) {
-                view.extra.extend(
-                    rows.iter()
-                        .filter(|g| visible(g.born, g.died))
-                        .map(|g| (value, g.rowid)),
-                );
+        for (value, row) in state.contributing(low..high, at) {
+            match row.place {
+                Place::Delta => view.extra.push((value, row.rowid)),
+                Place::Main => {
+                    view.hidden.insert(row.rowid);
+                }
             }
         }
         view
@@ -1171,60 +636,62 @@ impl PendingDelta {
         self.counters() == (0, 0)
     }
 
-    /// Debug-only consistency check: count cells and the row ledger agree
-    /// (alive pending rows == insert nets, tomb rows == tombstone nets).
-    /// Only meaningful in quiescence.
-    pub fn check_ledger_invariants(&self) -> bool {
+    /// Consistency check against the physical array, exact in quiescence:
+    /// `main` yields the `(value, rowid)` of every *live* main-array slot
+    /// (consumed only when the delta holds records at all). Verifies that
+    /// both counters and the lock-free hint equal the counts derived from
+    /// the records, that no unobservable record lingers, that row ids are
+    /// unique within the delta, that every `Main` record's `(value,
+    /// rowid)` sits in a live slot, and that no `Delta` record's row id
+    /// does. (The caller checks that every live slot's value lies in its
+    /// piece's key range, so a `Main` record found at all is found in the
+    /// right piece.)
+    pub fn check_invariants(&self, main: impl IntoIterator<Item = (i64, RowId)>) -> bool {
         let state = self.lock_state();
-        let alive: u64 = state
-            .pending_rows
-            .values()
-            .map(|rows| rows.iter().filter(|r| r.died == ALIVE).count() as u64)
-            .sum();
-        if alive != state.pending_inserts {
-            return false;
-        }
-        let tombs: u64 = state.tomb_rows.values().map(|rows| rows.len() as u64).sum();
-        if tombs != state.tombstoned_rows {
-            return false;
-        }
-        for (v, cell) in &state.inserts {
-            let rows = state
-                .pending_rows
-                .get(v)
-                .map(|rows| rows.iter().filter(|r| r.died == ALIVE).count() as u64)
-                .unwrap_or(0);
-            if rows != cell.net {
+        let (mut pending, mut tombstoned) = (0u64, 0u64);
+        let mut recorded: HashMap<RowId, (i64, Place)> = HashMap::new();
+        for (&value, rows) in &state.rows {
+            if rows.is_empty() {
                 return false;
             }
-        }
-        for (v, cell) in &state.tombstones {
-            let rows = state.tomb_rows.get(v).map(|r| r.len() as u64).unwrap_or(0);
-            if rows != cell.net {
-                return false;
+            for row in rows {
+                match row.place {
+                    Place::Delta if row.alive() => pending += 1,
+                    Place::Main if !row.alive() => tombstoned += 1,
+                    _ => {}
+                }
+                if !row.observable(&state.live_snapshots)
+                    || recorded.insert(row.rowid, (value, row.place)).is_some()
+                {
+                    return false;
+                }
             }
         }
-        true
-    }
-}
-
-/// Range iterator over a per-value map with optional piece bounds.
-fn range_iter<'a, T>(
-    map: &'a BTreeMap<i64, T>,
-    low: Option<i64>,
-    high: Option<i64>,
-) -> Box<dyn Iterator<Item = (&'a i64, &'a T)> + 'a> {
-    match (low, high) {
-        (None, None) => Box::new(map.range(..)),
-        (Some(lo), None) => Box::new(map.range(lo..)),
-        (None, Some(hi)) => Box::new(map.range(..hi)),
-        (Some(lo), Some(hi)) => Box::new(map.range(lo..hi)),
+        if (pending, tombstoned) != (state.pending_inserts, state.tombstoned_rows)
+            || self.tombstoned_hint.load(Ordering::Acquire) != tombstoned
+        {
+            return false;
+        }
+        if recorded.is_empty() {
+            return true;
+        }
+        for (value, rowid) in main {
+            match recorded.get(&rowid) {
+                None => {}
+                Some(&(recorded_value, Place::Main)) if recorded_value == value => {
+                    recorded.remove(&rowid);
+                }
+                Some(_) => return false,
+            }
+        }
+        recorded.values().all(|&(_, place)| place == Place::Delta)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A [`PairView`] with the keys dropped — what a row-id read folds.
     struct RowidView {
@@ -1238,6 +705,12 @@ mod tests {
             hidden: view.hidden,
             extra: view.extra.into_iter().map(|(_, rowid)| rowid).collect(),
         }
+    }
+
+    /// True when the delta is consistent with a main array whose live
+    /// slots hold exactly `main`.
+    fn consistent(delta: &PendingDelta, main: &[(i64, RowId)]) -> bool {
+        delta.check_invariants(main.iter().copied())
     }
 
     /// Test shorthand for one pending insert.
@@ -1263,7 +736,7 @@ mod tests {
         assert_eq!(delta.pending_inserts(), 0);
         assert_eq!(delta.tombstoned_rows(), 0);
         assert_eq!(delta.current_epoch(), 0);
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[]));
     }
 
     #[test]
@@ -1289,7 +762,7 @@ mod tests {
         let mut extra = view.extra;
         extra.sort_unstable();
         assert_eq!(extra, vec![100, 101, 102]);
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[]));
     }
 
     #[test]
@@ -1309,7 +782,7 @@ mod tests {
         let view = rowid_view(&delta, 0, 10, None);
         assert_eq!(view.hidden.len(), 3);
         assert!(view.hidden.contains(&2));
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[(7, 1), (7, 2), (7, 3)]));
     }
 
     #[test]
@@ -1326,7 +799,7 @@ mod tests {
         let view = rowid_view(&delta, 0, 10, None);
         assert!(view.extra.is_empty(), "pending rows died");
         assert!(view.hidden.contains(&0));
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[(4, 0)]));
     }
 
     #[test]
@@ -1354,7 +827,7 @@ mod tests {
         // A failed validation changes nothing.
         assert_eq!(delta.apply_delete(4, Some(9), &[9], || false), None);
         assert_eq!(delta.tombstoned_rows(), 1);
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[(4, 3), (4, 5)]));
     }
 
     #[test]
@@ -1372,7 +845,7 @@ mod tests {
         assert_eq!(drained.doomed, HashSet::from([7, 8]));
         assert!(delta.is_empty(), "the delta is empty after a drain");
         assert!(delta.drain().is_empty());
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[]));
     }
 
     #[test]
@@ -1404,7 +877,7 @@ mod tests {
         assert_eq!(delta.retire_tombstones(&[(7, 1)]), 0);
         assert_eq!(delta.retire_tombstones(&[(7, 2)]), 1);
         assert_eq!(delta.adjust(7, 8, None).tombstone_count, 0);
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[(8, 4)]));
     }
 
     #[test]
@@ -1429,10 +902,10 @@ mod tests {
         let view = rowid_view(&delta, 9, 10, None);
         assert_eq!(view.extra, vec![90]);
         assert!(view.hidden.contains(&5));
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[(9, 5)]));
     }
 
-    // ----- epochs, snapshots, and the compensation ledger ------------------
+    // ----- epochs, snapshots, and physical reconciliation -------------------
 
     #[test]
     fn epochs_advance_with_every_write() {
@@ -1552,7 +1025,7 @@ mod tests {
         assert_eq!(delta.take_inserts_in(None, Some(2), 10), vec![(1, 0)]);
         assert_eq!(delta.take_inserts_in(Some(6), None, 0), Vec::new());
         assert_eq!(delta.pending_inserts(), 1, "8 remains");
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[(3, 1), (3, 2), (5, 3), (1, 0)]));
     }
 
     #[test]
@@ -1591,21 +1064,21 @@ mod tests {
         for i in 0..100 {
             ins(&delta, 5, i);
         }
-        {
-            let state = delta.state.lock();
-            let cell = state.inserts.get(&5).unwrap();
-            assert_eq!(cell.net, 100);
-            assert_eq!(cell.stamps.len(), 1, "no snapshots: one stamp suffices");
-            assert!(state.compensation.is_empty());
-        }
+        assert_eq!(delta.pending_inserts(), 100);
+        assert_eq!(delta.history_len(), 0, "no snapshots: state, no history");
         // With a snapshot live, history stays answerable; releasing GCs.
         let epoch = delta.register_snapshot();
         for i in 100..110 {
             ins(&delta, 5, i);
         }
         assert_eq!(delta.adjust(0, 10, Some(epoch)).insert_count, 100);
+        // Placing everything leaves exactly the ten post-snapshot rows on
+        // record: the snapshot must keep hiding them in the main array.
+        assert_eq!(delta.take_inserts_in(None, None, 200).len(), 110);
+        assert_eq!(delta.history_len(), 10);
+        assert_eq!(delta.adjust(0, 10, Some(epoch)).tombstone_count, 10);
         delta.release_snapshot(epoch);
-        assert_eq!(delta.state.lock().inserts.get(&5).unwrap().stamps.len(), 1);
+        assert_eq!(delta.history_len(), 0);
     }
 
     #[test]
@@ -1640,15 +1113,14 @@ mod tests {
         assert_eq!(delta.live_snapshots(), 0);
     }
 
-    // ----- snapshot-bounded ledger compression -----------------------------
+    // ----- bounded history under a pinned snapshot --------------------------
 
     #[test]
     fn hot_key_churn_under_a_live_snapshot_keeps_history_bounded() {
         // A long-lived snapshot pins epoch e; a hot key then churns
-        // (insert + delete) thousands of times. Every post-snapshot stamp
-        // pair falls in the same inter-snapshot gap and merges on arrival,
-        // and every dead pending row's visibility window misses e — so
-        // the retained history must stay O(1), not O(writes).
+        // (insert + delete) thousands of times. Every dead pending row's
+        // visibility window misses e — so the retained history must stay
+        // O(1), not O(writes).
         let delta = PendingDelta::new();
         ins(&delta, 42, 0);
         let epoch = delta.register_snapshot();
@@ -1667,18 +1139,16 @@ mod tests {
         // Current view: the last churn iteration's delete killed all.
         assert_eq!(delta.adjust(0, 100, None).insert_count, 0);
         delta.release_snapshot(epoch);
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[]));
     }
 
     #[test]
     fn churn_with_retirement_keeps_the_compensation_ledger_bounded() {
         // Physical-reconciliation pressure: tombstone + retire in a loop
-        // while a snapshot is pinned. Every retirement lands a
-        // compensation stamp, and all of them fall in the same
-        // inter-snapshot gap — they must merge into O(1) count entries.
-        // The per-row ghosts are *real* state here (the pinned snapshot
-        // must still see each removed row in rowid reads), so exactly
-        // one ghost per removed row may remain — and nothing more.
+        // while a snapshot is pinned. The retired records are *real*
+        // state here (the pinned snapshot must still see each removed
+        // row), so exactly one record per removed row may remain — and
+        // nothing more.
         let delta = PendingDelta::new();
         let epoch = delta.register_snapshot();
         for i in 0..1000u32 {
@@ -1688,16 +1158,15 @@ mod tests {
         let history = delta.history_len();
         assert!(
             history <= 1000 + 4,
-            "count-side ledger must merge to O(1) entries, got {history}"
+            "one record per removed row, got {history}"
         );
         // The snapshot predates every delete: the removed rows were main
-        // rows at its epoch, so the count compensation restores all 1000
-        // and the ghosts restore their rowids.
+        // rows at its epoch, so both folds restore all 1000.
         assert_eq!(delta.adjust(0, 100, Some(epoch)).insert_count, 1000);
         assert_eq!(rowid_view(&delta, 0, 100, Some(epoch)).extra.len(), 1000);
         delta.release_snapshot(epoch);
         assert_eq!(delta.history_len(), 0, "release drops everything");
-        assert!(delta.check_ledger_invariants());
+        assert!(consistent(&delta, &[]));
     }
 
     #[test]
@@ -1714,5 +1183,262 @@ mod tests {
         delta.release_snapshot(epoch);
         // With the snapshot gone the ghosts are garbage.
         assert_eq!(delta.history_len(), 0);
+    }
+
+    // ----- the delta against a naive model ---------------------------------
+
+    /// One row of the naive model: every row ever written keeps its
+    /// lifetime and whether it physically sits in the main array.
+    #[derive(Debug, Clone, Copy)]
+    struct ModelRow {
+        value: i64,
+        rowid: RowId,
+        born: u64,
+        died: u64,
+        in_main: bool,
+    }
+
+    impl ModelRow {
+        fn visible(&self, at: Option<u64>) -> bool {
+            match at {
+                None => self.died == ALIVE,
+                Some(epoch) => self.born <= epoch && epoch < self.died,
+            }
+        }
+
+        fn pending(&self) -> bool {
+            !self.in_main && self.died == ALIVE
+        }
+
+        fn tombstoned(&self) -> bool {
+            self.in_main && self.died != ALIVE
+        }
+    }
+
+    /// Key domain of the model: values `0..KEYS`, two base rows each.
+    const KEYS: i64 = 4;
+
+    /// The naive model: rows in arrival order (never forgotten), the epoch
+    /// counter, and the registered snapshot epochs with repeats.
+    #[derive(Debug)]
+    struct Model {
+        rows: Vec<ModelRow>,
+        epoch: u64,
+        live: Vec<u64>,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            let base = (0..2 * KEYS).map(|i| ModelRow {
+                value: i / 2,
+                rowid: i as RowId,
+                born: 0,
+                died: ALIVE,
+                in_main: true,
+            });
+            Model {
+                rows: base.collect(),
+                epoch: 0,
+                live: Vec::new(),
+            }
+        }
+
+        /// The `pick`-selected subset of the main-array rows carrying `value`.
+        fn main_rowids(&self, value: i64, pick: usize) -> Vec<RowId> {
+            let of_value = self.rows.iter().filter(|r| r.in_main && r.value == value);
+            let chosen = of_value
+                .enumerate()
+                .filter(|(i, _)| pick >> (i % 16) & 1 == 1);
+            chosen.map(|(_, r)| r.rowid).collect()
+        }
+
+        /// Rows selected by `keep`, ascending by value, arrival order within.
+        fn pairs(&self, keep: impl Fn(&ModelRow) -> bool) -> Vec<(i64, RowId)> {
+            let mut pairs: Vec<_> = self.rows.iter().filter(|r| keep(r)).collect();
+            pairs.sort_by_key(|r| r.value);
+            pairs.iter().map(|r| (r.value, r.rowid)).collect()
+        }
+    }
+
+    fn in_piece(value: i64, low: Option<i64>, high: Option<i64>) -> bool {
+        low.is_none_or(|lo| value >= lo) && high.is_none_or(|hi| value < hi)
+    }
+
+    fn assert_agrees(delta: &PendingDelta, model: &Model) {
+        assert_eq!(delta.current_epoch(), model.epoch);
+        assert_eq!(delta.live_snapshots(), model.live.len());
+        let main = model.pairs(|r| r.in_main);
+        assert!(consistent(delta, &main), "check_invariants");
+        if model.live.is_empty() {
+            assert_eq!(delta.history_len(), 0, "history without a live snapshot");
+        }
+        let pending = model.pairs(ModelRow::pending);
+        let tombstoned = model.pairs(ModelRow::tombstoned);
+        assert_eq!(
+            delta.counters(),
+            (pending.len() as u64, tombstoned.len() as u64)
+        );
+        assert_eq!(delta.has_tombstones(), !tombstoned.is_empty());
+        let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
+        for (value, _) in pending.iter().chain(&tombstoned) {
+            *counts.entry(*value).or_default() += 1;
+        }
+        assert_eq!(delta.value_counts(), counts.into_iter().collect::<Vec<_>>());
+        let reads = std::iter::once(None).chain(model.live.iter().copied().map(Some));
+        let reads: Vec<Option<u64>> = reads.collect();
+        for low in -1..=KEYS {
+            for high in low..=KEYS + 1 {
+                let (lo, hi) = ((low >= 0).then_some(low), (high <= KEYS).then_some(high));
+                let in_range = |r: &ModelRow| in_piece(r.value, lo, hi);
+                let now = model.pairs(|r| in_range(r) && (r.pending() || r.tombstoned()));
+                assert_eq!(delta.rows_in(lo, hi), now.len() as u64, "rows_in");
+                let mut doomed: BTreeMap<i64, Vec<RowId>> = BTreeMap::new();
+                for (value, rowid) in model.pairs(|r| in_range(r) && r.tombstoned()) {
+                    doomed.entry(value).or_default().push(rowid);
+                }
+                let mut listed = delta.tombstone_rows_in(lo, hi);
+                listed.values_mut().for_each(|ids| ids.sort_unstable());
+                doomed.values_mut().for_each(|ids| ids.sort_unstable());
+                assert_eq!(listed, doomed, "tombstone_rows_in");
+                for &at in &reads {
+                    let in_range = |r: &ModelRow| r.value >= low && r.value < high;
+                    let mut extra = model.pairs(|r| in_range(r) && !r.in_main && r.visible(at));
+                    let hidden = model.pairs(|r| in_range(r) && r.in_main && !r.visible(at));
+                    // Within a value the view lists records in the order
+                    // they were *recorded*, which readers never rely on.
+                    let mut view = delta.pair_view(low, high, at);
+                    view.extra.sort_unstable();
+                    extra.sort_unstable();
+                    assert_eq!(view.extra, extra, "extra of [{low}, {high}) at {at:?}");
+                    let hidden_ids: HashSet<RowId> = hidden.iter().map(|p| p.1).collect();
+                    assert_eq!(
+                        view.hidden, hidden_ids,
+                        "hidden of [{low}, {high}) at {at:?}"
+                    );
+                    let sum = |pairs: &[(i64, RowId)]| pairs.iter().map(|p| p.0 as i128).sum();
+                    let adjust = DeltaAdjust {
+                        insert_count: extra.len() as u64,
+                        insert_sum: sum(&extra),
+                        tombstone_count: hidden.len() as u64,
+                        tombstone_sum: sum(&hidden),
+                    };
+                    assert_eq!(delta.adjust(low, high, at), adjust, "adjust at {at:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every write the cracker issues against the delta, in random
+        /// order, against the naive model: inserts, deletes by value and
+        /// by row id over arbitrary subsets of the key's main rows (with
+        /// and without a passing validation), tombstone retirement,
+        /// bounded placement, drains, and snapshot registration and
+        /// release including stacked epochs. After every step both read
+        /// folds — now and at every live epoch, over every key interval —
+        /// and every derived count must equal the model's.
+        #[test]
+        fn delta_agrees_with_a_row_lifetime_model(
+            ops in prop::collection::vec((0u8..10, 0i64..KEYS, 0usize..1 << 16), 1..48),
+        ) {
+            let delta = PendingDelta::new();
+            let mut model = Model::new();
+            assert_agrees(&delta, &model);
+            for &(kind, value, pick) in &ops {
+                match kind {
+                    0 | 1 => {
+                        let rowid = model.rows.len() as RowId;
+                        model.epoch += 1;
+                        model.rows.push(ModelRow {
+                            value,
+                            rowid,
+                            born: model.epoch,
+                            died: ALIVE,
+                            in_main: false,
+                        });
+                        let total = delta.insert_row(value, rowid);
+                        let (pending, tombstoned) = delta.counters();
+                        prop_assert_eq!(total, pending + tombstoned);
+                    }
+                    2 | 3 => {
+                        // By value, or by the row id of any row ever written
+                        // (dead and retired ones included).
+                        let target = model.rows[pick % model.rows.len()];
+                        let (value, only) = match kind {
+                            2 => (value, None),
+                            _ => (target.value, Some(target.rowid)),
+                        };
+                        let main = model.main_rowids(value, pick >> 4);
+                        if pick % 7 == 0 {
+                            prop_assert_eq!(delta.apply_delete(value, only, &main, || false), None);
+                        } else {
+                            model.epoch += 1;
+                            let (mut from_pending, mut newly) = (0, 0);
+                            for row in model.rows.iter_mut().filter(|r| r.value == value) {
+                                let doomed = only.is_none_or(|o| o == row.rowid)
+                                    && row.died == ALIVE
+                                    && (!row.in_main || main.contains(&row.rowid));
+                                if doomed {
+                                    row.died = model.epoch;
+                                    *(if row.in_main { &mut newly } else { &mut from_pending }) += 1;
+                                }
+                            }
+                            let applied = delta.apply_delete(value, only, &main, || true);
+                            prop_assert_eq!(applied, Some((from_pending, newly)));
+                        }
+                    }
+                    4 | 5 => {
+                        // A sweep names some main rows; only the tombstoned
+                        // ones among them retire.
+                        let mut removed = Vec::new();
+                        let mut retired = 0;
+                        for (i, row) in model.rows.iter_mut().enumerate() {
+                            if row.in_main && pick >> (i % 16) & 1 == 1 {
+                                removed.push((row.value, row.rowid));
+                                if row.tombstoned() {
+                                    row.in_main = false;
+                                    retired += 1;
+                                }
+                            }
+                        }
+                        prop_assert_eq!(delta.retire_tombstones(&removed), retired);
+                    }
+                    6 => {
+                        let (low, high) = (value, value + 1 + (pick % 3) as i64);
+                        let (lo, hi) = ((pick & 8 == 0).then_some(low), (pick & 16 == 0).then_some(high));
+                        let budget = (pick >> 5) % 4;
+                        let mut taken = model.pairs(|r| r.pending() && in_piece(r.value, lo, hi));
+                        taken.truncate(budget);
+                        for row in model.rows.iter_mut() {
+                            row.in_main |= taken.contains(&(row.value, row.rowid));
+                        }
+                        prop_assert_eq!(delta.take_inserts_in(lo, hi, budget as u64), taken);
+                    }
+                    7 => {
+                        let drained = delta.drain();
+                        prop_assert_eq!(&drained.inserts, &model.pairs(ModelRow::pending));
+                        let doomed = model.pairs(ModelRow::tombstoned);
+                        prop_assert_eq!(&drained.doomed, &doomed.iter().map(|p| p.1).collect());
+                        prop_assert_eq!(drained.pending_inserts, drained.inserts.len() as u64);
+                        prop_assert_eq!(drained.tombstoned_rows, drained.doomed.len() as u64);
+                        for row in model.rows.iter_mut() {
+                            row.in_main = (row.in_main || row.pending()) && !row.tombstoned();
+                        }
+                    }
+                    8 => {
+                        prop_assert_eq!(delta.register_snapshot(), model.epoch);
+                        model.live.push(model.epoch);
+                    }
+                    _ => {
+                        if !model.live.is_empty() {
+                            delta.release_snapshot(model.live.swap_remove(pick % model.live.len()));
+                        }
+                    }
+                }
+                assert_agrees(&delta, &model);
+            }
+        }
     }
 }
