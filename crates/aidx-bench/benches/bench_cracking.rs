@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the cracking primitives: crack-in-two/three on a
-//! large array, AVL table-of-contents operations, and stochastic cracking.
+//! large array and AVL table-of-contents operations.
 
-use aidx_cracking::{AvlTree, CrackerArray, CrackerIndex, StochasticCracker};
+use aidx_cracking::{AvlTree, CrackerArray, CrackerIndex};
 use aidx_storage::generate_unique_shuffled;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -30,17 +30,6 @@ fn bench_crack_primitives(c: &mut Criterion) {
     group.bench_function("crack_select_sequence_64", |b| {
         b.iter_batched(
             || CrackerIndex::from_values(values.clone()),
-            |mut idx| {
-                for i in 0..64i64 {
-                    idx.count(i * 15_000, i * 15_000 + 1000);
-                }
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("stochastic_crack_select_sequence_64", |b| {
-        b.iter_batched(
-            || StochasticCracker::with_threshold(values.clone(), 16_384, 9),
             |mut idx| {
                 for i in 0..64i64 {
                     idx.count(i * 15_000, i * 15_000 + 1000);

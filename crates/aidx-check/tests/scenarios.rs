@@ -259,6 +259,80 @@ fn real_cracker_delete_row_vs_pinned_reads_keeps_the_snapshot() {
     );
 }
 
+/// The crack body's publish rule on the real cracker: a column just above
+/// the pivot policy's floor, so the first bound to be resolved partitions
+/// the one oversized piece twice — around a pivot sampled from it, then at
+/// the bound inside the half that holds it — and publishes both cracks in
+/// one directory acquisition, after all physical work. All bounds lie near
+/// the top of the domain, in the upper half the pivot crack creates (and
+/// every piece after the first two passes is small, which keeps a
+/// schedule cheap): thread A counts a range there, thread B sums the
+/// range above it, thread C counts the one above that. Whoever reaches
+/// the oversized piece first cracks it twice; the others queue on its
+/// latch and, once granted, re-evaluate their bound against both new
+/// cracks at once. A thread that could see the pivot crack before the
+/// bound pass had run would take the upper half's fresh latch and
+/// partition rows the first thread is still moving: on every schedule all
+/// three answers equal the closed form, nothing is lost, and the
+/// invariants — every published piece physically within its key bounds —
+/// hold. One preemption, exhaustively: every thread gets to be the one
+/// that meets the oversized piece, and is interrupted by either of the
+/// others at every step of cracking it.
+#[test]
+fn real_cracker_two_crack_publish_vs_readers_of_the_upper_half() {
+    const ROWS: i64 = 262_200; // the floor is 256 Ki = 262 144 live rows
+    let column: Vec<i64> = (0..ROWS).map(|i| (i * 48271) % ROWS).collect();
+    let closed_sum = |low: i64, high: i64| (low + high - 1) as i128 * (high - low) as i128 / 2;
+    let cracked_twice = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let twice = Arc::clone(&cracked_twice);
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(1500)
+    };
+    let report = explore(one_preemption, move || {
+        let idx = Arc::new(ConcurrentCracker::from_values(
+            column.clone(),
+            LatchProtocol::Piece,
+        ));
+        // A read that resolved a bound in the oversized piece reports the
+        // pivot crack on top of its two bound cracks.
+        let reader = |who: u64, low: i64, sum: bool| {
+            let (idx, twice) = (Arc::clone(&idx), Arc::clone(&twice));
+            move || {
+                let high = low + 400;
+                let (got, metrics) = if sum {
+                    idx.sum(low, high)
+                } else {
+                    let (n, metrics) = idx.count(low, high);
+                    (n as i128, metrics)
+                };
+                let expected = if sum { closed_sum(low, high) } else { 400 };
+                assert_eq!(got, expected, "thread {who} read [{low},{high})");
+                if metrics.cracks_performed > 2 {
+                    twice.fetch_or(1 << who, Ordering::SeqCst);
+                }
+            }
+        };
+        Scenario::new()
+            .thread(reader(0, 260_000, false))
+            .thread(reader(1, 260_500, true))
+            .thread(reader(2, 261_000, false))
+            .finale(move || {
+                assert_eq!(idx.count(i64::MIN, i64::MAX).0, ROWS as u64, "rows lost");
+                assert_eq!(idx.sum(259_000, 262_000).0, closed_sum(259_000, 262_000));
+                assert!(idx.crack_count() >= 7, "six bounds and a pivot");
+                assert!(idx.check_invariants());
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "one preemption fits under the cap");
+    assert_eq!(
+        cracked_twice.load(Ordering::SeqCst),
+        0b111,
+        "each thread must be the one that cracks the oversized piece on some schedule"
+    );
+}
+
 /// The real `OrderedWaitLatch` (bound-ordered writer queue) model-checked
 /// directly: its internal mutex/condvar waits route through the scheduler,
 /// so the explorer enumerates grant orders and verifies mutual exclusion.
@@ -972,6 +1046,142 @@ fn seeded_latch_order_inversion_is_caught_by_explorer() {
     assert!(
         failure.message.contains("piece-latch") && failure.message.contains("delta"),
         "diagnostic should name both latches, got: {}",
+        failure.message
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Two-crack publish (pivot policy) mini-model
+// ---------------------------------------------------------------------------
+
+/// Mini-model of the crack body's publish rule. One piece of six rows,
+/// its latch, and the latch of the piece a split at the pivot creates.
+/// The cracking thread holds the piece's latch and makes two passes —
+/// around `PIVOT`, then at `UPPER_BOUND` inside the upper half — whose
+/// loads and stores are separate scheduling points, as on real cores. The
+/// real protocol publishes the pivot crack only after the second pass;
+/// the teeth variant publishes it in between, when the upper half has a
+/// start, hence a latch, of its own that the cracking thread does not
+/// hold.
+struct PivotPublishModel {
+    rows: Vec<CheckedAtomicU64>,
+    /// The directory: where the published upper piece starts.
+    upper_start: CheckedMutex<Option<usize>>,
+    piece_latch: CheckedMutex<()>,
+    upper_latch: CheckedMutex<()>,
+}
+
+const PIVOT: u64 = 2;
+const UPPER_BOUND: u64 = 4;
+const PIVOT_MODEL_ROWS: [u64; 6] = [3, 5, 1, 4, 0, 2];
+
+impl PivotPublishModel {
+    fn new() -> Self {
+        PivotPublishModel {
+            rows: PIVOT_MODEL_ROWS.map(CheckedAtomicU64::new).into(),
+            upper_start: CheckedMutex::new(None),
+            piece_latch: CheckedMutex::new(()),
+            upper_latch: CheckedMutex::new(()),
+        }
+    }
+
+    /// Two-pointer partition of `[from, to)`; the caller's latch is all
+    /// that keeps another partition out of the range.
+    fn partition(&self, from: usize, to: usize, pivot: u64) -> usize {
+        let (mut lo, mut hi) = (from, to);
+        while lo < hi {
+            let row = self.rows[lo].load(Ordering::SeqCst);
+            if row < pivot {
+                lo += 1;
+            } else {
+                hi -= 1;
+                let other = self.rows[hi].load(Ordering::SeqCst);
+                self.rows[lo].store(other, Ordering::SeqCst);
+                self.rows[hi].store(row, Ordering::SeqCst);
+            }
+        }
+        lo
+    }
+
+    /// The crack body on the oversized piece.
+    fn crack_twice(&self, publish_after_all_passes: bool) {
+        let _held = self.piece_latch.lock();
+        let split = self.partition(0, self.rows.len(), PIVOT);
+        if !publish_after_all_passes {
+            *self.upper_start.lock() = Some(split);
+        }
+        self.partition(split, self.rows.len(), UPPER_BOUND);
+        *self.upper_start.lock() = Some(split);
+    }
+
+    /// Another thread's crack at a bound above the pivot, Figure 10 style:
+    /// find the piece, take its latch, re-evaluate, partition.
+    fn crack_above_the_pivot(&self, bound: u64) {
+        loop {
+            let found = *self.upper_start.lock();
+            let _held = match found {
+                Some(_) => self.upper_latch.lock(),
+                None => self.piece_latch.lock(),
+            };
+            if *self.upper_start.lock() == found {
+                self.partition(found.unwrap_or(0), self.rows.len(), bound);
+                return;
+            }
+        }
+    }
+
+    fn sorted_rows(&self) -> Vec<u64> {
+        let mut rows: Vec<u64> = self.rows.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+        rows.sort_unstable();
+        rows
+    }
+}
+
+fn pivot_publish_scenario(publish_after_all_passes: bool) -> Scenario {
+    let model = Arc::new(PivotPublishModel::new());
+    let (cracker, other, fin) = (Arc::clone(&model), Arc::clone(&model), Arc::clone(&model));
+    Scenario::new()
+        .thread(move || cracker.crack_twice(publish_after_all_passes))
+        .thread(move || other.crack_above_the_pivot(UPPER_BOUND + 1))
+        .finale(move || {
+            assert_eq!(
+                fin.sorted_rows(),
+                [0, 1, 2, 3, 4, 5],
+                "two writers partitioned the upper half at once"
+            );
+        })
+}
+
+/// Physical work before publish: whichever thread gets to the piece
+/// first, the other partitions the upper half only under a latch that
+/// excludes it.
+#[test]
+fn two_crack_publish_after_all_passes_keeps_writers_apart() {
+    let two_preemptions = ExploreConfig {
+        preemption_bound: Some(2),
+        ..capped(20_000)
+    };
+    let report = explore(two_preemptions, || pivot_publish_scenario(true));
+    report.assert_ok();
+    assert!(report.exhausted, "two preemptions fit under the cap");
+}
+
+/// Teeth: publishing the pivot crack before the bound pass has run hands
+/// the upper half's latch to a second writer mid-pass. The explorer must
+/// find the interleaving that loses a row.
+#[test]
+fn pivot_crack_published_before_the_bound_pass_is_caught() {
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(5_000)
+    };
+    let report = explore(one_preemption, || pivot_publish_scenario(false));
+    let failure = report.expect_failure("finale-panic");
+    assert!(
+        failure
+            .message
+            .contains("two writers partitioned the upper half"),
+        "failure should come from the lost-row assert, got: {}",
         failure.message
     );
 }

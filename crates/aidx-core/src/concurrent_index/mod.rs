@@ -98,6 +98,9 @@ pub struct ConcurrentCracker {
     protocol: LatchProtocol,
     policy: RefinementPolicy,
     compaction: CompactionPolicy,
+    /// [`Self::PIVOT_FLOOR`]; a field only so that this crate's tests can
+    /// reach the pivot policy on small columns.
+    pivot_floor: usize,
     systxn: SystemTxnManager,
     delta: PendingDelta,
     /// Main-multiset version seqlock for piece shrinking: odd while a
@@ -167,6 +170,7 @@ impl ConcurrentCracker {
             protocol,
             policy: RefinementPolicy::Always,
             compaction: CompactionPolicy::disabled(),
+            pivot_floor: Self::PIVOT_FLOOR,
             systxn: SystemTxnManager::new(),
             delta: PendingDelta::new(),
             shrink_epoch: facade::AtomicU64::new(0),
@@ -192,6 +196,13 @@ impl ConcurrentCracker {
     /// Sets the refinement policy (builder style).
     pub fn with_policy(mut self, policy: RefinementPolicy) -> Self {
         self.policy = policy;
+        self
+    }
+
+    /// Lowers the pivot policy's floor so small test columns cross it.
+    #[cfg(test)]
+    pub(crate) fn with_pivot_floor(mut self, rows: usize) -> Self {
+        self.pivot_floor = rows;
         self
     }
 

@@ -1,6 +1,21 @@
 //! The one read path of [`ConcurrentCracker`]: plan (bound resolution under
 //! write latches), piece walk under read latches, per-shape accumulators,
 //! and the shrink-epoch seqlock that ties the walk to one delta view.
+//!
+//! It also holds the one crack body, [`ConcurrentCracker::crack_piece`]:
+//! every protocol, every backend built on this cracker (serial, chunked,
+//! range owners) and the write path resolve a bound there and nowhere
+//! else, so that is where the *pivot policy* lives. Two rules it keeps:
+//!
+//! * **Where the extra crack goes is a pure function of the piece** — a
+//!   hash of its extent and the bound picks the rows the pivot is sampled
+//!   from. No generator, no seed, no shared state: a schedule replayed by
+//!   `aidx-check`, a proptest case being shrunk and a benchmark run with
+//!   the same op stream all crack exactly where the first run did.
+//! * **Physical work before publish** — all partition passes of one call
+//!   run before the directory learns of any crack they made, and it
+//!   learns of all of them in one exclusive acquisition: a published piece
+//!   start is a latch the cracking thread does not hold.
 
 use super::*;
 
@@ -493,6 +508,7 @@ impl ConcurrentCracker {
     pub(super) fn force_bound(&self, bound: i64, metrics: &mut QueryMetrics) -> usize {
         let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
         let always = RefinementPolicy::Always;
+        let cracks_before = metrics.cracks_performed;
         match self.write_piece(Target::Bound(bound), always, metrics, crack) {
             PieceWrite::Crack(pos) => pos,
             PieceWrite::Done(pos) => {
@@ -500,7 +516,7 @@ impl ConcurrentCracker {
                 // column is held exclusively; under piece latches only
                 // queries record theirs.
                 if self.protocol != LatchProtocol::Piece {
-                    self.note_refinement(1, 0);
+                    self.note_refinement(metrics.cracks_performed - cracks_before, 0);
                 }
                 pos
             }
@@ -570,6 +586,15 @@ impl ConcurrentCracker {
     /// pausing fallback ([`ConcurrentCracker::reclaim_pause`]): bounded
     /// progress even under a pathological stream of reclaiming writers.
     pub(super) const SEQLOCK_RETRY_CAP: u32 = 3;
+
+    /// Live rows above which a piece gets the pivot policy's extra crack
+    /// ([`ConcurrentCracker::crack_piece`]): 3 MiB of 12-byte rows, a piece
+    /// that no longer fits L2. Measured, not configurable, and the largest
+    /// floor that keeps the sequential sweep's gain: lower floors make the
+    /// sweep faster still, but every extra piece is one more per-piece run
+    /// in each multi-column select, and at 4 Ki rows the table workloads'
+    /// cold phase pays for it (sweep in CHANGES.md, PR 21).
+    pub(super) const PIVOT_FLOOR: usize = 256 << 10;
 
     /// The one read path. Every read — any [`ReadShape`], now (`at =
     /// None`) or frozen at a registered snapshot epoch — runs the paper's
@@ -837,51 +862,121 @@ impl ConcurrentCracker {
         MainPlan::Exact { start, end }
     }
 
-    /// Partitions `[start, live_end)` around `bound` under the caller's
-    /// write latch, routing through the hole-aware gap walk when the piece
-    /// carries a dead tail (`live_end < piece_end`): the first dead slot is
-    /// free scratch — its contents are reclaimed-tombstone garbage no read
-    /// path ever touches — and the gap walk writes every misplaced element
-    /// once instead of paying three moves per swap.
+    /// One partition pass: `[start, live_end)` around `pivot` under the
+    /// caller's write latch, routing through the hole-aware gap walk when
+    /// the range is followed by a dead tail (`live_end < piece_end`): the
+    /// first dead slot is free scratch — its contents are
+    /// reclaimed-tombstone garbage no read path ever touches — and the gap
+    /// walk writes every misplaced element once. Emits the pass as its own
+    /// [`TraceEvent::Crack`] and returns the split position.
     fn crack_range_hole_aware(
         &self,
         start: usize,
         live_end: usize,
         piece_end: usize,
-        bound: i64,
+        pivot: i64,
     ) -> usize {
-        if live_end < piece_end {
+        let traced = aidx_obs::enabled().then(Instant::now);
+        let pos = if live_end < piece_end {
             let (pos, moves) = self
                 .data
-                .crack_in_two_with_hole(start, live_end, bound, live_end);
+                .crack_in_two_with_hole(start, live_end, pivot, live_end);
             if moves > 0 {
                 self.hole_cracks.fetch_add(1, Ordering::Relaxed);
             }
             pos
         } else {
-            self.data.crack_in_two_range(start, live_end, bound)
+            self.data.crack_in_two_range(start, live_end, pivot)
+        };
+        if let Some(pass_start) = traced {
+            emit(TraceEvent::Crack {
+                piece: start as u64,
+                pivot,
+                ns: u64::try_from(pass_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            });
         }
+        pos
     }
 
-    /// Cracks `piece` at `bound` and records the split (the caller holds
-    /// write access to the piece). Sweeps reclaimable tombstoned rows to
-    /// the piece's tail first — write access is exactly what piece
-    /// shrinking needs — then partitions the live range. Returns the
-    /// crack's position.
+    /// The pivot policy's choice for the live range `[start, live_end)`:
+    /// the median of three values of the range, read at positions that are
+    /// a hash of the range's extent and the bound being resolved — a pure
+    /// function of the piece, with no generator and no shared state, so a
+    /// replayed schedule, a shrunk proptest case and a re-run benchmark
+    /// all crack where the first run did.
+    fn data_driven_pivot(&self, start: usize, live_end: usize, bound: i64) -> i64 {
+        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+        let live = (live_end - start) as u64;
+        let mut state = (start as u64) ^ (live_end as u64).rotate_left(32) ^ (bound as u64);
+        let mut sample = [0i64; 3];
+        for slot in &mut sample {
+            // One splitmix64 step per draw.
+            state = state.wrapping_add(GOLDEN);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            *slot = self.data.value_at(start + (z % live) as usize);
+        }
+        sample.sort_unstable();
+        sample[1]
+    }
+
+    /// The one crack body: resolves `bound` inside `piece` (the caller
+    /// holds write access to the piece) and returns the crack's position.
+    /// Sweeps reclaimable tombstoned rows to the piece's tail first —
+    /// write access is exactly what piece shrinking needs — then
+    /// partitions the live range.
+    ///
+    /// **Pivot policy.** Where to put cracks is the core's to choose:
+    /// refinement is optional, structure-only work. A piece whose live
+    /// part exceeds [`Self::PIVOT_FLOOR`] is first partitioned around a
+    /// data-driven pivot ([`Self::data_driven_pivot`]) and only the half
+    /// that contains `bound` is cracked at it, so a sweep of bounds over a
+    /// never-shrinking tail halves that tail instead of re-partitioning it
+    /// (stochastic cracking's DD1R, Halim et al.). The pivot crack is
+    /// dropped when it could not split anything: the pivot is the bound,
+    /// is not above the piece's lower key bound (the crack exists), or
+    /// leaves a side empty (a column of duplicates).
+    ///
+    /// **Physical work before publish.** The directory learns of the
+    /// cracks only after *every* pass has run, and of all of them in one
+    /// exclusive acquisition ([`PieceDirectory::split`]). The caller's
+    /// latch is the one of `piece.start`; a split publishes a new piece
+    /// start, whose fresh latch any thread may take at once — a pivot
+    /// crack published before the bound pass would hand the upper half to
+    /// another writer while this one still partitions it.
     fn crack_piece(&self, piece: &Piece, bound: i64, metrics: &mut QueryMetrics) -> usize {
         let crack_start = Instant::now();
         let (live_end, _) = self.shrink_piece_locked(piece);
-        let pos = self.crack_range_hole_aware(piece.start, live_end, piece.end, bound);
-        self.dir.split(piece.start, bound, pos);
-        let cracked_in = crack_start.elapsed();
-        metrics.crack_time += cracked_in;
-        metrics.cracks_performed += 1;
-        self.cracks.fetch_add(1, Ordering::Relaxed);
-        emit(TraceEvent::Crack {
-            piece: piece.start as u64,
-            pivot: bound,
-            ns: u64::try_from(cracked_in.as_nanos()).unwrap_or(u64::MAX),
-        });
+        let (mut from, mut to) = (piece.start, live_end);
+        // The dead tail follows whichever sub-range ends at `live_end`.
+        let tail_end = |to: usize| if to == live_end { piece.end } else { to };
+        let mut pivot_crack = None;
+        if live_end - piece.start > self.pivot_floor {
+            let pivot = self.data_driven_pivot(piece.start, live_end, bound);
+            if pivot != bound && piece.low_value.is_none_or(|low| pivot > low) {
+                let pos = self.crack_range_hole_aware(from, to, tail_end(to), pivot);
+                if from < pos && pos < to {
+                    pivot_crack = Some((pivot, pos));
+                    if bound < pivot {
+                        to = pos;
+                    } else {
+                        from = pos;
+                    }
+                }
+            }
+        }
+        let pos = self.crack_range_hole_aware(from, to, tail_end(to), bound);
+        match pivot_crack {
+            None => self.dir.split(piece.start, &[(bound, pos)]),
+            Some(pivot) if pivot.0 < bound => self.dir.split(piece.start, &[pivot, (bound, pos)]),
+            Some(pivot) => self.dir.split(piece.start, &[(bound, pos), pivot]),
+        }
+        let performed = 1 + pivot_crack.is_some() as u32;
+        metrics.crack_time += crack_start.elapsed();
+        metrics.cracks_performed += performed;
+        self.cracks.fetch_add(performed as u64, Ordering::Relaxed);
         pos
     }
 

@@ -193,8 +193,7 @@ impl ConcurrentCracker {
                 return None;
             }
             let mut sample: Vec<i64> = (0..32)
-                .map(|i| best.start + i * n / 32)
-                .flat_map(|pos| self.data.values_in_range(pos, pos + 1))
+                .map(|i| self.data.value_at(best.start + i * n / 32))
                 .collect();
             sample.sort_unstable();
             (sample[sample.len() / 3], sample[2 * sample.len() / 3], n)

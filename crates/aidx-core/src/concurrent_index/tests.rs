@@ -1332,6 +1332,234 @@ fn refine_largest_piece_cracks_without_changing_contents() {
     assert_eq!(idx.piece_count(), before);
 }
 
+// ----- pivot policy ---------------------------------------------------------
+
+/// Upper bound on the rows `crack_piece` partitions to resolve `bound`
+/// right now: the piece's live rows, twice when the pivot policy may add
+/// its pass (the second one runs over a part of the piece).
+fn rows_to_resolve(idx: &ConcurrentCracker, bound: i64, floor: usize) -> usize {
+    idx.dir.find(Target::Bound(bound)).map_or(0, |piece| {
+        let live = idx.dir.live_end(&piece) - piece.start;
+        live * if live > floor { 2 } else { 1 }
+    })
+}
+
+#[test]
+fn a_sequential_sweep_moves_geometrically_fewer_rows() {
+    let (n, floor, queries) = (1usize << 16, 1usize << 10, 128usize);
+    let values = shuffled(n);
+    let stride = (n / queries) as i64;
+    for protocol in protocols() {
+        let idx = ConcurrentCracker::from_values(values.clone(), protocol).with_pivot_floor(floor);
+        let mut partitioned = 0usize;
+        for k in 0..queries as i64 {
+            let (low, high) = (k * stride + stride / 4, k * stride + 3 * stride / 4);
+            let mut metrics = QueryMetrics::default();
+            for bound in [low, high] {
+                partitioned += rows_to_resolve(&idx, bound, floor);
+                idx.force_bound(bound, &mut metrics);
+            }
+            assert_eq!(
+                idx.sum(low, high).0,
+                ops::sum(&values, low, high),
+                "{protocol} sweep [{low},{high})"
+            );
+        }
+        assert!(idx.check_invariants(), "{protocol}");
+        // Plain cracking re-partitions the whole remaining tail for every
+        // bound (`queries * n` rows over the sweep); with the policy each
+        // row takes part in about one pass per halving of its piece down
+        // to the floor, plus the at-most-floor-sized passes of every query.
+        let halvings = (n / floor).ilog2() as usize;
+        assert!(
+            partitioned <= 4 * n * halvings + queries * 2 * floor,
+            "{protocol}: {partitioned} rows partitioned"
+        );
+        assert!(partitioned * 4 < queries * n, "{protocol}: {partitioned}");
+        // Every bound is a crack, and at most one pivot crack rode along
+        // with each.
+        let cracks = idx.crack_count() as usize;
+        assert!((2 * queries..=4 * queries).contains(&cracks), "{protocol}");
+        assert_eq!(idx.piece_count(), cracks + 1, "{protocol}");
+    }
+}
+
+#[test]
+fn duplicate_columns_never_get_an_empty_sided_pivot_crack() {
+    let floor = 64;
+    let all_equal = vec![7i64; 4096];
+    let two_values: Vec<i64> = (0..4096).map(|i| (i * 48271 % 4096) % 2).collect();
+    for (values, distinct) in [(all_equal, 1), (two_values, 2)] {
+        for protocol in protocols() {
+            let idx =
+                ConcurrentCracker::from_values(values.clone(), protocol).with_pivot_floor(floor);
+            let bounds = [-3i64, 0, 1, 2, 5, 7, 8, 12];
+            for _round in 0..2 {
+                for (i, &low) in bounds.iter().enumerate() {
+                    for &high in &bounds[i + 1..] {
+                        assert_eq!(
+                            idx.count(low, high).0,
+                            ops::count(&values, low, high),
+                            "{protocol} [{low},{high})"
+                        );
+                    }
+                }
+            }
+            // Every crack is a query bound or separates two values that
+            // both occur: nothing else was ever published.
+            assert!(
+                (idx.crack_count() as usize) < bounds.len() + distinct,
+                "{protocol}: {} cracks",
+                idx.crack_count()
+            );
+            let pieces = idx.dir.live_pieces();
+            for pair in pieces.windows(2) {
+                let pivot = pair[1].0.low_value.expect("a crack");
+                if !bounds.contains(&pivot) {
+                    assert!(
+                        !pair[0].0.is_empty() && !pair[1].0.is_empty(),
+                        "{protocol}: empty side at pivot crack {pivot}"
+                    );
+                }
+            }
+            assert!(idx.check_invariants(), "{protocol}");
+        }
+    }
+}
+
+#[test]
+fn a_pivot_crack_of_a_piece_with_a_dead_tail_keeps_the_tail_on_top() {
+    let (n, floor, doomed) = (4096usize, 256usize, [10i64, 2000, 4000]);
+    let values = shuffled(n);
+    // A bound far below any pivot the policy can pick, and one far above.
+    for bound in [5i64, 4090] {
+        for protocol in protocols() {
+            let idx =
+                ConcurrentCracker::from_values(values.clone(), protocol).with_pivot_floor(floor);
+            // Delete, sweep: one big piece with a three-slot dead tail
+            // and a watermark to inherit.
+            for value in doomed {
+                let rowid = values.iter().position(|&v| v == value).unwrap() as RowId;
+                idx.delta.apply_delete(value, None, &[rowid], || true);
+            }
+            let whole = idx.dir.find(Target::Position(0)).unwrap();
+            assert_eq!(idx.shrink_piece_locked(&whole), (n - 3, 3), "{protocol}");
+            let through = idx.current_epoch();
+            idx.dir.mark_compacted(0, through);
+            // Then crack: pivot and bound, two splits, three pieces.
+            let mut metrics = QueryMetrics::default();
+            let pos = idx.force_bound(bound, &mut metrics);
+            assert_eq!(metrics.cracks_performed, 2, "{protocol} bound {bound}");
+            assert_eq!(idx.crack_count(), 2);
+            let pieces = idx.dir.live_pieces();
+            let [(low, low_live), (mid, mid_live), (top, top_live)] = pieces[..] else {
+                panic!("{protocol} bound {bound}: {pieces:?}");
+            };
+            let pivot = if bound == 5 {
+                top.low_value
+            } else {
+                mid.low_value
+            };
+            assert_ne!(pivot, Some(bound));
+            assert!(pos == mid.start || pos == top.start);
+            assert_eq!((low_live, mid_live), (low.end, mid.end), "{protocol}");
+            assert_eq!((top.end, top_live), (n, n - 3), "{protocol}");
+            let holes = [low, mid, top].map(|p| idx.dir.holes_in(p.start, p.end));
+            assert_eq!(holes, [0, 0, 3], "{protocol} bound {bound}");
+            assert_eq!(idx.compacted_through(), through, "{protocol}");
+            assert_eq!(
+                idx.hole_cracks_performed(),
+                (bound == 4090) as u64 + 1,
+                "{protocol}: every pass next to the tail used it"
+            );
+            let mut oracle = values.clone();
+            oracle.retain(|v| !doomed.contains(v));
+            for (low, high) in [(0, 4096), (bound, 4096), (0, bound), (1990, 2010)] {
+                assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
+                assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
+            }
+            assert!(idx.check_invariants(), "{protocol} bound {bound}");
+        }
+    }
+}
+
+/// Reads and writes at `i64::MIN` / `i64::MAX` — where the delete's
+/// `value + 1` bound overflows — with the pivot policy cracking every
+/// piece on the way: all must agree with a scan. The half-open `[low,
+/// high)` can never select a key of `i64::MAX`, for the scan either.
+#[test]
+fn pivot_policy_survives_the_domain_edges() {
+    for protocol in protocols() {
+        let mut values: Vec<i64> = (0..500i64).map(|i| (i * 48271) % 500).collect();
+        values.extend([i64::MAX, i64::MAX, i64::MIN, i64::MIN + 1, i64::MAX - 1]);
+        let idx = ConcurrentCracker::from_values(values.clone(), protocol).with_pivot_floor(64);
+        let agree = |values: &[i64]| {
+            for (low, high) in [
+                (i64::MIN, i64::MAX),
+                (i64::MIN, i64::MIN + 2),
+                (i64::MAX - 1, i64::MAX),
+            ] {
+                assert_eq!(idx.count(low, high).0, ops::count(values, low, high));
+                assert_eq!(idx.sum(low, high).0, ops::sum(values, low, high));
+            }
+            assert_eq!(idx.logical_len(), values.len() as u64);
+            assert!(idx.check_invariants(), "{protocol}");
+        };
+        agree(&values);
+        for key in [i64::MAX, i64::MIN, i64::MAX] {
+            idx.insert(key);
+            values.push(key);
+        }
+        agree(&values);
+        // 4 rows at the top (2 seeded + 2 inserted), 2 at the bottom, then
+        // the edges again with nothing left, then their neighbours.
+        for (key, doomed) in [
+            (i64::MAX, 4),
+            (i64::MIN, 2),
+            (i64::MAX, 0),
+            (i64::MIN + 1, 1),
+            (i64::MAX - 1, 1),
+        ] {
+            assert_eq!(idx.delete(key).0, doomed, "{protocol} delete {key}");
+            values.retain(|&v| v != key);
+            agree(&values);
+        }
+        idx.insert(i64::MAX);
+        values.push(i64::MAX);
+        assert_eq!(
+            idx.delete(i64::MAX).0,
+            1,
+            "re-insert after delete at the edge"
+        );
+        values.retain(|&v| v != i64::MAX);
+        agree(&values);
+        assert!(idx.crack_count() > 6, "{protocol}: the policy added cracks");
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+    /// Whatever the floor, the policy only ever adds cracks: answers equal
+    /// a scan and the invariants hold after every query.
+    #[test]
+    fn pivot_policy_agrees_with_scan_under_random_floors(
+        values in proptest::collection::vec(-400i64..400, 1..300),
+        queries in proptest::collection::vec((-450i64..450, -450i64..450), 1..15),
+        floor in 2usize..64,
+        protocol in 0usize..3,
+    ) {
+        let idx = ConcurrentCracker::from_values(values.clone(), protocols()[protocol])
+            .with_pivot_floor(floor);
+        for (a, b) in queries {
+            let (low, high) = (a.min(b), a.max(b));
+            proptest::prop_assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
+            proptest::prop_assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
+            proptest::prop_assert!(idx.check_invariants());
+        }
+    }
+}
+
 trait TapSorted {
     fn tap_sorted(self) -> Self;
 }

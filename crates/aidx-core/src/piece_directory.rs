@@ -10,7 +10,15 @@
 //! A piece start is stable — a crack splits a piece in two and the lower
 //! half keeps the identity — so a split is one [`PieceDirectory::split`]:
 //! the lower sub-piece keeps record and latch, the upper inherits the
-//! watermark and takes the dead tail. After a structural rebuild positions
+//! watermark and takes the dead tail. One crack body may split a piece
+//! more than once (the pivot policy's data-driven crack plus the bound's);
+//! `split` takes all of its cracks at once and publishes them in a single
+//! exclusive acquisition, upper crack first so the tail ends up on the
+//! topmost sub-piece. The contract with the caller is *physical work
+//! before publish*: a new piece start comes with a latch of its own, which
+//! any thread may take the moment it is visible, so every row of every
+//! sub-piece must already be where its key bounds say. After a structural
+//! rebuild positions
 //! change meaning, and [`PieceDirectory::install`] replaces the whole
 //! structure in one step, folding the retired latches' counts into a
 //! cumulative total.
@@ -187,6 +195,30 @@ impl State {
         record.expect("every piece start has a record")
     }
 
+    /// Records a crack at `value`, found at `pos`, of the piece starting at
+    /// `start`, which must end at or above `pos` with no piece start in
+    /// between: the upper sub-piece takes the whole dead tail.
+    fn split_lower(&mut self, start: usize, value: i64, pos: usize) {
+        self.map.add_crack(value, pos);
+        // No piece starts strictly inside another: this range holds the
+        // lower record and, if `pos` is a piece start already, that one.
+        let mut around = self.records.range_mut(start..=pos);
+        let (_, lower) = around.next().expect("every piece start has a record");
+        if pos == start {
+            lower.note_crack(value);
+        } else if let Some((_, at_pos)) = around.next() {
+            at_pos.note_crack(value);
+        } else {
+            let upper = PieceRecord {
+                keys: Some((value, value)),
+                holes: std::mem::take(&mut lower.holes),
+                compacted_through: lower.compacted_through,
+                latch: OnceLock::new(),
+            };
+            self.records.insert(pos, upper);
+        }
+    }
+
     /// Live end of `piece`. An empty piece shares its start with the piece
     /// that owns the dead tail; clamping attributes the tail to the latter.
     fn live_end(&self, piece: &Piece) -> usize {
@@ -337,30 +369,23 @@ impl PieceDirectory {
         state.records.range(start..end).map(|(_, r)| r.holes).sum()
     }
 
-    /// Records a crack at `value`, found at `pos`, of the piece starting at
-    /// `start`. The lower sub-piece keeps its record — latch and counters
-    /// included; the upper one inherits the watermark and takes the dead
-    /// tail. A crack at either end of the piece only adds an empty piece
-    /// to a position that has its record already.
-    pub(crate) fn split(&self, start: usize, value: i64, pos: usize) {
+    /// Publishes the cracks one system transaction made inside the piece
+    /// starting at `start` — `(value, position)` pairs, ascending — in one
+    /// exclusive acquisition, so no lookup ever sees some of them. The
+    /// caller has finished *all* physical work on the piece: the moment a
+    /// new piece start exists, so does a latch the caller does not hold.
+    ///
+    /// Applied upper crack first, each as a split of the (shrinking)
+    /// piece at `start`: the lower sub-piece keeps its record — latch and
+    /// counters included; the upper one inherits the watermark and takes
+    /// the dead tail, which therefore ends up where it physically is, on
+    /// the topmost sub-piece. A crack at either end of the piece only
+    /// adds an empty piece to a position that has its record already.
+    pub(crate) fn split(&self, start: usize, cracks: &[(i64, usize)]) {
+        debug_assert!(cracks.is_sorted(), "cracks are published in key order");
         let mut state = self.write();
-        state.map.add_crack(value, pos);
-        // No piece starts strictly inside another: this range holds the
-        // lower record and, if `pos` is a piece start already, that one.
-        let mut around = state.records.range_mut(start..=pos);
-        let (_, lower) = around.next().expect("every piece start has a record");
-        if pos == start {
-            lower.note_crack(value);
-        } else if let Some((_, at_pos)) = around.next() {
-            at_pos.note_crack(value);
-        } else {
-            let upper = PieceRecord {
-                keys: Some((value, value)),
-                holes: std::mem::take(&mut lower.holes),
-                compacted_through: lower.compacted_through,
-                latch: OnceLock::new(),
-            };
-            state.records.insert(pos, upper);
+        for &(value, pos) in cracks.iter().rev() {
+            state.split_lower(start, value, pos);
         }
     }
 
@@ -687,7 +712,7 @@ mod tests {
         drop(latch.acquire_write(0));
         dir.add_holes(0, 10);
         dir.mark_compacted(0, 7);
-        dir.split(0, 50, 40);
+        dir.split(0, &[(50, 40)]);
         // Lower sub-piece: same latch, same counters, no dead tail.
         assert!(Arc::ptr_eq(&latch, &dir.latch_at(0)));
         assert_eq!(dir.latch_stats_by_piece()[0].1.write_acquisitions, 1);
@@ -704,11 +729,44 @@ mod tests {
         assert_eq!((watermark(&dir, 0), watermark(&dir, 40)), (7, 7));
         assert_eq!((dir.holes_in(0, 40), dir.holes_in(40, 100)), (0, 10));
         // Cracks at either end add an empty piece and move nothing.
-        dir.split(40, 50 - 1, 40);
-        dir.split(0, 45, 40);
+        dir.split(40, &[(50 - 1, 40)]);
+        dir.split(0, &[(45, 40)]);
         assert_eq!((dir.holes_in(0, 40), dir.holes_in(40, 100)), (0, 10));
         assert!(Arc::ptr_eq(&upper_latch, &dir.latch_at(40)));
         assert!(dir.check_invariants(100, 7));
+    }
+
+    #[test]
+    fn publishing_the_lower_crack_first_loses_the_dead_tail() {
+        let with_tail = || {
+            let dir = PieceDirectory::new(100);
+            dir.add_holes(0, 10);
+            dir.mark_compacted(0, 3);
+            dir
+        };
+        let dir = with_tail();
+        dir.split(0, &[(30, 20), (60, 50)]);
+        assert_eq!(
+            [
+                dir.holes_in(0, 20),
+                dir.holes_in(20, 50),
+                dir.holes_in(50, 100)
+            ],
+            [0, 0, 10]
+        );
+        assert_eq!([watermark(&dir, 20), watermark(&dir, 50)], [3, 3]);
+        assert!(dir.check_invariants(100, 3));
+        // The seeded mutation: the same two cracks, lower one first. The
+        // dead tail travels to the middle piece and the upper crack lands
+        // on that piece's record instead of one of its own.
+        let wrong = with_tail();
+        {
+            let mut state = wrong.write();
+            state.split_lower(0, 30, 20);
+            state.split_lower(0, 60, 50);
+        }
+        assert_eq!(wrong.holes_in(20, 50), 10);
+        assert!(!wrong.check_invariants(100, 3));
     }
 
     /// The naive model: cracks as a `Vec` sorted by value, per-start state
@@ -762,20 +820,27 @@ mod tests {
             piece.end - holes.min(piece.len())
         }
 
-        fn split(&mut self, start: usize, value: i64, pos: usize) {
-            let at = self.cracks.partition_point(|c| c.0 < value);
-            self.cracks.insert(at, (value, pos));
-            if self.starts.iter().all(|s| s.0 != pos) {
-                let lower = self.start(start);
-                let (holes, watermark) = (std::mem::take(&mut lower.1), lower.2);
-                self.starts.push((pos, holes, watermark));
+        /// States the outcome of a publish, not its order: every new
+        /// start inherits the watermark, and the dead tail — physically at
+        /// the old piece's end — belongs to the topmost start below it.
+        fn publish(&mut self, start: usize, cracks: &[(i64, usize)]) {
+            let lower = self.start(start);
+            let (holes, watermark) = (std::mem::take(&mut lower.1), lower.2);
+            for &(value, pos) in cracks {
+                let at = self.cracks.partition_point(|c| c.0 < value);
+                self.cracks.insert(at, (value, pos));
+                if self.starts.iter().all(|s| s.0 != pos) {
+                    self.starts.push((pos, 0, watermark));
+                }
             }
+            let top = cracks.iter().map(|c| c.1).max().expect("a crack");
+            self.start(top).1 += holes;
         }
     }
 
     fn assert_agrees(dir: &PieceDirectory, model: &Model, epoch: u64) {
         assert!(dir.check_invariants(model.len, epoch));
-        for value in -22..22 {
+        for value in -24..24 {
             let by_value = model.by_value(value);
             assert_eq!(dir.find(Target::Key(value)), Ok(by_value), "key {}", value);
             let cracked = model.cracks.iter().find(|c| c.0 == value);
@@ -816,12 +881,13 @@ mod tests {
 
         /// Every mutation the cracker performs, in random order, against
         /// the naive model: cracks at a piece's start, interior and live
-        /// end (several values sharing a position make empty pieces), hole
-        /// sweeps and fills, watermark advances, and rebuild installs.
+        /// end (several values sharing a position make empty pieces), the
+        /// pivot policy's two-crack publish, hole sweeps and fills,
+        /// watermark advances, and rebuild installs.
         #[test]
         fn directory_agrees_with_a_sorted_vec_model(
             len in 0usize..40,
-            ops in prop::collection::vec((0u8..8, -20i64..20, 0usize..1000), 1..60),
+            ops in prop::collection::vec((0u8..10, -20i64..20, 0usize..1000), 1..60),
         ) {
             let dir = PieceDirectory::new(len);
             let mut model = Model::new(len);
@@ -839,8 +905,27 @@ mod tests {
                             1 => live,
                             _ => pick % (live + 1),
                         };
-                        dir.split(piece.start, value, pos);
-                        model.split(piece.start, value, pos);
+                        dir.split(piece.start, &[(value, pos)]);
+                        model.publish(piece.start, &[(value, pos)]);
+                    }
+                    (8..=9, _) => {
+                        // Two cracks of one piece in one publish: a second
+                        // value above the first inside the same key
+                        // interval, at or above the first's position.
+                        let Ok(piece) = dir.find(Target::Bound(value)) else { continue };
+                        let upper = value + 1 + (pick % 3) as i64;
+                        if piece.high_value.is_some_and(|high| upper >= high) {
+                            continue;
+                        }
+                        let live_end = model.live_end(&piece);
+                        let pos = piece.start + pick % (live_end - piece.start + 1);
+                        let upper_pos = match kind {
+                            8 => pos,
+                            _ => pos + (pick / 7) % (live_end - pos + 1),
+                        };
+                        let cracks = [(value, pos), (upper, upper_pos)];
+                        dir.split(piece.start, &cracks);
+                        model.publish(piece.start, &cracks);
                     }
                     (4, Some(piece)) => {
                         let n = pick % (model.live_end(&piece) - piece.start + 1);

@@ -28,6 +28,17 @@
 //! * Piece latches are managed by [`crate::concurrent_index::ConcurrentCracker`];
 //!   pieces never overlap, so latched ranges never overlap.
 //!
+//! The partition kernel ([`SharedCrackerArray::crack_in_two_range`]) is the
+//! one loop here whose indices are not a plain `start..end` walk: block
+//! offsets from both ends, a swap list, a predicated sweep. Its contract
+//! on top of the above: every raw access computes its index through one
+//! closure that `debug_assert!`s it inside `[start, end)`; the stages'
+//! loop conditions (documented on the function) are what keep it there in
+//! release builds; and since miri cannot be installed offline, the kernel
+//! is differential-tested on every proptest case against a safe-Rust
+//! reference partition over plain vectors — same split, same multiset of
+//! `(value, rowid)` pairs on each side, no slot outside the range touched.
+//!
 //! Every method in this module is safe to *call* (not `unsafe fn`) because
 //! violating the contract cannot corrupt memory safety metadata — the ranges
 //! are bounds-checked — but it can produce torn reads of values being
@@ -219,47 +230,117 @@ impl SharedCrackerArray {
         unsafe { (*self.rowids.get()).as_mut_ptr() }
     }
 
+    /// The value at `pos`. Caller must hold a read or write latch covering
+    /// the position.
+    pub fn value_at(&self, pos: usize) -> i64 {
+        assert!(pos < self.len(), "read position out of bounds");
+        // SAFETY: bounds checked above; shared access guaranteed by latches.
+        unsafe { *self.values_ptr().add(pos) }
+    }
+
     /// Partitions `[start, end)` around `pivot` (values `< pivot` first) and
     /// returns the split position. Caller must hold the write latch of the
     /// piece covering the range.
+    ///
+    /// Three stages. A branchy skip of the prefix already `< pivot` and the
+    /// suffix already `>= pivot`: on a nearly partitioned or tiny piece the
+    /// branches predict and that is all the work there is. Then a block
+    /// partition of the unsettled middle: a block of 128 rows
+    /// from either end is scanned *branch-free* — every offset is stored
+    /// and the store cursor advances by the comparison's outcome
+    /// (`n += (v >= pivot) as usize`), so an unpredictable pivot costs no
+    /// mispredictions — and the misplaced rows the two scans recorded are
+    /// swapped pairwise; a block is left behind once all its misplaced
+    /// rows are swapped out. What remains when fewer than two blocks
+    /// separate the ends — at most the two blocks, whatever of them is
+    /// still unswapped included — is partitioned by a predicated sweep
+    /// (swap unconditionally, `split += (v < pivot) as usize`).
     pub fn crack_in_two_range(&self, start: usize, end: usize, pivot: i64) -> usize {
-        self.crack_in_two_range_counted(start, end, pivot).0
-    }
-
-    /// As [`SharedCrackerArray::crack_in_two_range`], additionally returning
-    /// the number of swaps performed; each swap costs three element moves
-    /// (the temporary), the baseline the hole-aware variant is measured
-    /// against.
-    pub fn crack_in_two_range_counted(
-        &self,
-        start: usize,
-        end: usize,
-        pivot: i64,
-    ) -> (usize, usize) {
         assert!(
             start <= end && end <= self.len(),
             "crack range out of bounds"
         );
+        // Rows per block scan: offsets fit a byte, and each offset buffer
+        // fits two cache lines.
+        const BLOCK: usize = 128;
         let values = self.values_ptr();
         let rowids = self.rowids_ptr();
-        let mut lo = start;
-        let mut hi = end;
-        let mut swaps = 0usize;
-        // SAFETY: indices stay within [start, end) ⊆ [0, len); exclusive
-        // access to this range is guaranteed by the caller's write latch.
+        // Every raw access below computes its index through `at`. The
+        // stages keep it in range by construction: `lo < hi` bounds the
+        // skips, a block scan runs only while `hi - lo >= 2 * BLOCK` so the
+        // offsets `0..BLOCK` from either end stay inside `[lo, hi)`, and
+        // the sweep runs `split <= i` over `lo..hi`.
+        let at = |i: usize| {
+            debug_assert!(start <= i && i < end, "kernel access outside the range");
+            i
+        };
+        // SAFETY: indices stay within [start, end) ⊆ [0, len) — asserted
+        // above, kept by the stages as described, debug-asserted by `at` on
+        // every access; exclusive access to the range is guaranteed by the
+        // caller's write latch.
         unsafe {
-            while lo < hi {
-                if *values.add(lo) < pivot {
-                    lo += 1;
-                } else {
-                    hi -= 1;
-                    std::ptr::swap(values.add(lo), values.add(hi));
-                    std::ptr::swap(rowids.add(lo), rowids.add(hi));
-                    swaps += 1;
+            let below = |i: usize| *values.add(at(i)) < pivot;
+            let swap = |a: usize, b: usize| {
+                std::ptr::swap(values.add(at(a)), values.add(at(b)));
+                std::ptr::swap(rowids.add(at(a)), rowids.add(at(b)));
+            };
+            let (mut lo, mut hi) = (start, end);
+            while lo < hi && below(lo) {
+                lo += 1;
+            }
+            while lo < hi && !below(hi - 1) {
+                hi -= 1;
+            }
+            // Offsets (from `lo` upwards / from `hi - 1` downwards) of the
+            // misplaced rows of the current left / right block, and the
+            // part `[next, found)` of them not swapped yet.
+            let (mut left, mut right) = ([0u8; BLOCK], [0u8; BLOCK]);
+            let (mut left_next, mut left_found) = (0, 0);
+            let (mut right_next, mut right_found) = (0, 0);
+            while hi - lo >= 2 * BLOCK {
+                if left_next == left_found {
+                    (left_next, left_found) = (0, 0);
+                    for offset in 0..BLOCK {
+                        left[left_found] = offset as u8;
+                        left_found += !below(lo + offset) as usize;
+                    }
+                }
+                if right_next == right_found {
+                    (right_next, right_found) = (0, 0);
+                    for offset in 0..BLOCK {
+                        right[right_found] = offset as u8;
+                        right_found += below(hi - 1 - offset) as usize;
+                    }
+                }
+                let pairs = (left_found - left_next).min(right_found - right_next);
+                for pair in 0..pairs {
+                    swap(
+                        lo + left[left_next + pair] as usize,
+                        hi - 1 - right[right_next + pair] as usize,
+                    );
+                }
+                left_next += pairs;
+                right_next += pairs;
+                // A block with nothing left to swap out is settled.
+                if left_next == left_found {
+                    lo += BLOCK;
+                }
+                if right_next == right_found {
+                    hi -= BLOCK;
                 }
             }
+            // `[start, lo)` is below the pivot and `[hi, end)` is not; a
+            // block still holding unswapped rows lies inside `[lo, hi)`,
+            // which the sweep partitions whatever its order.
+            let mut split = lo;
+            for i in lo..hi {
+                debug_assert!(split <= i);
+                let goes_low = below(i);
+                swap(i, split);
+                split += goes_low as usize;
+            }
+            split
         }
-        (lo, swaps)
     }
 
     /// Hole-aware partition of `[start, end)` around `pivot`: uses the dead
@@ -495,8 +576,98 @@ impl SharedCrackerArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
     use std::thread;
+
+    /// The kernel's safe-Rust reference: the classic two-pointer partition
+    /// of `[start, end)` over plain vectors. Returns `(split, swaps)`;
+    /// each swap costs three element moves (the temporary).
+    fn reference_partition(
+        values: &mut [i64],
+        rowids: &mut [RowId],
+        start: usize,
+        end: usize,
+        pivot: i64,
+    ) -> (usize, usize) {
+        let (mut lo, mut hi, mut swaps) = (start, end, 0);
+        while lo < hi {
+            if values[lo] < pivot {
+                lo += 1;
+            } else {
+                hi -= 1;
+                values.swap(lo, hi);
+                rowids.swap(lo, hi);
+                swaps += 1;
+            }
+        }
+        (lo, swaps)
+    }
+
+    fn sorted_pairs(values: &[i64], rowids: &[RowId]) -> Vec<(i64, RowId)> {
+        let mut pairs: Vec<_> = values.iter().copied().zip(rowids.iter().copied()).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The unsafe kernel against the safe reference, on a sub-range of
+        /// a larger array: same split position, the same multiset of
+        /// `(value, rowid)` pairs on each side, every slot outside
+        /// `[start, end)` untouched. Lengths reach several blocks; the
+        /// shapes put every stage of the kernel on its own (all skipped,
+        /// blocks only, sweep only) and together.
+        #[test]
+        fn kernel_agrees_with_the_reference_partition(
+            raw in prop::collection::vec(-50i64..50, 0..900),
+            shape in 0u8..8,
+            cut in (0usize..1000, 0usize..1000),
+            pivot in -60i64..60,
+        ) {
+            let mut values = raw;
+            match shape {
+                0 => values.sort_unstable(),
+                1 => values.sort_unstable_by(|a, b| b.cmp(a)),
+                2 => values.fill(7),
+                3 => values.iter_mut().for_each(|v| *v = pivot - 1 - v.abs()),
+                4 => values.iter_mut().for_each(|v| *v = pivot + v.abs()),
+                // Dense misplacement: the high half first.
+                5 => values.sort_unstable_by_key(|&v| v < pivot),
+                _ => {}
+            }
+            let n = values.len();
+            let (a, b) = (cut.0 % (n + 1), cut.1 % (n + 1));
+            // Shapes 6 and 7 crack the whole array and a one-or-zero-row range.
+            let (start, end) = match shape {
+                6 => (0, n),
+                7 => (a, (a + b % 2).min(n)),
+                _ => (a.min(b), a.max(b)),
+            };
+            let array = SharedCrackerArray::from_values(values.clone());
+            let split = array.crack_in_two_range(start, end, pivot);
+            let (got_values, got_rowids) = array.snapshot();
+
+            let mut want_values = values.clone();
+            let mut want_rowids: Vec<RowId> = (0..n as RowId).collect();
+            let (want_split, _) =
+                reference_partition(&mut want_values, &mut want_rowids, start, end, pivot);
+            prop_assert_eq!(split, want_split);
+            prop_assert!(got_values[start..split].iter().all(|&v| v < pivot));
+            prop_assert!(got_values[split..end].iter().all(|&v| v >= pivot));
+            for (from, to) in [(start, split), (split, end)] {
+                prop_assert_eq!(
+                    sorted_pairs(&got_values[from..to], &got_rowids[from..to]),
+                    sorted_pairs(&want_values[from..to], &want_rowids[from..to])
+                );
+            }
+            for outside in (0..start).chain(end..n) {
+                prop_assert_eq!(got_values[outside], values[outside]);
+                prop_assert_eq!(got_rowids[outside], outside as RowId);
+            }
+        }
+    }
 
     #[test]
     fn construction_and_basic_reads() {
@@ -568,14 +739,15 @@ mod tests {
     #[test]
     fn crack_with_hole_saves_moves_on_dense_misplacement() {
         // Dense misplacement: the first half is entirely high, the second
-        // half entirely low, so the classic partition swaps every pair
+        // half entirely low, so the classic swap partition swaps every pair
         // (3m element moves counting the temporary) while the hole walk
         // moves each misplaced element once (2m + 1 moves).
         let m = 64usize;
         let mut data: Vec<i64> = (0..m as i64).map(|i| 100 + i).collect();
         data.extend(0..m as i64);
-        let classic = SharedCrackerArray::from_values(data.clone());
-        let (classic_split, swaps) = classic.crack_in_two_range_counted(0, 2 * m, 100);
+        let mut rowids: Vec<RowId> = (0..2 * m as RowId).collect();
+        let (classic_split, swaps) =
+            reference_partition(&mut data.clone(), &mut rowids, 0, 2 * m, 100);
         assert_eq!(classic_split, m);
         assert_eq!(swaps, m);
         let mut with_hole = data;

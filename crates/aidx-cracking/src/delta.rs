@@ -1,14 +1,12 @@
 //! Shared write-path primitives for cracked structures.
 //!
-//! Every cracked structure in the workspace (the single-threaded
-//! [`CrackerIndex`](crate::CrackerIndex), the
-//! [`StochasticCracker`](crate::StochasticCracker), and the hybrid
-//! crack-sort's initial partitions in `aidx-btree`) deletes a key the same
-//! way: crack at the key's bounds so the doomed rows are contiguous,
-//! remove the run, and shift the boundaries above it left. How each
-//! structure *resolves* a bound differs (plain cracking vs. random-split
-//! injection), but the subtle parts — the `i64::MAX` upper-bound edge and
-//! the removal/boundary-fixup pairing — live here, once.
+//! Every serial cracked structure in the workspace (the single-threaded
+//! [`CrackerIndex`](crate::CrackerIndex) and the hybrid crack-sort's
+//! initial partitions in `aidx-btree`) deletes a key the same way: crack
+//! at the key's bounds so the doomed rows are contiguous, remove the run,
+//! and shift the boundaries above it left. The subtle parts — the
+//! `i64::MAX` upper-bound edge and the removal/boundary-fixup pairing —
+//! live here, once.
 
 use crate::cracker_array::CrackerArray;
 use crate::piece::PieceMap;

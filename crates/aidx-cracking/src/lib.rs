@@ -15,12 +15,13 @@
 //!   `count` (Q1), `sum` (Q2), row-id selection, and invariant checking.
 //! * [`ScanBaseline`] / [`SortIndex`] — the two non-adaptive baselines of
 //!   the evaluation (plain scan and full sort + binary search).
-//! * [`StochasticCracker`] — the stochastic-cracking extension for
-//!   workload robustness (reference [16] of the paper).
 //!
 //! The concurrent protocols (column latches, piece latches) live in
-//! `aidx-core`; this crate is purely single-threaded and is also what the
-//! sequential arms of the experiments run.
+//! `aidx-core`, and so does the workload-robust pivot policy of stochastic
+//! cracking (reference [16] of the paper), at the one crack body every
+//! backend shares; this crate is purely single-threaded, cracks exactly at
+//! the query bounds, and is what the sequential arms of the experiments
+//! run.
 
 #![warn(missing_docs)]
 
@@ -30,11 +31,9 @@ pub mod cracker_array;
 pub mod delta;
 pub mod index;
 pub mod piece;
-pub mod stochastic;
 
 pub use avl::AvlTree;
 pub use baseline::{ScanBaseline, SortIndex};
 pub use cracker_array::CrackerArray;
 pub use index::{CrackSelectOutcome, CrackerIndex};
 pub use piece::{Piece, PieceLookup, PieceMap};
-pub use stochastic::{StochasticCracker, DEFAULT_PIECE_THRESHOLD};

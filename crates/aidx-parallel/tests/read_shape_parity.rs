@@ -112,6 +112,12 @@ fn keys(n: usize) -> Vec<i64> {
         .collect()
 }
 
+/// The rows of `keys(n)` under positional row ids: the scan oracle.
+fn keyed_rows(n: usize) -> BTreeMap<RowId, i64> {
+    let rows = keys(n).into_iter().enumerate();
+    rows.map(|(i, key)| (i as RowId, key)).collect()
+}
+
 /// Reads `[low, high)` in every shape through `read` and checks the five
 /// answers — and the sizes their metrics report — against each other and
 /// against a scan of `rows` (rowid → key).
@@ -182,11 +188,7 @@ fn assert_shapes_agree(
 /// and rebuilds firing underneath), then check every shape both now and
 /// through the snapshot.
 fn check_engine(label: &str, engine: &dyn Engine, n: usize) {
-    let mut rows: BTreeMap<RowId, i64> = keys(n)
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| (i as RowId, k))
-        .collect();
+    let mut rows = keyed_rows(n);
     let half = n as i64 / 2;
     let ranges = [
         (i64::MIN, i64::MAX),
@@ -247,6 +249,93 @@ fn every_shape_agrees_on_every_backend_now_and_pinned() {
     check_engine("chunked", &chunked, n);
     let range = RangePartitionedCracker::with_compaction(keys(n), 4, policy);
     check_engine("range", &range, n);
+}
+
+/// One column above the pivot policy's floor (256 Ki live rows in a
+/// piece): all five shapes, now and pinned, over pieces that a crack body
+/// publishing two cracks at a time produced (the first read's bounds
+/// land in the one oversized piece), then across a delete and an insert
+/// next to each range.
+#[test]
+fn every_shape_agrees_across_pivot_cracks_now_and_pinned() {
+    let n = 300_000usize;
+    let mut rows = keyed_rows(n);
+    let idx = ConcurrentCracker::from_values(keys(n), LatchProtocol::Piece)
+        .with_compaction(CompactionPolicy::rows(16).incremental(4));
+    let half = n as i64 / 2;
+    let ranges = [
+        (half / 8, half / 8 + 900),
+        (half / 2 - 5, half / 2 + 5),
+        (half - 400, half + 50),
+    ];
+    let (_, first) = idx.read(ranges[0].0, ranges[0].1, None, ReadShape::Count);
+    assert!(first.cracks_performed > 2, "the pivot policy fired");
+    let now = idx.reader();
+    assert_shapes_agree("above-floor fresh", &now, &rows, &ranges);
+    let pinned = idx.snapshot_reader();
+    let before = rows.clone();
+    for (step, &(low, _)) in ranges.iter().enumerate() {
+        let key = low + 1;
+        assert_eq!(idx.delete(key).0, 2, "every key occurs twice");
+        rows.retain(|_, k| *k != key);
+        let rowid = (10 * n + step) as RowId;
+        idx.insert_row(key + 1, rowid);
+        rows.insert(rowid, key + 1);
+    }
+    assert_shapes_agree("above-floor churned", &now, &rows, &ranges);
+    assert_shapes_agree("above-floor pinned", &pinned, &before, &ranges);
+    drop(pinned);
+    assert!(idx.check_invariants());
+}
+
+/// The adversarial input of plain cracking — bounds sweeping the domain
+/// left to right, each query's both bounds in the never-cracked tail — on
+/// a column that puts every index of every backend above the pivot
+/// policy's floor: exact answers, intact invariants, and pivot cracks
+/// riding along with the bound cracks.
+#[test]
+fn a_sequential_sweep_is_exact_on_every_backend_above_the_pivot_floor() {
+    let n = 640_000usize; // two chunks or partitions of 320 k rows
+    let column = || -> Vec<i64> { (0..n as i64).map(|i| (i * 48271) % n as i64).collect() };
+    let queries = 40i64;
+    let stride = n as i64 / queries;
+    // `parts`: indexes that resolve the first query's bounds.
+    let sweep = |label: &str, engine: &dyn Engine, parts: u32| {
+        let read = engine.reader();
+        for k in 0..queries {
+            let low = k * stride + stride / 4;
+            let high = low + stride / 2;
+            let (count, metrics) = read(low, high, ReadShape::Count);
+            assert_eq!(count.into_agg(), (high - low) as i128, "{label} count {k}");
+            if k == 0 {
+                assert!(
+                    metrics.cracks_performed > 2 * parts,
+                    "{label}: no pivot crack beside the {} bound cracks",
+                    2 * parts
+                );
+            }
+            let (sum, _) = read(low, high, ReadShape::Sum);
+            let expected = (low + high - 1) as i128 * (high - low) as i128 / 2;
+            assert_eq!(sum.into_agg(), expected, "{label} sum {k}");
+        }
+        assert!(engine.check_invariants(), "{label}");
+    };
+    for protocol in [
+        LatchProtocol::Piece,
+        LatchProtocol::Column,
+        LatchProtocol::None,
+    ] {
+        let idx = ConcurrentCracker::from_values(column(), protocol);
+        sweep(&format!("serial/{protocol:?}"), &idx, 1);
+        // Every crack is one of the 80 bounds or a pivot crack, and the
+        // sweep added far fewer of those than it resolved bounds.
+        let cracks = idx.crack_count();
+        assert!((81..120).contains(&cracks), "{protocol:?}: {cracks} cracks");
+    }
+    let chunked = ChunkedCracker::new(column(), 2, LatchProtocol::Piece, RefinementPolicy::Always);
+    sweep("chunked", &chunked, 2);
+    let range = RangePartitionedCracker::new(column(), 2);
+    sweep("range", &range, 1);
 }
 
 /// Splitmix64: the write stream must be the same on every backend.
@@ -516,13 +605,7 @@ fn every_shape_survives_straddle_merges_while_partitions_split() {
     // split is preceded by a merge — which puts each shape through the
     // straddle arm several times per run.
     let n = 4_000usize;
-    let rows: Arc<BTreeMap<RowId, i64>> = Arc::new(
-        keys(n)
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| (i as RowId, k))
-            .collect(),
-    );
+    let rows = Arc::new(keyed_rows(n));
     let config = AdaptiveConfig {
         check_interval: None,
         imbalance_threshold: 1.05,

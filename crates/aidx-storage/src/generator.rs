@@ -5,7 +5,7 @@
 //! reproduces that: the keys `0..n` in a uniformly random order, so that every
 //! range predicate's selectivity maps directly to a range width. A variant
 //! with duplicates and a couple of skewed distributions are provided for the
-//! wider test suite and the stochastic-cracking extension.
+//! wider test suite.
 
 use crate::column::Column;
 use rand::prelude::*;

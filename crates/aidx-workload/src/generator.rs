@@ -3,8 +3,8 @@
 //! The evaluation runs sequences of random range queries with a fixed
 //! selectivity over a domain of unique integers (Section 6). The generator
 //! reproduces that, plus two extra access patterns (sequential sweep and
-//! skewed) used by the wider test suite and the stochastic-cracking
-//! comparison.
+//! skewed) used by the wider test suite; the sequential sweep is the
+//! input the core's pivot policy exists for.
 
 use crate::query::{selectivity_to_width, Operation, QuerySpec};
 use aidx_core::Aggregate;

@@ -1,12 +1,12 @@
 //! Multi-core parallel adaptive indexing in action: the same workload
-//! answered by the serial concurrent cracker, serial stochastic cracking
-//! (the robust-pivot reference), parallel-chunked cracking, and
-//! range-partitioned latch-free cracking — all verified against a scan.
+//! answered by the serial concurrent cracker, parallel-chunked cracking,
+//! and range-partitioned latch-free cracking — all verified against a
+//! scan — and then the adversarial input, a left-to-right sweep, which the
+//! core's pivot policy keeps cheap on the same cracker.
 //!
 //! Run with `cargo run --release --example parallel_cracking`.
 
 use adaptive_indexing::prelude::*;
-use std::cell::RefCell;
 use std::time::Instant;
 
 const ROWS: usize = 2_000_000;
@@ -23,28 +23,27 @@ fn main() {
     let queries = WorkloadGenerator::new(ROWS as u64, 0.001, Aggregate::Sum, 7).generate(QUERIES);
     let scan = ScanBaseline::from_values(values.clone());
 
-    let report = |label: &str, answer: &dyn Fn(i64, i64) -> i128| {
+    let report = |label: &str, ranges: &[(i64, i64)], answer: &dyn Fn(i64, i64) -> i128| {
         let start = Instant::now();
-        let mut checked = 0;
-        for q in &queries {
-            let got = answer(q.low, q.high);
-            assert_eq!(got, scan.sum(q.low, q.high), "{label} diverged on {q:?}");
-            checked += 1;
+        for &(low, high) in ranges {
+            let got = answer(low, high);
+            assert_eq!(
+                got,
+                scan.sum(low, high),
+                "{label} diverged on [{low},{high})"
+            );
         }
         println!(
-            "{label:<28} {:>8.1} ms   ({checked} queries, all answers == scan)",
-            start.elapsed().as_secs_f64() * 1e3
+            "{label:<28} {:>8.1} ms   ({} queries, all answers == scan)",
+            start.elapsed().as_secs_f64() * 1e3,
+            ranges.len()
         );
     };
+    let uniform: Vec<(i64, i64)> = queries.iter().map(|q| (q.low, q.high)).collect();
 
     let serial = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece);
-    report("crack-piece (serial)", &|lo, hi| serial.sum(lo, hi).0);
-
-    // Single-threaded: every crack also splits the piece at a random
-    // pivot, which is what keeps adversarial bound sequences cheap.
-    let stochastic = RefCell::new(StochasticCracker::with_threshold(values.clone(), 4096, 11));
-    report("stochastic crack (serial)", &|lo, hi| {
-        stochastic.borrow_mut().sum(lo, hi)
+    report("crack-piece (serial)", &uniform, &|lo, hi| {
+        serial.sum(lo, hi).0
     });
 
     let chunked = ChunkedCracker::new(
@@ -53,22 +52,32 @@ fn main() {
         LatchProtocol::Piece,
         RefinementPolicy::Always,
     );
-    report("parallel-chunk", &|lo, hi| chunked.sum(lo, hi).0);
+    report("parallel-chunk", &uniform, &|lo, hi| chunked.sum(lo, hi).0);
 
-    let ranged = RangePartitionedCracker::new(values, workers);
-    report("parallel-range (latch-free)", &|lo, hi| {
+    let ranged = RangePartitionedCracker::new(values.clone(), workers);
+    report("parallel-range (latch-free)", &uniform, &|lo, hi| {
         ranged.sum(lo, hi).0
     });
+
+    // The input that breaks cracking at the query bounds alone: every
+    // query's bounds fall in the never-cracked tail. The cracker first
+    // splits an oversized piece around a pivot sampled from it, so the
+    // tail halves instead of being re-partitioned by every query.
+    let stride = (ROWS / QUERIES) as i64;
+    let sweep: Vec<(i64, i64)> = (0..QUERIES as i64)
+        .map(|k| (k * stride, k * stride + stride / 2))
+        .collect();
+    let swept = ConcurrentCracker::from_values(values, LatchProtocol::Piece);
+    report("crack-piece, sweep", &sweep, &|lo, hi| swept.sum(lo, hi).0);
 
     println!(
         "\nrange partition sizes: {:?} (router only wakes owners a query overlaps)",
         ranged.partition_sizes()
     );
-    let stochastic = stochastic.into_inner();
     println!(
-        "crack totals: chunked={} stochastic={} bound + {} random",
+        "crack totals: chunked={} sweep={} ({} at the sweep's bounds, the rest at sampled pivots)",
         chunked.crack_count(),
-        stochastic.bound_cracks(),
-        stochastic.random_cracks()
+        swept.crack_count(),
+        2 * QUERIES
     );
 }

@@ -20,9 +20,9 @@
 //! |-------|----------|
 //! | [`storage`] | column-store substrate (columns, tables, bulk operators, data generator) |
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
-//! | [`cracking`] | serial database cracking: cracker array, AVL table of contents, baselines, stochastic cracking |
+//! | [`cracking`] | serial database cracking: cracker array, AVL table of contents, plain-cracking index, scan/sort baselines |
 //! | [`btree`] | B+-tree, partitioned B-tree, adaptive merging, hybrid crack-sort, key-range locks |
-//! | [`core`] | **the paper's contribution**: concurrent cracker with column/piece latch protocols, conflict avoidance, metrics |
+//! | [`core`] | **the paper's contribution**: concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
 //! | [`parallel`] | multi-core parallel cracking: per-core chunks, range-partitioned latch-free workers |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
 //! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
@@ -82,7 +82,7 @@ pub mod prelude {
         Aggregate, ConcurrentAdaptiveMerge, ConcurrentCracker, LatchProtocol, QueryMetrics,
         RefinementPolicy, RunMetrics, WriteOp,
     };
-    pub use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex, StochasticCracker};
+    pub use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex};
     pub use aidx_latch::{LockManager, LockMode, LockResource};
     pub use aidx_parallel::{available_cores, ChunkedCracker, RangePartitionedCracker, WorkerPool};
     pub use aidx_storage::{generate_unique_shuffled, Catalog, Column, RowId, Table};
