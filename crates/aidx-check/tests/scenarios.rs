@@ -3,10 +3,11 @@
 //! Two kinds of scenario live here:
 //!
 //! * **Real-code models** — the actual `ConcurrentCracker`, posting-list
-//!   intersection, and `OrderedWaitLatch` run on virtual threads. This works
-//!   because `aidx-core` is built with the `check` feature in this crate's
-//!   test graph, so every facade lock the production code takes routes
-//!   through the scheduler — and so does the shrink-epoch seqlock, whose
+//!   intersection, `OrderedWaitLatch` and `TableEngine` run on virtual
+//!   threads. This works because `aidx-core` and `aidx-table` are built with
+//!   the `check` feature in this crate's test graph, so every facade lock
+//!   the production code takes routes through the scheduler — and so does
+//!   the shrink-epoch seqlock, whose
 //!   `AtomicU64` comes from the same facade and whose reader waits for an
 //!   in-flight reclamation on `shrink_serial` instead of spinning, so the
 //!   real delete path is explorable too.
@@ -32,10 +33,11 @@ use std::sync::Arc;
 use aidx_check::sync::{yield_now, CheckedAtomicU64, CheckedAtomicUsize, CheckedMutex};
 use aidx_check::{explore, explore_default, ExploreConfig, Scenario};
 use aidx_core::{
-    intersect_iters_gallop, intersect_iters_linear, ConcurrentCracker, LatchProtocol, ReadShape,
-    RowIdSet, WriteOp,
+    intersect_iters_gallop, intersect_iters_linear, CompactionPolicy, ConcurrentCracker,
+    LatchProtocol, ReadShape, RowIdSet, WriteOp,
 };
 use aidx_latch::ordered::OrderedWaitLatch;
+use aidx_table::{ColumnPredicate, TableBackend, TableEngine, TableOp};
 
 fn capped(max_schedules: usize) -> ExploreConfig {
     ExploreConfig {
@@ -1182,6 +1184,119 @@ fn pivot_crack_published_before_the_bound_pass_is_caught() {
             .message
             .contains("two writers partitioned the upper half"),
         "failure should come from the lost-row assert, got: {}",
+        failure.message
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Real table engine: a write racing pinned cuts
+// ---------------------------------------------------------------------------
+
+/// The table engine's writer mutex and per-operation cut, on the real
+/// `TableEngine` over two serial piece-latched columns: thread D deletes
+/// tuple 0 `(5, 50)` — first from column `a`, then from column `b` — while
+/// thread R1 selects `a = 5` and thread R2 selects `b = 50`. If R1 has
+/// already seen the tuple gone when R2 starts, R2 must not find it on
+/// column `b`: the two selects would otherwise reveal half a delete.
+/// `met` collects which outcomes the explored schedules produced.
+fn torn_tuple_scenario(lazy_pins: bool, met: Arc<std::sync::atomic::AtomicU64>) -> Scenario {
+    let mut engine = TableEngine::new(
+        "r",
+        vec![
+            ("a".into(), vec![5, 1, 7, 3]),
+            ("b".into(), vec![50, 10, 70, 30]),
+        ],
+        TableBackend::Serial(LatchProtocol::Piece),
+        CompactionPolicy::disabled(),
+    );
+    if lazy_pins {
+        engine = engine.with_lazy_pins();
+    }
+    let engine = Arc::new(engine);
+    let seen_gone = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (d, r1, r2) = (
+        Arc::clone(&engine),
+        Arc::clone(&engine),
+        Arc::clone(&engine),
+    );
+    let (seen1, seen2, met1) = (Arc::clone(&seen_gone), seen_gone, Arc::clone(&met));
+    Scenario::new()
+        .thread(move || {
+            let deleted = d.execute(&TableOp::DeleteWhere {
+                column: 0,
+                value: 5,
+            });
+            assert_eq!(deleted.rowids, [0], "tuple 0 carries a = 5");
+        })
+        .thread(move || {
+            let found = r1.execute(&TableOp::SelectMulti(vec![ColumnPredicate::new(0, 5, 6)]));
+            if found.rowids.is_empty() {
+                seen1.store(true, Ordering::SeqCst);
+                met1.fetch_or(1, Ordering::SeqCst);
+            }
+        })
+        .thread(move || {
+            let started_after = seen2.load(Ordering::SeqCst);
+            let found = r2.execute(&TableOp::SelectMulti(vec![ColumnPredicate::new(1, 50, 51)]));
+            if started_after {
+                assert!(
+                    found.rowids.is_empty(),
+                    "torn tuple: an earlier select saw tuple 0 gone from column a, \
+                     a later one still finds it on column b"
+                );
+                met.fetch_or(2, Ordering::SeqCst);
+            } else if !found.rowids.is_empty() {
+                met.fetch_or(4, Ordering::SeqCst);
+            }
+        })
+        .finale(move || {
+            let all = engine.execute(&TableOp::SelectMulti(vec![]));
+            assert_eq!(all.rowids, [1, 2, 3], "the delete removed exactly tuple 0");
+            assert!(engine.check_invariants());
+        })
+}
+
+/// Every schedule of one preemption keeps the two selects consistent: a
+/// select pins its columns under the writer mutex, which the delete holds
+/// from its first column to its last. The schedules must include R1
+/// seeing the tuple gone, R2 starting after that, and R2 seeing the
+/// tuple before the delete.
+#[test]
+fn real_table_delete_vs_pinned_selects_never_tears_a_tuple() {
+    let met = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(5_000)
+    };
+    let report = explore(one_preemption, || {
+        torn_tuple_scenario(false, Arc::clone(&met))
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "one preemption fits under the cap");
+    assert_eq!(
+        met.load(Ordering::SeqCst),
+        0b111,
+        "schedules must meet the tuple gone, a select after that, and the tuple still there"
+    );
+}
+
+/// Teeth: pinning each column at its first read, outside the writer
+/// mutex, lets R2 pin column `b` between the delete's two columns. The
+/// explorer must find that schedule.
+#[test]
+fn table_pins_taken_outside_the_writer_mutex_are_caught() {
+    let met = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(5_000)
+    };
+    let report = explore(one_preemption, || {
+        torn_tuple_scenario(true, Arc::clone(&met))
+    });
+    let failure = report.expect_failure("panic");
+    assert!(
+        failure.message.contains("torn tuple"),
+        "failure should come from the torn-tuple assert, got: {}",
         failure.message
     );
 }

@@ -7,7 +7,8 @@
 //!    tagged latch/lock a thread holds. Acquiring a level *below* the highest
 //!    currently-held level panics with the full acquisition trace. The
 //!    enforced global order is documented in `docs/latch-order.md`:
-//!    repartition controller (1) → snapshot gate (2) → routing table (3) →
+//!    table writer (0) → repartition controller (1) → snapshot gate (2) →
+//!    routing table (3) →
 //!    quiesce gate (4) → column latch (5) → piece latch (6) → shrink
 //!    serial (7) → delta lock (8) → TOC lock (9).
 //! 2. **Witness graph** — acquisitions also record held-before edges in a
@@ -36,8 +37,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Level {
-    /// The range-router's repartition controller mutex (outermost: at most
-    /// one split/merge system transaction in flight per index).
+    /// A table engine's writer mutex (outermost): held by every table
+    /// write for its whole duration and by a read operation while it pins
+    /// its cut — which, on a range-partitioned column, takes the snapshot
+    /// gate under it. A join takes two tables' writer mutexes in address
+    /// order.
+    TableWriter = 0,
+    /// The range-router's repartition controller mutex (at most one
+    /// split/merge system transaction in flight per index).
     Repartition = 1,
     /// The range-router's snapshot gate: range-snapshot opens take it
     /// shared, a repartition holds it exclusive for its whole protocol.
@@ -415,9 +422,11 @@ mod tests {
     #[test]
     fn router_levels_nest_above_every_core_level() {
         // The three router-side levels added for skew-adaptive
-        // repartitioning must sit strictly outside the core hierarchy.
-        let ids: Vec<usize> = (0..9).map(|_| instance_id()).collect();
+        // repartitioning must sit strictly outside the core hierarchy,
+        // and the table writer mutex outside them.
+        let ids: Vec<usize> = (0..10).map(|_| instance_id()).collect();
         let order = [
+            (Level::TableWriter, "table-writer"),
             (Level::Repartition, "repartition"),
             (Level::SnapshotGate, "snapshot-gate"),
             (Level::Router, "router"),

@@ -88,7 +88,7 @@ enum OwnerRequest {
         reply: Sender<(u64, QueryMetrics)>,
     },
     /// Run a diagnostic closure against the partition's index on its
-    /// owner thread (snapshot registration, invariant checks, statistics);
+    /// owner thread (invariant checks, statistics);
     /// the closure carries its own reply channel, if it has an answer.
     Inspect(Box<dyn FnOnce(&ConcurrentCracker) + Send>),
     /// Reply with the crack boundary nearest the partition's middle — the
@@ -435,14 +435,6 @@ fn post<T: Send + 'static>(
         })))
         .expect("partition owner exited early");
     reply_rx
-}
-
-/// Runs `probe` against one partition's index on its owner thread.
-fn ask_one<T: Send + 'static>(
-    part: &Partition,
-    probe: impl FnOnce(&ConcurrentCracker) -> T + Send + 'static,
-) -> T {
-    post(part, probe).recv().expect("partition owner died")
 }
 
 /// Applies a write's [`WriteOp::len_delta`] to a logical-size ledger.
@@ -1211,13 +1203,18 @@ impl RangePartitionedCracker {
         (answer.into_runs(), metrics)
     }
 
-    /// Opens a snapshot across every partition: one epoch per owner,
-    /// registered in partition order under the snapshot gate. Because
-    /// every write touches exactly one partition, the per-partition
-    /// epochs form a consistent cut for the opening client; reads through
-    /// the handle are frozen there while writers and per-partition
-    /// compactions race on. Re-partitioning aborts while the snapshot is
-    /// live, so the routing generation captured here stays current.
+    /// Opens a snapshot across every partition: one epoch per partition,
+    /// registered in partition order directly on the partition's index
+    /// (a registration takes only its delta mutex — no owner round trip,
+    /// so an open never queues behind a busy owner). Because every write
+    /// touches exactly one partition, the per-partition epochs form a
+    /// consistent cut for the opening client on their own; they are an
+    /// externally consistent cut when the caller also excludes writers
+    /// while opening, as a table engine does under its writer mutex.
+    /// Reads through the handle are frozen there while writers and
+    /// per-partition compactions race on. Re-partitioning aborts while
+    /// the snapshot is live, so the routing generation captured here
+    /// stays current.
     pub fn snapshot(&self) -> RangeSnapshot<'_> {
         let shared = &self.shared;
         let table = {
@@ -1236,7 +1233,7 @@ impl RangePartitionedCracker {
         let epochs = table
             .partitions
             .iter()
-            .map(|part| ask_one(part, ConcurrentCracker::register_snapshot_epoch))
+            .map(|part| part.index.register_snapshot_epoch())
             .collect();
         RangeSnapshot {
             idx: self,
@@ -1661,13 +1658,7 @@ impl RangeSnapshot<'_> {
 impl Drop for RangeSnapshot<'_> {
     fn drop(&mut self) {
         for (part, &epoch) in self.table.partitions.iter().zip(&self.epochs) {
-            // The owner can only be gone if the whole index is tearing
-            // down, which releases everything anyway.
-            let _ = part
-                .sender
-                .send(OwnerRequest::Inspect(Box::new(move |index| {
-                    index.release_snapshot_epoch(epoch)
-                })));
+            part.index.release_snapshot_epoch(epoch);
         }
         self.idx
             .shared
@@ -2041,6 +2032,42 @@ mod tests {
         // The live view sees the churn (each key net +1).
         assert_eq!(idx.count(0, 4000).0, 4004);
         drop(snap);
+        assert!(idx.check_invariants());
+    }
+
+    #[test]
+    fn snapshot_open_and_close_do_not_wait_for_a_busy_owner() {
+        let values = shuffled(2000);
+        let idx = RangePartitionedCracker::new(values.clone(), 2);
+        // Park partition 0's owner inside a long Inspect until released.
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let table = idx.shared.current_table();
+        let _parked = post(&table.partitions[0], move |_| {
+            entered_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        entered_rx.recv().unwrap();
+        let (opened_tx, opened_rx) = channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let snap = idx.snapshot();
+                let epochs = snap.epochs().to_vec();
+                drop(snap);
+                opened_tx.send(epochs).unwrap();
+            });
+            let opened = opened_rx.recv_timeout(Duration::from_secs(30));
+            release_tx.send(()).unwrap();
+            let epochs = opened.expect("a snapshot open/close waited for the parked owner");
+            assert_eq!(epochs.len(), 2);
+        });
+        let registered: usize = table
+            .partitions
+            .iter()
+            .map(|p| p.index.live_snapshots())
+            .sum();
+        assert_eq!(registered, 0, "the close released every partition");
+        assert_eq!(idx.count(0, 2000).0, 2000);
         assert!(idx.check_invariants());
     }
 

@@ -27,26 +27,35 @@
 //!
 //! # Write atomicity
 //!
-//! A tuple write touches every column index. Writes hold the table's
-//! operation fence exclusively and selects hold it shared, so a select
-//! never observes half a tuple; *within* a column, the existing latch
-//! protocols govern exactly as in the single-column engines (concurrent
-//! selects still crack all columns in parallel under piece/column
-//! latches). Finer-grained cross-column write concurrency (per-tuple
-//! intents) is a recorded follow-on.
+//! A tuple write touches every column index. Writers never wait for
+//! readers: `InsertTuple` and `DeleteWhere` hold the table's **writer
+//! mutex** for their whole (sub-millisecond) duration and stamp the
+//! table's next commit sequence, and a read operation holds the mutex only
+//! while it pins a **cut** — one snapshot handle on every column its plan
+//! will read. No table write is in flight while the mutex is held, so the
+//! per-column epochs of a cut are one consistent state of the table: every
+//! write up to the cut's sequence and none after. The select or join then
+//! drops the mutex and runs its whole plan against the cut, while later
+//! writes land freely; they are invisible to it. A deleted inserted
+//! tuple's row-store entry outlives the delete until no cut older than it
+//! is left, so a projection or hash probe of a pinned row id still finds
+//! its values. *Within* a column, the existing latch protocols govern
+//! exactly as in the single-column engines (concurrent reads still crack
+//! all columns in parallel under piece/column latches, pinned or not).
 
 use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
-use crate::row_index::RowIndex;
-use aidx_core::facade::RwLock;
+use crate::row_index::{ColumnRead, RowIndex};
+use aidx_core::facade::{Mutex, MutexGuard, RwLock};
 use aidx_core::{
-    intersect_sets, merge_join_pairs, note_merge_join, CompactionPolicy, IntersectStrategy,
+    dcheck, intersect_sets, merge_join_pairs, note_merge_join, CompactionPolicy, IntersectStrategy,
     KeyRuns, LatchProtocol, QueryMetrics, RefinementPolicy, RowIdSet, RowIdSetBuilder,
     SeekingIterator,
 };
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
 use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::{Catalog, RowId, StorageResult, Table};
-use std::collections::{HashMap, HashSet};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -185,8 +194,18 @@ pub struct TableEngine {
     overlay: RwLock<HashMap<RowId, Vec<i64>>>,
     /// Next row id for inserted tuples.
     next_rowid: AtomicU64,
-    /// Cross-column write atomicity: writes exclusive, selects shared.
-    op_fence: RwLock<()>,
+    /// The writer mutex: held by every write for its whole duration and
+    /// by a read operation only while it pins its cut (dcheck
+    /// [`dcheck::Level::TableWriter`]).
+    writer: Mutex<()>,
+    writer_instance: usize,
+    /// The commit sequence, the live cuts, and the row-store entries
+    /// waiting for them.
+    pins: Mutex<PinLedger>,
+    /// Seeded defect for the concurrency tests: a read takes no writer
+    /// mutex and pins each column at its first read (see
+    /// [`TableEngine::with_lazy_pins`]).
+    lazy_pins: bool,
     /// Measured cost of a compressed set read per column, EMA in ns
     /// (0 = unmeasured). Drives the projection-vs-intersection switch.
     column_select_ns: Vec<AtomicU64>,
@@ -282,7 +301,10 @@ impl TableEngine {
             base_rows,
             overlay: RwLock::new(HashMap::new()),
             next_rowid: AtomicU64::new(base_rows as u64),
-            op_fence: RwLock::new(()),
+            writer: Mutex::new(()),
+            writer_instance: dcheck::instance_id(),
+            pins: Mutex::new(PinLedger::default()),
+            lazy_pins: false,
             column_select_ns: (0..columns).map(|_| AtomicU64::new(0)).collect(),
             probe_ns: AtomicU64::new(PROBE_NS_SEED),
             candidate_set_bytes_total: AtomicU64::new(0),
@@ -321,6 +343,18 @@ impl TableEngine {
         compaction: CompactionPolicy,
     ) -> StorageResult<Self> {
         Self::from_table(&catalog.table(table_name)?.clone(), backend, compaction)
+    }
+
+    /// Seeded defect for the concurrency tests, never for use: every read
+    /// operation pins each column at its first read, without the writer
+    /// mutex, instead of its whole cut under it, so a write can land
+    /// between two columns' pins or halfway through one. The multi-writer
+    /// proptest and the model-checked torn-tuple scenario must both catch
+    /// it.
+    #[doc(hidden)]
+    pub fn with_lazy_pins(mut self) -> Self {
+        self.lazy_pins = true;
+        self
     }
 
     /// Engine label: backend + table name.
@@ -370,8 +404,9 @@ impl TableEngine {
     /// The full tuple of a row id, one value per column. `None` for
     /// unknown ids. Base rows keep their columnar slot even after a
     /// delete (their ids are never handed out by selects again), so this
-    /// resolves any base id; deleted *inserted* tuples are reclaimed from
-    /// the overlay and return `None`.
+    /// resolves any base id; a deleted *inserted* tuple is reclaimed from
+    /// the overlay once no read pinned before its delete is still running,
+    /// and returns `None` from then on.
     pub fn tuple(&self, rowid: RowId) -> Option<Vec<i64>> {
         if (rowid as usize) < self.base_rows {
             return Some(self.base.iter().map(|col| col[rowid as usize]).collect());
@@ -387,21 +422,113 @@ impl TableEngine {
         self.overlay.read().get(&rowid).map(|t| t[column])
     }
 
+    /// Takes the writer mutex.
+    fn lock_writer(&self) -> WriterGuard<'_> {
+        dcheck::Tracked::new(
+            dcheck::Level::TableWriter,
+            self.writer_instance,
+            "table-writer",
+            self.writer.lock(),
+        )
+    }
+
+    /// The writer mutex a read operation pins its cut under (`None` only
+    /// for the seeded lazy-pin defect).
+    fn pin_fence(&self) -> Option<WriterGuard<'_>> {
+        (!self.lazy_pins).then(|| self.lock_writer())
+    }
+
+    /// Pins a cut over `columns` — call under [`TableEngine::pin_fence`]:
+    /// one snapshot handle per column, all at the state the last commit
+    /// left, and one entry in the pin ledger holding back the reclaim of
+    /// row-store entries the cut can still reach.
+    fn pin_cut(&self, columns: impl IntoIterator<Item = usize>) -> Cut<'_> {
+        let seq = {
+            let mut pins = self.pins.lock();
+            let seq = pins.committed;
+            *pins.live.entry(seq).or_insert(0) += 1;
+            seq
+        };
+        let cut = Cut {
+            engine: self,
+            seq,
+            columns: self.indexes.iter().map(|_| OnceCell::new()).collect(),
+        };
+        for column in columns {
+            assert!(column < self.indexes.len(), "predicate column out of range");
+            if !self.lazy_pins {
+                cut.columns[column].get_or_init(|| self.indexes[column].pin());
+            }
+        }
+        cut
+    }
+
+    /// Releases one cut's ledger entry and reclaims the row-store entries
+    /// of deleted inserted tuples that no live cut can reach any more: a
+    /// cut at sequence `s` reaches a tuple deleted at `d` iff `s < d`.
+    fn unpin(&self, seq: u64) {
+        let mut pins = self.pins.lock();
+        match pins.live.get_mut(&seq) {
+            Some(n) if *n > 1 => *n -= 1,
+            _ => {
+                pins.live.remove(&seq);
+            }
+        }
+        let oldest = pins.live.keys().next().copied();
+        let reclaimable = pins
+            .retired
+            .iter()
+            .take_while(|&&(deleted, _)| oldest.is_none_or(|s| s >= deleted))
+            .count();
+        if reclaimable > 0 {
+            let mut overlay = self.overlay.write();
+            for (_, rowid) in pins.retired.drain(..reclaimable) {
+                overlay.remove(&rowid);
+            }
+        }
+    }
+
+    /// Commits the write in flight under the writer mutex: takes the next
+    /// commit sequence and reclaims the row-store entries of the inserted
+    /// tuples it deleted — at once when no cut is live, else once every
+    /// cut older than it has closed.
+    fn commit(&self, deleted_inserted: impl Iterator<Item = RowId>) -> u64 {
+        let mut pins = self.pins.lock();
+        pins.committed += 1;
+        let seq = pins.committed;
+        if pins.live.is_empty() {
+            let mut overlay = self.overlay.write();
+            for rowid in deleted_inserted {
+                overlay.remove(&rowid);
+            }
+        } else {
+            pins.retired
+                .extend(deleted_inserted.map(|rowid| (seq, rowid)));
+        }
+        seq
+    }
+
     fn select_multi(&self, predicates: &[ColumnPredicate]) -> TableOpResult {
-        let _fence = self.op_fence.read();
+        let cut = {
+            let _writer = self.pin_fence();
+            // No predicates reads column 0 (the full scan below).
+            let columns = predicates.iter().map(|p| p.column);
+            self.pin_cut(columns.chain(predicates.is_empty().then_some(0)))
+        };
         let mut metrics = QueryMetrics::default();
-        let Some(candidates) = self.candidates_for(predicates, &mut metrics) else {
+        let Some(candidates) = cut.candidates_for(predicates, &mut metrics) else {
             // No predicates: every live tuple qualifies. The full-domain
             // range is exact because keys are `< i64::MAX` by the
             // engine's key-domain contract. Flat read: a full scan's
             // result is the answer itself, not a candidate set worth
             // compressing.
-            let (rowids, m) = self.indexes[0].select_rowids(i64::MIN, i64::MAX);
+            let (rowids, m) = cut.column(0).select_rowids(i64::MIN, i64::MAX);
             metrics.accumulate(&m);
             return TableOpResult {
                 value: rowids.len() as i128,
                 rowids,
                 pairs: Vec::new(),
+                epoch: cut.seq,
                 metrics,
             };
         };
@@ -412,73 +539,9 @@ impl TableEngine {
             value: candidates.len() as i128,
             rowids: candidates.to_vec(),
             pairs: Vec::new(),
+            epoch: cut.seq,
             metrics,
         }
-    }
-
-    /// Plans and executes one side's conjunctive filter stack exactly
-    /// like a `SelectMulti` — most-selective predicate cracks first and
-    /// drives, the rest intersect or project — returning the compressed
-    /// candidate set. `None` means "no filters" (every live tuple; the
-    /// caller decides whether materialising that is worth it).
-    fn candidates_for(
-        &self,
-        predicates: &[ColumnPredicate],
-        metrics: &mut QueryMetrics,
-    ) -> Option<RowIdSet> {
-        // Order by estimated selectivity: narrowest predicate first.
-        let mut ordered: Vec<ColumnPredicate> = predicates.to_vec();
-        ordered.sort_by_key(ColumnPredicate::width);
-        let driver = ordered.first().copied()?;
-        assert!(
-            ordered.iter().all(|p| p.column < self.indexes.len()),
-            "predicate column out of range"
-        );
-        let mut candidates =
-            self.timed_column_read(driver.column, driver.low, driver.high, metrics);
-        for predicate in &ordered[1..] {
-            if candidates.is_empty() {
-                break;
-            }
-            if self.prefer_projection(predicate.column, candidates.len()) {
-                candidates = self.project_filter(&candidates, predicate);
-            } else {
-                // Rowid-set intersection: crack the predicate's own
-                // column and intersect the two compressed sets, galloping
-                // from the smaller side when the skew warrants it.
-                let rows = self.timed_column_read(
-                    predicate.column,
-                    predicate.low,
-                    predicate.high,
-                    metrics,
-                );
-                let (merged, stats) =
-                    intersect_sets(&candidates, &rows, IntersectStrategy::Adaptive);
-                metrics.blocks_skipped =
-                    metrics.blocks_skipped.saturating_add(stats.blocks_skipped);
-                self.blocks_skipped_total
-                    .fetch_add(stats.blocks_skipped, Ordering::Relaxed);
-                candidates = merged;
-            }
-        }
-        Some(candidates)
-    }
-
-    /// One compressed column read, timed into the column's read-cost EMA
-    /// (the projection-vs-intersection switch consults it).
-    fn timed_column_read(
-        &self,
-        column: usize,
-        low: i64,
-        high: i64,
-        metrics: &mut QueryMetrics,
-    ) -> RowIdSet {
-        let start = Instant::now();
-        let (set, m) = self.indexes[column].select_rowid_set(low, high);
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.accumulate(&m);
-        ema_update(&self.column_select_ns[column], elapsed.max(1));
-        set
     }
 
     /// True when probing the row store per candidate is estimated cheaper
@@ -525,7 +588,7 @@ impl TableEngine {
             tuple.iter().all(|&v| v < i64::MAX),
             "table keys must be < i64::MAX (half-open range model)"
         );
-        let _fence = self.op_fence.write();
+        let _writer = self.lock_writer();
         let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
         self.overlay.write().insert(rowid, tuple.to_vec());
         let mut metrics = QueryMetrics::default();
@@ -539,13 +602,14 @@ impl TableEngine {
             value: 1,
             rowids: vec![rowid],
             pairs: Vec::new(),
+            epoch: self.commit(std::iter::empty()),
             metrics,
         }
     }
 
     fn delete_where(&self, column: usize, value: i64) -> TableOpResult {
         assert!(column < self.indexes.len(), "predicate column out of range");
-        let _fence = self.op_fence.write();
+        let _writer = self.lock_writer();
         let mut metrics = QueryMetrics::default();
         // Find the doomed tuples through the predicate column's index.
         // `value == i64::MAX` cannot exist in the table (the key-domain
@@ -557,9 +621,12 @@ impl TableEngine {
                 value: 0,
                 rowids: Vec::new(),
                 pairs: Vec::new(),
+                epoch: self.commit(std::iter::empty()),
                 metrics,
             };
         };
+        // The one read "now" rather than at a cut: it runs under the
+        // writer mutex, so now is this write's own state.
         let (doomed, m) = self.indexes[column].select_rowids(value, next);
         metrics.accumulate(&m);
         for &rowid in &doomed {
@@ -577,23 +644,20 @@ impl TableEngine {
                 );
             }
         }
-        // Reclaim the doomed tuples' row-store entries (base rows keep
-        // their columnar slots; their ids are never returned by selects
-        // again, so the stale values are unreachable).
-        if !doomed.is_empty() {
-            let mut overlay = self.overlay.write();
-            for &rowid in &doomed {
-                if (rowid as usize) >= self.base_rows {
-                    overlay.remove(&rowid);
-                }
-            }
-        }
+        // Base rows keep their columnar slots (their ids are never
+        // returned by selects again, so the stale values are unreachable);
+        // the doomed inserted tuples' row-store entries are reclaimed.
+        let inserted = doomed
+            .iter()
+            .filter(|&&rowid| rowid as usize >= self.base_rows);
+        let epoch = self.commit(inserted.copied());
         metrics.deletes_applied = 1;
         metrics.result_count = doomed.len() as u64;
         TableOpResult {
             value: doomed.len() as i128,
             rowids: doomed,
             pairs: Vec::new(),
+            epoch,
             metrics,
         }
     }
@@ -603,10 +667,13 @@ impl TableEngine {
     /// each side's conjunctive filters, returning sorted
     /// `(left rowid, right rowid)` pairs.
     ///
-    /// Both engines' operation fences are taken shared in address order
-    /// (self-joins take one), so a join never observes half a tuple on
-    /// either table and two concurrent joins over the same pair of
-    /// tables cannot deadlock against writers.
+    /// Each table is pinned on the columns its side reads while both
+    /// writer mutexes are held — taken in address order, one for a
+    /// self-join, so two joins over the same pair of tables cannot
+    /// deadlock. The mutexes are dropped before any column is read: the
+    /// whole join runs against the two cuts, sees one consistent state of
+    /// each table, and holds up writers only while it pins. The result's
+    /// `epoch` is the executing (left) table's cut.
     ///
     /// `strategy` [`JoinStrategy::Auto`] picks gallop or hash from the
     /// measured per-row cost EMAs (each unmeasured strategy gets one
@@ -625,23 +692,27 @@ impl TableEngine {
             right_col < other.indexes.len(),
             "join column out of range (right table)"
         );
-        let self_addr = self as *const TableEngine as usize;
-        let other_addr = other as *const TableEngine as usize;
-        let _first;
-        let _second;
-        if self_addr == other_addr {
-            _first = self.op_fence.read();
-            _second = None;
-        } else if self_addr < other_addr {
-            _first = self.op_fence.read();
-            _second = Some(other.op_fence.read());
+        let left_columns = filters_left.iter().map(|p| p.column).chain([left_col]);
+        let right_columns = filters_right.iter().map(|p| p.column).chain([right_col]);
+        let (left_cut, right_cut) = if std::ptr::eq(self, other) {
+            let _writer = self.pin_fence();
+            (self.pin_cut(left_columns.chain(right_columns)), None)
         } else {
-            _first = other.op_fence.read();
-            _second = Some(self.op_fence.read());
-        }
+            let (first, second) = if (self as *const TableEngine) < (other as *const TableEngine) {
+                (self, other)
+            } else {
+                (other, self)
+            };
+            let _writers = (first.pin_fence(), second.pin_fence());
+            (
+                self.pin_cut(left_columns),
+                Some(other.pin_cut(right_columns)),
+            )
+        };
+        let right_cut = right_cut.as_ref().unwrap_or(&left_cut);
         let mut metrics = QueryMetrics::default();
-        let left = self.join_side(left_col, filters_left, &mut metrics);
-        let right = other.join_side(right_col, filters_right, &mut metrics);
+        let left = left_cut.join_side(left_col, filters_left, &mut metrics);
+        let right = right_cut.join_side(right_col, filters_right, &mut metrics);
         // The joint key window: keys outside it cannot match. Derived
         // from whatever filters constrain the join columns directly;
         // gallop tightens it further from the first side's actual
@@ -659,6 +730,7 @@ impl TableEngine {
                 value: 0,
                 rowids: Vec::new(),
                 pairs: Vec::new(),
+                epoch: left_cut.seq,
                 metrics,
             };
         }
@@ -675,25 +747,9 @@ impl TableEngine {
         counter.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let (mut pairs, rows_skipped) = match chosen {
-            JoinStrategy::Gallop => self.gallop_join(
-                other,
-                left_col,
-                right_col,
-                &left,
-                &right,
-                window,
-                &mut metrics,
-            ),
-            JoinStrategy::Hash => self.hash_join(
-                other,
-                left_col,
-                right_col,
-                &left,
-                &right,
-                window,
-                &mut metrics,
-            ),
-            _ => self.nested_loop_join(other, left_col, right_col, &left, &right, &mut metrics),
+            JoinStrategy::Gallop => self.gallop_join(&left, &right, window, &mut metrics),
+            JoinStrategy::Hash => self.hash_join(&left, &right, window, &mut metrics),
+            _ => nested_loop_join(&left, &right, &mut metrics),
         };
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Deterministic output order regardless of strategy, so every
@@ -718,6 +774,7 @@ impl TableEngine {
             value: pairs.len() as i128,
             rowids: Vec::new(),
             pairs,
+            epoch: left_cut.seq,
             metrics,
         }
     }
@@ -731,38 +788,6 @@ impl TableEngine {
             self.joins_hash.load(Ordering::Relaxed),
             self.joins_nested.load(Ordering::Relaxed),
         )
-    }
-
-    /// Plans one join side: runs its filter stack, estimates its
-    /// surviving cardinality, and extracts the key window any filters on
-    /// the join column itself imply.
-    fn join_side(
-        &self,
-        col: usize,
-        filters: &[ColumnPredicate],
-        metrics: &mut QueryMetrics,
-    ) -> JoinSide {
-        let mut window = (i64::MIN, i64::MAX);
-        for p in filters.iter().filter(|p| p.column == col) {
-            window.0 = window.0.max(p.low);
-            window.1 = window.1.min(p.high);
-        }
-        let candidates = self.candidates_for(filters, metrics);
-        let est = match &candidates {
-            Some(set) => set.len() as u64,
-            None => {
-                // Unfiltered: estimate from a full-domain count, which
-                // resolves to existing piece bounds and never cracks.
-                let (n, m) = self.indexes[col].count(i64::MIN, i64::MAX);
-                metrics.accumulate(&m);
-                n
-            }
-        };
-        JoinSide {
-            candidates,
-            est,
-            window,
-        }
     }
 
     /// Cost-based gallop-vs-hash choice. Each strategy's per-row EMA is
@@ -803,39 +828,13 @@ impl TableEngine {
         }
     }
 
-    /// One join side's `(key, rowid)` runs over `window`, restricted to
-    /// the side's filtered candidates. Cracks the join column at the
-    /// window bounds — the adaptive-indexing bet applied to joins.
-    fn keyed_runs(
-        &self,
-        col: usize,
-        side: &JoinSide,
-        window: (i64, i64),
-        metrics: &mut QueryMetrics,
-    ) -> KeyRuns {
-        if window.0 >= window.1 {
-            return KeyRuns::new();
-        }
-        let (mut runs, m) = self.indexes[col].select_key_runs(window.0, window.1);
-        metrics.accumulate(&m);
-        if let Some(cand) = &side.candidates {
-            let keep: HashSet<RowId> = cand.to_vec().into_iter().collect();
-            runs.retain_rowids(|rowid| keep.contains(&rowid));
-        }
-        runs
-    }
-
     /// Gallop join: leapfrog merge over both sides' lazily-sorted key
     /// runs. The estimated-smaller side is produced first; its actual
     /// key envelope then clips the larger side's production window, so
     /// the larger column is cracked — and walked — only inside the
     /// overlap.
-    #[allow(clippy::too_many_arguments)]
     fn gallop_join(
         &self,
-        other: &TableEngine,
-        left_col: usize,
-        right_col: usize,
         left: &JoinSide,
         right: &JoinSide,
         window: (i64, i64),
@@ -843,16 +842,16 @@ impl TableEngine {
     ) -> (Vec<(RowId, RowId)>, u64) {
         let start = Instant::now();
         let (left_runs, right_runs) = if left.est <= right.est {
-            let first = self.keyed_runs(left_col, left, window, metrics);
+            let first = left.keyed_runs(window, metrics);
             let second = match envelope_clip(&first, window) {
-                Some(clipped) => other.keyed_runs(right_col, right, clipped, metrics),
+                Some(clipped) => right.keyed_runs(clipped, metrics),
                 None => KeyRuns::new(),
             };
             (first, second)
         } else {
-            let first = other.keyed_runs(right_col, right, window, metrics);
+            let first = right.keyed_runs(window, metrics);
             let second = match envelope_clip(&first, window) {
-                Some(clipped) => self.keyed_runs(left_col, left, clipped, metrics),
+                Some(clipped) => left.keyed_runs(clipped, metrics),
                 None => KeyRuns::new(),
             };
             (second, first)
@@ -876,23 +875,20 @@ impl TableEngine {
     /// side (read through its index, restricted to the joint window),
     /// then streams the larger side's candidates in rowid order through
     /// the row store — no index read, no refinement, O(1) per probe.
-    #[allow(clippy::too_many_arguments)]
-    fn hash_join(
+    fn hash_join<'e>(
         &self,
-        other: &TableEngine,
-        left_col: usize,
-        right_col: usize,
-        left: &JoinSide,
-        right: &JoinSide,
+        left: &JoinSide<'_, 'e>,
+        right: &JoinSide<'_, 'e>,
         window: (i64, i64),
         metrics: &mut QueryMetrics,
     ) -> (Vec<(RowId, RowId)>, u64) {
         let build_left = left.est <= right.est;
-        let build_runs = if build_left {
-            self.keyed_runs(left_col, left, window, metrics)
+        let (build, probe) = if build_left {
+            (left, right)
         } else {
-            other.keyed_runs(right_col, right, window, metrics)
+            (right, left)
         };
+        let build_runs = build.keyed_runs(window, metrics);
         let build_rows = build_runs.total_rows() as u64;
         let t_build = Instant::now();
         let mut table: HashMap<i64, Vec<RowId>> = HashMap::new();
@@ -903,23 +899,11 @@ impl TableEngine {
         if let Some(per_row) = build_ns.checked_div(build_rows) {
             ema_update(&self.hash_build_ns, per_row.max(1));
         }
-        let (probe_engine, probe_col, probe_side) = if build_left {
-            (other, right_col, right)
-        } else {
-            (self, left_col, left)
-        };
-        let probe_rowids: Vec<RowId> = match &probe_side.candidates {
-            Some(set) => set.to_vec(),
-            None => {
-                let (rowids, m) = probe_engine.indexes[probe_col].select_rowids(i64::MIN, i64::MAX);
-                metrics.accumulate(&m);
-                rowids
-            }
-        };
+        let probe_rowids = probe.rowids(metrics);
         let t_probe = Instant::now();
         let mut out = Vec::new();
         for &rowid in &probe_rowids {
-            let Some(value) = probe_engine.value_at(probe_col, rowid) else {
+            let Some(value) = probe.key_of(rowid) else {
                 continue;
             };
             if value < window.0 || value >= window.1 {
@@ -943,47 +927,6 @@ impl TableEngine {
             );
         }
         (out, 0)
-    }
-
-    /// Nested-loop join: every surviving left row against every surviving
-    /// right row through the row store. Quadratic on purpose — the
-    /// baseline the rowid-set strategies are verified against and
-    /// measured over; the planner never picks it.
-    fn nested_loop_join(
-        &self,
-        other: &TableEngine,
-        left_col: usize,
-        right_col: usize,
-        left: &JoinSide,
-        right: &JoinSide,
-        metrics: &mut QueryMetrics,
-    ) -> (Vec<(RowId, RowId)>, u64) {
-        let left_rowids = self.side_rowids(left_col, left, metrics);
-        let right_rowids = other.side_rowids(right_col, right, metrics);
-        let mut out = Vec::new();
-        for &l in &left_rowids {
-            let Some(lv) = self.value_at(left_col, l) else {
-                continue;
-            };
-            for &r in &right_rowids {
-                if other.value_at(right_col, r) == Some(lv) {
-                    out.push((l, r));
-                }
-            }
-        }
-        (out, 0)
-    }
-
-    /// One side's surviving rowids as a flat sorted vector.
-    fn side_rowids(&self, col: usize, side: &JoinSide, metrics: &mut QueryMetrics) -> Vec<RowId> {
-        match &side.candidates {
-            Some(set) => set.to_vec(),
-            None => {
-                let (rowids, m) = self.indexes[col].select_rowids(i64::MIN, i64::MAX);
-                metrics.accumulate(&m);
-                rowids
-            }
-        }
     }
 
     /// One merged structure probe across every column index: "piece
@@ -1018,13 +961,229 @@ impl TableEngine {
     }
 }
 
-/// One planned join side: its filtered candidate set (`None` =
-/// unfiltered), estimated surviving cardinality, and the key window its
-/// join-column filters imply.
-struct JoinSide {
+/// A held writer mutex.
+type WriterGuard<'e> = dcheck::Tracked<MutexGuard<'e, ()>>;
+
+/// The table's commit sequence, the live cuts by the sequence they
+/// reflect, and the deleted inserted tuples whose row-store entries wait
+/// for them.
+#[derive(Debug, Default)]
+struct PinLedger {
+    /// The last committed write's sequence (0 = none yet). Advanced only
+    /// under the writer mutex, so a cut pinned under it reflects exactly
+    /// the writes up to the sequence it reads here.
+    committed: u64,
+    /// commit sequence → number of live cuts pinned at it.
+    live: BTreeMap<u64, usize>,
+    /// `(delete's commit sequence, row id)` of deleted inserted tuples a
+    /// live cut can still reach, ascending by sequence (deletes commit in
+    /// order under the writer mutex).
+    retired: VecDeque<(u64, RowId)>,
+}
+
+/// One read operation's consistent view of a table: a pinned handle on
+/// every column its plan reads, all opened while the writer mutex was
+/// held, so they reflect exactly the writes up to `seq` and none after.
+/// Every index read of a select or join goes through one; dropping it
+/// releases the pins.
+struct Cut<'e> {
+    engine: &'e TableEngine,
+    /// The commit sequence the cut reflects.
+    seq: u64,
+    /// Per column: its pinned handle, if the plan reads it.
+    columns: Vec<OnceCell<Box<dyn ColumnRead + 'e>>>,
+}
+
+impl<'e> Cut<'e> {
+    /// The pinned handle of `column`.
+    fn column(&self, column: usize) -> &(dyn ColumnRead + 'e) {
+        let cell = &self.columns[column];
+        let handle = if self.engine.lazy_pins {
+            cell.get_or_init(|| self.engine.indexes[column].pin())
+        } else {
+            cell.get()
+                .expect("a plan reads only the columns its cut pinned")
+        };
+        handle.as_ref()
+    }
+
+    /// Plans and executes one conjunctive filter stack — most-selective
+    /// predicate cracks first and drives, the rest intersect or project
+    /// — returning the compressed candidate set. `None` means "no
+    /// filters" (every live tuple; the caller decides whether
+    /// materialising that is worth it).
+    fn candidates_for(
+        &self,
+        predicates: &[ColumnPredicate],
+        metrics: &mut QueryMetrics,
+    ) -> Option<RowIdSet> {
+        let engine = self.engine;
+        // Order by estimated selectivity: narrowest predicate first.
+        let mut ordered: Vec<ColumnPredicate> = predicates.to_vec();
+        ordered.sort_by_key(ColumnPredicate::width);
+        let driver = ordered.first().copied()?;
+        let mut candidates =
+            self.timed_column_read(driver.column, driver.low, driver.high, metrics);
+        for predicate in &ordered[1..] {
+            if candidates.is_empty() {
+                break;
+            }
+            if engine.prefer_projection(predicate.column, candidates.len()) {
+                candidates = engine.project_filter(&candidates, predicate);
+            } else {
+                // Rowid-set intersection: crack the predicate's own
+                // column and intersect the two compressed sets, galloping
+                // from the smaller side when the skew warrants it.
+                let rows = self.timed_column_read(
+                    predicate.column,
+                    predicate.low,
+                    predicate.high,
+                    metrics,
+                );
+                let (merged, stats) =
+                    intersect_sets(&candidates, &rows, IntersectStrategy::Adaptive);
+                metrics.blocks_skipped =
+                    metrics.blocks_skipped.saturating_add(stats.blocks_skipped);
+                engine
+                    .blocks_skipped_total
+                    .fetch_add(stats.blocks_skipped, Ordering::Relaxed);
+                candidates = merged;
+            }
+        }
+        Some(candidates)
+    }
+
+    /// One compressed column read, timed into the column's read-cost EMA
+    /// (the projection-vs-intersection switch consults it).
+    fn timed_column_read(
+        &self,
+        column: usize,
+        low: i64,
+        high: i64,
+        metrics: &mut QueryMetrics,
+    ) -> RowIdSet {
+        let start = Instant::now();
+        let (set, m) = self.column(column).select_rowid_set(low, high);
+        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        metrics.accumulate(&m);
+        ema_update(&self.engine.column_select_ns[column], elapsed.max(1));
+        set
+    }
+
+    /// Plans one join side: runs its filter stack, estimates its
+    /// surviving cardinality, and extracts the key window any filters on
+    /// the join column itself imply.
+    fn join_side(
+        &self,
+        col: usize,
+        filters: &[ColumnPredicate],
+        metrics: &mut QueryMetrics,
+    ) -> JoinSide<'_, 'e> {
+        let mut window = (i64::MIN, i64::MAX);
+        for p in filters.iter().filter(|p| p.column == col) {
+            window.0 = window.0.max(p.low);
+            window.1 = window.1.min(p.high);
+        }
+        let candidates = self.candidates_for(filters, metrics);
+        let est = match &candidates {
+            Some(set) => set.len() as u64,
+            None => {
+                // Unfiltered: estimate from a full-domain count, which
+                // resolves to existing piece bounds and never cracks.
+                let (n, m) = self.column(col).count(i64::MIN, i64::MAX);
+                metrics.accumulate(&m);
+                n
+            }
+        };
+        JoinSide {
+            cut: self,
+            col,
+            candidates,
+            est,
+            window,
+        }
+    }
+}
+
+impl Drop for Cut<'_> {
+    fn drop(&mut self) {
+        self.engine.unpin(self.seq);
+    }
+}
+
+/// One planned join side: the cut it reads, its join column, its
+/// filtered candidate set (`None` = unfiltered), estimated surviving
+/// cardinality, and the key window its join-column filters imply.
+struct JoinSide<'c, 'e> {
+    cut: &'c Cut<'e>,
+    col: usize,
     candidates: Option<RowIdSet>,
     est: u64,
     window: (i64, i64),
+}
+
+impl JoinSide<'_, '_> {
+    /// The side's `(key, rowid)` runs over `window`, restricted to its
+    /// filtered candidates. Cracks the join column at the window bounds —
+    /// the adaptive-indexing bet applied to joins.
+    fn keyed_runs(&self, window: (i64, i64), metrics: &mut QueryMetrics) -> KeyRuns {
+        if window.0 >= window.1 {
+            return KeyRuns::new();
+        }
+        let (mut runs, m) = self
+            .cut
+            .column(self.col)
+            .select_key_runs(window.0, window.1);
+        metrics.accumulate(&m);
+        if let Some(cand) = &self.candidates {
+            let keep: HashSet<RowId> = cand.to_vec().into_iter().collect();
+            runs.retain_rowids(|rowid| keep.contains(&rowid));
+        }
+        runs
+    }
+
+    /// The side's surviving rowids as a flat sorted vector.
+    fn rowids(&self, metrics: &mut QueryMetrics) -> Vec<RowId> {
+        match &self.candidates {
+            Some(set) => set.to_vec(),
+            None => {
+                let (rowids, m) = self.cut.column(self.col).select_rowids(i64::MIN, i64::MAX);
+                metrics.accumulate(&m);
+                rowids
+            }
+        }
+    }
+
+    /// The join-column value of one of the side's row ids (row-store
+    /// probe).
+    fn key_of(&self, rowid: RowId) -> Option<i64> {
+        self.cut.engine.value_at(self.col, rowid)
+    }
+}
+
+/// Nested-loop join: every surviving left row against every surviving
+/// right row through the row store. Quadratic on purpose — the baseline
+/// the rowid-set strategies are verified against and measured over; the
+/// planner never picks it.
+fn nested_loop_join(
+    left: &JoinSide,
+    right: &JoinSide,
+    metrics: &mut QueryMetrics,
+) -> (Vec<(RowId, RowId)>, u64) {
+    let left_rowids = left.rowids(metrics);
+    let right_rowids = right.rowids(metrics);
+    let mut out = Vec::new();
+    for &l in &left_rowids {
+        let Some(lv) = left.key_of(l) else {
+            continue;
+        };
+        for &r in &right_rowids {
+            if right.key_of(r) == Some(lv) {
+                out.push((l, r));
+            }
+        }
+    }
+    (out, 0)
 }
 
 /// Width of a half-open window as a `u128` (the full `i64` domain does
@@ -1091,5 +1250,51 @@ mod tests {
             "table-range".parse::<TableBackend>().unwrap(),
             TableBackend::Range { partitions: 0 }
         );
+    }
+
+    /// A select pinned before a delete of an inserted tuple still resolves
+    /// the tuple through the row store: its projection must keep the row,
+    /// and the entry is reclaimed only when the cut closes.
+    #[test]
+    fn a_live_cut_keeps_a_deleted_inserted_tuple_in_the_row_store() {
+        let engine = TableEngine::new(
+            "r",
+            vec![("a".into(), vec![1, 2]), ("b".into(), vec![10, 20])],
+            TableBackend::Serial(LatchProtocol::Piece),
+            CompactionPolicy::disabled(),
+        );
+        let rowid = engine.execute(&TableOp::InsertTuple(vec![5, 50])).rowids[0];
+        // Column b reads as ruinously slow: its predicate projects.
+        let slow = u64::MAX / 4;
+        engine.column_select_ns[1].store(slow, Ordering::Relaxed);
+        let cut = engine.pin_cut([0, 1]);
+        let delete = TableOp::DeleteWhere {
+            column: 0,
+            value: 5,
+        };
+        let deleted = std::thread::scope(|s| s.spawn(|| engine.execute(&delete)).join().unwrap());
+        assert_eq!(deleted.rowids, [rowid]);
+        assert!(deleted.epoch > cut.seq);
+        assert_eq!(
+            engine.tuple(rowid),
+            Some(vec![5, 50]),
+            "a live cut reaches it"
+        );
+        let predicates = [
+            ColumnPredicate::new(0, 0, 10),
+            ColumnPredicate::new(1, 40, 60),
+        ];
+        let mut metrics = QueryMetrics::default();
+        let got = cut.candidates_for(&predicates, &mut metrics).unwrap();
+        assert_eq!(got.to_vec(), [rowid], "the pinned select still returns it");
+        assert_eq!(
+            engine.column_select_ns[1].load(Ordering::Relaxed),
+            slow,
+            "column b was projected, not read"
+        );
+        let now = engine.execute(&TableOp::SelectMulti(predicates.to_vec()));
+        assert!(now.rowids.is_empty() && now.epoch == deleted.epoch);
+        drop(cut);
+        assert_eq!(engine.tuple(rowid), None, "reclaimed once the cut closed");
     }
 }

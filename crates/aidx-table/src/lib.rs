@@ -20,10 +20,11 @@
 //! Pieces:
 //!
 //! * [`RowIndex`] — the rowid-carrying single-column index surface: one
-//!   required `read(low, high, shape)` and one required
-//!   `write(`[`aidx_core::WriteOp`]`)`, with `select_rowids` /
-//!   `insert_row` / `delete_row` and the rest as provided wrappers —
-//!   implemented by the
+//!   required `read(low, high, shape)` (from [`ColumnRead`]), one required
+//!   `pin()` returning a [`ColumnRead`] handle frozen at the column's
+//!   current epoch, and one required `write(`[`aidx_core::WriteOp`]`)`,
+//!   with `select_rowids` / `insert_row` / `delete_row` and the rest as
+//!   provided wrappers — implemented by the
 //!   serial [`aidx_core::ConcurrentCracker`], the parallel-chunked
 //!   [`aidx_parallel::ChunkedCracker`], and the range-partitioned
 //!   [`aidx_parallel::RangePartitionedCracker`] — every latch protocol
@@ -35,7 +36,8 @@
 //!   intersection, aligned projection for tiny candidate sets), a row
 //!   store for tuple reconstruction, and positionally aligned writes
 //!   (one insert/delete per column per tuple, each under that column's
-//!   own latch protocol).
+//!   own latch protocol) serialised by a writer mutex that reads hold
+//!   only while they pin their per-operation cut.
 //! * [`JoinStrategy`] — the join's physical strategies: a galloping
 //!   leapfrog merge over lazily-sorted `(key, rowid)` runs (cracks both
 //!   join columns, so repeated joins converge), a hash build/probe
@@ -56,4 +58,4 @@ pub mod row_index;
 pub use checked::{CheckedTableEngine, TableMismatch};
 pub use engine::{TableBackend, TableEngine};
 pub use ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
-pub use row_index::RowIndex;
+pub use row_index::{ColumnRead, RowIndex};

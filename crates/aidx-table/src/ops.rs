@@ -184,6 +184,12 @@ pub struct TableOpResult {
     /// Join only: the qualifying `(left rowid, right rowid)` pairs,
     /// sorted ascending (lexicographically). Empty for every other op.
     pub pairs: Vec<(RowId, RowId)>,
+    /// The table's commit sequence the op is ordered at. Insert / delete:
+    /// the sequence it committed (writes commit one at a time, numbered
+    /// 1, 2, … in their order). Select / join: the sequence its cut was
+    /// pinned at — the answer reflects exactly the writes numbered up to
+    /// it (a join reports the executing, left table's).
+    pub epoch: u64,
     /// Merged per-column metrics breakdown.
     pub metrics: QueryMetrics,
 }

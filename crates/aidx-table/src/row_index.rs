@@ -4,21 +4,18 @@
 //! configuration knob rather than three different engines.
 
 use aidx_core::{
-    ConcurrentCracker, KeyRuns, QueryMetrics, ReadAnswer, ReadShape, RowIdSet, WriteOp,
+    ConcurrentCracker, KeyRuns, QueryMetrics, ReadAnswer, ReadShape, RowIdSet, Snapshot, WriteOp,
 };
 use aidx_obs::StructureProbe;
-use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{ChunkedCracker, ChunkedSnapshot, RangePartitionedCracker, RangeSnapshot};
 use aidx_storage::RowId;
 
-/// A single-column adaptive index whose reads yield *row ids* (tuple
-/// identity) and whose writes are positional: the caller owns the row-id
-/// space, so several instances over different columns of one table stay
-/// aligned through any amount of per-column physical reorganisation. A
-/// backend implements one `read` and one `write`; every typed method is
-/// a provided wrapper.
-pub trait RowIndex: Send + Sync {
+/// One column read surface: a backend answering *now* (refining as a side
+/// effect), or a pinned handle answering at the epoch it was opened at. A
+/// reader implements one `read`; every typed read is a provided wrapper.
+pub trait ColumnRead {
     /// One `shape` read over `[low, high)`, refining the index as a side
-    /// effect — the single read a backend implements; the typed reads
+    /// effect — the single read a reader implements; the typed reads
     /// below all go through it.
     fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics);
 
@@ -52,6 +49,20 @@ pub trait RowIndex: Send + Sync {
         let (answer, metrics) = self.read(low, high, ReadShape::Count);
         (answer.into_agg() as u64, metrics)
     }
+}
+
+/// A single-column adaptive index whose reads yield *row ids* (tuple
+/// identity) and whose writes are positional: the caller owns the row-id
+/// space, so several instances over different columns of one table stay
+/// aligned through any amount of per-column physical reorganisation. A
+/// backend implements one `read`, one `pin` and one `write`; every typed
+/// method is a provided wrapper.
+pub trait RowIndex: ColumnRead + Send + Sync {
+    /// Opens a pinned read handle at the column's current epoch: reads
+    /// through it still refine the index, but answer as of this call
+    /// whatever writes land later. The registration is released when the
+    /// handle drops.
+    fn pin(&self) -> Box<dyn ColumnRead + '_>;
 
     /// Applies one write and returns `(rows affected, metrics)` — the
     /// single write a backend implements; the typed writes below go
@@ -76,9 +87,15 @@ pub trait RowIndex: Send + Sync {
     fn structure_probe(&self) -> StructureProbe;
 }
 
-impl RowIndex for ConcurrentCracker {
+impl ColumnRead for ConcurrentCracker {
     fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         ConcurrentCracker::read(self, low, high, None, shape)
+    }
+}
+
+impl RowIndex for ConcurrentCracker {
+    fn pin(&self) -> Box<dyn ColumnRead + '_> {
+        Box::new(self.snapshot())
     }
 
     fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
@@ -94,9 +111,15 @@ impl RowIndex for ConcurrentCracker {
     }
 }
 
-impl RowIndex for ChunkedCracker {
+impl ColumnRead for ChunkedCracker {
     fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         ChunkedCracker::read(self, low, high, shape)
+    }
+}
+
+impl RowIndex for ChunkedCracker {
+    fn pin(&self) -> Box<dyn ColumnRead + '_> {
+        Box::new(self.snapshot())
     }
 
     fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
@@ -112,9 +135,15 @@ impl RowIndex for ChunkedCracker {
     }
 }
 
-impl RowIndex for RangePartitionedCracker {
+impl ColumnRead for RangePartitionedCracker {
     fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         RangePartitionedCracker::read(self, low, high, shape)
+    }
+}
+
+impl RowIndex for RangePartitionedCracker {
+    fn pin(&self) -> Box<dyn ColumnRead + '_> {
+        Box::new(self.snapshot())
     }
 
     fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
@@ -130,23 +159,47 @@ impl RowIndex for RangePartitionedCracker {
     }
 }
 
+impl ColumnRead for Snapshot<'_> {
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        Snapshot::read(self, low, high, shape)
+    }
+}
+
+impl ColumnRead for ChunkedSnapshot<'_> {
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        ChunkedSnapshot::read(self, low, high, shape)
+    }
+}
+
+impl ColumnRead for RangeSnapshot<'_> {
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        RangeSnapshot::read(self, low, high, shape)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use aidx_core::facade::Mutex;
 
-    /// A backend that implements only the two required methods and logs
-    /// what reaches them.
+    /// A backend that implements only the required methods and logs what
+    /// reaches them.
     #[derive(Default)]
     struct Recorder {
         reads: Mutex<Vec<(i64, i64, ReadShape)>>,
         writes: Mutex<Vec<WriteOp>>,
     }
 
-    impl RowIndex for Recorder {
+    impl ColumnRead for Recorder {
         fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
             self.reads.lock().push((low, high, shape));
             (ReadAnswer::empty(shape), QueryMetrics::default())
+        }
+    }
+
+    impl RowIndex for Recorder {
+        fn pin(&self) -> Box<dyn ColumnRead + '_> {
+            Box::new(Recorder::default())
         }
 
         fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
@@ -194,5 +247,40 @@ mod tests {
                 (0, 9, ReadShape::Count),
             ]
         );
+    }
+
+    #[test]
+    fn a_pin_answers_at_its_epoch_on_every_backend() {
+        let values = vec![3, 1, 4, 1, 5, 9, 2, 6];
+        let rowids: Vec<RowId> = (0..values.len() as RowId).collect();
+        let backends: Vec<Box<dyn RowIndex>> = vec![
+            Box::new(ConcurrentCracker::from_rows(
+                values.clone(),
+                rowids.clone(),
+                aidx_core::LatchProtocol::Piece,
+            )),
+            Box::new(ChunkedCracker::from_rows(
+                values.clone(),
+                rowids.clone(),
+                2,
+                aidx_core::LatchProtocol::Piece,
+                aidx_core::RefinementPolicy::Always,
+            )),
+            Box::new(RangePartitionedCracker::from_rows(
+                values.clone(),
+                rowids.clone(),
+                2,
+                aidx_core::CompactionPolicy::disabled(),
+            )),
+        ];
+        for index in &backends {
+            let pin = index.pin();
+            index.insert_row(4, 100);
+            index.delete_row(1, 1);
+            assert_eq!(pin.select_rowids(0, 10).0, [0, 1, 2, 3, 4, 5, 6, 7]);
+            assert_eq!(index.select_rowids(0, 5).0, [0, 2, 3, 6, 100]);
+            drop(pin);
+            assert_eq!(index.count(0, 10).0, 8);
+        }
     }
 }

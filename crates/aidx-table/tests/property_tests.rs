@@ -4,11 +4,20 @@
 //! shrinking enabled — against a `BTreeMap<RowId, tuple>` oracle, on
 //! every backend. Row-id sets must agree op for op, and a final
 //! rowid-stability pass pins the full table image across `compact_step`
-//! walks and forced rebuilds.
+//! walks and forced rebuilds. A multi-writer property runs writers and
+//! readers concurrently and checks every read against the oracle at the
+//! commit sequence it reports, with a seeded mutation that must fail.
 
 use aidx_core::{CompactionPolicy, LatchProtocol};
-use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
+use aidx_storage::RowId;
+use aidx_table::checked::oracle_apply;
+use aidx_table::{
+    CheckedTableEngine, ColumnPredicate, JoinStrategy, TableBackend, TableEngine, TableOp,
+    TableOpResult,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn backends() -> Vec<TableBackend> {
     vec![
@@ -180,4 +189,243 @@ fn rowids_are_stable_across_compact_steps_and_full_rebuilds() {
     assert_eq!(after, image, "rowid image survived reorganisation");
     assert_eq!(checked.mismatches(), vec![]);
     assert!(checked.inner().check_invariants());
+}
+
+/// Turns one generated `(kind, a, b, c)` into a writer's op: an insert of
+/// `(a, b)` or a delete of key `a` on column `c % 2`.
+fn write_op((kind, a, b, c): (u8, i64, i64, i64)) -> TableOp {
+    if kind % 2 == 0 {
+        TableOp::InsertTuple(vec![a, b])
+    } else {
+        TableOp::DeleteWhere {
+            column: (c.unsigned_abs() % 2) as usize,
+            value: a,
+        }
+    }
+}
+
+/// Turns one generated `(kind, a, b, c)` into a reader's op on `engine`:
+/// a one- or two-predicate select, or a filtered self-join of column 1
+/// against column 0.
+fn read_op(engine: &Arc<TableEngine>, (kind, a, b, c): (u8, i64, i64, i64)) -> TableOp {
+    let (low, high) = (a.min(b), a.max(b));
+    match kind % 3 {
+        0 => TableOp::SelectMulti(vec![ColumnPredicate::new(0, low, high)]),
+        1 => TableOp::SelectMulti(vec![
+            ColumnPredicate::new(0, low, high),
+            ColumnPredicate::new(1, c.min(b), c.max(a)),
+        ]),
+        _ => TableOp::Join {
+            other: Arc::clone(engine),
+            left_col: 1,
+            right_col: 0,
+            filters_left: vec![ColumnPredicate::new(0, low, high)],
+            filters_right: vec![ColumnPredicate::new(1, c.min(a), c.max(b))],
+            strategy: JoinStrategy::Auto,
+        },
+    }
+}
+
+/// Runs one client thread per stream concurrently on `engine`, then
+/// replays the writes in `epoch` order into a tuple oracle seeded with
+/// the `base` columns: the writes must be numbered 1, 2, … without a gap,
+/// each must do exactly what the oracle does, and every select and
+/// (self-)join must equal the oracle at its own epoch — the state after
+/// exactly the writes numbered up to it. Returns the first disagreement.
+fn check_commit_order(
+    engine: &Arc<TableEngine>,
+    base: &[Vec<i64>],
+    streams: Vec<Vec<TableOp>>,
+) -> Result<(), String> {
+    let logs: Vec<Vec<(TableOp, TableOpResult)>> = std::thread::scope(|s| {
+        let clients: Vec<_> = streams
+            .into_iter()
+            .map(|ops| {
+                s.spawn(move || {
+                    ops.into_iter()
+                        .map(|op| {
+                            let result = engine.execute(&op);
+                            // Interleave the clients even on one core.
+                            std::thread::yield_now();
+                            (op, result)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let (mut writes, mut reads): (Vec<_>, Vec<_>) = logs
+        .into_iter()
+        .flatten()
+        .partition(|(op, _)| op.is_write());
+    writes.sort_by_key(|(_, result)| result.epoch);
+    reads.sort_by_key(|(_, result)| result.epoch);
+    let mut oracle: BTreeMap<RowId, Vec<i64>> = (0..base[0].len())
+        .map(|row| (row as RowId, base.iter().map(|col| col[row]).collect()))
+        .collect();
+    let mut reads = reads.into_iter().peekable();
+    for epoch in 0..=writes.len() as u64 {
+        if epoch > 0 {
+            let (op, result) = &writes[epoch as usize - 1];
+            if result.epoch != epoch {
+                return Err(format!(
+                    "write numbered {} where {epoch} was due",
+                    result.epoch
+                ));
+            }
+            let expected = oracle_apply(&mut oracle, op, result);
+            if (result.value, result.rowids.clone()) != expected {
+                return Err(format!("write {epoch} {op:?}: {result:?} vs {expected:?}"));
+            }
+        }
+        while let Some((op, result)) = reads.next_if(|(_, r)| r.epoch == epoch) {
+            let agrees = match &op {
+                TableOp::Join {
+                    left_col,
+                    right_col,
+                    filters_left,
+                    filters_right,
+                    ..
+                } => {
+                    let side = |filters: &[ColumnPredicate], col: usize| -> Vec<(RowId, i64)> {
+                        let matching = oracle
+                            .iter()
+                            .filter(|(_, t)| filters.iter().all(|p| p.matches(t[p.column])));
+                        matching.map(|(&rowid, t)| (rowid, t[col])).collect()
+                    };
+                    let right = side(filters_right, *right_col);
+                    let expected: Vec<(RowId, RowId)> = side(filters_left, *left_col)
+                        .into_iter()
+                        .flat_map(|(l, key)| {
+                            let matches = right.iter().filter(move |&&(_, k)| k == key);
+                            matches.map(move |&(r, _)| (l, r))
+                        })
+                        .collect();
+                    result.pairs == expected
+                }
+                _ => {
+                    (result.value, result.rowids.clone()) == oracle_apply(&mut oracle, &op, &result)
+                }
+            };
+            if !agrees {
+                return Err(format!(
+                    "{op:?} at epoch {epoch} disagrees with the oracle: {result:?}"
+                ));
+            }
+        }
+    }
+    match reads.next() {
+        Some((op, result)) => Err(format!("{op:?} read at unknown epoch {}", result.epoch)),
+        None => Ok(()),
+    }
+}
+
+/// One generated multi-writer case on `backend`: a two-column table over
+/// `rows`, two writer threads splitting `writer_ops` and two reader
+/// threads splitting `reader_ops`, checked by [`check_commit_order`].
+fn run_multi_writer_case(
+    backend: TableBackend,
+    rows: &[(i64, i64)],
+    writer_ops: &[(u8, i64, i64, i64)],
+    reader_ops: &[(u8, i64, i64, i64)],
+    threshold: u64,
+    lazy_pins: bool,
+) -> Result<(), String> {
+    let (col_a, col_b): (Vec<i64>, Vec<i64>) = rows.iter().copied().unzip();
+    let base = vec![col_a.clone(), col_b.clone()];
+    let mut engine = TableEngine::new(
+        "r",
+        vec![("a".into(), col_a), ("b".into(), col_b)],
+        backend,
+        CompactionPolicy::rows(threshold).incremental(2),
+    );
+    if lazy_pins {
+        engine = engine.with_lazy_pins();
+    }
+    let engine = Arc::new(engine);
+    let half = |ops: &[(u8, i64, i64, i64)], odd: bool| -> Vec<(u8, i64, i64, i64)> {
+        ops.iter().skip(odd as usize).step_by(2).copied().collect()
+    };
+    let streams = vec![
+        half(writer_ops, false).into_iter().map(write_op).collect(),
+        half(writer_ops, true).into_iter().map(write_op).collect(),
+        half(reader_ops, false)
+            .into_iter()
+            .map(|op| read_op(&engine, op))
+            .collect(),
+        half(reader_ops, true)
+            .into_iter()
+            .map(|op| read_op(&engine, op))
+            .collect(),
+    ];
+    check_commit_order(&engine, &base, streams)?;
+    match engine.check_invariants() {
+        true => Ok(()),
+        false => Err("invariants broken".into()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Two writer threads and two select/join threads on one table, on
+    /// the serial and the range backend with aggressive incremental
+    /// compaction: every read is a prefix of the commit order.
+    #[test]
+    fn concurrent_reads_each_see_a_prefix_of_the_commit_order(
+        rows in prop::collection::vec((-20i64..20, -20i64..20), 1..40),
+        writer_ops in prop::collection::vec((0u8..2, -20i64..20, -20i64..20, -20i64..20), 2..40),
+        reader_ops in prop::collection::vec((0u8..3, -24i64..24, -24i64..24, -24i64..24), 2..40),
+        threshold in 1u64..8,
+    ) {
+        for backend in [TableBackend::Serial(LatchProtocol::Piece), TableBackend::Range { partitions: 2 }] {
+            let verdict = run_multi_writer_case(backend, &rows, &writer_ops, &reader_ops, threshold, false);
+            prop_assert!(verdict.is_ok(), "{}: {}", backend.label(), verdict.unwrap_err());
+        }
+    }
+}
+
+/// The seeded mutation the commit-order check exists for: pinning each
+/// column at its first read, outside the writer mutex, instead of the
+/// whole cut under it, so a write can land between a select's commit
+/// sequence and one of its column pins. Cases drawn like the property's
+/// must expose it within a bounded number of rounds. The window is a few
+/// microseconds inside one select, so only clients running in parallel
+/// race through it; on a single core the test has nothing to observe and
+/// returns (the model-checked torn-tuple scenario in `aidx-check` covers
+/// the same defect deterministically).
+#[test]
+fn lazily_pinned_columns_fail_the_commit_order_check() {
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        return;
+    }
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = |bound: i64| -> i64 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as i64 % bound
+    };
+    for _ in 0..500 {
+        let rows: Vec<(i64, i64)> = (0..30).map(|_| (draw(40) - 20, draw(40) - 20)).collect();
+        let mut ops = |kinds: i64| -> Vec<(u8, i64, i64, i64)> {
+            (0..40)
+                .map(|_| {
+                    (
+                        draw(kinds) as u8,
+                        draw(48) - 24,
+                        draw(48) - 24,
+                        draw(48) - 24,
+                    )
+                })
+                .collect()
+        };
+        let (writer_ops, reader_ops) = (ops(2), ops(3));
+        let backend = TableBackend::Serial(LatchProtocol::Piece);
+        if run_multi_writer_case(backend, &rows, &writer_ops, &reader_ops, 4, true).is_err() {
+            return;
+        }
+    }
+    panic!("500 cases of lazily pinned reads all passed the commit-order check");
 }

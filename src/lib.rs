@@ -87,7 +87,8 @@ pub mod prelude {
     pub use aidx_parallel::{available_cores, ChunkedCracker, RangePartitionedCracker, WorkerPool};
     pub use aidx_storage::{generate_unique_shuffled, Catalog, Column, RowId, Table};
     pub use aidx_table::{
-        CheckedTableEngine, ColumnPredicate, RowIndex, TableBackend, TableEngine, TableOp,
+        CheckedTableEngine, ColumnPredicate, ColumnRead, RowIndex, TableBackend, TableEngine,
+        TableOp,
     };
     pub use aidx_workload::{
         run_experiment, AdaptiveEngine, Approach, ExperimentConfig, MultiClientRunner,
