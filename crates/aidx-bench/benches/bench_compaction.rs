@@ -23,10 +23,10 @@
 //! Run with `cargo bench -p aidx-bench --bench bench_compaction`.
 
 use aidx_bench::{approaches_from_env, ms, print_table, scaled_params};
-use aidx_core::{Aggregate, CompactionPolicy, LatchProtocol};
+use aidx_core::{Aggregate, CompactionPolicy, ConcurrentCracker, LatchProtocol};
 use aidx_storage::generate_unique_shuffled;
 use aidx_workload::{
-    oracle_apply, AdaptiveEngine, CrackEngine, ExperimentConfig, Operation, QuerySpec,
+    oracle_apply, AdaptiveEngine, ExperimentConfig, IndexEngine, Operation, QuerySpec,
 };
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -53,7 +53,9 @@ fn insert_stream(rows: usize, inserts: usize, threshold: u64, table: &mut Vec<Ve
         ("off", CompactionPolicy::disabled()),
         ("on", CompactionPolicy::rows(threshold)),
     ] {
-        let engine = CrackEngine::new(values.clone(), LatchProtocol::Piece).with_compaction(policy);
+        let index = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece)
+            .with_compaction(policy);
+        let engine = IndexEngine::new("crack-piece", index);
         // Warm the index with a couple of selects so cracks exist.
         engine.execute(Operation::Select(QuerySpec::sum(0, rows as i64 / 2)));
         engine.execute(Operation::Select(QuerySpec::sum(
@@ -71,7 +73,7 @@ fn insert_stream(rows: usize, inserts: usize, threshold: u64, table: &mut Vec<Ve
         let start = Instant::now();
         for i in 0..inserts {
             engine.execute(Operation::Insert(base + i as i64));
-            let delta = engine.cracker().delta_rows();
+            let delta = engine.index().delta_rows();
             max_delta = max_delta.max(delta);
             if delta < last_delta {
                 delta_shrank = true;
@@ -104,7 +106,7 @@ fn insert_stream(rows: usize, inserts: usize, threshold: u64, table: &mut Vec<Ve
                 "compaction on: the delta must shrink at rebuilds, not grow monotonically"
             );
             assert!(
-                engine.cracker().compactions_performed() > 0,
+                engine.index().compactions_performed() > 0,
                 "compaction on: the threshold must have tripped"
             );
         } else {
@@ -117,7 +119,7 @@ fn insert_stream(rows: usize, inserts: usize, threshold: u64, table: &mut Vec<Ve
             format!("compaction={label}"),
             inserts.to_string(),
             max_delta.to_string(),
-            engine.cracker().compactions_performed().to_string(),
+            engine.index().compactions_performed().to_string(),
             ms(early),
             ms(late),
             ms(elapsed),

@@ -30,17 +30,20 @@
 use aidx_bench::{ms, scaled_params, Report};
 use aidx_core::Aggregate;
 use aidx_obs::Json;
-use aidx_parallel::{available_cores, AdaptiveConfig, Rebalance};
+use aidx_parallel::{available_cores, AdaptiveConfig, RangePartitionedCracker, Rebalance};
 use aidx_storage::generate_unique_shuffled;
 use aidx_workload::{
-    AccessPattern, AdaptiveEngine, ParallelRangeEngine, QuerySpec, ScanEngine, WorkloadGenerator,
+    AccessPattern, AdaptiveEngine, IndexEngine, QuerySpec, ScanEngine, WorkloadGenerator,
 };
 use std::time::{Duration, Instant};
 
 /// Replays `queries` once, serially, against a fresh engine. Cracking
 /// and re-partitioning are stateful, so each arm gets its own engine
 /// and is timed on its first (refining) replay.
-fn run_arm(engine: &ParallelRangeEngine, queries: &[QuerySpec]) -> (Duration, Vec<i128>) {
+fn run_arm(
+    engine: &IndexEngine<RangePartitionedCracker>,
+    queries: &[QuerySpec],
+) -> (Duration, Vec<i128>) {
     let start = Instant::now();
     let answers = queries.iter().map(|q| engine.select(q).0).collect();
     (start.elapsed(), answers)
@@ -120,7 +123,8 @@ fn main() {
             .generate(query_count);
         let expected: Vec<i128> = queries.iter().map(|q| scan.select(q).0).collect();
 
-        let static_engine = ParallelRangeEngine::new(values.clone(), partitions);
+        let static_engine = RangePartitionedCracker::new(values.clone(), partitions);
+        let static_engine = IndexEngine::new("static", static_engine);
         let (static_time, static_answers) = run_arm(&static_engine, &queries);
         assert_eq!(
             static_answers, expected,
@@ -143,7 +147,8 @@ fn main() {
             max_partitions: partitions * 2,
             ..AdaptiveConfig::default()
         };
-        let adaptive_engine = ParallelRangeEngine::adaptive(values.clone(), partitions, config);
+        let adaptive_engine = RangePartitionedCracker::adaptive(values.clone(), partitions, config);
+        let adaptive_engine = IndexEngine::new("adaptive", adaptive_engine);
         let (adaptive_time, adaptive_answers) = run_arm(&adaptive_engine, &queries);
         assert_eq!(
             adaptive_answers, expected,

@@ -34,7 +34,7 @@
 //! Run with `cargo bench -p aidx-bench --bench bench_snapshot`.
 
 use aidx_bench::{ms, print_table, scaled_params};
-use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol};
+use aidx_core::{CompactionPolicy, ConcurrentCracker, Index, LatchProtocol};
 use aidx_storage::generate_unique_shuffled;
 use std::time::{Duration, Instant};
 
@@ -73,7 +73,7 @@ fn run_arm(
 
     // Pin one snapshot across the whole stream: it must stay answerable
     // and exact no matter how many compaction events pass it by.
-    let pinned = idx.snapshot();
+    let pinned = idx.pin();
 
     let scan_stride = (pairs / 200).max(1);
     let mut write_times = Vec::with_capacity(2 * pairs);
@@ -97,7 +97,7 @@ fn run_arm(
             // logical multiset equals the seed exactly, so the answer has
             // a closed form — the oracle gate.
             let scan_start = Instant::now();
-            let snap = idx.snapshot();
+            let snap = idx.pin();
             let (sum, _) = snap.sum(i64::MIN, i64::MAX);
             scan_times.push(scan_start.elapsed());
             assert_eq!(

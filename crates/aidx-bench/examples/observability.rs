@@ -10,8 +10,9 @@
 use aidx_bench::{scaled_params, Report};
 use aidx_core::{Aggregate, LatencyBreakdown};
 use aidx_obs::{Json, StructureSampler, TraceEvent};
+use aidx_parallel::RangePartitionedCracker;
 use aidx_storage::generate_unique_shuffled;
-use aidx_workload::{AdaptiveEngine, ExperimentConfig, MultiClientRunner, ParallelRangeEngine};
+use aidx_workload::{AdaptiveEngine, ExperimentConfig, IndexEngine, MultiClientRunner};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,7 +43,11 @@ fn main() {
 
     // Pass 1 — convergence: one client, sampling structure every 1/16th
     // of the sequence, so the curve is attributable to query counts.
-    let engine = ParallelRangeEngine::new(values.clone(), partitions);
+    let name = format!("parallel-range-{partitions}");
+    let engine = IndexEngine::new(
+        &name,
+        RangePartitionedCracker::new(values.clone(), partitions),
+    );
     let mut sampler = StructureSampler::new((op_count as u64 / 16).max(1));
     let mut breakdown = LatencyBreakdown::new();
     for (i, &op) in ops.iter().enumerate() {
@@ -68,7 +73,10 @@ fn main() {
 
     // Pass 2 — contention: the same sequence under concurrent clients,
     // for the percentile breakdown and windowed throughput.
-    let concurrent = Arc::new(ParallelRangeEngine::new(values, partitions));
+    let concurrent = Arc::new(IndexEngine::new(
+        name,
+        RangePartitionedCracker::new(values, partitions),
+    ));
     let run = MultiClientRunner::new(clients).run_ops(concurrent.clone(), &ops);
     let contended = run.latency_breakdown();
     println!("\np99 latency breakdown (ns), 1 client vs {clients} clients:");

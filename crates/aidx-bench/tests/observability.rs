@@ -2,14 +2,13 @@
 //! produce a parseable JSONL trace containing every event type, and the
 //! structure sampler must yield at least one sample per cadence window.
 
-use aidx_core::{Aggregate, CompactionPolicy, LatchProtocol};
+use aidx_core::{Aggregate, CompactionPolicy, ConcurrentCracker, LatchProtocol};
 use aidx_obs::{Json, StructureSampler, TraceEvent};
-use aidx_parallel::AdaptiveConfig;
+use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
 use aidx_storage::generate_unique_shuffled;
 use aidx_table::{JoinStrategy, TableBackend, TableEngine};
 use aidx_workload::{
-    AdaptiveEngine, CrackEngine, MultiClientRunner, Operation, ParallelRangeEngine, QuerySpec,
-    WorkloadGenerator,
+    AdaptiveEngine, IndexEngine, MultiClientRunner, Operation, QuerySpec, WorkloadGenerator,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -22,9 +21,10 @@ fn mixed_ops(write_ratio: f64, seed: u64) -> Vec<Operation> {
     WorkloadGenerator::new(ROWS as u64, 0.05, Aggregate::Sum, seed).generate_mixed(OPS, write_ratio)
 }
 
-fn crack_engine(values: &[i64]) -> CrackEngine {
-    CrackEngine::new(values.to_vec(), LatchProtocol::Piece)
-        .with_compaction(CompactionPolicy::rows(64).incremental(4))
+fn crack_engine(values: &[i64]) -> IndexEngine<ConcurrentCracker> {
+    let index = ConcurrentCracker::from_values(values.to_vec(), LatchProtocol::Piece)
+        .with_compaction(CompactionPolicy::rows(64).incremental(4));
+    IndexEngine::new("crack-piece", index)
 }
 
 /// Tags present in the JSONL accumulated so far.
@@ -60,7 +60,8 @@ fn traced_run_emits_every_event_type_as_parseable_jsonl() {
     MultiClientRunner::new(8).run_ops(engine.clone(), &mixed_ops(0.4, 3));
 
     // Range-partitioned arm: owner_batch.
-    let range = Arc::new(ParallelRangeEngine::new(values.clone(), 4));
+    let range = RangePartitionedCracker::new(values.clone(), 4);
+    let range = Arc::new(IndexEngine::new("parallel-range-4", range));
     MultiClientRunner::new(4).run_ops(range, &mixed_ops(0.2, 5));
 
     // Table-level equi-join: join.
@@ -82,7 +83,7 @@ fn traced_run_emits_every_event_type_as_parseable_jsonl() {
     // Skew-adaptive arm: repartition (a skewed hammer makes the next
     // manual rebalance split the hot partition) and steal (idle owners
     // pre-crack the big untouched pieces while we wait on them).
-    let adaptive = ParallelRangeEngine::adaptive(
+    let adaptive = RangePartitionedCracker::adaptive(
         values.clone(),
         4,
         AdaptiveConfig {
@@ -96,6 +97,7 @@ fn traced_run_emits_every_event_type_as_parseable_jsonl() {
             ..AdaptiveConfig::default()
         },
     );
+    let adaptive = IndexEngine::new("parallel-range-adaptive-4", adaptive);
     let mut rounds = 0;
     while adaptive.index().splits_performed() == 0 {
         rounds += 1;

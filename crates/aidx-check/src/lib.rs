@@ -9,7 +9,7 @@
 //! * a scheduler (internal) owning N virtual threads, exactly one runnable
 //!   at a time, with modelled blocking, deadlock detection with waits-for
 //!   diagnostics, and acquisition-order checking on tagged primitives.
-//! * [`explore`] — a DFS/bounded-preemption explorer that enumerates
+//! * [`mod@explore`] — a DFS/bounded-preemption explorer that enumerates
 //!   interleavings of small scenarios and asserts invariants plus an oracle
 //!   finale on every schedule.
 //!

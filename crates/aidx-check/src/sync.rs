@@ -5,9 +5,10 @@
 //! Every primitive is dual-mode:
 //!
 //! * **Virtual** — when the calling thread is a virtual thread of an active
-//!   [`crate::explore`] run, operations go through the scheduler: blocking is
-//!   modelled, every effect is a decision point, and acquisition order is
-//!   checked when the primitive carries an order tag.
+//!   [`explore`](fn@crate::explore) run, operations go through the
+//!   scheduler: blocking is modelled, every effect is a decision point,
+//!   and acquisition order is checked when the primitive carries an order
+//!   tag.
 //! * **Fallback** — outside a run the primitives degrade to plain `std::sync`
 //!   locks, so facade-routed production code still works when the `check`
 //!   feature happens to be enabled (e.g. in `cargo test --all-features`).

@@ -33,8 +33,8 @@ use std::sync::Arc;
 use aidx_check::sync::{yield_now, CheckedAtomicU64, CheckedAtomicUsize, CheckedMutex};
 use aidx_check::{explore, explore_default, ExploreConfig, Scenario};
 use aidx_core::{
-    intersect_iters_gallop, intersect_iters_linear, CompactionPolicy, ConcurrentCracker,
-    LatchProtocol, ReadShape, RowIdSet, WriteOp,
+    intersect_iters_gallop, intersect_iters_linear, ColumnRead, CompactionPolicy,
+    ConcurrentCracker, Index, LatchProtocol, ReadShape, RowIdSet, WriteOp,
 };
 use aidx_latch::ordered::OrderedWaitLatch;
 use aidx_table::{ColumnPredicate, TableBackend, TableEngine, TableOp};

@@ -13,7 +13,7 @@ impl ConcurrentCracker {
     ///
     /// With the compaction policy *disabled*, ordinary operations do not
     /// register with the quiesce gate (see
-    /// [`ConcurrentCracker::enter_if_compactable`]), so a forced
+    /// `ConcurrentCracker::enter_if_compactable`), so a forced
     /// compaction then requires the caller to guarantee quiescence — no
     /// concurrent operations — exactly like
     /// [`ConcurrentCracker::check_invariants`].

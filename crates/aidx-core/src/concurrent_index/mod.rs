@@ -12,9 +12,9 @@
 //!   falls into — the piece may have been split while it waited — and moves
 //!   on to the correct piece if necessary.
 //! * **Middle-first waiter scheduling** (Section 5.3 "Optimizations"): the
-//!   underlying [`OrderedWaitLatch`](aidx_latch::OrderedWaitLatch) wakes the
-//!   waiter with the median bound first so the remaining waiters can run in
-//!   parallel on the two halves.
+//!   underlying [`OrderedWaitLatch`] wakes the waiter with the median
+//!   bound first so the remaining waiters can run in parallel on the two
+//!   halves.
 //! * **Conflict avoidance** (Section 3.3): with
 //!   [`RefinementPolicy::SkipOnContention`] a query that cannot get a write
 //!   latch immediately skips the optional refinement and answers by
@@ -65,10 +65,11 @@ mod repartition;
 mod tests;
 mod write;
 
-pub use read::{ReadAnswer, ReadShape, Snapshot};
+pub use read::{ReadAnswer, ReadShape};
 pub use write::WriteOp;
 
 use crate::compaction::{CompactionMode, CompactionPolicy};
+use crate::index::{ColumnRead, Index};
 use crate::key_runs::KeyRuns;
 use crate::metrics::QueryMetrics;
 use crate::pending::{DeltaAdjust, PairView, PendingDelta};
@@ -472,7 +473,7 @@ impl ConcurrentCracker {
 
     /// Verifies piece/array consistency: the piece directory's own
     /// invariants (piece map, records, hole ledger, watermarks — see
-    /// [`PieceDirectory::check_invariants`]) and the value bounds of every
+    /// `PieceDirectory::check_invariants`) and the value bounds of every
     /// piece's *live* range (dead tails hold stale values by design), and
     /// the delta against those live slots (see
     /// [`PendingDelta::check_invariants`]). Only meaningful when no other
@@ -507,5 +508,42 @@ impl ConcurrentCracker {
             .iter()
             .map(|(p, live_end)| &values[p.start..*live_end]);
         live.flatten().copied().collect()
+    }
+}
+
+impl ColumnRead for ConcurrentCracker {
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        ConcurrentCracker::read(self, low, high, None, shape)
+    }
+}
+
+impl Index for ConcurrentCracker {
+    fn pin(&self) -> Box<dyn ColumnRead + '_> {
+        Box::new(self.snapshot())
+    }
+
+    fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+        ConcurrentCracker::write(self, op)
+    }
+
+    fn insert(&self, value: i64) -> QueryMetrics {
+        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
+        self.insert_row(value, rowid)
+    }
+
+    fn check_invariants(&self) -> bool {
+        ConcurrentCracker::check_invariants(self)
+    }
+
+    fn structure_probe(&self) -> StructureProbe {
+        ConcurrentCracker::structure_probe(self)
+    }
+
+    /// Every live piece latch by piece start, plus the column latch.
+    fn latch_attribution(&self) -> Vec<(u64, LatchStatsSnapshot)> {
+        let pieces = self.latch_stats_by_piece().into_iter();
+        let mut stats: Vec<_> = pieces.map(|(start, s)| (start as u64, s)).collect();
+        stats.push((TraceEvent::COLUMN_LATCH, self.column_latch_stats()));
+        stats
     }
 }

@@ -345,62 +345,25 @@ impl Accumulator {
     }
 }
 
-/// A registered snapshot of a [`ConcurrentCracker`]: reads through the
-/// handle see exactly `main@epoch + delta≤epoch` — the column as of the
-/// moment [`ConcurrentCracker::snapshot`] was called — no matter how many
-/// writes, piece shrinks, or (incremental or full) compactions race or
-/// complete in between. Dropping the handle releases the registration and
-/// lets the delta garbage-collect the history kept on its behalf.
+/// A registered snapshot of a [`ConcurrentCracker`], opened by
+/// [`Index::pin`]: reads through the handle see exactly `main@epoch +
+/// delta≤epoch` — the column as of the moment it was opened — no matter
+/// how many writes, piece shrinks, or (incremental or full) compactions
+/// race or complete in between. Dropping the handle releases the
+/// registration and lets the delta garbage-collect the history kept on
+/// its behalf.
 #[derive(Debug)]
-pub struct Snapshot<'a> {
+pub(crate) struct Snapshot<'a> {
     idx: &'a ConcurrentCracker,
     epoch: u64,
 }
 
-impl Snapshot<'_> {
-    /// The column epoch this snapshot reads at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// [`ConcurrentCracker::read`] frozen at the snapshot epoch.
-    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+impl ColumnRead for Snapshot<'_> {
+    /// [`ConcurrentCracker::read`] frozen at the snapshot epoch: rows
+    /// inserted or physically placed after it are invisible, rows deleted
+    /// or reclaimed after it are restored (ghosts).
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         self.idx.read(low, high, Some(self.epoch), shape)
-    }
-
-    /// Q1 at the snapshot epoch: count of values in `[low, high)`.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Count);
-        (answer.into_agg() as u64, metrics)
-    }
-
-    /// Q2 at the snapshot epoch: sum of values in `[low, high)`.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
-        (answer.into_agg(), metrics)
-    }
-
-    /// Row ids of the rows with values in `[low, high)` as of the
-    /// snapshot epoch (sorted ascending): rows inserted or physically
-    /// placed after the epoch are invisible, rows deleted or reclaimed
-    /// after it are restored (ghosts).
-    pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
-        (answer.into_rowids(), metrics)
-    }
-
-    /// As [`Snapshot::rowids`], but materialised as a compressed
-    /// [`RowIdSet`] built from per-piece sorted runs.
-    pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
-        (answer.into_set(), metrics)
-    }
-
-    /// As [`Snapshot::rowids`], but as raw per-piece `(key, rowid)`
-    /// [`KeyRuns`] (the join-side read).
-    pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
-        (answer.into_runs(), metrics)
     }
 }
 
@@ -438,12 +401,12 @@ impl ConcurrentCracker {
         (answer.into_agg(), metrics)
     }
 
-    /// Opens a snapshot at the current column epoch. Reads through the
-    /// returned handle are frozen at that epoch — concurrent inserts,
-    /// deletes, piece shrinks, and compaction steps (incremental or full)
-    /// are all invisible to them — while still refining the index like any
-    /// other query.
-    pub fn snapshot(&self) -> Snapshot<'_> {
+    /// Opens a snapshot at the current column epoch (the body of
+    /// [`Index::pin`]). Reads through the returned handle are frozen at
+    /// that epoch — concurrent inserts, deletes, piece shrinks, and
+    /// compaction steps (incremental or full) are all invisible to them —
+    /// while still refining the index like any other query.
+    pub(crate) fn snapshot(&self) -> Snapshot<'_> {
         Snapshot {
             idx: self,
             epoch: self.register_snapshot_epoch(),
@@ -451,9 +414,9 @@ impl ConcurrentCracker {
     }
 
     /// Registers a snapshot at the current column epoch and returns it.
-    /// Raw building block for the RAII [`ConcurrentCracker::snapshot`];
-    /// parallel wrappers that manage many chunk/partition epochs at once
-    /// use this pair directly. Every registration must be matched by a
+    /// Raw building block for the RAII [`Index::pin`]; parallel wrappers
+    /// that manage many chunk/partition epochs at once use this pair
+    /// directly. Every registration must be matched by a
     /// [`ConcurrentCracker::release_snapshot_epoch`].
     pub fn register_snapshot_epoch(&self) -> u64 {
         self.delta.register_snapshot()
@@ -475,32 +438,12 @@ impl ConcurrentCracker {
         self.delta.current_epoch()
     }
 
-    /// Row ids of every live row whose value falls in `[low, high)`,
-    /// sorted ascending, refining the index as a side effect exactly like
-    /// a count/sum query. This is the rowid-set read a table engine
-    /// intersects across columns for multi-column conjunctive selections:
-    /// physical reorganisation (cracks, shrinks, compaction steps, full
-    /// rebuilds) never changes the answer, because every row carries its
-    /// id through every swap.
-    pub fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, None, ReadShape::RowIds);
-        (answer.into_rowids(), metrics)
-    }
-
-    /// As [`ConcurrentCracker::select_rowids`], but materialised as a
-    /// block-compressed [`RowIdSet`] ([`ReadShape::RowIdSet`]);
-    /// `metrics.candidate_set_bytes` records the compressed footprint.
+    /// [`ColumnRead::select_rowid_set`] at the current epoch, refining the
+    /// index as a side effect: the compressed rowid-set read a table
+    /// engine intersects across columns.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
         let (answer, metrics) = self.read(low, high, None, ReadShape::RowIdSet);
         (answer.into_set(), metrics)
-    }
-
-    /// Live `(key, rowid)` pairs of `[low, high)` as lazily-merged
-    /// [`KeyRuns`] ([`ReadShape::KeyRuns`]) — the substrate of the gallop
-    /// equi-join, where seeks discard whole off-frontier runs unsorted.
-    pub fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, None, ReadShape::KeyRuns);
-        (answer.into_runs(), metrics)
     }
 
     /// Ensures a crack exists at `bound` under the active latch protocol,

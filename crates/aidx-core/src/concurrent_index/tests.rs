@@ -1183,7 +1183,7 @@ fn snapshot_rowid_reads_are_frozen_at_their_epoch() {
         idx.compact_step(8);
         for (low, high) in [(0, 1000), (90, 310), (150, 250)] {
             assert_eq!(
-                snap.rowids(low, high).0,
+                snap.select_rowids(low, high).0,
                 rowid_oracle(&rows, low, high),
                 "{protocol} pinned rowids [{low},{high})"
             );

@@ -133,30 +133,6 @@ impl ConcurrentCracker {
         (affected, metrics)
     }
 
-    /// Inserts one row with the given key, self-assigning a fresh row id.
-    pub fn insert(&self, value: i64) -> QueryMetrics {
-        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
-        self.insert_row(value, rowid)
-    }
-
-    /// [`WriteOp::Insert`]: inserts one row with an externally assigned row
-    /// id.
-    pub fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        self.write(WriteOp::Insert { value, rowid }).1
-    }
-
-    /// [`WriteOp::Delete`]: deletes every row whose key equals `value`,
-    /// returning how many rows were removed.
-    pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
-        self.write(WriteOp::Delete { value })
-    }
-
-    /// [`WriteOp::DeleteRow`]: deletes the row `(value, rowid)`, returning
-    /// `(rows removed — 0 or 1, metrics)`.
-    pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        self.write(WriteOp::DeleteRow { value, rowid })
-    }
-
     /// Refines both bounds of `[value, value + 1)` into cracks (deletes are
     /// mandatory writes, so conflict avoidance does not apply): the
     /// returned plan covers exactly the main-array rows carrying `value`.

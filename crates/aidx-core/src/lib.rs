@@ -17,6 +17,10 @@
 //!
 //! Main types:
 //!
+//! * [`Index`] / [`ColumnRead`] — the one surface every backend serves
+//!   (select, insert, delete, read at a pinned epoch): a backend
+//!   implements `read`, `pin`, `write` and `insert` once, and every typed
+//!   method is a provided wrapper.
 //! * [`ConcurrentCracker`] — a cracker index shared by concurrent query
 //!   threads, with column-latch, piece-latch, or latch-free protocols
 //!   ([`LatchProtocol`]), conflict avoidance ([`RefinementPolicy`]), bound
@@ -50,6 +54,7 @@
 
 pub mod compaction;
 pub mod concurrent_index;
+pub mod index;
 pub mod key_runs;
 pub mod merge_concurrent;
 pub mod metrics;
@@ -66,7 +71,8 @@ pub use aidx_latch::dcheck;
 pub use aidx_latch::facade;
 
 pub use compaction::{CompactionMode, CompactionPolicy};
-pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, Snapshot, WriteOp};
+pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, WriteOp};
+pub use index::{ColumnRead, Index};
 pub use key_runs::{
     merge_join_pairs, note_merge_join, KeyRun, KeyRuns, KeyRunsIter, MergeJoinStats,
 };

@@ -4,7 +4,7 @@
 //! (and delete-aware piece shrinks) fire constantly mid-sequence. The
 //! piece/array/hole invariants must hold after every compaction.
 
-use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol};
+use aidx_core::{CompactionPolicy, ConcurrentCracker, Index, LatchProtocol};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -172,7 +172,7 @@ proptest! {
                 prop_assert_eq!(got, expected, "{} pre-op", protocol);
             }
             let frozen = oracle.clone();
-            let snap = idx.snapshot();
+            let snap = idx.pin();
             // Interleave post-snapshot writes with explicit incremental
             // steps (at least 3) and re-validate the pinned view between
             // arms.

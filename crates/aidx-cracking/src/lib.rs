@@ -18,7 +18,7 @@
 //!
 //! The concurrent protocols (column latches, piece latches) live in
 //! `aidx-core`, and so does the workload-robust pivot policy of stochastic
-//! cracking (reference [16] of the paper), at the one crack body every
+//! cracking (reference 16 of the paper), at the one crack body every
 //! backend shares; this crate is purely single-threaded, cracks exactly at
 //! the query bounds, and is what the sequential arms of the experiments
 //! run.

@@ -30,8 +30,8 @@ impl LatchMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A latch acquisition that had to wait: which object (piece start
-    /// position, or [`LatchWait::COLUMN`] for the column latch), in which
-    /// mode, and for how long.
+    /// position, or [`TraceEvent::COLUMN_LATCH`] for the column latch), in
+    /// which mode, and for how long.
     LatchWait {
         /// Piece start position, or [`TraceEvent::COLUMN_LATCH`] for the
         /// column-level latch.

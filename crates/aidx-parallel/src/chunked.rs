@@ -21,8 +21,8 @@
 use crate::pool::WorkerPool;
 use aidx_core::facade::RwLock;
 use aidx_core::{
-    CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics, ReadAnswer,
-    ReadShape, RefinementPolicy, RowIdSet, WriteOp,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, QueryMetrics,
+    ReadAnswer, ReadShape, RefinementPolicy, WriteOp,
 };
 use aidx_obs::StructureProbe;
 use aidx_storage::RowId;
@@ -201,61 +201,6 @@ impl ChunkedCracker {
             .sum()
     }
 
-    /// The one write path. Chunks partition *positions*, not keys, so any
-    /// chunk can host any value: an insert appends to the designated write
-    /// chunk, and once that chunk outgrows the mean chunk size by the
-    /// rebalance slack, the designation moves to the currently smallest
-    /// chunk so sustained insert streams stay balanced across cores. A
-    /// delete's rows may live in any chunk, so it fans out to all of them.
-    /// Returns `(rows affected, metrics)`.
-    pub fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
-        let WriteOp::Insert { rowid, .. } = op else {
-            return self.fan_out_write(op);
-        };
-        self.next_rowid
-            .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
-        let target = self.designated.load(Ordering::Relaxed);
-        let (rows, metrics) = self.chunks[target].write(op);
-        let new_size = self.chunk_sizes[target].fetch_add(1, Ordering::Relaxed) + 1;
-        let total = self.len.fetch_add(1, Ordering::Relaxed) + 1;
-        let mean = total / self.chunks.len();
-        if new_size > mean + self.rebalance_slack {
-            let smallest = self
-                .chunk_sizes
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.load(Ordering::Relaxed))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            self.designated.store(smallest, Ordering::Relaxed);
-        }
-        (rows, metrics)
-    }
-
-    /// Inserts one row with the given key, self-assigning a fresh row id.
-    pub fn insert(&self, value: i64) -> QueryMetrics {
-        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
-        self.insert_row(value, rowid)
-    }
-
-    /// [`WriteOp::Insert`]: inserts one row with an externally assigned row
-    /// id (the table-engine path).
-    pub fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        self.write(WriteOp::Insert { value, rowid }).1
-    }
-
-    /// [`WriteOp::Delete`]: deletes every row whose key equals `value`.
-    pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
-        self.write(WriteOp::Delete { value })
-    }
-
-    /// [`WriteOp::DeleteRow`]: deletes the row `(value, rowid)`; exactly
-    /// one chunk (at most) holds it. Returns how many rows were removed (0
-    /// or 1).
-    pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        self.write(WriteOp::DeleteRow { value, rowid })
-    }
-
     /// Fans one delete out to every chunk and sums the removal counts.
     fn fan_out_write(&self, op: WriteOp) -> (u64, QueryMetrics) {
         let start = Instant::now();
@@ -305,7 +250,7 @@ impl ChunkedCracker {
     /// chunk, registered in chunk order. Reads through the handle are
     /// frozen at those epochs while writers, per-chunk compactions
     /// (incremental or quiescing), and other queries race on.
-    pub fn snapshot(&self) -> ChunkedSnapshot<'_> {
+    pub(crate) fn snapshot(&self) -> ChunkedSnapshot<'_> {
         // Exclusive fence: no multi-chunk delete is mid-fan-out while the
         // per-chunk epochs are registered, so the cut cannot tear a
         // single logical op. (Inserts touch exactly one chunk; their
@@ -317,51 +262,6 @@ impl ChunkedCracker {
             .map(ConcurrentCracker::register_snapshot_epoch)
             .collect();
         ChunkedSnapshot { idx: self, epochs }
-    }
-
-    /// One `shape` read over `[low, high)`, fanned out to every chunk and
-    /// merged ([`ReadAnswer::merge`]).
-    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
-        self.fan_out(low, high, shape, None)
-    }
-
-    /// Q1: count of values in `[low, high)` across all chunks.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Count);
-        (answer.into_agg() as u64, metrics)
-    }
-
-    /// Q2: sum of values in `[low, high)` across all chunks.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
-        (answer.into_agg(), metrics)
-    }
-
-    /// Row ids of every live row with a value in `[low, high)`, unioned
-    /// across all chunks (sorted ascending; chunks share one id space).
-    pub fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
-        (answer.into_rowids(), metrics)
-    }
-
-    /// As [`ChunkedCracker::select_rowids`], but each chunk builds a
-    /// block-compressed [`RowIdSet`] from its own per-piece sorted runs
-    /// and the per-chunk sets (chunks partition positions, so the sets
-    /// are rowid-disjoint) are k-way merged without decoding to a flat
-    /// vector.
-    pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
-        (answer.into_set(), metrics)
-    }
-
-    /// Lazily-merged `(key, rowid)` runs of every live row with a value
-    /// in `[low, high)`, absorbed across all chunks (chunks partition
-    /// positions, so the runs are rowid-disjoint and each keeps its raw,
-    /// unsorted physical order — sorting stays deferred to the consuming
-    /// [`KeyRunsIter`](aidx_core::KeyRunsIter)).
-    pub fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
-        (answer.into_runs(), metrics)
     }
 
     /// Fans one read out to every chunk and merges the partial answers,
@@ -389,12 +289,63 @@ impl ChunkedCracker {
         metrics.total = start.elapsed();
         (answer, metrics)
     }
+}
+
+impl ColumnRead for ChunkedCracker {
+    /// One `shape` read over `[low, high)`, fanned out to every chunk and
+    /// merged ([`ReadAnswer::merge`]).
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        self.fan_out(low, high, shape, None)
+    }
+}
+
+impl Index for ChunkedCracker {
+    fn pin(&self) -> Box<dyn ColumnRead + '_> {
+        Box::new(self.snapshot())
+    }
+
+    /// The one write path. Chunks partition *positions*, not keys, so any
+    /// chunk can host any value: an insert appends to the designated write
+    /// chunk, and once that chunk outgrows the mean chunk size by the
+    /// rebalance slack, the designation moves to the currently smallest
+    /// chunk so sustained insert streams stay balanced across cores. A
+    /// delete's rows may live in any chunk, so it fans out to all of them.
+    /// Returns `(rows affected, metrics)`.
+    fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+        let WriteOp::Insert { rowid, .. } = op else {
+            return self.fan_out_write(op);
+        };
+        self.next_rowid
+            .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
+        let target = self.designated.load(Ordering::Relaxed);
+        let (rows, metrics) = self.chunks[target].write(op);
+        let new_size = self.chunk_sizes[target].fetch_add(1, Ordering::Relaxed) + 1;
+        let total = self.len.fetch_add(1, Ordering::Relaxed) + 1;
+        let mean = total / self.chunks.len();
+        if new_size > mean + self.rebalance_slack {
+            let smallest = self
+                .chunk_sizes
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.load(Ordering::Relaxed))
+                .map(|(i, _)| i)
+                .unwrap_or(0);
+            self.designated.store(smallest, Ordering::Relaxed);
+        }
+        (rows, metrics)
+    }
+
+    /// Inserts one row with the given key, self-assigning a fresh row id.
+    fn insert(&self, value: i64) -> QueryMetrics {
+        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
+        self.insert_row(value, rowid)
+    }
 
     /// One merged structure probe across every chunk: total pieces, the
     /// piece-size distribution spanning all chunks, and the summed delta
     /// pressure. A diagnostic, not a snapshot — chunks are probed one
     /// after another while queries race on.
-    pub fn structure_probe(&self) -> StructureProbe {
+    fn structure_probe(&self) -> StructureProbe {
         let mut probe = StructureProbe::default();
         for chunk in self.chunks.iter() {
             probe.merge(&chunk.structure_probe());
@@ -403,7 +354,7 @@ impl ChunkedCracker {
     }
 
     /// Verifies every chunk's piece/array consistency (quiescent only).
-    pub fn check_invariants(&self) -> bool {
+    fn check_invariants(&self) -> bool {
         self.chunks.iter().all(ConcurrentCracker::check_invariants)
     }
 }
@@ -413,55 +364,15 @@ impl ChunkedCracker {
 /// registered when the snapshot was opened. Dropping the handle releases
 /// every chunk's registration.
 #[derive(Debug)]
-pub struct ChunkedSnapshot<'a> {
+pub(crate) struct ChunkedSnapshot<'a> {
     idx: &'a ChunkedCracker,
     epochs: Vec<u64>,
 }
 
-impl ChunkedSnapshot<'_> {
-    /// The per-chunk epochs this snapshot reads at (diagnostics).
-    pub fn epochs(&self) -> &[u64] {
-        &self.epochs
-    }
-
-    /// [`ChunkedCracker::read`] with every chunk answering at its pinned
-    /// epoch.
-    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+impl ColumnRead for ChunkedSnapshot<'_> {
+    /// A chunked read with every chunk answering at its pinned epoch.
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         self.idx.fan_out(low, high, shape, Some(&self.epochs))
-    }
-
-    /// Q1 at the snapshot: count of values in `[low, high)`.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Count);
-        (answer.into_agg() as u64, metrics)
-    }
-
-    /// Q2 at the snapshot: sum of values in `[low, high)`.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
-        (answer.into_agg(), metrics)
-    }
-
-    /// Row ids of the rows with values in `[low, high)` as of the
-    /// snapshot (sorted ascending).
-    pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
-        (answer.into_rowids(), metrics)
-    }
-
-    /// As [`ChunkedSnapshot::rowids`], materialised as a compressed
-    /// [`RowIdSet`] merged across the chunks' pinned epochs.
-    pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
-        (answer.into_set(), metrics)
-    }
-
-    /// Lazily-merged `(key, rowid)` runs of the rows with values in
-    /// `[low, high)` as of the snapshot, absorbed across the chunks'
-    /// pinned epochs.
-    pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
-        (answer.into_runs(), metrics)
     }
 }
 
@@ -736,7 +647,7 @@ mod tests {
             .with_compaction(CompactionPolicy::rows(8).incremental(4));
         idx.sum(0, 3000);
         let snap = idx.snapshot();
-        assert_eq!(snap.epochs().len(), 3);
+        assert_eq!(snap.epochs.len(), 3);
         // Churn across the designated-chunk rotation; the per-chunk
         // incremental policy merges piece by piece while the snapshot is
         // pinned.
@@ -801,7 +712,7 @@ mod tests {
             assert_eq!(idx.delete(key).0, 1);
             idx.insert(key);
         }
-        assert_eq!(snap.rowids(100, 200).0, before, "pinned rowid view");
+        assert_eq!(snap.select_rowids(100, 200).0, before, "pinned rowid view");
         drop(snap);
         let after = idx.select_rowids(100, 200).0;
         assert_eq!(after.len(), before.len());

@@ -27,11 +27,11 @@
 //!   and lets idle owners steal refinement work from loaded ones, so a
 //!   skewed or drifting workload cannot serialise on one owner.
 //!
-//! Both execute content changes through one `write(`[`aidx_core::WriteOp`]`)`
-//! (the typed `insert`/`insert_row`/`delete`/`delete_row` are one-line
-//! wrappers): the chunked index appends inserts to its designated chunk
-//! and fans deletes out to every chunk, the range index routes every op
-//! by [`aidx_core::WriteOp::key`] to the one owner of that key.
+//! Both implement [`aidx_core::Index`] once — one `read`, one `pin`, one
+//! `write(`[`aidx_core::WriteOp`]`)` — and inherit every typed read and
+//! write from it: the chunked index appends inserts to its designated
+//! chunk and fans deletes out to every chunk, the range index routes every
+//! op by [`aidx_core::WriteOp::key`] to the one owner of that key.
 //!
 //! Per-query [`aidx_core::QueryMetrics`] are merged across workers with
 //! [`aidx_core::QueryMetrics::merge_parallel`] (work counters summed,
@@ -44,8 +44,6 @@ pub mod chunked;
 pub mod pool;
 pub mod range_partitioned;
 
-pub use chunked::{ChunkedCracker, ChunkedSnapshot};
+pub use chunked::ChunkedCracker;
 pub use pool::{available_cores, WorkerPool};
-pub use range_partitioned::{
-    AdaptiveConfig, RangePartitionedCracker, RangeSnapshot, Rebalance, RoutingStats,
-};
+pub use range_partitioned::{AdaptiveConfig, RangePartitionedCracker, Rebalance, RoutingStats};

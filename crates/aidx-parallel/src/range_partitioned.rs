@@ -36,7 +36,7 @@
 //! [`LatchProtocol::None`] — exclusive ownership replaces latching
 //! entirely. Every write-path capability (pending delta, quiescing *and*
 //! incremental compaction, epoch-stamped snapshot reads) threads through
-//! unchanged in both modes. A [`RangeSnapshot`] registers one epoch per
+//! unchanged in both modes. A pin ([`Index::pin`]) registers one epoch per
 //! partition; snapshots and re-partitioning exclude each other through a
 //! snapshot gate (a repartition aborts while any snapshot is live, so
 //! pinned epoch reads never see rows move between partitions).
@@ -51,8 +51,8 @@
 use aidx_core::{
     dcheck,
     facade::{Condvar, Mutex, RwLock},
-    CompactionPolicy, ConcurrentCracker, KeyRuns, LatchProtocol, QueryMetrics, ReadAnswer,
-    ReadShape, RowIdSet, WriteOp,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, QueryMetrics,
+    ReadAnswer, ReadShape, RowIdSet, WriteOp,
 };
 use aidx_obs::{emit, StructureProbe, TraceEvent};
 use aidx_storage::RowId;
@@ -1097,110 +1097,15 @@ impl RangePartitionedCracker {
         rebalance(&self.shared)
     }
 
-    /// The one write path: a single round-trip to the partition owning
-    /// the op's key (rows with a key live only there; during a
-    /// re-partition the owner's redirect passes the op on by key). Returns
-    /// `(rows affected, metrics)`.
-    pub fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        if let WriteOp::Insert { rowid, .. } = op {
-            self.next_rowid
-                .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
-        }
-        let reply_rx = {
-            let table = self.shared.pin_table();
-            let p = partition_of(&table.splits, op.key());
-            let (reply_tx, reply_rx) = channel();
-            table.partitions[p]
-                .sender
-                .send(OwnerRequest::Write {
-                    op,
-                    reply: reply_tx,
-                })
-                .expect("partition owner exited early");
-            reply_rx
-        };
-        let (rows, mut metrics) = reply_rx.recv().expect("partition owner died");
-        adjust_len(&self.len, op.len_delta(rows));
-        metrics.total = start.elapsed();
-        (rows, metrics)
-    }
-
-    /// Inserts one row with the given key, self-assigning a fresh row id.
-    pub fn insert(&self, value: i64) -> QueryMetrics {
-        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
-        self.insert_row(value, rowid)
-    }
-
-    /// [`WriteOp::Insert`]: inserts one row with an externally assigned row
-    /// id (the table-engine path).
-    pub fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
-        self.write(WriteOp::Insert { value, rowid }).1
-    }
-
-    /// [`WriteOp::DeleteRow`]: deletes the row `(value, rowid)`. Returns
-    /// how many rows were removed (0 or 1).
-    pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
-        self.write(WriteOp::DeleteRow { value, rowid })
-    }
-
-    /// [`WriteOp::Delete`]: deletes every row whose key equals `value`.
-    pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
-        self.write(WriteOp::Delete { value })
-    }
-
-    /// One `shape` read over `[low, high)`, routed to the owners of the
-    /// partitions the range overlaps (clipped per partition) — partitions
-    /// outside it are never touched — and merged
-    /// ([`ReadAnswer::merge`]).
-    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
-        let start = Instant::now();
-        // The pin covers only the sends: once a request is enqueued, a
-        // routing-table swap can't lose it (the redirect protocol drains
-        // the old generation before retiring).
-        let (reply_rx, fanout) = {
-            let table = self.shared.pin_table();
-            send_read(&table, low, high, shape, None)
-        };
-        collect_read(reply_rx, fanout, shape, start)
-    }
-
-    /// Q1: count of values in `[low, high)`.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Count);
-        (answer.into_agg() as u64, metrics)
-    }
-
-    /// Q2: sum of values in `[low, high)`.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
-        (answer.into_agg(), metrics)
-    }
-
-    /// Row ids of every live row with a value in `[low, high)` (sorted
-    /// ascending).
-    pub fn select_rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
-        (answer.into_rowids(), metrics)
-    }
-
-    /// As [`RangePartitionedCracker::select_rowids`], but each
-    /// overlapping owner builds a block-compressed [`RowIdSet`] from its
-    /// own per-piece sorted runs and the router k-way merges the
-    /// per-partition sets (partitions are key-disjoint, hence
-    /// rowid-disjoint) without decoding them to flat vectors.
+    /// [`ColumnRead::select_rowid_set`], inherent so that callers without
+    /// the trait in scope reach it: each overlapping owner builds a
+    /// block-compressed [`RowIdSet`] from its own per-piece sorted runs and
+    /// the router k-way merges the per-partition sets (partitions are
+    /// key-disjoint, hence rowid-disjoint) without decoding them to flat
+    /// vectors.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
+        let (answer, metrics) = ColumnRead::read(self, low, high, ReadShape::RowIdSet);
         (answer.into_set(), metrics)
-    }
-
-    /// Lazily-merged `(key, rowid)` runs of every live row with a value
-    /// in `[low, high)`, absorbed into one [`KeyRuns`] collection. Runs
-    /// keep their raw per-piece order; the consuming join's merge iterator
-    /// sorts only the runs its frontier reaches.
-    pub fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
-        (answer.into_runs(), metrics)
     }
 
     /// Opens a snapshot across every partition: one epoch per partition,
@@ -1215,7 +1120,7 @@ impl RangePartitionedCracker {
     /// per-partition compactions race on. Re-partitioning aborts while
     /// the snapshot is live, so the routing generation captured here
     /// stays current.
-    pub fn snapshot(&self) -> RangeSnapshot<'_> {
+    pub(crate) fn snapshot(&self) -> RangeSnapshot<'_> {
         let shared = &self.shared;
         let table = {
             let _gate = dcheck::Tracked::new(
@@ -1267,13 +1172,72 @@ impl RangePartitionedCracker {
             .map(|p| p.ops.load(Ordering::Relaxed))
             .collect()
     }
+}
+
+impl ColumnRead for RangePartitionedCracker {
+    /// One `shape` read over `[low, high)`, routed to the owners of the
+    /// partitions the range overlaps (clipped per partition) — partitions
+    /// outside it are never touched — and merged
+    /// ([`ReadAnswer::merge`]).
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+        let start = Instant::now();
+        // The pin covers only the sends: once a request is enqueued, a
+        // routing-table swap can't lose it (the redirect protocol drains
+        // the old generation before retiring).
+        let (reply_rx, fanout) = {
+            let table = self.shared.pin_table();
+            send_read(&table, low, high, shape, None)
+        };
+        collect_read(reply_rx, fanout, shape, start)
+    }
+}
+
+impl Index for RangePartitionedCracker {
+    fn pin(&self) -> Box<dyn ColumnRead + '_> {
+        Box::new(self.snapshot())
+    }
+
+    /// The one write path: a single round-trip to the partition owning
+    /// the op's key (rows with a key live only there; during a
+    /// re-partition the owner's redirect passes the op on by key). Returns
+    /// `(rows affected, metrics)`.
+    fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
+        let start = Instant::now();
+        if let WriteOp::Insert { rowid, .. } = op {
+            self.next_rowid
+                .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
+        }
+        let reply_rx = {
+            let table = self.shared.pin_table();
+            let p = partition_of(&table.splits, op.key());
+            let (reply_tx, reply_rx) = channel();
+            table.partitions[p]
+                .sender
+                .send(OwnerRequest::Write {
+                    op,
+                    reply: reply_tx,
+                })
+                .expect("partition owner exited early");
+            reply_rx
+        };
+        let (rows, mut metrics) = reply_rx.recv().expect("partition owner died");
+        adjust_len(&self.len, op.len_delta(rows));
+        metrics.total = start.elapsed();
+        (rows, metrics)
+    }
+
+    /// Inserts one row with the given key, self-assigning a fresh row id.
+    fn insert(&self, value: i64) -> QueryMetrics {
+        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
+        self.insert_row(value, rowid)
+    }
 
     /// One merged structure probe across every partition: piece layout
     /// and delta pressure summed over the owners, plus the per-partition
     /// handled-op load. Each owner answers from its own thread, so the
     /// probe is consistent per partition (not across partitions — it is
     /// a diagnostic, not a snapshot).
-    pub fn structure_probe(&self) -> StructureProbe {
+    fn structure_probe(&self) -> StructureProbe {
         let mut probe = StructureProbe::default();
         for part in self.shared.ask_all(ConcurrentCracker::structure_probe) {
             probe.merge(&part);
@@ -1287,7 +1251,7 @@ impl RangePartitionedCracker {
     /// Verifies every partition's piece/array consistency. Stealers are
     /// paused for the duration — the walk reads piece layouts that a
     /// concurrent refinement crack would legitimately change.
-    pub fn check_invariants(&self) -> bool {
+    fn check_invariants(&self) -> bool {
         let shared = &self.shared;
         shared.steal_pause.store(true, Ordering::SeqCst);
         while shared.steals_in_flight.load(Ordering::SeqCst) != 0 {
@@ -1592,7 +1556,7 @@ fn perform_merge(shared: &Arc<Shared>, left: usize) -> Rebalance {
 /// valid for its whole lifetime because re-partitioning aborts while any
 /// snapshot is live. Dropping the handle releases every partition's
 /// registration.
-pub struct RangeSnapshot<'a> {
+pub(crate) struct RangeSnapshot<'a> {
     idx: &'a RangePartitionedCracker,
     table: Arc<RoutingTable>,
     epochs: Vec<u64>,
@@ -1606,52 +1570,13 @@ impl fmt::Debug for RangeSnapshot<'_> {
     }
 }
 
-impl RangeSnapshot<'_> {
-    /// The per-partition epochs this snapshot reads at (diagnostics).
-    pub fn epochs(&self) -> &[u64] {
-        &self.epochs
-    }
-
-    /// [`RangePartitionedCracker::read`] with every owner answering at
-    /// its pinned epoch, routed through the captured generation.
-    pub fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+impl ColumnRead for RangeSnapshot<'_> {
+    /// A routed read with every owner answering at its pinned epoch,
+    /// routed through the captured generation.
+    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
         let (reply_rx, fanout) = send_read(&self.table, low, high, shape, Some(&self.epochs));
         collect_read(reply_rx, fanout, shape, start)
-    }
-
-    /// Q1 at the snapshot: count of values in `[low, high)`.
-    pub fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Count);
-        (answer.into_agg() as u64, metrics)
-    }
-
-    /// Q2 at the snapshot: sum of values in `[low, high)`.
-    pub fn sum(&self, low: i64, high: i64) -> (i128, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::Sum);
-        (answer.into_agg(), metrics)
-    }
-
-    /// Row ids of the rows with values in `[low, high)` as of the
-    /// snapshot (sorted ascending).
-    pub fn rowids(&self, low: i64, high: i64) -> (Vec<RowId>, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIds);
-        (answer.into_rowids(), metrics)
-    }
-
-    /// As [`RangeSnapshot::rowids`], materialised as a compressed
-    /// [`RowIdSet`] merged across the partitions' pinned epochs.
-    pub fn rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
-        (answer.into_set(), metrics)
-    }
-
-    /// Lazily-merged `(key, rowid)` runs of the rows with values in
-    /// `[low, high)` as of the snapshot, absorbed across the partitions'
-    /// pinned epochs.
-    pub fn key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
-        (answer.into_runs(), metrics)
     }
 }
 
@@ -2009,7 +1934,7 @@ mod tests {
         let idx = RangePartitionedCracker::new(values.clone(), 4);
         idx.sum(0, 4000);
         let snap = idx.snapshot();
-        assert_eq!(snap.epochs().len(), 4);
+        assert_eq!(snap.epochs.len(), 4);
         // Writes to several partitions after the snapshot are invisible
         // through it.
         for key in [10, 1010, 2010, 3010] {
@@ -2052,7 +1977,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let snap = idx.snapshot();
-                let epochs = snap.epochs().to_vec();
+                let epochs = snap.epochs.to_vec();
                 drop(snap);
                 opened_tx.send(epochs).unwrap();
             });
@@ -2143,7 +2068,11 @@ mod tests {
             assert_eq!(idx.delete(key).0, 1);
             idx.insert(key);
         }
-        assert_eq!(snap.rowids(1000, 1100).0, before, "pinned rowid view");
+        assert_eq!(
+            snap.select_rowids(1000, 1100).0,
+            before,
+            "pinned rowid view"
+        );
         drop(snap);
         let after = idx.select_rowids(1000, 1100).0;
         assert_eq!(after.len(), before.len());

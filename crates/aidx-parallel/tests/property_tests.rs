@@ -3,7 +3,7 @@
 //! per-chunk / per-partition compaction, so rebuilds fire mid-sequence on
 //! whichever worker owns the write.
 
-use aidx_core::{CompactionPolicy, LatchProtocol, RefinementPolicy};
+use aidx_core::{ColumnRead, CompactionPolicy, Index, LatchProtocol, RefinementPolicy};
 use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -161,8 +161,8 @@ proptest! {
             apply(kind, v, &mut oracle);
         }
         let frozen = oracle.clone();
-        let chunk_snap = chunked.snapshot();
-        let range_snap = ranged.snapshot();
+        let chunk_snap = chunked.pin();
+        let range_snap = ranged.pin();
         for &(kind, v) in &post_ops {
             apply(kind, v, &mut oracle);
             for &(a, b) in &queries {

@@ -12,7 +12,7 @@
 //! backend — the tuple oracle's.
 
 use aidx_core::{
-    CompactionPolicy, ConcurrentCracker, LatchProtocol, QueryMetrics, ReadAnswer, ReadShape,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape,
     RefinementPolicy, WriteOp,
 };
 use aidx_parallel::{AdaptiveConfig, ChunkedCracker, RangePartitionedCracker};
@@ -22,85 +22,38 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-type Reader<'a> = Box<dyn Fn(i64, i64, ReadShape) -> (ReadAnswer, QueryMetrics) + 'a>;
-
-/// The slice of each backend the parity bodies drive.
-trait Engine {
-    fn reader(&self) -> Reader<'_>;
-    /// A reader frozen at a snapshot opened by this call.
-    fn snapshot_reader(&self) -> Reader<'_>;
-    /// Applies `op`, returning the rows affected.
-    fn write(&self, op: WriteOp) -> u64;
+/// The two counters the write body needs that [`Index`] does not expose.
+trait Counted: Index {
     /// The backend's own logical row count.
     fn len(&self) -> usize;
     /// Compaction rebuilds plus incremental steps so far.
     fn merges(&self) -> u64;
-    fn check_invariants(&self) -> bool;
 }
 
-impl Engine for ConcurrentCracker {
-    fn reader(&self) -> Reader<'_> {
-        Box::new(|low, high, shape| self.read(low, high, None, shape))
-    }
-    fn snapshot_reader(&self) -> Reader<'_> {
-        let snap = self.snapshot();
-        Box::new(move |low, high, shape| snap.read(low, high, shape))
-    }
-    fn write(&self, op: WriteOp) -> u64 {
-        ConcurrentCracker::write(self, op).0
-    }
+impl Counted for ConcurrentCracker {
     fn len(&self) -> usize {
         self.logical_len() as usize
     }
     fn merges(&self) -> u64 {
         self.compactions_performed() + self.compaction_steps_performed()
     }
-    fn check_invariants(&self) -> bool {
-        ConcurrentCracker::check_invariants(self)
-    }
 }
 
-impl Engine for ChunkedCracker {
-    fn reader(&self) -> Reader<'_> {
-        Box::new(|low, high, shape| self.read(low, high, shape))
-    }
-    fn snapshot_reader(&self) -> Reader<'_> {
-        let snap = self.snapshot();
-        Box::new(move |low, high, shape| snap.read(low, high, shape))
-    }
-    fn write(&self, op: WriteOp) -> u64 {
-        ChunkedCracker::write(self, op).0
-    }
+impl Counted for ChunkedCracker {
     fn len(&self) -> usize {
         ChunkedCracker::len(self)
     }
     fn merges(&self) -> u64 {
         self.compactions_performed()
     }
-    fn check_invariants(&self) -> bool {
-        ChunkedCracker::check_invariants(self)
-    }
 }
 
-impl Engine for RangePartitionedCracker {
-    fn reader(&self) -> Reader<'_> {
-        Box::new(|low, high, shape| self.read(low, high, shape))
-    }
-    fn snapshot_reader(&self) -> Reader<'_> {
-        let snap = self.snapshot();
-        Box::new(move |low, high, shape| snap.read(low, high, shape))
-    }
-    fn write(&self, op: WriteOp) -> u64 {
-        RangePartitionedCracker::write(self, op).0
-    }
+impl Counted for RangePartitionedCracker {
     fn len(&self) -> usize {
         RangePartitionedCracker::len(self)
     }
     fn merges(&self) -> u64 {
         self.delta_stats().1
-    }
-    fn check_invariants(&self) -> bool {
-        RangePartitionedCracker::check_invariants(self)
     }
 }
 
@@ -118,12 +71,12 @@ fn keyed_rows(n: usize) -> BTreeMap<RowId, i64> {
     rows.map(|(i, key)| (i as RowId, key)).collect()
 }
 
-/// Reads `[low, high)` in every shape through `read` and checks the five
-/// answers — and the sizes their metrics report — against each other and
-/// against a scan of `rows` (rowid → key).
+/// Reads `[low, high)` in every shape through `reader` and checks the
+/// five answers — and the sizes their metrics report — against each other
+/// and against a scan of `rows` (rowid → key).
 fn assert_shapes_agree(
     label: &str,
-    read: &Reader<'_>,
+    reader: &dyn ColumnRead,
     rows: &BTreeMap<RowId, i64>,
     ranges: &[(i64, i64)],
 ) {
@@ -137,20 +90,21 @@ fn assert_shapes_agree(
         let expected_sum: i128 = expected.iter().map(|rowid| rows[rowid] as i128).sum();
         let n = expected.len() as u64;
 
-        let (count, m) = read(low, high, ReadShape::Count);
+        let read = |shape| reader.read(low, high, shape);
+        let (count, m) = read(ReadShape::Count);
         assert_eq!(count.into_agg(), n as i128, "{at} count");
         assert_eq!(m.result_count, n, "{at} count metrics");
 
-        let (sum, m) = read(low, high, ReadShape::Sum);
+        let (sum, m) = read(ReadShape::Sum);
         assert_eq!(sum.into_agg(), expected_sum, "{at} sum");
         assert_eq!(m.result_count, n, "{at} sum metrics");
 
-        let (flat, m) = read(low, high, ReadShape::RowIds);
+        let (flat, m) = read(ReadShape::RowIds);
         assert_eq!(flat.rows(), Some(n), "{at} flat rows()");
         assert_eq!(flat.into_rowids(), expected, "{at} flat rowids");
         assert_eq!(m.result_count, n, "{at} flat metrics");
 
-        let (set, m) = read(low, high, ReadShape::RowIdSet);
+        let (set, m) = read(ReadShape::RowIdSet);
         let set = set.into_set();
         assert_eq!(set.len() as u64, n, "{at} set len");
         assert_eq!(set.to_vec(), expected, "{at} set contents");
@@ -161,7 +115,7 @@ fn assert_shapes_agree(
             "{at} set footprint"
         );
 
-        let (runs, m) = read(low, high, ReadShape::KeyRuns);
+        let (runs, m) = read(ReadShape::KeyRuns);
         let runs = runs.into_runs();
         assert_eq!(runs.total_rows() as u64, n, "{at} runs total_rows");
         assert_eq!(m.result_count, n, "{at} runs metrics");
@@ -187,7 +141,7 @@ fn assert_shapes_agree(
 /// deletes, re-inserts — with the policy's incremental compaction steps
 /// and rebuilds firing underneath), then check every shape both now and
 /// through the snapshot.
-fn check_engine(label: &str, engine: &dyn Engine, n: usize) {
+fn check_engine(label: &str, engine: &dyn Index, n: usize) {
     let mut rows = keyed_rows(n);
     let half = n as i64 / 2;
     let ranges = [
@@ -199,32 +153,32 @@ fn check_engine(label: &str, engine: &dyn Engine, n: usize) {
         (7, 7),
         (half, 0),
     ];
-    let now = engine.reader();
-    assert_shapes_agree(&format!("{label} fresh"), &now, &rows, &ranges);
+    let now: &dyn ColumnRead = engine;
+    assert_shapes_agree(&format!("{label} fresh"), now, &rows, &ranges);
 
-    let pinned = engine.snapshot_reader();
+    let pinned = engine.pin();
     let before = rows.clone();
     let mut next_rowid = 10 * n as RowId;
     for step in 0..120i64 {
         let key = (step * 37) % half;
         let doomed = rows.values().filter(|&&k| k == key).count() as u64;
-        let removed = engine.write(WriteOp::Delete { value: key });
+        let removed = engine.delete(key).0;
         assert_eq!(removed, doomed, "{label} delete {key}");
         rows.retain(|_, k| *k != key);
         // Re-insert some deleted keys, add some fresh ones past the domain.
         for value in [key, half + step] {
             if step % 3 != 0 {
                 let rowid = next_rowid;
-                engine.write(WriteOp::Insert { value, rowid });
+                engine.insert_row(value, rowid);
                 rows.insert(next_rowid, value);
                 next_rowid += 1;
             }
         }
     }
-    assert_shapes_agree(&format!("{label} churned"), &now, &rows, &ranges);
-    assert_shapes_agree(&format!("{label} pinned"), &pinned, &before, &ranges);
+    assert_shapes_agree(&format!("{label} churned"), now, &rows, &ranges);
+    assert_shapes_agree(&format!("{label} pinned"), &*pinned, &before, &ranges);
     drop(pinned);
-    assert_shapes_agree(&format!("{label} released"), &now, &rows, &ranges);
+    assert_shapes_agree(&format!("{label} released"), now, &rows, &ranges);
     assert!(engine.check_invariants(), "{label}");
 }
 
@@ -270,9 +224,8 @@ fn every_shape_agrees_across_pivot_cracks_now_and_pinned() {
     ];
     let (_, first) = idx.read(ranges[0].0, ranges[0].1, None, ReadShape::Count);
     assert!(first.cracks_performed > 2, "the pivot policy fired");
-    let now = idx.reader();
-    assert_shapes_agree("above-floor fresh", &now, &rows, &ranges);
-    let pinned = idx.snapshot_reader();
+    assert_shapes_agree("above-floor fresh", &idx, &rows, &ranges);
+    let pinned = idx.pin();
     let before = rows.clone();
     for (step, &(low, _)) in ranges.iter().enumerate() {
         let key = low + 1;
@@ -282,8 +235,8 @@ fn every_shape_agrees_across_pivot_cracks_now_and_pinned() {
         idx.insert_row(key + 1, rowid);
         rows.insert(rowid, key + 1);
     }
-    assert_shapes_agree("above-floor churned", &now, &rows, &ranges);
-    assert_shapes_agree("above-floor pinned", &pinned, &before, &ranges);
+    assert_shapes_agree("above-floor churned", &idx, &rows, &ranges);
+    assert_shapes_agree("above-floor pinned", &*pinned, &before, &ranges);
     drop(pinned);
     assert!(idx.check_invariants());
 }
@@ -300,13 +253,12 @@ fn a_sequential_sweep_is_exact_on_every_backend_above_the_pivot_floor() {
     let queries = 40i64;
     let stride = n as i64 / queries;
     // `parts`: indexes that resolve the first query's bounds.
-    let sweep = |label: &str, engine: &dyn Engine, parts: u32| {
-        let read = engine.reader();
+    let sweep = |label: &str, engine: &dyn Index, parts: u32| {
         for k in 0..queries {
             let low = k * stride + stride / 4;
             let high = low + stride / 2;
-            let (count, metrics) = read(low, high, ReadShape::Count);
-            assert_eq!(count.into_agg(), (high - low) as i128, "{label} count {k}");
+            let (count, metrics) = engine.count(low, high);
+            assert_eq!(count, (high - low) as u64, "{label} count {k}");
             if k == 0 {
                 assert!(
                     metrics.cracks_performed > 2 * parts,
@@ -314,9 +266,9 @@ fn a_sequential_sweep_is_exact_on_every_backend_above_the_pivot_floor() {
                     2 * parts
                 );
             }
-            let (sum, _) = read(low, high, ReadShape::Sum);
+            let (sum, _) = engine.sum(low, high);
             let expected = (low + high - 1) as i128 * (high - low) as i128 / 2;
-            assert_eq!(sum.into_agg(), expected, "{label} sum {k}");
+            assert_eq!(sum, expected, "{label} sum {k}");
         }
         assert!(engine.check_invariants(), "{label}");
     };
@@ -462,18 +414,18 @@ fn write_stream() -> (Vec<(WriteOp, u64)>, BTreeMap<RowId, i64>) {
 /// The one write body: apply the stream, checking the rows affected op
 /// by op, then the surviving rows, the backend's own row count, and its
 /// invariants.
-fn check_writes(label: &str, engine: &dyn Engine) {
+fn check_writes(label: &str, engine: &dyn Counted) {
     let (ops, rows) = write_stream();
     for (i, &(op, expected)) in ops.iter().enumerate() {
-        assert_eq!(engine.write(op), expected, "{label} op {i}: {op:?}");
+        assert_eq!(engine.write(op).0, expected, "{label} op {i}: {op:?}");
     }
     let survivors: Vec<RowId> = rows
         .iter()
         .filter(|&(_, &key)| key < i64::MAX)
         .map(|(&rowid, _)| rowid)
         .collect();
-    let (all, _) = engine.reader()(i64::MIN, i64::MAX, ReadShape::RowIds);
-    assert_eq!(all.into_rowids(), survivors, "{label} surviving rows");
+    let (all, _) = engine.select_rowids(i64::MIN, i64::MAX);
+    assert_eq!(all, survivors, "{label} surviving rows");
     assert_eq!(engine.len(), rows.len(), "{label} row count");
     assert!(engine.check_invariants(), "{label}");
 }
@@ -527,7 +479,7 @@ fn the_write_stream_hits_every_corner() {
 #[test]
 fn one_write_stream_gives_the_same_answers_on_every_backend() {
     let policy = CompactionPolicy::rows(64);
-    let merged = |label: &str, engine: &dyn Engine| {
+    let merged = |label: &str, engine: &dyn Counted| {
         check_writes(label, engine);
         assert!(engine.merges() > 0, "{label} never crossed rows(64)");
     };
@@ -621,10 +573,9 @@ fn every_shape_survives_straddle_merges_while_partitions_split() {
         .map(|_| {
             let (idx, rows, stop) = (Arc::clone(&idx), Arc::clone(&rows), Arc::clone(&stop));
             thread::spawn(move || {
-                let read: Reader<'_> = Box::new(|low, high, shape| idx.read(low, high, shape));
                 let mut rounds = 0u32;
                 while !stop.load(Ordering::Acquire) || rounds == 0 {
-                    assert_shapes_agree("racing", &read, &rows, &[(i64::MIN, i64::MAX)]);
+                    assert_shapes_agree("racing", &*idx, &rows, &[(i64::MIN, i64::MAX)]);
                     rounds += 1;
                 }
             })
@@ -648,12 +599,58 @@ fn every_shape_survives_straddle_merges_while_partitions_split() {
         idx.splits_performed() >= 1,
         "the race must exercise at least one split"
     );
-    let read: Reader<'_> = Box::new(|low, high, shape| idx.read(low, high, shape));
     assert_shapes_agree(
         "settled",
-        &read,
+        &*idx,
         &rows,
         &[(i64::MIN, i64::MAX), (100, 1500)],
     );
     assert!(idx.check_invariants());
+}
+
+/// A pin answers at its epoch on every backend, whatever writes land
+/// after it, and holds exactly its registrations while it lives.
+#[test]
+fn a_pin_answers_at_its_epoch_on_every_backend() {
+    let values = vec![3, 1, 4, 1, 5, 9, 2, 6];
+    let rowids: Vec<RowId> = (0..values.len() as RowId).collect();
+    let backends: Vec<Box<dyn Index>> = vec![
+        Box::new(ConcurrentCracker::from_rows(
+            values.clone(),
+            rowids.clone(),
+            LatchProtocol::Piece,
+        )),
+        Box::new(ChunkedCracker::from_rows(
+            values.clone(),
+            rowids.clone(),
+            2,
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
+        )),
+        Box::new(RangePartitionedCracker::from_rows(
+            values.clone(),
+            rowids.clone(),
+            2,
+            CompactionPolicy::disabled(),
+        )),
+    ];
+    for index in &backends {
+        assert_eq!(index.structure_probe().live_snapshots, 0);
+        let pin = index.pin();
+        assert!(
+            index.structure_probe().live_snapshots > 0,
+            "the pin registered"
+        );
+        index.insert_row(4, 100);
+        index.delete_row(1, 1);
+        assert_eq!(pin.select_rowids(0, 10).0, [0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(index.select_rowids(0, 5).0, [0, 2, 3, 6, 100]);
+        drop(pin);
+        assert_eq!(
+            index.structure_probe().live_snapshots,
+            0,
+            "the drop released it"
+        );
+        assert_eq!(index.count(0, 10).0, 8);
+    }
 }

@@ -44,12 +44,11 @@
 //! all columns in parallel under piece/column latches, pinned or not).
 
 use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
-use crate::row_index::{ColumnRead, RowIndex};
 use aidx_core::facade::{Mutex, MutexGuard, RwLock};
 use aidx_core::{
-    dcheck, intersect_sets, merge_join_pairs, note_merge_join, CompactionPolicy, IntersectStrategy,
-    KeyRuns, LatchProtocol, QueryMetrics, RefinementPolicy, RowIdSet, RowIdSetBuilder,
-    SeekingIterator,
+    dcheck, intersect_sets, merge_join_pairs, note_merge_join, ColumnRead, CompactionPolicy, Index,
+    IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, RefinementPolicy, RowIdSet,
+    RowIdSetBuilder, SeekingIterator,
 };
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
 use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
@@ -184,7 +183,7 @@ fn effective_workers(requested: usize) -> usize {
 pub struct TableEngine {
     name: String,
     column_names: Vec<String>,
-    indexes: Vec<Box<dyn RowIndex>>,
+    indexes: Vec<Box<dyn Index>>,
     /// Column-major seed data: `base[col][rowid]` for `rowid < base_rows`.
     /// Kept verbatim (including later-deleted rows — dead entries are
     /// unreachable because no select returns their row ids).
@@ -261,11 +260,11 @@ impl TableEngine {
             "table keys must be < i64::MAX (half-open range model)"
         );
         let mut column_names = Vec::with_capacity(columns.len());
-        let mut indexes: Vec<Box<dyn RowIndex>> = Vec::with_capacity(columns.len());
+        let mut indexes: Vec<Box<dyn Index>> = Vec::with_capacity(columns.len());
         let mut base = Vec::with_capacity(columns.len());
         for (col_name, values) in columns {
             let rowids: Vec<RowId> = (0..base_rows as RowId).collect();
-            let index: Box<dyn RowIndex> = match backend {
+            let index: Box<dyn Index> = match backend {
                 TableBackend::Serial(protocol) => Box::new(
                     aidx_core::ConcurrentCracker::from_rows(values.clone(), rowids, protocol)
                         .with_compaction(compaction),
@@ -373,7 +372,7 @@ impl TableEngine {
     }
 
     /// The column's index (post-run inspection).
-    pub fn column_index(&self, column: usize) -> &dyn RowIndex {
+    pub fn column_index(&self, column: usize) -> &dyn Index {
         self.indexes[column].as_ref()
     }
 

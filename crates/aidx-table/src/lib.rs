@@ -19,16 +19,15 @@
 //!
 //! Pieces:
 //!
-//! * [`RowIndex`] — the rowid-carrying single-column index surface: one
-//!   required `read(low, high, shape)` (from [`ColumnRead`]), one required
-//!   `pin()` returning a [`ColumnRead`] handle frozen at the column's
-//!   current epoch, and one required `write(`[`aidx_core::WriteOp`]`)`,
-//!   with `select_rowids` / `insert_row` / `delete_row` and the rest as
-//!   provided wrappers — implemented by the
-//!   serial [`aidx_core::ConcurrentCracker`], the parallel-chunked
-//!   [`aidx_parallel::ChunkedCracker`], and the range-partitioned
-//!   [`aidx_parallel::RangePartitionedCracker`] — every latch protocol
-//!   and compaction mode of the single-column stack composes per column.
+//! Every indexed column is a `Box<dyn `[`aidx_core::Index`]`>`: the one
+//! rowid-carrying index surface the serial
+//! [`aidx_core::ConcurrentCracker`], the parallel-chunked
+//! [`aidx_parallel::ChunkedCracker`] and the range-partitioned
+//! [`aidx_parallel::RangePartitionedCracker`] each implement once, so
+//! every latch protocol and compaction mode of the single-column stack
+//! composes per column, and a per-operation cut is one
+//! [`aidx_core::Index::pin`] per column.
+//!
 //! * [`TableOp`] / [`TableOpResult`] — the table-level operation set:
 //!   multi-predicate selects, whole-tuple inserts, key-predicate
 //!   deletes, and key/FK equi-joins against another table engine.
@@ -53,9 +52,7 @@
 pub mod checked;
 pub mod engine;
 pub mod ops;
-pub mod row_index;
 
 pub use checked::{CheckedTableEngine, TableMismatch};
 pub use engine::{TableBackend, TableEngine};
 pub use ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
-pub use row_index::{ColumnRead, RowIndex};

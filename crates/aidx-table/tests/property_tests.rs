@@ -95,7 +95,7 @@ proptest! {
         threshold in 1u64..10,
         step in 1usize..4,
     ) {
-        // Compressed-set column reads (`RowIndex::select_rowid_set`)
+        // Compressed-set column reads (`ColumnRead::select_rowid_set`)
         // interleaved with tuple writes under aggressive incremental
         // compaction, on every backend: every set must decode to exactly
         // the flat `select_rowids` answer taken back-to-back (the table

@@ -7,9 +7,11 @@
 //! * [`ScanEngine`] — plain full scans over a latched vector, no index.
 //! * [`SortEngine`] — full index built (by sorting) when the first query
 //!   arrives, binary search afterwards; writes keep the index sorted.
-//! * [`CrackEngine`] — adaptive indexing via the concurrent cracker of
-//!   `aidx-core`, under a chosen latch protocol and refinement policy;
-//!   writes flow through its pending delta (Section 4).
+//! * [`IndexEngine`] — any [`Index`]: the concurrent cracker of
+//!   `aidx-core` under a chosen latch protocol and refinement policy, and
+//!   the parallel-chunked and range-partitioned crackers of
+//!   `aidx-parallel`; writes flow through each backend's pending delta
+//!   (Section 4).
 //! * [`MergeEngine`] — adaptive merging over the partitioned B-tree;
 //!   inserts enter the update partition like a late run.
 //!
@@ -23,14 +25,11 @@
 //! hitting one server process.
 
 use crate::query::{Operation, QuerySpec};
-use aidx_core::{
-    Aggregate, CompactionPolicy, ConcurrentAdaptiveMerge, ConcurrentCracker, LatchProtocol,
-    QueryMetrics, RefinementPolicy,
-};
+use aidx_core::{Aggregate, ColumnRead, ConcurrentAdaptiveMerge, Index, QueryMetrics};
 use aidx_cracking::SortIndex;
 use aidx_latch::lockmgr::LockManager;
 use aidx_latch::LatchStatsSnapshot;
-use aidx_obs::{StructureStats, TraceEvent};
+use aidx_obs::StructureStats;
 use aidx_storage::ops;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -65,17 +64,6 @@ pub trait AdaptiveEngine: Send + Sync {
         (result.value, result.metrics)
     }
 
-    /// Executes one select through an epoch-stamped snapshot: the engine
-    /// opens a snapshot at the current column epoch, answers the query
-    /// frozen there (ignoring every concurrent write, piece shrink, and
-    /// compaction step), and releases it. Engines without snapshot
-    /// machinery (scan, sort, adaptive-merge) answer at
-    /// the latest state, which is what a single serialized read observes
-    /// anyway.
-    fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
-        self.select(query)
-    }
-
     /// Structure summary of the underlying adaptive index — piece layout,
     /// delta pressure, routed load — or `None` for engines with no
     /// adaptive structure to observe (scan, sort, adaptive-merge).
@@ -83,68 +71,13 @@ pub trait AdaptiveEngine: Send + Sync {
         None
     }
 
-    /// Per-latch-object wait/conflict attribution, keyed by piece start
-    /// position ([`TraceEvent::COLUMN_LATCH`] stands for the column-level
-    /// latch). Empty for engines whose concurrency control is not
-    /// piece-granular.
+    /// Per-latch-object wait/conflict attribution
+    /// ([`Index::latch_attribution`]). Empty for engines whose concurrency
+    /// control is not piece-granular.
     fn latch_attribution(&self) -> Vec<(u64, LatchStatsSnapshot)> {
         Vec::new()
     }
 }
-
-/// Dispatches one [`Operation`] onto an index exposing the common
-/// `count / sum / insert / delete` quartet (the concurrent cracker, the
-/// concurrent adaptive merge, and both parallel crackers all share it).
-/// One definition instead of four copy-pasted match blocks: adding an
-/// `Operation` variant or changing [`OpResult`] is a single edit.
-macro_rules! execute_on_index {
-    ($index:expr, $op:expr) => {{
-        match $op {
-            Operation::Select(q) => match q.aggregate {
-                Aggregate::Count => {
-                    let (c, metrics) = $index.count(q.low, q.high);
-                    OpResult {
-                        value: c as i128,
-                        metrics,
-                    }
-                }
-                Aggregate::Sum => {
-                    let (s, metrics) = $index.sum(q.low, q.high);
-                    OpResult { value: s, metrics }
-                }
-            },
-            Operation::Insert(v) => OpResult {
-                value: 1,
-                metrics: $index.insert(v),
-            },
-            Operation::Delete(v) => {
-                let (removed, metrics) = $index.delete(v);
-                OpResult {
-                    value: removed as i128,
-                    metrics,
-                }
-            }
-        }
-    }};
-}
-pub(crate) use execute_on_index;
-
-/// [`AdaptiveEngine::snapshot_select`] for any index with a `snapshot()`
-/// whose handle answers `count`/`sum` (the concurrent cracker and both
-/// parallel crackers): open, answer frozen there, release on drop.
-macro_rules! snapshot_select_on_index {
-    ($index:expr, $query:expr) => {{
-        let snapshot = $index.snapshot();
-        match $query.aggregate {
-            Aggregate::Count => {
-                let (c, m) = snapshot.count($query.low, $query.high);
-                (c as i128, m)
-            }
-            Aggregate::Sum => snapshot.sum($query.low, $query.high),
-        }
-    }};
-}
-pub(crate) use snapshot_select_on_index;
 
 impl<T: AdaptiveEngine + ?Sized> AdaptiveEngine for Box<T> {
     fn name(&self) -> &str {
@@ -153,10 +86,6 @@ impl<T: AdaptiveEngine + ?Sized> AdaptiveEngine for Box<T> {
 
     fn execute(&self, op: Operation) -> OpResult {
         (**self).execute(op)
-    }
-
-    fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
-        (**self).snapshot_select(query)
     }
 
     fn structure_stats(&self) -> Option<StructureStats> {
@@ -175,10 +104,6 @@ impl<T: AdaptiveEngine + ?Sized> AdaptiveEngine for Arc<T> {
 
     fn execute(&self, op: Operation) -> OpResult {
         (**self).execute(op)
-    }
-
-    fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
-        (**self).snapshot_select(query)
     }
 
     fn structure_stats(&self) -> Option<StructureStats> {
@@ -374,71 +299,78 @@ impl AdaptiveEngine for SortEngine {
     }
 }
 
-/// Adaptive indexing (database cracking) under concurrency control.
+/// Any [`Index`] as an experiment arm — the concurrent cracker, the
+/// parallel-chunked and the range-partitioned crackers alike — so every
+/// indexed arm runs the same select, insert and delete bodies. Writes
+/// route the way each backend prescribes; a select reads *now*, or,
+/// when the experiment asks for snapshot scans, through a pin opened for
+/// it alone: frozen at the epoch the select started at, ignoring every
+/// concurrent write, piece shrink and compaction step.
 #[derive(Debug)]
-pub struct CrackEngine {
-    cracker: ConcurrentCracker,
+pub struct IndexEngine<I> {
+    index: I,
     name: String,
+    pinned_selects: bool,
 }
 
-impl CrackEngine {
-    /// Builds a cracking engine with the given latch protocol.
-    pub fn new(values: Vec<i64>, protocol: LatchProtocol) -> Self {
-        Self::with_policy(values, protocol, RefinementPolicy::Always)
-    }
-
-    /// Builds a cracking engine with an explicit refinement policy.
-    pub fn with_policy(
-        values: Vec<i64>,
-        protocol: LatchProtocol,
-        policy: RefinementPolicy,
-    ) -> Self {
-        CrackEngine {
-            cracker: ConcurrentCracker::from_values(values, protocol).with_policy(policy),
-            name: format!("crack-{protocol}"),
+impl<I: Index> IndexEngine<I> {
+    /// Wraps `index` under the report name `name`; selects read now.
+    pub fn new(name: impl Into<String>, index: I) -> Self {
+        IndexEngine {
+            index,
+            name: name.into(),
+            pinned_selects: false,
         }
     }
 
-    /// Sets the delta compaction policy (builder style): long write
-    /// streams rebuild the cracker's main array once the pending delta
-    /// outgrows the threshold instead of degrading every select.
-    pub fn with_compaction(mut self, compaction: CompactionPolicy) -> Self {
-        self.cracker.set_compaction(compaction);
+    /// Answers every select through its own pin (builder style): the
+    /// `snapshot_scans` experiment setting.
+    pub(crate) fn with_pinned_selects(mut self, pinned_selects: bool) -> Self {
+        self.pinned_selects = pinned_selects;
         self
     }
 
-    /// The underlying concurrent cracker (for post-run inspection).
-    pub fn cracker(&self) -> &ConcurrentCracker {
-        &self.cracker
+    /// The underlying index (for post-run inspection).
+    pub fn index(&self) -> &I {
+        &self.index
     }
 }
 
-impl AdaptiveEngine for CrackEngine {
+/// One Q1/Q2 select against `reader`.
+fn answer<R: ColumnRead + ?Sized>(reader: &R, q: QuerySpec) -> (i128, QueryMetrics) {
+    match q.aggregate {
+        Aggregate::Count => {
+            let (count, metrics) = reader.count(q.low, q.high);
+            (count as i128, metrics)
+        }
+        Aggregate::Sum => reader.sum(q.low, q.high),
+    }
+}
+
+impl<I: Index> AdaptiveEngine for IndexEngine<I> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn execute(&self, op: Operation) -> OpResult {
-        execute_on_index!(self.cracker, op)
-    }
-
-    fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
-        snapshot_select_on_index!(self.cracker, query)
+        let (value, metrics) = match op {
+            Operation::Select(q) if self.pinned_selects => answer(&*self.index.pin(), q),
+            Operation::Select(q) => answer(&self.index, q),
+            Operation::Insert(v) => (1, self.index.insert(v)),
+            Operation::Delete(v) => {
+                let (removed, metrics) = self.index.delete(v);
+                (removed as i128, metrics)
+            }
+        };
+        OpResult { value, metrics }
     }
 
     fn structure_stats(&self) -> Option<StructureStats> {
-        Some(self.cracker.structure_probe().summarize())
+        Some(self.index.structure_probe().summarize())
     }
 
     fn latch_attribution(&self) -> Vec<(u64, LatchStatsSnapshot)> {
-        let mut stats: Vec<(u64, LatchStatsSnapshot)> = self
-            .cracker
-            .latch_stats_by_piece()
-            .into_iter()
-            .map(|(start, snap)| (start as u64, snap))
-            .collect();
-        stats.push((TraceEvent::COLUMN_LATCH, self.cracker.column_latch_stats()));
-        stats
+        self.index.latch_attribution()
     }
 }
 
@@ -472,7 +404,21 @@ impl AdaptiveEngine for MergeEngine {
     }
 
     fn execute(&self, op: Operation) -> OpResult {
-        execute_on_index!(self.merge, op)
+        let (value, metrics) = match op {
+            Operation::Select(q) => match q.aggregate {
+                Aggregate::Count => {
+                    let (count, metrics) = self.merge.count(q.low, q.high);
+                    (count as i128, metrics)
+                }
+                Aggregate::Sum => self.merge.sum(q.low, q.high),
+            },
+            Operation::Insert(v) => (1, self.merge.insert(v)),
+            Operation::Delete(v) => {
+                let (removed, metrics) = self.merge.delete(v);
+                (removed as i128, metrics)
+            }
+        };
+        OpResult { value, metrics }
     }
 }
 
@@ -501,7 +447,6 @@ pub struct CheckedEngine<E> {
     inner: E,
     oracle: Mutex<BTreeMap<i64, u64>>,
     mismatches: Mutex<Vec<Mismatch>>,
-    snapshot_scans: bool,
 }
 
 impl<E: AdaptiveEngine> CheckedEngine<E> {
@@ -516,17 +461,7 @@ impl<E: AdaptiveEngine> CheckedEngine<E> {
             inner,
             oracle: Mutex::new(oracle),
             mismatches: Mutex::new(Vec::new()),
-            snapshot_scans: false,
         }
-    }
-
-    /// Routes every checked select through the engine's snapshot path
-    /// (builder style): the select opens a snapshot at the current epoch,
-    /// answers there, and must still match the oracle — which replays the
-    /// same linearization, so snapshot-at-now and latest must agree.
-    pub fn with_snapshot_scans(mut self, snapshot_scans: bool) -> Self {
-        self.snapshot_scans = snapshot_scans;
-        self
     }
 
     /// Operations whose results disagreed with the oracle.
@@ -571,13 +506,7 @@ impl<E: AdaptiveEngine> AdaptiveEngine for CheckedEngine<E> {
         // oracle op) becomes one atomic step, so the oracle replays the
         // engine's exact linearization order.
         let mut oracle = self.oracle.lock();
-        let result = match (op, self.snapshot_scans) {
-            (Operation::Select(q), true) => {
-                let (value, metrics) = self.inner.snapshot_select(&q);
-                OpResult { value, metrics }
-            }
-            _ => self.inner.execute(op),
-        };
+        let result = self.inner.execute(op);
         let expected = oracle_apply(&mut oracle, op);
         drop(oracle);
         if result.value != expected {
@@ -588,66 +517,6 @@ impl<E: AdaptiveEngine> AdaptiveEngine for CheckedEngine<E> {
             });
         }
         result
-    }
-
-    fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
-        let mut oracle = self.oracle.lock();
-        let (value, metrics) = self.inner.snapshot_select(query);
-        // Selects never mutate the oracle, so the locked map is passed
-        // straight through (no clone).
-        let expected = oracle_apply(&mut oracle, Operation::Select(*query));
-        drop(oracle);
-        if value != expected {
-            self.mismatches.lock().push(Mismatch {
-                op: Operation::Select(*query),
-                got: value,
-                expected,
-            });
-        }
-        (value, metrics)
-    }
-
-    fn structure_stats(&self) -> Option<StructureStats> {
-        self.inner.structure_stats()
-    }
-
-    fn latch_attribution(&self) -> Vec<(u64, LatchStatsSnapshot)> {
-        self.inner.latch_attribution()
-    }
-}
-
-/// Engine adapter that routes every select through the inner engine's
-/// snapshot path ([`AdaptiveEngine::snapshot_select`]) while writes pass
-/// through untouched — the `snapshot_scans` experiment knob.
-#[derive(Debug)]
-pub struct SnapshotScanEngine<E> {
-    inner: E,
-}
-
-impl<E: AdaptiveEngine> SnapshotScanEngine<E> {
-    /// Wraps `inner`.
-    pub fn new(inner: E) -> Self {
-        SnapshotScanEngine { inner }
-    }
-}
-
-impl<E: AdaptiveEngine> AdaptiveEngine for SnapshotScanEngine<E> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn execute(&self, op: Operation) -> OpResult {
-        match op {
-            Operation::Select(q) => {
-                let (value, metrics) = self.inner.snapshot_select(&q);
-                OpResult { value, metrics }
-            }
-            _ => self.inner.execute(op),
-        }
-    }
-
-    fn snapshot_select(&self, query: &QuerySpec) -> (i128, QueryMetrics) {
-        self.inner.snapshot_select(query)
     }
 
     fn structure_stats(&self) -> Option<StructureStats> {
@@ -662,19 +531,46 @@ impl<E: AdaptiveEngine> AdaptiveEngine for SnapshotScanEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol, RefinementPolicy};
+    use aidx_obs::TraceEvent;
+    use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
 
     fn shuffled(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
     }
 
-    fn engines(values: &[i64]) -> Vec<Box<dyn AdaptiveEngine>> {
+    fn crack(values: &[i64], protocol: LatchProtocol) -> IndexEngine<ConcurrentCracker> {
+        let index = ConcurrentCracker::from_values(values.to_vec(), protocol);
+        IndexEngine::new(format!("crack-{protocol}"), index)
+    }
+
+    /// Every indexed arm, its selects reading now or through a pin each.
+    fn index_engines(values: &[i64], pinned: bool) -> Vec<Box<dyn AdaptiveEngine>> {
+        let chunked = ChunkedCracker::new(
+            values.to_vec(),
+            3,
+            LatchProtocol::Piece,
+            RefinementPolicy::Always,
+        );
+        let range = RangePartitionedCracker::new(values.to_vec(), 3);
         vec![
+            Box::new(crack(values, LatchProtocol::Piece).with_pinned_selects(pinned)),
+            Box::new(crack(values, LatchProtocol::Column).with_pinned_selects(pinned)),
+            Box::new(
+                IndexEngine::new("parallel-chunk-piece-3", chunked).with_pinned_selects(pinned),
+            ),
+            Box::new(IndexEngine::new("parallel-range-3", range).with_pinned_selects(pinned)),
+        ]
+    }
+
+    fn engines(values: &[i64]) -> Vec<Box<dyn AdaptiveEngine>> {
+        let mut engines: Vec<Box<dyn AdaptiveEngine>> = vec![
             Box::new(ScanEngine::new(values.to_vec())),
             Box::new(SortEngine::new(values.to_vec())),
-            Box::new(CrackEngine::new(values.to_vec(), LatchProtocol::Piece)),
-            Box::new(CrackEngine::new(values.to_vec(), LatchProtocol::Column)),
             Box::new(MergeEngine::new(values.to_vec(), 256)),
-        ]
+        ];
+        engines.extend(index_engines(values, false));
+        engines
     }
 
     #[test]
@@ -730,14 +626,7 @@ mod tests {
         let values = shuffled(100);
         assert_eq!(ScanEngine::new(values.clone()).name(), "scan");
         assert_eq!(SortEngine::new(values.clone()).name(), "sort");
-        assert_eq!(
-            CrackEngine::new(values.clone(), LatchProtocol::Piece).name(),
-            "crack-piece"
-        );
-        assert_eq!(
-            CrackEngine::new(values.clone(), LatchProtocol::Column).name(),
-            "crack-column"
-        );
+        assert_eq!(crack(&values, LatchProtocol::Piece).name(), "crack-piece");
         assert_eq!(MergeEngine::new(values, 10).name(), "adaptive-merge");
     }
 
@@ -757,10 +646,27 @@ mod tests {
 
     #[test]
     fn crack_engine_exposes_its_cracker() {
-        let engine = CrackEngine::new(shuffled(500), LatchProtocol::Piece);
+        let engine = crack(&shuffled(500), LatchProtocol::Piece);
         engine.select(&QuerySpec::sum(100, 400));
-        assert!(engine.cracker().crack_count() >= 2);
-        assert!(engine.cracker().check_invariants());
+        assert!(engine.index().crack_count() >= 2);
+        assert!(engine.index().check_invariants());
+        // Every backend stays inspectable behind the one adapter.
+        let values = shuffled(1000);
+        let chunked = IndexEngine::new(
+            "parallel-chunk-piece-2",
+            ChunkedCracker::new(
+                values.clone(),
+                2,
+                LatchProtocol::Piece,
+                RefinementPolicy::Always,
+            ),
+        );
+        chunked.select(&QuerySpec::sum(100, 900));
+        assert!(chunked.index().crack_count() >= 2);
+        let ranged = IndexEngine::new("parallel-range-2", RangePartitionedCracker::new(values, 2));
+        ranged.select(&QuerySpec::sum(100, 900));
+        assert_eq!(ranged.index().partition_count(), 2);
+        assert!(ranged.index().check_invariants());
     }
 
     #[test]
@@ -771,12 +677,30 @@ mod tests {
     }
 
     #[test]
+    fn default_range_engine_keeps_the_delta_bounded() {
+        // Regression guard: the default-constructed range index must not
+        // accumulate an unbounded per-partition delta under a sustained
+        // insert stream (its owners historically merged pending rows on
+        // the next crack; the bounded incremental default preserves that).
+        let engine = IndexEngine::new("range", RangePartitionedCracker::new(shuffled(2000), 2));
+        engine.select(&QuerySpec::sum(0, 2000));
+        for i in 0..2000 {
+            engine.execute(Operation::Insert(10_000 + i));
+        }
+        let (pending, merges) = engine.index().delta_stats();
+        assert!(
+            pending < 2000,
+            "default policy must bound the delta, saw {pending}"
+        );
+        assert!(merges > 0, "reconciliation actually ran");
+        assert_eq!(engine.select(&QuerySpec::count(10_000, 12_000)).0, 2000);
+        assert!(engine.index().check_invariants());
+    }
+
+    #[test]
     fn checked_engine_flags_no_mismatches_for_correct_engines() {
         let values = shuffled(300);
-        let checked = CheckedEngine::new(
-            CrackEngine::new(values.clone(), LatchProtocol::Piece),
-            values,
-        );
+        let checked = CheckedEngine::new(crack(&values, LatchProtocol::Piece), values);
         for q in [QuerySpec::count(10, 200), QuerySpec::sum(50, 290)] {
             checked.select(&q);
         }
@@ -785,21 +709,21 @@ mod tests {
 
     #[test]
     fn snapshot_selects_agree_with_plain_selects_when_serialized() {
-        // With no concurrent writers, a snapshot-at-now select and a plain
-        // select must be indistinguishable, for every engine (engines
-        // without snapshot machinery fall back to plain selects).
+        // With no concurrent writers, a select through its own pin and a
+        // plain select must be indistinguishable, on every indexed arm.
         let values = shuffled(1500);
-        for engine in engines(&values) {
+        let plain = index_engines(&values, false);
+        for (pinned, plain) in index_engines(&values, true).iter().zip(&plain) {
             for q in [
                 QuerySpec::count(100, 700),
                 QuerySpec::sum(0, 1500),
                 QuerySpec::count(500, 100),
             ] {
                 assert_eq!(
-                    engine.snapshot_select(&q).0,
-                    engine.select(&q).0,
-                    "{} snapshot select diverged on {q:?}",
-                    engine.name()
+                    pinned.select(&q).0,
+                    plain.select(&q).0,
+                    "{} pinned select diverged on {q:?}",
+                    plain.name()
                 );
             }
         }
@@ -807,24 +731,22 @@ mod tests {
 
     #[test]
     fn crack_engine_snapshot_select_releases_its_registration() {
-        let engine = CrackEngine::new(shuffled(800), LatchProtocol::Piece);
-        engine.snapshot_select(&QuerySpec::sum(100, 700));
+        let engine = crack(&shuffled(800), LatchProtocol::Piece).with_pinned_selects(true);
+        engine.select(&QuerySpec::sum(100, 700));
         assert_eq!(
-            engine.cracker().live_snapshots(),
+            engine.index().live_snapshots(),
             0,
-            "the per-select snapshot is transient"
+            "the per-select pin is transient"
         );
     }
 
     #[test]
     fn checked_engine_verifies_the_snapshot_path() {
         let values = shuffled(1000);
-        let checked = CheckedEngine::new(
-            CrackEngine::new(values.clone(), LatchProtocol::Piece)
-                .with_compaction(CompactionPolicy::rows(8).incremental(2)),
-            values,
-        )
-        .with_snapshot_scans(true);
+        let index = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece)
+            .with_compaction(CompactionPolicy::rows(8).incremental(2));
+        let engine = IndexEngine::new("crack-piece", index).with_pinned_selects(true);
+        let checked = CheckedEngine::new(engine, values);
         for op in [
             Operation::Select(QuerySpec::sum(100, 600)),
             Operation::Insert(250),
@@ -832,31 +754,31 @@ mod tests {
             Operation::Select(QuerySpec::count(200, 600)),
             Operation::Delete(250),
             Operation::Select(QuerySpec::sum(0, 6000)),
+            Operation::Select(QuerySpec::count(0, 1000)),
         ] {
             checked.execute(op);
         }
-        checked.snapshot_select(&QuerySpec::count(0, 1000));
         assert_eq!(checked.mismatches(), vec![], "snapshot scans diverged");
     }
 
     #[test]
     fn snapshot_scan_engine_routes_selects_through_snapshots() {
         let values = shuffled(600);
-        let engine =
-            SnapshotScanEngine::new(CrackEngine::new(values.clone(), LatchProtocol::Piece));
+        let engine = crack(&values, LatchProtocol::Piece).with_pinned_selects(true);
         assert_eq!(engine.name(), "crack-piece");
         let q = QuerySpec::count(50, 400);
         let expected = ScanEngine::new(values).select(&q).0;
         assert_eq!(engine.execute(Operation::Select(q)).value, expected);
-        assert_eq!(engine.snapshot_select(&q).0, expected);
         assert_eq!(engine.execute(Operation::Insert(60)).value, 1);
+        // Each select pins afresh, at the epoch it starts at.
         assert_eq!(engine.execute(Operation::Select(q)).value, expected + 1);
+        assert_eq!(engine.index().live_snapshots(), 0);
     }
 
     #[test]
     fn crack_engine_reports_structure_and_latch_attribution() {
         let values = shuffled(1000);
-        let engine = CrackEngine::new(values.clone(), LatchProtocol::Piece);
+        let engine = crack(&values, LatchProtocol::Piece);
         for q in [QuerySpec::count(100, 400), QuerySpec::sum(500, 900)] {
             engine.select(&q);
         }
@@ -879,9 +801,26 @@ mod tests {
         let boxed: Box<dyn AdaptiveEngine> = Box::new(engine);
         assert_eq!(boxed.structure_stats().unwrap().rows, 1000);
         assert_eq!(boxed.latch_attribution().len(), latches.len());
-        let checked = CheckedEngine::new(boxed, values);
+        let checked = CheckedEngine::new(boxed, values.clone());
         assert_eq!(checked.structure_stats().unwrap().rows, 1000);
         assert!(!checked.latch_attribution().is_empty());
+
+        // Every indexed arm reports its structure; the range arm its load.
+        for engine in index_engines(&values, false) {
+            engine.select(&QuerySpec::sum(100, 900));
+            let stats = engine
+                .structure_stats()
+                .expect("indexed arms have structure");
+            assert_eq!(stats.rows, 1000, "{}", engine.name());
+            assert!(stats.piece_count >= 3, "{}", engine.name());
+        }
+        let ranged = IndexEngine::new("range", RangePartitionedCracker::new(values, 4));
+        ranged.select(&QuerySpec::sum(100, 900));
+        let stats = ranged.structure_stats().expect("range has structure");
+        assert_eq!(stats.partitions, 4);
+        assert_eq!(stats.partition_load.count, 4);
+        assert!(stats.partition_load.max > 0, "routed ops counted");
+        assert!(ranged.latch_attribution().is_empty(), "latch-free owners");
 
         // Baseline engines expose neither.
         let scan = ScanEngine::new(shuffled(10));

@@ -10,12 +10,15 @@
 //! whole suite runs in seconds on a laptop or CI container; every harness
 //! accepts a row-count override to reproduce the original scale.
 
-use crate::engine::{AdaptiveEngine, CrackEngine, MergeEngine, ScanEngine, SortEngine};
+use crate::engine::{AdaptiveEngine, IndexEngine, MergeEngine, ScanEngine, SortEngine};
 use crate::generator::WorkloadGenerator;
-use crate::parallel_engine::{ParallelChunkEngine, ParallelRangeEngine};
 use crate::query::{Operation, QuerySpec};
 use crate::runner::MultiClientRunner;
-use aidx_core::{Aggregate, CompactionPolicy, LatchProtocol, RefinementPolicy, RunMetrics};
+use aidx_core::{
+    Aggregate, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, RefinementPolicy,
+    RunMetrics,
+};
+use aidx_parallel::{AdaptiveConfig, ChunkedCracker, RangePartitionedCracker};
 use aidx_storage::generate_unique_shuffled;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -241,10 +244,11 @@ pub struct ExperimentConfig {
     /// only the no-holes fallback). `0` keeps the quiescing rebuild.
     /// Meaningless unless `compaction_threshold > 0`.
     pub incremental_pieces: usize,
-    /// Route every select through the engine's epoch-stamped snapshot
-    /// path: each select opens a snapshot at the current column epoch,
-    /// answers frozen there, and releases it. Arms without snapshot
-    /// machinery answer at the latest state, unchanged.
+    /// Route every select of an indexed arm through a pin
+    /// ([`aidx_core::Index::pin`]) opened for it alone: the select answers
+    /// frozen at the epoch it started at and releases the pin. Arms
+    /// without an [`aidx_core::Index`] (scan, sort, adaptive-merge) answer
+    /// at the latest state, unchanged.
     pub snapshot_scans: bool,
     /// The approach under test.
     pub approach: Approach,
@@ -372,23 +376,30 @@ impl ExperimentConfig {
     }
 
     /// Builds the engine over caller-provided data (so a sweep can reuse one
-    /// generated column across arms).
+    /// generated column across arms). The engine reports the arm's
+    /// [`Approach::label`] as its name.
     pub fn build_engine_with(&self, values: Vec<i64>) -> Arc<dyn AdaptiveEngine> {
         let compaction = self.compaction_policy();
         match self.approach {
             Approach::Scan => Arc::new(ScanEngine::new(values)),
             Approach::Sort => Arc::new(SortEngine::new(values)),
-            Approach::Crack(protocol) => {
-                Arc::new(CrackEngine::new(values, protocol).with_compaction(compaction))
-            }
-            Approach::CrackSkipOnContention(protocol) => Arc::new(
-                CrackEngine::with_policy(values, protocol, RefinementPolicy::SkipOnContention)
+            Approach::Crack(protocol) => self.index_arm(
+                ConcurrentCracker::from_values(values, protocol).with_compaction(compaction),
+            ),
+            Approach::CrackSkipOnContention(protocol) => self.index_arm(
+                ConcurrentCracker::from_values(values, protocol)
+                    .with_policy(RefinementPolicy::SkipOnContention)
                     .with_compaction(compaction),
             ),
             Approach::AdaptiveMerge { run_size } => Arc::new(MergeEngine::new(values, run_size)),
-            Approach::ParallelChunk { chunks, protocol } => Arc::new(
-                ParallelChunkEngine::new(values, effective_workers(chunks), protocol)
-                    .with_compaction(compaction),
+            Approach::ParallelChunk { chunks, protocol } => self.index_arm(
+                ChunkedCracker::new(
+                    values,
+                    effective_workers(chunks),
+                    protocol,
+                    RefinementPolicy::Always,
+                )
+                .with_compaction(compaction),
             ),
             Approach::ParallelRange { partitions } => {
                 // Threshold 0 keeps the range arm's bounded per-partition
@@ -396,28 +407,31 @@ impl ExperimentConfig {
                 // next crack; "disabled" would regress them to unbounded
                 // delta growth, unlike the serial/chunked arms where
                 // disabled reproduces the historical behaviour).
-                let engine = if compaction.is_enabled() {
-                    ParallelRangeEngine::with_compaction(
-                        values,
-                        effective_workers(partitions),
-                        compaction,
-                    )
+                let partitions = effective_workers(partitions);
+                self.index_arm(if compaction.is_enabled() {
+                    RangePartitionedCracker::with_compaction(values, partitions, compaction)
                 } else {
-                    ParallelRangeEngine::new(values, effective_workers(partitions))
-                };
-                Arc::new(engine)
+                    RangePartitionedCracker::new(values, partitions)
+                })
             }
+            // The adaptive arm owns its compaction policy (a bounded delta
+            // is part of its steal-safety contract), so the threshold knob
+            // is ignored like the delta-free arms.
             Approach::ParallelRangeAdaptive { partitions } => {
-                // The adaptive arm owns its compaction policy (a bounded
-                // delta is part of its steal-safety contract), so the
-                // threshold knob is ignored like the delta-free arms.
-                Arc::new(ParallelRangeEngine::adaptive(
+                self.index_arm(RangePartitionedCracker::adaptive(
                     values,
                     effective_workers(partitions),
-                    aidx_parallel::AdaptiveConfig::default(),
+                    AdaptiveConfig::default(),
                 ))
             }
         }
+    }
+
+    /// `index` as this config's arm: named by the approach label, selects
+    /// pinned when [`ExperimentConfig::snapshot_scans`] says so.
+    fn index_arm<I: Index + 'static>(&self, index: I) -> Arc<dyn AdaptiveEngine> {
+        let engine = IndexEngine::new(self.approach.label(), index);
+        Arc::new(engine.with_pinned_selects(self.snapshot_scans))
     }
 }
 
@@ -432,17 +446,13 @@ pub fn run_experiment(config: &ExperimentConfig) -> RunMetrics {
 /// Runs one experiment cell against an already-built engine (lets sweeps
 /// reuse expensive data generation; note the engine's index state carries
 /// over, so callers should build a fresh engine per arm unless they
-/// explicitly want a warm index).
+/// explicitly want a warm index). How selects read — now or pinned — was
+/// fixed when the engine was built ([`ExperimentConfig::build_engine_with`]).
 pub fn run_experiment_with_engine(
     config: &ExperimentConfig,
     engine: Arc<dyn AdaptiveEngine>,
 ) -> RunMetrics {
     let ops = config.generate_operations();
-    let engine: Arc<dyn AdaptiveEngine> = if config.snapshot_scans {
-        Arc::new(crate::engine::SnapshotScanEngine::new(engine))
-    } else {
-        engine
-    };
     MultiClientRunner::new(config.clients).run_ops(engine, &ops)
 }
 
@@ -590,7 +600,7 @@ mod tests {
         use crate::runner::MultiClientRunner;
         use aidx_storage::generate_unique_shuffled;
 
-        // Every select runs through the engine's snapshot path while
+        // Every select reads through a pin of its own while
         // writers churn and incremental compaction merges piece by piece;
         // the serialized oracle must still agree op for op.
         for approach in [
@@ -615,10 +625,10 @@ mod tests {
                 aidx_core::CompactionPolicy::rows(8).incremental(4)
             );
             let values = generate_unique_shuffled(config.rows, config.data_seed);
-            let engine = Arc::new(
-                CheckedEngine::new(config.build_engine_with(values.clone()), values)
-                    .with_snapshot_scans(true),
-            );
+            let engine = Arc::new(CheckedEngine::new(
+                config.build_engine_with(values.clone()),
+                values,
+            ));
             let ops = config.generate_operations();
             MultiClientRunner::new(config.clients).run_ops(engine.clone(), &ops);
             assert_eq!(
@@ -640,6 +650,22 @@ mod tests {
                 .snapshot_scans(true);
             let run = run_experiment(&config);
             assert_eq!(run.query_count(), 32, "{}", approach.label());
+        }
+    }
+
+    #[test]
+    fn built_engines_are_named_by_their_approach_label() {
+        let mut arms = Approach::all();
+        arms.extend([
+            Approach::ParallelChunk {
+                chunks: 3,
+                protocol: LatchProtocol::Column,
+            },
+            Approach::ParallelRange { partitions: 3 },
+            Approach::ParallelRangeAdaptive { partitions: 2 },
+        ]);
+        for approach in arms {
+            assert_eq!(tiny(approach).build_engine().name(), approach.label());
         }
     }
 

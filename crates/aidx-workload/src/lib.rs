@@ -11,8 +11,9 @@
 //!   query sequences, identical across every experiment arm, with a
 //!   write-ratio knob for mixed read/write runs.
 //! * [`AdaptiveEngine`] and its implementations — the approaches under
-//!   test: plain scan, full sort, cracking under column or piece latches,
-//!   adaptive merging, and the multi-core parallel cracking arms of
+//!   test: plain scan, full sort, adaptive merging, and one
+//!   [`IndexEngine`] over any [`aidx_core::Index`]: cracking under column
+//!   or piece latches and the multi-core parallel cracking arms of
 //!   `aidx-parallel` (chunked and range-partitioned). Every arm executes
 //!   reads *and* writes through the same `execute(Operation)` entry point.
 //! * [`MultiColumnWorkload`] — conjunctive multi-column selections with
@@ -35,14 +36,13 @@ pub mod engine;
 pub mod experiment;
 pub mod generator;
 pub mod join_workload;
-pub mod parallel_engine;
 pub mod query;
 pub mod runner;
 pub mod table_workload;
 
 pub use engine::{
-    oracle_apply, AdaptiveEngine, CheckedEngine, CrackEngine, MergeEngine, Mismatch, OpResult,
-    ScanEngine, SnapshotScanEngine, SortEngine,
+    oracle_apply, AdaptiveEngine, CheckedEngine, IndexEngine, MergeEngine, Mismatch, OpResult,
+    ScanEngine, SortEngine,
 };
 pub use experiment::{
     run_experiment, run_experiment_with_engine, Approach, ExperimentConfig, DEFAULT_QUERIES,
@@ -52,7 +52,6 @@ pub use generator::{AccessPattern, WorkloadGenerator};
 pub use join_workload::{
     JoinQuery, JoinWorkload, DIM_ATTR_COL, DIM_KEY_COL, FACT_FK_COL, FACT_VAL_COL,
 };
-pub use parallel_engine::{ParallelChunkEngine, ParallelRangeEngine};
 pub use query::{selectivity_to_width, Operation, QuerySpec};
 pub use runner::MultiClientRunner;
 pub use table_workload::MultiColumnWorkload;

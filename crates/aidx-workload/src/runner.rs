@@ -115,9 +115,14 @@ impl MultiClientRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CheckedEngine, CrackEngine, ScanEngine};
+    use crate::engine::{CheckedEngine, IndexEngine, ScanEngine};
     use crate::generator::WorkloadGenerator;
-    use aidx_core::{Aggregate, LatchProtocol};
+    use aidx_core::{Aggregate, ConcurrentCracker, LatchProtocol};
+
+    fn crack(values: &[i64]) -> IndexEngine<ConcurrentCracker> {
+        let index = ConcurrentCracker::from_values(values.to_vec(), LatchProtocol::Piece);
+        IndexEngine::new("crack-piece", index)
+    }
 
     fn shuffled(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
@@ -152,10 +157,7 @@ mod tests {
         let values = shuffled(5000);
         let queries = WorkloadGenerator::new(5000, 0.02, Aggregate::Sum, 9).generate(64);
         for clients in [2, 4, 8] {
-            let engine = Arc::new(CheckedEngine::new(
-                CrackEngine::new(values.clone(), LatchProtocol::Piece),
-                values.clone(),
-            ));
+            let engine = Arc::new(CheckedEngine::new(crack(&values), values.clone()));
             let run = MultiClientRunner::new(clients).run(engine.clone(), &queries);
             assert_eq!(run.query_count(), 64, "{clients} clients");
             assert!(
@@ -171,10 +173,7 @@ mod tests {
         let ops = WorkloadGenerator::new(4000, 0.02, Aggregate::Sum, 11).generate_mixed(64, 0.25);
         assert!(ops.iter().any(Operation::is_write), "workload has writes");
         for clients in [1, 4] {
-            let engine = Arc::new(CheckedEngine::new(
-                CrackEngine::new(values.clone(), LatchProtocol::Piece),
-                values.clone(),
-            ));
+            let engine = Arc::new(CheckedEngine::new(crack(&values), values.clone()));
             let run = MultiClientRunner::new(clients).run_ops(engine.clone(), &ops);
             assert_eq!(run.query_count(), 64, "{clients} clients");
             assert_eq!(

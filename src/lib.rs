@@ -22,7 +22,7 @@
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
 //! | [`cracking`] | serial database cracking: cracker array, AVL table of contents, plain-cracking index, scan/sort baselines |
 //! | [`btree`] | B+-tree, partitioned B-tree, adaptive merging, hybrid crack-sort, key-range locks |
-//! | [`core`] | **the paper's contribution**: concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
+//! | [`core`] | **the paper's contribution**: the one `Index`/`ColumnRead` surface every backend implements, concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
 //! | [`parallel`] | multi-core parallel cracking: per-core chunks, range-partitioned latch-free workers |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
 //! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
@@ -59,8 +59,9 @@
 //! );
 //! assert_eq!(index.sum(250_000, 260_000).0, sum);
 //!
-//! // Every backend changes contents through one `write(WriteOp)`; the
-//! // typed `insert`/`delete` methods are wrappers over it.
+//! // Every backend implements one `Index` surface: contents change
+//! // through one `write(WriteOp)`, and the typed `insert`/`delete`
+//! // methods are wrappers over it.
 //! let (removed, _) = index.write(WriteOp::Delete { value: 255_000 });
 //! assert_eq!(removed, 1);
 //! assert_eq!(index.sum(250_000, 260_000).0, sum - 255_000);
@@ -79,21 +80,17 @@ pub use aidx_workload as workload;
 pub mod prelude {
     pub use aidx_btree::{AdaptiveMergeIndex, HybridCrackSort, PartitionedBTree};
     pub use aidx_core::{
-        Aggregate, ConcurrentAdaptiveMerge, ConcurrentCracker, LatchProtocol, QueryMetrics,
-        RefinementPolicy, RunMetrics, WriteOp,
+        Aggregate, ColumnRead, ConcurrentAdaptiveMerge, ConcurrentCracker, Index, LatchProtocol,
+        QueryMetrics, RefinementPolicy, RunMetrics, WriteOp,
     };
     pub use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex};
     pub use aidx_latch::{LockManager, LockMode, LockResource};
     pub use aidx_parallel::{available_cores, ChunkedCracker, RangePartitionedCracker, WorkerPool};
     pub use aidx_storage::{generate_unique_shuffled, Catalog, Column, RowId, Table};
-    pub use aidx_table::{
-        CheckedTableEngine, ColumnPredicate, ColumnRead, RowIndex, TableBackend, TableEngine,
-        TableOp,
-    };
+    pub use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
     pub use aidx_workload::{
-        run_experiment, AdaptiveEngine, Approach, ExperimentConfig, MultiClientRunner,
-        MultiColumnWorkload, Operation, ParallelChunkEngine, ParallelRangeEngine, QuerySpec,
-        WorkloadGenerator,
+        run_experiment, AdaptiveEngine, Approach, ExperimentConfig, IndexEngine, MultiClientRunner,
+        MultiColumnWorkload, Operation, QuerySpec, WorkloadGenerator,
     };
 }
 

@@ -7,11 +7,16 @@
 
 use adaptive_indexing::prelude::*;
 use adaptive_indexing::workload::CheckedEngine;
-use adaptive_indexing::workload::{CrackEngine, MergeEngine, ScanEngine, SortEngine};
+use adaptive_indexing::workload::{MergeEngine, ScanEngine, SortEngine};
 use std::sync::Arc;
 
 fn shuffled(n: usize) -> Vec<i64> {
     generate_unique_shuffled(n, 0xBEEF)
+}
+
+fn crack(values: &[i64], protocol: LatchProtocol) -> IndexEngine<ConcurrentCracker> {
+    let index = ConcurrentCracker::from_values(values.to_vec(), protocol);
+    IndexEngine::new(format!("crack-{protocol}"), index)
 }
 
 fn workload(n: usize, queries: usize, selectivity: f64, agg: Aggregate) -> Vec<QuerySpec> {
@@ -27,9 +32,9 @@ fn all_approaches_return_identical_answers_sequentially() {
     let scan = ScanEngine::new(values.clone());
     let engines: Vec<Box<dyn AdaptiveEngine>> = vec![
         Box::new(SortEngine::new(values.clone())),
-        Box::new(CrackEngine::new(values.clone(), LatchProtocol::Piece)),
-        Box::new(CrackEngine::new(values.clone(), LatchProtocol::Column)),
-        Box::new(CrackEngine::new(values.clone(), LatchProtocol::None)),
+        Box::new(crack(&values, LatchProtocol::Piece)),
+        Box::new(crack(&values, LatchProtocol::Column)),
+        Box::new(crack(&values, LatchProtocol::None)),
         Box::new(MergeEngine::new(values.clone(), 4096)),
     ];
     for q in &queries {
@@ -52,7 +57,7 @@ fn concurrent_piece_latch_cracking_is_correct_under_load() {
     let values = shuffled(n);
     let queries = workload(n, 192, 0.001, Aggregate::Sum);
     let engine = Arc::new(CheckedEngine::new(
-        CrackEngine::new(values.clone(), LatchProtocol::Piece),
+        crack(&values, LatchProtocol::Piece),
         values,
     ));
     let run = MultiClientRunner::new(8).run(engine.clone(), &queries);
@@ -70,7 +75,7 @@ fn concurrent_column_latch_cracking_is_correct_under_load() {
     let values = shuffled(n);
     let queries = workload(n, 128, 0.01, Aggregate::Count);
     let engine = Arc::new(CheckedEngine::new(
-        CrackEngine::new(values.clone(), LatchProtocol::Column),
+        crack(&values, LatchProtocol::Column),
         values,
     ));
     let run = MultiClientRunner::new(6).run(engine.clone(), &queries);
@@ -86,22 +91,16 @@ fn protocols_converge_to_the_same_index_state() {
     let n = 30_000;
     let values = shuffled(n);
     let queries = workload(n, 50, 0.005, Aggregate::Count);
-    let piece = CrackEngine::new(values.clone(), LatchProtocol::Piece);
-    let column = CrackEngine::new(values, LatchProtocol::Column);
+    let piece = crack(&values, LatchProtocol::Piece);
+    let column = crack(&values, LatchProtocol::Column);
     for q in &queries {
         piece.select(q);
         column.select(q);
     }
-    assert_eq!(
-        piece.cracker().crack_count(),
-        column.cracker().crack_count()
-    );
-    assert_eq!(
-        piece.cracker().piece_count(),
-        column.cracker().piece_count()
-    );
-    assert!(piece.cracker().check_invariants());
-    assert!(column.cracker().check_invariants());
+    assert_eq!(piece.index().crack_count(), column.index().crack_count());
+    assert_eq!(piece.index().piece_count(), column.index().piece_count());
+    assert!(piece.index().check_invariants());
+    assert!(column.index().check_invariants());
 }
 
 #[test]
@@ -115,7 +114,7 @@ fn conflicts_decay_over_the_query_sequence() {
     let clients = 8usize;
     let values = shuffled(n);
     let queries = workload(n, 240, 0.05, Aggregate::Sum);
-    let engine = Arc::new(CrackEngine::new(values, LatchProtocol::Piece));
+    let engine = Arc::new(crack(&values, LatchProtocol::Piece));
     let run = MultiClientRunner::new(clients).run(engine.clone(), &queries);
     assert_eq!(run.query_count(), 240);
 
@@ -156,7 +155,7 @@ fn conflicts_decay_over_the_query_sequence() {
         early_crack >= late_crack,
         "expected early crack time ({early_crack:?}) >= late crack time ({late_crack:?})"
     );
-    assert!(engine.cracker().check_invariants());
+    assert!(engine.index().check_invariants());
 }
 
 #[test]
@@ -165,10 +164,10 @@ fn skip_on_contention_never_gives_wrong_answers_and_skips_under_load() {
     let values = shuffled(n);
     let queries = workload(n, 160, 0.02, Aggregate::Sum);
     let engine = Arc::new(CheckedEngine::new(
-        CrackEngine::with_policy(
-            values.clone(),
-            LatchProtocol::Piece,
-            RefinementPolicy::SkipOnContention,
+        IndexEngine::new(
+            "crack-piece-skip",
+            ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece)
+                .with_policy(RefinementPolicy::SkipOnContention),
         ),
         values,
     ));
@@ -215,7 +214,7 @@ fn adaptive_merge_and_cracking_agree_under_concurrency() {
     let values = shuffled(n);
     let queries = workload(n, 96, 0.01, Aggregate::Count);
     let crack = Arc::new(CheckedEngine::new(
-        CrackEngine::new(values.clone(), LatchProtocol::Piece),
+        crack(&values, LatchProtocol::Piece),
         values.clone(),
     ));
     let merge = Arc::new(CheckedEngine::new(

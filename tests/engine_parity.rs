@@ -219,8 +219,14 @@ fn concurrent_writers_reach_the_same_final_state_on_every_arm() {
 fn checked_engine_confirms_parallel_arms_under_concurrency() {
     let shared_values = values();
     let queries = WorkloadGenerator::new(ROWS as u64, 0.05, Aggregate::Sum, 21).generate(QUERIES);
+    let chunked = ChunkedCracker::new(
+        shared_values.clone(),
+        4,
+        LatchProtocol::Piece,
+        RefinementPolicy::Always,
+    );
     let chunk_engine = Arc::new(CheckedEngine::new(
-        ParallelChunkEngine::new(shared_values.clone(), 4, LatchProtocol::Piece),
+        IndexEngine::new("parallel-chunk-piece-4", chunked),
         shared_values.clone(),
     ));
     let run = MultiClientRunner::new(8).run(chunk_engine.clone(), &queries);
@@ -228,7 +234,10 @@ fn checked_engine_confirms_parallel_arms_under_concurrency() {
     assert!(chunk_engine.mismatches().is_empty(), "chunked mismatches");
 
     let range_engine = Arc::new(CheckedEngine::new(
-        ParallelRangeEngine::new(shared_values.clone(), 4),
+        IndexEngine::new(
+            "parallel-range-4",
+            RangePartitionedCracker::new(shared_values.clone(), 4),
+        ),
         shared_values,
     ));
     let run = MultiClientRunner::new(8).run(range_engine.clone(), &queries);

@@ -6,7 +6,7 @@
 //! range-partitioned cracker.
 
 use adaptive_indexing::core::{
-    CompactionPolicy, ConcurrentCracker, LatchProtocol, RefinementPolicy,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, RefinementPolicy,
 };
 use adaptive_indexing::parallel::{ChunkedCracker, RangePartitionedCracker};
 use std::collections::BTreeMap;
@@ -67,7 +67,7 @@ fn serial_snapshot_scan_across_incremental_steps_matches_the_oracle() {
         idx.delete(42);
         idx.insert(42);
         let frozen = oracle_from(&values);
-        let snap = idx.snapshot();
+        let snap = idx.pin();
         let mut steps = 0;
         for key in CHURN_KEYS {
             assert_eq!(idx.delete(key).0, 1, "{protocol}");
@@ -111,7 +111,7 @@ fn chunked_snapshot_scan_across_incremental_steps_matches_the_oracle() {
     .with_compaction(CompactionPolicy::rows(4).incremental(4));
     idx.sum(0, 4096);
     let frozen = oracle_from(&values);
-    let snap = idx.snapshot();
+    let snap = idx.pin();
     // Threshold 4 with 16 churn pairs: the per-chunk incremental policy
     // fires several walk steps while the snapshot stays pinned.
     for key in CHURN_KEYS {
@@ -147,7 +147,7 @@ fn range_snapshot_scan_across_incremental_steps_matches_the_oracle() {
     );
     idx.sum(0, 4096);
     let frozen = oracle_from(&values);
-    let snap = idx.snapshot();
+    let snap = idx.pin();
     for key in CHURN_KEYS {
         assert_eq!(idx.delete(key).0, 1);
         idx.insert(key);
