@@ -2,8 +2,8 @@
 //! with per-arm percentile latency breakdowns and convergence curves.
 //!
 //! Every arm — the serial cracker under all three latch protocols
-//! (none / piece / column) plus the parallel-chunked and
-//! range-partitioned crackers — executes the same mixed operation
+//! (none / piece / column) plus the range-partitioned cracker —
+//! executes the same mixed operation
 //! sequence twice:
 //!
 //! 1. a **checked sequential pass**: every per-operation answer is
@@ -45,7 +45,6 @@ fn main() {
         ("crack-none", 1),
         ("crack-piece", 1),
         ("crack-column", 1),
-        ("parallel-chunk-piece-4", 4),
         ("parallel-range-4", 4),
     ];
     println!(

@@ -18,7 +18,7 @@
 //! (mixed-sweep ops, default 256), `AIDX_INSERTS` (stream length, default
 //! 100 000), `AIDX_COMPACTION` (threshold rows, default 4096),
 //! `AIDX_APPROACHES` (default
-//! `crack-piece,parallel-chunk-piece-4,parallel-range-4`).
+//! `crack-piece,parallel-range-4`).
 //!
 //! Run with `cargo bench -p aidx-bench --bench bench_compaction`.
 
@@ -129,8 +129,7 @@ fn insert_stream(rows: usize, inserts: usize, threshold: u64, table: &mut Vec<Ve
 
 /// Experiment 2: the oracle-verified mixed sweep at a 50% write ratio.
 fn mixed_sweep(rows: usize, op_count: usize, threshold: u64, table: &mut Vec<Vec<String>>) {
-    let approaches =
-        approaches_from_env(&["crack-piece", "parallel-chunk-piece-4", "parallel-range-4"]);
+    let approaches = approaches_from_env(&["crack-piece", "parallel-range-4"]);
     let values = generate_unique_shuffled(rows, 0xA1D1);
     let base = ExperimentConfig::new(aidx_workload::Approach::Scan)
         .rows(rows)

@@ -15,7 +15,7 @@
 //!   would sort the whole fact side per query, and the hash build/probe
 //!   should win — and be picked.
 //!
-//! Per scenario and backend (serial / chunked / range table engines),
+//! Per scenario and backend (serial / range table engines),
 //! four arms on fresh engine pairs: forced gallop, forced hash, Auto
 //! (the measured cost model), and the nested-loop baseline (sampled on
 //! the converged tail of the query sequence — it is quadratic). **Every**
@@ -186,7 +186,7 @@ fn mean(times: &[Duration]) -> Duration {
 
 fn table_arms() -> Vec<TableBackend> {
     let spec = std::env::var("AIDX_TABLE_ARMS")
-        .unwrap_or_else(|_| "table-serial-piece,table-chunked-piece-3,table-range-3".to_string());
+        .unwrap_or_else(|_| "table-serial-piece,table-range-3".to_string());
     spec.split(',')
         .filter(|s| !s.trim().is_empty())
         .map(|s| {

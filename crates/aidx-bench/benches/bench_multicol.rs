@@ -6,8 +6,7 @@
 //! selectivity. The **scan baseline** evaluates each query by one pass
 //! over the column-major data; its answers double as the oracle every
 //! indexed arm is checked against, row-id set for row-id set. Each
-//! **table-engine arm** (serial / chunked / range-partitioned column
-//! crackers) replays the identical query sequence: early queries pay
+//! **table-engine arm** (serial / range-partitioned column crackers) replays the identical query sequence: early queries pay
 //! per-column cracking, converged queries are piece lookups plus
 //! rowid-set intersection.
 //!
@@ -20,7 +19,7 @@
 //! Environment overrides: `AIDX_ROWS` (default 200 000), `AIDX_QUERIES`
 //! (per predicate count, default 128), `AIDX_TABLE_ARMS`
 //! (comma-separated [`TableBackend`] labels, default
-//! `table-serial-piece,table-chunked-piece-3,table-range-3`).
+//! `table-serial-piece,table-range-3`).
 //!
 //! Run with `cargo bench -p aidx-bench --bench bench_multicol`.
 
@@ -70,7 +69,7 @@ fn scan_select(columns: &[Vec<i64>], predicates: &[ColumnPredicate]) -> Vec<RowI
 
 fn table_arms() -> Vec<TableBackend> {
     let spec = std::env::var("AIDX_TABLE_ARMS")
-        .unwrap_or_else(|_| "table-serial-piece,table-chunked-piece-3,table-range-3".to_string());
+        .unwrap_or_else(|_| "table-serial-piece,table-range-3".to_string());
     spec.split(',')
         .filter(|s| !s.trim().is_empty())
         .map(|s| {

@@ -3,7 +3,7 @@
 //!
 //! A four-column table (c0 = the identity column, so its selections
 //! yield dense rowid ranges; c1–c3 decorrelated permutations) serves
-//! conjunctive selections on every table backend (serial / chunked /
+//! conjunctive selections on every table backend (serial /
 //! range-partitioned column crackers). Two experiments per backend:
 //!
 //! 1. **Engine sweep, oracle-verified**: 1–4 predicate conjunctive
@@ -118,7 +118,7 @@ fn window(rows: usize, width: i64, salt: i64) -> (i64, i64) {
 
 fn table_arms() -> Vec<TableBackend> {
     let spec = std::env::var("AIDX_TABLE_ARMS")
-        .unwrap_or_else(|_| "table-serial-piece,table-chunked-piece-3,table-range-3".to_string());
+        .unwrap_or_else(|_| "table-serial-piece,table-range-3".to_string());
     spec.split(',')
         .filter(|s| !s.trim().is_empty())
         .map(|s| {

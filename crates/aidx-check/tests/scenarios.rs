@@ -14,16 +14,15 @@
 //! * **Protocol mini-models** — hand-written reductions of the cracker's
 //!   trickiest protocols (seqlock select-vs-shrink, bounded-retry
 //!   reclaim-pause, incremental compaction vs snapshots, delete-vs-sweep
-//!   tombstone accounting, the chunked designated-chunk handoff). Each has a
+//!   tombstone accounting). Each has a
 //!   correct variant that must survive *every* schedule and a deliberately
 //!   buggy "teeth" variant that the explorer must catch — proving the suite
 //!   would notice a regression in the real protocol, not just rubber-stamp
 //!   it.
 //!
-//! Three of the mini-models are ports of bugs this codebase actually had or
-//! defends against: the PR 7 galloping-intersection frontier bug, the PR 4
-//! bounded-retry reclaim-pause drain, and the PR 3 chunked designated-chunk
-//! handoff. The split-handoff model at the bottom covers the skew-adaptive
+//! Two of the mini-models are ports of bugs this codebase actually had or
+//! defends against: the PR 7 galloping-intersection frontier bug and the
+//! PR 4 bounded-retry reclaim-pause drain. The split-handoff model at the bottom covers the skew-adaptive
 //! router's epoch-fenced re-partitioning: a query racing a split must see
 //! exactly the old or the new routing, never a dropped key range.
 
@@ -691,109 +690,6 @@ fn sweep_with_stale_tombstone_count_is_caught() {
                     model.surviving_dead(),
                     "tombstone counter drifted from the surviving dead rows"
                 );
-            })
-    });
-    report.expect_failure("finale-panic");
-}
-
-// ---------------------------------------------------------------------------
-// PR 3 port: chunked designated-chunk handoff
-// ---------------------------------------------------------------------------
-
-/// Mini-model of the chunked index's designated-append chunk. Writers
-/// reserve a slot with `fetch_add` on the chunk's cursor; a writer that
-/// overflows the capacity CAS-bumps the designation and retries in the next
-/// chunk. The invariant: no appended row is ever lost and the designation
-/// migrates exactly once when the chunk fills.
-struct HandoffModel {
-    designated: CheckedAtomicUsize,
-    cursors: [CheckedAtomicUsize; 2],
-    slots: CheckedMutex<[[Option<u64>; 2]; 2]>,
-}
-
-const CHUNK_CAP: usize = 1;
-
-impl HandoffModel {
-    fn new() -> Self {
-        HandoffModel {
-            designated: CheckedAtomicUsize::new(0),
-            cursors: [CheckedAtomicUsize::new(0), CheckedAtomicUsize::new(0)],
-            slots: CheckedMutex::new([[None; 2]; 2]),
-        }
-    }
-
-    fn append(&self, value: u64, atomic_reserve: bool) {
-        loop {
-            let chunk = self.designated.load(Ordering::SeqCst);
-            let slot = if atomic_reserve {
-                self.cursors[chunk].fetch_add(1, Ordering::SeqCst)
-            } else {
-                // Buggy reservation: load-then-store lets two writers claim
-                // the same slot.
-                let s = self.cursors[chunk].load(Ordering::SeqCst);
-                self.cursors[chunk].store(s + 1, Ordering::SeqCst);
-                s
-            };
-            if slot < CHUNK_CAP {
-                self.slots.lock()[chunk][slot] = Some(value);
-                return;
-            }
-            // Chunk full: hand the designation off (losers observe the bump
-            // on reload) and retry.
-            let _ = self.designated.compare_exchange(
-                chunk,
-                chunk + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-        }
-    }
-
-    fn stored(&self) -> usize {
-        self.slots
-            .lock()
-            .iter()
-            .flatten()
-            .filter(|s| s.is_some())
-            .count()
-    }
-}
-
-#[test]
-fn chunked_handoff_loses_no_rows_and_migrates_designation() {
-    let report = explore_default(move || {
-        let model = Arc::new(HandoffModel::new());
-        let w1 = Arc::clone(&model);
-        let w2 = Arc::clone(&model);
-        Scenario::new()
-            .thread(move || w1.append(101, true))
-            .thread(move || w2.append(202, true))
-            .finale(move || {
-                assert_eq!(model.stored(), 2, "a racing append was lost");
-                assert_eq!(
-                    model.designated.load(Ordering::SeqCst),
-                    1,
-                    "designation did not migrate when the chunk filled"
-                );
-            })
-    });
-    report.assert_ok();
-    assert!(report.exhausted);
-}
-
-/// Teeth: the load-then-store reservation loses a row on some schedule —
-/// the race the PR 3 handoff tests guard in the real chunked index.
-#[test]
-fn non_atomic_slot_reservation_is_caught() {
-    let report = explore_default(move || {
-        let model = Arc::new(HandoffModel::new());
-        let w1 = Arc::clone(&model);
-        let w2 = Arc::clone(&model);
-        Scenario::new()
-            .thread(move || w1.append(101, false))
-            .thread(move || w2.append(202, false))
-            .finale(move || {
-                assert_eq!(model.stored(), 2, "a racing append was lost");
             })
     });
     report.expect_failure("finale-panic");

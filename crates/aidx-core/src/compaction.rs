@@ -12,8 +12,8 @@
 //! [`ConcurrentCracker::compact`](crate::ConcurrentCracker::compact)).
 //!
 //! The policy is deliberately a plain value type with no behaviour beyond
-//! the trigger decision, so every layer (serial cracker, per-chunk and
-//! per-partition parallel crackers, the workload harness) threads the same
+//! the trigger decision, so every layer (serial cracker, per-partition
+//! parallel cracker, the workload harness) threads the same
 //! knob.
 
 /// *How* a triggered compaction reconciles the delta with the main array.

@@ -3,8 +3,8 @@
 //! and the shrink-epoch seqlock that ties the walk to one delta view.
 //!
 //! It also holds the one crack body, [`ConcurrentCracker::crack_piece`]:
-//! every protocol, every backend built on this cracker (serial, chunked,
-//! range owners) and the write path resolve a bound there and nowhere
+//! every protocol, every backend built on this cracker (serial, range
+//! owners) and the write path resolve a bound there and nowhere
 //! else, so that is where the *pivot policy* lives. Two rules it keeps:
 //!
 //! * **Where the extra crack goes is a pure function of the piece** — a
@@ -115,7 +115,7 @@ impl ReadAnswer {
         Self::merge(shape, []).0
     }
 
-    /// Fan-in of one `shape` read executed across chunks or partitions:
+    /// Fan-in of one `shape` read executed across partitions:
     /// partial answers are summed / concatenated and re-sorted / k-way
     /// merged without decoding / absorbed run by run (key runs stay
     /// unsorted), the workers' metrics merge as
@@ -414,9 +414,9 @@ impl ConcurrentCracker {
     }
 
     /// Registers a snapshot at the current column epoch and returns it.
-    /// Raw building block for the RAII [`Index::pin`]; parallel wrappers
-    /// that manage many chunk/partition epochs at once use this pair
-    /// directly. Every registration must be matched by a
+    /// Raw building block for the RAII [`Index::pin`]; the
+    /// range-partitioned wrapper, which manages one epoch per partition,
+    /// uses this pair directly. Every registration must be matched by a
     /// [`ConcurrentCracker::release_snapshot_epoch`].
     pub fn register_snapshot_epoch(&self) -> u64 {
         self.delta.register_snapshot()

@@ -1,8 +1,8 @@
 //! The one index surface every backend serves.
 //!
 //! The paper separates an index's structure from its contents: however a
-//! backend refines its structure — one cracker under latches, chunks on a
-//! worker pool, key-range partitions owned by threads — it serves the same
+//! backend refines its structure — one cracker under latches, or key-range
+//! partitions owned by threads — it serves the same
 //! contents contract: select, insert, delete, and read at a pinned epoch.
 //! [`ColumnRead`] is the read half of that contract and [`Index`] the
 //! rest. A backend implements one `read`, one `pin`, one `write` and one

@@ -38,8 +38,8 @@ use aidx_storage::RowId;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 
-/// One run of `(key, rowid)` pairs from a single piece / chunk /
-/// partition / delta read, with its key envelope precomputed so a merge
+/// One run of `(key, rowid)` pairs from a single piece / partition /
+/// delta read, with its key envelope precomputed so a merge
 /// can decide activation and skipping without touching the pairs.
 #[derive(Debug, Clone)]
 pub struct KeyRun {
@@ -104,8 +104,8 @@ impl KeyRuns {
     }
 
     /// Folds another collection's runs into this one (parallel fan-in:
-    /// chunk and partition runs may overlap in key range — the merge
-    /// iterator handles that).
+    /// runs from different partitions or pieces may overlap in key range —
+    /// the merge iterator handles that).
     pub fn absorb(&mut self, other: KeyRuns) {
         self.runs.extend(other.runs);
     }

@@ -112,7 +112,7 @@ impl QueryMetrics {
     }
 
     /// Merges the per-worker metrics of **one** query that was executed in
-    /// parallel across workers (chunks or range partitions) into a single
+    /// parallel across workers (range partitions) into a single
     /// per-query record.
     ///
     /// Work counters (cracks, conflicts, skips, result sizes) and busy

@@ -22,8 +22,8 @@
 //!   linear wins when the sides are comparable.
 //!
 //! Producers ([`crate::ConcurrentCracker::select_rowid_set`] and the
-//! parallel wrappers in `aidx-parallel`) build sets from *sorted runs* —
-//! one run per cracker piece / chunk / partition — via
+//! range-partitioned wrapper in `aidx-parallel`) build sets from *sorted
+//! runs* — one run per cracker piece / partition — via
 //! [`RowIdSet::from_runs`], which k-way merges straight into the
 //! encoder; no flat intermediate vector is ever materialised.
 
@@ -135,8 +135,8 @@ impl RowIdSet {
         b.finish()
     }
 
-    /// K-way merges ascending runs (one per cracker piece / chunk /
-    /// partition) straight into the encoder: no flat union vector is
+    /// K-way merges ascending runs (one per cracker piece / partition)
+    /// straight into the encoder: no flat union vector is
     /// materialised. Runs need not be disjoint; duplicates collapse.
     pub fn from_runs(mut runs: Vec<Vec<RowId>>) -> RowIdSet {
         runs.retain(|r| !r.is_empty());

@@ -359,29 +359,12 @@ impl RangePartitionedCracker {
         Self::with_compaction(values, partitions, Self::default_partition_policy())
     }
 
-    /// As [`RangePartitionedCracker::new`], but every partition compacts
-    /// its pending delta once it reaches `compaction_threshold` rows
-    /// (0 = the default bounded incremental policy, mirroring the
-    /// pre-PR 4 owner index's merge-on-next-crack behaviour). Each owner
-    /// thread compacts only its own partition, so the reclamation work
-    /// spreads across cores with the write stream.
-    pub fn with_compaction_threshold(
-        values: Vec<i64>,
-        partitions: usize,
-        compaction_threshold: usize,
-    ) -> Self {
-        let policy = if compaction_threshold == 0 {
-            Self::default_partition_policy()
-        } else {
-            CompactionPolicy::rows(compaction_threshold as u64)
-        };
-        Self::with_compaction(values, partitions, policy)
-    }
-
     /// As [`RangePartitionedCracker::new`] with an explicit per-partition
     /// compaction policy — including [`aidx_core::CompactionMode`]
     /// `Incremental`, which merges each partition's delta one piece write
-    /// latch at a time instead of quiescing the partition.
+    /// latch at a time instead of quiescing the partition. Each owner
+    /// thread compacts only its own partition, so the reclamation work
+    /// spreads across cores with the write stream.
     pub fn with_compaction(
         values: Vec<i64>,
         partitions: usize,
@@ -421,20 +404,6 @@ impl RangePartitionedCracker {
     /// fences piece handoffs against stealers).
     pub fn adaptive(values: Vec<i64>, partitions: usize, config: AdaptiveConfig) -> Self {
         let rowids: Vec<RowId> = (0..values.len() as RowId).collect();
-        Self::adaptive_from_rows(values, rowids, partitions, config)
-    }
-
-    /// As [`RangePartitionedCracker::adaptive`] with explicit, aligned
-    /// row ids (the table-engine path).
-    ///
-    /// # Panics
-    /// Panics if the vectors differ in length.
-    pub fn adaptive_from_rows(
-        values: Vec<i64>,
-        rowids: Vec<RowId>,
-        partitions: usize,
-        config: AdaptiveConfig,
-    ) -> Self {
         Self::build(
             values,
             rowids,
@@ -595,12 +564,14 @@ impl RangePartitionedCracker {
         self.shared.current_table().splits.clone()
     }
 
-    /// Cumulative routed operations per live partition, keyed by the
-    /// partition's stable id (split children start at zero; a merge's
-    /// absorber keeps its count). Two probes bracketing a query window
-    /// give that window's per-partition load by id-matched subtraction —
-    /// the balance measure that is meaningful *after* re-partitioning,
-    /// where the all-time counters still carry pre-split history.
+    /// Cumulative routed operations per live partition, in partition
+    /// order, keyed by the partition's stable id (split children start at
+    /// zero; a merge's absorber keeps its count) — the routed load skew
+    /// adaptive re-partitioning reacts to. Two probes bracketing a query
+    /// window give that window's per-partition load by id-matched
+    /// subtraction — the balance measure that is meaningful *after*
+    /// re-partitioning, where the all-time counters still carry pre-split
+    /// history.
     pub fn partition_loads(&self) -> Vec<(u32, u64)> {
         self.shared
             .current_table()
@@ -713,18 +684,6 @@ impl RangePartitionedCracker {
             (pending + p, merges + m)
         })
     }
-
-    /// Requests handled per partition since construction — the routed
-    /// load skew adaptive re-partitioning reacts to. Indexed by current
-    /// partition order.
-    pub fn partition_load(&self) -> Vec<u64> {
-        self.shared
-            .current_table()
-            .partitions
-            .iter()
-            .map(|p| p.ops.load(Ordering::Relaxed))
-            .collect()
-    }
 }
 
 impl ColumnRead for RangePartitionedCracker {
@@ -797,7 +756,11 @@ impl Index for RangePartitionedCracker {
         }
         // Read after the owners answered so the load includes the probe
         // requests themselves (keeps sum(load) == routed ops).
-        probe.partition_load = self.partition_load();
+        probe.partition_load = self
+            .partition_loads()
+            .into_iter()
+            .map(|(_, ops)| ops)
+            .collect();
         probe
     }
 

@@ -179,7 +179,8 @@ fn concurrent_writers_with_disjoint_domains_converge() {
 #[test]
 fn per_partition_compaction_bounds_each_partitions_delta() {
     let values = shuffled(4000);
-    let idx = RangePartitionedCracker::with_compaction_threshold(values.clone(), 4, 16);
+    let idx =
+        RangePartitionedCracker::with_compaction(values.clone(), 4, CompactionPolicy::rows(16));
     idx.sum(0, 4000); // warm: every partition cracks
     let mut oracle = values.clone();
     let mut max_pending = 0;

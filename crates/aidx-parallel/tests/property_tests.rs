@@ -1,10 +1,10 @@
-//! Property tests for the parallel crackers' write paths: random op
-//! interleavings against a `BTreeMap` multiset oracle with aggressive
-//! per-chunk / per-partition compaction, so rebuilds fire mid-sequence on
-//! whichever worker owns the write.
+//! Property tests for the range-partitioned cracker's write paths: random
+//! op interleavings against a `BTreeMap` multiset oracle with aggressive
+//! per-partition compaction, so rebuilds fire mid-sequence on whichever
+//! owner owns the write.
 
-use aidx_core::{ColumnRead, CompactionPolicy, Index, LatchProtocol, RefinementPolicy};
-use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
+use aidx_core::{ColumnRead, CompactionPolicy, Index};
+use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -37,63 +37,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn chunked_mixed_ops_across_compactions_match_the_oracle(
-        values in prop::collection::vec(-150i64..150, 0..150),
-        ops in prop::collection::vec((0u8..4, -200i64..200, -200i64..200), 1..40),
-        chunks in 1usize..5,
-    ) {
-        let idx = ChunkedCracker::new(
-            values.clone(),
-            chunks,
-            LatchProtocol::Piece,
-            RefinementPolicy::Always,
-        )
-        .with_compaction(CompactionPolicy::rows(4));
-        let mut oracle = oracle_from(&values);
-        let mut compactions_seen = 0;
-        for &(kind, a, b) in &ops {
-            match kind {
-                0 => {
-                    let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                    prop_assert_eq!(idx.count(low, high).0, oracle_count(&oracle, low, high));
-                }
-                1 => {
-                    let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                    prop_assert_eq!(idx.sum(low, high).0, oracle_sum(&oracle, low, high));
-                }
-                2 => {
-                    idx.insert(a);
-                    *oracle.entry(a).or_insert(0) += 1;
-                }
-                _ => {
-                    let removed = idx.delete(a).0;
-                    let expected = oracle.remove(&a).unwrap_or(0);
-                    prop_assert_eq!(removed, expected, "delete {}", a);
-                }
-            }
-            let now = idx.compactions_performed();
-            if now > compactions_seen {
-                compactions_seen = now;
-                prop_assert!(
-                    idx.check_invariants(),
-                    "invariants broken after chunk compaction #{}",
-                    now
-                );
-            }
-        }
-        let total: u64 = oracle.values().sum();
-        prop_assert_eq!(idx.count(i64::MIN, i64::MAX).0, total);
-        prop_assert_eq!(idx.len() as u64, total);
-        prop_assert!(idx.check_invariants());
-    }
-
-    #[test]
     fn range_partitioned_mixed_ops_with_eager_merges_match_the_oracle(
         values in prop::collection::vec(-150i64..150, 0..150),
         ops in prop::collection::vec((0u8..4, -200i64..200, -200i64..200), 1..40),
         partitions in 1usize..5,
     ) {
-        let idx = RangePartitionedCracker::with_compaction_threshold(values.clone(), partitions, 3);
+        let idx = RangePartitionedCracker::with_compaction(
+            values.clone(),
+            partitions,
+            CompactionPolicy::rows(3),
+        );
         let mut oracle = oracle_from(&values);
         for &(kind, a, b) in &ops {
             match kind {
@@ -131,29 +84,29 @@ proptest! {
         workers in 1usize..4,
     ) {
         // Long scans pin a snapshot on each parallel arm, then writes and
-        // aggressive incremental per-worker compaction race past it; every
-        // pinned read must equal the oracle frozen at snapshot time, for
-        // the chunked and the range-partitioned arm alike.
+        // aggressive per-partition compaction race past it; every pinned
+        // read must equal the oracle frozen at snapshot time, for the
+        // static arm (incremental steps, latch-free owners) and the
+        // skew-adaptive arm (piece-latched owners, default policy) alike.
         let policy = CompactionPolicy::rows(4).incremental(2);
-        let chunked = ChunkedCracker::new(
-            values.clone(),
-            workers,
-            LatchProtocol::Piece,
-            RefinementPolicy::Always,
-        )
-        .with_compaction(policy);
         let ranged = RangePartitionedCracker::with_compaction(values.clone(), workers, policy);
+        let quiet = AdaptiveConfig {
+            check_interval: None,
+            steal: false,
+            ..AdaptiveConfig::default()
+        };
+        let adaptive = RangePartitionedCracker::adaptive(values.clone(), workers, quiet);
         let mut oracle = oracle_from(&values);
         let apply = |kind: u8, v: i64, oracle: &mut BTreeMap<i64, u64>| {
             if kind == 0 {
-                chunked.insert(v);
+                adaptive.insert(v);
                 ranged.insert(v);
                 *oracle.entry(v).or_insert(0) += 1;
             } else {
-                let a = chunked.delete(v).0;
+                let a = adaptive.delete(v).0;
                 let b = ranged.delete(v).0;
                 let expected = oracle.remove(&v).unwrap_or(0);
-                assert_eq!(a, expected, "chunked delete {v}");
+                assert_eq!(a, expected, "adaptive delete {v}");
                 assert_eq!(b, expected, "ranged delete {v}");
             }
         };
@@ -161,16 +114,16 @@ proptest! {
             apply(kind, v, &mut oracle);
         }
         let frozen = oracle.clone();
-        let chunk_snap = chunked.pin();
+        let adaptive_snap = adaptive.pin();
         let range_snap = ranged.pin();
         for &(kind, v) in &post_ops {
             apply(kind, v, &mut oracle);
             for &(a, b) in &queries {
                 let (low, high) = if a <= b { (a, b) } else { (b, a) };
                 prop_assert_eq!(
-                    chunk_snap.count(low, high).0,
+                    adaptive_snap.count(low, high).0,
                     oracle_count(&frozen, low, high),
-                    "chunked pinned count [{},{})", low, high
+                    "adaptive pinned count [{},{})", low, high
                 );
                 prop_assert_eq!(
                     range_snap.sum(low, high).0,
@@ -178,9 +131,9 @@ proptest! {
                     "ranged pinned sum [{},{})", low, high
                 );
                 prop_assert_eq!(
-                    chunked.count(low, high).0,
+                    adaptive.count(low, high).0,
                     oracle_count(&oracle, low, high),
-                    "chunked live count [{},{})", low, high
+                    "adaptive live count [{},{})", low, high
                 );
                 prop_assert_eq!(
                     ranged.count(low, high).0,
@@ -190,19 +143,19 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            chunk_snap.sum(i64::MIN, i64::MAX).0,
+            adaptive_snap.sum(i64::MIN, i64::MAX).0,
             oracle_sum(&frozen, i64::MIN, i64::MAX)
         );
         prop_assert_eq!(
             range_snap.count(i64::MIN, i64::MAX).0,
             oracle_count(&frozen, i64::MIN, i64::MAX)
         );
-        drop(chunk_snap);
+        drop(adaptive_snap);
         drop(range_snap);
         let total: u64 = oracle.values().sum();
-        prop_assert_eq!(chunked.count(i64::MIN, i64::MAX).0, total);
+        prop_assert_eq!(adaptive.count(i64::MIN, i64::MAX).0, total);
         prop_assert_eq!(ranged.count(i64::MIN, i64::MAX).0, total);
-        prop_assert!(chunked.check_invariants());
+        prop_assert!(adaptive.check_invariants());
         prop_assert!(ranged.check_invariants());
     }
 }

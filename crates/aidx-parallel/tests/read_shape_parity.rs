@@ -15,7 +15,7 @@ use aidx_core::{
     ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape,
     RefinementPolicy, WriteOp,
 };
-use aidx_parallel::{AdaptiveConfig, ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
 use aidx_storage::RowId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,15 +36,6 @@ impl Counted for ConcurrentCracker {
     }
     fn merges(&self) -> u64 {
         self.compactions_performed() + self.compaction_steps_performed()
-    }
-}
-
-impl Counted for ChunkedCracker {
-    fn len(&self) -> usize {
-        ChunkedCracker::len(self)
-    }
-    fn merges(&self) -> u64 {
-        self.compactions_performed()
     }
 }
 
@@ -198,9 +189,6 @@ fn every_shape_agrees_on_every_backend_now_and_pinned() {
         .with_policy(RefinementPolicy::SkipOnContention)
         .with_compaction(policy);
     check_engine("serial/Piece/skip", &skipping, n);
-    let chunked = ChunkedCracker::new(keys(n), 3, LatchProtocol::Piece, RefinementPolicy::Always)
-        .with_compaction(policy);
-    check_engine("chunked", &chunked, n);
     let range = RangePartitionedCracker::with_compaction(keys(n), 4, policy);
     check_engine("range", &range, n);
 }
@@ -248,7 +236,7 @@ fn every_shape_agrees_across_pivot_cracks_now_and_pinned() {
 /// riding along with the bound cracks.
 #[test]
 fn a_sequential_sweep_is_exact_on_every_backend_above_the_pivot_floor() {
-    let n = 640_000usize; // two chunks or partitions of 320 k rows
+    let n = 640_000usize; // two partitions of 320 k rows
     let column = || -> Vec<i64> { (0..n as i64).map(|i| (i * 48271) % n as i64).collect() };
     let queries = 40i64;
     let stride = n as i64 / queries;
@@ -284,8 +272,6 @@ fn a_sequential_sweep_is_exact_on_every_backend_above_the_pivot_floor() {
         let cracks = idx.crack_count();
         assert!((81..120).contains(&cracks), "{protocol:?}: {cracks} cracks");
     }
-    let chunked = ChunkedCracker::new(column(), 2, LatchProtocol::Piece, RefinementPolicy::Always);
-    sweep("chunked", &chunked, 2);
     let range = RangePartitionedCracker::new(column(), 2);
     sweep("range", &range, 1);
 }
@@ -495,15 +481,6 @@ fn one_write_stream_gives_the_same_answers_on_every_backend() {
         .with_policy(RefinementPolicy::SkipOnContention)
         .with_compaction(policy.incremental(4));
     merged("serial/Piece/skip/incremental", &skipping);
-    for (protocol, refinement) in [
-        (LatchProtocol::Piece, RefinementPolicy::Always),
-        (LatchProtocol::Column, RefinementPolicy::Always),
-        (LatchProtocol::Piece, RefinementPolicy::SkipOnContention),
-    ] {
-        let chunked =
-            ChunkedCracker::new(write_seed(), 3, protocol, refinement).with_compaction(policy);
-        merged(&format!("chunked/{protocol:?}/{refinement:?}"), &chunked);
-    }
     let range = RangePartitionedCracker::with_compaction(write_seed(), 4, policy);
     merged("range", &range);
 }
@@ -609,7 +586,8 @@ fn every_shape_survives_straddle_merges_while_partitions_split() {
 }
 
 /// A pin answers at its epoch on every backend, whatever writes land
-/// after it, and holds exactly its registrations while it lives.
+/// after it, and holds exactly its registrations while it lives; a plain
+/// insert then self-assigns a row id past the largest external one.
 #[test]
 fn a_pin_answers_at_its_epoch_on_every_backend() {
     let values = vec![3, 1, 4, 1, 5, 9, 2, 6];
@@ -619,13 +597,6 @@ fn a_pin_answers_at_its_epoch_on_every_backend() {
             values.clone(),
             rowids.clone(),
             LatchProtocol::Piece,
-        )),
-        Box::new(ChunkedCracker::from_rows(
-            values.clone(),
-            rowids.clone(),
-            2,
-            LatchProtocol::Piece,
-            RefinementPolicy::Always,
         )),
         Box::new(RangePartitionedCracker::from_rows(
             values.clone(),
@@ -652,5 +623,11 @@ fn a_pin_answers_at_its_epoch_on_every_backend() {
             "the drop released it"
         );
         assert_eq!(index.count(0, 10).0, 8);
+        index.insert(7);
+        assert_eq!(
+            index.select_rowids(7, 8).0,
+            [101],
+            "a plain insert lands past the largest external row id"
+        );
     }
 }

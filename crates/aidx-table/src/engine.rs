@@ -47,11 +47,11 @@ use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
 use aidx_core::facade::{Mutex, MutexGuard, RwLock};
 use aidx_core::{
     dcheck, intersect_sets, merge_join_pairs, note_merge_join, ColumnRead, CompactionPolicy, Index,
-    IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, RefinementPolicy, RowIdSet,
-    RowIdSetBuilder, SeekingIterator,
+    IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, RowIdSet, RowIdSetBuilder,
+    SeekingIterator,
 };
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
-use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::RangePartitionedCracker;
 use aidx_storage::{Catalog, RowId, StorageResult, Table};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -85,13 +85,6 @@ pub enum TableBackend {
     /// One serial [`aidx_core::ConcurrentCracker`] per column under the
     /// given latch protocol (concurrent clients, one shared index).
     Serial(LatchProtocol),
-    /// One [`ChunkedCracker`] per column (per-core chunks).
-    Chunked {
-        /// Chunks per column (0 = one per available core).
-        chunks: usize,
-        /// Chunk-local latch protocol.
-        protocol: LatchProtocol,
-    },
     /// One [`RangePartitionedCracker`] per column (latch-free partition
     /// owners).
     Range {
@@ -102,29 +95,14 @@ pub enum TableBackend {
 
 impl TableBackend {
     /// Stable label used in reports, e.g. `table-serial-piece`,
-    /// `table-chunked-piece-4`, `table-range-4`.
+    /// `table-range-4`.
     pub fn label(&self) -> String {
         match self {
             TableBackend::Serial(protocol) => format!("table-serial-{protocol}"),
-            TableBackend::Chunked { chunks, protocol } => {
-                format!("table-chunked-{protocol}-{}", effective_workers(*chunks))
-            }
             TableBackend::Range { partitions } => {
                 format!("table-range-{}", effective_workers(*partitions))
             }
         }
-    }
-
-    /// The standard table arms: serial, chunked, range-partitioned.
-    pub fn all() -> Vec<TableBackend> {
-        vec![
-            TableBackend::Serial(LatchProtocol::Piece),
-            TableBackend::Chunked {
-                chunks: 0,
-                protocol: LatchProtocol::Piece,
-            },
-            TableBackend::Range { partitions: 0 },
-        ]
     }
 }
 
@@ -147,16 +125,6 @@ impl FromStr for TableBackend {
         let err = || format!("unknown table backend '{s}'");
         if let Some(proto) = s.strip_prefix("table-serial-") {
             return Ok(TableBackend::Serial(parse_protocol(proto).ok_or_else(err)?));
-        }
-        if let Some(rest) = s.strip_prefix("table-chunked-") {
-            let (proto, chunks) = match rest.rsplit_once('-') {
-                Some((proto, n)) if n.parse::<usize>().is_ok() => {
-                    (proto, n.parse().expect("checked"))
-                }
-                _ => (rest, 0),
-            };
-            let protocol = parse_protocol(proto).ok_or_else(err)?;
-            return Ok(TableBackend::Chunked { chunks, protocol });
         }
         if s == "table-range" {
             return Ok(TableBackend::Range { partitions: 0 });
@@ -269,17 +237,6 @@ impl TableEngine {
                     aidx_core::ConcurrentCracker::from_rows(values.clone(), rowids, protocol)
                         .with_compaction(compaction),
                 ),
-                TableBackend::Chunked { chunks, protocol } => {
-                    let mut index = ChunkedCracker::from_rows(
-                        values.clone(),
-                        rowids,
-                        effective_workers(chunks),
-                        protocol,
-                        RefinementPolicy::Always,
-                    );
-                    index.set_compaction(compaction);
-                    Box::new(index)
-                }
                 TableBackend::Range { partitions } => Box::new(RangePartitionedCracker::from_rows(
                     values.clone(),
                     rowids,
@@ -1234,16 +1191,13 @@ mod tests {
         for backend in [
             TableBackend::Serial(LatchProtocol::Piece),
             TableBackend::Serial(LatchProtocol::Column),
-            TableBackend::Chunked {
-                chunks: 4,
-                protocol: LatchProtocol::Piece,
-            },
             TableBackend::Range { partitions: 3 },
         ] {
             let parsed: TableBackend = backend.label().parse().unwrap();
             assert_eq!(parsed.label(), backend.label());
         }
         assert!("table-serial-row".parse::<TableBackend>().is_err());
+        assert!("table-chunked-piece-3".parse::<TableBackend>().is_err());
         assert!("scan".parse::<TableBackend>().is_err());
         assert_eq!(
             "table-range".parse::<TableBackend>().unwrap(),

@@ -21,8 +21,7 @@
 //!
 //! Every indexed column is a `Box<dyn `[`aidx_core::Index`]`>`: the one
 //! rowid-carrying index surface the serial
-//! [`aidx_core::ConcurrentCracker`], the parallel-chunked
-//! [`aidx_parallel::ChunkedCracker`] and the range-partitioned
+//! [`aidx_core::ConcurrentCracker`] and the range-partitioned
 //! [`aidx_parallel::RangePartitionedCracker`] each implement once, so
 //! every latch protocol and compaction mode of the single-column stack
 //! composes per column, and a per-operation cut is one

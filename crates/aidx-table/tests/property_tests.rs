@@ -23,10 +23,6 @@ fn backends() -> Vec<TableBackend> {
     vec![
         TableBackend::Serial(LatchProtocol::Piece),
         TableBackend::Serial(LatchProtocol::Column),
-        TableBackend::Chunked {
-            chunks: 2,
-            protocol: LatchProtocol::Piece,
-        },
         TableBackend::Range { partitions: 2 },
     ]
 }

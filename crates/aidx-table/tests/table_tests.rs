@@ -20,10 +20,6 @@ fn backends() -> Vec<TableBackend> {
         TableBackend::Serial(LatchProtocol::Piece),
         TableBackend::Serial(LatchProtocol::Column),
         TableBackend::Serial(LatchProtocol::None),
-        TableBackend::Chunked {
-            chunks: 3,
-            protocol: LatchProtocol::Piece,
-        },
         TableBackend::Range { partitions: 3 },
     ]
 }
@@ -353,10 +349,6 @@ fn concurrent_clients_share_one_table_engine() {
     let columns = vec![column_data(n, 0), column_data(n, 1)];
     for backend in [
         TableBackend::Serial(LatchProtocol::Piece),
-        TableBackend::Chunked {
-            chunks: 3,
-            protocol: LatchProtocol::Piece,
-        },
         TableBackend::Range { partitions: 3 },
     ] {
         let engine = Arc::new(TableEngine::new(

@@ -9,8 +9,7 @@
 //!   arrives, binary search afterwards; writes keep the index sorted.
 //! * [`IndexEngine`] — any [`Index`]: the concurrent cracker of
 //!   `aidx-core` under a chosen latch protocol and refinement policy, and
-//!   the parallel-chunked and range-partitioned crackers of
-//!   `aidx-parallel`; writes flow through each backend's pending delta
+//!   the range-partitioned cracker of `aidx-parallel`; writes flow through each backend's pending delta
 //!   (Section 4).
 //! * [`MergeEngine`] — adaptive merging over the partitioned B-tree;
 //!   inserts enter the update partition like a late run.
@@ -299,8 +298,8 @@ impl AdaptiveEngine for SortEngine {
     }
 }
 
-/// Any [`Index`] as an experiment arm — the concurrent cracker, the
-/// parallel-chunked and the range-partitioned crackers alike — so every
+/// Any [`Index`] as an experiment arm — the concurrent cracker and the
+/// range-partitioned cracker alike — so every
 /// indexed arm runs the same select, insert and delete bodies. Writes
 /// route the way each backend prescribes; a select reads *now*, or,
 /// when the experiment asks for snapshot scans, through a pin opened for
@@ -531,9 +530,9 @@ impl<E: AdaptiveEngine> AdaptiveEngine for CheckedEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol, RefinementPolicy};
+    use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol};
     use aidx_obs::TraceEvent;
-    use aidx_parallel::{ChunkedCracker, RangePartitionedCracker};
+    use aidx_parallel::RangePartitionedCracker;
 
     fn shuffled(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
@@ -546,19 +545,10 @@ mod tests {
 
     /// Every indexed arm, its selects reading now or through a pin each.
     fn index_engines(values: &[i64], pinned: bool) -> Vec<Box<dyn AdaptiveEngine>> {
-        let chunked = ChunkedCracker::new(
-            values.to_vec(),
-            3,
-            LatchProtocol::Piece,
-            RefinementPolicy::Always,
-        );
         let range = RangePartitionedCracker::new(values.to_vec(), 3);
         vec![
             Box::new(crack(values, LatchProtocol::Piece).with_pinned_selects(pinned)),
             Box::new(crack(values, LatchProtocol::Column).with_pinned_selects(pinned)),
-            Box::new(
-                IndexEngine::new("parallel-chunk-piece-3", chunked).with_pinned_selects(pinned),
-            ),
             Box::new(IndexEngine::new("parallel-range-3", range).with_pinned_selects(pinned)),
         ]
     }
@@ -652,17 +642,6 @@ mod tests {
         assert!(engine.index().check_invariants());
         // Every backend stays inspectable behind the one adapter.
         let values = shuffled(1000);
-        let chunked = IndexEngine::new(
-            "parallel-chunk-piece-2",
-            ChunkedCracker::new(
-                values.clone(),
-                2,
-                LatchProtocol::Piece,
-                RefinementPolicy::Always,
-            ),
-        );
-        chunked.select(&QuerySpec::sum(100, 900));
-        assert!(chunked.index().crack_count() >= 2);
         let ranged = IndexEngine::new("parallel-range-2", RangePartitionedCracker::new(values, 2));
         ranged.select(&QuerySpec::sum(100, 900));
         assert_eq!(ranged.index().partition_count(), 2);

@@ -18,7 +18,7 @@ use aidx_core::{
     Aggregate, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, RefinementPolicy,
     RunMetrics,
 };
-use aidx_parallel::{AdaptiveConfig, ChunkedCracker, RangePartitionedCracker};
+use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
 use aidx_storage::generate_unique_shuffled;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -57,15 +57,6 @@ pub enum Approach {
         /// Records per initial sorted run.
         run_size: usize,
     },
-    /// Parallel-chunked cracking: the column is split positionally into
-    /// per-core chunks, each cracked under `protocol`, and every query
-    /// fans out to all chunks (`aidx-parallel`).
-    ParallelChunk {
-        /// Number of chunks (0 = one per available core).
-        chunks: usize,
-        /// Chunk-local latch protocol.
-        protocol: LatchProtocol,
-    },
     /// Range-partitioned latch-free parallel cracking: each worker owns a
     /// disjoint key range; a router fans queries out to the overlapping
     /// owners (`aidx-parallel`).
@@ -92,9 +83,6 @@ impl Approach {
             Approach::Crack(p) => format!("crack-{p}"),
             Approach::CrackSkipOnContention(p) => format!("crack-{p}-skip"),
             Approach::AdaptiveMerge { .. } => "adaptive-merge".to_string(),
-            Approach::ParallelChunk { chunks, protocol } => {
-                format!("parallel-chunk-{protocol}-{}", effective_workers(*chunks))
-            }
             Approach::ParallelRange { partitions } => {
                 format!("parallel-range-{}", effective_workers(*partitions))
             }
@@ -118,10 +106,6 @@ impl Approach {
             Approach::AdaptiveMerge {
                 run_size: DEFAULT_RUN_SIZE,
             },
-            Approach::ParallelChunk {
-                chunks: 0,
-                protocol: LatchProtocol::Piece,
-            },
             Approach::ParallelRange { partitions: 0 },
             Approach::ParallelRangeAdaptive { partitions: 0 },
         ]
@@ -142,7 +126,7 @@ impl FromStr for Approach {
 
     /// Parses the labels [`Approach::label`] produces (plus a few spelled
     /// variants), e.g. `scan`, `crack-piece`, `crack-column-skip`,
-    /// `adaptive-merge-512`, `parallel-chunk-piece-4`, `parallel-range`
+    /// `adaptive-merge-512`, `parallel-range-4`, `parallel-range`
     /// (worker count omitted = one per core).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim().to_ascii_lowercase();
@@ -174,17 +158,6 @@ impl FromStr for Approach {
             } else {
                 Approach::Crack(protocol)
             });
-        }
-        if let Some(rest) = s.strip_prefix("parallel-chunk-") {
-            // `<protocol>` or `<protocol>-<chunks>`.
-            let (proto, chunks) = match rest.rsplit_once('-') {
-                Some((proto, n)) if n.parse::<usize>().is_ok() => {
-                    (proto, n.parse().expect("checked"))
-                }
-                _ => (rest, 0),
-            };
-            let protocol = parse_protocol(proto).ok_or_else(err)?;
-            return Ok(Approach::ParallelChunk { chunks, protocol });
         }
         if s == "parallel-range" {
             return Ok(Approach::ParallelRange { partitions: 0 });
@@ -231,7 +204,7 @@ pub struct ExperimentConfig {
     pub write_ratio: f64,
     /// Delta compaction threshold in rows: adaptive arms rebuild their
     /// main structure once the pending delta reaches this many rows
-    /// (per chunk for `ParallelChunk`, per partition for `ParallelRange`).
+    /// (per partition for `ParallelRange`).
     /// `0` disables compaction, reproducing the unbounded pre-compaction
     /// delta — except for `ParallelRange`, whose partition owners have
     /// always bounded their deltas (merge-on-next-crack historically,
@@ -392,21 +365,12 @@ impl ExperimentConfig {
                     .with_compaction(compaction),
             ),
             Approach::AdaptiveMerge { run_size } => Arc::new(MergeEngine::new(values, run_size)),
-            Approach::ParallelChunk { chunks, protocol } => self.index_arm(
-                ChunkedCracker::new(
-                    values,
-                    effective_workers(chunks),
-                    protocol,
-                    RefinementPolicy::Always,
-                )
-                .with_compaction(compaction),
-            ),
             Approach::ParallelRange { partitions } => {
                 // Threshold 0 keeps the range arm's bounded per-partition
                 // default (the pre-PR 4 owners merged pending rows on the
                 // next crack; "disabled" would regress them to unbounded
-                // delta growth, unlike the serial/chunked arms where
-                // disabled reproduces the historical behaviour).
+                // delta growth, unlike the serial arms where disabled
+                // reproduces the historical behaviour).
                 let partitions = effective_workers(partitions);
                 self.index_arm(if compaction.is_enabled() {
                     RangePartitionedCracker::with_compaction(values, partitions, compaction)
@@ -481,18 +445,10 @@ mod tests {
             "adaptive-merge"
         );
         assert_eq!(
-            Approach::ParallelChunk {
-                chunks: 4,
-                protocol: LatchProtocol::Piece
-            }
-            .label(),
-            "parallel-chunk-piece-4"
-        );
-        assert_eq!(
             Approach::ParallelRange { partitions: 8 }.label(),
             "parallel-range-8"
         );
-        // chunks = 0 resolves to the core count, which is at least 1.
+        // partitions = 0 resolves to the core count, which is at least 1.
         assert!(
             Approach::ParallelRange { partitions: 0 }
                 .label()
@@ -567,10 +523,6 @@ mod tests {
         for approach in [
             Approach::Crack(LatchProtocol::Piece),
             Approach::Crack(LatchProtocol::Column),
-            Approach::ParallelChunk {
-                chunks: 3,
-                protocol: LatchProtocol::Piece,
-            },
             Approach::ParallelRange { partitions: 3 },
         ] {
             let config = tiny(approach)
@@ -606,10 +558,6 @@ mod tests {
         for approach in [
             Approach::Crack(LatchProtocol::Piece),
             Approach::Crack(LatchProtocol::Column),
-            Approach::ParallelChunk {
-                chunks: 3,
-                protocol: LatchProtocol::Piece,
-            },
             Approach::ParallelRange { partitions: 3 },
         ] {
             let config = tiny(approach)
@@ -657,10 +605,6 @@ mod tests {
     fn built_engines_are_named_by_their_approach_label() {
         let mut arms = Approach::all();
         arms.extend([
-            Approach::ParallelChunk {
-                chunks: 3,
-                protocol: LatchProtocol::Column,
-            },
             Approach::ParallelRange { partitions: 3 },
             Approach::ParallelRangeAdaptive { partitions: 2 },
         ]);
@@ -700,20 +644,6 @@ mod tests {
             Approach::AdaptiveMerge { run_size: 512 }
         );
         assert_eq!(
-            "parallel-chunk-piece".parse::<Approach>().unwrap(),
-            Approach::ParallelChunk {
-                chunks: 0,
-                protocol: LatchProtocol::Piece
-            }
-        );
-        assert_eq!(
-            "parallel-chunk-column-8".parse::<Approach>().unwrap(),
-            Approach::ParallelChunk {
-                chunks: 8,
-                protocol: LatchProtocol::Column
-            }
-        );
-        assert_eq!(
             "parallel-range".parse::<Approach>().unwrap(),
             Approach::ParallelRange { partitions: 0 }
         );
@@ -735,6 +665,7 @@ mod tests {
             "crack",
             "crack-row",
             "parallel-chunk-4",
+            "parallel-chunk-piece-4",
             "adaptive-merge-x",
         ] {
             assert!(junk.parse::<Approach>().is_err(), "'{junk}' must not parse");

@@ -14,12 +14,12 @@
 //!   test: plain scan, full sort, adaptive merging, and one
 //!   [`IndexEngine`] over any [`aidx_core::Index`]: cracking under column
 //!   or piece latches and the multi-core parallel cracking arms of
-//!   `aidx-parallel` (chunked and range-partitioned). Every arm executes
+//!   `aidx-parallel` (range-partitioned). Every arm executes
 //!   reads *and* writes through the same `execute(Operation)` entry point.
 //! * [`MultiColumnWorkload`] — conjunctive multi-column selections with
 //!   per-column selectivity knobs (plus tuple inserts and key deletes)
-//!   for the `aidx-table` engines, whose serial / chunked /
-//!   range-partitioned arms are re-exported here as [`TableBackend`].
+//!   for the `aidx-table` engines, whose serial and range-partitioned
+//!   arms are re-exported here as [`TableBackend`].
 //! * [`JoinWorkload`] — a dimension/fact table pair with key/FK
 //!   structure (uniform or zipfian-skewed foreign keys, dense or strided
 //!   dimension keys) plus deterministic join-query sequences for the
@@ -56,7 +56,7 @@ pub use query::{selectivity_to_width, Operation, QuerySpec};
 pub use runner::MultiClientRunner;
 pub use table_workload::MultiColumnWorkload;
 
-// The table-level engine arms (serial / chunked / range table engines)
+// The table-level engine arms (serial / range table engines)
 // live in `aidx-table`; re-exported here so experiment harnesses have one
 // import surface.
 pub use aidx_table::{

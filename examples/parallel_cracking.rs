@@ -1,7 +1,6 @@
 //! Multi-core parallel adaptive indexing in action: the same workload
-//! answered by the serial concurrent cracker, parallel-chunked cracking,
-//! and range-partitioned latch-free cracking — all verified against a
-//! scan — and then the adversarial input, a left-to-right sweep, which the
+//! answered by the serial concurrent cracker and by range-partitioned
+//! latch-free cracking — both verified against a scan — and then the adversarial input, a left-to-right sweep, which the
 //! core's pivot policy keeps cheap on the same cracker.
 //!
 //! Run with `cargo run --release --example parallel_cracking`.
@@ -46,14 +45,6 @@ fn main() {
         serial.sum(lo, hi).0
     });
 
-    let chunked = ChunkedCracker::new(
-        values.clone(),
-        workers,
-        LatchProtocol::Piece,
-        RefinementPolicy::Always,
-    );
-    report("parallel-chunk", &uniform, &|lo, hi| chunked.sum(lo, hi).0);
-
     let ranged = RangePartitionedCracker::new(values.clone(), workers);
     report("parallel-range (latch-free)", &uniform, &|lo, hi| {
         ranged.sum(lo, hi).0
@@ -75,8 +66,7 @@ fn main() {
         ranged.partition_sizes()
     );
     println!(
-        "crack totals: chunked={} sweep={} ({} at the sweep's bounds, the rest at sampled pivots)",
-        chunked.crack_count(),
+        "sweep cracks: {} ({} at the sweep's bounds, the rest at sampled pivots)",
         swept.crack_count(),
         2 * QUERIES
     );

@@ -23,7 +23,7 @@
 //! | [`cracking`] | serial database cracking: cracker array, AVL table of contents, plain-cracking index, scan/sort baselines |
 //! | [`btree`] | B+-tree, partitioned B-tree, adaptive merging, hybrid crack-sort, key-range locks |
 //! | [`core`] | **the paper's contribution**: the one `Index`/`ColumnRead` surface every backend implements, concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
-//! | [`parallel`] | multi-core parallel cracking: per-core chunks, range-partitioned latch-free workers |
+//! | [`parallel`] | multi-core parallel cracking: range-partitioned latch-free workers behind a query router, skew-adaptive re-partitioning |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
 //! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
 //!
@@ -50,13 +50,9 @@
 //! assert_eq!(same, sum);
 //! assert_eq!(metrics.cracks_performed, 0);
 //!
-//! // Crack in parallel across 4 chunks instead: identical answers.
-//! let index = ChunkedCracker::new(
-//!     generate_unique_shuffled(1_000_000, 42),
-//!     4,
-//!     LatchProtocol::Piece,
-//!     RefinementPolicy::Always,
-//! );
+//! // Crack in parallel across 4 key-range partitions instead, each owned
+//! // by one latch-free worker: identical answers.
+//! let index = RangePartitionedCracker::new(generate_unique_shuffled(1_000_000, 42), 4);
 //! assert_eq!(index.sum(250_000, 260_000).0, sum);
 //!
 //! // Every backend implements one `Index` surface: contents change
@@ -85,7 +81,7 @@ pub mod prelude {
     };
     pub use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex};
     pub use aidx_latch::{LockManager, LockMode, LockResource};
-    pub use aidx_parallel::{available_cores, ChunkedCracker, RangePartitionedCracker, WorkerPool};
+    pub use aidx_parallel::{available_cores, RangePartitionedCracker};
     pub use aidx_storage::{generate_unique_shuffled, Catalog, Column, RowId, Table};
     pub use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
     pub use aidx_workload::{
@@ -109,13 +105,6 @@ mod tests {
     #[test]
     fn facade_exposes_the_parallel_subsystem() {
         let values = generate_unique_shuffled(10_000, 1);
-        let chunked = ChunkedCracker::new(
-            values.clone(),
-            2,
-            LatchProtocol::Piece,
-            RefinementPolicy::Always,
-        );
-        assert_eq!(chunked.count(1000, 2000).0, 1000);
         let ranged = RangePartitionedCracker::new(values, 2);
         assert_eq!(ranged.count(1000, 2000).0, 1000);
         assert!(available_cores() >= 1);

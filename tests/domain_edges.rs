@@ -93,10 +93,6 @@ fn edge_keys_survive_concurrent_clients() {
     for approach in [
         Approach::Crack(LatchProtocol::Piece),
         Approach::Crack(LatchProtocol::Column),
-        Approach::ParallelChunk {
-            chunks: 3,
-            protocol: LatchProtocol::Piece,
-        },
         Approach::ParallelRange { partitions: 3 },
     ] {
         let config = ExperimentConfig::new(approach)

@@ -6,7 +6,7 @@
 //! sequences (checked against a `BTreeMap` multiset oracle).
 
 use adaptive_indexing::prelude::*;
-use aidx_core::{Aggregate, LatchProtocol};
+use aidx_core::Aggregate;
 use aidx_workload::{CheckedEngine, OpResult};
 use std::sync::Arc;
 
@@ -21,15 +21,8 @@ fn approaches() -> Vec<Approach> {
     let mut arms = Approach::all();
     // `all()` uses per-core worker counts; pin a few explicit shapes so the
     // parity run exercises multi-worker routing even on small CI machines.
-    arms.push(Approach::ParallelChunk {
-        chunks: 3,
-        protocol: LatchProtocol::Piece,
-    });
-    arms.push(Approach::ParallelChunk {
-        chunks: 4,
-        protocol: LatchProtocol::Column,
-    });
     arms.push(Approach::ParallelRange { partitions: 4 });
+    arms.push(Approach::ParallelRangeAdaptive { partitions: 3 });
     arms
 }
 
@@ -219,19 +212,23 @@ fn concurrent_writers_reach_the_same_final_state_on_every_arm() {
 fn checked_engine_confirms_parallel_arms_under_concurrency() {
     let shared_values = values();
     let queries = WorkloadGenerator::new(ROWS as u64, 0.05, Aggregate::Sum, 21).generate(QUERIES);
-    let chunked = ChunkedCracker::new(
-        shared_values.clone(),
-        4,
-        LatchProtocol::Piece,
-        RefinementPolicy::Always,
-    );
-    let chunk_engine = Arc::new(CheckedEngine::new(
-        IndexEngine::new("parallel-chunk-piece-4", chunked),
+    let adaptive_engine = Arc::new(CheckedEngine::new(
+        IndexEngine::new(
+            "parallel-range-adaptive-4",
+            RangePartitionedCracker::adaptive(
+                shared_values.clone(),
+                4,
+                aidx_parallel::AdaptiveConfig::default(),
+            ),
+        ),
         shared_values.clone(),
     ));
-    let run = MultiClientRunner::new(8).run(chunk_engine.clone(), &queries);
+    let run = MultiClientRunner::new(8).run(adaptive_engine.clone(), &queries);
     assert_eq!(run.query_count(), QUERIES);
-    assert!(chunk_engine.mismatches().is_empty(), "chunked mismatches");
+    assert!(
+        adaptive_engine.mismatches().is_empty(),
+        "adaptive mismatches"
+    );
 
     let range_engine = Arc::new(CheckedEngine::new(
         IndexEngine::new(

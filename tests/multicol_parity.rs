@@ -1,5 +1,5 @@
-//! Multi-column engine parity: the serial, chunked, and range-partitioned
-//! table engines replay the same generated multi-column workload (mixed
+//! Multi-column engine parity: the serial and range-partitioned table
+//! engines replay the same generated multi-column workload (mixed
 //! selects/inserts/deletes, per-column selectivities, compaction and
 //! piece shrinking enabled) and must agree with the tuple oracle op for
 //! op — under one client and under several concurrent clients.
@@ -27,10 +27,6 @@ fn backends() -> Vec<TableBackend> {
         TableBackend::Serial(LatchProtocol::Piece),
         TableBackend::Serial(LatchProtocol::Column),
         TableBackend::Serial(LatchProtocol::None),
-        TableBackend::Chunked {
-            chunks: 3,
-            protocol: LatchProtocol::Piece,
-        },
         TableBackend::Range { partitions: 3 },
     ]
 }
@@ -82,10 +78,6 @@ fn concurrent_clients_agree_with_the_serialized_oracle() {
         .generate(OPS);
     for backend in [
         TableBackend::Serial(LatchProtocol::Piece),
-        TableBackend::Chunked {
-            chunks: 2,
-            protocol: LatchProtocol::Piece,
-        },
         TableBackend::Range { partitions: 2 },
     ] {
         let checked = Arc::new(build_checked(

@@ -2,13 +2,12 @@
 //! compaction: a scan holding a snapshot open across at least three
 //! incremental compaction steps must return exactly the `BTreeMap`
 //! oracle's answer at the snapshot epoch — for the serial cracker (every
-//! latch protocol), the parallel-chunked cracker, and the
-//! range-partitioned cracker.
+//! latch protocol) and the range-partitioned cracker.
 
 use adaptive_indexing::core::{
-    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, RefinementPolicy,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol,
 };
-use adaptive_indexing::parallel::{ChunkedCracker, RangePartitionedCracker};
+use adaptive_indexing::parallel::RangePartitionedCracker;
 use std::collections::BTreeMap;
 
 fn shuffled(n: usize) -> Vec<i64> {
@@ -97,44 +96,6 @@ fn serial_snapshot_scan_across_incremental_steps_matches_the_oracle() {
         drop(snap);
         assert!(idx.check_invariants(), "{protocol}");
     }
-}
-
-#[test]
-fn chunked_snapshot_scan_across_incremental_steps_matches_the_oracle() {
-    let values = shuffled(4096);
-    let idx = ChunkedCracker::new(
-        values.clone(),
-        3,
-        LatchProtocol::Piece,
-        RefinementPolicy::Always,
-    )
-    .with_compaction(CompactionPolicy::rows(4).incremental(4));
-    idx.sum(0, 4096);
-    let frozen = oracle_from(&values);
-    let snap = idx.pin();
-    // Threshold 4 with 16 churn pairs: the per-chunk incremental policy
-    // fires several walk steps while the snapshot stays pinned.
-    for key in CHURN_KEYS {
-        assert_eq!(idx.delete(key).0, 1);
-        idx.insert(key);
-        idx.delete(key + 1);
-        idx.insert(key + 1);
-        for (low, high) in QUERIES {
-            assert_eq!(
-                snap.count(low, high).0,
-                oracle_count(&frozen, low, high),
-                "chunked pinned count [{low},{high})"
-            );
-            assert_eq!(
-                snap.sum(low, high).0,
-                oracle_sum(&frozen, low, high),
-                "chunked pinned sum [{low},{high})"
-            );
-        }
-    }
-    drop(snap);
-    assert_eq!(idx.count(0, 4096).0, 4096, "live view converged");
-    assert!(idx.check_invariants());
 }
 
 #[test]
