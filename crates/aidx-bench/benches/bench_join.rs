@@ -1,5 +1,5 @@
 //! Equi-join benchmark: rowid-set join strategies over cracked columns
-//! versus the nested-loop baseline, with the cost model's picks asserted.
+//! versus the nested-loop baseline, with the planner's picks asserted.
 //!
 //! A dimension/fact pair ([`JoinWorkload`]) is joined on key = FK under
 //! three scenarios:
@@ -17,15 +17,15 @@
 //!
 //! Per scenario and backend (serial / range table engines),
 //! four arms on fresh engine pairs: forced gallop, forced hash, Auto
-//! (the measured cost model), and the nested-loop baseline (sampled on
+//! (the planner's cardinality rule), and the nested-loop baseline (sampled on
 //! the converged tail of the query sequence — it is quadratic). **Every**
 //! join result from every arm is verified tuple-for-tuple against a
 //! host-side reference join of the raw column data.
 //!
 //! Asserted: converged gallop and hash means each strictly beat the
 //! nested-loop mean on every backend in every scenario; Auto never runs
-//! nested-loop and, after bootstrapping both rowid strategies, picks
-//! gallop on aligned/zipf and hash on sparse (majority of queries).
+//! nested-loop, and picks gallop on every aligned/zipf query and hash on
+//! every sparse one (the pick is a function of the query and the data).
 //!
 //! Environment overrides: `AIDX_ROWS` (fact rows, default 500 000; the
 //! dimension is 1/64 of that), `AIDX_QUERIES` (per arm, default 48),
@@ -55,7 +55,7 @@ const SPARSE_STRIDE: i64 = 16;
 
 struct Scenario {
     name: &'static str,
-    /// The strategy the cost model must settle on after bootstrap.
+    /// The strategy Auto must pick for every query.
     expected_pick: JoinStrategy,
     queries: Vec<JoinQuery>,
     dim_cols: Vec<(String, Vec<i64>)>,
@@ -274,18 +274,17 @@ fn main() {
                  nested-loop ({nl_mean:?})",
                 s.name
             );
-            // The cost-model gates: nested-loop is never auto-picked, and
-            // after bootstrapping both strategies the measured model
-            // settles on the scenario's winner.
+            // The planner gates: nested-loop is never auto-picked, and the
+            // cardinality rule picks the scenario's winner for every query.
             assert_eq!(auto_nested, 0, "{label}/{}: auto ran nested-loop", s.name);
-            let picks_ok = match s.expected_pick {
-                JoinStrategy::Gallop => auto_gallop > auto_hash,
-                _ => auto_hash > auto_gallop,
+            let wrong_picks = match s.expected_pick {
+                JoinStrategy::Gallop => auto_hash,
+                _ => auto_gallop,
             };
-            assert!(
-                picks_ok,
+            assert_eq!(
+                wrong_picks, 0,
                 "{label}/{}: auto picked gallop {auto_gallop}x / hash {auto_hash}x, \
-                 expected a {:?} majority",
+                 expected {:?} every time",
                 s.name, s.expected_pick
             );
 
@@ -335,7 +334,7 @@ fn main() {
     report.finish();
     println!(
         "every join answer matched the reference tuple-for-tuple; converged gallop \
-         and hash each beat nested-loop on every arm; the cost model picked gallop \
-         on aligned/zipf and hash on sparse"
+         and hash each beat nested-loop on every arm; auto picked gallop on every \
+         aligned/zipf query and hash on every sparse one"
     );
 }

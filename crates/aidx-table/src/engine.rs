@@ -21,17 +21,17 @@
 //!   seeks that skip whole compressed blocks of the larger side — or
 //!   merge linearly when the sides are comparable; or
 //! * **projects**: probes the row store (`tuple[col]` per candidate)
-//!   instead, at the cost of refining nothing. The switch is cost-based,
-//!   not a fixed cutoff: the engine keeps a per-column EMA of measured
-//!   set-read cost *per returned row* and an EMA of per-tuple probe
-//!   latency, and projects when `candidates × probe_ns < rows ×
-//!   row_ns(column)`, where `rows` is the predicate's estimated result:
-//!   the driver's result scaled by the two predicates' widths (the same
-//!   uniform-domain assumption as the ordering). Per-row costs do not
-//!   depend on which widths a column was read at last, so the decision
-//!   does not depend on the order of earlier selects. An unmeasured
-//!   column always intersects once — that both bootstraps its cost
-//!   estimate and cracks it.
+//!   instead, at the cost of refining nothing. The switch weighs counts,
+//!   not clocks: a probe is taken to cost 3/2 of a row read from the
+//!   predicate's column, so the predicate projects when `candidates × 3
+//!   < rows × 2`, where `rows` is its estimated result: the driver's
+//!   result scaled by the two predicates' widths (the same uniform-domain
+//!   assumption as the ordering).
+//!
+//! Joins pick their strategy the same way (see
+//! [`TableEngine::execute_join`]). Every plan is therefore a function of
+//! the op stream and the data, never of host load: two runs of one op
+//! stream crack the same columns at the same bounds.
 //!
 //! # Write atomicity
 //!
@@ -67,25 +67,15 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Starting estimate for one aligned row-store probe, in nanoseconds,
-/// used until the first projection pass measures the real figure (a
-/// hash-overlay lookup plus a column access lands in this ballpark on
-/// current hardware; being wrong only delays the first projection).
-const PROBE_NS_SEED: u64 = 200;
+/// Projection vs. intersection, as `(probe, read)` weights per row: one
+/// row-store probe (a hash-overlay lookup plus a column access) costs
+/// 3/2 of one row read from a cracked column's rowid set.
+const PROJECTION_WEIGHTS: (u128, u128) = (3, 2);
 
-/// Folds one latency sample into an EMA cell. `0` means unmeasured
-/// (first sample is adopted verbatim); thereafter `(3·old + sample)/4`.
-/// The racy load/store is deliberate: the cell steers a heuristic, and a
-/// lost update costs one slightly staler estimate, nothing more.
-fn ema_update(cell: &AtomicU64, sample_ns: u64) {
-    let old = cell.load(Ordering::Relaxed);
-    let new = if old == 0 {
-        sample_ns
-    } else {
-        (old.saturating_mul(3).saturating_add(sample_ns)) / 4
-    };
-    cell.store(new.max(1), Ordering::Relaxed);
-}
+/// Gallop vs. hash join, as `(gallop, build, probe)` weights per row: a
+/// row the gallop merge walks (lazy sort plus leapfrog merge) costs as
+/// much as a hash-table insert, and twice a row-store probe.
+const JOIN_WEIGHTS: (u128, u128, u128) = (2, 2, 1);
 
 /// Which single-column concurrency design backs every column index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,25 +171,10 @@ pub struct TableEngine {
     /// mutex and pins each column at its first read (see
     /// [`TableEngine::with_lazy_pins`]).
     lazy_pins: bool,
-    /// Measured cost of a compressed set read per column, per row the
-    /// read returned, EMA in picoseconds (0 = unmeasured). Drives the
-    /// projection-vs-intersection switch.
-    column_row_ps: Vec<AtomicU64>,
-    /// Measured cost of one row-store probe, EMA in ns.
-    probe_ns: AtomicU64,
     /// Cumulative compressed candidate-set bytes over all selects.
     candidate_set_bytes_total: AtomicU64,
     /// Cumulative compressed blocks bypassed by galloping intersections.
     blocks_skipped_total: AtomicU64,
-    /// Measured per-row cost of a gallop join — run production plus lazy
-    /// merge, divided by the rows walked — EMA in ns (0 = unmeasured).
-    /// Self-tuning: run skipping and shrinking lazy sorts pull it down as
-    /// the join columns converge.
-    gallop_row_ns: AtomicU64,
-    /// Measured per-row cost of a hash-join build, EMA in ns.
-    hash_build_ns: AtomicU64,
-    /// Measured per-row cost of a hash-join row-store probe, EMA in ns.
-    hash_probe_ns: AtomicU64,
     /// Joins executed per physical strategy: gallop / hash / nested-loop.
     joins_gallop: AtomicU64,
     joins_hash: AtomicU64,
@@ -257,7 +232,6 @@ impl TableEngine {
             indexes.push(index);
             base.push(values);
         }
-        let columns = indexes.len();
         TableEngine {
             name: format!("{}:{}", backend.label(), name.into()),
             column_names,
@@ -270,13 +244,8 @@ impl TableEngine {
             writer_instance: dcheck::instance_id(),
             pins: Mutex::new(PinLedger::default()),
             lazy_pins: false,
-            column_row_ps: (0..columns).map(|_| AtomicU64::new(0)).collect(),
-            probe_ns: AtomicU64::new(PROBE_NS_SEED),
             candidate_set_bytes_total: AtomicU64::new(0),
             blocks_skipped_total: AtomicU64::new(0),
-            gallop_row_ns: AtomicU64::new(0),
-            hash_build_ns: AtomicU64::new(0),
-            hash_probe_ns: AtomicU64::new(0),
             joins_gallop: AtomicU64::new(0),
             joins_hash: AtomicU64::new(0),
             joins_nested: AtomicU64::new(0),
@@ -496,25 +465,10 @@ impl TableEngine {
         }
     }
 
-    /// True when probing the row store per candidate is estimated cheaper
-    /// than reading the `rows` rows the predicate's column read is
-    /// expected to return. An unmeasured column always intersects: that
-    /// bootstraps its cost estimate and cracks it.
-    fn prefer_projection(&self, column: usize, candidate_len: usize, rows: u64) -> bool {
-        let row_ps = self.column_row_ps[column].load(Ordering::Relaxed);
-        if row_ps == 0 {
-            return false;
-        }
-        let probe_ns = self.probe_ns.load(Ordering::Relaxed).max(1);
-        (candidate_len as u128) * u128::from(probe_ns) * 1000
-            < u128::from(rows) * u128::from(row_ps)
-    }
-
     /// Aligned projection: probes the row store for every candidate and
     /// re-encodes the survivors (candidates arrive ascending, so the
-    /// builder streams). Feeds the per-probe cost EMA.
+    /// builder streams).
     fn project_filter(&self, candidates: &RowIdSet, predicate: &ColumnPredicate) -> RowIdSet {
-        let start = Instant::now();
         let mut survivors = RowIdSetBuilder::new();
         let mut it = candidates.iter();
         while let Some(rowid) = it.next() {
@@ -524,10 +478,6 @@ impl TableEngine {
             {
                 survivors.push(rowid);
             }
-        }
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Some(per_probe) = elapsed.checked_div(candidates.len() as u64) {
-            ema_update(&self.probe_ns, per_probe.max(1));
         }
         survivors.finish()
     }
@@ -630,8 +580,9 @@ impl TableEngine {
     /// `epoch` is the executing (left) table's cut.
     ///
     /// `strategy` [`JoinStrategy::Auto`] picks gallop or hash from the
-    /// measured per-row cost EMAs (each unmeasured strategy gets one
-    /// bootstrap run first; nested-loop is never auto-picked).
+    /// two sides' estimated cardinalities (see `choose_join_strategy`),
+    /// so one op stream always gets the same picks; nested-loop is never
+    /// auto-picked.
     pub fn execute_join(
         &self,
         other: &TableEngine,
@@ -689,7 +640,7 @@ impl TableEngine {
             };
         }
         let chosen = match strategy {
-            JoinStrategy::Auto => self.choose_join_strategy(&left, &right, window),
+            JoinStrategy::Auto => choose_join_strategy(&left, &right, window),
             forced => forced,
         };
         let counter = match chosen {
@@ -699,13 +650,12 @@ impl TableEngine {
             JoinStrategy::Auto => unreachable!("Auto always resolves to a physical strategy"),
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
+        let traced = aidx_obs::enabled().then(Instant::now);
         let (mut pairs, rows_skipped) = match chosen {
             JoinStrategy::Gallop => self.gallop_join(&left, &right, window, &mut metrics),
             JoinStrategy::Hash => self.hash_join(&left, &right, window, &mut metrics),
             _ => nested_loop_join(&left, &right, &mut metrics),
         };
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Deterministic output order regardless of strategy, so every
         // result is comparable tuple-for-tuple against the oracle.
         pairs.sort_unstable();
@@ -716,12 +666,12 @@ impl TableEngine {
         metrics.result_count = pairs.len() as u64;
         self.candidate_set_bytes_total
             .fetch_add(metrics.candidate_set_bytes, Ordering::Relaxed);
-        if aidx_obs::enabled() {
+        if let Some(start) = traced {
             emit(TraceEvent::Join {
                 strategy: chosen.label(),
                 pairs: pairs.len() as u64,
                 rows_skipped,
-                ns,
+                ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             });
         }
         TableOpResult {
@@ -734,7 +684,7 @@ impl TableEngine {
     }
 
     /// Joins executed so far per physical strategy:
-    /// `(gallop, hash, nested_loop)` — what the cost model (or a forced
+    /// `(gallop, hash, nested_loop)` — what the planner (or a forced
     /// strategy) actually ran.
     pub fn join_strategy_counts(&self) -> (u64, u64, u64) {
         (
@@ -742,44 +692,6 @@ impl TableEngine {
             self.joins_hash.load(Ordering::Relaxed),
             self.joins_nested.load(Ordering::Relaxed),
         )
-    }
-
-    /// Cost-based gallop-vs-hash choice. Each strategy's per-row EMA is
-    /// multiplied by the rows it would touch: gallop walks both sides
-    /// clipped to the joint key window (that fraction is estimated from
-    /// the window widths), hash builds the smaller side and probes every
-    /// larger-side candidate through the row store. An unmeasured
-    /// strategy is picked outright — one bootstrap run measures it.
-    fn choose_join_strategy(
-        &self,
-        left: &JoinSide,
-        right: &JoinSide,
-        window: (i64, i64),
-    ) -> JoinStrategy {
-        let gallop_ns = self.gallop_row_ns.load(Ordering::Relaxed);
-        if gallop_ns == 0 {
-            return JoinStrategy::Gallop;
-        }
-        let build_ns = self.hash_build_ns.load(Ordering::Relaxed);
-        let probe_ns = self.hash_probe_ns.load(Ordering::Relaxed);
-        if build_ns == 0 || probe_ns == 0 {
-            return JoinStrategy::Hash;
-        }
-        let gallop_rows = windowed_estimate(left.est, left.window, window)
-            + windowed_estimate(right.est, right.window, window);
-        let (small, large) = if left.est <= right.est {
-            (left.est, right.est)
-        } else {
-            (right.est, left.est)
-        };
-        let cost_gallop = gallop_rows.saturating_mul(gallop_ns as u128);
-        let cost_hash = (small as u128).saturating_mul(build_ns as u128)
-            + (large as u128).saturating_mul(probe_ns as u128);
-        if cost_gallop <= cost_hash {
-            JoinStrategy::Gallop
-        } else {
-            JoinStrategy::Hash
-        }
     }
 
     /// Gallop join: leapfrog merge over both sides' lazily-sorted key
@@ -794,7 +706,6 @@ impl TableEngine {
         window: (i64, i64),
         metrics: &mut QueryMetrics,
     ) -> (Vec<(RowId, RowId)>, u64) {
-        let start = Instant::now();
         let (left_runs, right_runs) = if left.est <= right.est {
             let first = left.keyed_runs(window, metrics);
             let second = match envelope_clip(&first, window) {
@@ -810,7 +721,6 @@ impl TableEngine {
             };
             (second, first)
         };
-        let walked = (left_runs.total_rows() + right_runs.total_rows()) as u64;
         let mut out = Vec::new();
         let stats = merge_join_pairs(
             left_runs.into_merge_iter(),
@@ -818,10 +728,6 @@ impl TableEngine {
             &mut out,
         );
         note_merge_join(metrics, &stats);
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Some(per_row) = elapsed.checked_div(walked) {
-            ema_update(&self.gallop_row_ns, per_row.max(1));
-        }
         (out, stats.rows_skipped)
     }
 
@@ -843,20 +749,12 @@ impl TableEngine {
             (right, left)
         };
         let build_runs = build.keyed_runs(window, metrics);
-        let build_rows = build_runs.total_rows() as u64;
-        let t_build = Instant::now();
         let mut table: HashMap<i64, Vec<RowId>> = HashMap::new();
         for (key, rowid) in build_runs.iter_pairs() {
             table.entry(key).or_default().push(rowid);
         }
-        let build_ns = u64::try_from(t_build.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Some(per_row) = build_ns.checked_div(build_rows) {
-            ema_update(&self.hash_build_ns, per_row.max(1));
-        }
-        let probe_rowids = probe.rowids(metrics);
-        let t_probe = Instant::now();
         let mut out = Vec::new();
-        for &rowid in &probe_rowids {
+        for rowid in probe.rowids(metrics) {
             let Some(value) = probe.key_of(rowid) else {
                 continue;
             };
@@ -872,13 +770,6 @@ impl TableEngine {
                     });
                 }
             }
-        }
-        let probe_ns = u64::try_from(t_probe.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if !probe_rowids.is_empty() {
-            ema_update(
-                &self.hash_probe_ns,
-                (probe_ns / probe_rowids.len() as u64).max(1),
-            );
         }
         (out, 0)
     }
@@ -976,8 +867,7 @@ impl<'e> Cut<'e> {
         let mut ordered: Vec<ColumnPredicate> = predicates.to_vec();
         ordered.sort_by_key(ColumnPredicate::width);
         let driver = ordered.first().copied()?;
-        let mut candidates =
-            self.timed_column_read(driver.column, driver.low, driver.high, metrics);
+        let mut candidates = self.column_read(&driver, metrics);
         // Rows per unit of width, as the driver's read found them.
         let (driver_rows, driver_width) = (candidates.len() as u128, driver.width().max(1));
         for predicate in &ordered[1..] {
@@ -986,18 +876,13 @@ impl<'e> Cut<'e> {
             }
             let rows = driver_rows * u128::from(predicate.width()) / u128::from(driver_width);
             let rows = u64::try_from(rows).unwrap_or(u64::MAX);
-            if engine.prefer_projection(predicate.column, candidates.len(), rows) {
+            if prefer_projection(candidates.len(), rows) {
                 candidates = engine.project_filter(&candidates, predicate);
             } else {
                 // Rowid-set intersection: crack the predicate's own
                 // column and intersect the two compressed sets, galloping
                 // from the smaller side when the skew warrants it.
-                let rows = self.timed_column_read(
-                    predicate.column,
-                    predicate.low,
-                    predicate.high,
-                    metrics,
-                );
+                let rows = self.column_read(predicate, metrics);
                 let (merged, stats) =
                     intersect_sets(&candidates, &rows, IntersectStrategy::Adaptive);
                 metrics.blocks_skipped =
@@ -1020,25 +905,12 @@ impl<'e> Cut<'e> {
         set
     }
 
-    /// One compressed column read, timed per returned row into the
-    /// column's read-cost EMA (the projection-vs-intersection switch
-    /// consults it).
-    fn timed_column_read(
-        &self,
-        column: usize,
-        low: i64,
-        high: i64,
-        metrics: &mut QueryMetrics,
-    ) -> RowIdSet {
-        let start = Instant::now();
-        let (set, m) = self.column(column).select_rowid_set(low, high);
-        let elapsed_ps = start.elapsed().as_nanos().saturating_mul(1000);
-        let row_ps = elapsed_ps / set.len().max(1) as u128;
+    /// One predicate's compressed rowid set, read through its column.
+    fn column_read(&self, predicate: &ColumnPredicate, metrics: &mut QueryMetrics) -> RowIdSet {
+        let (set, m) = self
+            .column(predicate.column)
+            .select_rowid_set(predicate.low, predicate.high);
         metrics.accumulate(&m);
-        ema_update(
-            &self.engine.column_row_ps[column],
-            u64::try_from(row_ps).unwrap_or(u64::MAX).max(1),
-        );
         set
     }
 
@@ -1125,6 +997,38 @@ impl JoinSide<'_, '_> {
     /// probe).
     fn key_of(&self, rowid: RowId) -> Option<i64> {
         self.cut.engine.value_at(self.col, rowid)
+    }
+}
+
+/// True when probing the row store once per candidate is estimated
+/// cheaper than reading the `rows` rows the predicate's own column read
+/// is expected to return: `candidates × 3 < rows × 2`
+/// ([`PROJECTION_WEIGHTS`]).
+fn prefer_projection(candidates: usize, rows: u64) -> bool {
+    let (probe, read) = PROJECTION_WEIGHTS;
+    candidates as u128 * probe < u128::from(rows) * read
+}
+
+/// Gallop-vs-hash choice from the sides' estimated cardinalities
+/// ([`JOIN_WEIGHTS`]): gallop walks both sides clipped to the joint key
+/// window (each side's share estimated from the window widths), hash
+/// builds the smaller side and probes every larger-side candidate
+/// through the row store. Gallop when `2 × gallop_rows ≤ 2 × small +
+/// large`.
+fn choose_join_strategy(left: &JoinSide, right: &JoinSide, window: (i64, i64)) -> JoinStrategy {
+    let (gallop, build, probe) = JOIN_WEIGHTS;
+    let gallop_rows = windowed_estimate(left.est, left.window, window)
+        + windowed_estimate(right.est, right.window, window);
+    let (small, large) = if left.est <= right.est {
+        (left.est, right.est)
+    } else {
+        (right.est, left.est)
+    };
+    let cost_hash = u128::from(small) * build + u128::from(large) * probe;
+    if gallop_rows * gallop <= cost_hash {
+        JoinStrategy::Gallop
+    } else {
+        JoinStrategy::Hash
     }
 }
 
@@ -1216,28 +1120,21 @@ mod tests {
         );
     }
 
-    /// The switch weighs a column's per-row read cost by the rows the
-    /// predicate is expected to return: at the same measured cost, a wide
-    /// predicate projects the candidates a narrow one intersects.
+    /// The switch is the pure inequality `candidates × 3 < rows × 2`: at
+    /// equality the predicate intersects, and one more expected row makes
+    /// it project.
     #[test]
     fn the_projection_switch_scales_the_read_cost_by_the_expected_rows() {
-        let engine = TableEngine::new(
-            "r",
-            vec![("a".into(), vec![1, 2]), ("b".into(), vec![10, 20])],
-            TableBackend::Serial(LatchProtocol::Piece),
-            CompactionPolicy::disabled(),
-        );
+        assert!(!prefer_projection(100, 150), "equal cost intersects");
+        assert!(prefer_projection(100, 151));
+        assert!(!prefer_projection(2, 3));
+        assert!(prefer_projection(2, 4));
+        assert!(!prefer_projection(1, 0));
+        assert!(prefer_projection(0, 1));
         assert!(
-            !engine.prefer_projection(1, 100, 1_000_000),
-            "an unmeasured column intersects"
+            !prefer_projection(usize::MAX, u64::MAX),
+            "u128 arithmetic cannot overflow"
         );
-        // 1 ns per row read, 10 ns per probe: 100 probes cost 1000 rows.
-        engine.column_row_ps[1].store(1_000, Ordering::Relaxed);
-        engine.probe_ns.store(10, Ordering::Relaxed);
-        assert!(!engine.prefer_projection(1, 100, 500));
-        assert!(!engine.prefer_projection(1, 100, 1_000));
-        assert!(engine.prefer_projection(1, 100, 1_001));
-        assert!(engine.prefer_projection(1, 100, 50_000));
     }
 
     /// A select pinned before a delete of an inserted tuple still resolves
@@ -1247,14 +1144,11 @@ mod tests {
     fn a_live_cut_keeps_a_deleted_inserted_tuple_in_the_row_store() {
         let engine = TableEngine::new(
             "r",
-            vec![("a".into(), vec![1, 2]), ("b".into(), vec![10, 20])],
+            vec![("a".into(), vec![1, 2]), ("b".into(), vec![10, 70])],
             TableBackend::Serial(LatchProtocol::Piece),
             CompactionPolicy::disabled(),
         );
         let rowid = engine.execute(&TableOp::InsertTuple(vec![5, 50])).rowids[0];
-        // Column b reads as ruinously slow: its predicate projects.
-        let slow = u64::MAX / 4;
-        engine.column_row_ps[1].store(slow, Ordering::Relaxed);
         let cut = engine.pin_cut([0, 1]);
         let delete = TableOp::DeleteWhere {
             column: 0,
@@ -1268,17 +1162,21 @@ mod tests {
             Some(vec![5, 50]),
             "a live cut reaches it"
         );
+        // The driver a ∈ [0, 10) finds 3 candidates, so b ∈ [40, 60) is
+        // expected to return 6 rows: 3 × 3 < 6 × 2, and b projects.
         let predicates = [
             ColumnPredicate::new(0, 0, 10),
             ColumnPredicate::new(1, 40, 60),
         ];
+        let b_pieces = || engine.column_index(1).structure_probe().piece_count();
+        let pieces_before = b_pieces();
         let mut metrics = QueryMetrics::default();
         let got = cut.candidates_for(&predicates, &mut metrics).unwrap();
         assert_eq!(got.to_vec(), [rowid], "the pinned select still returns it");
         assert_eq!(
-            engine.column_row_ps[1].load(Ordering::Relaxed),
-            slow,
-            "column b was projected, not read"
+            b_pieces(),
+            pieces_before,
+            "column b was projected, not read and cracked"
         );
         let now = engine.execute(&TableOp::SelectMulti(predicates.to_vec()));
         assert!(now.rowids.is_empty() && now.epoch == deleted.epoch);

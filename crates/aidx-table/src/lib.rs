@@ -31,8 +31,10 @@
 //!   multi-predicate selects, whole-tuple inserts, key-predicate
 //!   deletes, and key/FK equi-joins against another table engine.
 //! * [`TableEngine`] — the engine: planner (most-selective-first, rowid
-//!   intersection, aligned projection for tiny candidate sets), a row
-//!   store for tuple reconstruction, and positionally aligned writes
+//!   intersection, aligned projection when the candidates are few
+//!   against the rows a predicate would read — a rule on counts, so
+//!   plans never depend on timing), a row store for tuple
+//!   reconstruction, and positionally aligned writes
 //!   (one insert/delete per column per tuple, each under that column's
 //!   own latch protocol) serialised by a writer mutex that reads hold
 //!   only while they pin their per-operation cut.
@@ -40,7 +42,7 @@
 //!   leapfrog merge over lazily-sorted `(key, rowid)` runs (cracks both
 //!   join columns, so repeated joins converge), a hash build/probe
 //!   through the row store, and a nested-loop oracle baseline. `Auto`
-//!   picks gallop or hash from measured per-row cost EMAs.
+//!   picks gallop or hash from the two sides' estimated cardinalities.
 //! * [`CheckedTableEngine`] — the verifying wrapper: replays every op
 //!   against a `BTreeMap<RowId, tuple>` oracle, comparing *rowid sets*
 //!   (tuple identity), not just counts; joins are verified pair-for-pair

@@ -42,10 +42,10 @@ impl ColumnPredicate {
 /// How an equi-join is physically executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
-    /// Cost-based choice between [`JoinStrategy::Gallop`] and
-    /// [`JoinStrategy::Hash`] from the engine's measured per-row EMAs
-    /// (nested-loop is never auto-picked; it exists as the oracle
-    /// baseline).
+    /// Choice between [`JoinStrategy::Gallop`] and [`JoinStrategy::Hash`]
+    /// from the two sides' estimated cardinalities — the same pick for
+    /// the same query over the same data, every time (nested-loop is
+    /// never auto-picked; it exists as the oracle baseline).
     #[default]
     Auto,
     /// Leapfrog merge over each side's lazily-sorted `(key, rowid)` runs,

@@ -1,5 +1,5 @@
 //! Equi-join tests: every physical strategy against the dual-oracle
-//! nested loop on every backend, the planner's bootstrap behaviour, and
+//! nested loop on every backend, the planner's cardinality rule, and
 //! the edge cases (empty filtered sides, all-duplicate keys, extreme
 //! keys, self-joins), plus a property test interleaving joins with tuple
 //! writes under aggressive incremental compaction.
@@ -207,21 +207,39 @@ fn join_executes_through_the_table_op_enum() {
     assert!(result.metrics.join_pairs >= 60);
 }
 
+/// Auto's pick is a function of the sides' cardinalities: a narrow key
+/// window on the dimension clips the unfiltered fact side to the same
+/// window, so gallop walks ~2 × 40 rows against hash's 2000 probes; an
+/// attribute filter leaves the key window open, so gallop would walk the
+/// whole fact side and hash wins. Every query, from the first.
 #[test]
-fn auto_bootstraps_both_rowid_strategies_and_never_picks_nested_loop() {
+fn auto_picks_by_cardinality_and_never_picks_nested_loop() {
     let dim: Vec<(i64, i64)> = (0..200).map(|i| (i, i % 11)).collect();
     let fact: Vec<(i64, i64)> = (0..2000).map(|i| ((i * 48271) % 200, i)).collect();
-    let (dim_t, fact_t) = star_pair(TableBackend::Serial(LatchProtocol::Piece), &dim, &fact);
-    for i in 0..8i64 {
-        let window = ColumnPredicate::new(0, i * 20, i * 20 + 40);
-        dim_t.execute_join(&fact_t, 0, 0, &[window], &[], JoinStrategy::Auto);
+    for backend in backends() {
+        let (dim_t, fact_t) = star_pair(backend, &dim, &fact);
+        for i in 0..8i64 {
+            let window = ColumnPredicate::new(0, i * 20, i * 20 + 40);
+            dim_t.execute_join(&fact_t, 0, 0, &[window], &[], JoinStrategy::Auto);
+        }
+        assert_eq!(
+            dim_t.inner().join_strategy_counts(),
+            (8, 0, 0),
+            "{}: every key-window join gallops",
+            dim_t.inner().name()
+        );
+        for i in 0..8i64 {
+            let attr = ColumnPredicate::new(1, i, i + 3);
+            dim_t.execute_join(&fact_t, 0, 0, &[attr], &[], JoinStrategy::Auto);
+        }
+        assert_eq!(
+            dim_t.inner().join_strategy_counts(),
+            (8, 8, 0),
+            "{}: every attribute-filtered join hashes",
+            dim_t.inner().name()
+        );
+        assert_eq!(dim_t.mismatches(), vec![]);
     }
-    let (gallop, hash, nested) = dim_t.inner().join_strategy_counts();
-    assert_eq!(gallop + hash, 8, "every auto join ran a rowid strategy");
-    assert!(gallop >= 1, "the unmeasured gallop path bootstraps first");
-    assert!(hash >= 1, "the unmeasured hash path bootstraps second");
-    assert_eq!(nested, 0, "nested-loop is never auto-picked");
-    assert_eq!(dim_t.mismatches(), vec![]);
 }
 
 proptest! {
