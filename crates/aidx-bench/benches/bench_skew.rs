@@ -1,12 +1,12 @@
 //! Skew-adaptivity benchmark: static range partitioning versus the
-//! skew-adaptive arm (online split/merge re-partitioning + refinement
-//! work stealing) under three access patterns:
+//! skew-adaptive arm (online split/merge re-partitioning) under three
+//! access patterns:
 //!
 //! * `uniform` — the static arm's best case; adaptivity must not
 //!   regress it (>5% slowdown fails on 4+ core hosts).
 //! * `zipfian` (theta = 1.0) — heavy skew onto the low end of the
-//!   domain; the static arm serialises on one hot owner while the
-//!   adaptive arm splits the hot partition until load spreads.
+//!   domain; the static arm concentrates its load on one partition while
+//!   the adaptive arm splits the hot partition until load spreads.
 //! * `drifting-hotspot` — a narrow hot range sweeping the domain, so
 //!   yesterday's split boundaries are tomorrow's cold partitions; the
 //!   adaptive arm must merge behind the hotspot as well as split ahead
@@ -14,10 +14,11 @@
 //!
 //! Every arm's answers are checked against the scan baseline — a
 //! mismatch aborts the bench, so speedups can never come from wrong
-//! answers. Speedup assertions are gated on runtime core detection
-//! (printed in the header): on hosts with fewer than 4 cores the
-//! targets are skipped with a note, because partitions can't actually
-//! run in parallel there. Each arm's final peak load share (the busiest
+//! answers. Each arm replays one client serially, so the timings compare
+//! the arms' own work (cracking plus re-partitioning), not parallelism;
+//! the uniform no-regression assertion is gated on runtime core
+//! detection (printed in the header) and skipped with a note on hosts
+//! with fewer than 4 cores. Each arm's final peak load share (the busiest
 //! partition's fraction of all routed work, measured over an untimed
 //! replay of the whole query sequence after the structure converged) is
 //! printed and recorded in the JSON report so CI can assert the
@@ -54,7 +55,8 @@ fn run_arm(
 /// [`partition_loads`](aidx_parallel::RangePartitionedCracker::partition_loads)
 /// probes, matched by stable partition id (a partition born inside the
 /// window counts from zero). This is the quantity that bounds parallel
-/// throughput (the busiest owner serialises the run), and unlike the
+/// throughput (the busiest partition's work concentrates there), and
+/// unlike the
 /// max/mean ratio it compares fairly across arms with different
 /// partition counts. The all-time counters would also charge the
 /// adaptive arm for the skew it absorbed *before* splitting; the window
@@ -81,7 +83,6 @@ struct PatternResult {
     adaptive_share: f64,
     splits: u64,
     merges: u64,
-    steals: u64,
 }
 
 fn main() {
@@ -140,9 +141,8 @@ fn main() {
         );
         let static_share = window_peak_share(&probe, &static_engine.index().partition_loads());
 
-        // Cap the adaptive arm at 2x the static partition count: more
-        // owners than that oversubscribes the cores the speedup targets
-        // assume, and the load windows below compare like against like.
+        // Cap the adaptive arm at 2x the static partition count, so the
+        // load windows below compare like against like.
         let config = AdaptiveConfig {
             max_partitions: partitions * 2,
             ..AdaptiveConfig::default()
@@ -174,7 +174,6 @@ fn main() {
         let adaptive_share = window_peak_share(&probe, &adaptive_engine.index().partition_loads());
         let splits = adaptive_engine.index().splits_performed();
         let merges = adaptive_engine.index().merges_performed();
-        let steals = adaptive_engine.index().steal_count();
         let final_partitions = adaptive_engine.index().partition_count();
 
         let speedup = static_time.as_secs_f64() / adaptive_time.as_secs_f64();
@@ -185,7 +184,7 @@ fn main() {
             "1.00".to_string(),
             format!("{static_share:.2}"),
             partitions.to_string(),
-            "0/0/0".to_string(),
+            "0/0".to_string(),
         ]);
         table.push(vec![
             name.to_string(),
@@ -194,7 +193,7 @@ fn main() {
             format!("{speedup:.2}"),
             format!("{adaptive_share:.2}"),
             final_partitions.to_string(),
-            format!("{splits}/{merges}/{steals}"),
+            format!("{splits}/{merges}"),
         ]);
         results.push(PatternResult {
             name,
@@ -203,7 +202,6 @@ fn main() {
             adaptive_share,
             splits,
             merges,
-            steals,
         });
     }
 
@@ -216,7 +214,7 @@ fn main() {
             "speedup_vs_static",
             "peak_load_share",
             "final_partitions",
-            "splits/merges/steals",
+            "splits/merges",
         ],
         &table,
     );
@@ -234,7 +232,6 @@ fn main() {
                         ("adaptive_peak_share", Json::Num(r.adaptive_share)),
                         ("splits", Json::UInt(r.splits)),
                         ("merges", Json::UInt(r.merges)),
-                        ("steals", Json::UInt(r.steals)),
                     ])
                 })
                 .collect(),
@@ -244,7 +241,7 @@ fn main() {
     println!("all arms returned results identical to the scan baseline");
 
     // Balance oracle: under zipfian skew the adaptive arm must end the
-    // run with a smaller peak load share (the busiest owner's fraction
+    // run with a smaller peak load share (the busiest partition's fraction
     // of all routed work — the quantity that serialises a parallel run)
     // than the static one. That's the whole point of online
     // re-partitioning, and it holds regardless of core count (splits are
@@ -271,40 +268,24 @@ fn main() {
         );
     }
 
-    // Speedup oracles need real parallelism: on <4-core hosts the owners
-    // time-slice one another and the ratios measure scheduler noise.
+    // The no-regression oracle needs real parallelism: on <4-core hosts
+    // the monitor thread time-slices the client and the ratio measures
+    // scheduler noise.
     if cores >= 4 {
         let uniform = results.iter().find(|r| r.name == "uniform").unwrap();
-        let drift = results
-            .iter()
-            .find(|r| r.name == "drifting-hotspot")
-            .unwrap();
         assert!(
             uniform.speedup > 1.0 / 1.05,
             "adaptive arm regressed uniform by more than 5%: {:.2}x",
             uniform.speedup
         );
-        assert!(
-            zipf.speedup > 1.5,
-            "adaptive arm must beat static by >1.5x under zipfian on a \
-             {cores}-core host, measured {:.2}x",
-            zipf.speedup
-        );
-        assert!(
-            drift.speedup > 1.2,
-            "adaptive arm must beat static by >1.2x under drifting hotspot \
-             on a {cores}-core host, measured {:.2}x",
-            drift.speedup
-        );
         println!(
-            "speedup targets: zipfian {:.2}x (>1.5x), drifting-hotspot {:.2}x \
-             (>1.2x), uniform {:.2}x (>0.95x): met",
-            zipf.speedup, drift.speedup, uniform.speedup
+            "uniform regression target: {:.2}x (>0.95x): met",
+            uniform.speedup
         );
     } else {
         println!(
-            "SKIP: speedup targets (zipfian >1.5x, drifting-hotspot >1.2x, \
-             uniform regression <=5%) need >=4 cores, this host exposes {cores}"
+            "SKIP: uniform regression target (<=5%) needs >=4 cores, this \
+             host exposes {cores}"
         );
     }
 

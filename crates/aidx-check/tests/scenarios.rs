@@ -3,8 +3,9 @@
 //! Two kinds of scenario live here:
 //!
 //! * **Real-code models** — the actual `ConcurrentCracker`, posting-list
-//!   intersection, `OrderedWaitLatch` and `TableEngine` run on virtual
-//!   threads. This works because `aidx-core` and `aidx-table` are built with
+//!   intersection, `OrderedWaitLatch`, `RangePartitionedCracker` and
+//!   `TableEngine` run on virtual threads. This works because `aidx-core`,
+//!   `aidx-parallel` and `aidx-table` are built with
 //!   the `check` feature in this crate's test graph, so every facade lock
 //!   the production code takes routes through the scheduler — and so does
 //!   the shrink-epoch seqlock, whose
@@ -21,21 +22,25 @@
 //!   it.
 //!
 //! Two of the mini-models are ports of bugs this codebase actually had or
-//! defends against: the PR 7 galloping-intersection frontier bug and the
-//! PR 4 bounded-retry reclaim-pause drain. The split-handoff model at the bottom covers the skew-adaptive
-//! router's epoch-fenced re-partitioning: a query racing a split must see
-//! exactly the old or the new routing, never a dropped key range.
+//! defends against: the galloping-intersection frontier bug and the
+//! bounded-retry reclaim-pause drain. The split model covers the
+//! skew-adaptive router's stop-the-world re-partitioning: a query racing a
+//! split must read every partition of one routing table, never a dropped
+//! key range.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use aidx_check::sync::{yield_now, CheckedAtomicU64, CheckedAtomicUsize, CheckedMutex};
+use aidx_check::sync::{
+    yield_now, CheckedAtomicU64, CheckedAtomicUsize, CheckedMutex, CheckedRwLatch,
+};
 use aidx_check::{explore, explore_default, ExploreConfig, Scenario};
 use aidx_core::{
     intersect_iters_gallop, intersect_iters_linear, ColumnRead, CompactionPolicy,
     ConcurrentCracker, Index, LatchProtocol, ReadShape, RowIdSet, WriteOp,
 };
 use aidx_latch::ordered::OrderedWaitLatch;
+use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker, Rebalance};
 use aidx_table::{ColumnPredicate, TableBackend, TableEngine, TableOp};
 
 fn capped(max_schedules: usize) -> ExploreConfig {
@@ -744,23 +749,80 @@ fn gallop_frontier_regression_concurrent_build() {
 }
 
 // ---------------------------------------------------------------------------
-// Skew-adaptive split handoff (the tentpole's re-partitioning protocol)
+// Skew-adaptive split (the range router's re-partitioning protocol)
 // ---------------------------------------------------------------------------
 
-/// Mini-model of the adaptive router's split system transaction. Owner 0
-/// holds four rows; a split moves the rows at or above `BOUNDARY` to a new
-/// owner 1 and publishes a new routing generation. The real protocol's
-/// ordering — move the rows *and* install the owner's redirect in one
-/// critical section, only then swap the routing table — is the `correct`
-/// variant; the teeth variant publishes the new table first, opening a
-/// window where a query routed by the new table finds the child empty.
+/// The real range router racing a split: a one-partition adaptive
+/// `RangePartitionedCracker` (no monitor thread), warmed so that a crack
+/// sits at the middle key and the load window calls for a split. Thread S
+/// runs the rebalance pass, thread C counts the whole key range, thread I
+/// inserts a key above the split key. Every operation holds the routing
+/// table shared for its whole length and the split holds it exclusive, so
+/// on every schedule the count reads the rows before or after the insert
+/// — never a partition's rows twice or not at all — and afterwards the
+/// two partitions hold every row exactly once.
+#[test]
+fn real_range_split_vs_count_and_insert_keeps_every_row() {
+    const VALUES: [i64; 8] = [9, 3, 7, 1, 8, 2, 6, 4];
+    const N: u64 = VALUES.len() as u64;
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(5_000)
+    };
+    let report = explore(one_preemption, move || {
+        let config = AdaptiveConfig {
+            check_interval: None,
+            min_partition_rows: 1,
+            min_window_ops: 1,
+            ..AdaptiveConfig::default()
+        };
+        let idx = Arc::new(RangePartitionedCracker::adaptive(
+            VALUES.to_vec(),
+            1,
+            config,
+        ));
+        // Cracks at 5 (the middle of the array) and at 10 (its end).
+        assert_eq!(idx.count(5, 10).0, 4);
+        let (s, c, i) = (Arc::clone(&idx), Arc::clone(&idx), Arc::clone(&idx));
+        Scenario::new()
+            .thread(move || {
+                let outcome = s.try_rebalance();
+                assert_eq!(outcome, Rebalance::Split { partition: 0 });
+            })
+            .thread(move || {
+                let (n, _) = c.count(i64::MIN, i64::MAX);
+                assert!(
+                    n == N || n == N + 1,
+                    "count racing the split and one insert saw {n} rows"
+                );
+            })
+            .thread(move || {
+                i.insert(7);
+            })
+            .finale(move || {
+                assert_eq!(idx.count(i64::MIN, i64::MAX).0, N + 1, "rows lost");
+                assert_eq!(idx.splits(), [5], "split at the middle crack");
+                assert_eq!(idx.partition_sizes(), [4, 5]);
+                assert!(idx.check_invariants());
+                assert_eq!(idx.splits_performed(), 1);
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "one preemption fits under the cap");
+}
+
+/// Mini-model of the range router's split system transaction. The
+/// routing table is the number of partitions a full-range query visits
+/// (1 before the split, 2 after) behind the router's reader-writer latch;
+/// partition 0 holds four rows. The split takes the latch exclusive,
+/// moves the rows at or above `BOUNDARY` to partition 1 and publishes the
+/// two-partition table. The `guarded` query reads its partitions under
+/// the router's read guard, as the real router does; the teeth variant
+/// drops the guard once it has routed, so a split can move rows out of
+/// the partitions it already chose.
 struct SplitModel {
-    /// Routing generation: 0 = everything to owner 0, 1 = split routing.
-    generation: CheckedAtomicUsize,
-    /// Owner 0: its rows plus the redirect flag a split installs.
-    p0: CheckedMutex<(Vec<u64>, bool)>,
-    /// Owner 1: the split child's rows.
-    p1: CheckedMutex<Vec<u64>>,
+    router: CheckedRwLatch<usize>,
+    parts: [CheckedMutex<Vec<u64>>; 2],
 }
 
 const BOUNDARY: u64 = 2;
@@ -768,92 +830,82 @@ const BOUNDARY: u64 = 2;
 impl SplitModel {
     fn new() -> Self {
         SplitModel {
-            generation: CheckedAtomicUsize::new(0),
-            p0: CheckedMutex::new((vec![0, 1, 2, 3], false)),
-            p1: CheckedMutex::new(Vec::new()),
+            router: CheckedRwLatch::new(1),
+            parts: [
+                CheckedMutex::new(vec![0, 1, 2, 3]),
+                CheckedMutex::new(Vec::new()),
+            ],
         }
     }
 
-    /// The split system transaction. `correct` moves rows + installs the
-    /// redirect atomically before swapping the table; the buggy variant
-    /// swaps first, with the handoff still in flight across a preemption.
-    fn split(&self, correct: bool) {
-        if !correct {
-            self.generation.store(1, Ordering::SeqCst);
-            yield_now();
-        }
-        {
-            let mut owner = self.p0.lock();
-            let moved: Vec<u64> = owner.0.iter().copied().filter(|&v| v >= BOUNDARY).collect();
-            owner.0.retain(|&v| v < BOUNDARY);
-            owner.1 = true;
-            self.p1.lock().extend(moved);
-        }
-        if correct {
-            self.generation.store(1, Ordering::SeqCst);
-        }
+    fn split(&self) {
+        let mut table = self.router.write();
+        let moved: Vec<u64> = {
+            let mut lower = self.parts[0].lock();
+            let moved = lower.iter().copied().filter(|&v| v >= BOUNDARY).collect();
+            lower.retain(|&v| v < BOUNDARY);
+            moved
+        };
+        self.parts[1].lock().extend(moved);
+        *table = 2;
     }
 
-    /// A full-range count routed by whichever table generation the query
-    /// observes. Old routing sends everything to owner 0, which answers
-    /// locally and forwards the moved range through its redirect; new
-    /// routing clips the request per owner. Either way the answer must
-    /// cover every row exactly once.
-    fn count_all(&self) -> usize {
-        if self.generation.load(Ordering::SeqCst) == 0 {
-            let owner = self.p0.lock();
-            let forwarded = if owner.1 { self.p1.lock().len() } else { 0 };
-            owner.0.len() + forwarded
-        } else {
-            let low = self.p0.lock().0.iter().filter(|&&v| v < BOUNDARY).count();
-            low + self.p1.lock().len()
-        }
+    fn count_all(&self, guarded: bool) -> usize {
+        let table = self.router.read();
+        let partitions = *table;
+        let guard = guarded.then_some(table);
+        let rows = (0..partitions).map(|p| self.parts[p].lock().len()).sum();
+        drop(guard);
+        rows
     }
 }
 
-/// The split handoff is atomic under every schedule: a query racing the
-/// re-partition sees exactly the old or the new routing — four rows either
-/// way, never a dropped (or doubled) range — and the rows end up disjoint
-/// across the two owners.
+/// Under the router guard a query racing the split reads every partition
+/// of one table — four rows either way, never a dropped (or doubled)
+/// range — and the rows end up disjoint across the two partitions.
 #[test]
-fn split_handoff_query_sees_old_or_new_routing() {
+fn split_under_the_router_write_lock_keeps_every_row() {
     let report = explore_default(move || {
         let model = Arc::new(SplitModel::new());
         let splitter = Arc::clone(&model);
         let querier = Arc::clone(&model);
         Scenario::new()
-            .thread(move || splitter.split(true))
+            .thread(move || splitter.split())
             .thread(move || {
-                let n = querier.count_all();
+                let n = querier.count_all(true);
                 assert_eq!(n, 4, "query racing the split dropped a key range");
             })
             .finale(move || {
-                assert_eq!(model.count_all(), 4, "rows lost by the split");
-                let owner = model.p0.lock();
+                assert_eq!(model.count_all(true), 4, "rows lost by the split");
                 assert!(
-                    owner.0.iter().all(|&v| v < BOUNDARY),
-                    "parent kept rows beyond the split boundary"
+                    model.parts[0].lock().iter().all(|&v| v < BOUNDARY),
+                    "partition 0 kept rows beyond the split boundary"
                 );
-                assert_eq!(model.p1.lock().len(), 2, "child missing its half");
+                assert_eq!(
+                    model.parts[1].lock().len(),
+                    2,
+                    "partition 1 missing its half"
+                );
             })
     });
     report.assert_ok();
     assert!(report.exhausted, "split model should be fully enumerable");
 }
 
-/// Teeth: publishing the new routing table before the rows and redirect
-/// move lets a new-routed query find the child empty — the dropped-range
-/// bug the epoch fence exists to prevent. The explorer must find it.
+/// Teeth: a query that drops the router guard before it reads its
+/// partitions lets the split move rows out of a partition it already
+/// routed past — the dropped-range bug the whole-operation guard rules
+/// out. The explorer must find it.
 #[test]
-fn split_published_before_handoff_is_caught() {
+fn split_read_after_the_router_guard_drops_is_caught() {
     let report = explore_default(move || {
         let model = Arc::new(SplitModel::new());
         let splitter = Arc::clone(&model);
         let querier = Arc::clone(&model);
         Scenario::new()
-            .thread(move || splitter.split(false))
+            .thread(move || splitter.split())
             .thread(move || {
-                let n = querier.count_all();
+                let n = querier.count_all(false);
                 assert_eq!(n, 4, "query racing the split dropped a key range");
             })
     });
@@ -1095,14 +1147,18 @@ fn pivot_crack_published_before_the_bound_pass_is_caught() {
 /// already seen the tuple gone when R2 starts, R2 must not find it on
 /// column `b`: the two selects would otherwise reveal half a delete.
 /// `met` collects which outcomes the explored schedules produced.
-fn torn_tuple_scenario(lazy_pins: bool, met: Arc<std::sync::atomic::AtomicU64>) -> Scenario {
+fn torn_tuple_scenario(
+    backend: TableBackend,
+    lazy_pins: bool,
+    met: Arc<std::sync::atomic::AtomicU64>,
+) -> Scenario {
     let mut engine = TableEngine::new(
         "r",
         vec![
             ("a".into(), vec![5, 1, 7, 3]),
             ("b".into(), vec![50, 10, 70, 30]),
         ],
-        TableBackend::Serial(LatchProtocol::Piece),
+        backend,
         CompactionPolicy::disabled(),
     );
     if lazy_pins {
@@ -1152,28 +1208,38 @@ fn torn_tuple_scenario(lazy_pins: bool, met: Arc<std::sync::atomic::AtomicU64>) 
         })
 }
 
-/// Every schedule of one preemption keeps the two selects consistent: a
-/// select pins its columns under the writer mutex, which the delete holds
-/// from its first column to its last. The schedules must include R1
+/// Every schedule of one preemption keeps the two selects consistent, on
+/// serial piece-latched columns and on two-partition range columns alike:
+/// a select pins its columns under the writer mutex, which the delete
+/// holds from its first column to its last. The schedules must include R1
 /// seeing the tuple gone, R2 starting after that, and R2 seeing the
 /// tuple before the delete.
 #[test]
 fn real_table_delete_vs_pinned_selects_never_tears_a_tuple() {
-    let met = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let one_preemption = ExploreConfig {
-        preemption_bound: Some(1),
-        ..capped(5_000)
-    };
-    let report = explore(one_preemption, || {
-        torn_tuple_scenario(false, Arc::clone(&met))
-    });
-    report.assert_ok();
-    assert!(report.exhausted, "one preemption fits under the cap");
-    assert_eq!(
-        met.load(Ordering::SeqCst),
-        0b111,
-        "schedules must meet the tuple gone, a select after that, and the tuple still there"
-    );
+    for backend in [
+        TableBackend::Serial(LatchProtocol::Piece),
+        TableBackend::Range { partitions: 2 },
+    ] {
+        let met = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let one_preemption = ExploreConfig {
+            preemption_bound: Some(1),
+            ..capped(5_000)
+        };
+        let report = explore(one_preemption, || {
+            torn_tuple_scenario(backend, false, Arc::clone(&met))
+        });
+        report.assert_ok();
+        assert!(
+            report.exhausted,
+            "{backend:?}: one preemption fits under the cap"
+        );
+        assert_eq!(
+            met.load(Ordering::SeqCst),
+            0b111,
+            "{backend:?}: schedules must meet the tuple gone, a select after that, \
+             and the tuple still there"
+        );
+    }
 }
 
 /// Teeth: pinning each column at its first read, outside the writer
@@ -1187,7 +1253,11 @@ fn table_pins_taken_outside_the_writer_mutex_are_caught() {
         ..capped(5_000)
     };
     let report = explore(one_preemption, || {
-        torn_tuple_scenario(true, Arc::clone(&met))
+        torn_tuple_scenario(
+            TableBackend::Serial(LatchProtocol::Piece),
+            true,
+            Arc::clone(&met),
+        )
     });
     let failure = report.expect_failure("panic");
     assert!(

@@ -4,7 +4,7 @@
 //!
 //! It also holds the one crack body, [`ConcurrentCracker::crack_piece`]:
 //! every protocol, every backend built on this cracker (serial, range
-//! owners) and the write path resolve a bound there and nowhere
+//! partitions) and the write path resolve a bound there and nowhere
 //! else, so that is where the *pivot policy* lives. Two rules it keeps:
 //!
 //! * **Where the extra crack goes is a pure function of the piece** — a
@@ -119,11 +119,11 @@ impl ReadAnswer {
     /// Fan-in of one `shape` read executed across partitions:
     /// partial answers are summed / concatenated and re-sorted / united
     /// with [`RowIdSet::merge_sets`] (bitmaps word-OR) / absorbed run by
-    /// run (key runs stay unsorted), the workers' metrics merge as
-    /// [`QueryMetrics::merge_parallel`], and the result size and
-    /// candidate-set footprint are those of the *merged* answer the caller
-    /// receives, not the sum of the transient parts. Callers that know the
-    /// fan-out's wall-clock overwrite `total`.
+    /// run (key runs stay unsorted), the parts' metrics are summed with
+    /// [`QueryMetrics::accumulate`], and the result size and candidate-set
+    /// footprint are those of the *merged* answer the caller receives, not
+    /// the sum of the transient parts. Callers that time the whole read
+    /// overwrite `total`.
     ///
     /// # Panics
     /// Panics if a part's variant does not match `shape`.
@@ -152,7 +152,10 @@ impl ReadAnswer {
                 ReadAnswer::Runs(runs)
             }
         };
-        let mut metrics = QueryMetrics::merge_parallel(part_metrics);
+        let mut metrics = QueryMetrics::default();
+        for part in &part_metrics {
+            metrics.accumulate(part);
+        }
         merged.stamp(&mut metrics);
         (merged, metrics)
     }

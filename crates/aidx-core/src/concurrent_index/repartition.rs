@@ -1,5 +1,5 @@
 //! Re-partition support for [`ConcurrentCracker`]: handing rows and cracks
-//! between range-partition owners, and refinement work stealing.
+//! between range partitions.
 
 use super::*;
 
@@ -167,47 +167,5 @@ impl ConcurrentCracker {
         txn.commit();
         drop(column_guard);
         drop(quiesce);
-    }
-
-    /// Refines the largest piece if it holds at least `min_rows` live
-    /// rows: samples values from the piece, picks two interior order
-    /// statistics, and runs a count query between them — cracking the
-    /// piece into up to three as idempotent side work. Used by idle
-    /// range-partition owners to pre-crack a hot neighbour's index ("work
-    /// stealing"); safe to race any concurrent operation including the
-    /// victim's own queries, because it *is* an ordinary query. Returns
-    /// the refined piece's live size, or `None` when no piece met the
-    /// bound (or the piece's values are too uniform to split).
-    pub fn refine_largest_piece(&self, min_rows: usize) -> Option<u64> {
-        let min_rows = min_rows.max(2);
-        // Sample under a gate entry (the array must not be swapped out
-        // underneath the reads), then DROP it before querying: count()
-        // re-enters the gate itself, and holding our entry across that
-        // call could deadlock against a structural quiesce.
-        let (p1, p2, rows) = {
-            let _enter = self.dir.enter();
-            let pieces = self.dir.live_pieces().into_iter();
-            let (best, live_end) = pieces.max_by_key(|(p, live_end)| live_end - p.start)?;
-            let n = live_end - best.start;
-            if n < min_rows {
-                return None;
-            }
-            let mut sample: Vec<i64> = (0..32)
-                .map(|i| self.data.value_at(best.start + i * n / 32))
-                .collect();
-            sample.sort_unstable();
-            (sample[sample.len() / 3], sample[2 * sample.len() / 3], n)
-        };
-        if p1 == p2 {
-            // Too uniform to pick interior pivots; a single-sided crack at
-            // the repeated value still makes progress when possible.
-            if p1 == i64::MAX {
-                return None;
-            }
-            self.count(p1, p1 + 1);
-        } else {
-            self.count(p1, p2);
-        }
-        Some(rows as u64)
     }
 }

@@ -1316,22 +1316,6 @@ fn split_off_min_extracts_everything_and_absorb_reunites() {
     assert!(a.check_invariants());
 }
 
-#[test]
-fn refine_largest_piece_cracks_without_changing_contents() {
-    let idx = ConcurrentCracker::from_values(shuffled(1024), LatchProtocol::Piece);
-    assert_eq!(idx.piece_count(), 1);
-    let refined = idx.refine_largest_piece(64);
-    assert_eq!(refined, Some(1024), "the single piece is the largest");
-    assert!(idx.piece_count() > 1, "refinement cracked it");
-    assert!(idx.check_invariants());
-    assert_eq!(idx.count(0, 1024).0, 1024);
-    // Bound respected: nothing big enough left → None, structure
-    // untouched.
-    let before = idx.piece_count();
-    assert_eq!(idx.refine_largest_piece(4096), None);
-    assert_eq!(idx.piece_count(), before);
-}
-
 // ----- pivot policy ---------------------------------------------------------
 
 /// Upper bound on the rows `crack_piece` partitions to resolve `bound`

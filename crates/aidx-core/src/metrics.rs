@@ -110,28 +110,6 @@ impl QueryMetrics {
             .join_rows_skipped
             .saturating_add(other.join_rows_skipped);
     }
-
-    /// Merges the per-worker metrics of **one** query that was executed in
-    /// parallel across workers (range partitions) into a single
-    /// per-query record.
-    ///
-    /// Work counters (cracks, conflicts, skips, result sizes) and busy
-    /// times (wait / crack / aggregate) are *summed* — they measure total
-    /// work done on the query's behalf. `total` is the *maximum* of the
-    /// worker totals, i.e. the critical path: workers ran concurrently, so
-    /// summing their wall-clocks would overstate the query's latency.
-    /// Callers that know the true fan-out/fan-in wall-clock should
-    /// overwrite `total` with it afterwards.
-    pub fn merge_parallel<I: IntoIterator<Item = QueryMetrics>>(parts: I) -> QueryMetrics {
-        let mut merged = QueryMetrics::default();
-        let mut critical_path = Duration::ZERO;
-        for part in parts {
-            critical_path = critical_path.max(part.total);
-            merged.accumulate(&part);
-        }
-        merged.total = critical_path;
-        merged
-    }
 }
 
 /// Percentile histograms of every timing component of [`QueryMetrics`],
@@ -380,45 +358,17 @@ mod tests {
         assert_eq!(a.cracks_performed, 4);
         assert_eq!(a.conflicts, 3);
         assert_eq!(a.result_count, 20);
+        // Folded from the default record, the parts of one read sum:
+        // nothing stays the default, one part is the identity.
+        let mut folded = QueryMetrics::default();
+        folded.accumulate(&QueryMetrics::default());
+        assert_eq!(folded, QueryMetrics::default());
+        folded.accumulate(&metrics(7, 1, 1, 3));
+        assert_eq!(folded, metrics(7, 1, 1, 3));
     }
 
     #[test]
-    fn merge_parallel_sums_work_and_takes_critical_path() {
-        let merged = QueryMetrics::merge_parallel([
-            metrics(10, 2, 3, 1),
-            metrics(25, 4, 5, 0),
-            metrics(15, 1, 1, 2),
-        ]);
-        // Critical path, not sum: the workers ran concurrently.
-        assert_eq!(merged.total, Duration::from_millis(25));
-        // Work counters are summed across the workers.
-        assert_eq!(merged.wait_time, Duration::from_millis(7));
-        assert_eq!(merged.crack_time, Duration::from_millis(9));
-        assert_eq!(merged.cracks_performed, 6);
-        assert_eq!(merged.conflicts, 3);
-        assert_eq!(merged.result_count, 30);
-    }
-
-    #[test]
-    fn merge_parallel_of_nothing_is_the_default_record() {
-        // A query that fanned out to zero workers (e.g. an empty range on a
-        // range-partitioned index) merges to an all-zero record.
-        let merged = QueryMetrics::merge_parallel([]);
-        assert_eq!(merged, QueryMetrics::default());
-        assert_eq!(merged.total, Duration::ZERO);
-        assert_eq!(merged.result_count, 0);
-    }
-
-    #[test]
-    fn merge_parallel_of_one_worker_is_the_identity() {
-        // With a single worker the merge must neither lose nor double any
-        // field: the worker's record is the query's record.
-        let single = QueryMetrics::merge_parallel([metrics(7, 1, 1, 3)]);
-        assert_eq!(single, metrics(7, 1, 1, 3));
-    }
-
-    #[test]
-    fn merge_parallel_saturates_work_counters() {
+    fn accumulate_saturates_work_counters() {
         // Counter sums clamp at the type maximum instead of wrapping.
         let near_max = QueryMetrics {
             cracks_performed: u32::MAX - 1,
@@ -454,7 +404,8 @@ mod tests {
             join_rows_skipped: 5,
             ..QueryMetrics::default()
         };
-        let merged = QueryMetrics::merge_parallel([near_max, more]);
+        let mut merged = near_max;
+        merged.accumulate(&more);
         assert_eq!(merged.cracks_performed, u32::MAX);
         assert_eq!(merged.compactions_performed, u32::MAX);
         assert_eq!(merged.compaction_steps, u32::MAX);

@@ -35,8 +35,8 @@
 //! bitmap's words, which are already ascending; only a set sparser than
 //! one id per 1024 ids of span is sorted instead. Every bitmap buffer —
 //! construction scratch and container words alike — comes from one small
-//! recycled pool shared by all threads (a range owner builds the sets a
-//! client thread drops), so a read allocates no fresh bitmap.
+//! recycled pool shared by all threads (one client builds the sets
+//! another drops), so a read allocates no fresh bitmap.
 
 use aidx_storage::RowId;
 use std::collections::HashSet;
@@ -92,7 +92,7 @@ fn set_scatter_ratio(ratio: usize) {
 }
 
 /// Bitmap buffers kept for reuse. Sized for the handful of sets alive
-/// per operation across a few client and owner threads.
+/// per operation across a few client threads.
 const POOL_BUFFERS: usize = 16;
 
 /// The recycled bitmap buffers.

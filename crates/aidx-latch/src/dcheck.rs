@@ -49,8 +49,9 @@ pub enum Level {
     /// The range-router's snapshot gate: range-snapshot opens take it
     /// shared, a repartition holds it exclusive for its whole protocol.
     SnapshotGate = 2,
-    /// The range-router's routing-table lock: readers pin the current
-    /// table briefly, a repartition swaps it exclusively.
+    /// The range-router's routing-table lock: every operation holds it
+    /// shared for its whole length, a repartition holds it exclusive
+    /// while it moves rows and swaps the table.
     Router = 3,
     /// The piece directory's quiesce gate (entered once per operation).
     Gate = 4,

@@ -4,7 +4,7 @@
 //! trace answers the evaluation's breakdown questions: where did latch
 //! time go (and on *which* piece), when did cracking converge, what did
 //! compaction actually move, how often did snapshot validation retry, and
-//! how deeply do the range-partition owners batch.
+//! when did the range backend re-partition.
 
 use crate::json::Json;
 
@@ -75,14 +75,6 @@ pub enum TraceEvent {
         /// merge.
         rebuild: bool,
     },
-    /// One range-partition owner wakeup: which partition and how many
-    /// queued requests the wakeup drained (batch depth).
-    OwnerBatch {
-        /// Partition index.
-        partition: u32,
-        /// Requests drained by this wakeup.
-        depth: u32,
-    },
     /// One online re-partitioning system transaction: a hot partition was
     /// split at a crack boundary, or two cold neighbours were merged.
     Repartition {
@@ -90,7 +82,7 @@ pub enum TraceEvent {
         partition: u32,
         /// True for a split, false for a merge.
         split: bool,
-        /// Rows handed off to the new (or absorbing) owner.
+        /// Rows handed off to the new (or absorbing) partition.
         rows: u64,
         /// Nanoseconds the whole system transaction took.
         ns: u64,
@@ -110,18 +102,6 @@ pub enum TraceEvent {
         /// Nanoseconds the join phase took (filtering excluded).
         ns: u64,
     },
-    /// One successful refinement steal: an idle owner pre-cracked a large
-    /// uncracked piece belonging to another partition.
-    Steal {
-        /// The idle partition that did the stealing.
-        thief: u32,
-        /// The partition whose piece was refined.
-        victim: u32,
-        /// Rows in the piece that was pre-cracked.
-        rows: u64,
-        /// Nanoseconds spent refining.
-        ns: u64,
-    },
 }
 
 impl TraceEvent {
@@ -137,25 +117,21 @@ impl TraceEvent {
             TraceEvent::CompactionStep { .. } => "compaction_step",
             TraceEvent::SnapshotRetry { .. } => "snapshot_retry",
             TraceEvent::DeltaMerge { .. } => "delta_merge",
-            TraceEvent::OwnerBatch { .. } => "owner_batch",
             TraceEvent::Repartition { .. } => "repartition",
             TraceEvent::Join { .. } => "join",
-            TraceEvent::Steal { .. } => "steal",
         }
     }
 
-    /// All nine tags, for completeness checks.
-    pub fn all_tags() -> [&'static str; 9] {
+    /// All seven tags, for completeness checks.
+    pub fn all_tags() -> [&'static str; 7] {
         [
             "latch_wait",
             "crack",
             "compaction_step",
             "snapshot_retry",
             "delta_merge",
-            "owner_batch",
             "repartition",
             "join",
-            "steal",
         ]
     }
 
@@ -198,10 +174,6 @@ impl TraceEvent {
                 ("ns", Json::UInt(ns)),
                 ("rebuild", Json::Bool(rebuild)),
             ],
-            TraceEvent::OwnerBatch { partition, depth } => vec![
-                ("partition", Json::UInt(partition as u64)),
-                ("depth", Json::UInt(depth as u64)),
-            ],
             TraceEvent::Repartition {
                 partition,
                 split,
@@ -222,17 +194,6 @@ impl TraceEvent {
                 ("strategy", Json::str(strategy)),
                 ("pairs", Json::UInt(pairs)),
                 ("rows_skipped", Json::UInt(rows_skipped)),
-                ("ns", Json::UInt(ns)),
-            ],
-            TraceEvent::Steal {
-                thief,
-                victim,
-                rows,
-                ns,
-            } => vec![
-                ("thief", Json::UInt(thief as u64)),
-                ("victim", Json::UInt(victim as u64)),
-                ("rows", Json::UInt(rows)),
                 ("ns", Json::UInt(ns)),
             ],
         }
@@ -295,10 +256,6 @@ mod tests {
                 ns: 300,
                 rebuild: false,
             },
-            TraceEvent::OwnerBatch {
-                partition: 3,
-                depth: 5,
-            },
             TraceEvent::Repartition {
                 partition: 1,
                 split: true,
@@ -310,12 +267,6 @@ mod tests {
                 pairs: 77,
                 rows_skipped: 1200,
                 ns: 9_000,
-            },
-            TraceEvent::Steal {
-                thief: 2,
-                victim: 0,
-                rows: 1024,
-                ns: 7_000,
             },
         ];
         for (event, tag) in events.into_iter().zip(TraceEvent::all_tags()) {

@@ -383,9 +383,11 @@ mod tests {
         drain();
         enable();
         emit(event(5));
-        emit(TraceEvent::OwnerBatch {
+        emit(TraceEvent::Repartition {
             partition: 2,
-            depth: 3,
+            split: true,
+            rows: 3,
+            ns: 4,
         });
         disable();
         let mut buf = Vec::new();

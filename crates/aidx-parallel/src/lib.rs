@@ -1,40 +1,35 @@
-//! # aidx-parallel — multi-core parallel adaptive indexing
-//!
-//! The paper's protocols make adaptive indexing *safe* under concurrency;
-//! this crate makes it *scale*: refinement itself runs in parallel across
-//! cores, following the range-partitioned design of *Main Memory Adaptive
-//! Indexing for Multi-core Systems* (Alvarez, Schuhknecht, Dittrich,
-//! Richter), and answers the paper's Q1/Q2 range aggregates with results
-//! identical to a scan.
+//! # aidx-parallel — range-partitioned adaptive indexing
 //!
 //! [`RangePartitionedCracker`] — **range-partitioned cracking**: a
-//! one-time parallel range partition gives each worker a disjoint key
-//! range which it cracks **latch-free**, exclusive ownership replacing
-//! latches altogether; a router sends each query only to the owners its
-//! range overlaps, over one channel per owner. Narrow queries touch a
-//! single partition and different queries proceed on different cores
-//! with zero coordination. The **skew-adaptive** mode
+//! one-time range partition splits a column into disjoint key ranges,
+//! each a piece-latched [`aidx_core::ConcurrentCracker`]. A router sends
+//! each query only to the partitions its range overlaps and runs them on
+//! the calling thread, so the parallelism comes from the concurrent
+//! queries themselves, kept apart by piece latches — the paper's design,
+//! and that of the parallel variants in *Main Memory Adaptive Indexing
+//! for Multi-core Systems* (Alvarez, Schuhknecht, Dittrich, Richter).
+//! Narrow queries touch a single partition. The **skew-adaptive** mode
 //! ([`RangePartitionedCracker::adaptive`], tuned by [`AdaptiveConfig`])
 //! additionally re-partitions online — hot partitions split at crack
-//! boundaries, cold neighbours merge — and lets idle owners steal
-//! refinement work from loaded ones, so a skewed or drifting workload
-//! cannot serialise on one owner.
+//! boundaries, cold neighbours merge — as stop-the-world system
+//! transactions under the router's write lock. Its monitor is the only
+//! thread this crate spawns.
 //!
 //! It implements [`aidx_core::Index`] once — one `read`, one `pin`, one
 //! `write(`[`aidx_core::WriteOp`]`)` — and inherits every typed read and
 //! write from it: every op routes by [`aidx_core::WriteOp::key`] to the
-//! one owner of that key.
+//! one partition owning that key.
 //!
-//! Per-query [`aidx_core::QueryMetrics`] are merged across owners with
-//! [`aidx_core::QueryMetrics::merge_parallel`] (work counters summed,
-//! wall-clock = critical path), so the experiment harness reports
+//! Per-query [`aidx_core::QueryMetrics`] are summed across the partitions
+//! a read visits ([`aidx_core::QueryMetrics::accumulate`]), with `total`
+//! the whole read's wall-clock, so the experiment harness reports
 //! parallel arms in the same breakdown as the serial ones.
 
 #![warn(missing_docs)]
 
 pub mod range_partitioned;
 
-pub use range_partitioned::{AdaptiveConfig, RangePartitionedCracker, Rebalance, RoutingStats};
+pub use range_partitioned::{AdaptiveConfig, RangePartitionedCracker, Rebalance};
 
 /// Returns the number of hardware threads, falling back to 4 when the
 /// parallelism cannot be determined. Worker-count knobs resolve `0` to

@@ -1,12 +1,18 @@
 //! Skew-adaptive re-partitioning: the tuning knobs, the monitor thread,
 //! the rebalance decision, and the split and merge system transactions.
+//!
+//! A split or merge is stop-the-world. The controller takes the
+//! repartition mutex, then the snapshot gate exclusive (aborting while a
+//! snapshot is live), then the router's write lock. Every operation holds
+//! the router's read lock for its whole length, so once the write lock is
+//! held no operation is in flight: the rows move between quiescent
+//! partitions, and the new routing table replaces the old one before the
+//! lock is released.
 
-use super::owner::{spawn_owner, OwnerRequest};
-use super::{elapsed_ns, RoutingTable, Shared};
-use aidx_core::dcheck;
+use super::{Partition, RoutingTable, Shared};
+use aidx_core::{dcheck, ConcurrentCracker, LatchProtocol};
 use aidx_obs::{emit, TraceEvent};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,19 +30,12 @@ pub struct AdaptiveConfig {
     /// Never split a partition below `2 ×` this many rows (both halves
     /// must stay worth owning).
     pub min_partition_rows: usize,
-    /// Owner-thread budget: at this many partitions a split is preceded
-    /// by merging the coldest adjacent pair to free an owner.
+    /// Partition budget: at this many partitions a split is preceded by
+    /// merging the coldest adjacent pair.
     pub max_partitions: usize,
     /// Ignore load windows with fewer total routed ops than this — too
     /// little traffic to judge skew.
     pub min_window_ops: u64,
-    /// Enable refinement work stealing by idle owners.
-    pub steal: bool,
-    /// Stealers only pre-crack pieces at least this many rows big.
-    pub steal_min_piece: usize,
-    /// How long an owner's queue must stay empty before it tries to
-    /// steal.
-    pub steal_poll: Duration,
 }
 
 impl Default for AdaptiveConfig {
@@ -47,9 +46,6 @@ impl Default for AdaptiveConfig {
             min_partition_rows: 1024,
             max_partitions: 32,
             min_window_ops: 64,
-            steal: true,
-            steal_min_piece: 4096,
-            steal_poll: Duration::from_millis(1),
         }
     }
 }
@@ -67,24 +63,17 @@ pub enum Rebalance {
         /// Id of the partition that was split.
         partition: u32,
     },
-    /// A cold partition merged into its left neighbour to free an owner.
+    /// A cold partition merged into its left neighbour to stay within
+    /// the partition budget.
     Merged {
         /// Id of the partition that was merged away.
         partition: u32,
     },
 }
 
-/// Spins until every send routed through `old` has been enqueued. Pins
-/// only cover channel sends, never reply waits, so this drains fast.
-fn wait_for_pins(old: &RoutingTable) {
-    while old.pins.load(Ordering::Acquire) != 0 {
-        std::thread::yield_now();
-    }
-}
-
 /// The monitor thread: parks on a condvar (so teardown can interrupt a
 /// long interval) and runs one rebalance pass per wakeup.
-pub(super) fn monitor_loop(shared: &Arc<Shared>, interval: Duration) {
+pub(super) fn monitor_loop(shared: &Shared, interval: Duration) {
     loop {
         {
             let mut parked = shared.monitor_park.lock();
@@ -110,8 +99,8 @@ enum RebalanceAction {
 
 /// One rebalance pass: the repartition system transaction entry point.
 /// Latch order is strictly ascending — repartition (1), snapshot gate
-/// (2), then router (3) inside `perform_*`.
-pub(super) fn rebalance(shared: &Arc<Shared>) -> Rebalance {
+/// (2), then router (3), taken shared to decide and exclusive to act.
+pub(super) fn rebalance(shared: &Shared) -> Rebalance {
     let Some(config) = shared.config else {
         return Rebalance::Balanced;
     };
@@ -133,16 +122,26 @@ pub(super) fn rebalance(shared: &Arc<Shared>) -> Rebalance {
     if shared.live_snapshots.load(Ordering::SeqCst) != 0 {
         return Rebalance::SnapshotPinned;
     }
-    match decide(shared, &config) {
-        None => Rebalance::Balanced,
-        Some(RebalanceAction::Split(hot)) => perform_split(shared, hot),
-        Some(RebalanceAction::Merge(left)) => perform_merge(shared, left),
+    let Some(action) = decide(shared, &config) else {
+        return Rebalance::Balanced;
+    };
+    // Only a rebalance replaces the table, and this one holds the
+    // repartition mutex: the indexes `decide` chose are still current.
+    let mut table = dcheck::Tracked::new(
+        dcheck::Level::Router,
+        shared.router_instance,
+        "router-table",
+        shared.table.write(),
+    );
+    match action {
+        RebalanceAction::Split(hot) => perform_split(shared, &mut table, hot),
+        RebalanceAction::Merge(left) => perform_merge(shared, &mut table, left),
     }
 }
 
 /// Reads (and resets) the per-partition load window and picks an action.
-fn decide(shared: &Arc<Shared>, config: &AdaptiveConfig) -> Option<RebalanceAction> {
-    let table = shared.pin_table();
+fn decide(shared: &Shared, config: &AdaptiveConfig) -> Option<RebalanceAction> {
+    let table = shared.current_table();
     let n = table.partitions.len();
     let mut deltas = Vec::with_capacity(n);
     {
@@ -164,13 +163,13 @@ fn decide(shared: &Arc<Shared>, config: &AdaptiveConfig) -> Option<RebalanceActi
     if n > 1 && (deltas[hot] as f64) < mean * config.imbalance_threshold {
         return None;
     }
-    if table.partitions[hot].size.load(Ordering::Relaxed) < 2 * config.min_partition_rows {
+    if table.partitions[hot].index.logical_len() < 2 * config.min_partition_rows as u64 {
         return None;
     }
     if n >= config.max_partitions {
-        // At the owner budget: free a thread by merging the coldest
-        // adjacent pair that doesn't involve the hot partition. The next
-        // pass splits the (still hot) partition.
+        // At the partition budget: merge the coldest adjacent pair that
+        // doesn't involve the hot partition. The next pass splits the
+        // (still hot) partition.
         let mut best: Option<(u64, usize)> = None;
         for i in 0..n.saturating_sub(1) {
             if i == hot || i + 1 == hot {
@@ -186,144 +185,74 @@ fn decide(shared: &Arc<Shared>, config: &AdaptiveConfig) -> Option<RebalanceActi
     Some(RebalanceAction::Split(hot))
 }
 
-/// Splits partition `hot` at a crack boundary: extract the upper half
-/// into a new owner, publish the new routing generation, drain the old
-/// generation's pins, then retire the redirect.
-fn perform_split(shared: &Arc<Shared>, hot: usize) -> Rebalance {
+/// Splits partition `hot` at a crack boundary near its middle: the rows
+/// from the boundary up move, with their cracks, into a new partition.
+fn perform_split(shared: &Shared, table: &mut Arc<RoutingTable>, hot: usize) -> Rebalance {
     let start = Instant::now();
-    let table = shared.pin_table();
-    if hot >= table.partitions.len() {
-        return Rebalance::Balanced;
-    }
-    let parent = table.partitions[hot].clone();
+    let parent = &table.partitions[hot];
     let lower = if hot == 0 {
         i64::MIN
     } else {
         table.splits[hot - 1]
     };
     let upper = table.splits.get(hot).copied();
-
-    // 1. Ask the owner for a crack boundary near its middle. Splitting at
-    //    an existing crack means the handoff moves whole pieces — no data
-    //    movement beyond the memcpy of the upper chunk.
-    let (key_tx, key_rx) = channel();
-    parent
-        .sender
-        .send(OwnerRequest::SplitKey { reply: key_tx })
-        .expect("partition owner exited early");
-    let at = match key_rx.recv() {
-        Ok(Some(at)) if at > lower && upper.is_none_or(|u| at < u) => at,
-        _ => return Rebalance::Balanced, // nothing crackable to split at
+    // Splitting at an existing crack moves whole pieces: no cracking,
+    // only the copy of the upper half.
+    let at = match parent.index.median_crack_key() {
+        Some(at) if at > lower && upper.is_none_or(|u| at < u) => at,
+        _ => return Rebalance::Balanced,
     };
-
-    // 2. Extract: the owner hands the upper half to a fresh index and
-    //    starts redirecting. From here the transaction must complete.
-    let (child_tx, child_rx) = channel();
-    let child_id = shared.next_partition_id.fetch_add(1, Ordering::Relaxed);
-    let (extract_tx, extract_rx) = channel();
-    parent
-        .sender
-        .send(OwnerRequest::SplitExtract {
-            at,
-            child: child_tx.clone(),
-            reply: extract_tx,
-        })
-        .expect("partition owner exited early");
-    let child_index = extract_rx.recv().expect("partition owner died mid-split");
-    let moved = child_index.len() as u64;
-
-    // 3. Publish the new routing generation and wait out the old one.
-    let child_size = child_index.len();
-    let child = spawn_owner(
-        shared,
-        child_id,
-        Arc::new(child_index),
-        child_size,
-        child_tx,
-        child_rx,
+    let (values, rowids, cracks) = parent.index.split_off(at);
+    let moved = values.len() as u64;
+    let child =
+        ConcurrentCracker::from_rows_with_cracks(values, rowids, &cracks, LatchProtocol::Piece)
+            .with_compaction(parent.index.compaction_policy());
+    let child = Partition::new(
+        shared.next_partition_id.fetch_add(1, Ordering::Relaxed),
+        child,
     );
-    let mut splits = table.splits.clone();
-    let mut partitions = table.partitions.clone();
-    splits.insert(hot, at);
-    partitions.insert(hot + 1, child);
-    let old = shared.swap_table(Arc::new(RoutingTable {
-        splits,
-        partitions,
-        pins: AtomicU64::new(0),
-    }));
-    drop(table); // our own pin on the old generation
-    wait_for_pins(&old);
-
-    // 4. Every request routed by the old table is now in some queue ahead
-    //    of this retire message, so the redirect has nothing left to
-    //    catch.
-    let (retire_tx, retire_rx) = channel();
-    parent
-        .sender
-        .send(OwnerRequest::RetireRedirect { reply: retire_tx })
-        .expect("partition owner exited early");
-    retire_rx.recv().expect("partition owner died mid-retire");
+    let parent = parent.id;
+    let mut next = RoutingTable::clone(table);
+    next.splits.insert(hot, at);
+    next.partitions.insert(hot + 1, child);
+    *table = Arc::new(next);
 
     shared.splits_performed.fetch_add(1, Ordering::Relaxed);
     emit(TraceEvent::Repartition {
-        partition: parent.id,
+        partition: parent,
         split: true,
         rows: moved,
         ns: elapsed_ns(start),
     });
-    Rebalance::Split {
-        partition: parent.id,
-    }
+    Rebalance::Split { partition: parent }
 }
 
-/// Merges partition `left + 1` into `left`: the victim hands its rows to
-/// the absorber and forwards everything from then on; the old routing
-/// generation keeps the victim's channel alive until its pins drain.
-fn perform_merge(shared: &Arc<Shared>, left: usize) -> Rebalance {
+/// Merges partition `left + 1` into `left`: the victim's rows and cracks
+/// append to the absorber, and the victim leaves the routing table.
+fn perform_merge(shared: &Shared, table: &mut Arc<RoutingTable>, left: usize) -> Rebalance {
     let start = Instant::now();
-    let table = shared.pin_table();
-    if left + 1 >= table.partitions.len() {
-        return Rebalance::Balanced;
-    }
-    let absorber = table.partitions[left].clone();
-    let victim = table.partitions[left + 1].clone();
-    let boundary = table.splits[left];
-
-    let (merge_tx, merge_rx) = channel();
-    victim
-        .sender
-        .send(OwnerRequest::MergeExtract {
-            into: absorber.sender.clone(),
-            boundary,
-            reply: merge_tx,
-        })
-        .expect("partition owner exited early");
-    let moved = merge_rx.recv().expect("partition owner died mid-merge");
-
-    let mut splits = table.splits.clone();
-    let mut partitions = table.partitions.clone();
-    splits.remove(left);
-    partitions.remove(left + 1);
-    let old = shared.swap_table(Arc::new(RoutingTable {
-        splits,
-        partitions,
-        pins: AtomicU64::new(0),
-    }));
-    drop(table);
-    wait_for_pins(&old);
-    // The victim's forward-all redirect is never retired: stragglers
-    // already queued keep forwarding, and once `old` (the last sender)
-    // drops here its channel disconnects and the owner thread exits.
-    drop(old);
+    let victim = &table.partitions[left + 1];
+    let (values, rowids, cracks) = victim.index.split_off(i64::MIN);
+    let moved = values.len() as u64;
+    table.partitions[left]
+        .index
+        .absorb_upper(values, rowids, &cracks, table.splits[left]);
+    let victim = victim.id;
+    let mut next = RoutingTable::clone(table);
+    next.splits.remove(left);
+    next.partitions.remove(left + 1);
+    *table = Arc::new(next);
 
     shared.merges_performed.fetch_add(1, Ordering::Relaxed);
     emit(TraceEvent::Repartition {
-        partition: victim.id,
+        partition: victim,
         split: false,
         rows: moved,
         ns: elapsed_ns(start),
     });
-    Rebalance::Merged {
-        partition: victim.id,
-    }
+    Rebalance::Merged { partition: victim }
+}
+
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

@@ -1,21 +1,21 @@
 use super::*;
 use aidx_storage::ops;
 use std::thread;
+use std::time::Duration;
 
 fn shuffled(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
 }
 
-/// An adaptive config with no monitor thread and no stealing:
-/// rebalancing only happens through explicit `try_rebalance` calls,
-/// so tests drive every system transaction deterministically.
+/// An adaptive config with no monitor thread: rebalancing only happens
+/// through explicit `try_rebalance` calls, so tests drive every system
+/// transaction deterministically.
 fn quiet(threshold: f64, min_rows: usize, min_window: u64) -> AdaptiveConfig {
     AdaptiveConfig {
         check_interval: None,
         imbalance_threshold: threshold,
         min_partition_rows: min_rows,
         min_window_ops: min_window,
-        steal: false,
         ..AdaptiveConfig::default()
     }
 }
@@ -63,7 +63,7 @@ fn narrow_queries_touch_one_partition() {
     let values = shuffled(8000);
     let idx = RangePartitionedCracker::new(values.clone(), 4);
     // A one-key query overlaps exactly one partition; its metrics come
-    // from a single owner, so at most 2 cracks happen.
+    // from a single partition, so at most 2 cracks happen.
     let (c, m) = idx.count(100, 101);
     assert_eq!(c, 1);
     assert!(m.cracks_performed <= 2);
@@ -133,13 +133,13 @@ fn inserts_route_to_the_owning_partition() {
     idx.insert(100);
     idx.insert(3900);
     let sizes_after = idx.partition_sizes();
-    // Exactly the owners of 100 and 3900 grew.
+    // Exactly the partitions owning 100 and 3900 grew.
     let owner_low = partition_of(&idx.splits(), 100);
     let owner_high = partition_of(&idx.splits(), 3900);
     assert_eq!(sizes_after[owner_low], sizes_before[owner_low] + 2);
     assert_eq!(sizes_after[owner_high], sizes_before[owner_high] + 1);
     assert_eq!(idx.len(), 4003);
-    // And the owner's ledger shrinks where the delete applies.
+    // And the owning partition shrinks where the delete applies.
     let (removed, dm) = idx.delete(100);
     assert_eq!(removed, 3, "the seeded 100 plus both inserts");
     assert_eq!(dm.deletes_applied, 1);
@@ -280,30 +280,35 @@ fn snapshot_pins_every_partition() {
 #[test]
 fn snapshot_open_and_close_do_not_wait_for_a_busy_owner() {
     let values = shuffled(2000);
-    let idx = RangePartitionedCracker::new(values.clone(), 2);
-    // Park partition 0's owner inside a long Inspect until released.
-    let (entered_tx, entered_rx) = channel();
-    let (release_tx, release_rx) = channel::<()>();
-    let table = idx.shared.current_table();
-    let _parked = post(&table.partitions[0], move |_| {
-        entered_tx.send(()).unwrap();
-        release_rx.recv().unwrap();
-    });
-    entered_rx.recv().unwrap();
-    let (opened_tx, opened_rx) = channel();
-    std::thread::scope(|s| {
-        s.spawn(|| {
+    let idx = Arc::new(RangePartitionedCracker::new(values.clone(), 2));
+    // An operation in flight holds the routing table shared until it
+    // returns; hold it here for as long as the open takes.
+    let busy = idx.shared.table();
+    let done = Arc::new(AtomicBool::new(false));
+    let opener = {
+        let (idx, done) = (Arc::clone(&idx), Arc::clone(&done));
+        thread::spawn(move || {
             let snap = idx.snapshot();
-            let epochs = snap.epochs.to_vec();
+            let epochs = snap.epochs.len();
             drop(snap);
-            opened_tx.send(epochs).unwrap();
-        });
-        let opened = opened_rx.recv_timeout(Duration::from_secs(30));
-        release_tx.send(()).unwrap();
-        let epochs = opened.expect("a snapshot open/close waited for the parked owner");
-        assert_eq!(epochs.len(), 2);
-    });
-    let registered: usize = table
+            done.store(true, Ordering::Release);
+            epochs
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done.load(Ordering::Acquire) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+    }
+    let finished = done.load(Ordering::Acquire);
+    drop(busy);
+    assert_eq!(opener.join().unwrap(), 2);
+    assert!(
+        finished,
+        "a snapshot open/close waited for an operation in flight"
+    );
+    let registered: usize = idx
+        .shared
+        .current_table()
         .partitions
         .iter()
         .map(|p| p.index.live_snapshots())
@@ -398,48 +403,6 @@ fn range_snapshot_rowid_reads_are_frozen() {
 }
 
 #[test]
-fn batch_routing_coalesces_under_many_clients() {
-    // 16 clients hammer queries that all overlap every partition: the
-    // owners' drain loop must process several queued requests per
-    // wakeup at least some of the time.
-    let n = 30_000usize;
-    let values = shuffled(n);
-    let idx = Arc::new(RangePartitionedCracker::new(values.clone(), 2));
-    let values = Arc::new(values);
-    let mut handles = Vec::new();
-    for t in 0..16u64 {
-        let idx = Arc::clone(&idx);
-        let values = Arc::clone(&values);
-        handles.push(thread::spawn(move || {
-            let mut seed = t * 6151 + 3;
-            for _ in 0..50 {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let a = (seed >> 17) as i64 % n as i64;
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let b = (seed >> 17) as i64 % n as i64;
-                let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                let (c, _) = idx.count(low, high);
-                assert_eq!(c, ops::count(&values, low, high), "[{low},{high})");
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let stats = idx.routing_stats();
-    assert!(
-        stats.ops >= 16 * 50,
-        "every routed request was processed: {stats:?}"
-    );
-    assert!(
-        stats.ops > stats.batches,
-        "16 clients against 2 owners must coalesce at least once: {stats:?}"
-    );
-    assert!(stats.ops_per_batch() > 1.0, "{stats:?}");
-    assert!(idx.check_invariants());
-}
-
-#[test]
 fn structure_probe_merges_partitions_and_reports_routed_load() {
     let values = shuffled(4000);
     let idx = RangePartitionedCracker::new(values, 4);
@@ -459,21 +422,16 @@ fn structure_probe_merges_partitions_and_reports_routed_load() {
         load[0] > load[1] && load[0] > load[2] && load[0] > load[3],
         "low-end queries must skew the routed load: {load:?}"
     );
+    // 20 one-partition reads plus the 4 clipped reads of the full-range
+    // sum; the probe itself is not load.
     assert_eq!(
         load.iter().sum::<u64>(),
-        idx.routing_stats().ops,
-        "per-partition loads account for every routed request"
+        20 + 4,
+        "per-partition loads count every clipped partition read"
     );
     let stats = probe.summarize();
     assert_eq!(stats.partitions, 4);
     assert!(stats.partition_load.max >= 20);
-}
-
-#[test]
-fn drop_joins_owner_threads() {
-    let idx = RangePartitionedCracker::new(shuffled(1000), 4);
-    idx.count(10, 500);
-    drop(idx); // must not hang or leak threads
 }
 
 #[test]
@@ -551,7 +509,7 @@ fn adaptive_merge_recycles_cold_partitions_at_cap() {
     let mut config = quiet(1.5, 64, 16);
     config.max_partitions = 3;
     let idx = RangePartitionedCracker::adaptive(values.clone(), 3, config);
-    // Hot partition 0 at the owner cap: the pass merges the coldest
+    // Hot partition 0 at the partition cap: the pass merges the coldest
     // adjacent pair (1, 2) instead of splitting.
     for i in 0..300i64 {
         let low = i % 500;
@@ -569,7 +527,7 @@ fn adaptive_merge_recycles_cold_partitions_at_cap() {
         assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
         assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
     }
-    // With a freed owner the still-hot partition can now split.
+    // Below the cap again, the still-hot partition can now split.
     for i in 0..300i64 {
         let low = i % 500;
         idx.count(low, low + 20);
@@ -661,37 +619,6 @@ fn snapshot_blocks_repartition() {
 }
 
 #[test]
-fn stealing_precracks_idle_partitions() {
-    let values = shuffled(16_000);
-    let config = AdaptiveConfig {
-        check_interval: None,
-        steal: true,
-        steal_min_piece: 128,
-        steal_poll: Duration::from_millis(1),
-        ..AdaptiveConfig::default()
-    };
-    let idx = RangePartitionedCracker::adaptive(values.clone(), 4, config);
-    // No queries at all: the owners are idle, so their poll timeouts
-    // must turn into refinement steals against the big uncracked
-    // initial pieces.
-    for _ in 0..500 {
-        if idx.steal_count() > 0 {
-            break;
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    assert!(
-        idx.steal_count() > 0,
-        "idle owners must pre-crack large pieces"
-    );
-    for (low, high) in [(0, 16_000), (100, 300), (8000, 9000)] {
-        assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
-        assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
-    }
-    assert!(idx.check_invariants(), "stolen refinement kept invariants");
-}
-
-#[test]
 fn monitor_thread_rebalances_automatically() {
     let values = shuffled(8000);
     let config = AdaptiveConfig {
@@ -699,7 +626,6 @@ fn monitor_thread_rebalances_automatically() {
         imbalance_threshold: 1.2,
         min_partition_rows: 64,
         min_window_ops: 32,
-        steal: false,
         ..AdaptiveConfig::default()
     };
     let idx = RangePartitionedCracker::adaptive(values.clone(), 2, config);
@@ -719,9 +645,53 @@ fn monitor_thread_rebalances_automatically() {
     );
     assert_eq!(idx.count(0, 8000).0, 8000);
     // The monitor is still running: a live snapshot fences further
-    // re-partitioning, so the size ledgers are read between splits
-    // (mid-split the moved rows are in neither partition's ledger).
+    // re-partitioning, so the sizes are read against one routing table.
     let _fence = idx.snapshot();
     assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 8000);
     assert!(idx.check_invariants());
+}
+
+/// The two-pass scatter must keep every value with its own row id:
+/// non-identity, permuted row ids and duplicate keys, across one, a few
+/// and many more partitions than distinct split points.
+#[test]
+fn from_rows_keeps_each_value_with_its_rowid() {
+    let n = 3000usize;
+    // Keys repeat (n / 7 distinct values); row ids are a permutation of
+    // a sparse id space, unrelated to position and to key order.
+    let values: Vec<i64> = (0..n).map(|i| ((i * 7919) % (n / 7)) as i64).collect();
+    let rowids: Vec<RowId> = (0..n)
+        .map(|i| ((i * 48271) % n) as RowId * 3 + 11)
+        .collect();
+    let mut expected: Vec<(i64, RowId)> =
+        values.iter().copied().zip(rowids.iter().copied()).collect();
+    expected.sort_unstable();
+    for partitions in [1, 3, 300] {
+        let idx = RangePartitionedCracker::from_rows(
+            values.clone(),
+            rowids.clone(),
+            partitions,
+            CompactionPolicy::disabled(),
+        );
+        assert_eq!(idx.len(), n);
+        let (runs, _) = idx.select_key_runs(i64::MIN, i64::MAX);
+        let mut pairs = runs.into_sorted_pairs();
+        pairs.sort_unstable();
+        assert_eq!(pairs, expected, "{partitions} partitions: key runs");
+        for (low, high) in [(0, 50), (100, 101), (200, 429)] {
+            let (set, _) = idx.select_rowid_set(low, high);
+            let mut want: Vec<RowId> = expected
+                .iter()
+                .filter(|&&(v, _)| v >= low && v < high)
+                .map(|&(_, rid)| rid)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(
+                set.to_vec(),
+                want,
+                "{partitions} partitions: rowid set [{low},{high})"
+            );
+        }
+        assert!(idx.check_invariants(), "{partitions} partitions");
+    }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the range-partitioned cracker's write paths: random
 //! op interleavings against a `BTreeMap` multiset oracle with aggressive
-//! per-partition compaction, so rebuilds fire mid-sequence on whichever
-//! owner owns the write.
+//! per-partition compaction, so rebuilds fire mid-sequence in whichever
+//! partition owns the write.
 
 use aidx_core::{ColumnRead, CompactionPolicy, Index};
 use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
@@ -86,13 +86,12 @@ proptest! {
         // Long scans pin a snapshot on each parallel arm, then writes and
         // aggressive per-partition compaction race past it; every pinned
         // read must equal the oracle frozen at snapshot time, for the
-        // static arm (incremental steps, latch-free owners) and the
-        // skew-adaptive arm (piece-latched owners, default policy) alike.
+        // static arm (incremental steps) and the skew-adaptive arm
+        // (default policy) alike.
         let policy = CompactionPolicy::rows(4).incremental(2);
         let ranged = RangePartitionedCracker::with_compaction(values.clone(), workers, policy);
         let quiet = AdaptiveConfig {
             check_interval: None,
-            steal: false,
             ..AdaptiveConfig::default()
         };
         let adaptive = RangePartitionedCracker::adaptive(values.clone(), workers, quiet);

@@ -571,16 +571,14 @@ fn one_write_stream_gives_the_same_answers_on_every_backend() {
 #[test]
 fn the_write_stream_gives_the_same_answers_while_partitions_split() {
     // The adaptive range arm, with partitions splitting and merging under
-    // the stream: writes routed by a stale table reach the owner of the
-    // key through the redirects.
+    // the stream: a write racing a split waits on the router lock, then
+    // routes by the new table.
     let config = AdaptiveConfig {
         check_interval: None,
         imbalance_threshold: 1.05,
         min_partition_rows: 16,
         min_window_ops: 1,
         max_partitions: 5,
-        steal: false,
-        ..AdaptiveConfig::default()
     };
     let adaptive = RangePartitionedCracker::adaptive(write_seed(), 3, config);
     let stop = AtomicBool::new(false);
@@ -607,15 +605,13 @@ fn the_write_stream_gives_the_same_answers_while_partitions_split() {
 
 #[test]
 fn every_shape_survives_straddle_merges_while_partitions_split() {
-    // Clients race full-range reads of every shape against splits: a read
-    // routed by the old generation reaches the splitting owner, which
-    // answers its half, forwards the rest and merges the two partial
-    // answers — the straddle arm, per shape. (Now-reads only: snapshots
-    // fence re-partitioning.) The redirect window of one split is a few
-    // queue slots wide, so the index is kept small (fast reads, many in
+    // Clients race full-range reads of every shape against splits: each
+    // read holds the routing table shared for its whole length, so it
+    // reads every partition of one generation, old or new, and merges
+    // the clipped parts — per shape. (Now-reads only: snapshots fence
+    // re-partitioning.) The index is kept small (fast reads, many in
     // flight) and the loop runs to 60 splits — at the partition cap every
-    // split is preceded by a merge — which puts each shape through the
-    // straddle arm several times per run.
+    // split is preceded by a merge — so each shape races many of both.
     let n = 4_000usize;
     let rows = Arc::new(keyed_rows(n));
     let config = AdaptiveConfig {
@@ -624,8 +620,6 @@ fn every_shape_survives_straddle_merges_while_partitions_split() {
         min_partition_rows: 64,
         min_window_ops: 1,
         max_partitions: 6,
-        steal: false,
-        ..AdaptiveConfig::default()
     };
     let idx = Arc::new(RangePartitionedCracker::adaptive(keys(n), 3, config));
     let stop = Arc::new(AtomicBool::new(false));

@@ -83,8 +83,8 @@ pub enum TableBackend {
     /// One serial [`aidx_core::ConcurrentCracker`] per column under the
     /// given latch protocol (concurrent clients, one shared index).
     Serial(LatchProtocol),
-    /// One [`RangePartitionedCracker`] per column (latch-free partition
-    /// owners).
+    /// One [`RangePartitionedCracker`] per column (piece-latched
+    /// partitions, cracked on the calling thread).
     Range {
         /// Partitions per column (0 = one per available core).
         partitions: usize,

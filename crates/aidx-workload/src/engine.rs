@@ -659,7 +659,7 @@ mod tests {
     fn default_range_engine_keeps_the_delta_bounded() {
         // Regression guard: the default-constructed range index must not
         // accumulate an unbounded per-partition delta under a sustained
-        // insert stream (its owners historically merged pending rows on
+        // insert stream (its partitions historically merged pending rows on
         // the next crack; the bounded incremental default preserves that).
         let engine = IndexEngine::new("range", RangePartitionedCracker::new(shuffled(2000), 2));
         engine.select(&QuerySpec::sum(0, 2000));
@@ -799,7 +799,10 @@ mod tests {
         assert_eq!(stats.partitions, 4);
         assert_eq!(stats.partition_load.count, 4);
         assert!(stats.partition_load.max > 0, "routed ops counted");
-        assert!(ranged.latch_attribution().is_empty(), "latch-free owners");
+        assert!(
+            ranged.latch_attribution().is_empty(),
+            "no per-piece attribution"
+        );
 
         // Baseline engines expose neither.
         let scan = ScanEngine::new(shuffled(10));

@@ -57,16 +57,15 @@ pub enum Approach {
         /// Records per initial sorted run.
         run_size: usize,
     },
-    /// Range-partitioned latch-free parallel cracking: each worker owns a
-    /// disjoint key range; a router fans queries out to the overlapping
-    /// owners (`aidx-parallel`).
+    /// Range-partitioned cracking: each partition is a piece-latched
+    /// cracker over a disjoint key range; a router runs each query on the
+    /// partitions it overlaps, on the calling thread (`aidx-parallel`).
     ParallelRange {
         /// Number of partitions (0 = one per available core).
         partitions: usize,
     },
     /// Skew-adaptive range-partitioned cracking: partitions split and
-    /// merge online under observed load, and idle owners steal
-    /// refinement work from loaded ones (`aidx-parallel`, default
+    /// merge online under observed load (`aidx-parallel`, default
     /// [`aidx_parallel::AdaptiveConfig`]).
     ParallelRangeAdaptive {
         /// Number of initial partitions (0 = one per available core).
@@ -206,7 +205,7 @@ pub struct ExperimentConfig {
     /// main structure once the pending delta reaches this many rows
     /// (per partition for `ParallelRange`).
     /// `0` disables compaction, reproducing the unbounded pre-compaction
-    /// delta — except for `ParallelRange`, whose partition owners have
+    /// delta — except for `ParallelRange`, whose partitions have
     /// always bounded their deltas (merge-on-next-crack historically,
     /// the bounded incremental default now). Arms without a pending
     /// delta (scan, sort, adaptive-merge) ignore the knob.
@@ -367,7 +366,7 @@ impl ExperimentConfig {
             Approach::AdaptiveMerge { run_size } => Arc::new(MergeEngine::new(values, run_size)),
             Approach::ParallelRange { partitions } => {
                 // Threshold 0 keeps the range arm's bounded per-partition
-                // default (the pre-PR 4 owners merged pending rows on the
+                // default (the first range partitions merged pending rows on the
                 // next crack; "disabled" would regress them to unbounded
                 // delta growth, unlike the serial arms where disabled
                 // reproduces the historical behaviour).
@@ -379,7 +378,7 @@ impl ExperimentConfig {
                 })
             }
             // The adaptive arm owns its compaction policy (a bounded delta
-            // is part of its steal-safety contract), so the threshold knob
+            // is part of its construction), so the threshold knob
             // is ignored like the delta-free arms.
             Approach::ParallelRangeAdaptive { partitions } => {
                 self.index_arm(RangePartitionedCracker::adaptive(

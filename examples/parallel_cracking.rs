@@ -1,6 +1,6 @@
-//! Multi-core parallel adaptive indexing in action: the same workload
+//! Range-partitioned adaptive indexing in action: the same workload
 //! answered by the serial concurrent cracker and by range-partitioned
-//! latch-free cracking — both verified against a scan — and then the adversarial input, a left-to-right sweep, which the
+//! cracking — both verified against a scan — and then the adversarial input, a left-to-right sweep, which the
 //! core's pivot policy keeps cheap on the same cracker.
 //!
 //! Run with `cargo run --release --example parallel_cracking`.
@@ -46,9 +46,7 @@ fn main() {
     });
 
     let ranged = RangePartitionedCracker::new(values.clone(), workers);
-    report("parallel-range (latch-free)", &uniform, &|lo, hi| {
-        ranged.sum(lo, hi).0
-    });
+    report("parallel-range", &uniform, &|lo, hi| ranged.sum(lo, hi).0);
 
     // The input that breaks cracking at the query bounds alone: every
     // query's bounds fall in the never-cracked tail. The cracker first
@@ -62,7 +60,7 @@ fn main() {
     report("crack-piece, sweep", &sweep, &|lo, hi| swept.sum(lo, hi).0);
 
     println!(
-        "\nrange partition sizes: {:?} (router only wakes owners a query overlaps)",
+        "\nrange partition sizes: {:?} (a query reads only the partitions it overlaps)",
         ranged.partition_sizes()
     );
     println!(

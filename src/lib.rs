@@ -23,7 +23,7 @@
 //! | [`cracking`] | serial database cracking: cracker array, AVL table of contents, plain-cracking index, scan/sort baselines |
 //! | [`btree`] | B+-tree, partitioned B-tree, adaptive merging, hybrid crack-sort, key-range locks |
 //! | [`core`] | **the paper's contribution**: the one `Index`/`ColumnRead` surface every backend implements, concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
-//! | [`parallel`] | multi-core parallel cracking: range-partitioned latch-free workers behind a query router, skew-adaptive re-partitioning |
+//! | [`parallel`] | range-partitioned cracking: piece-latched partitions behind a query router, cracked on the calling thread, skew-adaptive re-partitioning |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
 //! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
 //!
@@ -50,8 +50,8 @@
 //! assert_eq!(same, sum);
 //! assert_eq!(metrics.cracks_performed, 0);
 //!
-//! // Crack in parallel across 4 key-range partitions instead, each owned
-//! // by one latch-free worker: identical answers.
+//! // Crack across 4 key-range partitions instead, each a piece-latched
+//! // cracker that concurrent queries refine in parallel: identical answers.
 //! let index = RangePartitionedCracker::new(generate_unique_shuffled(1_000_000, 42), 4);
 //! assert_eq!(index.sum(250_000, 260_000).0, sum);
 //!
