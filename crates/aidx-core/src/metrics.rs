@@ -335,6 +335,7 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent_index::{ReadAnswer, ReadShape};
 
     fn metrics(total_ms: u64, wait_ms: u64, crack_ms: u64, conflicts: u32) -> QueryMetrics {
         QueryMetrics {
@@ -358,13 +359,53 @@ mod tests {
         assert_eq!(a.cracks_performed, 4);
         assert_eq!(a.conflicts, 3);
         assert_eq!(a.result_count, 20);
-        // Folded from the default record, the parts of one read sum:
-        // nothing stays the default, one part is the identity.
-        let mut folded = QueryMetrics::default();
-        folded.accumulate(&QueryMetrics::default());
-        assert_eq!(folded, QueryMetrics::default());
-        folded.accumulate(&metrics(7, 1, 1, 3));
-        assert_eq!(folded, metrics(7, 1, 1, 3));
+    }
+
+    /// The per-partition metrics of one read, merged the way
+    /// [`ReadAnswer::merge`] fans a partitioned read back in.
+    fn merge_parallel<const N: usize>(parts: [QueryMetrics; N]) -> QueryMetrics {
+        ReadAnswer::merge(
+            ReadShape::Count,
+            parts.map(|part| (ReadAnswer::Agg(0), part)),
+        )
+        .1
+    }
+
+    #[test]
+    fn merge_parallel_sums_work_and_takes_critical_path() {
+        let merged = merge_parallel([
+            metrics(10, 2, 3, 1),
+            metrics(25, 4, 5, 0),
+            metrics(15, 1, 1, 2),
+        ]);
+        // The partitions run one after another on the calling thread, so
+        // the critical path is the sum of the parts' totals.
+        assert_eq!(merged.total, Duration::from_millis(50));
+        // Work counters are summed across the parts.
+        assert_eq!(merged.wait_time, Duration::from_millis(7));
+        assert_eq!(merged.crack_time, Duration::from_millis(9));
+        assert_eq!(merged.cracks_performed, 6);
+        assert_eq!(merged.conflicts, 3);
+        // An aggregate answer carries no rows, so the parts' sizes sum.
+        assert_eq!(merged.result_count, 30);
+    }
+
+    #[test]
+    fn merge_parallel_of_nothing_is_the_default_record() {
+        // A read that touched no partition (e.g. an empty range on a
+        // range-partitioned index) merges to an all-zero record.
+        let merged = merge_parallel([]);
+        assert_eq!(merged, QueryMetrics::default());
+        assert_eq!(merged.total, Duration::ZERO);
+        assert_eq!(merged.result_count, 0);
+    }
+
+    #[test]
+    fn merge_parallel_of_one_worker_is_the_identity() {
+        // With a single part the merge must neither lose nor double any
+        // field: the part's record is the read's record.
+        let single = merge_parallel([metrics(7, 1, 1, 3)]);
+        assert_eq!(single, metrics(7, 1, 1, 3));
     }
 
     #[test]
