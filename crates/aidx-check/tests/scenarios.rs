@@ -55,6 +55,17 @@ fn capped(max_schedules: usize) -> ExploreConfig {
 // Real cracker under the model
 // ---------------------------------------------------------------------------
 
+/// Rows per listed value in the real-code scenarios that must crack: a read
+/// cracks no piece of at most 1 024 rows, so each listed value `v` becomes
+/// the distinct run `v·K … v·K+K−1`, and every piece such a scenario
+/// cracks holds whole runs — more than the floor.
+const K: i64 = 1_280;
+
+/// `values` with each value `v` stretched into the run `v·K … v·K+K−1`.
+fn stretched(values: &[i64]) -> Vec<i64> {
+    values.iter().flat_map(|&v| v * K..(v + 1) * K).collect()
+}
+
 /// ISSUE scenario 1 — crack-vs-crack on one column. Two crack selects with
 /// overlapping bounds run on virtual threads against the *real*
 /// `ConcurrentCracker`; every explored interleaving of their latch
@@ -65,32 +76,29 @@ fn capped(max_schedules: usize) -> ExploreConfig {
 /// well past a thousand schedules before the cap.
 #[test]
 fn real_cracker_crack_vs_crack_explored() {
-    const VALUES: [i64; 8] = [9, 3, 7, 1, 8, 2, 6, 4];
-    let oracle = |lo: i64, hi: i64| VALUES.iter().filter(|&&v| v >= lo && v < hi).count() as u64;
-    let (e1, e2) = (oracle(2, 6), oracle(5, 9));
+    let column = stretched(&[9, 3, 7, 1, 8, 2, 6, 4]);
+    let rows = column.len() as u64;
+    let oracle = |lo: i64, hi: i64| column.iter().filter(|&&v| v >= lo && v < hi).count() as u64;
+    let (e1, e2) = (oracle(2 * K, 6 * K), oracle(5 * K, 9 * K));
     let report = explore(capped(1200), move || {
         let idx = Arc::new(ConcurrentCracker::from_values(
-            VALUES.to_vec(),
+            column.clone(),
             LatchProtocol::Piece,
         ));
         let a = Arc::clone(&idx);
         let b = Arc::clone(&idx);
         Scenario::new()
             .thread(move || {
-                let (n, _) = a.count(2, 6);
-                assert_eq!(n, e1, "crack select [2,6) returned a wrong count");
+                let (n, _) = a.count(2 * K, 6 * K);
+                assert_eq!(n, e1, "crack select [2K,6K) returned a wrong count");
             })
             .thread(move || {
-                let (n, _) = b.count(5, 9);
-                assert_eq!(n, e2, "crack select [5,9) returned a wrong count");
+                let (n, _) = b.count(5 * K, 9 * K);
+                assert_eq!(n, e2, "crack select [5K,9K) returned a wrong count");
             })
             .finale(move || {
                 let (n, _) = idx.count(i64::MIN, i64::MAX);
-                assert_eq!(
-                    n,
-                    VALUES.len() as u64,
-                    "rows lost or duplicated by cracking"
-                );
+                assert_eq!(n, rows, "rows lost or duplicated by cracking");
                 assert!(
                     idx.piece_count() >= 2,
                     "both selects finished without cracking"
@@ -137,7 +145,8 @@ fn real_cracker_count_vs_insert_linearises() {
 
 /// The real delete path — `write(WriteOp::Delete)`: bound cracks, the
 /// seqlock window, the validated delta applier, the reclaiming piece
-/// shrink — racing a `Sum` on a two-piece cracker. The sum's piece walk
+/// shrink — racing a `Sum` on a two-piece cracker whose key `5K` occurs
+/// twice (the listed 5 appears twice, stretched). The sum's piece walk
 /// and its delta view are taken under different locks, and the delete's
 /// shrink moves the doomed rows from one domain to the other in between;
 /// every schedule must see the whole delete or none of it, and both
@@ -146,37 +155,39 @@ fn real_cracker_count_vs_insert_linearises() {
 /// seqlock retry).
 #[test]
 fn real_cracker_delete_vs_sum_is_atomic() {
-    const VALUES: [i64; 6] = [5, 1, 7, 3, 5, 9];
-    const ALL: i128 = 30;
+    let column = stretched(&[5, 1, 7, 3, 5, 9]);
+    let rows = column.len() as u64;
+    let all_sum: i128 = column.iter().map(|&v| v as i128).sum();
+    let doomed = 2 * (5 * K) as i128;
     let saw_none = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let saw_all = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let (none, all) = (Arc::clone(&saw_none), Arc::clone(&saw_all));
     let report = explore(capped(1500), move || {
         let idx = Arc::new(ConcurrentCracker::from_values(
-            VALUES.to_vec(),
+            column.clone(),
             LatchProtocol::Piece,
         ));
-        idx.count(i64::MIN, 5); // two non-empty pieces: < 5 and >= 5
-        assert_eq!(idx.piece_sizes(), [0, 2, 4]);
+        idx.count(i64::MIN, 5 * K); // two non-empty pieces: < 5K and >= 5K
+        assert_eq!(idx.piece_sizes(), [0, 2 * K as u64, 4 * K as u64]);
         let a = Arc::clone(&idx);
         let b = Arc::clone(&idx);
         let (none, all) = (Arc::clone(&none), Arc::clone(&all));
         Scenario::new()
             .thread(move || {
-                let (sum, _) = a.sum(0, 10);
-                match ALL - sum {
+                let (sum, _) = a.sum(0, 10 * K);
+                match all_sum - sum {
                     0 => none.store(true, Ordering::SeqCst),
-                    10 => all.store(true, Ordering::SeqCst),
+                    gone if gone == doomed => all.store(true, Ordering::SeqCst),
                     _ => panic!("sum racing the delete saw half of it: {sum}"),
                 }
             })
             .thread(move || {
-                let (removed, _) = b.write(WriteOp::Delete { value: 5 });
-                assert_eq!(removed, 2, "both rows of key 5 are deleted");
+                let (removed, _) = b.write(WriteOp::Delete { value: 5 * K });
+                assert_eq!(removed, 2, "both rows of key 5K are deleted");
             })
             .finale(move || {
-                assert_eq!(idx.sum(0, 10).0, ALL - 10, "delete lost");
-                assert_eq!(idx.count(i64::MIN, i64::MAX).0, 4);
+                assert_eq!(idx.sum(0, 10 * K).0, all_sum - doomed, "delete lost");
+                assert_eq!(idx.count(i64::MIN, i64::MAX).0, rows - 2);
                 assert_eq!(
                     idx.tombstoned_rows(),
                     0,
@@ -270,10 +281,11 @@ fn real_cracker_delete_row_vs_pinned_reads_keeps_the_snapshot() {
 /// the one oversized piece twice — around a pivot sampled from it, then at
 /// the bound inside the half that holds it — and publishes both cracks in
 /// one directory acquisition, after all physical work. All bounds lie near
-/// the top of the domain, in the upper half the pivot crack creates (and
-/// every piece after the first two passes is small, which keeps a
-/// schedule cheap): thread A counts a range there, thread B sums the
-/// range above it, thread C counts the one above that. Whoever reaches
+/// the top of the domain, in the upper half the pivot crack creates, and
+/// 2 000 keys apart, so every piece between two of them stays above the
+/// read path's 1 024-row crack floor and every bound is cracked: thread A
+/// counts a range there, thread B sums the range above it, thread C
+/// counts the one above that. Whoever reaches
 /// the oversized piece first cracks it twice; the others queue on its
 /// latch and, once granted, re-evaluate their bound against both new
 /// cracks at once. A thread that could see the pivot crack before the
@@ -305,14 +317,14 @@ fn real_cracker_two_crack_publish_vs_readers_of_the_upper_half() {
         let reader = |who: u64, low: i64, sum: bool| {
             let (idx, twice) = (Arc::clone(&idx), Arc::clone(&twice));
             move || {
-                let high = low + 400;
+                let high = low + 2_000;
                 let (got, metrics) = if sum {
                     idx.sum(low, high)
                 } else {
                     let (n, metrics) = idx.count(low, high);
                     (n as i128, metrics)
                 };
-                let expected = if sum { closed_sum(low, high) } else { 400 };
+                let expected = if sum { closed_sum(low, high) } else { 2_000 };
                 assert_eq!(got, expected, "thread {who} read [{low},{high})");
                 if metrics.cracks_performed > 2 {
                     twice.fetch_or(1 << who, Ordering::SeqCst);
@@ -320,12 +332,12 @@ fn real_cracker_two_crack_publish_vs_readers_of_the_upper_half() {
             }
         };
         Scenario::new()
-            .thread(reader(0, 260_000, false))
-            .thread(reader(1, 260_500, true))
-            .thread(reader(2, 261_000, false))
+            .thread(reader(0, 250_000, false))
+            .thread(reader(1, 254_000, true))
+            .thread(reader(2, 258_000, false))
             .finale(move || {
                 assert_eq!(idx.count(i64::MIN, i64::MAX).0, ROWS as u64, "rows lost");
-                assert_eq!(idx.sum(259_000, 262_000).0, closed_sum(259_000, 262_000));
+                assert_eq!(idx.sum(249_000, 262_000).0, closed_sum(249_000, 262_000));
                 assert!(idx.crack_count() >= 7, "six bounds and a pivot");
                 assert!(idx.check_invariants());
             })
@@ -337,6 +349,90 @@ fn real_cracker_two_crack_publish_vs_readers_of_the_upper_half() {
         0b111,
         "each thread must be the one that cracks the oversized piece on some schedule"
     );
+}
+
+/// The crack floor on the real cracker, at the production floor: an
+/// eight-row column is one piece far below it, so a `count` and a `sum`
+/// whose bounds both fall in that piece plan without a write latch and
+/// read it as an edge, filtered under its read latch. They race a
+/// `delete` that force-cracks inside that very piece — writes ignore the
+/// floor — and an `insert` of a key inside it. On every schedule with one
+/// preemption each read cracks nothing and returns an answer the oracle
+/// gives for some subset of the two writes, and afterwards the column
+/// agrees with the oracle and passes its invariants.
+#[test]
+fn real_floor_reads_filter_their_piece_while_a_delete_cracks_it() {
+    const VALUES: [i64; 8] = [9, 3, 7, 1, 8, 2, 6, 4];
+    const DOOMED: i64 = 4;
+    const INSERTED: i64 = 5;
+    // The oracle's answer for [low, high) after the given writes.
+    let oracle = |low: i64, high: i64, deleted: bool, inserted: bool| {
+        let mut column = VALUES.to_vec();
+        if deleted {
+            column.retain(|&v| v != DOOMED);
+        }
+        if inserted {
+            column.push(INSERTED);
+        }
+        let hits = column.into_iter().filter(|&v| v >= low && v < high);
+        hits.fold((0u64, 0i128), |(n, sum), v| (n + 1, sum + v as i128))
+    };
+    let allowed = move |low: i64, high: i64| -> Vec<(u64, i128)> {
+        let writes = [(false, false), (true, false), (false, true), (true, true)];
+        writes.map(|(d, i)| oracle(low, high, d, i)).to_vec()
+    };
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(10_000)
+    };
+    let report = explore(one_preemption, move || {
+        let idx = Arc::new(ConcurrentCracker::from_values(
+            VALUES.to_vec(),
+            LatchProtocol::Piece,
+        ));
+        let (c, s, d, i) = (
+            Arc::clone(&idx),
+            Arc::clone(&idx),
+            Arc::clone(&idx),
+            Arc::clone(&idx),
+        );
+        let (count_ok, sum_ok) = (allowed(2, 6), allowed(3, 8));
+        Scenario::new()
+            .thread(move || {
+                let (n, metrics) = c.count(2, 6);
+                assert!(
+                    count_ok.iter().any(|&(want, _)| want == n),
+                    "count [2,6) racing a delete and an insert saw {n}"
+                );
+                assert_eq!(metrics.cracks_performed, 0, "a read cracked a floor piece");
+            })
+            .thread(move || {
+                let (sum, metrics) = s.sum(3, 8);
+                assert!(
+                    sum_ok.iter().any(|&(_, want)| want == sum),
+                    "sum [3,8) racing a delete and an insert saw {sum}"
+                );
+                assert_eq!(metrics.cracks_performed, 0, "a read cracked a floor piece");
+            })
+            .thread(move || {
+                let (removed, metrics) = d.write(WriteOp::Delete { value: DOOMED });
+                assert_eq!(removed, 1, "key {DOOMED} occurs once");
+                assert!(metrics.cracks_performed > 0, "the delete cracks its key");
+            })
+            .thread(move || {
+                i.insert(INSERTED);
+            })
+            .finale(move || {
+                for (low, high) in [(2, 6), (3, 8), (DOOMED, INSERTED), (i64::MIN, i64::MAX)] {
+                    let (n, sum) = oracle(low, high, true, true);
+                    assert_eq!(idx.count(low, high).0, n, "count [{low},{high})");
+                    assert_eq!(idx.sum(low, high).0, sum, "sum [{low},{high})");
+                }
+                assert!(idx.check_invariants());
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "one preemption fits under the cap");
 }
 
 /// The real `OrderedWaitLatch` (bound-ordered writer queue) model-checked
@@ -753,18 +849,19 @@ fn gallop_frontier_regression_concurrent_build() {
 // ---------------------------------------------------------------------------
 
 /// The real range router racing a split: a one-partition adaptive
-/// `RangePartitionedCracker` (no monitor thread), warmed so that a crack
-/// sits at the middle key and the load window calls for a split. Thread S
-/// runs the rebalance pass, thread C counts the whole key range, thread I
-/// inserts a key above the split key. Every operation holds the routing
+/// `RangePartitionedCracker` (no monitor thread) over eight stretched
+/// values, warmed so that a crack sits at the middle key and the load
+/// window calls for a split. Thread S runs the rebalance pass, thread C
+/// counts the whole key range, thread I inserts a key above the split
+/// key. Every operation holds the routing
 /// table shared for its whole length and the split holds it exclusive, so
 /// on every schedule the count reads the rows before or after the insert
 /// — never a partition's rows twice or not at all — and afterwards the
 /// two partitions hold every row exactly once.
 #[test]
 fn real_range_split_vs_count_and_insert_keeps_every_row() {
-    const VALUES: [i64; 8] = [9, 3, 7, 1, 8, 2, 6, 4];
-    const N: u64 = VALUES.len() as u64;
+    let column = stretched(&[9, 3, 7, 1, 8, 2, 6, 4]);
+    let (n, half) = (column.len() as u64, column.len() / 2);
     let one_preemption = ExploreConfig {
         preemption_bound: Some(1),
         ..capped(5_000)
@@ -776,13 +873,9 @@ fn real_range_split_vs_count_and_insert_keeps_every_row() {
             min_window_ops: 1,
             ..AdaptiveConfig::default()
         };
-        let idx = Arc::new(RangePartitionedCracker::adaptive(
-            VALUES.to_vec(),
-            1,
-            config,
-        ));
-        // Cracks at 5 (the middle of the array) and at 10 (its end).
-        assert_eq!(idx.count(5, 10).0, 4);
+        let idx = Arc::new(RangePartitionedCracker::adaptive(column.clone(), 1, config));
+        // Cracks at 5K (the middle of the array) and at 10K (its end).
+        assert_eq!(idx.count(5 * K, 10 * K).0, half as u64);
         let (s, c, i) = (Arc::clone(&idx), Arc::clone(&idx), Arc::clone(&idx));
         Scenario::new()
             .thread(move || {
@@ -790,19 +883,19 @@ fn real_range_split_vs_count_and_insert_keeps_every_row() {
                 assert_eq!(outcome, Rebalance::Split { partition: 0 });
             })
             .thread(move || {
-                let (n, _) = c.count(i64::MIN, i64::MAX);
+                let (seen, _) = c.count(i64::MIN, i64::MAX);
                 assert!(
-                    n == N || n == N + 1,
-                    "count racing the split and one insert saw {n} rows"
+                    seen == n || seen == n + 1,
+                    "count racing the split and one insert saw {seen} rows"
                 );
             })
             .thread(move || {
-                i.insert(7);
+                i.insert(7 * K);
             })
             .finale(move || {
-                assert_eq!(idx.count(i64::MIN, i64::MAX).0, N + 1, "rows lost");
-                assert_eq!(idx.splits(), [5], "split at the middle crack");
-                assert_eq!(idx.partition_sizes(), [4, 5]);
+                assert_eq!(idx.count(i64::MIN, i64::MAX).0, n + 1, "rows lost");
+                assert_eq!(idx.splits(), [5 * K], "split at the middle crack");
+                assert_eq!(idx.partition_sizes(), [half, half + 1]);
                 assert!(idx.check_invariants());
                 assert_eq!(idx.splits_performed(), 1);
             })

@@ -17,8 +17,9 @@
 //!   halves.
 //! * **Conflict avoidance** (Section 3.3): with
 //!   [`RefinementPolicy::SkipOnContention`] a query that cannot get a write
-//!   latch immediately skips the optional refinement and answers by
-//!   filtering under read latches instead.
+//!   latch immediately skips the optional refinement; the piece its bound
+//!   falls in becomes an edge of the read, filtered under its read latch,
+//!   while the pieces between the two edges are still read unfiltered.
 //! * **System transactions** (Sections 3.3–3.4): every query's refinement is
 //!   wrapped in an instantly-committing system transaction whose outcome
 //!   (complete, early-terminated, abandoned) is tracked.
@@ -102,6 +103,9 @@ pub struct ConcurrentCracker {
     /// [`Self::PIVOT_FLOOR`]; a field only so that this crate's tests can
     /// reach the pivot policy on small columns.
     pivot_floor: usize,
+    /// [`Self::CRACK_FLOOR`]; a field only so that this crate's tests can
+    /// crack small columns, or set other floors.
+    crack_floor: usize,
     systxn: SystemTxnManager,
     delta: PendingDelta,
     /// Main-multiset version seqlock for piece shrinking: odd while a
@@ -172,6 +176,7 @@ impl ConcurrentCracker {
             policy: RefinementPolicy::Always,
             compaction: CompactionPolicy::disabled(),
             pivot_floor: Self::PIVOT_FLOOR,
+            crack_floor: Self::CRACK_FLOOR,
             systxn: SystemTxnManager::new(),
             delta: PendingDelta::new(),
             shrink_epoch: facade::AtomicU64::new(0),
@@ -204,6 +209,14 @@ impl ConcurrentCracker {
     #[cfg(test)]
     pub(crate) fn with_pivot_floor(mut self, rows: usize) -> Self {
         self.pivot_floor = rows;
+        self
+    }
+
+    /// Sets the read path's crack floor, so that small test columns crack
+    /// (`0`) or meet other floors.
+    #[cfg(test)]
+    pub(crate) fn with_crack_floor(mut self, rows: usize) -> Self {
+        self.crack_floor = rows;
         self
     }
 

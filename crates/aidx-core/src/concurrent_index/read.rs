@@ -2,6 +2,14 @@
 //! write latches), piece walk under read latches, per-shape accumulators,
 //! and the shrink-epoch seqlock that ties the walk to one delta view.
 //!
+//! **The crack floor.** A read cracks no piece of at most
+//! [`ConcurrentCracker::CRACK_FLOOR`] rows. A bound that falls inside such
+//! a piece takes no write latch: the piece becomes an *edge* of the plan,
+//! which the walk filters by the query bounds under its read latch, while
+//! every piece between the two edges stays an exact, unfiltered range.
+//! Writes ([`ConcurrentCracker::force_bound`]) ignore the floor: a delete
+//! needs its key's rows at exact positions.
+//!
 //! It also holds the one crack body, [`ConcurrentCracker::crack_piece`]:
 //! every protocol, every backend built on this cracker (serial, range
 //! partitions) and the write path resolve a bound there and nowhere
@@ -26,9 +34,10 @@ pub(super) enum PieceWrite<R> {
     /// A [`Target::Bound`] that is a crack already, at this position: no
     /// piece needs reorganising.
     Crack(usize),
-    /// Conflict avoidance: the piece's latch was busy and the optional
-    /// work was skipped. The bound lies somewhere inside this piece, which
-    /// a reader must filter instead.
+    /// The optional work was skipped — the piece's latch was busy
+    /// (conflict avoidance) or the piece is at or below the crack floor.
+    /// The bound lies somewhere inside this piece, which a reader must
+    /// filter instead.
     Skipped(Piece),
     /// The work ran under write access to the piece; its result.
     Done(R),
@@ -50,23 +59,65 @@ impl<R> PieceWrite<R> {
 /// forces a retry — by the aggregation phase. Positions stay valid across
 /// retries: cracks never move, and compaction (which would move them) is
 /// excluded by the operation's quiesce-gate guard.
+///
+/// The walk scans `[start, end)`. Every row of the *interior* `[lo, hi)`
+/// qualifies; the pieces outside it — the *edges*, the pieces a bound fell
+/// inside without being cracked — are filtered by the query bounds. All
+/// four positions are piece boundaries, so a piece is wholly edge or
+/// wholly interior. Both bounds cracks: no edges. Both bounds in one
+/// piece: no interior.
 #[derive(Debug, Clone, Copy)]
-pub(super) enum MainPlan {
-    /// Both bounds are cracks: aggregate `[start, end)` positionally.
-    Exact {
-        /// First qualifying position.
-        start: usize,
-        /// One past the last qualifying position.
-        end: usize,
-    },
-    /// Refinement was skipped for at least one bound: scan `[start, end)`
-    /// (whole pieces) filtering by the original query bounds.
-    Filtered {
-        /// Start of the first (conservatively included) piece.
-        start: usize,
-        /// End of the last (conservatively included) piece.
-        end: usize,
-    },
+pub(super) struct MainPlan {
+    start: usize,
+    lo: usize,
+    hi: usize,
+    end: usize,
+}
+
+impl MainPlan {
+    /// Both bounds are cracks: every row of `[start, end)` qualifies.
+    pub(super) fn exact(start: usize, end: usize) -> Self {
+        MainPlan {
+            start,
+            lo: start,
+            hi: end,
+            end,
+        }
+    }
+
+    /// The plan of a range whose low and high bound resolved as given —
+    /// resolved in that order, so the high bound's piece may be a later
+    /// split of the low bound's. A crack bounds the range exactly; a
+    /// skipped bound contributes its piece as an edge. Every row strictly
+    /// between the two edge pieces lies inside the bounds: keys at or
+    /// past the low piece's end are at least its upper key bound, above
+    /// `low`, and keys before the high piece's start are below its lower
+    /// key bound, at most `high`.
+    fn resolved(low: PieceWrite<usize>, high: PieceWrite<usize>) -> Self {
+        let (start, lo) = match low {
+            PieceWrite::Crack(pos) | PieceWrite::Done(pos) => (pos, pos),
+            PieceWrite::Skipped(piece) => (piece.start, piece.end),
+        };
+        let (hi, end) = match high {
+            PieceWrite::Crack(pos) | PieceWrite::Done(pos) => (pos, pos),
+            PieceWrite::Skipped(piece) => (piece.start, piece.end),
+        };
+        debug_assert!(start <= end, "a range's bounds resolve in key order");
+        // Both bounds in one piece (or its later split): no interior.
+        let lo = lo.min(end);
+        MainPlan {
+            start,
+            lo,
+            hi: hi.clamp(lo, end),
+            end,
+        }
+    }
+
+    /// The query bounds to filter the piece starting at `pos` by: `None`
+    /// in the interior, `bounds` on an edge.
+    fn filter_at(&self, pos: usize, bounds: (i64, i64)) -> Option<(i64, i64)> {
+        (pos < self.lo || pos >= self.hi).then_some(bounds)
+    }
 }
 
 /// What one read accumulates over the qualifying pieces. Every shape runs
@@ -237,7 +288,7 @@ pub(super) enum DeltaView {
 
 impl Accumulator {
     /// An empty accumulator; id shapes reserve room for `rows` ids, the
-    /// most an exact plan can yield.
+    /// most the plan's scanned range can yield.
     fn new(shape: ReadShape, rows: usize) -> Self {
         match shape {
             ReadShape::Count => Accumulator::Count(0),
@@ -263,10 +314,6 @@ impl Accumulator {
         end: usize,
         filter: Option<(i64, i64)>,
     ) {
-        let pairs = || match filter {
-            None => data.pairs_in_range(start, end),
-            Some((low, high)) => data.pairs_filtered(start, end, low, high),
-        };
         match self {
             Accumulator::Count(rows) => {
                 *rows += match filter {
@@ -286,9 +333,12 @@ impl Accumulator {
             },
             Accumulator::RowIds(out) | Accumulator::IdSet(out) => match filter {
                 None => data.extend_rowids(start, end, out),
-                Some(_) => out.extend(pairs().into_iter().map(|(_, rowid)| rowid)),
+                Some((low, high)) => data.extend_rowids_filtered(start, end, low, high, out),
             },
-            Accumulator::PairRuns(runs) => runs.push(pairs()),
+            Accumulator::PairRuns(runs) => runs.push(match filter {
+                None => data.pairs_in_range(start, end),
+                Some((low, high)) => data.pairs_filtered(start, end, low, high),
+            }),
         }
     }
 
@@ -447,7 +497,7 @@ impl ConcurrentCracker {
         let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
         let always = RefinementPolicy::Always;
         let cracks_before = metrics.cracks_performed;
-        match self.write_piece(Target::Bound(bound), always, metrics, crack) {
+        match self.write_piece(Target::Bound(bound), always, false, metrics, crack) {
             PieceWrite::Crack(pos) => pos,
             PieceWrite::Done(pos) => {
                 // A forced crack is its own system transaction where the
@@ -473,18 +523,24 @@ impl ConcurrentCracker {
     /// it is now, under its write latch; under the column protocol under
     /// the column write latch; latch-free under the caller's exclusivity.
     /// `policy` applies to piece latches: with `SkipOnContention` a busy
-    /// latch is not waited for and `work` is skipped.
+    /// latch is not waited for and `work` is skipped. With `floor` (reads)
+    /// a piece [`Self::below_crack_floor`] — on the first lookup or on the
+    /// re-evaluation after the latch was granted — is skipped without
+    /// `work`, and on the first lookup without touching its latch.
     pub(super) fn write_piece<R>(
         &self,
         target: Target,
         policy: RefinementPolicy,
+        floor: bool,
         metrics: &mut QueryMetrics,
         work: impl FnOnce(&Piece, &mut QueryMetrics) -> R,
     ) -> PieceWrite<R> {
+        let below_floor = |piece: &Piece| floor && self.below_crack_floor(piece);
         match self.protocol {
             LatchProtocol::Piece => loop {
-                let (piece, latch) = match self.dir.find_latched(target) {
-                    Ok(found) => found,
+                let (piece, latch) = match self.dir.find_latched(target, |p| !below_floor(p)) {
+                    Ok((piece, Some(latch))) => (piece, latch),
+                    Ok((piece, None)) => return PieceWrite::Skipped(piece),
                     Err(AlreadyCrack(pos)) => return PieceWrite::Crack(pos),
                 };
                 let _guard = match policy {
@@ -503,6 +559,10 @@ impl ConcurrentCracker {
                 };
                 match self.dir.find(target) {
                     Err(AlreadyCrack(pos)) => return PieceWrite::Crack(pos),
+                    // Shrank to the floor by a split while this thread queued.
+                    Ok(current) if current.start == piece.start && below_floor(&current) => {
+                        return PieceWrite::Skipped(current);
+                    }
                     Ok(current) if current.start == piece.start => {
                         return PieceWrite::Done(work(&current, metrics));
                     }
@@ -514,6 +574,7 @@ impl ConcurrentCracker {
                     .then(|| self.column_write(target.wake_key(None), metrics));
                 match self.dir.find(target) {
                     Err(AlreadyCrack(pos)) => PieceWrite::Crack(pos),
+                    Ok(piece) if below_floor(&piece) => PieceWrite::Skipped(piece),
                     Ok(piece) => PieceWrite::Done(work(&piece, metrics)),
                 }
             }
@@ -533,30 +594,52 @@ impl ConcurrentCracker {
     /// run in each multi-column select, and at 4 Ki rows the table
     /// workloads' cold phase paid for it (sweep in CHANGES.md, PR 21).
     /// That cost is gone — a row-id set scatters every piece's ids into
-    /// one bitmap, so a piece costs no sort and no heap entry — but the
-    /// floor has not been re-swept since.
+    /// one bitmap, so a piece costs no sort and no heap entry. Its
+    /// counterpart at the small end is [`Self::CRACK_FLOOR`].
     pub(super) const PIVOT_FLOOR: usize = 256 << 10;
+
+    /// Rows at or below which a read does not crack a piece: a bound inside
+    /// it is filtered by the walk under the piece's read latch instead
+    /// ([`ConcurrentCracker::read`]). 1 024 rows of 12 bytes fit L1 twice
+    /// over; cracking such a piece saves less than its latch round trip and
+    /// the directory entry every later read walks past. Measured, not
+    /// configurable: on the benchmark's `col_uniform` (two clients reading
+    /// a 16 Mi-row column, 2 vCPUs), floors of 0, 128, 256, 512, 1 024,
+    /// 2 048, 4 096 and 8 192 rows gave 31, 40, 51, 75, 96, 94, 85 and
+    /// 61 k steady reads/s (mean of two runs each; sweep in CHANGES.md).
+    /// Stochastic cracking (Halim et al.) stops at a cache-sized piece too.
+    pub(super) const CRACK_FLOOR: usize = 1 << 10;
+
+    /// True if a read leaves `piece` uncracked: it has at most the crack
+    /// floor's rows.
+    fn below_crack_floor(&self, piece: &Piece) -> bool {
+        piece.len() <= self.crack_floor
+    }
 
     /// The one read path. Every read — any [`ReadShape`], now (`at =
     /// None`) or frozen at a registered snapshot epoch — runs the paper's
     /// crack-select operator: resolve both bounds under write latches
-    /// (refining the index as a side effect, or falling back to a
-    /// conservative filtered range under conflict avoidance), walk the
-    /// qualifying pieces under read latches, fold the pending delta.
-    /// Invariants every shape inherits:
+    /// (refining the index as a side effect), walk the qualifying pieces
+    /// under read latches, fold the pending delta. A bound is left
+    /// uncracked, and its piece filtered as an edge of the walk, when the
+    /// piece has at most 1 024 rows (the crack floor; no write latch is
+    /// taken) or when conflict avoidance skips it. Invariants every shape
+    /// inherits:
     ///
     /// * **One delta view per seqlock window.** The main multiset changes
     ///   only through epoch-stamped reclamations (piece shrinks and
     ///   incremental hole-fills), so a (piece walk, delta view) pair taken
     ///   at one stable shrink epoch is consistent; on an epoch change the
-    ///   pair is re-read — bounds are already cracks, so a retry is a
-    ///   cheap re-scan — a bounded number of times, after which the read
+    ///   pair is re-read — the plan is kept, so a retry is a cheap
+    ///   re-scan — a bounded number of times, after which the read
     ///   pauses reclamations outright and finishes in one pass.
     /// * **Physical order in, no per-piece sort.** Id shapes receive every
     ///   visited piece's row ids as they lie; [`ReadShape::KeyRuns`] keeps
     ///   one run per piece and never sorts it.
-    /// * **Positional count.** An exact-plan [`ReadShape::Count`] takes no
-    ///   read latch and reads no data.
+    /// * **Positional count.** A [`ReadShape::Count`] takes no read latch
+    ///   and reads no data in the plan's interior; only its edge pieces
+    ///   are read-latched and filtered.
+    /// * **No read cracks a piece of at most 1 024 rows.**
     pub fn read(
         &self,
         low: i64,
@@ -582,12 +665,7 @@ impl ConcurrentCracker {
                     self.plan_column(low, high, &mut metrics)
                 }
             });
-            // An exact plan bounds the main-array rows; a filtered one
-            // may span a whole unsplit piece for a handful of rows.
-            let rows = match plan {
-                Some(MainPlan::Exact { start, end }) => end.saturating_sub(start),
-                _ => 0,
-            };
+            let rows = plan.map_or(0, |plan| plan.end - plan.start);
             let (acc, view) = self.seqlock_retry(&mut metrics, |attempt, valid| {
                 let mut acc = Accumulator::new(shape, rows);
                 if let Some(plan) = plan {
@@ -644,9 +722,9 @@ impl ConcurrentCracker {
     /// The piece walk: feeds `acc` the live part of every piece of the
     /// plan's range, holding the latches the active protocol prescribes —
     /// piece read latches one piece at a time, or the column read latch —
-    /// and skipping each piece's dead hole tail. A filtered plan (skipped
-    /// refinement) passes the original query `bounds` along for exact
-    /// filtering. Only reads, so seqlock retries may repeat it.
+    /// and skipping each piece's dead hole tail. The plan's edge pieces are
+    /// filtered by the original query `bounds`, its interior is not. Only
+    /// reads, so seqlock retries may repeat it.
     pub(super) fn walk(
         &self,
         plan: MainPlan,
@@ -654,36 +732,36 @@ impl ConcurrentCracker {
         acc: &mut Accumulator,
         metrics: &mut QueryMetrics,
     ) {
-        let (start, end, filter) = match plan {
-            MainPlan::Exact { start, end } => (start, end, None),
-            MainPlan::Filtered { start, end } => (start, end, Some(bounds)),
-        };
-        if start >= end {
-            return;
-        }
-        // A fully-resolved count is purely positional: range width minus
+        let MainPlan { start, lo, hi, end } = plan;
+        // The interior's count is purely positional: range width minus
         // the dead slots the directory records, no data access — and no
         // directory lock at all in the common hole-free state (a racing
         // shrink that invalidates the lock-free probe is caught by the
-        // caller's epoch validation).
-        if let (Accumulator::Count(rows), None) = (&mut *acc, filter) {
-            *rows += (end - start - self.dir.holes_in(start, end)) as u64;
-            return;
-        }
+        // caller's epoch validation). Only the edges are left to walk.
+        let spans = if let Accumulator::Count(rows) = acc {
+            *rows += (hi - lo - self.dir.holes_in(lo, hi)) as u64;
+            [(start, lo), (hi, end)]
+        } else {
+            [(start, end), (end, end)]
+        };
+        let spans = spans.into_iter().filter(|(from, to)| from < to);
         match self.protocol {
             LatchProtocol::Piece => {
                 // One directory acquisition per walked piece: its extent,
                 // read under its latch, comes with the next piece's latch.
-                let (mut pos, mut latch) = (start, Some(self.dir.latch_at(start)));
-                while let Some(current) = latch {
-                    let guard = current.acquire_read();
-                    Self::note_wait(metrics, pos as u64, LatchMode::Read, guard.outcome());
-                    let step = self.dir.walk_step(pos, end, true);
-                    let agg_start = Instant::now();
-                    acc.feed(&self.data, pos, step.live_end, filter);
-                    metrics.aggregate_time += agg_start.elapsed();
-                    drop(guard);
-                    (pos, latch) = (step.piece_end, step.next_latch);
+                for (from, to) in spans {
+                    let (mut pos, mut latch) = (from, Some(self.dir.latch_at(from)));
+                    while let Some(current) = latch {
+                        let guard = current.acquire_read();
+                        Self::note_wait(metrics, pos as u64, LatchMode::Read, guard.outcome());
+                        let step = self.dir.walk_step(pos, to, true);
+                        let agg_start = Instant::now();
+                        let filter = plan.filter_at(pos, bounds);
+                        acc.feed(&self.data, pos, step.live_end, filter);
+                        metrics.aggregate_time += agg_start.elapsed();
+                        drop(guard);
+                        (pos, latch) = (step.piece_end, step.next_latch);
+                    }
                 }
             }
             LatchProtocol::Column | LatchProtocol::None => {
@@ -698,20 +776,28 @@ impl ConcurrentCracker {
                     g
                 });
                 let agg_start = Instant::now();
-                // The hole layout is frozen while we hold the column read
-                // latch (shrinks run only under the column *write* latch),
-                // so one probe lets a hole-free aggregate scan the whole
-                // range in a single pass. `[start, end)` is a union of
-                // whole pieces, so the range-scoped probe is exact: holes
-                // elsewhere in the array don't matter here.
-                if acc.is_aggregate() && self.dir.holes_in(start, end) == 0 {
-                    acc.feed(&self.data, start, end, filter);
-                } else {
-                    let mut pos = start;
-                    while pos < end {
-                        let step = self.dir.walk_step(pos, end, false);
-                        acc.feed(&self.data, pos, step.live_end, filter);
-                        pos = step.piece_end;
+                for (from, to) in spans {
+                    // The hole layout is frozen while we hold the column
+                    // read latch (shrinks run only under the column *write*
+                    // latch), so one probe lets a hole-free aggregate scan
+                    // the span in at most three passes — edge, interior,
+                    // edge. The span is a union of whole pieces, so the
+                    // range-scoped probe is exact: holes elsewhere in the
+                    // array don't matter here.
+                    if acc.is_aggregate() && self.dir.holes_in(from, to) == 0 {
+                        let cuts = [from, lo.clamp(from, to), hi.clamp(from, to), to];
+                        for pass in cuts.windows(2).filter(|pass| pass[0] < pass[1]) {
+                            let filter = plan.filter_at(pass[0], bounds);
+                            acc.feed(&self.data, pass[0], pass[1], filter);
+                        }
+                    } else {
+                        let mut pos = from;
+                        while pos < to {
+                            let step = self.dir.walk_step(pos, to, false);
+                            let filter = plan.filter_at(pos, bounds);
+                            acc.feed(&self.data, pos, step.live_end, filter);
+                            pos = step.piece_end;
+                        }
                     }
                 }
                 metrics.aggregate_time += agg_start.elapsed();
@@ -774,8 +860,9 @@ impl ConcurrentCracker {
     // ----- column-latch (and latch-free) protocol ------------------------
 
     /// Crack-select phase under the column write latch: resolves both
-    /// bounds into cracks, or falls back to a conservative filtered plan
-    /// when conflict avoidance skips the refinement.
+    /// bounds into cracks, leaving a bound in a piece at or below the crack
+    /// floor to be filtered, or — when conflict avoidance skips the
+    /// refinement — filters both bounds' pieces.
     fn plan_column(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
         let guard = match (self.protocol, self.policy) {
             (LatchProtocol::None, _) => None,
@@ -785,29 +872,25 @@ impl ConcurrentCracker {
                 if granted.is_none() {
                     metrics.refinements_skipped += 2;
                     self.note_refinement(0, 2);
-                    // Fall back to a filtered scan of the conservative range.
                     let piece_of = |value| {
-                        self.dir
-                            .find(Target::Key(value))
-                            .expect("a key has a piece")
+                        let piece = self.dir.find(Target::Key(value));
+                        PieceWrite::<usize>::Skipped(piece.expect("a key has a piece"))
                     };
-                    return MainPlan::Filtered {
-                        start: piece_of(low).start,
-                        end: piece_of(high).end,
-                    };
+                    return MainPlan::resolved(piece_of(low), piece_of(high));
                 }
                 granted
             }
         };
         // One hold of the column latch covers both bounds.
-        let mut crack = |bound| match self.dir.find(Target::Bound(bound)) {
-            Err(AlreadyCrack(pos)) => pos,
-            Ok(piece) => self.crack_piece(&piece, bound, metrics),
+        let mut resolve = |bound| match self.dir.find(Target::Bound(bound)) {
+            Err(AlreadyCrack(pos)) => PieceWrite::Crack(pos),
+            Ok(piece) if self.below_crack_floor(&piece) => PieceWrite::Skipped(piece),
+            Ok(piece) => PieceWrite::Done(self.crack_piece(&piece, bound, metrics)),
         };
-        let (start, end) = (crack(low), crack(high));
+        let (r_low, r_high) = (resolve(low), resolve(high));
         self.note_refinement(metrics.cracks_performed, 0);
         drop(guard);
-        MainPlan::Exact { start, end }
+        MainPlan::resolved(r_low, r_high)
     }
 
     /// One partition pass: `[start, live_end)` around `pivot` under the
@@ -876,6 +959,10 @@ impl ConcurrentCracker {
     /// write access is exactly what piece shrinking needs — then
     /// partitions the live range.
     ///
+    /// **Crack floor.** A read never gets here for a piece of at most
+    /// [`Self::CRACK_FLOOR`] rows ([`ConcurrentCracker::write_piece`] and
+    /// the column plan skip it); a forced bound does.
+    ///
     /// **Pivot policy.** Where to put cracks is the core's to choose:
     /// refinement is optional, structure-only work. A piece whose live
     /// part exceeds [`Self::PIVOT_FLOOR`] is first partitioned around a
@@ -931,28 +1018,17 @@ impl ConcurrentCracker {
     // ----- piece-latch protocol -------------------------------------------
 
     /// Bound-resolution phase under piece latches — each bound latches
-    /// only the piece that contains it — producing the plan the
-    /// aggregation walk executes.
+    /// only the piece that contains it, unless that piece is at or below
+    /// the crack floor — producing the plan the aggregation walk executes.
     fn plan_piece(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
         let mut resolve = |bound| {
             let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
-            self.write_piece(Target::Bound(bound), self.policy, metrics, crack)
+            self.write_piece(Target::Bound(bound), self.policy, true, metrics, crack)
         };
         let (r_low, r_high) = (resolve(low), resolve(high));
-        // Wrap this query's refinement in a system transaction record.
+        // Wrap this query's refinement in a system transaction record; a
+        // floor skip is no skipped refinement, only a conflict skip is.
         self.note_refinement(metrics.cracks_performed, metrics.refinements_skipped);
-        let start = match r_low {
-            PieceWrite::Crack(pos) | PieceWrite::Done(pos) => pos,
-            PieceWrite::Skipped(piece) => piece.start,
-        };
-        let end = match r_high {
-            PieceWrite::Crack(pos) | PieceWrite::Done(pos) => pos,
-            PieceWrite::Skipped(piece) => piece.end,
-        };
-        if matches!(r_low, PieceWrite::Skipped(_)) || matches!(r_high, PieceWrite::Skipped(_)) {
-            MainPlan::Filtered { start, end }
-        } else {
-            MainPlan::Exact { start, end }
-        }
+        MainPlan::resolved(r_low, r_high)
     }
 }

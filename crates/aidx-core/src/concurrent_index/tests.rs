@@ -45,7 +45,8 @@ fn sequential_results_match_scan_for_all_protocols() {
 #[test]
 fn metrics_record_cracks_and_result_counts() {
     let values = shuffled(1000);
-    let idx = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece);
+    let idx =
+        ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece).with_crack_floor(0);
     let (c, m) = idx.count(100, 300);
     assert_eq!(c, 200);
     assert_eq!(m.result_count, 200);
@@ -199,7 +200,7 @@ fn skip_on_contention_still_answers_correctly() {
 #[test]
 fn piece_count_grows_and_piece_sizes_shrink() {
     let values = shuffled(5000);
-    let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece);
+    let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece).with_crack_floor(0);
     let (_, m1) = idx.sum(1000, 4000);
     let (_, m2) = idx.sum(2000, 3000);
     let (_, m3) = idx.sum(2200, 2800);
@@ -239,12 +240,13 @@ fn structure_probe_reflects_cracks_and_delta() {
 #[test]
 fn latch_stats_reflect_activity() {
     let values = shuffled(1000);
-    let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece);
+    let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece).with_crack_floor(0);
     idx.sum(100, 900);
     let stats = idx.latch_stats();
     assert!(stats.write_acquisitions >= 2);
     assert!(stats.read_acquisitions >= 1);
-    let idx_col = ConcurrentCracker::from_values(shuffled(1000), LatchProtocol::Column);
+    let idx_col =
+        ConcurrentCracker::from_values(shuffled(1000), LatchProtocol::Column).with_crack_floor(0);
     idx_col.sum(100, 900);
     let stats = idx_col.latch_stats();
     assert!(stats.write_acquisitions >= 1);
@@ -1289,12 +1291,13 @@ fn split_off_partitions_rows_and_cracks_exactly() {
 
 #[test]
 fn split_off_min_extracts_everything_and_absorb_reunites() {
-    let a = ConcurrentCracker::from_values(shuffled(500), LatchProtocol::Piece);
+    let a = ConcurrentCracker::from_values(shuffled(500), LatchProtocol::Piece).with_crack_floor(0);
     let b = ConcurrentCracker::from_rows(
         (500..1000).collect(),
         (500..1000).collect(),
         LatchProtocol::Piece,
-    );
+    )
+    .with_crack_floor(0);
     a.count(100, 300);
     b.count(600, 800);
     b.insert(999);
@@ -1541,6 +1544,126 @@ proptest::proptest! {
             proptest::prop_assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
             proptest::prop_assert!(idx.check_invariants());
         }
+    }
+}
+
+// ----- crack floor ----------------------------------------------------------
+
+const SHAPES: [ReadShape; 5] = [
+    ReadShape::Count,
+    ReadShape::Sum,
+    ReadShape::RowIds,
+    ReadShape::RowIdSet,
+    ReadShape::KeyRuns,
+];
+
+/// True if `answer`, a `shape` read of `[low, high)`, is what the oracle's
+/// `(key, rowid)` rows give.
+fn answers_like_the_oracle(
+    shape: ReadShape,
+    answer: ReadAnswer,
+    rows: &[(i64, RowId)],
+    low: i64,
+    high: i64,
+) -> bool {
+    let mut hits: Vec<(i64, RowId)> = rows
+        .iter()
+        .copied()
+        .filter(|&(v, _)| v >= low && v < high)
+        .collect();
+    hits.sort_unstable();
+    let mut ids: Vec<RowId> = hits.iter().map(|&(_, rowid)| rowid).collect();
+    ids.sort_unstable();
+    match shape {
+        ReadShape::Count => answer.into_agg() == hits.len() as i128,
+        ReadShape::Sum => answer.into_agg() == hits.iter().map(|&(v, _)| v as i128).sum::<i128>(),
+        ReadShape::RowIds => answer.into_rowids() == ids,
+        ReadShape::RowIdSet => answer.into_set().to_vec() == ids,
+        ReadShape::KeyRuns => answer.into_runs().into_sorted_pairs() == hits,
+    }
+}
+
+/// True if a read resolving `bound` now meets a crack or a piece of at most
+/// `floor` rows — a bound the read must not crack.
+fn bound_at_or_below_floor(idx: &ConcurrentCracker, bound: i64, floor: usize) -> bool {
+    !idx.dir
+        .find(Target::Bound(bound))
+        .is_ok_and(|piece| piece.len() > floor)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+    /// The crack floor changes where reads crack, never what they answer:
+    /// for floors of 0, 7, 64 and the production floor, under every latch
+    /// protocol and refinement policy, every read shape — now and through a
+    /// snapshot pinned mid-stream — agrees with a sorted-`Vec` oracle
+    /// across inserts and deletes, and a read whose two bounds both fall in
+    /// pieces at or below the floor cracks nothing.
+    #[test]
+    fn crack_floor_reads_agree_with_a_sorted_oracle(
+        values in proptest::collection::vec(-2000i64..2000, 0..4096),
+        // (kind, shape, a, b): kind 0 inserts `a`, 1 deletes `a`, any
+        // other reads `[min, max)` of `a` and `b` in `SHAPES[shape]`.
+        ops in proptest::collection::vec((0u8..8, 0usize..5, -2100i64..2100, -2100i64..2100), 1..40),
+        floor in 0usize..4,
+        protocol in 0usize..3,
+        skip in proptest::prelude::any::<bool>(),
+        pin_at in 0usize..40,
+    ) {
+        let floor = [0, 7, 64, ConcurrentCracker::CRACK_FLOOR][floor];
+        let policy = if skip {
+            RefinementPolicy::SkipOnContention
+        } else {
+            RefinementPolicy::Always
+        };
+        let idx = ConcurrentCracker::from_values(values.clone(), protocols()[protocol])
+            .with_policy(policy)
+            .with_crack_floor(floor);
+        let mut rows: Vec<(i64, RowId)> =
+            values.iter().enumerate().map(|(i, &v)| (v, i as RowId)).collect();
+        let mut next_rowid = rows.len() as RowId;
+        let mut pinned: Option<(u64, Vec<(i64, RowId)>)> = None;
+        for (step, (kind, shape, a, b)) in ops.into_iter().enumerate() {
+            if step == pin_at {
+                pinned = Some((idx.register_snapshot_epoch(), rows.clone()));
+            }
+            match kind {
+                0 => {
+                    idx.write(WriteOp::Insert { value: a, rowid: next_rowid });
+                    rows.push((a, next_rowid));
+                    next_rowid += 1;
+                }
+                1 => {
+                    let before = rows.len();
+                    rows.retain(|&(v, _)| v != a);
+                    let (removed, _) = idx.write(WriteOp::Delete { value: a });
+                    proptest::prop_assert_eq!(removed, (before - rows.len()) as u64);
+                }
+                _ => {
+                    let (shape, low, high) = (SHAPES[shape], a.min(b), a.max(b));
+                    let frozen = pinned.as_ref().map(|(epoch, rows)| (Some(*epoch), rows));
+                    for (at, oracle) in [(None, &rows)].into_iter().chain(frozen) {
+                        let uncracked = bound_at_or_below_floor(&idx, low, floor)
+                            && bound_at_or_below_floor(&idx, high, floor);
+                        let pieces = idx.piece_count();
+                        let (answer, metrics) = idx.read(low, high, at, shape);
+                        proptest::prop_assert!(
+                            answers_like_the_oracle(shape, answer, oracle, low, high),
+                            "{:?} [{}, {}) at {:?}", shape, low, high, at
+                        );
+                        if uncracked {
+                            proptest::prop_assert_eq!(metrics.cracks_performed, 0);
+                            proptest::prop_assert_eq!(idx.piece_count(), pieces);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some((epoch, _)) = pinned {
+            idx.release_snapshot_epoch(epoch);
+        }
+        proptest::prop_assert!(idx.check_invariants());
     }
 }
 

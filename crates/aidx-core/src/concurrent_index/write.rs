@@ -119,7 +119,7 @@ impl ConcurrentCracker {
                         self.shrink_piece_locked(piece);
                     };
                     let always = RefinementPolicy::Always;
-                    self.write_piece(Target::Key(value), always, &mut metrics, sweep)
+                    self.write_piece(Target::Key(value), always, false, &mut metrics, sweep)
                         .done();
                 }
                 // The trigger runs outside the operation's own gate entry.
@@ -142,7 +142,7 @@ impl ConcurrentCracker {
             Some(next) => self.force_bound(next, metrics),
             None => self.data.len(),
         };
-        MainPlan::Exact { start, end }
+        MainPlan::exact(start, end)
     }
 
     /// The ids of the *live* main-array rows of `plan`, read under the

@@ -308,11 +308,17 @@ impl PieceDirectory {
         self.read().locate(target)
     }
 
-    /// As [`Self::find`], with the piece's latch from the same acquisition.
-    pub(crate) fn find_latched(&self, target: Target) -> Result<(Piece, PieceLatch), AlreadyCrack> {
+    /// As [`Self::find`], with the piece's latch from the same acquisition
+    /// if `wanted` asks for it.
+    pub(crate) fn find_latched(
+        &self,
+        target: Target,
+        wanted: impl FnOnce(&Piece) -> bool,
+    ) -> Result<(Piece, Option<PieceLatch>), AlreadyCrack> {
         let state = self.read();
         let piece = state.locate(target)?;
-        Ok((piece, state.records[&piece.start].latch()))
+        let latch = wanted(&piece).then(|| state.records[&piece.start].latch());
+        Ok((piece, latch))
     }
 
     /// The latch of the piece covering `pos`.
@@ -597,9 +603,11 @@ mod tests {
         // A position inside a piece resolves to that piece's latch; no
         // latch is ever recorded for a position that is not a piece start.
         assert!(Arc::ptr_eq(&a, &dir.latch_at(7)));
-        let (piece, found) = dir.find_latched(Target::Key(12)).unwrap();
+        let (piece, found) = dir.find_latched(Target::Key(12), |_| true).unwrap();
         assert_eq!((piece.start, piece.end), (10, 20));
-        assert!(Arc::ptr_eq(&c, &found));
+        assert!(Arc::ptr_eq(&c, &found.unwrap()));
+        let (_, declined) = dir.find_latched(Target::Key(3), |_| false).unwrap();
+        assert!(declined.is_none());
         assert_eq!(dir.latch_stats_by_piece().len(), 2);
         assert!(dir.check_invariants(20, 0));
     }
@@ -719,7 +727,8 @@ mod tests {
         let lower = dir.find(Target::Key(10)).unwrap();
         assert_eq!((lower.start, lower.end, dir.live_end(&lower)), (0, 40, 40));
         // Upper sub-piece: a latch of its own, the dead tail, the watermark.
-        let (upper, upper_latch) = dir.find_latched(Target::Key(50)).unwrap();
+        let (upper, upper_latch) = dir.find_latched(Target::Key(50), |_| true).unwrap();
+        let upper_latch = upper_latch.unwrap();
         assert_eq!(
             (upper.start, upper.end, dir.live_end(&upper)),
             (40, 100, 90)

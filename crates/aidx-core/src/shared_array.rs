@@ -569,6 +569,34 @@ impl SharedCrackerArray {
         }
     }
 
+    /// Appends to `out` the row ids in `[start, end)` whose value satisfies
+    /// `low <= v < high` — the row-id half of [`Self::pairs_filtered`],
+    /// without the pair vector.
+    pub fn extend_rowids_filtered(
+        &self,
+        start: usize,
+        end: usize,
+        low: i64,
+        high: i64,
+        out: &mut Vec<RowId>,
+    ) {
+        assert!(
+            start <= end && end <= self.len(),
+            "read range out of bounds"
+        );
+        let values = self.values_ptr();
+        let rowids = self.rowids_ptr();
+        // SAFETY: bounds checked above; shared access guaranteed by latches.
+        unsafe {
+            for i in start..end {
+                let v = *values.add(i);
+                if v >= low && v < high {
+                    out.push(*rowids.add(i));
+                }
+            }
+        }
+    }
+
     /// Snapshot of the whole array as (values, rowids). Only meaningful when
     /// the caller can guarantee quiescence (tests, invariant checks).
     pub fn snapshot(&self) -> (Vec<i64>, Vec<RowId>) {
@@ -688,6 +716,27 @@ mod tests {
         let col = Column::from_values("a", vec![7, 7]);
         let arr = SharedCrackerArray::from_column(&col);
         assert_eq!(arr.snapshot().0, vec![7, 7]);
+    }
+
+    #[test]
+    fn filtered_rowids_are_the_ids_of_the_filtered_pairs() {
+        let values: Vec<i64> = (0..300).map(|i| (i * 48271) % 97).collect();
+        let arr = SharedCrackerArray::from_values(values);
+        for (start, end, low, high) in [(0, 300, 10, 40), (17, 230, 0, 97), (5, 5, 0, 97)] {
+            let mut ids = vec![RowId::MAX];
+            arr.extend_rowids_filtered(start, end, low, high, &mut ids);
+            let pairs = arr.pairs_filtered(start, end, low, high);
+            let want: Vec<RowId> = pairs.iter().map(|&(_, rowid)| rowid).collect();
+            assert_eq!(ids[0], RowId::MAX, "appends, keeps what was there");
+            assert_eq!(
+                ids[1..],
+                want[..],
+                "[{start},{end}) filtered by [{low},{high})"
+            );
+        }
+        let mut none = Vec::new();
+        arr.extend_rowids_filtered(0, 300, 50, 50, &mut none);
+        assert!(none.is_empty(), "an empty key range selects nothing");
     }
 
     #[test]

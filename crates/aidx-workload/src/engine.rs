@@ -636,8 +636,9 @@ mod tests {
 
     #[test]
     fn crack_engine_exposes_its_cracker() {
-        let engine = crack(&shuffled(500), LatchProtocol::Piece);
-        engine.select(&QuerySpec::sum(100, 400));
+        // Above the read path's 1 024-row crack floor, so the select cracks.
+        let engine = crack(&shuffled(8_192), LatchProtocol::Piece);
+        engine.select(&QuerySpec::sum(1_600, 6_400));
         assert!(engine.index().crack_count() >= 2);
         assert!(engine.index().check_invariants());
         // Every backend stays inspectable behind the one adapter.
@@ -756,13 +757,17 @@ mod tests {
 
     #[test]
     fn crack_engine_reports_structure_and_latch_attribution() {
-        let values = shuffled(1000);
+        // Above the read path's 1 024-row crack floor, so selects crack.
+        let values = shuffled(16_384);
         let engine = crack(&values, LatchProtocol::Piece);
-        for q in [QuerySpec::count(100, 400), QuerySpec::sum(500, 900)] {
+        for q in [
+            QuerySpec::count(1_600, 6_400),
+            QuerySpec::sum(8_000, 14_400),
+        ] {
             engine.select(&q);
         }
         let stats = engine.structure_stats().expect("cracker has structure");
-        assert_eq!(stats.rows, 1000);
+        assert_eq!(stats.rows, 16_384);
         assert!(stats.piece_count >= 3, "two selects crack >= 3 pieces");
 
         let latches = engine.latch_attribution();
@@ -778,23 +783,23 @@ mod tests {
 
         // Attribution and structure survive the wrappers unchanged.
         let boxed: Box<dyn AdaptiveEngine> = Box::new(engine);
-        assert_eq!(boxed.structure_stats().unwrap().rows, 1000);
+        assert_eq!(boxed.structure_stats().unwrap().rows, 16_384);
         assert_eq!(boxed.latch_attribution().len(), latches.len());
         let checked = CheckedEngine::new(boxed, values.clone());
-        assert_eq!(checked.structure_stats().unwrap().rows, 1000);
+        assert_eq!(checked.structure_stats().unwrap().rows, 16_384);
         assert!(!checked.latch_attribution().is_empty());
 
         // Every indexed arm reports its structure; the range arm its load.
         for engine in index_engines(&values, false) {
-            engine.select(&QuerySpec::sum(100, 900));
+            engine.select(&QuerySpec::sum(1_600, 14_400));
             let stats = engine
                 .structure_stats()
                 .expect("indexed arms have structure");
-            assert_eq!(stats.rows, 1000, "{}", engine.name());
+            assert_eq!(stats.rows, 16_384, "{}", engine.name());
             assert!(stats.piece_count >= 3, "{}", engine.name());
         }
         let ranged = IndexEngine::new("range", RangePartitionedCracker::new(values, 4));
-        ranged.select(&QuerySpec::sum(100, 900));
+        ranged.select(&QuerySpec::sum(1_600, 14_400));
         let stats = ranged.structure_stats().expect("range has structure");
         assert_eq!(stats.partitions, 4);
         assert_eq!(stats.partition_load.count, 4);
