@@ -435,6 +435,102 @@ fn real_floor_reads_filter_their_piece_while_a_delete_cracks_it() {
     assert!(report.exhausted, "one preemption fits under the cap");
 }
 
+/// The span walk on the real cracker. Four cracks leave the sum's bounds
+/// at piece boundaries with three pieces of 2K rows between them, so the
+/// sum plans without a write latch and gets its three-piece span batch
+/// from the plan's one directory acquisition. It races a count that
+/// cracks the batch's third piece, and a writer that deletes a key inside
+/// the second piece — two cracks, then a sweep that turns the key's row
+/// into a dead tail — and then inserts the key again. Every schedule's sum
+/// is the oracle's after a prefix of the writer's two ops: a walk that
+/// trusted its batch after the structure version moved would scan the
+/// dead row as live and, with the insert folded from the delta, count the
+/// key twice. Afterwards the column agrees with the oracle and passes its
+/// invariants. One preemption, exhaustively: the sum is the first thread,
+/// so it is preempted between its plan and its walk, and the whole writer
+/// runs in between.
+#[test]
+fn real_span_walk_revalidates_a_batch_a_crack_and_a_sweep_changed() {
+    let column = stretched(&[5, 1, 7, 3, 0, 6, 2, 4]);
+    let rows = column.len() as u64;
+    let doomed = 4 * K + 5;
+    let sum_of = |low: i64, high: i64| -> i128 {
+        let hits = column.iter().filter(|&&v| v >= low && v < high);
+        hits.map(|&v| v as i128).sum()
+    };
+    let all = sum_of(K, 7 * K);
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(20_000)
+    };
+    let report = explore(one_preemption, move || {
+        let idx = Arc::new(ConcurrentCracker::from_values(
+            column.clone(),
+            LatchProtocol::Piece,
+        ));
+        idx.count(K, 3 * K);
+        idx.count(5 * K, 7 * K);
+        let two_k = 2 * K as u64;
+        assert_eq!(idx.piece_sizes(), [K as u64, two_k, two_k, two_k, K as u64]);
+        let (s, c, d) = (Arc::clone(&idx), Arc::clone(&idx), Arc::clone(&idx));
+        Scenario::new()
+            .thread(move || {
+                let (sum, metrics) = s.sum(K, 7 * K);
+                assert!(
+                    sum == all || sum == all - doomed as i128,
+                    "sum over a walk racing a crack, a delete and an insert saw {sum}"
+                );
+                assert_eq!(metrics.cracks_performed, 0, "both bounds are cracks");
+            })
+            .thread(move || {
+                let (n, metrics) = c.count(6 * K, 7 * K);
+                assert_eq!(n, K as u64, "count [6K,7K)");
+                assert_eq!(metrics.cracks_performed, 1, "the count cracks at 6K");
+            })
+            .thread(move || {
+                let (removed, _) = d.write(WriteOp::Delete { value: doomed });
+                assert_eq!(removed, 1, "the key occurs once");
+                d.insert(doomed);
+            })
+            .finale(move || {
+                assert_eq!(idx.sum(K, 7 * K).0, all, "delete and insert cancel");
+                assert_eq!(idx.count(i64::MIN, i64::MAX).0, rows);
+                assert_eq!(idx.hole_count(), 1, "the delete's sweep left a dead tail");
+                assert!(idx.check_invariants());
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "one preemption fits under the cap");
+}
+
+/// The latch's sleeper count at its lost-wakeup window: a release notifies
+/// the condvar only when a thread sleeps on it. Two writers and a reader
+/// on one real `OrderedWaitLatch`; on some schedule the second writer is
+/// queued when the first releases and is chosen, the reader arrives before
+/// it runs and sleeps behind it, and the chosen writer then releases with
+/// no write waiter left. That release must still wake the reader: every
+/// schedule completes, and the latch ends up free.
+#[test]
+fn real_ordered_wait_latch_wakes_a_reader_behind_a_chosen_writer() {
+    let two_preemptions = ExploreConfig {
+        preemption_bound: Some(2),
+        ..capped(20_000)
+    };
+    let report = explore(two_preemptions, move || {
+        let latch = Arc::new(OrderedWaitLatch::new());
+        let (w1, w2, r) = (Arc::clone(&latch), Arc::clone(&latch), Arc::clone(&latch));
+        Scenario::new()
+            .thread(move || w1.acquire_write(10).release())
+            .thread(move || w2.acquire_write(20).release())
+            .thread(move || r.acquire_read().release())
+            .finale(move || {
+                assert!(latch.try_acquire_write().is_some(), "the latch ends free");
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "two preemptions fit under the cap");
+}
+
 /// The real `OrderedWaitLatch` (bound-ordered writer queue) model-checked
 /// directly: its internal mutex/condvar waits route through the scheduler,
 /// so the explorer enumerates grant orders and verifies mutual exclusion.

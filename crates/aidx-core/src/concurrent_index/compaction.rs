@@ -140,7 +140,14 @@ impl ConcurrentCracker {
         };
         let always = RefinementPolicy::Always;
         let piece = self
-            .write_piece(Target::Position(cursor), always, false, metrics, merge)
+            .write_piece(
+                Target::Position(cursor),
+                None,
+                always,
+                false,
+                metrics,
+                merge,
+            )
             .done();
         let next = if piece.end >= self.data.len() {
             0

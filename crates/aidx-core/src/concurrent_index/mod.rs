@@ -74,7 +74,9 @@ use crate::index::{ColumnRead, Index};
 use crate::key_runs::KeyRuns;
 use crate::metrics::QueryMetrics;
 use crate::pending::{DeltaAdjust, PairView, PendingDelta};
-use crate::piece_directory::{AlreadyCrack, OperationGuard, PieceDirectory, Target};
+use crate::piece_directory::{
+    AlreadyCrack, Found, OperationGuard, PieceDirectory, Ranges, Span, Target,
+};
 use crate::protocol::{LatchProtocol, RefinementPolicy};
 use crate::rowid_set::RowIdSet;
 use crate::shared_array::SharedCrackerArray;

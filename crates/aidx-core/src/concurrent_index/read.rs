@@ -2,6 +2,24 @@
 //! write latches), piece walk under read latches, per-shape accumulators,
 //! and the shrink-epoch seqlock that ties the walk to one delta view.
 //!
+//! **One directory acquisition per converged read.** The plan looks both
+//! bounds up in one piece-directory acquisition
+//! ([`PieceDirectory::find_bounds`]). A bound that is a crack already, or
+//! falls in a piece at or below the crack floor, needs no write latch;
+//! when neither does, the same acquisition hands the walk its first
+//! *span* — up to 64 consecutive pieces with their extents, live ends and
+//! latches, and the directory's structure version. The walk then latches
+//! the pieces one at a time and, instead of looking each up again, checks
+//! that the version has not moved: every change of a piece's extent or
+//! live end happens under that piece's write latch (or with the index
+//! quiesced) and bumps the version before the latch is released, so an
+//! unchanged version under the piece's read latch means the recorded
+//! extent is the piece's current one. On a changed version the walk
+//! re-spans from the piece it holds — whose extent its latch freezes — so
+//! every re-span feeds at least one piece. Only a bound that needs its
+//! write latch goes through [`ConcurrentCracker::write_piece`]'s
+//! latch-and-re-evaluate loop, starting from the batched lookup.
+//!
 //! **The crack floor.** A read cracks no piece of at most
 //! [`ConcurrentCracker::CRACK_FLOOR`] rows. A bound that falls inside such
 //! a piece takes no write latch: the piece becomes an *edge* of the plan,
@@ -117,6 +135,31 @@ impl MainPlan {
     /// in the interior, `bounds` on an edge.
     fn filter_at(&self, pos: usize, bounds: (i64, i64)) -> Option<(i64, i64)> {
         (pos < self.lo || pos >= self.hi).then_some(bounds)
+    }
+
+    /// The position ranges a walk visits: the whole scanned range, or for
+    /// a positional count only the two edges.
+    fn ranges(&self, count: bool) -> Ranges {
+        if count {
+            [(self.start, self.lo), (self.hi, self.end)]
+        } else {
+            [(self.start, self.end), (self.end, self.end)]
+        }
+    }
+}
+
+/// `ranges` from position `pos` on: what a walk has left once it reached
+/// `pos`.
+fn ranges_from(ranges: &Ranges, pos: usize) -> Ranges {
+    ranges.map(|(from, to)| (from.max(pos), to))
+}
+
+/// A bound lookup that took no latch, as the bound's resolution: a crack,
+/// or a piece the read filters.
+fn unlatched(found: &Found) -> PieceWrite<usize> {
+    match found {
+        Err(AlreadyCrack(pos)) => PieceWrite::Crack(*pos),
+        Ok((piece, _)) => PieceWrite::Skipped(*piece),
     }
 }
 
@@ -318,19 +361,17 @@ impl Accumulator {
             Accumulator::Count(rows) => {
                 *rows += match filter {
                     None => (end - start) as u64,
-                    Some((low, high)) => data.count_filtered(start, end, low, high),
+                    Some((low, high)) => data.count_sum_filtered(start, end, low, high).0,
                 }
             }
-            Accumulator::Sum { rows, sum } => match filter {
-                None => {
-                    *rows += (end - start) as u64;
-                    *sum += data.sum_range(start, end);
-                }
-                Some((low, high)) => {
-                    *rows += data.count_filtered(start, end, low, high);
-                    *sum += data.sum_filtered(start, end, low, high);
-                }
-            },
+            Accumulator::Sum { rows, sum } => {
+                let (n, s) = match filter {
+                    None => ((end - start) as u64, data.sum_range(start, end)),
+                    Some((low, high)) => data.count_sum_filtered(start, end, low, high),
+                };
+                *rows += n;
+                *sum += s;
+            }
             Accumulator::RowIds(out) | Accumulator::IdSet(out) => match filter {
                 None => data.extend_rowids(start, end, out),
                 Some((low, high)) => data.extend_rowids_filtered(start, end, low, high, out),
@@ -497,7 +538,7 @@ impl ConcurrentCracker {
         let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
         let always = RefinementPolicy::Always;
         let cracks_before = metrics.cracks_performed;
-        match self.write_piece(Target::Bound(bound), always, false, metrics, crack) {
+        match self.write_piece(Target::Bound(bound), None, always, false, metrics, crack) {
             PieceWrite::Crack(pos) => pos,
             PieceWrite::Done(pos) => {
                 // A forced crack is its own system transaction where the
@@ -518,18 +559,22 @@ impl ConcurrentCracker {
     /// granted *re-evaluate the target* — the piece queued on may have
     /// been split while this thread waited, so if the target now falls in
     /// a piece with another start, release and go after that piece's latch
-    /// instead. (A split that keeps the start only moved the end, which
-    /// the re-evaluated piece reflects.) `work` then runs on the piece as
-    /// it is now, under its write latch; under the column protocol under
-    /// the column write latch; latch-free under the caller's exclusivity.
-    /// `policy` applies to piece latches: with `SkipOnContention` a busy
-    /// latch is not waited for and `work` is skipped. With `floor` (reads)
-    /// a piece [`Self::below_crack_floor`] — on the first lookup or on the
-    /// re-evaluation after the latch was granted — is skipped without
-    /// `work`, and on the first lookup without touching its latch.
+    /// (found by the re-evaluation) instead. (A split that keeps the start
+    /// only moved the end, which the re-evaluated piece reflects.) `work`
+    /// then runs on the piece as it is now, under its write latch; under
+    /// the column protocol under the column write latch; latch-free under
+    /// the caller's exclusivity. Under piece latches `first`, a lookup of
+    /// `target` the caller already made (the plan's batched one), stands
+    /// in for the first lookup. `policy` applies to piece latches: with
+    /// `SkipOnContention` a busy latch is not waited for and `work` is
+    /// skipped. With `floor` (reads) a piece [`Self::below_crack_floor`] —
+    /// on the first lookup or on the re-evaluation after the latch was
+    /// granted — is skipped without `work`, and on the first lookup without
+    /// touching its latch.
     pub(super) fn write_piece<R>(
         &self,
         target: Target,
+        first: Option<Found>,
         policy: RefinementPolicy,
         floor: bool,
         metrics: &mut QueryMetrics,
@@ -537,38 +582,52 @@ impl ConcurrentCracker {
     ) -> PieceWrite<R> {
         let below_floor = |piece: &Piece| floor && self.below_crack_floor(piece);
         match self.protocol {
-            LatchProtocol::Piece => loop {
-                let (piece, latch) = match self.dir.find_latched(target, |p| !below_floor(p)) {
-                    Ok((piece, Some(latch))) => (piece, latch),
-                    Ok((piece, None)) => return PieceWrite::Skipped(piece),
-                    Err(AlreadyCrack(pos)) => return PieceWrite::Crack(pos),
-                };
-                let _guard = match policy {
-                    RefinementPolicy::Always => {
-                        let g = latch.acquire_write(target.wake_key(Some(&piece)));
-                        Self::note_wait(metrics, piece.start as u64, LatchMode::Write, g.outcome());
-                        g
-                    }
-                    RefinementPolicy::SkipOnContention => match latch.try_acquire_write() {
-                        Some(g) => g,
-                        None => {
-                            metrics.refinements_skipped += 1;
-                            return PieceWrite::Skipped(piece);
+            LatchProtocol::Piece => {
+                let mut found =
+                    first.unwrap_or_else(|| self.dir.find_latched(target, |p| !below_floor(p)));
+                loop {
+                    let (piece, latch) = match found {
+                        Ok((piece, Some(latch))) => (piece, latch),
+                        Ok((piece, None)) => return PieceWrite::Skipped(piece),
+                        Err(AlreadyCrack(pos)) => return PieceWrite::Crack(pos),
+                    };
+                    let _guard = match policy {
+                        RefinementPolicy::Always => {
+                            let g = latch.acquire_write(target.wake_key(Some(&piece)));
+                            Self::note_wait(
+                                metrics,
+                                piece.start as u64,
+                                LatchMode::Write,
+                                g.outcome(),
+                            );
+                            g
                         }
-                    },
-                };
-                match self.dir.find(target) {
-                    Err(AlreadyCrack(pos)) => return PieceWrite::Crack(pos),
-                    // Shrank to the floor by a split while this thread queued.
-                    Ok(current) if current.start == piece.start && below_floor(&current) => {
-                        return PieceWrite::Skipped(current);
+                        RefinementPolicy::SkipOnContention => match latch.try_acquire_write() {
+                            Some(g) => g,
+                            None => {
+                                metrics.refinements_skipped += 1;
+                                return PieceWrite::Skipped(piece);
+                            }
+                        },
+                    };
+                    // A piece with another start comes with its latch, unless
+                    // it is at the floor, which the next round skips.
+                    let moved = |p: &Piece| p.start != piece.start && !below_floor(p);
+                    found = self.dir.find_latched(target, moved);
+                    match &found {
+                        // Shrank to the floor by a split while this thread queued.
+                        Ok((current, _))
+                            if current.start == piece.start && below_floor(current) =>
+                        {
+                            return PieceWrite::Skipped(*current);
+                        }
+                        Ok((current, _)) if current.start == piece.start => {
+                            return PieceWrite::Done(work(current, metrics));
+                        }
+                        _ => {}
                     }
-                    Ok(current) if current.start == piece.start => {
-                        return PieceWrite::Done(work(&current, metrics));
-                    }
-                    Ok(_) => {}
                 }
-            },
+            }
             LatchProtocol::Column | LatchProtocol::None => {
                 let _guard = (self.protocol == LatchProtocol::Column)
                     .then(|| self.column_write(target.wake_key(None), metrics));
@@ -626,6 +685,12 @@ impl ConcurrentCracker {
     /// taken) or when conflict avoidance skips it. Invariants every shape
     /// inherits:
     ///
+    /// * **One directory acquisition when converged.** Under piece latches
+    ///   a read whose bounds need no write latch looks both up, and gets
+    ///   its walk's first span batch, in one piece-directory acquisition;
+    ///   the walk validates the batch against the structure version
+    ///   instead of looking pieces up again (module docs).
+    ///
     /// * **One delta view per seqlock window.** The main multiset changes
     ///   only through epoch-stamped reclamations (piece shrinks and
     ///   incremental hole-fills), so a (piece walk, delta view) pair taken
@@ -659,8 +724,14 @@ impl ConcurrentCracker {
             // positions resolved by the plan phase stay valid because no
             // compaction can rebuild the array underneath us.
             let _op = self.enter_if_compactable();
+            let count = shape == ReadShape::Count;
+            let mut first = None;
             let plan = (!self.data.is_empty()).then(|| match self.protocol {
-                LatchProtocol::Piece => self.plan_piece(low, high, &mut metrics),
+                LatchProtocol::Piece => {
+                    let (plan, span) = self.plan_piece(low, high, count, &mut metrics);
+                    first = span;
+                    plan
+                }
                 LatchProtocol::Column | LatchProtocol::None => {
                     self.plan_column(low, high, &mut metrics)
                 }
@@ -669,7 +740,9 @@ impl ConcurrentCracker {
             let (acc, view) = self.seqlock_retry(&mut metrics, |attempt, valid| {
                 let mut acc = Accumulator::new(shape, rows);
                 if let Some(plan) = plan {
-                    self.walk(plan, (low, high), &mut acc, attempt);
+                    // A retry walks afresh; the version check would catch a
+                    // stale batch, but a new one costs the same.
+                    self.walk(plan, (low, high), &mut acc, attempt, first.take());
                 }
                 let view = if acc.is_aggregate() {
                     DeltaView::Counts(self.delta.adjust(low, high, at))
@@ -725,42 +798,65 @@ impl ConcurrentCracker {
     /// and skipping each piece's dead hole tail. The plan's edge pieces are
     /// filtered by the original query `bounds`, its interior is not. Only
     /// reads, so seqlock retries may repeat it.
+    ///
+    /// Under piece latches the pieces come in [`Span`] batches, `first`
+    /// (the plan's) or one directory acquisition each. Each piece is
+    /// read-latched and fed as the batch recorded it while the structure
+    /// version still reads the batch's; otherwise the walk re-spans from
+    /// that piece while holding its latch, which freezes its extent, so
+    /// the re-span's first piece is fed at once and the walk always moves
+    /// on. There is no other walk: the re-span is the fallback.
     pub(super) fn walk(
         &self,
         plan: MainPlan,
         bounds: (i64, i64),
         acc: &mut Accumulator,
         metrics: &mut QueryMetrics,
+        first: Option<Span>,
     ) {
-        let MainPlan { start, lo, hi, end } = plan;
+        let MainPlan { lo, hi, .. } = plan;
         // The interior's count is purely positional: range width minus
         // the dead slots the directory records, no data access — and no
         // directory lock at all in the common hole-free state (a racing
         // shrink that invalidates the lock-free probe is caught by the
         // caller's epoch validation). Only the edges are left to walk.
-        let spans = if let Accumulator::Count(rows) = acc {
+        let count = matches!(acc, Accumulator::Count(_));
+        if let Accumulator::Count(rows) = acc {
             *rows += (hi - lo - self.dir.holes_in(lo, hi)) as u64;
-            [(start, lo), (hi, end)]
-        } else {
-            [(start, end), (end, end)]
+        }
+        let ranges = plan.ranges(count);
+        let left = |pos: usize| {
+            let rest = ranges_from(&ranges, pos);
+            rest.iter().any(|(from, to)| from < to).then_some(rest)
         };
-        let spans = spans.into_iter().filter(|(from, to)| from < to);
         match self.protocol {
             LatchProtocol::Piece => {
-                // One directory acquisition per walked piece: its extent,
-                // read under its latch, comes with the next piece's latch.
-                for (from, to) in spans {
-                    let (mut pos, mut latch) = (from, Some(self.dir.latch_at(from)));
-                    while let Some(current) = latch {
-                        let guard = current.acquire_read();
-                        Self::note_wait(metrics, pos as u64, LatchMode::Read, guard.outcome());
-                        let step = self.dir.walk_step(pos, to, true);
-                        let agg_start = Instant::now();
-                        let filter = plan.filter_at(pos, bounds);
-                        acc.feed(&self.data, pos, step.live_end, filter);
-                        metrics.aggregate_time += agg_start.elapsed();
-                        drop(guard);
-                        (pos, latch) = (step.piece_end, step.next_latch);
+                let Some(mut span) = first.or_else(|| Some(self.dir.span(&left(0)?, true))) else {
+                    return;
+                };
+                let mut batch = std::mem::take(&mut span.pieces).into_iter();
+                while let Some(mut piece) = batch.next() {
+                    let latch = piece.latch.take().expect("a latched span carries latches");
+                    let guard = latch.acquire_read();
+                    let start = piece.start;
+                    Self::note_wait(metrics, start as u64, LatchMode::Read, guard.outcome());
+                    if self.dir.version() != span.version {
+                        // Frozen under this latch: re-span from here.
+                        span = self.dir.span(&ranges_from(&ranges, start), true);
+                        batch = std::mem::take(&mut span.pieces).into_iter();
+                        piece = batch.next().expect("the latched piece is in its own span");
+                        debug_assert_eq!(piece.start, start, "a re-span starts at its piece");
+                    }
+                    let agg_start = Instant::now();
+                    let filter = plan.filter_at(start, bounds);
+                    acc.feed(&self.data, start, piece.live_end, filter);
+                    metrics.aggregate_time += agg_start.elapsed();
+                    drop(guard);
+                    if batch.len() == 0 {
+                        if let Some(rest) = left(piece.end) {
+                            span = self.dir.span(&rest, true);
+                            batch = std::mem::take(&mut span.pieces).into_iter();
+                        }
                     }
                 }
             }
@@ -776,27 +872,30 @@ impl ConcurrentCracker {
                     g
                 });
                 let agg_start = Instant::now();
-                for (from, to) in spans {
+                for (from, to) in ranges.into_iter().filter(|(from, to)| from < to) {
                     // The hole layout is frozen while we hold the column
                     // read latch (shrinks run only under the column *write*
                     // latch), so one probe lets a hole-free aggregate scan
-                    // the span in at most three passes — edge, interior,
-                    // edge. The span is a union of whole pieces, so the
+                    // the range in at most three passes — edge, interior,
+                    // edge. The range is a union of whole pieces, so the
                     // range-scoped probe is exact: holes elsewhere in the
-                    // array don't matter here.
+                    // array don't matter here. Anything else walks the
+                    // range's pieces span by span, which the same latch
+                    // keeps current.
                     if acc.is_aggregate() && self.dir.holes_in(from, to) == 0 {
                         let cuts = [from, lo.clamp(from, to), hi.clamp(from, to), to];
                         for pass in cuts.windows(2).filter(|pass| pass[0] < pass[1]) {
                             let filter = plan.filter_at(pass[0], bounds);
                             acc.feed(&self.data, pass[0], pass[1], filter);
                         }
-                    } else {
-                        let mut pos = from;
-                        while pos < to {
-                            let step = self.dir.walk_step(pos, to, false);
-                            let filter = plan.filter_at(pos, bounds);
-                            acc.feed(&self.data, pos, step.live_end, filter);
-                            pos = step.piece_end;
+                        continue;
+                    }
+                    let mut pos = from;
+                    while pos < to {
+                        for piece in self.dir.span(&[(pos, to)], false).pieces {
+                            let filter = plan.filter_at(piece.start, bounds);
+                            acc.feed(&self.data, piece.start, piece.live_end, filter);
+                            pos = piece.end;
                         }
                     }
                 }
@@ -862,7 +961,9 @@ impl ConcurrentCracker {
     /// Crack-select phase under the column write latch: resolves both
     /// bounds into cracks, leaving a bound in a piece at or below the crack
     /// floor to be filtered, or — when conflict avoidance skips the
-    /// refinement — filters both bounds' pieces.
+    /// refinement — filters both bounds' pieces. Both bounds are looked up
+    /// in one directory acquisition; the high one again only if cracking
+    /// the low one may have split its piece.
     fn plan_column(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
         let guard = match (self.protocol, self.policy) {
             (LatchProtocol::None, _) => None,
@@ -882,12 +983,20 @@ impl ConcurrentCracker {
             }
         };
         // One hold of the column latch covers both bounds.
-        let mut resolve = |bound| match self.dir.find(Target::Bound(bound)) {
+        let (found_low, found_high, _) =
+            self.dir
+                .find_bounds::<()>((low, high), |_| false, |_, _| None);
+        let mut resolve = |bound, found: Found| match found {
             Err(AlreadyCrack(pos)) => PieceWrite::Crack(pos),
-            Ok(piece) if self.below_crack_floor(&piece) => PieceWrite::Skipped(piece),
-            Ok(piece) => PieceWrite::Done(self.crack_piece(&piece, bound, metrics)),
+            Ok((piece, _)) if self.below_crack_floor(&piece) => PieceWrite::Skipped(piece),
+            Ok((piece, _)) => PieceWrite::Done(self.crack_piece(&piece, bound, metrics)),
         };
-        let (r_low, r_high) = (resolve(low), resolve(high));
+        let r_low = resolve(low, found_low);
+        let found_high = match (r_low, found_high) {
+            (PieceWrite::Crack(_) | PieceWrite::Skipped(_), Some(found)) => found,
+            _ => self.dir.find_latched(Target::Bound(high), |_| false),
+        };
+        let r_high = resolve(high, found_high);
         self.note_refinement(metrics.cracks_performed, 0);
         drop(guard);
         MainPlan::resolved(r_low, r_high)
@@ -1020,15 +1129,44 @@ impl ConcurrentCracker {
     /// Bound-resolution phase under piece latches — each bound latches
     /// only the piece that contains it, unless that piece is at or below
     /// the crack floor — producing the plan the aggregation walk executes.
-    fn plan_piece(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
-        let mut resolve = |bound| {
-            let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
-            self.write_piece(Target::Bound(bound), self.policy, true, metrics, crack)
+    /// Both bounds are looked up in one directory acquisition, which also
+    /// returns the walk's first span batch when neither needs a latch (the
+    /// converged case: the read's only acquisition, for a positional
+    /// `count` covering only the edges). A bound that needs its latch runs
+    /// [`Self::write_piece`] from that lookup; the high bound of a low one
+    /// that needed its latch is looked up only after the low one's crack.
+    fn plan_piece(
+        &self,
+        low: i64,
+        high: i64,
+        count: bool,
+        metrics: &mut QueryMetrics,
+    ) -> (MainPlan, Option<Span>) {
+        let needs_latch = |piece: &Piece| !self.below_crack_floor(piece);
+        let plan = |low: &Found, high: &Found| {
+            let plan = MainPlan::resolved(unlatched(low), unlatched(high));
+            Some((plan, plan.ranges(count)))
         };
-        let (r_low, r_high) = (resolve(low), resolve(high));
+        let (found_low, found_high, planned) = self.dir.find_bounds((low, high), needs_latch, plan);
+        if let Some((plan, span)) = planned {
+            return (plan, Some(span));
+        }
+        let mut resolve = |bound, found| {
+            let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
+            self.write_piece(
+                Target::Bound(bound),
+                found,
+                self.policy,
+                true,
+                metrics,
+                crack,
+            )
+        };
+        let r_low = resolve(low, Some(found_low));
+        let r_high = resolve(high, found_high);
         // Wrap this query's refinement in a system transaction record; a
         // floor skip is no skipped refinement, only a conflict skip is.
         self.note_refinement(metrics.cracks_performed, metrics.refinements_skipped);
-        MainPlan::resolved(r_low, r_high)
+        (MainPlan::resolved(r_low, r_high), None)
     }
 }

@@ -119,7 +119,7 @@ impl ConcurrentCracker {
                         self.shrink_piece_locked(piece);
                     };
                     let always = RefinementPolicy::Always;
-                    self.write_piece(Target::Key(value), always, false, &mut metrics, sweep)
+                    self.write_piece(Target::Key(value), None, always, false, &mut metrics, sweep)
                         .done();
                 }
                 // The trigger runs outside the operation's own gate entry.
@@ -149,7 +149,7 @@ impl ConcurrentCracker {
     /// protocol's read latches (dead hole tails skipped).
     fn main_rows(&self, plan: MainPlan, metrics: &mut QueryMetrics) -> Vec<RowId> {
         let mut rows = Accumulator::RowIds(Vec::new());
-        self.walk(plan, (0, 0), &mut rows, metrics);
+        self.walk(plan, (0, 0), &mut rows, metrics, None);
         // No delta to fold: the delete applies it under the delta lock.
         rows.finish(DeltaView::Rows(PairView::default()), metrics)
             .into_rowids()

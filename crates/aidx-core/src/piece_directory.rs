@@ -25,19 +25,24 @@
 //!
 //! All of it lives behind one short-held reader-writer lock, every
 //! acquisition of which is tracked at dcheck level `Toc` (innermost in the
-//! global latch order): lookups share it — a piece walk takes it once per
-//! piece, and walks must not queue behind each other — and only a change
-//! of structure (split, hole accounting, watermark, install) excludes
-//! them. The directory also owns the index's **quiesce gate** (level `Gate`,
-//! outermost): every operation that touches the shared cracker array
-//! enters it in shared mode for its whole duration, and a rebuild quiesces
-//! the index by taking it exclusively — once granted, no query, write, or
-//! crack is in flight and none can start. Piece latches stay the
+//! global latch order): lookups share it — a read plans both its bounds
+//! and gets the first batch of its walk in one acquisition, a piece walk
+//! takes it once per [`Span`] batch of up to 64 pieces, and walks must not
+//! queue behind each other — and only a change of structure (split, hole
+//! accounting, watermark, install) excludes them. Every change that moves
+//! a piece's extent or live end also bumps the directory's *structure
+//! version*, which is what lets a walk trust a batch it read earlier
+//! (see [`PieceDirectory::span`]). The directory also owns the index's
+//! **quiesce gate** (level `Gate`, outermost): every operation that
+//! touches the shared cracker array enters it in shared mode for its whole
+//! duration, and a rebuild quiesces the index by taking it exclusively —
+//! once granted, no query, write, or crack is in flight and none can
+//! start. Piece latches stay the
 //! fine-grained coordination *within* an operation.
 
 use aidx_cracking::{Piece, PieceMap};
 use aidx_latch::dcheck;
-use aidx_latch::facade::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use aidx_latch::facade::{self, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use aidx_latch::ordered::OrderedWaitLatch;
 use aidx_latch::stats::LatchStatsSnapshot;
 use std::collections::BTreeMap;
@@ -85,16 +90,39 @@ impl Target {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AlreadyCrack(pub usize);
 
-/// One step of a piece walk, read under the walked piece's latch.
+/// A piece lookup for write access: the piece with its latch if the
+/// caller wanted it, or the crack a [`Target::Bound`] already is.
+pub(crate) type Found = Result<(Piece, Option<PieceLatch>), AlreadyCrack>;
+
+/// Ascending, disjoint position ranges a walk visits (an empty one is
+/// skipped). Every range starts and ends on a piece boundary.
+pub(crate) type Ranges = [(usize, usize); 2];
+
+/// Pieces one [`PieceDirectory::span`] acquisition returns at most: a
+/// 20 % select over a finely cracked column takes a few directory
+/// acquisitions per thousand pieces instead of one per piece, and no
+/// acquisition holds the lock long enough to stall a concurrent split.
+const SPAN_CAP: usize = 64;
+
+/// One piece of a [`Span`], as the directory recorded it.
 #[derive(Debug)]
-pub(crate) struct WalkStep {
-    /// End of the piece (clipped to the walked range).
-    pub piece_end: usize,
-    /// End of its live part: the dead tail `[live_end, piece_end)` is
-    /// skipped by every scan.
+pub(crate) struct SpanPiece {
+    pub start: usize,
+    /// End of the piece, clipped to the walked range.
+    pub end: usize,
+    /// End of its live part: the dead tail `[live_end, end)` is skipped by
+    /// every scan.
     pub live_end: usize,
-    /// The next piece's latch, when asked for and the walk goes on.
-    pub next_latch: Option<PieceLatch>,
+    /// The piece's latch, in a latched span.
+    pub latch: Option<PieceLatch>,
+}
+
+/// Consecutive pieces of a walk read in one directory acquisition, and
+/// the structure version they were read at.
+#[derive(Debug)]
+pub(crate) struct Span {
+    pub version: u64,
+    pub pieces: Vec<SpanPiece>,
 }
 
 /// Everything recorded about the piece(s) starting at one position. An
@@ -219,6 +247,41 @@ impl State {
         }
     }
 
+    /// The piece `target` addresses, with its latch if `wanted` asks.
+    fn find_latched(&self, target: Target, wanted: impl FnOnce(&Piece) -> bool) -> Found {
+        let piece = self.locate(target)?;
+        let latch = wanted(&piece).then(|| self.records[&piece.start].latch());
+        Ok((piece, latch))
+    }
+
+    /// The pieces overlapping `ranges`, in position order, clipped to
+    /// them: at most [`SPAN_CAP`], with their latches if `latched`.
+    fn span(&self, ranges: &[(usize, usize)], latched: bool) -> Vec<SpanPiece> {
+        let len = self.map.array_len();
+        let mut pieces = Vec::new();
+        for &(from, to) in ranges.iter().filter(|(from, to)| from < to) {
+            let mut starts = self.records.range(from..to).peekable();
+            debug_assert_eq!(
+                starts.peek().map(|(&s, _)| s),
+                Some(from),
+                "ranges start on pieces"
+            );
+            while let Some((&start, record)) = starts.next() {
+                if pieces.len() == SPAN_CAP {
+                    return pieces;
+                }
+                let end = starts.peek().map_or(len, |(&next, _)| next).min(to);
+                pieces.push(SpanPiece {
+                    start,
+                    end,
+                    live_end: end - record.holes.min(end - start),
+                    latch: latched.then(|| record.latch()),
+                });
+            }
+        }
+        pieces
+    }
+
     /// Live end of `piece`. An empty piece shares its start with the piece
     /// that owns the dead tail; clamping attributes the tail to the latter.
     fn live_end(&self, piece: &Piece) -> usize {
@@ -245,6 +308,25 @@ pub(crate) struct PieceDirectory {
     /// Readers that race a shrink making it stale are caught by the
     /// cracker's shrink-epoch validation.
     hole_rows: AtomicU64,
+    /// Structure version: bumped (`Release`, under the write lock) by
+    /// every change that moves a piece's extent or live end — `split`,
+    /// `add_holes`, `fill_holes`, `install` — and by nothing else, so a
+    /// [`Span`] read at version `v` describes every one of its pieces as
+    /// long as the version still reads `v`.
+    ///
+    /// Why a walk may trust a piece of an old span once it holds the
+    /// piece's read latch and the version (`Acquire`) still reads the
+    /// span's: every extent or live-end change of a piece *p* happens
+    /// either under *p*'s write latch (`crack_piece`'s split,
+    /// `shrink_piece_locked`'s holes, compaction's hole fill) or under
+    /// quiesce (`install`, with no read in flight), and the version is
+    /// bumped before that latch is released. A change completed before
+    /// the read latch was granted is therefore visible as a new version;
+    /// one that has not started cannot start while the latch is held.
+    /// Watermarks and the walk cursor move no extent and leave the
+    /// version alone. A facade atomic, so that `aidx-check` explores every
+    /// access to it.
+    version: facade::AtomicU64,
     /// Next position the incremental compaction walk resumes from
     /// (advisory: racing walkers merely duplicate a piece probe).
     walk_cursor: AtomicUsize,
@@ -259,6 +341,7 @@ impl PieceDirectory {
         PieceDirectory {
             state: RwLock::new(State::new(len, [], 0)),
             hole_rows: AtomicU64::new(0),
+            version: facade::AtomicU64::new(0),
             walk_cursor: AtomicUsize::new(0),
             gate: RwLock::new(()),
             instance: dcheck::instance_id(),
@@ -314,40 +397,67 @@ impl PieceDirectory {
         &self,
         target: Target,
         wanted: impl FnOnce(&Piece) -> bool,
-    ) -> Result<(Piece, Option<PieceLatch>), AlreadyCrack> {
-        let state = self.read();
-        let piece = state.locate(target)?;
-        let latch = wanted(&piece).then(|| state.records[&piece.start].latch());
-        Ok((piece, latch))
+    ) -> Found {
+        self.read().find_latched(target, wanted)
     }
 
-    /// The latch of the piece covering `pos`.
-    pub(crate) fn latch_at(&self, pos: usize) -> PieceLatch {
+    /// Both bounds of a range in one acquisition, each resolved as
+    /// [`Self::find_latched`] resolves a [`Target::Bound`] — the high one
+    /// only if the low one took no latch: a crack at the low bound may
+    /// split the high bound's piece, so it is looked up after that crack.
+    /// When neither took a latch, `plan` may turn the two lookups into a
+    /// plan and the ranges its walk visits; the walk's first latched
+    /// [`Span`] batch then comes from the same acquisition.
+    pub(crate) fn find_bounds<P>(
+        &self,
+        (low, high): (i64, i64),
+        wanted: impl Fn(&Piece) -> bool,
+        plan: impl FnOnce(&Found, &Found) -> Option<(P, Ranges)>,
+    ) -> (Found, Option<Found>, Option<(P, Span)>) {
         let state = self.read();
-        let record = state.records.range(..=pos).next_back();
-        record.expect("position 0 always has a record").1.latch()
-    }
-
-    /// Extent of the piece starting at `pos` (clipped to `limit`) and, if
-    /// `latch_next` and the walk continues, the following piece's latch —
-    /// one acquisition per walked piece. The caller holds latches covering
-    /// the piece, so its extent cannot change underneath.
-    pub(crate) fn walk_step(&self, pos: usize, limit: usize, latch_next: bool) -> WalkStep {
-        let state = self.read();
-        let len = state.map.array_len();
-        let mut from = state.records.range(pos..).peekable();
-        let holes = from
-            .next_if(|(&start, _)| start == pos)
-            .map_or(0, |(_, r)| r.holes);
-        let next = from.next();
-        let piece_end = next.as_ref().map_or(len, |(&start, _)| start).min(limit);
-        WalkStep {
-            piece_end,
-            live_end: piece_end - holes.min(piece_end - pos),
-            next_latch: next
-                .filter(|_| latch_next && piece_end < limit)
-                .map(|(_, record)| record.latch()),
+        let latched = |found: &Found| found.as_ref().is_ok_and(|(_, l)| l.is_some());
+        let low = state.find_latched(Target::Bound(low), &wanted);
+        if latched(&low) {
+            return (low, None, None);
         }
+        let high = state.find_latched(Target::Bound(high), &wanted);
+        let planned =
+            (!latched(&high))
+                .then(|| plan(&low, &high))
+                .flatten()
+                .map(|(plan, ranges)| {
+                    let version = self.version.load(Ordering::Acquire);
+                    let pieces = state.span(&ranges, true);
+                    (plan, Span { version, pieces })
+                });
+        (low, Some(high), planned)
+    }
+
+    /// The pieces overlapping `ranges` — at most 64, from the first
+    /// range's start on, clipped to the ranges, with their live ends and,
+    /// if `latched`, their latches — and the structure version they were
+    /// read at, in one acquisition. A walk continues from the last piece's
+    /// end. A walker that latches a piece of the batch and finds the
+    /// version unchanged may use the piece's recorded extent as it is (the
+    /// argument is on the `version` field); otherwise it re-spans from
+    /// that piece, whose extent its latch now freezes.
+    pub(crate) fn span(&self, ranges: &[(usize, usize)], latched: bool) -> Span {
+        let state = self.read();
+        Span {
+            version: self.version.load(Ordering::Acquire),
+            pieces: state.span(ranges, latched),
+        }
+    }
+
+    /// The current structure version (`Acquire`).
+    pub(crate) fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
+    }
+
+    /// Marks a change of some piece's extent or live end; the caller holds
+    /// the write lock.
+    fn bump_version(&self) {
+        self.version.fetch_add(1, Ordering::Release);
     }
 
     /// True while any dead slot awaits reclamation (lock-free).
@@ -393,6 +503,7 @@ impl PieceDirectory {
         for &(value, pos) in cracks.iter().rev() {
             state.split_lower(start, value, pos);
         }
+        self.bump_version();
     }
 
     /// Records `n` freshly swept dead slots at the tail of the piece
@@ -401,6 +512,7 @@ impl PieceDirectory {
         let mut state = self.write();
         state.record(start).holes += n;
         state.total_holes += n;
+        self.bump_version();
         // Mirrored before the sweep's shrink epoch goes even again, so a
         // reader whose epoch validates also saw a current mirror.
         self.hole_rows.fetch_add(n as u64, Ordering::Release);
@@ -412,6 +524,7 @@ impl PieceDirectory {
         let mut state = self.write();
         state.record(start).holes -= n;
         state.total_holes -= n;
+        self.bump_version();
         self.hole_rows.fetch_sub(n as u64, Ordering::Release);
     }
 
@@ -437,6 +550,7 @@ impl PieceDirectory {
         let mut fresh = State::new(len, cracks, epoch);
         fresh.retired = state.latch_totals();
         *state = fresh;
+        self.bump_version();
         self.hole_rows.store(0, Ordering::Release);
         self.walk_cursor.store(0, Ordering::Relaxed);
     }
@@ -591,18 +705,56 @@ mod tests {
         dir.read().records[&start].compacted_through
     }
 
+    /// The latch of the piece covering `pos`.
+    fn latch_at(dir: &PieceDirectory, pos: usize) -> PieceLatch {
+        let found = dir.find_latched(Target::Position(pos), |_| true);
+        found.unwrap().1.expect("a latch was asked for")
+    }
+
+    /// Checks one span batch against the directory: contiguous from the
+    /// first range's start, clipped to the ranges, each piece's live end
+    /// and latch those of its record. Returns where the batch stopped.
+    fn check_span(dir: &PieceDirectory, ranges: &[(usize, usize)], span: &Span) -> usize {
+        let mut expect = ranges.iter().filter(|(from, to)| from < to).copied();
+        let mut range = expect.next();
+        let mut at = range.map_or(0, |r| r.0);
+        for piece in &span.pieces {
+            let (from, to) = range.expect("no piece past the last range");
+            assert_eq!(piece.start, at.max(from), "contiguous in {ranges:?}");
+            assert!(
+                piece.start < piece.end && piece.end <= to,
+                "clipped to {ranges:?}"
+            );
+            let whole = dir.find(Target::Position(piece.start)).unwrap();
+            assert_eq!(piece.end, whole.end.min(to));
+            assert_eq!(piece.live_end, dir.live_end(&whole).min(piece.end));
+            let latch = piece.latch.as_ref().expect("a latched span");
+            assert!(Arc::ptr_eq(latch, &latch_at(dir, piece.start)));
+            at = piece.end;
+            if at == to {
+                range = expect.next();
+                at = range.map_or(at, |r| r.0);
+            }
+        }
+        assert!(span.pieces.len() <= SPAN_CAP);
+        if span.pieces.len() < SPAN_CAP {
+            assert!(range.is_none(), "an uncapped span covers every range");
+        }
+        at
+    }
+
     #[test]
     fn latches_are_created_lazily_and_shared() {
         let dir = with_starts(20, &[10]);
         assert!(dir.latch_stats_by_piece().is_empty());
-        let a = dir.latch_at(0);
-        let b = dir.latch_at(0);
-        let c = dir.latch_at(10);
+        let a = latch_at(&dir, 0);
+        let b = latch_at(&dir, 0);
+        let c = latch_at(&dir, 10);
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         // A position inside a piece resolves to that piece's latch; no
         // latch is ever recorded for a position that is not a piece start.
-        assert!(Arc::ptr_eq(&a, &dir.latch_at(7)));
+        assert!(Arc::ptr_eq(&a, &latch_at(&dir, 7)));
         let (piece, found) = dir.find_latched(Target::Key(12), |_| true).unwrap();
         assert_eq!((piece.start, piece.end), (10, 20));
         assert!(Arc::ptr_eq(&c, &found.unwrap()));
@@ -615,8 +767,8 @@ mod tests {
     #[test]
     fn stats_merge_across_piece_latches_with_attribution() {
         let dir = with_starts(20, &[7]);
-        drop(dir.latch_at(0).acquire_write(5));
-        drop(dir.latch_at(7).acquire_read());
+        drop(latch_at(&dir, 0).acquire_write(5));
+        drop(latch_at(&dir, 7).acquire_read());
         let stats = dir.latch_stats();
         assert_eq!(stats.write_acquisitions, 1);
         assert_eq!(stats.read_acquisitions, 1);
@@ -633,7 +785,7 @@ mod tests {
     #[test]
     fn install_retires_counts_into_the_cumulative_total() {
         let dir = with_starts(20, &[3]);
-        drop(dir.latch_at(3).acquire_write(1));
+        drop(latch_at(&dir, 3).acquire_write(1));
         {
             let _q = dir.quiesce();
             dir.install(20, [(3, 3)], 1);
@@ -647,7 +799,7 @@ mod tests {
             1,
             "totals survive installs"
         );
-        drop(dir.latch_at(3).acquire_write(2));
+        drop(latch_at(&dir, 3).acquire_write(2));
         assert_eq!(dir.latch_stats().write_acquisitions, 2);
         assert_eq!(dir.latch_stats_by_piece()[0].1.write_acquisitions, 1);
     }
@@ -655,8 +807,8 @@ mod tests {
     #[test]
     fn quiesce_excludes_operations_and_install_clears_latches() {
         let dir = Arc::new(with_starts(20, &[5]));
-        dir.latch_at(0);
-        dir.latch_at(5);
+        latch_at(&dir, 0);
+        latch_at(&dir, 5);
         assert_eq!(dir.latch_stats_by_piece().len(), 2);
         {
             let _q = dir.quiesce();
@@ -701,7 +853,7 @@ mod tests {
                 let dir = Arc::clone(&dir);
                 thread::spawn(move || {
                     for p in 0..50usize {
-                        drop(dir.latch_at(p).acquire_write(p as i64));
+                        drop(latch_at(&dir, p).acquire_write(p as i64));
                     }
                 })
             })
@@ -714,15 +866,41 @@ mod tests {
     }
 
     #[test]
+    fn span_batches_stop_at_the_cap_and_resume_where_they_stopped() {
+        let starts: Vec<usize> = (1..300).collect();
+        let dir = with_starts(300, &starts);
+        dir.add_holes(150, 1);
+        for ranges in [[(0, 300), (300, 300)], [(10, 100), (120, 290)]] {
+            let (mut rest, mut batches, mut pieces) = (ranges, 0, 0);
+            while rest.iter().any(|(from, to)| from < to) {
+                let span = dir.span(&rest, true);
+                let stop = check_span(&dir, &rest, &span);
+                pieces += span.pieces.len();
+                batches += 1;
+                rest = rest.map(|(from, to)| (from.max(stop), to));
+            }
+            let total: usize = ranges.iter().map(|(from, to)| to - from).sum();
+            assert_eq!(pieces, total, "one-row pieces, each walked once");
+            assert_eq!(batches, total.div_ceil(SPAN_CAP));
+        }
+        let span = dir.span(&[(150, 151)], false);
+        assert_eq!((span.pieces[0].live_end, span.pieces.len()), (150, 1));
+        assert!(
+            span.pieces[0].latch.is_none(),
+            "an unlatched span creates none"
+        );
+    }
+
+    #[test]
     fn a_split_keeps_the_lower_identity_and_hands_tail_and_watermark_up() {
         let dir = PieceDirectory::new(100);
-        let latch = dir.latch_at(0);
+        let latch = latch_at(&dir, 0);
         drop(latch.acquire_write(0));
         dir.add_holes(0, 10);
         dir.mark_compacted(0, 7);
         dir.split(0, &[(50, 40)]);
         // Lower sub-piece: same latch, same counters, no dead tail.
-        assert!(Arc::ptr_eq(&latch, &dir.latch_at(0)));
+        assert!(Arc::ptr_eq(&latch, &latch_at(&dir, 0)));
         assert_eq!(dir.latch_stats_by_piece()[0].1.write_acquisitions, 1);
         let lower = dir.find(Target::Key(10)).unwrap();
         assert_eq!((lower.start, lower.end, dir.live_end(&lower)), (0, 40, 40));
@@ -741,7 +919,7 @@ mod tests {
         dir.split(40, &[(50 - 1, 40)]);
         dir.split(0, &[(45, 40)]);
         assert_eq!((dir.holes_in(0, 40), dir.holes_in(40, 100)), (0, 10));
-        assert!(Arc::ptr_eq(&upper_latch, &dir.latch_at(40)));
+        assert!(Arc::ptr_eq(&upper_latch, &latch_at(&dir, 40)));
         assert!(dir.check_invariants(100, 7));
     }
 
@@ -865,13 +1043,62 @@ mod tests {
                 pos
             );
             assert_eq!(dir.live_end(&piece), model.live_end(&piece));
-            let step = dir.walk_step(piece.start, model.len, false);
-            assert_eq!(
-                (step.piece_end, step.live_end),
-                (piece.end, model.live_end(&piece))
-            );
             let state = model.starts.iter().find(|s| s.0 == piece.start).unwrap();
             assert_eq!(watermark(dir, piece.start), state.2, "watermark at {}", pos);
+        }
+        // Spans between piece boundaries, one range and two.
+        let mut bounds: Vec<usize> = model.starts.iter().map(|s| s.0).collect();
+        bounds.push(model.len);
+        bounds.sort_unstable();
+        bounds.dedup();
+        for (i, &from) in bounds.iter().enumerate() {
+            let next = bounds.get(i + 1).copied().unwrap_or(from);
+            for ranges in [[(from, model.len), (0, 0)], [(0, from), (next, model.len)]] {
+                let span = dir.span(&ranges, true);
+                let last = ranges.iter().rfind(|(from, to)| from < to);
+                assert_eq!(check_span(dir, &ranges, &span), last.map_or(0, |r| r.1));
+                assert_eq!(span.version, dir.version());
+            }
+        }
+        // Both bounds in one acquisition, against two sequential lookups.
+        let wanted = |piece: &Piece| piece.len() % 2 == 1;
+        for low in (-24..24).step_by(3) {
+            for high in [low + 1, low + 4, low + 11] {
+                let mut planned = false;
+                let plan = |l: &Found, h: &Found| {
+                    planned = true;
+                    let start = l.as_ref().map_or_else(|c| c.0, |(p, _)| p.start);
+                    let end = h.as_ref().map_or_else(|c| c.0, |(p, _)| p.end);
+                    Some(((), [(start, end.max(start)), (0, 0)]))
+                };
+                let (l, h, span) = dir.find_bounds((low, high), wanted, plan);
+                let l_latched = matches!(l, Ok((_, Some(_))));
+                assert_eq!(
+                    h.is_none(),
+                    l_latched,
+                    "the high bound waits for the low one's latch"
+                );
+                let h = h.unwrap_or_else(|| dir.find_latched(Target::Bound(high), wanted));
+                for (found, bound) in [(&l, low), (&h, high)] {
+                    let alone = dir.find(Target::Bound(bound));
+                    assert_eq!(found.as_ref().map(|(p, _)| *p), alone.as_ref().copied());
+                    if let Ok((piece, latch)) = found {
+                        assert_eq!(latch.is_some(), wanted(piece), "bound {}", bound);
+                        if let Some(latch) = latch {
+                            assert!(Arc::ptr_eq(latch, &latch_at(dir, piece.start)));
+                        }
+                    }
+                }
+                let latched = [&l, &h].iter().any(|f| matches!(f, Ok((_, Some(_)))));
+                assert_eq!(planned, !latched, "[{}, {})", low, high);
+                if let Some(((), span)) = span {
+                    let start = l.as_ref().map_or_else(|c| c.0, |(p, _)| p.start);
+                    let end = h.as_ref().map_or_else(|c| c.0, |(p, _)| p.end);
+                    let ranges = [(start, end.max(start))];
+                    let stop = if start < end { end } else { 0 };
+                    assert_eq!(check_span(dir, &ranges, &span), stop);
+                }
+            }
         }
         let holes: usize = model.starts.iter().map(|s| s.1).sum();
         assert_eq!(dir.total_holes(), holes);
@@ -905,6 +1132,14 @@ mod tests {
             for &(kind, value, pick) in &ops {
                 // Hole and watermark ops address the piece covering a position.
                 let covering = (len > 0).then(|| model.by_position(pick % len.max(1)));
+                // Every op that may move an extent or a live end bumps the
+                // structure version; a watermark advance does not.
+                let version = dir.version();
+                let moves = match (kind, covering) {
+                    (6, Some(_)) => Some(false),
+                    (0..=5 | 8..=9, Some(_)) | (0..=3 | 7..=9, None) => Some(true),
+                    _ => None,
+                };
                 match (kind, covering) {
                     (0..=3, _) => {
                         let Ok(piece) = dir.find(Target::Bound(value)) else { continue };
@@ -938,10 +1173,11 @@ mod tests {
                     }
                     (4, Some(piece)) => {
                         let n = pick % (model.live_end(&piece) - piece.start + 1);
-                        if n > 0 {
-                            dir.add_holes(piece.start, n);
-                            model.start(piece.start).1 += n;
+                        if n == 0 {
+                            continue;
                         }
+                        dir.add_holes(piece.start, n);
+                        model.start(piece.start).1 += n;
                     }
                     (5, Some(piece)) => {
                         let n = pick % (piece.end - model.live_end(&piece) + 1);
@@ -973,6 +1209,9 @@ mod tests {
                         prop_assert_eq!(dir.walk_cursor(), 0);
                     }
                     _ => {}
+                }
+                if let Some(moves) = moves {
+                    prop_assert_eq!(dir.version() > version, moves, "op {}", kind);
                 }
                 assert_agrees(&dir, &model, epoch);
             }

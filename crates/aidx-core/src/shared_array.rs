@@ -23,8 +23,9 @@
 //!   `sweep_tombstoned`) only while holding the **write** latch of the
 //!   piece that covers the range.
 //! * A thread may call a reading range operation (`sum_range`,
-//!   `values_in_range`, `rowids_in_range`, `extend_rowids`) only while
-//!   holding the **read or write** latch of the piece(s) covering the range.
+//!   `count_sum_filtered`, `values_in_range`, `rowids_in_range`,
+//!   `extend_rowids`) only while holding the **read or write** latch of
+//!   the piece(s) covering the range.
 //! * Piece latches are managed by [`crate::concurrent_index::ConcurrentCracker`];
 //!   pieces never overlap, so latched ranges never overlap.
 //!
@@ -50,6 +51,20 @@ use aidx_storage::{Column, RowId};
 use std::cell::UnsafeCell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The low 32 bits of a value's two's complement.
+const LOW_HALF: u64 = u32::MAX as u64;
+
+/// Rows the split-sum kernels fold before combining: each row adds less
+/// than 2^32 to a half's `u64` accumulator, so none can overflow.
+const SPLIT_SUM_ROWS: usize = u32::MAX as usize;
+
+/// The exact sum of values whose two's complements' low and high 32-bit
+/// halves sum to `low_half` and `high_half`, `negative` of them below
+/// zero: a value is `high·2^32 + low − sign·2^64`.
+fn split_sum(low_half: u64, high_half: u64, negative: u64) -> i128 {
+    low_half as i128 + ((high_half as i128) << 32) - ((negative as i128) << 64)
+}
 
 /// A fixed-size (value, row-id) pair of arrays with interior mutability,
 /// safe to share across threads when access is mediated by piece latches.
@@ -427,57 +442,72 @@ impl SharedCrackerArray {
     }
 
     /// Sum of the values in `[start, end)`. Caller must hold read or write
-    /// latches covering the range.
+    /// latches covering the range. Exact without a per-row `i128` add: the
+    /// pass sums the values' low and high 32-bit halves and counts the
+    /// negative ones in `u64`s, which `split_sum` combines once.
     pub fn sum_range(&self, start: usize, end: usize) -> i128 {
-        assert!(start <= end && end <= self.len(), "sum range out of bounds");
-        let values = self.values_ptr();
-        let mut acc: i128 = 0;
-        // SAFETY: bounds checked above; shared access guaranteed by latches.
-        unsafe {
-            for i in start..end {
-                acc += *values.add(i) as i128;
+        let values = self.values_in(start, end);
+        let chunk_sum = |chunk: &[i64]| {
+            let (mut low_half, mut high_half, mut negative) = (0u64, 0u64, 0u64);
+            for &v in chunk {
+                let bits = v as u64;
+                low_half += bits & LOW_HALF;
+                high_half += bits >> 32;
+                negative += bits >> 63;
             }
-        }
-        acc
+            split_sum(low_half, high_half, negative)
+        };
+        values.chunks(SPLIT_SUM_ROWS).map(chunk_sum).sum()
     }
 
-    /// Count of values in `[start, end)` that satisfy `low <= v < high`.
-    /// Used when a query skipped refinement and must filter a boundary piece
-    /// under a read latch.
-    pub fn count_filtered(&self, start: usize, end: usize, low: i64, high: i64) -> u64 {
+    /// Count and sum of the values in `[start, end)` that satisfy `low <= v
+    /// < high`, in one branch-free pass: an unsigned compare against the
+    /// range's width decides each row, and a mask zeroes the rows outside
+    /// it in the split sum of [`Self::sum_range`]. Used for the edge pieces
+    /// a read filters under their read latches; an empty key range
+    /// (`high <= low`) selects nothing.
+    pub(crate) fn count_sum_filtered(
+        &self,
+        start: usize,
+        end: usize,
+        low: i64,
+        high: i64,
+    ) -> (u64, i128) {
+        let values = self.values_in(start, end);
+        if high <= low {
+            return (0, 0);
+        }
+        // `low <= v < high` iff `v − low`, wrapped, is below the width.
+        let width = high.wrapping_sub(low) as u64;
+        let chunk_count_sum = |chunk: &[i64]| {
+            let (mut rows, mut low_half, mut high_half, mut negative) = (0u64, 0u64, 0u64, 0u64);
+            for &v in chunk {
+                let hit = (v.wrapping_sub(low) as u64) < width;
+                let bits = v as u64 & (hit as u64).wrapping_neg();
+                rows += hit as u64;
+                low_half += bits & LOW_HALF;
+                high_half += bits >> 32;
+                negative += bits >> 63;
+            }
+            (rows, split_sum(low_half, high_half, negative))
+        };
+        values
+            .chunks(SPLIT_SUM_ROWS)
+            .map(chunk_count_sum)
+            .fold((0, 0), |(rows, sum), (n, s)| (rows + n, sum + s))
+    }
+
+    /// The values in `[start, end)`, for the read kernels. Caller must hold
+    /// read or write latches covering the range for as long as it uses the
+    /// slice.
+    fn values_in(&self, start: usize, end: usize) -> &[i64] {
         assert!(
             start <= end && end <= self.len(),
-            "count range out of bounds"
+            "read range out of bounds"
         );
-        let values = self.values_ptr();
-        let mut n = 0u64;
-        // SAFETY: bounds checked above; shared access guaranteed by latches.
-        unsafe {
-            for i in start..end {
-                let v = *values.add(i);
-                if v >= low && v < high {
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Sum of values in `[start, end)` that satisfy `low <= v < high`.
-    pub fn sum_filtered(&self, start: usize, end: usize, low: i64, high: i64) -> i128 {
-        assert!(start <= end && end <= self.len(), "sum range out of bounds");
-        let values = self.values_ptr();
-        let mut acc: i128 = 0;
-        // SAFETY: bounds checked above; shared access guaranteed by latches.
-        unsafe {
-            for i in start..end {
-                let v = *values.add(i);
-                if v >= low && v < high {
-                    acc += v as i128;
-                }
-            }
-        }
-        acc
+        // SAFETY: bounds checked above; the caller's latches keep every
+        // writer out of the range while the slice is in use.
+        unsafe { std::slice::from_raw_parts(self.values_ptr().add(start), end - start) }
     }
 
     /// Copies the values in `[start, end)` out of the array. Caller must
@@ -703,6 +733,38 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both aggregate kernels against a per-row `i128` reference, on
+        /// sub-ranges (empty ones included) of arrays that reach `i64::MIN`
+        /// and `i64::MAX`, with key ranges in either order.
+        #[test]
+        fn aggregate_kernels_agree_with_an_i128_reference(
+            raw in prop::collection::vec((0u8..4, any::<i64>()), 0..300),
+            cut in (0usize..400, 0usize..400),
+            keys in (0u8..4, any::<i64>(), any::<i64>()),
+        ) {
+            let extreme = |(pick, v): (u8, i64)| match pick {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => v % 1000,
+                _ => v,
+            };
+            let values: Vec<i64> = raw.into_iter().map(extreme).collect();
+            let n = values.len();
+            let (a, b) = (cut.0 % (n + 1), cut.1 % (n + 1));
+            let (start, end) = (a.min(b), a.max(b));
+            let (low, high) = (extreme((keys.0, keys.1)), extreme((keys.0 / 2, keys.2)));
+            let array = SharedCrackerArray::from_values(values.clone());
+            let range = &values[start..end];
+            prop_assert_eq!(array.sum_range(start, end), range.iter().map(|&v| v as i128).sum::<i128>());
+            let hits = range.iter().filter(|&&v| v >= low && v < high);
+            let want = (hits.clone().count() as u64, hits.map(|&v| v as i128).sum::<i128>());
+            prop_assert_eq!(array.count_sum_filtered(start, end, low, high), want);
+        }
+    }
+
     #[test]
     fn construction_and_basic_reads() {
         let arr = SharedCrackerArray::from_values(vec![5, 1, 9, 3]);
@@ -711,8 +773,7 @@ mod tests {
         assert_eq!(arr.values_in_range(0, 4), vec![5, 1, 9, 3]);
         assert_eq!(arr.rowids_in_range(0, 4), vec![0, 1, 2, 3]);
         assert_eq!(arr.sum_range(1, 3), 10);
-        assert_eq!(arr.count_filtered(0, 4, 3, 9), 2);
-        assert_eq!(arr.sum_filtered(0, 4, 3, 9), 8);
+        assert_eq!(arr.count_sum_filtered(0, 4, 3, 9), (2, 8));
         let col = Column::from_values("a", vec![7, 7]);
         let arr = SharedCrackerArray::from_column(&col);
         assert_eq!(arr.snapshot().0, vec![7, 7]);

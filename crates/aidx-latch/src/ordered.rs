@@ -16,7 +16,7 @@
 //! are compatible with each other and are admitted whenever no writer holds
 //! the latch and no writer has already been chosen to run next.
 
-use crate::facade::{Condvar, Mutex};
+use crate::facade::{Condvar, Mutex, MutexGuard};
 use crate::stats::{LatchStats, LatchStatsSnapshot};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,6 +66,14 @@ struct State {
     write_waiters: Vec<Waiter>,
     /// Ticket of the write waiter chosen to run next, if any.
     chosen: Option<u64>,
+    /// Threads blocked in `condvar.wait`, readers and writers alike:
+    /// counted up before a wait and down after it, both under the mutex,
+    /// so a release that reads zero has nobody to wake and skips the
+    /// notification — and with it the futex syscall the condvar makes on
+    /// every notify. A waiter counted before the release took the mutex is
+    /// already queued on the condvar when the notification comes, and one
+    /// that arrives later sees the released state before it waits.
+    sleepers: usize,
 }
 
 /// An exclusive/shared latch whose write waiters are woken middle-first.
@@ -115,6 +123,7 @@ impl OrderedWaitLatch {
                 next_ticket: 0,
                 write_waiters: Vec::new(),
                 chosen: None,
+                sleepers: 0,
             }),
             condvar: Condvar::new(),
             stats,
@@ -196,7 +205,7 @@ impl OrderedWaitLatch {
                     released: false,
                 };
             }
-            self.condvar.wait(&mut state);
+            self.sleep(&mut state);
         }
     }
 
@@ -258,8 +267,15 @@ impl OrderedWaitLatch {
                     released: false,
                 };
             }
-            self.condvar.wait(&mut state);
+            self.sleep(&mut state);
         }
+    }
+
+    /// Blocks on the condvar until a release, counted as a sleeper.
+    fn sleep(&self, state: &mut MutexGuard<'_, State>) {
+        state.sleepers += 1;
+        self.condvar.wait(state);
+        state.sleepers -= 1;
     }
 
     /// Attempts a shared acquisition without waiting.
@@ -301,8 +317,7 @@ impl OrderedWaitLatch {
         debug_assert_eq!(state.mode, Mode::Exclusive);
         state.mode = Mode::Free;
         Self::choose_next(&mut state);
-        drop(state);
-        self.condvar.notify_all();
+        self.wake(state);
     }
 
     fn release_read(&self) {
@@ -316,8 +331,17 @@ impl OrderedWaitLatch {
         if state.mode == Mode::Free {
             Self::choose_next(&mut state);
         }
+        self.wake(state);
+    }
+
+    /// Drops the state lock after a release and wakes every sleeper, if
+    /// there is one.
+    fn wake(&self, state: MutexGuard<'_, State>) {
+        let sleepers = state.sleepers > 0;
         drop(state);
-        self.condvar.notify_all();
+        if sleepers {
+            self.condvar.notify_all();
+        }
     }
 
     /// Picks the middle waiter (by bound order) as the next writer.
