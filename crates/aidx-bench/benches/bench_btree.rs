@@ -1,7 +1,8 @@
-//! Micro-benchmarks of the B-tree substrate and adaptive merging: bulk
-//! insertion, range scans, run creation, and merge steps.
+//! Micro-benchmarks of the partitioned B-tree and adaptive merging: merge
+//! steps, run creation, and query sequences of adaptive merging and the
+//! hybrid crack-sort.
 
-use aidx_btree::{AdaptiveMergeIndex, BTree, HybridCrackSort, PartitionedBTree};
+use aidx_btree::{AdaptiveMergeIndex, HybridCrackSort, PartitionedBTree};
 use aidx_storage::generate_unique_shuffled;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -13,22 +14,6 @@ fn bench_btree(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(300));
     group.measurement_time(std::time::Duration::from_millis(900));
-    group.bench_function("insert_100k", |b| {
-        b.iter(|| {
-            let mut tree = BTree::with_order(64);
-            for (i, &v) in values.iter().enumerate() {
-                tree.insert(v, i as u32);
-            }
-            tree.len()
-        })
-    });
-    group.bench_function("range_scan_10k_of_100k", |b| {
-        let mut tree = BTree::with_order(64);
-        for (i, &v) in values.iter().enumerate() {
-            tree.insert(v, i as u32);
-        }
-        b.iter(|| tree.range(&10_000, &20_000).len())
-    });
     group.bench_function("partitioned_move_range", |b| {
         b.iter_batched(
             || {

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the cracking primitives: crack-in-two/three on a
-//! large array and AVL table-of-contents operations.
+//! large array and a sequence of crack selects.
 
-use aidx_cracking::{AvlTree, CrackerArray, CrackerIndex};
+use aidx_cracking::{CrackerArray, CrackerIndex};
 use aidx_storage::generate_unique_shuffled;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -41,29 +41,5 @@ fn bench_crack_primitives(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_avl(c: &mut Criterion) {
-    let mut group = c.benchmark_group("avl_table_of_contents");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(900));
-    group.bench_function("insert_4096", |b| {
-        b.iter(|| {
-            let mut tree = AvlTree::new();
-            for i in 0..4096i64 {
-                tree.insert((i * 2654435761) % 1_000_000, i as usize);
-            }
-            tree.len()
-        })
-    });
-    group.bench_function("floor_lookup", |b| {
-        let mut tree = AvlTree::new();
-        for i in 0..4096i64 {
-            tree.insert(i * 31, i as usize);
-        }
-        b.iter(|| tree.floor(&63_000).map(|(k, _)| *k))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_crack_primitives, bench_avl);
+criterion_group!(benches, bench_crack_primitives);
 criterion_main!(benches);

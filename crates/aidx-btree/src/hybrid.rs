@@ -9,7 +9,7 @@
 //! minimum needed to find the qualifying values; effort spent on the final
 //! partition pays off for every later query.
 
-use aidx_cracking::{CrackerArray, PieceMap};
+use aidx_cracking::{CrackerArray, PieceLookup, PieceMap};
 use aidx_storage::{Column, RowId};
 
 /// Progress counters for the hybrid index.
@@ -46,10 +46,9 @@ impl InitialPartition {
     /// Position of the first value `>= bound`, cracking the containing piece
     /// if necessary. Returns `(position, cracked)`.
     fn position_for_bound(&mut self, bound: i64) -> (usize, bool) {
-        match self.map.crack_position(bound) {
-            Some(pos) => (pos, false),
-            None => {
-                let piece = self.map.piece_for_value(bound);
+        match self.map.lookup(bound) {
+            PieceLookup::Exact(pos) => (pos, false),
+            PieceLookup::NeedsCrack(piece) => {
                 let pos = self.array.crack_in_two(piece.start, piece.end, bound);
                 self.map.add_crack(bound, pos);
                 (pos, true)
@@ -116,22 +115,6 @@ impl InitialPartition {
         self.map = new_map;
         (extracted, cracks)
     }
-
-    /// Removes and returns every entry whose key equals `value`: cracks at
-    /// the value's bounds so the doomed rows are contiguous, then removes
-    /// the run via the shared `aidx-cracking` delete primitives (which own
-    /// the `i64::MAX` upper-bound edge and the boundary fixup).
-    fn delete_key(&mut self, value: i64) -> Vec<(i64, RowId)> {
-        if self.array.is_empty() {
-            return Vec::new();
-        }
-        let (a, _) = self.position_for_bound(value);
-        let b = match aidx_cracking::delta::next_key(value) {
-            Some(next) => self.position_for_bound(next).0,
-            None => self.array.len(),
-        };
-        aidx_cracking::delta::remove_key_run(&mut self.array, &mut self.map, value, a, b)
-    }
 }
 
 /// The hybrid crack-sort index: unsorted, crackable initial partitions plus
@@ -143,7 +126,6 @@ pub struct HybridCrackSort {
     final_keys: Vec<i64>,
     final_rowids: Vec<RowId>,
     total_records: usize,
-    next_rowid: RowId,
     stats: HybridStats,
 }
 
@@ -169,7 +151,6 @@ impl HybridCrackSort {
             final_keys: Vec::new(),
             final_rowids: Vec::new(),
             total_records: values.len(),
-            next_rowid: values.len() as RowId,
             stats: HybridStats {
                 initial_partitions,
                 ..HybridStats::default()
@@ -259,36 +240,6 @@ impl HybridCrackSort {
         }
         self.final_keys = keys;
         self.final_rowids = rowids;
-    }
-
-    /// Inserts one row with the given key directly into the sorted final
-    /// partition (the structure every query answers from), returning its
-    /// new row id.
-    pub fn insert(&mut self, key: i64) -> RowId {
-        let rowid = self.next_rowid;
-        self.next_rowid += 1;
-        let pos = self.final_keys.partition_point(|&k| k <= key);
-        self.final_keys.insert(pos, key);
-        self.final_rowids.insert(pos, rowid);
-        self.total_records += 1;
-        rowid
-    }
-
-    /// Deletes every row whose key equals `key` from the initial
-    /// partitions (cracking them at the key's bounds) and the final
-    /// partition, returning how many rows were removed.
-    pub fn delete(&mut self, key: i64) -> u64 {
-        let mut removed = 0usize;
-        for part in &mut self.initial {
-            removed += part.delete_key(key).len();
-        }
-        let start = self.final_keys.partition_point(|&k| k < key);
-        let end = self.final_keys.partition_point(|&k| k <= key);
-        removed += end - start;
-        self.final_keys.drain(start..end);
-        self.final_rowids.drain(start..end);
-        self.total_records -= removed;
-        removed as u64
     }
 
     /// Q1 with hybrid refinement as a side effect.
@@ -432,34 +383,6 @@ mod tests {
             "at most two cracks per initial partition"
         );
         assert_eq!(idx.stats().queries, 1);
-    }
-
-    #[test]
-    fn inserts_and_deletes_keep_answers_consistent() {
-        let values = shuffled(200);
-        let mut idx = HybridCrackSort::build_from_values(&values, 40);
-        idx.count(50, 120); // move some records to the final partition
-        let rid = idx.insert(75);
-        assert_eq!(rid, 200);
-        idx.insert(300); // beyond the original domain
-        let mut oracle = values.clone();
-        oracle.push(75);
-        oracle.push(300);
-        let expected = oracle.iter().filter(|&&v| v == 75).count() as u64;
-        assert_eq!(idx.delete(75), expected, "deletes hit final + initial");
-        oracle.retain(|&v| v != 75);
-        assert_eq!(idx.delete(130), 1, "delete of an uncracked initial key");
-        oracle.retain(|&v| v != 130);
-        for (low, high) in [(0, 400), (60, 90), (120, 140), (290, 310)] {
-            assert_eq!(
-                idx.count(low, high),
-                ops::count(&oracle, low, high),
-                "[{low},{high})"
-            );
-            assert_eq!(idx.sum(low, high), ops::sum(&oracle, low, high));
-        }
-        assert_eq!(idx.len(), oracle.len());
-        assert!(idx.check_invariants());
     }
 
     #[test]

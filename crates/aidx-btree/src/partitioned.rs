@@ -9,11 +9,10 @@
 //!
 //! Here the composite key is `(partition, key, rowid)`: the trailing row id
 //! guarantees uniqueness even when key values repeat, so the underlying
-//! [`BTree`] can remain a plain ordered map.
+//! B-tree is a plain ordered set — the `std` [`BTreeSet`].
 
-use crate::tree::BTree;
 use aidx_storage::RowId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifier of a partition inside the partitioned B-tree.
 pub type PartitionId = u32;
@@ -58,7 +57,7 @@ impl PartKey {
 /// key field, plus a small table of contents with per-partition counts.
 #[derive(Debug, Clone)]
 pub struct PartitionedBTree {
-    tree: BTree<PartKey, ()>,
+    tree: BTreeSet<PartKey>,
     /// Table of contents: partition → number of records currently stored.
     toc: BTreeMap<PartitionId, usize>,
 }
@@ -70,18 +69,10 @@ impl Default for PartitionedBTree {
 }
 
 impl PartitionedBTree {
-    /// Creates an empty partitioned B-tree with the default node order.
+    /// Creates an empty partitioned B-tree.
     pub fn new() -> Self {
         PartitionedBTree {
-            tree: BTree::new(),
-            toc: BTreeMap::new(),
-        }
-    }
-
-    /// Creates an empty partitioned B-tree with an explicit node order.
-    pub fn with_order(order: usize) -> Self {
-        PartitionedBTree {
-            tree: BTree::with_order(order),
+            tree: BTreeSet::new(),
             toc: BTreeMap::new(),
         }
     }
@@ -98,18 +89,12 @@ impl PartitionedBTree {
 
     /// Inserts one record into a partition.
     pub fn insert(&mut self, partition: PartitionId, key: i64, rowid: RowId) {
-        let existed = self
-            .tree
-            .insert(
-                PartKey {
-                    partition,
-                    key,
-                    rowid,
-                },
-                (),
-            )
-            .is_some();
-        if !existed {
+        let inserted = self.tree.insert(PartKey {
+            partition,
+            key,
+            rowid,
+        });
+        if inserted {
             *self.toc.entry(partition).or_insert(0) += 1;
         }
     }
@@ -141,11 +126,7 @@ impl PartitionedBTree {
         }
         let lo = PartKey::lower(partition, low);
         let hi = PartKey::lower(partition, high);
-        self.tree
-            .range(&lo, &hi)
-            .into_iter()
-            .map(|(k, _)| (k.key, k.rowid))
-            .collect()
+        self.tree.range(lo..hi).map(|k| (k.key, k.rowid)).collect()
     }
 
     /// All `(key, rowid)` records of `partition`, in key order.
@@ -156,11 +137,7 @@ impl PartitionedBTree {
             rowid: 0,
         };
         let hi = PartKey::partition_end(partition);
-        self.tree
-            .range(&lo, &hi)
-            .into_iter()
-            .map(|(k, _)| (k.key, k.rowid))
-            .collect()
+        self.tree.range(lo..hi).map(|k| (k.key, k.rowid)).collect()
     }
 
     /// Removes and returns all records of `partition` with
@@ -202,7 +179,11 @@ impl PartitionedBTree {
         lo: PartKey,
         hi: PartKey,
     ) -> Vec<(i64, RowId)> {
-        let removed = self.tree.remove_range(&lo, &hi);
+        let removed: Vec<(i64, RowId)> = self
+            .tree
+            .extract_if(lo..hi, |_| true)
+            .map(|k| (k.key, k.rowid))
+            .collect();
         if !removed.is_empty() {
             let count = self
                 .toc
@@ -210,7 +191,7 @@ impl PartitionedBTree {
                 .expect("partition with records must be in the table of contents");
             *count -= removed.len();
         }
-        removed.into_iter().map(|(k, _)| (k.key, k.rowid)).collect()
+        removed
     }
 
     /// Moves all records with `low <= key < high` from partition `from` to
@@ -236,14 +217,10 @@ impl PartitionedBTree {
         out
     }
 
-    /// Verifies structural invariants of the underlying tree and that the
-    /// table of contents agrees with the stored records.
+    /// Verifies that the table of contents agrees with the stored records.
     pub fn check_invariants(&self) -> bool {
-        if !self.tree.check_invariants() {
-            return false;
-        }
         let mut counts: BTreeMap<PartitionId, usize> = BTreeMap::new();
-        for (k, _) in self.tree.iter_all() {
+        for k in &self.tree {
             *counts.entry(k.partition).or_insert(0) += 1;
         }
         for (&p, &n) in &self.toc {
@@ -262,7 +239,7 @@ mod tests {
     use super::*;
 
     fn loaded_tree() -> PartitionedBTree {
-        let mut t = PartitionedBTree::with_order(8);
+        let mut t = PartitionedBTree::new();
         // Partition 1: even keys, partition 2: odd keys.
         for i in 0..100i64 {
             let pid = if i % 2 == 0 { 1 } else { 2 };
@@ -362,7 +339,7 @@ mod tests {
         let mut t = PartitionedBTree::new();
         t.insert(1, 42, 0);
         t.insert(1, 42, 1);
-        t.insert(1, 42, 1); // exact duplicate: replaced, not double counted
+        t.insert(1, 42, 1); // exact duplicate: stored and counted once
         assert_eq!(t.partition_len(1), 2);
         assert_eq!(t.range_in_partition(1, 42, 43).len(), 2);
         assert!(t.check_invariants());

@@ -72,8 +72,7 @@ impl CompactionPolicy {
 
     /// Compact whenever the delta reaches `rows` rows. `rows == 0` means
     /// *disabled*, matching every other threshold knob in the stack
-    /// (`ExperimentConfig::compaction_threshold`,
-    /// `CrackerIndex::with_compaction_threshold`, ...).
+    /// (`ExperimentConfig::compaction_threshold`, ...).
     pub const fn rows(rows: u64) -> Self {
         CompactionPolicy {
             max_delta_rows: if rows == 0 { None } else { Some(rows) },

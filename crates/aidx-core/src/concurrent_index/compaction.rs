@@ -266,10 +266,8 @@ impl ConcurrentCracker {
     /// (skipping dead tails), dropping each piece's tombstoned rows, and
     /// appending each pending insert to the piece whose key interval
     /// contains it — so every existing crack value survives, its position
-    /// shifted by the net row movement below it, exactly the boundary
-    /// fixup `PieceMap::apply_insert_batch`/`apply_delete` perform for the
-    /// single-threaded cracker's delta merge — and the rebuilt structure is
-    /// installed with everything stamped so far merged. Returns `(pending
+    /// shifted by the net row movement below it — and the rebuilt structure
+    /// is installed with everything stamped so far merged. Returns `(pending
     /// rows merged, tombstoned rows dropped)`.
     pub(super) fn rebuild_from_delta(&self) -> (u64, u64) {
         let drained = self.delta.drain();

@@ -40,7 +40,7 @@
 //! start. Piece latches stay the
 //! fine-grained coordination *within* an operation.
 
-use aidx_cracking::{Piece, PieceMap};
+use aidx_cracking::{Piece, PieceLookup, PieceMap};
 use aidx_latch::dcheck;
 use aidx_latch::facade::{self, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use aidx_latch::ordered::OrderedWaitLatch;
@@ -194,11 +194,9 @@ impl State {
 
     fn locate(&self, target: Target) -> Result<Piece, AlreadyCrack> {
         match target {
-            // The piece above a crack has that crack's value as its lower
-            // bound and starts where the crack is.
-            Target::Bound(value) => match self.map.piece_for_value(value) {
-                piece if piece.low_value == Some(value) => Err(AlreadyCrack(piece.start)),
-                piece => Ok(piece),
+            Target::Bound(value) => match self.map.lookup(value) {
+                PieceLookup::Exact(pos) => Err(AlreadyCrack(pos)),
+                PieceLookup::NeedsCrack(piece) => Ok(piece),
             },
             Target::Key(value) => Ok(self.map.piece_for_value(value)),
             Target::Position(pos) => {

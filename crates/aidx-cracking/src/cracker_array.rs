@@ -125,104 +125,9 @@ impl CrackerArray {
         (p_low, p_high)
     }
 
-    /// Fully sorts the range `[start, end)` by value (used by the sort
-    /// baseline and by adaptive-merging run creation).
-    pub fn sort_range(&mut self, start: usize, end: usize) {
-        assert!(start <= end && end <= self.len(), "invalid sort range");
-        // Sort an index permutation, then apply it to both arrays.
-        let mut perm: Vec<usize> = (start..end).collect();
-        perm.sort_by_key(|&i| self.values[i]);
-        let vals: Vec<i64> = perm.iter().map(|&i| self.values[i]).collect();
-        let rids: Vec<RowId> = perm.iter().map(|&i| self.rowids[i]).collect();
-        self.values[start..end].copy_from_slice(&vals);
-        self.rowids[start..end].copy_from_slice(&rids);
-    }
-
-    /// True if the range `[start, end)` is sorted by value.
-    pub fn is_sorted_range(&self, start: usize, end: usize) -> bool {
-        self.values[start..end].windows(2).all(|w| w[0] <= w[1])
-    }
-
     /// Sum of the values in `[start, end)` (contiguous aggregation).
     pub fn sum_range(&self, start: usize, end: usize) -> i128 {
         self.values[start..end].iter().map(|&v| v as i128).sum()
-    }
-
-    /// Inserts a `(value, rowid)` pair at `pos`, shifting later entries
-    /// right. Used by the pending-delta merge: the caller picks a position
-    /// inside the piece whose key interval contains `value` and then fixes
-    /// up the piece boundaries (see [`crate::piece::PieceMap::apply_insert`]).
-    ///
-    /// # Panics
-    /// Panics if `pos > len`.
-    pub fn insert_at(&mut self, pos: usize, value: i64, rowid: RowId) {
-        assert!(pos <= self.len(), "insert position out of bounds");
-        self.values.insert(pos, value);
-        self.rowids.insert(pos, rowid);
-    }
-
-    /// Inserts a batch of `(position, value, rowid)` entries in one
-    /// rebuild pass. Positions are in the *current* (pre-insert)
-    /// coordinates and must be non-decreasing; an entry at position `p`
-    /// lands before the current element at `p`, and entries sharing a
-    /// position keep their relative order. `O(n + k)` for `k` entries,
-    /// versus `O(k·n)` for repeated [`Self::insert_at`].
-    ///
-    /// # Panics
-    /// Panics if positions are out of bounds or decrease.
-    pub fn insert_batch(&mut self, entries: &[(usize, i64, RowId)]) {
-        if entries.is_empty() {
-            return;
-        }
-        assert!(
-            entries.windows(2).all(|w| w[0].0 <= w[1].0),
-            "batch positions must be non-decreasing"
-        );
-        assert!(
-            entries.last().expect("non-empty").0 <= self.len(),
-            "batch position out of bounds"
-        );
-        let mut values = Vec::with_capacity(self.len() + entries.len());
-        let mut rowids = Vec::with_capacity(self.len() + entries.len());
-        let mut old = 0usize;
-        for &(pos, value, rowid) in entries {
-            values.extend_from_slice(&self.values[old..pos]);
-            rowids.extend_from_slice(&self.rowids[old..pos]);
-            old = pos;
-            values.push(value);
-            rowids.push(rowid);
-        }
-        values.extend_from_slice(&self.values[old..]);
-        rowids.extend_from_slice(&self.rowids[old..]);
-        self.values = values;
-        self.rowids = rowids;
-    }
-
-    /// Removes and returns the `(value, rowid)` pairs in `[start, end)`,
-    /// shifting later entries left. Used by delete: after cracking at the
-    /// deleted key's bounds the doomed rows are contiguous.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds or inverted.
-    pub fn remove_range(&mut self, start: usize, end: usize) -> Vec<(i64, RowId)> {
-        assert!(start <= end && end <= self.len(), "invalid remove range");
-        let values = self.values.drain(start..end);
-        let rowids = self.rowids.drain(start..end);
-        values.zip(rowids).collect()
-    }
-
-    /// Returns raw mutable pointers to the backing arrays.
-    ///
-    /// This exists for the concurrent piece-latch protocol (`aidx-core`),
-    /// where disjoint pieces of the same array are cracked by different
-    /// threads. Safety is the caller's responsibility: each thread may only
-    /// touch positions of pieces it holds a write latch on.
-    pub fn raw_parts_mut(&mut self) -> (*mut i64, *mut RowId, usize) {
-        (
-            self.values.as_mut_ptr(),
-            self.rowids.as_mut_ptr(),
-            self.values.len(),
-        )
     }
 }
 
@@ -349,27 +254,6 @@ mod tests {
     fn crack_in_two_rejects_out_of_bounds() {
         let mut arr = CrackerArray::from_values(vec![1, 2, 3]);
         arr.crack_in_two(0, 4, 2);
-    }
-
-    #[test]
-    fn sort_range_sorts_and_keeps_pairs() {
-        let mut arr = CrackerArray::from_values(vec![5, 1, 9, 3, 7]);
-        let before = multiset(&arr);
-        arr.sort_range(0, 5);
-        assert!(arr.is_sorted_range(0, 5));
-        assert_eq!(arr.values(), &[1, 3, 5, 7, 9]);
-        assert_eq!(multiset(&arr), before);
-        // rowids still map to original values
-        assert_eq!(arr.rowids(), &[1, 3, 0, 4, 2]);
-    }
-
-    #[test]
-    fn partial_sort_range() {
-        let mut arr = CrackerArray::from_values(vec![9, 8, 3, 2, 1, 0]);
-        arr.sort_range(2, 5);
-        assert_eq!(arr.values(), &[9, 8, 1, 2, 3, 0]);
-        assert!(arr.is_sorted_range(2, 5));
-        assert!(!arr.is_sorted_range(0, 6));
     }
 
     #[test]

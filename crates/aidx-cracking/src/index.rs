@@ -41,25 +41,13 @@ impl CrackSelectOutcome {
     }
 }
 
-/// A cracker index over one column: auxiliary array + table of contents,
-/// plus a pending-insert delta merged into the pieces on the next crack —
-/// or eagerly, once it outgrows the compaction threshold, so a long
-/// insert stream between queries cannot grow the delta without bound.
+/// A cracker index over one column: auxiliary array + table of contents.
 #[derive(Debug, Clone)]
 pub struct CrackerIndex {
     array: CrackerArray,
     map: PieceMap,
-    /// Inserted rows not yet physically merged into the array.
-    pending: Vec<(i64, RowId)>,
-    /// Once the pending delta holds this many rows, the insert that
-    /// tripped the bound merges the whole batch (0 = merge only on the
-    /// next crack, the pre-compaction behaviour).
-    compaction_threshold: usize,
-    /// Next row id to hand out for an inserted row.
-    next_rowid: RowId,
     total_cracks: u64,
     queries: u64,
-    delta_merges: u64,
 }
 
 impl CrackerIndex {
@@ -73,40 +61,17 @@ impl CrackerIndex {
     pub fn from_values(values: Vec<i64>) -> Self {
         let array = CrackerArray::from_values(values);
         let map = PieceMap::new(array.len());
-        let next_rowid = array.len() as RowId;
         CrackerIndex {
             array,
             map,
-            pending: Vec::new(),
-            compaction_threshold: 0,
-            next_rowid,
             total_cracks: 0,
             queries: 0,
-            delta_merges: 0,
         }
     }
 
-    /// Sets the pending-delta compaction threshold (builder style):
-    /// inserts past the threshold merge the whole batch eagerly instead of
-    /// waiting for the next crack. `0` disables eager merging.
-    pub fn with_compaction_threshold(mut self, threshold: usize) -> Self {
-        self.compaction_threshold = threshold;
-        self
-    }
-
-    /// Sets the pending-delta compaction threshold on an existing index.
-    pub fn set_compaction_threshold(&mut self, threshold: usize) {
-        self.compaction_threshold = threshold;
-    }
-
-    /// The pending-delta compaction threshold (0 = merge only on crack).
-    pub fn compaction_threshold(&self) -> usize {
-        self.compaction_threshold
-    }
-
-    /// Number of entries in the index (merged plus pending).
+    /// Number of entries in the index.
     pub fn len(&self) -> usize {
-        self.array.len() + self.pending.len()
+        self.array.len()
     }
 
     /// True if the index is empty.
@@ -132,81 +97,6 @@ impl CrackerIndex {
     /// Total crack-select calls served.
     pub fn queries_served(&self) -> u64 {
         self.queries
-    }
-
-    /// Rows currently buffered in the pending-insert delta.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Delta merges performed so far (batches of pending inserts folded
-    /// into the cracked array).
-    pub fn delta_merges(&self) -> u64 {
-        self.delta_merges
-    }
-
-    /// Inserts one row with the given key, returning its new row id. The
-    /// row is buffered in the pending delta and physically merged into the
-    /// cracked array — with piece-boundary fixup — when the next query (or
-    /// delete) cracks the index, or immediately once the delta outgrows
-    /// the compaction threshold (the tripping insert pays for the batch
-    /// merge, amortising it to `O(n / threshold)` per insert).
-    pub fn insert(&mut self, value: i64) -> RowId {
-        let rowid = self.next_rowid;
-        self.next_rowid += 1;
-        self.pending.push((value, rowid));
-        if self.compaction_threshold > 0 && self.pending.len() >= self.compaction_threshold {
-            self.merge_pending();
-        }
-        rowid
-    }
-
-    /// Deletes every row whose key equals `value`, returning how many rows
-    /// were removed. Pending rows are merged first, then the bounds of
-    /// `value` are cracked so the doomed rows are contiguous, removed, and
-    /// the piece boundaries above them are shifted left (the shared
-    /// [`crate::delta`] primitives).
-    pub fn delete(&mut self, value: i64) -> u64 {
-        self.merge_pending();
-        if self.array.is_empty() {
-            return 0;
-        }
-        let (a, _, _) = self.position_for_bound(value);
-        let b = match crate::delta::next_key(value) {
-            Some(next) => self.position_for_bound(next).0,
-            None => self.array.len(),
-        };
-        if b > a {
-            crate::delta::remove_key_run(&mut self.array, &mut self.map, value, a, b);
-        }
-        (b - a) as u64
-    }
-
-    /// Physically merges every pending inserted row into the cracked array
-    /// (merge-on-crack): each row lands inside the piece whose key
-    /// interval contains it, and the cracks above it shift right. The
-    /// whole batch is applied in one rebuild pass (`O(n + k log k)`), not
-    /// row by row.
-    fn merge_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        // Sorting by value makes the target positions non-decreasing (the
-        // end of a value's piece is monotone in the value), which is what
-        // the batched array insert requires — and it places rows that
-        // share a target position in value order, so a crack between them
-        // splits the batch exactly where the boundary fixup expects.
-        pending.sort_unstable();
-        let sorted_values: Vec<i64> = pending.iter().map(|&(v, _)| v).collect();
-        let positions = self.map.apply_insert_batch(&sorted_values);
-        let entries: Vec<(usize, i64, RowId)> = positions
-            .into_iter()
-            .zip(pending)
-            .map(|(pos, (value, rowid))| (pos, value, rowid))
-            .collect();
-        self.array.insert_batch(&entries);
-        self.delta_merges += 1;
     }
 
     /// Ensures a crack exists at `bound` and returns its position (the first
@@ -238,7 +128,6 @@ impl CrackerIndex {
                 positions_touched: 0,
             };
         }
-        self.merge_pending();
 
         // If both bounds fall into the same not-yet-cracked piece, a single
         // three-way crack handles the query (Figure 2's first query).
@@ -448,102 +337,6 @@ mod tests {
         assert_eq!(a.count(4, 9), b.count(4, 9));
         assert_eq!(a.len(), b.len());
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn inserts_merge_on_crack_with_boundary_fixup() {
-        let values = sample_values();
-        let mut idx = CrackerIndex::from_values(values.clone());
-        idx.crack_select(4, 9); // create pieces first
-        let rid = idx.insert(6);
-        assert_eq!(rid, values.len() as RowId);
-        idx.insert(30); // above every existing value
-        assert_eq!(idx.pending_len(), 2);
-        assert_eq!(idx.len(), values.len() + 2);
-        // The next query merges the delta and sees the new rows.
-        let mut oracle = values.clone();
-        oracle.push(6);
-        oracle.push(30);
-        assert_eq!(idx.count(4, 9), ops::count(&oracle, 4, 9));
-        assert_eq!(idx.pending_len(), 0);
-        assert_eq!(idx.delta_merges(), 1);
-        assert_eq!(idx.count(0, 100), oracle.len() as u64);
-        assert_eq!(idx.sum(5, 31), ops::sum(&oracle, 5, 31));
-        assert!(idx.check_invariants(), "piece invariants after delta merge");
-    }
-
-    #[test]
-    fn delete_removes_all_occurrences_and_fixes_pieces() {
-        let values = sample_values(); // contains duplicates (e.g. 'u' = 21)
-        let mut idx = CrackerIndex::from_values(values.clone());
-        idx.crack_select(4, 9);
-        let expected = values.iter().filter(|&&v| v == 21).count() as u64;
-        assert!(expected >= 2, "sample must contain duplicate 21s");
-        assert_eq!(idx.delete(21), expected);
-        assert_eq!(idx.delete(21), 0, "repeat delete removes nothing");
-        let mut oracle = values.clone();
-        oracle.retain(|&v| v != 21);
-        assert_eq!(idx.len(), oracle.len());
-        for (low, high) in [(1, 27), (20, 22), (4, 9), (15, 25)] {
-            assert_eq!(idx.count(low, high), ops::count(&oracle, low, high));
-            assert_eq!(idx.sum(low, high), ops::sum(&oracle, low, high));
-        }
-        assert!(idx.check_invariants());
-    }
-
-    #[test]
-    fn delete_reclaims_pending_inserts_too() {
-        let mut idx = CrackerIndex::from_values((0..50).collect());
-        idx.insert(7);
-        idx.insert(7);
-        assert_eq!(idx.delete(7), 3, "two pending plus one merged row");
-        assert_eq!(idx.count(0, 50), 49);
-        assert!(idx.check_invariants());
-    }
-
-    #[test]
-    fn writes_on_empty_and_extreme_keys() {
-        let mut idx = CrackerIndex::from_values(vec![]);
-        assert_eq!(idx.delete(5), 0);
-        idx.insert(i64::MAX);
-        idx.insert(i64::MAX);
-        idx.insert(i64::MIN);
-        assert_eq!(idx.count(i64::MIN, i64::MAX), 1);
-        assert_eq!(idx.delete(i64::MAX), 2);
-        assert_eq!(idx.delete(i64::MIN), 1);
-        assert!(idx.is_empty());
-        assert!(idx.check_invariants());
-    }
-
-    #[test]
-    fn compaction_threshold_bounds_the_pending_delta() {
-        let values = sample_values();
-        let mut idx = CrackerIndex::from_values(values.clone()).with_compaction_threshold(8);
-        assert_eq!(idx.compaction_threshold(), 8);
-        idx.crack_select(4, 9);
-        let mut oracle = values.clone();
-        for i in 0..100 {
-            let key = 100 + i;
-            idx.insert(key);
-            oracle.push(key);
-            assert!(
-                idx.pending_len() < 8,
-                "delta must stay bounded by the threshold, saw {}",
-                idx.pending_len()
-            );
-        }
-        assert!(idx.delta_merges() >= 100 / 8, "eager merges happened");
-        assert_eq!(idx.count(0, 300), oracle.len() as u64);
-        assert_eq!(idx.sum(100, 200), ops::sum(&oracle, 100, 200));
-        assert!(idx.check_invariants());
-
-        // Threshold 0 keeps the lazy merge-on-crack behaviour.
-        let mut lazy = CrackerIndex::from_values(values);
-        lazy.crack_select(4, 9);
-        for i in 0..100 {
-            lazy.insert(100 + i);
-        }
-        assert_eq!(lazy.pending_len(), 100, "no eager merge without threshold");
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! * [`CrackerArray`] — the auxiliary pair-of-arrays copy of a column that
 //!   is physically reorganised ("cracked") as a side effect of queries
 //!   (Figure 7), with `crack_in_two` / `crack_in_three` partitioning steps.
-//! * [`AvlTree`] — the memory-resident AVL tree used as the index's table
-//!   of contents.
-//! * [`PieceMap`] / [`Piece`] — the cracks recorded so far and the pieces
-//!   they delimit, the granule of the piece-latching protocol (Figure 9).
-//! * [`CrackerIndex`] — the single-threaded cracker index: `crack_select`,
-//!   `count` (Q1), `sum` (Q2), row-id selection, and invariant checking.
+//! * [`PieceMap`] / [`Piece`] — the table of contents: the cracks recorded
+//!   so far (a `std` ordered map where the paper uses an AVL tree) and the
+//!   pieces they delimit, the granule of the piece-latching protocol
+//!   (Figure 9). `aidx-core`'s piece directory is built on it.
+//! * [`CrackerIndex`] — the single-threaded, read-only cracker index:
+//!   `crack_select`, `count` (Q1), `sum` (Q2), row-id selection, and
+//!   invariant checking. It is the serial baseline of the experiments;
+//!   cracked columns take updates only through `aidx-core`.
 //! * [`ScanBaseline`] / [`SortIndex`] — the two non-adaptive baselines of
 //!   the evaluation (plain scan and full sort + binary search).
 //!
@@ -25,14 +27,11 @@
 
 #![warn(missing_docs)]
 
-pub mod avl;
 pub mod baseline;
 pub mod cracker_array;
-pub mod delta;
 pub mod index;
 pub mod piece;
 
-pub use avl::AvlTree;
 pub use baseline::{ScanBaseline, SortIndex};
 pub use cracker_array::CrackerArray;
 pub use index::{CrackSelectOutcome, CrackerIndex};

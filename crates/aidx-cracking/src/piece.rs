@@ -3,16 +3,19 @@
 //! Every crack at value `v` splits one piece into two; the piece map records
 //! all cracks performed so far as a mapping *crack value → position*, with
 //! the meaning "all entries at positions `>= position` hold values `>= v`"
-//! (Figure 9). A *piece* is the half-open position range between two
-//! consecutive cracks; it is the granule at which the concurrent protocol
-//! latches (Section 5.3, "Piece-wise Latches").
+//! (Figure 9). The paper keeps this table of contents in an AVL tree; here
+//! it is a `std` [`BTreeMap`], whose floor and ceiling range queries find
+//! the two cracks around a value. A *piece* is the half-open position range
+//! between two consecutive cracks; it is the granule at which the concurrent
+//! protocol latches (Section 5.3, "Piece-wise Latches").
 //!
 //! Pieces are identified by their start position. A crack never moves an
 //! existing boundary, so a piece's identity (its start position and lower
 //! bound value) is stable: cracking only splits a piece into two, the lower
 //! of which keeps the original identity.
 
-use crate::avl::AvlTree;
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// A contiguous, half-open position range of the cracker array holding all
 /// values within a known key interval.
@@ -54,7 +57,7 @@ impl Piece {
 #[derive(Debug, Clone, Default)]
 pub struct PieceMap {
     /// crack value → first position holding values >= that value.
-    cracks: AvlTree<i64, usize>,
+    cracks: BTreeMap<i64, usize>,
     /// Total number of positions in the cracker array.
     array_len: usize,
 }
@@ -64,7 +67,7 @@ impl PieceMap {
     /// cracks yet (a single piece covering everything).
     pub fn new(array_len: usize) -> Self {
         PieceMap {
-            cracks: AvlTree::new(),
+            cracks: BTreeMap::new(),
             array_len,
         }
     }
@@ -94,16 +97,11 @@ impl PieceMap {
         self.cracks.insert(value, position);
     }
 
-    /// Looks up the exact position of a crack at `value`, if one exists.
-    pub fn crack_position(&self, value: i64) -> Option<usize> {
-        self.cracks.get(&value).copied()
-    }
-
     /// Returns the piece that a crack at `value` would have to reorganise:
     /// the piece whose key interval contains `value`.
     pub fn piece_for_value(&self, value: i64) -> Piece {
-        let lower = self.cracks.floor(&value);
-        let upper = self.cracks.ceiling_exclusive(&value);
+        let lower = self.cracks.range(..=value).next_back();
+        let upper = self.cracks.range((Excluded(value), Unbounded)).next();
         Piece {
             start: lower.map(|(_, &p)| p).unwrap_or(0),
             end: upper.map(|(_, &p)| p).unwrap_or(self.array_len),
@@ -112,17 +110,12 @@ impl PieceMap {
         }
     }
 
-    /// Returns the piece starting at exactly `start`, if any.
-    pub fn piece_at(&self, start: usize) -> Option<Piece> {
-        self.pieces().into_iter().find(|p| p.start == start)
-    }
-
     /// All pieces in position order.
     pub fn pieces(&self) -> Vec<Piece> {
         let mut pieces = Vec::with_capacity(self.piece_count());
         let mut prev_pos = 0usize;
         let mut prev_val: Option<i64> = None;
-        for (&value, &position) in self.cracks.iter() {
+        for (&value, &position) in &self.cracks {
             pieces.push(Piece {
                 start: prev_pos,
                 end: position,
@@ -141,77 +134,15 @@ impl PieceMap {
         pieces
     }
 
-    /// Piece-boundary fixup for one physically inserted value: returns the
-    /// position the value must be inserted at (the end of the piece whose
-    /// key interval contains it), shifts every crack above the value one
-    /// position right, and grows the recorded array length.
-    ///
-    /// The insertion position keeps every piece invariant intact: pieces
-    /// are unordered internally, so any slot inside the right piece works,
-    /// and the piece end requires shifting only the cracks at strictly
-    /// greater values (whose positions are all `>=` the insertion point).
-    pub fn apply_insert(&mut self, value: i64) -> usize {
-        let pos = self.piece_for_value(value).end;
-        self.cracks.for_each_mut(|&crack_value, position| {
-            if crack_value > value {
-                *position += 1;
-            }
-        });
-        self.array_len += 1;
-        pos
-    }
-
-    /// Batched piece-boundary fixup for `sorted_values` physically
-    /// inserted in one pass: returns, aligned with the input, the position
-    /// each value must be inserted at (the end of its piece, in *current*
-    /// coordinates — i.e. as if all values were inserted simultaneously),
-    /// then shifts every crack right by the number of inserted values
-    /// strictly below it and grows the recorded array length.
-    ///
-    /// The batch form is what makes a delta merge of `k` rows `O(n)`
-    /// instead of `O(k·n)`: the caller hands the returned positions to
-    /// [`crate::CrackerArray::insert_batch`] for a single rebuild pass.
-    ///
-    /// # Panics
-    /// Panics (in debug) if `sorted_values` is not sorted ascending.
-    pub fn apply_insert_batch(&mut self, sorted_values: &[i64]) -> Vec<usize> {
-        debug_assert!(sorted_values.windows(2).all(|w| w[0] <= w[1]));
-        let positions = sorted_values
-            .iter()
-            .map(|&v| self.piece_for_value(v).end)
-            .collect();
-        self.cracks.for_each_mut(|&crack_value, position| {
-            *position += sorted_values.partition_point(|&v| v < crack_value);
-        });
-        self.array_len += sorted_values.len();
-        positions
-    }
-
-    /// Piece-boundary fixup after `removed` rows with key `value` were
-    /// physically removed from the array: shifts every crack above the
-    /// value left by `removed` and shrinks the recorded array length.
-    /// Cracks at or below the value keep their positions (the removed rows
-    /// all sat at or after them).
-    pub fn apply_delete(&mut self, value: i64, removed: usize) {
-        debug_assert!(removed <= self.array_len);
-        if removed == 0 {
-            return;
-        }
-        self.cracks.for_each_mut(|&crack_value, position| {
-            if crack_value > value {
-                *position -= removed;
-            }
-        });
-        self.array_len -= removed;
-    }
-
     /// The position from which all values are `>= value`, if `value` has
     /// been cracked on; otherwise the bounds of the piece that would need
-    /// cracking. Convenience for query planning.
+    /// cracking. The piece above a crack has that crack's value as its
+    /// lower bound and starts where the crack is, so one floor/ceiling
+    /// lookup answers both cases.
     pub fn lookup(&self, value: i64) -> PieceLookup {
-        match self.crack_position(value) {
-            Some(pos) => PieceLookup::Exact(pos),
-            None => PieceLookup::NeedsCrack(self.piece_for_value(value)),
+        match self.piece_for_value(value) {
+            piece if piece.low_value == Some(value) => PieceLookup::Exact(piece.start),
+            piece => PieceLookup::NeedsCrack(piece),
         }
     }
 
@@ -219,13 +150,13 @@ impl PieceMap {
     /// value order and within the array bounds. Intended for tests.
     pub fn check_invariants(&self) -> bool {
         let mut prev = 0usize;
-        for (_, &pos) in self.cracks.iter() {
+        for &pos in self.cracks.values() {
             if pos < prev || pos > self.array_len {
                 return false;
             }
             prev = pos;
         }
-        self.cracks.check_invariants()
+        true
     }
 }
 
@@ -287,9 +218,8 @@ mod tests {
     fn crack_position_and_lookup() {
         let mut map = PieceMap::new(10);
         map.add_crack(5, 3);
-        assert_eq!(map.crack_position(5), Some(3));
-        assert_eq!(map.crack_position(6), None);
         assert_eq!(map.lookup(5), PieceLookup::Exact(3));
+        assert!(matches!(map.lookup(6), PieceLookup::NeedsCrack(_)));
         match map.lookup(7) {
             PieceLookup::NeedsCrack(p) => {
                 assert_eq!(p.start, 3);
@@ -317,15 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn piece_at_finds_by_start() {
-        let mut map = PieceMap::new(100);
-        map.add_crack(50, 40);
-        assert_eq!(map.piece_at(0).unwrap().end, 40);
-        assert_eq!(map.piece_at(40).unwrap().end, 100);
-        assert!(map.piece_at(41).is_none());
-    }
-
-    #[test]
     fn contains_value_respects_bounds() {
         let piece = Piece {
             start: 10,
@@ -345,45 +266,6 @@ mod tests {
         map.add_crack(5, 8);
         map.add_crack(7, 3); // position decreases for a larger value: invalid
         assert!(!map.check_invariants());
-    }
-
-    #[test]
-    fn apply_insert_shifts_only_higher_cracks() {
-        let mut map = PieceMap::new(100);
-        map.add_crack(20, 15);
-        map.add_crack(50, 40);
-        map.add_crack(80, 75);
-        // 30 falls into the piece [15, 40) bounded by cracks 20 and 50.
-        let pos = map.apply_insert(30);
-        assert_eq!(pos, 40, "inserted at the piece end");
-        assert_eq!(map.array_len(), 101);
-        assert_eq!(map.crack_position(20), Some(15), "lower cracks untouched");
-        assert_eq!(map.crack_position(50), Some(41));
-        assert_eq!(map.crack_position(80), Some(76));
-        assert!(map.check_invariants());
-        // A value equal to a crack belongs to the upper piece.
-        let pos = map.apply_insert(50);
-        assert_eq!(pos, 76);
-        assert_eq!(map.crack_position(50), Some(41));
-        assert_eq!(map.crack_position(80), Some(77));
-    }
-
-    #[test]
-    fn apply_delete_shifts_only_higher_cracks() {
-        let mut map = PieceMap::new(100);
-        map.add_crack(20, 15);
-        map.add_crack(50, 40);
-        map.add_crack(80, 75);
-        map.apply_delete(30, 5);
-        assert_eq!(map.array_len(), 95);
-        assert_eq!(map.crack_position(20), Some(15));
-        assert_eq!(map.crack_position(50), Some(35));
-        assert_eq!(map.crack_position(80), Some(70));
-        assert!(map.check_invariants());
-        // Deleting zero rows is a no-op.
-        map.apply_delete(20, 0);
-        assert_eq!(map.array_len(), 95);
-        assert_eq!(map.crack_position(50), Some(35));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! These check the invariants that make cracking a *purely structural*
 //! refinement: the multiset of (value, rowid) pairs never changes, query
-//! answers always equal a naive scan, the table of contents stays
-//! consistent with the array, and the AVL tree keeps its balance.
+//! answers always equal a naive scan, and the table of contents stays
+//! consistent with the array and with a linear-scan model of its cracks.
 
-use aidx_cracking::{AvlTree, CrackerArray, CrackerIndex, SortIndex};
+use aidx_cracking::{CrackerArray, CrackerIndex, Piece, PieceLookup, PieceMap, SortIndex};
 use aidx_storage::ops;
 use proptest::prelude::*;
 
@@ -68,47 +68,6 @@ proptest! {
     }
 
     #[test]
-    fn mixed_selects_and_writes_match_a_btreemap_oracle(
-        values in prop::collection::vec(-200i64..200, 0..200),
-        ops_list in prop::collection::vec((0u8..4, -250i64..250, -250i64..250), 1..40),
-    ) {
-        // Random interleaving of selects, inserts, and deletes against a
-        // BTreeMap multiset oracle; the piece invariants must hold after
-        // every delta merge (i.e. after every operation that cracks).
-        let mut idx = CrackerIndex::from_values(values.clone());
-        let mut oracle: std::collections::BTreeMap<i64, u64> = std::collections::BTreeMap::new();
-        for &v in &values {
-            *oracle.entry(v).or_insert(0) += 1;
-        }
-        for (kind, x, y) in ops_list {
-            match kind {
-                0 => {
-                    idx.insert(x);
-                    *oracle.entry(x).or_insert(0) += 1;
-                }
-                1 => {
-                    let removed = idx.delete(x);
-                    let expected = oracle.remove(&x).unwrap_or(0);
-                    prop_assert_eq!(removed, expected, "delete {}", x);
-                }
-                _ => {
-                    let (low, high) = if x <= y { (x, y) } else { (y, x) };
-                    let expected_count: u64 = oracle.range(low..high).map(|(_, &n)| n).sum();
-                    let expected_sum: i128 = oracle
-                        .range(low..high)
-                        .map(|(&v, &n)| v as i128 * n as i128)
-                        .sum();
-                    prop_assert_eq!(idx.count(low, high), expected_count, "count [{},{})", low, high);
-                    prop_assert_eq!(idx.sum(low, high), expected_sum, "sum [{},{})", low, high);
-                }
-            }
-            prop_assert!(idx.check_invariants(), "piece invariants after {:?}", (kind, x, y));
-            let oracle_len: u64 = oracle.values().sum();
-            prop_assert_eq!(idx.len() as u64, oracle_len);
-        }
-    }
-
-    #[test]
     fn cracker_rowids_reconstruct_the_same_tuples_as_scan(
         values in prop::collection::vec(-200i64..200, 1..200),
         a in -250i64..250,
@@ -136,40 +95,71 @@ proptest! {
     }
 
     #[test]
-    fn avl_tree_behaves_like_btreemap(
-        ops_list in prop::collection::vec((0i64..200, any::<u16>()), 0..300),
-        probes in prop::collection::vec(-10i64..210, 0..50),
+    fn piece_map_matches_a_sorted_vec_model(
+        cracks in prop::collection::vec((-100i64..100, 0usize..3), 0..40),
+        tail in 0usize..4,
+        probes in prop::collection::vec(-110i64..110, 0..40),
     ) {
-        let mut avl = AvlTree::new();
-        let mut reference = std::collections::BTreeMap::new();
-        for (k, v) in ops_list {
-            prop_assert_eq!(avl.insert(k, v), reference.insert(k, v));
-            prop_assert!(avl.check_invariants());
+        // Ascending crack values at non-decreasing positions; a step of 0
+        // puts several cracks at one position, i.e. empty pieces between
+        // them. The map receives them in generation (random) order.
+        let mut sorted: Vec<(i64, usize)> = cracks.clone();
+        sorted.sort_by_key(|&(value, _)| value);
+        sorted.dedup_by_key(|&mut (value, _)| value);
+        let mut position = 0usize;
+        for crack in &mut sorted {
+            position += crack.1;
+            crack.1 = position;
         }
-        prop_assert_eq!(avl.len(), reference.len());
-        for p in probes {
-            prop_assert_eq!(avl.get(&p), reference.get(&p));
-            let expected_floor = reference.range(..=p).next_back();
-            prop_assert_eq!(avl.floor(&p), expected_floor);
-            let expected_ceiling = reference.range((std::ops::Bound::Excluded(p), std::ops::Bound::Unbounded)).next();
-            prop_assert_eq!(avl.ceiling_exclusive(&p), expected_ceiling);
+        let len = position + tail;
+        let mut map = PieceMap::new(len);
+        let mut added = std::collections::BTreeSet::new();
+        for &(value, _) in &cracks {
+            if added.insert(value) {
+                let &(_, pos) = sorted.iter().find(|&&(v, _)| v == value).unwrap();
+                map.add_crack(value, pos);
+            }
         }
-        let avl_keys: Vec<i64> = avl.keys().into_iter().copied().collect();
-        let ref_keys: Vec<i64> = reference.keys().copied().collect();
-        prop_assert_eq!(avl_keys, ref_keys);
-    }
 
-    #[test]
-    fn avl_height_is_logarithmic(
-        keys in prop::collection::vec(0i64..100_000, 1..600),
-    ) {
-        let mut avl = AvlTree::new();
-        for k in &keys {
-            avl.insert(*k, ());
+        let model_piece = |value: i64| {
+            let lower = sorted.iter().rev().find(|&&(v, _)| v <= value);
+            let upper = sorted.iter().find(|&&(v, _)| v > value);
+            Piece {
+                start: lower.map_or(0, |&(_, p)| p),
+                end: upper.map_or(len, |&(_, p)| p),
+                low_value: lower.map(|&(v, _)| v),
+                high_value: upper.map(|&(v, _)| v),
+            }
+        };
+        let edges = sorted.iter().flat_map(|&(v, _)| [v - 1, v, v + 1]);
+        for value in edges.chain(probes) {
+            let piece = model_piece(value);
+            prop_assert_eq!(map.piece_for_value(value), piece, "piece_for_value({})", value);
+            let expected = match sorted.iter().find(|&&(v, _)| v == value) {
+                Some(&(_, pos)) => PieceLookup::Exact(pos),
+                None => PieceLookup::NeedsCrack(piece),
+            };
+            prop_assert_eq!(map.lookup(value), expected, "lookup({})", value);
         }
-        let n = avl.len() as f64;
-        // AVL guarantees height <= 1.4405 * log2(n + 2).
-        let bound = (1.45 * (n + 2.0).log2()).ceil() as i32 + 1;
-        prop_assert!(avl.height() <= bound, "height {} exceeds bound {}", avl.height(), bound);
+
+        let mut pieces = Vec::new();
+        let (mut start, mut low) = (0, None);
+        for &(value, pos) in &sorted {
+            pieces.push(Piece { start, end: pos, low_value: low, high_value: Some(value) });
+            (start, low) = (pos, Some(value));
+        }
+        pieces.push(Piece { start, end: len, low_value: low, high_value: None });
+        prop_assert_eq!(map.pieces(), pieces);
+        prop_assert_eq!(map.piece_count(), sorted.len() + 1);
+        prop_assert_eq!(map.crack_count(), sorted.len());
+        prop_assert!(map.check_invariants());
+
+        // A crack above every other one at a smaller position breaks the
+        // invariants.
+        if let Some(&(top, pos)) = sorted.last().filter(|&&(_, p)| p > 0) {
+            let mut bad = map.clone();
+            bad.add_crack(top + 1, pos - 1);
+            prop_assert!(!bad.check_invariants());
+        }
     }
 }

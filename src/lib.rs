@@ -20,8 +20,8 @@
 //! |-------|----------|
 //! | [`storage`] | column-store substrate (columns, tables, bulk operators, data generator) |
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
-//! | [`cracking`] | serial database cracking: cracker array, AVL table of contents, plain-cracking index, scan/sort baselines |
-//! | [`btree`] | B+-tree, partitioned B-tree, adaptive merging, hybrid crack-sort, key-range locks |
+//! | [`cracking`] | serial database cracking: cracker array, piece map (table of contents), read-only plain-cracking index, scan/sort baselines |
+//! | [`btree`] | partitioned B-tree, adaptive merging, read-only hybrid crack-sort, key-range locks |
 //! | [`core`] | **the paper's contribution**: the one `Index`/`ColumnRead` surface every backend implements, concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
 //! | [`parallel`] | range-partitioned cracking: piece-latched partitions behind a query router, cracked on the calling thread, skew-adaptive re-partitioning |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
