@@ -2,8 +2,7 @@
 //! query under each approach (scan, full sort, cracking).
 
 use aidx_core::LatchProtocol;
-use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex};
-use aidx_storage::generate_unique_shuffled;
+use aidx_cracking::{generate_unique_shuffled, CrackerIndex, ScanBaseline, SortIndex};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 const ROWS: usize = 200_000;

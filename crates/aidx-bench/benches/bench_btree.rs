@@ -2,8 +2,9 @@
 //! steps, run creation, and query sequences of adaptive merging and the
 //! hybrid crack-sort.
 
-use aidx_btree::{AdaptiveMergeIndex, HybridCrackSort, PartitionedBTree};
-use aidx_storage::generate_unique_shuffled;
+use aidx_cracking::{
+    generate_unique_shuffled, AdaptiveMergeIndex, HybridCrackSort, PartitionedBTree,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 const ROWS: usize = 100_000;

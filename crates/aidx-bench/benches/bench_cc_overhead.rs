@@ -22,8 +22,8 @@
 
 use aidx_bench::{ms, scaled_params, Report};
 use aidx_core::Aggregate;
+use aidx_cracking::generate_unique_shuffled;
 use aidx_obs::{Json, StructureSampler};
-use aidx_storage::generate_unique_shuffled;
 use aidx_workload::{AdaptiveEngine, Approach, CheckedEngine, ExperimentConfig, MultiClientRunner};
 use std::sync::Arc;
 

@@ -24,7 +24,7 @@
 
 use aidx_bench::{approaches_from_env, ms, print_table, scaled_params};
 use aidx_core::{Aggregate, CompactionPolicy, ConcurrentCracker, LatchProtocol};
-use aidx_storage::generate_unique_shuffled;
+use aidx_cracking::generate_unique_shuffled;
 use aidx_workload::{
     oracle_apply, AdaptiveEngine, ExperimentConfig, IndexEngine, Operation, QuerySpec,
 };

@@ -1,8 +1,7 @@
 //! Micro-benchmarks of the cracking primitives: crack-in-two/three on a
 //! large array and a sequence of crack selects.
 
-use aidx_cracking::{CrackerArray, CrackerIndex};
-use aidx_storage::generate_unique_shuffled;
+use aidx_cracking::{generate_unique_shuffled, CrackerArray, CrackerIndex};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 const ROWS: usize = 1_000_000;

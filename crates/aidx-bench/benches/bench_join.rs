@@ -38,11 +38,10 @@
 
 use aidx_bench::{ms, scaled_params, Report};
 use aidx_core::CompactionPolicy;
+use aidx_cracking::RowId;
 use aidx_obs::Json;
-use aidx_storage::RowId;
-use aidx_workload::{
-    JoinQuery, JoinStrategy, JoinWorkload, TableBackend, TableEngine, DIM_KEY_COL, FACT_FK_COL,
-};
+use aidx_table::{JoinStrategy, TableBackend, TableEngine};
+use aidx_workload::{JoinQuery, JoinWorkload, DIM_KEY_COL, FACT_FK_COL};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 

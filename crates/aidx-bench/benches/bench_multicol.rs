@@ -25,8 +25,9 @@
 
 use aidx_bench::{ms, print_table, scaled_params};
 use aidx_core::CompactionPolicy;
-use aidx_storage::RowId;
-use aidx_workload::{ColumnPredicate, MultiColumnWorkload, TableBackend, TableEngine, TableOp};
+use aidx_cracking::RowId;
+use aidx_table::{ColumnPredicate, TableBackend, TableEngine, TableOp};
+use aidx_workload::MultiColumnWorkload;
 use std::time::{Duration, Instant};
 
 /// Graded per-column selectivities: the driver column is narrow, later

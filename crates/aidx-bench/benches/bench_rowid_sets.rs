@@ -35,9 +35,9 @@
 
 use aidx_bench::{ms, scaled_params, Report};
 use aidx_core::{intersect_sets, CompactionPolicy, IntersectStrategy, RowIdSet};
+use aidx_cracking::RowId;
 use aidx_obs::Json;
-use aidx_storage::RowId;
-use aidx_workload::{ColumnPredicate, TableBackend, TableEngine, TableOp};
+use aidx_table::{ColumnPredicate, TableBackend, TableEngine, TableOp};
 use std::time::{Duration, Instant};
 
 const COLUMNS: usize = 4;

@@ -30,9 +30,9 @@
 
 use aidx_bench::{ms, scaled_params, Report};
 use aidx_core::Aggregate;
+use aidx_cracking::generate_unique_shuffled;
 use aidx_obs::Json;
 use aidx_parallel::{available_cores, AdaptiveConfig, RangePartitionedCracker, Rebalance};
-use aidx_storage::generate_unique_shuffled;
 use aidx_workload::{
     AccessPattern, AdaptiveEngine, IndexEngine, QuerySpec, ScanEngine, WorkloadGenerator,
 };

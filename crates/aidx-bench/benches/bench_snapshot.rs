@@ -35,7 +35,7 @@
 
 use aidx_bench::{ms, print_table, scaled_params};
 use aidx_core::{CompactionPolicy, ConcurrentCracker, Index, LatchProtocol};
-use aidx_storage::generate_unique_shuffled;
+use aidx_cracking::generate_unique_shuffled;
 use std::time::{Duration, Instant};
 
 fn env_usize(name: &str, default: usize) -> usize {

@@ -9,9 +9,9 @@
 
 use aidx_bench::{scaled_params, Report};
 use aidx_core::{Aggregate, LatencyBreakdown};
+use aidx_cracking::generate_unique_shuffled;
 use aidx_obs::{Json, StructureSampler, TraceEvent};
 use aidx_parallel::RangePartitionedCracker;
-use aidx_storage::generate_unique_shuffled;
 use aidx_workload::{AdaptiveEngine, ExperimentConfig, IndexEngine, MultiClientRunner};
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -3,9 +3,9 @@
 //! structure sampler must yield at least one sample per cadence window.
 
 use aidx_core::{Aggregate, CompactionPolicy, ConcurrentCracker, LatchProtocol};
+use aidx_cracking::generate_unique_shuffled;
 use aidx_obs::{Json, StructureSampler, TraceEvent};
 use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
-use aidx_storage::generate_unique_shuffled;
 use aidx_table::{JoinStrategy, TableBackend, TableEngine};
 use aidx_workload::{
     AdaptiveEngine, IndexEngine, MultiClientRunner, Operation, QuerySpec, WorkloadGenerator,

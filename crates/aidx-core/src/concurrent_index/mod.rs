@@ -80,14 +80,13 @@ use crate::piece_directory::{
 use crate::protocol::{LatchProtocol, RefinementPolicy};
 use crate::rowid_set::RowIdSet;
 use crate::shared_array::SharedCrackerArray;
-use aidx_cracking::Piece;
+use aidx_cracking::{Piece, RowId};
 use aidx_latch::dcheck;
 use aidx_latch::facade::{self, Mutex, MutexGuard};
 use aidx_latch::ordered::{OrderedWaitLatch, OrderedWriteGuard, WaitOutcome};
 use aidx_latch::stats::LatchStatsSnapshot;
 use aidx_latch::systxn::{SystemTxnManager, SystemTxnStats};
 use aidx_obs::{emit, LatchMode, StructureProbe, TraceEvent};
-use aidx_storage::{Column, RowId};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -146,11 +145,6 @@ pub struct ConcurrentCracker {
 }
 
 impl ConcurrentCracker {
-    /// Builds a concurrent cracker over a copy of a base column.
-    pub fn from_column(column: &Column, protocol: LatchProtocol) -> Self {
-        Self::from_values(column.values().to_vec(), protocol)
-    }
-
     /// Builds a concurrent cracker from raw values (row ids positional).
     pub fn from_values(values: Vec<i64>, protocol: LatchProtocol) -> Self {
         let rowids: Vec<RowId> = (0..values.len() as RowId).collect();
@@ -542,7 +536,7 @@ impl Index for ConcurrentCracker {
     }
 
     fn insert(&self, value: i64) -> QueryMetrics {
-        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
+        let rowid = aidx_cracking::rowid(self.next_rowid.fetch_add(1, Ordering::Relaxed));
         self.insert_row(value, rowid)
     }
 

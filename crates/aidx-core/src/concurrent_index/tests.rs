@@ -1,5 +1,5 @@
 use super::*;
-use aidx_storage::ops;
+use aidx_cracking::ops;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -1161,6 +1161,13 @@ fn external_rowids_thread_through_every_reconciliation_path() {
     let (rowids, _) = idx.select_rowids(60, 61);
     assert_eq!(rowids, vec![502], "next_rowid seeds past the max given id");
     assert!(idx.check_invariants());
+}
+
+#[test]
+#[should_panic(expected = "row-id space exhausted")]
+fn self_assigned_rowid_past_the_max_panics_instead_of_wrapping() {
+    let idx = ConcurrentCracker::from_rows(vec![10, 20], vec![0, RowId::MAX], LatchProtocol::Piece);
+    idx.insert(30);
 }
 
 #[test]

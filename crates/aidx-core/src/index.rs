@@ -13,9 +13,9 @@ use crate::concurrent_index::{ReadAnswer, ReadShape, WriteOp};
 use crate::key_runs::KeyRuns;
 use crate::metrics::QueryMetrics;
 use crate::rowid_set::RowIdSet;
+use aidx_cracking::RowId;
 use aidx_latch::stats::LatchStatsSnapshot;
 use aidx_obs::StructureProbe;
-use aidx_storage::RowId;
 
 /// One column read surface: an index answering *now* (refining as a side
 /// effect), or a pinned handle answering at the epoch it was opened at. A

@@ -34,7 +34,7 @@
 //! group.
 
 use crate::metrics::QueryMetrics;
-use aidx_storage::RowId;
+use aidx_cracking::RowId;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 

@@ -13,20 +13,20 @@
 //!   never acquire locks of their own.
 //!
 //! [`ConcurrentAdaptiveMerge`] packages those rules around the
-//! single-threaded [`AdaptiveMergeIndex`]: queries answer under a shared
+//! single-threaded [`AdaptiveMergeIndex`] of `aidx-cracking`, the crate of
+//! serial structures and baselines: queries answer under a shared
 //! latch; merge refinement runs in small, instantly-committed system
 //! transactions under a short exclusive latch, checked against a
-//! [`KeyRangeLockTable`] so it never tramples a user transaction's range
-//! locks.
+//! [`KeyRangeLockTable`] (also in `aidx-cracking`) so it never tramples a
+//! user transaction's range locks.
 
 use crate::metrics::QueryMetrics;
 use crate::protocol::RefinementPolicy;
-use aidx_btree::{AdaptiveMergeIndex, KeyRangeLockTable, MergeStats};
+use aidx_cracking::{AdaptiveMergeIndex, KeyRangeLockTable, MergeStats, RowId};
 use aidx_latch::facade::Mutex;
 use aidx_latch::lockmgr::{LockManager, LockMode, TxnId};
 use aidx_latch::rwlatch::RwLatch;
 use aidx_latch::systxn::{SystemTxnManager, SystemTxnStats};
-use aidx_storage::{Column, RowId};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,15 +48,6 @@ impl ConcurrentAdaptiveMerge {
     /// Reserved transaction id for system transactions (never used by user
     /// transactions, which the caller numbers from 1 upwards).
     pub const SYSTEM_TXN_ID: TxnId = u64::MAX;
-
-    /// Builds the index from a column with the given run size.
-    pub fn build_from_column(
-        column: &Column,
-        run_size: usize,
-        lock_manager: Arc<LockManager>,
-    ) -> Self {
-        Self::build_from_values(column.values(), run_size, lock_manager)
-    }
 
     /// Builds the index from raw values with the given run size.
     pub fn build_from_values(
@@ -241,7 +232,7 @@ impl ConcurrentAdaptiveMerge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_storage::ops;
+    use aidx_cracking::ops;
     use std::thread;
 
     fn shuffled(n: usize) -> Vec<i64> {

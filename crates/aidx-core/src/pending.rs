@@ -66,9 +66,9 @@
 //! query needs one consistent view of the delta (a single short mutex)
 //! plus the shrink-epoch validation to be linearizable.
 
+use aidx_cracking::RowId;
 use aidx_latch::dcheck;
 use aidx_latch::facade::{Mutex, MutexGuard};
-use aidx_storage::RowId;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -38,7 +38,7 @@
 //! recycled pool shared by all threads (one client builds the sets
 //! another drops), so a read allocates no fresh bitmap.
 
-use aidx_storage::RowId;
+use aidx_cracking::RowId;
 use std::collections::HashSet;
 // The buffer pool is not a protocol: it is only ever `try_lock`ed, never
 // waited on, and never held across another lock.

@@ -47,7 +47,7 @@
 //! `ConcurrentCracker`, which is what the test suite exercises heavily under
 //! many threads.
 
-use aidx_storage::{Column, RowId};
+use aidx_cracking::RowId;
 use std::cell::UnsafeCell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,11 +87,6 @@ unsafe impl Sync for SharedCrackerArray {}
 unsafe impl Send for SharedCrackerArray {}
 
 impl SharedCrackerArray {
-    /// Builds the shared array as a copy of a base column.
-    pub fn from_column(column: &Column) -> Self {
-        Self::from_values(column.values().to_vec())
-    }
-
     /// Builds the shared array from raw values; row ids are positional.
     pub fn from_values(values: Vec<i64>) -> Self {
         let rowids: Vec<RowId> = (0..values.len() as RowId).collect();
@@ -774,8 +769,7 @@ mod tests {
         assert_eq!(arr.rowids_in_range(0, 4), vec![0, 1, 2, 3]);
         assert_eq!(arr.sum_range(1, 3), 10);
         assert_eq!(arr.count_sum_filtered(0, 4, 3, 9), (2, 8));
-        let col = Column::from_values("a", vec![7, 7]);
-        let arr = SharedCrackerArray::from_column(&col);
+        let arr = SharedCrackerArray::from_values(vec![7, 7]);
         assert_eq!(arr.snapshot().0, vec![7, 7]);
     }
 

@@ -8,7 +8,7 @@ use aidx_core::{
     intersect_iters_gallop, intersect_iters_linear, intersect_sets, IntersectStrategy, RowIdSet,
     SeekingIterator, SliceIter,
 };
-use aidx_storage::RowId;
+use aidx_cracking::RowId;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 

@@ -13,7 +13,7 @@
 //! transactions (Section 4.3).
 
 use crate::partitioned::{PartitionId, PartitionedBTree, FINAL_PARTITION};
-use aidx_storage::{Column, RowId};
+use crate::RowId;
 
 /// The partition that newly inserted records land in. Inserts enter the
 /// partitioned B-tree exactly like a late-arriving run: the records are a
@@ -51,15 +51,10 @@ pub struct AdaptiveMergeIndex {
 }
 
 impl AdaptiveMergeIndex {
-    /// Initialises the index from a column: the data is cut into runs of
-    /// `run_size` records, each run is sorted in memory and loaded as its
-    /// own partition (the expensive side effect of the *first* query).
-    pub fn build_from_column(column: &Column, run_size: usize) -> Self {
-        Self::build_from_values(column.values(), run_size)
-    }
-
     /// Initialises the index from a slice of key values (row ids are the
-    /// positions in the slice).
+    /// positions in the slice): the data is cut into runs of `run_size`
+    /// records, each run is sorted in memory and loaded as its own partition
+    /// (the expensive side effect of the *first* query).
     pub fn build_from_values(values: &[i64], run_size: usize) -> Self {
         let run_size = run_size.max(1);
         let mut tree = PartitionedBTree::new();
@@ -204,7 +199,7 @@ impl AdaptiveMergeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_storage::ops;
+    use crate::ops;
 
     fn shuffled(n: usize) -> Vec<i64> {
         // Deterministic pseudo-shuffle of 0..n.

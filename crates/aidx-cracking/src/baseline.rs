@@ -10,7 +10,7 @@
 //! control of their own, which is exactly the contrast the paper draws with
 //! adaptive indexing.
 
-use aidx_storage::{ops, Column, RowId};
+use crate::{ops, RowId};
 
 /// The plain-scan baseline: no auxiliary structure at all.
 #[derive(Debug, Clone)]
@@ -19,13 +19,6 @@ pub struct ScanBaseline {
 }
 
 impl ScanBaseline {
-    /// Wraps a copy of the column's values.
-    pub fn from_column(column: &Column) -> Self {
-        ScanBaseline {
-            values: column.values().to_vec(),
-        }
-    }
-
     /// Wraps the given values.
     pub fn from_values(values: Vec<i64>) -> Self {
         ScanBaseline { values }
@@ -66,13 +59,8 @@ pub struct SortIndex {
 }
 
 impl SortIndex {
-    /// Builds the full index by sorting a copy of the column (the expensive
+    /// Builds the full index by sorting the values (the expensive
     /// first-query investment of Figure 11).
-    pub fn build_from_column(column: &Column) -> Self {
-        Self::build_from_values(column.values().to_vec())
-    }
-
-    /// Builds the full index from raw values.
     pub fn build_from_values(values: Vec<i64>) -> Self {
         let next_rowid = values.len() as RowId;
         let mut pairs: Vec<(i64, RowId)> = values
@@ -193,7 +181,7 @@ mod tests {
 
     #[test]
     fn sort_index_is_sorted_and_aligned() {
-        let sorted = SortIndex::build_from_column(&Column::from_values("a", data()));
+        let sorted = SortIndex::build_from_values(data());
         assert!(sorted.sorted_values().windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(sorted.len(), 10);
         assert!(!sorted.is_empty());

@@ -14,7 +14,7 @@
 //! (rowid, value) pairs — the property that makes refinement purely
 //! structural.
 
-use aidx_storage::{Column, RowId};
+use crate::RowId;
 
 /// A pair-of-arrays cracker array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,14 +24,8 @@ pub struct CrackerArray {
 }
 
 impl CrackerArray {
-    /// Builds a cracker array as a copy of the base column, in base order.
-    pub fn from_column(column: &Column) -> Self {
-        let values = column.values().to_vec();
-        let rowids = (0..values.len() as RowId).collect();
-        CrackerArray { values, rowids }
-    }
-
-    /// Builds a cracker array directly from values (row ids are positional).
+    /// Builds a cracker array from a column's values, in base order (row ids
+    /// are positional).
     pub fn from_values(values: Vec<i64>) -> Self {
         let rowids = (0..values.len() as RowId).collect();
         CrackerArray { values, rowids }
@@ -152,9 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn from_column_copies_values_and_assigns_rowids() {
-        let col = Column::from_values("a", vec![5, 1, 9]);
-        let arr = CrackerArray::from_column(&col);
+    fn from_values_keeps_values_and_assigns_rowids() {
+        let arr = CrackerArray::from_values(vec![5, 1, 9]);
         assert_eq!(arr.values(), &[5, 1, 9]);
         assert_eq!(arr.rowids(), &[0, 1, 2]);
         assert_eq!(arr.len(), 3);

@@ -9,8 +9,7 @@
 //! minimum needed to find the qualifying values; effort spent on the final
 //! partition pays off for every later query.
 
-use aidx_cracking::{CrackerArray, PieceLookup, PieceMap};
-use aidx_storage::{Column, RowId};
+use crate::{CrackerArray, PieceLookup, PieceMap, RowId};
 
 /// Progress counters for the hybrid index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -130,13 +129,8 @@ pub struct HybridCrackSort {
 }
 
 impl HybridCrackSort {
-    /// Builds the hybrid index from a column, cutting it into initial
+    /// Builds the hybrid index from raw values, cutting them into initial
     /// partitions of `partition_size` records (no sorting).
-    pub fn build_from_column(column: &Column, partition_size: usize) -> Self {
-        Self::build_from_values(column.values(), partition_size)
-    }
-
-    /// Builds the hybrid index from raw values.
     pub fn build_from_values(values: &[i64], partition_size: usize) -> Self {
         let partition_size = partition_size.max(1);
         let mut initial = Vec::new();
@@ -272,7 +266,7 @@ impl HybridCrackSort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_storage::ops;
+    use crate::ops;
 
     fn shuffled(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| (i * 7919) % n as i64).collect()

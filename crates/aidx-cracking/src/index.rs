@@ -13,7 +13,7 @@
 
 use crate::cracker_array::CrackerArray;
 use crate::piece::{PieceLookup, PieceMap};
-use aidx_storage::{Column, RowId};
+use crate::RowId;
 use std::ops::Range;
 
 /// What a single crack-select call did and found.
@@ -51,13 +51,8 @@ pub struct CrackerIndex {
 }
 
 impl CrackerIndex {
-    /// Initialises the cracker index from a base column (copies the data,
-    /// "data loaded directly, without sorting").
-    pub fn from_column(column: &Column) -> Self {
-        Self::from_values(column.values().to_vec())
-    }
-
-    /// Initialises the cracker index directly from values.
+    /// Initialises the cracker index directly from values ("data loaded
+    /// directly, without sorting").
     pub fn from_values(values: Vec<i64>) -> Self {
         let array = CrackerArray::from_values(values);
         let map = PieceMap::new(array.len());
@@ -211,7 +206,7 @@ impl CrackerIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_storage::ops;
+    use crate::ops;
 
     fn sample_values() -> Vec<i64> {
         // The paper's Figure 2 example letters, mapped a=1 .. z=26.
@@ -327,16 +322,6 @@ mod tests {
         // The low bound 50 already exists as a crack; only one new crack.
         assert_eq!(out.cracks_performed, 1);
         assert_eq!(idx.total_cracks(), 3);
-    }
-
-    #[test]
-    fn from_column_matches_from_values() {
-        let col = Column::from_values("a", sample_values());
-        let mut a = CrackerIndex::from_column(&col);
-        let mut b = CrackerIndex::from_values(sample_values());
-        assert_eq!(a.count(4, 9), b.count(4, 9));
-        assert_eq!(a.len(), b.len());
-        assert!(!a.is_empty());
     }
 
     #[test]

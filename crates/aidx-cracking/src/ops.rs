@@ -12,7 +12,7 @@
 //! everywhere in this codebase, which composes cleanly with cracking's
 //! partition boundaries.
 
-use crate::column::RowId;
+use crate::RowId;
 
 /// Returns the positions (row ids) of all values in `[low, high)`.
 ///

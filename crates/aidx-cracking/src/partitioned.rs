@@ -11,7 +11,7 @@
 //! guarantees uniqueness even when key values repeat, so the underlying
 //! B-tree is a plain ordered set — the `std` [`BTreeSet`].
 
-use aidx_storage::RowId;
+use crate::RowId;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifier of a partition inside the partitioned B-tree.

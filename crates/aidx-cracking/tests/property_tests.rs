@@ -5,8 +5,7 @@
 //! answers always equal a naive scan, and the table of contents stays
 //! consistent with the array and with a linear-scan model of its cracks.
 
-use aidx_cracking::{CrackerArray, CrackerIndex, Piece, PieceLookup, PieceMap, SortIndex};
-use aidx_storage::ops;
+use aidx_cracking::{ops, CrackerArray, CrackerIndex, Piece, PieceLookup, PieceMap, SortIndex};
 use proptest::prelude::*;
 
 fn multiset(arr: &CrackerArray) -> Vec<(i64, u32)> {

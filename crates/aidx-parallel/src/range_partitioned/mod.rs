@@ -33,8 +33,8 @@ use aidx_core::{
     ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, QueryMetrics,
     ReadAnswer, ReadShape, RowIdSet, WriteOp,
 };
+use aidx_cracking::RowId;
 use aidx_obs::StructureProbe;
-use aidx_storage::RowId;
 use repartition::{monitor_loop, rebalance};
 use std::collections::HashMap;
 use std::fmt;
@@ -499,7 +499,7 @@ impl Index for RangePartitionedCracker {
 
     /// Inserts one row with the given key, self-assigning a fresh row id.
     fn insert(&self, value: i64) -> QueryMetrics {
-        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
+        let rowid = aidx_cracking::rowid(self.next_rowid.fetch_add(1, Ordering::Relaxed));
         self.insert_row(value, rowid)
     }
 

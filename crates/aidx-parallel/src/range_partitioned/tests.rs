@@ -1,5 +1,5 @@
 use super::*;
-use aidx_storage::ops;
+use aidx_cracking::ops;
 use std::thread;
 use std::time::Duration;
 
@@ -654,6 +654,18 @@ fn monitor_thread_rebalances_automatically() {
 /// The two-pass scatter must keep every value with its own row id:
 /// non-identity, permuted row ids and duplicate keys, across one, a few
 /// and many more partitions than distinct split points.
+#[test]
+#[should_panic(expected = "row-id space exhausted")]
+fn self_assigned_rowid_past_the_max_panics_instead_of_wrapping() {
+    let idx = RangePartitionedCracker::from_rows(
+        vec![10, 20],
+        vec![0, RowId::MAX],
+        2,
+        CompactionPolicy::disabled(),
+    );
+    idx.insert(30);
+}
+
 #[test]
 fn from_rows_keeps_each_value_with_its_rowid() {
     let n = 3000usize;

@@ -15,8 +15,8 @@ use aidx_core::{
     ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape,
     RefinementPolicy, WriteOp,
 };
+use aidx_cracking::RowId;
 use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
-use aidx_storage::RowId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

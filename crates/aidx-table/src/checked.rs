@@ -13,7 +13,7 @@
 use crate::engine::TableEngine;
 use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
 use aidx_core::facade::Mutex;
-use aidx_storage::RowId;
+use aidx_cracking::RowId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -58,9 +58,9 @@ use aidx_core::{
     IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, RowIdSet, RowIdSetBuilder,
     SeekingIterator,
 };
+use aidx_cracking::RowId;
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
 use aidx_parallel::RangePartitionedCracker;
-use aidx_storage::{Catalog, RowId, StorageResult, Table};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::str::FromStr;
@@ -250,33 +250,6 @@ impl TableEngine {
             joins_hash: AtomicU64::new(0),
             joins_nested: AtomicU64::new(0),
         }
-    }
-
-    /// Builds a table engine over every column of a storage-layer
-    /// [`Table`] (columns in the table's sorted name order).
-    pub fn from_table(
-        table: &Table,
-        backend: TableBackend,
-        compaction: CompactionPolicy,
-    ) -> StorageResult<Self> {
-        let mut columns = Vec::with_capacity(table.column_count());
-        for name in table.column_names() {
-            columns.push((name.to_string(), table.column(name)?.values().to_vec()));
-        }
-        Ok(Self::new(table.name(), columns, backend, compaction))
-    }
-
-    /// Builds a table engine for a table registered in a [`Catalog`] —
-    /// the paper's "global data structure" discovery step: latch the
-    /// catalog briefly, find the table, build (or in a full system, find)
-    /// its cracker indexes, release.
-    pub fn from_catalog(
-        catalog: &Catalog,
-        table_name: &str,
-        backend: TableBackend,
-        compaction: CompactionPolicy,
-    ) -> StorageResult<Self> {
-        Self::from_table(&catalog.table(table_name)?.clone(), backend, compaction)
     }
 
     /// Seeded defect for the concurrency tests, never for use: every read
@@ -493,7 +466,7 @@ impl TableEngine {
             "table keys must be < i64::MAX (half-open range model)"
         );
         let _writer = self.lock_writer();
-        let rowid = self.next_rowid.fetch_add(1, Ordering::Relaxed) as RowId;
+        let rowid = aidx_cracking::rowid(self.next_rowid.fetch_add(1, Ordering::Relaxed));
         self.overlay.write().insert(rowid, tuple.to_vec());
         let mut metrics = QueryMetrics::default();
         for (column, &value) in tuple.iter().enumerate() {

@@ -4,8 +4,8 @@
 //! aligned columns; its evaluation, like most of the adaptive-indexing
 //! literature, cracks *one* column at a time. This crate closes the gap
 //! between the two: a **table engine** that maintains one rowid-preserving
-//! concurrent cracker per indexed column of an
-//! [`aidx_storage::Table`], over one shared row-id space, and answers
+//! concurrent cracker per indexed column (named, positionally aligned
+//! `Vec<i64>` columns), over one shared row-id space, and answers
 //! **multi-column conjunctive selections**
 //!
 //! ```sql

@@ -3,7 +3,7 @@
 
 use crate::engine::TableEngine;
 use aidx_core::QueryMetrics;
-use aidx_storage::RowId;
+use aidx_cracking::RowId;
 use std::sync::Arc;
 
 /// One range predicate over one column of a table: `low <= col < high`.

@@ -9,7 +9,7 @@
 //! commit sequence it reports, with a seeded mutation that must fail.
 
 use aidx_core::{CompactionPolicy, LatchProtocol};
-use aidx_storage::RowId;
+use aidx_cracking::RowId;
 use aidx_table::checked::oracle_apply;
 use aidx_table::{
     CheckedTableEngine, ColumnPredicate, JoinStrategy, TableBackend, TableEngine, TableOp,

@@ -3,7 +3,7 @@
 //! behaviour, and rowid stability across physical reorganisation.
 
 use aidx_core::{CompactionPolicy, LatchProtocol};
-use aidx_storage::{Catalog, Column, RowId, Table};
+use aidx_cracking::RowId;
 use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
 
 /// Deterministic pseudo-shuffled column: a permutation-ish stream over
@@ -307,39 +307,6 @@ fn max_keys_are_rejected_at_insert_and_deletable_as_noop() {
     });
     assert_eq!(result.value, 0);
     assert_eq!(engine.execute(&TableOp::SelectMulti(vec![])).value, 2);
-}
-
-#[test]
-fn engine_builds_from_catalog_tables() {
-    let catalog = Catalog::new();
-    let mut table = Table::new("orders");
-    table
-        .add_column(Column::from_values("amount", vec![5, 9, 2, 7]))
-        .unwrap();
-    table
-        .add_column(Column::from_values("customer", vec![1, 2, 1, 3]))
-        .unwrap();
-    catalog.register_table(table).unwrap();
-    let engine = TableEngine::from_catalog(
-        &catalog,
-        "orders",
-        TableBackend::Serial(LatchProtocol::Piece),
-        CompactionPolicy::disabled(),
-    )
-    .unwrap();
-    assert_eq!(engine.column_names(), ["amount", "customer"]);
-    let result = engine.execute(&TableOp::SelectMulti(vec![
-        ColumnPredicate::new(0, 5, 10), // amount in [5, 10)
-        ColumnPredicate::new(1, 1, 2),  // customer == 1
-    ]));
-    assert_eq!(result.rowids, vec![0]);
-    assert!(TableEngine::from_catalog(
-        &catalog,
-        "missing",
-        TableBackend::Serial(LatchProtocol::Piece),
-        CompactionPolicy::disabled(),
-    )
-    .is_err());
 }
 
 #[test]

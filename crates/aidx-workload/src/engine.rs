@@ -25,11 +25,10 @@
 
 use crate::query::{Operation, QuerySpec};
 use aidx_core::{Aggregate, ColumnRead, ConcurrentAdaptiveMerge, Index, QueryMetrics};
-use aidx_cracking::SortIndex;
+use aidx_cracking::{ops, SortIndex};
 use aidx_latch::lockmgr::LockManager;
 use aidx_latch::LatchStatsSnapshot;
 use aidx_obs::StructureStats;
-use aidx_storage::ops;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::Arc;

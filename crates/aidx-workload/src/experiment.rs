@@ -18,8 +18,8 @@ use aidx_core::{
     Aggregate, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, RefinementPolicy,
     RunMetrics,
 };
+use aidx_cracking::generate_unique_shuffled;
 use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
-use aidx_storage::generate_unique_shuffled;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -517,7 +517,7 @@ mod tests {
     fn compaction_runs_stay_oracle_correct_under_concurrency() {
         use crate::engine::CheckedEngine;
         use crate::runner::MultiClientRunner;
-        use aidx_storage::generate_unique_shuffled;
+        use aidx_cracking::generate_unique_shuffled;
 
         for approach in [
             Approach::Crack(LatchProtocol::Piece),
@@ -549,7 +549,7 @@ mod tests {
     fn snapshot_scan_runs_stay_oracle_correct_under_concurrency() {
         use crate::engine::CheckedEngine;
         use crate::runner::MultiClientRunner;
-        use aidx_storage::generate_unique_shuffled;
+        use aidx_cracking::generate_unique_shuffled;
 
         // Every select reads through a pin of its own while
         // writers churn and incremental compaction merges piece by piece;

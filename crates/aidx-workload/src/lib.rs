@@ -18,8 +18,8 @@
 //!   reads *and* writes through the same `execute(Operation)` entry point.
 //! * [`MultiColumnWorkload`] — conjunctive multi-column selections with
 //!   per-column selectivity knobs (plus tuple inserts and key deletes)
-//!   for the `aidx-table` engines, whose serial and range-partitioned
-//!   arms are re-exported here as [`TableBackend`].
+//!   for the `aidx-table` engines (serial and range-partitioned arms,
+//!   `aidx_table::TableBackend`).
 //! * [`JoinWorkload`] — a dimension/fact table pair with key/FK
 //!   structure (uniform or zipfian-skewed foreign keys, dense or strided
 //!   dimension keys) plus deterministic join-query sequences for the
@@ -55,11 +55,3 @@ pub use join_workload::{
 pub use query::{selectivity_to_width, Operation, QuerySpec};
 pub use runner::MultiClientRunner;
 pub use table_workload::MultiColumnWorkload;
-
-// The table-level engine arms (serial / range table engines)
-// live in `aidx-table`; re-exported here so experiment harnesses have one
-// import surface.
-pub use aidx_table::{
-    CheckedTableEngine, ColumnPredicate, JoinStrategy, TableBackend, TableEngine, TableOp,
-    TableOpResult,
-};

@@ -18,10 +18,8 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`storage`] | column-store substrate (columns, tables, bulk operators, data generator) |
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
-//! | [`cracking`] | serial database cracking: cracker array, piece map (table of contents), read-only plain-cracking index, scan/sort baselines |
-//! | [`btree`] | partitioned B-tree, adaptive merging, read-only hybrid crack-sort, key-range locks |
+//! | [`cracking`] | the serial structures and baselines: row ids, cracker array, piece map (table of contents), read-only plain-cracking index, partitioned B-tree, adaptive merging, read-only hybrid crack-sort, key-range locks, scan/sort baselines, scan operators, data generator |
 //! | [`core`] | **the paper's contribution**: the one `Index`/`ColumnRead` surface every backend implements, concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
 //! | [`parallel`] | range-partitioned cracking: piece-latched partitions behind a query router, cracked on the calling thread, skew-adaptive re-partitioning |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
@@ -63,26 +61,25 @@
 //! assert_eq!(index.sum(250_000, 260_000).0, sum - 255_000);
 //! ```
 
-pub use aidx_btree as btree;
 pub use aidx_core as core;
 pub use aidx_cracking as cracking;
 pub use aidx_latch as latch;
 pub use aidx_parallel as parallel;
-pub use aidx_storage as storage;
 pub use aidx_table as table;
 pub use aidx_workload as workload;
 
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
-    pub use aidx_btree::{AdaptiveMergeIndex, HybridCrackSort, PartitionedBTree};
     pub use aidx_core::{
         Aggregate, ColumnRead, ConcurrentAdaptiveMerge, ConcurrentCracker, Index, LatchProtocol,
         QueryMetrics, RefinementPolicy, RunMetrics, WriteOp,
     };
-    pub use aidx_cracking::{CrackerIndex, ScanBaseline, SortIndex};
+    pub use aidx_cracking::{
+        generate_unique_shuffled, AdaptiveMergeIndex, CrackerIndex, HybridCrackSort,
+        PartitionedBTree, RowId, ScanBaseline, SortIndex,
+    };
     pub use aidx_latch::{LockManager, LockMode, LockResource};
     pub use aidx_parallel::{available_cores, RangePartitionedCracker};
-    pub use aidx_storage::{generate_unique_shuffled, Catalog, Column, RowId, Table};
     pub use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
     pub use aidx_workload::{
         run_experiment, AdaptiveEngine, Approach, ExperimentConfig, IndexEngine, MultiClientRunner,

@@ -180,27 +180,17 @@ fn skip_on_contention_never_gives_wrong_answers_and_skips_under_load() {
 }
 
 #[test]
-fn cracker_registered_through_catalog_and_queried() {
-    // End-to-end through the storage catalog: register a table, build a
-    // cracker over its key column, reconstruct payload tuples via row ids.
-    use adaptive_indexing::storage::{ops, Column, Table};
+fn cracker_row_ids_fetch_an_aligned_payload_column() {
+    // Two positionally aligned columns: crack the key column, then
+    // reconstruct payload tuples via the row ids it returns.
+    use adaptive_indexing::cracking::ops;
     let n = 10_000usize;
     let keys = shuffled(n);
     let payload: Vec<i64> = (0..n as i64).map(|i| i * 2).collect();
 
-    let mut table = Table::new("r");
-    table
-        .add_column(Column::from_values("a", keys.clone()))
-        .unwrap();
-    table
-        .add_column(Column::from_values("b", payload.clone()))
-        .unwrap();
-    let catalog = Catalog::new();
-    let table = catalog.register_table(table).unwrap();
-
-    let mut cracker = CrackerIndex::from_column(table.column("a").unwrap());
+    let mut cracker = CrackerIndex::from_values(keys.clone());
     let rowids = cracker.select_rowids(2_000, 2_100);
-    let fetched = ops::fetch(table.column("b").unwrap().values(), &rowids);
+    let fetched = ops::fetch(&payload, &rowids);
     let expected: i128 = ops::select_range(&keys, &payload, 2_000, 2_100)
         .iter()
         .map(|&v| v as i128)
