@@ -20,16 +20,19 @@
 //!
 //! Asserted: every engine answer equals the scan oracle; at 1:100 skew
 //! the galloping walk is strictly faster than the seed flat-Vec path on
-//! every backend; and a dense-range candidate set encodes below 4
-//! bytes/row (a flat `Vec<RowId>` costs exactly 4).
+//! every backend; a dense-range candidate set encodes below 4 bytes/row
+//! (a flat `Vec<RowId>` costs exactly 4); and a sparse one (under one id
+//! per 32 of span) is held as blocks, also below flat.
 //!
 //! Environment overrides: `AIDX_ROWS` (default 2 000 000),
 //! `AIDX_QUERIES` (timing repetitions, default 7, min 5),
 //! `AIDX_TABLE_ARMS` (comma-separated backend labels). Add
 //! `-- --json <path>` or set `AIDX_JSON_OUT` for the JSON report, which
-//! carries a `candidate_set_bytes` series (compressed vs flat footprint
-//! per backend and ratio, and the `container` the sets were held in:
-//! `bitmap` when any set of the point is a dense bitmap, else `blocks`).
+//! carries a `candidate_set_bytes` series (one point per set: its
+//! compressed and flat footprint per backend and ratio, and the
+//! `container` it was held in, `bitmap` or `blocks`) and an
+//! `intersection_ns` series (the converged walks' timings per backend and
+//! ratio).
 //!
 //! Run with `cargo bench -p aidx-bench --bench bench_rowid_sets`.
 
@@ -95,14 +98,24 @@ fn vec_intersect(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
     out
 }
 
-/// The `container` label of a report point: `bitmap` when any of its
-/// sets is one.
-fn container(sets: &[&RowIdSet]) -> Json {
-    Json::str(if sets.iter().any(|s| s.is_bitmap()) {
-        "bitmap"
-    } else {
-        "blocks"
-    })
+/// The fields of one `candidate_set_bytes` point: `set`'s footprint
+/// against a flat vector's, labelled with the container it is held in.
+fn set_point(backend: &str, ratio: Json, role: &str, set: &RowIdSet) -> Vec<(&'static str, Json)> {
+    vec![
+        ("backend", Json::str(backend)),
+        ("ratio", ratio),
+        ("set", Json::str(role)),
+        ("ids", Json::UInt(set.len() as u64)),
+        ("candidate_set_bytes", Json::UInt(set.heap_bytes() as u64)),
+        (
+            "flat_bytes",
+            Json::UInt((set.len() * std::mem::size_of::<RowId>()) as u64),
+        ),
+        (
+            "container",
+            Json::str(if set.is_bitmap() { "bitmap" } else { "blocks" }),
+        ),
+    ]
 }
 
 /// Min-of-N timing (converged, read-only work: min is the right summary
@@ -156,6 +169,7 @@ fn main() {
         .param("other_frac", Json::Num(OTHER_FRAC));
 
     let mut series: Vec<Json> = Vec::new();
+    let mut timings: Vec<Json> = Vec::new();
     let mut timing_rows = Vec::new();
     for &backend in &arms {
         let engine = TableEngine::new(
@@ -238,14 +252,17 @@ fn main() {
                 format!("{}", set_bytes / 1024),
                 format!("{}", stats.blocks_skipped),
             ]);
-            series.push(Json::obj(vec![
+            for (role, set) in [("driver", &sa), ("other", &sb)] {
+                series.push(Json::obj(set_point(
+                    &label,
+                    Json::UInt(ratio as u64),
+                    role,
+                    set,
+                )));
+            }
+            timings.push(Json::obj(vec![
                 ("backend", Json::str(&label)),
                 ("ratio", Json::UInt(ratio as u64)),
-                ("driver_ids", Json::UInt(va.len() as u64)),
-                ("other_ids", Json::UInt(vb.len() as u64)),
-                ("candidate_set_bytes", Json::UInt(set_bytes as u64)),
-                ("flat_bytes", Json::UInt(flat_bytes as u64)),
-                ("container", container(&[&sa, &sb])),
                 ("blocks_skipped", Json::UInt(stats.blocks_skipped)),
                 (
                     "seed_vec_ns",
@@ -279,18 +296,44 @@ fn main() {
             bytes_per_row < 4.0,
             "{label}: dense candidate set at {bytes_per_row:.2} B/row (flat = 4)"
         );
-        series.push(Json::obj(vec![
-            ("backend", Json::str(&label)),
-            ("ratio", Json::str("dense-half-table")),
-            ("candidate_set_bytes", Json::UInt(dense.heap_bytes() as u64)),
-            (
-                "flat_bytes",
-                Json::UInt((dense.len() * std::mem::size_of::<RowId>()) as u64),
-            ),
-            ("container", container(&[&dense])),
-            ("bytes_per_row", Json::Num(bytes_per_row)),
-        ]));
+        let mut point = set_point(&label, Json::str("dense-half-table"), "dense", &dense);
+        point.push(("bytes_per_row", Json::Num(bytes_per_row)));
+        series.push(Json::obj(point));
         println!("{label}: dense half-table set at {bytes_per_row:.2} B/row");
+
+        // Sparse footprint: c1 is a permutation, so a window of 1/256 of
+        // the keys scatters its ids over the whole table, one per ~256 of
+        // span: too sparse for a bitmap to beat the flat vector.
+        let (sparse, m) = engine.column_index(1).select_rowid_set(
+            rows as i64 / 3,
+            rows as i64 / 3 + (rows as i64 / 256).max(1),
+        );
+        assert_eq!(m.candidate_set_bytes, sparse.heap_bytes() as u64);
+        let ids = sparse.to_vec();
+        let span = match (ids.first(), ids.last()) {
+            (Some(&first), Some(&last)) => (last - first) as usize,
+            _ => 0,
+        };
+        assert!(
+            sparse.len() * 32 < span,
+            "{label}: the sparse set is not under one id per 32 of span"
+        );
+        assert!(
+            !sparse.is_bitmap(),
+            "{label}: a sparse set held as a bitmap"
+        );
+        let sparse_bytes_per_row = sparse.heap_bytes() as f64 / sparse.len().max(1) as f64;
+        assert!(
+            sparse_bytes_per_row < 4.0,
+            "{label}: sparse candidate set at {sparse_bytes_per_row:.2} B/row (flat = 4)"
+        );
+        series.push(Json::obj(set_point(
+            &label,
+            Json::str("sparse"),
+            "sparse",
+            &sparse,
+        )));
+        println!("{label}: sparse set at {sparse_bytes_per_row:.2} B/row");
 
         assert!(engine.check_invariants(), "{}", engine.name());
     }
@@ -312,9 +355,10 @@ fn main() {
         &timing_rows,
     );
     report.section("series", "candidate_set_bytes", Json::Arr(series));
+    report.section("series", "intersection_ns", Json::Arr(timings));
     report.finish();
     println!(
         "every answer matched the scan oracle; 1:100 gallop beat the seed \
-         flat-Vec merge on every arm; dense sets stayed under 4 B/row"
+         flat-Vec merge on every arm; dense and sparse sets stayed under 4 B/row"
     );
 }

@@ -11,10 +11,10 @@
 //! * **[`RowIdSet`]** holds its sorted ids in one of two containers. A
 //!   *sparse* set is delta-encoded (LEB128 gaps) in fixed-capacity blocks
 //!   with one skip entry per block (~1.2–2 bytes per row). A *dense* set
-//!   is a bitmap over its id span: it stays one when that costs at most
-//!   one byte per row (`span ≤ 8 × len`, where blocks cost ≥ 1.19), and
-//!   then `len` is a popcount, union a word-OR, intersection a word-AND
-//!   and decoding a word walk.
+//!   is a bitmap over its id span: it stays one whenever that costs less
+//!   than a flat `Vec<RowId>` (`span < 32 × len`, under 4 bytes per
+//!   row), and then `len` is a popcount, union a word-OR, intersection a
+//!   word-AND, `contains` a bit test and decoding a word walk.
 //! * **[`SeekingIterator`]** is the consumption interface: `next()` for
 //!   ordered streaming, `next_seek(target)` for "first id ≥ target".
 //!   On blocks a seek gallops over the skip entries, so whole blocks of
@@ -31,9 +31,14 @@
 //! every visited piece in physical order, and [`RowIdSet::from_runs`]
 //! scatters them into a bitmap over the set's id span — no per-run sort,
 //! no heap merge. Hidden delta rows are bit clears, extra delta rows bit
-//! sets. A result too sparse to stay a bitmap is encoded from the
-//! bitmap's words, which are already ascending; only a set sparser than
-//! one id per 1024 ids of span is sorted instead. Every bitmap buffer —
+//! sets. A result too sparse to stay a bitmap is block-encoded straight
+//! from the bitmap's words, which are already ascending (the same bytes
+//! as [`RowIdSetBuilder`], without its per-id checks); only a set sparser
+//! than one id per 1024 ids of span is sorted instead.
+//! [`RowIdSet::filter_batches`] hands a consumer 64 ids at a time — a
+//! bitmap word's or a block's — and takes back a keep mask, so a filter
+//! over the set (the table engine's projection) runs branch-free over
+//! independent loads. Every bitmap buffer —
 //! construction scratch and container words alike — comes from one small
 //! recycled pool shared by all threads (one client builds the sets
 //! another drops), so a read allocates no fresh bitmap.
@@ -54,9 +59,15 @@ pub const BLOCK_IDS: usize = 64;
 /// side is at least this many times the smaller side, else linear merge.
 pub const GALLOP_RATIO: usize = 8;
 
-/// A set of at most this many bits of span per id stays a bitmap: one
-/// byte per row, where LEB128 blocks cost at least 1.19.
-const BITMAP_BITS_PER_ID: usize = 8;
+/// A set of fewer than this many bits of span per id stays a bitmap: it
+/// then costs less than a flat `Vec<RowId>`, which spends 32 bits on
+/// every id.
+const BITMAP_BITS_PER_ID: usize = RowId::BITS as usize;
+
+/// Ids per batch of [`RowIdSet::filter_batches`]: one bitmap word, or one
+/// block (a keep mask is one `u64`).
+const BATCH_IDS: usize = 64;
+const _: () = assert!(BLOCK_IDS <= BATCH_IDS);
 
 /// Construction scatters into a bitmap when the id span is at most this
 /// many times the ids being placed, and concatenates and sorts
@@ -140,7 +151,7 @@ impl Drop for Words {
 }
 
 /// Skip entry of one compressed block.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BlockMeta {
     /// First id of the block (stored verbatim; the gap stream encodes
     /// the remaining `count - 1` ids relative to their predecessor).
@@ -212,13 +223,7 @@ impl RowIdSetBuilder {
                 return;
             }
             if self.in_block < BLOCK_IDS {
-                let mut gap = id - last;
-                // LEB128: 7 payload bits per byte, high bit = continue.
-                while gap >= 0x80 {
-                    self.gaps.push((gap as u8 & 0x7f) | 0x80);
-                    gap >>= 7;
-                }
-                self.gaps.push(gap as u8);
+                push_gap(&mut self.gaps, id - last);
                 self.in_block += 1;
                 self.metas
                     .last_mut()
@@ -252,10 +257,20 @@ impl RowIdSetBuilder {
     }
 }
 
-/// True when `words` words of bitmap hold `len` ids at no more than
+/// True when `words` words of bitmap hold `len` ids at fewer than
 /// [`BITMAP_BITS_PER_ID`] bits each.
 fn bitmap_pays(words: usize, len: usize) -> bool {
-    words * 64 <= BITMAP_BITS_PER_ID * len
+    words * 64 < BITMAP_BITS_PER_ID * len
+}
+
+/// Appends `gap` to a gap stream as LEB128: 7 payload bits per byte, high
+/// bit = continue.
+fn push_gap(gaps: &mut Vec<u8>, mut gap: RowId) {
+    while gap >= 0x80 {
+        gaps.push((gap as u8 & 0x7f) | 0x80);
+        gap >>= 7;
+    }
+    gaps.push(gap as u8);
 }
 
 /// True when ids spread over `span` are dense enough to scatter into a
@@ -305,14 +320,77 @@ impl Scatter {
     }
 }
 
-/// Calls `f` with every id of the bitmap at `base`, ascending.
-fn for_each_bit(base: RowId, words: &[u64], mut f: impl FnMut(RowId)) {
+/// Writes the ids of one bitmap word, whose bit 0 is `word_base`, into
+/// `out` ascending; `out` holds exactly `word.count_ones()` ids.
+fn write_word_ids(word_base: RowId, word: u64, out: &mut [RowId]) {
+    let mut bits = word;
+    for slot in out {
+        *slot = word_base + bits.trailing_zeros();
+        bits &= bits - 1;
+    }
+}
+
+/// Writes the ids of one block into `out`, which holds exactly
+/// `meta.count` ids.
+fn decode_block(meta: &BlockMeta, gaps: &[u8], out: &mut [RowId]) {
+    let (head, tail) = out
+        .split_first_mut()
+        .expect("a block holds at least one id");
+    let (mut id, mut pos) = (meta.first, meta.offset as usize);
+    *head = id;
+    for slot in tail {
+        id += decode_gap(gaps, &mut pos);
+        *slot = id;
+    }
+}
+
+/// Block-encodes the ids of the bitmap at `base` straight from its words:
+/// the same skip entries and gap bytes as pushing every id into a
+/// [`RowIdSetBuilder`], without its per-id order check, duplicate test and
+/// count update. `len` is the number of ids in the words.
+fn encode_words(base: RowId, words: &[u64], len: usize) -> RowIdSet {
+    let mut metas = Vec::with_capacity(len.div_ceil(BLOCK_IDS));
+    let mut gaps = Vec::with_capacity(len);
+    let mut prev: RowId = 0;
+    // Ids the open block still takes (0: the next id opens a block).
+    let mut room = 0;
     for (i, &word) in words.iter().enumerate() {
+        let word_base = base + (i * 64) as RowId;
         let mut bits = word;
         while bits != 0 {
-            f(base + (i * 64) as RowId + bits.trailing_zeros());
+            let id = word_base + bits.trailing_zeros();
             bits &= bits - 1;
+            if room == 0 {
+                // Full until the last block's count is set below.
+                metas.push(BlockMeta {
+                    first: id,
+                    offset: u32::try_from(gaps.len()).expect("gap stream < 4 GiB"),
+                    count: BLOCK_IDS as u16,
+                });
+                room = BLOCK_IDS - 1;
+            } else {
+                push_gap(&mut gaps, id - prev);
+                room -= 1;
+            }
+            prev = id;
         }
+    }
+    if let Some(last) = metas.last_mut() {
+        last.count = (BLOCK_IDS - room) as u16;
+    }
+    debug_assert_eq!(len, metas.iter().map(|m| m.count as usize).sum::<usize>());
+    RowIdSet {
+        container: Container::Blocks { metas, gaps },
+        len,
+    }
+}
+
+/// Calls `f` with the ids of `mask`'s set bits: bit `i` stands for
+/// `ids[i]`.
+fn for_each_kept(ids: &[RowId], mut mask: u64, mut f: impl FnMut(RowId)) {
+    while mask != 0 {
+        f(ids[mask.trailing_zeros() as usize]);
+        mask &= mask - 1;
     }
 }
 
@@ -402,7 +480,7 @@ impl RowIdSet {
         if !scatters((max - min) as usize, total) {
             let mut ids = Vec::with_capacity(total);
             for set in &sets {
-                set.for_each(|id| ids.push(id));
+                set.for_each_batch(|batch| ids.extend_from_slice(batch));
             }
             ids.sort_unstable();
             return RowIdSet::from_sorted(&ids);
@@ -416,15 +494,19 @@ impl RowIdSet {
                         *word |= bits;
                     }
                 }
-                Container::Blocks { .. } => set.for_each(|id| union.insert(id)),
+                Container::Blocks { .. } => set.for_each_batch(|ids| {
+                    for &id in ids {
+                        union.insert(id);
+                    }
+                }),
             }
         }
         union.finish()
     }
 
     /// The set of a scattered bitmap at `base`: kept as a bitmap (trimmed
-    /// to its non-zero words) when that pays, else encoded from the words
-    /// into blocks and the buffer recycled.
+    /// to its non-zero words) when that pays, else block-encoded straight
+    /// from the words and the buffer recycled.
     fn from_bitmap(base: RowId, mut words: Vec<u64>) -> RowIdSet {
         let len: usize = words.iter().map(|w| w.count_ones() as usize).sum();
         let first = words.iter().position(|&w| w != 0);
@@ -444,15 +526,9 @@ impl RowIdSet {
                 len,
             };
         }
-        let mut b = RowIdSetBuilder {
-            metas: Vec::with_capacity(len.div_ceil(BLOCK_IDS)),
-            gaps: Vec::with_capacity(len),
-            ..RowIdSetBuilder::default()
-        };
-        let first_id = base + (first * 64) as RowId;
-        for_each_bit(first_id, &words[first..=last], |id| b.push(id));
+        let set = encode_words(base + (first * 64) as RowId, &words[first..=last], len);
         recycle_words(words);
-        b.finish()
+        set
     }
 
     /// A strictly ascending id sequence in whichever container pays.
@@ -570,25 +646,64 @@ impl RowIdSet {
         })
     }
 
-    /// Calls `f` with every id, ascending.
-    fn for_each(&self, mut f: impl FnMut(RowId)) {
+    /// Calls `f` with the ids in ascending batches of at most
+    /// [`BATCH_IDS`]: a bitmap's non-zero words, a block set's blocks.
+    fn for_each_batch(&self, mut f: impl FnMut(&[RowId])) {
+        let mut batch = [0; BATCH_IDS];
         match &self.container {
-            Container::Bitmap { base, words } => for_each_bit(*base, &words.0, f),
-            Container::Blocks { .. } => {
-                let mut it = self.iter();
-                while let Some(id) = it.next() {
-                    f(id);
+            Container::Bitmap { base, words } => {
+                for (i, &word) in words.0.iter().enumerate() {
+                    if word != 0 {
+                        let ids = &mut batch[..word.count_ones() as usize];
+                        write_word_ids(base + (i * 64) as RowId, word, ids);
+                        f(ids);
+                    }
+                }
+            }
+            Container::Blocks { metas, gaps } => {
+                for meta in metas {
+                    let ids = &mut batch[..meta.count as usize];
+                    decode_block(meta, gaps, ids);
+                    f(ids);
                 }
             }
         }
     }
 
     /// Decodes the whole set into an ascending vector (the boundary
-    /// representation callers hand to oracles and result consumers).
+    /// representation callers hand to oracles and result consumers),
+    /// sized once and filled a batch at a time.
     pub fn to_vec(&self) -> Vec<RowId> {
         let mut out = Vec::with_capacity(self.len);
-        self.for_each(|id| out.push(id));
+        self.for_each_batch(|ids| out.extend_from_slice(ids));
         out
+    }
+
+    /// The subset `keep` selects, decided up to 64 ids at a time: `keep`
+    /// gets a batch of ascending ids (a bitmap word's, or a block's) and
+    /// returns a mask whose bit `i` keeps `ids[i]`. A bitmap's survivors
+    /// are set in a pooled bitmap of the same span, which the result
+    /// keeps or is encoded from; a block set's survivors are encoded as
+    /// they come.
+    ///
+    /// # Panics
+    /// Panics if a mask has a bit at or past its batch's length.
+    pub fn filter_batches(&self, mut keep: impl FnMut(&[RowId]) -> u64) -> RowIdSet {
+        match &self.container {
+            Container::Bitmap { base, words } => {
+                let mut kept = Scatter {
+                    base: *base,
+                    words: Words(take_words(words.0.len())),
+                };
+                self.for_each_batch(|ids| for_each_kept(ids, keep(ids), |id| kept.insert(id)));
+                kept.finish()
+            }
+            Container::Blocks { .. } => {
+                let mut kept = RowIdSetBuilder::new();
+                self.for_each_batch(|ids| for_each_kept(ids, keep(ids), |id| kept.push(id)));
+                kept.finish()
+            }
+        }
     }
 }
 
@@ -1033,7 +1148,7 @@ pub fn intersect_sets(
 
 /// A block set against a bitmap: seeks the block side to the bitmap's
 /// first id (skipping the blocks before it) and tests every block id up
-/// to the bitmap's last — at most 8 per bitmap id, since the bitmap's
+/// to the bitmap's last — fewer than 32 per bitmap id, since the bitmap's
 /// span is.
 fn probe_bitmap(bitmap: &RowIdSet, blocks: &RowIdSet) -> (RowIdSet, IntersectStats) {
     let (Some(first), Some(last)) = (bitmap.first(), bitmap.last()) else {
@@ -1236,16 +1351,20 @@ mod tests {
 
     #[test]
     fn the_container_follows_the_density() {
-        // One id per 8 of span (rounded to whole words) stays a bitmap…
-        let dense = runs(vec![(0..64).map(|i| i * 8).collect()]);
+        // One id per 31 bits of span (31 whole words for 64 ids) costs
+        // just under a flat vector and stays a bitmap…
+        let stride = BITMAP_BITS_PER_ID as RowId;
+        let dense = runs(vec![(0..64).map(|i| i * (stride - 1)).collect()]);
         assert!(dense.is_bitmap());
-        assert_eq!(dense.heap_bytes(), 64);
-        // …one per 9 is encoded from the scattered words…
-        let sparse = runs(vec![(0..64).rev().map(|i| 1000 + i * 9).collect()]);
+        assert_eq!(dense.heap_bytes(), 31 * 8);
+        assert!(dense.heap_bytes() < 64 * std::mem::size_of::<RowId>());
+        // …one per 32 (32 words, as many bytes as a flat vector) is
+        // encoded from the scattered words…
+        let sparse = runs(vec![(0..64).rev().map(|i| 1024 + i * stride).collect()]);
         assert!(!sparse.is_bitmap());
         assert_eq!(
             sparse.to_vec(),
-            (0..64).map(|i| 1000 + i * 9).collect::<Vec<_>>()
+            (0..64).map(|i| 1024 + i * stride).collect::<Vec<_>>()
         );
         // …and past the scatter ratio the ids are sorted instead.
         let far = runs(vec![vec![(SCATTER_RATIO * 4) as RowId, 3, 1]]);
@@ -1353,7 +1472,10 @@ mod tests {
         assert_eq!(set.first(), ids.first().copied());
         assert_eq!(set.last(), ids.last().copied());
         if set.is_bitmap() {
-            assert!(set.heap_bytes() <= set.len(), "a bitmap costs <= 1 B/row");
+            assert!(
+                set.heap_bytes() * 8 < BITMAP_BITS_PER_ID * set.len(),
+                "a bitmap costs < 4 B/row"
+            );
         } else {
             // Ids below 2^21 gap in <= 3 bytes, so a block costs <= 4 B/row
             // beyond one skip entry.
@@ -1393,6 +1515,89 @@ mod tests {
                     break;
                 }
             }
+        }
+    }
+
+    /// Pushes `ids` (strictly ascending, all at or past `base`) through
+    /// the builder and encodes the same ids from the bitmap at `base`,
+    /// `lead` zero words before the first id's word and `trail` after the
+    /// last's; the two encodings must agree byte for byte.
+    fn assert_encodes_like_the_builder(base: RowId, ids: &[RowId], lead: usize, trail: usize) {
+        let mut builder = RowIdSetBuilder::new();
+        for &id in ids {
+            builder.push(id);
+        }
+        let want = builder.finish();
+        let words_base = base - (lead * 64) as RowId;
+        let top = ids
+            .last()
+            .map_or(0, |&id| (id - words_base) as usize / 64 + 1);
+        let mut words = vec![0u64; top + trail];
+        for &id in ids {
+            let bit = (id - words_base) as usize;
+            words[bit / 64] |= 1 << (bit % 64);
+        }
+        let got = encode_words(words_base, &words, ids.len());
+        assert_eq!(got.len, want.len);
+        let (
+            Container::Blocks { metas, gaps },
+            Container::Blocks {
+                metas: want_metas,
+                gaps: want_gaps,
+            },
+        ) = (&got.container, &want.container)
+        else {
+            panic!("both encodings are blocks");
+        };
+        assert_eq!(metas, want_metas, "skip entries");
+        assert_eq!(gaps, want_gaps, "gap bytes");
+    }
+
+    #[test]
+    fn the_word_encoder_writes_five_byte_gaps_like_the_builder() {
+        // A gap of 2^28 needs five LEB128 bytes (and 32 MiB of words).
+        let far = 1 << 28;
+        let base = 64 * 3;
+        let ids = [base + 5, base + 5 + far, base + 6 + far, base + 9 + far];
+        assert_encodes_like_the_builder(base, &ids, 1, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_word_encoder_writes_the_builders_bytes(
+            base_word in prop_oneof![Just(0u32), 1u32..1 << 20],
+            first in 0u32..64,
+            count in prop_oneof![
+                Just(1usize), Just(63), Just(64), Just(65), Just(128), 1usize..400,
+            ],
+            // Gaps of 1, 2 and 3 LEB128 bytes (3-byte ones near their
+            // floor, to keep the bitmaps small)…
+            gaps in prop::collection::vec(
+                prop_oneof![
+                    1u32..0x80,
+                    1u32..0x80,
+                    0x80u32..1 << 14,
+                    (1u32 << 14)..(1 << 14) + 4096,
+                ],
+                400..401,
+            ),
+            // …and a few of 4 bytes.
+            far in prop::collection::vec(1usize..400, 0..3),
+            ends in (0usize..3, 0usize..3),
+        ) {
+            let (lead, trail) = ends;
+            let mut gaps = gaps;
+            for &at in &far {
+                gaps[at] = (1 << 21) + gaps[at] % 4096;
+            }
+            let base = base_word * 64 + (lead * 64) as RowId;
+            let mut ids = vec![base + first];
+            for &gap in &gaps[1..count] {
+                ids.push(ids[ids.len() - 1] + gap);
+            }
+            assert_encodes_like_the_builder(base, &ids, lead, trail);
         }
     }
 

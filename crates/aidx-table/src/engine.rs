@@ -20,13 +20,13 @@
 //!   two block sets gallop when one side is much smaller — leapfrog
 //!   seeks that skip whole compressed blocks of the larger side — or
 //!   merge linearly when the sides are comparable; or
-//! * **projects**: probes the row store (`tuple[col]` per candidate)
-//!   instead, at the cost of refining nothing. The switch weighs counts,
-//!   not clocks: a probe is taken to cost 3/2 of a row read from the
-//!   predicate's column, so the predicate projects when `candidates × 3
-//!   < rows × 2`, where `rows` is its estimated result: the driver's
-//!   result scaled by the two predicates' widths (the same uniform-domain
-//!   assumption as the ordering).
+//! * **projects**: probes the row store (`tuple[col]` per candidate, 64
+//!   candidates per batch) instead, at the cost of refining nothing. The
+//!   switch weighs counts, not clocks: a probe is taken to cost 3/2 of a
+//!   row read from the predicate's column, so the predicate projects
+//!   when `candidates × 3 < rows × 2`, where `rows` is its estimated
+//!   result: the driver's result scaled by the two predicates' widths
+//!   (the same uniform-domain assumption as the ordering).
 //!
 //! Joins pick their strategy the same way (see
 //! [`TableEngine::execute_join`]). Every plan is therefore a function of
@@ -55,8 +55,7 @@ use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
 use aidx_core::facade::{Mutex, MutexGuard, RwLock};
 use aidx_core::{
     dcheck, intersect_sets, merge_join_pairs, note_merge_join, ColumnRead, CompactionPolicy, Index,
-    IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, RowIdSet, RowIdSetBuilder,
-    SeekingIterator,
+    IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, RowIdSet,
 };
 use aidx_cracking::RowId;
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
@@ -68,8 +67,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Projection vs. intersection, as `(probe, read)` weights per row: one
-/// row-store probe (a hash-overlay lookup plus a column access) costs
-/// 3/2 of one row read from a cracked column's rowid set.
+/// row-store probe (a column load by row id; only an inserted row adds a
+/// hash-overlay lookup) costs 3/2 of one row read from a cracked column's
+/// rowid set.
 const PROJECTION_WEIGHTS: (u128, u128) = (3, 2);
 
 /// Gallop vs. hash join, as `(gallop, build, probe)` weights per row: a
@@ -438,21 +438,31 @@ impl TableEngine {
         }
     }
 
-    /// Aligned projection: probes the row store for every candidate and
-    /// re-encodes the survivors (candidates arrive ascending, so the
-    /// builder streams).
+    /// Aligned projection: probes the row store for every candidate, 64
+    /// at a time ([`RowIdSet::filter_batches`]). A batch of base rows is
+    /// 64 independent column loads and a branch-free range test into the
+    /// keep mask; a batch that reaches an inserted row probes each id
+    /// through [`TableEngine::value_at`].
     fn project_filter(&self, candidates: &RowIdSet, predicate: &ColumnPredicate) -> RowIdSet {
-        let mut survivors = RowIdSetBuilder::new();
-        let mut it = candidates.iter();
-        while let Some(rowid) = it.next() {
-            if self
-                .value_at(predicate.column, rowid)
-                .is_some_and(|v| predicate.matches(v))
-            {
-                survivors.push(rowid);
+        let column = &self.base[predicate.column][..self.base_rows];
+        let (low, high) = (predicate.low, predicate.high);
+        candidates.filter_batches(|ids| {
+            let mut keep = 0;
+            if ids.last().is_some_and(|&id| id as usize >= self.base_rows) {
+                for (i, &id) in ids.iter().enumerate() {
+                    let hit = self
+                        .value_at(predicate.column, id)
+                        .is_some_and(|v| predicate.matches(v));
+                    keep |= u64::from(hit) << i;
+                }
+            } else {
+                for (i, &id) in ids.iter().enumerate() {
+                    let v = column[id as usize];
+                    keep |= u64::from((v >= low) & (v < high)) << i;
+                }
             }
-        }
-        survivors.finish()
+            keep
+        })
     }
 
     fn insert_tuple(&self, tuple: &[i64]) -> TableOpResult {
@@ -1107,6 +1117,91 @@ mod tests {
         assert!(
             !prefer_projection(usize::MAX, u64::MAX),
             "u128 arithmetic cannot overflow"
+        );
+    }
+
+    /// The batched projection keeps exactly the candidates a per-id
+    /// row-store probe keeps, from bitmap and block candidates alike:
+    /// with batches that straddle the base rows, inserted rows, an
+    /// inserted row deleted and reclaimed (no value), keys at both ends
+    /// of the domain and no candidates at all.
+    #[test]
+    fn batched_projection_equals_a_per_id_probe() {
+        // 100 base rows: the word and the block of ids 64..127 straddle
+        // the end of the base.
+        let mut b: Vec<i64> = (0..100).map(|i| (i * 37) % 50).collect();
+        b[3] = i64::MIN;
+        b[70] = i64::MAX - 1;
+        let a: Vec<i64> = (0..100).collect();
+        let engine = TableEngine::new(
+            "p",
+            vec![("a".into(), a), ("b".into(), b)],
+            TableBackend::Serial(LatchProtocol::Piece),
+            CompactionPolicy::disabled(),
+        );
+        for i in 0..40 {
+            let key = match i {
+                5 => i64::MIN,
+                6 => i64::MAX - 1,
+                _ => (i * 13) % 50,
+            };
+            engine.execute(&TableOp::InsertTuple(vec![1000 + i, key]));
+        }
+        let gone = engine
+            .execute(&TableOp::DeleteWhere {
+                column: 0,
+                value: 1007,
+            })
+            .rowids;
+        assert_eq!(gone, [107]);
+        assert_eq!(engine.value_at(1, 107), None, "reclaimed: no cut was live");
+
+        let predicates = [
+            ColumnPredicate::new(1, 0, 25),
+            ColumnPredicate::new(1, i64::MIN, i64::MIN + 1),
+            ColumnPredicate::new(1, i64::MAX - 1, i64::MAX),
+            ColumnPredicate::new(1, i64::MIN, i64::MAX),
+            ColumnPredicate::new(1, 10, 10),
+        ];
+        let every: Vec<RowId> = (0..140).collect();
+        let candidate_lists = [
+            every.clone(),
+            every.iter().copied().filter(|id| id % 3 != 1).collect(),
+            (60..110).collect(),
+            vec![3, 70, 105, 106, 107],
+            Vec::new(),
+        ];
+        for ids in &candidate_lists {
+            let bitmap = RowIdSet::from_runs(std::slice::from_ref(ids), &Default::default(), &[]);
+            let blocks = RowIdSet::from_sorted(ids);
+            assert!(ids.len() < 40 || bitmap.is_bitmap());
+            assert!(!blocks.is_bitmap());
+            for predicate in &predicates {
+                let want: Vec<RowId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|&id| {
+                        engine
+                            .value_at(predicate.column, id)
+                            .is_some_and(|v| predicate.matches(v))
+                    })
+                    .collect();
+                for set in [&bitmap, &blocks] {
+                    let got = engine.project_filter(set, predicate);
+                    assert_eq!(got.to_vec(), want, "{predicate:?} over {ids:?}");
+                    assert_eq!(got.len(), want.len());
+                }
+            }
+        }
+        // The extreme keys are found among base and inserted rows alike.
+        let all = RowIdSet::from_sorted(&every);
+        assert_eq!(
+            engine.project_filter(&all, &predicates[1]).to_vec(),
+            [3, 105]
+        );
+        assert_eq!(
+            engine.project_filter(&all, &predicates[2]).to_vec(),
+            [70, 106]
         );
     }
 
