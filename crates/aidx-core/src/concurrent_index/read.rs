@@ -177,12 +177,18 @@ pub enum ReadShape {
     /// The qualifying row ids as one flat ascending vector — the
     /// uncompressed reference the other row shapes are checked against.
     RowIds,
-    /// The qualifying row ids as a [`RowIdSet`]: every visited piece's
-    /// row ids are scattered, unsorted, into a bitmap over the set's id
-    /// span, delta rows clear or set their bits, and the result stays a
-    /// bitmap when dense or is encoded from the bitmap's (ascending)
-    /// words into blocks — no sort, no heap merge.
+    /// The qualifying row ids as a compact [`RowIdSet`]: the
+    /// [`ReadShape::Candidates`] set, compacted ([`RowIdSet::compact`]) —
+    /// it stays a bitmap when dense or is encoded from the bitmap's
+    /// (ascending) words into blocks.
     RowIdSet,
+    /// The qualifying row ids as a [`RowIdSet`] in the planner form, for
+    /// a consumer that uses and drops the set within one operation: every
+    /// visited piece's row ids are scattered, unsorted, into a bitmap over
+    /// the set's id span, delta rows clear or set their bits, and the set
+    /// is that bitmap — no sort, no heap merge, no encoding. Only ids
+    /// sparser than one per 1 024 of span are sorted into blocks instead.
+    Candidates,
     /// The qualifying `(key, rowid)` pairs as lazily-merged [`KeyRuns`]:
     /// each visited piece contributes one *raw* run in its physical order
     /// and nothing is sorted here — the consuming
@@ -198,7 +204,7 @@ pub enum ReadAnswer {
     Agg(i128),
     /// [`ReadShape::RowIds`], sorted ascending.
     RowIds(Vec<RowId>),
-    /// [`ReadShape::RowIdSet`].
+    /// [`ReadShape::RowIdSet`] or [`ReadShape::Candidates`].
     Set(RowIdSet),
     /// [`ReadShape::KeyRuns`].
     Runs(KeyRuns),
@@ -212,8 +218,9 @@ impl ReadAnswer {
 
     /// Fan-in of one `shape` read executed across partitions:
     /// partial answers are summed / concatenated and re-sorted / united
-    /// with [`RowIdSet::merge_sets`] (bitmaps word-OR) / absorbed run by
-    /// run (key runs stay unsorted), the parts' metrics are summed with
+    /// with [`RowIdSet::merge_sets`] (bitmaps word-OR; planner-form parts
+    /// stay uncompacted) / absorbed run by run (key runs stay unsorted),
+    /// the parts' metrics are summed with
     /// [`QueryMetrics::accumulate`], and the result size and candidate-set
     /// footprint are those of the *merged* answer the caller receives, not
     /// the sum of the transient parts. Callers that time the whole read
@@ -237,7 +244,7 @@ impl ReadAnswer {
                 rows.sort_unstable();
                 ReadAnswer::RowIds(rows)
             }
-            ReadShape::RowIdSet => ReadAnswer::Set(RowIdSet::merge_sets(
+            ReadShape::RowIdSet | ReadShape::Candidates => ReadAnswer::Set(RowIdSet::merge_sets(
                 answers.map(ReadAnswer::into_set).collect(),
             )),
             ReadShape::KeyRuns => {
@@ -291,8 +298,8 @@ impl ReadAnswer {
         }
     }
 
-    /// The compressed set. Panics unless the read was
-    /// [`ReadShape::RowIdSet`].
+    /// The row-id set. Panics unless the read was
+    /// [`ReadShape::RowIdSet`] or [`ReadShape::Candidates`].
     pub fn into_set(self) -> RowIdSet {
         match self {
             ReadAnswer::Set(set) => set,
@@ -310,15 +317,16 @@ impl ReadAnswer {
 }
 
 /// What one read accumulates while the walk feeds it latched pieces — one
-/// variant per [`ReadShape`]. Both id shapes append every piece's row ids
-/// in physical order: the flat shape sorts them, the set shape scatters
-/// them into a bitmap. Key runs stay one run per piece, which the lazy
-/// join merge wants apart.
+/// variant per [`ReadShape`], the two set shapes sharing one. The id
+/// shapes append every piece's row ids in physical order: the flat shape
+/// sorts them, the set shapes scatter them into a bitmap, which
+/// [`ReadShape::RowIdSet`] then compacts. Key runs stay one run per
+/// piece, which the lazy join merge wants apart.
 pub(super) enum Accumulator {
     Count(u64),
     Sum { rows: u64, sum: i128 },
     RowIds(Vec<RowId>),
-    IdSet(Vec<RowId>),
+    IdSet { ids: Vec<RowId>, compact: bool },
     PairRuns(Vec<Vec<(i64, RowId)>>),
 }
 
@@ -337,7 +345,10 @@ impl Accumulator {
             ReadShape::Count => Accumulator::Count(0),
             ReadShape::Sum => Accumulator::Sum { rows: 0, sum: 0 },
             ReadShape::RowIds => Accumulator::RowIds(Vec::with_capacity(rows)),
-            ReadShape::RowIdSet => Accumulator::IdSet(Vec::with_capacity(rows)),
+            ReadShape::RowIdSet | ReadShape::Candidates => Accumulator::IdSet {
+                ids: Vec::with_capacity(rows),
+                compact: shape == ReadShape::RowIdSet,
+            },
             ReadShape::KeyRuns => Accumulator::PairRuns(Vec::new()),
         }
     }
@@ -372,7 +383,7 @@ impl Accumulator {
                 *rows += n;
                 *sum += s;
             }
-            Accumulator::RowIds(out) | Accumulator::IdSet(out) => match filter {
+            Accumulator::RowIds(out) | Accumulator::IdSet { ids: out, .. } => match filter {
                 None => data.extend_rowids(start, end, out),
                 Some((low, high)) => data.extend_rowids_filtered(start, end, low, high, out),
             },
@@ -407,9 +418,10 @@ impl Accumulator {
                 rows.sort_unstable();
                 ReadAnswer::RowIds(rows)
             }
-            (Accumulator::IdSet(ids), DeltaView::Rows(view)) => {
+            (Accumulator::IdSet { ids, compact }, DeltaView::Rows(view)) => {
                 let extra: Vec<RowId> = view.extra.iter().map(|&(_, rowid)| rowid).collect();
-                ReadAnswer::Set(RowIdSet::from_runs(&[ids], &view.hidden, &extra))
+                let set = RowIdSet::scattered(&[ids], &view.hidden, &extra);
+                ReadAnswer::Set(if compact { set.compact() } else { set })
             }
             (Accumulator::PairRuns(runs), DeltaView::Rows(view)) => {
                 let mut out = KeyRuns::default();

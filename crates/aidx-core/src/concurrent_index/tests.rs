@@ -1554,13 +1554,34 @@ proptest::proptest! {
     }
 }
 
+#[test]
+fn a_candidates_read_keeps_the_bitmap_a_rowid_set_read_encodes() {
+    // One qualifying row per ~100 row ids: scattered into a bitmap, which
+    // costs more than a flat vector, so compaction encodes it.
+    let n = 64_000;
+    let (low, high) = (0, n as i64 / 100);
+    for protocol in protocols() {
+        let idx = ConcurrentCracker::from_values(shuffled(n), protocol);
+        let candidates = idx
+            .read(low, high, None, ReadShape::Candidates)
+            .0
+            .into_set();
+        let compact = idx.read(low, high, None, ReadShape::RowIdSet).0.into_set();
+        assert!(candidates.is_bitmap(), "{protocol}: the scattered bitmap");
+        assert!(!compact.is_bitmap(), "{protocol}: blocks");
+        assert_eq!(candidates.len(), n / 100);
+        assert_eq!(candidates, compact, "{protocol}");
+    }
+}
+
 // ----- crack floor ----------------------------------------------------------
 
-const SHAPES: [ReadShape; 5] = [
+const SHAPES: [ReadShape; 6] = [
     ReadShape::Count,
     ReadShape::Sum,
     ReadShape::RowIds,
     ReadShape::RowIdSet,
+    ReadShape::Candidates,
     ReadShape::KeyRuns,
 ];
 
@@ -1585,7 +1606,7 @@ fn answers_like_the_oracle(
         ReadShape::Count => answer.into_agg() == hits.len() as i128,
         ReadShape::Sum => answer.into_agg() == hits.iter().map(|&(v, _)| v as i128).sum::<i128>(),
         ReadShape::RowIds => answer.into_rowids() == ids,
-        ReadShape::RowIdSet => answer.into_set().to_vec() == ids,
+        ReadShape::RowIdSet | ReadShape::Candidates => answer.into_set().to_vec() == ids,
         ReadShape::KeyRuns => answer.into_runs().into_sorted_pairs() == hits,
     }
 }
@@ -1612,7 +1633,7 @@ proptest::proptest! {
         values in proptest::collection::vec(-2000i64..2000, 0..4096),
         // (kind, shape, a, b): kind 0 inserts `a`, 1 deletes `a`, any
         // other reads `[min, max)` of `a` and `b` in `SHAPES[shape]`.
-        ops in proptest::collection::vec((0u8..8, 0usize..5, -2100i64..2100, -2100i64..2100), 1..40),
+        ops in proptest::collection::vec((0u8..8, 0usize..SHAPES.len(), -2100i64..2100, -2100i64..2100), 1..40),
         floor in 0usize..4,
         protocol in 0usize..3,
         skip in proptest::prelude::any::<bool>(),

@@ -46,10 +46,10 @@ pub trait ColumnRead {
         (answer.into_rowids(), metrics)
     }
 
-    /// Same read, but as a [`RowIdSet`] — a bitmap when dense, block
-    /// compressed when sparse: the planner's working representation for
-    /// multi-predicate intersection (bitmaps AND word by word, galloping
-    /// seeks skip whole blocks of the larger side);
+    /// Same read, but as a compact [`RowIdSet`] — a bitmap when it costs
+    /// less than a flat vector, block compressed otherwise: the form a
+    /// set takes when it leaves the engine (a planner that uses and drops
+    /// its sets reads [`ReadShape::Candidates`] instead);
     /// `metrics.candidate_set_bytes` records the set's footprint.
     fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
         let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);

@@ -11,10 +11,9 @@
 //! * **[`RowIdSet`]** holds its sorted ids in one of two containers. A
 //!   *sparse* set is delta-encoded (LEB128 gaps) in fixed-capacity blocks
 //!   with one skip entry per block (~1.2–2 bytes per row). A *dense* set
-//!   is a bitmap over its id span: it stays one whenever that costs less
-//!   than a flat `Vec<RowId>` (`span < 32 × len`, under 4 bytes per
-//!   row), and then `len` is a popcount, union a word-OR, intersection a
-//!   word-AND, `contains` a bit test and decoding a word walk.
+//!   is a bitmap over its id span: `len` is a popcount, union a word-OR,
+//!   intersection a word-AND, `contains` a bit test and decoding a word
+//!   walk.
 //! * **[`SeekingIterator`]** is the consumption interface: `next()` for
 //!   ordered streaming, `next_seek(target)` for "first id ≥ target".
 //!   On blocks a seek gallops over the skip entries, so whole blocks of
@@ -26,22 +25,34 @@
 //!   choosing by the size ratio. A bitmap side needs no walk: two bitmaps
 //!   AND word by word, and a block side probes the bitmap bit by bit.
 //!
-//! Producers ([`crate::ConcurrentCracker::select_rowid_set`] and the
+//! A set is in one of two forms. The **planner form** is what a read
+//! scatters: producers ([`crate::ConcurrentCracker::read`] and the
 //! range-partitioned wrapper in `aidx-parallel`) hand over the row ids of
-//! every visited piece in physical order, and [`RowIdSet::from_runs`]
-//! scatters them into a bitmap over the set's id span — no per-run sort,
-//! no heap merge. Hidden delta rows are bit clears, extra delta rows bit
-//! sets. A result too sparse to stay a bitmap is block-encoded straight
-//! from the bitmap's words, which are already ascending (the same bytes
-//! as [`RowIdSetBuilder`], without its per-id checks); only a set sparser
-//! than one id per 1024 ids of span is sorted instead.
-//! [`RowIdSet::filter_batches`] hands a consumer 64 ids at a time — a
-//! bitmap word's or a block's — and takes back a keep mask, so a filter
-//! over the set (the table engine's projection) runs branch-free over
-//! independent loads. Every bitmap buffer —
-//! construction scratch and container words alike — comes from one small
-//! recycled pool shared by all threads (one client builds the sets
-//! another drops), so a read allocates no fresh bitmap.
+//! every visited piece in physical order, and the set scatters them into
+//! a bitmap over its id span — no per-run sort, no heap merge; hidden
+//! delta rows are bit clears, extra delta rows bit sets. Only a set
+//! sparser than one id per 1024 ids of span is sorted into blocks
+//! instead. The **compact form** is what leaves the engine
+//! ([`RowIdSet::compact`], and every public constructor such as
+//! [`RowIdSet::from_runs`]): a bitmap stays one only when it costs less
+//! than a flat `Vec<RowId>` (`span < 32 × len`, under 4 bytes per row)
+//! and is otherwise block-encoded straight from its words, which are
+//! already ascending (the same bytes as [`RowIdSetBuilder`], without its
+//! per-id checks). A set records its form, and the algebra
+//! ([`intersect_sets`], [`RowIdSet::merge_sets`],
+//! [`RowIdSet::filter_batches`]) compacts its output only when every
+//! input is compact: a planner's candidate sets stay the bitmaps the
+//! reads scattered, used and dropped within one select or join, and
+//! nothing encodes what the same operation would decode again.
+//!
+//! Consumers walk a bitmap in batches of up to 64 ascending ids gathered
+//! across words, without a branch per word.
+//! [`RowIdSet::filter_batches`] hands such a batch (or a block's ids) to
+//! a consumer and takes back a keep mask, so a filter over the set (the
+//! table engine's projection) runs branch-free over independent loads.
+//! Every bitmap buffer — construction scratch and container words alike
+//! — comes from one small recycled pool shared by all threads (one client
+//! builds the sets another drops), so a read allocates no fresh bitmap.
 
 use aidx_cracking::RowId;
 use std::collections::HashSet;
@@ -59,15 +70,24 @@ pub const BLOCK_IDS: usize = 64;
 /// side is at least this many times the smaller side, else linear merge.
 pub const GALLOP_RATIO: usize = 8;
 
-/// A set of fewer than this many bits of span per id stays a bitmap: it
-/// then costs less than a flat `Vec<RowId>`, which spends 32 bits on
-/// every id.
+/// A compact set of fewer than this many bits of span per id stays a
+/// bitmap: it then costs less than a flat `Vec<RowId>`, which spends 32
+/// bits on every id.
 const BITMAP_BITS_PER_ID: usize = RowId::BITS as usize;
 
-/// Ids per batch of [`RowIdSet::filter_batches`]: one bitmap word, or one
-/// block (a keep mask is one `u64`).
+/// Most ids per batch of [`RowIdSet::filter_batches`]: up to 64 ascending
+/// ids of a bitmap, or one block (a keep mask is one `u64`).
 const BATCH_IDS: usize = 64;
 const _: () = assert!(BLOCK_IDS <= BATCH_IDS);
+
+/// Ids the batched bitmap walk extracts from every word without a
+/// branch when the bitmap holds at least one id per word; a word holding
+/// more takes a loop for the rest.
+const UNROLLED_IDS: usize = 4;
+
+/// [`UNROLLED_IDS`] of a sparser bitmap, whose words are mostly empty:
+/// there the unconditional extractions would mostly find nothing.
+const SPARSE_UNROLLED_IDS: usize = 2;
 
 /// Construction scatters into a bitmap when the id span is at most this
 /// many times the ids being placed, and concatenates and sorts
@@ -137,10 +157,10 @@ fn recycle_words(words: Vec<u64>) {
 struct Words(Vec<u64>);
 
 impl Clone for Words {
+    /// A fresh buffer of exactly the words: a pooled one may be a whole
+    /// span's.
     fn clone(&self) -> Self {
-        let mut words = take_words(0);
-        words.extend_from_slice(&self.0);
-        Words(words)
+        Words(self.0.clone())
     }
 }
 
@@ -173,8 +193,13 @@ enum Container {
     },
     /// Bit `i` of `words` is id `base + i`. `base` is a multiple of 64
     /// and the first and last words are non-zero, so a set has exactly
-    /// one bitmap form.
-    Bitmap { base: RowId, words: Words },
+    /// one bitmap form. `compact` records whether the set went through
+    /// [`RowIdSet::compact`] (blocks always are compact).
+    Bitmap {
+        base: RowId,
+        words: Words,
+        compact: bool,
+    },
 }
 
 impl Default for Container {
@@ -313,20 +338,46 @@ impl Scatter {
         }
     }
 
-    /// The set: kept as a bitmap when that pays, else encoded from the
-    /// words.
-    fn finish(mut self) -> RowIdSet {
-        RowIdSet::from_bitmap(self.base, std::mem::take(&mut self.words.0))
+    /// The set, compacted when `compact` asks for it.
+    fn finish(mut self, compact: bool) -> RowIdSet {
+        RowIdSet::from_bitmap(self.base, std::mem::take(&mut self.words.0), compact)
     }
 }
 
-/// Writes the ids of one bitmap word, whose bit 0 is `word_base`, into
-/// `out` ascending; `out` holds exactly `word.count_ones()` ids.
-fn write_word_ids(word_base: RowId, word: u64, out: &mut [RowId]) {
-    let mut bits = word;
-    for slot in out {
-        *slot = word_base + bits.trailing_zeros();
-        bits &= bits - 1;
+/// Calls `f` with the ids of the bitmap at `base` in ascending batches of
+/// 1 to [`BATCH_IDS`], gathered across words. Every word takes `U`
+/// unconditional extractions, the batch's count advanced only by the ones
+/// that found a bit, and a loop only for a word that holds more.
+fn for_each_bitmap_batch<const U: usize>(base: RowId, words: &[u64], mut f: impl FnMut(&[RowId])) {
+    let mut batch = [0; BATCH_IDS];
+    let mut n = 0;
+    for (i, &word) in words.iter().enumerate() {
+        if n > BATCH_IDS - U {
+            f(&batch[..n]);
+            n = 0;
+        }
+        let word_base = base + (i * 64) as RowId;
+        let mut bits = word;
+        let mut found = 0;
+        for slot in &mut batch[n..n + U] {
+            // Past the last bit this writes a slot the count leaves out.
+            *slot = word_base.wrapping_add(bits.trailing_zeros());
+            found += usize::from(bits != 0);
+            bits &= bits.wrapping_sub(1);
+        }
+        n += found;
+        while bits != 0 {
+            if n == BATCH_IDS {
+                f(&batch);
+                n = 0;
+            }
+            batch[n] = word_base + bits.trailing_zeros();
+            n += 1;
+            bits &= bits - 1;
+        }
+    }
+    if n > 0 {
+        f(&batch[..n]);
     }
 }
 
@@ -420,13 +471,22 @@ impl RowIdSet {
         b.finish()
     }
 
-    /// The set `(⋃ runs ∖ hidden) ∪ extra`. Ids may come in any order —
-    /// one run per cracker piece, in the piece's physical order — and
-    /// may repeat. When the span allows, every id is scattered into a
-    /// pooled bitmap (hidden ids cleared, extra ids set) and the result
-    /// keeps it or is encoded from its words; otherwise the ids are
-    /// concatenated, sorted and encoded.
+    /// The set `(⋃ runs ∖ hidden) ∪ extra`, compacted. Ids may come in
+    /// any order — one run per cracker piece, in the piece's physical
+    /// order — and may repeat.
     pub fn from_runs<R: AsRef<[RowId]>>(
+        runs: &[R],
+        hidden: &HashSet<RowId>,
+        extra: &[RowId],
+    ) -> RowIdSet {
+        RowIdSet::scattered(runs, hidden, extra).compact()
+    }
+
+    /// [`RowIdSet::from_runs`] in the planner form: when the span allows,
+    /// every id is scattered into a pooled bitmap (hidden ids cleared,
+    /// extra ids set) and the set is that bitmap, trimmed to its non-zero
+    /// words; otherwise the ids are concatenated, sorted and encoded.
+    pub(crate) fn scattered<R: AsRef<[RowId]>>(
         runs: &[R],
         hidden: &HashSet<RowId>,
         extra: &[RowId],
@@ -451,7 +511,7 @@ impl RowIdSet {
             for &id in extra {
                 bits.insert(id);
             }
-            return bits.finish();
+            return bits.finish(false);
         }
         let mut ids = Vec::with_capacity(total);
         for run in runs {
@@ -465,7 +525,8 @@ impl RowIdSet {
     /// The union of already-built sets (the fan-in of a partitioned
     /// producer): bitmaps OR in and block sets scatter into one pooled
     /// bitmap when the union's span allows, else every part is decoded,
-    /// concatenated and sorted.
+    /// concatenated and sorted. The union is compacted when every part
+    /// is compact.
     pub fn merge_sets(mut sets: Vec<RowIdSet>) -> RowIdSet {
         sets.retain(|s| !s.is_empty());
         if sets.len() <= 1 {
@@ -488,7 +549,7 @@ impl RowIdSet {
         let mut union = Scatter::over(min, max);
         for set in &sets {
             match &set.container {
-                Container::Bitmap { base, words } => {
+                Container::Bitmap { base, words, .. } => {
                     let offset = (base - union.base) as usize / 64;
                     for (word, &bits) in union.words.0[offset..].iter_mut().zip(&words.0) {
                         *word |= bits;
@@ -501,13 +562,12 @@ impl RowIdSet {
                 }),
             }
         }
-        union.finish()
+        union.finish(sets.iter().all(RowIdSet::is_compact))
     }
 
-    /// The set of a scattered bitmap at `base`: kept as a bitmap (trimmed
-    /// to its non-zero words) when that pays, else block-encoded straight
-    /// from the words and the buffer recycled.
-    fn from_bitmap(base: RowId, mut words: Vec<u64>) -> RowIdSet {
+    /// The set of a scattered bitmap at `base`, trimmed to its non-zero
+    /// words, and compacted when `compact` asks for it.
+    fn from_bitmap(base: RowId, mut words: Vec<u64>, compact: bool) -> RowIdSet {
         let len: usize = words.iter().map(|w| w.count_ones() as usize).sum();
         let first = words.iter().position(|&w| w != 0);
         let last = words.iter().rposition(|&w| w != 0);
@@ -515,33 +575,84 @@ impl RowIdSet {
             recycle_words(words);
             return RowIdSet::default();
         };
-        if bitmap_pays(last + 1 - first, len) {
-            words.truncate(last + 1);
-            words.drain(..first);
-            return RowIdSet {
-                container: Container::Bitmap {
-                    base: base + (first * 64) as RowId,
-                    words: Words(words),
-                },
-                len,
-            };
+        words.truncate(last + 1);
+        words.drain(..first);
+        let set = RowIdSet {
+            container: Container::Bitmap {
+                base: base + (first * 64) as RowId,
+                words: Words(words),
+                compact: false,
+            },
+            len,
+        };
+        if compact {
+            set.compact()
+        } else {
+            set
         }
-        let set = encode_words(base + (first * 64) as RowId, &words[first..=last], len);
-        recycle_words(words);
-        set
     }
 
-    /// A strictly ascending id sequence in whichever container pays.
-    fn from_ascending(ids: &[RowId]) -> RowIdSet {
-        match (ids.first(), ids.last()) {
-            (Some(&min), Some(&max)) if bitmap_pays((max - min) as usize / 64 + 1, ids.len()) => {
-                let mut bits = Scatter::over(min, max);
-                for &id in ids {
-                    bits.insert(id);
-                }
-                bits.finish()
+    /// A strictly ascending id sequence: compacted when `compact` asks
+    /// for it, else scattered into a bitmap whenever its span allows.
+    fn from_ascending(ids: &[RowId], compact: bool) -> RowIdSet {
+        let (Some(&min), Some(&max)) = (ids.first(), ids.last()) else {
+            return RowIdSet::default();
+        };
+        let span = (max - min) as usize;
+        let bitmap = if compact {
+            bitmap_pays(span / 64 + 1, ids.len())
+        } else {
+            scatters(span, ids.len())
+        };
+        if !bitmap {
+            return RowIdSet::from_sorted(ids);
+        }
+        let mut bits = Scatter::over(min, max);
+        for &id in ids {
+            bits.insert(id);
+        }
+        bits.finish(compact)
+    }
+
+    /// The set in the compact form every set leaving the engine takes: a
+    /// bitmap stays one when it costs less than a flat `Vec<RowId>`
+    /// (giving back a buffer more than twice its words), and is otherwise
+    /// block-encoded straight from its words and its buffer recycled.
+    /// Blocks are compact already.
+    pub fn compact(mut self) -> RowIdSet {
+        if let Container::Bitmap {
+            base,
+            words,
+            compact,
+        } = &mut self.container
+        {
+            if !bitmap_pays(words.0.len(), self.len) {
+                return encode_words(*base, &words.0, self.len);
             }
-            _ => RowIdSet::from_sorted(ids),
+            if words.0.capacity() > 2 * words.0.len() {
+                let fitted = words.0.to_vec();
+                recycle_words(std::mem::replace(&mut words.0, fitted));
+            }
+            *compact = true;
+        }
+        self
+    }
+
+    /// True when the set is in the compact form: blocks, or a bitmap that
+    /// went through [`RowIdSet::compact`].
+    fn is_compact(&self) -> bool {
+        match self.container {
+            Container::Blocks { .. } => true,
+            Container::Bitmap { compact, .. } => compact,
+        }
+    }
+
+    /// Capacity of a bitmap's buffer, in words (0 for blocks).
+    #[cfg(test)]
+    fn word_capacity(&self) -> usize {
+        match &self.container {
+            Container::Blocks { .. } => 0,
+            Container::Bitmap { words, .. } => words.0.capacity(),
         }
     }
 
@@ -583,7 +694,7 @@ impl RowIdSet {
     pub fn first(&self) -> Option<RowId> {
         match &self.container {
             Container::Blocks { metas, .. } => metas.first().map(|m| m.first),
-            Container::Bitmap { base, words } => Some(base + words.0.first()?.trailing_zeros()),
+            Container::Bitmap { base, words, .. } => Some(base + words.0.first()?.trailing_zeros()),
         }
     }
 
@@ -598,7 +709,7 @@ impl RowIdSet {
                 }
                 Some(id)
             }
-            Container::Bitmap { base, words } => {
+            Container::Bitmap { base, words, .. } => {
                 let top = words.0.len() - 1;
                 Some(base + (top * 64) as RowId + 63 - words.0[top].leading_zeros())
             }
@@ -623,7 +734,7 @@ impl RowIdSet {
                 }
                 at == id
             }
-            Container::Bitmap { base, words } => id.checked_sub(*base).is_some_and(|bit| {
+            Container::Bitmap { base, words, .. } => id.checked_sub(*base).is_some_and(|bit| {
                 let bit = bit as usize;
                 words
                     .0
@@ -637,7 +748,7 @@ impl RowIdSet {
     pub fn iter(&self) -> RowIdSetIter<'_> {
         RowIdSetIter(match &self.container {
             Container::Blocks { metas, gaps } => Cursor::Blocks(BlockCursor::new(metas, gaps)),
-            Container::Bitmap { base, words } => Cursor::Bitmap(BitCursor {
+            Container::Bitmap { base, words, .. } => Cursor::Bitmap(BitCursor {
                 base: *base,
                 words: &words.0,
                 word: 0,
@@ -646,21 +757,19 @@ impl RowIdSet {
         })
     }
 
-    /// Calls `f` with the ids in ascending batches of at most
-    /// [`BATCH_IDS`]: a bitmap's non-zero words, a block set's blocks.
+    /// Calls `f` with the ids in ascending batches of 1 to
+    /// [`BATCH_IDS`]: a bitmap's ids gathered across words, a block set's
+    /// blocks.
     fn for_each_batch(&self, mut f: impl FnMut(&[RowId])) {
-        let mut batch = [0; BATCH_IDS];
         match &self.container {
-            Container::Bitmap { base, words } => {
-                for (i, &word) in words.0.iter().enumerate() {
-                    if word != 0 {
-                        let ids = &mut batch[..word.count_ones() as usize];
-                        write_word_ids(base + (i * 64) as RowId, word, ids);
-                        f(ids);
-                    }
-                }
+            Container::Bitmap { base, words, .. } if self.len < words.0.len() => {
+                for_each_bitmap_batch::<SPARSE_UNROLLED_IDS>(*base, &words.0, f);
+            }
+            Container::Bitmap { base, words, .. } => {
+                for_each_bitmap_batch::<UNROLLED_IDS>(*base, &words.0, f);
             }
             Container::Blocks { metas, gaps } => {
+                let mut batch = [0; BLOCK_IDS];
                 for meta in metas {
                     let ids = &mut batch[..meta.count as usize];
                     decode_block(meta, gaps, ids);
@@ -680,23 +789,27 @@ impl RowIdSet {
     }
 
     /// The subset `keep` selects, decided up to 64 ids at a time: `keep`
-    /// gets a batch of ascending ids (a bitmap word's, or a block's) and
-    /// returns a mask whose bit `i` keeps `ids[i]`. A bitmap's survivors
-    /// are set in a pooled bitmap of the same span, which the result
-    /// keeps or is encoded from; a block set's survivors are encoded as
-    /// they come.
+    /// gets a batch of up to 64 ascending ids (a bitmap's, or a block's)
+    /// and returns a mask whose bit `i` keeps `ids[i]`. A bitmap's
+    /// survivors are set in a pooled bitmap of the same span, which the
+    /// result keeps, compacted when the input is compact; a block set's
+    /// survivors are encoded as they come.
     ///
     /// # Panics
     /// Panics if a mask has a bit at or past its batch's length.
     pub fn filter_batches(&self, mut keep: impl FnMut(&[RowId]) -> u64) -> RowIdSet {
         match &self.container {
-            Container::Bitmap { base, words } => {
+            Container::Bitmap {
+                base,
+                words,
+                compact,
+            } => {
                 let mut kept = Scatter {
                     base: *base,
                     words: Words(take_words(words.0.len())),
                 };
                 self.for_each_batch(|ids| for_each_kept(ids, keep(ids), |id| kept.insert(id)));
-                kept.finish()
+                kept.finish(*compact)
             }
             Container::Blocks { .. } => {
                 let mut kept = RowIdSetBuilder::new();
@@ -713,10 +826,11 @@ impl PartialEq for RowIdSet {
             return false;
         }
         if let (
-            Container::Bitmap { base, words },
+            Container::Bitmap { base, words, .. },
             Container::Bitmap {
                 base: other_base,
                 words: other_words,
+                ..
             },
         ) = (&self.container, &other.container)
         {
@@ -1067,11 +1181,12 @@ where
     (out, small.blocks_skipped() + large.blocks_skipped())
 }
 
-/// Intersects two sets and returns the result in whichever container
-/// pays — candidate sets stay compact through an entire multi-predicate
-/// plan. Two bitmaps AND word by word; a block set against a bitmap
-/// walks the block ids inside the bitmap's span and tests each bit; two
-/// block sets walk by `strategy`.
+/// Intersects two sets. Two bitmaps AND word by word; a block set against
+/// a bitmap walks the block ids inside the bitmap's span and tests each
+/// bit; two block sets walk by `strategy`. The result is compacted when
+/// both inputs are compact; with a planner-form input it stays a bitmap
+/// whenever its span allows, so a plan's candidate sets are never
+/// encoded.
 pub fn intersect_sets(
     a: &RowIdSet,
     b: &RowIdSet,
@@ -1082,10 +1197,12 @@ pub fn intersect_sets(
             Container::Bitmap {
                 base: base_a,
                 words: words_a,
+                compact: compact_a,
             },
             Container::Bitmap {
                 base: base_b,
                 words: words_b,
+                compact: compact_b,
             },
         ) => {
             let (words_a, words_b) = (&words_a.0, &words_b.0);
@@ -1102,7 +1219,7 @@ pub fn intersect_sets(
                 *word = x & y;
             }
             (
-                RowIdSet::from_bitmap(base, words),
+                RowIdSet::from_bitmap(base, words, *compact_a && *compact_b),
                 IntersectStats::default(),
             )
         }
@@ -1136,7 +1253,7 @@ pub fn intersect_sets(
                 (intersect_iters_linear(small, large), 0)
             };
             (
-                RowIdSet::from_ascending(&ids),
+                RowIdSet::from_ascending(&ids, true),
                 IntersectStats {
                     blocks_skipped,
                     galloped: gallop,
@@ -1148,8 +1265,8 @@ pub fn intersect_sets(
 
 /// A block set against a bitmap: seeks the block side to the bitmap's
 /// first id (skipping the blocks before it) and tests every block id up
-/// to the bitmap's last — fewer than 32 per bitmap id, since the bitmap's
-/// span is.
+/// to the bitmap's last — fewer than 32 per bitmap id when the bitmap is
+/// compact, since its span is.
 fn probe_bitmap(bitmap: &RowIdSet, blocks: &RowIdSet) -> (RowIdSet, IntersectStats) {
     let (Some(first), Some(last)) = (bitmap.first(), bitmap.last()) else {
         return (RowIdSet::default(), IntersectStats::default());
@@ -1167,7 +1284,7 @@ fn probe_bitmap(bitmap: &RowIdSet, blocks: &RowIdSet) -> (RowIdSet, IntersectSta
         blocks_skipped: it.blocks_skipped(),
         galloped: false,
     };
-    (RowIdSet::from_ascending(&ids), stats)
+    (RowIdSet::from_ascending(&ids, bitmap.is_compact()), stats)
 }
 
 #[cfg(test)]
@@ -1415,6 +1532,253 @@ mod tests {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         assert!(pooled.len() <= POOL_BUFFERS, "the pool stays small");
+    }
+
+    #[test]
+    fn compaction_gives_back_a_span_sized_buffer() {
+        // Three dense words and one far id that a hidden row clears: the
+        // scatter takes a buffer over the whole 2^21-id span, and the
+        // trimmed set keeps 3 words of it.
+        set_scatter_ratio(1 << 22);
+        let far: RowId = 1 << 21;
+        let ids: Vec<RowId> = (0..192).chain([far]).collect();
+        let hidden: HashSet<RowId> = [far].into();
+        let planner = RowIdSet::scattered(&[&ids], &hidden, &[]);
+        let compact = RowIdSet::from_runs(&[&ids], &hidden, &[]);
+        set_scatter_ratio(SCATTER_RATIO);
+        // A planner set keeps its scratch buffer for the pool…
+        assert!(planner.is_bitmap() && planner.word_capacity() > (far as usize) / 64);
+        // …a compact one holds no more than twice its words.
+        assert!(compact.is_bitmap() && compact.is_compact());
+        assert_eq!(compact.heap_bytes(), 3 * 8);
+        assert!(
+            compact.word_capacity() <= 2 * 3,
+            "{}",
+            compact.word_capacity()
+        );
+        assert_eq!(compact, planner);
+        // A clone holds exactly its words too.
+        assert!(planner.clone().word_capacity() <= 3);
+    }
+
+    /// The words of a random bitmap, word `i` holding `counts[i]` bits
+    /// (64 for anything past 64) at positions drawn from `seed`.
+    fn words_with(counts: &[usize], seed: u64) -> Vec<u64> {
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        counts
+            .iter()
+            .map(|&count| {
+                let mut word = if count >= 64 { u64::MAX } else { 0 };
+                while (word.count_ones() as usize) < count {
+                    word |= 1 << (next() % 64);
+                }
+                word
+            })
+            .collect()
+    }
+
+    /// The ids of the bitmap at `base`, one word and one bit at a time.
+    fn per_word_ids(base: RowId, words: &[u64]) -> Vec<RowId> {
+        let mut ids = Vec::new();
+        for (i, &word) in words.iter().enumerate() {
+            for bit in 0..64 {
+                if word >> bit & 1 == 1 {
+                    ids.push(base + (i * 64 + bit) as RowId);
+                }
+            }
+        }
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn the_batched_bitmap_walk_equals_the_per_word_extraction(
+            base_word in prop_oneof![Just(0u32), 1u32..1 << 20],
+            // Words of 0, 1, 2, 3, 4, 5, 63 and 64 bits, and any count
+            // between; mostly empty words make sparse bitmaps.
+            counts in prop::collection::vec(
+                prop_oneof![
+                    Just(0usize), Just(0), Just(0), Just(1), Just(2), Just(3), Just(4), Just(5),
+                    Just(63), Just(64), 0usize..65,
+                ],
+                0..48,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let base = base_word * 64;
+            let words = words_with(&counts, seed);
+            let want = per_word_ids(base, &words);
+            let mut walks = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
+            let [sparse, dense] = &mut walks;
+            for_each_bitmap_batch::<SPARSE_UNROLLED_IDS>(base, &words, |batch| {
+                sparse.0.push(batch.len());
+                sparse.1.extend_from_slice(batch);
+            });
+            for_each_bitmap_batch::<UNROLLED_IDS>(base, &words, |batch| {
+                dense.0.push(batch.len());
+                dense.1.extend_from_slice(batch);
+            });
+            for (sizes, got) in &walks {
+                prop_assert_eq!(got, &want);
+                prop_assert!(
+                    sizes.iter().all(|&n| (1..=BATCH_IDS).contains(&n)),
+                    "batch sizes {:?}", sizes
+                );
+                prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "batches ascend");
+            }
+            // The set's own walks: `to_vec` and a keep-every-other filter.
+            let set = RowIdSet::from_bitmap(base, words, false);
+            prop_assert_eq!(set.to_vec(), want.clone());
+            let mut batches = Vec::new();
+            let odd = set.filter_batches(|ids| {
+                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+                batches.push(ids.len());
+                ids.iter()
+                    .enumerate()
+                    .fold(0, |mask, (i, &id)| mask | u64::from(id % 2 == 1) << i)
+            });
+            let width = if want.len() < set.heap_bytes() / 8 { 0 } else { 1 };
+            prop_assert_eq!(&batches, &walks[width].0);
+            let odd_ids: Vec<RowId> = want.iter().copied().filter(|id| id % 2 == 1).collect();
+            prop_assert_eq!(odd.to_vec(), odd_ids);
+        }
+    }
+
+    /// Words of the trimmed bitmap over `ids` (strictly ascending).
+    fn trimmed_words(ids: &[RowId]) -> usize {
+        match (ids.first(), ids.last()) {
+            (Some(&min), Some(&max)) => ((max - (min & !63)) / 64 + 1) as usize,
+            _ => 0,
+        }
+    }
+
+    /// `set` holds `ids` (strictly ascending) in a compact form, byte for
+    /// byte: a compact bitmap trimmed to its non-zero words that costs
+    /// under the flat footprint, or the builder's blocks.
+    fn assert_compact_form(set: &RowIdSet, ids: &[RowId]) {
+        assert_eq!(set.to_vec(), ids);
+        assert!(set.is_compact(), "a compact set");
+        let words = trimmed_words(ids);
+        match &set.container {
+            Container::Bitmap { words: got, .. } => {
+                assert!(bitmap_pays(words, ids.len()), "a bitmap that does not pay");
+                assert_eq!(got.0.len(), words);
+            }
+            Container::Blocks { metas, gaps } => {
+                let Container::Blocks {
+                    metas: want_metas,
+                    gaps: want_gaps,
+                } = RowIdSet::from_sorted(ids).container
+                else {
+                    unreachable!("the builder writes blocks");
+                };
+                assert_eq!(metas, &want_metas, "skip entries");
+                assert_eq!(gaps, &want_gaps, "gap bytes");
+            }
+        }
+    }
+
+    /// [`assert_compact_form`], in the container the density picks: the
+    /// form every set built from compact bitmaps or scattered ids takes.
+    fn assert_canonical(set: &RowIdSet, ids: &[RowId]) {
+        assert_compact_form(set, ids);
+        let pays = !ids.is_empty() && bitmap_pays(trimmed_words(ids), ids.len());
+        assert_eq!(set.is_bitmap(), pays, "the container the density picks");
+    }
+
+    /// `set` is in the planner form: never encoded from words — a bitmap
+    /// that is not compact, or (when its ids are too sparse to scatter)
+    /// the sorted path's blocks.
+    fn assert_planner_form(set: &RowIdSet, ids: &[RowId]) {
+        assert_eq!(set.to_vec(), ids);
+        match (&set.container, ids.first(), ids.last()) {
+            (Container::Bitmap { compact, .. }, _, _) => assert!(!compact, "a compacted bitmap"),
+            (Container::Blocks { .. }, Some(&min), Some(&max)) => {
+                assert!(
+                    !scatters((max - min) as usize, ids.len()),
+                    "encoded from words"
+                );
+            }
+            (Container::Blocks { .. }, _, _) => {}
+        }
+        assert_canonical(&set.clone().compact(), ids);
+    }
+
+    /// `count` distinct ids from `offset` up, spread over `count × stride`
+    /// ids of span (`raw` picks them).
+    fn spread(offset: RowId, stride: u32, raw: &[u32]) -> Vec<RowId> {
+        let span = (raw.len() as u32 * stride).max(1);
+        let ids: BTreeSet<RowId> = raw.iter().map(|x| offset + x % span).collect();
+        ids.into_iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Compact inputs give the compact form's containers and bytes;
+        /// a planner-form bitmap input gives an output never encoded from
+        /// words. (A set too sparse to scatter is blocks in either form.)
+        #[test]
+        fn the_algebra_compacts_only_compact_inputs(
+            a in (0u32..5_000, prop_oneof![Just(1u32), Just(8), Just(40), Just(200), Just(900), Just(3000)],
+                  prop::collection::vec(any::<u32>(), 0..400)),
+            b in (0u32..5_000, prop_oneof![Just(1u32), Just(8), Just(40), Just(200), Just(900), Just(3000)],
+                  prop::collection::vec(any::<u32>(), 0..400)),
+        ) {
+            let (a, b) = (spread(a.0, a.1, &a.2), spread(b.0, b.1, &b.2));
+            let none = HashSet::new();
+            let compact = |ids: &[RowId]| RowIdSet::from_runs(&[ids], &none, &[]);
+            let planner = |ids: &[RowId]| RowIdSet::scattered(&[ids], &none, &[]);
+            let (oracle_a, oracle_b): (BTreeSet<RowId>, BTreeSet<RowId>) =
+                (a.iter().copied().collect(), b.iter().copied().collect());
+            let common: Vec<RowId> = oracle_a.intersection(&oracle_b).copied().collect();
+            let union: Vec<RowId> = oracle_a.union(&oracle_b).copied().collect();
+            let odd = |ids: &[RowId]| {
+                ids.iter()
+                    .enumerate()
+                    .fold(0, |mask, (i, &id)| mask | u64::from(id % 2 == 1) << i)
+            };
+            let odd_a: Vec<RowId> = a.iter().copied().filter(|id| id % 2 == 1).collect();
+
+            let (ca, cb) = (compact(&a), compact(&b));
+            let blocks_a = RowIdSet::from_sorted(&a);
+            for (x, y) in [(&ca, &cb), (&cb, &ca), (&blocks_a, &cb), (&cb, &blocks_a)] {
+                assert_canonical(&intersect_sets(x, y, IntersectStrategy::Adaptive).0, &common);
+                // A union with an empty side is the other side as it was.
+                assert_compact_form(&RowIdSet::merge_sets(vec![x.clone(), y.clone()]), &union);
+            }
+            assert_canonical(&RowIdSet::merge_sets(vec![ca.clone(), cb.clone()]), &union);
+            assert_canonical(&ca.filter_batches(odd), &odd_a);
+            // Blocks filter into blocks.
+            assert_compact_form(&blocks_a.filter_batches(odd), &odd_a);
+
+            let (pa, pb) = (planner(&a), planner(&b));
+            prop_assert_eq!(&pa, &ca);
+            for (x, y) in [(&pa, &pb), (&pb, &pa), (&pa, &cb), (&cb, &pa), (&blocks_a, &pb)] {
+                let check = if x.is_compact() && y.is_compact() {
+                    assert_compact_form
+                } else {
+                    assert_planner_form
+                };
+                check(&intersect_sets(x, y, IntersectStrategy::Adaptive).0, &common);
+                check(&RowIdSet::merge_sets(vec![x.clone(), y.clone()]), &union);
+            }
+            if pa.is_compact() {
+                assert_compact_form(&pa.filter_batches(odd), &odd_a);
+            } else {
+                assert_planner_form(&pa.filter_batches(odd), &odd_a);
+            }
+        }
     }
 
     /// Ids from `offset` up, `raw` folded into a window of `domain` ids:

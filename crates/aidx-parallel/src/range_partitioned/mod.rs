@@ -401,10 +401,12 @@ impl RangePartitionedCracker {
 
     /// [`ColumnRead::select_rowid_set`], inherent so that callers without
     /// the trait in scope reach it: each overlapping partition scatters
-    /// its pieces' row ids into its own [`RowIdSet`], and the router
-    /// unites the per-partition sets (partitions are key-disjoint, hence
-    /// rowid-disjoint) with [`RowIdSet::merge_sets`] — a word-OR of dense
-    /// parts, no decode to flat vectors.
+    /// its pieces' row ids into its own compact [`RowIdSet`], and the
+    /// router unites the per-partition sets (partitions are key-disjoint,
+    /// hence rowid-disjoint) with [`RowIdSet::merge_sets`] — a word-OR of
+    /// dense parts, no decode to flat vectors. A
+    /// [`ReadShape::Candidates`] read unites the partitions' planner-form
+    /// sets the same way, and the union stays uncompacted.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
         let (answer, metrics) = ColumnRead::read(self, low, high, ReadShape::RowIdSet);
         (answer.into_set(), metrics)

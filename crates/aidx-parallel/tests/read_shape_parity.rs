@@ -6,6 +6,8 @@
 //! `Count == RowIds.len() == RowIdSet.len() == KeyRuns.total_rows()`,
 //! `Sum ==` Σ keys of the runs, `RowIdSet.to_vec() == RowIds ==` sorted
 //! rowids of the runs — all equal to a scan oracle over the logical rows.
+//! The planner-form `Candidates` set holds the same rows, and compacting
+//! it gives the `RowIdSet` shape's container and footprint.
 //!
 //! **One write stream**: one seeded [`WriteOp`] sequence must report the
 //! same rows affected, op for op, and leave the same rows behind on every
@@ -63,7 +65,7 @@ fn keyed_rows(n: usize) -> BTreeMap<RowId, i64> {
 }
 
 /// Reads `[low, high)` in every shape through `reader` and checks the
-/// five answers — and the sizes their metrics report — against each other
+/// six answers — and the sizes their metrics report — against each other
 /// and against a scan of `rows` (rowid → key). Returns how many non-empty
 /// row-id sets came back as bitmaps and how many as blocks.
 fn assert_shapes_agree(
@@ -112,6 +114,22 @@ fn assert_shapes_agree(
             (false, true) => bitmaps += 1,
             (false, false) => blocks += 1,
         }
+
+        let (candidates, m) = read(ReadShape::Candidates);
+        let candidates = candidates.into_set();
+        assert_eq!(candidates.to_vec(), expected, "{at} candidates contents");
+        assert_eq!(m.result_count, n, "{at} candidates metrics");
+        assert_eq!(
+            m.candidate_set_bytes,
+            candidates.heap_bytes() as u64,
+            "{at} candidates footprint"
+        );
+        let compacted = candidates.compact();
+        assert_eq!(
+            (compacted.is_bitmap(), compacted.heap_bytes()),
+            (set.is_bitmap(), set.heap_bytes()),
+            "{at} compacted candidates"
+        );
 
         let (runs, m) = read(ReadShape::KeyRuns);
         let runs = runs.into_runs();

@@ -8,9 +8,12 @@
 //! width — the generated experiment data is a uniform key domain, so
 //! width *is* the estimate, and estimating never touches data). The most
 //! selective column is cracked first and yields the candidate set — a
-//! [`RowIdSet`], a bitmap when dense and delta-encoded blocks when
-//! sparse, that stays compact through the whole plan (no predicates
-//! yield every live row as the same dense set); every further predicate
+//! [`RowIdSet`] in the planner form ([`ReadShape::Candidates`]): the
+//! bitmap the read scattered, or blocks when the ids are sparser than one
+//! per 1 024 of span (no predicates yield every live row as the same
+//! dense set). The plan never compacts it: intersections and projections
+//! of planner-form sets stay bitmaps, the join filter tests their bits,
+//! and the select's result decodes them once; every further predicate
 //! either
 //!
 //! * **intersects** its own column's rowid set (cracking that column as
@@ -55,7 +58,7 @@ use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
 use aidx_core::facade::{Mutex, MutexGuard, RwLock};
 use aidx_core::{
     dcheck, intersect_sets, merge_join_pairs, note_merge_join, ColumnRead, CompactionPolicy, Index,
-    IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, RowIdSet,
+    IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, ReadShape, RowIdSet,
 };
 use aidx_cracking::RowId;
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
@@ -883,18 +886,20 @@ impl<'e> Cut<'e> {
     /// filter stack. The full-domain range is exact because keys are
     /// `< i64::MAX` by the engine's key-domain contract.
     fn every_row(&self, column: usize, metrics: &mut QueryMetrics) -> RowIdSet {
-        let (set, m) = self.column(column).select_rowid_set(i64::MIN, i64::MAX);
-        metrics.accumulate(&m);
-        set
+        self.column_read(&ColumnPredicate::new(column, i64::MIN, i64::MAX), metrics)
     }
 
-    /// One predicate's compressed rowid set, read through its column.
+    /// One predicate's candidate set, read through its column in the
+    /// planner form ([`ReadShape::Candidates`]): used and dropped within
+    /// this plan, so never compacted.
     fn column_read(&self, predicate: &ColumnPredicate, metrics: &mut QueryMetrics) -> RowIdSet {
-        let (set, m) = self
-            .column(predicate.column)
-            .select_rowid_set(predicate.low, predicate.high);
+        let (answer, m) = self.column(predicate.column).read(
+            predicate.low,
+            predicate.high,
+            ReadShape::Candidates,
+        );
         metrics.accumulate(&m);
-        set
+        answer.into_set()
     }
 
     /// Plans one join side: runs its filter stack, estimates its
