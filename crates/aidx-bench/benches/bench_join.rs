@@ -1,38 +1,36 @@
-//! Equi-join benchmark: rowid-set join strategies over cracked columns
-//! versus the nested-loop baseline, with the planner's picks asserted.
+//! Equi-join benchmark: the engine's join over cracked columns versus
+//! the nested-loop baseline.
 //!
 //! A dimension/fact pair ([`JoinWorkload`]) is joined on key = FK under
 //! three scenarios:
 //!
 //! * **aligned** — dense dimension keys, uniform foreign keys, key-window
 //!   queries (a range filter on the dimension's join column, which the
-//!   planner converts into a cracked window on the fact FK column). The
-//!   gallop merge walks only the window and should win — and be picked.
+//!   join turns into the window both join columns are read and cracked
+//!   over, with no candidate set on either side).
 //! * **zipf** — same queries, foreign keys zipfian-skewed over the
-//!   dimension ranks (hot-head fan-out). Gallop again.
+//!   dimension ranks (hot-head fan-out).
 //! * **sparse** — dimension keys strided 16 apart (low key overlap) and
-//!   *attribute* filters, so the key envelope stays wide: the gallop walk
-//!   would sort the whole fact side per query, and the hash build/probe
-//!   should win — and be picked.
+//!   *attribute* filters, so the key window stays open: the dimension
+//!   side filters its key runs through its candidate set and the whole
+//!   fact side probes the small build.
 //!
-//! Per scenario and backend (serial / range table engines),
-//! four arms on fresh engine pairs: forced gallop, forced hash, Auto
-//! (the planner's cardinality rule), and the nested-loop baseline (sampled on
-//! the converged tail of the query sequence — it is quadratic). **Every**
-//! join result from every arm is verified tuple-for-tuple against a
-//! host-side reference join of the raw column data.
+//! Per scenario and backend (serial / range table engines), two arms on
+//! fresh engine pairs: the engine's join ([`JoinStrategy::Auto`]) and the
+//! nested-loop baseline (sampled on the converged tail of the query
+//! sequence — it is quadratic). **Every** join result from every arm is
+//! verified tuple-for-tuple against a host-side reference join of the
+//! raw column data.
 //!
-//! Asserted: converged gallop and hash means each strictly beat the
-//! nested-loop mean on every backend in every scenario; Auto never runs
-//! nested-loop, and picks gallop on every aligned/zipf query and hash on
-//! every sparse one (the pick is a function of the query and the data).
+//! Asserted: the converged join mean strictly beats the nested-loop mean
+//! on every backend in every scenario.
 //!
 //! Environment overrides: `AIDX_ROWS` (fact rows, default 500 000; the
 //! dimension is 1/64 of that), `AIDX_QUERIES` (per arm, default 48),
 //! `AIDX_TABLE_ARMS` (comma-separated backend labels). Add
 //! `-- --json <path>` or set `AIDX_JSON_OUT` for the JSON report, which
-//! carries a `join_summary` section (per-arm timings and Auto's strategy
-//! picks per scenario and backend).
+//! carries a `join_summary` section (per-arm timings per scenario and
+//! backend).
 //!
 //! Run with `cargo bench -p aidx-bench --bench bench_join`.
 
@@ -54,8 +52,6 @@ const SPARSE_STRIDE: i64 = 16;
 
 struct Scenario {
     name: &'static str,
-    /// The strategy Auto must pick for every query.
-    expected_pick: JoinStrategy,
     queries: Vec<JoinQuery>,
     dim_cols: Vec<(String, Vec<i64>)>,
     fact_cols: Vec<(String, Vec<i64>)>,
@@ -64,12 +60,7 @@ struct Scenario {
 }
 
 impl Scenario {
-    fn new(
-        name: &'static str,
-        expected_pick: JoinStrategy,
-        w: &JoinWorkload,
-        queries: Vec<JoinQuery>,
-    ) -> Self {
+    fn new(name: &'static str, w: &JoinWorkload, queries: Vec<JoinQuery>) -> Self {
         let dim_cols = w.dimension_columns();
         let fact_cols = w.fact_columns();
         // Fact rowids grouped by FK, each group ascending: the reference
@@ -84,7 +75,6 @@ impl Scenario {
             .collect();
         Scenario {
             name,
-            expected_pick,
             queries,
             dim_cols,
             fact_cols,
@@ -136,15 +126,14 @@ fn engine_pair(backend: TableBackend, s: &Scenario) -> (TableEngine, TableEngine
     )
 }
 
-/// Runs the query slice `[from..]` under one forced (or Auto) strategy on
-/// fresh engines, verifying every answer; returns per-query times and the
-/// dimension engine's `(gallop, hash, nested)` strategy counters.
+/// Runs the query slice `[from..]` under one strategy on fresh engines,
+/// verifying every answer; returns the per-query times.
 fn run_arm(
     backend: TableBackend,
     s: &Scenario,
     strategy: JoinStrategy,
     from: usize,
-) -> (Vec<Duration>, (u64, u64, u64)) {
+) -> Vec<Duration> {
     let (dim, fact) = engine_pair(backend, s);
     let mut times = Vec::with_capacity(s.queries.len() - from);
     for (q, expected) in s.queries[from..].iter().zip(&s.expected[from..]) {
@@ -173,7 +162,7 @@ fn run_arm(
         );
     }
     assert!(dim.check_invariants() && fact.check_invariants());
-    (times, dim.join_strategy_counts())
+    times
 }
 
 fn mean(times: &[Duration]) -> Duration {
@@ -201,7 +190,7 @@ fn main() {
     let arms = table_arms();
     let warmup = (queries / 4).max(4).min(queries.saturating_sub(1).max(1));
     // The nested-loop baseline is quadratic; sample it on the tail of the
-    // sequence (the converged region of the rowid arms' comparison).
+    // sequence (the converged region of the join arm's comparison).
     let nl_from = queries.saturating_sub((queries / 12).clamp(3, queries));
 
     println!(
@@ -214,19 +203,16 @@ fn main() {
     let scenarios = [
         Scenario::new(
             "aligned",
-            JoinStrategy::Gallop,
             &JoinWorkload::new(dim_rows, fact_rows, 0xA11E),
             JoinWorkload::new(dim_rows, fact_rows, 0xA11E).key_window_queries(queries, SELECTIVITY),
         ),
         Scenario::new(
             "zipf",
-            JoinStrategy::Gallop,
             &JoinWorkload::new(dim_rows, fact_rows, 0x21FF).with_fk_skew(1.0),
             JoinWorkload::new(dim_rows, fact_rows, 0x21FF).key_window_queries(queries, SELECTIVITY),
         ),
         Scenario::new(
             "sparse",
-            JoinStrategy::Hash,
             &JoinWorkload::new(dim_rows, fact_rows, 0x57A1).with_key_stride(SPARSE_STRIDE),
             JoinWorkload::new(dim_rows, fact_rows, 0x57A1)
                 .with_key_stride(SPARSE_STRIDE)
@@ -248,92 +234,52 @@ fn main() {
             s.expected.iter().map(Vec::len).sum::<usize>() as u64 / s.queries.len().max(1) as u64;
         for &backend in &arms {
             let label = backend.label();
-            let (gallop_times, _) = run_arm(backend, s, JoinStrategy::Gallop, 0);
-            let (hash_times, _) = run_arm(backend, s, JoinStrategy::Hash, 0);
-            let (auto_times, (auto_gallop, auto_hash, auto_nested)) =
-                run_arm(backend, s, JoinStrategy::Auto, 0);
-            let (nl_times, _) = run_arm(backend, s, JoinStrategy::NestedLoop, nl_from);
-
-            let gallop_conv = mean(&gallop_times[warmup..]);
-            let hash_conv = mean(&hash_times[warmup..]);
-            let auto_conv = mean(&auto_times[warmup..]);
+            let join_times = run_arm(backend, s, JoinStrategy::Auto, 0);
+            let nl_times = run_arm(backend, s, JoinStrategy::NestedLoop, nl_from);
+            let join_conv = mean(&join_times[warmup..]);
             let nl_mean = mean(&nl_times);
 
-            // The headline gates: both rowid-set strategies beat the
-            // nested-loop baseline once converged, on every backend.
+            // The headline gate: the join beats the nested-loop baseline
+            // once converged, on every backend.
             assert!(
-                gallop_conv < nl_mean,
-                "{label}/{}: converged gallop ({gallop_conv:?}) must beat \
+                join_conv < nl_mean,
+                "{label}/{}: converged join ({join_conv:?}) must beat \
                  nested-loop ({nl_mean:?})",
                 s.name
-            );
-            assert!(
-                hash_conv < nl_mean,
-                "{label}/{}: converged hash ({hash_conv:?}) must beat \
-                 nested-loop ({nl_mean:?})",
-                s.name
-            );
-            // The planner gates: nested-loop is never auto-picked, and the
-            // cardinality rule picks the scenario's winner for every query.
-            assert_eq!(auto_nested, 0, "{label}/{}: auto ran nested-loop", s.name);
-            let wrong_picks = match s.expected_pick {
-                JoinStrategy::Gallop => auto_hash,
-                _ => auto_gallop,
-            };
-            assert_eq!(
-                wrong_picks, 0,
-                "{label}/{}: auto picked gallop {auto_gallop}x / hash {auto_hash}x, \
-                 expected {:?} every time",
-                s.name, s.expected_pick
             );
 
             table.push(vec![
                 s.name.to_string(),
                 label.clone(),
                 format!("{pairs_mean}"),
-                ms(gallop_conv),
-                ms(hash_conv),
-                ms(auto_conv),
+                ms(join_conv),
                 ms(nl_mean),
-                format!("{auto_gallop}"),
-                format!("{auto_hash}"),
             ]);
             summary.push(Json::obj(vec![
                 ("scenario", Json::str(s.name)),
                 ("backend", Json::str(&label)),
                 ("pairs_per_query", Json::UInt(pairs_mean)),
-                ("gallop_ms", Json::Num(gallop_conv.as_secs_f64() * 1e3)),
-                ("hash_ms", Json::Num(hash_conv.as_secs_f64() * 1e3)),
-                ("auto_ms", Json::Num(auto_conv.as_secs_f64() * 1e3)),
+                ("join_ms", Json::Num(join_conv.as_secs_f64() * 1e3)),
                 ("nested_loop_ms", Json::Num(nl_mean.as_secs_f64() * 1e3)),
-                ("auto_gallop", Json::UInt(auto_gallop)),
-                ("auto_hash", Json::UInt(auto_hash)),
-                ("auto_nested", Json::UInt(auto_nested)),
-                ("expected_pick", Json::str(s.expected_pick.label())),
             ]));
         }
     }
 
     report.table(
-        "equi-join strategies vs nested-loop (converged means, reference-verified)",
+        "equi-join vs nested-loop (converged means, reference-verified)",
         &[
             "scenario",
             "arm",
             "pairs_per_query",
-            "gallop_ms",
-            "hash_ms",
-            "auto_ms",
+            "join_ms",
             "nested_loop_ms",
-            "auto_gallop_picks",
-            "auto_hash_picks",
         ],
         &table,
     );
     report.section("join_summary", "join_summary", Json::Arr(summary));
     report.finish();
     println!(
-        "every join answer matched the reference tuple-for-tuple; converged gallop \
-         and hash each beat nested-loop on every arm; auto picked gallop on every \
-         aligned/zipf query and hash on every sparse one"
+        "every join answer matched the reference tuple-for-tuple; the converged \
+         join beat nested-loop on every arm"
     );
 }

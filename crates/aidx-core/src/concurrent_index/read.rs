@@ -189,11 +189,9 @@ pub enum ReadShape {
     /// is that bitmap — no sort, no heap merge, no encoding. Only ids
     /// sparser than one per 1 024 of span are sorted into blocks instead.
     Candidates,
-    /// The qualifying `(key, rowid)` pairs as lazily-merged [`KeyRuns`]:
-    /// each visited piece contributes one *raw* run in its physical order
-    /// and nothing is sorted here — the consuming
-    /// [`KeyRunsIter`](crate::key_runs::KeyRunsIter) pays for a run only
-    /// when its merge frontier reaches the run's key envelope.
+    /// The qualifying `(key, rowid)` pairs as raw [`KeyRuns`]: each
+    /// visited piece contributes one run in its physical order and nothing
+    /// is sorted — the table join hashes the pairs as they come.
     KeyRuns,
 }
 

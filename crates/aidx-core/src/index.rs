@@ -56,9 +56,8 @@ pub trait ColumnRead {
         (answer.into_set(), metrics)
     }
 
-    /// The same read as raw per-piece `(key, rowid)` runs — the join
-    /// paths' lazy-merge substrate: the merge sorts (or skips) runs only
-    /// as its frontier reaches them.
+    /// The same read as raw per-piece `(key, rowid)` runs — what a table
+    /// join side hashes or probes with, unsorted.
     fn select_key_runs(&self, low: i64, high: i64) -> (KeyRuns, QueryMetrics) {
         let (answer, metrics) = self.read(low, high, ReadShape::KeyRuns);
         (answer.into_runs(), metrics)

@@ -1,39 +1,29 @@
-//! Lazily-merged `(key, rowid)` run streams — the join-side read surface.
+//! `(key, rowid)` run streams — the join-side read surface.
 //!
-//! An equi-join needs each side's surviving rows *ordered by key*, but a
-//! cracked column only provides that order piece by piece: every piece the
-//! read visits yields one run of pairs whose keys all fall in the piece's
-//! key interval, unsorted within it. Fully sorting every run up front
-//! would pay the whole sort cost even for runs the join never reaches —
-//! exactly the work adaptive indexing exists to avoid.
+//! An equi-join needs each side's surviving `(key, rowid)` pairs, and a
+//! cracked column yields them piece by piece: every piece a
+//! [`crate::ReadShape::KeyRuns`] read visits contributes one run of pairs
+//! whose keys all fall in the piece's key interval, in its physical
+//! order. [`KeyRuns`] keeps those runs *raw*. The table engine's join
+//! drops a filtered side's non-candidates with [`KeyRuns::retain_rowids`]
+//! and hashes the smaller side's pairs as they come
+//! ([`KeyRuns::iter_pairs`]), so nothing on the join path is sorted.
 //!
-//! [`KeyRuns`] therefore keeps the per-piece runs *raw* and
-//! [`KeyRunsIter`] merges them lazily, in the spirit of
-//! [`crate::SeekingIterator`]'s galloping seeks:
+//! [`KeyRunsIter`] and [`merge_join_pairs`] are a lazily-merging
+//! alternative kept as a measured baseline (the benchmark's
+//! `core.key_runs.merge_join_ns_per_row` probe); no engine path uses
+//! them:
 //!
 //! * a run is sorted only when the merge frontier actually reaches its
-//!   minimum key (activation);
+//!   minimum key (activation), and runs whose pairs arrive already
+//!   ascending never pay a sort;
 //! * [`KeyRunsIter::seek_key`] discards every still-pending run whose
-//!   maximum key is below the target **without sorting or walking it** —
-//!   under skewed or window-clipped joins whole pieces are bypassed
-//!   unsorted, which is the run-level analogue of a compressed set's
-//!   block skips (and is reported the same way, via
-//!   [`KeyRunsIter::rows_skipped`]);
-//! * runs whose pairs arrive already ascending (a rowid-aligned key
-//!   column, or a piece cracked down to a single key) are detected at
-//!   construction and never pay a sort at all.
-//!
-//! Unlike [`crate::SeekingIterator`], duplicate keys are first-class: the
-//! stream is non-descending, and [`KeyRunsIter::take_group`] drains one
-//! key's whole duplicate group for many-to-many fan-out.
-//!
-//! [`merge_join_pairs`] is the leapfrog consumer: it walks two
-//! [`KeyRunsIter`]s like `intersect_iters_gallop` walks two rowid sets —
-//! each miss re-seeks the side that is behind to the other side's
-//! frontier — and emits the cross product of every matching duplicate
-//! group.
+//!   maximum key is below the target without sorting or walking it
+//!   ([`KeyRunsIter::rows_skipped`]);
+//! * [`KeyRunsIter::take_group`] drains one key's whole duplicate group,
+//!   and [`merge_join_pairs`] walks two iterators leapfrog-style,
+//!   emitting the cross product of every matching group.
 
-use crate::metrics::QueryMetrics;
 use aidx_cracking::RowId;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -64,8 +54,8 @@ impl KeyRun {
     }
 }
 
-/// A collection of key runs produced by one join-side read — the
-/// unmerged, mostly-unsorted raw material a [`KeyRunsIter`] consumes.
+/// A collection of key runs produced by one join-side read: unmerged and
+/// mostly unsorted, as the pieces held them.
 #[derive(Debug, Clone, Default)]
 pub struct KeyRuns {
     runs: Vec<KeyRun>,
@@ -115,31 +105,10 @@ impl KeyRuns {
         self.runs.iter().map(KeyRun::len).sum()
     }
 
-    /// Number of runs.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Rows that arrived already sorted (will never pay a sort) — the
-    /// numerator of a cost model's sorted-run fraction.
-    pub fn presorted_rows(&self) -> usize {
-        self.runs.iter().filter(|r| r.sorted).map(KeyRun::len).sum()
-    }
-
-    /// Smallest key across all runs (`None` when empty).
-    pub fn min_key(&self) -> Option<i64> {
-        self.runs.iter().map(|r| r.min_key).min()
-    }
-
-    /// Largest key across all runs (`None` when empty).
-    pub fn max_key(&self) -> Option<i64> {
-        self.runs.iter().map(|r| r.max_key).max()
-    }
-
     /// Drops every pair whose rowid fails `keep`, rebuilding each
     /// surviving run's envelope (runs that empty out are removed). This
     /// is how a table-level join applies a side's filtered candidate set
-    /// to its raw key runs before merging.
+    /// to its raw key runs before hashing.
     pub fn retain_rowids(&mut self, keep: impl Fn(RowId) -> bool) {
         let mut rebuilt = KeyRuns::new();
         for run in std::mem::take(&mut self.runs) {
@@ -150,8 +119,8 @@ impl KeyRuns {
         *self = rebuilt;
     }
 
-    /// All pairs in run order, *unsorted* — a hash-join build doesn't
-    /// need key order, so it skips the merge machinery entirely.
+    /// All pairs in run order, *unsorted* — how the table join builds and
+    /// probes its hash table, which needs no key order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (i64, RowId)> + '_ {
         self.runs.iter().flat_map(|r| r.pairs.iter().copied())
     }
@@ -172,7 +141,7 @@ impl KeyRuns {
     }
 
     /// Drains every run into one flat key-sorted vector (test/oracle
-    /// convenience; the join paths use [`KeyRuns::into_merge_iter`]).
+    /// convenience).
     pub fn into_sorted_pairs(self) -> Vec<(i64, RowId)> {
         let mut out: Vec<(i64, RowId)> = self.runs.into_iter().flat_map(|r| r.pairs).collect();
         out.sort_unstable();
@@ -378,12 +347,6 @@ pub fn merge_join_pairs(
     }
 }
 
-/// Folds a merge join's statistics into one operation's metrics record.
-pub fn note_merge_join(metrics: &mut QueryMetrics, stats: &MergeJoinStats) {
-    metrics.join_pairs = metrics.join_pairs.saturating_add(stats.pairs);
-    metrics.join_rows_skipped = metrics.join_rows_skipped.saturating_add(stats.rows_skipped);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,11 +365,16 @@ mod tests {
         runs.push_run(vec![(5, 0), (2, 1), (9, 2)]);
         runs.push_run(vec![(1, 3), (1, 4), (3, 5)]);
         runs.push_run(vec![]); // dropped
-        assert_eq!(runs.run_count(), 2);
         assert_eq!(runs.total_rows(), 6);
-        assert_eq!(runs.presorted_rows(), 3, "only the ascending run");
-        assert_eq!(runs.min_key(), Some(1));
-        assert_eq!(runs.max_key(), Some(9));
+        let envelopes: Vec<(i64, i64, bool)> = runs
+            .runs
+            .iter()
+            .map(|r| (r.min_key, r.max_key, r.sorted))
+            .collect();
+        assert_eq!(envelopes, [(2, 9, false), (1, 3, true)]);
+        let mut iter = runs.into_merge_iter();
+        assert_eq!(iter.by_ref().count(), 6);
+        assert_eq!(iter.rows_sorted(), 3, "only the unsorted run pays a sort");
     }
 
     #[test]
@@ -529,21 +497,5 @@ mod tests {
     fn into_sorted_pairs_flattens_everything() {
         let runs = runs_of(&[&[(3, 0), (1, 1)], &[(2, 2)]]);
         assert_eq!(runs.into_sorted_pairs(), vec![(1, 1), (2, 2), (3, 0)]);
-    }
-
-    #[test]
-    fn note_merge_join_saturates_into_metrics() {
-        let mut m = QueryMetrics::default();
-        note_merge_join(
-            &mut m,
-            &MergeJoinStats {
-                pairs: 7,
-                rows_skipped: 3,
-                runs_skipped: 1,
-                rows_sorted: 2,
-            },
-        );
-        assert_eq!(m.join_pairs, 7);
-        assert_eq!(m.join_rows_skipped, 3);
     }
 }

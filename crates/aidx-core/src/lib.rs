@@ -73,9 +73,7 @@ pub use aidx_latch::facade;
 pub use compaction::{CompactionMode, CompactionPolicy};
 pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, WriteOp};
 pub use index::{ColumnRead, Index};
-pub use key_runs::{
-    merge_join_pairs, note_merge_join, KeyRun, KeyRuns, KeyRunsIter, MergeJoinStats,
-};
+pub use key_runs::{merge_join_pairs, KeyRun, KeyRuns, KeyRunsIter, MergeJoinStats};
 pub use merge_concurrent::ConcurrentAdaptiveMerge;
 pub use metrics::{Completion, LatencyBreakdown, QueryMetrics, RunMetrics, WindowThroughput};
 pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta};

@@ -69,9 +69,8 @@ pub struct QueryMetrics {
     /// Output `(left rowid, right rowid)` pairs emitted by an equi-join
     /// (0 for non-join operations).
     pub join_pairs: u64,
-    /// `(key, rowid)` rows bypassed *unsorted* by key-run seeks during a
-    /// gallop join: whole runs whose key range fell outside the join
-    /// frontier were discarded without ever being sorted or walked.
+    /// `(key, rowid)` rows a join bypassed without reading them. No join
+    /// skips rows today, so it reads 0; it stays because reports name it.
     pub join_rows_skipped: u64,
 }
 

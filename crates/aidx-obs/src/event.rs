@@ -88,17 +88,13 @@ pub enum TraceEvent {
         ns: u64,
     },
     /// One executed equi-join between two table engines: which physical
-    /// strategy ran, how many output pairs it produced, and how many
-    /// `(key, rowid)` rows the gallop merge bypassed unsorted (0 for the
-    /// other strategies).
+    /// strategy ran and how many output pairs it produced.
     Join {
-        /// Physical strategy label: `"gallop"`, `"hash"`, or
-        /// `"nested_loop"`.
+        /// Physical strategy label: `"auto"` (the engine's join, a hash
+        /// join over both sides' key runs) or `"nested_loop"`.
         strategy: &'static str,
         /// `(left rowid, right rowid)` pairs emitted.
         pairs: u64,
-        /// Rows discarded unsorted by key-run seeks (gallop only).
-        rows_skipped: u64,
         /// Nanoseconds the join phase took (filtering excluded).
         ns: u64,
     },
@@ -188,12 +184,10 @@ impl TraceEvent {
             TraceEvent::Join {
                 strategy,
                 pairs,
-                rows_skipped,
                 ns,
             } => vec![
                 ("strategy", Json::str(strategy)),
                 ("pairs", Json::UInt(pairs)),
-                ("rows_skipped", Json::UInt(rows_skipped)),
                 ("ns", Json::UInt(ns)),
             ],
         }
@@ -263,9 +257,8 @@ mod tests {
                 ns: 20_000,
             },
             TraceEvent::Join {
-                strategy: "gallop",
+                strategy: "auto",
                 pairs: 77,
-                rows_skipped: 1200,
                 ns: 9_000,
             },
         ];

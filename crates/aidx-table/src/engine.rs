@@ -31,7 +31,8 @@
 //!   result: the driver's result scaled by the two predicates' widths
 //!   (the same uniform-domain assumption as the ordering).
 //!
-//! Joins pick their strategy the same way (see
+//! A join plans each side's filter stack the same way and hashes the side
+//! whose key-run read returned fewer rows (see
 //! [`TableEngine::execute_join`]). Every plan is therefore a function of
 //! the op stream and the data, never of host load: two runs of one op
 //! stream crack the same columns at the same bounds.
@@ -49,16 +50,16 @@
 //! drops the mutex and runs its whole plan against the cut, while later
 //! writes land freely; they are invisible to it. A deleted inserted
 //! tuple's row-store entry outlives the delete until no cut older than it
-//! is left, so a projection or hash probe of a pinned row id still finds
-//! its values. *Within* a column, the existing latch protocols govern
+//! is left, so a projection or nested-loop probe of a pinned row id still
+//! finds its values. *Within* a column, the existing latch protocols govern
 //! exactly as in the single-column engines (concurrent reads still crack
 //! all columns in parallel under piece/column latches, pinned or not).
 
 use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
 use aidx_core::facade::{Mutex, MutexGuard, RwLock};
 use aidx_core::{
-    dcheck, intersect_sets, merge_join_pairs, note_merge_join, ColumnRead, CompactionPolicy, Index,
-    IntersectStrategy, KeyRuns, LatchProtocol, QueryMetrics, ReadShape, RowIdSet,
+    dcheck, intersect_sets, ColumnRead, CompactionPolicy, Index, IntersectStrategy, KeyRuns,
+    LatchProtocol, QueryMetrics, ReadShape, RowIdSet,
 };
 use aidx_cracking::RowId;
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
@@ -74,11 +75,6 @@ use std::time::Instant;
 /// hash-overlay lookup) costs 3/2 of one row read from a cracked column's
 /// rowid set.
 const PROJECTION_WEIGHTS: (u128, u128) = (3, 2);
-
-/// Gallop vs. hash join, as `(gallop, build, probe)` weights per row: a
-/// row the gallop merge walks (lazy sort plus leapfrog merge) costs as
-/// much as a hash-table insert, and twice a row-store probe.
-const JOIN_WEIGHTS: (u128, u128, u128) = (2, 2, 1);
 
 /// Which single-column concurrency design backs every column index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,9 +174,8 @@ pub struct TableEngine {
     candidate_set_bytes_total: AtomicU64,
     /// Cumulative compressed blocks bypassed by galloping intersections.
     blocks_skipped_total: AtomicU64,
-    /// Joins executed per physical strategy: gallop / hash / nested-loop.
-    joins_gallop: AtomicU64,
-    joins_hash: AtomicU64,
+    /// Joins executed: the engine's join / the nested-loop baseline.
+    joins: AtomicU64,
     joins_nested: AtomicU64,
 }
 
@@ -249,8 +244,7 @@ impl TableEngine {
             lazy_pins: false,
             candidate_set_bytes_total: AtomicU64::new(0),
             blocks_skipped_total: AtomicU64::new(0),
-            joins_gallop: AtomicU64::new(0),
-            joins_hash: AtomicU64::new(0),
+            joins: AtomicU64::new(0),
             joins_nested: AtomicU64::new(0),
         }
     }
@@ -565,10 +559,15 @@ impl TableEngine {
     /// each table, and holds up writers only while it pins. The result's
     /// `epoch` is the executing (left) table's cut.
     ///
-    /// `strategy` [`JoinStrategy::Auto`] picks gallop or hash from the
-    /// two sides' estimated cardinalities (see `choose_join_strategy`),
-    /// so one op stream always gets the same picks; nested-loop is never
-    /// auto-picked.
+    /// [`JoinStrategy::Auto`] runs the engine's join: both sides read
+    /// their `(key, rowid)` runs through their own join column at the
+    /// joint key window — cracking it there, so repeated joins converge —
+    /// and the side that returned fewer rows builds a `key -> rowids`
+    /// table that the other side's pairs probe. A side whose filters all
+    /// constrain the join column builds no candidate set: those filters
+    /// are its window. A side with filters on other columns runs its
+    /// filter stack like a `SelectMulti` and keeps only its candidates'
+    /// pairs. [`JoinStrategy::NestedLoop`] is the quadratic baseline.
     pub fn execute_join(
         &self,
         other: &TableEngine,
@@ -605,9 +604,7 @@ impl TableEngine {
         let left = left_cut.join_side(left_col, filters_left, &mut metrics);
         let right = right_cut.join_side(right_col, filters_right, &mut metrics);
         // The joint key window: keys outside it cannot match. Derived
-        // from whatever filters constrain the join columns directly;
-        // gallop tightens it further from the first side's actual
-        // envelope.
+        // from whatever filters constrain the join columns directly.
         let window = (
             left.window.0.max(right.window.0),
             left.window.1.min(right.window.1),
@@ -625,38 +622,30 @@ impl TableEngine {
                 metrics,
             };
         }
-        let chosen = match strategy {
-            JoinStrategy::Auto => choose_join_strategy(&left, &right, window),
-            forced => forced,
-        };
-        let counter = match chosen {
-            JoinStrategy::Gallop => &self.joins_gallop,
-            JoinStrategy::Hash => &self.joins_hash,
+        let counter = match strategy {
+            JoinStrategy::Auto => &self.joins,
             JoinStrategy::NestedLoop => &self.joins_nested,
-            JoinStrategy::Auto => unreachable!("Auto always resolves to a physical strategy"),
         };
         counter.fetch_add(1, Ordering::Relaxed);
         let traced = aidx_obs::enabled().then(Instant::now);
-        let (mut pairs, rows_skipped) = match chosen {
-            JoinStrategy::Gallop => self.gallop_join(&left, &right, window, &mut metrics),
-            JoinStrategy::Hash => self.hash_join(&left, &right, window, &mut metrics),
-            _ => nested_loop_join(&left, &right, &mut metrics),
+        let mut pairs = match strategy {
+            JoinStrategy::Auto => hash_join(
+                &left.keyed_runs(window, &mut metrics),
+                &right.keyed_runs(window, &mut metrics),
+            ),
+            JoinStrategy::NestedLoop => nested_loop_join(&left, &right, &mut metrics),
         };
         // Deterministic output order regardless of strategy, so every
         // result is comparable tuple-for-tuple against the oracle.
         pairs.sort_unstable();
-        if chosen != JoinStrategy::Gallop {
-            // The gallop path's `note_merge_join` already counted these.
-            metrics.join_pairs = metrics.join_pairs.saturating_add(pairs.len() as u64);
-        }
+        metrics.join_pairs = pairs.len() as u64;
         metrics.result_count = pairs.len() as u64;
         self.candidate_set_bytes_total
             .fetch_add(metrics.candidate_set_bytes, Ordering::Relaxed);
         if let Some(start) = traced {
             emit(TraceEvent::Join {
-                strategy: chosen.label(),
+                strategy: strategy.label(),
                 pairs: pairs.len() as u64,
-                rows_skipped,
                 ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             });
         }
@@ -669,95 +658,15 @@ impl TableEngine {
         }
     }
 
-    /// Joins executed so far per physical strategy:
-    /// `(gallop, hash, nested_loop)` — what the planner (or a forced
-    /// strategy) actually ran.
+    /// Joins executed so far as `(0, joins, nested_loop)`: the engine's
+    /// join, then the nested-loop baseline. The leading 0 keeps the
+    /// tuple's shape for reports that still read a gallop count.
     pub fn join_strategy_counts(&self) -> (u64, u64, u64) {
         (
-            self.joins_gallop.load(Ordering::Relaxed),
-            self.joins_hash.load(Ordering::Relaxed),
+            0,
+            self.joins.load(Ordering::Relaxed),
             self.joins_nested.load(Ordering::Relaxed),
         )
-    }
-
-    /// Gallop join: leapfrog merge over both sides' lazily-sorted key
-    /// runs. The estimated-smaller side is produced first; its actual
-    /// key envelope then clips the larger side's production window, so
-    /// the larger column is cracked — and walked — only inside the
-    /// overlap.
-    fn gallop_join(
-        &self,
-        left: &JoinSide,
-        right: &JoinSide,
-        window: (i64, i64),
-        metrics: &mut QueryMetrics,
-    ) -> (Vec<(RowId, RowId)>, u64) {
-        let (left_runs, right_runs) = if left.est <= right.est {
-            let first = left.keyed_runs(window, metrics);
-            let second = match envelope_clip(&first, window) {
-                Some(clipped) => right.keyed_runs(clipped, metrics),
-                None => KeyRuns::new(),
-            };
-            (first, second)
-        } else {
-            let first = right.keyed_runs(window, metrics);
-            let second = match envelope_clip(&first, window) {
-                Some(clipped) => left.keyed_runs(clipped, metrics),
-                None => KeyRuns::new(),
-            };
-            (second, first)
-        };
-        let mut out = Vec::new();
-        let stats = merge_join_pairs(
-            left_runs.into_merge_iter(),
-            right_runs.into_merge_iter(),
-            &mut out,
-        );
-        note_merge_join(metrics, &stats);
-        (out, stats.rows_skipped)
-    }
-
-    /// Hash join: builds a `key -> rowids` table on the estimated-smaller
-    /// side (read through its index, restricted to the joint window),
-    /// then streams the larger side's candidates in rowid order through
-    /// the row store — no index read, no refinement, O(1) per probe.
-    fn hash_join<'e>(
-        &self,
-        left: &JoinSide<'_, 'e>,
-        right: &JoinSide<'_, 'e>,
-        window: (i64, i64),
-        metrics: &mut QueryMetrics,
-    ) -> (Vec<(RowId, RowId)>, u64) {
-        let build_left = left.est <= right.est;
-        let (build, probe) = if build_left {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        let build_runs = build.keyed_runs(window, metrics);
-        let mut table: HashMap<i64, Vec<RowId>> = HashMap::new();
-        for (key, rowid) in build_runs.iter_pairs() {
-            table.entry(key).or_default().push(rowid);
-        }
-        let mut out = Vec::new();
-        for rowid in probe.rowids(metrics) {
-            let Some(value) = probe.key_of(rowid) else {
-                continue;
-            };
-            if value < window.0 || value >= window.1 {
-                continue;
-            }
-            if let Some(matches) = table.get(&value) {
-                for &built in matches {
-                    out.push(if build_left {
-                        (built, rowid)
-                    } else {
-                        (rowid, built)
-                    });
-                }
-            }
-        }
-        (out, 0)
     }
 
     /// One merged structure probe across every column index: "piece
@@ -902,9 +811,11 @@ impl<'e> Cut<'e> {
         answer.into_set()
     }
 
-    /// Plans one join side: runs its filter stack, estimates its
-    /// surviving cardinality, and extracts the key window any filters on
-    /// the join column itself imply.
+    /// Plans one join side: extracts the key window its filters on the
+    /// join column imply and, when it has filters on other columns, runs
+    /// its whole filter stack into a candidate set. A side whose filters
+    /// all sit on the join column builds none: its key-run read at the
+    /// window cracks the bounds its filter read would have cracked.
     fn join_side(
         &self,
         col: usize,
@@ -916,22 +827,15 @@ impl<'e> Cut<'e> {
             window.0 = window.0.max(p.low);
             window.1 = window.1.min(p.high);
         }
-        let candidates = self.candidates_for(filters, metrics);
-        let est = match &candidates {
-            Some(set) => set.len() as u64,
-            None => {
-                // Unfiltered: estimate from a full-domain count, which
-                // resolves to existing piece bounds and never cracks.
-                let (n, m) = self.column(col).count(i64::MIN, i64::MAX);
-                metrics.accumulate(&m);
-                n
-            }
+        let candidates = if filters.iter().all(|p| p.column == col) {
+            None
+        } else {
+            self.candidates_for(filters, metrics)
         };
         JoinSide {
             cut: self,
             col,
             candidates,
-            est,
             window,
         }
     }
@@ -944,13 +848,12 @@ impl Drop for Cut<'_> {
 }
 
 /// One planned join side: the cut it reads, its join column, its
-/// filtered candidate set (`None` = unfiltered), estimated surviving
-/// cardinality, and the key window its join-column filters imply.
+/// filtered candidate set (`None` = no filters off the join column), and
+/// the key window its join-column filters imply.
 struct JoinSide<'c, 'e> {
     cut: &'c Cut<'e>,
     col: usize,
     candidates: Option<RowIdSet>,
-    est: u64,
     window: (i64, i64),
 }
 
@@ -959,9 +862,6 @@ impl JoinSide<'_, '_> {
     /// filtered candidates. Cracks the join column at the window bounds —
     /// the adaptive-indexing bet applied to joins.
     fn keyed_runs(&self, window: (i64, i64), metrics: &mut QueryMetrics) -> KeyRuns {
-        if window.0 >= window.1 {
-            return KeyRuns::new();
-        }
         let (mut runs, m) = self
             .cut
             .column(self.col)
@@ -973,11 +873,16 @@ impl JoinSide<'_, '_> {
         runs
     }
 
-    /// The side's surviving rowids as a flat sorted vector.
+    /// The side's surviving rowids as a flat sorted vector: its candidates,
+    /// or its join column's rows inside its own window.
     fn rowids(&self, metrics: &mut QueryMetrics) -> Vec<RowId> {
         match &self.candidates {
             Some(set) => set.to_vec(),
-            None => self.cut.every_row(self.col, metrics).to_vec(),
+            None => {
+                let (low, high) = self.window;
+                let window = ColumnPredicate::new(self.col, low, high);
+                self.cut.column_read(&window, metrics).to_vec()
+            }
         }
     }
 
@@ -997,38 +902,44 @@ fn prefer_projection(candidates: usize, rows: u64) -> bool {
     candidates as u128 * probe < u128::from(rows) * read
 }
 
-/// Gallop-vs-hash choice from the sides' estimated cardinalities
-/// ([`JOIN_WEIGHTS`]): gallop walks both sides clipped to the joint key
-/// window (each side's share estimated from the window widths), hash
-/// builds the smaller side and probes every larger-side candidate
-/// through the row store. Gallop when `2 × gallop_rows ≤ 2 × small +
-/// large`.
-fn choose_join_strategy(left: &JoinSide, right: &JoinSide, window: (i64, i64)) -> JoinStrategy {
-    let (gallop, build, probe) = JOIN_WEIGHTS;
-    let gallop_rows = windowed_estimate(left.est, left.window, window)
-        + windowed_estimate(right.est, right.window, window);
-    let (small, large) = if left.est <= right.est {
-        (left.est, right.est)
+/// The engine's join over two sides' key runs: the side with fewer rows
+/// (the left on a tie) builds a `key -> rowids` table, and the other
+/// side's pairs probe it in run order. Returns `(left rowid, right
+/// rowid)` pairs, unsorted.
+fn hash_join(left: &KeyRuns, right: &KeyRuns) -> Vec<(RowId, RowId)> {
+    let build_left = left.total_rows() <= right.total_rows();
+    let (build, probe) = if build_left {
+        (left, right)
     } else {
-        (right.est, left.est)
+        (right, left)
     };
-    let cost_hash = u128::from(small) * build + u128::from(large) * probe;
-    if gallop_rows * gallop <= cost_hash {
-        JoinStrategy::Gallop
-    } else {
-        JoinStrategy::Hash
+    let mut table: HashMap<i64, Vec<RowId>> = HashMap::new();
+    for (key, rowid) in build.iter_pairs() {
+        table.entry(key).or_default().push(rowid);
     }
+    let mut out = Vec::new();
+    for (key, rowid) in probe.iter_pairs() {
+        if let Some(matches) = table.get(&key) {
+            out.extend(matches.iter().map(|&built| {
+                if build_left {
+                    (built, rowid)
+                } else {
+                    (rowid, built)
+                }
+            }));
+        }
+    }
+    out
 }
 
 /// Nested-loop join: every surviving left row against every surviving
 /// right row through the row store. Quadratic on purpose — the baseline
-/// the rowid-set strategies are verified against and measured over; the
-/// planner never picks it.
+/// the engine's join is verified against and measured over.
 fn nested_loop_join(
     left: &JoinSide,
     right: &JoinSide,
     metrics: &mut QueryMetrics,
-) -> (Vec<(RowId, RowId)>, u64) {
+) -> Vec<(RowId, RowId)> {
     let left_rowids = left.rowids(metrics);
     let right_rowids = right.rowids(metrics);
     let mut out = Vec::new();
@@ -1042,37 +953,7 @@ fn nested_loop_join(
             }
         }
     }
-    (out, 0)
-}
-
-/// Width of a half-open window as a `u128` (the full `i64` domain does
-/// not fit a `u64`), at least 1.
-fn window_width(window: (i64, i64)) -> u128 {
-    if window.1 <= window.0 {
-        1
-    } else {
-        ((window.1 as i128 - window.0 as i128) as u128).max(1)
-    }
-}
-
-/// Scales a side's cardinality estimate by the fraction of its own key
-/// window the joint window covers (uniform-domain assumption, like the
-/// select planner's width-as-selectivity estimate).
-fn windowed_estimate(est: u64, side_window: (i64, i64), joint: (i64, i64)) -> u128 {
-    let overlap = (joint.0.max(side_window.0), joint.1.min(side_window.1));
-    if overlap.1 <= overlap.0 {
-        return 0;
-    }
-    (est as u128).saturating_mul(window_width(overlap)) / window_width(side_window)
-}
-
-/// Tightens `window` to the produced runs' actual key envelope (`None`
-/// when the runs are empty — nothing can match). `max_key + 1` cannot
-/// overflow: table keys are `< i64::MAX` by the engine contract.
-fn envelope_clip(runs: &KeyRuns, window: (i64, i64)) -> Option<(i64, i64)> {
-    let lo = runs.min_key()?;
-    let hi = runs.max_key()?;
-    Some((lo.max(window.0), (hi + 1).min(window.1)))
+    out
 }
 
 impl std::fmt::Debug for TableEngine {
@@ -1208,6 +1089,23 @@ mod tests {
             engine.project_filter(&all, &predicates[2]).to_vec(),
             [70, 106]
         );
+    }
+
+    /// The side with fewer rows builds the hash table wherever it sits.
+    /// The probe side's run order survives into the unsorted output, so
+    /// the order shows which side built.
+    #[test]
+    fn the_side_with_fewer_rows_builds_on_either_side() {
+        let runs = |pairs: &[(i64, RowId)]| {
+            let mut runs = KeyRuns::new();
+            runs.push_run(pairs.to_vec());
+            runs
+        };
+        let small = runs(&[(1, 100), (2, 101)]);
+        let large = runs(&[(2, 7), (1, 3), (2, 9)]);
+        // Probed in the large side's order: 7, 3, 9.
+        assert_eq!(hash_join(&small, &large), [(101, 7), (100, 3), (101, 9)]);
+        assert_eq!(hash_join(&large, &small), [(7, 101), (3, 100), (9, 101)]);
     }
 
     /// A select pinned before a delete of an inserted tuple still resolves

@@ -38,11 +38,10 @@
 //!   (one insert/delete per column per tuple, each under that column's
 //!   own latch protocol) serialised by a writer mutex that reads hold
 //!   only while they pin their per-operation cut.
-//! * [`JoinStrategy`] — the join's physical strategies: a galloping
-//!   leapfrog merge over lazily-sorted `(key, rowid)` runs (cracks both
-//!   join columns, so repeated joins converge), a hash build/probe
-//!   through the row store, and a nested-loop oracle baseline. `Auto`
-//!   picks gallop or hash from the two sides' estimated cardinalities.
+//! * [`JoinStrategy`] — the engine's join (`Auto`), which reads both
+//!   sides' `(key, rowid)` runs from their join columns at the joint key
+//!   window (cracking both, so repeated joins converge) and hashes the
+//!   side that returned fewer rows, and a nested-loop oracle baseline.
 //! * [`CheckedTableEngine`] — the verifying wrapper: replays every op
 //!   against a `BTreeMap<RowId, tuple>` oracle, comparing *rowid sets*
 //!   (tuple identity), not just counts; joins are verified pair-for-pair

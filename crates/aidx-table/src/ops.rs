@@ -42,23 +42,14 @@ impl ColumnPredicate {
 /// How an equi-join is physically executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
-    /// Choice between [`JoinStrategy::Gallop`] and [`JoinStrategy::Hash`]
-    /// from the two sides' estimated cardinalities — the same pick for
-    /// the same query over the same data, every time (nested-loop is
-    /// never auto-picked; it exists as the oracle baseline).
+    /// The engine's join: both sides' `(key, rowid)` runs read through
+    /// their join columns at the joint key window (cracking both, so
+    /// repeated joins converge), the side with fewer rows hashed and the
+    /// other side's pairs probing it.
     #[default]
     Auto,
-    /// Leapfrog merge over each side's lazily-sorted `(key, rowid)` runs,
-    /// skipping whole runs whose key envelope the other side's frontier
-    /// jumps over. Cracks both join columns as a side effect, so repeated
-    /// joins converge.
-    Gallop,
-    /// Hash table built on the (estimated) smaller filtered side, probed
-    /// by streaming the larger side in rowid order through the row store
-    /// (no index read, no refinement).
-    Hash,
     /// Quadratic row-store baseline — the tuple-for-tuple oracle the
-    /// benchmarks verify against, never chosen by the planner.
+    /// benchmarks verify against and measure the engine's join over.
     NestedLoop,
 }
 
@@ -67,8 +58,6 @@ impl JoinStrategy {
     pub fn label(self) -> &'static str {
         match self {
             JoinStrategy::Auto => "auto",
-            JoinStrategy::Gallop => "gallop",
-            JoinStrategy::Hash => "hash",
             JoinStrategy::NestedLoop => "nested_loop",
         }
     }
@@ -93,10 +82,11 @@ pub enum TableOp {
         /// The key to delete.
         value: i64,
     },
-    /// Key/foreign-key equi-join against another table engine: both
-    /// sides' conjunctive filters are planned exactly like a
+    /// Key/foreign-key equi-join against another table engine: filters
+    /// on a side's join column narrow the key window both sides' key
+    /// runs are read over, any other filters are planned exactly like a
     /// `SelectMulti` (most-selective-first cracking, compressed candidate
-    /// sets), then the survivors are joined on
+    /// sets), and the survivors are joined on
     /// `self[left_col] == other[right_col]`, emitting
     /// `(left rowid, right rowid)` pairs.
     Join {
@@ -110,7 +100,7 @@ pub enum TableOp {
         filters_left: Vec<ColumnPredicate>,
         /// Conjunctive filters on the right table.
         filters_right: Vec<ColumnPredicate>,
-        /// Physical strategy ([`JoinStrategy::Auto`] = cost-based).
+        /// Physical strategy ([`JoinStrategy::Auto`] = the engine's join).
         strategy: JoinStrategy,
     },
 }

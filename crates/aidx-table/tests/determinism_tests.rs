@@ -1,7 +1,7 @@
 //! Plan determinism: the table planner decides from counts alone, so two
 //! fresh engines fed one op stream make the same plan for every op —
-//! the same cracks, the same candidate sets, the same join strategies —
-//! and end with the same per-column piece structure.
+//! the same cracks, the same candidate sets, the same joins — and
+//! end with the same per-column piece structure.
 
 use aidx_core::{CompactionPolicy, LatchProtocol};
 use aidx_table::{ColumnPredicate, JoinStrategy, TableBackend, TableEngine, TableOp};
@@ -16,7 +16,7 @@ const OPS: usize = 400;
 #[derive(Debug)]
 enum Step {
     Table(TableOp),
-    /// `fact.fk == dim.key` under each side's filters, planner's pick.
+    /// `fact.fk == dim.key` under each side's filters, the engine's join.
     Join {
         fact_filters: Vec<ColumnPredicate>,
         dim_filters: Vec<ColumnPredicate>,
@@ -98,8 +98,8 @@ fn predicate(rng: &mut StdRng, column: usize, per_mille: i64) -> ColumnPredicate
 
 /// A seeded single-client stream: 1–3-predicate selects whose widths
 /// span narrow to wide (so some predicates intersect and some project),
-/// key-window and attribute-filtered joins (so both join strategies
-/// run), and inserts and deletes.
+/// key-window and attribute-filtered joins (so joins both with and
+/// without candidate sets run), and inserts and deletes.
 fn op_stream(seed: u64) -> Vec<Step> {
     let mut rng = StdRng::seed_from_u64(seed);
     let widths = [1, 10, 100, 500];
@@ -165,11 +165,7 @@ fn plans_are_a_function_of_the_ops_and_the_data() {
         }
         let joins = a.fact.join_strategy_counts();
         assert_eq!(joins, b.fact.join_strategy_counts(), "{}", a.fact.name());
-        assert!(
-            joins.0 > 0 && joins.1 > 0,
-            "{}: the stream runs both join strategies, got {joins:?}",
-            a.fact.name()
-        );
+        assert!(joins.1 > 0, "{}: the stream ran no join", a.fact.name());
         assert_eq!(a.piece_counts(), b.piece_counts(), "{}", a.fact.name());
     }
 }

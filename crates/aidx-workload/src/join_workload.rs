@@ -10,8 +10,8 @@
 //! * **Key stride** — dimension keys spaced `stride` apart in a
 //!   `stride`-times-wider domain while fact FKs stay uniform over the
 //!   whole domain: only ~`1/stride` of fact rows match anything, and the
-//!   two key sets interleave instead of aligning (the low-overlap case a
-//!   hash join wins).
+//!   two key sets interleave instead of aligning (the low-overlap case:
+//!   most probe rows find nothing in the small build).
 //! * **Query placement** — key-window queries (a range filter on the
 //!   dimension's join column, which the join engine converts into a
 //!   cracked window on the fact FK column) or attribute filters (which
@@ -165,8 +165,8 @@ impl JoinWorkload {
 
     /// `n` join queries whose dimension filter is an *attribute* range
     /// of the given selectivity: the surviving dimension rows scatter
-    /// over the whole key domain, so the join's key envelope stays wide
-    /// — the shape where hash build/probe beats the gallop merge.
+    /// over the whole key domain, so the join's key window stays open and
+    /// the dimension side filters its key runs through a candidate set.
     pub fn attr_filter_queries(&self, n: usize, selectivity: f64) -> Vec<JoinQuery> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0xA77F_117E);
         let attr_domain = self.dim_rows.max(1) as i64;
