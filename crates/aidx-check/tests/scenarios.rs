@@ -167,8 +167,8 @@ fn real_cracker_delete_vs_sum_is_atomic() {
             column.clone(),
             LatchProtocol::Piece,
         ));
-        idx.count(i64::MIN, 5 * K); // two non-empty pieces: < 5K and >= 5K
-        assert_eq!(idx.piece_sizes(), [0, 2 * K as u64, 4 * K as u64]);
+        idx.count(i64::MIN, 5 * K); // two pieces: < 5K and >= 5K
+        assert_eq!(idx.piece_sizes(), [2 * K as u64, 4 * K as u64]);
         let a = Arc::clone(&idx);
         let b = Arc::clone(&idx);
         let (none, all) = (Arc::clone(&none), Arc::clone(&all));
@@ -348,6 +348,73 @@ fn real_cracker_two_crack_publish_vs_readers_of_the_upper_half() {
         cracked_twice.load(Ordering::SeqCst),
         0b111,
         "each thread must be the one that cracks the oversized piece on some schedule"
+    );
+}
+
+/// A read whose two bounds share a piece resolves both under that piece's
+/// one write latch, in one crack call and one publish. Here the wide count
+/// `[K, 6K)` on an uncracked column races the narrow count `[3K, 4K)`,
+/// which cracks between its bounds. When the narrow count publishes first
+/// while the wide one already holds its lookup of the one piece — queued
+/// on its latch, or preempted before taking it — the wide count's
+/// re-evaluation under the granted latch still finds `K` in the piece at
+/// position 0, but `6K` gone from it: it cracks `K` alone and resolves
+/// `6K` on its own in the piece above the narrow count's cracks. On every
+/// schedule with one preemption both counts are exact, each cracks its
+/// two bounds, no row is lost and the invariants hold. Both ways of
+/// resolving occur: some schedules take the two reads' four cracks under
+/// two write latches (each read's bounds share a piece when it cracks),
+/// others under three.
+#[test]
+fn real_paired_bounds_race_a_crack_between_them() {
+    let column = stretched(&[7, 2, 5, 0, 3, 6, 1, 4]);
+    let rows = column.len() as u64;
+    let oracle = |lo: i64, hi: i64| column.iter().filter(|&&v| v >= lo && v < hi).count() as u64;
+    let (e_wide, e_narrow) = (oracle(K, 6 * K), oracle(3 * K, 4 * K));
+    let latch_counts = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let seen = Arc::clone(&latch_counts);
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(5_000)
+    };
+    let report = explore(one_preemption, move || {
+        let idx = Arc::new(ConcurrentCracker::from_values(
+            column.clone(),
+            LatchProtocol::Piece,
+        ));
+        let (wide, narrow, seen) = (Arc::clone(&idx), Arc::clone(&idx), Arc::clone(&seen));
+        Scenario::new()
+            .thread(move || {
+                let (n, metrics) = wide.count(K, 6 * K);
+                assert_eq!(n, e_wide, "count [K,6K) racing a crack between its bounds");
+                assert_eq!(
+                    metrics.cracks_performed, 2,
+                    "the wide count cracks both bounds"
+                );
+            })
+            .thread(move || {
+                let (n, metrics) = narrow.count(3 * K, 4 * K);
+                assert_eq!(n, e_narrow, "count [3K,4K)");
+                assert_eq!(
+                    metrics.cracks_performed, 2,
+                    "the narrow count cracks both bounds"
+                );
+            })
+            .finale(move || {
+                assert_eq!(idx.count(i64::MIN, i64::MAX).0, rows, "rows lost");
+                assert_eq!(idx.crack_count(), 4, "four bounds, no pivot");
+                assert!(idx.check_invariants());
+                let writes = idx.latch_stats().write_acquisitions;
+                seen.fetch_or(1 << writes.min(63), Ordering::SeqCst);
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "one preemption fits under the cap");
+    let seen = latch_counts.load(Ordering::SeqCst);
+    assert_eq!(
+        seen & 0b1100,
+        0b1100,
+        "both two and three write latches must occur, saw {seen:#b}"
     );
 }
 

@@ -28,16 +28,31 @@
 //! Writes ([`ConcurrentCracker::force_bound`]) ignore the floor: a delete
 //! needs its key's rows at exact positions.
 //!
+//! **The domain's ends.** A read over the whole key domain cracks
+//! nothing: no key lies below `i64::MIN`, so a low bound there is the
+//! crack at position 0, and a high bound of `i64::MAX` leaves its piece
+//! an edge to filter ([`ConcurrentCracker::read_skips`]).
+//!
 //! It also holds the one crack body, [`ConcurrentCracker::crack_piece`]:
 //! every protocol, every backend built on this cracker (serial, range
-//! partitions) and the write path resolve a bound there and nowhere
-//! else, so that is where the *pivot policy* lives. Two rules it keeps:
+//! partitions) and the write path resolve their bounds there and nowhere
+//! else, so that is where the *pivot policy* and the *pass order* live.
+//! A write resolves one bound per call. **A read whose two bounds share a
+//! piece write-latches it once and publishes once**: the low bound's
+//! write access re-evaluates the piece, and if the high bound still falls
+//! in it, one call cracks both — classic cracking's crack-in-three, as
+//! two passes, the one that leaves the shorter second pass first. Three
+//! rules it keeps:
 //!
-//! * **Where the extra crack goes is a pure function of the piece** — a
-//!   hash of its extent and the bound picks the rows the pivot is sampled
-//!   from. No generator, no seed, no shared state: a schedule replayed by
-//!   `aidx-check`, a proptest case being shrunk and a benchmark run with
-//!   the same op stream all crack exactly where the first run did.
+//! * **Where the cracks go is a pure function of the piece** — a hash of
+//!   its extent and the bounds picks the rows the pivot and the pass
+//!   order are sampled from. No generator, no seed, no shared state: a
+//!   schedule replayed by `aidx-check`, a proptest case being shrunk and
+//!   a benchmark run with the same op stream all crack exactly where the
+//!   first run did.
+//! * **A crack's position does not depend on the pass order** — it is the
+//!   count of the piece's live rows below the bound, so a bound lands
+//!   where a crack of it alone would put it.
 //! * **Physical work before publish** — all partition passes of one call
 //!   run before the directory learns of any crack they made, and it
 //!   learns of all of them in one exclusive acquisition: a published piece
@@ -72,6 +87,46 @@ impl<R> PieceWrite<R> {
     }
 }
 
+/// How [`ConcurrentCracker::crack_piece`] resolved a read's low bound, and
+/// its high bound if the two shared the piece.
+type Resolved = (PieceWrite<usize>, Option<PieceWrite<usize>>);
+
+impl PieceWrite<Resolved> {
+    /// The low bound's resolution, and the high bound's if the crack body
+    /// resolved it too.
+    fn unpair(self) -> Resolved {
+        match self {
+            PieceWrite::Done(resolved) => resolved,
+            PieceWrite::Crack(pos) => (PieceWrite::Crack(pos), None),
+            PieceWrite::Skipped(piece) => (PieceWrite::Skipped(piece), None),
+        }
+    }
+}
+
+/// `high` if it falls in `piece` — the piece of a read's low bound, as
+/// re-evaluated under write access to it — so that the crack body resolves
+/// both bounds in one call; never `i64::MAX`, which a read does not crack
+/// ([`ConcurrentCracker::read_skips`]).
+fn shared_high(piece: &Piece, high: i64) -> Option<i64> {
+    (high != i64::MAX && piece.high_value.is_none_or(|hv| high < hv)).then_some(high)
+}
+
+/// The two sub-pieces a crack at `value`, found at `pos`, splits `piece`
+/// into; the upper one keeps the dead tail.
+fn split_at(piece: &Piece, value: i64, pos: usize) -> [Piece; 2] {
+    let below = Piece {
+        end: pos,
+        high_value: Some(value),
+        ..*piece
+    };
+    let above = Piece {
+        start: pos,
+        low_value: Some(value),
+        ..*piece
+    };
+    [below, above]
+}
+
 /// The main-array part of one query, produced by the (cracking) plan phase
 /// and consumed — possibly several times, if a concurrent reclamation
 /// forces a retry — by the aggregation phase. Positions stay valid across
@@ -104,8 +159,8 @@ impl MainPlan {
     }
 
     /// The plan of a range whose low and high bound resolved as given —
-    /// resolved in that order, so the high bound's piece may be a later
-    /// split of the low bound's. A crack bounds the range exactly; a
+    /// possibly in one crack call, so one bound's piece may be a split the
+    /// other bound's crack left. A crack bounds the range exactly; a
     /// skipped bound contributes its piece as an edge. Every row strictly
     /// between the two edge pieces lies inside the bounds: keys at or
     /// past the low piece's end are at least its upper key bound, above
@@ -545,7 +600,7 @@ impl ConcurrentCracker {
     /// Ensures a crack exists at `bound` under the active latch protocol,
     /// blocking for latches even under [`RefinementPolicy::SkipOnContention`].
     pub(super) fn force_bound(&self, bound: i64, metrics: &mut QueryMetrics) -> usize {
-        let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
+        let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_one(piece, bound, m);
         let always = RefinementPolicy::Always;
         let cracks_before = metrics.cracks_performed;
         match self.write_piece(Target::Bound(bound), None, always, false, metrics, crack) {
@@ -577,10 +632,10 @@ impl ConcurrentCracker {
     /// `target` the caller already made (the plan's batched one), stands
     /// in for the first lookup. `policy` applies to piece latches: with
     /// `SkipOnContention` a busy latch is not waited for and `work` is
-    /// skipped. With `floor` (reads) a piece [`Self::below_crack_floor`] —
-    /// on the first lookup or on the re-evaluation after the latch was
-    /// granted — is skipped without `work`, and on the first lookup without
-    /// touching its latch.
+    /// skipped. With `floor` (reads) a piece the read leaves uncracked
+    /// ([`Self::read_skips`]) — on the first lookup or on the re-evaluation
+    /// after the latch was granted — is skipped without `work`, and on the
+    /// first lookup without touching its latch.
     pub(super) fn write_piece<R>(
         &self,
         target: Target,
@@ -590,7 +645,10 @@ impl ConcurrentCracker {
         metrics: &mut QueryMetrics,
         work: impl FnOnce(&Piece, &mut QueryMetrics) -> R,
     ) -> PieceWrite<R> {
-        let below_floor = |piece: &Piece| floor && self.below_crack_floor(piece);
+        let below_floor = |piece: &Piece| match target {
+            Target::Bound(bound) => floor && self.read_skips(bound, piece),
+            Target::Key(_) | Target::Position(_) => false,
+        };
         match self.protocol {
             LatchProtocol::Piece => {
                 let mut found =
@@ -679,10 +737,18 @@ impl ConcurrentCracker {
     /// Stochastic cracking (Halim et al.) stops at a cache-sized piece too.
     pub(super) const CRACK_FLOOR: usize = 1 << 10;
 
-    /// True if a read leaves `piece` uncracked: it has at most the crack
-    /// floor's rows.
+    /// True if `piece` has at most the crack floor's rows.
     fn below_crack_floor(&self, piece: &Piece) -> bool {
         piece.len() <= self.crack_floor
+    }
+
+    /// True if a read resolving `bound` leaves `piece` uncracked and
+    /// filters it as an edge instead: the piece is at or below the crack
+    /// floor, or `bound` is `i64::MAX`. Only a read's high bound can be
+    /// `i64::MAX`, and a crack there would split off nothing but that key's
+    /// own rows, which `[low, i64::MAX)` excludes.
+    fn read_skips(&self, bound: i64, piece: &Piece) -> bool {
+        bound == i64::MAX || self.below_crack_floor(piece)
     }
 
     /// The one read path. Every read — any [`ReadShape`], now (`at =
@@ -692,14 +758,22 @@ impl ConcurrentCracker {
     /// under read latches, fold the pending delta. A bound is left
     /// uncracked, and its piece filtered as an edge of the walk, when the
     /// piece has at most 1 024 rows (the crack floor; no write latch is
-    /// taken) or when conflict avoidance skips it. Invariants every shape
-    /// inherits:
+    /// taken), when it is a high bound of `i64::MAX`, or when conflict
+    /// avoidance skips it. Invariants every shape inherits:
     ///
     /// * **One directory acquisition when converged.** Under piece latches
     ///   a read whose bounds need no write latch looks both up, and gets
     ///   its walk's first span batch, in one piece-directory acquisition;
     ///   the walk validates the batch against the structure version
     ///   instead of looking pieces up again (module docs).
+    /// * **One write latch and one publish for bounds that share a piece.**
+    ///   If the high bound still falls in the low bound's piece once that
+    ///   piece's write latch is granted, both are cracked under it in one
+    ///   `crack_piece` call, the shorter second pass last, and
+    ///   published in one directory acquisition; otherwise the high bound
+    ///   takes its own piece's latch after the first is released.
+    /// * **A full-domain read cracks nothing.** `i64::MIN` is the crack at
+    ///   position 0, and a high bound of `i64::MAX` is filtered.
     ///
     /// * **One delta view per seqlock window.** The main multiset changes
     ///   only through epoch-stamped reclamations (piece shrinks and
@@ -969,11 +1043,11 @@ impl ConcurrentCracker {
     // ----- column-latch (and latch-free) protocol ------------------------
 
     /// Crack-select phase under the column write latch: resolves both
-    /// bounds into cracks, leaving a bound in a piece at or below the crack
-    /// floor to be filtered, or — when conflict avoidance skips the
-    /// refinement — filters both bounds' pieces. Both bounds are looked up
-    /// in one directory acquisition; the high one again only if cracking
-    /// the low one may have split its piece.
+    /// bounds into cracks, leaving a bound the read skips
+    /// ([`Self::read_skips`]) to be filtered, or — when conflict avoidance
+    /// skips the refinement — filters both bounds' pieces. Both bounds are
+    /// looked up in one directory acquisition, and bounds that share a
+    /// piece are cracked in one [`Self::crack_piece`] call.
     fn plan_column(&self, low: i64, high: i64, metrics: &mut QueryMetrics) -> MainPlan {
         let guard = match (self.protocol, self.policy) {
             (LatchProtocol::None, _) => None,
@@ -995,18 +1069,24 @@ impl ConcurrentCracker {
         // One hold of the column latch covers both bounds.
         let (found_low, found_high, _) =
             self.dir
-                .find_bounds::<()>((low, high), |_| false, |_, _| None);
-        let mut resolve = |bound, found: Found| match found {
+                .find_bounds::<()>((low, high), |_, _| false, |_, _| None);
+        let (r_low, r_high) = match found_low {
             Err(AlreadyCrack(pos)) => PieceWrite::Crack(pos),
-            Ok((piece, _)) if self.below_crack_floor(&piece) => PieceWrite::Skipped(piece),
-            Ok((piece, _)) => PieceWrite::Done(self.crack_piece(&piece, bound, metrics)),
-        };
-        let r_low = resolve(low, found_low);
-        let found_high = match (r_low, found_high) {
-            (PieceWrite::Crack(_) | PieceWrite::Skipped(_), Some(found)) => found,
-            _ => self.dir.find_latched(Target::Bound(high), |_| false),
-        };
-        let r_high = resolve(high, found_high);
+            Ok((piece, _)) if self.read_skips(low, &piece) => PieceWrite::Skipped(piece),
+            Ok((piece, _)) => {
+                PieceWrite::Done(self.crack_piece(&piece, low, shared_high(&piece, high), metrics))
+            }
+        }
+        .unpair();
+        // A high bound the crack body did not resolve lies in a piece it did
+        // not touch, or is `i64::MAX`, whose piece (split or not) is
+        // filtered from the low bound's crack on: its first lookup stands.
+        let found_high = found_high.expect("a lookup that wants no latch resolves both bounds");
+        let r_high = r_high.unwrap_or_else(|| match found_high {
+            Err(AlreadyCrack(pos)) => PieceWrite::Crack(pos),
+            Ok((piece, _)) if self.read_skips(high, &piece) => PieceWrite::Skipped(piece),
+            Ok((piece, _)) => PieceWrite::Done(self.crack_one(&piece, high, metrics)),
+        });
         self.note_refinement(metrics.cracks_performed, 0);
         drop(guard);
         MainPlan::resolved(r_low, r_high)
@@ -1042,109 +1122,216 @@ impl ConcurrentCracker {
             emit(TraceEvent::Crack {
                 piece: start as u64,
                 pivot,
+                rows: (live_end - start) as u64,
                 ns: u64::try_from(pass_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             });
         }
         pos
     }
 
-    /// The pivot policy's choice for the live range `[start, live_end)`:
-    /// the median of three values of the range, read at positions that are
-    /// a hash of the range's extent and the bound being resolved — a pure
-    /// function of the piece, with no generator and no shared state, so a
-    /// replayed schedule, a shrunk proptest case and a re-run benchmark
-    /// all crack where the first run did.
-    fn data_driven_pivot(&self, start: usize, live_end: usize, bound: i64) -> i64 {
+    /// Values of the non-empty live range `[start, end)`, read at positions
+    /// drawn from `seed` by splitmix64 — a pure function of the range and
+    /// the seed, with no generator and no shared state, so a replayed
+    /// schedule, a shrunk proptest case and a re-run benchmark all sample
+    /// what the first run did.
+    fn hashed_samples(
+        &self,
+        start: usize,
+        end: usize,
+        seed: u64,
+    ) -> impl Iterator<Item = i64> + '_ {
         const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-        let live = (live_end - start) as u64;
-        let mut state = (start as u64) ^ (live_end as u64).rotate_left(32) ^ (bound as u64);
-        let mut sample = [0i64; 3];
-        for slot in &mut sample {
+        let live = (end - start) as u64;
+        let mut state = seed;
+        std::iter::repeat_with(move || {
             // One splitmix64 step per draw.
             state = state.wrapping_add(GOLDEN);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^= z >> 31;
-            *slot = self.data.value_at(start + (z % live) as usize);
+            self.data.value_at(start + (z % live) as usize)
+        })
+    }
+
+    /// The pivot policy's choice for the live range `[start, live_end)`:
+    /// the median of three of its values, sampled at positions hashed from
+    /// the range's extent and the bound being resolved
+    /// ([`Self::hashed_samples`]), so every run cracks where the first did.
+    fn data_driven_pivot(&self, start: usize, live_end: usize, bound: i64) -> i64 {
+        let seed = (start as u64) ^ (live_end as u64).rotate_left(32) ^ (bound as u64);
+        let mut sample = [0i64; 3];
+        for (slot, value) in sample
+            .iter_mut()
+            .zip(self.hashed_samples(start, live_end, seed))
+        {
+            *slot = value;
         }
         sample.sort_unstable();
         sample[1]
     }
 
-    /// The one crack body: resolves `bound` inside `piece` (the caller
-    /// holds write access to the piece) and returns the crack's position.
-    /// Sweeps reclaimable tombstoned rows to the piece's tail first —
-    /// write access is exactly what piece shrinking needs — then
-    /// partitions the live range.
+    /// The pass order for two bounds in one live range `[start, end)`:
+    /// true if cracking `high` first leaves the shorter second pass — the
+    /// range's rows below `high`, against those at or above `low` when
+    /// `low` goes first. Estimated from eight values sampled at positions
+    /// hashed from the range and both bounds ([`Self::hashed_samples`]):
+    /// like the pivot, a pure function of the piece and the bounds. Ties
+    /// crack `low` first.
+    fn high_first(&self, start: usize, end: usize, low: i64, high: i64) -> bool {
+        if start == end {
+            return false;
+        }
+        let seed = (start as u64)
+            ^ (end as u64).rotate_left(32)
+            ^ (low as u64)
+            ^ (high as u64).rotate_left(16);
+        let (below, at_or_above) = self
+            .hashed_samples(start, end, seed)
+            .take(8)
+            .fold((0u32, 0u32), |(below, above), v| {
+                (below + u32::from(v < high), above + u32::from(v >= low))
+            });
+        below < at_or_above
+    }
+
+    /// The one crack body: resolves the bounds that fall inside `piece`
+    /// (the caller holds write access to the piece) — `low`, and `high`
+    /// too when a read's two bounds share the piece — and returns how each
+    /// resolved: a crack's position, or for the bound cracked second the
+    /// sub-piece it was left in. Sweeps reclaimable tombstoned rows to the
+    /// piece's tail first — write access is exactly what piece shrinking
+    /// needs — then partitions the live range.
     ///
     /// **Crack floor.** A read never gets here for a piece of at most
     /// [`Self::CRACK_FLOOR`] rows ([`ConcurrentCracker::write_piece`] and
-    /// the column plan skip it); a forced bound does.
+    /// the column plan skip it); a forced bound does. Of two bounds, the
+    /// one cracked second is cracked only if the sub-piece the first
+    /// crack left it is above the floor; otherwise that sub-piece is the
+    /// read's edge.
     ///
     /// **Pivot policy.** Where to put cracks is the core's to choose:
     /// refinement is optional, structure-only work. A piece whose live
-    /// part exceeds [`Self::PIVOT_FLOOR`] is first partitioned around a
-    /// data-driven pivot ([`Self::data_driven_pivot`]) and only the half
-    /// that contains `bound` is cracked at it, so a sweep of bounds over a
-    /// never-shrinking tail halves that tail instead of re-partitioning it
-    /// (stochastic cracking's DD1R, Halim et al.). The pivot crack is
-    /// dropped when it could not split anything: the pivot is the bound,
-    /// is not above the piece's lower key bound (the crack exists), or
-    /// leaves a side empty (a column of duplicates).
+    /// part exceeds [`Self::PIVOT_FLOOR`] is first partitioned — once per
+    /// call — around a data-driven pivot ([`Self::data_driven_pivot`]) and
+    /// each bound is cracked only in the half that contains it, so a sweep
+    /// of bounds over a never-shrinking tail halves that tail instead of
+    /// re-partitioning it (stochastic cracking's DD1R, Halim et al.). The
+    /// pivot crack is dropped when it could not split anything: the pivot
+    /// is a bound, is not above the piece's lower key bound (the crack
+    /// exists), or leaves a side empty (a column of duplicates).
+    ///
+    /// **Pass order.** Two bounds in one range take two passes, the second
+    /// over the part of the range the first crack leaves the other bound:
+    /// the rows at or above `low` when `low` goes first, the rows below
+    /// `high` when `high` does. Whichever leaves the shorter second pass
+    /// goes first ([`Self::high_first`]); a pivot between the bounds gives
+    /// each half one pass, `low`'s first. A crack's position is a row
+    /// count, so each bound lands where it would in either order.
     ///
     /// **Physical work before publish.** The directory learns of the
     /// cracks only after *every* pass has run, and of all of them in one
     /// exclusive acquisition ([`PieceDirectory::split`]). The caller's
     /// latch is the one of `piece.start`; a split publishes a new piece
-    /// start, whose fresh latch any thread may take at once — a pivot
-    /// crack published before the bound pass would hand the upper half to
+    /// start, whose fresh latch any thread may take at once — a crack
+    /// published before a later pass would hand the sub-piece above it to
     /// another writer while this one still partitions it.
-    fn crack_piece(&self, piece: &Piece, bound: i64, metrics: &mut QueryMetrics) -> usize {
+    fn crack_piece(
+        &self,
+        piece: &Piece,
+        low: i64,
+        high: Option<i64>,
+        metrics: &mut QueryMetrics,
+    ) -> Resolved {
         let crack_start = Instant::now();
         let (live_end, _) = self.shrink_piece_locked(piece);
-        let (mut from, mut to) = (piece.start, live_end);
-        // The dead tail follows whichever sub-range ends at `live_end`.
-        let tail_end = |to: usize| if to == live_end { piece.end } else { to };
-        let mut pivot_crack = None;
+        // One pass over a sub-piece's live rows; the dead tail stays on the
+        // topmost sub-piece, whose end is the piece's.
+        let pass = |sub: &Piece, value: i64| {
+            self.crack_range_hole_aware(sub.start, sub.end.min(live_end), sub.end, value)
+        };
+        let mut cracks: Vec<(i64, usize)> = Vec::with_capacity(3);
+        let (mut low_in, mut high_in) = (*piece, *piece);
         if live_end - piece.start > self.pivot_floor {
-            let pivot = self.data_driven_pivot(piece.start, live_end, bound);
-            if pivot != bound && piece.low_value.is_none_or(|low| pivot > low) {
-                let pos = self.crack_range_hole_aware(from, to, tail_end(to), pivot);
-                if from < pos && pos < to {
-                    pivot_crack = Some((pivot, pos));
-                    if bound < pivot {
-                        to = pos;
-                    } else {
-                        from = pos;
-                    }
+            let pivot = self.data_driven_pivot(piece.start, live_end, low);
+            let a_bound = pivot == low || high == Some(pivot);
+            if !a_bound && piece.low_value.is_none_or(|lower| pivot > lower) {
+                let pos = pass(piece, pivot);
+                if piece.start < pos && pos < live_end {
+                    cracks.push((pivot, pos));
+                    let halves = split_at(piece, pivot, pos);
+                    let half = |bound: i64| halves[usize::from(bound > pivot)];
+                    (low_in, high_in) = (half(low), high.map_or(low_in, half));
                 }
             }
         }
-        let pos = self.crack_range_hole_aware(from, to, tail_end(to), bound);
-        match pivot_crack {
-            None => self.dir.split(piece.start, &[(bound, pos)]),
-            Some(pivot) if pivot.0 < bound => self.dir.split(piece.start, &[pivot, (bound, pos)]),
-            Some(pivot) => self.dir.split(piece.start, &[(bound, pos), pivot]),
-        }
-        let performed = 1 + pivot_crack.is_some() as u32;
+        let mut crack = |sub: &Piece, value: i64| {
+            let pos = pass(sub, value);
+            cracks.push((value, pos));
+            pos
+        };
+        let resolved = match high {
+            None => (PieceWrite::Done(crack(&low_in, low)), None),
+            Some(high) => {
+                let shared = low_in.start == high_in.start;
+                let range_end = low_in.end.min(live_end);
+                let high_first = shared && self.high_first(low_in.start, range_end, low, high);
+                // The first pass, and the sub-piece it leaves the other bound.
+                let (first, other, sub) = if high_first {
+                    let pos = crack(&high_in, high);
+                    (pos, low, split_at(&high_in, high, pos)[0])
+                } else {
+                    let pos = crack(&low_in, low);
+                    let above = split_at(&low_in, low, pos)[1];
+                    (pos, high, if shared { above } else { high_in })
+                };
+                // The bound cracked second is cracked unless its sub-piece
+                // is at or below the crack floor.
+                let second = if self.below_crack_floor(&sub) {
+                    PieceWrite::Skipped(sub)
+                } else {
+                    PieceWrite::Done(crack(&sub, other))
+                };
+                let first = PieceWrite::Done(first);
+                if high_first {
+                    (second, Some(first))
+                } else {
+                    (first, Some(second))
+                }
+            }
+        };
+        cracks.sort_unstable();
+        self.dir.split(piece.start, &cracks);
+        let performed = cracks.len() as u32;
         metrics.crack_time += crack_start.elapsed();
         metrics.cracks_performed += performed;
         self.cracks.fetch_add(performed as u64, Ordering::Relaxed);
-        pos
+        resolved
+    }
+
+    /// [`Self::crack_piece`] for a lone bound, which it always cracks: the
+    /// crack's position.
+    fn crack_one(&self, piece: &Piece, bound: i64, metrics: &mut QueryMetrics) -> usize {
+        match self.crack_piece(piece, bound, None, metrics) {
+            (PieceWrite::Done(pos), None) => pos,
+            _ => unreachable!("a lone bound is always cracked"),
+        }
     }
 
     // ----- piece-latch protocol -------------------------------------------
 
     /// Bound-resolution phase under piece latches — each bound latches
-    /// only the piece that contains it, unless that piece is at or below
-    /// the crack floor — producing the plan the aggregation walk executes.
-    /// Both bounds are looked up in one directory acquisition, which also
-    /// returns the walk's first span batch when neither needs a latch (the
-    /// converged case: the read's only acquisition, for a positional
-    /// `count` covering only the edges). A bound that needs its latch runs
-    /// [`Self::write_piece`] from that lookup; the high bound of a low one
-    /// that needed its latch is looked up only after the low one's crack.
+    /// only the piece that contains it, unless the read skips that piece
+    /// ([`Self::read_skips`]) — producing the plan the aggregation walk
+    /// executes. Both bounds are looked up in one directory acquisition,
+    /// which also returns the walk's first span batch when neither needs a
+    /// latch (the converged case: the read's only acquisition, for a
+    /// positional `count` covering only the edges). A bound that needs its
+    /// latch runs [`Self::write_piece`] from that lookup. Bounds that share
+    /// the low bound's piece, as re-evaluated once its latch is granted,
+    /// are both resolved under that one latch, in one [`Self::crack_piece`]
+    /// call and one publish; otherwise the high bound is resolved on its
+    /// own, looked up after the low one's crack if that needed a latch.
     fn plan_piece(
         &self,
         low: i64,
@@ -1152,7 +1339,7 @@ impl ConcurrentCracker {
         count: bool,
         metrics: &mut QueryMetrics,
     ) -> (MainPlan, Option<Span>) {
-        let needs_latch = |piece: &Piece| !self.below_crack_floor(piece);
+        let needs_latch = |bound, piece: &Piece| !self.read_skips(bound, piece);
         let plan = |low: &Found, high: &Found| {
             let plan = MainPlan::resolved(unlatched(low), unlatched(high));
             Some((plan, plan.ranges(count)))
@@ -1161,19 +1348,19 @@ impl ConcurrentCracker {
         if let Some((plan, span)) = planned {
             return (plan, Some(span));
         }
-        let mut resolve = |bound, found| {
-            let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_piece(piece, bound, m);
-            self.write_piece(
-                Target::Bound(bound),
-                found,
-                self.policy,
-                true,
-                metrics,
-                crack,
-            )
+        let (policy, target) = (self.policy, Target::Bound(low));
+        let crack = |piece: &Piece, m: &mut QueryMetrics| {
+            self.crack_piece(piece, low, shared_high(piece, high), m)
         };
-        let r_low = resolve(low, Some(found_low));
-        let r_high = resolve(high, found_high);
+        let found = Some(found_low);
+        let (r_low, r_high) = self
+            .write_piece(target, found, policy, true, metrics, crack)
+            .unpair();
+        let r_high = r_high.unwrap_or_else(|| {
+            let crack = |piece: &Piece, m: &mut QueryMetrics| self.crack_one(piece, high, m);
+            let target = Target::Bound(high);
+            self.write_piece(target, found_high, policy, true, metrics, crack)
+        });
         // Wrap this query's refinement in a system transaction record; a
         // floor skip is no skipped refinement, only a conflict skip is.
         self.note_refinement(metrics.cracks_performed, metrics.refinements_skipped);

@@ -241,10 +241,16 @@ fn structure_probe_reflects_cracks_and_delta() {
 fn latch_stats_reflect_activity() {
     let values = shuffled(1000);
     let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece).with_crack_floor(0);
-    idx.sum(100, 900);
+    // Both bounds in the one piece: one write latch cracks both.
+    let (_, m) = idx.sum(100, 900);
+    assert_eq!(m.cracks_performed, 2);
     let stats = idx.latch_stats();
-    assert!(stats.write_acquisitions >= 2);
+    assert_eq!(stats.write_acquisitions, 1);
     assert!(stats.read_acquisitions >= 1);
+    // Bounds in two different pieces: one write latch each.
+    let (_, m) = idx.sum(50, 950);
+    assert_eq!(m.cracks_performed, 2);
+    assert!(idx.latch_stats().write_acquisitions >= 3);
     let idx_col =
         ConcurrentCracker::from_values(shuffled(1000), LatchProtocol::Column).with_crack_floor(0);
     idx_col.sum(100, 900);
@@ -1692,6 +1698,159 @@ proptest::proptest! {
             idx.release_snapshot_epoch(epoch);
         }
         proptest::prop_assert!(idx.check_invariants());
+    }
+}
+
+// ----- bounds that share a piece --------------------------------------------
+
+/// A read over the whole key domain of an uncracked column cracks nothing:
+/// no key lies below `i64::MIN`, and `[low, i64::MAX)` only leaves out the
+/// keys of `i64::MAX`, which the walk filters from the one piece.
+#[test]
+fn a_full_domain_read_cracks_nothing() {
+    let mut values: Vec<i64> = shuffled(19_996)
+        .into_iter()
+        .map(|v| v * 7 - 70_000)
+        .collect();
+    values.splice(5_000..5_000, [i64::MIN, i64::MAX]);
+    values.splice(12_000..12_000, [i64::MAX, i64::MIN]);
+    assert_eq!(values.len(), 20_000);
+    let rows: Vec<(i64, RowId)> = values
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, i as RowId))
+        .collect();
+    for protocol in protocols() {
+        let idx = ConcurrentCracker::from_values(values.clone(), protocol);
+        for shape in [ReadShape::Count, ReadShape::Sum, ReadShape::RowIds] {
+            let (answer, metrics) = idx.read(i64::MIN, i64::MAX, None, shape);
+            assert!(
+                answers_like_the_oracle(shape, answer, &rows, i64::MIN, i64::MAX),
+                "{protocol} {shape:?}"
+            );
+            assert_eq!(metrics.cracks_performed, 0, "{protocol} {shape:?}");
+            assert_eq!(idx.piece_count(), 1, "{protocol} {shape:?}");
+        }
+        assert!(idx.check_invariants(), "{protocol}");
+    }
+}
+
+/// The rows of every crack pass traced during `read`, in pass order, as
+/// `(crack value, rows)`, keeping only passes at `bounds`. Tracing is
+/// process-wide, so the caller's bounds must be values no other test
+/// cracks at.
+fn traced_passes(read: impl FnOnce(), bounds: [i64; 2]) -> Vec<(i64, u64)> {
+    aidx_obs::drain();
+    aidx_obs::enable();
+    read();
+    aidx_obs::disable();
+    aidx_obs::drain()
+        .into_iter()
+        .filter_map(|record| match record.event {
+            TraceEvent::Crack { pivot, rows, .. } if bounds.contains(&pivot) => Some((pivot, rows)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Two bounds in one big piece: the first pass runs over the whole piece,
+/// the second only over the side the first crack leaves the other bound.
+/// Bounds at the low end crack `high` first, so the second pass covers at
+/// most the rows below `high`; bounds at the high end crack `low` first,
+/// so it covers at most the rows at or above `low`. A second bound whose
+/// side is at or below the crack floor is not cracked at all.
+#[test]
+fn a_read_cracks_first_the_bound_that_leaves_the_shorter_second_pass() {
+    // Keys far from every other test's, so only this test's passes match.
+    const BASE: i64 = 7_340_000_000;
+    let n = 20_000u64;
+    let values: Vec<i64> = shuffled(n as usize).into_iter().map(|v| BASE + v).collect();
+    for protocol in protocols() {
+        // (low, high, the bound cracked first, the rows the second pass
+        // may cover; none if that side is at or below the floor)
+        for (low, high, first, second_rows) in [
+            (1_000, 2_000, 2_000, Some(2_000)),
+            (18_000, 19_000, 18_000, Some(2_000)),
+            (100, 600, 600, None),
+            (19_400, 19_900, 19_400, None),
+        ] {
+            let (low, high, first) = (BASE + low, BASE + high, BASE + first);
+            let idx = ConcurrentCracker::from_values(values.clone(), protocol);
+            let mut read = (0, QueryMetrics::default());
+            let passes = traced_passes(|| read = idx.count(low, high), [low, high]);
+            let what = format!("{protocol} [{low}, {high}): passes {passes:?}");
+            assert_eq!(read.0, (high - low) as u64, "{what}");
+            assert_eq!(passes.first(), Some(&(first, n)), "{what}");
+            match second_rows {
+                Some(most) => assert!(passes.len() == 2 && passes[1].1 <= most, "{what}"),
+                None => assert_eq!(passes.len(), 1, "{what}"),
+            }
+            assert_eq!(read.1.cracks_performed as usize, passes.len(), "{what}");
+            // One write latch for both bounds (none without latches).
+            let latched = u64::from(protocol != LatchProtocol::None);
+            assert_eq!(idx.latch_stats().write_acquisitions, latched, "{what}");
+            assert!(idx.check_invariants(), "{what}");
+        }
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// A read whose two bounds share a piece resolves both under one write
+    /// access in one crack call. Over columns with duplicates, crack floors
+    /// of 0, 7, 64 and the production floor, a small and the production
+    /// pivot floor, every latch protocol and both refinement policies, such
+    /// a read answers like a sorted oracle, leaves each bound it cracks
+    /// where a forced crack of that bound puts it on a twin column, and
+    /// keeps the invariants.
+    #[test]
+    fn a_read_whose_bounds_share_a_piece_cracks_them_where_forced_bounds_land(
+        values in proptest::collection::vec(-300i64..300, 0..3000),
+        reads in proptest::collection::vec((0usize..SHAPES.len(), -320i64..320, -320i64..320), 1..12),
+        floor in 0usize..4,
+        small_pivot in proptest::prelude::any::<bool>(),
+        protocol in 0usize..3,
+        skip in proptest::prelude::any::<bool>(),
+    ) {
+        let floor = [0, 7, 64, ConcurrentCracker::CRACK_FLOOR][floor];
+        let pivot_floor = if small_pivot { 64 } else { ConcurrentCracker::PIVOT_FLOOR };
+        let policy = if skip {
+            RefinementPolicy::SkipOnContention
+        } else {
+            RefinementPolicy::Always
+        };
+        let protocol = protocols()[protocol];
+        let idx = ConcurrentCracker::from_values(values.clone(), protocol)
+            .with_policy(policy)
+            .with_crack_floor(floor)
+            .with_pivot_floor(pivot_floor);
+        let twin = ConcurrentCracker::from_values(values.clone(), protocol)
+            .with_pivot_floor(pivot_floor);
+        let rows: Vec<(i64, RowId)> =
+            values.iter().enumerate().map(|(i, &v)| (v, i as RowId)).collect();
+        for (shape, a, b) in reads {
+            let (shape, low, high) = (SHAPES[shape], a.min(b), a.max(b));
+            let shared = idx.dir.find(Target::Bound(low)).is_ok_and(|piece| {
+                low < high && high != i64::MAX && piece.high_value.is_none_or(|hv| high < hv)
+            });
+            let (answer, _) = idx.read(low, high, None, shape);
+            proptest::prop_assert!(
+                answers_like_the_oracle(shape, answer, &rows, low, high),
+                "{:?} [{}, {})", shape, low, high
+            );
+            proptest::prop_assert!(idx.check_invariants());
+            if !shared {
+                continue;
+            }
+            for bound in [low, high] {
+                if let Err(AlreadyCrack(pos)) = idx.dir.find(Target::Bound(bound)) {
+                    let forced = twin.force_bound(bound, &mut QueryMetrics::default());
+                    proptest::prop_assert_eq!(pos, forced, "bound {} of [{}, {})", bound, low, high);
+                }
+            }
+        }
+        proptest::prop_assert!(twin.check_invariants());
     }
 }
 

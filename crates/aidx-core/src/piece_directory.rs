@@ -64,7 +64,7 @@ pub(crate) type QuiesceGuard<'a> = dcheck::Tracked<RwLockWriteGuard<'a, ()>>;
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Target {
     /// The piece a crack at this value has to reorganise — none if the
-    /// value is a crack already.
+    /// value is a crack already, or is `i64::MIN`, which no key lies below.
     Bound(i64),
     /// The piece whose key interval contains this value.
     Key(i64),
@@ -194,6 +194,8 @@ impl State {
 
     fn locate(&self, target: Target) -> Result<Piece, AlreadyCrack> {
         match target {
+            // No key lies below `i64::MIN`: it bounds the first position.
+            Target::Bound(i64::MIN) => Err(AlreadyCrack(0)),
             Target::Bound(value) => match self.map.lookup(value) {
                 PieceLookup::Exact(pos) => Err(AlreadyCrack(pos)),
                 PieceLookup::NeedsCrack(piece) => Ok(piece),
@@ -400,25 +402,26 @@ impl PieceDirectory {
     }
 
     /// Both bounds of a range in one acquisition, each resolved as
-    /// [`Self::find_latched`] resolves a [`Target::Bound`] — the high one
-    /// only if the low one took no latch: a crack at the low bound may
-    /// split the high bound's piece, so it is looked up after that crack.
-    /// When neither took a latch, `plan` may turn the two lookups into a
-    /// plan and the ranges its walk visits; the walk's first latched
-    /// [`Span`] batch then comes from the same acquisition.
+    /// [`Self::find_latched`] resolves a [`Target::Bound`], with `wanted`
+    /// asked about the bound and its piece — the high one only if the low
+    /// one took no latch: a crack at the low bound may split the high
+    /// bound's piece, so it is looked up after that crack. When neither
+    /// took a latch, `plan` may turn the two lookups into a plan and the
+    /// ranges its walk visits; the walk's first latched [`Span`] batch then
+    /// comes from the same acquisition.
     pub(crate) fn find_bounds<P>(
         &self,
         (low, high): (i64, i64),
-        wanted: impl Fn(&Piece) -> bool,
+        wanted: impl Fn(i64, &Piece) -> bool,
         plan: impl FnOnce(&Found, &Found) -> Option<(P, Ranges)>,
     ) -> (Found, Option<Found>, Option<(P, Span)>) {
         let state = self.read();
         let latched = |found: &Found| found.as_ref().is_ok_and(|(_, l)| l.is_some());
-        let low = state.find_latched(Target::Bound(low), &wanted);
+        let low = state.find_latched(Target::Bound(low), |piece| wanted(low, piece));
         if latched(&low) {
             return (low, None, None);
         }
-        let high = state.find_latched(Target::Bound(high), &wanted);
+        let high = state.find_latched(Target::Bound(high), |piece| wanted(high, piece));
         let planned =
             (!latched(&high))
                 .then(|| plan(&low, &high))
@@ -1069,7 +1072,7 @@ mod tests {
                     let end = h.as_ref().map_or_else(|c| c.0, |(p, _)| p.end);
                     Some(((), [(start, end.max(start)), (0, 0)]))
                 };
-                let (l, h, span) = dir.find_bounds((low, high), wanted, plan);
+                let (l, h, span) = dir.find_bounds((low, high), |_, p| wanted(p), plan);
                 let l_latched = matches!(l, Ok((_, Some(_))));
                 assert_eq!(
                     h.is_none(),

@@ -47,6 +47,9 @@ pub enum TraceEvent {
         piece: u64,
         /// The crack value (pivot).
         pivot: i64,
+        /// Rows in the partitioned range: the rows the pass read, and an
+        /// upper bound on the rows it moved.
+        rows: u64,
         /// Nanoseconds spent partitioning.
         ns: u64,
     },
@@ -145,7 +148,12 @@ impl TraceEvent {
                 ("mode", Json::str(mode.label())),
                 ("ns", Json::UInt(ns)),
             ],
-            TraceEvent::Crack { piece, pivot, ns } => vec![
+            TraceEvent::Crack {
+                piece,
+                pivot,
+                rows,
+                ns,
+            } => vec![
                 ("piece", Json::UInt(piece)),
                 (
                     "pivot",
@@ -155,6 +163,7 @@ impl TraceEvent {
                         Json::UInt(pivot as u64)
                     },
                 ),
+                ("rows", Json::UInt(rows)),
                 ("ns", Json::UInt(ns)),
             ],
             TraceEvent::CompactionStep { piece, rows, ns } => vec![
@@ -237,6 +246,7 @@ mod tests {
             TraceEvent::Crack {
                 piece: 0,
                 pivot: -3,
+                rows: 4096,
                 ns: 900,
             },
             TraceEvent::CompactionStep {
