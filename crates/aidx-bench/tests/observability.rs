@@ -5,11 +5,8 @@
 use aidx_core::{Aggregate, CompactionPolicy, ConcurrentCracker, LatchProtocol};
 use aidx_cracking::generate_unique_shuffled;
 use aidx_obs::{Json, StructureSampler, TraceEvent};
-use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
 use aidx_table::{JoinStrategy, TableBackend, TableEngine};
-use aidx_workload::{
-    AdaptiveEngine, IndexEngine, MultiClientRunner, Operation, QuerySpec, WorkloadGenerator,
-};
+use aidx_workload::{AdaptiveEngine, IndexEngine, MultiClientRunner, Operation, WorkloadGenerator};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -74,30 +71,6 @@ fn traced_run_emits_every_event_type_as_parseable_jsonl() {
     let joined = dim.execute_join(&fact, 0, 0, &[], &[], JoinStrategy::Auto);
     assert_eq!(joined.value, 512);
 
-    // Skew-adaptive arm: repartition (a skewed hammer makes the next
-    // manual rebalance split the hot partition).
-    let adaptive = RangePartitionedCracker::adaptive(
-        values.clone(),
-        4,
-        AdaptiveConfig {
-            check_interval: None,
-            imbalance_threshold: 1.2,
-            min_partition_rows: 64,
-            min_window_ops: 16,
-            ..AdaptiveConfig::default()
-        },
-    );
-    let adaptive = IndexEngine::new("parallel-range-adaptive-4", adaptive);
-    let mut rounds = 0;
-    while adaptive.index().splits_performed() == 0 {
-        rounds += 1;
-        assert!(rounds <= 60, "no split after {rounds} skewed rounds");
-        for i in 0..64i64 {
-            let low = i % 500;
-            adaptive.select(&QuerySpec::count(low, low + 50));
-        }
-        adaptive.index().try_rebalance();
-    }
     aidx_obs::drain_jsonl(&mut jsonl);
 
     // snapshot_retry needs a reclamation racing a read: churn delete-heavy

@@ -126,8 +126,8 @@ fn order_tags_catch_inversion_without_deadlock() {
     // Single thread acquiring high level then low level: never deadlocks,
     // but the order tags flag it on the very first schedule.
     let report = explore_default(|| {
-        let hi = Arc::new(CheckedMutex::ordered((), 8, "delta"));
-        let lo = Arc::new(CheckedMutex::ordered((), 5, "column"));
+        let hi = Arc::new(CheckedMutex::ordered((), 5, "delta"));
+        let lo = Arc::new(CheckedMutex::ordered((), 2, "column"));
         Scenario::new().thread(move || {
             let _g_hi = hi.lock();
             let _g_lo = lo.lock();

@@ -23,16 +23,13 @@
 //!
 //! Two of the mini-models are ports of bugs this codebase actually had or
 //! defends against: the galloping-intersection frontier bug and the
-//! bounded-retry reclaim-pause drain. The split model covers the
-//! skew-adaptive router's stop-the-world re-partitioning: a query racing a
-//! split must read every partition of one routing table, never a dropped
-//! key range.
+//! bounded-retry reclaim-pause drain.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use aidx_check::sync::{
-    yield_now, CheckedAtomicU64, CheckedAtomicUsize, CheckedMutex, CheckedRwLatch,
+    yield_now, CheckedAtomicU64, CheckedAtomicUsize, CheckedCondvar, CheckedMutex,
 };
 use aidx_check::{explore, explore_default, ExploreConfig, Scenario};
 use aidx_core::{
@@ -40,7 +37,7 @@ use aidx_core::{
     ConcurrentCracker, Index, LatchProtocol, ReadShape, RowIdSet, WriteOp,
 };
 use aidx_latch::ordered::OrderedWaitLatch;
-use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker, Rebalance};
+use aidx_parallel::RangePartitionedCracker;
 use aidx_table::{ColumnPredicate, TableBackend, TableEngine, TableOp};
 
 fn capped(max_schedules: usize) -> ExploreConfig {
@@ -1008,232 +1005,80 @@ fn gallop_frontier_regression_concurrent_build() {
 }
 
 // ---------------------------------------------------------------------------
-// Skew-adaptive split (the range router's re-partitioning protocol)
+// Range router: a fixed routing table read without a lock
 // ---------------------------------------------------------------------------
 
-/// The real range router racing a split: a one-partition adaptive
-/// `RangePartitionedCracker` (no monitor thread) over eight stretched
-/// values, warmed so that a crack sits at the middle key and the load
-/// window calls for a split. Thread S runs the rebalance pass, thread C
-/// counts the whole key range, thread I inserts a key above the split
-/// key. Every operation holds the routing
-/// table shared for its whole length and the split holds it exclusive, so
-/// on every schedule the count reads the rows before or after the insert
-/// — never a partition's rows twice or not at all — and afterwards the
-/// two partitions hold every row exactly once.
+/// The real range router on a static two-partition
+/// `RangePartitionedCracker` over eight values. Thread C counts
+/// the whole key range, which straddles both partitions; threads I and J
+/// each insert one key, into different partitions; thread P pins the
+/// index before either insert starts (the inserts wait on its signal) and
+/// counts through the pin. The routing table is immutable and read with
+/// no lock, so each read clips to both partitions and each partition
+/// answers on its own latches: the live count sees each insert or not
+/// (N, N + 1 or N + 2 rows), and the pinned count, with every partition
+/// answering at the epoch registered before the inserts, sees exactly N.
+/// One preemption, exhaustively.
 #[test]
-fn real_range_split_vs_count_and_insert_keeps_every_row() {
-    let column = stretched(&[9, 3, 7, 1, 8, 2, 6, 4]);
-    let (n, half) = (column.len() as u64, column.len() / 2);
+fn real_range_router_straddling_and_pinned_reads_race_two_inserts() {
+    let column = vec![9, 3, 7, 1, 8, 2, 6, 4];
+    let n = column.len() as u64;
     let one_preemption = ExploreConfig {
         preemption_bound: Some(1),
-        ..capped(5_000)
+        ..capped(20_000)
     };
     let report = explore(one_preemption, move || {
-        let config = AdaptiveConfig {
-            check_interval: None,
-            min_partition_rows: 1,
-            min_window_ops: 1,
-            ..AdaptiveConfig::default()
+        let idx = Arc::new(RangePartitionedCracker::new(column.clone(), 2));
+        let split = idx.splits()[0];
+        assert_eq!(idx.splits().len(), 1, "two partitions");
+        let pinned = Arc::new((CheckedMutex::new(false), CheckedCondvar::new()));
+        let insert = |key: i64| {
+            let (idx, pinned) = (Arc::clone(&idx), Arc::clone(&pinned));
+            move || {
+                let (opened, signal) = &*pinned;
+                let mut opened = opened.lock();
+                while !*opened {
+                    signal.wait(&mut opened);
+                }
+                drop(opened);
+                idx.insert(key);
+            }
         };
-        let idx = Arc::new(RangePartitionedCracker::adaptive(column.clone(), 1, config));
-        // Cracks at 5K (the middle of the array) and at 10K (its end).
-        assert_eq!(idx.count(5 * K, 10 * K).0, half as u64);
-        let (s, c, i) = (Arc::clone(&idx), Arc::clone(&idx), Arc::clone(&idx));
+        let (below, above) = (insert(split - 1), insert(split + 1));
+        let (c, p) = (Arc::clone(&idx), Arc::clone(&idx));
         Scenario::new()
-            .thread(move || {
-                let outcome = s.try_rebalance();
-                assert_eq!(outcome, Rebalance::Split { partition: 0 });
-            })
             .thread(move || {
                 let (seen, _) = c.count(i64::MIN, i64::MAX);
                 assert!(
-                    seen == n || seen == n + 1,
-                    "count racing the split and one insert saw {seen} rows"
+                    (n..=n + 2).contains(&seen),
+                    "a straddling count racing two inserts saw {seen} rows"
                 );
             })
+            .thread(below)
+            .thread(above)
             .thread(move || {
-                i.insert(7 * K);
+                let snap = p.pin();
+                let (opened, signal) = &*pinned;
+                *opened.lock() = true;
+                signal.notify_all();
+                let (seen, _) = snap.count(i64::MIN, i64::MAX);
+                assert_eq!(seen, n, "a pinned count saw a later insert");
             })
             .finale(move || {
-                assert_eq!(idx.count(i64::MIN, i64::MAX).0, n + 1, "rows lost");
-                assert_eq!(idx.splits(), [5 * K], "split at the middle crack");
-                assert_eq!(idx.partition_sizes(), [half, half + 1]);
+                assert_eq!(idx.count(i64::MIN, i64::MAX).0, n + 2, "rows lost");
+                assert_eq!(idx.partition_sizes().iter().sum::<usize>() as u64, n + 2);
                 assert!(idx.check_invariants());
-                assert_eq!(idx.splits_performed(), 1);
             })
     });
     report.assert_ok();
     assert!(report.exhausted, "one preemption fits under the cap");
 }
 
-/// Mini-model of the range router's split system transaction. The
-/// routing table is the number of partitions a full-range query visits
-/// (1 before the split, 2 after) behind the router's reader-writer latch;
-/// partition 0 holds four rows. The split takes the latch exclusive,
-/// moves the rows at or above `BOUNDARY` to partition 1 and publishes the
-/// two-partition table. The `guarded` query reads its partitions under
-/// the router's read guard, as the real router does; the teeth variant
-/// drops the guard once it has routed, so a split can move rows out of
-/// the partitions it already chose.
-struct SplitModel {
-    router: CheckedRwLatch<usize>,
-    parts: [CheckedMutex<Vec<u64>>; 2],
-}
-
-const BOUNDARY: u64 = 2;
-
-impl SplitModel {
-    fn new() -> Self {
-        SplitModel {
-            router: CheckedRwLatch::new(1),
-            parts: [
-                CheckedMutex::new(vec![0, 1, 2, 3]),
-                CheckedMutex::new(Vec::new()),
-            ],
-        }
-    }
-
-    fn split(&self) {
-        let mut table = self.router.write();
-        let moved: Vec<u64> = {
-            let mut lower = self.parts[0].lock();
-            let moved = lower.iter().copied().filter(|&v| v >= BOUNDARY).collect();
-            lower.retain(|&v| v < BOUNDARY);
-            moved
-        };
-        self.parts[1].lock().extend(moved);
-        *table = 2;
-    }
-
-    fn count_all(&self, guarded: bool) -> usize {
-        let table = self.router.read();
-        let partitions = *table;
-        let guard = guarded.then_some(table);
-        let rows = (0..partitions).map(|p| self.parts[p].lock().len()).sum();
-        drop(guard);
-        rows
-    }
-}
-
-/// Under the router guard a query racing the split reads every partition
-/// of one table — four rows either way, never a dropped (or doubled)
-/// range — and the rows end up disjoint across the two partitions.
-#[test]
-fn split_under_the_router_write_lock_keeps_every_row() {
-    let report = explore_default(move || {
-        let model = Arc::new(SplitModel::new());
-        let splitter = Arc::clone(&model);
-        let querier = Arc::clone(&model);
-        Scenario::new()
-            .thread(move || splitter.split())
-            .thread(move || {
-                let n = querier.count_all(true);
-                assert_eq!(n, 4, "query racing the split dropped a key range");
-            })
-            .finale(move || {
-                assert_eq!(model.count_all(true), 4, "rows lost by the split");
-                assert!(
-                    model.parts[0].lock().iter().all(|&v| v < BOUNDARY),
-                    "partition 0 kept rows beyond the split boundary"
-                );
-                assert_eq!(
-                    model.parts[1].lock().len(),
-                    2,
-                    "partition 1 missing its half"
-                );
-            })
-    });
-    report.assert_ok();
-    assert!(report.exhausted, "split model should be fully enumerable");
-}
-
-/// Teeth: a query that drops the router guard before it reads its
-/// partitions lets the split move rows out of a partition it already
-/// routed past — the dropped-range bug the whole-operation guard rules
-/// out. The explorer must find it.
-#[test]
-fn split_read_after_the_router_guard_drops_is_caught() {
-    let report = explore_default(move || {
-        let model = Arc::new(SplitModel::new());
-        let splitter = Arc::clone(&model);
-        let querier = Arc::clone(&model);
-        Scenario::new()
-            .thread(move || splitter.split())
-            .thread(move || {
-                let n = querier.count_all(false);
-                assert_eq!(n, 4, "query racing the split dropped a key range");
-            })
-    });
-    let failure = report.expect_failure("panic");
-    assert!(
-        failure.message.contains("dropped a key range"),
-        "failure should come from the dropped-range assert, got: {}",
-        failure.message
-    );
-}
-
-/// The tentpole's new top-of-hierarchy latch levels (Repartition = 1,
-/// SnapshotGate = 2, Router = 3 in `aidx_latch::dcheck::Level`) run through
-/// the explorer's order tags: the gate-first rebalance takes them strictly
-/// downward, and two controllers contending on the full stack must be clean
-/// on every schedule.
-#[test]
-fn repartition_gate_router_levels_order_cleanly() {
-    let report = explore_default(move || {
-        let repartition = Arc::new(CheckedMutex::ordered((), 1, "repartition"));
-        let gate = Arc::new(CheckedMutex::ordered((), 2, "snapshot-gate"));
-        let router = Arc::new(CheckedMutex::ordered((), 3, "router"));
-        let (r2, g2, t2) = (
-            Arc::clone(&repartition),
-            Arc::clone(&gate),
-            Arc::clone(&router),
-        );
-        Scenario::new()
-            .thread(move || {
-                let _r = repartition.lock();
-                let _g = gate.lock();
-                let _t = router.lock();
-            })
-            .thread(move || {
-                let _r = r2.lock();
-                let _g = g2.lock();
-                let _t = t2.lock();
-            })
-    });
-    report.assert_ok();
-    assert!(
-        report.schedules >= 2,
-        "both controller orders must be explored"
-    );
-}
-
-/// Teeth for the new levels: a controller that grabbed the router swap
-/// latch before the repartition latch inverts the hierarchy; the order
-/// tags must fail the schedule naming both latches.
-#[test]
-fn router_before_repartition_inversion_is_caught() {
-    let report = explore_default(move || {
-        let repartition = Arc::new(CheckedMutex::ordered((), 1, "repartition"));
-        let router = Arc::new(CheckedMutex::ordered((), 3, "router"));
-        Scenario::new().thread(move || {
-            let _t = router.lock();
-            let _r = repartition.lock(); // inversion: Repartition(1) while holding Router(3)
-        })
-    });
-    let failure = report.expect_failure("latch-order");
-    assert!(
-        failure.message.contains("router") && failure.message.contains("repartition"),
-        "diagnostic should name both latches, got: {}",
-        failure.message
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Seeded latch-order inversion (explorer side of the dual-catch criterion)
 // ---------------------------------------------------------------------------
 
-/// Order tags mirror the real hierarchy (Piece = 6, Delta = 8 in
+/// Order tags mirror the real hierarchy (Piece = 3, Delta = 5 in
 /// `aidx_latch::dcheck::Level`). Taking a piece latch while holding the
 /// delta lock inverts it; the explorer must fail the schedule with the full
 /// acquisition stack. The dcheck half of this criterion is
@@ -1241,11 +1086,11 @@ fn router_before_repartition_inversion_is_caught() {
 #[test]
 fn seeded_latch_order_inversion_is_caught_by_explorer() {
     let report = explore_default(move || {
-        let delta = Arc::new(CheckedMutex::ordered((), 8, "delta"));
-        let piece = Arc::new(CheckedMutex::ordered((), 6, "piece-latch"));
+        let delta = Arc::new(CheckedMutex::ordered((), 5, "delta"));
+        let piece = Arc::new(CheckedMutex::ordered((), 3, "piece-latch"));
         Scenario::new().thread(move || {
             let _d = delta.lock();
-            let _p = piece.lock(); // inversion: Piece(6) while holding Delta(8)
+            let _p = piece.lock(); // inversion: Piece(3) while holding Delta(5)
         })
     });
     let failure = report.expect_failure("latch-order");

@@ -61,7 +61,6 @@
 
 mod compaction;
 mod read;
-mod repartition;
 #[cfg(test)]
 mod tests;
 mod write;

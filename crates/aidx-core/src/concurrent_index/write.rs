@@ -44,15 +44,6 @@ impl WriteOp {
             | WriteOp::DeleteRow { value, .. } => value,
         }
     }
-
-    /// The change in logical row count when the operation affected `rows`
-    /// rows: what a backend adds to its `len`/size ledgers.
-    pub fn len_delta(&self, rows: u64) -> isize {
-        match self {
-            WriteOp::Insert { .. } => rows as isize,
-            WriteOp::Delete { .. } | WriteOp::DeleteRow { .. } => -(rows as isize),
-        }
-    }
 }
 
 impl ConcurrentCracker {

@@ -7,10 +7,8 @@
 //!    tagged latch/lock a thread holds. Acquiring a level *below* the highest
 //!    currently-held level panics with the full acquisition trace. The
 //!    enforced global order is documented in `docs/latch-order.md`:
-//!    table writer (0) → repartition controller (1) → snapshot gate (2) →
-//!    routing table (3) →
-//!    quiesce gate (4) → column latch (5) → piece latch (6) → shrink
-//!    serial (7) → delta lock (8) → TOC lock (9).
+//!    table writer (0) → quiesce gate (1) → column latch (2) → piece
+//!    latch (3) → shrink serial (4) → delta lock (5) → TOC lock (6).
 //! 2. **Witness graph** — acquisitions also record held-before edges in a
 //!    process-wide graph, so *same-level* inversions that never collide on
 //!    one thread (thread A: p1 then p2; thread B: p2 then p1) are caught the
@@ -39,32 +37,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub enum Level {
     /// A table engine's writer mutex (outermost): held by every table
     /// write for its whole duration and by a read operation while it pins
-    /// its cut — which, on a range-partitioned column, takes the snapshot
-    /// gate under it. A join takes two tables' writer mutexes in address
-    /// order.
+    /// its cut. A join takes two tables' writer mutexes in address order.
     TableWriter = 0,
-    /// The range-router's repartition controller mutex (at most one
-    /// split/merge system transaction in flight per index).
-    Repartition = 1,
-    /// The range-router's snapshot gate: range-snapshot opens take it
-    /// shared, a repartition holds it exclusive for its whole protocol.
-    SnapshotGate = 2,
-    /// The range-router's routing-table lock: every operation holds it
-    /// shared for its whole length, a repartition holds it exclusive
-    /// while it moves rows and swaps the table.
-    Router = 3,
     /// The piece directory's quiesce gate (entered once per operation).
-    Gate = 4,
+    Gate = 1,
     /// The column-wide `OrderedWaitLatch` (compaction rebuilds).
-    Column = 5,
+    Column = 2,
     /// A per-piece `OrderedWaitLatch`.
-    Piece = 6,
+    Piece = 3,
     /// The shrink-serial mutex serialising hole reclamation.
-    ShrinkSerial = 7,
+    ShrinkSerial = 4,
     /// The pending-delta state lock.
-    Delta = 8,
+    Delta = 5,
     /// The table-of-contents (piece directory) lock (innermost).
-    Toc = 9,
+    Toc = 6,
 }
 
 static NEXT_INSTANCE: AtomicUsize = AtomicUsize::new(1);
@@ -422,15 +408,12 @@ mod tests {
 
     #[test]
     fn router_levels_nest_above_every_core_level() {
-        // The three router-side levels added for skew-adaptive
-        // repartitioning must sit strictly outside the core hierarchy,
-        // and the table writer mutex outside them.
-        let ids: Vec<usize> = (0..10).map(|_| instance_id()).collect();
+        // The table writer mutex sits strictly outside the core
+        // hierarchy, which nests gate → column → piece → shrink serial →
+        // delta → TOC.
+        let ids: Vec<usize> = (0..7).map(|_| instance_id()).collect();
         let order = [
             (Level::TableWriter, "table-writer"),
-            (Level::Repartition, "repartition"),
-            (Level::SnapshotGate, "snapshot-gate"),
-            (Level::Router, "router"),
             (Level::Gate, "quiesce-gate"),
             (Level::Column, "column"),
             (Level::Piece, "piece"),
@@ -444,13 +427,14 @@ mod tests {
         for (i, (level, _)) in order.iter().enumerate().rev() {
             release(*level, ids[i]);
         }
-        // And the inversion (core level held, router level requested) panics.
-        let (g, r) = (instance_id(), instance_id());
+        // And the inversion (core level held, table writer requested)
+        // panics.
+        let (g, w) = (instance_id(), instance_id());
         acquire(Level::Gate, g, "quiesce-gate");
         let err = catch_unwind(AssertUnwindSafe(|| {
-            acquire(Level::Router, r, "router");
+            acquire(Level::TableWriter, w, "table-writer");
         }))
-        .expect_err("router-under-gate must panic");
+        .expect_err("table-writer-under-gate must panic");
         let msg = err.downcast_ref::<String>().expect("string panic");
         assert!(msg.contains("latch-order inversion"), "{msg}");
         release(Level::Gate, g);

@@ -3,8 +3,7 @@
 //! Every engine arm emits the same small vocabulary of events, so one
 //! trace answers the evaluation's breakdown questions: where did latch
 //! time go (and on *which* piece), when did cracking converge, what did
-//! compaction actually move, how often did snapshot validation retry, and
-//! when did the range backend re-partition.
+//! compaction actually move, and how often did snapshot validation retry.
 
 use crate::json::Json;
 
@@ -78,18 +77,6 @@ pub enum TraceEvent {
         /// merge.
         rebuild: bool,
     },
-    /// One online re-partitioning system transaction: a hot partition was
-    /// split at a crack boundary, or two cold neighbours were merged.
-    Repartition {
-        /// Id of the partition that was split or merged away.
-        partition: u32,
-        /// True for a split, false for a merge.
-        split: bool,
-        /// Rows handed off to the new (or absorbing) partition.
-        rows: u64,
-        /// Nanoseconds the whole system transaction took.
-        ns: u64,
-    },
     /// One executed equi-join between two table engines: which physical
     /// strategy ran and how many output pairs it produced.
     Join {
@@ -116,20 +103,18 @@ impl TraceEvent {
             TraceEvent::CompactionStep { .. } => "compaction_step",
             TraceEvent::SnapshotRetry { .. } => "snapshot_retry",
             TraceEvent::DeltaMerge { .. } => "delta_merge",
-            TraceEvent::Repartition { .. } => "repartition",
             TraceEvent::Join { .. } => "join",
         }
     }
 
-    /// All seven tags, for completeness checks.
-    pub fn all_tags() -> [&'static str; 7] {
+    /// All six tags, for completeness checks.
+    pub fn all_tags() -> [&'static str; 6] {
         [
             "latch_wait",
             "crack",
             "compaction_step",
             "snapshot_retry",
             "delta_merge",
-            "repartition",
             "join",
         ]
     }
@@ -178,17 +163,6 @@ impl TraceEvent {
                 ("rows", Json::UInt(rows)),
                 ("ns", Json::UInt(ns)),
                 ("rebuild", Json::Bool(rebuild)),
-            ],
-            TraceEvent::Repartition {
-                partition,
-                split,
-                rows,
-                ns,
-            } => vec![
-                ("partition", Json::UInt(partition as u64)),
-                ("split", Json::Bool(split)),
-                ("rows", Json::UInt(rows)),
-                ("ns", Json::UInt(ns)),
             ],
             TraceEvent::Join {
                 strategy,
@@ -259,12 +233,6 @@ mod tests {
                 rows: 8,
                 ns: 300,
                 rebuild: false,
-            },
-            TraceEvent::Repartition {
-                partition: 1,
-                split: true,
-                rows: 4096,
-                ns: 20_000,
             },
             TraceEvent::Join {
                 strategy: "auto",

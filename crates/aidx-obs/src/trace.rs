@@ -383,11 +383,10 @@ mod tests {
         drain();
         enable();
         emit(event(5));
-        emit(TraceEvent::Repartition {
-            partition: 2,
-            split: true,
+        emit(TraceEvent::DeltaMerge {
             rows: 3,
             ns: 4,
+            rebuild: true,
         });
         disable();
         let mut buf = Vec::new();

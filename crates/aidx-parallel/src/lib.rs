@@ -8,12 +8,9 @@
 //! queries themselves, kept apart by piece latches — the paper's design,
 //! and that of the parallel variants in *Main Memory Adaptive Indexing
 //! for Multi-core Systems* (Alvarez, Schuhknecht, Dittrich, Richter).
-//! Narrow queries touch a single partition. The **skew-adaptive** mode
-//! ([`RangePartitionedCracker::adaptive`], tuned by [`AdaptiveConfig`])
-//! additionally re-partitions online — hot partitions split at crack
-//! boundaries, cold neighbours merge — as stop-the-world system
-//! transactions under the router's write lock. Its monitor is the only
-//! thread this crate spawns.
+//! Narrow queries touch a single partition. The routing table is fixed
+//! when the index is built, so routing takes no lock and the crate runs
+//! no thread of its own.
 //!
 //! It implements [`aidx_core::Index`] once — one `read`, one `pin`, one
 //! `write(`[`aidx_core::WriteOp`]`)` — and inherits every typed read and
@@ -29,7 +26,7 @@
 
 pub mod range_partitioned;
 
-pub use range_partitioned::{AdaptiveConfig, RangePartitionedCracker, Rebalance};
+pub use range_partitioned::RangePartitionedCracker;
 
 /// Returns the number of hardware threads, falling back to 4 when the
 /// parallelism cannot be determined. Worker-count knobs resolve `0` to

@@ -1,4 +1,4 @@
-//! Range-partitioned cracking with skew adaptivity.
+//! Range-partitioned cracking over a fixed routing table.
 //!
 //! A range partition splits the column into disjoint key ranges, each a
 //! [`ConcurrentCracker`] under [`LatchProtocol::Piece`] — partition
@@ -10,68 +10,37 @@
 //! the concurrent queries themselves, kept apart by the partitions' piece
 //! latches, as in the paper.
 //!
-//! Every operation — read, write, structure probe, invariant check —
-//! holds the routing table's read lock for its whole length. That lock
-//! is what makes re-partitioning simple: the **adaptive** mode (see
-//! [`RangePartitionedCracker::adaptive`]) splits a hot partition at a
-//! crack boundary near its middle, or merges the coldest adjacent pair
-//! at [`AdaptiveConfig::max_partitions`], as a stop-the-world system
-//! transaction under the **write** lock, so the rows move between
-//! partitions that no operation is using, and the new routing table is
-//! published before any operation can observe either partition again.
+//! The routing table (split keys plus partitions) is fixed when the index
+//! is built, so an operation reads it with no lock: rows never move
+//! between partitions, and the only latches are each partition's own.
 //!
 //! Every write-path capability (pending delta, quiescing *and*
 //! incremental compaction, epoch-stamped snapshot reads) threads through
-//! unchanged. A pin ([`Index::pin`]) registers one epoch per partition;
-//! snapshots and re-partitioning exclude each other through a snapshot
-//! gate (a repartition aborts while any snapshot is live, so pinned epoch
-//! reads never see rows move between partitions).
+//! unchanged. A pin ([`Index::pin`]) registers one epoch per partition
+//! and borrows the routing table for its lifetime.
 
 use aidx_core::{
-    dcheck,
-    facade::{Condvar, Mutex, RwLock, RwLockReadGuard},
     ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, QueryMetrics,
     ReadAnswer, ReadShape, RowIdSet, WriteOp,
 };
 use aidx_cracking::RowId;
 use aidx_obs::StructureProbe;
-use repartition::{monitor_loop, rebalance};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-mod repartition;
 #[cfg(test)]
 mod tests;
 
-pub use repartition::{AdaptiveConfig, Rebalance};
-
-/// One partition: its index plus the routed-load counter that survives
-/// routing-table swaps.
-#[derive(Clone)]
+/// One partition: its index plus the routed-load counter that feeds
+/// [`StructureProbe::partition_load`].
 struct Partition {
-    /// Stable id (survives table swaps; new ids for split children).
-    id: u32,
-    index: Arc<ConcurrentCracker>,
-    /// Clipped reads and writes routed here (the load window input).
-    ops: Arc<AtomicU64>,
+    index: ConcurrentCracker,
+    /// Clipped reads and writes routed here.
+    ops: AtomicU64,
 }
 
-impl Partition {
-    fn new(id: u32, index: ConcurrentCracker) -> Self {
-        Partition {
-            id,
-            index: Arc::new(index),
-            ops: Arc::new(AtomicU64::new(0)),
-        }
-    }
-}
-
-/// An immutable routing generation, replaced whole by a repartition.
-#[derive(Clone)]
+/// The routing table, fixed at build time.
 struct RoutingTable {
     /// `splits[i]` is the inclusive lower key bound of partition `i + 1`;
     /// partition `0` starts at `i64::MIN`. Sorted ascending.
@@ -129,96 +98,25 @@ impl RoutingTable {
     }
 }
 
-/// The routing table held shared for one whole operation.
-type TableGuard<'a> = dcheck::Tracked<RwLockReadGuard<'a, Arc<RoutingTable>>>;
-
-/// State shared by the router facade and the monitor thread.
-struct Shared {
-    /// The current routing generation. Operations hold it shared for
-    /// their whole length; a repartition takes it exclusive (dcheck
-    /// [`dcheck::Level::Router`]).
-    table: RwLock<Arc<RoutingTable>>,
-    /// `Some` in adaptive mode.
-    config: Option<AdaptiveConfig>,
-    /// At most one split/merge system transaction in flight
-    /// (dcheck [`dcheck::Level::Repartition`]).
-    repartition: Mutex<()>,
-    /// Snapshot opens take this shared; a repartition takes it exclusive
-    /// and aborts while `live_snapshots > 0`
-    /// (dcheck [`dcheck::Level::SnapshotGate`]).
-    snapshot_gate: RwLock<()>,
-    live_snapshots: AtomicU64,
-    next_partition_id: AtomicU32,
-    splits_performed: AtomicU64,
-    merges_performed: AtomicU64,
-    shutdown: AtomicBool,
-    monitor_park: Mutex<()>,
-    monitor_cv: Condvar,
-    /// Per-partition-id op counts at the last rebalance window.
-    last_ops: Mutex<HashMap<u32, u64>>,
-    repartition_instance: usize,
-    snapshot_gate_instance: usize,
-    router_instance: usize,
-}
-
-impl Shared {
-    /// Takes the routing table shared. An operation holds the guard
-    /// until it returns, so a repartition (which takes it exclusive)
-    /// never moves rows under it.
-    fn table(&self) -> TableGuard<'_> {
-        dcheck::Tracked::new(
-            dcheck::Level::Router,
-            self.router_instance,
-            "router-table",
-            self.table.read(),
-        )
-    }
-
-    /// The current routing generation, lock released — for diagnostics
-    /// and paths fenced some other way (the snapshot gate).
-    fn current_table(&self) -> Arc<RoutingTable> {
-        Arc::clone(&self.table())
-    }
-}
-
-/// Applies a write's [`WriteOp::len_delta`] to a logical-size ledger.
-fn adjust_len(ledger: &AtomicUsize, delta: isize) {
-    if delta >= 0 {
-        ledger.fetch_add(delta.unsigned_abs(), Ordering::Relaxed);
-    } else {
-        ledger.fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
-    }
-}
-
-/// A column range-partitioned into piece-latched crackers, optionally
-/// skew-adaptive (online re-partitioning).
+/// A column range-partitioned into piece-latched crackers.
 pub struct RangePartitionedCracker {
-    shared: Arc<Shared>,
-    /// Logical row count (kept current by writes).
-    len: AtomicUsize,
+    table: RoutingTable,
     /// Next self-assigned row id: partitions share one id space (rowids
     /// are tuple identity across the whole column), so the router — not
     /// the partition — assigns ids for plain inserts.
     next_rowid: AtomicU64,
-    monitor: Option<JoinHandle<()>>,
 }
 
 impl RangePartitionedCracker {
-    /// The per-partition compaction policy used when the caller does not
-    /// pick one: delta bounded at 10% of the partition's main array,
-    /// merged incrementally. An unbounded default delta would silently
-    /// re-introduce the linear select degradation bounded compaction
-    /// removed, so the default keeps the delta bounded.
-    fn default_partition_policy() -> CompactionPolicy {
-        CompactionPolicy::fraction(0.1).incremental(8)
-    }
-
     /// Range-partitions `values` into `partitions` (clamped to
     /// `1..=len.max(1)`) piece-latched crackers. Each partition's delta is
-    /// bounded by the default incremental policy; use
+    /// bounded at 10% of its main array and merged incrementally — an
+    /// unbounded default delta would silently re-introduce the linear
+    /// select degradation bounded compaction removed; use
     /// [`RangePartitionedCracker::with_compaction`] to tune or disable it.
     pub fn new(values: Vec<i64>, partitions: usize) -> Self {
-        Self::with_compaction(values, partitions, Self::default_partition_policy())
+        let policy = CompactionPolicy::fraction(0.1).incremental(8);
+        Self::with_compaction(values, partitions, policy)
     }
 
     /// As [`RangePartitionedCracker::new`] with an explicit per-partition
@@ -248,30 +146,6 @@ impl RangePartitionedCracker {
         partitions: usize,
         compaction: CompactionPolicy,
     ) -> Self {
-        Self::build(values, rowids, partitions, compaction, None)
-    }
-
-    /// Skew-adaptive mode: partitions split and merge according to
-    /// `config`, and every partition uses the default bounded compaction
-    /// policy.
-    pub fn adaptive(values: Vec<i64>, partitions: usize, config: AdaptiveConfig) -> Self {
-        let rowids: Vec<RowId> = (0..values.len() as RowId).collect();
-        Self::build(
-            values,
-            rowids,
-            partitions,
-            Self::default_partition_policy(),
-            Some(config),
-        )
-    }
-
-    fn build(
-        values: Vec<i64>,
-        rowids: Vec<RowId>,
-        partitions: usize,
-        compaction: CompactionPolicy,
-        config: Option<AdaptiveConfig>,
-    ) -> Self {
         assert_eq!(values.len(), rowids.len(), "misaligned rowid column");
         let len = values.len();
         let next_rowid = rowids.iter().max().map(|&r| r as u64 + 1).unwrap_or(0);
@@ -279,56 +153,25 @@ impl RangePartitionedCracker {
         // may return fewer boundaries than requested; the partition count
         // follows the split vector.
         let splits = choose_splits(&values, partitions.clamp(1, len.max(1)));
-        let parts: Vec<Partition> = scatter(values, rowids, &splits)
+        let partitions = scatter(values, rowids, &splits)
             .into_iter()
-            .enumerate()
-            .map(|(p, (values, rowids))| {
-                let index = ConcurrentCracker::from_rows(values, rowids, LatchProtocol::Piece)
-                    .with_compaction(compaction);
-                Partition::new(p as u32, index)
+            .map(|(values, rowids)| Partition {
+                index: ConcurrentCracker::from_rows(values, rowids, LatchProtocol::Piece)
+                    .with_compaction(compaction),
+                ops: AtomicU64::new(0),
             })
             .collect();
-
-        let shared = Arc::new(Shared {
-            next_partition_id: AtomicU32::new(parts.len() as u32),
-            table: RwLock::new(Arc::new(RoutingTable {
-                splits,
-                partitions: parts,
-            })),
-            config,
-            repartition: Mutex::new(()),
-            snapshot_gate: RwLock::new(()),
-            live_snapshots: AtomicU64::new(0),
-            splits_performed: AtomicU64::new(0),
-            merges_performed: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            monitor_park: Mutex::new(()),
-            monitor_cv: Condvar::new(),
-            last_ops: Mutex::new(HashMap::new()),
-            repartition_instance: dcheck::instance_id(),
-            snapshot_gate_instance: dcheck::instance_id(),
-            router_instance: dcheck::instance_id(),
-        });
-
-        let monitor = config.and_then(|c| c.check_interval).map(|interval| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("aidx-rebalance".into())
-                .spawn(move || monitor_loop(&shared, interval))
-                .expect("failed to spawn rebalance monitor")
-        });
-
         RangePartitionedCracker {
-            shared,
-            len: AtomicUsize::new(len),
+            table: RoutingTable { splits, partitions },
             next_rowid: AtomicU64::new(next_rowid),
-            monitor,
         }
     }
 
-    /// Number of indexed entries (kept current across inserts/deletes).
+    /// Number of indexed entries: the partitions' logical row counts
+    /// summed (exact in quiescence, like
+    /// [`ConcurrentCracker::logical_len`]).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.partition_sizes().into_iter().sum()
     }
 
     /// True if the index is empty.
@@ -338,65 +181,22 @@ impl RangePartitionedCracker {
 
     /// Number of partitions.
     pub fn partition_count(&self) -> usize {
-        self.shared.current_table().partitions.len()
+        self.table.partitions.len()
     }
 
     /// Live rows per partition (diagnostic: balance check; exact in
     /// quiescence, like [`ConcurrentCracker::logical_len`]).
     pub fn partition_sizes(&self) -> Vec<usize> {
-        self.shared
-            .current_table()
+        self.table
             .partitions
             .iter()
             .map(|p| p.index.logical_len() as usize)
             .collect()
     }
 
-    /// The split keys between partitions (diagnostic). Owned because the
-    /// boundaries can change under adaptive re-partitioning.
-    pub fn splits(&self) -> Vec<i64> {
-        self.shared.current_table().splits.clone()
-    }
-
-    /// Cumulative routed operations per live partition, in partition
-    /// order, keyed by the partition's stable id (split children start at
-    /// zero; a merge's absorber keeps its count) — the routed load skew
-    /// adaptive re-partitioning reacts to. Two probes bracketing a query
-    /// window give that window's per-partition load by id-matched
-    /// subtraction — the balance measure that is meaningful *after*
-    /// re-partitioning, where the all-time counters still carry pre-split
-    /// history.
-    pub fn partition_loads(&self) -> Vec<(u32, u64)> {
-        self.shared
-            .current_table()
-            .partitions
-            .iter()
-            .map(|p| (p.id, p.ops.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// True if built through [`RangePartitionedCracker::adaptive`].
-    pub fn is_adaptive(&self) -> bool {
-        self.shared.config.is_some()
-    }
-
-    /// Hot-partition splits performed by re-partitioning.
-    pub fn splits_performed(&self) -> u64 {
-        self.shared.splits_performed.load(Ordering::Relaxed)
-    }
-
-    /// Cold-pair merges performed by re-partitioning.
-    pub fn merges_performed(&self) -> u64 {
-        self.shared.merges_performed.load(Ordering::Relaxed)
-    }
-
-    /// Runs one rebalance pass right now (the monitor thread does the
-    /// same on its interval): reads the per-partition load window and
-    /// splits the hot partition / merges the coldest pair if the skew
-    /// warrants it. Callable with or without a monitor — passes are
-    /// serialised by the repartition latch.
-    pub fn try_rebalance(&self) -> Rebalance {
-        rebalance(&self.shared)
+    /// The split keys between partitions (diagnostic).
+    pub fn splits(&self) -> &[i64] {
+        &self.table.splits
     }
 
     /// [`ColumnRead::select_rowid_set`], inherent so that callers without
@@ -420,32 +220,16 @@ impl RangePartitionedCracker {
     /// externally consistent cut when the caller also excludes writers
     /// while opening, as a table engine does under its writer mutex.
     /// Reads through the handle are frozen there while writers and
-    /// per-partition compactions race on. Re-partitioning aborts while
-    /// the snapshot is live, so the routing generation captured here
-    /// stays current.
+    /// per-partition compactions race on.
     pub(crate) fn snapshot(&self) -> RangeSnapshot<'_> {
-        let shared = &self.shared;
-        let table = {
-            let _gate = dcheck::Tracked::new(
-                dcheck::Level::SnapshotGate,
-                shared.snapshot_gate_instance,
-                "snapshot-gate",
-                shared.snapshot_gate.read(),
-            );
-            // Registered under the gate: a repartition holds it exclusive
-            // and re-checks this count, so rows can't move while any
-            // epoch below is pinned.
-            shared.live_snapshots.fetch_add(1, Ordering::SeqCst);
-            shared.current_table()
-        };
-        let epochs = table
+        let epochs = self
+            .table
             .partitions
             .iter()
             .map(|part| part.index.register_snapshot_epoch())
             .collect();
         RangeSnapshot {
-            idx: self,
-            table,
+            table: &self.table,
             epochs,
         }
     }
@@ -453,8 +237,7 @@ impl RangePartitionedCracker {
     /// Sums `(delta rows, compactions + incremental steps)` across all
     /// partitions.
     pub fn delta_stats(&self) -> (u64, u64) {
-        let table = self.shared.table();
-        table
+        self.table
             .partitions
             .iter()
             .fold((0, 0), |(pending, merges), p| {
@@ -473,7 +256,7 @@ impl ColumnRead for RangePartitionedCracker {
     /// ([`ReadAnswer::merge`]).
     fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
-        let (answer, mut metrics) = self.shared.table().read(low, high, shape, None);
+        let (answer, mut metrics) = self.table.read(low, high, shape, None);
         metrics.total = start.elapsed();
         (answer, metrics)
     }
@@ -493,8 +276,7 @@ impl Index for RangePartitionedCracker {
             self.next_rowid
                 .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
         }
-        let (rows, mut metrics) = self.shared.table().route(op.key()).write(op);
-        adjust_len(&self.len, op.len_delta(rows));
+        let (rows, mut metrics) = self.table.route(op.key()).write(op);
         metrics.total = start.elapsed();
         (rows, metrics)
     }
@@ -510,12 +292,12 @@ impl Index for RangePartitionedCracker {
     /// per-partition routed load. Consistent per partition, not across
     /// partitions — it is a diagnostic, not a snapshot.
     fn structure_probe(&self) -> StructureProbe {
-        let table = self.shared.table();
         let mut probe = StructureProbe::default();
-        for part in &table.partitions {
+        for part in &self.table.partitions {
             probe.merge(&part.index.structure_probe());
         }
-        probe.partition_load = table
+        probe.partition_load = self
+            .table
             .partitions
             .iter()
             .map(|p| p.ops.load(Ordering::Relaxed))
@@ -525,33 +307,19 @@ impl Index for RangePartitionedCracker {
 
     /// Verifies every partition's piece/array consistency.
     fn check_invariants(&self) -> bool {
-        let table = self.shared.table();
-        table.partitions.iter().all(|p| p.index.check_invariants())
-    }
-}
-
-impl Drop for RangePartitionedCracker {
-    fn drop(&mut self) {
-        let shared = &self.shared;
-        shared.shutdown.store(true, Ordering::Release);
-        {
-            let _parked = shared.monitor_park.lock();
-            shared.monitor_cv.notify_all();
-        }
-        if let Some(monitor) = self.monitor.take() {
-            let _ = monitor.join();
-        }
+        self.table
+            .partitions
+            .iter()
+            .all(|p| p.index.check_invariants())
     }
 }
 
 impl fmt::Debug for RangePartitionedCracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let table = self.shared.current_table();
         f.debug_struct("RangePartitionedCracker")
             .field("len", &self.len())
-            .field("partitions", &table.partitions.len())
-            .field("splits", &table.splits)
-            .field("adaptive", &self.is_adaptive())
+            .field("partitions", &self.table.partitions.len())
+            .field("splits", &self.table.splits)
             .finish()
     }
 }
@@ -559,13 +327,9 @@ impl fmt::Debug for RangePartitionedCracker {
 /// A snapshot pinned across every partition of a
 /// [`RangePartitionedCracker`]: reads route like ordinary queries but each
 /// partition answers at the epoch registered when the snapshot was
-/// opened. The handle captures the routing generation it was opened
-/// against and reads it without the router lock — valid for its whole
-/// lifetime because re-partitioning aborts while any snapshot is live.
-/// Dropping the handle releases every partition's registration.
+/// opened. Dropping the handle releases every partition's registration.
 pub(crate) struct RangeSnapshot<'a> {
-    idx: &'a RangePartitionedCracker,
-    table: Arc<RoutingTable>,
+    table: &'a RoutingTable,
     epochs: Vec<u64>,
 }
 
@@ -578,8 +342,7 @@ impl fmt::Debug for RangeSnapshot<'_> {
 }
 
 impl ColumnRead for RangeSnapshot<'_> {
-    /// A routed read with every partition answering at its pinned epoch,
-    /// routed through the captured generation.
+    /// A routed read with every partition answering at its pinned epoch.
     fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
         let (answer, mut metrics) = self.table.read(low, high, shape, Some(&self.epochs));
@@ -593,10 +356,6 @@ impl Drop for RangeSnapshot<'_> {
         for (part, &epoch) in self.table.partitions.iter().zip(&self.epochs) {
             part.index.release_snapshot_epoch(epoch);
         }
-        self.idx
-            .shared
-            .live_snapshots
-            .fetch_sub(1, Ordering::SeqCst);
     }
 }
 

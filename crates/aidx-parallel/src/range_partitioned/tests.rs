@@ -1,23 +1,12 @@
 use super::*;
 use aidx_cracking::ops;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 fn shuffled(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
-}
-
-/// An adaptive config with no monitor thread: rebalancing only happens
-/// through explicit `try_rebalance` calls, so tests drive every system
-/// transaction deterministically.
-fn quiet(threshold: f64, min_rows: usize, min_window: u64) -> AdaptiveConfig {
-    AdaptiveConfig {
-        check_interval: None,
-        imbalance_threshold: threshold,
-        min_partition_rows: min_rows,
-        min_window_ops: min_window,
-        ..AdaptiveConfig::default()
-    }
 }
 
 #[test]
@@ -134,8 +123,8 @@ fn inserts_route_to_the_owning_partition() {
     idx.insert(3900);
     let sizes_after = idx.partition_sizes();
     // Exactly the partitions owning 100 and 3900 grew.
-    let owner_low = partition_of(&idx.splits(), 100);
-    let owner_high = partition_of(&idx.splits(), 3900);
+    let owner_low = partition_of(idx.splits(), 100);
+    let owner_high = partition_of(idx.splits(), 3900);
     assert_eq!(sizes_after[owner_low], sizes_before[owner_low] + 2);
     assert_eq!(sizes_after[owner_high], sizes_before[owner_high] + 1);
     assert_eq!(idx.len(), 4003);
@@ -281,9 +270,9 @@ fn snapshot_pins_every_partition() {
 fn snapshot_open_and_close_do_not_wait_for_a_busy_owner() {
     let values = shuffled(2000);
     let idx = Arc::new(RangePartitionedCracker::new(values.clone(), 2));
-    // An operation in flight holds the routing table shared until it
-    // returns; hold it here for as long as the open takes.
-    let busy = idx.shared.table();
+    // A pinned reader in flight borrows the routing table and holds an
+    // epoch on every partition; keep it open for as long as the open takes.
+    let busy = idx.snapshot();
     let done = Arc::new(AtomicBool::new(false));
     let opener = {
         let (idx, done) = (Arc::clone(&idx), Arc::clone(&done));
@@ -307,8 +296,7 @@ fn snapshot_open_and_close_do_not_wait_for_a_busy_owner() {
         "a snapshot open/close waited for an operation in flight"
     );
     let registered: usize = idx
-        .shared
-        .current_table()
+        .table
         .partitions
         .iter()
         .map(|p| p.index.live_snapshots())
@@ -447,214 +435,6 @@ fn partition_of_routes_keys_to_split_ranges() {
 }
 
 #[test]
-fn adaptive_answers_match_oracle_without_rebalance() {
-    // Thresholds high enough that no rebalance ever triggers: the
-    // adaptive arm must behave exactly like the static one.
-    let values = shuffled(6000);
-    let idx = RangePartitionedCracker::adaptive(values.clone(), 3, quiet(1e9, 6000, u64::MAX));
-    assert!(idx.is_adaptive());
-    assert!(!RangePartitionedCracker::new(vec![1, 2], 1).is_adaptive());
-    let mut oracle = values.clone();
-    for (low, high) in [(0, 6000), (100, 200), (5999, 6000), (300, 100)] {
-        assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-        assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
-    }
-    idx.insert(42);
-    oracle.push(42);
-    assert_eq!(idx.delete(100).0, 1);
-    oracle.retain(|&v| v != 100);
-    assert_eq!(idx.count(0, 6000).0, ops::count(&oracle, 0, 6000));
-    assert_eq!(idx.len(), oracle.len());
-    assert_eq!(idx.try_rebalance(), Rebalance::Balanced);
-    assert_eq!(idx.partition_count(), 3);
-    assert!(idx.check_invariants());
-}
-
-#[test]
-fn adaptive_split_occurs_under_skew_and_preserves_answers() {
-    let values = shuffled(8000);
-    let idx = RangePartitionedCracker::adaptive(values.clone(), 2, quiet(1.5, 64, 16));
-    // Hammer the low end: all load lands on partition 0.
-    for i in 0..300i64 {
-        let low = i % 1000;
-        idx.count(low, low + 50);
-    }
-    let outcome = idx.try_rebalance();
-    assert!(
-        matches!(outcome, Rebalance::Split { .. }),
-        "skewed load must split the hot partition: {outcome:?}"
-    );
-    assert_eq!(idx.partition_count(), 3);
-    assert_eq!(idx.splits_performed(), 1);
-    assert!(idx.splits().windows(2).all(|w| w[0] < w[1]));
-    assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 8000);
-    let mut oracle = values.clone();
-    for (low, high) in [(0, 8000), (0, 1050), (500, 600), (7000, 8000)] {
-        assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
-        assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
-    }
-    // Writes still route correctly through the new generation.
-    idx.insert(500);
-    oracle.push(500);
-    assert_eq!(idx.delete(501).0, 1);
-    oracle.retain(|&v| v != 501);
-    assert_eq!(idx.count(0, 8000).0, ops::count(&oracle, 0, 8000));
-    assert_eq!(idx.len(), oracle.len());
-    assert!(idx.check_invariants());
-}
-
-#[test]
-fn adaptive_merge_recycles_cold_partitions_at_cap() {
-    let values = shuffled(9000);
-    let mut config = quiet(1.5, 64, 16);
-    config.max_partitions = 3;
-    let idx = RangePartitionedCracker::adaptive(values.clone(), 3, config);
-    // Hot partition 0 at the partition cap: the pass merges the coldest
-    // adjacent pair (1, 2) instead of splitting.
-    for i in 0..300i64 {
-        let low = i % 500;
-        idx.count(low, low + 20);
-    }
-    let outcome = idx.try_rebalance();
-    assert!(
-        matches!(outcome, Rebalance::Merged { .. }),
-        "at the cap the coldest pair must merge: {outcome:?}"
-    );
-    assert_eq!(idx.partition_count(), 2);
-    assert_eq!(idx.merges_performed(), 1);
-    assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 9000);
-    for (low, high) in [(0, 9000), (0, 520), (4000, 8000)] {
-        assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
-        assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
-    }
-    // Below the cap again, the still-hot partition can now split.
-    for i in 0..300i64 {
-        let low = i % 500;
-        idx.count(low, low + 20);
-    }
-    let outcome = idx.try_rebalance();
-    assert!(
-        matches!(outcome, Rebalance::Split { .. }),
-        "after the merge the hot partition splits: {outcome:?}"
-    );
-    assert_eq!(idx.partition_count(), 3);
-    assert_eq!(idx.count(0, 9000).0, 9000);
-    assert!(idx.check_invariants());
-}
-
-#[test]
-fn queries_racing_repartition_never_drop_rows() {
-    let n = 20_000usize;
-    let values = shuffled(n);
-    let mut config = quiet(1.05, 64, 1);
-    config.max_partitions = 6;
-    let idx = Arc::new(RangePartitionedCracker::adaptive(values.clone(), 4, config));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut clients = Vec::new();
-    for _ in 0..4 {
-        let idx = Arc::clone(&idx);
-        let stop = Arc::clone(&stop);
-        clients.push(thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                // A full-range count sees every row exactly once,
-                // whichever routing generation served it.
-                let (c, _) = idx.count(i64::MIN, i64::MAX);
-                assert_eq!(c, n as u64, "racing query dropped or doubled rows");
-            }
-        }));
-    }
-    for round in 0..40 {
-        for i in 0..200i64 {
-            let low = (round * 37 + i) % 1000;
-            idx.count(low, low + 50);
-        }
-        idx.try_rebalance();
-        if idx.splits_performed() >= 3 {
-            break;
-        }
-    }
-    stop.store(true, Ordering::Relaxed);
-    for c in clients {
-        c.join().unwrap();
-    }
-    assert!(
-        idx.splits_performed() >= 1,
-        "the race test must exercise at least one split"
-    );
-    for (low, high) in [(0, n as i64), (0, 1050), (500, 600)] {
-        assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
-        assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
-    }
-    assert_eq!(idx.partition_sizes().iter().sum::<usize>(), n);
-    assert!(idx.check_invariants());
-}
-
-#[test]
-fn snapshot_blocks_repartition() {
-    let values = shuffled(8000);
-    let idx = RangePartitionedCracker::adaptive(values.clone(), 2, quiet(1.5, 64, 16));
-    for i in 0..300i64 {
-        let low = i % 1000;
-        idx.count(low, low + 50);
-    }
-    let snap = idx.snapshot();
-    assert_eq!(
-        idx.try_rebalance(),
-        Rebalance::SnapshotPinned,
-        "a live snapshot pins row positions"
-    );
-    assert_eq!(idx.partition_count(), 2);
-    assert_eq!(snap.count(0, 8000).0, 8000);
-    drop(snap);
-    // The aborted pass must not have consumed the load window: the
-    // retry still sees the skew and splits.
-    let outcome = idx.try_rebalance();
-    assert!(
-        matches!(outcome, Rebalance::Split { .. }),
-        "closing the snapshot unblocks the split: {outcome:?}"
-    );
-    assert_eq!(idx.partition_count(), 3);
-    assert_eq!(idx.count(0, 8000).0, 8000);
-    assert!(idx.check_invariants());
-}
-
-#[test]
-fn monitor_thread_rebalances_automatically() {
-    let values = shuffled(8000);
-    let config = AdaptiveConfig {
-        check_interval: Some(Duration::from_millis(1)),
-        imbalance_threshold: 1.2,
-        min_partition_rows: 64,
-        min_window_ops: 32,
-        ..AdaptiveConfig::default()
-    };
-    let idx = RangePartitionedCracker::adaptive(values.clone(), 2, config);
-    for _ in 0..200 {
-        for i in 0..100i64 {
-            let low = i % 1000;
-            idx.count(low, low + 50);
-        }
-        if idx.splits_performed() > 0 {
-            break;
-        }
-        thread::sleep(Duration::from_millis(2));
-    }
-    assert!(
-        idx.splits_performed() > 0,
-        "the monitor thread must split the hot partition on its own"
-    );
-    assert_eq!(idx.count(0, 8000).0, 8000);
-    // The monitor is still running: a live snapshot fences further
-    // re-partitioning, so the sizes are read against one routing table.
-    let _fence = idx.snapshot();
-    assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 8000);
-    assert!(idx.check_invariants());
-}
-
-/// The two-pass scatter must keep every value with its own row id:
-/// non-identity, permuted row ids and duplicate keys, across one, a few
-/// and many more partitions than distinct split points.
-#[test]
 #[should_panic(expected = "row-id space exhausted")]
 fn self_assigned_rowid_past_the_max_panics_instead_of_wrapping() {
     let idx = RangePartitionedCracker::from_rows(
@@ -666,6 +446,9 @@ fn self_assigned_rowid_past_the_max_panics_instead_of_wrapping() {
     idx.insert(30);
 }
 
+/// The two-pass scatter must keep every value with its own row id:
+/// non-identity, permuted row ids and duplicate keys, across one, a few
+/// and many more partitions than distinct split points.
 #[test]
 fn from_rows_keeps_each_value_with_its_rowid() {
     let n = 3000usize;

@@ -4,7 +4,7 @@
 //! partition owns the write.
 
 use aidx_core::{ColumnRead, CompactionPolicy, Index};
-use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
+use aidx_parallel::RangePartitionedCracker;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -85,27 +85,23 @@ proptest! {
     ) {
         // Long scans pin a snapshot on each parallel arm, then writes and
         // aggressive per-partition compaction race past it; every pinned
-        // read must equal the oracle frozen at snapshot time, for the
-        // static arm (incremental steps) and the skew-adaptive arm
-        // (default policy) alike.
+        // read must equal the oracle frozen at snapshot time, for the arm
+        // with aggressive incremental steps and the default-policy arm
+        // alike.
         let policy = CompactionPolicy::rows(4).incremental(2);
         let ranged = RangePartitionedCracker::with_compaction(values.clone(), workers, policy);
-        let quiet = AdaptiveConfig {
-            check_interval: None,
-            ..AdaptiveConfig::default()
-        };
-        let adaptive = RangePartitionedCracker::adaptive(values.clone(), workers, quiet);
+        let defaulted = RangePartitionedCracker::new(values.clone(), workers);
         let mut oracle = oracle_from(&values);
         let apply = |kind: u8, v: i64, oracle: &mut BTreeMap<i64, u64>| {
             if kind == 0 {
-                adaptive.insert(v);
+                defaulted.insert(v);
                 ranged.insert(v);
                 *oracle.entry(v).or_insert(0) += 1;
             } else {
-                let a = adaptive.delete(v).0;
+                let a = defaulted.delete(v).0;
                 let b = ranged.delete(v).0;
                 let expected = oracle.remove(&v).unwrap_or(0);
-                assert_eq!(a, expected, "adaptive delete {v}");
+                assert_eq!(a, expected, "default delete {v}");
                 assert_eq!(b, expected, "ranged delete {v}");
             }
         };
@@ -113,16 +109,16 @@ proptest! {
             apply(kind, v, &mut oracle);
         }
         let frozen = oracle.clone();
-        let adaptive_snap = adaptive.pin();
+        let default_snap = defaulted.pin();
         let range_snap = ranged.pin();
         for &(kind, v) in &post_ops {
             apply(kind, v, &mut oracle);
             for &(a, b) in &queries {
                 let (low, high) = if a <= b { (a, b) } else { (b, a) };
                 prop_assert_eq!(
-                    adaptive_snap.count(low, high).0,
+                    default_snap.count(low, high).0,
                     oracle_count(&frozen, low, high),
-                    "adaptive pinned count [{},{})", low, high
+                    "default pinned count [{},{})", low, high
                 );
                 prop_assert_eq!(
                     range_snap.sum(low, high).0,
@@ -130,9 +126,9 @@ proptest! {
                     "ranged pinned sum [{},{})", low, high
                 );
                 prop_assert_eq!(
-                    adaptive.count(low, high).0,
+                    defaulted.count(low, high).0,
                     oracle_count(&oracle, low, high),
-                    "adaptive live count [{},{})", low, high
+                    "default live count [{},{})", low, high
                 );
                 prop_assert_eq!(
                     ranged.count(low, high).0,
@@ -142,19 +138,19 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            adaptive_snap.sum(i64::MIN, i64::MAX).0,
+            default_snap.sum(i64::MIN, i64::MAX).0,
             oracle_sum(&frozen, i64::MIN, i64::MAX)
         );
         prop_assert_eq!(
             range_snap.count(i64::MIN, i64::MAX).0,
             oracle_count(&frozen, i64::MIN, i64::MAX)
         );
-        drop(adaptive_snap);
+        drop(default_snap);
         drop(range_snap);
         let total: u64 = oracle.values().sum();
-        prop_assert_eq!(adaptive.count(i64::MIN, i64::MAX).0, total);
+        prop_assert_eq!(defaulted.count(i64::MIN, i64::MAX).0, total);
         prop_assert_eq!(ranged.count(i64::MIN, i64::MAX).0, total);
-        prop_assert!(adaptive.check_invariants());
+        prop_assert!(defaulted.check_invariants());
         prop_assert!(ranged.check_invariants());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! **Cross-shape reads**: every [`ReadShape`] of one range must describe
 //! the same logical rows — on every backend, now and through a snapshot,
-//! and across the range arm's straddle merges while partitions split.
+//! and across the range arm's straddle merges.
 //! `Count == RowIds.len() == RowIdSet.len() == KeyRuns.total_rows()`,
 //! `Sum ==` Σ keys of the runs, `RowIdSet.to_vec() == RowIds ==` sorted
 //! rowids of the runs — all equal to a scan oracle over the logical rows.
@@ -18,11 +18,8 @@ use aidx_core::{
     RefinementPolicy, WriteOp,
 };
 use aidx_cracking::RowId;
-use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
+use aidx_parallel::RangePartitionedCracker;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
 
 /// The two counters the write body needs that [`Index`] does not expose.
 trait Counted: Index {
@@ -584,100 +581,6 @@ fn one_write_stream_gives_the_same_answers_on_every_backend() {
     merged("serial/Piece/skip/incremental", &skipping);
     let range = RangePartitionedCracker::with_compaction(write_seed(), 4, policy);
     merged("range", &range);
-}
-
-#[test]
-fn the_write_stream_gives_the_same_answers_while_partitions_split() {
-    // The adaptive range arm, with partitions splitting and merging under
-    // the stream: a write racing a split waits on the router lock, then
-    // routes by the new table.
-    let config = AdaptiveConfig {
-        check_interval: None,
-        imbalance_threshold: 1.05,
-        min_partition_rows: 16,
-        min_window_ops: 1,
-        max_partitions: 5,
-    };
-    let adaptive = RangePartitionedCracker::adaptive(write_seed(), 3, config);
-    let stop = AtomicBool::new(false);
-    thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut round = 0i64;
-            while !stop.load(Ordering::Acquire) {
-                for i in 0..40 {
-                    let low = (round * 7 + i) % 60;
-                    adaptive.count(low, low + 10);
-                }
-                adaptive.try_rebalance();
-                round += 1;
-            }
-        });
-        check_writes("range/adaptive", &adaptive);
-        stop.store(true, Ordering::Release);
-    });
-    assert!(
-        adaptive.splits_performed() >= 1,
-        "the stream must race at least one split"
-    );
-}
-
-#[test]
-fn every_shape_survives_straddle_merges_while_partitions_split() {
-    // Clients race full-range reads of every shape against splits: each
-    // read holds the routing table shared for its whole length, so it
-    // reads every partition of one generation, old or new, and merges
-    // the clipped parts — per shape. (Now-reads only: snapshots fence
-    // re-partitioning.) The index is kept small (fast reads, many in
-    // flight) and the loop runs to 60 splits — at the partition cap every
-    // split is preceded by a merge — so each shape races many of both.
-    let n = 4_000usize;
-    let rows = Arc::new(keyed_rows(n));
-    let config = AdaptiveConfig {
-        check_interval: None,
-        imbalance_threshold: 1.05,
-        min_partition_rows: 64,
-        min_window_ops: 1,
-        max_partitions: 6,
-    };
-    let idx = Arc::new(RangePartitionedCracker::adaptive(keys(n), 3, config));
-    let stop = Arc::new(AtomicBool::new(false));
-    let clients: Vec<_> = (0..3)
-        .map(|_| {
-            let (idx, rows, stop) = (Arc::clone(&idx), Arc::clone(&rows), Arc::clone(&stop));
-            thread::spawn(move || {
-                let mut rounds = 0u32;
-                while !stop.load(Ordering::Acquire) || rounds == 0 {
-                    assert_shapes_agree("racing", &*idx, &rows, &[(i64::MIN, i64::MAX)]);
-                    rounds += 1;
-                }
-            })
-        })
-        .collect();
-    for round in 0..400 {
-        for i in 0..150i64 {
-            let low = (round * 37 + i) % 600;
-            idx.count(low, low + 40);
-        }
-        idx.try_rebalance();
-        if idx.splits_performed() >= 60 {
-            break;
-        }
-    }
-    stop.store(true, Ordering::Release);
-    for client in clients {
-        client.join().unwrap();
-    }
-    assert!(
-        idx.splits_performed() >= 1,
-        "the race must exercise at least one split"
-    );
-    assert_shapes_agree(
-        "settled",
-        &*idx,
-        &rows,
-        &[(i64::MIN, i64::MAX), (100, 1500)],
-    );
-    assert!(idx.check_invariants());
 }
 
 /// A pin answers at its epoch on every backend, whatever writes land

@@ -19,7 +19,7 @@ use aidx_core::{
     RunMetrics,
 };
 use aidx_cracking::generate_unique_shuffled;
-use aidx_parallel::{AdaptiveConfig, RangePartitionedCracker};
+use aidx_parallel::RangePartitionedCracker;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -64,13 +64,6 @@ pub enum Approach {
         /// Number of partitions (0 = one per available core).
         partitions: usize,
     },
-    /// Skew-adaptive range-partitioned cracking: partitions split and
-    /// merge online under observed load (`aidx-parallel`, default
-    /// [`aidx_parallel::AdaptiveConfig`]).
-    ParallelRangeAdaptive {
-        /// Number of initial partitions (0 = one per available core).
-        partitions: usize,
-    },
 }
 
 impl Approach {
@@ -84,9 +77,6 @@ impl Approach {
             Approach::AdaptiveMerge { .. } => "adaptive-merge".to_string(),
             Approach::ParallelRange { partitions } => {
                 format!("parallel-range-{}", effective_workers(*partitions))
-            }
-            Approach::ParallelRangeAdaptive { partitions } => {
-                format!("parallel-range-adaptive-{}", effective_workers(*partitions))
             }
         }
     }
@@ -106,7 +96,6 @@ impl Approach {
                 run_size: DEFAULT_RUN_SIZE,
             },
             Approach::ParallelRange { partitions: 0 },
-            Approach::ParallelRangeAdaptive { partitions: 0 },
         ]
     }
 }
@@ -160,13 +149,6 @@ impl FromStr for Approach {
         }
         if s == "parallel-range" {
             return Ok(Approach::ParallelRange { partitions: 0 });
-        }
-        if s == "parallel-range-adaptive" {
-            return Ok(Approach::ParallelRangeAdaptive { partitions: 0 });
-        }
-        if let Some(rest) = s.strip_prefix("parallel-range-adaptive-") {
-            let partitions: usize = rest.parse().map_err(|_| err())?;
-            return Ok(Approach::ParallelRangeAdaptive { partitions });
         }
         if let Some(rest) = s.strip_prefix("parallel-range-") {
             let partitions: usize = rest.parse().map_err(|_| err())?;
@@ -376,16 +358,6 @@ impl ExperimentConfig {
                 } else {
                     RangePartitionedCracker::new(values, partitions)
                 })
-            }
-            // The adaptive arm owns its compaction policy (a bounded delta
-            // is part of its construction), so the threshold knob
-            // is ignored like the delta-free arms.
-            Approach::ParallelRangeAdaptive { partitions } => {
-                self.index_arm(RangePartitionedCracker::adaptive(
-                    values,
-                    effective_workers(partitions),
-                    AdaptiveConfig::default(),
-                ))
             }
         }
     }
@@ -603,10 +575,7 @@ mod tests {
     #[test]
     fn built_engines_are_named_by_their_approach_label() {
         let mut arms = Approach::all();
-        arms.extend([
-            Approach::ParallelRange { partitions: 3 },
-            Approach::ParallelRangeAdaptive { partitions: 2 },
-        ]);
+        arms.push(Approach::ParallelRange { partitions: 3 });
         for approach in arms {
             assert_eq!(tiny(approach).build_engine().name(), approach.label());
         }
@@ -650,14 +619,6 @@ mod tests {
             "parallel-range-3".parse::<Approach>().unwrap(),
             Approach::ParallelRange { partitions: 3 }
         );
-        assert_eq!(
-            "parallel-range-adaptive".parse::<Approach>().unwrap(),
-            Approach::ParallelRangeAdaptive { partitions: 0 }
-        );
-        assert_eq!(
-            "parallel-range-adaptive-4".parse::<Approach>().unwrap(),
-            Approach::ParallelRangeAdaptive { partitions: 4 }
-        );
         for junk in [
             "",
             "scam",
@@ -665,6 +626,8 @@ mod tests {
             "crack-row",
             "parallel-chunk-4",
             "parallel-chunk-piece-4",
+            "parallel-range-adaptive",
+            "parallel-range-adaptive-4",
             "adaptive-merge-x",
         ] {
             assert!(junk.parse::<Approach>().is_err(), "'{junk}' must not parse");

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 const MIXED_SEED_SALT: u64 = 0x57A7_1C5E;
 
 /// Spatial pattern of the generated query ranges.
-// No `Eq`: the zipfian exponent and hotspot width are floats.
+// No `Eq`: the zipfian exponent is a float.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Uniformly random range positions (the paper's workload).
@@ -31,20 +31,9 @@ pub enum AccessPattern {
     /// [`ZIPF_BUCKETS`] equal buckets and bucket `i` is drawn with
     /// probability proportional to `1 / (i + 1)^theta`, uniform within
     /// the bucket. `theta` is the skew exponent (`0` = uniform, `~1` =
-    /// classic zipfian, larger = hotter head). The stationary skew the
-    /// adaptive range partitioner is built to absorb.
+    /// classic zipfian, larger = hotter head). The join workload's skewed
+    /// foreign keys use the same bucket distribution.
     Zipfian(f64),
-    /// A hotspot covering `width` (fraction of the domain, clamped to
-    /// `(0, 1]`) whose centre sweeps the whole domain once every
-    /// `period` queries, wrapping around. Skew that *moves*: a partition
-    /// split for the current hotspot goes cold again a fraction of a
-    /// period later.
-    DriftingHotspot {
-        /// Hotspot width as a fraction of the domain.
-        width: f64,
-        /// Queries per full sweep of the domain.
-        period: usize,
-    },
 }
 
 /// Bucket count for [`AccessPattern::Zipfian`]'s rank distribution.
@@ -131,27 +120,6 @@ impl WorkloadGenerator {
                             base
                         } else {
                             rng.gen_range(base..cap)
-                        }
-                    }
-                    AccessPattern::DriftingHotspot {
-                        width: hot_width,
-                        period,
-                    } => {
-                        let hot = ((hot_width.clamp(f64::MIN_POSITIVE, 1.0)
-                            * self.domain_size as f64) as u64)
-                            .max(1);
-                        let period = period.max(1);
-                        // The hotspot's left edge sweeps [0, domain - hot]
-                        // once per period, wrapping.
-                        let phase = (i % period) as u128;
-                        let travel = self.domain_size.saturating_sub(hot) as u128;
-                        let base = (travel * phase / period as u128) as u64;
-                        let lo = base.min(max_low);
-                        let hi = base.saturating_add(hot).min(max_low.max(1));
-                        if lo >= hi {
-                            lo
-                        } else {
-                            rng.gen_range(lo..hi)
                         }
                     }
                 };
@@ -320,16 +288,9 @@ mod tests {
         let g = WorkloadGenerator::new(0, 0.5, Aggregate::Count, 0);
         let qs = g.generate(3);
         assert_eq!(qs.len(), 3);
-        for pattern in [
-            AccessPattern::Zipfian(1.0),
-            AccessPattern::DriftingHotspot {
-                width: 0.5,
-                period: 2,
-            },
-        ] {
-            let g = WorkloadGenerator::new(1, 0.5, Aggregate::Count, 0).with_pattern(pattern);
-            assert_eq!(g.generate(3).len(), 3);
-        }
+        let g = WorkloadGenerator::new(1, 0.5, Aggregate::Count, 0)
+            .with_pattern(AccessPattern::Zipfian(1.0));
+        assert_eq!(g.generate(3).len(), 3);
     }
 
     #[test]
@@ -370,36 +331,5 @@ mod tests {
             flat_head < head / 2,
             "theta = 0 must be near-uniform: {flat_head} vs {head}"
         );
-    }
-
-    #[test]
-    fn drifting_hotspot_sweeps_the_domain_each_period() {
-        let domain = 1_000_000u64;
-        let width = 0.1;
-        let period = 100usize;
-        let g = WorkloadGenerator::new(domain, 0.0001, Aggregate::Count, 17)
-            .with_pattern(AccessPattern::DriftingHotspot { width, period });
-        let queries = g.generate(200);
-        let hot = (width * domain as f64) as u64;
-        let travel = domain - hot;
-        for (i, q) in queries.iter().enumerate() {
-            // Every query lands inside the hotspot for its phase.
-            let base = travel as u128 * (i % period) as u128 / period as u128;
-            let base = base as u64;
-            assert!(
-                (q.low as u64) >= base && (q.low as u64) < base + hot,
-                "query {i} low {} outside hotspot [{base}, {})",
-                q.low,
-                base + hot
-            );
-        }
-        // The hotspot actually drifts: the mean position of the last
-        // quarter-period clearly exceeds the first quarter's...
-        let mean =
-            |qs: &[QuerySpec]| qs.iter().map(|q| q.low as f64).sum::<f64>() / qs.len() as f64;
-        assert!(mean(&queries[60..90]) > mean(&queries[0..30]) + domain as f64 * 0.2);
-        // ...and wraps back at the period boundary.
-        assert!((queries[100].low as u64) < hot + travel / period as u64);
-        assert_eq!(queries, g.generate(200), "deterministic per seed");
     }
 }

@@ -21,7 +21,7 @@
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
 //! | [`cracking`] | the serial structures and baselines: row ids, cracker array, piece map (table of contents), read-only plain-cracking index, partitioned B-tree, adaptive merging, read-only hybrid crack-sort, key-range locks, scan/sort baselines, scan operators, data generator |
 //! | [`core`] | **the paper's contribution**: the one `Index`/`ColumnRead` surface every backend implements, concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
-//! | [`parallel`] | range-partitioned cracking: piece-latched partitions behind a query router, cracked on the calling thread, skew-adaptive re-partitioning |
+//! | [`parallel`] | range-partitioned cracking: piece-latched partitions behind a fixed query router, cracked on the calling thread |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
 //! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
 //!

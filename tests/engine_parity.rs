@@ -22,7 +22,6 @@ fn approaches() -> Vec<Approach> {
     // `all()` uses per-core worker counts; pin a few explicit shapes so the
     // parity run exercises multi-worker routing even on small CI machines.
     arms.push(Approach::ParallelRange { partitions: 4 });
-    arms.push(Approach::ParallelRangeAdaptive { partitions: 3 });
     arms
 }
 
@@ -212,24 +211,6 @@ fn concurrent_writers_reach_the_same_final_state_on_every_arm() {
 fn checked_engine_confirms_parallel_arms_under_concurrency() {
     let shared_values = values();
     let queries = WorkloadGenerator::new(ROWS as u64, 0.05, Aggregate::Sum, 21).generate(QUERIES);
-    let adaptive_engine = Arc::new(CheckedEngine::new(
-        IndexEngine::new(
-            "parallel-range-adaptive-4",
-            RangePartitionedCracker::adaptive(
-                shared_values.clone(),
-                4,
-                aidx_parallel::AdaptiveConfig::default(),
-            ),
-        ),
-        shared_values.clone(),
-    ));
-    let run = MultiClientRunner::new(8).run(adaptive_engine.clone(), &queries);
-    assert_eq!(run.query_count(), QUERIES);
-    assert!(
-        adaptive_engine.mismatches().is_empty(),
-        "adaptive mismatches"
-    );
-
     let range_engine = Arc::new(CheckedEngine::new(
         IndexEngine::new(
             "parallel-range-4",
