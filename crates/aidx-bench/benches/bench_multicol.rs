@@ -1,5 +1,5 @@
-//! Multi-column conjunctive selection benchmark: rowid intersection over
-//! per-column crackers versus the scan-and-filter baseline.
+//! Multi-column conjunctive selection benchmark: per-column crackers
+//! filtering rowid sets versus the scan-and-filter baseline.
 //!
 //! A four-column table (decorrelated permutations of `[0, rows)`) serves
 //! conjunctive selections with 1–4 predicates of graded per-column
@@ -7,8 +7,9 @@
 //! over the column-major data; its answers double as the oracle every
 //! indexed arm is checked against, row-id set for row-id set. Each
 //! **table-engine arm** (serial / range-partitioned column crackers) replays the identical query sequence: early queries pay
-//! per-column cracking, converged queries are piece lookups plus
-//! rowid-set intersection.
+//! per-column cracking, converged queries are piece lookups plus each
+//! further predicate's column read `Within` the candidates (or a
+//! projection).
 //!
 //! Reported per predicate count and arm: first-query cost (the cracking
 //! investment), mean select time before and after convergence, and wall
@@ -158,7 +159,7 @@ fn main() {
                 ms(wall),
             ]);
             // The acceptance gate: a 2-predicate conjunctive select
-            // answered by rowid intersection beats scan-and-filter once
+            // answered through the per-column crackers beats scan-and-filter once
             // the per-column indexes have converged.
             if predicates == 2 {
                 assert!(
@@ -172,7 +173,7 @@ fn main() {
         }
     }
     print_table(
-        "conjunctive selects: scan-and-filter vs rowid intersection (oracle-verified)",
+        "conjunctive selects: scan-and-filter vs per-column crackers (oracle-verified)",
         &[
             "predicates",
             "arm",

@@ -273,6 +273,78 @@ fn real_cracker_delete_row_vs_pinned_reads_keeps_the_snapshot() {
     );
 }
 
+/// A pinned `Within` read on the real cracker, the table planner's filter
+/// read. The column holds a pending insert from before the pin whose row
+/// id the filter does not hold; once the epoch is registered, a writer
+/// inserts a row whose key is in the read's range and whose row id the
+/// filter holds, then deletes a seed row the filter holds. Whatever state
+/// the delta is in when the read takes its view — the insert pending or
+/// not yet recorded, the deleted row live, tombstoned or retired into a
+/// ghost — the pinned answer is exactly the epoch's rows that the filter
+/// holds: the later insert is invisible, the deleted row is kept, and the
+/// earlier pending insert, an extra row of the delta, is dropped because
+/// the filter does not hold it. Afterwards a current `Within` read sees
+/// both writes. One preemption, exhaustively, with either thread first.
+#[test]
+fn real_pinned_within_read_keeps_the_epochs_filtered_rows() {
+    const VALUES: [i64; 6] = [5, 1, 7, 3, 5, 9];
+    let states_met = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    for reads_first in [false, true] {
+        let met = Arc::clone(&states_met);
+        let one_preemption = ExploreConfig {
+            preemption_bound: Some(1),
+            ..capped(3000)
+        };
+        let report = explore(one_preemption, move || {
+            let idx = Arc::new(ConcurrentCracker::from_values(
+                VALUES.to_vec(),
+                LatchProtocol::Piece,
+            ));
+            idx.insert_row(4, 10);
+            let epoch = idx.register_snapshot_epoch();
+            let filter = Arc::new(RowIdSet::from_sorted(&[0, 1, 3, 11]));
+            let (a, b, f) = (Arc::clone(&idx), Arc::clone(&idx), Arc::clone(&filter));
+            let met = Arc::clone(&met);
+            let writes = move || {
+                a.insert_row(6, 11);
+                let (removed, _) = a.write(WriteOp::DeleteRow { value: 5, rowid: 0 });
+                assert_eq!(removed, 1, "row 0 carries key 5");
+            };
+            let read = move || {
+                // Bit 0: row 0 live, bit 1: tombstoned, bit 2: retired.
+                let state = b.tombstoned_rows() + 2 * b.hole_count() as u64;
+                let (rows, _) = b.read(0, 10, Some(epoch), ReadShape::Within(&f));
+                assert_eq!(
+                    rows.into_set().to_vec(),
+                    [0, 1, 3],
+                    "the epoch's filtered rows"
+                );
+                met.fetch_or(1 << state, Ordering::SeqCst);
+            };
+            let threads = if reads_first {
+                Scenario::new().thread(read).thread(writes)
+            } else {
+                Scenario::new().thread(writes).thread(read)
+            };
+            threads.finale(move || {
+                let pinned = idx.read(0, 10, Some(epoch), ReadShape::Within(&filter)).0;
+                assert_eq!(pinned.into_set().to_vec(), [0, 1, 3]);
+                idx.release_snapshot_epoch(epoch);
+                let now = idx.read(0, 10, None, ReadShape::Within(&filter)).0;
+                assert_eq!(now.into_set().to_vec(), [1, 3, 11]);
+                assert!(idx.check_invariants());
+            })
+        });
+        report.assert_ok();
+        assert!(report.exhausted, "one preemption fits under the cap");
+    }
+    assert_eq!(
+        states_met.load(Ordering::SeqCst),
+        0b111,
+        "the read must meet row 0 live, tombstoned and retired"
+    );
+}
+
 /// The crack body's publish rule on the real cracker: a column just above
 /// the pivot policy's floor, so the first bound to be resolved partitions
 /// the one oversized piece twice — around a pivot sampled from it, then at

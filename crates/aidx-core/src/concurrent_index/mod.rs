@@ -77,7 +77,7 @@ use crate::piece_directory::{
     AlreadyCrack, Found, OperationGuard, PieceDirectory, Ranges, Span, Target,
 };
 use crate::protocol::{LatchProtocol, RefinementPolicy};
-use crate::rowid_set::RowIdSet;
+use crate::rowid_set::{Bits, RowIdSet};
 use crate::shared_array::SharedCrackerArray;
 use aidx_cracking::{Piece, RowId};
 use aidx_latch::dcheck;
@@ -520,7 +520,7 @@ impl ConcurrentCracker {
 }
 
 impl ColumnRead for ConcurrentCracker {
-    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+    fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics) {
         ConcurrentCracker::read(self, low, high, None, shape)
     }
 }

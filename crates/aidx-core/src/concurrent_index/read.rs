@@ -220,9 +220,10 @@ fn unlatched(found: &Found) -> PieceWrite<usize> {
 
 /// What one read accumulates over the qualifying pieces. Every shape runs
 /// the same plan → piece walk → delta fold ([`ConcurrentCracker::read`]);
-/// only the per-piece accumulator differs.
+/// only the per-piece accumulator differs. A shape that names a set
+/// borrows it for the read, hence the lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadShape {
+pub enum ReadShape<'a> {
     /// Q1: how many rows qualify. With both bounds resolved into cracks
     /// the count is *positional* — range width minus recorded holes — and
     /// touches neither the data nor a read latch.
@@ -244,6 +245,18 @@ pub enum ReadShape {
     /// is that bitmap — no sort, no heap merge, no encoding. Only ids
     /// sparser than one per 1 024 of span are sorted into blocks instead.
     Candidates,
+    /// The qualifying row ids that are also in the given set: the
+    /// [`ReadShape::Candidates`] set of the read, intersected with it
+    /// inside the walk. Every visited row id is tested against the set's
+    /// bitmap without a branch — interior pieces read row ids only, edge
+    /// pieces their values too — and only survivors are scattered into
+    /// the planner-form result. Pending inserts count only if the set
+    /// holds them; hidden rows are cleared as for any read. A block set
+    /// is scattered into a pooled bitmap once, before the walk
+    /// ([`RowIdSet::as_bitmap`]). The read cracks its bounds like any
+    /// other: this is how a table planner filters a candidate set by a
+    /// further predicate and refines that predicate's column.
+    Within(&'a RowIdSet),
     /// The qualifying `(key, rowid)` pairs as raw [`KeyRuns`]: each
     /// visited piece contributes one run in its physical order and nothing
     /// is sorted — the table join hashes the pairs as they come.
@@ -257,7 +270,8 @@ pub enum ReadAnswer {
     Agg(i128),
     /// [`ReadShape::RowIds`], sorted ascending.
     RowIds(Vec<RowId>),
-    /// [`ReadShape::RowIdSet`] or [`ReadShape::Candidates`].
+    /// [`ReadShape::RowIdSet`], [`ReadShape::Candidates`] or
+    /// [`ReadShape::Within`].
     Set(RowIdSet),
     /// [`ReadShape::KeyRuns`].
     Runs(KeyRuns),
@@ -265,7 +279,7 @@ pub enum ReadAnswer {
 
 impl ReadAnswer {
     /// The answer of `shape` over nothing.
-    pub fn empty(shape: ReadShape) -> Self {
+    pub fn empty(shape: ReadShape<'_>) -> Self {
         Self::merge(shape, []).0
     }
 
@@ -282,7 +296,7 @@ impl ReadAnswer {
     /// # Panics
     /// Panics if a part's variant does not match `shape`.
     pub fn merge(
-        shape: ReadShape,
+        shape: ReadShape<'_>,
         parts: impl IntoIterator<Item = (ReadAnswer, QueryMetrics)>,
     ) -> (ReadAnswer, QueryMetrics) {
         let (answers, part_metrics): (Vec<ReadAnswer>, Vec<QueryMetrics>) =
@@ -297,9 +311,9 @@ impl ReadAnswer {
                 rows.sort_unstable();
                 ReadAnswer::RowIds(rows)
             }
-            ReadShape::RowIdSet | ReadShape::Candidates => ReadAnswer::Set(RowIdSet::merge_sets(
-                answers.map(ReadAnswer::into_set).collect(),
-            )),
+            ReadShape::RowIdSet | ReadShape::Candidates | ReadShape::Within(_) => ReadAnswer::Set(
+                RowIdSet::merge_sets(answers.map(ReadAnswer::into_set).collect()),
+            ),
             ReadShape::KeyRuns => {
                 let mut runs = KeyRuns::default();
                 answers.for_each(|part| runs.absorb(part.into_runs()));
@@ -352,7 +366,8 @@ impl ReadAnswer {
     }
 
     /// The row-id set. Panics unless the read was
-    /// [`ReadShape::RowIdSet`] or [`ReadShape::Candidates`].
+    /// [`ReadShape::RowIdSet`], [`ReadShape::Candidates`] or
+    /// [`ReadShape::Within`].
     pub fn into_set(self) -> RowIdSet {
         match self {
             ReadAnswer::Set(set) => set,
@@ -370,16 +385,24 @@ impl ReadAnswer {
 }
 
 /// What one read accumulates while the walk feeds it latched pieces — one
-/// variant per [`ReadShape`], the two set shapes sharing one. The id
-/// shapes append every piece's row ids in physical order: the flat shape
+/// variant per [`ReadShape`], the three set shapes sharing one. The id
+/// shapes append every piece's row ids in physical order (a
+/// [`ReadShape::Within`] read only those its filter holds): the flat shape
 /// sorts them, the set shapes scatter them into a bitmap, which
-/// [`ReadShape::RowIdSet`] then compacts. Key runs stay one run per
-/// piece, which the lazy join merge wants apart.
-pub(super) enum Accumulator {
+/// [`ReadShape::RowIdSet`] then compacts. Key runs stay one run per piece,
+/// which the lazy join merge wants apart.
+pub(super) enum Accumulator<'a> {
     Count(u64),
-    Sum { rows: u64, sum: i128 },
+    Sum {
+        rows: u64,
+        sum: i128,
+    },
     RowIds(Vec<RowId>),
-    IdSet { ids: Vec<RowId>, compact: bool },
+    IdSet {
+        ids: Vec<RowId>,
+        compact: bool,
+        within: Option<Bits<'a>>,
+    },
     PairRuns(Vec<Vec<(i64, RowId)>>),
 }
 
@@ -390,18 +413,27 @@ pub(super) enum DeltaView {
     Rows(PairView),
 }
 
-impl Accumulator {
+impl<'a> Accumulator<'a> {
     /// An empty accumulator; id shapes reserve room for `rows` ids, the
-    /// most the plan's scanned range can yield.
-    fn new(shape: ReadShape, rows: usize) -> Self {
+    /// most the plan's scanned range can yield — a [`ReadShape::Within`]
+    /// read no more than its filter holds. `within` is the bitmap of a
+    /// [`ReadShape::Within`] read's set ([`RowIdSet::as_bitmap`]).
+    fn new(shape: ReadShape<'_>, rows: usize, within: Option<Bits<'a>>) -> Self {
         match shape {
             ReadShape::Count => Accumulator::Count(0),
             ReadShape::Sum => Accumulator::Sum { rows: 0, sum: 0 },
             ReadShape::RowIds => Accumulator::RowIds(Vec::with_capacity(rows)),
-            ReadShape::RowIdSet | ReadShape::Candidates => Accumulator::IdSet {
-                ids: Vec::with_capacity(rows),
-                compact: shape == ReadShape::RowIdSet,
-            },
+            ReadShape::RowIdSet | ReadShape::Candidates | ReadShape::Within(_) => {
+                let most = match shape {
+                    ReadShape::Within(filter) => rows.min(filter.len()),
+                    _ => rows,
+                };
+                Accumulator::IdSet {
+                    ids: Vec::with_capacity(most),
+                    compact: matches!(shape, ReadShape::RowIdSet),
+                    within,
+                }
+            }
             ReadShape::KeyRuns => Accumulator::PairRuns(Vec::new()),
         }
     }
@@ -436,6 +468,11 @@ impl Accumulator {
                 *rows += n;
                 *sum += s;
             }
+            Accumulator::IdSet {
+                ids,
+                within: Some(bits),
+                ..
+            } => data.extend_rowids_within(start, end, filter, *bits, ids),
             Accumulator::RowIds(out) | Accumulator::IdSet { ids: out, .. } => match filter {
                 None => data.extend_rowids(start, end, out),
                 Some((low, high)) => data.extend_rowids_filtered(start, end, low, high, out),
@@ -471,8 +508,19 @@ impl Accumulator {
                 rows.sort_unstable();
                 ReadAnswer::RowIds(rows)
             }
-            (Accumulator::IdSet { ids, compact }, DeltaView::Rows(view)) => {
-                let extra: Vec<RowId> = view.extra.iter().map(|&(_, rowid)| rowid).collect();
+            (
+                Accumulator::IdSet {
+                    ids,
+                    compact,
+                    within,
+                },
+                DeltaView::Rows(view),
+            ) => {
+                let extra = view.extra.iter().map(|&(_, rowid)| rowid);
+                let extra: Vec<RowId> = match within {
+                    Some(bits) => extra.filter(|&rowid| bits.holds(rowid)).collect(),
+                    None => extra.collect(),
+                };
                 let set = RowIdSet::scattered(&[ids], &view.hidden, &extra);
                 ReadAnswer::Set(if compact { set.compact() } else { set })
             }
@@ -513,7 +561,7 @@ impl ColumnRead for Snapshot<'_> {
     /// [`ConcurrentCracker::read`] frozen at the snapshot epoch: rows
     /// inserted or physically placed after it are invisible, rows deleted
     /// or reclaimed after it are restored (ghosts).
-    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+    fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics) {
         self.idx.read(low, high, Some(self.epoch), shape)
     }
 }
@@ -794,7 +842,7 @@ impl ConcurrentCracker {
         low: i64,
         high: i64,
         at: Option<u64>,
-        shape: ReadShape,
+        shape: ReadShape<'_>,
     ) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
         self.queries.fetch_add(1, Ordering::Relaxed);
@@ -803,12 +851,19 @@ impl ConcurrentCracker {
             metrics.total = start.elapsed();
             return (ReadAnswer::empty(shape), metrics);
         }
+        // A `Within` read's filter as one bitmap, scattered (if it is
+        // blocks) once for every seqlock attempt.
+        let filter = match shape {
+            ReadShape::Within(set) => Some(set.as_bitmap()),
+            _ => None,
+        };
+        let within = filter.as_deref().map(RowIdSet::bits);
         let answer = {
             // Register with the quiesce gate for the whole operation:
             // positions resolved by the plan phase stay valid because no
             // compaction can rebuild the array underneath us.
             let _op = self.enter_if_compactable();
-            let count = shape == ReadShape::Count;
+            let count = matches!(shape, ReadShape::Count);
             let mut first = None;
             let plan = (!self.data.is_empty()).then(|| match self.protocol {
                 LatchProtocol::Piece => {
@@ -822,7 +877,7 @@ impl ConcurrentCracker {
             });
             let rows = plan.map_or(0, |plan| plan.end - plan.start);
             let (acc, view) = self.seqlock_retry(&mut metrics, |attempt, valid| {
-                let mut acc = Accumulator::new(shape, rows);
+                let mut acc = Accumulator::new(shape, rows, within);
                 if let Some(plan) = plan {
                     // A retry walks afresh; the version check would catch a
                     // stale batch, but a new one costs the same.
@@ -894,7 +949,7 @@ impl ConcurrentCracker {
         &self,
         plan: MainPlan,
         bounds: (i64, i64),
-        acc: &mut Accumulator,
+        acc: &mut Accumulator<'_>,
         metrics: &mut QueryMetrics,
         first: Option<Span>,
     ) {

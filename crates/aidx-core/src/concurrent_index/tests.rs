@@ -1508,7 +1508,7 @@ fn a_candidates_read_keeps_the_bitmap_a_rowid_set_read_encodes() {
 
 // ----- crack floor ----------------------------------------------------------
 
-const SHAPES: [ReadShape; 6] = [
+const SHAPES: [ReadShape<'static>; 6] = [
     ReadShape::Count,
     ReadShape::Sum,
     ReadShape::RowIds,
@@ -1520,7 +1520,7 @@ const SHAPES: [ReadShape; 6] = [
 /// True if `answer`, a `shape` read of `[low, high)`, is what the oracle's
 /// `(key, rowid)` rows give.
 fn answers_like_the_oracle(
-    shape: ReadShape,
+    shape: ReadShape<'_>,
     answer: ReadAnswer,
     rows: &[(i64, RowId)],
     low: i64,
@@ -1539,6 +1539,10 @@ fn answers_like_the_oracle(
         ReadShape::Sum => answer.into_agg() == hits.iter().map(|&(v, _)| v as i128).sum::<i128>(),
         ReadShape::RowIds => answer.into_rowids() == ids,
         ReadShape::RowIdSet | ReadShape::Candidates => answer.into_set().to_vec() == ids,
+        ReadShape::Within(filter) => {
+            ids.retain(|&id| filter.contains(id));
+            answer.into_set().to_vec() == ids
+        }
         ReadShape::KeyRuns => answer.into_runs().into_sorted_pairs() == hits,
     }
 }

@@ -24,7 +24,7 @@ pub trait ColumnRead {
     /// One `shape` read over `[low, high)`, refining the index as a side
     /// effect — the single read a reader implements; the typed reads
     /// below all go through it.
-    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics);
+    fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics);
 
     /// Q1: count of the live rows whose value falls in `[low, high)`.
     fn count(&self, low: i64, high: i64) -> (u64, QueryMetrics) {
@@ -126,16 +126,16 @@ mod tests {
     use crate::facade::Mutex;
 
     /// An index that implements only the required methods and logs what
-    /// reaches them.
+    /// reaches them (a read's shape by name: a shape may borrow a set).
     #[derive(Default)]
     struct Recorder {
-        reads: Mutex<Vec<(i64, i64, ReadShape)>>,
+        reads: Mutex<Vec<(i64, i64, String)>>,
         writes: Mutex<Vec<WriteOp>>,
     }
 
     impl ColumnRead for Recorder {
-        fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
-            self.reads.lock().push((low, high, shape));
+        fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics) {
+            self.reads.lock().push((low, high, format!("{shape:?}")));
             (ReadAnswer::empty(shape), QueryMetrics::default())
         }
     }
@@ -193,16 +193,15 @@ mod tests {
                 WriteOp::Delete { value: 5 },
             ]
         );
-        assert_eq!(
-            *index.reads.lock(),
-            [
-                (0, 9, ReadShape::RowIds),
-                (0, 9, ReadShape::RowIdSet),
-                (0, 9, ReadShape::KeyRuns),
-                (0, 9, ReadShape::Count),
-                (0, 9, ReadShape::Sum),
-            ]
-        );
+        let shapes = [
+            ReadShape::RowIds,
+            ReadShape::RowIdSet,
+            ReadShape::KeyRuns,
+            ReadShape::Count,
+            ReadShape::Sum,
+        ];
+        let want: Vec<_> = shapes.map(|shape| (0, 9, format!("{shape:?}"))).into();
+        assert_eq!(*index.reads.lock(), want);
         assert!(index.latch_attribution().is_empty());
     }
 }

@@ -55,6 +55,7 @@
 //! builds the sets another drops), so a read allocates no fresh bitmap.
 
 use aidx_cracking::RowId;
+use std::borrow::Cow;
 use std::collections::HashSet;
 // The buffer pool is not a protocol: it is only ever `try_lock`ed, never
 // waited on, and never held across another lock.
@@ -817,6 +818,59 @@ impl RowIdSet {
                 kept.finish()
             }
         }
+    }
+
+    /// The set as one bitmap, for a read that keeps only the row ids in it
+    /// ([`crate::ReadShape::Within`]): a bitmap set as it is, a block set
+    /// scattered once into a pooled bitmap over its span.
+    pub fn as_bitmap(&self) -> Cow<'_, RowIdSet> {
+        match (&self.container, self.first(), self.last()) {
+            (Container::Blocks { .. }, Some(min), Some(max)) => {
+                let mut bits = Scatter::over(min, max);
+                self.for_each_batch(|ids| ids.iter().for_each(|&id| bits.insert(id)));
+                Cow::Owned(bits.finish(false))
+            }
+            _ => Cow::Borrowed(self),
+        }
+    }
+
+    /// The bits of a set [`RowIdSet::as_bitmap`] returned.
+    ///
+    /// # Panics
+    /// Panics on a non-empty block set.
+    pub(crate) fn bits(&self) -> Bits<'_> {
+        match &self.container {
+            Container::Bitmap { base, words, .. } => Bits {
+                base: *base,
+                words: &words.0,
+            },
+            Container::Blocks { .. } => {
+                assert!(self.is_empty(), "a block set has no bits: see as_bitmap");
+                Bits {
+                    base: 0,
+                    words: &[0],
+                }
+            }
+        }
+    }
+}
+
+/// A bitmap's words (at least one) and the id of their first bit: what a
+/// [`crate::ReadShape::Within`] read tests every row id it walks against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bits<'a> {
+    base: RowId,
+    words: &'a [u64],
+}
+
+impl Bits<'_> {
+    /// True when `id` is in the bitmap, without a branch: an id below the
+    /// base wraps past the span, and the word index is clamped into it.
+    #[inline(always)]
+    pub(crate) fn holds(&self, id: RowId) -> bool {
+        let bit = id.wrapping_sub(self.base) as usize;
+        let word = self.words[(bit / 64).min(self.words.len() - 1)];
+        (bit < self.words.len() * 64) & (word >> (bit % 64) & 1 == 1)
     }
 }
 

@@ -24,8 +24,8 @@
 //!   piece that covers the range.
 //! * A thread may call a reading range operation (`sum_range`,
 //!   `count_sum_filtered`, `values_in_range`, `rowids_in_range`,
-//!   `extend_rowids`) only while holding the **read or write** latch of
-//!   the piece(s) covering the range.
+//!   `extend_rowids`, `extend_rowids_within`) only while holding the
+//!   **read or write** latch of the piece(s) covering the range.
 //! * Piece latches are managed by [`crate::concurrent_index::ConcurrentCracker`];
 //!   pieces never overlap, so latched ranges never overlap.
 //!
@@ -47,6 +47,7 @@
 //! `ConcurrentCracker`, which is what the test suite exercises heavily under
 //! many threads.
 
+use crate::rowid_set::Bits;
 use aidx_cracking::RowId;
 use std::cell::UnsafeCell;
 use std::collections::HashSet;
@@ -64,6 +65,25 @@ const SPLIT_SUM_ROWS: usize = u32::MAX as usize;
 /// zero: a value is `high·2^32 + low − sign·2^64`.
 fn split_sum(low_half: u64, high_half: u64, negative: u64) -> i128 {
     low_half as i128 + ((high_half as i128) << 32) - ((negative as i128) << 64)
+}
+
+/// Row ids per batch of [`SharedCrackerArray::extend_rowids_within`].
+const KEEP_BATCH: usize = 64;
+
+/// Appends to `out` the ids of one batch (at most [`KEEP_BATCH`]) for
+/// which `hit(index, id)` holds, without a branch: every id is written to
+/// the next free slot of a stack buffer, which advances only past a hit,
+/// and the hits are copied out in one slice.
+#[inline(always)]
+fn keep_hits(ids: &[RowId], out: &mut Vec<RowId>, hit: impl Fn(usize, RowId) -> bool) {
+    let mut kept = [0 as RowId; KEEP_BATCH];
+    let mut n = 0;
+    for (i, &id) in ids.iter().enumerate() {
+        // `n <= i < KEEP_BATCH`: the mask only spares the bounds check.
+        kept[n & (KEEP_BATCH - 1)] = id;
+        n += usize::from(hit(i, id));
+    }
+    out.extend_from_slice(&kept[..n]);
 }
 
 /// A fixed-size (value, row-id) pair of arrays with interior mutability,
@@ -571,27 +591,27 @@ impl SharedCrackerArray {
         out
     }
 
-    /// Copies the row ids in `[start, end)` out of the array.
-    pub fn rowids_in_range(&self, start: usize, end: usize) -> Vec<RowId> {
-        let mut out = Vec::new();
-        self.extend_rowids(start, end, &mut out);
-        out
-    }
-
-    /// Appends the row ids in `[start, end)` to `out`.
-    pub fn extend_rowids(&self, start: usize, end: usize, out: &mut Vec<RowId>) {
+    /// The row ids in `[start, end)`, for the read kernels. Caller must
+    /// hold read or write latches covering the range for as long as it
+    /// uses the slice.
+    fn rowids_in(&self, start: usize, end: usize) -> &[RowId] {
         assert!(
             start <= end && end <= self.len(),
             "read range out of bounds"
         );
-        let rowids = self.rowids_ptr();
-        out.reserve(end - start);
-        // SAFETY: bounds checked above; shared access guaranteed by latches.
-        unsafe {
-            for i in start..end {
-                out.push(*rowids.add(i));
-            }
-        }
+        // SAFETY: bounds checked above; the caller's latches keep every
+        // writer out of the range while the slice is in use.
+        unsafe { std::slice::from_raw_parts(self.rowids_ptr().add(start), end - start) }
+    }
+
+    /// Copies the row ids in `[start, end)` out of the array.
+    pub fn rowids_in_range(&self, start: usize, end: usize) -> Vec<RowId> {
+        self.rowids_in(start, end).to_vec()
+    }
+
+    /// Appends the row ids in `[start, end)` to `out`: one slice copy.
+    pub fn extend_rowids(&self, start: usize, end: usize, out: &mut Vec<RowId>) {
+        out.extend_from_slice(self.rowids_in(start, end));
     }
 
     /// Appends to `out` the row ids in `[start, end)` whose value satisfies
@@ -605,20 +625,46 @@ impl SharedCrackerArray {
         high: i64,
         out: &mut Vec<RowId>,
     ) {
-        assert!(
-            start <= end && end <= self.len(),
-            "read range out of bounds"
+        let values = self.values_in(start, end);
+        let hits = values.iter().zip(self.rowids_in(start, end));
+        out.extend(
+            hits.filter(|(&v, _)| v >= low && v < high)
+                .map(|(_, &id)| id),
         );
-        let values = self.values_ptr();
-        let rowids = self.rowids_ptr();
-        // SAFETY: bounds checked above; shared access guaranteed by latches.
-        unsafe {
-            for i in start..end {
-                let v = *values.add(i);
-                if v >= low && v < high {
-                    out.push(*rowids.add(i));
+    }
+
+    /// Appends to `out` the row ids in `[start, end)` that `filter` holds
+    /// and, given `bounds` (an edge piece), whose value lies in them —
+    /// the walk of a [`crate::ReadShape::Within`] read. Without bounds
+    /// only row ids are read. Each row is a bit test and, on an edge, an
+    /// unsigned compare, with no branch ([`keep_hits`]). An empty key
+    /// range (`high <= low`) keeps nothing.
+    pub(crate) fn extend_rowids_within(
+        &self,
+        start: usize,
+        end: usize,
+        bounds: Option<(i64, i64)>,
+        filter: Bits<'_>,
+        out: &mut Vec<RowId>,
+    ) {
+        let rowids = self.rowids_in(start, end);
+        match bounds {
+            None => {
+                for ids in rowids.chunks(KEEP_BATCH) {
+                    keep_hits(ids, out, |_, id| filter.holds(id));
                 }
             }
+            Some((low, high)) if low < high => {
+                // `low <= v < high` iff `v − low`, wrapped, is below the width.
+                let width = high.wrapping_sub(low) as u64;
+                let values = self.values_in(start, end);
+                for (ids, values) in rowids.chunks(KEEP_BATCH).zip(values.chunks(KEEP_BATCH)) {
+                    keep_hits(ids, out, |i, id| {
+                        ((values[i].wrapping_sub(low) as u64) < width) & filter.holds(id)
+                    });
+                }
+            }
+            Some(_) => {}
         }
     }
 

@@ -73,12 +73,14 @@ impl RoutingTable {
 
     /// One `shape` read over `[low, high)`: each overlapping partition
     /// reads its clipped range (at `epochs[p]`, if given) on the calling
-    /// thread, and the parts merge with [`ReadAnswer::merge`].
+    /// thread, and the parts merge with [`ReadAnswer::merge`]: every
+    /// partition of a [`ReadShape::Within`] read tests the same filter,
+    /// and the parts' sets OR together.
     fn read(
         &self,
         low: i64,
         high: i64,
-        shape: ReadShape,
+        shape: ReadShape<'_>,
         epochs: Option<&[u64]>,
     ) -> (ReadAnswer, QueryMetrics) {
         let overlapping = if low < high {
@@ -254,7 +256,7 @@ impl ColumnRead for RangePartitionedCracker {
     /// against the partitions the range overlaps (clipped per partition)
     /// — partitions outside it are never touched — and merged
     /// ([`ReadAnswer::merge`]).
-    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+    fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
         let (answer, mut metrics) = self.table.read(low, high, shape, None);
         metrics.total = start.elapsed();
@@ -343,7 +345,7 @@ impl fmt::Debug for RangeSnapshot<'_> {
 
 impl ColumnRead for RangeSnapshot<'_> {
     /// A routed read with every partition answering at its pinned epoch.
-    fn read(&self, low: i64, high: i64, shape: ReadShape) -> (ReadAnswer, QueryMetrics) {
+    fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
         let (answer, mut metrics) = self.table.read(low, high, shape, Some(&self.epochs));
         metrics.total = start.elapsed();

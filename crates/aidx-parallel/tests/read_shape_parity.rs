@@ -7,7 +7,10 @@
 //! `Sum ==` Σ keys of the runs, `RowIdSet.to_vec() == RowIds ==` sorted
 //! rowids of the runs — all equal to a scan oracle over the logical rows.
 //! The planner-form `Candidates` set holds the same rows, and compacting
-//! it gives the `RowIdSet` shape's container and footprint.
+//! it gives the `RowIdSet` shape's container and footprint. A `Within`
+//! read holds exactly the `Candidates` rows its filter holds, for filters
+//! in both containers, filters holding ids of no row, and the empty
+//! filter — with pending inserts and tombstones in the delta.
 //!
 //! **One write stream**: one seeded [`WriteOp`] sequence must report the
 //! same rows affected, op for op, and leave the same rows behind on every
@@ -15,11 +18,11 @@
 
 use aidx_core::{
     ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape,
-    RefinementPolicy, WriteOp,
+    RefinementPolicy, RowIdSet, WriteOp,
 };
 use aidx_cracking::RowId;
 use aidx_parallel::RangePartitionedCracker;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// The two counters the write body needs that [`Index`] does not expose.
 trait Counted: Index {
@@ -61,8 +64,21 @@ fn keyed_rows(n: usize) -> BTreeMap<RowId, i64> {
     rows.map(|(i, key)| (i as RowId, key)).collect()
 }
 
+/// The filters a [`ReadShape::Within`] read is checked with: a bitmap of
+/// every third id up to past the largest row id (so it holds ids of no
+/// row too), a block set of every other row id, and the empty set.
+fn within_filters(rows: &BTreeMap<RowId, i64>) -> [RowIdSet; 3] {
+    let top = rows.keys().last().map_or(0, |&max| max + 64);
+    let every_third: Vec<RowId> = (0..top).step_by(3).collect();
+    let bitmap = RowIdSet::from_runs(&[every_third], &HashSet::new(), &[]);
+    let every_other: Vec<RowId> = rows.keys().copied().step_by(2).collect();
+    let blocks = RowIdSet::from_sorted(&every_other);
+    assert!(bitmap.is_bitmap() && !blocks.is_bitmap());
+    [bitmap, blocks, RowIdSet::default()]
+}
+
 /// Reads `[low, high)` in every shape through `reader` and checks the
-/// six answers — and the sizes their metrics report — against each other
+/// seven answers — and the sizes their metrics report — against each other
 /// and against a scan of `rows` (rowid → key). Returns how many non-empty
 /// row-id sets came back as bitmaps and how many as blocks.
 fn assert_shapes_agree(
@@ -72,6 +88,7 @@ fn assert_shapes_agree(
     ranges: &[(i64, i64)],
 ) -> (usize, usize) {
     let (mut bitmaps, mut blocks) = (0, 0);
+    let filters = within_filters(rows);
     for &(low, high) in ranges {
         let at = format!("{label} [{low},{high})");
         let expected: Vec<RowId> = rows
@@ -114,7 +131,8 @@ fn assert_shapes_agree(
 
         let (candidates, m) = read(ReadShape::Candidates);
         let candidates = candidates.into_set();
-        assert_eq!(candidates.to_vec(), expected, "{at} candidates contents");
+        let candidate_ids = candidates.to_vec();
+        assert_eq!(candidate_ids, expected, "{at} candidates contents");
         assert_eq!(m.result_count, n, "{at} candidates metrics");
         assert_eq!(
             m.candidate_set_bytes,
@@ -127,6 +145,29 @@ fn assert_shapes_agree(
             (set.is_bitmap(), set.heap_bytes()),
             "{at} compacted candidates"
         );
+
+        for filter in &filters {
+            let kept: Vec<RowId> = candidate_ids
+                .iter()
+                .copied()
+                .filter(|&id| filter.contains(id))
+                .collect();
+            let (within, m) = read(ReadShape::Within(filter));
+            let within = within.into_set();
+            let form = if filter.is_bitmap() {
+                "bitmap"
+            } else {
+                "blocks"
+            };
+            let at = format!("{at} within {} {form}", filter.len());
+            assert_eq!(within.to_vec(), kept, "{at} contents");
+            assert_eq!(m.result_count, kept.len() as u64, "{at} metrics");
+            assert_eq!(
+                m.candidate_set_bytes,
+                within.heap_bytes() as u64,
+                "{at} footprint"
+            );
+        }
 
         let (runs, m) = read(ReadShape::KeyRuns);
         let runs = runs.into_runs();

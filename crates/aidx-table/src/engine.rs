@@ -11,25 +11,25 @@
 //! [`RowIdSet`] in the planner form ([`ReadShape::Candidates`]): the
 //! bitmap the read scattered, or blocks when the ids are sparser than one
 //! per 1 024 of span (no predicates yield every live row as the same
-//! dense set). The plan never compacts it: intersections and projections
-//! of planner-form sets stay bitmaps, the join filter tests their bits,
-//! and the select's result decodes them once; every further predicate
-//! either
+//! dense set). The plan never compacts it: every set it builds stays in
+//! the planner form, the join filter tests their bits, and the select's
+//! result decodes the last one once. Every further predicate either
 //!
-//! * **intersects** its own column's rowid set (cracking that column as
-//!   a side effect — the adaptive-indexing bet: later queries get ever
-//!   cheaper). The intersection follows the containers: two bitmaps AND
-//!   word by word, a bitmap tests the other side's ids bit by bit, and
-//!   two block sets gallop when one side is much smaller — leapfrog
-//!   seeks that skip whole compressed blocks of the larger side — or
-//!   merge linearly when the sides are comparable; or
+//! * **reads its own column `Within` the candidates**
+//!   ([`ReadShape::Within`]): the read cracks the column at the
+//!   predicate's bounds like any other — the adaptive-indexing bet:
+//!   later queries get ever cheaper — and its piece walk tests each row
+//!   id against the candidates' bitmap, so only the candidates among the
+//!   predicate's rows are scattered into the next candidate set. No
+//!   second full set is built and no intersection runs; or
 //! * **projects**: probes the row store (`tuple[col]` per candidate, 64
-//!   candidates per batch) instead, at the cost of refining nothing. The
-//!   switch weighs counts, not clocks: a probe is taken to cost 3/2 of a
-//!   row read from the predicate's column, so the predicate projects
-//!   when `candidates × 3 < rows × 2`, where `rows` is its estimated
-//!   result: the driver's result scaled by the two predicates' widths
-//!   (the same uniform-domain assumption as the ordering).
+//!   candidates per batch) instead, at the cost of refining nothing.
+//!
+//! The switch weighs counts, not clocks: a probe is taken to cost 8 rows
+//! of a `Within` read (`PROJECTION_WEIGHTS`), so the predicate projects
+//! when `candidates × 8 < rows`, where `rows` is its estimated result: the
+//! driver's result scaled by the two predicates' widths (the same
+//! uniform-domain assumption as the ordering).
 //!
 //! A join plans each side's filter stack the same way and hashes the side
 //! whose key-run read returned fewer rows (see
@@ -58,8 +58,8 @@
 use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
 use aidx_core::facade::{Mutex, MutexGuard, RwLock};
 use aidx_core::{
-    dcheck, intersect_sets, ColumnRead, CompactionPolicy, Index, IntersectStrategy, KeyRuns,
-    LatchProtocol, QueryMetrics, ReadShape, RowIdSet,
+    dcheck, ColumnRead, CompactionPolicy, Index, KeyRuns, LatchProtocol, QueryMetrics, ReadShape,
+    RowIdSet,
 };
 use aidx_cracking::RowId;
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
@@ -70,11 +70,16 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Projection vs. intersection, as `(probe, read)` weights per row: one
-/// row-store probe (a column load by row id; only an inserted row adds a
-/// hash-overlay lookup) costs 3/2 of one row read from a cracked column's
-/// rowid set.
-const PROJECTION_WEIGHTS: (u128, u128) = (3, 2);
+/// Projection vs. a [`ReadShape::Within`] read, as `(probe, read)`
+/// weights per row: one row-store probe of a candidate (a column load by
+/// row id, a cache miss once the candidates are sparse; an inserted row
+/// adds a hash-overlay lookup) costs about 8 rows of the predicate's own
+/// column read `Within` the candidates (crack, walk, bit test, scatter
+/// and delta fold together). Measured on the benchmark's `table_mixed`
+/// (2 vCPUs, seed 7) with the weights set to 5, 8, 12 and 16 to 1: 42–64
+/// ns per projected candidate against 6.4–7.9 ns per expected row of a
+/// `Within` read (sweep in CHANGES.md).
+const PROJECTION_WEIGHTS: (u128, u128) = (8, 1);
 
 /// Which single-column concurrency design backs every column index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,8 +177,6 @@ pub struct TableEngine {
     lazy_pins: bool,
     /// Cumulative compressed candidate-set bytes over all selects.
     candidate_set_bytes_total: AtomicU64,
-    /// Cumulative compressed blocks bypassed by galloping intersections.
-    blocks_skipped_total: AtomicU64,
     /// Joins executed: the engine's join / the nested-loop baseline.
     joins: AtomicU64,
     joins_nested: AtomicU64,
@@ -243,7 +246,6 @@ impl TableEngine {
             pins: Mutex::new(PinLedger::default()),
             lazy_pins: false,
             candidate_set_bytes_total: AtomicU64::new(0),
-            blocks_skipped_total: AtomicU64::new(0),
             joins: AtomicU64::new(0),
             joins_nested: AtomicU64::new(0),
         }
@@ -672,16 +674,15 @@ impl TableEngine {
     /// One merged structure probe across every column index: "piece
     /// count" means total pieces over all columns, delta pressure is
     /// summed, and partitioned backends contribute their routed load.
-    /// The candidate-set counters are engine-level (column indexes
-    /// report 0 for them): cumulative compressed footprint and
-    /// galloping block skips over every select so far.
+    /// The candidate-set footprint is engine-level (column indexes report
+    /// 0 for it): cumulative over every select so far. No plan intersects
+    /// two sets, so no blocks are skipped.
     pub fn structure_probe(&self) -> StructureProbe {
         let mut probe = StructureProbe::default();
         for index in &self.indexes {
             probe.merge(&index.structure_probe());
         }
         probe.candidate_set_bytes = self.candidate_set_bytes_total.load(Ordering::Relaxed);
-        probe.blocks_skipped = self.blocks_skipped_total.load(Ordering::Relaxed);
         probe
     }
 
@@ -762,7 +763,7 @@ impl<'e> Cut<'e> {
         let mut ordered: Vec<ColumnPredicate> = predicates.to_vec();
         ordered.sort_by_key(ColumnPredicate::width);
         let driver = ordered.first().copied()?;
-        let mut candidates = self.column_read(&driver, metrics);
+        let mut candidates = self.column_read(&driver, ReadShape::Candidates, metrics);
         // Rows per unit of width, as the driver's read found them.
         let (driver_rows, driver_width) = (candidates.len() as u128, driver.width().max(1));
         for predicate in &ordered[1..] {
@@ -771,22 +772,13 @@ impl<'e> Cut<'e> {
             }
             let rows = driver_rows * u128::from(predicate.width()) / u128::from(driver_width);
             let rows = u64::try_from(rows).unwrap_or(u64::MAX);
-            if prefer_projection(candidates.len(), rows) {
-                candidates = engine.project_filter(&candidates, predicate);
+            candidates = if prefer_projection(candidates.len(), rows) {
+                engine.project_filter(&candidates, predicate)
             } else {
-                // Rowid-set intersection: crack the predicate's own
-                // column and intersect the two compressed sets, galloping
-                // from the smaller side when the skew warrants it.
-                let rows = self.column_read(predicate, metrics);
-                let (merged, stats) =
-                    intersect_sets(&candidates, &rows, IntersectStrategy::Adaptive);
-                metrics.blocks_skipped =
-                    metrics.blocks_skipped.saturating_add(stats.blocks_skipped);
-                engine
-                    .blocks_skipped_total
-                    .fetch_add(stats.blocks_skipped, Ordering::Relaxed);
-                candidates = merged;
-            }
+                // Crack the predicate's own column and keep the
+                // candidates among its rows inside the walk.
+                self.column_read(predicate, ReadShape::Within(&candidates), metrics)
+            };
         }
         Some(candidates)
     }
@@ -795,18 +787,22 @@ impl<'e> Cut<'e> {
     /// filter stack. The full-domain range is exact because keys are
     /// `< i64::MAX` by the engine's key-domain contract.
     fn every_row(&self, column: usize, metrics: &mut QueryMetrics) -> RowIdSet {
-        self.column_read(&ColumnPredicate::new(column, i64::MIN, i64::MAX), metrics)
+        let everything = ColumnPredicate::new(column, i64::MIN, i64::MAX);
+        self.column_read(&everything, ReadShape::Candidates, metrics)
     }
 
-    /// One predicate's candidate set, read through its column in the
-    /// planner form ([`ReadShape::Candidates`]): used and dropped within
-    /// this plan, so never compacted.
-    fn column_read(&self, predicate: &ColumnPredicate, metrics: &mut QueryMetrics) -> RowIdSet {
-        let (answer, m) = self.column(predicate.column).read(
-            predicate.low,
-            predicate.high,
-            ReadShape::Candidates,
-        );
+    /// One predicate's rows as a set in the planner form —
+    /// [`ReadShape::Candidates`], or [`ReadShape::Within`] a candidate set:
+    /// used and dropped within this plan, so never compacted.
+    fn column_read(
+        &self,
+        predicate: &ColumnPredicate,
+        shape: ReadShape<'_>,
+        metrics: &mut QueryMetrics,
+    ) -> RowIdSet {
+        let (answer, m) = self
+            .column(predicate.column)
+            .read(predicate.low, predicate.high, shape);
         metrics.accumulate(&m);
         answer.into_set()
     }
@@ -881,7 +877,8 @@ impl JoinSide<'_, '_> {
             None => {
                 let (low, high) = self.window;
                 let window = ColumnPredicate::new(self.col, low, high);
-                self.cut.column_read(&window, metrics).to_vec()
+                let shape = ReadShape::Candidates;
+                self.cut.column_read(&window, shape, metrics).to_vec()
             }
         }
     }
@@ -895,7 +892,7 @@ impl JoinSide<'_, '_> {
 
 /// True when probing the row store once per candidate is estimated
 /// cheaper than reading the `rows` rows the predicate's own column read
-/// is expected to return: `candidates × 3 < rows × 2`
+/// is expected to return: `candidates × 8 < rows × 1`
 /// ([`PROJECTION_WEIGHTS`]).
 fn prefer_projection(candidates: usize, rows: u64) -> bool {
     let (probe, read) = PROJECTION_WEIGHTS;
@@ -989,15 +986,15 @@ mod tests {
         );
     }
 
-    /// The switch is the pure inequality `candidates × 3 < rows × 2`: at
-    /// equality the predicate intersects, and one more expected row makes
-    /// it project.
+    /// The switch is the pure inequality `candidates × 8 < rows × 1`: at
+    /// equality the predicate reads `Within` the candidates, and one more
+    /// expected row makes it project.
     #[test]
     fn the_projection_switch_scales_the_read_cost_by_the_expected_rows() {
-        assert!(!prefer_projection(100, 150), "equal cost intersects");
-        assert!(prefer_projection(100, 151));
-        assert!(!prefer_projection(2, 3));
-        assert!(prefer_projection(2, 4));
+        assert!(!prefer_projection(100, 800), "equal cost reads the column");
+        assert!(prefer_projection(100, 801));
+        assert!(!prefer_projection(2, 16));
+        assert!(prefer_projection(2, 17));
         assert!(!prefer_projection(1, 0));
         assert!(prefer_projection(0, 1));
         assert!(
@@ -1108,11 +1105,13 @@ mod tests {
         assert_eq!(hash_join(&large, &small), [(7, 101), (3, 100), (9, 101)]);
     }
 
-    /// A select pinned before a delete of an inserted tuple still resolves
-    /// the tuple through the row store: its projection must keep the row,
-    /// and the entry is reclaimed only when the cut closes.
-    #[test]
-    fn a_live_cut_keeps_a_deleted_inserted_tuple_in_the_row_store() {
+    /// Inserts a tuple into a two-row table, pins a cut, deletes the
+    /// tuple from another thread and plans `predicates` (the driver on
+    /// column a finds all three rows) at the cut: the pinned select still
+    /// returns the tuple, and its row-store entry is reclaimed only when
+    /// the cut closes. Returns the rows the plan's column reads returned:
+    /// the driver's 3, plus what column b returned if it was read.
+    fn plan_at_a_cut_across_a_delete(predicates: [ColumnPredicate; 2]) -> u64 {
         let engine = TableEngine::new(
             "r",
             vec![("a".into(), vec![1, 2]), ("b".into(), vec![10, 70])],
@@ -1133,25 +1132,43 @@ mod tests {
             Some(vec![5, 50]),
             "a live cut reaches it"
         );
-        // The driver a ∈ [0, 10) finds 3 candidates, so b ∈ [40, 60) is
-        // expected to return 6 rows: 3 × 3 < 6 × 2, and b projects.
-        let predicates = [
-            ColumnPredicate::new(0, 0, 10),
-            ColumnPredicate::new(1, 40, 60),
-        ];
-        let b_pieces = || engine.column_index(1).structure_probe().piece_count();
-        let pieces_before = b_pieces();
         let mut metrics = QueryMetrics::default();
         let got = cut.candidates_for(&predicates, &mut metrics).unwrap();
         assert_eq!(got.to_vec(), [rowid], "the pinned select still returns it");
-        assert_eq!(
-            b_pieces(),
-            pieces_before,
-            "column b was projected, not read and cracked"
-        );
         let now = engine.execute(&TableOp::SelectMulti(predicates.to_vec()));
         assert!(now.rowids.is_empty() && now.epoch == deleted.epoch);
         drop(cut);
         assert_eq!(engine.tuple(rowid), None, "reclaimed once the cut closed");
+        metrics.result_count
+    }
+
+    /// A select pinned before a delete of an inserted tuple still resolves
+    /// the tuple through the row store. The driver a ∈ [1, 6) finds 3
+    /// candidates, so b ∈ [11, 69) is expected to return 3 × 58 / 5 = 34
+    /// rows: 3 × 8 < 34, and b projects.
+    #[test]
+    fn a_live_cut_keeps_a_deleted_inserted_tuple_in_the_row_store() {
+        assert!(prefer_projection(3, 34));
+        let predicates = [
+            ColumnPredicate::new(0, 1, 6),
+            ColumnPredicate::new(1, 11, 69),
+        ];
+        let rows = plan_at_a_cut_across_a_delete(predicates);
+        assert_eq!(rows, 3, "only the driver read its column: b was projected");
+    }
+
+    /// The same tuple found by reading its column `Within` the candidates
+    /// at the cut, where the delete is not yet visible: b ∈ [40, 60) is
+    /// expected to return 6 rows, 3 × 8 ≥ 6, and the pinned read keeps the
+    /// tuple's pending insert because the candidates hold its row id.
+    #[test]
+    fn a_live_cut_finds_a_deleted_inserted_tuple_within_its_candidates() {
+        assert!(!prefer_projection(3, 6));
+        let predicates = [
+            ColumnPredicate::new(0, 0, 10),
+            ColumnPredicate::new(1, 40, 60),
+        ];
+        let rows = plan_at_a_cut_across_a_delete(predicates);
+        assert_eq!(rows, 3 + 1, "b was read Within the candidates");
     }
 }

@@ -12,8 +12,8 @@
 //! select count(*) from R where v1 <= A < v2 and w1 <= B < w2 and ...
 //! ```
 //!
-//! by cracking the most selective column first and intersecting rowid
-//! sets — the workload shape Stochastic Database Cracking (Halim et al.)
+//! by cracking the most selective column first and filtering its rowid
+//! set through every further predicate's column read — the workload shape Stochastic Database Cracking (Halim et al.)
 //! and Main Memory Adaptive Indexing for Multi-core Systems (Alvarez et
 //! al.) evaluate on.
 //!
@@ -30,10 +30,10 @@
 //! * [`TableOp`] / [`TableOpResult`] — the table-level operation set:
 //!   multi-predicate selects, whole-tuple inserts, key-predicate
 //!   deletes, and key/FK equi-joins against another table engine.
-//! * [`TableEngine`] — the engine: planner (most-selective-first, rowid
-//!   intersection, aligned projection when the candidates are few
-//!   against the rows a predicate would read — a rule on counts, so
-//!   plans never depend on timing), a row store for tuple
+//! * [`TableEngine`] — the engine: planner (most-selective-first, each
+//!   further predicate's column read `Within` the candidates, aligned
+//!   projection when the candidates are few against the rows a predicate
+//!   would read — a rule on counts, so plans never depend on timing), a row store for tuple
 //!   reconstruction, and positionally aligned writes
 //!   (one insert/delete per column per tuple, each under that column's
 //!   own latch protocol) serialised by a writer mutex that reads hold
