@@ -1077,22 +1077,20 @@ fn gallop_frontier_regression_concurrent_build() {
 }
 
 // ---------------------------------------------------------------------------
-// Range router: a fixed routing table read without a lock
+// Range partitions as build cracks: one cracker, one epoch per pin
 // ---------------------------------------------------------------------------
 
-/// The real range router on a static two-partition
-/// `RangePartitionedCracker` over eight values. Thread C counts
-/// the whole key range, which straddles both partitions; threads I and J
-/// each insert one key, into different partitions; thread P pins the
-/// index before either insert starts (the inserts wait on its signal) and
-/// counts through the pin. The routing table is immutable and read with
-/// no lock, so each read clips to both partitions and each partition
-/// answers on its own latches: the live count sees each insert or not
-/// (N, N + 1 or N + 2 rows), and the pinned count, with every partition
-/// answering at the epoch registered before the inserts, sees exactly N.
-/// One preemption, exhaustively.
+/// The real `RangePartitionedCracker` over eight values: one piece-latched
+/// cracker, cracked at its one range split when it is built. Thread C
+/// counts the whole key range, which straddles the build crack; threads I
+/// and J each insert one key, one on either side of the crack; thread P
+/// pins the column before either insert starts (the inserts wait on its
+/// signal) and counts through the pin. The live count sees each insert or
+/// not (N, N + 1 or N + 2 rows), and the pinned count, answering at the
+/// one epoch registered before the inserts, sees exactly N. One
+/// preemption, exhaustively.
 #[test]
-fn real_range_router_straddling_and_pinned_reads_race_two_inserts() {
+fn real_pre_cracked_column_straddling_and_pinned_reads_race_two_inserts() {
     let column = vec![9, 3, 7, 1, 8, 2, 6, 4];
     let n = column.len() as u64;
     let one_preemption = ExploreConfig {
@@ -1102,7 +1100,8 @@ fn real_range_router_straddling_and_pinned_reads_race_two_inserts() {
     let report = explore(one_preemption, move || {
         let idx = Arc::new(RangePartitionedCracker::new(column.clone(), 2));
         let split = idx.splits()[0];
-        assert_eq!(idx.splits().len(), 1, "two partitions");
+        assert_eq!(idx.splits().len(), 1, "two ranges");
+        assert_eq!(idx.structure_probe().piece_count(), 2, "one build crack");
         let pinned = Arc::new((CheckedMutex::new(false), CheckedCondvar::new()));
         let insert = |key: i64| {
             let (idx, pinned) = (Arc::clone(&idx), Arc::clone(&pinned));
@@ -1130,6 +1129,7 @@ fn real_range_router_straddling_and_pinned_reads_race_two_inserts() {
             .thread(above)
             .thread(move || {
                 let snap = p.pin();
+                assert_eq!(p.structure_probe().live_snapshots, 1, "one epoch");
                 let (opened, signal) = &*pinned;
                 *opened.lock() = true;
                 signal.notify_all();
@@ -1138,7 +1138,8 @@ fn real_range_router_straddling_and_pinned_reads_race_two_inserts() {
             })
             .finale(move || {
                 assert_eq!(idx.count(i64::MIN, i64::MAX).0, n + 2, "rows lost");
-                assert_eq!(idx.partition_sizes().iter().sum::<usize>() as u64, n + 2);
+                assert_eq!(idx.len() as u64, n + 2);
+                assert_eq!(idx.structure_probe().live_snapshots, 0);
                 assert!(idx.check_invariants());
             })
     });

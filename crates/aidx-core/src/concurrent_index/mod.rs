@@ -223,6 +223,46 @@ impl ConcurrentCracker {
         self
     }
 
+    /// Cracks the array at every key of `splits` before the index is
+    /// shared (builder style): a coarse range partitioning done up front,
+    /// inside whose ranges reads go on cracking. Each key partitions its
+    /// range in place with the branch-free block kernel, the middle key
+    /// first and each half recursively, so `k` keys cost O(n log k); the
+    /// cracks are then installed as ordinary pieces. Keys may come
+    /// unsorted or repeated; a key at or below every row cracks at
+    /// position 0, one above every row at the end. No read runs: no pivot
+    /// crack, and [`ConcurrentCracker::crack_count`] stays 0.
+    ///
+    /// # Panics
+    /// Panics unless the index is as built: one piece and an empty delta.
+    pub fn with_cracks(self, splits: &[i64]) -> Self {
+        assert!(
+            self.piece_count() == 1 && self.hole_count() == 0 && self.delta_rows() == 0,
+            "build cracks go on an index as built"
+        );
+        let mut keys = splits.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut cracks = Vec::with_capacity(keys.len());
+        self.crack_at(0, self.data.len(), &keys, &mut cracks);
+        self.dir.split(0, &cracks);
+        self
+    }
+
+    /// Partitions `[start, end)` at the middle of `keys` (ascending), then
+    /// each side at its half of the rest, appending the cracks in key
+    /// order.
+    fn crack_at(&self, start: usize, end: usize, keys: &[i64], cracks: &mut Vec<(i64, usize)>) {
+        let Some(&key) = keys.get(keys.len() / 2) else {
+            return;
+        };
+        let (below, above) = (&keys[..keys.len() / 2], &keys[keys.len() / 2 + 1..]);
+        let pos = self.data.crack_in_two_range(start, end, key);
+        self.crack_at(start, pos, below, cracks);
+        cracks.push((key, pos));
+        self.crack_at(pos, end, above, cracks);
+    }
+
     /// Sets the delta compaction policy on an existing (exclusively owned)
     /// index.
     pub fn set_compaction(&mut self, compaction: CompactionPolicy) {

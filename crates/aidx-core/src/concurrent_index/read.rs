@@ -280,52 +280,14 @@ pub enum ReadAnswer {
 impl ReadAnswer {
     /// The answer of `shape` over nothing.
     pub fn empty(shape: ReadShape<'_>) -> Self {
-        Self::merge(shape, []).0
-    }
-
-    /// Fan-in of one `shape` read executed across partitions:
-    /// partial answers are summed / concatenated and re-sorted / united
-    /// with [`RowIdSet::merge_sets`] (bitmaps word-OR; planner-form parts
-    /// stay uncompacted) / absorbed run by run (key runs stay unsorted),
-    /// the parts' metrics are summed with
-    /// [`QueryMetrics::accumulate`], and the result size and candidate-set
-    /// footprint are those of the *merged* answer the caller receives, not
-    /// the sum of the transient parts. Callers that time the whole read
-    /// overwrite `total`.
-    ///
-    /// # Panics
-    /// Panics if a part's variant does not match `shape`.
-    pub fn merge(
-        shape: ReadShape<'_>,
-        parts: impl IntoIterator<Item = (ReadAnswer, QueryMetrics)>,
-    ) -> (ReadAnswer, QueryMetrics) {
-        let (answers, part_metrics): (Vec<ReadAnswer>, Vec<QueryMetrics>) =
-            parts.into_iter().unzip();
-        let answers = answers.into_iter();
-        let merged = match shape {
-            ReadShape::Count | ReadShape::Sum => {
-                ReadAnswer::Agg(answers.map(ReadAnswer::into_agg).sum())
+        match shape {
+            ReadShape::Count | ReadShape::Sum => ReadAnswer::Agg(0),
+            ReadShape::RowIds => ReadAnswer::RowIds(Vec::new()),
+            ReadShape::RowIdSet | ReadShape::Candidates | ReadShape::Within(_) => {
+                ReadAnswer::Set(RowIdSet::default())
             }
-            ReadShape::RowIds => {
-                let mut rows: Vec<RowId> = answers.flat_map(ReadAnswer::into_rowids).collect();
-                rows.sort_unstable();
-                ReadAnswer::RowIds(rows)
-            }
-            ReadShape::RowIdSet | ReadShape::Candidates | ReadShape::Within(_) => ReadAnswer::Set(
-                RowIdSet::merge_sets(answers.map(ReadAnswer::into_set).collect()),
-            ),
-            ReadShape::KeyRuns => {
-                let mut runs = KeyRuns::default();
-                answers.for_each(|part| runs.absorb(part.into_runs()));
-                ReadAnswer::Runs(runs)
-            }
-        };
-        let mut metrics = QueryMetrics::default();
-        for part in &part_metrics {
-            metrics.accumulate(part);
+            ReadShape::KeyRuns => ReadAnswer::Runs(KeyRuns::default()),
         }
-        merged.stamp(&mut metrics);
-        (merged, metrics)
     }
 
     /// Rows in a row-carrying answer; `None` for aggregates, whose row
@@ -613,9 +575,8 @@ impl ConcurrentCracker {
     }
 
     /// Registers a snapshot at the current column epoch and returns it.
-    /// Raw building block for the RAII [`Index::pin`]; the
-    /// range-partitioned wrapper, which manages one epoch per partition,
-    /// uses this pair directly. Every registration must be matched by a
+    /// Raw building block for the RAII [`Index::pin`]. Every registration
+    /// must be matched by a
     /// [`ConcurrentCracker::release_snapshot_epoch`].
     pub fn register_snapshot_epoch(&self) -> u64 {
         self.delta.register_snapshot()

@@ -1180,6 +1180,16 @@ fn self_assigned_rowid_past_the_max_panics_instead_of_wrapping() {
     idx.insert(30);
 }
 
+/// Build cracks assume the one piece of a fresh index: an index that has
+/// been written to (or cracked) is refused, not silently mis-split.
+#[test]
+#[should_panic(expected = "build cracks go on an index as built")]
+fn build_cracks_refuse_an_index_that_has_changed() {
+    let idx = ConcurrentCracker::from_values(shuffled(100), LatchProtocol::Piece);
+    Index::insert(&idx, 5);
+    let _ = idx.with_cracks(&[50]);
+}
+
 #[test]
 fn snapshot_rowid_reads_are_frozen_at_their_epoch() {
     for protocol in protocols() {

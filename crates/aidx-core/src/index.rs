@@ -90,7 +90,7 @@ pub trait Index: ColumnRead + Send + Sync {
     fn check_invariants(&self) -> bool;
 
     /// Raw structure observation: piece layout, delta pressure, live
-    /// pins, routed load (partitioned backends only).
+    /// pins, per-range load (range-partitioned backends only).
     fn structure_probe(&self) -> StructureProbe;
 
     /// [`WriteOp::Insert`]: inserts one row with an externally assigned

@@ -28,7 +28,7 @@ use aidx_cracking::RowId;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 
-/// One run of `(key, rowid)` pairs from a single piece / partition /
+/// One run of `(key, rowid)` pairs from a single piece or
 /// delta read, with its key envelope precomputed so a merge
 /// can decide activation and skipping without touching the pairs.
 #[derive(Debug, Clone)]
@@ -91,13 +91,6 @@ impl KeyRuns {
             sorted,
             pairs,
         });
-    }
-
-    /// Folds another collection's runs into this one (parallel fan-in:
-    /// runs from different partitions or pieces may overlap in key range —
-    /// the merge iterator handles that).
-    pub fn absorb(&mut self, other: KeyRuns) {
-        self.runs.extend(other.runs);
     }
 
     /// Total rows across all runs.

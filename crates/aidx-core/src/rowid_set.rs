@@ -26,9 +26,9 @@
 //!   AND word by word, and a block side probes the bitmap bit by bit.
 //!
 //! A set is in one of two forms. The **planner form** is what a read
-//! scatters: producers ([`crate::ConcurrentCracker::read`] and the
-//! range-partitioned wrapper in `aidx-parallel`) hand over the row ids of
-//! every visited piece in physical order, and the set scatters them into
+//! scatters: the producer ([`crate::ConcurrentCracker::read`]) hands over
+//! the row ids of every visited piece in physical order, and the set
+//! scatters them into
 //! a bitmap over its id span — no per-run sort, no heap merge; hidden
 //! delta rows are bit clears, extra delta rows bit sets. Only a set
 //! sparser than one id per 1024 ids of span is sorted into blocks
@@ -39,9 +39,8 @@
 //! and is otherwise block-encoded straight from its words, which are
 //! already ascending (the same bytes as [`RowIdSetBuilder`], without its
 //! per-id checks). A set records its form, and the algebra
-//! ([`intersect_sets`], [`RowIdSet::merge_sets`],
-//! [`RowIdSet::filter_batches`]) compacts its output only when every
-//! input is compact: a planner's candidate sets stay the bitmaps the
+//! ([`intersect_sets`], [`RowIdSet::filter_batches`]) compacts its output
+//! only when every input is compact: a planner's candidate sets stay the bitmaps the
 //! reads scattered, used and dropped within one select or join, and
 //! nothing encodes what the same operation would decode again.
 //!
@@ -521,49 +520,6 @@ impl RowIdSet {
         ids.extend_from_slice(extra);
         ids.sort_unstable();
         RowIdSet::from_sorted(&ids)
-    }
-
-    /// The union of already-built sets (the fan-in of a partitioned
-    /// producer): bitmaps OR in and block sets scatter into one pooled
-    /// bitmap when the union's span allows, else every part is decoded,
-    /// concatenated and sorted. The union is compacted when every part
-    /// is compact.
-    pub fn merge_sets(mut sets: Vec<RowIdSet>) -> RowIdSet {
-        sets.retain(|s| !s.is_empty());
-        if sets.len() <= 1 {
-            return sets.pop().unwrap_or_default();
-        }
-        let total: usize = sets.iter().map(|s| s.len).sum();
-        let min = sets.iter().filter_map(RowIdSet::first).min();
-        let max = sets.iter().filter_map(RowIdSet::last).max();
-        let (Some(min), Some(max)) = (min, max) else {
-            unreachable!("the sets left are non-empty");
-        };
-        if !scatters((max - min) as usize, total) {
-            let mut ids = Vec::with_capacity(total);
-            for set in &sets {
-                set.for_each_batch(|batch| ids.extend_from_slice(batch));
-            }
-            ids.sort_unstable();
-            return RowIdSet::from_sorted(&ids);
-        }
-        let mut union = Scatter::over(min, max);
-        for set in &sets {
-            match &set.container {
-                Container::Bitmap { base, words, .. } => {
-                    let offset = (base - union.base) as usize / 64;
-                    for (word, &bits) in union.words.0[offset..].iter_mut().zip(&words.0) {
-                        *word |= bits;
-                    }
-                }
-                Container::Blocks { .. } => set.for_each_batch(|ids| {
-                    for &id in ids {
-                        union.insert(id);
-                    }
-                }),
-            }
-        }
-        union.finish(sets.iter().all(RowIdSet::is_compact))
     }
 
     /// The set of a scattered bitmap at `base`, trimmed to its non-zero
@@ -1413,24 +1369,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sets_unions_compressed_sets() {
-        let parts = [
-            set(&[5, 50, 500]),
-            set(&(0..200).map(|i| i * 3).collect::<Vec<RowId>>()),
-            set(&[]),
-        ];
-        let merged = RowIdSet::merge_sets(parts.to_vec());
-        let mut expected: Vec<RowId> = (0..200).map(|i| i * 3).collect();
-        for id in [5, 50, 500] {
-            if !expected.contains(&id) {
-                expected.push(id);
-            }
-        }
-        expected.sort_unstable();
-        assert_eq!(merged.to_vec(), expected);
-    }
-
-    #[test]
     fn next_seek_lands_on_first_id_at_or_past_target() {
         let s = set(&[10, 20, 30, 300, 3000, 3001]);
         let mut it = s.iter();
@@ -1557,7 +1495,7 @@ mod tests {
         let evens = runs(vec![(0..10_000).map(|i| i * 2).collect()]);
         let odds = runs(vec![(0..10_000).map(|i| i * 2 + 1).collect()]);
         assert!(evens.is_bitmap() && odds.is_bitmap());
-        let all = RowIdSet::merge_sets(vec![evens.clone(), odds.clone()]);
+        let all = runs(vec![evens.to_vec(), odds.to_vec()]);
         assert!(all.is_bitmap());
         assert_eq!(all.len(), 20_000);
         assert_eq!(all.heap_bytes(), 20_000usize.div_ceil(64) * 8);
@@ -1796,7 +1734,6 @@ mod tests {
             let (oracle_a, oracle_b): (BTreeSet<RowId>, BTreeSet<RowId>) =
                 (a.iter().copied().collect(), b.iter().copied().collect());
             let common: Vec<RowId> = oracle_a.intersection(&oracle_b).copied().collect();
-            let union: Vec<RowId> = oracle_a.union(&oracle_b).copied().collect();
             let odd = |ids: &[RowId]| {
                 ids.iter()
                     .enumerate()
@@ -1808,10 +1745,7 @@ mod tests {
             let blocks_a = RowIdSet::from_sorted(&a);
             for (x, y) in [(&ca, &cb), (&cb, &ca), (&blocks_a, &cb), (&cb, &blocks_a)] {
                 assert_canonical(&intersect_sets(x, y, IntersectStrategy::Adaptive).0, &common);
-                // A union with an empty side is the other side as it was.
-                assert_compact_form(&RowIdSet::merge_sets(vec![x.clone(), y.clone()]), &union);
             }
-            assert_canonical(&RowIdSet::merge_sets(vec![ca.clone(), cb.clone()]), &union);
             assert_canonical(&ca.filter_batches(odd), &odd_a);
             // Blocks filter into blocks.
             assert_compact_form(&blocks_a.filter_batches(odd), &odd_a);
@@ -1825,7 +1759,6 @@ mod tests {
                     assert_planner_form
                 };
                 check(&intersect_sets(x, y, IntersectStrategy::Adaptive).0, &common);
-                check(&RowIdSet::merge_sets(vec![x.clone(), y.clone()]), &union);
             }
             if pa.is_compact() {
                 assert_compact_form(&pa.filter_batches(odd), &odd_a);
@@ -2047,14 +1980,6 @@ mod tests {
             prop_assert!(!blocks_a.is_bitmap());
             prop_assert_eq!(&blocks_a, &set_a);
             prop_assert_eq!(set_a == set_b, oracle_a == oracle_b);
-
-            let union: BTreeSet<RowId> = oracle_a.union(&oracle_b).copied().collect();
-            for parts in [
-                vec![set_a.clone(), set_b.clone()],
-                vec![blocks_a.clone(), RowIdSet::default(), set_b.clone()],
-            ] {
-                check_against(&RowIdSet::merge_sets(parts), &union, &probes);
-            }
 
             let common: BTreeSet<RowId> = oracle_a.intersection(&oracle_b).copied().collect();
             for strategy in [

@@ -15,7 +15,7 @@
 //! - [`hist`] — [`LatencyHistogram`]: mergeable, saturating, log-bucketed
 //!   (~3.2% relative error) percentile summaries.
 //! - [`structure`] — [`StructureProbe`]/[`StructureStats`] snapshots of
-//!   piece layout, delta pressure, and routing load, and a
+//!   piece layout, delta pressure, and per-range load, and a
 //!   [`StructureSampler`] that turns them into a convergence curve.
 //! - [`json`] — the dependency-free JSON writer/parser the above (and the
 //!   bench report builder) encode with.

@@ -1,5 +1,5 @@
 //! Index-structure introspection: piece layout, delta pressure, and
-//! routing load, sampled over a run to expose *convergence*.
+//! per-range load, sampled over a run to expose *convergence*.
 //!
 //! Adaptive indexing's defining claim is that structure emerges as a side
 //! effect of queries: piece counts grow, piece sizes shrink toward the
@@ -87,8 +87,8 @@ pub struct StructureProbe {
     pub compactions: u64,
     /// Incremental compaction steps performed so far.
     pub compaction_steps: u64,
-    /// Per-partition routed-operation counts (empty for unpartitioned
-    /// engines).
+    /// Operations per key range, a read counted in every range it
+    /// overlaps (empty for unpartitioned engines).
     pub partition_load: Vec<u64>,
     /// Cumulative compressed candidate-set bytes produced by selects
     /// (0 for engines that do not build candidate sets).
@@ -176,7 +176,7 @@ pub struct StructureStats {
     pub compactions: u64,
     /// Incremental compaction steps so far.
     pub compaction_steps: u64,
-    /// Distribution of per-partition routed-op load.
+    /// Distribution of the per-range op load.
     pub partition_load: Dist,
     /// Partition-imbalance ratio: max/mean of per-partition load (1.0 =
     /// perfectly balanced; also 1.0 for unpartitioned/idle engines).

@@ -1,26 +1,21 @@
 //! # aidx-parallel — range-partitioned adaptive indexing
 //!
-//! [`RangePartitionedCracker`] — **range-partitioned cracking**: a
-//! one-time range partition splits a column into disjoint key ranges,
-//! each a piece-latched [`aidx_core::ConcurrentCracker`]. A router sends
-//! each query only to the partitions its range overlaps and runs them on
-//! the calling thread, so the parallelism comes from the concurrent
-//! queries themselves, kept apart by piece latches — the paper's design,
-//! and that of the parallel variants in *Main Memory Adaptive Indexing
-//! for Multi-core Systems* (Alvarez, Schuhknecht, Dittrich, Richter).
-//! Narrow queries touch a single partition. The routing table is fixed
-//! when the index is built, so routing takes no lock and the crate runs
-//! no thread of its own.
+//! [`RangePartitionedCracker`] — **range-partitioned cracking** as cracks
+//! made at build: a column is one piece-latched
+//! [`aidx_core::ConcurrentCracker`], cracked at balanced key-range splits
+//! when it is built ([`aidx_core::ConcurrentCracker::with_cracks`]), so
+//! every read starts from a coarse range partitioning and refines inside
+//! it — the coarse-granular index of *Main Memory Adaptive Indexing for
+//! Multi-core Systems* (Alvarez, Schuhknecht, Dittrich, Richter) on one
+//! piece directory. The parallelism comes from the concurrent queries
+//! themselves, kept apart by piece latches, as in the paper; the crate
+//! runs no thread of its own.
 //!
 //! It implements [`aidx_core::Index`] once — one `read`, one `pin`, one
-//! `write(`[`aidx_core::WriteOp`]`)` — and inherits every typed read and
-//! write from it: every op routes by [`aidx_core::WriteOp::key`] to the
-//! one partition owning that key.
-//!
-//! Per-query [`aidx_core::QueryMetrics`] are summed across the partitions
-//! a read visits ([`aidx_core::QueryMetrics::accumulate`]), with `total`
-//! the whole read's wall-clock, so the experiment harness reports
-//! parallel arms in the same breakdown as the serial ones.
+//! `write(`[`aidx_core::WriteOp`]`)` — each the cracker's own, and
+//! inherits every typed read and write from it. A pin is one epoch. Each
+//! op is also counted in the key ranges it touches, which is the
+//! [`aidx_obs::StructureProbe::partition_load`] it reports.
 
 #![warn(missing_docs)]
 

@@ -1,23 +1,15 @@
-//! Range-partitioned cracking over a fixed routing table.
+//! A column cracked at its range splits when it is built.
 //!
-//! A range partition splits the column into disjoint key ranges, each a
-//! [`ConcurrentCracker`] under [`LatchProtocol::Piece`] — partition
-//! boundaries are cracks chosen up front, the logical end point of
-//! "pieces as an adaptive latching granularity". A router maps a query's
-//! `[low, high)` range to the partitions it overlaps and reads each of
-//! them, clipped to its key range, **on the calling thread**; partitions
-//! outside the query range are never touched. The parallelism comes from
-//! the concurrent queries themselves, kept apart by the partitions' piece
-//! latches, as in the paper.
-//!
-//! The routing table (split keys plus partitions) is fixed when the index
-//! is built, so an operation reads it with no lock: rows never move
-//! between partitions, and the only latches are each partition's own.
-//!
-//! Every write-path capability (pending delta, quiescing *and*
-//! incremental compaction, epoch-stamped snapshot reads) threads through
-//! unchanged. A pin ([`Index::pin`]) registers one epoch per partition
-//! and borrows the routing table for its lifetime.
+//! A range partition splits a column into disjoint key ranges up front —
+//! the coarse-granular index of Alvarez et al. On one piece directory
+//! those ranges are cracks that exist before the first query, the logical
+//! end point of "pieces as an adaptive latching granularity": the column
+//! is one [`ConcurrentCracker`] under [`LatchProtocol::Piece`], built
+//! [`ConcurrentCracker::with_cracks`] at sampled quantiles, and reads go
+//! on cracking inside the ranges under piece latches. Every read, write
+//! and pin is the cracker's own — a pin is one epoch, a consistent cut
+//! whatever writes race it. All that is left of the partitions is one op
+//! counter per range, which feeds [`StructureProbe::partition_load`].
 
 use aidx_core::{
     ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, QueryMetrics,
@@ -27,106 +19,38 @@ use aidx_cracking::RowId;
 use aidx_obs::StructureProbe;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 #[cfg(test)]
 mod tests;
 
-/// One partition: its index plus the routed-load counter that feeds
-/// [`StructureProbe::partition_load`].
-struct Partition {
-    index: ConcurrentCracker,
-    /// Clipped reads and writes routed here.
-    ops: AtomicU64,
-}
-
-/// The routing table, fixed at build time.
-struct RoutingTable {
-    /// `splits[i]` is the inclusive lower key bound of partition `i + 1`;
-    /// partition `0` starts at `i64::MIN`. Sorted ascending.
-    splits: Vec<i64>,
-    partitions: Vec<Partition>,
-}
-
-impl RoutingTable {
-    /// Clips `[low, high)` to partition `p`'s key range.
-    fn clip(&self, p: usize, low: i64, high: i64) -> (i64, i64) {
-        let lo = if p == 0 {
-            low
-        } else {
-            low.max(self.splits[p - 1])
-        };
-        let hi = if p + 1 == self.partitions.len() {
-            high
-        } else {
-            high.min(self.splits[p])
-        };
-        (lo, hi)
-    }
-
-    /// The partition owning key `key`, charged one routed op.
-    fn route(&self, key: i64) -> &ConcurrentCracker {
-        let part = &self.partitions[partition_of(&self.splits, key)];
-        part.ops.fetch_add(1, Ordering::Relaxed);
-        &part.index
-    }
-
-    /// One `shape` read over `[low, high)`: each overlapping partition
-    /// reads its clipped range (at `epochs[p]`, if given) on the calling
-    /// thread, and the parts merge with [`ReadAnswer::merge`]: every
-    /// partition of a [`ReadShape::Within`] read tests the same filter,
-    /// and the parts' sets OR together.
-    fn read(
-        &self,
-        low: i64,
-        high: i64,
-        shape: ReadShape<'_>,
-        epochs: Option<&[u64]>,
-    ) -> (ReadAnswer, QueryMetrics) {
-        let overlapping = if low < high {
-            partition_of(&self.splits, low)..partition_of(&self.splits, high - 1) + 1
-        } else {
-            0..0
-        };
-        ReadAnswer::merge(
-            shape,
-            overlapping.map(|p| {
-                let (lo, hi) = self.clip(p, low, high);
-                let part = &self.partitions[p];
-                part.ops.fetch_add(1, Ordering::Relaxed);
-                part.index.read(lo, hi, epochs.map(|e| e[p]), shape)
-            }),
-        )
-    }
-}
-
-/// A column range-partitioned into piece-latched crackers.
+/// A column cracked at range splits at build, with its per-range load.
 pub struct RangePartitionedCracker {
-    table: RoutingTable,
-    /// Next self-assigned row id: partitions share one id space (rowids
-    /// are tuple identity across the whole column), so the router — not
-    /// the partition — assigns ids for plain inserts.
-    next_rowid: AtomicU64,
+    index: ConcurrentCracker,
+    /// `splits[i]` is the inclusive lower key bound of range `i + 1`;
+    /// range `0` starts at `i64::MIN`. Strictly ascending, and each one a
+    /// crack of `index`.
+    splits: Vec<i64>,
+    /// Reads and writes per range: a read counts in every range it
+    /// overlaps, a write in the range owning its key.
+    load: Vec<AtomicU64>,
 }
 
 impl RangePartitionedCracker {
-    /// Range-partitions `values` into `partitions` (clamped to
-    /// `1..=len.max(1)`) piece-latched crackers. Each partition's delta is
-    /// bounded at 10% of its main array and merged incrementally — an
-    /// unbounded default delta would silently re-introduce the linear
-    /// select degradation bounded compaction removed; use
+    /// Cracks `values` at the splits of `partitions` (clamped to
+    /// `1..=len.max(1)`) balanced key ranges. The delta is bounded at 10%
+    /// of the main array and merged incrementally — an unbounded default
+    /// delta would silently re-introduce the linear select degradation
+    /// bounded compaction removed; use
     /// [`RangePartitionedCracker::with_compaction`] to tune or disable it.
     pub fn new(values: Vec<i64>, partitions: usize) -> Self {
         let policy = CompactionPolicy::fraction(0.1).incremental(8);
         Self::with_compaction(values, partitions, policy)
     }
 
-    /// As [`RangePartitionedCracker::new`] with an explicit per-partition
-    /// compaction policy — including [`aidx_core::CompactionMode`]
-    /// `Incremental`, which merges each partition's delta one piece write
-    /// latch at a time instead of quiescing the partition. Each partition
-    /// compacts only itself, on the thread whose write tripped its
-    /// threshold.
+    /// As [`RangePartitionedCracker::new`] with an explicit compaction
+    /// policy, including [`aidx_core::CompactionMode`] `Incremental`,
+    /// which merges the delta one piece write latch at a time instead of
+    /// quiescing the column.
     pub fn with_compaction(
         values: Vec<i64>,
         partitions: usize,
@@ -149,31 +73,24 @@ impl RangePartitionedCracker {
         compaction: CompactionPolicy,
     ) -> Self {
         assert_eq!(values.len(), rowids.len(), "misaligned rowid column");
-        let len = values.len();
-        let next_rowid = rowids.iter().max().map(|&r| r as u64 + 1).unwrap_or(0);
         // Heavily duplicated data collapses quantiles, so `choose_splits`
-        // may return fewer boundaries than requested; the partition count
-        // follows the split vector.
-        let splits = choose_splits(&values, partitions.clamp(1, len.max(1)));
-        let partitions = scatter(values, rowids, &splits)
-            .into_iter()
-            .map(|(values, rowids)| Partition {
-                index: ConcurrentCracker::from_rows(values, rowids, LatchProtocol::Piece)
-                    .with_compaction(compaction),
-                ops: AtomicU64::new(0),
-            })
-            .collect();
+        // may return fewer splits than requested; the ranges follow them.
+        let splits = choose_splits(&values, partitions.clamp(1, values.len().max(1)));
+        let index = ConcurrentCracker::from_rows(values, rowids, LatchProtocol::Piece)
+            .with_compaction(compaction)
+            .with_cracks(&splits);
+        let load = (0..=splits.len()).map(|_| AtomicU64::new(0)).collect();
         RangePartitionedCracker {
-            table: RoutingTable { splits, partitions },
-            next_rowid: AtomicU64::new(next_rowid),
+            index,
+            splits,
+            load,
         }
     }
 
-    /// Number of indexed entries: the partitions' logical row counts
-    /// summed (exact in quiescence, like
+    /// Number of indexed entries (exact in quiescence, like
     /// [`ConcurrentCracker::logical_len`]).
     pub fn len(&self) -> usize {
-        self.partition_sizes().into_iter().sum()
+        self.index.logical_len() as usize
     }
 
     /// True if the index is empty.
@@ -181,138 +98,90 @@ impl RangePartitionedCracker {
         self.len() == 0
     }
 
-    /// Number of partitions.
+    /// Number of key ranges: one more than [`Self::splits`].
     pub fn partition_count(&self) -> usize {
-        self.table.partitions.len()
+        self.load.len()
     }
 
-    /// Live rows per partition (diagnostic: balance check; exact in
-    /// quiescence, like [`ConcurrentCracker::logical_len`]).
-    pub fn partition_sizes(&self) -> Vec<usize> {
-        self.table
-            .partitions
-            .iter()
-            .map(|p| p.index.logical_len() as usize)
-            .collect()
-    }
-
-    /// The split keys between partitions (diagnostic).
+    /// The split keys between ranges (diagnostic).
     pub fn splits(&self) -> &[i64] {
-        &self.table.splits
+        &self.splits
     }
 
     /// [`ColumnRead::select_rowid_set`], inherent so that callers without
-    /// the trait in scope reach it: each overlapping partition scatters
-    /// its pieces' row ids into its own compact [`RowIdSet`], and the
-    /// router unites the per-partition sets (partitions are key-disjoint,
-    /// hence rowid-disjoint) with [`RowIdSet::merge_sets`] — a word-OR of
-    /// dense parts, no decode to flat vectors. A
-    /// [`ReadShape::Candidates`] read unites the partitions' planner-form
-    /// sets the same way, and the union stays uncompacted.
+    /// the trait in scope reach it.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
         let (answer, metrics) = ColumnRead::read(self, low, high, ReadShape::RowIdSet);
         (answer.into_set(), metrics)
     }
 
-    /// Opens a snapshot across every partition: one epoch per partition,
-    /// registered in partition order directly on the partition's index
-    /// (a registration takes only its delta mutex). Because every write
-    /// touches exactly one partition, the per-partition epochs form a
-    /// consistent cut for the opening client on their own; they are an
-    /// externally consistent cut when the caller also excludes writers
-    /// while opening, as a table engine does under its writer mutex.
-    /// Reads through the handle are frozen there while writers and
-    /// per-partition compactions race on.
-    pub(crate) fn snapshot(&self) -> RangeSnapshot<'_> {
-        let epochs = self
-            .table
-            .partitions
-            .iter()
-            .map(|part| part.index.register_snapshot_epoch())
-            .collect();
-        RangeSnapshot {
-            table: &self.table,
-            epochs,
+    /// `(delta rows, compactions + incremental steps)`.
+    pub fn delta_stats(&self) -> (u64, u64) {
+        let merges = self.index.compactions_performed() + self.index.compaction_steps_performed();
+        (self.index.delta_rows(), merges)
+    }
+
+    /// Charges one op to every range that holds a key of `[first, last]`.
+    fn charge(&self, first: i64, last: i64) {
+        let ranges = partition_of(&self.splits, first)..=partition_of(&self.splits, last);
+        for ops in &self.load[ranges] {
+            ops.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Sums `(delta rows, compactions + incremental steps)` across all
-    /// partitions.
-    pub fn delta_stats(&self) -> (u64, u64) {
-        self.table
-            .partitions
-            .iter()
-            .fold((0, 0), |(pending, merges), p| {
-                (
-                    pending + p.index.delta_rows(),
-                    merges + p.index.compactions_performed() + p.index.compaction_steps_performed(),
-                )
-            })
+    /// Charges a read of `[low, high)` to every range it overlaps.
+    fn charge_read(&self, low: i64, high: i64) {
+        if low < high {
+            self.charge(low, high - 1);
+        }
     }
 }
 
 impl ColumnRead for RangePartitionedCracker {
-    /// One `shape` read over `[low, high)`, run on the calling thread
-    /// against the partitions the range overlaps (clipped per partition)
-    /// — partitions outside it are never touched — and merged
-    /// ([`ReadAnswer::merge`]).
+    /// One `shape` read over `[low, high)` at the current epoch, charged
+    /// to every range it overlaps.
     fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics) {
-        let start = Instant::now();
-        let (answer, mut metrics) = self.table.read(low, high, shape, None);
-        metrics.total = start.elapsed();
-        (answer, metrics)
+        self.charge_read(low, high);
+        self.index.read(low, high, None, shape)
     }
 }
 
 impl Index for RangePartitionedCracker {
+    /// The cracker's own pin — one epoch — whose reads are charged like
+    /// live ones.
     fn pin(&self) -> Box<dyn ColumnRead + '_> {
-        Box::new(self.snapshot())
+        Box::new(Pinned {
+            column: self,
+            pin: self.index.pin(),
+        })
     }
 
-    /// The one write path: applied to the partition owning the op's key
-    /// (rows with a key live only there). Returns `(rows affected,
-    /// metrics)`.
+    /// The cracker's write, charged to the range owning the op's key.
     fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
-        let start = Instant::now();
-        if let WriteOp::Insert { rowid, .. } = op {
-            self.next_rowid
-                .fetch_max(rowid as u64 + 1, Ordering::Relaxed);
-        }
-        let (rows, mut metrics) = self.table.route(op.key()).write(op);
-        metrics.total = start.elapsed();
-        (rows, metrics)
+        self.charge(op.key(), op.key());
+        self.index.write(op)
     }
 
     /// Inserts one row with the given key, self-assigning a fresh row id.
     fn insert(&self, value: i64) -> QueryMetrics {
-        let rowid = aidx_cracking::rowid(self.next_rowid.fetch_add(1, Ordering::Relaxed));
-        self.insert_row(value, rowid)
+        self.charge(value, value);
+        Index::insert(&self.index, value)
     }
 
-    /// One merged structure probe across every partition: piece layout
-    /// and delta pressure summed over the partitions, plus the
-    /// per-partition routed load. Consistent per partition, not across
-    /// partitions — it is a diagnostic, not a snapshot.
+    /// The cracker's probe, with the per-range load.
     fn structure_probe(&self) -> StructureProbe {
-        let mut probe = StructureProbe::default();
-        for part in &self.table.partitions {
-            probe.merge(&part.index.structure_probe());
+        StructureProbe {
+            partition_load: self
+                .load
+                .iter()
+                .map(|ops| ops.load(Ordering::Relaxed))
+                .collect(),
+            ..self.index.structure_probe()
         }
-        probe.partition_load = self
-            .table
-            .partitions
-            .iter()
-            .map(|p| p.ops.load(Ordering::Relaxed))
-            .collect();
-        probe
     }
 
-    /// Verifies every partition's piece/array consistency.
     fn check_invariants(&self) -> bool {
-        self.table
-            .partitions
-            .iter()
-            .all(|p| p.index.check_invariants())
+        self.index.check_invariants()
     }
 }
 
@@ -320,79 +189,34 @@ impl fmt::Debug for RangePartitionedCracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RangePartitionedCracker")
             .field("len", &self.len())
-            .field("partitions", &self.table.partitions.len())
-            .field("splits", &self.table.splits)
+            .field("splits", &self.splits)
             .finish()
     }
 }
 
-/// A snapshot pinned across every partition of a
-/// [`RangePartitionedCracker`]: reads route like ordinary queries but each
-/// partition answers at the epoch registered when the snapshot was
-/// opened. Dropping the handle releases every partition's registration.
-pub(crate) struct RangeSnapshot<'a> {
-    table: &'a RoutingTable,
-    epochs: Vec<u64>,
+/// A pin of a [`RangePartitionedCracker`]: the cracker's pin, with its
+/// reads charged to the ranges they overlap.
+struct Pinned<'a> {
+    column: &'a RangePartitionedCracker,
+    pin: Box<dyn ColumnRead + 'a>,
 }
 
-impl fmt::Debug for RangeSnapshot<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RangeSnapshot")
-            .field("epochs", &self.epochs)
-            .finish()
-    }
-}
-
-impl ColumnRead for RangeSnapshot<'_> {
-    /// A routed read with every partition answering at its pinned epoch.
+impl ColumnRead for Pinned<'_> {
     fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics) {
-        let start = Instant::now();
-        let (answer, mut metrics) = self.table.read(low, high, shape, Some(&self.epochs));
-        metrics.total = start.elapsed();
-        (answer, metrics)
+        self.column.charge_read(low, high);
+        self.pin.read(low, high, shape)
     }
 }
 
-impl Drop for RangeSnapshot<'_> {
-    fn drop(&mut self) {
-        for (part, &epoch) in self.table.partitions.iter().zip(&self.epochs) {
-            part.index.release_snapshot_epoch(epoch);
-        }
-    }
-}
-
-/// Index of the partition owning key `v`: the number of splits `<= v`.
+/// Index of the range owning key `v`: the number of splits `<= v`.
 fn partition_of(splits: &[i64], v: i64) -> usize {
     splits.partition_point(|&s| s <= v)
 }
 
-/// Range-partitions aligned rows by `splits` in two sequential passes:
-/// the first counts each partition's rows, the second pushes values and
-/// row ids into separate vectors reserved to those counts.
-fn scatter(values: Vec<i64>, rowids: Vec<RowId>, splits: &[i64]) -> Vec<(Vec<i64>, Vec<RowId>)> {
-    if splits.is_empty() {
-        return vec![(values, rowids)];
-    }
-    let mut counts = vec![0usize; splits.len() + 1];
-    for &v in &values {
-        counts[partition_of(splits, v)] += 1;
-    }
-    let mut parts: Vec<(Vec<i64>, Vec<RowId>)> = counts
-        .into_iter()
-        .map(|n| (Vec::with_capacity(n), Vec::with_capacity(n)))
-        .collect();
-    for (v, rid) in values.into_iter().zip(rowids) {
-        let (part_values, part_rowids) = &mut parts[partition_of(splits, v)];
-        part_values.push(v);
-        part_rowids.push(rid);
-    }
-    parts
-}
-
 /// Picks `partitions - 1` split keys from a deterministic sample so the
-/// partitions are balanced even under skew. Returned keys are strictly
+/// ranges are balanced even under skew. Returned keys are strictly
 /// increasing (duplicate quantiles are dropped, which merely merges
-/// neighbouring partitions for heavily duplicated data).
+/// neighbouring ranges for heavily duplicated data).
 fn choose_splits(values: &[i64], partitions: usize) -> Vec<i64> {
     if partitions <= 1 || values.is_empty() {
         return Vec::new();

@@ -3,7 +3,7 @@ use aidx_cracking::ops;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn shuffled(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
@@ -30,32 +30,56 @@ fn results_match_scan_for_every_partition_count() {
     }
 }
 
+/// The rows in each split range, read with bounds that are build cracks.
+fn range_sizes(idx: &RangePartitionedCracker) -> Vec<u64> {
+    let mut bounds = vec![i64::MIN];
+    bounds.extend_from_slice(idx.splits());
+    bounds.push(i64::MAX);
+    bounds
+        .windows(2)
+        .map(|w| {
+            let (rows, m) = idx.index.count(w[0], w[1]);
+            assert_eq!(m.cracks_performed, 0, "[{}, {}) is cracked", w[0], w[1]);
+            rows
+        })
+        .collect()
+}
+
 #[test]
 fn partitions_are_disjoint_and_cover_everything() {
     let values = shuffled(10_000);
     let idx = RangePartitionedCracker::new(values.clone(), 8);
-    assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 10_000);
-    // Sampled quantiles over a uniform permutation: every partition
-    // within 3x of the ideal size.
+    let sizes = range_sizes(&idx);
+    assert_eq!(sizes.len(), 8);
+    assert_eq!(sizes.iter().sum::<u64>(), 10_000);
+    // Sampled quantiles over a uniform permutation: every range within 3x
+    // of the ideal size.
     let ideal = 10_000 / 8;
-    for size in idx.partition_sizes() {
+    for size in sizes {
         assert!(
             size <= ideal * 3,
-            "unbalanced partition: {size} vs ideal {ideal}"
+            "unbalanced range: {size} vs ideal {ideal}"
         );
     }
     assert!(idx.splits().windows(2).all(|w| w[0] < w[1]));
+    // The build cracks are the column's only pieces, and no read made them.
+    assert_eq!(idx.index.piece_count(), 8);
+    assert_eq!(idx.index.crack_count(), 0);
+    assert!(idx.check_invariants());
 }
 
 #[test]
 fn narrow_queries_touch_one_partition() {
     let values = shuffled(8000);
     let idx = RangePartitionedCracker::new(values.clone(), 4);
-    // A one-key query overlaps exactly one partition; its metrics come
-    // from a single partition, so at most 2 cracks happen.
+    // A one-key query overlaps exactly one range: it is charged there
+    // only, and cracks at most its two bounds.
     let (c, m) = idx.count(100, 101);
     assert_eq!(c, 1);
     assert!(m.cracks_performed <= 2);
+    let load = idx.structure_probe().partition_load;
+    assert_eq!(load.iter().sum::<u64>(), 1, "{load:?}");
+    assert_eq!(load[partition_of(idx.splits(), 100)], 1, "{load:?}");
 }
 
 #[test]
@@ -67,7 +91,7 @@ fn skewed_data_still_balances() {
         assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
         assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
     }
-    assert_eq!(idx.partition_sizes().iter().sum::<usize>(), 9000);
+    assert_eq!(idx.len(), 9000);
 }
 
 #[test]
@@ -116,26 +140,31 @@ fn concurrent_clients_get_correct_answers() {
 fn inserts_route_to_the_owning_partition() {
     let idx = RangePartitionedCracker::new(shuffled(4000), 4);
     idx.sum(0, 4000); // warm
-    let sizes_before = idx.partition_sizes();
+    let sizes_before = range_sizes(&idx);
+    let load_before = idx.structure_probe().partition_load;
     let m = idx.insert(100);
     assert_eq!(m.inserts_applied, 1);
     idx.insert(100);
     idx.insert(3900);
-    let sizes_after = idx.partition_sizes();
-    // Exactly the partitions owning 100 and 3900 grew.
+    // Exactly the ranges owning 100 and 3900 grew, and were charged.
     let owner_low = partition_of(idx.splits(), 100);
     let owner_high = partition_of(idx.splits(), 3900);
+    let load = idx.structure_probe().partition_load;
+    assert_eq!(load[owner_low], load_before[owner_low] + 2);
+    assert_eq!(load[owner_high], load_before[owner_high] + 1);
+    assert_eq!(
+        load.iter().sum::<u64>(),
+        load_before.iter().sum::<u64>() + 3
+    );
+    let sizes_after = range_sizes(&idx);
     assert_eq!(sizes_after[owner_low], sizes_before[owner_low] + 2);
     assert_eq!(sizes_after[owner_high], sizes_before[owner_high] + 1);
     assert_eq!(idx.len(), 4003);
-    // And the owning partition shrinks where the delete applies.
+    // And the owning range shrinks where the delete applies.
     let (removed, dm) = idx.delete(100);
     assert_eq!(removed, 3, "the seeded 100 plus both inserts");
     assert_eq!(dm.deletes_applied, 1);
-    assert_eq!(
-        idx.partition_sizes()[owner_low],
-        sizes_before[owner_low] - 1
-    );
+    assert_eq!(range_sizes(&idx)[owner_low], sizes_before[owner_low] - 1);
     assert!(idx.check_invariants());
 }
 
@@ -165,29 +194,31 @@ fn concurrent_writers_with_disjoint_domains_converge() {
     assert!(idx.check_invariants());
 }
 
+/// Writes spread over every range share the column's one delta, which
+/// the compaction policy keeps bounded.
 #[test]
 fn per_partition_compaction_bounds_each_partitions_delta() {
     let values = shuffled(4000);
     let idx =
         RangePartitionedCracker::with_compaction(values.clone(), 4, CompactionPolicy::rows(16));
-    idx.sum(0, 4000); // warm: every partition cracks
+    idx.sum(0, 4000); // warm
     let mut oracle = values.clone();
     let mut max_pending = 0;
     for i in 0..800 {
-        let key = i * 5; // spread inserts across all partitions
+        let key = i * 5; // spread inserts across all ranges
         idx.insert(key);
         oracle.push(key);
         let (pending, _) = idx.delta_stats();
         max_pending = max_pending.max(pending);
     }
-    // Each partition compacts once its own delta reaches 16, so the
-    // total across 4 partitions stays under 4 × 16.
+    // The column compacts once its one delta reaches 16 rows, whichever
+    // ranges the rows fall in.
     assert!(
-        max_pending < 4 * 16,
-        "per-partition compaction must bound the delta, saw {max_pending}"
+        max_pending <= 16,
+        "compaction must bound the delta, saw {max_pending}"
     );
     let (_, merges) = idx.delta_stats();
-    assert!(merges >= 800 / 64, "eager merges happened: {merges}");
+    assert!(merges >= 800 / 16, "eager merges happened: {merges}");
     for (low, high) in [(0, 4000), (100, 300), (3000, 4000)] {
         assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
         assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
@@ -204,11 +235,11 @@ fn incremental_compaction_threads_through_partitions() {
         4,
         CompactionPolicy::rows(16).incremental(4),
     );
-    idx.sum(0, 4000); // warm: every partition cracks
+    idx.sum(0, 4000); // warm
     let mut oracle = values.clone();
     let mut max_pending = 0;
-    // Churn: delete + re-insert spread across partitions, so the
-    // per-partition walks merge in place.
+    // Churn: delete + re-insert spread across the ranges, so the
+    // incremental walk merges in place in each of them.
     for i in 0..600 {
         let key = (i * 5) % 4000;
         let removed = idx.delete(key).0;
@@ -221,8 +252,8 @@ fn incremental_compaction_threads_through_partitions() {
         max_pending = max_pending.max(pending);
     }
     assert!(
-        max_pending < 4 * 16,
-        "incremental per-partition compaction must bound the delta, saw {max_pending}"
+        max_pending <= 16,
+        "incremental compaction must bound the delta, saw {max_pending}"
     );
     let (_, merges) = idx.delta_stats();
     assert!(merges > 0, "incremental steps ran: {merges}");
@@ -239,10 +270,9 @@ fn snapshot_pins_every_partition() {
     let values = shuffled(4000);
     let idx = RangePartitionedCracker::new(values.clone(), 4);
     idx.sum(0, 4000);
-    let snap = idx.snapshot();
-    assert_eq!(snap.epochs.len(), 4);
-    // Writes to several partitions after the snapshot are invisible
-    // through it.
+    let snap = idx.pin();
+    assert_eq!(idx.index.live_snapshots(), 1, "one epoch for every range");
+    // Writes to several ranges after the pin are invisible through it.
     for key in [10, 1010, 2010, 3010] {
         assert_eq!(idx.delete(key).0, 1);
         idx.insert(key);
@@ -263,6 +293,7 @@ fn snapshot_pins_every_partition() {
     // The live view sees the churn (each key net +1).
     assert_eq!(idx.count(0, 4000).0, 4004);
     drop(snap);
+    assert_eq!(idx.index.live_snapshots(), 0);
     assert!(idx.check_invariants());
 }
 
@@ -270,15 +301,15 @@ fn snapshot_pins_every_partition() {
 fn snapshot_open_and_close_do_not_wait_for_a_busy_owner() {
     let values = shuffled(2000);
     let idx = Arc::new(RangePartitionedCracker::new(values.clone(), 2));
-    // A pinned reader in flight borrows the routing table and holds an
-    // epoch on every partition; keep it open for as long as the open takes.
-    let busy = idx.snapshot();
+    // A pinned reader in flight holds an epoch; keep it open for as long
+    // as the second open takes.
+    let busy = idx.pin();
     let done = Arc::new(AtomicBool::new(false));
     let opener = {
         let (idx, done) = (Arc::clone(&idx), Arc::clone(&done));
         thread::spawn(move || {
-            let snap = idx.snapshot();
-            let epochs = snap.epochs.len();
+            let snap = idx.pin();
+            let epochs = idx.index.live_snapshots();
             drop(snap);
             done.store(true, Ordering::Release);
             epochs
@@ -295,14 +326,44 @@ fn snapshot_open_and_close_do_not_wait_for_a_busy_owner() {
         finished,
         "a snapshot open/close waited for an operation in flight"
     );
-    let registered: usize = idx
-        .table
-        .partitions
-        .iter()
-        .map(|p| p.index.live_snapshots())
-        .sum();
-    assert_eq!(registered, 0, "the close released every partition");
+    assert_eq!(idx.index.live_snapshots(), 0, "the closes released both");
     assert_eq!(idx.count(0, 2000).0, 2000);
+    assert!(idx.check_invariants());
+}
+
+/// A pin is one epoch, so a pin opened while a writer runs sees a prefix
+/// of its writes across every range: the writer inserts below and above
+/// the split by turns, and each pin finds the two ranges' new rows equal,
+/// or the lower range one ahead.
+#[test]
+fn a_pin_taken_while_a_writer_runs_sees_a_prefix_of_its_writes() {
+    let idx = Arc::new(RangePartitionedCracker::new(shuffled(4000), 2));
+    let split = idx.splits()[0];
+    let seeded = |low, high| idx.count(low, high).0;
+    let (below0, above0) = (seeded(i64::MIN, split), seeded(split, i64::MAX));
+    let done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let (idx, done) = (Arc::clone(&idx), Arc::clone(&done));
+        thread::spawn(move || {
+            for i in 0..2000 {
+                idx.insert(if i % 2 == 0 { -1 - i } else { 10_000 + i });
+            }
+            done.store(true, Ordering::Release);
+        })
+    };
+    let mut pins = 0;
+    while pins == 0 || !done.load(Ordering::Acquire) {
+        let pin = idx.pin();
+        let below = pin.count(i64::MIN, split).0 - below0;
+        let above = pin.count(split, i64::MAX).0 - above0;
+        assert!(
+            below == above || below == above + 1,
+            "a pin saw {below} new rows below the split and {above} above"
+        );
+        pins += 1;
+    }
+    writer.join().unwrap();
+    assert_eq!(idx.len(), 6000);
     assert!(idx.check_invariants());
 }
 
@@ -315,9 +376,8 @@ fn snapshot_survives_incremental_compaction_steps() {
         CompactionPolicy::rows(8).incremental(4),
     );
     idx.sum(0, 3000);
-    let snap = idx.snapshot();
-    // Churn enough rows that every partition's threshold trips
-    // several times — at least 3 incremental steps per partition.
+    let snap = idx.pin();
+    // Churn enough rows that the threshold trips many times.
     for i in 0..300 {
         let key = (i * 7) % 3000;
         idx.delete(key);
@@ -373,7 +433,7 @@ fn range_snapshot_rowid_reads_are_frozen() {
     );
     idx.sum(0, 3000);
     let before = idx.select_rowids(1000, 1100).0;
-    let snap = idx.snapshot();
+    let snap = idx.pin();
     for key in [1000, 1050, 1099] {
         assert_eq!(idx.delete(key).0, 1);
         idx.insert(key);
@@ -394,28 +454,28 @@ fn range_snapshot_rowid_reads_are_frozen() {
 fn structure_probe_merges_partitions_and_reports_routed_load() {
     let values = shuffled(4000);
     let idx = RangePartitionedCracker::new(values, 4);
-    // Narrow queries against the low end: the routed load skews to
-    // partition 0.
+    // Narrow queries against the low end: the load skews to range 0.
     for i in 0..20 {
         idx.count(i, i + 5);
     }
-    idx.sum(0, 4000); // cracks every partition
+    // A full-range sum, through a pin: charged to every range.
+    idx.pin().sum(0, 4000);
     let probe = idx.structure_probe();
     assert_eq!(probe.rows, 4000);
     assert_eq!(probe.partition_load.len(), 4);
-    assert!(probe.piece_count() >= 4, "every partition cracked");
+    assert!(probe.piece_count() >= 4, "the build cracked every range");
     assert_eq!(probe.piece_sizes.iter().sum::<u64>(), 4000);
     let load = &probe.partition_load;
     assert!(
         load[0] > load[1] && load[0] > load[2] && load[0] > load[3],
-        "low-end queries must skew the routed load: {load:?}"
+        "low-end queries must skew the load: {load:?}"
     );
-    // 20 one-partition reads plus the 4 clipped reads of the full-range
-    // sum; the probe itself is not load.
+    // 20 one-range reads plus the full-range sum in each of the 4 ranges;
+    // the probe itself is not load.
     assert_eq!(
         load.iter().sum::<u64>(),
         20 + 4,
-        "per-partition loads count every clipped partition read"
+        "a read counts in every range it overlaps"
     );
     let stats = probe.summarize();
     assert_eq!(stats.partitions, 4);
@@ -446,7 +506,7 @@ fn self_assigned_rowid_past_the_max_panics_instead_of_wrapping() {
     idx.insert(30);
 }
 
-/// The two-pass scatter must keep every value with its own row id:
+/// The build cracks must keep every value with its own row id:
 /// non-identity, permuted row ids and duplicate keys, across one, a few
 /// and many more partitions than distinct split points.
 #[test]

@@ -1,7 +1,6 @@
 //! Property tests for the range-partitioned cracker's write paths: random
 //! op interleavings against a `BTreeMap` multiset oracle with aggressive
-//! per-partition compaction, so rebuilds fire mid-sequence in whichever
-//! partition owns the write.
+//! compaction, so rebuilds fire mid-sequence across the build cracks.
 
 use aidx_core::{ColumnRead, CompactionPolicy, Index};
 use aidx_parallel::RangePartitionedCracker;
@@ -84,7 +83,7 @@ proptest! {
         workers in 1usize..4,
     ) {
         // Long scans pin a snapshot on each parallel arm, then writes and
-        // aggressive per-partition compaction race past it; every pinned
+        // aggressive compaction race past it; every pinned
         // read must equal the oracle frozen at snapshot time, for the arm
         // with aggressive incremental steps and the default-policy arm
         // alike.
@@ -156,9 +155,8 @@ proptest! {
 }
 
 // An all-duplicate column collapses every quantile split to one key, so the
-// range partitioner degenerates to a single useful partition; queries must
-// still route and answer without panicking (folded in from a PR 9 review
-// scratch test).
+// build makes one useful crack at most; queries must still answer without
+// panicking.
 #[test]
 fn duplicated_values_query_does_not_panic() {
     let idx = RangePartitionedCracker::new(vec![7; 5000], 4);

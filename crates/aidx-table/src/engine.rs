@@ -87,8 +87,8 @@ pub enum TableBackend {
     /// One serial [`aidx_core::ConcurrentCracker`] per column under the
     /// given latch protocol (concurrent clients, one shared index).
     Serial(LatchProtocol),
-    /// One [`RangePartitionedCracker`] per column (piece-latched
-    /// partitions, cracked on the calling thread).
+    /// One [`RangePartitionedCracker`] per column (one piece-latched
+    /// cracker, cracked at balanced key-range splits when it is built).
     Range {
         /// Partitions per column (0 = one per available core).
         partitions: usize,
@@ -673,7 +673,8 @@ impl TableEngine {
 
     /// One merged structure probe across every column index: "piece
     /// count" means total pieces over all columns, delta pressure is
-    /// summed, and partitioned backends contribute their routed load.
+    /// summed, and range-partitioned backends contribute their per-range
+    /// load.
     /// The candidate-set footprint is engine-level (column indexes report
     /// 0 for it): cumulative over every select so far. No plan intersects
     /// two sets, so no blocks are skipped.

@@ -63,7 +63,7 @@ pub trait AdaptiveEngine: Send + Sync {
     }
 
     /// Structure summary of the underlying adaptive index — piece layout,
-    /// delta pressure, routed load — or `None` for engines with no
+    /// delta pressure, per-range load — or `None` for engines with no
     /// adaptive structure to observe (scan, sort, adaptive-merge).
     fn structure_stats(&self) -> Option<StructureStats> {
         None
@@ -658,7 +658,7 @@ mod tests {
     #[test]
     fn default_range_engine_keeps_the_delta_bounded() {
         // Regression guard: the default-constructed range index must not
-        // accumulate an unbounded per-partition delta under a sustained
+        // accumulate an unbounded delta under a sustained
         // insert stream (its partitions historically merged pending rows on
         // the next crack; the bounded incremental default preserves that).
         let engine = IndexEngine::new("range", RangePartitionedCracker::new(shuffled(2000), 2));
@@ -802,7 +802,7 @@ mod tests {
         let stats = ranged.structure_stats().expect("range has structure");
         assert_eq!(stats.partitions, 4);
         assert_eq!(stats.partition_load.count, 4);
-        assert!(stats.partition_load.max > 0, "routed ops counted");
+        assert!(stats.partition_load.max > 0, "per-range ops counted");
         assert!(
             ranged.latch_attribution().is_empty(),
             "no per-piece attribution"

@@ -57,9 +57,9 @@ pub enum Approach {
         /// Records per initial sorted run.
         run_size: usize,
     },
-    /// Range-partitioned cracking: each partition is a piece-latched
-    /// cracker over a disjoint key range; a router runs each query on the
-    /// partitions it overlaps, on the calling thread (`aidx-parallel`).
+    /// Range-partitioned cracking: one piece-latched cracker, cracked at
+    /// the splits of this many balanced key ranges when it is built
+    /// (`aidx-parallel`).
     ParallelRange {
         /// Number of partitions (0 = one per available core).
         partitions: usize,
@@ -185,10 +185,9 @@ pub struct ExperimentConfig {
     pub write_ratio: f64,
     /// Delta compaction threshold in rows: adaptive arms rebuild their
     /// main structure once the pending delta reaches this many rows
-    /// (per partition for `ParallelRange`).
     /// `0` disables compaction, reproducing the unbounded pre-compaction
-    /// delta — except for `ParallelRange`, whose partitions have
-    /// always bounded their deltas (merge-on-next-crack historically,
+    /// delta — except for `ParallelRange`, which has always bounded its
+    /// delta (merge-on-next-crack historically,
     /// the bounded incremental default now). Arms without a pending
     /// delta (scan, sort, adaptive-merge) ignore the knob.
     pub compaction_threshold: u64,
@@ -347,9 +346,9 @@ impl ExperimentConfig {
             ),
             Approach::AdaptiveMerge { run_size } => Arc::new(MergeEngine::new(values, run_size)),
             Approach::ParallelRange { partitions } => {
-                // Threshold 0 keeps the range arm's bounded per-partition
-                // default (the first range partitions merged pending rows on the
-                // next crack; "disabled" would regress them to unbounded
+                // Threshold 0 keeps the range arm's bounded default (the
+                // first range partitions merged pending rows on the next
+                // crack; "disabled" would regress them to unbounded
                 // delta growth, unlike the serial arms where disabled
                 // reproduces the historical behaviour).
                 let partitions = effective_workers(partitions);

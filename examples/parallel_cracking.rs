@@ -1,7 +1,8 @@
 //! Range-partitioned adaptive indexing in action: the same workload
-//! answered by the serial concurrent cracker and by range-partitioned
-//! cracking — both verified against a scan — and then the adversarial input, a left-to-right sweep, which the
-//! core's pivot policy keeps cheap on the same cracker.
+//! answered by the serial concurrent cracker and by one cracked at range
+//! splits when it is built — both verified against a scan — and then the
+//! adversarial input, a left-to-right sweep, which the core's pivot policy
+//! keeps cheap on the same cracker.
 //!
 //! Run with `cargo run --release --example parallel_cracking`.
 
@@ -60,8 +61,9 @@ fn main() {
     report("crack-piece, sweep", &sweep, &|lo, hi| swept.sum(lo, hi).0);
 
     println!(
-        "\nrange partition sizes: {:?} (a query reads only the partitions it overlaps)",
-        ranged.partition_sizes()
+        "\nrange splits: {:?} (cracked at build; reads per range: {:?})",
+        ranged.splits(),
+        ranged.structure_probe().partition_load
     );
     println!(
         "sweep cracks: {} ({} at the sweep's bounds, the rest at sampled pivots)",

@@ -21,7 +21,7 @@
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
 //! | [`cracking`] | the serial structures and baselines: row ids, cracker array, piece map (table of contents), read-only plain-cracking index, partitioned B-tree, adaptive merging, read-only hybrid crack-sort, key-range locks, scan/sort baselines, scan operators, data generator |
 //! | [`core`] | **the paper's contribution**: the one `Index`/`ColumnRead` surface every backend implements, concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
-//! | [`parallel`] | range-partitioned cracking: piece-latched partitions behind a fixed query router, cracked on the calling thread |
+//! | [`parallel`] | range-partitioned cracking: one piece-latched cracker per column, cracked at balanced key-range splits when it is built |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
 //! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
 //!
@@ -48,10 +48,13 @@
 //! assert_eq!(same, sum);
 //! assert_eq!(metrics.cracks_performed, 0);
 //!
-//! // Crack across 4 key-range partitions instead, each a piece-latched
-//! // cracker that concurrent queries refine in parallel: identical answers.
+//! // Or crack at 3 range splits when the index is built: 4 key ranges
+//! // that concurrent queries go on refining under piece latches.
+//! // Identical answers, and a read whose bounds are splits cracks nothing.
 //! let index = RangePartitionedCracker::new(generate_unique_shuffled(1_000_000, 42), 4);
 //! assert_eq!(index.sum(250_000, 260_000).0, sum);
+//! let (low, high) = (index.splits()[0], index.splits()[2]);
+//! assert_eq!(index.count(low, high).1.cracks_performed, 0);
 //!
 //! // Every backend implements one `Index` surface: contents change
 //! // through one `write(WriteOp)`, and the typed `insert`/`delete`

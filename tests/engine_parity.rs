@@ -20,7 +20,8 @@ fn values() -> Vec<i64> {
 fn approaches() -> Vec<Approach> {
     let mut arms = Approach::all();
     // `all()` uses per-core worker counts; pin a few explicit shapes so the
-    // parity run exercises multi-worker routing even on small CI machines.
+    // parity run exercises several build-cracked ranges even on small CI
+    // machines.
     arms.push(Approach::ParallelRange { partitions: 4 });
     arms
 }
