@@ -131,9 +131,6 @@ pub struct ConcurrentCracker {
     next_rowid: AtomicU64,
     queries: AtomicU64,
     cracks: AtomicU64,
-    /// Cracks that routed through the hole-aware gap partition because the
-    /// piece carried a dead tail whose first slot served as scratch.
-    hole_cracks: AtomicU64,
     inserts: AtomicU64,
     deletes: AtomicU64,
     compactions: AtomicU64,
@@ -177,7 +174,6 @@ impl ConcurrentCracker {
             shrink_epoch: facade::AtomicU64::new(0),
             shrink_serial: Mutex::new(()),
             reclaim_pause: AtomicU64::new(0),
-            hole_cracks: AtomicU64::new(0),
             next_rowid: AtomicU64::new(next_rowid),
             queries: AtomicU64::new(0),
             cracks: AtomicU64::new(0),
@@ -389,13 +385,6 @@ impl ConcurrentCracker {
     /// compaction.
     pub fn hole_count(&self) -> usize {
         self.dir.total_holes()
-    }
-
-    /// Number of cracks that partitioned through the hole-aware gap walk
-    /// (the piece had a dead tail to use as scratch) rather than the
-    /// classic three-move swap loop.
-    pub fn hole_cracks_performed(&self) -> u64 {
-        self.hole_cracks.load(Ordering::Relaxed)
     }
 
     /// Merged latch statistics: piece latches plus the column latch.

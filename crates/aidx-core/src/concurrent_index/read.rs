@@ -731,7 +731,9 @@ impl ConcurrentCracker {
     /// workloads' cold phase paid for it (sweep in CHANGES.md, PR 21).
     /// That cost is gone — a row-id set scatters every piece's ids into
     /// one bitmap, so a piece costs no sort and no heap entry. Its
-    /// counterpart at the small end is [`Self::CRACK_FLOOR`].
+    /// counterpart at the small end is [`Self::CRACK_FLOOR`]. That sweep
+    /// was taken on the block partition kernel; the vector kernel moves a
+    /// row faster, which may move the best floor too.
     pub(super) const PIVOT_FLOOR: usize = 256 << 10;
 
     /// Rows at or below which a read does not crack a piece: a bound inside
@@ -1109,31 +1111,14 @@ impl ConcurrentCracker {
     }
 
     /// One partition pass: `[start, live_end)` around `pivot` under the
-    /// caller's write latch, routing through the hole-aware gap walk when
-    /// the range is followed by a dead tail (`live_end < piece_end`): the
-    /// first dead slot is free scratch — its contents are
-    /// reclaimed-tombstone garbage no read path ever touches — and the gap
-    /// walk writes every misplaced element once. Emits the pass as its own
+    /// caller's write latch, through [`SharedCrackerArray::crack_in_two_range`]
+    /// whether or not a dead tail follows the range: the tail's slots past
+    /// `live_end` are neither read nor written, so they stay on the
+    /// topmost sub-piece as they were. Emits the pass as its own
     /// [`TraceEvent::Crack`] and returns the split position.
-    fn crack_range_hole_aware(
-        &self,
-        start: usize,
-        live_end: usize,
-        piece_end: usize,
-        pivot: i64,
-    ) -> usize {
+    fn crack_range_hole_aware(&self, start: usize, live_end: usize, pivot: i64) -> usize {
         let traced = aidx_obs::enabled().then(Instant::now);
-        let pos = if live_end < piece_end {
-            let (pos, moves) = self
-                .data
-                .crack_in_two_with_hole(start, live_end, pivot, live_end);
-            if moves > 0 {
-                self.hole_cracks.fetch_add(1, Ordering::Relaxed);
-            }
-            pos
-        } else {
-            self.data.crack_in_two_range(start, live_end, pivot)
-        };
+        let pos = self.data.crack_in_two_range(start, live_end, pivot);
         if let Some(pass_start) = traced {
             emit(TraceEvent::Crack {
                 piece: start as u64,
@@ -1264,7 +1249,7 @@ impl ConcurrentCracker {
         // One pass over a sub-piece's live rows; the dead tail stays on the
         // topmost sub-piece, whose end is the piece's.
         let pass = |sub: &Piece, value: i64| {
-            self.crack_range_hole_aware(sub.start, sub.end.min(live_end), sub.end, value)
+            self.crack_range_hole_aware(sub.start, sub.end.min(live_end), value)
         };
         let mut cracks: Vec<(i64, usize)> = Vec::with_capacity(3);
         let (mut low_in, mut high_in) = (*piece, *piece);

@@ -3,12 +3,13 @@
 //! The piece-latch protocol lets several threads reorganise *disjoint*
 //! position ranges of the same cracker array concurrently (Section 5.3).
 //! Rust's `&mut` aliasing rules cannot express "mutable access to a dynamic,
-//! latch-protected sub-range of one vector", so this module provides the one
-//! carefully-scoped piece of `unsafe` in the repository:
-//! [`SharedCrackerArray`] stores the value and row-id arrays in
-//! `UnsafeCell`s and exposes range-scoped operations whose safety contract
-//! is "the caller holds the piece latch covering that range in the required
-//! mode".
+//! latch-protected sub-range of one vector", so this module holds the
+//! repository's carefully-scoped `unsafe`: [`SharedCrackerArray`] stores
+//! the value and row-id arrays in `UnsafeCell`s and exposes range-scoped
+//! operations whose safety contract is "the caller holds the piece latch
+//! covering that range in the required mode". The rest of that `unsafe` is
+//! the partition kernels' raw accesses and, on x86-64 CPUs with AVX-512,
+//! the vector kernel's intrinsics.
 //!
 //! # Safety contract
 //!
@@ -29,23 +30,35 @@
 //! * Piece latches are managed by [`crate::concurrent_index::ConcurrentCracker`];
 //!   pieces never overlap, so latched ranges never overlap.
 //!
-//! The partition kernel ([`SharedCrackerArray::crack_in_two_range`]) is the
-//! one loop here whose indices are not a plain `start..end` walk: block
-//! offsets from both ends, a swap list, a predicated sweep. Its contract
-//! on top of the above: every raw access computes its index through one
-//! closure that `debug_assert!`s it inside `[start, end)`; the stages'
-//! loop conditions (documented on the function) are what keep it there in
-//! release builds; and since miri cannot be installed offline, the kernel
-//! is differential-tested on every proptest case against a safe-Rust
-//! reference partition over plain vectors — same split, same multiset of
-//! `(value, rowid)` pairs on each side, no slot outside the range touched.
+//! The partition ([`SharedCrackerArray::crack_in_two_range`]) runs one of
+//! two kernels, chosen at run time from the CPU: the vector kernel where
+//! the CPU reports `avx512f`, `avx512vl` and `popcnt` and the range holds
+//! two vectors, the block kernel otherwise (and always under Miri and off
+//! x86-64). Neither walks a plain `start..end`, so each keeps its indices
+//! in range by one argument, documented on the kernel:
+//! * the block kernel (block offsets from both ends, a swap list, a
+//!   predicated sweep) computes every raw index through one closure that
+//!   `debug_assert!`s it inside `[start, end)`, and its stages' loop
+//!   conditions keep it there in release builds;
+//! * the vector kernel (whole-vector and compress-stores from two write
+//!   cursors) keeps sixteen slots free between its read and write cursors,
+//!   so no store lands on a row not yet read, and it stores a whole vector
+//!   only where a side has eight of them; its masked loads and
+//!   compress-stores touch only lanes inside `[start, end)`.
 //!
-//! Every method in this module is safe to *call* (not `unsafe fn`) because
-//! violating the contract cannot corrupt memory safety metadata — the ranges
-//! are bounds-checked — but it can produce torn reads of values being
-//! swapped. The contract is therefore enforced by the only caller,
-//! `ConcurrentCracker`, which is what the test suite exercises heavily under
-//! many threads.
+//! Both are differential-tested on every proptest case against a safe-Rust
+//! reference partition over plain vectors — same split, same multiset of
+//! `(value, rowid)` pairs on each side, no slot outside the range touched
+//! — and the vector kernel, where the CPU has its features, also against a
+//! safe scalar twin of its algorithm, byte for byte.
+//!
+//! Every method in this module is safe to *call* (not `unsafe fn`; the
+//! vector kernel, a `#[target_feature]` function, needs its CPU features
+//! checked first) because violating the contract cannot corrupt memory
+//! safety metadata — the ranges are bounds-checked — but it can produce
+//! torn reads of values being swapped. The contract is therefore enforced
+//! by the only caller, `ConcurrentCracker`, which is what the test suite
+//! exercises heavily under many threads.
 
 use crate::rowid_set::Bits;
 use aidx_cracking::RowId;
@@ -84,6 +97,156 @@ fn keep_hits(ids: &[RowId], out: &mut Vec<RowId>, hit: impl Fn(usize, RowId) -> 
         n += usize::from(hit(i, id));
     }
     out.extend_from_slice(&kept[..n]);
+}
+
+/// Rows per vector of [`SharedCrackerArray::partition_vector`]: eight
+/// 64-bit values fill one 512-bit register, their row ids half of one.
+#[cfg(any(test, all(target_arch = "x86_64", not(miri))))]
+const LANES: usize = 8;
+
+/// True if this CPU runs [`SharedCrackerArray::partition_vector`].
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+fn vector_kernel_available() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("popcnt")
+}
+
+/// For each 8-bit lane mask, the lane order that puts the set lanes first
+/// and the clear ones after them, each in lane order: byte `j` of entry
+/// `mask` is the lane that moves to lane `j`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+static SET_LANES_FIRST: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        // The next slot for a set lane, and for a clear one: after all the
+        // set lanes.
+        let (mut set, mut clear) = (0, (mask as u8).count_ones());
+        let mut lane = 0;
+        while lane < 8 {
+            let slot = if mask >> lane & 1 == 1 {
+                &mut set
+            } else {
+                &mut clear
+            };
+            table[mask] |= (lane as u64) << (8 * *slot);
+            *slot += 1;
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
+/// Eight rows in registers: their values and their row ids.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+type Rows = (std::arch::x86_64::__m512i, std::arch::x86_64::__m256i);
+
+/// The write side of [`SharedCrackerArray::partition_vector`]: the
+/// arrays' base pointers, the pivot in every lane, and the left and right
+/// write cursors.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+struct VectorPlacer {
+    values: *mut i64,
+    rowids: *mut i32,
+    pivots: std::arch::x86_64::__m512i,
+    lw: usize,
+    rw: usize,
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+impl VectorPlacer {
+    /// The eight rows at `at`.
+    ///
+    /// # Safety
+    /// The CPU has `avx512f` and `avx512vl`; `[at, at + 8)` lies inside
+    /// the arrays, under the caller's write latch.
+    // SAFETY: the contract above is discharged at `partition_vector`, the
+    // only caller.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    unsafe fn load(&self, at: usize) -> Rows {
+        use std::arch::x86_64::{_mm256_loadu_epi32, _mm512_loadu_epi64};
+        // SAFETY: `[at, at + 8)` is inside the arrays, per the contract.
+        unsafe {
+            (
+                _mm512_loadu_epi64(self.values.add(at)),
+                _mm256_loadu_epi32(self.rowids.add(at)),
+            )
+        }
+    }
+
+    /// Stores the lanes of `rows` that `live` selects — those below the
+    /// pivot from `lw` up, the others ending at `rw`, each side in lane
+    /// order — and moves both cursors past them.
+    ///
+    /// # Safety
+    /// The CPU has `avx512f`, `avx512vl` and `popcnt`; the caller holds
+    /// the write latch over `[lw, rw)`; and, with `k` of the live lanes
+    /// below the pivot, the slots `[lw, lw + k)` and `[rw − (live − k),
+    /// rw)` hold no row that is not yet read.
+    // SAFETY: the contract above is discharged by the free-slot argument
+    // at `partition_vector`, the only caller.
+    #[target_feature(enable = "avx512f,avx512vl,popcnt")]
+    #[inline]
+    unsafe fn place(&mut self, (values, rowids): Rows, live: u8) {
+        use std::arch::x86_64::{
+            _mm256_mask_compressstoreu_epi32, _mm512_mask_cmplt_epi64_mask,
+            _mm512_mask_compressstoreu_epi64,
+        };
+        let low = _mm512_mask_cmplt_epi64_mask(live, values, self.pivots);
+        let high = live & !low;
+        // SAFETY: each compress-store writes exactly its mask's popcount
+        // of contiguous slots, `[lw, lw + k)` and `[rw − (live − k), rw)`,
+        // which the caller guarantees free.
+        unsafe {
+            _mm512_mask_compressstoreu_epi64(self.values.add(self.lw), low, values);
+            _mm256_mask_compressstoreu_epi32(self.rowids.add(self.lw), low, rowids);
+            self.lw += low.count_ones() as usize;
+            self.rw -= high.count_ones() as usize;
+            _mm512_mask_compressstoreu_epi64(self.values.add(self.rw), high, values);
+            _mm256_mask_compressstoreu_epi32(self.rowids.add(self.rw), high, rowids);
+        }
+    }
+
+    /// [`Self::place`] for a full vector where both sides have at least
+    /// eight free slots: one permutation puts the rows below the pivot
+    /// first and the others after them, each in lane order, and the whole
+    /// vector is stored at `lw` and again ending at `rw`. The lanes past
+    /// the side's own rows land in free slots, which later placements
+    /// overwrite, so the array ends as [`Self::place`] leaves it.
+    ///
+    /// # Safety
+    /// The CPU has `avx512f`, `avx512vl` and `popcnt`; the caller holds
+    /// the write latch over `[lw, rw)`; and `[lw, lw + 8)` and `[rw − 8,
+    /// rw)` hold no row that is not yet read.
+    // SAFETY: the contract above is discharged by the free-slot argument
+    // at `partition_vector`, the only caller.
+    #[target_feature(enable = "avx512f,avx512vl,popcnt")]
+    #[inline]
+    unsafe fn place_full(&mut self, (values, rowids): Rows) {
+        use std::arch::x86_64::{
+            _mm256_cvtepu8_epi32, _mm256_permutexvar_epi32, _mm256_storeu_epi32,
+            _mm512_cmplt_epi64_mask, _mm512_cvtepu8_epi64, _mm512_permutexvar_epi64,
+            _mm512_storeu_epi64, _mm_cvtsi64_si128,
+        };
+        let low = _mm512_cmplt_epi64_mask(values, self.pivots);
+        let order = _mm_cvtsi64_si128(SET_LANES_FIRST[usize::from(low)] as i64);
+        let values = _mm512_permutexvar_epi64(_mm512_cvtepu8_epi64(order), values);
+        let rowids = _mm256_permutexvar_epi32(_mm256_cvtepu8_epi32(order), rowids);
+        let below = low.count_ones() as usize;
+        // SAFETY: each store writes the eight slots `[lw, lw + 8)` or
+        // `[rw − 8, rw)`, which the caller guarantees free.
+        unsafe {
+            _mm512_storeu_epi64(self.values.add(self.lw), values);
+            _mm256_storeu_epi32(self.rowids.add(self.lw), rowids);
+            _mm512_storeu_epi64(self.values.add(self.rw - LANES), values);
+            _mm256_storeu_epi32(self.rowids.add(self.rw - LANES), rowids);
+        }
+        self.lw += below;
+        self.rw -= LANES - below;
+    }
 }
 
 /// A fixed-size (value, row-id) pair of arrays with interior mutability,
@@ -272,20 +435,54 @@ impl SharedCrackerArray {
     /// returns the split position. Caller must hold the write latch of the
     /// piece covering the range.
     ///
-    /// Three stages. A branchy skip of the prefix already `< pivot` and the
-    /// suffix already `>= pivot`: on a nearly partitioned or tiny piece the
-    /// branches predict and that is all the work there is. Then a block
-    /// partition of the unsettled middle: a block of 128 rows
-    /// from either end is scanned *branch-free* — every offset is stored
-    /// and the store cursor advances by the comparison's outcome
-    /// (`n += (v >= pivot) as usize`), so an unpredictable pivot costs no
-    /// mispredictions — and the misplaced rows the two scans recorded are
-    /// swapped pairwise; a block is left behind once all its misplaced
-    /// rows are swapped out. What remains when fewer than two blocks
-    /// separate the ends — at most the two blocks, whatever of them is
-    /// still unswapped included — is partitioned by a predicated sweep
-    /// (swap unconditionally, `split += (v < pivot) as usize`).
+    /// A branchy skip of the prefix already `< pivot` and the suffix
+    /// already `>= pivot` comes first: on a nearly partitioned or tiny
+    /// piece the branches predict and that is all the work there is. The
+    /// unsettled middle then goes to one of two kernels, chosen from the
+    /// CPU at run time: the vector kernel (`partition_vector`) when the
+    /// CPU has AVX-512 (`avx512f`, `avx512vl`) and `popcnt` and the middle
+    /// holds at least two vectors, the block kernel (`partition_blocks`)
+    /// otherwise. Both place the same rows on each side of the same split;
+    /// the order within a side differs.
     pub fn crack_in_two_range(&self, start: usize, end: usize, pivot: i64) -> usize {
+        assert!(
+            start <= end && end <= self.len(),
+            "crack range out of bounds"
+        );
+        let (lo, hi) = self.settled_ends(start, end, pivot);
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if hi - lo >= 2 * LANES && vector_kernel_available() {
+            // SAFETY: the CPU features `partition_vector` is compiled for
+            // were detected just now.
+            return unsafe { self.partition_vector(lo, hi, pivot) };
+        }
+        self.partition_blocks(lo, hi, pivot)
+    }
+
+    /// The skip stage of [`Self::crack_in_two_range`]: returns `(lo, hi)`
+    /// such that `[start, lo)` is below the pivot, `[hi, end)` is not, and
+    /// `lo == hi` or the rows at `lo` and `hi − 1` are both misplaced.
+    fn settled_ends(&self, start: usize, end: usize, pivot: i64) -> (usize, usize) {
+        let values = self.values_in(start, end);
+        let below = values.iter().take_while(|&&v| v < pivot).count();
+        let rest = values[below..].iter().rev();
+        let at_or_above = rest.take_while(|&&v| v >= pivot).count();
+        (start + below, end - at_or_above)
+    }
+
+    /// The block kernel: partitions `[start, end)` around `pivot` and
+    /// returns the split. A block of 128 rows from either end is scanned
+    /// *branch-free* — every offset is stored and the store cursor
+    /// advances by the comparison's outcome (`n += (v >= pivot) as
+    /// usize`), so an unpredictable pivot costs no mispredictions — and
+    /// the misplaced rows the two scans recorded are swapped pairwise; a
+    /// block is left behind once all its misplaced rows are swapped out.
+    /// What remains when fewer than two blocks separate the ends — at most
+    /// the two blocks, whatever of them is still unswapped included — is
+    /// partitioned by a predicated sweep (swap unconditionally, `split +=
+    /// (v < pivot) as usize`). Caller must hold the write latch of the
+    /// piece covering the range.
+    fn partition_blocks(&self, start: usize, end: usize, pivot: i64) -> usize {
         assert!(
             start <= end && end <= self.len(),
             "crack range out of bounds"
@@ -296,10 +493,10 @@ impl SharedCrackerArray {
         let values = self.values_ptr();
         let rowids = self.rowids_ptr();
         // Every raw access below computes its index through `at`. The
-        // stages keep it in range by construction: `lo < hi` bounds the
-        // skips, a block scan runs only while `hi - lo >= 2 * BLOCK` so the
-        // offsets `0..BLOCK` from either end stay inside `[lo, hi)`, and
-        // the sweep runs `split <= i` over `lo..hi`.
+        // stages keep it in range by construction: a block scan runs only
+        // while `hi - lo >= 2 * BLOCK` so the offsets `0..BLOCK` from
+        // either end stay inside `[lo, hi)`, and the sweep runs `split <=
+        // i` over `lo..hi`.
         let at = |i: usize| {
             debug_assert!(start <= i && i < end, "kernel access outside the range");
             i
@@ -315,12 +512,6 @@ impl SharedCrackerArray {
                 std::ptr::swap(rowids.add(at(a)), rowids.add(at(b)));
             };
             let (mut lo, mut hi) = (start, end);
-            while lo < hi && below(lo) {
-                lo += 1;
-            }
-            while lo < hi && !below(hi - 1) {
-                hi -= 1;
-            }
             // Offsets (from `lo` upwards / from `hi - 1` downwards) of the
             // misplaced rows of the current left / right block, and the
             // part `[next, found)` of them not swapped yet.
@@ -373,6 +564,98 @@ impl SharedCrackerArray {
         }
     }
 
+    /// The vector kernel: partitions `[start, end)` (at least two vectors
+    /// of [`LANES`] rows) around `pivot` in place and returns the split.
+    /// Caller must hold the write latch of the piece covering the range.
+    ///
+    /// A two-ended compress partition. The range's first and last vector
+    /// are loaded into registers up front, which frees their 16 slots.
+    /// Reads then take the next vector from the end with fewer free slots
+    /// — the left's are `[lw, lr)`, the right's `[rr, rw)` — compare it to
+    /// the pivot (a signed 64-bit compare into a lane mask), and write its
+    /// rows below the pivot at the left write cursor and the others ending
+    /// at the right write cursor, each side in lane order. In this loop
+    /// both ends have eight free slots or more, so one permutation (from
+    /// the mask, [`SET_LANES_FIRST`]) orders the vector lows first and it
+    /// is stored whole at both cursors; the lanes past each side's own
+    /// rows land in free slots that later writes cover. That measured
+    /// faster than compress-stores here. Fewer than a vector of rows left
+    /// over are read with one masked load; they and the two saved vectors
+    /// are compress-stored (values with `vpcompressq`, row ids with the
+    /// 256-bit `vpcompressd`), which write only their rows. The write
+    /// cursors then meet at the split.
+    // SAFETY: the free-slot argument. `(lr − lw) + (rw − rr) = 16` holds
+    // before each read, because every read frees 8 slots and its
+    // placement fills 8. Reading from the end with fewer free slots leaves
+    // that end at least 8 free slots after the read and the other at least
+    // 8 already, so the whole-vector stores `[lw, lw + 8)` and `[rw − 8,
+    // rw)` stay below `lr` and at or above `rr`: no store overwrites a row
+    // not yet read. Once every row is read, `[lw, rw)` is free and exactly
+    // as wide as the rows still in registers, and a compress-store writes
+    // only its mask's popcount of slots. Every slot addressed lies in
+    // `[start, end)`, and masked loads touch only their mask's lanes, so no
+    // slot outside the range is read or written; and every slot ends up
+    // holding a row, since `[start, lw)` and `[rw, end)` hold placed rows
+    // only and the cursors meet.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx512f,avx512vl,popcnt")]
+    fn partition_vector(&self, start: usize, end: usize, pivot: i64) -> usize {
+        use std::arch::x86_64::{
+            _mm256_maskz_loadu_epi32, _mm512_maskz_loadu_epi64, _mm512_set1_epi64,
+        };
+        assert!(
+            start <= end && end <= self.len() && end - start >= 2 * LANES,
+            "vector crack range out of bounds or shorter than two vectors"
+        );
+        let mut out = VectorPlacer {
+            values: self.values_ptr(),
+            rowids: self.rowids_ptr().cast::<i32>(),
+            pivots: _mm512_set1_epi64(pivot),
+            lw: start,
+            rw: end,
+        };
+        let (mut lr, mut rr) = (start + LANES, end - LANES);
+        // SAFETY: `[start, start + 8)` and `[end − 8, end)` lie in
+        // `[start, end) ⊆ [0, len)` (asserted above); the caller's write
+        // latch gives exclusive access to the range.
+        let saved = unsafe { [out.load(start), out.load(rr)] };
+        while rr - lr >= LANES {
+            // The side is a branch, not a select: the CPU predicts it and
+            // issues the load at once, where a select would hold every load
+            // until the previous vector's compare and popcount are done.
+            // SAFETY: the vector read is `[lr, lr + 8)` or `[rr − 8, rr)`,
+            // unread and inside `[start, end)`; the free-slot invariant
+            // (see above) keeps `place_full`'s stores off unread rows.
+            unsafe {
+                let rows = if lr - out.lw <= out.rw - rr {
+                    lr += LANES;
+                    out.load(lr - LANES)
+                } else {
+                    rr -= LANES;
+                    out.load(rr)
+                };
+                out.place_full(rows);
+            }
+        }
+        // Fewer than eight unread rows, `[lr, rr)`: one masked load.
+        let tail = (1u8 << (rr - lr)) - 1;
+        // SAFETY: the mask's lanes address `[lr, rr) ⊆ [start, end)`; after
+        // this read every row is in a register and `[lw, rw)` is free and
+        // exactly as wide as the rows placed from here on.
+        unsafe {
+            let rows = (
+                _mm512_maskz_loadu_epi64(tail, out.values.add(lr)),
+                _mm256_maskz_loadu_epi32(tail, out.rowids.add(lr)),
+            );
+            out.place(rows, tail);
+            for rows in saved {
+                out.place(rows, u8::MAX);
+            }
+        }
+        debug_assert_eq!(out.lw, out.rw, "the write cursors meet at the split");
+        out.lw
+    }
+
     /// Hole-aware partition of `[start, end)` around `pivot`: uses the dead
     /// slot at `hole` (a reclaimed-tombstone position past the live range —
     /// its contents are garbage and never read by any query) as scratch
@@ -387,6 +670,11 @@ impl SharedCrackerArray {
     /// classic `3m`. The hole holds garbage again on return (untouched
     /// when `moves == 0`). Caller must hold the write latch of the piece
     /// covering both the range and the hole.
+    ///
+    /// No engine path calls this: every pass runs
+    /// [`Self::crack_in_two_range`], which is faster with or without a
+    /// hole. It stays only because the benchmark's
+    /// `core.kernel.hole_crack_mrows_per_s` probe times it.
     pub fn crack_in_two_with_hole(
         &self,
         start: usize,
@@ -709,67 +997,194 @@ mod tests {
         (lo, swaps)
     }
 
+    /// The vector kernel's safe twin over plain vectors: the same reads in
+    /// the same order — the first and last [`LANES`] rows saved, then a
+    /// vector from the end with fewer free slots (the left on a tie), the
+    /// fewer-than-`LANES` leftover, the two saved vectors — and the same
+    /// placement: a vector's rows below the pivot written in lane order
+    /// from the left write cursor, the others in lane order ending at the
+    /// right one. Needs at least `2 * LANES` rows; returns the split.
+    fn vector_twin(
+        values: &mut [i64],
+        rowids: &mut [RowId],
+        start: usize,
+        end: usize,
+        pivot: i64,
+    ) -> usize {
+        assert!(end - start >= 2 * LANES);
+        let read = |values: &[i64], rowids: &[RowId], at: usize, rows: usize| {
+            (at..at + rows)
+                .map(|i| (values[i], rowids[i]))
+                .collect::<Vec<_>>()
+        };
+        let place = |values: &mut [i64],
+                     rowids: &mut [RowId],
+                     (lw, rw): (&mut usize, &mut usize),
+                     rows: Vec<(i64, RowId)>| {
+            let (low, high): (Vec<_>, Vec<_>) = rows.into_iter().partition(|&(v, _)| v < pivot);
+            let below = low.len();
+            *rw -= high.len();
+            for (at, (v, id)) in (*lw..).zip(low).chain((*rw..).zip(high)) {
+                (values[at], rowids[at]) = (v, id);
+            }
+            *lw += below;
+        };
+        let (mut lw, mut rw) = (start, end);
+        let (mut lr, mut rr) = (start + LANES, end - LANES);
+        let saved = [
+            read(values, rowids, start, LANES),
+            read(values, rowids, rr, LANES),
+        ];
+        while rr - lr >= LANES {
+            let at = if lr - lw <= rw - rr {
+                lr += LANES;
+                lr - LANES
+            } else {
+                rr -= LANES;
+                rr
+            };
+            let rows = read(values, rowids, at, LANES);
+            place(values, rowids, (&mut lw, &mut rw), rows);
+        }
+        let rows = read(values, rowids, lr, rr - lr);
+        place(values, rowids, (&mut lw, &mut rw), rows);
+        for rows in saved {
+            place(values, rowids, (&mut lw, &mut rw), rows);
+        }
+        assert_eq!(lw, rw, "the write cursors meet at the split");
+        lw
+    }
+
     fn sorted_pairs(values: &[i64], rowids: &[RowId]) -> Vec<(i64, RowId)> {
         let mut pairs: Vec<_> = values.iter().copied().zip(rowids.iter().copied()).collect();
         pairs.sort_unstable();
         pairs
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Asserts that `got`, cracked from `values` with positional row ids,
+    /// partitions `[start, end)` around `pivot` at `split` as the
+    /// reference partition does: the same split, the same multiset of
+    /// `(value, rowid)` pairs on each side, every slot outside the range
+    /// untouched.
+    fn assert_reference_partition(
+        kernel: &str,
+        (got_values, got_rowids): (&[i64], &[RowId]),
+        values: &[i64],
+        (start, end, pivot): (usize, usize, i64),
+        split: usize,
+    ) {
+        let n = values.len();
+        let mut want_values = values.to_vec();
+        let mut want_rowids: Vec<RowId> = (0..n as RowId).collect();
+        let (want_split, _) =
+            reference_partition(&mut want_values, &mut want_rowids, start, end, pivot);
+        let case = format!("{kernel}: [{start}, {end}) of {n} around {pivot}");
+        assert_eq!(split, want_split, "{case}");
+        assert!(
+            got_values[start..split].iter().all(|&v| v < pivot),
+            "{case}"
+        );
+        assert!(got_values[split..end].iter().all(|&v| v >= pivot), "{case}");
+        for (from, to) in [(start, split), (split, end)] {
+            assert_eq!(
+                sorted_pairs(&got_values[from..to], &got_rowids[from..to]),
+                sorted_pairs(&want_values[from..to], &want_rowids[from..to]),
+                "{case}"
+            );
+        }
+        for outside in (0..start).chain(end..n) {
+            assert_eq!(got_values[outside], values[outside], "{case}");
+            assert_eq!(got_rowids[outside], outside as RowId, "{case}");
+        }
+    }
 
-        /// The unsafe kernel against the safe reference, on a sub-range of
-        /// a larger array: same split position, the same multiset of
-        /// `(value, rowid)` pairs on each side, every slot outside
-        /// `[start, end)` untouched. Lengths reach several blocks; the
-        /// shapes put every stage of the kernel on its own (all skipped,
-        /// blocks only, sweep only) and together.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every partition kernel against the safe reference, on a
+        /// sub-range of a larger array: `crack_in_two_range` (the skip
+        /// stage, then whichever kernel this CPU runs), the block kernel
+        /// and the vector kernel's safe twin by name, and — where the CPU
+        /// has its features — the vector kernel by name, whose split,
+        /// values and row ids must be byte-identical to its twin's. Values
+        /// and pivots reach `i64::MIN` and `i64::MAX`. The shapes put
+        /// every stage of the block kernel on its own (all skipped, blocks
+        /// only, sweep only) and together; the ranges take every length in
+        /// `0..=17` (across the vector kernel's two-vector minimum and its
+        /// masked leftover) and end at the array's last slot, where a
+        /// masked lane past the range would leave the allocation.
         #[test]
         fn kernel_agrees_with_the_reference_partition(
-            raw in prop::collection::vec(-50i64..50, 0..900),
-            shape in 0u8..8,
+            raw in prop::collection::vec((0u8..16, -50i64..50), 0..900),
+            shape in 0u8..7,
+            span in 0u8..5,
             cut in (0usize..1000, 0usize..1000),
-            pivot in -60i64..60,
+            pivot in (0u8..8, -60i64..60),
         ) {
-            let mut values = raw;
+            let extreme = |(pick, v): (u8, i64)| match pick {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => v,
+            };
+            let pivot = extreme(pivot);
+            let mut values: Vec<i64> = raw.into_iter().map(extreme).collect();
+            let (below, at_or_above) = (pivot.saturating_sub(1), pivot);
             match shape {
                 0 => values.sort_unstable(),
                 1 => values.sort_unstable_by(|a, b| b.cmp(a)),
                 2 => values.fill(7),
-                3 => values.iter_mut().for_each(|v| *v = pivot - 1 - v.abs()),
-                4 => values.iter_mut().for_each(|v| *v = pivot + v.abs()),
+                3 => values
+                    .iter_mut()
+                    .for_each(|v| *v = below.saturating_sub(v.saturating_abs())),
+                4 => values
+                    .iter_mut()
+                    .for_each(|v| *v = at_or_above.saturating_add(v.saturating_abs())),
                 // Dense misplacement: the high half first.
                 5 => values.sort_unstable_by_key(|&v| v < pivot),
                 _ => {}
             }
             let n = values.len();
             let (a, b) = (cut.0 % (n + 1), cut.1 % (n + 1));
-            // Shapes 6 and 7 crack the whole array and a one-or-zero-row range.
-            let (start, end) = match shape {
-                6 => (0, n),
-                7 => (a, (a + b % 2).min(n)),
-                _ => (a.min(b), a.max(b)),
+            let short = cut.1 % 18;
+            let (start, end) = match span {
+                0 => (a.min(b), a.max(b)),
+                1 => (0, n),
+                2 => (a, (a + short).min(n)),
+                3 => (n - short.min(n), n),
+                _ => (a, n),
             };
+            let range = (start, end, pivot);
+
             let array = SharedCrackerArray::from_values(values.clone());
             let split = array.crack_in_two_range(start, end, pivot);
             let (got_values, got_rowids) = array.snapshot();
+            let got = (&got_values[..], &got_rowids[..]);
+            assert_reference_partition("crack_in_two_range", got, &values, range, split);
 
-            let mut want_values = values.clone();
-            let mut want_rowids: Vec<RowId> = (0..n as RowId).collect();
-            let (want_split, _) =
-                reference_partition(&mut want_values, &mut want_rowids, start, end, pivot);
-            prop_assert_eq!(split, want_split);
-            prop_assert!(got_values[start..split].iter().all(|&v| v < pivot));
-            prop_assert!(got_values[split..end].iter().all(|&v| v >= pivot));
-            for (from, to) in [(start, split), (split, end)] {
-                prop_assert_eq!(
-                    sorted_pairs(&got_values[from..to], &got_rowids[from..to]),
-                    sorted_pairs(&want_values[from..to], &want_rowids[from..to])
-                );
-            }
-            for outside in (0..start).chain(end..n) {
-                prop_assert_eq!(got_values[outside], values[outside]);
-                prop_assert_eq!(got_rowids[outside], outside as RowId);
+            let array = SharedCrackerArray::from_values(values.clone());
+            let split = array.partition_blocks(start, end, pivot);
+            let (got_values, got_rowids) = array.snapshot();
+            let got = (&got_values[..], &got_rowids[..]);
+            assert_reference_partition("partition_blocks", got, &values, range, split);
+
+            // The twin and the vector kernel take two vectors or more.
+            if end - start >= 2 * LANES {
+                let mut twin_values = values.clone();
+                let mut twin_rowids: Vec<RowId> = (0..n as RowId).collect();
+                let twin_split = vector_twin(&mut twin_values, &mut twin_rowids, start, end, pivot);
+                let twin = (&twin_values[..], &twin_rowids[..]);
+                assert_reference_partition("vector_twin", twin, &values, range, twin_split);
+
+                #[cfg(all(target_arch = "x86_64", not(miri)))]
+                if vector_kernel_available() {
+                    let array = SharedCrackerArray::from_values(values.clone());
+                    // SAFETY: the kernel's CPU features were detected just now.
+                    let split = unsafe { array.partition_vector(start, end, pivot) };
+                    let (got_values, got_rowids) = array.snapshot();
+                    prop_assert_eq!(split, twin_split);
+                    prop_assert_eq!(&got_values, &twin_values);
+                    prop_assert_eq!(&got_rowids, &twin_rowids);
+                }
             }
         }
     }
