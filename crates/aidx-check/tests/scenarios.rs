@@ -2,8 +2,8 @@
 //!
 //! Two kinds of scenario live here:
 //!
-//! * **Real-code models** — the actual `ConcurrentCracker`, posting-list
-//!   intersection, `OrderedWaitLatch`, `RangePartitionedCracker` and
+//! * **Real-code models** — the actual `ConcurrentCracker`,
+//!   `OrderedWaitLatch`, `RangePartitionedCracker` and
 //!   `TableEngine` run on virtual threads. This works because `aidx-core`,
 //!   `aidx-parallel` and `aidx-table` are built with
 //!   the `check` feature in this crate's test graph, so every facade lock
@@ -21,8 +21,7 @@
 //!   would notice a regression in the real protocol, not just rubber-stamp
 //!   it.
 //!
-//! Two of the mini-models are ports of bugs this codebase actually had or
-//! defends against: the galloping-intersection frontier bug and the
+//! One of the mini-models ports a protocol this codebase defends: the
 //! bounded-retry reclaim-pause drain.
 
 use std::sync::atomic::Ordering;
@@ -33,8 +32,8 @@ use aidx_check::sync::{
 };
 use aidx_check::{explore, explore_default, ExploreConfig, Scenario};
 use aidx_core::{
-    intersect_iters_gallop, intersect_iters_linear, ColumnRead, CompactionPolicy,
-    ConcurrentCracker, Index, LatchProtocol, ReadShape, RowIdSet, WriteOp,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape, RowIdSet,
+    WriteOp,
 };
 use aidx_latch::ordered::OrderedWaitLatch;
 use aidx_parallel::RangePartitionedCracker;
@@ -1026,54 +1025,6 @@ fn sweep_with_stale_tombstone_count_is_caught() {
             })
     });
     report.expect_failure("finale-panic");
-}
-
-// ---------------------------------------------------------------------------
-// PR 7 port: galloping-intersection frontier
-// ---------------------------------------------------------------------------
-
-/// PR 7's proptest found a missed match when the leapfrog driver's seek
-/// lands *exactly* on the large side's frontier (here: small seeks to 7
-/// after large's `next_seek` already consumed its 7). Two virtual threads
-/// build the runs concurrently; the finale intersects with the real
-/// galloping and linear walkers from `aidx-core` and cross-checks them.
-#[test]
-fn gallop_frontier_regression_concurrent_build() {
-    let report = explore_default(move || {
-        let small_run = Arc::new(CheckedMutex::new(Vec::<u32>::new()));
-        let large_run = Arc::new(CheckedMutex::new(Vec::<u32>::new()));
-        let s = Arc::clone(&small_run);
-        let l = Arc::clone(&large_run);
-        Scenario::new()
-            .thread(move || {
-                for id in [0u32, 7, 20] {
-                    s.lock().push(id);
-                    yield_now();
-                }
-            })
-            .thread(move || {
-                for id in [7u32, 9, 20, 33] {
-                    l.lock().push(id);
-                    yield_now();
-                }
-            })
-            .finale(move || {
-                let small = RowIdSet::from_sorted(&small_run.lock());
-                let large = RowIdSet::from_sorted(&large_run.lock());
-                let (gallop, _) = intersect_iters_gallop(small.iter(), large.iter());
-                let linear = intersect_iters_linear(small.iter(), large.iter());
-                assert_eq!(
-                    gallop,
-                    vec![7, 20],
-                    "driver landing on the large side's frontier missed a match"
-                );
-                assert_eq!(gallop, linear, "gallop and linear walks disagree");
-            })
-    });
-    // The run-building tree is larger than the default schedule cap;
-    // exhaustiveness is not required — every explored schedule must pass.
-    report.assert_ok();
-    assert!(report.schedules >= 1000);
 }
 
 // ---------------------------------------------------------------------------

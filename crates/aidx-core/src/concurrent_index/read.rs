@@ -233,17 +233,14 @@ pub enum ReadShape<'a> {
     /// The qualifying row ids as one flat ascending vector — the
     /// uncompressed reference the other row shapes are checked against.
     RowIds,
-    /// The qualifying row ids as a compact [`RowIdSet`]: the
-    /// [`ReadShape::Candidates`] set, compacted ([`RowIdSet::compact`]) —
-    /// it stays a bitmap when dense or is encoded from the bitmap's
-    /// (ascending) words into blocks.
-    RowIdSet,
     /// The qualifying row ids as a [`RowIdSet`] in the planner form, for
     /// a consumer that uses and drops the set within one operation: every
     /// visited piece's row ids are scattered, unsorted, into a bitmap over
     /// the set's id span, delta rows clear or set their bits, and the set
-    /// is that bitmap — no sort, no heap merge, no encoding. Only ids
-    /// sparser than one per 1 024 of span are sorted into blocks instead.
+    /// is that bitmap — no sort, no heap merge. Only ids sparser than one
+    /// per 1 024 of span are sorted into a vector instead.
+    /// [`ColumnRead::select_rowid_set`](crate::ColumnRead::select_rowid_set)
+    /// is this read, compacted ([`RowIdSet::compact`]).
     Candidates,
     /// The qualifying row ids that are also in the given set: the
     /// [`ReadShape::Candidates`] set of the read, intersected with it
@@ -251,7 +248,7 @@ pub enum ReadShape<'a> {
     /// bitmap without a branch — interior pieces read row ids only, edge
     /// pieces their values too — and only survivors are scattered into
     /// the planner-form result. Pending inserts count only if the set
-    /// holds them; hidden rows are cleared as for any read. A block set
+    /// holds them; hidden rows are cleared as for any read. A sorted set
     /// is scattered into a pooled bitmap once, before the walk
     /// ([`RowIdSet::as_bitmap`]). The read cracks its bounds like any
     /// other: this is how a table planner filters a candidate set by a
@@ -270,8 +267,7 @@ pub enum ReadAnswer {
     Agg(i128),
     /// [`ReadShape::RowIds`], sorted ascending.
     RowIds(Vec<RowId>),
-    /// [`ReadShape::RowIdSet`], [`ReadShape::Candidates`] or
-    /// [`ReadShape::Within`].
+    /// [`ReadShape::Candidates`] or [`ReadShape::Within`].
     Set(RowIdSet),
     /// [`ReadShape::KeyRuns`].
     Runs(KeyRuns),
@@ -283,9 +279,7 @@ impl ReadAnswer {
         match shape {
             ReadShape::Count | ReadShape::Sum => ReadAnswer::Agg(0),
             ReadShape::RowIds => ReadAnswer::RowIds(Vec::new()),
-            ReadShape::RowIdSet | ReadShape::Candidates | ReadShape::Within(_) => {
-                ReadAnswer::Set(RowIdSet::default())
-            }
+            ReadShape::Candidates | ReadShape::Within(_) => ReadAnswer::Set(RowIdSet::default()),
             ReadShape::KeyRuns => ReadAnswer::Runs(KeyRuns::default()),
         }
     }
@@ -301,7 +295,7 @@ impl ReadAnswer {
         }
     }
 
-    /// Records this answer's size (and compressed footprint) in `metrics`.
+    /// Records this answer's size (and a set's footprint) in `metrics`.
     fn stamp(&self, metrics: &mut QueryMetrics) {
         if let Some(rows) = self.rows() {
             metrics.result_count = rows;
@@ -328,8 +322,7 @@ impl ReadAnswer {
     }
 
     /// The row-id set. Panics unless the read was
-    /// [`ReadShape::RowIdSet`], [`ReadShape::Candidates`] or
-    /// [`ReadShape::Within`].
+    /// [`ReadShape::Candidates`] or [`ReadShape::Within`].
     pub fn into_set(self) -> RowIdSet {
         match self {
             ReadAnswer::Set(set) => set,
@@ -347,12 +340,11 @@ impl ReadAnswer {
 }
 
 /// What one read accumulates while the walk feeds it latched pieces — one
-/// variant per [`ReadShape`], the three set shapes sharing one. The id
+/// variant per [`ReadShape`], the two set shapes sharing one. The id
 /// shapes append every piece's row ids in physical order (a
 /// [`ReadShape::Within`] read only those its filter holds): the flat shape
-/// sorts them, the set shapes scatter them into a bitmap, which
-/// [`ReadShape::RowIdSet`] then compacts. Key runs stay one run per piece,
-/// which the lazy join merge wants apart.
+/// sorts them, the set shapes scatter them into a bitmap. Key runs stay
+/// one run per piece, which the lazy join merge wants apart.
 pub(super) enum Accumulator<'a> {
     Count(u64),
     Sum {
@@ -362,7 +354,6 @@ pub(super) enum Accumulator<'a> {
     RowIds(Vec<RowId>),
     IdSet {
         ids: Vec<RowId>,
-        compact: bool,
         within: Option<Bits<'a>>,
     },
     PairRuns(Vec<Vec<(i64, RowId)>>),
@@ -385,14 +376,13 @@ impl<'a> Accumulator<'a> {
             ReadShape::Count => Accumulator::Count(0),
             ReadShape::Sum => Accumulator::Sum { rows: 0, sum: 0 },
             ReadShape::RowIds => Accumulator::RowIds(Vec::with_capacity(rows)),
-            ReadShape::RowIdSet | ReadShape::Candidates | ReadShape::Within(_) => {
+            ReadShape::Candidates | ReadShape::Within(_) => {
                 let most = match shape {
                     ReadShape::Within(filter) => rows.min(filter.len()),
                     _ => rows,
                 };
                 Accumulator::IdSet {
                     ids: Vec::with_capacity(most),
-                    compact: matches!(shape, ReadShape::RowIdSet),
                     within,
                 }
             }
@@ -470,21 +460,13 @@ impl<'a> Accumulator<'a> {
                 rows.sort_unstable();
                 ReadAnswer::RowIds(rows)
             }
-            (
-                Accumulator::IdSet {
-                    ids,
-                    compact,
-                    within,
-                },
-                DeltaView::Rows(view),
-            ) => {
+            (Accumulator::IdSet { ids, within }, DeltaView::Rows(view)) => {
                 let extra = view.extra.iter().map(|&(_, rowid)| rowid);
                 let extra: Vec<RowId> = match within {
                     Some(bits) => extra.filter(|&rowid| bits.holds(rowid)).collect(),
                     None => extra.collect(),
                 };
-                let set = RowIdSet::scattered(&[ids], &view.hidden, &extra);
-                ReadAnswer::Set(if compact { set.compact() } else { set })
+                ReadAnswer::Set(RowIdSet::scattered(&[ids], &view.hidden, &extra))
             }
             (Accumulator::PairRuns(runs), DeltaView::Rows(view)) => {
                 let mut out = KeyRuns::default();
@@ -599,11 +581,10 @@ impl ConcurrentCracker {
     }
 
     /// [`ColumnRead::select_rowid_set`] at the current epoch, refining the
-    /// index as a side effect: the compressed rowid-set read a table
-    /// engine intersects across columns.
+    /// index as a side effect; inherent so that callers without the trait
+    /// in scope reach it.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, None, ReadShape::RowIdSet);
-        (answer.into_set(), metrics)
+        ColumnRead::select_rowid_set(self, low, high)
     }
 
     /// Ensures a crack exists at `bound` under the active latch protocol,
@@ -815,7 +796,7 @@ impl ConcurrentCracker {
             return (ReadAnswer::empty(shape), metrics);
         }
         // A `Within` read's filter as one bitmap, scattered (if it is
-        // blocks) once for every seqlock attempt.
+        // sorted) once for every seqlock attempt.
         let filter = match shape {
             ReadShape::Within(set) => Some(set.as_bitmap()),
             _ => None,

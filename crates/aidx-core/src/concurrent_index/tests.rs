@@ -1500,7 +1500,7 @@ proptest::proptest! {
 #[test]
 fn a_candidates_read_keeps_the_bitmap_a_rowid_set_read_encodes() {
     // One qualifying row per ~100 row ids: scattered into a bitmap, which
-    // costs more than a flat vector, so compaction encodes it.
+    // costs more than the sorted vector, so compaction walks it into one.
     let n = 64_000;
     let (low, high) = (0, n as i64 / 100);
     for protocol in protocols() {
@@ -1509,21 +1509,36 @@ fn a_candidates_read_keeps_the_bitmap_a_rowid_set_read_encodes() {
             .read(low, high, None, ReadShape::Candidates)
             .0
             .into_set();
-        let compact = idx.read(low, high, None, ReadShape::RowIdSet).0.into_set();
+        let (compact, metrics) = idx.select_rowid_set(low, high);
         assert!(candidates.is_bitmap(), "{protocol}: the scattered bitmap");
-        assert!(!compact.is_bitmap(), "{protocol}: blocks");
+        assert!(!compact.is_bitmap(), "{protocol}: a sorted vector");
         assert_eq!(candidates.len(), n / 100);
         assert_eq!(candidates, compact, "{protocol}");
+        assert_eq!(compact.heap_bytes(), 4 * compact.len(), "{protocol}");
+        assert_eq!(metrics.candidate_set_bytes, compact.heap_bytes() as u64);
+        // The compacted set is the flat answer, now and through a pin
+        // taken before a delete and an insert in the range.
+        let before = idx.select_rowids(low, high).0;
+        let pin = idx.pin();
+        idx.write(WriteOp::Delete { value: low + 7 });
+        idx.write(WriteOp::Insert {
+            value: low + 9,
+            rowid: 10 * n as RowId,
+        });
+        let now = idx.select_rowids(low, high).0;
+        assert_ne!(now, before, "{protocol}");
+        assert_eq!(idx.select_rowid_set(low, high).0.to_vec(), now);
+        assert_eq!(pin.select_rowids(low, high).0, before, "{protocol}");
+        assert_eq!(pin.select_rowid_set(low, high).0.to_vec(), before);
     }
 }
 
 // ----- crack floor ----------------------------------------------------------
 
-const SHAPES: [ReadShape<'static>; 6] = [
+const SHAPES: [ReadShape<'static>; 5] = [
     ReadShape::Count,
     ReadShape::Sum,
     ReadShape::RowIds,
-    ReadShape::RowIdSet,
     ReadShape::Candidates,
     ReadShape::KeyRuns,
 ];
@@ -1549,7 +1564,11 @@ fn answers_like_the_oracle(
         ReadShape::Count => answer.into_agg() == hits.len() as i128,
         ReadShape::Sum => answer.into_agg() == hits.iter().map(|&(v, _)| v as i128).sum::<i128>(),
         ReadShape::RowIds => answer.into_rowids() == ids,
-        ReadShape::RowIdSet | ReadShape::Candidates => answer.into_set().to_vec() == ids,
+        // What `select_rowid_set` returns is the set compacted.
+        ReadShape::Candidates => {
+            let set = answer.into_set();
+            set.to_vec() == ids && set.compact().to_vec() == ids
+        }
         ReadShape::Within(filter) => {
             ids.retain(|&id| filter.contains(id));
             answer.into_set().to_vec() == ids

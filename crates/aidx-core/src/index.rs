@@ -46,14 +46,17 @@ pub trait ColumnRead {
         (answer.into_rowids(), metrics)
     }
 
-    /// Same read, but as a compact [`RowIdSet`] — a bitmap when it costs
-    /// less than a flat vector, block compressed otherwise: the form a
-    /// set takes when it leaves the engine (a planner that uses and drops
-    /// its sets reads [`ReadShape::Candidates`] instead);
-    /// `metrics.candidate_set_bytes` records the set's footprint.
+    /// Same read, but as a compacted [`RowIdSet`]: the
+    /// [`ReadShape::Candidates`] set, kept a bitmap only when that costs
+    /// less than the sorted vector ([`RowIdSet::compact`]), for a set that
+    /// leaves the engine (a planner that uses and drops its sets reads
+    /// [`ReadShape::Candidates`] itself); `metrics.candidate_set_bytes`
+    /// records the compacted set's footprint.
     fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let (answer, metrics) = self.read(low, high, ReadShape::RowIdSet);
-        (answer.into_set(), metrics)
+        let (answer, mut metrics) = self.read(low, high, ReadShape::Candidates);
+        let set = answer.into_set().compact();
+        metrics.candidate_set_bytes = set.heap_bytes() as u64;
+        (set, metrics)
     }
 
     /// The same read as raw per-piece `(key, rowid)` runs — what a table
@@ -195,7 +198,7 @@ mod tests {
         );
         let shapes = [
             ReadShape::RowIds,
-            ReadShape::RowIdSet,
+            ReadShape::Candidates,
             ReadShape::KeyRuns,
             ReadShape::Count,
             ReadShape::Sum,

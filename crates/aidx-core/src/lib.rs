@@ -38,9 +38,9 @@
 //!   tombstones` under a quiescing system transaction, and cracks that
 //!   already hold a piece's write latch physically reclaim tombstoned rows
 //!   (delete-aware piece shrinking).
-//! * [`RowIdSet`] / [`SeekingIterator`] — posting-list-grade candidate
-//!   row-id sets: block delta compression and galloping (seek-based)
-//!   intersection for the multi-predicate read path.
+//! * [`RowIdSet`] — the candidate row ids one table operator hands the
+//!   next: a bitmap over their span when dense, a sorted vector when
+//!   sparse.
 //! * [`QueryMetrics`] / [`RunMetrics`] — the wait/refinement/conflict
 //!   breakdown the paper's evaluation reports (Figures 13–15).
 //! * [`SharedCrackerArray`] — the latch-mediated shared cracker array.
@@ -78,8 +78,5 @@ pub use merge_concurrent::ConcurrentAdaptiveMerge;
 pub use metrics::{Completion, LatencyBreakdown, QueryMetrics, RunMetrics, WindowThroughput};
 pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta};
 pub use protocol::{Aggregate, LatchProtocol, RefinementPolicy};
-pub use rowid_set::{
-    intersect_iters_gallop, intersect_iters_linear, intersect_sets, IntersectStats,
-    IntersectStrategy, RowIdSet, RowIdSetBuilder, RowIdSetIter, SeekingIterator, SliceIter,
-};
+pub use rowid_set::{intersect_sets, IntersectStrategy, RowIdSet};
 pub use shared_array::SharedCrackerArray;

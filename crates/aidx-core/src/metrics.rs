@@ -60,11 +60,11 @@ pub struct QueryMetrics {
     /// Number of qualifying tuples (the query's logical result size); for
     /// deletes, the number of rows removed.
     pub result_count: u64,
-    /// Compressed bytes of the candidate row-id set(s) this operation
-    /// materialised (0 for operations that never built one).
+    /// Bytes of the candidate row-id set(s) this operation materialised
+    /// (0 for operations that never built one).
     pub candidate_set_bytes: u64,
-    /// Whole compressed blocks bypassed by galloping seeks during
-    /// candidate-set intersection.
+    /// Always 0: row-id sets have no blocks to skip. Kept because the
+    /// benchmark's table metrics (`benchmark/src/measure.rs`) read it.
     pub blocks_skipped: u64,
     /// Output `(left rowid, right rowid)` pairs emitted by an equi-join
     /// (0 for non-join operations).

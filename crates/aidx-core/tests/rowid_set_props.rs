@@ -1,13 +1,8 @@
-//! Property tests for the compressed rowid-set layer: encode/decode
-//! round-trips, the `SeekingIterator` contract (strictly ascending
-//! emission, `next_seek` lands on the first id ≥ target) checked
-//! call-by-call against a `BTreeSet` oracle, and galloping / linear /
-//! adaptive intersection equivalence against set-containment.
+//! Property tests for the rowid-set layer through its public surface:
+//! round-trips, the union of runs, and intersection in every pair of
+//! containers against set containment.
 
-use aidx_core::{
-    intersect_iters_gallop, intersect_iters_linear, intersect_sets, IntersectStrategy, RowIdSet,
-    SeekingIterator, SliceIter,
-};
+use aidx_core::{intersect_sets, IntersectStrategy, RowIdSet};
 use aidx_cracking::RowId;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
@@ -44,43 +39,6 @@ proptest! {
     }
 
     #[test]
-    fn next_seek_honours_its_contract_against_a_btreeset_oracle(
-        ids in prop::collection::vec(0u32..200_000, 1..400),
-        probes in prop::collection::vec((0u8..2, 0u32..220_000), 1..80),
-    ) {
-        let sorted = sorted_unique(ids);
-        let oracle: BTreeSet<RowId> = sorted.iter().copied().collect();
-        let set = RowIdSet::from_sorted(&sorted);
-        let mut it = set.iter();
-        // The emission frontier: everything <= this id is consumed.
-        let mut last: Option<RowId> = None;
-        for &(kind, target) in &probes {
-            let got = if kind == 0 { it.next() } else { it.next_seek(target) };
-            let floor = match (kind, last) {
-                (0, None) => 0,
-                (0, Some(l)) => l + 1,
-                (_, None) => target,
-                (_, Some(l)) => target.max(l + 1),
-            };
-            let expected = oracle.range(floor..).next().copied();
-            prop_assert_eq!(got, expected, "kind {} target {} after {:?}", kind, target, last);
-            match got {
-                Some(id) => {
-                    if let Some(l) = last {
-                        prop_assert!(id > l, "iterator went backwards: {} after {}", id, l);
-                    }
-                    last = Some(id);
-                }
-                // Exhausted stays exhausted.
-                None => {
-                    prop_assert_eq!(it.next(), None);
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
     fn every_intersection_walk_matches_set_containment(
         a in prop::collection::vec(0u32..50_000, 0..600),
         b in prop::collection::vec(0u32..50_000, 0..60),
@@ -89,19 +47,20 @@ proptest! {
         let b = sorted_unique(b);
         let in_a: BTreeSet<RowId> = a.iter().copied().collect();
         let expected: Vec<RowId> = b.iter().copied().filter(|id| in_a.contains(id)).collect();
-        let (sa, sb) = (RowIdSet::from_sorted(&a), RowIdSet::from_sorted(&b));
-        for strategy in [
-            IntersectStrategy::Adaptive,
-            IntersectStrategy::Gallop,
-            IntersectStrategy::Linear,
-        ] {
-            let (got, _) = intersect_sets(&sa, &sb, strategy);
-            prop_assert_eq!(got.to_vec(), expected.clone(), "{:?}", strategy);
+        // Each side as `from_sorted` picks its container (mostly sorted
+        // vectors at these densities) and as a bitmap.
+        let sides = |ids: &[RowId]| {
+            let set = RowIdSet::from_sorted(ids);
+            let bitmap = set.as_bitmap().into_owned();
+            [set, bitmap]
+        };
+        for x in &sides(&a) {
+            for y in &sides(&b) {
+                let got = intersect_sets(x, y, IntersectStrategy::Adaptive);
+                prop_assert_eq!(got.to_vec(), expected.clone());
+                prop_assert_eq!(got.len(), expected.len());
+                prop_assert_eq!(got.is_bitmap(), x.is_bitmap() && y.is_bitmap() && !expected.is_empty());
+            }
         }
-        // Mixed sources through the iterator front doors: a flat slice
-        // driving a compressed set, and the plain linear merge.
-        let (ids, _) = intersect_iters_gallop(SliceIter::new(&b), sa.iter());
-        prop_assert_eq!(ids, expected.clone());
-        prop_assert_eq!(intersect_iters_linear(sa.iter(), sb.iter()), expected);
     }
 }

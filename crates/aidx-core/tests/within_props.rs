@@ -55,8 +55,8 @@ proptest! {
     /// 1 deletes every row of key `a`, 2 deletes the live row at index `b`,
     /// any other reads `[min(a, b), max(a, b))` now (and through the pin,
     /// once taken). The filters hold random ids across the seed rows, the
-    /// inserted rows and past both, as a bitmap and as blocks, plus the
-    /// empty filter.
+    /// inserted rows and past both as a bitmap, every multiple of 40 among
+    /// them as a sorted vector, and the empty filter.
     #[test]
     fn a_within_read_keeps_exactly_the_candidates_its_filter_holds(
         values in prop::collection::vec(-2000i64..2000, 0..4000),
@@ -73,10 +73,12 @@ proptest! {
         let idx = ConcurrentCracker::from_values(values.clone(), protocol).with_compaction(policy);
         let mut ids = filter_ids;
         ids.sort_unstable();
-        let blocks = RowIdSet::from_sorted(&ids);
-        let bitmap = blocks.as_bitmap().into_owned();
+        let bitmap = RowIdSet::from_sorted(&ids).as_bitmap().into_owned();
         prop_assert!(ids.is_empty() || bitmap.is_bitmap());
-        let filters = [bitmap, blocks, RowIdSet::default()];
+        let sparse: Vec<RowId> = ids.iter().copied().filter(|id| id % 40 == 0).collect();
+        let sorted = RowIdSet::from_sorted(&sparse);
+        prop_assert!(!sorted.is_bitmap());
+        let filters = [bitmap, sorted, RowIdSet::default()];
 
         let mut rows: Vec<(i64, RowId)> =
             values.iter().enumerate().map(|(i, &key)| (key, i as RowId)).collect();

@@ -173,13 +173,31 @@ fn has_word(hay: &str, needle: &str) -> bool {
     false
 }
 
+/// True when line `i` opens an inline test module: a `#[cfg(test)]` (or
+/// `#[cfg(all(test, …))]`) attribute whose item — the rest of its line,
+/// or else the next line that is neither blank, a comment nor another
+/// attribute — is `mod name {`. A `#[cfg(test)] mod name;` declaration and
+/// a `#[cfg(test)]` on any other item open no test region.
+fn opens_test_mod(lines: &[&str], i: usize) -> bool {
+    let attr = code_part(lines[i]).trim();
+    if !attr.starts_with("#[cfg(test)]") && !attr.starts_with("#[cfg(all(test") {
+        return false;
+    }
+    let same_line = attr.split_once(")]").map_or("", |(_, rest)| rest.trim());
+    let item = std::iter::once(same_line)
+        .chain(lines[i + 1..].iter().map(|l| code_part(l).trim()))
+        .find(|l| !l.is_empty() && !l.starts_with("#["))
+        .unwrap_or("");
+    has_word(item, "mod") && item.ends_with('{')
+}
+
 /// Lints one file's content. `rel` is the workspace-relative path with
 /// forward slashes; `facade_crate` marks crates subject to rule 4.
 fn lint_file(rel: &str, content: &str, allow: &Allowlist, facade_crate: bool) -> Vec<Violation> {
     let mut violations = Vec::new();
     let lines: Vec<&str> = content.lines().collect();
     let is_test_file = rel.contains("/tests/") || rel.contains("/benches/");
-    let mut in_test_mod = false; // set at the first #[cfg(test)]; test mods sit at file bottom
+    let mut in_test_mod = false; // set at the first inline test mod; test mods sit at file bottom
     let mut counts: HashMap<OrderingKind, usize> = HashMap::new();
     let patterns = [
         (OrderingKind::Relaxed, OrderingKind::Relaxed.pattern()),
@@ -189,11 +207,7 @@ fn lint_file(rel: &str, content: &str, allow: &Allowlist, facade_crate: bool) ->
 
     for (i, &line) in lines.iter().enumerate() {
         let lineno = i + 1;
-        if line.trim_start().starts_with("#[cfg(test)]")
-            || line.trim_start().starts_with("#[cfg(all(test")
-        {
-            in_test_mod = true;
-        }
+        in_test_mod = in_test_mod || opens_test_mod(&lines, i);
         let in_test = is_test_file || in_test_mod;
         let code = code_part(line);
 
@@ -500,6 +514,46 @@ mod tests {
         let in_tests = format!("#[cfg(test)]\nmod tests {{\n    {bad}\n}}\n");
         assert!(lint_file("crates/x/src/lib.rs", &in_tests, &allow, false).is_empty());
         assert!(lint_file("crates/x/tests/t.rs", bad, &allow, false).is_empty());
+    }
+
+    #[test]
+    fn only_an_inline_test_mod_opens_a_test_region() {
+        let allow = Allowlist::default();
+        let bad = "fn f() { STATE.lock().unwrap().push(1); }\n";
+        let import = "use std::sync::Mutex;\n";
+        // A declaration of an out-of-line test module, or a test-only
+        // item, leaves the code after it under rules 3 and 4…
+        for head in [
+            "#[cfg(test)]\nmod tests;\n",
+            "#[cfg(test)]\nfn helper() {}\n",
+            "#[cfg(test)] // helpers\n#[allow(dead_code)]\nconst N: usize = 1;\n",
+        ] {
+            let v = lint_file(
+                "crates/x/src/lib.rs",
+                &format!("{head}{bad}"),
+                &allow,
+                false,
+            );
+            assert_eq!(v.len(), 1, "{head}");
+            assert_eq!(v[0].rule, "no-poison-unwrap");
+            let v = lint_file(
+                "crates/aidx-core/src/x.rs",
+                &format!("{head}{import}"),
+                &allow,
+                true,
+            );
+            assert_eq!(v.len(), 1, "{head}");
+            assert_eq!(v[0].rule, "facade");
+        }
+        // …and an inline one, on one line or after another attribute,
+        // exempts what follows.
+        for head in [
+            "#[cfg(test)] mod tests {\n",
+            "#[cfg(all(test, feature = \"x\"))]\n#[allow(unused)]\npub(crate) mod tests {\n",
+        ] {
+            let text = format!("{head}{bad}{import}}}\n");
+            assert!(lint_file("crates/aidx-core/src/x.rs", &text, &allow, true).is_empty());
+        }
     }
 
     #[test]

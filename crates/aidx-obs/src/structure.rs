@@ -90,10 +90,11 @@ pub struct StructureProbe {
     /// Operations per key range, a read counted in every range it
     /// overlaps (empty for unpartitioned engines).
     pub partition_load: Vec<u64>,
-    /// Cumulative compressed candidate-set bytes produced by selects
+    /// Cumulative candidate-set bytes produced by selects
     /// (0 for engines that do not build candidate sets).
     pub candidate_set_bytes: u64,
-    /// Cumulative compressed blocks bypassed by galloping intersections.
+    /// Always 0: row-id sets have no blocks to skip. The field stays for
+    /// the reports that carry it.
     pub blocks_skipped: u64,
 }
 
@@ -183,9 +184,10 @@ pub struct StructureStats {
     pub partition_imbalance: f64,
     /// Number of partitions (0 for unpartitioned engines).
     pub partitions: u64,
-    /// Cumulative compressed candidate-set bytes produced by selects.
+    /// Cumulative candidate-set bytes produced by selects.
     pub candidate_set_bytes: u64,
-    /// Cumulative compressed blocks bypassed by galloping intersections.
+    /// Always 0: row-id sets have no blocks to skip. The field stays for
+    /// the reports that carry it.
     pub blocks_skipped: u64,
 }
 

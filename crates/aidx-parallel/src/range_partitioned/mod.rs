@@ -111,8 +111,7 @@ impl RangePartitionedCracker {
     /// [`ColumnRead::select_rowid_set`], inherent so that callers without
     /// the trait in scope reach it.
     pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
-        let (answer, metrics) = ColumnRead::read(self, low, high, ReadShape::RowIdSet);
-        (answer.into_set(), metrics)
+        ColumnRead::select_rowid_set(self, low, high)
     }
 
     /// `(delta rows, compactions + incremental steps)`.

@@ -4,14 +4,15 @@
 //! the same logical rows — on every backend, now and through a snapshot,
 //! and across the pre-cracked arm's build cracks (a column cracked at its
 //! range splits when it is built).
-//! `Count == RowIds.len() == RowIdSet.len() == KeyRuns.total_rows()`,
-//! `Sum ==` Σ keys of the runs, `RowIdSet.to_vec() == RowIds ==` sorted
-//! rowids of the runs — all equal to a scan oracle over the logical rows.
-//! The planner-form `Candidates` set holds the same rows, and compacting
-//! it gives the `RowIdSet` shape's container and footprint. A `Within`
-//! read holds exactly the `Candidates` rows its filter holds, for filters
-//! in both containers, filters holding ids of no row, and the empty
-//! filter — with pending inserts and tombstones in the delta.
+//! `Count == RowIds.len() == select_rowid_set.len() ==
+//! KeyRuns.total_rows()`, `Sum ==` Σ keys of the runs,
+//! `select_rowid_set.to_vec() == RowIds ==` sorted rowids of the runs —
+//! all equal to a scan oracle over the logical rows. The planner-form
+//! `Candidates` set holds the same rows, and compacting it gives
+//! `select_rowid_set`'s container and footprint. A `Within` read holds
+//! exactly the `Candidates` rows its filter holds, for filters in both
+//! containers, filters holding ids of no row, and the empty filter —
+//! with pending inserts and tombstones in the delta.
 //!
 //! **One write stream**: one seeded [`WriteOp`] sequence must report the
 //! same rows affected, op for op, and leave the same rows behind on every
@@ -72,28 +73,29 @@ fn rows_of(column: &[i64]) -> BTreeMap<RowId, i64> {
 
 /// The filters a [`ReadShape::Within`] read is checked with: a bitmap of
 /// every third id up to past the largest row id (so it holds ids of no
-/// row too), a block set of every other row id, and the empty set.
+/// row too), a sorted set of every 40th row id, and the empty set.
 fn within_filters(rows: &BTreeMap<RowId, i64>) -> [RowIdSet; 3] {
     let top = rows.keys().last().map_or(0, |&max| max + 64);
     let every_third: Vec<RowId> = (0..top).step_by(3).collect();
     let bitmap = RowIdSet::from_runs(&[every_third], &HashSet::new(), &[]);
-    let every_other: Vec<RowId> = rows.keys().copied().step_by(2).collect();
-    let blocks = RowIdSet::from_sorted(&every_other);
-    assert!(bitmap.is_bitmap() && !blocks.is_bitmap());
-    [bitmap, blocks, RowIdSet::default()]
+    let every_40th: Vec<RowId> = rows.keys().copied().step_by(40).collect();
+    let sorted = RowIdSet::from_sorted(&every_40th);
+    assert!(bitmap.is_bitmap() && !sorted.is_bitmap());
+    [bitmap, sorted, RowIdSet::default()]
 }
 
-/// Reads `[low, high)` in every shape through `reader` and checks the
-/// seven answers — and the sizes their metrics report — against each other
-/// and against a scan of `rows` (rowid → key). Returns how many non-empty
-/// row-id sets came back as bitmaps and how many as blocks.
+/// Reads `[low, high)` in every shape and through `select_rowid_set` via
+/// `reader` and checks the seven answers — and the sizes their metrics
+/// report — against each other and against a scan of `rows` (rowid →
+/// key). Returns how many non-empty compacted sets came back as bitmaps
+/// and how many as sorted vectors.
 fn assert_shapes_agree(
     label: &str,
     reader: &dyn ColumnRead,
     rows: &BTreeMap<RowId, i64>,
     ranges: &[(i64, i64)],
 ) -> (usize, usize) {
-    let (mut bitmaps, mut blocks) = (0, 0);
+    let (mut bitmaps, mut sorted) = (0, 0);
     let filters = within_filters(rows);
     for &(low, high) in ranges {
         let at = format!("{label} [{low},{high})");
@@ -119,8 +121,7 @@ fn assert_shapes_agree(
         assert_eq!(flat.into_rowids(), expected, "{at} flat rowids");
         assert_eq!(m.result_count, n, "{at} flat metrics");
 
-        let (set, m) = read(ReadShape::RowIdSet);
-        let set = set.into_set();
+        let (set, m) = reader.select_rowid_set(low, high);
         assert_eq!(set.len() as u64, n, "{at} set len");
         assert_eq!(set.to_vec(), expected, "{at} set contents");
         assert_eq!(m.result_count, n, "{at} set metrics");
@@ -132,7 +133,7 @@ fn assert_shapes_agree(
         match (set.is_empty(), set.is_bitmap()) {
             (true, _) => {}
             (false, true) => bitmaps += 1,
-            (false, false) => blocks += 1,
+            (false, false) => sorted += 1,
         }
 
         let (candidates, m) = read(ReadShape::Candidates);
@@ -163,7 +164,7 @@ fn assert_shapes_agree(
             let form = if filter.is_bitmap() {
                 "bitmap"
             } else {
-                "blocks"
+                "sorted"
             };
             let at = format!("{at} within {} {form}", filter.len());
             assert_eq!(within.to_vec(), kept, "{at} contents");
@@ -195,7 +196,7 @@ fn assert_shapes_agree(
         run_ids.sort_unstable();
         assert_eq!(run_ids, expected, "{at} runs rowids");
     }
-    (bitmaps, blocks)
+    (bitmaps, sorted)
 }
 
 /// The one parity body over an index built from `column`: warm the
@@ -366,8 +367,8 @@ fn a_sequential_sweep_is_exact_on_every_backend_above_the_pivot_floor() {
     sweep("pre-cracked", &range);
 }
 
-/// Row-id sets in both containers — dense ones as bitmaps, sparse ones
-/// as blocks — equal the flat `RowIds` shape on the serial and the
+/// Compacted row-id sets in both containers — dense ones as bitmaps,
+/// sparse ones as sorted vectors — equal the flat `RowIds` shape on the serial and the
 /// pre-cracked backends, now and pinned, with the delta folded in: pending inserts
 /// (extra rows) now, and through the pin the rows deleted since (ghosts)
 /// and the inserts compaction placed in the main array since (hidden).
@@ -406,11 +407,11 @@ fn rowid_sets_equal_the_flat_shape_in_both_containers() {
     }
     for (label, engine) in &backends {
         let both = |phase: &str, reader: &dyn ColumnRead, rows: &BTreeMap<RowId, i64>| {
-            let (bitmaps, blocks) =
+            let (bitmaps, sorted) =
                 assert_shapes_agree(&format!("{label} {phase}"), reader, rows, &ranges);
             assert!(
-                bitmaps > 0 && blocks > 0,
-                "{label} {phase}: {bitmaps} bitmap and {blocks} block sets"
+                bitmaps > 0 && sorted > 0,
+                "{label} {phase}: {bitmaps} bitmap and {sorted} sorted sets"
             );
         };
         let mut rows = keyed_rows(n);

@@ -85,7 +85,7 @@ pub enum TableOp {
     /// Key/foreign-key equi-join against another table engine: filters
     /// on a side's join column narrow the key window both sides' key
     /// runs are read over, any other filters are planned exactly like a
-    /// `SelectMulti` (most-selective-first cracking, compressed candidate
+    /// `SelectMulti` (most-selective-first cracking, candidate row-id
     /// sets), and the survivors are joined on
     /// `self[left_col] == other[right_col]`, emitting
     /// `(left rowid, right rowid)` pairs.

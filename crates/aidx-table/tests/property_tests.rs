@@ -91,11 +91,11 @@ proptest! {
         threshold in 1u64..10,
         step in 1usize..4,
     ) {
-        // Compressed-set column reads (`ColumnRead::select_rowid_set`)
+        // Row-id-set column reads (`ColumnRead::select_rowid_set`)
         // interleaved with tuple writes under aggressive incremental
         // compaction, on every backend: every set must decode to exactly
         // the flat `select_rowids` answer taken back-to-back (the table
-        // is quiescent between the two reads), report its own compressed
+        // is quiescent between the two reads), report its own
         // footprint, and the oracle-checked multi-predicate path — which
         // now runs on these sets — must never diverge.
         for backend in backends() {
