@@ -29,7 +29,7 @@
 //! Run with `cargo bench -p aidx-bench --bench bench_rowid_sets`.
 
 use aidx_bench::{scaled_params, Report};
-use aidx_core::CompactionPolicy;
+use aidx_core::{ColumnRead, CompactionPolicy};
 use aidx_cracking::RowId;
 use aidx_obs::Json;
 use aidx_table::{ColumnPredicate, TableBackend, TableEngine, TableOp};

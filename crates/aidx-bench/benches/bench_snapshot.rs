@@ -34,7 +34,7 @@
 //! Run with `cargo bench -p aidx-bench --bench bench_snapshot`.
 
 use aidx_bench::{ms, print_table, scaled_params};
-use aidx_core::{CompactionPolicy, ConcurrentCracker, Index, LatchProtocol};
+use aidx_core::{ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol};
 use aidx_cracking::generate_unique_shuffled;
 use std::time::{Duration, Instant};
 

@@ -11,10 +11,8 @@ use aidx_bench::{scaled_params, Report};
 use aidx_core::{Aggregate, LatencyBreakdown};
 use aidx_cracking::generate_unique_shuffled;
 use aidx_obs::{Json, StructureSampler, TraceEvent};
-use aidx_parallel::RangePartitionedCracker;
-use aidx_workload::{AdaptiveEngine, ExperimentConfig, IndexEngine, MultiClientRunner};
+use aidx_workload::{AdaptiveEngine, Approach, ExperimentConfig, MultiClientRunner};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
@@ -33,7 +31,7 @@ fn main() {
 
     aidx_obs::enable();
     let values = generate_unique_shuffled(rows, 7);
-    let ops = ExperimentConfig::new(aidx_workload::Approach::Scan)
+    let ops = ExperimentConfig::new(Approach::Scan)
         .rows(rows)
         .queries(op_count)
         .selectivity(0.01)
@@ -43,11 +41,8 @@ fn main() {
 
     // Pass 1 — convergence: one client, sampling structure every 1/16th
     // of the sequence, so the curve is attributable to query counts.
-    let name = format!("parallel-range-{partitions}");
-    let engine = IndexEngine::new(
-        &name,
-        RangePartitionedCracker::new(values.clone(), partitions),
-    );
+    let arm = ExperimentConfig::new(Approach::ParallelRange { partitions });
+    let engine = arm.build_engine_with(values.clone());
     let mut sampler = StructureSampler::new((op_count as u64 / 16).max(1));
     let mut breakdown = LatencyBreakdown::new();
     for (i, &op) in ops.iter().enumerate() {
@@ -73,10 +68,7 @@ fn main() {
 
     // Pass 2 — contention: the same sequence under concurrent clients,
     // for the percentile breakdown and windowed throughput.
-    let concurrent = Arc::new(IndexEngine::new(
-        name,
-        RangePartitionedCracker::new(values, partitions),
-    ));
+    let concurrent = arm.build_engine_with(values);
     let run = MultiClientRunner::new(clients).run_ops(concurrent.clone(), &ops);
     let contended = run.latency_breakdown();
     println!("\np99 latency breakdown (ns), 1 client vs {clients} clients:");

@@ -17,7 +17,7 @@ fn mixed_ops(write_ratio: f64, seed: u64) -> Vec<Operation> {
     WorkloadGenerator::new(ROWS as u64, 0.05, Aggregate::Sum, seed).generate_mixed(OPS, write_ratio)
 }
 
-fn crack_engine(values: &[i64]) -> IndexEngine<ConcurrentCracker> {
+fn crack_engine(values: &[i64]) -> IndexEngine {
     let index = ConcurrentCracker::from_values(values.to_vec(), LatchProtocol::Piece)
         .with_compaction(CompactionPolicy::rows(64).incremental(4));
     IndexEngine::new("crack-piece", index)

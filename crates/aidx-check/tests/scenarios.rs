@@ -2,10 +2,10 @@
 //!
 //! Two kinds of scenario live here:
 //!
-//! * **Real-code models** — the actual `ConcurrentCracker`,
-//!   `OrderedWaitLatch`, `RangePartitionedCracker` and
-//!   `TableEngine` run on virtual threads. This works because `aidx-core`,
-//!   `aidx-parallel` and `aidx-table` are built with
+//! * **Real-code models** — the actual `ConcurrentCracker` (plain and
+//!   range-partitioned), `OrderedWaitLatch` and
+//!   `TableEngine` run on virtual threads. This works because `aidx-core`
+//!   and `aidx-table` are built with
 //!   the `check` feature in this crate's test graph, so every facade lock
 //!   the production code takes routes through the scheduler — and so does
 //!   the shrink-epoch seqlock, whose
@@ -32,11 +32,9 @@ use aidx_check::sync::{
 };
 use aidx_check::{explore, explore_default, ExploreConfig, Scenario};
 use aidx_core::{
-    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape, RowIdSet,
-    WriteOp,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol, ReadShape, RowIdSet, WriteOp,
 };
 use aidx_latch::ordered::OrderedWaitLatch;
-use aidx_parallel::RangePartitionedCracker;
 use aidx_table::{ColumnPredicate, TableBackend, TableEngine, TableOp};
 
 fn capped(max_schedules: usize) -> ExploreConfig {
@@ -1031,8 +1029,9 @@ fn sweep_with_stale_tombstone_count_is_caught() {
 // Range partitions as build cracks: one cracker, one epoch per pin
 // ---------------------------------------------------------------------------
 
-/// The real `RangePartitionedCracker` over eight values: one piece-latched
-/// cracker, cracked at its one range split when it is built. Thread C
+/// The real range-partitioned column over eight values: one piece-latched
+/// cracker, cracked at its one range split when it is built
+/// (`with_ranges`), its delta bounded like a range arm's. Thread C
 /// counts the whole key range, which straddles the build crack; threads I
 /// and J each insert one key, one on either side of the crack; thread P
 /// pins the column before either insert starts (the inserts wait on its
@@ -1049,9 +1048,12 @@ fn real_pre_cracked_column_straddling_and_pinned_reads_race_two_inserts() {
         ..capped(20_000)
     };
     let report = explore(one_preemption, move || {
-        let idx = Arc::new(RangePartitionedCracker::new(column.clone(), 2));
-        let split = idx.splits()[0];
-        assert_eq!(idx.splits().len(), 1, "two ranges");
+        let idx = ConcurrentCracker::from_values(column.clone(), LatchProtocol::Piece)
+            .with_compaction(CompactionPolicy::fraction(0.1).incremental(8))
+            .with_ranges(2);
+        let idx = Arc::new(idx);
+        let split = idx.range_splits()[0];
+        assert_eq!(idx.range_splits().len(), 1, "two ranges");
         assert_eq!(idx.structure_probe().piece_count(), 2, "one build crack");
         let pinned = Arc::new((CheckedMutex::new(false), CheckedCondvar::new()));
         let insert = |key: i64| {
@@ -1089,7 +1091,7 @@ fn real_pre_cracked_column_straddling_and_pinned_reads_race_two_inserts() {
             })
             .finale(move || {
                 assert_eq!(idx.count(i64::MIN, i64::MAX).0, n + 2, "rows lost");
-                assert_eq!(idx.len() as u64, n + 2);
+                assert_eq!(idx.logical_len(), n + 2);
                 assert_eq!(idx.structure_probe().live_snapshots, 0);
                 assert!(idx.check_invariants());
             })

@@ -65,11 +65,11 @@ mod read;
 mod tests;
 mod write;
 
-pub use read::{ReadAnswer, ReadShape};
+pub use read::{ReadAnswer, ReadShape, Snapshot};
 pub use write::WriteOp;
 
 use crate::compaction::{CompactionMode, CompactionPolicy};
-use crate::index::{ColumnRead, Index};
+use crate::index::ColumnRead;
 use crate::key_runs::KeyRuns;
 use crate::metrics::QueryMetrics;
 use crate::pending::{DeltaAdjust, PairView, PendingDelta};
@@ -77,6 +77,7 @@ use crate::piece_directory::{
     AlreadyCrack, Found, OperationGuard, PieceDirectory, Ranges, Span, Target,
 };
 use crate::protocol::{LatchProtocol, RefinementPolicy};
+use crate::range_partitioned::{choose_splits, BuildRanges};
 use crate::rowid_set::{Bits, RowIdSet};
 use crate::shared_array::SharedCrackerArray;
 use aidx_cracking::{Piece, RowId};
@@ -138,6 +139,9 @@ pub struct ConcurrentCracker {
     pending_compacted: AtomicU64,
     tombstones_reclaimed: AtomicU64,
     shrinks: AtomicU64,
+    /// The key ranges the build cracked at, with their op counters (none
+    /// unless built [`ConcurrentCracker::with_cracks`]).
+    ranges: BuildRanges,
 }
 
 impl ConcurrentCracker {
@@ -184,6 +188,7 @@ impl ConcurrentCracker {
             pending_compacted: AtomicU64::new(0),
             tombstones_reclaimed: AtomicU64::new(0),
             shrinks: AtomicU64::new(0),
+            ranges: BuildRanges::default(),
         };
         idx.column_latch
             .set_dcheck_tag(dcheck::Level::Column, instance, "column-latch");
@@ -227,11 +232,13 @@ impl ConcurrentCracker {
     /// cracks are then installed as ordinary pieces. Keys may come
     /// unsorted or repeated; a key at or below every row cracks at
     /// position 0, one above every row at the end. No read runs: no pivot
-    /// crack, and [`ConcurrentCracker::crack_count`] stays 0.
+    /// crack, and [`ConcurrentCracker::crack_count`] stays 0. The keys
+    /// bound the build ranges, each of which counts the ops it serves
+    /// ([`StructureProbe::partition_load`]).
     ///
     /// # Panics
     /// Panics unless the index is as built: one piece and an empty delta.
-    pub fn with_cracks(self, splits: &[i64]) -> Self {
+    pub fn with_cracks(mut self, splits: &[i64]) -> Self {
         assert!(
             self.piece_count() == 1 && self.hole_count() == 0 && self.delta_rows() == 0,
             "build cracks go on an index as built"
@@ -242,7 +249,26 @@ impl ConcurrentCracker {
         let mut cracks = Vec::with_capacity(keys.len());
         self.crack_at(0, self.data.len(), &keys, &mut cracks);
         self.dir.split(0, &cracks);
+        self.ranges = BuildRanges::new(keys);
         self
+    }
+
+    /// Range-partitions the column as it is built (builder style): cracks
+    /// it [`ConcurrentCracker::with_cracks`] at the splits of `ranges`
+    /// key ranges (clamped to `1..=len.max(1)`), balanced over a
+    /// deterministic sample of its rows.
+    ///
+    /// # Panics
+    /// As [`ConcurrentCracker::with_cracks`].
+    pub fn with_ranges(self, ranges: usize) -> Self {
+        let splits = choose_splits(self.data.len(), |pos| self.data.value_at(pos), ranges);
+        self.with_cracks(&splits)
+    }
+
+    /// The split keys of the build ranges, ascending: range `i + 1` starts
+    /// at `range_splits()[i]`. Empty for a cracker built without cracks.
+    pub fn range_splits(&self) -> &[i64] {
+        self.ranges.splits()
     }
 
     /// Partitions `[start, end)` at the middle of `keys` (ascending), then
@@ -257,12 +283,6 @@ impl ConcurrentCracker {
         self.crack_at(start, pos, below, cracks);
         cracks.push((key, pos));
         self.crack_at(pos, end, above, cracks);
-    }
-
-    /// Sets the delta compaction policy on an existing (exclusively owned)
-    /// index.
-    pub fn set_compaction(&mut self, compaction: CompactionPolicy) {
-        self.compaction = compaction;
     }
 
     /// The delta compaction policy in use.
@@ -394,18 +414,17 @@ impl ConcurrentCracker {
         stats
     }
 
-    /// Per-piece latch statistics for every live piece latch, sorted by
-    /// piece start position. Latches retired by compaction rebuilds are
-    /// folded into [`ConcurrentCracker::latch_stats`] but carry no
-    /// position here.
-    pub fn latch_stats_by_piece(&self) -> Vec<(usize, LatchStatsSnapshot)> {
-        self.dir.latch_stats_by_piece()
-    }
-
-    /// The column latch's own statistics (None-protocol indexes report
-    /// zeroes: the latch exists but is never taken).
-    pub fn column_latch_stats(&self) -> LatchStatsSnapshot {
-        self.column_latch.stats()
+    /// Per-latch-object wait/conflict attribution: every live piece latch
+    /// keyed by its piece start, ascending, then the column latch under
+    /// [`TraceEvent::COLUMN_LATCH`] (zeroes under
+    /// [`LatchProtocol::None`]: the latch exists but is never taken).
+    /// Latches retired by compaction rebuilds are folded into
+    /// [`ConcurrentCracker::latch_stats`] but carry no position here.
+    pub fn latch_attribution(&self) -> Vec<(u64, LatchStatsSnapshot)> {
+        let pieces = self.dir.latch_stats_by_piece().into_iter();
+        let mut stats: Vec<_> = pieces.map(|(start, s)| (start as u64, s)).collect();
+        stats.push((TraceEvent::COLUMN_LATCH, self.column_latch.stats()));
+        stats
     }
 
     /// Current size of every piece, in positions (dead hole tails
@@ -429,11 +448,10 @@ impl ConcurrentCracker {
             live_snapshots: self.live_snapshots() as u64,
             compactions: self.compactions_performed(),
             compaction_steps: self.compaction_steps_performed(),
-            partition_load: Vec::new(),
+            partition_load: self.ranges.load(),
             // Candidate-set accounting is per-query (QueryMetrics) and
             // engine-level (TableEngine); a single column reports none.
             candidate_set_bytes: 0,
-            blocks_skipped: 0,
         }
     }
 
@@ -483,8 +501,8 @@ impl ConcurrentCracker {
     /// underneath it. With compaction disabled (the default) the gate is
     /// skipped entirely, so the measured latch protocols pay no extra
     /// shared-cache-line traffic per operation; the policy is fixed
-    /// before the index is shared (`with_compaction`/`set_compaction`
-    /// need ownership), so the decision cannot flip mid-flight.
+    /// before the index is shared (`with_compaction` needs ownership), so
+    /// the decision cannot flip mid-flight.
     fn enter_if_compactable(&self) -> Option<OperationGuard<'_>> {
         self.compaction.is_enabled().then(|| self.dir.enter())
     }
@@ -551,36 +569,5 @@ impl ConcurrentCracker {
 impl ColumnRead for ConcurrentCracker {
     fn read(&self, low: i64, high: i64, shape: ReadShape<'_>) -> (ReadAnswer, QueryMetrics) {
         ConcurrentCracker::read(self, low, high, None, shape)
-    }
-}
-
-impl Index for ConcurrentCracker {
-    fn pin(&self) -> Box<dyn ColumnRead + '_> {
-        Box::new(self.snapshot())
-    }
-
-    fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
-        ConcurrentCracker::write(self, op)
-    }
-
-    fn insert(&self, value: i64) -> QueryMetrics {
-        let rowid = aidx_cracking::rowid(self.next_rowid.fetch_add(1, Ordering::Relaxed));
-        self.insert_row(value, rowid)
-    }
-
-    fn check_invariants(&self) -> bool {
-        ConcurrentCracker::check_invariants(self)
-    }
-
-    fn structure_probe(&self) -> StructureProbe {
-        ConcurrentCracker::structure_probe(self)
-    }
-
-    /// Every live piece latch by piece start, plus the column latch.
-    fn latch_attribution(&self) -> Vec<(u64, LatchStatsSnapshot)> {
-        let pieces = self.latch_stats_by_piece().into_iter();
-        let mut stats: Vec<_> = pieces.map(|(start, s)| (start as u64, s)).collect();
-        stats.push((TraceEvent::COLUMN_LATCH, self.column_latch_stats()));
-        stats
     }
 }

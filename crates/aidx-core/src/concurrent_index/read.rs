@@ -489,14 +489,14 @@ impl<'a> Accumulator<'a> {
 }
 
 /// A registered snapshot of a [`ConcurrentCracker`], opened by
-/// [`Index::pin`]: reads through the handle see exactly `main@epoch +
-/// delta≤epoch` — the column as of the moment it was opened — no matter
-/// how many writes, piece shrinks, or (incremental or full) compactions
-/// race or complete in between. Dropping the handle releases the
-/// registration and lets the delta garbage-collect the history kept on
-/// its behalf.
+/// [`ConcurrentCracker::pin`]: reads through the handle see exactly
+/// `main@epoch + delta≤epoch` — the column as of the moment it was opened
+/// — no matter how many writes, piece shrinks, or (incremental or full)
+/// compactions race or complete in between. Dropping the handle releases
+/// the registration and lets the delta garbage-collect the history kept
+/// on its behalf.
 #[derive(Debug)]
-pub(crate) struct Snapshot<'a> {
+pub struct Snapshot<'a> {
     idx: &'a ConcurrentCracker,
     epoch: u64,
 }
@@ -544,12 +544,12 @@ impl ConcurrentCracker {
         (answer.into_agg(), metrics)
     }
 
-    /// Opens a snapshot at the current column epoch (the body of
-    /// [`Index::pin`]). Reads through the returned handle are frozen at
-    /// that epoch — concurrent inserts, deletes, piece shrinks, and
-    /// compaction steps (incremental or full) are all invisible to them —
-    /// while still refining the index like any other query.
-    pub(crate) fn snapshot(&self) -> Snapshot<'_> {
+    /// Opens a pinned read handle at the current column epoch. Reads
+    /// through it are frozen at that epoch — concurrent inserts, deletes,
+    /// piece shrinks, and compaction steps (incremental or full) are all
+    /// invisible to them — while still refining the index like any other
+    /// query. The registration is released when the handle drops.
+    pub fn pin(&self) -> Snapshot<'_> {
         Snapshot {
             idx: self,
             epoch: self.register_snapshot_epoch(),
@@ -557,8 +557,8 @@ impl ConcurrentCracker {
     }
 
     /// Registers a snapshot at the current column epoch and returns it.
-    /// Raw building block for the RAII [`Index::pin`]. Every registration
-    /// must be matched by a
+    /// Raw building block for the RAII [`ConcurrentCracker::pin`]. Every
+    /// registration must be matched by a
     /// [`ConcurrentCracker::release_snapshot_epoch`].
     pub fn register_snapshot_epoch(&self) -> u64 {
         self.delta.register_snapshot()
@@ -781,6 +781,8 @@ impl ConcurrentCracker {
     ///   and reads no data in the plan's interior; only its edge pieces
     ///   are read-latched and filtered.
     /// * **No read cracks a piece of at most 1 024 rows.**
+    /// * **Counted in its build ranges.** A non-empty read counts once in
+    ///   every build range it overlaps ([`StructureProbe::partition_load`]).
     pub fn read(
         &self,
         low: i64,
@@ -795,6 +797,7 @@ impl ConcurrentCracker {
             metrics.total = start.elapsed();
             return (ReadAnswer::empty(shape), metrics);
         }
+        self.ranges.charge(low, high - 1);
         // A `Within` read's filter as one bitmap, scattered (if it is
         // sorted) once for every seqlock attempt.
         let filter = match shape {

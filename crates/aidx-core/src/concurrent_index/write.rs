@@ -6,8 +6,8 @@ use super::*;
 
 /// One content-changing operation on a single-column index. Refinement is
 /// latch-only side work; these are the few operations that change what the
-/// index *contains*, and every backend executes them through one
-/// `write(op)` ([`ConcurrentCracker::write`] at the bottom).
+/// index *contains*, and every one runs through
+/// [`ConcurrentCracker::write`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteOp {
     /// Insert one row. The caller owns row-id uniqueness: a table engine
@@ -35,8 +35,8 @@ pub enum WriteOp {
 }
 
 impl WriteOp {
-    /// The key the operation addresses — what partitioned backends route
-    /// it by.
+    /// The key the operation addresses — the build range it is counted
+    /// in.
     pub fn key(&self) -> i64 {
         match *self {
             WriteOp::Insert { value, .. }
@@ -47,6 +47,31 @@ impl WriteOp {
 }
 
 impl ConcurrentCracker {
+    /// [`WriteOp::Insert`]: inserts one row with an externally assigned
+    /// row id.
+    pub fn insert_row(&self, value: i64, rowid: RowId) -> QueryMetrics {
+        self.write(WriteOp::Insert { value, rowid }).1
+    }
+
+    /// Inserts one row with the given key, self-assigning a row id past
+    /// every id seen so far.
+    pub fn insert(&self, value: i64) -> QueryMetrics {
+        let rowid = aidx_cracking::rowid(self.next_rowid.fetch_add(1, Ordering::Relaxed));
+        self.insert_row(value, rowid)
+    }
+
+    /// [`WriteOp::Delete`]: deletes every row whose key equals `value`,
+    /// returning how many rows were removed.
+    pub fn delete(&self, value: i64) -> (u64, QueryMetrics) {
+        self.write(WriteOp::Delete { value })
+    }
+
+    /// [`WriteOp::DeleteRow`]: deletes the row `(value, rowid)`, returning
+    /// `(rows removed — 0 or 1, metrics)`.
+    pub fn delete_row(&self, value: i64, rowid: RowId) -> (u64, QueryMetrics) {
+        self.write(WriteOp::DeleteRow { value, rowid })
+    }
+
     /// The one write path: applies `op` and returns `(rows affected,
     /// metrics)` — 1 for an insert, the rows removed for a delete.
     ///
@@ -66,10 +91,12 @@ impl ConcurrentCracker {
     /// rows contiguous, so they are swept out right away.
     ///
     /// Either way, if the write pushed the delta past the compaction
-    /// threshold, this write pays for the merge.
+    /// threshold, this write pays for the merge. It counts once, in the
+    /// build range that owns its key.
     pub fn write(&self, op: WriteOp) -> (u64, QueryMetrics) {
         let start = Instant::now();
         let mut metrics = QueryMetrics::default();
+        self.ranges.charge(op.key(), op.key());
         let affected = match op {
             WriteOp::Insert { value, rowid } => {
                 self.inserts.fetch_add(1, Ordering::Relaxed);

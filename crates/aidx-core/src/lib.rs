@@ -17,14 +17,16 @@
 //!
 //! Main types:
 //!
-//! * [`Index`] / [`ColumnRead`] — the one surface every backend serves
-//!   (select, insert, delete, read at a pinned epoch): a backend
-//!   implements `read`, `pin`, `write` and `insert` once, and every typed
-//!   method is a provided wrapper.
 //! * [`ConcurrentCracker`] — a cracker index shared by concurrent query
 //!   threads, with column-latch, piece-latch, or latch-free protocols
 //!   ([`LatchProtocol`]), conflict avoidance ([`RefinementPolicy`]), bound
-//!   re-evaluation after wake-up, and middle-first waiter scheduling.
+//!   re-evaluation after wake-up, and middle-first waiter scheduling. It
+//!   is the engine's one index type: range partitioning is the same
+//!   cracker built with cracks at key-range splits
+//!   ([`ConcurrentCracker::with_ranges`]), each range counting the ops it
+//!   serves, and a pin ([`ConcurrentCracker::pin`]) is a [`Snapshot`] at
+//!   one epoch. Both answer through [`ColumnRead`], one `read` behind
+//!   every typed read.
 //! * [`ConcurrentAdaptiveMerge`] — concurrency control for adaptive merging
 //!   over a partitioned B-tree, with instantly-committing merge steps that
 //!   respect user-transaction key-range locks.
@@ -61,22 +63,24 @@ pub mod metrics;
 pub mod pending;
 mod piece_directory;
 pub mod protocol;
+pub mod range_partitioned;
 pub mod rowid_set;
 pub mod shared_array;
 
 /// Re-export of the workspace sync facade so downstream crates
-/// (`aidx-parallel`, `aidx-table`) can route through it without depending
-/// on `aidx-latch` directly.
+/// (`aidx-table`) can route through it without depending on `aidx-latch`
+/// directly.
 pub use aidx_latch::dcheck;
 pub use aidx_latch::facade;
 
 pub use compaction::{CompactionMode, CompactionPolicy};
-pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, WriteOp};
-pub use index::{ColumnRead, Index};
+pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, Snapshot, WriteOp};
+pub use index::ColumnRead;
 pub use key_runs::{merge_join_pairs, KeyRun, KeyRuns, KeyRunsIter, MergeJoinStats};
 pub use merge_concurrent::ConcurrentAdaptiveMerge;
 pub use metrics::{Completion, LatencyBreakdown, QueryMetrics, RunMetrics, WindowThroughput};
 pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta};
 pub use protocol::{Aggregate, LatchProtocol, RefinementPolicy};
+pub use range_partitioned::resolve_ranges;
 pub use rowid_set::{intersect_sets, IntersectStrategy, RowIdSet};
 pub use shared_array::SharedCrackerArray;

@@ -1,9 +1,40 @@
+//! The range-partitioned column: a piece-latched [`ConcurrentCracker`]
+//! built [`ConcurrentCracker::with_ranges`], its answers, its build
+//! cracks, and the load its ranges count.
+
 use super::*;
-use aidx_cracking::ops;
+use crate::{ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol};
+use aidx_cracking::{ops, RowId};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+
+/// A piece-latched column cracked at `ranges` build ranges, with the
+/// bounded incremental delta a range arm runs with.
+fn ranged(values: Vec<i64>, ranges: usize) -> ConcurrentCracker {
+    ranged_with(
+        values,
+        ranges,
+        CompactionPolicy::fraction(0.1).incremental(8),
+    )
+}
+
+fn ranged_with(values: Vec<i64>, ranges: usize, compaction: CompactionPolicy) -> ConcurrentCracker {
+    ConcurrentCracker::from_values(values, LatchProtocol::Piece)
+        .with_compaction(compaction)
+        .with_ranges(ranges)
+}
+
+/// The range owning `key`.
+fn partition_of(splits: &[i64], key: i64) -> usize {
+    BuildRanges::new(splits.to_vec()).owner(key)
+}
+
+/// `(delta rows, compactions + incremental steps)`.
+fn delta_stats(idx: &ConcurrentCracker) -> (u64, u64) {
+    let merges = idx.compactions_performed() + idx.compaction_steps_performed();
+    (idx.delta_rows(), merges)
+}
 
 fn shuffled(n: usize) -> Vec<i64> {
     (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
@@ -13,9 +44,9 @@ fn shuffled(n: usize) -> Vec<i64> {
 fn results_match_scan_for_every_partition_count() {
     let values = shuffled(5000);
     for partitions in [1, 2, 4, 7] {
-        let idx = RangePartitionedCracker::new(values.clone(), partitions);
-        assert_eq!(idx.partition_count(), partitions);
-        assert_eq!(idx.len(), 5000);
+        let idx = ranged(values.clone(), partitions);
+        assert_eq!(idx.structure_probe().partition_load.len(), partitions);
+        assert_eq!(idx.logical_len() as usize, 5000);
         for (low, high) in [(10, 4000), (100, 200), (0, 5000), (4999, 5000), (300, 100)] {
             let (c, _) = idx.count(low, high);
             assert_eq!(
@@ -31,14 +62,14 @@ fn results_match_scan_for_every_partition_count() {
 }
 
 /// The rows in each split range, read with bounds that are build cracks.
-fn range_sizes(idx: &RangePartitionedCracker) -> Vec<u64> {
+fn range_sizes(idx: &ConcurrentCracker) -> Vec<u64> {
     let mut bounds = vec![i64::MIN];
-    bounds.extend_from_slice(idx.splits());
+    bounds.extend_from_slice(idx.range_splits());
     bounds.push(i64::MAX);
     bounds
         .windows(2)
         .map(|w| {
-            let (rows, m) = idx.index.count(w[0], w[1]);
+            let (rows, m) = idx.count(w[0], w[1]);
             assert_eq!(m.cracks_performed, 0, "[{}, {}) is cracked", w[0], w[1]);
             rows
         })
@@ -48,7 +79,7 @@ fn range_sizes(idx: &RangePartitionedCracker) -> Vec<u64> {
 #[test]
 fn partitions_are_disjoint_and_cover_everything() {
     let values = shuffled(10_000);
-    let idx = RangePartitionedCracker::new(values.clone(), 8);
+    let idx = ranged(values.clone(), 8);
     let sizes = range_sizes(&idx);
     assert_eq!(sizes.len(), 8);
     assert_eq!(sizes.iter().sum::<u64>(), 10_000);
@@ -61,17 +92,17 @@ fn partitions_are_disjoint_and_cover_everything() {
             "unbalanced range: {size} vs ideal {ideal}"
         );
     }
-    assert!(idx.splits().windows(2).all(|w| w[0] < w[1]));
+    assert!(idx.range_splits().windows(2).all(|w| w[0] < w[1]));
     // The build cracks are the column's only pieces, and no read made them.
-    assert_eq!(idx.index.piece_count(), 8);
-    assert_eq!(idx.index.crack_count(), 0);
+    assert_eq!(idx.piece_count(), 8);
+    assert_eq!(idx.crack_count(), 0);
     assert!(idx.check_invariants());
 }
 
 #[test]
 fn narrow_queries_touch_one_partition() {
     let values = shuffled(8000);
-    let idx = RangePartitionedCracker::new(values.clone(), 4);
+    let idx = ranged(values.clone(), 4);
     // A one-key query overlaps exactly one range: it is charged there
     // only, and cracks at most its two bounds.
     let (c, m) = idx.count(100, 101);
@@ -79,28 +110,28 @@ fn narrow_queries_touch_one_partition() {
     assert!(m.cracks_performed <= 2);
     let load = idx.structure_probe().partition_load;
     assert_eq!(load.iter().sum::<u64>(), 1, "{load:?}");
-    assert_eq!(load[partition_of(idx.splits(), 100)], 1, "{load:?}");
+    assert_eq!(load[partition_of(idx.range_splits(), 100)], 1, "{load:?}");
 }
 
 #[test]
 fn skewed_data_still_balances() {
     // All keys in a tiny range, heavily duplicated.
     let values: Vec<i64> = (0..9000).map(|i| (i % 13) as i64).collect();
-    let idx = RangePartitionedCracker::new(values.clone(), 4);
+    let idx = ranged(values.clone(), 4);
     for (low, high) in [(0, 13), (3, 7), (12, 13), (5, 5)] {
         assert_eq!(idx.count(low, high).0, ops::count(&values, low, high));
         assert_eq!(idx.sum(low, high).0, ops::sum(&values, low, high));
     }
-    assert_eq!(idx.len(), 9000);
+    assert_eq!(idx.logical_len() as usize, 9000);
 }
 
 #[test]
 fn empty_input_and_ranges() {
-    let idx = RangePartitionedCracker::new(vec![], 4);
+    let idx = ranged(vec![], 4);
     assert!(idx.is_empty());
-    assert_eq!(idx.partition_count(), 1);
+    assert_eq!(idx.structure_probe().partition_load.len(), 1);
     assert_eq!(idx.count(0, 10).0, 0);
-    let idx = RangePartitionedCracker::new(shuffled(100), 4);
+    let idx = ranged(shuffled(100), 4);
     assert_eq!(idx.count(50, 50).0, 0);
     assert_eq!(idx.sum(70, 20).0, 0);
 }
@@ -109,7 +140,7 @@ fn empty_input_and_ranges() {
 fn concurrent_clients_get_correct_answers() {
     let n = 20_000usize;
     let values = shuffled(n);
-    let idx = Arc::new(RangePartitionedCracker::new(values.clone(), 4));
+    let idx = Arc::new(ranged(values.clone(), 4));
     let values = Arc::new(values);
     let mut handles = Vec::new();
     for t in 0..8u64 {
@@ -138,7 +169,7 @@ fn concurrent_clients_get_correct_answers() {
 
 #[test]
 fn inserts_route_to_the_owning_partition() {
-    let idx = RangePartitionedCracker::new(shuffled(4000), 4);
+    let idx = ranged(shuffled(4000), 4);
     idx.sum(0, 4000); // warm
     let sizes_before = range_sizes(&idx);
     let load_before = idx.structure_probe().partition_load;
@@ -147,8 +178,8 @@ fn inserts_route_to_the_owning_partition() {
     idx.insert(100);
     idx.insert(3900);
     // Exactly the ranges owning 100 and 3900 grew, and were charged.
-    let owner_low = partition_of(idx.splits(), 100);
-    let owner_high = partition_of(idx.splits(), 3900);
+    let owner_low = partition_of(idx.range_splits(), 100);
+    let owner_high = partition_of(idx.range_splits(), 3900);
     let load = idx.structure_probe().partition_load;
     assert_eq!(load[owner_low], load_before[owner_low] + 2);
     assert_eq!(load[owner_high], load_before[owner_high] + 1);
@@ -159,7 +190,7 @@ fn inserts_route_to_the_owning_partition() {
     let sizes_after = range_sizes(&idx);
     assert_eq!(sizes_after[owner_low], sizes_before[owner_low] + 2);
     assert_eq!(sizes_after[owner_high], sizes_before[owner_high] + 1);
-    assert_eq!(idx.len(), 4003);
+    assert_eq!(idx.logical_len() as usize, 4003);
     // And the owning range shrinks where the delete applies.
     let (removed, dm) = idx.delete(100);
     assert_eq!(removed, 3, "the seeded 100 plus both inserts");
@@ -172,7 +203,7 @@ fn inserts_route_to_the_owning_partition() {
 fn concurrent_writers_with_disjoint_domains_converge() {
     let n = 8000usize;
     let values = shuffled(n);
-    let idx = Arc::new(RangePartitionedCracker::new(values.clone(), 4));
+    let idx = Arc::new(ranged(values.clone(), 4));
     let mut handles = Vec::new();
     for t in 0..4u64 {
         let idx = Arc::clone(&idx);
@@ -190,7 +221,7 @@ fn concurrent_writers_with_disjoint_domains_converge() {
     assert_eq!(idx.count(i64::MIN, i64::MAX).0, n as u64);
     assert_eq!(idx.count(0, 160).0, 0);
     assert_eq!(idx.count(n as i64, (n + 160) as i64).0, 160);
-    assert_eq!(idx.len(), n);
+    assert_eq!(idx.logical_len() as usize, n);
     assert!(idx.check_invariants());
 }
 
@@ -199,8 +230,7 @@ fn concurrent_writers_with_disjoint_domains_converge() {
 #[test]
 fn per_partition_compaction_bounds_each_partitions_delta() {
     let values = shuffled(4000);
-    let idx =
-        RangePartitionedCracker::with_compaction(values.clone(), 4, CompactionPolicy::rows(16));
+    let idx = ranged_with(values.clone(), 4, CompactionPolicy::rows(16));
     idx.sum(0, 4000); // warm
     let mut oracle = values.clone();
     let mut max_pending = 0;
@@ -208,7 +238,7 @@ fn per_partition_compaction_bounds_each_partitions_delta() {
         let key = i * 5; // spread inserts across all ranges
         idx.insert(key);
         oracle.push(key);
-        let (pending, _) = idx.delta_stats();
+        let (pending, _) = delta_stats(&idx);
         max_pending = max_pending.max(pending);
     }
     // The column compacts once its one delta reaches 16 rows, whichever
@@ -217,24 +247,20 @@ fn per_partition_compaction_bounds_each_partitions_delta() {
         max_pending <= 16,
         "compaction must bound the delta, saw {max_pending}"
     );
-    let (_, merges) = idx.delta_stats();
+    let (_, merges) = delta_stats(&idx);
     assert!(merges >= 800 / 16, "eager merges happened: {merges}");
     for (low, high) in [(0, 4000), (100, 300), (3000, 4000)] {
         assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
         assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
     }
-    assert_eq!(idx.len(), oracle.len());
+    assert_eq!(idx.logical_len() as usize, oracle.len());
     assert!(idx.check_invariants());
 }
 
 #[test]
 fn incremental_compaction_threads_through_partitions() {
     let values = shuffled(4000);
-    let idx = RangePartitionedCracker::with_compaction(
-        values.clone(),
-        4,
-        CompactionPolicy::rows(16).incremental(4),
-    );
+    let idx = ranged_with(values.clone(), 4, CompactionPolicy::rows(16).incremental(4));
     idx.sum(0, 4000); // warm
     let mut oracle = values.clone();
     let mut max_pending = 0;
@@ -248,30 +274,41 @@ fn incremental_compaction_threads_through_partitions() {
         oracle.retain(|&v| v != key);
         idx.insert(key);
         oracle.push(key);
-        let (pending, _) = idx.delta_stats();
+        let (pending, _) = delta_stats(&idx);
         max_pending = max_pending.max(pending);
     }
     assert!(
         max_pending <= 16,
         "incremental compaction must bound the delta, saw {max_pending}"
     );
-    let (_, merges) = idx.delta_stats();
+    let (_, merges) = delta_stats(&idx);
     assert!(merges > 0, "incremental steps ran: {merges}");
     for (low, high) in [(0, 4000), (100, 300), (3000, 4000)] {
         assert_eq!(idx.count(low, high).0, ops::count(&oracle, low, high));
         assert_eq!(idx.sum(low, high).0, ops::sum(&oracle, low, high));
     }
-    assert_eq!(idx.len(), oracle.len());
+    assert_eq!(idx.logical_len() as usize, oracle.len());
     assert!(idx.check_invariants());
 }
 
 #[test]
 fn snapshot_pins_every_partition() {
     let values = shuffled(4000);
-    let idx = RangePartitionedCracker::new(values.clone(), 4);
+    let idx = ranged(values.clone(), 4);
     idx.sum(0, 4000);
     let snap = idx.pin();
-    assert_eq!(idx.index.live_snapshots(), 1, "one epoch for every range");
+    assert_eq!(idx.live_snapshots(), 1, "one epoch for every range");
+    // A second pin opens and closes on another thread while the first
+    // stays open; the close releases its own registration only.
+    let both = thread::scope(|s| {
+        let second = s.spawn(|| {
+            let _pin = idx.pin();
+            idx.live_snapshots()
+        });
+        second.join().unwrap()
+    });
+    assert_eq!(both, 2);
+    assert_eq!(idx.live_snapshots(), 1);
     // Writes to several ranges after the pin are invisible through it.
     for key in [10, 1010, 2010, 3010] {
         assert_eq!(idx.delete(key).0, 1);
@@ -293,41 +330,7 @@ fn snapshot_pins_every_partition() {
     // The live view sees the churn (each key net +1).
     assert_eq!(idx.count(0, 4000).0, 4004);
     drop(snap);
-    assert_eq!(idx.index.live_snapshots(), 0);
-    assert!(idx.check_invariants());
-}
-
-#[test]
-fn snapshot_open_and_close_do_not_wait_for_a_busy_owner() {
-    let values = shuffled(2000);
-    let idx = Arc::new(RangePartitionedCracker::new(values.clone(), 2));
-    // A pinned reader in flight holds an epoch; keep it open for as long
-    // as the second open takes.
-    let busy = idx.pin();
-    let done = Arc::new(AtomicBool::new(false));
-    let opener = {
-        let (idx, done) = (Arc::clone(&idx), Arc::clone(&done));
-        thread::spawn(move || {
-            let snap = idx.pin();
-            let epochs = idx.index.live_snapshots();
-            drop(snap);
-            done.store(true, Ordering::Release);
-            epochs
-        })
-    };
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !done.load(Ordering::Acquire) && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(1));
-    }
-    let finished = done.load(Ordering::Acquire);
-    drop(busy);
-    assert_eq!(opener.join().unwrap(), 2);
-    assert!(
-        finished,
-        "a snapshot open/close waited for an operation in flight"
-    );
-    assert_eq!(idx.index.live_snapshots(), 0, "the closes released both");
-    assert_eq!(idx.count(0, 2000).0, 2000);
+    assert_eq!(idx.live_snapshots(), 0);
     assert!(idx.check_invariants());
 }
 
@@ -337,8 +340,8 @@ fn snapshot_open_and_close_do_not_wait_for_a_busy_owner() {
 /// or the lower range one ahead.
 #[test]
 fn a_pin_taken_while_a_writer_runs_sees_a_prefix_of_its_writes() {
-    let idx = Arc::new(RangePartitionedCracker::new(shuffled(4000), 2));
-    let split = idx.splits()[0];
+    let idx = Arc::new(ranged(shuffled(4000), 2));
+    let split = idx.range_splits()[0];
     let seeded = |low, high| idx.count(low, high).0;
     let (below0, above0) = (seeded(i64::MIN, split), seeded(split, i64::MAX));
     let done = Arc::new(AtomicBool::new(false));
@@ -363,18 +366,14 @@ fn a_pin_taken_while_a_writer_runs_sees_a_prefix_of_its_writes() {
         pins += 1;
     }
     writer.join().unwrap();
-    assert_eq!(idx.len(), 6000);
+    assert_eq!(idx.logical_len() as usize, 6000);
     assert!(idx.check_invariants());
 }
 
 #[test]
 fn snapshot_survives_incremental_compaction_steps() {
     let values = shuffled(3000);
-    let idx = RangePartitionedCracker::with_compaction(
-        values.clone(),
-        3,
-        CompactionPolicy::rows(8).incremental(4),
-    );
+    let idx = ranged_with(values.clone(), 3, CompactionPolicy::rows(8).incremental(4));
     idx.sum(0, 3000);
     let snap = idx.pin();
     // Churn enough rows that the threshold trips many times.
@@ -383,7 +382,7 @@ fn snapshot_survives_incremental_compaction_steps() {
         idx.delete(key);
         idx.insert(key);
     }
-    let (_, merges) = idx.delta_stats();
+    let (_, merges) = delta_stats(&idx);
     assert!(merges >= 3, "steps ran while the snapshot was pinned");
     for (low, high) in [(0, 3000), (100, 200), (2500, 3000)] {
         assert_eq!(
@@ -404,7 +403,7 @@ fn snapshot_survives_incremental_compaction_steps() {
 #[test]
 fn rowid_reads_route_to_overlapping_partitions() {
     let values = shuffled(4000);
-    let idx = RangePartitionedCracker::new(values.clone(), 4);
+    let idx = ranged(values.clone(), 4);
     let oracle = |low: i64, high: i64| -> Vec<RowId> {
         let mut out: Vec<RowId> = values
             .iter()
@@ -426,11 +425,7 @@ fn rowid_reads_route_to_overlapping_partitions() {
 #[test]
 fn range_snapshot_rowid_reads_are_frozen() {
     let values = shuffled(3000);
-    let idx = RangePartitionedCracker::with_compaction(
-        values.clone(),
-        3,
-        CompactionPolicy::rows(8).incremental(4),
-    );
+    let idx = ranged_with(values.clone(), 3, CompactionPolicy::rows(8).incremental(4));
     idx.sum(0, 3000);
     let before = idx.select_rowids(1000, 1100).0;
     let snap = idx.pin();
@@ -453,7 +448,7 @@ fn range_snapshot_rowid_reads_are_frozen() {
 #[test]
 fn structure_probe_merges_partitions_and_reports_routed_load() {
     let values = shuffled(4000);
-    let idx = RangePartitionedCracker::new(values, 4);
+    let idx = ranged(values, 4);
     // Narrow queries against the low end: the load skews to range 0.
     for i in 0..20 {
         idx.count(i, i + 5);
@@ -484,25 +479,34 @@ fn structure_probe_merges_partitions_and_reports_routed_load() {
 
 #[test]
 fn partition_of_routes_keys_to_split_ranges() {
-    let splits = vec![10, 20, 30];
-    assert_eq!(partition_of(&splits, i64::MIN), 0);
-    assert_eq!(partition_of(&splits, 9), 0);
-    assert_eq!(partition_of(&splits, 10), 1);
-    assert_eq!(partition_of(&splits, 19), 1);
-    assert_eq!(partition_of(&splits, 20), 2);
-    assert_eq!(partition_of(&splits, 30), 3);
-    assert_eq!(partition_of(&splits, i64::MAX), 3);
+    let ranges = BuildRanges::new(vec![10, 20, 30]);
+    let owners = [
+        (i64::MIN, 0),
+        (9, 0),
+        (10, 1),
+        (19, 1),
+        (20, 2),
+        (30, 3),
+        (i64::MAX, 3),
+    ];
+    for (key, owner) in owners {
+        assert_eq!(ranges.owner(key), owner, "key {key}");
+    }
+    // An op counts once in every range its keys span.
+    ranges.charge(19, 20);
+    ranges.charge(i64::MIN, i64::MAX);
+    assert_eq!(ranges.load(), [1, 2, 2, 1]);
+    // A cracker built without cracks has no ranges to charge.
+    let unranged = BuildRanges::default();
+    unranged.charge(0, 9);
+    assert!(unranged.load().is_empty());
 }
 
 #[test]
 #[should_panic(expected = "row-id space exhausted")]
 fn self_assigned_rowid_past_the_max_panics_instead_of_wrapping() {
-    let idx = RangePartitionedCracker::from_rows(
-        vec![10, 20],
-        vec![0, RowId::MAX],
-        2,
-        CompactionPolicy::disabled(),
-    );
+    let idx = ConcurrentCracker::from_rows(vec![10, 20], vec![0, RowId::MAX], LatchProtocol::Piece)
+        .with_ranges(2);
     idx.insert(30);
 }
 
@@ -522,13 +526,10 @@ fn from_rows_keeps_each_value_with_its_rowid() {
         values.iter().copied().zip(rowids.iter().copied()).collect();
     expected.sort_unstable();
     for partitions in [1, 3, 300] {
-        let idx = RangePartitionedCracker::from_rows(
-            values.clone(),
-            rowids.clone(),
-            partitions,
-            CompactionPolicy::disabled(),
-        );
-        assert_eq!(idx.len(), n);
+        let idx =
+            ConcurrentCracker::from_rows(values.clone(), rowids.clone(), LatchProtocol::Piece)
+                .with_ranges(partitions);
+        assert_eq!(idx.logical_len() as usize, n);
         let (runs, _) = idx.select_key_runs(i64::MIN, i64::MAX);
         let mut pairs = runs.into_sorted_pairs();
         pairs.sort_unstable();

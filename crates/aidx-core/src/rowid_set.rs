@@ -487,6 +487,15 @@ impl RowIdSet {
         }
     }
 
+    /// [`RowIdSet::to_vec`] of a set that is done with: a sorted set hands
+    /// over its vector instead of copying it.
+    pub fn into_vec(mut self) -> Vec<RowId> {
+        match &mut self.container {
+            Container::Sorted(ids) => std::mem::take(ids),
+            Container::Bitmap { .. } => self.to_vec(),
+        }
+    }
+
     /// The subset `keep` selects, decided up to 64 ids at a time: `keep`
     /// gets a batch of up to 64 ascending ids and returns a mask whose
     /// bit `i` keeps `ids[i]`. The result keeps the input's container: a

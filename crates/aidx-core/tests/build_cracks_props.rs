@@ -9,7 +9,7 @@
 //!   pin taken mid-stream, across inserts, deletes and compactions.
 
 use aidx_core::{
-    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape, WriteOp,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol, ReadShape, WriteOp,
 };
 use aidx_cracking::RowId;
 use proptest::prelude::*;
@@ -123,7 +123,7 @@ proptest! {
                         let range = (a.min(b), a.max(b));
                         check(&idx, &rows, range);
                         if let Some((pin, at_pin)) = &pinned {
-                            check(pin.as_ref(), at_pin, range);
+                            check(pin, at_pin, range);
                         }
                     }
                 }
@@ -131,7 +131,7 @@ proptest! {
             for range in distinct.windows(2).map(|w| (w[0], w[1])).chain([(i64::MIN, i64::MAX)]) {
                 check(&idx, &rows, range);
                 if let Some((pin, at_pin)) = &pinned {
-                    check(pin.as_ref(), at_pin, range);
+                    check(pin, at_pin, range);
                 }
             }
             drop(pinned);

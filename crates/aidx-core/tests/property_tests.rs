@@ -1,10 +1,12 @@
 //! Property tests for the concurrent cracker's write path: random
 //! interleavings of selects, inserts, and deletes against a `BTreeMap`
 //! multiset oracle, with an aggressive compaction threshold so rebuilds
-//! (and delete-aware piece shrinks) fire constantly mid-sequence. The
-//! piece/array/hole invariants must hold after every compaction.
+//! (and delete-aware piece shrinks) fire constantly mid-sequence, on
+//! columns built plain or range-partitioned (`ranges > 0`: cracked at
+//! that many key ranges' splits when built). The piece/array/hole
+//! invariants must hold after every compaction.
 
-use aidx_core::{CompactionPolicy, ConcurrentCracker, Index, LatchProtocol};
+use aidx_core::{ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -37,6 +39,21 @@ fn oracle_sum(oracle: &BTreeMap<i64, u64>, low: i64, high: i64) -> i128 {
         .sum()
 }
 
+/// A cracker over `values`, range-partitioned at build unless `ranges`
+/// is 0.
+fn built(
+    values: Vec<i64>,
+    protocol: LatchProtocol,
+    compaction: CompactionPolicy,
+    ranges: usize,
+) -> ConcurrentCracker {
+    let idx = ConcurrentCracker::from_values(values, protocol).with_compaction(compaction);
+    match ranges {
+        0 => idx,
+        n => idx.with_ranges(n),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -45,14 +62,14 @@ proptest! {
         values in prop::collection::vec(-200i64..200, 0..200),
         ops in prop::collection::vec((0u8..4, -250i64..250, -250i64..250), 1..60),
         threshold in 1u64..12,
+        ranges in 0usize..5,
     ) {
         for protocol in [
             LatchProtocol::None,
             LatchProtocol::Column,
             LatchProtocol::Piece,
         ] {
-            let idx = ConcurrentCracker::from_values(values.clone(), protocol)
-                .with_compaction(CompactionPolicy::rows(threshold));
+            let idx = built(values.clone(), protocol, CompactionPolicy::rows(threshold), ranges);
             let mut oracle = oracle_from(&values);
             let mut compactions_seen = 0;
             for &(kind, a, b) in &ops {
@@ -142,18 +159,25 @@ proptest! {
         post_ops in prop::collection::vec((0u8..3, -200i64..200), 1..40),
         queries in prop::collection::vec((-250i64..250, -250i64..250), 1..8),
         step_budget in 1usize..6,
+        fraction in any::<bool>(),
+        ranges in 0usize..4,
     ) {
         // A long scan pins a snapshot, then inserts/deletes and multiple
         // incremental compaction steps race past it; every read through
         // the snapshot must equal the oracle frozen at the snapshot epoch,
-        // while the live view tracks the evolving oracle.
+        // while the live view tracks the evolving oracle — under a fixed
+        // row threshold and under the range arms' 10 % of the column.
+        let policy = if fraction {
+            CompactionPolicy::fraction(0.1)
+        } else {
+            CompactionPolicy::rows(8)
+        };
         for protocol in [
             LatchProtocol::None,
             LatchProtocol::Column,
             LatchProtocol::Piece,
         ] {
-            let idx = ConcurrentCracker::from_values(values.clone(), protocol)
-                .with_compaction(CompactionPolicy::rows(8).incremental(step_budget));
+            let idx = built(values.clone(), protocol, policy.incremental(step_budget), ranges);
             let mut oracle = oracle_from(&values);
             idx.sum(i64::MIN, i64::MAX);
             let apply = |idx: &ConcurrentCracker, oracle: &mut BTreeMap<i64, u64>,
@@ -223,4 +247,19 @@ proptest! {
             prop_assert!(idx.check_invariants(), "{}", protocol);
         }
     }
+}
+
+// An all-duplicate column collapses every quantile split to one key, so the
+// build makes one useful crack at most; queries must still answer without
+// panicking.
+#[test]
+fn duplicated_values_query_does_not_panic() {
+    let idx = built(
+        vec![7; 5000],
+        LatchProtocol::Piece,
+        CompactionPolicy::disabled(),
+        4,
+    );
+    let (c, _) = idx.count(0, 10);
+    assert_eq!(c, 5000);
 }

@@ -1,9 +1,10 @@
-//! Backend parity, reads and writes.
+//! Backend parity, reads and writes. A backend is one latch protocol on
+//! a column built plain or range-cracked (cracked at its range splits
+//! when it is built, [`ConcurrentCracker::with_ranges`]).
 //!
 //! **Cross-shape reads**: every [`ReadShape`] of one range must describe
 //! the same logical rows — on every backend, now and through a snapshot,
-//! and across the pre-cracked arm's build cracks (a column cracked at its
-//! range splits when it is built).
+//! and across the range-cracked columns' build cracks.
 //! `Count == RowIds.len() == select_rowid_set.len() ==
 //! KeyRuns.total_rows()`, `Sum ==` Σ keys of the runs,
 //! `select_rowid_set.to_vec() == RowIds ==` sorted rowids of the runs —
@@ -19,37 +20,33 @@
 //! backend — the tuple oracle's.
 
 use aidx_core::{
-    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape,
-    RefinementPolicy, RowIdSet, WriteOp,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol, ReadShape, RefinementPolicy,
+    RowIdSet, WriteOp,
 };
 use aidx_cracking::RowId;
-use aidx_parallel::RangePartitionedCracker;
 use std::collections::{BTreeMap, HashSet};
 
-/// The two counters the write body needs that [`Index`] does not expose.
-trait Counted: Index {
-    /// The backend's own logical row count.
-    fn len(&self) -> usize;
-    /// Compaction rebuilds plus incremental steps so far.
-    fn merges(&self) -> u64;
-}
+const PROTOCOLS: [LatchProtocol; 3] = [
+    LatchProtocol::Piece,
+    LatchProtocol::Column,
+    LatchProtocol::None,
+];
 
-impl Counted for ConcurrentCracker {
-    fn len(&self) -> usize {
-        self.logical_len() as usize
+/// Every backend, labelled: each protocol's column from `build`, plain
+/// and range-cracked at each of `ranges` build ranges.
+fn backends(
+    ranges: &[usize],
+    build: impl Fn(LatchProtocol) -> ConcurrentCracker,
+) -> Vec<(String, ConcurrentCracker)> {
+    let mut out = Vec::new();
+    for protocol in PROTOCOLS {
+        out.push((format!("{protocol:?}"), build(protocol)));
+        for &n in ranges {
+            let ranged = build(protocol).with_ranges(n);
+            out.push((format!("{protocol:?}/ranges-{n}"), ranged));
+        }
     }
-    fn merges(&self) -> u64 {
-        self.compactions_performed() + self.compaction_steps_performed()
-    }
-}
-
-impl Counted for RangePartitionedCracker {
-    fn len(&self) -> usize {
-        RangePartitionedCracker::len(self)
-    }
-    fn merges(&self) -> u64 {
-        self.delta_stats().1
-    }
+    out
 }
 
 /// Duplicate-bearing keys in `0..n/2`, decorrelated from the positional
@@ -203,7 +200,7 @@ fn assert_shapes_agree(
 /// index, pin a snapshot, churn (inserts, deletes, re-inserts — with the
 /// policy's incremental compaction steps and rebuilds firing underneath),
 /// then check every shape both now and through the snapshot.
-fn check_engine(label: &str, engine: &dyn Index, column: &[i64]) {
+fn check_engine(label: &str, engine: &ConcurrentCracker, column: &[i64]) {
     let mut rows = rows_of(column);
     let n = column.len();
     let half = column.iter().max().map_or(1, |&max| max + 1);
@@ -239,7 +236,7 @@ fn check_engine(label: &str, engine: &dyn Index, column: &[i64]) {
         }
     }
     assert_shapes_agree(&format!("{label} churned"), now, &rows, &ranges);
-    assert_shapes_agree(&format!("{label} pinned"), &*pinned, &before, &ranges);
+    assert_shapes_agree(&format!("{label} pinned"), &pinned, &before, &ranges);
     drop(pinned);
     assert_shapes_agree(&format!("{label} released"), now, &rows, &ranges);
     assert!(engine.check_invariants(), "{label}");
@@ -249,41 +246,43 @@ fn check_engine(label: &str, engine: &dyn Index, column: &[i64]) {
 fn every_shape_agrees_on_every_backend_now_and_pinned() {
     let n = 3000;
     let policy = CompactionPolicy::rows(16).incremental(4);
-    for protocol in [
-        LatchProtocol::Piece,
-        LatchProtocol::Column,
-        LatchProtocol::None,
-    ] {
-        let idx = ConcurrentCracker::from_values(keys(n), protocol).with_compaction(policy);
-        check_engine(&format!("serial/{protocol:?}"), &idx, &keys(n));
+    let build =
+        |protocol| ConcurrentCracker::from_values(keys(n), protocol).with_compaction(policy);
+    for (label, idx) in backends(&[4], build) {
+        check_engine(&label, &idx, &keys(n));
     }
     let skipping = ConcurrentCracker::from_values(keys(n), LatchProtocol::Piece)
         .with_policy(RefinementPolicy::SkipOnContention)
         .with_compaction(policy);
-    check_engine("serial/Piece/skip", &skipping, &keys(n));
-    let range = RangePartitionedCracker::with_compaction(keys(n), 4, policy);
-    check_engine("pre-cracked", &range, &keys(n));
+    check_engine("Piece/skip", &skipping, &keys(n));
 }
 
-/// The pre-cracked arm on a duplicate-heavy column: three rows in four
+/// A range-cracked column of duplicate-heavy keys: three rows in four
 /// share one key, so the sampled quantiles collapse and the build makes
 /// fewer cracks than ranges were asked for. Every shape stays exact, now,
-/// churned and pinned, and the probe reports one load entry per range the
-/// column has, each charged.
+/// churned and pinned, under every protocol, and the probe reports one
+/// load entry per range the column has, each charged.
 #[test]
 fn a_duplicate_heavy_column_gets_fewer_ranges_and_one_load_entry_each() {
     let column: Vec<i64> = (0..3000i64)
         .map(|i| if i % 4 == 0 { (i * 7) % 50 } else { 25 })
         .collect();
     let policy = CompactionPolicy::rows(16).incremental(4);
-    let range = RangePartitionedCracker::with_compaction(column.clone(), 4, policy);
-    let ranges = range.partition_count();
-    assert!(ranges < 4, "the quantiles collapsed: {:?}", range.splits());
-    assert_eq!(ranges, range.splits().len() + 1);
-    check_engine("pre-cracked/duplicates", &range, &column);
-    let load = range.structure_probe().partition_load;
-    assert_eq!(load.len(), ranges, "one load entry per range");
-    assert!(load.iter().all(|&ops| ops > 0), "{load:?}");
+    for protocol in PROTOCOLS {
+        let range = ConcurrentCracker::from_values(column.clone(), protocol)
+            .with_compaction(policy)
+            .with_ranges(4);
+        let ranges = range.range_splits().len() + 1;
+        assert!(
+            ranges < 4,
+            "the quantiles collapsed: {:?}",
+            range.range_splits()
+        );
+        check_engine(&format!("{protocol:?}/duplicates"), &range, &column);
+        let load = range.structure_probe().partition_load;
+        assert_eq!(load.len(), ranges, "one load entry per range");
+        assert!(load.iter().all(|&ops| ops > 0), "{load:?}");
+    }
 }
 
 /// One column above the pivot policy's floor (256 Ki live rows in a
@@ -317,7 +316,7 @@ fn every_shape_agrees_across_pivot_cracks_now_and_pinned() {
         rows.insert(rowid, key + 1);
     }
     assert_shapes_agree("above-floor churned", &idx, &rows, &ranges);
-    assert_shapes_agree("above-floor pinned", &*pinned, &before, &ranges);
+    assert_shapes_agree("above-floor pinned", &pinned, &before, &ranges);
     drop(pinned);
     assert!(idx.check_invariants());
 }
@@ -329,11 +328,11 @@ fn every_shape_agrees_across_pivot_cracks_now_and_pinned() {
 /// riding along with the bound cracks.
 #[test]
 fn a_sequential_sweep_is_exact_on_every_backend_above_the_pivot_floor() {
-    let n = 640_000usize; // two build-cracked ranges of 320 k rows
+    let n = 640_000usize; // two build ranges of 320 k rows
     let column = || -> Vec<i64> { (0..n as i64).map(|i| (i * 48271) % n as i64).collect() };
     let queries = 40i64;
     let stride = n as i64 / queries;
-    let sweep = |label: &str, engine: &dyn Index| {
+    let sweep = |label: &str, engine: &ConcurrentCracker| {
         for k in 0..queries {
             let low = k * stride + stride / 4;
             let high = low + stride / 2;
@@ -351,25 +350,23 @@ fn a_sequential_sweep_is_exact_on_every_backend_above_the_pivot_floor() {
         }
         assert!(engine.check_invariants(), "{label}");
     };
-    for protocol in [
-        LatchProtocol::Piece,
-        LatchProtocol::Column,
-        LatchProtocol::None,
-    ] {
-        let idx = ConcurrentCracker::from_values(column(), protocol);
-        sweep(&format!("serial/{protocol:?}"), &idx);
-        // Every crack is one of the 80 bounds or a pivot crack, and the
-        // sweep added far fewer of those than it resolved bounds.
+    for (label, idx) in backends(&[2], |protocol| {
+        ConcurrentCracker::from_values(column(), protocol)
+    }) {
+        sweep(&label, &idx);
+        // On a plain column every crack is one of the 80 bounds or a
+        // pivot crack, and the sweep added far fewer of those than it
+        // resolved bounds.
         let cracks = idx.crack_count();
-        assert!((81..120).contains(&cracks), "{protocol:?}: {cracks} cracks");
+        if idx.range_splits().is_empty() {
+            assert!((81..120).contains(&cracks), "{label}: {cracks} cracks");
+        }
     }
-    let range = RangePartitionedCracker::new(column(), 2);
-    sweep("pre-cracked", &range);
 }
 
 /// Compacted row-id sets in both containers — dense ones as bitmaps,
-/// sparse ones as sorted vectors — equal the flat `RowIds` shape on the serial and the
-/// pre-cracked backends, now and pinned, with the delta folded in: pending inserts
+/// sparse ones as sorted vectors — equal the flat `RowIds` shape on every
+/// backend, now and pinned, with the delta folded in: pending inserts
 /// (extra rows) now, and through the pin the rows deleted since (ghosts)
 /// and the inserts compaction placed in the main array since (hidden).
 #[test]
@@ -387,25 +384,9 @@ fn rowid_sets_equal_the_flat_shape_in_both_containers() {
     // Incremental steps place inserts into the main array after the pin,
     // which the pin must then hide; the last few inserts stay pending.
     let policy = CompactionPolicy::rows(64).incremental(4);
-    let mut backends: Vec<(String, Box<dyn Index>)> = [
-        LatchProtocol::Piece,
-        LatchProtocol::Column,
-        LatchProtocol::None,
-    ]
-    .into_iter()
-    .map(|protocol| {
-        let idx = ConcurrentCracker::from_values(keys(n), protocol).with_compaction(policy);
-        (
-            format!("serial/{protocol:?}"),
-            Box::new(idx) as Box<dyn Index>,
-        )
-    })
-    .collect();
-    for partitions in [2, 4] {
-        let idx = RangePartitionedCracker::with_compaction(keys(n), partitions, policy);
-        backends.push((format!("pre-cracked/{partitions}"), Box::new(idx)));
-    }
-    for (label, engine) in &backends {
+    let build =
+        |protocol| ConcurrentCracker::from_values(keys(n), protocol).with_compaction(policy);
+    for (label, engine) in &backends(&[2, 4], build) {
         let both = |phase: &str, reader: &dyn ColumnRead, rows: &BTreeMap<RowId, i64>| {
             let (bitmaps, sorted) =
                 assert_shapes_agree(&format!("{label} {phase}"), reader, rows, &ranges);
@@ -415,7 +396,7 @@ fn rowid_sets_equal_the_flat_shape_in_both_containers() {
             );
         };
         let mut rows = keyed_rows(n);
-        both("fresh", engine.as_ref(), &rows);
+        both("fresh", engine, &rows);
         let pinned = engine.pin();
         let before = rows.clone();
         // Deletes of every 16th key and a read that cracks next to them,
@@ -434,10 +415,10 @@ fn rowid_sets_equal_the_flat_shape_in_both_containers() {
         }
         engine.insert_row(half + 10, 50 * n as RowId);
         rows.insert(50 * n as RowId, half + 10);
-        both("churned", engine.as_ref(), &rows);
-        both("pinned", &*pinned, &before);
+        both("churned", engine, &rows);
+        both("pinned", &pinned, &before);
         drop(pinned);
-        both("released", engine.as_ref(), &rows);
+        both("released", engine, &rows);
         assert!(engine.check_invariants(), "{label}");
     }
 }
@@ -566,7 +547,7 @@ fn write_stream() -> (Vec<(WriteOp, u64)>, BTreeMap<RowId, i64>) {
 /// The one write body: apply the stream, checking the rows affected op
 /// by op, then the surviving rows, the backend's own row count, and its
 /// invariants.
-fn check_writes(label: &str, engine: &dyn Counted) {
+fn check_writes(label: &str, engine: &ConcurrentCracker) {
     let (ops, rows) = write_stream();
     for (i, &(op, expected)) in ops.iter().enumerate() {
         assert_eq!(engine.write(op).0, expected, "{label} op {i}: {op:?}");
@@ -578,7 +559,11 @@ fn check_writes(label: &str, engine: &dyn Counted) {
         .collect();
     let (all, _) = engine.select_rowids(i64::MIN, i64::MAX);
     assert_eq!(all, survivors, "{label} surviving rows");
-    assert_eq!(engine.len(), rows.len(), "{label} row count");
+    assert_eq!(
+        engine.logical_len() as usize,
+        rows.len(),
+        "{label} row count"
+    );
     assert!(engine.check_invariants(), "{label}");
 }
 
@@ -631,24 +616,20 @@ fn the_write_stream_hits_every_corner() {
 #[test]
 fn one_write_stream_gives_the_same_answers_on_every_backend() {
     let policy = CompactionPolicy::rows(64);
-    let merged = |label: &str, engine: &dyn Counted| {
+    let merged = |label: &str, engine: &ConcurrentCracker| {
         check_writes(label, engine);
-        assert!(engine.merges() > 0, "{label} never crossed rows(64)");
+        let merges = engine.compactions_performed() + engine.compaction_steps_performed();
+        assert!(merges > 0, "{label} never crossed rows(64)");
     };
-    for protocol in [
-        LatchProtocol::Piece,
-        LatchProtocol::Column,
-        LatchProtocol::None,
-    ] {
-        let idx = ConcurrentCracker::from_values(write_seed(), protocol).with_compaction(policy);
-        merged(&format!("serial/{protocol:?}"), &idx);
+    let build =
+        |protocol| ConcurrentCracker::from_values(write_seed(), protocol).with_compaction(policy);
+    for (label, idx) in backends(&[4], build) {
+        merged(&label, &idx);
     }
     let skipping = ConcurrentCracker::from_values(write_seed(), LatchProtocol::Piece)
         .with_policy(RefinementPolicy::SkipOnContention)
         .with_compaction(policy.incremental(4));
-    merged("serial/Piece/skip/incremental", &skipping);
-    let range = RangePartitionedCracker::with_compaction(write_seed(), 4, policy);
-    merged("pre-cracked", &range);
+    merged("Piece/skip/incremental", &skipping);
 }
 
 /// A pin answers at its epoch on every backend, whatever writes land
@@ -658,20 +639,8 @@ fn one_write_stream_gives_the_same_answers_on_every_backend() {
 fn a_pin_answers_at_its_epoch_on_every_backend() {
     let values = vec![3, 1, 4, 1, 5, 9, 2, 6];
     let rowids: Vec<RowId> = (0..values.len() as RowId).collect();
-    let backends: Vec<Box<dyn Index>> = vec![
-        Box::new(ConcurrentCracker::from_rows(
-            values.clone(),
-            rowids.clone(),
-            LatchProtocol::Piece,
-        )),
-        Box::new(RangePartitionedCracker::from_rows(
-            values.clone(),
-            rowids.clone(),
-            2,
-            CompactionPolicy::disabled(),
-        )),
-    ];
-    for index in &backends {
+    let build = |protocol| ConcurrentCracker::from_rows(values.clone(), rowids.clone(), protocol);
+    for (_, index) in &backends(&[2], build) {
         assert_eq!(index.structure_probe().live_snapshots, 0);
         let pin = index.pin();
         assert_eq!(

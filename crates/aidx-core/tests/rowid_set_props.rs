@@ -1,6 +1,7 @@
 //! Property tests for the rowid-set layer through its public surface:
 //! round-trips, the union of runs, and intersection in every pair of
-//! containers against set containment.
+//! containers against set containment, each decoded by copy and by
+//! hand-over.
 
 use aidx_core::{intersect_sets, IntersectStrategy, RowIdSet};
 use aidx_cracking::RowId;
@@ -55,11 +56,14 @@ proptest! {
             [set, bitmap]
         };
         for x in &sides(&a) {
+            // Handing a set over yields what copying it does.
+            prop_assert_eq!(x.clone().into_vec(), a.clone());
             for y in &sides(&b) {
                 let got = intersect_sets(x, y, IntersectStrategy::Adaptive);
                 prop_assert_eq!(got.to_vec(), expected.clone());
                 prop_assert_eq!(got.len(), expected.len());
                 prop_assert_eq!(got.is_bitmap(), x.is_bitmap() && y.is_bitmap() && !expected.is_empty());
+                prop_assert_eq!(got.into_vec(), expected.clone());
             }
         }
     }

@@ -5,8 +5,7 @@
 //! filter holds, now and at the pinned epoch, under every latch protocol.
 
 use aidx_core::{
-    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, ReadShape, RowIdSet,
-    WriteOp,
+    ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol, ReadShape, RowIdSet, WriteOp,
 };
 use aidx_cracking::RowId;
 use proptest::prelude::*;
@@ -106,14 +105,14 @@ proptest! {
                     let range = (a.min(b), a.max(b));
                     check(&idx, &rows, range, &filters);
                     if let Some((pin, at_pin)) = &pinned {
-                        check(pin.as_ref(), at_pin, range, &filters);
+                        check(pin, at_pin, range, &filters);
                     }
                 }
             }
         }
         check(&idx, &rows, (i64::MIN, i64::MAX), &filters);
         if let Some((pin, at_pin)) = &pinned {
-            check(pin.as_ref(), at_pin, (i64::MIN, i64::MAX), &filters);
+            check(pin, at_pin, (i64::MIN, i64::MAX), &filters);
         }
         drop(pinned);
         prop_assert!(idx.check_invariants());

@@ -1,7 +1,7 @@
 //! Sync-primitive facade for the whole workspace.
 //!
 //! Crates on the latch protocol path (`aidx-latch`, `aidx-core`,
-//! `aidx-parallel`, `aidx-table`) import `Mutex`/`RwLock`/`Condvar` from
+//! `aidx-table`) import `Mutex`/`RwLock`/`Condvar` from
 //! here instead of `parking_lot` directly (`aidx-lint` enforces this).
 //! Normally the facade re-exports the `parking_lot` shim unchanged; under
 //! the `check` feature it swaps in `aidx-check`'s instrumented primitives,

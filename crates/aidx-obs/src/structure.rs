@@ -93,9 +93,6 @@ pub struct StructureProbe {
     /// Cumulative candidate-set bytes produced by selects
     /// (0 for engines that do not build candidate sets).
     pub candidate_set_bytes: u64,
-    /// Always 0: row-id sets have no blocks to skip. The field stays for
-    /// the reports that carry it.
-    pub blocks_skipped: u64,
 }
 
 impl StructureProbe {
@@ -119,7 +116,6 @@ impl StructureProbe {
         self.candidate_set_bytes = self
             .candidate_set_bytes
             .saturating_add(other.candidate_set_bytes);
-        self.blocks_skipped = self.blocks_skipped.saturating_add(other.blocks_skipped);
     }
 
     /// Partition-imbalance ratio: max/mean of `partition_load`. 1.0 means
@@ -151,7 +147,6 @@ impl StructureProbe {
             partition_imbalance: self.partition_imbalance(),
             partitions: self.partition_load.len() as u64,
             candidate_set_bytes: self.candidate_set_bytes,
-            blocks_skipped: self.blocks_skipped,
         }
     }
 }
@@ -186,9 +181,6 @@ pub struct StructureStats {
     pub partitions: u64,
     /// Cumulative candidate-set bytes produced by selects.
     pub candidate_set_bytes: u64,
-    /// Always 0: row-id sets have no blocks to skip. The field stays for
-    /// the reports that carry it.
-    pub blocks_skipped: u64,
 }
 
 impl StructureStats {
@@ -216,7 +208,6 @@ impl StructureStats {
             ("partition_load", self.partition_load.to_json()),
             ("partition_imbalance", Json::Num(self.partition_imbalance)),
             ("candidate_set_bytes", Json::UInt(self.candidate_set_bytes)),
-            ("blocks_skipped", Json::UInt(self.blocks_skipped)),
         ])
     }
 }
@@ -335,7 +326,6 @@ mod tests {
             compaction_steps: 4,
             partition_load: vec![10],
             candidate_set_bytes: 1000,
-            blocks_skipped: 7,
         };
         let b = StructureProbe {
             rows: 50,
@@ -348,14 +338,12 @@ mod tests {
             compaction_steps: 2,
             partition_load: vec![20],
             candidate_set_bytes: 24,
-            blocks_skipped: 3,
         };
         a.merge(&b);
         assert_eq!(a.rows, 150);
         assert_eq!(a.piece_count(), 3);
         assert_eq!(a.partition_load, vec![10, 20]);
         assert_eq!(a.candidate_set_bytes, 1024);
-        assert_eq!(a.blocks_skipped, 10);
         let s = a.summarize();
         assert_eq!(s.piece_count, 3);
         assert_eq!(s.piece_size.max, 60);
@@ -368,7 +356,6 @@ mod tests {
             json.get("candidate_set_bytes").unwrap().as_u64(),
             Some(1024)
         );
-        assert_eq!(json.get("blocks_skipped").unwrap().as_u64(), Some(10));
     }
 
     #[test]

@@ -1,33 +1,35 @@
-//! # aidx-parallel — range-partitioned adaptive indexing
+//! # aidx-parallel — the range-partitioned column the benchmark names
 //!
-//! [`RangePartitionedCracker`] — **range-partitioned cracking** as cracks
-//! made at build: a column is one piece-latched
-//! [`aidx_core::ConcurrentCracker`], cracked at balanced key-range splits
-//! when it is built ([`aidx_core::ConcurrentCracker::with_cracks`]), so
-//! every read starts from a coarse range partitioning and refines inside
-//! it — the coarse-granular index of *Main Memory Adaptive Indexing for
-//! Multi-core Systems* (Alvarez, Schuhknecht, Dittrich, Richter) on one
-//! piece directory. The parallelism comes from the concurrent queries
-//! themselves, kept apart by piece latches, as in the paper; the crate
-//! runs no thread of its own.
-//!
-//! It implements [`aidx_core::Index`] once — one `read`, one `pin`, one
-//! `write(`[`aidx_core::WriteOp`]`)` — each the cracker's own, and
-//! inherits every typed read and write from it. A pin is one epoch. Each
-//! op is also counted in the key ranges it touches, which is the
-//! [`aidx_obs::StructureProbe::partition_load`] it reports.
+//! A range partition is a [`ConcurrentCracker`] cracked at balanced
+//! key-range splits when it is built ([`ConcurrentCracker::with_ranges`])
+//! — the coarse-granular index of Alvarez et al. on one piece
+//! directory, which `aidx-core` builds. This crate is pinned surface: it
+//! keeps only the two calls `benchmark/` makes of it,
+//! [`RangePartitionedCracker::new`] and
+//! [`RangePartitionedCracker::select_rowid_set`].
 
 #![warn(missing_docs)]
 
-pub mod range_partitioned;
+use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol, QueryMetrics, RowIdSet};
 
-pub use range_partitioned::RangePartitionedCracker;
+/// A piece-latched column cracked at range splits when it is built.
+#[derive(Debug)]
+pub struct RangePartitionedCracker(ConcurrentCracker);
 
-/// Returns the number of hardware threads, falling back to 4 when the
-/// parallelism cannot be determined. Worker-count knobs resolve `0` to
-/// this.
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
+impl RangePartitionedCracker {
+    /// Cracks `values` at the splits of `partitions` balanced key ranges,
+    /// with the delta bounded at 10% of the main array and merged
+    /// incrementally.
+    pub fn new(values: Vec<i64>, partitions: usize) -> Self {
+        let compaction = CompactionPolicy::fraction(0.1).incremental(8);
+        let index = ConcurrentCracker::from_values(values, LatchProtocol::Piece)
+            .with_compaction(compaction)
+            .with_ranges(partitions);
+        RangePartitionedCracker(index)
+    }
+
+    /// [`ConcurrentCracker::select_rowid_set`].
+    pub fn select_rowid_set(&self, low: i64, high: i64) -> (RowIdSet, QueryMetrics) {
+        self.0.select_rowid_set(low, high)
+    }
 }

@@ -58,12 +58,11 @@
 use crate::ops::{ColumnPredicate, JoinStrategy, TableOp, TableOpResult};
 use aidx_core::facade::{Mutex, MutexGuard, RwLock};
 use aidx_core::{
-    dcheck, ColumnRead, CompactionPolicy, Index, KeyRuns, LatchProtocol, QueryMetrics, ReadShape,
-    RowIdSet,
+    dcheck, resolve_ranges, ColumnRead, CompactionPolicy, ConcurrentCracker, KeyRuns,
+    LatchProtocol, QueryMetrics, ReadShape, RowIdSet, Snapshot,
 };
 use aidx_cracking::RowId;
 use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
-use aidx_parallel::RangePartitionedCracker;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::str::FromStr;
@@ -81,14 +80,14 @@ use std::time::Instant;
 /// `Within` read (sweep in CHANGES.md).
 const PROJECTION_WEIGHTS: (u128, u128) = (8, 1);
 
-/// Which single-column concurrency design backs every column index.
+/// How every column's [`ConcurrentCracker`] is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableBackend {
-    /// One serial [`aidx_core::ConcurrentCracker`] per column under the
-    /// given latch protocol (concurrent clients, one shared index).
+    /// Under the given latch protocol (concurrent clients, one shared
+    /// index).
     Serial(LatchProtocol),
-    /// One [`RangePartitionedCracker`] per column (one piece-latched
-    /// cracker, cracked at balanced key-range splits when it is built).
+    /// Under piece latches, cracked at balanced key-range splits when it
+    /// is built ([`ConcurrentCracker::with_ranges`]).
     Range {
         /// Partitions per column (0 = one per available core).
         partitions: usize,
@@ -102,7 +101,7 @@ impl TableBackend {
         match self {
             TableBackend::Serial(protocol) => format!("table-serial-{protocol}"),
             TableBackend::Range { partitions } => {
-                format!("table-range-{}", effective_workers(*partitions))
+                format!("table-range-{}", resolve_ranges(*partitions))
             }
         }
     }
@@ -139,21 +138,12 @@ impl FromStr for TableBackend {
     }
 }
 
-/// Resolves a worker-count knob: `0` means one worker per available core.
-fn effective_workers(requested: usize) -> usize {
-    if requested == 0 {
-        aidx_parallel::available_cores()
-    } else {
-        requested
-    }
-}
-
 /// A table engine: one rowid-preserving cracker per column over a shared
 /// row-id space, plus a row store for tuple reconstruction.
 pub struct TableEngine {
     name: String,
     column_names: Vec<String>,
-    indexes: Vec<Box<dyn Index>>,
+    indexes: Vec<ConcurrentCracker>,
     /// Column-major seed data: `base[col][rowid]` for `rowid < base_rows`.
     /// Kept verbatim (including later-deleted rows — dead entries are
     /// unreachable because no select returns their row ids).
@@ -213,21 +203,19 @@ impl TableEngine {
             "table keys must be < i64::MAX (half-open range model)"
         );
         let mut column_names = Vec::with_capacity(columns.len());
-        let mut indexes: Vec<Box<dyn Index>> = Vec::with_capacity(columns.len());
+        let mut indexes = Vec::with_capacity(columns.len());
         let mut base = Vec::with_capacity(columns.len());
         for (col_name, values) in columns {
             let rowids: Vec<RowId> = (0..base_rows as RowId).collect();
-            let index: Box<dyn Index> = match backend {
-                TableBackend::Serial(protocol) => Box::new(
-                    aidx_core::ConcurrentCracker::from_rows(values.clone(), rowids, protocol)
-                        .with_compaction(compaction),
-                ),
-                TableBackend::Range { partitions } => Box::new(RangePartitionedCracker::from_rows(
-                    values.clone(),
-                    rowids,
-                    effective_workers(partitions),
-                    compaction,
-                )),
+            let built = |protocol| {
+                ConcurrentCracker::from_rows(values.clone(), rowids, protocol)
+                    .with_compaction(compaction)
+            };
+            let index = match backend {
+                TableBackend::Serial(protocol) => built(protocol),
+                TableBackend::Range { partitions } => {
+                    built(LatchProtocol::Piece).with_ranges(resolve_ranges(partitions))
+                }
             };
             column_names.push(col_name);
             indexes.push(index);
@@ -279,8 +267,8 @@ impl TableEngine {
     }
 
     /// The column's index (post-run inspection).
-    pub fn column_index(&self, column: usize) -> &dyn Index {
-        self.indexes[column].as_ref()
+    pub fn column_index(&self, column: usize) -> &ConcurrentCracker {
+        &self.indexes[column]
     }
 
     /// Executes one table operation.
@@ -430,7 +418,7 @@ impl TableEngine {
             .fetch_add(metrics.candidate_set_bytes, Ordering::Relaxed);
         TableOpResult {
             value: candidates.len() as i128,
-            rowids: candidates.to_vec(),
+            rowids: candidates.into_vec(),
             pairs: Vec::new(),
             epoch: cut.seq,
             metrics,
@@ -675,11 +663,10 @@ impl TableEngine {
 
     /// One merged structure probe across every column index: "piece
     /// count" means total pieces over all columns, delta pressure is
-    /// summed, and range-partitioned backends contribute their per-range
+    /// summed, and range-partitioned columns contribute their per-range
     /// load.
     /// The candidate-set footprint is engine-level (column indexes report
-    /// 0 for it): cumulative over every select so far. Its
-    /// `blocks_skipped` stays 0.
+    /// 0 for it): cumulative over every select so far.
     pub fn structure_probe(&self) -> StructureProbe {
         let mut probe = StructureProbe::default();
         for index in &self.indexes {
@@ -735,20 +722,19 @@ struct Cut<'e> {
     /// The commit sequence the cut reflects.
     seq: u64,
     /// Per column: its pinned handle, if the plan reads it.
-    columns: Vec<OnceCell<Box<dyn ColumnRead + 'e>>>,
+    columns: Vec<OnceCell<Snapshot<'e>>>,
 }
 
 impl<'e> Cut<'e> {
     /// The pinned handle of `column`.
-    fn column(&self, column: usize) -> &(dyn ColumnRead + 'e) {
+    fn column(&self, column: usize) -> &Snapshot<'e> {
         let cell = &self.columns[column];
-        let handle = if self.engine.lazy_pins {
+        if self.engine.lazy_pins {
             cell.get_or_init(|| self.engine.indexes[column].pin())
         } else {
             cell.get()
                 .expect("a plan reads only the columns its cut pinned")
-        };
-        handle.as_ref()
+        }
     }
 
     /// Plans and executes one conjunctive filter stack — most-selective
@@ -881,7 +867,7 @@ impl JoinSide<'_, '_> {
                 let (low, high) = self.window;
                 let window = ColumnPredicate::new(self.col, low, high);
                 let shape = ReadShape::Candidates;
-                self.cut.column_read(&window, shape, metrics).to_vec()
+                self.cut.column_read(&window, shape, metrics).into_vec()
             }
         }
     }

@@ -19,13 +19,13 @@
 //!
 //! Pieces:
 //!
-//! Every indexed column is a `Box<dyn `[`aidx_core::Index`]`>`: the one
-//! rowid-carrying index surface the serial
-//! [`aidx_core::ConcurrentCracker`] and the range-partitioned
-//! [`aidx_parallel::RangePartitionedCracker`] each implement once, so
-//! every latch protocol and compaction mode of the single-column stack
-//! composes per column, and a per-operation cut is one
-//! [`aidx_core::Index::pin`] per column.
+//! Every indexed column is one rowid-carrying
+//! [`aidx_core::ConcurrentCracker`] — under any latch protocol, or
+//! piece-latched and range-partitioned by cracks made when it is built
+//! ([`aidx_core::ConcurrentCracker::with_ranges`]) — so every latch
+//! protocol and compaction mode of the single-column stack composes per
+//! column, and a per-operation cut is one
+//! [`aidx_core::ConcurrentCracker::pin`] per column.
 //!
 //! * [`TableOp`] / [`TableOpResult`] — the table-level operation set:
 //!   multi-predicate selects, whole-tuple inserts, key-predicate

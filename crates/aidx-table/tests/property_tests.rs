@@ -8,7 +8,7 @@
 //! readers concurrently and checks every read against the oracle at the
 //! commit sequence it reports, with a seeded mutation that must fail.
 
-use aidx_core::{CompactionPolicy, LatchProtocol};
+use aidx_core::{ColumnRead, CompactionPolicy, LatchProtocol};
 use aidx_cracking::RowId;
 use aidx_table::checked::oracle_apply;
 use aidx_table::{

@@ -7,10 +7,10 @@
 //! * [`ScanEngine`] — plain full scans over a latched vector, no index.
 //! * [`SortEngine`] — full index built (by sorting) when the first query
 //!   arrives, binary search afterwards; writes keep the index sorted.
-//! * [`IndexEngine`] — any [`Index`]: the concurrent cracker of
-//!   `aidx-core` under a chosen latch protocol and refinement policy, and
-//!   the range-partitioned cracker of `aidx-parallel`; writes flow through each backend's pending delta
-//!   (Section 4).
+//! * [`IndexEngine`] — the concurrent cracker of `aidx-core` under a
+//!   chosen latch protocol and refinement policy, built plain or
+//!   range-partitioned by cracks at build; writes flow through its
+//!   pending delta (Section 4).
 //! * [`MergeEngine`] — adaptive merging over the partitioned B-tree;
 //!   inserts enter the update partition like a late run.
 //!
@@ -24,7 +24,7 @@
 //! hitting one server process.
 
 use crate::query::{Operation, QuerySpec};
-use aidx_core::{Aggregate, ColumnRead, ConcurrentAdaptiveMerge, Index, QueryMetrics};
+use aidx_core::{Aggregate, ColumnRead, ConcurrentAdaptiveMerge, ConcurrentCracker, QueryMetrics};
 use aidx_cracking::{ops, SortIndex};
 use aidx_latch::lockmgr::LockManager;
 use aidx_latch::LatchStatsSnapshot;
@@ -70,8 +70,8 @@ pub trait AdaptiveEngine: Send + Sync {
     }
 
     /// Per-latch-object wait/conflict attribution
-    /// ([`Index::latch_attribution`]). Empty for engines whose concurrency
-    /// control is not piece-granular.
+    /// ([`ConcurrentCracker::latch_attribution`]). Empty for engines whose
+    /// concurrency control is not piece-granular.
     fn latch_attribution(&self) -> Vec<(u64, LatchStatsSnapshot)> {
         Vec::new()
     }
@@ -297,23 +297,22 @@ impl AdaptiveEngine for SortEngine {
     }
 }
 
-/// Any [`Index`] as an experiment arm — the concurrent cracker and the
-/// range-partitioned cracker alike — so every
-/// indexed arm runs the same select, insert and delete bodies. Writes
-/// route the way each backend prescribes; a select reads *now*, or,
-/// when the experiment asks for snapshot scans, through a pin opened for
-/// it alone: frozen at the epoch the select started at, ignoring every
+/// A [`ConcurrentCracker`] as an experiment arm — plain or
+/// range-partitioned alike — so every indexed arm runs the same select,
+/// insert and delete bodies. A select reads *now*, or, when the
+/// experiment asks for snapshot scans, through a pin opened for it
+/// alone: frozen at the epoch the select started at, ignoring every
 /// concurrent write, piece shrink and compaction step.
 #[derive(Debug)]
-pub struct IndexEngine<I> {
-    index: I,
+pub struct IndexEngine {
+    index: ConcurrentCracker,
     name: String,
     pinned_selects: bool,
 }
 
-impl<I: Index> IndexEngine<I> {
+impl IndexEngine {
     /// Wraps `index` under the report name `name`; selects read now.
-    pub fn new(name: impl Into<String>, index: I) -> Self {
+    pub fn new(name: impl Into<String>, index: ConcurrentCracker) -> Self {
         IndexEngine {
             index,
             name: name.into(),
@@ -329,13 +328,13 @@ impl<I: Index> IndexEngine<I> {
     }
 
     /// The underlying index (for post-run inspection).
-    pub fn index(&self) -> &I {
+    pub fn index(&self) -> &ConcurrentCracker {
         &self.index
     }
 }
 
 /// One Q1/Q2 select against `reader`.
-fn answer<R: ColumnRead + ?Sized>(reader: &R, q: QuerySpec) -> (i128, QueryMetrics) {
+fn answer(reader: &impl ColumnRead, q: QuerySpec) -> (i128, QueryMetrics) {
     match q.aggregate {
         Aggregate::Count => {
             let (count, metrics) = reader.count(q.low, q.high);
@@ -345,14 +344,14 @@ fn answer<R: ColumnRead + ?Sized>(reader: &R, q: QuerySpec) -> (i128, QueryMetri
     }
 }
 
-impl<I: Index> AdaptiveEngine for IndexEngine<I> {
+impl AdaptiveEngine for IndexEngine {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn execute(&self, op: Operation) -> OpResult {
         let (value, metrics) = match op {
-            Operation::Select(q) if self.pinned_selects => answer(&*self.index.pin(), q),
+            Operation::Select(q) if self.pinned_selects => answer(&self.index.pin(), q),
             Operation::Select(q) => answer(&self.index, q),
             Operation::Insert(v) => (1, self.index.insert(v)),
             Operation::Delete(v) => {
@@ -529,22 +528,29 @@ impl<E: AdaptiveEngine> AdaptiveEngine for CheckedEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_core::{CompactionPolicy, ConcurrentCracker, LatchProtocol};
+    use aidx_core::{CompactionPolicy, LatchProtocol};
     use aidx_obs::TraceEvent;
-    use aidx_parallel::RangePartitionedCracker;
 
     fn shuffled(n: usize) -> Vec<i64> {
         (0..n as i64).map(|i| (i * 48271) % n as i64).collect()
     }
 
-    fn crack(values: &[i64], protocol: LatchProtocol) -> IndexEngine<ConcurrentCracker> {
+    fn crack(values: &[i64], protocol: LatchProtocol) -> IndexEngine {
         let index = ConcurrentCracker::from_values(values.to_vec(), protocol);
         IndexEngine::new(format!("crack-{protocol}"), index)
     }
 
+    /// A range arm's column: piece-latched, its delta bounded, cracked at
+    /// `ranges` build ranges.
+    fn ranged(values: Vec<i64>, ranges: usize) -> ConcurrentCracker {
+        ConcurrentCracker::from_values(values, LatchProtocol::Piece)
+            .with_compaction(CompactionPolicy::fraction(0.1).incremental(8))
+            .with_ranges(ranges)
+    }
+
     /// Every indexed arm, its selects reading now or through a pin each.
     fn index_engines(values: &[i64], pinned: bool) -> Vec<Box<dyn AdaptiveEngine>> {
-        let range = RangePartitionedCracker::new(values.to_vec(), 3);
+        let range = ranged(values.to_vec(), 3);
         vec![
             Box::new(crack(values, LatchProtocol::Piece).with_pinned_selects(pinned)),
             Box::new(crack(values, LatchProtocol::Column).with_pinned_selects(pinned)),
@@ -642,9 +648,9 @@ mod tests {
         assert!(engine.index().check_invariants());
         // Every backend stays inspectable behind the one adapter.
         let values = shuffled(1000);
-        let ranged = IndexEngine::new("parallel-range-2", RangePartitionedCracker::new(values, 2));
+        let ranged = IndexEngine::new("parallel-range-2", ranged(values, 2));
         ranged.select(&QuerySpec::sum(100, 900));
-        assert_eq!(ranged.index().partition_count(), 2);
+        assert_eq!(ranged.index().range_splits().len(), 1);
         assert!(ranged.index().check_invariants());
     }
 
@@ -657,23 +663,30 @@ mod tests {
 
     #[test]
     fn default_range_engine_keeps_the_delta_bounded() {
-        // Regression guard: the default-constructed range index must not
-        // accumulate an unbounded delta under a sustained
-        // insert stream (its partitions historically merged pending rows on
-        // the next crack; the bounded incremental default preserves that).
-        let engine = IndexEngine::new("range", RangePartitionedCracker::new(shuffled(2000), 2));
+        // Regression guard: the range arm built with the experiment's
+        // default (disabled) compaction must not accumulate an unbounded
+        // delta under a sustained insert stream (its partitions
+        // historically merged pending rows on the next crack; the bounded
+        // incremental default preserves that).
+        let arm =
+            crate::experiment::ExperimentConfig::new(crate::experiment::Approach::ParallelRange {
+                partitions: 2,
+            });
+        let engine = arm.build_engine_with(shuffled(2000));
         engine.select(&QuerySpec::sum(0, 2000));
         for i in 0..2000 {
             engine.execute(Operation::Insert(10_000 + i));
         }
-        let (pending, merges) = engine.index().delta_stats();
+        let stats = engine.structure_stats().expect("range has structure");
+        let pending = stats.pending_inserts + stats.tombstoned_rows;
         assert!(
             pending < 2000,
             "default policy must bound the delta, saw {pending}"
         );
+        let merges = stats.compactions + stats.compaction_steps;
         assert!(merges > 0, "reconciliation actually ran");
         assert_eq!(engine.select(&QuerySpec::count(10_000, 12_000)).0, 2000);
-        assert!(engine.index().check_invariants());
+        assert_eq!(stats.partitions, 2);
     }
 
     #[test]
@@ -797,16 +810,17 @@ mod tests {
             assert_eq!(stats.rows, 16_384, "{}", engine.name());
             assert!(stats.piece_count >= 3, "{}", engine.name());
         }
-        let ranged = IndexEngine::new("range", RangePartitionedCracker::new(values, 4));
+        let ranged = IndexEngine::new("range", ranged(values, 4));
         ranged.select(&QuerySpec::sum(1_600, 14_400));
         let stats = ranged.structure_stats().expect("range has structure");
         assert_eq!(stats.partitions, 4);
         assert_eq!(stats.partition_load.count, 4);
         assert!(stats.partition_load.max > 0, "per-range ops counted");
-        assert!(
-            ranged.latch_attribution().is_empty(),
-            "no per-piece attribution"
-        );
+        // A range arm is a piece-latched cracker: it attributes waits to
+        // its pieces and column latch like the `crack-piece` arm.
+        let latches = ranged.latch_attribution();
+        assert!(latches.len() > 4, "a latch per piece plus the column latch");
+        assert!(latches.iter().any(|(k, _)| *k == TraceEvent::COLUMN_LATCH));
 
         // Baseline engines expose neither.
         let scan = ScanEngine::new(shuffled(10));

@@ -15,11 +15,10 @@ use crate::generator::WorkloadGenerator;
 use crate::query::{Operation, QuerySpec};
 use crate::runner::MultiClientRunner;
 use aidx_core::{
-    Aggregate, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol, RefinementPolicy,
-    RunMetrics,
+    resolve_ranges, Aggregate, CompactionPolicy, ConcurrentCracker, LatchProtocol,
+    RefinementPolicy, RunMetrics,
 };
 use aidx_cracking::generate_unique_shuffled;
-use aidx_parallel::RangePartitionedCracker;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -59,7 +58,7 @@ pub enum Approach {
     },
     /// Range-partitioned cracking: one piece-latched cracker, cracked at
     /// the splits of this many balanced key ranges when it is built
-    /// (`aidx-parallel`).
+    /// ([`ConcurrentCracker::with_ranges`]).
     ParallelRange {
         /// Number of partitions (0 = one per available core).
         partitions: usize,
@@ -76,7 +75,7 @@ impl Approach {
             Approach::CrackSkipOnContention(p) => format!("crack-{p}-skip"),
             Approach::AdaptiveMerge { .. } => "adaptive-merge".to_string(),
             Approach::ParallelRange { partitions } => {
-                format!("parallel-range-{}", effective_workers(*partitions))
+                format!("parallel-range-{}", resolve_ranges(*partitions))
             }
         }
     }
@@ -158,15 +157,6 @@ impl FromStr for Approach {
     }
 }
 
-/// Resolves a worker-count knob: `0` means one worker per available core.
-fn effective_workers(requested: usize) -> usize {
-    if requested == 0 {
-        aidx_parallel::available_cores()
-    } else {
-        requested
-    }
-}
-
 /// One cell of an experiment sweep.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -198,10 +188,10 @@ pub struct ExperimentConfig {
     /// Meaningless unless `compaction_threshold > 0`.
     pub incremental_pieces: usize,
     /// Route every select of an indexed arm through a pin
-    /// ([`aidx_core::Index::pin`]) opened for it alone: the select answers
+    /// ([`ConcurrentCracker::pin`]) opened for it alone: the select answers
     /// frozen at the epoch it started at and releases the pin. Arms
-    /// without an [`aidx_core::Index`] (scan, sort, adaptive-merge) answer
-    /// at the latest state, unchanged.
+    /// without a cracker (scan, sort, adaptive-merge) answer at the latest
+    /// state, unchanged.
     pub snapshot_scans: bool,
     /// The approach under test.
     pub approach: Approach,
@@ -346,24 +336,29 @@ impl ExperimentConfig {
             ),
             Approach::AdaptiveMerge { run_size } => Arc::new(MergeEngine::new(values, run_size)),
             Approach::ParallelRange { partitions } => {
-                // Threshold 0 keeps the range arm's bounded default (the
-                // first range partitions merged pending rows on the next
-                // crack; "disabled" would regress them to unbounded
-                // delta growth, unlike the serial arms where disabled
+                // Threshold 0 keeps the range arm's bounded default, 10 %
+                // of the column merged incrementally (the first range
+                // partitions merged pending rows on the next crack;
+                // "disabled" would regress them to unbounded delta
+                // growth, unlike the serial arms where disabled
                 // reproduces the historical behaviour).
-                let partitions = effective_workers(partitions);
-                self.index_arm(if compaction.is_enabled() {
-                    RangePartitionedCracker::with_compaction(values, partitions, compaction)
+                let compaction = if compaction.is_enabled() {
+                    compaction
                 } else {
-                    RangePartitionedCracker::new(values, partitions)
-                })
+                    CompactionPolicy::fraction(0.1).incremental(8)
+                };
+                self.index_arm(
+                    ConcurrentCracker::from_values(values, LatchProtocol::Piece)
+                        .with_compaction(compaction)
+                        .with_ranges(resolve_ranges(partitions)),
+                )
             }
         }
     }
 
     /// `index` as this config's arm: named by the approach label, selects
     /// pinned when [`ExperimentConfig::snapshot_scans`] says so.
-    fn index_arm<I: Index + 'static>(&self, index: I) -> Arc<dyn AdaptiveEngine> {
+    fn index_arm(&self, index: ConcurrentCracker) -> Arc<dyn AdaptiveEngine> {
         let engine = IndexEngine::new(self.approach.label(), index);
         Arc::new(engine.with_pinned_selects(self.snapshot_scans))
     }

@@ -12,9 +12,10 @@
 //!   write-ratio knob for mixed read/write runs.
 //! * [`AdaptiveEngine`] and its implementations — the approaches under
 //!   test: plain scan, full sort, adaptive merging, and one
-//!   [`IndexEngine`] over any [`aidx_core::Index`]: cracking under column
-//!   or piece latches and the multi-core parallel cracking arms of
-//!   `aidx-parallel` (range-partitioned). Every arm executes
+//!   [`IndexEngine`] over an [`aidx_core::ConcurrentCracker`]: cracking
+//!   under column or piece latches, and the range-partitioned arm, a
+//!   piece-latched cracker cracked at key-range splits when it is built.
+//!   Every arm executes
 //!   reads *and* writes through the same `execute(Operation)` entry point.
 //! * [`MultiColumnWorkload`] — conjunctive multi-column selections with
 //!   per-column selectivity knobs (plus tuple inserts and key deletes)

@@ -119,7 +119,7 @@ mod tests {
     use crate::generator::WorkloadGenerator;
     use aidx_core::{Aggregate, ConcurrentCracker, LatchProtocol};
 
-    fn crack(values: &[i64]) -> IndexEngine<ConcurrentCracker> {
+    fn crack(values: &[i64]) -> IndexEngine {
         let index = ConcurrentCracker::from_values(values.to_vec(), LatchProtocol::Piece);
         IndexEngine::new("crack-piece", index)
     }

@@ -13,11 +13,11 @@ const ROWS: usize = 2_000_000;
 const QUERIES: usize = 64;
 
 fn main() {
-    let workers = available_cores().max(4);
+    let workers = resolve_ranges(0).max(4);
     println!(
-        "parallel adaptive indexing over {ROWS} keys, {QUERIES} sum queries, {workers} workers"
+        "parallel adaptive indexing over {ROWS} keys, {QUERIES} sum queries, {workers} ranges"
     );
-    println!("(machine reports {} core(s))\n", available_cores());
+    println!("(machine reports {} core(s))\n", resolve_ranges(0));
 
     let values = generate_unique_shuffled(ROWS, 42);
     let queries = WorkloadGenerator::new(ROWS as u64, 0.001, Aggregate::Sum, 7).generate(QUERIES);
@@ -46,7 +46,8 @@ fn main() {
         serial.sum(lo, hi).0
     });
 
-    let ranged = RangePartitionedCracker::new(values.clone(), workers);
+    let ranged =
+        ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece).with_ranges(workers);
     report("parallel-range", &uniform, &|lo, hi| ranged.sum(lo, hi).0);
 
     // The input that breaks cracking at the query bounds alone: every
@@ -62,7 +63,7 @@ fn main() {
 
     println!(
         "\nrange splits: {:?} (cracked at build; reads per range: {:?})",
-        ranged.splits(),
+        ranged.range_splits(),
         ranged.structure_probe().partition_load
     );
     println!(

@@ -20,8 +20,7 @@
 //! |-------|----------|
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
 //! | [`cracking`] | the serial structures and baselines: row ids, cracker array, piece map (table of contents), read-only plain-cracking index, partitioned B-tree, adaptive merging, read-only hybrid crack-sort, key-range locks, scan/sort baselines, scan operators, data generator |
-//! | [`core`] | **the paper's contribution**: the one `Index`/`ColumnRead` surface every backend implements, concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, metrics |
-//! | [`parallel`] | range-partitioned cracking: one piece-latched cracker per column, cracked at balanced key-range splits when it is built |
+//! | [`core`] | **the paper's contribution**: the concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, range partitioning as cracks made at build, pinned snapshots, the one `ColumnRead` surface of a cracker and its pins, metrics |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
 //! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
 //!
@@ -51,38 +50,39 @@
 //! // Or crack at 3 range splits when the index is built: 4 key ranges
 //! // that concurrent queries go on refining under piece latches.
 //! // Identical answers, and a read whose bounds are splits cracks nothing.
-//! let index = RangePartitionedCracker::new(generate_unique_shuffled(1_000_000, 42), 4);
+//! let values = generate_unique_shuffled(1_000_000, 42);
+//! let index = ConcurrentCracker::from_values(values, LatchProtocol::Piece).with_ranges(4);
 //! assert_eq!(index.sum(250_000, 260_000).0, sum);
-//! let (low, high) = (index.splits()[0], index.splits()[2]);
+//! let (low, high) = (index.range_splits()[0], index.range_splits()[2]);
 //! assert_eq!(index.count(low, high).1.cracks_performed, 0);
 //!
-//! // Every backend implements one `Index` surface: contents change
-//! // through one `write(WriteOp)`, and the typed `insert`/`delete`
-//! // methods are wrappers over it.
+//! // Contents change through one `write(WriteOp)`, which the typed
+//! // `insert`/`delete` methods wrap; a pin still answers as of the
+//! // moment it was opened.
+//! let pin = index.pin();
 //! let (removed, _) = index.write(WriteOp::Delete { value: 255_000 });
 //! assert_eq!(removed, 1);
 //! assert_eq!(index.sum(250_000, 260_000).0, sum - 255_000);
+//! assert_eq!(pin.sum(250_000, 260_000).0, sum);
 //! ```
 
 pub use aidx_core as core;
 pub use aidx_cracking as cracking;
 pub use aidx_latch as latch;
-pub use aidx_parallel as parallel;
 pub use aidx_table as table;
 pub use aidx_workload as workload;
 
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use aidx_core::{
-        Aggregate, ColumnRead, ConcurrentAdaptiveMerge, ConcurrentCracker, Index, LatchProtocol,
-        QueryMetrics, RefinementPolicy, RunMetrics, WriteOp,
+        resolve_ranges, Aggregate, ColumnRead, ConcurrentAdaptiveMerge, ConcurrentCracker,
+        LatchProtocol, QueryMetrics, RefinementPolicy, RunMetrics, Snapshot, WriteOp,
     };
     pub use aidx_cracking::{
         generate_unique_shuffled, AdaptiveMergeIndex, CrackerIndex, HybridCrackSort,
         PartitionedBTree, RowId, ScanBaseline, SortIndex,
     };
     pub use aidx_latch::{LockManager, LockMode, LockResource};
-    pub use aidx_parallel::{available_cores, RangePartitionedCracker};
     pub use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
     pub use aidx_workload::{
         run_experiment, AdaptiveEngine, Approach, ExperimentConfig, IndexEngine, MultiClientRunner,
@@ -105,8 +105,8 @@ mod tests {
     #[test]
     fn facade_exposes_the_parallel_subsystem() {
         let values = generate_unique_shuffled(10_000, 1);
-        let ranged = RangePartitionedCracker::new(values, 2);
+        let ranged = ConcurrentCracker::from_values(values, LatchProtocol::Piece).with_ranges(2);
         assert_eq!(ranged.count(1000, 2000).0, 1000);
-        assert!(available_cores() >= 1);
+        assert!(resolve_ranges(0) >= 1);
     }
 }

@@ -14,7 +14,7 @@ fn shuffled(n: usize) -> Vec<i64> {
     generate_unique_shuffled(n, 0xBEEF)
 }
 
-fn crack(values: &[i64], protocol: LatchProtocol) -> IndexEngine<ConcurrentCracker> {
+fn crack(values: &[i64], protocol: LatchProtocol) -> IndexEngine {
     let index = ConcurrentCracker::from_values(values.to_vec(), protocol);
     IndexEngine::new(format!("crack-{protocol}"), index)
 }

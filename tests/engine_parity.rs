@@ -1,6 +1,6 @@
 //! Cross-engine parity: every `AdaptiveEngine` arm — scan, sort, crack
 //! (column and piece latches, with and without conflict avoidance),
-//! adaptive merging, and the parallel arms of `aidx-parallel` — replays
+//! adaptive merging, and the range-partitioned arm — replays
 //! the same workload through `MultiClientRunner` and must produce
 //! identical per-operation results, for read-only *and* mixed read/write
 //! sequences (checked against a `BTreeMap` multiset oracle).
@@ -213,10 +213,8 @@ fn checked_engine_confirms_parallel_arms_under_concurrency() {
     let shared_values = values();
     let queries = WorkloadGenerator::new(ROWS as u64, 0.05, Aggregate::Sum, 21).generate(QUERIES);
     let range_engine = Arc::new(CheckedEngine::new(
-        IndexEngine::new(
-            "parallel-range-4",
-            RangePartitionedCracker::new(shared_values.clone(), 4),
-        ),
+        ExperimentConfig::new(Approach::ParallelRange { partitions: 4 })
+            .build_engine_with(shared_values.clone()),
         shared_values,
     ));
     let run = MultiClientRunner::new(8).run(range_engine.clone(), &queries);

@@ -4,10 +4,7 @@
 //! oracle's answer at the snapshot epoch — for the serial cracker (every
 //! latch protocol) and the range-partitioned cracker.
 
-use adaptive_indexing::core::{
-    ColumnRead, CompactionPolicy, ConcurrentCracker, Index, LatchProtocol,
-};
-use adaptive_indexing::parallel::RangePartitionedCracker;
+use adaptive_indexing::core::{ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol};
 use std::collections::BTreeMap;
 
 fn shuffled(n: usize) -> Vec<i64> {
@@ -101,11 +98,9 @@ fn serial_snapshot_scan_across_incremental_steps_matches_the_oracle() {
 #[test]
 fn range_snapshot_scan_across_incremental_steps_matches_the_oracle() {
     let values = shuffled(4096);
-    let idx = RangePartitionedCracker::with_compaction(
-        values.clone(),
-        3,
-        CompactionPolicy::rows(4).incremental(4),
-    );
+    let idx = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece)
+        .with_compaction(CompactionPolicy::rows(4).incremental(4))
+        .with_ranges(3);
     idx.sum(0, 4096);
     let frozen = oracle_from(&values);
     let snap = idx.pin();
@@ -127,7 +122,7 @@ fn range_snapshot_scan_across_incremental_steps_matches_the_oracle() {
             );
         }
     }
-    let (_, merges) = idx.delta_stats();
+    let merges = idx.compactions_performed() + idx.compaction_steps_performed();
     assert!(
         merges >= 3,
         "the snapshot spanned >= 3 incremental steps, saw {merges}"
