@@ -62,14 +62,14 @@ proptest! {
         values in prop::collection::vec(-200i64..200, 0..200),
         ops in prop::collection::vec((0u8..4, -250i64..250, -250i64..250), 1..60),
         threshold in 1u64..12,
-        ranges in 0usize..5,
     ) {
         for protocol in [
             LatchProtocol::None,
             LatchProtocol::Column,
             LatchProtocol::Piece,
         ] {
-            let idx = built(values.clone(), protocol, CompactionPolicy::rows(threshold), ranges);
+            let idx = ConcurrentCracker::from_values(values.clone(), protocol)
+                .with_compaction(CompactionPolicy::rows(threshold));
             let mut oracle = oracle_from(&values);
             let mut compactions_seen = 0;
             for &(kind, a, b) in &ops {
@@ -159,25 +159,18 @@ proptest! {
         post_ops in prop::collection::vec((0u8..3, -200i64..200), 1..40),
         queries in prop::collection::vec((-250i64..250, -250i64..250), 1..8),
         step_budget in 1usize..6,
-        fraction in any::<bool>(),
-        ranges in 0usize..4,
     ) {
         // A long scan pins a snapshot, then inserts/deletes and multiple
         // incremental compaction steps race past it; every read through
         // the snapshot must equal the oracle frozen at the snapshot epoch,
-        // while the live view tracks the evolving oracle — under a fixed
-        // row threshold and under the range arms' 10 % of the column.
-        let policy = if fraction {
-            CompactionPolicy::fraction(0.1)
-        } else {
-            CompactionPolicy::rows(8)
-        };
+        // while the live view tracks the evolving oracle.
         for protocol in [
             LatchProtocol::None,
             LatchProtocol::Column,
             LatchProtocol::Piece,
         ] {
-            let idx = built(values.clone(), protocol, policy.incremental(step_budget), ranges);
+            let idx = ConcurrentCracker::from_values(values.clone(), protocol)
+                .with_compaction(CompactionPolicy::rows(8).incremental(step_budget));
             let mut oracle = oracle_from(&values);
             idx.sum(i64::MIN, i64::MAX);
             let apply = |idx: &ConcurrentCracker, oracle: &mut BTreeMap<i64, u64>,
@@ -245,6 +238,147 @@ proptest! {
             let total: u64 = oracle.values().sum();
             prop_assert_eq!(idx.logical_len(), total, "{}", protocol);
             prop_assert!(idx.check_invariants(), "{}", protocol);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn range_partitioned_mixed_ops_with_eager_merges_match_the_oracle(
+        values in prop::collection::vec(-150i64..150, 0..150),
+        ops in prop::collection::vec((0u8..4, -200i64..200, -200i64..200), 1..40),
+        partitions in 1usize..5,
+    ) {
+        for protocol in [
+            LatchProtocol::None,
+            LatchProtocol::Column,
+            LatchProtocol::Piece,
+        ] {
+            let idx = built(values.clone(), protocol, CompactionPolicy::rows(3), partitions);
+            let mut oracle = oracle_from(&values);
+            for &(kind, a, b) in &ops {
+                match kind {
+                    0 => {
+                        let (low, high) = if a <= b { (a, b) } else { (b, a) };
+                        prop_assert_eq!(
+                            idx.count(low, high).0,
+                            oracle_count(&oracle, low, high),
+                            "{} count [{},{})", protocol, low, high
+                        );
+                    }
+                    1 => {
+                        let (low, high) = if a <= b { (a, b) } else { (b, a) };
+                        prop_assert_eq!(
+                            idx.sum(low, high).0,
+                            oracle_sum(&oracle, low, high),
+                            "{} sum [{},{})", protocol, low, high
+                        );
+                    }
+                    2 => {
+                        idx.insert(a);
+                        *oracle.entry(a).or_insert(0) += 1;
+                    }
+                    _ => {
+                        let removed = idx.delete(a).0;
+                        let expected = oracle.remove(&a).unwrap_or(0);
+                        prop_assert_eq!(removed, expected, "{} delete {}", protocol, a);
+                    }
+                }
+                prop_assert!(idx.check_invariants(), "{}", protocol);
+            }
+            let total: u64 = oracle.values().sum();
+            prop_assert_eq!(idx.count(i64::MIN, i64::MAX).0, total, "{}", protocol);
+            prop_assert_eq!(idx.logical_len(), total, "{}", protocol);
+        }
+    }
+
+    #[test]
+    fn pinned_snapshots_match_the_oracle_for_both_parallel_arms(
+        values in prop::collection::vec(-150i64..150, 0..120),
+        pre_ops in prop::collection::vec((0u8..2, -200i64..200), 0..15),
+        post_ops in prop::collection::vec((0u8..2, -200i64..200), 3..30),
+        queries in prop::collection::vec((-250i64..250, -250i64..250), 1..6),
+        partitions in 1usize..4,
+    ) {
+        // Long scans pin a snapshot on two range-partitioned columns, then
+        // writes and compaction race past it; every pinned read must equal
+        // the oracle frozen at snapshot time, for the column with
+        // aggressive incremental steps and for the one under the range
+        // arm's default policy (10 % of the column, steps of 8) alike.
+        for protocol in [
+            LatchProtocol::None,
+            LatchProtocol::Column,
+            LatchProtocol::Piece,
+        ] {
+            let eager = CompactionPolicy::rows(4).incremental(2);
+            let default = CompactionPolicy::fraction(0.1).incremental(8);
+            let ranged = built(values.clone(), protocol, eager, partitions);
+            let defaulted = built(values.clone(), protocol, default, partitions);
+            let mut oracle = oracle_from(&values);
+            let apply = |kind: u8, v: i64, oracle: &mut BTreeMap<i64, u64>| {
+                if kind == 0 {
+                    defaulted.insert(v);
+                    ranged.insert(v);
+                    *oracle.entry(v).or_insert(0) += 1;
+                } else {
+                    let a = defaulted.delete(v).0;
+                    let b = ranged.delete(v).0;
+                    let expected = oracle.remove(&v).unwrap_or(0);
+                    assert_eq!(a, expected, "{protocol} default delete {v}");
+                    assert_eq!(b, expected, "{protocol} ranged delete {v}");
+                }
+            };
+            for &(kind, v) in &pre_ops {
+                apply(kind, v, &mut oracle);
+            }
+            let frozen = oracle.clone();
+            let default_snap = defaulted.pin();
+            let range_snap = ranged.pin();
+            for &(kind, v) in &post_ops {
+                apply(kind, v, &mut oracle);
+                for &(a, b) in &queries {
+                    let (low, high) = if a <= b { (a, b) } else { (b, a) };
+                    prop_assert_eq!(
+                        default_snap.count(low, high).0,
+                        oracle_count(&frozen, low, high),
+                        "{} default pinned count [{},{})", protocol, low, high
+                    );
+                    prop_assert_eq!(
+                        range_snap.sum(low, high).0,
+                        oracle_sum(&frozen, low, high),
+                        "{} ranged pinned sum [{},{})", protocol, low, high
+                    );
+                    prop_assert_eq!(
+                        defaulted.count(low, high).0,
+                        oracle_count(&oracle, low, high),
+                        "{} default live count [{},{})", protocol, low, high
+                    );
+                    prop_assert_eq!(
+                        ranged.count(low, high).0,
+                        oracle_count(&oracle, low, high),
+                        "{} ranged live count [{},{})", protocol, low, high
+                    );
+                }
+            }
+            prop_assert_eq!(
+                default_snap.sum(i64::MIN, i64::MAX).0,
+                oracle_sum(&frozen, i64::MIN, i64::MAX),
+                "{}", protocol
+            );
+            prop_assert_eq!(
+                range_snap.count(i64::MIN, i64::MAX).0,
+                oracle_count(&frozen, i64::MIN, i64::MAX),
+                "{}", protocol
+            );
+            drop(default_snap);
+            drop(range_snap);
+            let total: u64 = oracle.values().sum();
+            prop_assert_eq!(defaulted.count(i64::MIN, i64::MAX).0, total, "{}", protocol);
+            prop_assert_eq!(ranged.count(i64::MIN, i64::MAX).0, total, "{}", protocol);
+            prop_assert!(defaulted.check_invariants(), "{}", protocol);
+            prop_assert!(ranged.check_invariants(), "{}", protocol);
         }
     }
 }
