@@ -137,6 +137,68 @@ fn real_cracker_count_vs_insert_linearises() {
     report.assert_ok();
 }
 
+/// The empty-delta fast path on the real cracker: a read whose delta
+/// mirror reads 0 inside its seqlock window answers from the main array
+/// alone, without the delta lock. The `sum` races a client that inserts
+/// the first row into the empty delta and then deletes a main-array row —
+/// the delete raises a tombstone and its own sweep retires it at once,
+/// moving the row out of the main array and taking the delta back down to
+/// the one pending insert. Every schedule must give a sum the column had
+/// at some instant — before the insert, between the two writes, or after
+/// both — and the explored schedules must include the fast path's answer
+/// (before the insert) and both later ones. A mirror read before the
+/// window opens, on a schedule where both writes land in between, would
+/// pair the swept main array with the empty delta it saw: a sum with the
+/// delete and without the insert, which the column never had.
+#[test]
+fn real_empty_delta_fast_path_vs_first_insert_and_sweeping_delete_linearises() {
+    const INSERTED: i64 = 5;
+    const DELETED: i64 = 3;
+    let before: i128 = 1 + 2 + 3 + 4;
+    let between = before + i128::from(INSERTED);
+    let after = between - i128::from(DELETED);
+    let seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let seen_in = Arc::clone(&seen);
+    let one_preemption = ExploreConfig {
+        preemption_bound: Some(1),
+        ..capped(5_000)
+    };
+    let report = explore(one_preemption, move || {
+        let idx = Arc::new(ConcurrentCracker::from_values(
+            vec![1, 2, 3, 4],
+            LatchProtocol::Piece,
+        ));
+        let (reader, writer, seen) = (Arc::clone(&idx), Arc::clone(&idx), Arc::clone(&seen_in));
+        Scenario::new()
+            .thread(move || {
+                let (sum, _) = reader.sum(0, 10);
+                let outcome = [before, between, after].iter().position(|&s| s == sum);
+                let outcome = outcome.unwrap_or_else(|| {
+                    panic!("sum {sum} racing insert-then-delete is no state of the column")
+                });
+                seen.fetch_or(1 << outcome, Ordering::SeqCst);
+            })
+            .thread(move || {
+                writer.insert(INSERTED);
+                let (removed, _) = writer.write(WriteOp::Delete { value: DELETED });
+                assert_eq!(removed, 1, "the main row of key 3 is deleted");
+            })
+            .finale(move || {
+                assert_eq!(idx.sum(0, 10).0, after, "a write lost");
+                assert_eq!(idx.delta_rows(), 1, "the sweep retired the tombstone");
+                assert_eq!(idx.hole_count(), 1, "the swept row left a hole");
+                assert!(idx.check_invariants());
+            })
+    });
+    report.assert_ok();
+    assert!(report.exhausted, "one preemption fits under the cap");
+    let seen = seen.load(Ordering::SeqCst);
+    assert_eq!(
+        seen, 0b111,
+        "every state must be read on some schedule, saw {seen:#b}"
+    );
+}
+
 /// The real delete path — `write(WriteOp::Delete)`: bound cracks, the
 /// seqlock window, the validated delta applier, the reclaiming piece
 /// shrink — racing a `Sum` on a two-piece cracker whose key `5K` occurs

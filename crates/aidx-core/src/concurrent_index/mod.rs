@@ -130,7 +130,6 @@ pub struct ConcurrentCracker {
     /// Next row id handed to a compacted-in pending insert (survivor rows
     /// keep their original ids).
     next_rowid: AtomicU64,
-    queries: AtomicU64,
     cracks: AtomicU64,
     inserts: AtomicU64,
     deletes: AtomicU64,
@@ -179,7 +178,6 @@ impl ConcurrentCracker {
             shrink_serial: Mutex::new(()),
             reclaim_pause: AtomicU64::new(0),
             next_rowid: AtomicU64::new(next_rowid),
-            queries: AtomicU64::new(0),
             cracks: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
@@ -331,11 +329,6 @@ impl ConcurrentCracker {
     /// Total cracks performed so far.
     pub fn crack_count(&self) -> u64 {
         self.cracks.load(Ordering::Relaxed)
-    }
-
-    /// Total queries served so far.
-    pub fn queries_served(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
     }
 
     /// Total insert operations applied so far.

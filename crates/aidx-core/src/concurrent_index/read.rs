@@ -791,7 +791,6 @@ impl ConcurrentCracker {
         shape: ReadShape<'_>,
     ) -> (ReadAnswer, QueryMetrics) {
         let start = Instant::now();
-        self.queries.fetch_add(1, Ordering::Relaxed);
         let mut metrics = QueryMetrics::default();
         if low >= high {
             metrics.total = start.elapsed();
@@ -811,11 +810,11 @@ impl ConcurrentCracker {
             // compaction can rebuild the array underneath us.
             let _op = self.enter_if_compactable();
             let count = matches!(shape, ReadShape::Count);
-            let mut first = None;
+            let mut span = None;
             let plan = (!self.data.is_empty()).then(|| match self.protocol {
                 LatchProtocol::Piece => {
-                    let (plan, span) = self.plan_piece(low, high, count, &mut metrics);
-                    first = span;
+                    let (plan, first) = self.plan_piece(low, high, count, &mut metrics);
+                    span = first;
                     plan
                 }
                 LatchProtocol::Column | LatchProtocol::None => {
@@ -827,8 +826,9 @@ impl ConcurrentCracker {
                 let mut acc = Accumulator::new(shape, rows, within);
                 if let Some(plan) = plan {
                     // A retry walks afresh; the version check would catch a
-                    // stale batch, but a new one costs the same.
-                    self.walk(plan, (low, high), &mut acc, attempt, first.take());
+                    // stale batch, but a new one costs the same. Every
+                    // attempt refills the one span buffer of the read.
+                    self.walk(plan, (low, high), &mut acc, attempt, &mut span);
                 }
                 let view = if acc.is_aggregate() {
                     DeltaView::Counts(self.delta.adjust(low, high, at))
@@ -885,20 +885,25 @@ impl ConcurrentCracker {
     /// filtered by the original query `bounds`, its interior is not. Only
     /// reads, so seqlock retries may repeat it.
     ///
-    /// Under piece latches the pieces come in [`Span`] batches, `first`
-    /// (the plan's) or one directory acquisition each. Each piece is
-    /// read-latched and fed as the batch recorded it while the structure
-    /// version still reads the batch's; otherwise the walk re-spans from
-    /// that piece while holding its latch, which freezes its extent, so
-    /// the re-span's first piece is fed at once and the walk always moves
-    /// on. There is no other walk: the re-span is the fallback.
-    pub(super) fn walk(
-        &self,
+    /// Under piece latches the pieces come in [`Span`] batches: the
+    /// plan's, if `span` holds one not walked yet, then one directory
+    /// acquisition each, all refilling the one buffer `span` carries
+    /// across the read. Each piece is read-latched — its latch borrowed
+    /// from the directory's slab — and fed as the batch recorded it while
+    /// the structure version still reads the batch's; otherwise the walk
+    /// re-spans from that piece while holding its latch, which freezes its
+    /// extent, so the re-span's first piece is fed at once and the walk
+    /// always moves on. There is no other walk: the re-span is the
+    /// fallback. One clock pair times the whole walk: its aggregate time
+    /// is that time less the latch waits it recorded, so latch acquire and
+    /// release and the directory's span lookups count as aggregation.
+    pub(super) fn walk<'d>(
+        &'d self,
         plan: MainPlan,
         bounds: (i64, i64),
         acc: &mut Accumulator<'_>,
         metrics: &mut QueryMetrics,
-        first: Option<Span>,
+        span: &mut Option<Span<'d>>,
     ) {
         let MainPlan { lo, hi, .. } = plan;
         // The interior's count is purely positional: range width minus
@@ -917,34 +922,45 @@ impl ConcurrentCracker {
         };
         match self.protocol {
             LatchProtocol::Piece => {
-                let Some(mut span) = first.or_else(|| Some(self.dir.span(&left(0)?, true))) else {
-                    return;
-                };
-                let mut batch = std::mem::take(&mut span.pieces).into_iter();
-                while let Some(mut piece) = batch.next() {
-                    let latch = piece.latch.take().expect("a latched span carries latches");
-                    let guard = latch.acquire_read();
-                    let start = piece.start;
+                let walk_start = Instant::now();
+                let waited = metrics.wait_time;
+                let span = span.get_or_insert_with(Span::default);
+                // The plan's batch is walked as it is; without one (or on
+                // a retry, which finds the buffer emptied) the walk spans
+                // from the start.
+                if span.pieces.is_empty() {
+                    let Some(rest) = left(0) else {
+                        return;
+                    };
+                    self.dir.span(&rest, span);
+                }
+                let mut at = 0;
+                while let Some(&recorded) = span.pieces.get(at) {
+                    let guard = recorded.latch.acquire_read();
+                    let start = recorded.start;
                     Self::note_wait(metrics, start as u64, LatchMode::Read, guard.outcome());
+                    let mut piece = recorded;
                     if self.dir.version() != span.version {
                         // Frozen under this latch: re-span from here.
-                        span = self.dir.span(&ranges_from(&ranges, start), true);
-                        batch = std::mem::take(&mut span.pieces).into_iter();
-                        piece = batch.next().expect("the latched piece is in its own span");
+                        self.dir.span(&ranges_from(&ranges, start), span);
+                        piece = span.pieces[0];
+                        at = 0;
                         debug_assert_eq!(piece.start, start, "a re-span starts at its piece");
                     }
-                    let agg_start = Instant::now();
                     let filter = plan.filter_at(start, bounds);
                     acc.feed(&self.data, start, piece.live_end, filter);
-                    metrics.aggregate_time += agg_start.elapsed();
                     drop(guard);
-                    if batch.len() == 0 {
+                    at += 1;
+                    if at == span.pieces.len() {
                         if let Some(rest) = left(piece.end) {
-                            span = self.dir.span(&rest, true);
-                            batch = std::mem::take(&mut span.pieces).into_iter();
+                            self.dir.span(&rest, span);
+                            at = 0;
                         }
                     }
                 }
+                span.pieces.clear();
+                let walked = walk_start.elapsed();
+                metrics.aggregate_time += walked.saturating_sub(metrics.wait_time - waited);
             }
             LatchProtocol::Column | LatchProtocol::None => {
                 let guard = (self.protocol == LatchProtocol::Column).then(|| {
@@ -976,9 +992,10 @@ impl ConcurrentCracker {
                         }
                         continue;
                     }
-                    let mut pos = from;
+                    let (mut pos, mut span) = (from, Span::default());
                     while pos < to {
-                        for piece in self.dir.span(&[(pos, to)], false).pieces {
+                        self.dir.span(&[(pos, to)], &mut span);
+                        for piece in &span.pieces {
                             let filter = plan.filter_at(piece.start, bounds);
                             acc.feed(&self.data, piece.start, piece.live_end, filter);
                             pos = piece.end;
@@ -1323,7 +1340,7 @@ impl ConcurrentCracker {
         high: i64,
         count: bool,
         metrics: &mut QueryMetrics,
-    ) -> (MainPlan, Option<Span>) {
+    ) -> (MainPlan, Option<Span<'_>>) {
         let needs_latch = |bound, piece: &Piece| !self.read_skips(bound, piece);
         let plan = |low: &Found, high: &Found| {
             let plan = MainPlan::resolved(unlatched(low), unlatched(high));

@@ -1,5 +1,6 @@
 use super::*;
 use aidx_cracking::ops;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -57,8 +58,14 @@ fn metrics_record_cracks_and_result_counts() {
     assert_eq!(m2.cracks_performed, 0);
     assert_eq!(m2.crack_time, Duration::ZERO);
     assert_eq!(idx.crack_count(), 2);
-    assert_eq!(idx.queries_served(), 2);
     assert_eq!(idx.piece_count(), 3);
+    // Each read shows in the latch counts: one write latch for the first
+    // count's two cracks, none for the positional counts' interiors, and
+    // one read latch for the one piece the sum walks.
+    let (_, m3) = idx.sum(100, 300);
+    assert_eq!((m3.cracks_performed, m3.result_count), (0, 200));
+    let stats = idx.latch_stats();
+    assert_eq!((stats.write_acquisitions, stats.read_acquisitions), (1, 1));
 }
 
 #[test]
@@ -236,6 +243,61 @@ fn structure_probe_reflects_cracks_and_delta() {
     // Per-piece latch attribution exists for the touched pieces, beside
     // the column latch's.
     assert!(idx.latch_attribution().len() > 1);
+}
+
+/// On a converged layout — ten pieces of 100 rows, cracked at build —
+/// reads crack nothing and read-latch exactly the pieces they walk: every
+/// piece of a sum's range, only the edge pieces of a count. The latch
+/// totals rise by exactly that many read acquisitions per read, and the
+/// per-piece attribution lists every latched piece with its own count.
+#[test]
+fn converged_reads_latch_exactly_the_pieces_they_walk() {
+    let splits: Vec<i64> = (1..10).map(|k| k * 100).collect();
+    let idx =
+        ConcurrentCracker::from_values(shuffled(1000), LatchProtocol::Piece).with_cracks(&splits);
+    // (low, high, sum, piece starts walked)
+    let reads: [(i64, i64, bool, &[u64]); 6] = [
+        (200, 500, true, &[200, 300, 400]),
+        (250, 450, true, &[200, 300, 400]),
+        (250, 450, false, &[200, 400]),
+        (300, 400, false, &[]),
+        (950, 2000, true, &[900]),
+        (-5, 30, false, &[0]),
+    ];
+    let mut walked: BTreeMap<u64, u64> = BTreeMap::new();
+    for (low, high, sum, pieces) in reads {
+        let before = idx.latch_stats().read_acquisitions;
+        let (low_in, high_in) = (low.clamp(0, 1000), high.clamp(0, 1000));
+        let (answer, metrics) = if sum {
+            idx.sum(low, high)
+        } else {
+            let (count, metrics) = idx.count(low, high);
+            (count as i128, metrics)
+        };
+        let expected = if sum {
+            (low_in..high_in).map(i128::from).sum()
+        } else {
+            i128::from(high_in - low_in)
+        };
+        assert_eq!(answer, expected, "[{low}, {high})");
+        assert_eq!(metrics.cracks_performed, 0, "converged: no crack");
+        let read = idx.latch_stats().read_acquisitions - before;
+        assert_eq!(read, pieces.len() as u64, "[{low}, {high}) sum={sum}");
+        for &start in pieces {
+            *walked.entry(start).or_default() += 1;
+        }
+    }
+    let stats = idx.latch_stats();
+    assert_eq!(stats.read_acquisitions, walked.values().sum::<u64>());
+    assert_eq!(stats.write_acquisitions + stats.total_conflicts(), 0);
+    let attribution = idx.latch_attribution();
+    let (column, pieces) = attribution.split_last().expect("the column latch");
+    assert_eq!(column.0, TraceEvent::COLUMN_LATCH);
+    let by_piece: BTreeMap<u64, u64> = pieces
+        .iter()
+        .map(|(start, s)| (*start, s.read_acquisitions))
+        .collect();
+    assert_eq!(by_piece, walked, "every latched piece, with its own count");
 }
 
 #[test]

@@ -167,7 +167,7 @@ impl ConcurrentCracker {
     /// protocol's read latches (dead hole tails skipped).
     fn main_rows(&self, plan: MainPlan, metrics: &mut QueryMetrics) -> Vec<RowId> {
         let mut rows = Accumulator::RowIds(Vec::new());
-        self.walk(plan, (0, 0), &mut rows, metrics, None);
+        self.walk(plan, (0, 0), &mut rows, metrics, &mut None);
         // No delta to fold: the delete applies it under the delta lock.
         rows.finish(DeltaView::Rows(PairView::default()), metrics)
             .into_rowids()

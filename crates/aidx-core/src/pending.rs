@@ -64,11 +64,14 @@
 //!
 //! The main multiset changes only through epoch-guarded reclamations, so a
 //! query needs one consistent view of the delta (a single short mutex)
-//! plus the shrink-epoch validation to be linearizable.
+//! plus the shrink-epoch validation to be linearizable. An empty delta —
+//! the whole life of a read-only column — needs not even the mutex: its
+//! record count is mirrored in an atomic, and a view whose mirror reads 0
+//! inside the read's seqlock window is the empty view at that instant.
 
 use aidx_cracking::RowId;
 use aidx_latch::dcheck;
-use aidx_latch::facade::{Mutex, MutexGuard};
+use aidx_latch::facade::{self, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -164,6 +167,8 @@ struct DeltaState {
     pending_inserts: u64,
     /// Main-array rows logically deleted: `{Main, dead}` records.
     tombstoned_rows: u64,
+    /// Records in `rows`, of every kind.
+    records: u64,
     /// snapshot epoch → number of live snapshot handles registered at it.
     live_snapshots: BTreeMap<u64, usize>,
 }
@@ -199,7 +204,9 @@ impl DeltaState {
         let mut emptied = Vec::new();
         for (&value, rows) in self.rows.range_mut(keys) {
             rows.iter_mut().for_each(|row| change(value, row));
+            let before = rows.len();
             rows.retain(|row| row.observable(&self.live_snapshots));
+            self.records -= (before - rows.len()) as u64;
             if rows.is_empty() {
                 emptied.push(value);
             }
@@ -250,6 +257,12 @@ pub struct PendingDelta {
     /// of read-only workloads. A stale read only makes a shrink
     /// opportunistic — it can never corrupt the exact counts inside.
     tombstoned_hint: AtomicU64,
+    /// Lock-free mirror of the record count, stored (`Release`) under the
+    /// state lock by every change to the records: lets
+    /// [`PendingDelta::adjust`] and [`PendingDelta::pair_view`] answer an
+    /// empty delta without the lock. A facade atomic, so that `aidx-check`
+    /// explores every access to it.
+    records: facade::AtomicU64,
     /// Process-unique id tagging the state lock in `dcheck`'s witness
     /// graph, assigned lazily on first lock (0 = unassigned, so the
     /// derived `Default` stays usable).
@@ -282,6 +295,18 @@ impl PendingDelta {
         dcheck::Tracked::new(dcheck::Level::Delta, id, "delta-state", self.state.lock())
     }
 
+    /// Publishes `state`'s record count to the lock-free mirror; called
+    /// under the state lock after every change to the records.
+    fn publish(&self, state: &DeltaState) {
+        self.records.store(state.records, Ordering::Release);
+    }
+
+    /// True if the delta held no record at all at the instant of the
+    /// (`Acquire`) load, so that every view of it, at any epoch, is empty.
+    fn holds_nothing(&self) -> bool {
+        self.records.load(Ordering::Acquire) == 0
+    }
+
     /// The epoch of the most recent write (the epoch a snapshot registered
     /// *now* would read at).
     pub fn current_epoch(&self) -> u64 {
@@ -310,6 +335,7 @@ impl PendingDelta {
             Some(_) => {
                 state.live_snapshots.remove(&epoch);
                 state.gc();
+                self.publish(&state);
             }
             None => debug_assert!(false, "released an unregistered snapshot epoch"),
         }
@@ -346,6 +372,8 @@ impl PendingDelta {
             place: Place::Delta,
         });
         state.pending_inserts += 1;
+        state.records += 1;
+        self.publish(&state);
         state.pending_inserts + state.tombstoned_rows
     }
 
@@ -398,10 +426,12 @@ impl PendingDelta {
             row.died = now;
         });
         if !base.is_empty() {
+            let state = &mut *state;
             let rows = state.rows.entry(value).or_default();
             for &rowid in main_rowids {
                 if base.remove(&rowid) {
                     newly += 1;
+                    state.records += 1;
                     rows.push(DeltaRow {
                         rowid,
                         born: 0,
@@ -415,6 +445,7 @@ impl PendingDelta {
         state.tombstoned_rows += newly;
         self.tombstoned_hint
             .store(state.tombstoned_rows, Ordering::Release);
+        self.publish(&state);
         Some((from_pending, newly))
     }
 
@@ -451,6 +482,7 @@ impl PendingDelta {
         state.pending_inserts = 0;
         state.tombstoned_rows = 0;
         self.tombstoned_hint.store(0, Ordering::Release);
+        self.publish(&state);
         drained
     }
 
@@ -501,6 +533,7 @@ impl PendingDelta {
         state.tombstoned_rows -= retired;
         self.tombstoned_hint
             .store(state.tombstoned_rows, Ordering::Release);
+        self.publish(&state);
         retired
     }
 
@@ -527,6 +560,7 @@ impl PendingDelta {
             }
         });
         state.pending_inserts -= taken.len() as u64;
+        self.publish(&state);
         taken
     }
 
@@ -570,10 +604,14 @@ impl PendingDelta {
     /// *as of* snapshot epoch `at` (which must be registered). Extra rows
     /// land on the insert side of the returned [`DeltaAdjust`], hidden
     /// rows on the tombstone side — the counts of exactly the rows
-    /// [`PendingDelta::pair_view`] lists.
+    /// [`PendingDelta::pair_view`] lists. An empty delta answers without
+    /// the lock: a reader that folds this view into a main-array scan
+    /// must take it inside the scan's shrink-epoch window, which is what
+    /// makes the instant the mirror read 0 a point the scan's main array
+    /// was current at.
     pub fn adjust(&self, low: i64, high: i64, at: Option<u64>) -> DeltaAdjust {
         let mut adjust = DeltaAdjust::default();
-        if low >= high {
+        if low >= high || self.holds_nothing() {
             return adjust;
         }
         let state = self.lock_state();
@@ -594,10 +632,12 @@ impl PendingDelta {
     /// pending rows added. As of snapshot epoch `at` (which must be
     /// registered): main rows deleted at or before the epoch — or placed
     /// after it — are hidden; rows outside the main array whose `[born,
-    /// died)` contains the epoch are added.
+    /// died)` contains the epoch are added. An empty delta answers without
+    /// the lock, under the same seqlock-window rule as
+    /// [`PendingDelta::adjust`].
     pub fn pair_view(&self, low: i64, high: i64, at: Option<u64>) -> PairView {
         let mut view = PairView::default();
-        if low >= high {
+        if low >= high || self.holds_nothing() {
             return view;
         }
         let state = self.lock_state();
@@ -639,8 +679,8 @@ impl PendingDelta {
     /// Consistency check against the physical array, exact in quiescence:
     /// `main` yields the `(value, rowid)` of every *live* main-array slot
     /// (consumed only when the delta holds records at all). Verifies that
-    /// both counters and the lock-free hint equal the counts derived from
-    /// the records, that no unobservable record lingers, that row ids are
+    /// both counters, the record count and their lock-free mirrors equal
+    /// the counts derived from the records, that no unobservable record lingers, that row ids are
     /// unique within the delta, that every `Main` record's `(value,
     /// rowid)` sits in a live slot, and that no `Delta` record's row id
     /// does. (The caller checks that every live slot's value lies in its
@@ -667,8 +707,14 @@ impl PendingDelta {
                 }
             }
         }
+        let records = state
+            .rows
+            .values()
+            .map(|rows| rows.len() as u64)
+            .sum::<u64>();
         if (pending, tombstoned) != (state.pending_inserts, state.tombstoned_rows)
             || self.tombstoned_hint.load(Ordering::Acquire) != tombstoned
+            || (state.records, self.records.load(Ordering::Acquire)) != (records, records)
         {
             return false;
         }

@@ -5,8 +5,11 @@
 //! the value → position tree ([`PieceMap`]) sits beside **one** ordered map
 //! from piece start to a [`PieceRecord`] — the crack values recorded at
 //! that position, the dead-tail hole count, the incremental compactor's
-//! watermark, and the piece's latch (created on first use, with its own
-//! statistics block, so conflicts stay attributable to individual pieces).
+//! watermark, and the slot of the piece's latch. The latches themselves
+//! live in a slab the directory owns ([`LatchSlab`]): a slot is assigned
+//! when its record is made and never moves, so a walk borrows a latch
+//! straight from the directory, and each latch counts its own acquisitions
+//! and waits, so conflicts stay attributable to individual pieces.
 //! A piece start is stable — a crack splits a piece in two and the lower
 //! half keeps the identity — so a split is one [`PieceDirectory::split`]:
 //! the lower sub-piece keeps record and latch, the upper inherits the
@@ -21,7 +24,7 @@
 //! rebuild positions
 //! change meaning, and [`PieceDirectory::install`] replaces the whole
 //! structure in one step, folding the retired latches' counts into a
-//! cumulative total.
+//! cumulative total and recycling their slots.
 //!
 //! All of it lives behind one short-held reader-writer lock, every
 //! acquisition of which is tracked at dcheck level `Toc` (innermost in the
@@ -47,10 +50,7 @@ use aidx_latch::ordered::OrderedWaitLatch;
 use aidx_latch::stats::LatchStatsSnapshot;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// A piece's latch, shared with the threads queued on it.
-pub(crate) type PieceLatch = Arc<OrderedWaitLatch>;
+use std::sync::OnceLock;
 
 /// Shared-mode guard proving an operation is registered with the quiesce
 /// gate; while any of these is live, no rebuild can replace the array.
@@ -92,7 +92,7 @@ pub(crate) struct AlreadyCrack(pub usize);
 
 /// A piece lookup for write access: the piece with its latch if the
 /// caller wanted it, or the crack a [`Target::Bound`] already is.
-pub(crate) type Found = Result<(Piece, Option<PieceLatch>), AlreadyCrack>;
+pub(crate) type Found<'d> = Result<(Piece, Option<&'d OrderedWaitLatch>), AlreadyCrack>;
 
 /// Ascending, disjoint position ranges a walk visits (an empty one is
 /// skipped). Every range starts and ends on a piece boundary.
@@ -105,30 +105,90 @@ pub(crate) type Ranges = [(usize, usize); 2];
 const SPAN_CAP: usize = 64;
 
 /// One piece of a [`Span`], as the directory recorded it.
-#[derive(Debug)]
-pub(crate) struct SpanPiece {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpanPiece<'d> {
     pub start: usize,
     /// End of the piece, clipped to the walked range.
     pub end: usize,
     /// End of its live part: the dead tail `[live_end, end)` is skipped by
     /// every scan.
     pub live_end: usize,
-    /// The piece's latch, in a latched span.
-    pub latch: Option<PieceLatch>,
+    /// The piece's latch, borrowed from the directory's slab.
+    pub latch: &'d OrderedWaitLatch,
 }
 
 /// Consecutive pieces of a walk read in one directory acquisition, and
-/// the structure version they were read at.
-#[derive(Debug)]
-pub(crate) struct Span {
+/// the structure version they were read at. A walk refills one `Span`
+/// batch after batch ([`PieceDirectory::span`]), so its buffer is
+/// allocated once per walk, not once per batch.
+#[derive(Debug, Default)]
+pub(crate) struct Span<'d> {
     pub version: u64,
-    pub pieces: Vec<SpanPiece>,
+    pub pieces: Vec<SpanPiece<'d>>,
+}
+
+/// Buckets of a [`LatchSlab`]: bucket `k` holds `2^k` slots, so these
+/// cover every slot index a `usize` can name.
+const BUCKETS: usize = usize::BITS as usize;
+
+/// The piece latches of one directory, by slot. Append-only buckets of
+/// doubling size: a bucket is made once, whole, the first time one of its
+/// slots is asked for, and a slot never moves, so a latch borrowed from
+/// the slab stays valid for as long as the directory lives. A slot is
+/// assigned to a record when the record is made; only
+/// [`PieceDirectory::install`], with the index quiesced, takes the slots
+/// back and hands them out again.
+#[derive(Debug)]
+struct LatchSlab {
+    buckets: [OnceLock<Box<[OrderedWaitLatch]>>; BUCKETS],
+}
+
+impl LatchSlab {
+    fn new() -> Self {
+        LatchSlab {
+            buckets: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// Bucket and offset of `slot`.
+    fn locate(slot: usize) -> (usize, usize) {
+        let n = slot + 1;
+        let bucket = n.ilog2() as usize;
+        (bucket, n - (1 << bucket))
+    }
+
+    /// The latch in `slot`, making its bucket — each latch with a fresh
+    /// checker identity — if this is the bucket's first use.
+    fn get(&self, slot: usize) -> &OrderedWaitLatch {
+        let (bucket, at) = Self::locate(slot);
+        let latches = self.buckets[bucket].get_or_init(|| {
+            let latches = (0..1usize << bucket).map(|_| OrderedWaitLatch::new());
+            let latches: Box<[OrderedWaitLatch]> = latches.collect();
+            latches.iter().for_each(Self::retag);
+            latches
+        });
+        &latches[at]
+    }
+
+    /// Every latch made so far, assigned to a record or not.
+    fn latches(&self) -> impl Iterator<Item = &OrderedWaitLatch> {
+        self.buckets.iter().filter_map(OnceLock::get).flatten()
+    }
+
+    /// Gives `latch` a fresh checker identity: slots change pieces across
+    /// rebuilds, so witness edges must never alias a retired piece's latch
+    /// with its successor in the same slot.
+    fn retag(latch: &OrderedWaitLatch) {
+        if dcheck::enabled() {
+            latch.set_dcheck_tag(dcheck::Level::Piece, dcheck::instance_id(), "piece-latch");
+        }
+    }
 }
 
 /// Everything recorded about the piece(s) starting at one position. An
 /// empty piece shares its start — and so its record — with the non-empty
 /// piece that physically follows it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PieceRecord {
     /// Smallest and largest crack value recorded at this position (several
     /// share it when the pieces between them are empty); `None` only at
@@ -141,24 +201,25 @@ struct PieceRecord {
     /// Delta epoch the incremental compactor has merged this piece
     /// through; 0 = not visited since the last rebuild, i.e. at the floor.
     compacted_through: u64,
-    latch: OnceLock<PieceLatch>,
+    /// The piece latch's slot in the directory's [`LatchSlab`]: the
+    /// number of records made before this one since the last install.
+    slot: usize,
 }
 
 impl PieceRecord {
+    /// A record with nothing recorded yet, its latch in `slot`.
+    fn new(slot: usize) -> Self {
+        PieceRecord {
+            keys: None,
+            holes: 0,
+            compacted_through: 0,
+            slot,
+        }
+    }
+
     fn note_crack(&mut self, value: i64) {
         let (min, max) = self.keys.unwrap_or((value, value));
         self.keys = Some((min.min(value), max.max(value)));
-    }
-
-    fn latch(&self) -> PieceLatch {
-        Arc::clone(self.latch.get_or_init(|| {
-            let latch = Arc::new(OrderedWaitLatch::new());
-            // Fresh id per latch: positions change meaning across rebuilds,
-            // so witness edges must never alias a retired latch with its
-            // successor at the same position.
-            latch.set_dcheck_tag(dcheck::Level::Piece, dcheck::instance_id(), "piece-latch");
-            latch
-        }))
     }
 }
 
@@ -166,7 +227,8 @@ impl PieceRecord {
 struct State {
     map: PieceMap,
     /// Piece start → record; holds exactly the current piece starts
-    /// (position 0 and every crack position).
+    /// (position 0 and every crack position). Records are only ever added
+    /// between installs, so their slots are exactly `0..records.len()`.
     records: BTreeMap<usize, PieceRecord>,
     total_holes: usize,
     /// Delta epoch the last rebuild merged everything through.
@@ -180,14 +242,18 @@ impl State {
     fn new(len: usize, cracks: impl IntoIterator<Item = (i64, usize)>, floor: u64) -> Self {
         let mut state = State {
             map: PieceMap::new(len),
-            records: BTreeMap::from([(0, PieceRecord::default())]),
+            records: BTreeMap::from([(0, PieceRecord::new(0))]),
             total_holes: 0,
             floor,
             retired: LatchStatsSnapshot::default(),
         };
         for (value, position) in cracks {
             state.map.add_crack(value, position);
-            state.records.entry(position).or_default().note_crack(value);
+            let slot = state.records.len();
+            let record = state.records.entry(position);
+            record
+                .or_insert_with(|| PieceRecord::new(slot))
+                .note_crack(value);
         }
         state
     }
@@ -241,24 +307,36 @@ impl State {
                 keys: Some((value, value)),
                 holes: std::mem::take(&mut lower.holes),
                 compacted_through: lower.compacted_through,
-                latch: OnceLock::new(),
+                slot: self.records.len(),
             };
             self.records.insert(pos, upper);
         }
     }
 
-    /// The piece `target` addresses, with its latch if `wanted` asks.
-    fn find_latched(&self, target: Target, wanted: impl FnOnce(&Piece) -> bool) -> Found {
+    /// The piece `target` addresses, with its latch from `slab` if
+    /// `wanted` asks.
+    fn find_latched<'d>(
+        &self,
+        slab: &'d LatchSlab,
+        target: Target,
+        wanted: impl FnOnce(&Piece) -> bool,
+    ) -> Found<'d> {
         let piece = self.locate(target)?;
-        let latch = wanted(&piece).then(|| self.records[&piece.start].latch());
+        let latch = wanted(&piece).then(|| slab.get(self.records[&piece.start].slot));
         Ok((piece, latch))
     }
 
-    /// The pieces overlapping `ranges`, in position order, clipped to
-    /// them: at most [`SPAN_CAP`], with their latches if `latched`.
-    fn span(&self, ranges: &[(usize, usize)], latched: bool) -> Vec<SpanPiece> {
+    /// Refills `pieces` with the pieces overlapping `ranges`, in position
+    /// order, clipped to them: at most [`SPAN_CAP`], with their latches
+    /// from `slab`.
+    fn span<'d>(
+        &self,
+        slab: &'d LatchSlab,
+        ranges: &[(usize, usize)],
+        pieces: &mut Vec<SpanPiece<'d>>,
+    ) {
         let len = self.map.array_len();
-        let mut pieces = Vec::new();
+        pieces.clear();
         for &(from, to) in ranges.iter().filter(|(from, to)| from < to) {
             let mut starts = self.records.range(from..to).peekable();
             debug_assert_eq!(
@@ -268,18 +346,17 @@ impl State {
             );
             while let Some((&start, record)) = starts.next() {
                 if pieces.len() == SPAN_CAP {
-                    return pieces;
+                    return;
                 }
                 let end = starts.peek().map_or(len, |(&next, _)| next).min(to);
                 pieces.push(SpanPiece {
                     start,
                     end,
                     live_end: end - record.holes.min(end - start),
-                    latch: latched.then(|| record.latch()),
+                    latch: slab.get(record.slot),
                 });
             }
         }
-        pieces
     }
 
     /// Live end of `piece`. An empty piece shares its start with the piece
@@ -289,9 +366,11 @@ impl State {
         piece.end - holes.min(piece.len())
     }
 
-    fn latch_totals(&self) -> LatchStatsSnapshot {
+    /// The retired counts plus those of every latch in `slab` (one that
+    /// no record names has counted nothing since the last install).
+    fn latch_totals(&self, slab: &LatchSlab) -> LatchStatsSnapshot {
         let mut total = self.retired;
-        for latch in self.records.values().filter_map(|r| r.latch.get()) {
+        for latch in slab.latches() {
             total.merge(&latch.stats());
         }
         total
@@ -303,6 +382,8 @@ impl State {
 #[derive(Debug)]
 pub(crate) struct PieceDirectory {
     state: RwLock<State>,
+    /// The piece latches, by the slots the records name.
+    slab: LatchSlab,
     /// Lock-free mirror of `total_holes` (the lock holds the truth): lets
     /// the hot read paths skip the lock in the common hole-free state.
     /// Readers that race a shrink making it stale are caught by the
@@ -340,6 +421,7 @@ impl PieceDirectory {
     pub(crate) fn new(len: usize) -> Self {
         PieceDirectory {
             state: RwLock::new(State::new(len, [], 0)),
+            slab: LatchSlab::new(),
             hole_rows: AtomicU64::new(0),
             version: facade::AtomicU64::new(0),
             walk_cursor: AtomicUsize::new(0),
@@ -348,8 +430,8 @@ impl PieceDirectory {
         }
     }
 
-    /// Shared access: lookups, which leave the structure alone (a latch
-    /// created on first use initialises its cell in place).
+    /// Shared access: lookups, which leave the structure alone (a slab
+    /// bucket made on its first use initialises its cell in place).
     fn read(&self) -> dcheck::Tracked<RwLockReadGuard<'_, State>> {
         dcheck::Tracked::new(dcheck::Level::Toc, self.instance, "toc", self.state.read())
     }
@@ -397,8 +479,8 @@ impl PieceDirectory {
         &self,
         target: Target,
         wanted: impl FnOnce(&Piece) -> bool,
-    ) -> Found {
-        self.read().find_latched(target, wanted)
+    ) -> Found<'_> {
+        self.read().find_latched(&self.slab, target, wanted)
     }
 
     /// Both bounds of a range in one acquisition, each resolved as
@@ -414,40 +496,42 @@ impl PieceDirectory {
         (low, high): (i64, i64),
         wanted: impl Fn(i64, &Piece) -> bool,
         plan: impl FnOnce(&Found, &Found) -> Option<(P, Ranges)>,
-    ) -> (Found, Option<Found>, Option<(P, Span)>) {
+    ) -> (Found<'_>, Option<Found<'_>>, Option<(P, Span<'_>)>) {
         let state = self.read();
         let latched = |found: &Found| found.as_ref().is_ok_and(|(_, l)| l.is_some());
-        let low = state.find_latched(Target::Bound(low), |piece| wanted(low, piece));
+        let slab = &self.slab;
+        let low = state.find_latched(slab, Target::Bound(low), |piece| wanted(low, piece));
         if latched(&low) {
             return (low, None, None);
         }
-        let high = state.find_latched(Target::Bound(high), |piece| wanted(high, piece));
+        let high = state.find_latched(slab, Target::Bound(high), |piece| wanted(high, piece));
         let planned =
             (!latched(&high))
                 .then(|| plan(&low, &high))
                 .flatten()
                 .map(|(plan, ranges)| {
-                    let version = self.version.load(Ordering::Acquire);
-                    let pieces = state.span(&ranges, true);
-                    (plan, Span { version, pieces })
+                    let mut span = Span {
+                        version: self.version.load(Ordering::Acquire),
+                        pieces: Vec::new(),
+                    };
+                    state.span(slab, &ranges, &mut span.pieces);
+                    (plan, span)
                 });
         (low, Some(high), planned)
     }
 
-    /// The pieces overlapping `ranges` — at most 64, from the first
-    /// range's start on, clipped to the ranges, with their live ends and,
-    /// if `latched`, their latches — and the structure version they were
-    /// read at, in one acquisition. A walk continues from the last piece's
-    /// end. A walker that latches a piece of the batch and finds the
-    /// version unchanged may use the piece's recorded extent as it is (the
+    /// Refills `span` with the pieces overlapping `ranges` — at most 64,
+    /// from the first range's start on, clipped to the ranges, with their
+    /// live ends and latches — and the structure version they were read
+    /// at, in one acquisition. A walk continues from the last piece's end.
+    /// A walker that latches a piece of the batch and finds the version
+    /// unchanged may use the piece's recorded extent as it is (the
     /// argument is on the `version` field); otherwise it re-spans from
     /// that piece, whose extent its latch now freezes.
-    pub(crate) fn span(&self, ranges: &[(usize, usize)], latched: bool) -> Span {
+    pub(crate) fn span<'d>(&'d self, ranges: &[(usize, usize)], span: &mut Span<'d>) {
         let state = self.read();
-        Span {
-            version: self.version.load(Ordering::Acquire),
-            pieces: state.span(ranges, latched),
-        }
+        span.version = self.version.load(Ordering::Acquire);
+        state.span(&self.slab, ranges, &mut span.pieces);
     }
 
     /// The current structure version (`Acquire`).
@@ -538,9 +622,11 @@ impl PieceDirectory {
     /// Installs a rebuilt structure — `len` positions, ascending `cracks`,
     /// everything merged through `epoch` — in place of the current one:
     /// no holes, every watermark at the new floor, the compaction walk
-    /// back at 0, and every piece latch retired into the cumulative totals
-    /// (positions changed meaning, so none may be reused). Call only while
-    /// the index is quiesced.
+    /// back at 0, and every piece latch retired: its counts go into the
+    /// cumulative totals and its slot, counters zeroed and with a fresh
+    /// checker identity, goes to whichever new record takes it (positions
+    /// changed meaning, so no latch keeps its piece). Call only while the
+    /// index is quiesced: no latch is held or waited for.
     pub(crate) fn install(
         &self,
         len: usize,
@@ -549,7 +635,11 @@ impl PieceDirectory {
     ) {
         let mut state = self.write();
         let mut fresh = State::new(len, cracks, epoch);
-        fresh.retired = state.latch_totals();
+        fresh.retired = state.retired;
+        for latch in self.slab.latches() {
+            fresh.retired.merge(&latch.take_stats());
+            LatchSlab::retag(latch);
+        }
         *state = fresh;
         self.bump_version();
         self.hole_rows.store(0, Ordering::Release);
@@ -558,15 +648,20 @@ impl PieceDirectory {
 
     /// Merged statistics across all piece latches, retired ones included.
     pub(crate) fn latch_stats(&self) -> LatchStatsSnapshot {
-        self.read().latch_totals()
+        self.read().latch_totals(&self.slab)
     }
 
-    /// Statistics of every *live* piece latch, by piece start. Retired
-    /// latches carry no position but remain in [`Self::latch_stats`].
+    /// Statistics of every piece latch that has been acquired (or given
+    /// up on) since its slot was assigned, by piece start. Retired latches
+    /// carry no position but remain in [`Self::latch_stats`].
     pub(crate) fn latch_stats_by_piece(&self) -> Vec<(usize, LatchStatsSnapshot)> {
         let state = self.read();
-        let live = state.records.iter();
-        live.filter_map(|(&start, r)| Some((start, r.latch.get()?.stats())))
+        let stats = state
+            .records
+            .iter()
+            .map(|(&start, r)| (start, self.slab.get(r.slot).stats()));
+        stats
+            .filter(|(_, s)| *s != LatchStatsSnapshot::default())
             .collect()
     }
 
@@ -692,6 +787,8 @@ impl PieceDirectory {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::ptr;
+    use std::sync::Arc;
     use std::thread;
 
     /// A directory over `len` positions whose pieces start at `starts`
@@ -707,9 +804,14 @@ mod tests {
     }
 
     /// The latch of the piece covering `pos`.
-    fn latch_at(dir: &PieceDirectory, pos: usize) -> PieceLatch {
+    fn latch_at(dir: &PieceDirectory, pos: usize) -> &OrderedWaitLatch {
         let found = dir.find_latched(Target::Position(pos), |_| true);
         found.unwrap().1.expect("a latch was asked for")
+    }
+
+    /// The slot of the record starting at `start`.
+    fn slot_at(dir: &PieceDirectory, start: usize) -> usize {
+        dir.read().records[&start].slot
     }
 
     /// Checks one span batch against the directory: contiguous from the
@@ -729,8 +831,7 @@ mod tests {
             let whole = dir.find(Target::Position(piece.start)).unwrap();
             assert_eq!(piece.end, whole.end.min(to));
             assert_eq!(piece.live_end, dir.live_end(&whole).min(piece.end));
-            let latch = piece.latch.as_ref().expect("a latched span");
-            assert!(Arc::ptr_eq(latch, &latch_at(dir, piece.start)));
+            assert!(ptr::eq(piece.latch, latch_at(dir, piece.start)));
             at = piece.end;
             if at == to {
                 range = expect.next();
@@ -745,24 +846,73 @@ mod tests {
     }
 
     #[test]
-    fn latches_are_created_lazily_and_shared() {
+    fn piece_latches_live_in_slots_shared_by_every_lookup() {
         let dir = with_starts(20, &[10]);
-        assert!(dir.latch_stats_by_piece().is_empty());
         let a = latch_at(&dir, 0);
         let b = latch_at(&dir, 0);
         let c = latch_at(&dir, 10);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(ptr::eq(a, b));
+        assert!(!ptr::eq(a, c));
+        assert!(ptr::eq(a, dir.slab.get(slot_at(&dir, 0))));
+        assert!(ptr::eq(c, dir.slab.get(slot_at(&dir, 10))));
         // A position inside a piece resolves to that piece's latch; no
         // latch is ever recorded for a position that is not a piece start.
-        assert!(Arc::ptr_eq(&a, &latch_at(&dir, 7)));
+        assert!(ptr::eq(a, latch_at(&dir, 7)));
         let (piece, found) = dir.find_latched(Target::Key(12), |_| true).unwrap();
         assert_eq!((piece.start, piece.end), (10, 20));
-        assert!(Arc::ptr_eq(&c, &found.unwrap()));
+        assert!(ptr::eq(c, found.unwrap()));
         let (_, declined) = dir.find_latched(Target::Key(3), |_| false).unwrap();
         assert!(declined.is_none());
+        // Attribution lists the latches that were taken, not the slots.
+        assert!(dir.latch_stats_by_piece().is_empty());
+        drop(a.acquire_read());
+        drop(c.acquire_write(12));
         assert_eq!(dir.latch_stats_by_piece().len(), 2);
         assert!(dir.check_invariants(20, 0));
+    }
+
+    /// An uncontended piece latch — mutex, condvar, holders, sleepers and
+    /// acquisition counts — takes less than a cache line (the checkers'
+    /// builds add their own fields).
+    #[cfg(not(any(feature = "check", feature = "dcheck")))]
+    #[test]
+    fn a_piece_latch_is_smaller_than_a_cache_line() {
+        assert!(std::mem::size_of::<OrderedWaitLatch>() <= 48);
+    }
+
+    #[test]
+    fn slab_slots_never_move_as_buckets_are_added() {
+        let (bucket, at) = (LatchSlab::locate(0), LatchSlab::locate(6));
+        assert_eq!((bucket, at), ((0, 0), (2, 3)));
+        assert_eq!(LatchSlab::locate(7), (3, 0));
+        let dir = PieceDirectory::new(1000);
+        assert!(
+            dir.slab.latches().next().is_none(),
+            "no latch before one is asked for"
+        );
+        let first = latch_at(&dir, 0);
+        let starts: Vec<(i64, usize)> = (1..300).map(|p| (p as i64, p)).collect();
+        dir.split(0, &starts);
+        // 300 records name slots 0..300; a bucket is made at its first use.
+        let slots: std::collections::BTreeSet<usize> =
+            (0..300).map(|start| slot_at(&dir, start)).collect();
+        assert_eq!(slots, (0..300).collect(), "one slot per record");
+        let last = latch_at(&dir, 299);
+        let made: Vec<bool> = dir.slab.buckets[..10]
+            .iter()
+            .map(|b| b.get().is_some())
+            .collect();
+        let bucket = LatchSlab::locate(slot_at(&dir, 299)).0;
+        assert_eq!(
+            made,
+            (0..10).map(|b| b == 0 || b == bucket).collect::<Vec<_>>()
+        );
+        for start in 0..300 {
+            latch_at(&dir, start);
+        }
+        assert_eq!(dir.slab.latches().count(), 511, "buckets 0 through 8");
+        assert!(ptr::eq(first, latch_at(&dir, 0)), "slot 0 stayed put");
+        assert!(ptr::eq(last, latch_at(&dir, 299)), "and so did the rest");
     }
 
     #[test]
@@ -786,30 +936,60 @@ mod tests {
     #[test]
     fn install_retires_counts_into_the_cumulative_total() {
         let dir = with_starts(20, &[3]);
-        drop(latch_at(&dir, 3).acquire_write(1));
+        let retired = latch_at(&dir, 3);
+        let slot = slot_at(&dir, 3);
+        drop(retired.acquire_write(1));
+        drop(latch_at(&dir, 0).acquire_read());
+        let old_id = retired.dcheck_id();
+        assert_eq!(old_id.is_some(), dcheck::enabled());
         {
             let _q = dir.quiesce();
-            dir.install(20, [(3, 3)], 1);
+            // The piece at 3 moves to 5, and a new one at 11 takes a slot
+            // past the old ones.
+            dir.install(20, [(5, 5), (11, 11)], 1);
         }
         assert!(
             dir.latch_stats_by_piece().is_empty(),
             "live attribution cleared"
         );
+        let totals = dir.latch_stats();
         assert_eq!(
-            dir.latch_stats().write_acquisitions,
-            1,
+            (totals.write_acquisitions, totals.read_acquisitions),
+            (1, 1),
             "totals survive installs"
         );
-        drop(latch_at(&dir, 3).acquire_write(2));
-        assert_eq!(dir.latch_stats().write_acquisitions, 2);
-        assert_eq!(dir.latch_stats_by_piece()[0].1.write_acquisitions, 1);
+        // The slot is handed out again, zeroed, as a new latch.
+        assert_eq!(slot_at(&dir, 5), slot);
+        let reused = latch_at(&dir, 5);
+        assert!(ptr::eq(reused, retired), "the slab recycled the slot");
+        assert_eq!(reused.stats(), LatchStatsSnapshot::default());
+        if dcheck::enabled() {
+            assert_ne!(reused.dcheck_id(), old_id, "a recycled slot is a new latch");
+        }
+        drop(reused.acquire_write(2));
+        drop(latch_at(&dir, 11).acquire_read());
+        let totals = dir.latch_stats();
+        assert_eq!(
+            (totals.write_acquisitions, totals.read_acquisitions),
+            (2, 2)
+        );
+        let by_piece = dir.latch_stats_by_piece();
+        assert_eq!(by_piece.len(), 2);
+        assert_eq!((by_piece[0].0, by_piece[0].1.write_acquisitions), (5, 1));
+        assert_eq!((by_piece[1].0, by_piece[1].1.read_acquisitions), (11, 1));
+        // A second install folds the recycled slot's new counts once more.
+        {
+            let _q = dir.quiesce();
+            dir.install(20, [], 2);
+        }
+        assert_eq!(dir.latch_stats(), totals, "cumulative across installs");
     }
 
     #[test]
     fn quiesce_excludes_operations_and_install_clears_latches() {
         let dir = Arc::new(with_starts(20, &[5]));
-        latch_at(&dir, 0);
-        latch_at(&dir, 5);
+        drop(latch_at(&dir, 0).acquire_read());
+        drop(latch_at(&dir, 5).acquire_read());
         assert_eq!(dir.latch_stats_by_piece().len(), 2);
         {
             let _q = dir.quiesce();
@@ -874,7 +1054,8 @@ mod tests {
         for ranges in [[(0, 300), (300, 300)], [(10, 100), (120, 290)]] {
             let (mut rest, mut batches, mut pieces) = (ranges, 0, 0);
             while rest.iter().any(|(from, to)| from < to) {
-                let span = dir.span(&rest, true);
+                let mut span = Span::default();
+                dir.span(&rest, &mut span);
                 let stop = check_span(&dir, &rest, &span);
                 pieces += span.pieces.len();
                 batches += 1;
@@ -884,12 +1065,13 @@ mod tests {
             assert_eq!(pieces, total, "one-row pieces, each walked once");
             assert_eq!(batches, total.div_ceil(SPAN_CAP));
         }
-        let span = dir.span(&[(150, 151)], false);
+        // A refill replaces the batch; the buffer keeps its room.
+        let mut span = Span::default();
+        dir.span(&[(0, 300)], &mut span);
+        let room = span.pieces.capacity();
+        dir.span(&[(150, 151)], &mut span);
         assert_eq!((span.pieces[0].live_end, span.pieces.len()), (150, 1));
-        assert!(
-            span.pieces[0].latch.is_none(),
-            "an unlatched span creates none"
-        );
+        assert_eq!(span.pieces.capacity(), room);
     }
 
     #[test]
@@ -901,7 +1083,7 @@ mod tests {
         dir.mark_compacted(0, 7);
         dir.split(0, &[(50, 40)]);
         // Lower sub-piece: same latch, same counters, no dead tail.
-        assert!(Arc::ptr_eq(&latch, &latch_at(&dir, 0)));
+        assert!(ptr::eq(latch, latch_at(&dir, 0)));
         assert_eq!(dir.latch_stats_by_piece()[0].1.write_acquisitions, 1);
         let lower = dir.find(Target::Key(10)).unwrap();
         assert_eq!((lower.start, lower.end, dir.live_end(&lower)), (0, 40, 40));
@@ -912,7 +1094,7 @@ mod tests {
             (upper.start, upper.end, dir.live_end(&upper)),
             (40, 100, 90)
         );
-        assert!(!Arc::ptr_eq(&latch, &upper_latch));
+        assert!(!ptr::eq(latch, upper_latch));
         assert_eq!(upper_latch.stats().write_acquisitions, 0);
         assert_eq!((watermark(&dir, 0), watermark(&dir, 40)), (7, 7));
         assert_eq!((dir.holes_in(0, 40), dir.holes_in(40, 100)), (0, 10));
@@ -920,7 +1102,7 @@ mod tests {
         dir.split(40, &[(50 - 1, 40)]);
         dir.split(0, &[(45, 40)]);
         assert_eq!((dir.holes_in(0, 40), dir.holes_in(40, 100)), (0, 10));
-        assert!(Arc::ptr_eq(&upper_latch, &latch_at(&dir, 40)));
+        assert!(ptr::eq(upper_latch, latch_at(&dir, 40)));
         assert!(dir.check_invariants(100, 7));
     }
 
@@ -1055,7 +1237,8 @@ mod tests {
         for (i, &from) in bounds.iter().enumerate() {
             let next = bounds.get(i + 1).copied().unwrap_or(from);
             for ranges in [[(from, model.len), (0, 0)], [(0, from), (next, model.len)]] {
-                let span = dir.span(&ranges, true);
+                let mut span = Span::default();
+                dir.span(&ranges, &mut span);
                 let last = ranges.iter().rfind(|(from, to)| from < to);
                 assert_eq!(check_span(dir, &ranges, &span), last.map_or(0, |r| r.1));
                 assert_eq!(span.version, dir.version());
@@ -1086,7 +1269,7 @@ mod tests {
                     if let Ok((piece, latch)) = found {
                         assert_eq!(latch.is_some(), wanted(piece), "bound {}", bound);
                         if let Some(latch) = latch {
-                            assert!(Arc::ptr_eq(latch, &latch_at(dir, piece.start)));
+                            assert!(ptr::eq(*latch, latch_at(dir, piece.start)));
                         }
                     }
                 }

@@ -17,8 +17,7 @@
 //! the latch and no writer has already been chosen to run next.
 
 use crate::facade::{Condvar, Mutex, MutexGuard};
-use crate::stats::{LatchStats, LatchStatsSnapshot};
-use std::sync::Arc;
+use crate::stats::LatchStatsSnapshot;
 use std::time::{Duration, Instant};
 
 /// Describes whether an acquisition was granted immediately or had to wait.
@@ -45,12 +44,8 @@ impl WaitOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Free,
-    Shared(usize),
-    Exclusive,
-}
+/// `holders` of a latch held exclusively.
+const EXCLUSIVE: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Waiter {
@@ -58,14 +53,30 @@ struct Waiter {
     bound: i64,
 }
 
-#[derive(Debug)]
-struct State {
-    mode: Mode,
+/// What a latch needs only once an acquisition had to wait or was given
+/// up: the write waiters and the contention counters.
+#[derive(Debug, Default)]
+struct Queue {
     next_ticket: u64,
     /// Write waiters, kept sorted by `bound` (insertion sort on arrival).
     write_waiters: Vec<Waiter>,
     /// Ticket of the write waiter chosen to run next, if any.
     chosen: Option<u64>,
+    read_conflicts: u64,
+    write_conflicts: u64,
+    wait_nanos: u64,
+    abandoned: u64,
+}
+
+/// The latch's state, all of it under the mutex. What every acquisition
+/// reads or counts — the holders, the sleepers and the two acquisition
+/// counters — is inline, beside the mutex word, so that the whole latch
+/// with its condvar takes 48 bytes; the queue is made the first time it
+/// is needed.
+#[derive(Debug)]
+struct State {
+    /// Shared holders, or [`EXCLUSIVE`]; 0 while the latch is free.
+    holders: u32,
     /// Threads blocked in `condvar.wait`, readers and writers alike:
     /// counted up before a wait and down after it, both under the mutex,
     /// so a release that reads zero has nobody to wake and skips the
@@ -73,7 +84,79 @@ struct State {
     /// every notify. A waiter counted before the release took the mutex is
     /// already queued on the condvar when the notification comes, and one
     /// that arrives later sees the released state before it waits.
-    sleepers: usize,
+    sleepers: u32,
+    read_acquisitions: u64,
+    write_acquisitions: u64,
+    queue: Option<Box<Queue>>,
+    /// Identity for the runtime latch-order checker, read and replaced
+    /// under the mutex.
+    #[cfg(feature = "dcheck")]
+    tag: Option<(crate::dcheck::Level, usize, &'static str)>,
+}
+
+impl State {
+    /// True unless a write waiter is queued or chosen to run next: the
+    /// one case in which a free latch is not granted on request.
+    fn no_writer_ahead(&self) -> bool {
+        let queue = self.queue.as_deref();
+        queue.is_none_or(|q| q.chosen.is_none() && q.write_waiters.is_empty())
+    }
+
+    /// A reader may enter: no writer holds the latch or is ahead of it.
+    fn admits_reader(&self) -> bool {
+        self.holders != EXCLUSIVE && self.no_writer_ahead()
+    }
+
+    fn queue(&mut self) -> &mut Queue {
+        self.queue.get_or_insert_with(Box::default)
+    }
+
+    /// Counts a granted acquisition, with its wait if it had one.
+    fn count(&mut self, write: bool, outcome: WaitOutcome) {
+        *if write {
+            &mut self.write_acquisitions
+        } else {
+            &mut self.read_acquisitions
+        } += 1;
+        if let WaitOutcome::Waited(waited) = outcome {
+            let queue = self.queue();
+            *if write {
+                &mut queue.write_conflicts
+            } else {
+                &mut queue.read_conflicts
+            } += 1;
+            queue.wait_nanos += waited.as_nanos() as u64;
+        }
+    }
+
+    fn stats(&self) -> LatchStatsSnapshot {
+        let queue = self.queue.as_deref();
+        let counted = |field: fn(&Queue) -> u64| queue.map_or(0, field);
+        LatchStatsSnapshot {
+            read_acquisitions: self.read_acquisitions,
+            write_acquisitions: self.write_acquisitions,
+            read_conflicts: counted(|q| q.read_conflicts),
+            write_conflicts: counted(|q| q.write_conflicts),
+            wait_nanos: counted(|q| q.wait_nanos),
+            abandoned: counted(|q| q.abandoned),
+        }
+    }
+
+    #[inline]
+    fn dcheck_acquired(&self) {
+        #[cfg(feature = "dcheck")]
+        if let Some((level, id, label)) = self.tag {
+            crate::dcheck::acquire(level, id, label);
+        }
+    }
+
+    #[inline]
+    fn dcheck_released(&self) {
+        #[cfg(feature = "dcheck")]
+        if let Some((level, id, _)) = self.tag {
+            crate::dcheck::release(level, id);
+        }
+    }
 }
 
 /// An exclusive/shared latch whose write waiters are woken middle-first.
@@ -81,10 +164,6 @@ struct State {
 pub struct OrderedWaitLatch {
     state: Mutex<State>,
     condvar: Condvar,
-    stats: Arc<LatchStats>,
-    /// Identity for the runtime latch-order checker (set once, optional).
-    #[cfg(feature = "dcheck")]
-    tag: std::sync::OnceLock<(crate::dcheck::Level, usize, &'static str)>,
 }
 
 /// Guard for exclusive (cracking) access to the protected piece.
@@ -110,50 +189,65 @@ impl Default for OrderedWaitLatch {
 }
 
 impl OrderedWaitLatch {
-    /// Creates a free latch.
+    /// Creates a free latch with zeroed counters.
     pub fn new() -> Self {
-        Self::with_stats(Arc::new(LatchStats::new()))
-    }
-
-    /// Creates a latch that reports into a shared statistics block.
-    pub fn with_stats(stats: Arc<LatchStats>) -> Self {
         OrderedWaitLatch {
             state: Mutex::new(State {
-                mode: Mode::Free,
-                next_ticket: 0,
-                write_waiters: Vec::new(),
-                chosen: None,
+                holders: 0,
                 sleepers: 0,
+                read_acquisitions: 0,
+                write_acquisitions: 0,
+                queue: None,
+                #[cfg(feature = "dcheck")]
+                tag: None,
             }),
             condvar: Condvar::new(),
-            stats,
-            #[cfg(feature = "dcheck")]
-            tag: std::sync::OnceLock::new(),
         }
     }
 
     /// Tags this latch for the runtime latch-order checker. No-op unless the
-    /// `dcheck` feature is enabled; the first tag wins.
+    /// `dcheck` feature is enabled. A later tag replaces an earlier one: a
+    /// latch that is reused for another piece is a new latch to the
+    /// checker. Call it only while nobody holds or waits for the latch.
     pub fn set_dcheck_tag(&self, level: crate::dcheck::Level, id: usize, label: &'static str) {
         #[cfg(feature = "dcheck")]
-        let _ = self.tag.set((level, id, label));
+        {
+            self.state.lock().tag = Some((level, id, label));
+        }
         #[cfg(not(feature = "dcheck"))]
         let _ = (level, id, label);
     }
 
-    #[inline]
-    fn dcheck_acquired(&self) {
+    /// The instance id of this latch's checker tag, if it has one (never
+    /// without the `dcheck` feature).
+    pub fn dcheck_id(&self) -> Option<usize> {
         #[cfg(feature = "dcheck")]
-        if let Some(&(level, id, label)) = self.tag.get() {
-            crate::dcheck::acquire(level, id, label);
+        return self.state.lock().tag.map(|(_, id, _)| id);
+        #[cfg(not(feature = "dcheck"))]
+        None
+    }
+
+    /// Grants the latch exclusively to the caller, who holds the mutex.
+    fn grant_write(&self, state: &mut State, outcome: WaitOutcome) -> OrderedWriteGuard<'_> {
+        state.holders = EXCLUSIVE;
+        state.count(true, outcome);
+        state.dcheck_acquired();
+        OrderedWriteGuard {
+            latch: self,
+            outcome,
+            released: false,
         }
     }
 
-    #[inline]
-    fn dcheck_released(&self) {
-        #[cfg(feature = "dcheck")]
-        if let Some(&(level, id, _)) = self.tag.get() {
-            crate::dcheck::release(level, id);
+    /// Grants the latch in shared mode to the caller, who holds the mutex.
+    fn grant_read(&self, state: &mut State, outcome: WaitOutcome) -> OrderedReadGuard<'_> {
+        state.holders += 1;
+        state.count(false, outcome);
+        state.dcheck_acquired();
+        OrderedReadGuard {
+            latch: self,
+            outcome,
+            released: false,
         }
     }
 
@@ -163,47 +257,30 @@ impl OrderedWaitLatch {
     /// according to the middle-first policy.
     pub fn acquire_write(&self, bound: i64) -> OrderedWriteGuard<'_> {
         let mut state = self.state.lock();
-        if state.mode == Mode::Free && state.chosen.is_none() && state.write_waiters.is_empty() {
-            state.mode = Mode::Exclusive;
-            self.stats.record_write(false, Duration::ZERO);
-            self.dcheck_acquired();
-            return OrderedWriteGuard {
-                latch: self,
-                outcome: WaitOutcome::Immediate,
-                released: false,
-            };
+        if state.holders == 0 && state.no_writer_ahead() {
+            return self.grant_write(&mut state, WaitOutcome::Immediate);
         }
 
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
+        let queue = state.queue();
+        let ticket = queue.next_ticket;
+        queue.next_ticket += 1;
         // Insertion sort on bound, as described in the paper.
-        let pos = state.write_waiters.partition_point(|w| w.bound <= bound);
-        state.write_waiters.insert(pos, Waiter { ticket, bound });
+        let pos = queue.write_waiters.partition_point(|w| w.bound <= bound);
+        queue.write_waiters.insert(pos, Waiter { ticket, bound });
 
         let start = Instant::now();
         loop {
             // We may run if the latch is free and either we were chosen, or
             // nobody was chosen yet (e.g. the holder released while the queue
             // was empty and we enqueued just after).
-            let may_run = state.mode == Mode::Free
-                && match state.chosen {
-                    Some(t) => t == ticket,
-                    None => true,
-                };
-            if may_run {
-                state.mode = Mode::Exclusive;
-                state.chosen = None;
-                if let Some(idx) = state.write_waiters.iter().position(|w| w.ticket == ticket) {
-                    state.write_waiters.remove(idx);
+            let free = state.holders == 0;
+            let queue = state.queue();
+            if free && queue.chosen.is_none_or(|t| t == ticket) {
+                queue.chosen = None;
+                if let Some(idx) = queue.write_waiters.iter().position(|w| w.ticket == ticket) {
+                    queue.write_waiters.remove(idx);
                 }
-                let waited = start.elapsed();
-                self.stats.record_write(true, waited);
-                self.dcheck_acquired();
-                return OrderedWriteGuard {
-                    latch: self,
-                    outcome: WaitOutcome::Waited(waited),
-                    released: false,
-                };
+                return self.grant_write(&mut state, WaitOutcome::Waited(start.elapsed()));
             }
             self.sleep(&mut state);
         }
@@ -215,17 +292,10 @@ impl OrderedWaitLatch {
     /// optional refinement.
     pub fn try_acquire_write(&self) -> Option<OrderedWriteGuard<'_>> {
         let mut state = self.state.lock();
-        if state.mode == Mode::Free && state.chosen.is_none() && state.write_waiters.is_empty() {
-            state.mode = Mode::Exclusive;
-            self.stats.record_write(false, Duration::ZERO);
-            self.dcheck_acquired();
-            Some(OrderedWriteGuard {
-                latch: self,
-                outcome: WaitOutcome::Immediate,
-                released: false,
-            })
+        if state.holders == 0 && state.no_writer_ahead() {
+            Some(self.grant_write(&mut state, WaitOutcome::Immediate))
         } else {
-            self.stats.record_abandoned();
+            state.queue().abandoned += 1;
             None
         }
     }
@@ -233,39 +303,13 @@ impl OrderedWaitLatch {
     /// Acquires the latch in shared mode (aggregation over the piece).
     pub fn acquire_read(&self) -> OrderedReadGuard<'_> {
         let mut state = self.state.lock();
-        let admissible = |s: &State| {
-            s.mode != Mode::Exclusive && s.chosen.is_none() && s.write_waiters.is_empty()
-        };
-        if admissible(&state) {
-            state.mode = match state.mode {
-                Mode::Free => Mode::Shared(1),
-                Mode::Shared(n) => Mode::Shared(n + 1),
-                Mode::Exclusive => unreachable!("admissible excludes Exclusive"),
-            };
-            self.stats.record_read(false, Duration::ZERO);
-            self.dcheck_acquired();
-            return OrderedReadGuard {
-                latch: self,
-                outcome: WaitOutcome::Immediate,
-                released: false,
-            };
+        if state.admits_reader() {
+            return self.grant_read(&mut state, WaitOutcome::Immediate);
         }
         let start = Instant::now();
         loop {
-            if admissible(&state) {
-                state.mode = match state.mode {
-                    Mode::Free => Mode::Shared(1),
-                    Mode::Shared(n) => Mode::Shared(n + 1),
-                    Mode::Exclusive => unreachable!("admissible excludes Exclusive"),
-                };
-                let waited = start.elapsed();
-                self.stats.record_read(true, waited);
-                self.dcheck_acquired();
-                return OrderedReadGuard {
-                    latch: self,
-                    outcome: WaitOutcome::Waited(waited),
-                    released: false,
-                };
+            if state.admits_reader() {
+                return self.grant_read(&mut state, WaitOutcome::Waited(start.elapsed()));
             }
             self.sleep(&mut state);
         }
@@ -281,54 +325,60 @@ impl OrderedWaitLatch {
     /// Attempts a shared acquisition without waiting.
     pub fn try_acquire_read(&self) -> Option<OrderedReadGuard<'_>> {
         let mut state = self.state.lock();
-        if state.mode != Mode::Exclusive && state.chosen.is_none() && state.write_waiters.is_empty()
-        {
-            state.mode = match state.mode {
-                Mode::Free => Mode::Shared(1),
-                Mode::Shared(n) => Mode::Shared(n + 1),
-                Mode::Exclusive => unreachable!(),
-            };
-            self.stats.record_read(false, Duration::ZERO);
-            self.dcheck_acquired();
-            Some(OrderedReadGuard {
-                latch: self,
-                outcome: WaitOutcome::Immediate,
-                released: false,
-            })
+        if state.admits_reader() {
+            Some(self.grant_read(&mut state, WaitOutcome::Immediate))
         } else {
-            self.stats.record_abandoned();
+            state.queue().abandoned += 1;
             None
         }
     }
 
     /// Number of write waiters currently queued (diagnostic).
     pub fn queued_writers(&self) -> usize {
-        self.state.lock().write_waiters.len()
+        let state = self.state.lock();
+        state.queue.as_ref().map_or(0, |q| q.write_waiters.len())
     }
 
     /// Snapshot of this latch's statistics.
     pub fn stats(&self) -> LatchStatsSnapshot {
-        self.stats.snapshot()
+        self.state.lock().stats()
+    }
+
+    /// This latch's statistics, which start again from zero: for a latch
+    /// that is about to serve another piece while its counts go into a
+    /// cumulative total. Call it only while nobody holds or waits for the
+    /// latch.
+    pub fn take_stats(&self) -> LatchStatsSnapshot {
+        let mut state = self.state.lock();
+        let stats = state.stats();
+        debug_assert!(
+            state.holders == 0 && state.no_writer_ahead(),
+            "a latch in use"
+        );
+        (state.read_acquisitions, state.write_acquisitions) = (0, 0);
+        state.queue = None;
+        stats
     }
 
     fn release_write(&self) {
-        self.dcheck_released();
         let mut state = self.state.lock();
-        debug_assert_eq!(state.mode, Mode::Exclusive);
-        state.mode = Mode::Free;
+        state.dcheck_released();
+        debug_assert_eq!(state.holders, EXCLUSIVE);
+        state.holders = 0;
         Self::choose_next(&mut state);
         self.wake(state);
     }
 
     fn release_read(&self) {
-        self.dcheck_released();
         let mut state = self.state.lock();
-        state.mode = match state.mode {
-            Mode::Shared(1) => Mode::Free,
-            Mode::Shared(n) => Mode::Shared(n - 1),
-            other => panic!("release_read with mode {other:?}"),
-        };
-        if state.mode == Mode::Free {
+        state.dcheck_released();
+        assert!(
+            state.holders != 0 && state.holders != EXCLUSIVE,
+            "release_read with {} holders",
+            state.holders
+        );
+        state.holders -= 1;
+        if state.holders == 0 {
             Self::choose_next(&mut state);
         }
         self.wake(state);
@@ -346,9 +396,11 @@ impl OrderedWaitLatch {
 
     /// Picks the middle waiter (by bound order) as the next writer.
     fn choose_next(state: &mut State) {
-        if state.chosen.is_none() && !state.write_waiters.is_empty() {
-            let mid = state.write_waiters.len() / 2;
-            state.chosen = Some(state.write_waiters[mid].ticket);
+        if let Some(queue) = state.queue.as_deref_mut() {
+            if queue.chosen.is_none() && !queue.write_waiters.is_empty() {
+                let mid = queue.write_waiters.len() / 2;
+                queue.chosen = Some(queue.write_waiters[mid].ticket);
+            }
         }
     }
 }
@@ -547,6 +599,39 @@ mod tests {
             .map(|t| (0..50u64).filter(|i| (t + i) % 3 == 0).count() as u64)
             .sum();
         assert_eq!(*shared.lock(), expected);
+    }
+
+    #[test]
+    fn take_stats_hands_over_the_counts_and_starts_from_zero() {
+        let latch = OrderedWaitLatch::new();
+        drop(latch.acquire_write(1));
+        drop(latch.acquire_read());
+        let held = latch.acquire_read();
+        assert!(latch.try_acquire_write().is_none());
+        drop(held);
+        let taken = latch.take_stats();
+        assert_eq!(
+            (
+                taken.write_acquisitions,
+                taken.read_acquisitions,
+                taken.abandoned
+            ),
+            (1, 2, 1)
+        );
+        assert_eq!(latch.stats(), LatchStatsSnapshot::default());
+        drop(latch.acquire_read());
+        assert_eq!(latch.stats().read_acquisitions, 1);
+    }
+
+    #[test]
+    fn a_retag_replaces_the_checker_id() {
+        let latch = OrderedWaitLatch::new();
+        assert_eq!(latch.dcheck_id(), None);
+        latch.set_dcheck_tag(crate::dcheck::Level::Piece, 7, "piece-latch");
+        latch.set_dcheck_tag(crate::dcheck::Level::Piece, 8, "piece-latch");
+        let expected = crate::dcheck::enabled().then_some(8);
+        assert_eq!(latch.dcheck_id(), expected);
+        drop(latch.acquire_read());
     }
 
     #[test]
