@@ -246,7 +246,7 @@ impl ConcurrentCracker {
         keys.dedup();
         let mut cracks = Vec::with_capacity(keys.len());
         self.crack_at(0, self.data.len(), &keys, &mut cracks);
-        self.dir.split(0, &cracks);
+        self.dir.split(&cracks);
         self.ranges = BuildRanges::new(keys);
         self
     }

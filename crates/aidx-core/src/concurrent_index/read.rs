@@ -1302,8 +1302,7 @@ impl ConcurrentCracker {
                 }
             }
         };
-        cracks.sort_unstable();
-        self.dir.split(piece.start, &cracks);
+        self.dir.split(&cracks);
         let performed = cracks.len() as u32;
         metrics.crack_time += crack_start.elapsed();
         metrics.cracks_performed += performed;

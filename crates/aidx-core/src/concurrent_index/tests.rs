@@ -1724,6 +1724,69 @@ proptest::proptest! {
     }
 }
 
+/// Every read shape on a converged `Piece` cracker whose directory spans
+/// dozens of leaves agrees with a scan and cracks nothing, with bounds at
+/// crack values, inside empty pieces, and in the first and last piece of
+/// every leaf — so narrow reads cross leaf edges, and wide ones take
+/// several span batches.
+#[test]
+fn read_shapes_on_a_multi_leaf_directory_agree_with_a_scan() {
+    // Keys are multiples of 4, so `[80 i + 1, 80 i + 3)` holds none: a
+    // left-to-right sweep cracks each bound in the uncracked tail (a high
+    // bound of `i64::MAX` is never cracked), which leaves an empty piece
+    // there and pieces of 5 to 10 rows elsewhere.
+    let values: Vec<i64> = shuffled(6000).into_iter().map(|v| 4 * v).collect();
+    let rows: Vec<(i64, RowId)> = values
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (v, i as RowId))
+        .collect();
+    let idx = ConcurrentCracker::from_values(values, LatchProtocol::Piece).with_crack_floor(16);
+    for base in (0..24_000).step_by(80) {
+        for low in [1, 3, 21, 61] {
+            idx.count(base + low, i64::MAX);
+        }
+    }
+    let edges = idx.dir.leaf_edges();
+    assert!(edges.len() > 20, "{} leaves", edges.len());
+    // Crack values, and keys inside empty pieces: `80 i + 2`.
+    let mut bounds: Vec<i64> = (2..24_000).step_by(80 * 7).collect();
+    bounds.extend([1, 3, 21, 61, 24_001]);
+    for (first, last) in edges {
+        for piece in [first, last] {
+            let low = piece.low_value.unwrap_or(i64::MIN);
+            let high = piece.high_value.unwrap_or(i64::MAX);
+            bounds.extend([low, low.saturating_add(1), high.saturating_sub(1)]);
+        }
+    }
+    bounds.sort_unstable();
+    bounds.dedup();
+    let empty = |bound: i64| {
+        let piece = idx.dir.find(Target::Bound(bound));
+        piece.is_ok_and(|piece| piece.is_empty())
+    };
+    assert!(bounds.iter().filter(|&&bound| empty(bound)).count() > 40);
+    let pieces = idx.piece_count();
+    // Neighbouring bounds, and ranges reaching across a few leaves.
+    let pairs = bounds.windows(2).map(|w| (w[0], w[1]));
+    let wide = bounds
+        .iter()
+        .zip(bounds.iter().skip(17))
+        .map(|(&l, &h)| (l, h));
+    for (low, high) in pairs.chain(wide) {
+        for shape in SHAPES {
+            let (answer, metrics) = idx.read(low, high, None, shape);
+            assert!(
+                answers_like_the_oracle(shape, answer, &rows, low, high),
+                "{shape:?} [{low}, {high})"
+            );
+            assert_eq!(metrics.cracks_performed, 0, "{shape:?} [{low}, {high})");
+        }
+    }
+    assert_eq!(idx.piece_count(), pieces);
+    assert!(idx.check_invariants());
+}
+
 // ----- bounds that share a piece --------------------------------------------
 
 /// A read over the whole key domain of an uncracked column cracks nothing:

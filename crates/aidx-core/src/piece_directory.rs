@@ -2,29 +2,42 @@
 //!
 //! The paper's piece-wise protocol (Section 5.3, Figures 9–10) hangs the
 //! latch on the piece inside the table of contents. So does this module:
-//! the value → position tree ([`PieceMap`]) sits beside **one** ordered map
-//! from piece start to a [`PieceRecord`] — the crack values recorded at
-//! that position, the dead-tail hole count, the incremental compactor's
-//! watermark, and the slot of the piece's latch. The latches themselves
-//! live in a slab the directory owns ([`LatchSlab`]): a slot is assigned
-//! when its record is made and never moves, so a walk borrows a latch
-//! straight from the directory, and each latch counts its own acquisitions
-//! and waits, so conflicts stay attributable to individual pieces.
+//! one sequence of piece entries in position order — each the crack value
+//! its piece starts at, its start, and a [`PieceRecord`] holding the
+//! dead-tail hole count, the incremental compactor's watermark, and the
+//! slot of the piece's latch. Positions ascend along the sequence and so
+//! do crack values, so one search answers every lookup, by key or by
+//! position. The sequence lies in leaves of at most 64 contiguous entries
+//! behind a small sorted array of fences, each leaf's first key and start:
+//! a lookup is one fence search and a search inside one leaf, a walk's
+//! batch of pieces is a run of consecutive entries, and a crack is an
+//! insert into one leaf (and a fence, when the leaf splits in two). An
+//! empty piece — several crack values at one position — keeps its entry,
+//! and shares its latch with the pieces at its start; the last of them,
+//! the one that owns the positions up to the next start, carries the
+//! record's holes and watermark.
+//!
+//! The latches themselves live in a slab the directory owns
+//! ([`LatchSlab`]): a slot is assigned when a piece start is first
+//! recorded and never moves, so a walk borrows a latch straight from the
+//! directory, and each latch counts its own acquisitions and waits, so
+//! conflicts stay attributable to individual pieces. No lookup hands out
+//! anything that points into a leaf: pieces and spans are copies.
 //! A piece start is stable — a crack splits a piece in two and the lower
 //! half keeps the identity — so a split is one [`PieceDirectory::split`]:
 //! the lower sub-piece keeps record and latch, the upper inherits the
 //! watermark and takes the dead tail. One crack body may split a piece
 //! more than once (the pivot policy's data-driven crack plus the bound's);
 //! `split` takes all of its cracks at once and publishes them in a single
-//! exclusive acquisition, upper crack first so the tail ends up on the
-//! topmost sub-piece. The contract with the caller is *physical work
-//! before publish*: a new piece start comes with a latch of its own, which
-//! any thread may take the moment it is visible, so every row of every
-//! sub-piece must already be where its key bounds say. After a structural
-//! rebuild positions
-//! change meaning, and [`PieceDirectory::install`] replaces the whole
-//! structure in one step, folding the retired latches' counts into a
-//! cumulative total and recycling their slots.
+//! exclusive acquisition. Each crack is placed by its key, so the tail
+//! ends up on the topmost sub-piece whatever the order. The contract with
+//! the caller is *physical work before publish*: a new piece start comes
+//! with a latch of its own, which any thread may take the moment it is
+//! visible, so every row of every sub-piece must already be where its key
+//! bounds say. After a structural rebuild positions change meaning, and
+//! [`PieceDirectory::install`] replaces the whole structure in one step,
+//! folding the retired latches' counts into a cumulative total and
+//! recycling their slots.
 //!
 //! All of it lives behind one short-held reader-writer lock, every
 //! acquisition of which is tracked at dcheck level `Toc` (innermost in the
@@ -43,12 +56,13 @@
 //! start. Piece latches stay the
 //! fine-grained coordination *within* an operation.
 
-use aidx_cracking::{Piece, PieceLookup, PieceMap};
+use aidx_cracking::Piece;
 use aidx_latch::dcheck;
 use aidx_latch::facade::{self, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use aidx_latch::ordered::OrderedWaitLatch;
 use aidx_latch::stats::LatchStatsSnapshot;
 use std::collections::BTreeMap;
+use std::iter;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -185,15 +199,15 @@ impl LatchSlab {
     }
 }
 
-/// Everything recorded about the piece(s) starting at one position. An
-/// empty piece shares its start — and so its record — with the non-empty
-/// piece that physically follows it.
-#[derive(Debug)]
+/// Entries one leaf of the directory holds at most: a crack moves at most
+/// this many within its leaf, and a full leaf splits into two halves.
+const LEAF_CAP: usize = 64;
+
+/// What is recorded about the piece(s) starting at one position. An empty
+/// piece shares its start — and so its latch — with the piece that
+/// physically follows it, which alone carries holes and watermark.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct PieceRecord {
-    /// Smallest and largest crack value recorded at this position (several
-    /// share it when the pieces between them are empty); `None` only at
-    /// position 0 while no crack has landed there.
-    keys: Option<(i64, i64)>,
     /// Dead slots at the piece's *tail*: physically reclaimed tombstoned
     /// rows awaiting the next rebuild. The live part of `[s, e)` with `h`
     /// holes is `[s, e − h)`.
@@ -202,34 +216,52 @@ struct PieceRecord {
     /// through; 0 = not visited since the last rebuild, i.e. at the floor.
     compacted_through: u64,
     /// The piece latch's slot in the directory's [`LatchSlab`]: the
-    /// number of records made before this one since the last install.
+    /// number of piece starts recorded before this one since the last
+    /// install.
     slot: usize,
 }
 
-impl PieceRecord {
-    /// A record with nothing recorded yet, its latch in `slot`.
-    fn new(slot: usize) -> Self {
-        PieceRecord {
-            keys: None,
-            holes: 0,
-            compacted_through: 0,
-            slot,
-        }
-    }
+/// One piece: the crack value that bounds it below, where it starts, and
+/// its record.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Every key at positions `>= start` is `>= key`. The head entry — the
+    /// piece at position 0 that no crack bounds below — holds `i64::MIN`.
+    key: i64,
+    start: usize,
+    record: PieceRecord,
+}
 
-    fn note_crack(&mut self, value: i64) {
-        let (min, max) = self.keys.unwrap_or((value, value));
-        self.keys = Some((min.min(value), max.max(value)));
-    }
+/// Where an entry lies: its leaf, and its index in that leaf.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct At {
+    leaf: usize,
+    idx: usize,
+}
+
+/// The head entry's place: the first entry of the first leaf.
+const HEAD: At = At { leaf: 0, idx: 0 };
+
+/// True if `piece` is the last piece at its start, which owns the
+/// positions up to the next start and the record's holes and watermark.
+fn owns(piece: &Piece) -> bool {
+    !piece.is_empty() || piece.high_value.is_none()
 }
 
 #[derive(Debug)]
 struct State {
-    map: PieceMap,
-    /// Piece start → record; holds exactly the current piece starts
-    /// (position 0 and every crack position). Records are only ever added
-    /// between installs, so their slots are exactly `0..records.len()`.
-    records: BTreeMap<usize, PieceRecord>,
+    /// Every piece in position order, which is also key order, in leaves
+    /// of `1..=LEAF_CAP` entries.
+    leaves: Vec<Vec<Entry>>,
+    /// Key and start of each leaf's first entry: the first level of every
+    /// search. Only a leaf split adds one; no insert lands at a leaf's
+    /// front.
+    fences: Vec<(i64, usize)>,
+    /// Positions the directory covers.
+    len: usize,
+    /// Distinct piece starts. Starts are only ever added between
+    /// installs, so their slots are exactly `0..starts`.
+    starts: usize,
     total_holes: usize,
     /// Delta epoch the last rebuild merged everything through.
     floor: u64,
@@ -240,120 +272,255 @@ struct State {
 
 impl State {
     fn new(len: usize, cracks: impl IntoIterator<Item = (i64, usize)>, floor: u64) -> Self {
+        let head = Entry {
+            key: i64::MIN,
+            start: 0,
+            record: PieceRecord::default(),
+        };
+        let mut leaf = Vec::with_capacity(LEAF_CAP);
+        leaf.push(head);
         let mut state = State {
-            map: PieceMap::new(len),
-            records: BTreeMap::from([(0, PieceRecord::new(0))]),
+            leaves: vec![leaf],
+            fences: vec![(head.key, head.start)],
+            len,
+            starts: 1,
             total_holes: 0,
             floor,
             retired: LatchStatsSnapshot::default(),
         };
         for (value, position) in cracks {
-            state.map.add_crack(value, position);
-            let slot = state.records.len();
-            let record = state.records.entry(position);
-            record
-                .or_insert_with(|| PieceRecord::new(slot))
-                .note_crack(value);
+            state.add_crack(value, position);
         }
         state
     }
 
-    fn locate(&self, target: Target) -> Result<Piece, AlreadyCrack> {
-        match target {
+    fn entry(&self, at: At) -> &Entry {
+        &self.leaves[at.leaf][at.idx]
+    }
+
+    fn next(&self, at: At) -> Option<At> {
+        if at.idx + 1 < self.leaves[at.leaf].len() {
+            Some(At {
+                idx: at.idx + 1,
+                ..at
+            })
+        } else {
+            (at.leaf + 1 < self.leaves.len()).then_some(At {
+                leaf: at.leaf + 1,
+                idx: 0,
+            })
+        }
+    }
+
+    fn piece_count(&self) -> usize {
+        self.leaves.iter().map(Vec::len).sum()
+    }
+
+    /// The last entry whose key is `<= value`. A search from `hint`, an
+    /// entry at or below that key, stays in the hint's leaf when the value
+    /// lies below the next leaf's fence.
+    fn seek_key(&self, value: i64, hint: Option<At>) -> At {
+        let in_leaf = |leaf: usize| {
+            self.fences[leaf].0 <= value
+                && self
+                    .fences
+                    .get(leaf + 1)
+                    .is_none_or(|fence| value < fence.0)
+        };
+        let leaf = match hint {
+            Some(at) if in_leaf(at.leaf) => at.leaf,
+            _ => self.fences.partition_point(|fence| fence.0 <= value) - 1,
+        };
+        let idx = self.leaves[leaf].partition_point(|e| e.key <= value) - 1;
+        At { leaf, idx }
+    }
+
+    /// The last entry starting at or before `pos`: the owner of the piece
+    /// start at or below it.
+    fn seek_start(&self, pos: usize) -> At {
+        let leaf = self.fences.partition_point(|fence| fence.1 <= pos) - 1;
+        let idx = self.leaves[leaf].partition_point(|e| e.start <= pos) - 1;
+        At { leaf, idx }
+    }
+
+    /// The first entry starting at or after `pos`, if any does.
+    fn seek_first(&self, pos: usize) -> Option<At> {
+        let leaf = self.fences.partition_point(|fence| fence.1 < pos);
+        let leaf = leaf.saturating_sub(1);
+        let idx = self.leaves[leaf].partition_point(|e| e.start < pos);
+        if idx < self.leaves[leaf].len() {
+            Some(At { leaf, idx })
+        } else {
+            (leaf + 1 < self.leaves.len()).then_some(At {
+                leaf: leaf + 1,
+                idx: 0,
+            })
+        }
+    }
+
+    /// The entries from `at` on, in order.
+    fn entries(&self, at: At) -> impl Iterator<Item = &Entry> {
+        let rest = self.leaves[at.leaf + 1..].iter().flatten();
+        self.leaves[at.leaf][at.idx..].iter().chain(rest)
+    }
+
+    /// The piece whose entry lies at `at`: from its start to the next
+    /// entry's, its key interval from its own key to the next one's.
+    fn piece(&self, at: At) -> Piece {
+        let entry = self.entry(at);
+        let next = self.next(at).map(|next| self.entry(next));
+        Piece {
+            start: entry.start,
+            end: next.map_or(self.len, |next| next.start),
+            low_value: (at != HEAD).then_some(entry.key),
+            high_value: next.map(|next| next.key),
+        }
+    }
+
+    /// The pieces from `at` on, in position order, each with its entry.
+    fn pieces(&self, at: At) -> impl Iterator<Item = (Piece, &Entry)> {
+        let places = iter::successors(Some(at), |&at| self.next(at));
+        places.map(|at| (self.piece(at), self.entry(at)))
+    }
+
+    /// The piece `target` addresses, and where its entry lies (the head's
+    /// place for the crack at `i64::MIN`).
+    fn locate(&self, target: Target, hint: Option<At>) -> (At, Result<Piece, AlreadyCrack>) {
+        let at = match target {
             // No key lies below `i64::MIN`: it bounds the first position.
-            Target::Bound(i64::MIN) => Err(AlreadyCrack(0)),
-            Target::Bound(value) => match self.map.lookup(value) {
-                PieceLookup::Exact(pos) => Err(AlreadyCrack(pos)),
-                PieceLookup::NeedsCrack(piece) => Ok(piece),
+            Target::Bound(i64::MIN) => return (HEAD, Err(AlreadyCrack(0))),
+            Target::Bound(value) | Target::Key(value) => self.seek_key(value, hint),
+            Target::Position(pos) => self.seek_start(pos),
+        };
+        let piece = self.piece(at);
+        match target {
+            Target::Bound(value) if piece.low_value == Some(value) => {
+                (at, Err(AlreadyCrack(piece.start)))
+            }
+            _ => (at, Ok(piece)),
+        }
+    }
+
+    /// The record of the piece start `start`, as its owner holds it.
+    fn record(&self, start: usize) -> &PieceRecord {
+        let entry = self.entry(self.seek_start(start));
+        assert_eq!(entry.start, start, "every piece start has a record");
+        &entry.record
+    }
+
+    fn record_mut(&mut self, start: usize) -> &mut PieceRecord {
+        let at = self.seek_start(start);
+        let entry = &mut self.leaves[at.leaf][at.idx];
+        assert_eq!(entry.start, start, "every piece start has a record");
+        &mut entry.record
+    }
+
+    /// Records a crack at `value`, found at `pos`, of the piece whose key
+    /// interval holds `value`, which must start at or below `pos` and end
+    /// at or above it. The new piece is an empty one when `pos` is either
+    /// end of that piece; otherwise it is a new start that takes the
+    /// lower piece's dead tail and inherits its watermark.
+    fn add_crack(&mut self, value: i64, pos: usize) {
+        let at = self.seek_key(value, None);
+        let next = self.next(at).map(|next| *self.entry(next));
+        let fresh = self.starts;
+        let lower = &mut self.leaves[at.leaf][at.idx];
+        debug_assert!(at == HEAD || lower.key < value, "a value is cracked once");
+        debug_assert!(lower.start <= pos && next.is_none_or(|next| pos <= next.start));
+        let record = match next {
+            // An empty piece before the start at `pos`, sharing its latch.
+            Some(next) if next.start == pos => PieceRecord {
+                slot: next.record.slot,
+                ..PieceRecord::default()
             },
-            Target::Key(value) => Ok(self.map.piece_for_value(value)),
-            Target::Position(pos) => {
-                let (&start, record) = self
-                    .records
-                    .range(..=pos)
-                    .next_back()
-                    .expect("position 0 always has a record");
-                let next = self.records.range(pos + 1..).next();
-                Ok(Piece {
-                    start,
-                    end: next.map_or(self.map.array_len(), |(&end, _)| end),
-                    low_value: record.keys.map(|(_, max)| max),
-                    high_value: next.and_then(|(_, r)| r.keys).map(|(min, _)| min),
-                })
+            // An empty piece at the lower piece's start: the new piece owns
+            // the positions now, the lower one keeps only the latch.
+            _ if pos == lower.start => {
+                let latch_only = PieceRecord {
+                    slot: lower.record.slot,
+                    ..PieceRecord::default()
+                };
+                std::mem::replace(&mut lower.record, latch_only)
+            }
+            _ => {
+                self.starts += 1;
+                PieceRecord {
+                    holes: std::mem::take(&mut lower.record.holes),
+                    compacted_through: lower.record.compacted_through,
+                    slot: fresh,
+                }
+            }
+        };
+        let entry = Entry {
+            key: value,
+            start: pos,
+            record,
+        };
+        self.insert_after(at, entry);
+    }
+
+    /// Inserts `entry` right after the one at `at`, splitting a full leaf.
+    fn insert_after(&mut self, at: At, entry: Entry) {
+        let At { mut leaf, idx } = at;
+        let mut idx = idx + 1;
+        if self.leaves[leaf].len() == LEAF_CAP {
+            let half = LEAF_CAP / 2;
+            let mut upper = Vec::with_capacity(LEAF_CAP);
+            upper.extend(self.leaves[leaf].drain(half..));
+            self.fences.insert(leaf + 1, (upper[0].key, upper[0].start));
+            self.leaves.insert(leaf + 1, upper);
+            if idx > half {
+                (leaf, idx) = (leaf + 1, idx - half);
             }
         }
-    }
-
-    fn record(&mut self, start: usize) -> &mut PieceRecord {
-        let record = self.records.get_mut(&start);
-        record.expect("every piece start has a record")
-    }
-
-    /// Records a crack at `value`, found at `pos`, of the piece starting at
-    /// `start`, which must end at or above `pos` with no piece start in
-    /// between: the upper sub-piece takes the whole dead tail.
-    fn split_lower(&mut self, start: usize, value: i64, pos: usize) {
-        self.map.add_crack(value, pos);
-        // No piece starts strictly inside another: this range holds the
-        // lower record and, if `pos` is a piece start already, that one.
-        let mut around = self.records.range_mut(start..=pos);
-        let (_, lower) = around.next().expect("every piece start has a record");
-        if pos == start {
-            lower.note_crack(value);
-        } else if let Some((_, at_pos)) = around.next() {
-            at_pos.note_crack(value);
-        } else {
-            let upper = PieceRecord {
-                keys: Some((value, value)),
-                holes: std::mem::take(&mut lower.holes),
-                compacted_through: lower.compacted_through,
-                slot: self.records.len(),
-            };
-            self.records.insert(pos, upper);
-        }
+        self.leaves[leaf].insert(idx, entry);
     }
 
     /// The piece `target` addresses, with its latch from `slab` if
-    /// `wanted` asks.
+    /// `wanted` asks, and where its entry lies.
     fn find_latched<'d>(
         &self,
         slab: &'d LatchSlab,
         target: Target,
+        hint: Option<At>,
         wanted: impl FnOnce(&Piece) -> bool,
-    ) -> Found<'d> {
-        let piece = self.locate(target)?;
-        let latch = wanted(&piece).then(|| slab.get(self.records[&piece.start].slot));
-        Ok((piece, latch))
+    ) -> (At, Found<'d>) {
+        let (at, piece) = self.locate(target, hint);
+        let found = piece.map(|piece| {
+            let latch = wanted(&piece).then(|| slab.get(self.entry(at).record.slot));
+            (piece, latch)
+        });
+        (at, found)
     }
 
     /// Refills `pieces` with the pieces overlapping `ranges`, in position
     /// order, clipped to them: at most [`SPAN_CAP`], with their latches
-    /// from `slab`.
+    /// from `slab`. A range starting where an entry of `hints` starts is
+    /// walked from that entry, without a search.
     fn span<'d>(
         &self,
         slab: &'d LatchSlab,
         ranges: &[(usize, usize)],
+        hints: &[At],
         pieces: &mut Vec<SpanPiece<'d>>,
     ) {
-        let len = self.map.array_len();
         pieces.clear();
         for &(from, to) in ranges.iter().filter(|(from, to)| from < to) {
-            let mut starts = self.records.range(from..to).peekable();
-            debug_assert_eq!(
-                starts.peek().map(|(&s, _)| s),
-                Some(from),
-                "ranges start on pieces"
-            );
-            while let Some((&start, record)) = starts.next() {
+            let hint = hints.iter().find(|&&at| self.entry(at).start == from);
+            let at = hint.copied().or_else(|| self.seek_first(from));
+            let at = at.expect("ranges start on pieces");
+            debug_assert_eq!(self.entry(at).start, from, "ranges start on pieces");
+            let owners = self.pieces(at).filter(|(piece, _)| owns(piece));
+            for (piece, entry) in owners.take_while(|(piece, _)| piece.start < to) {
                 if pieces.len() == SPAN_CAP {
                     return;
                 }
-                let end = starts.peek().map_or(len, |(&next, _)| next).min(to);
+                let end = piece.end.min(to);
                 pieces.push(SpanPiece {
-                    start,
+                    start: piece.start,
                     end,
-                    live_end: end - record.holes.min(end - start),
-                    latch: slab.get(record.slot),
+                    live_end: end - entry.record.holes.min(end - piece.start),
+                    latch: slab.get(entry.record.slot),
                 });
             }
         }
@@ -362,7 +529,12 @@ impl State {
     /// Live end of `piece`. An empty piece shares its start with the piece
     /// that owns the dead tail; clamping attributes the tail to the latter.
     fn live_end(&self, piece: &Piece) -> usize {
-        let holes = self.records.get(&piece.start).map_or(0, |r| r.holes);
+        let owner = self.entry(self.seek_start(piece.start));
+        let holes = if owner.start == piece.start {
+            owner.record.holes
+        } else {
+            0
+        };
         piece.end - holes.min(piece.len())
     }
 
@@ -470,7 +642,7 @@ impl PieceDirectory {
 
     /// The piece `target` addresses.
     pub(crate) fn find(&self, target: Target) -> Result<Piece, AlreadyCrack> {
-        self.read().locate(target)
+        self.read().locate(target, None).1
     }
 
     /// As [`Self::find`], with the piece's latch from the same acquisition
@@ -480,7 +652,7 @@ impl PieceDirectory {
         target: Target,
         wanted: impl FnOnce(&Piece) -> bool,
     ) -> Found<'_> {
-        self.read().find_latched(&self.slab, target, wanted)
+        self.read().find_latched(&self.slab, target, None, wanted).1
     }
 
     /// Both bounds of a range in one acquisition, each resolved as
@@ -490,7 +662,9 @@ impl PieceDirectory {
     /// bound's piece, so it is looked up after that crack. When neither
     /// took a latch, `plan` may turn the two lookups into a plan and the
     /// ranges its walk visits; the walk's first latched [`Span`] batch then
-    /// comes from the same acquisition.
+    /// comes from the same acquisition. The high bound is searched for from
+    /// the low one's entry, and the span from either, so a narrow range
+    /// costs one fence search and a short search of one or two leaves.
     pub(crate) fn find_bounds<P>(
         &self,
         (low, high): (i64, i64),
@@ -500,11 +674,14 @@ impl PieceDirectory {
         let state = self.read();
         let latched = |found: &Found| found.as_ref().is_ok_and(|(_, l)| l.is_some());
         let slab = &self.slab;
-        let low = state.find_latched(slab, Target::Bound(low), |piece| wanted(low, piece));
+        let wanted_low = |piece: &Piece| wanted(low, piece);
+        let (low_at, low) = state.find_latched(slab, Target::Bound(low), None, wanted_low);
         if latched(&low) {
             return (low, None, None);
         }
-        let high = state.find_latched(slab, Target::Bound(high), |piece| wanted(high, piece));
+        let wanted_high = |piece: &Piece| wanted(high, piece);
+        let hint = Some(low_at);
+        let (high_at, high) = state.find_latched(slab, Target::Bound(high), hint, wanted_high);
         let planned =
             (!latched(&high))
                 .then(|| plan(&low, &high))
@@ -514,7 +691,7 @@ impl PieceDirectory {
                         version: self.version.load(Ordering::Acquire),
                         pieces: Vec::new(),
                     };
-                    state.span(slab, &ranges, &mut span.pieces);
+                    state.span(slab, &ranges, &[low_at, high_at], &mut span.pieces);
                     (plan, span)
                 });
         (low, Some(high), planned)
@@ -531,7 +708,7 @@ impl PieceDirectory {
     pub(crate) fn span<'d>(&'d self, ranges: &[(usize, usize)], span: &mut Span<'d>) {
         let state = self.read();
         span.version = self.version.load(Ordering::Acquire);
-        state.span(&self.slab, ranges, &mut span.pieces);
+        state.span(&self.slab, ranges, &[], &mut span.pieces);
     }
 
     /// The current structure version (`Acquire`).
@@ -567,26 +744,29 @@ impl PieceDirectory {
             return 0;
         }
         let state = self.read();
-        state.records.range(start..end).map(|(_, r)| r.holes).sum()
+        let Some(at) = state.seek_first(start) else {
+            return 0;
+        };
+        let entries = state.entries(at).take_while(|entry| entry.start < end);
+        entries.map(|entry| entry.record.holes).sum()
     }
 
-    /// Publishes the cracks one system transaction made inside the piece
-    /// starting at `start` — `(value, position)` pairs, ascending — in one
-    /// exclusive acquisition, so no lookup ever sees some of them. The
-    /// caller has finished *all* physical work on the piece: the moment a
-    /// new piece start exists, so does a latch the caller does not hold.
+    /// Publishes the cracks one system transaction made inside one piece
+    /// — `(value, position)` pairs, in any order — in one exclusive
+    /// acquisition, so no lookup ever sees some of them. The caller has
+    /// finished *all* physical work on the piece: the moment a new piece
+    /// start exists, so does a latch the caller does not hold.
     ///
-    /// Applied upper crack first, each as a split of the (shrinking)
-    /// piece at `start`: the lower sub-piece keeps its record — latch and
-    /// counters included; the upper one inherits the watermark and takes
-    /// the dead tail, which therefore ends up where it physically is, on
-    /// the topmost sub-piece. A crack at either end of the piece only
-    /// adds an empty piece to a position that has its record already.
-    pub(crate) fn split(&self, start: usize, cracks: &[(i64, usize)]) {
-        debug_assert!(cracks.is_sorted(), "cracks are published in key order");
+    /// Each crack splits the sub-piece whose key interval holds it: the
+    /// lower sub-piece keeps its record — latch and counters included;
+    /// the upper one inherits the watermark and takes the dead tail, which
+    /// therefore ends up where it physically is, on the topmost sub-piece.
+    /// A crack at either end of a piece only adds an empty piece to a
+    /// position that has its record already.
+    pub(crate) fn split(&self, cracks: &[(i64, usize)]) {
         let mut state = self.write();
-        for &(value, pos) in cracks.iter().rev() {
-            state.split_lower(start, value, pos);
+        for &(value, pos) in cracks {
+            state.add_crack(value, pos);
         }
         self.bump_version();
     }
@@ -595,7 +775,7 @@ impl PieceDirectory {
     /// starting at `start`.
     pub(crate) fn add_holes(&self, start: usize, n: usize) {
         let mut state = self.write();
-        state.record(start).holes += n;
+        state.record_mut(start).holes += n;
         state.total_holes += n;
         self.bump_version();
         // Mirrored before the sweep's shrink epoch goes even again, so a
@@ -607,7 +787,7 @@ impl PieceDirectory {
     /// (the incremental compactor placed pending inserts there).
     pub(crate) fn fill_holes(&self, start: usize, n: usize) {
         let mut state = self.write();
-        state.record(start).holes -= n;
+        state.record_mut(start).holes -= n;
         state.total_holes -= n;
         self.bump_version();
         self.hole_rows.fetch_sub(n as u64, Ordering::Release);
@@ -616,7 +796,7 @@ impl PieceDirectory {
     /// Advances the watermark of the piece starting at `start`: every
     /// delta row of its key range stamped up to `epoch` is merged.
     pub(crate) fn mark_compacted(&self, start: usize, epoch: u64) {
-        self.write().record(start).compacted_through = epoch;
+        self.write().record_mut(start).compacted_through = epoch;
     }
 
     /// Installs a rebuilt structure — `len` positions, ascending `cracks`,
@@ -656,10 +836,8 @@ impl PieceDirectory {
     /// carry no position but remain in [`Self::latch_stats`].
     pub(crate) fn latch_stats_by_piece(&self) -> Vec<(usize, LatchStatsSnapshot)> {
         let state = self.read();
-        let stats = state
-            .records
-            .iter()
-            .map(|(&start, r)| (start, self.slab.get(r.slot).stats()));
+        let owners = state.pieces(HEAD).filter(|(piece, _)| owns(piece));
+        let stats = owners.map(|(piece, e)| (piece.start, self.slab.get(e.record.slot).stats()));
         stats
             .filter(|(_, s)| *s != LatchStatsSnapshot::default())
             .collect()
@@ -667,7 +845,7 @@ impl PieceDirectory {
 
     /// Number of pieces (empty ones included).
     pub(crate) fn piece_count(&self) -> usize {
-        self.read().map.piece_count()
+        self.read().piece_count()
     }
 
     /// Dead slots across the whole array.
@@ -676,18 +854,12 @@ impl PieceDirectory {
     }
 
     /// Every piece in position order, with its live end (one ordered pass
-    /// over pieces and records).
+    /// over the entries).
     pub(crate) fn live_pieces(&self) -> Vec<(Piece, usize)> {
         let state = self.read();
-        let mut records = state.records.iter().peekable();
-        let pieces = state.map.pieces().into_iter();
+        let pieces = state.pieces(HEAD);
         pieces
-            .map(|piece| {
-                while records.next_if(|(&start, _)| start < piece.start).is_some() {}
-                let at_start = records.peek().filter(|(&start, _)| start == piece.start);
-                let holes = at_start.map_or(0, |(_, record)| record.holes);
-                (piece, piece.end - holes.min(piece.len()))
-            })
+            .map(|(piece, e)| (piece, piece.end - e.record.holes.min(piece.len())))
             .collect()
     }
 
@@ -698,11 +870,26 @@ impl PieceDirectory {
     /// while one exists the floor is all that can be promised.
     pub(crate) fn compacted_through(&self) -> u64 {
         let state = self.read();
-        if state.records.len() < state.map.piece_count() {
+        if state.starts < state.piece_count() {
             return state.floor;
         }
-        let stalest = state.records.values().map(|r| r.compacted_through).min();
+        let stalest = state
+            .entries(HEAD)
+            .map(|e| e.record.compacted_through)
+            .min();
         state.floor.max(stalest.unwrap_or(0))
+    }
+
+    /// The first and the last piece of every leaf, in position order.
+    #[cfg(test)]
+    pub(crate) fn leaf_edges(&self) -> Vec<(Piece, Piece)> {
+        let state = self.read();
+        let edges = state.leaves.iter().enumerate().map(|(leaf, entries)| {
+            let last = entries.len() - 1;
+            let piece = |idx| state.piece(At { leaf, idx });
+            (piece(0), piece(last))
+        });
+        edges.collect()
     }
 
     /// The compaction walk's resume position.
@@ -724,19 +911,22 @@ impl PieceDirectory {
     /// delta, however finely cracked the column is.
     pub(crate) fn steer_walk(&self, delta_rows: &[(i64, u64)]) {
         let state = self.read();
-        if delta_rows.is_empty() || state.map.piece_count() <= 1 {
+        if delta_rows.is_empty() || state.piece_count() <= 1 {
             return;
         }
         // piece start → (delta rows, piece span).
         let mut per_piece: BTreeMap<usize, (u64, usize)> = BTreeMap::new();
+        let mut at = None;
         for &(value, rows) in delta_rows {
-            let piece = state.map.piece_for_value(value);
+            let (found, piece) = state.locate(Target::Key(value), at);
+            at = Some(found);
+            let piece = piece.expect("a key lookup finds a piece");
             per_piece.entry(piece.start).or_insert((0, piece.len())).0 += rows;
         }
         let mut best: Option<(usize, f64, u64)> = None; // (start, density, watermark)
         for (&start, &(rows, span)) in per_piece.iter().filter(|(_, &(_, span))| span > 0) {
             let density = rows as f64 / span as f64;
-            let watermark = state.records[&start].compacted_through.max(state.floor);
+            let watermark = state.record(start).compacted_through.max(state.floor);
             if best.is_none_or(|(_, d, w)| density > d || (density == d && watermark < w)) {
                 best = Some((start, density, watermark));
             }
@@ -747,37 +937,62 @@ impl PieceDirectory {
         }
     }
 
-    /// Verifies the directory against itself in one ordered pass: the
-    /// piece map is well-formed over `len` positions; the records are
-    /// exactly the piece starts and carry the crack values found there; no
-    /// dead tail outgrows its piece; hole counts, their total and the
-    /// lock-free mirror agree; no watermark runs ahead of `current_epoch`.
-    /// Only meaningful in quiescence.
+    /// Verifies the directory against itself in one ordered pass: every
+    /// leaf holds `1..=64` entries and its fence names its first; the
+    /// entries cover `len` positions from the head on, starts ascending
+    /// and crack values strictly so; each piece start has one latch slot,
+    /// shared by its empty pieces, and `0..starts` are all taken; only the
+    /// last piece at a start carries holes or a watermark; no dead tail
+    /// outgrows its piece; hole counts, their total and the lock-free
+    /// mirror agree; no watermark runs ahead of `current_epoch`. Only
+    /// meaningful in quiescence.
     pub(crate) fn check_invariants(&self, len: usize, current_epoch: u64) -> bool {
         let state = self.read();
-        if !state.map.check_invariants() || state.map.array_len() != len {
+        let fenced = state.leaves.len() == state.fences.len()
+            && state
+                .leaves
+                .iter()
+                .zip(&state.fences)
+                .all(|(leaf, &fence)| {
+                    (1..=LEAF_CAP).contains(&leaf.len()) && (leaf[0].key, leaf[0].start) == fence
+                });
+        if !fenced || state.len != len || state.fences[0] != (i64::MIN, 0) {
             return false;
         }
-        // Pieces sharing a start: empty ones, then the one that owns the
-        // positions up to the next start. Their lower bounds are the crack
-        // values recorded at that start.
-        let pieces = state.map.pieces();
-        let same_start = |a: &Piece, b: &Piece| a.start == b.start;
+        let pieces: Vec<(Piece, PieceRecord)> = state
+            .pieces(HEAD)
+            .map(|(piece, e)| (piece, e.record))
+            .collect();
+        let ordered = pieces.iter().all(|(piece, _)| {
+            let keys = piece.low_value.zip(piece.high_value);
+            piece.start <= piece.end && keys.is_none_or(|(low, high)| low < high)
+        });
+        // An empty piece's record is its start's latch slot and nothing else.
+        let shared = pieces.windows(2).all(|pair| {
+            let ((piece, record), (_, next)) = (pair[0], pair[1]);
+            let latch_only = PieceRecord {
+                slot: next.slot,
+                ..PieceRecord::default()
+            };
+            owns(&piece) || record == latch_only
+        });
+        let mut slots = vec![false; state.starts];
         let mut holes = 0;
-        state.records.len() == pieces.chunk_by(same_start).count()
+        let owned = pieces
+            .iter()
+            .filter(|(piece, _)| owns(piece))
+            .all(|(piece, record)| {
+                holes += record.holes;
+                let fresh = slots
+                    .get_mut(record.slot)
+                    .is_some_and(|taken| !std::mem::replace(taken, true));
+                fresh && record.holes <= piece.len() && record.compacted_through <= current_epoch
+            });
+        ordered
+            && shared
+            && owned
+            && slots.iter().all(|&taken| taken)
             && state.floor <= current_epoch
-            && pieces
-                .chunk_by(same_start)
-                .zip(&state.records)
-                .all(|(group, (&start, record))| {
-                    let last = group[group.len() - 1];
-                    let cracks = || group.iter().filter_map(|p| p.low_value);
-                    holes += record.holes;
-                    start == last.start
-                        && record.keys == cracks().min().zip(cracks().max())
-                        && record.holes <= last.len()
-                        && record.compacted_through <= current_epoch
-                })
             && holes == state.total_holes
             && holes as u64 == self.hole_rows.load(Ordering::Acquire)
     }
@@ -787,6 +1002,7 @@ impl PieceDirectory {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::ops::Range;
     use std::ptr;
     use std::sync::Arc;
     use std::thread;
@@ -800,7 +1016,7 @@ mod tests {
     }
 
     fn watermark(dir: &PieceDirectory, start: usize) -> u64 {
-        dir.read().records[&start].compacted_through
+        dir.read().record(start).compacted_through
     }
 
     /// The latch of the piece covering `pos`.
@@ -811,7 +1027,7 @@ mod tests {
 
     /// The slot of the record starting at `start`.
     fn slot_at(dir: &PieceDirectory, start: usize) -> usize {
-        dir.read().records[&start].slot
+        dir.read().record(start).slot
     }
 
     /// Checks one span batch against the directory: contiguous from the
@@ -892,7 +1108,7 @@ mod tests {
         );
         let first = latch_at(&dir, 0);
         let starts: Vec<(i64, usize)> = (1..300).map(|p| (p as i64, p)).collect();
-        dir.split(0, &starts);
+        dir.split(&starts);
         // 300 records name slots 0..300; a bucket is made at its first use.
         let slots: std::collections::BTreeSet<usize> =
             (0..300).map(|start| slot_at(&dir, start)).collect();
@@ -1081,7 +1297,7 @@ mod tests {
         drop(latch.acquire_write(0));
         dir.add_holes(0, 10);
         dir.mark_compacted(0, 7);
-        dir.split(0, &[(50, 40)]);
+        dir.split(&[(50, 40)]);
         // Lower sub-piece: same latch, same counters, no dead tail.
         assert!(ptr::eq(latch, latch_at(&dir, 0)));
         assert_eq!(dir.latch_stats_by_piece()[0].1.write_acquisitions, 1);
@@ -1099,44 +1315,45 @@ mod tests {
         assert_eq!((watermark(&dir, 0), watermark(&dir, 40)), (7, 7));
         assert_eq!((dir.holes_in(0, 40), dir.holes_in(40, 100)), (0, 10));
         // Cracks at either end add an empty piece and move nothing.
-        dir.split(40, &[(50 - 1, 40)]);
-        dir.split(0, &[(45, 40)]);
+        dir.split(&[(50 - 1, 40)]);
+        dir.split(&[(45, 40)]);
         assert_eq!((dir.holes_in(0, 40), dir.holes_in(40, 100)), (0, 10));
         assert!(ptr::eq(upper_latch, latch_at(&dir, 40)));
         assert!(dir.check_invariants(100, 7));
     }
 
+    /// Two cracks of one crack body land on the sub-pieces their keys
+    /// pick, so the dead tail ends on the topmost sub-piece whichever is
+    /// published first.
     #[test]
-    fn publishing_the_lower_crack_first_loses_the_dead_tail() {
+    fn the_dead_tail_ends_on_top_whichever_crack_is_published_first() {
         let with_tail = || {
             let dir = PieceDirectory::new(100);
             dir.add_holes(0, 10);
             dir.mark_compacted(0, 3);
             dir
         };
-        let dir = with_tail();
-        dir.split(0, &[(30, 20), (60, 50)]);
-        assert_eq!(
-            [
-                dir.holes_in(0, 20),
-                dir.holes_in(20, 50),
-                dir.holes_in(50, 100)
-            ],
-            [0, 0, 10]
-        );
-        assert_eq!([watermark(&dir, 20), watermark(&dir, 50)], [3, 3]);
-        assert!(dir.check_invariants(100, 3));
-        // The seeded mutation: the same two cracks, lower one first. The
-        // dead tail travels to the middle piece and the upper crack lands
-        // on that piece's record instead of one of its own.
-        let wrong = with_tail();
+        let lower_first = with_tail();
+        lower_first.split(&[(30, 20), (60, 50)]);
+        let upper_first = with_tail();
         {
-            let mut state = wrong.write();
-            state.split_lower(0, 30, 20);
-            state.split_lower(0, 60, 50);
+            let mut state = upper_first.write();
+            state.add_crack(60, 50);
+            state.add_crack(30, 20);
         }
-        assert_eq!(wrong.holes_in(20, 50), 10);
-        assert!(!wrong.check_invariants(100, 3));
+        for dir in [&lower_first, &upper_first] {
+            assert_eq!(
+                [
+                    dir.holes_in(0, 20),
+                    dir.holes_in(20, 50),
+                    dir.holes_in(50, 100)
+                ],
+                [0, 0, 10]
+            );
+            assert_eq!([watermark(dir, 20), watermark(dir, 50)], [3, 3]);
+            assert!(dir.check_invariants(100, 3));
+        }
+        assert_eq!(lower_first.live_pieces(), upper_first.live_pieces());
     }
 
     /// The naive model: cracks as a `Vec` sorted by value, per-start state
@@ -1150,11 +1367,17 @@ mod tests {
     }
 
     impl Model {
-        fn new(len: usize) -> Self {
+        /// The model of a directory over `len` positions with `cracks`
+        /// installed: no holes, every watermark at the floor.
+        fn installed(len: usize, cracks: Vec<(i64, usize)>) -> Self {
+            let mut starts: Vec<_> = cracks.iter().map(|c| (c.1, 0, 0)).collect();
+            starts.push((0, 0, 0));
+            starts.sort_unstable();
+            starts.dedup();
             Model {
                 len,
-                cracks: Vec::new(),
-                starts: vec![(0, 0, 0)],
+                cracks,
+                starts,
             }
         }
 
@@ -1208,9 +1431,12 @@ mod tests {
         }
     }
 
-    fn assert_agrees(dir: &PieceDirectory, model: &Model, epoch: u64) {
+    /// Checks `dir` against `model`: lookups by key and bound at every
+    /// value of `values`, by position everywhere, spans from every piece
+    /// start, and both bounds of ranges starting every other value.
+    fn assert_agrees(dir: &PieceDirectory, model: &Model, epoch: u64, values: Range<i64>) {
         assert!(dir.check_invariants(model.len, epoch));
-        for value in -24..24 {
+        for value in values.clone() {
             let by_value = model.by_value(value);
             assert_eq!(dir.find(Target::Key(value)), Ok(by_value), "key {}", value);
             let cracked = model.cracks.iter().find(|c| c.0 == value);
@@ -1229,7 +1455,8 @@ mod tests {
             let state = model.starts.iter().find(|s| s.0 == piece.start).unwrap();
             assert_eq!(watermark(dir, piece.start), state.2, "watermark at {}", pos);
         }
-        // Spans between piece boundaries, one range and two.
+        // Spans between piece boundaries, one range and two: a first batch,
+        // and the one resuming where a capped batch stopped.
         let mut bounds: Vec<usize> = model.starts.iter().map(|s| s.0).collect();
         bounds.push(model.len);
         bounds.sort_unstable();
@@ -1237,16 +1464,27 @@ mod tests {
         for (i, &from) in bounds.iter().enumerate() {
             let next = bounds.get(i + 1).copied().unwrap_or(from);
             for ranges in [[(from, model.len), (0, 0)], [(0, from), (next, model.len)]] {
-                let mut span = Span::default();
-                dir.span(&ranges, &mut span);
                 let last = ranges.iter().rfind(|(from, to)| from < to);
-                assert_eq!(check_span(dir, &ranges, &span), last.map_or(0, |r| r.1));
-                assert_eq!(span.version, dir.version());
+                let mut rest = ranges;
+                for _ in 0..2 {
+                    let mut span = Span::default();
+                    dir.span(&rest, &mut span);
+                    assert_eq!(span.version, dir.version());
+                    let stop = check_span(dir, &rest, &span);
+                    if span.pieces.len() < SPAN_CAP {
+                        assert_eq!(stop, last.map_or(0, |r| r.1));
+                        break;
+                    }
+                    rest = rest.map(|(from, to)| (from.max(stop), to));
+                    if rest.iter().all(|(from, to)| from >= to) {
+                        break;
+                    }
+                }
             }
         }
         // Both bounds in one acquisition, against two sequential lookups.
         let wanted = |piece: &Piece| piece.len() % 2 == 1;
-        for low in (-24..24).step_by(3) {
+        for low in values.step_by(2) {
             for high in [low + 1, low + 4, low + 11] {
                 let mut planned = false;
                 let plan = |l: &Found, h: &Found| {
@@ -1296,109 +1534,240 @@ mod tests {
         assert_eq!(dir.live_pieces(), live);
     }
 
+    /// Runs `ops` — every mutation the cracker performs, in random order:
+    /// cracks at a piece's start, interior and live end (several values
+    /// sharing a position make empty pieces), the pivot policy's two-crack
+    /// publish, hole sweeps and fills, watermark advances, and rebuild
+    /// installs — on `dir` and on its `model`, checking them against each
+    /// other after every op, with lookups at every value of `values`.
+    fn agrees_with_the_model(
+        dir: &PieceDirectory,
+        mut model: Model,
+        ops: &[(u8, i64, usize)],
+        values: Range<i64>,
+    ) {
+        let mut epoch = 0u64;
+        assert_agrees(dir, &model, epoch, values.clone());
+        for &(kind, value, pick) in ops {
+            // Hole and watermark ops address the piece covering a position.
+            let len = model.len;
+            let covering = (len > 0).then(|| model.by_position(pick % len));
+            // Every op that may move an extent or a live end bumps the
+            // structure version; a watermark advance does not.
+            let version = dir.version();
+            let moves = match (kind, covering) {
+                (6, Some(_)) => Some(false),
+                (0..=5 | 8..=9, Some(_)) | (0..=3 | 7..=9, None) => Some(true),
+                _ => None,
+            };
+            match (kind, covering) {
+                (0..=3, _) => {
+                    let Ok(piece) = dir.find(Target::Bound(value)) else {
+                        continue;
+                    };
+                    let live = model.live_end(&piece) - piece.start;
+                    let pos = piece.start
+                        + match kind {
+                            0 => 0,
+                            1 => live,
+                            _ => pick % (live + 1),
+                        };
+                    dir.split(&[(value, pos)]);
+                    model.publish(piece.start, &[(value, pos)]);
+                }
+                (8..=9, _) => {
+                    // Two cracks of one piece in one publish: a second
+                    // value above the first inside the same key
+                    // interval, at or above the first's position.
+                    let Ok(piece) = dir.find(Target::Bound(value)) else {
+                        continue;
+                    };
+                    let upper = value + 1 + (pick % 3) as i64;
+                    if piece.high_value.is_some_and(|high| upper >= high) {
+                        continue;
+                    }
+                    let live_end = model.live_end(&piece);
+                    let pos = piece.start + pick % (live_end - piece.start + 1);
+                    let upper_pos = match kind {
+                        8 => pos,
+                        _ => pos + (pick / 7) % (live_end - pos + 1),
+                    };
+                    let cracks = [(value, pos), (upper, upper_pos)];
+                    dir.split(&cracks);
+                    model.publish(piece.start, &cracks);
+                }
+                (4, Some(piece)) => {
+                    let n = pick % (model.live_end(&piece) - piece.start + 1);
+                    if n == 0 {
+                        continue;
+                    }
+                    dir.add_holes(piece.start, n);
+                    model.start(piece.start).1 += n;
+                }
+                (5, Some(piece)) => {
+                    let n = pick % (piece.end - model.live_end(&piece) + 1);
+                    dir.fill_holes(piece.start, n);
+                    model.start(piece.start).1 -= n;
+                }
+                (6, Some(piece)) => {
+                    epoch += 1;
+                    dir.mark_compacted(piece.start, epoch);
+                    model.start(piece.start).2 = epoch;
+                }
+                (7, _) => {
+                    // A rebuild squeezes the dead tails out: every crack
+                    // moves down by the holes below it.
+                    epoch += 1;
+                    let below = |pos: usize| -> usize {
+                        model.starts.iter().filter(|s| s.0 < pos).map(|s| s.1).sum()
+                    };
+                    let cracks: Vec<(i64, usize)> = model
+                        .cracks
+                        .iter()
+                        .map(|c| (c.0, c.1 - below(c.1)))
+                        .collect();
+                    let new_len = len - below(len + 1);
+                    dir.install(new_len, cracks.iter().copied(), epoch);
+                    model = Model::installed(new_len, cracks);
+                    assert_eq!(dir.compacted_through(), epoch);
+                    assert_eq!(dir.walk_cursor(), 0);
+                }
+                _ => {}
+            }
+            if let Some(moves) = moves {
+                assert_eq!(dir.version() > version, moves, "op {}", kind);
+            }
+            assert_agrees(dir, &model, epoch, values.clone());
+        }
+    }
+
+    /// Installs `n` cracks, the `i`-th at value `10 i` and position `i`,
+    /// except that `run` of them share one position: the first leaf ends
+    /// inside that run.
+    fn with_a_run(n: usize, run: Range<usize>) -> PieceDirectory {
+        let at = |i: usize| if run.contains(&i) { run.start } else { i };
+        let cracks = (1..=n).map(|i| (10 * i as i64, at(i)));
+        let dir = PieceDirectory::new(n + 1);
+        dir.install(n + 1, cracks, 0);
+        dir
+    }
+
+    /// Empty pieces whose run crosses a leaf edge: they share the latch
+    /// of the piece after them, spans walk that piece once, and a crack
+    /// into the run or past it keeps the structure whole.
+    #[test]
+    fn empty_pieces_across_a_leaf_edge_share_their_start() {
+        let dir = with_a_run(200, 28..38);
+        {
+            let state = dir.read();
+            let (first, second) = (&state.leaves[0], &state.leaves[1]);
+            assert!(state.leaves.len() > 3, "several leaves");
+            assert_eq!(first[first.len() - 1].start, 28);
+            assert_eq!(second[0].start, 28, "the run crosses the first leaf edge");
+        }
+        assert!(dir.check_invariants(201, 0));
+        // Crack values 280..=370 all sit at 28: the last one owns 28..38.
+        let owner = dir.find(Target::Position(28)).unwrap();
+        assert_eq!((owner.start, owner.end), (28, 38));
+        assert_eq!(owner.low_value, Some(370));
+        let latch = latch_at(&dir, 28);
+        for value in [285, 315, 325, 345, 375] {
+            let (piece, found) = dir.find_latched(Target::Key(value), |_| true).unwrap();
+            let empty = value < 370;
+            assert_eq!(piece.is_empty(), empty, "key {value}");
+            assert!(ptr::eq(found.unwrap(), latch), "key {value}");
+        }
+        assert_eq!(dir.find(Target::Bound(320)), Err(AlreadyCrack(28)));
+        let mut span = Span::default();
+        dir.span(&[(20, 60)], &mut span);
+        assert_eq!(check_span(&dir, &[(20, 60)], &span), 60);
+        assert_eq!(span.pieces.len(), 60 - 20 - 9, "one piece per start");
+        // A dead tail on the owner, then a crack into the run and one into
+        // the owner's interior: the tail moves up with the new start.
+        dir.add_holes(28, 4);
+        dir.split(&[(335, 28)]);
+        dir.split(&[(375, 33)]);
+        assert_eq!((dir.holes_in(28, 33), dir.holes_in(33, 38)), (0, 4));
+        assert!(dir.check_invariants(201, 0));
+        assert_eq!(dir.piece_count(), 203);
+    }
+
+    /// A crack into a full leaf splits it, wherever in the leaf it lands:
+    /// both halves keep their fences, and every piece is where it was.
+    #[test]
+    fn a_full_leaf_splits_around_a_crack_at_any_index() {
+        for k in 0..LEAF_CAP {
+            // The head and 63 cracks at value `10 i`, position `i`: one
+            // full leaf. The new crack follows entry `k`.
+            let dir = PieceDirectory::new(100);
+            dir.install(100, (1..LEAF_CAP).map(|i| (10 * i as i64, i)), 0);
+            dir.split(&[(10 * k as i64 + 5, k)]);
+            assert_eq!(dir.read().leaves.len(), 2, "crack after entry {k}");
+            assert!(dir.check_invariants(100, 0), "crack after entry {k}");
+            let (piece, _) = dir
+                .find_latched(Target::Key(10 * k as i64 + 7), |_| false)
+                .unwrap();
+            assert_eq!(piece.start, k);
+            assert_eq!(piece.low_value, Some(10 * k as i64 + 5));
+            let pieces = dir.live_pieces();
+            assert_eq!(pieces.len(), LEAF_CAP + 1);
+            assert!(pieces.windows(2).all(|w| w[0].0.end == w[1].0.start));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every mutation the cracker performs, in random order, against
-        /// the naive model: cracks at a piece's start, interior and live
-        /// end (several values sharing a position make empty pieces), the
-        /// pivot policy's two-crack publish, hole sweeps and fills,
-        /// watermark advances, and rebuild installs.
+        /// Mutations on a directory of at most one leaf.
         #[test]
         fn directory_agrees_with_a_sorted_vec_model(
             len in 0usize..40,
             ops in prop::collection::vec((0u8..10, -20i64..20, 0usize..1000), 1..60),
         ) {
             let dir = PieceDirectory::new(len);
-            let mut model = Model::new(len);
-            let mut epoch = 0u64;
-            assert_agrees(&dir, &model, epoch);
-            for &(kind, value, pick) in &ops {
-                // Hole and watermark ops address the piece covering a position.
-                let covering = (len > 0).then(|| model.by_position(pick % len.max(1)));
-                // Every op that may move an extent or a live end bumps the
-                // structure version; a watermark advance does not.
-                let version = dir.version();
-                let moves = match (kind, covering) {
-                    (6, Some(_)) => Some(false),
-                    (0..=5 | 8..=9, Some(_)) | (0..=3 | 7..=9, None) => Some(true),
-                    _ => None,
-                };
-                match (kind, covering) {
-                    (0..=3, _) => {
-                        let Ok(piece) = dir.find(Target::Bound(value)) else { continue };
-                        let live = model.live_end(&piece) - piece.start;
-                        let pos = piece.start + match kind {
-                            0 => 0,
-                            1 => live,
-                            _ => pick % (live + 1),
-                        };
-                        dir.split(piece.start, &[(value, pos)]);
-                        model.publish(piece.start, &[(value, pos)]);
-                    }
-                    (8..=9, _) => {
-                        // Two cracks of one piece in one publish: a second
-                        // value above the first inside the same key
-                        // interval, at or above the first's position.
-                        let Ok(piece) = dir.find(Target::Bound(value)) else { continue };
-                        let upper = value + 1 + (pick % 3) as i64;
-                        if piece.high_value.is_some_and(|high| upper >= high) {
-                            continue;
-                        }
-                        let live_end = model.live_end(&piece);
-                        let pos = piece.start + pick % (live_end - piece.start + 1);
-                        let upper_pos = match kind {
-                            8 => pos,
-                            _ => pos + (pick / 7) % (live_end - pos + 1),
-                        };
-                        let cracks = [(value, pos), (upper, upper_pos)];
-                        dir.split(piece.start, &cracks);
-                        model.publish(piece.start, &cracks);
-                    }
-                    (4, Some(piece)) => {
-                        let n = pick % (model.live_end(&piece) - piece.start + 1);
-                        if n == 0 {
-                            continue;
-                        }
-                        dir.add_holes(piece.start, n);
-                        model.start(piece.start).1 += n;
-                    }
-                    (5, Some(piece)) => {
-                        let n = pick % (piece.end - model.live_end(&piece) + 1);
-                        dir.fill_holes(piece.start, n);
-                        model.start(piece.start).1 -= n;
-                    }
-                    (6, Some(piece)) => {
-                        epoch += 1;
-                        dir.mark_compacted(piece.start, epoch);
-                        model.start(piece.start).2 = epoch;
-                    }
-                    (7, _) => {
-                        // A rebuild squeezes the dead tails out: every crack
-                        // moves down by the holes below it.
-                        epoch += 1;
-                        let below = |pos: usize| -> usize {
-                            model.starts.iter().filter(|s| s.0 < pos).map(|s| s.1).sum()
-                        };
-                        let cracks: Vec<(i64, usize)> =
-                            model.cracks.iter().map(|c| (c.0, c.1 - below(c.1))).collect();
-                        let new_len = len - below(len + 1);
-                        dir.install(new_len, cracks.iter().copied(), epoch);
-                        let mut starts: Vec<_> = cracks.iter().map(|c| (c.1, 0, 0)).collect();
-                        starts.push((0, 0, 0));
-                        starts.sort_unstable();
-                        starts.dedup();
-                        model = Model { len: new_len, cracks, starts };
-                        prop_assert_eq!(dir.compacted_through(), epoch);
-                        prop_assert_eq!(dir.walk_cursor(), 0);
-                    }
-                    _ => {}
+            agrees_with_the_model(&dir, Model::installed(len, Vec::new()), &ops, -24..24);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Mutations on a directory that outgrows three leaves: `gaps`
+        /// places one crack at value `3 i` per gap, that many positions
+        /// past the previous one (a gap of 0 makes an empty piece, and runs
+        /// of them land on leaf edges), and the ops' values fall between and
+        /// around the cracks. So lookups by key and position, spans longer
+        /// than `SPAN_CAP`, splits, hole sweeps and fills, and installs all
+        /// meet leaf edges. The cracks are installed at once, or split in
+        /// one at a time in a scrambled key order, as reads converge, so
+        /// that they land inside leaves and full leaves split.
+        #[test]
+        fn a_multi_leaf_directory_agrees_with_the_model(
+            gaps in prop::collection::vec(0usize..3, 200..260),
+            tail in 0usize..3,
+            ops in prop::collection::vec((0u8..10, -3i64..790, 0usize..1000), 1..16),
+            by_splits in any::<bool>(),
+            scramble in any::<u64>(),
+        ) {
+            let positions = gaps.iter().scan(0, |at, gap| {
+                *at += gap;
+                Some(*at)
+            });
+            let cracks: Vec<(i64, usize)> =
+                positions.enumerate().map(|(i, pos)| (3 * i as i64, pos)).collect();
+            let len = cracks.last().map_or(0, |c| c.1) + tail;
+            let dir = PieceDirectory::new(len);
+            if by_splits {
+                let mut order = cracks.clone();
+                order.sort_by_key(|c| (c.0 as u64 ^ scramble).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                for crack in order {
+                    dir.split(&[crack]);
                 }
-                if let Some(moves) = moves {
-                    prop_assert_eq!(dir.version() > version, moves, "op {}", kind);
-                }
-                assert_agrees(&dir, &model, epoch);
+            } else {
+                dir.install(len, cracks.iter().copied(), 0);
             }
+            prop_assert!(dir.read().leaves.len() > 3);
+            agrees_with_the_model(&dir, Model::installed(len, cracks), &ops, -3..790);
         }
     }
 }
