@@ -71,8 +71,7 @@ impl CompactionPolicy {
     }
 
     /// Compact whenever the delta reaches `rows` rows. `rows == 0` means
-    /// *disabled*, matching every other threshold knob in the stack
-    /// (`ExperimentConfig::compaction_threshold`, ...).
+    /// *disabled*, like a non-positive [`CompactionPolicy::fraction`].
     pub const fn rows(rows: u64) -> Self {
         CompactionPolicy {
             max_delta_rows: if rows == 0 { None } else { Some(rows) },

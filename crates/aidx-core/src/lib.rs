@@ -43,8 +43,8 @@
 //! * [`RowIdSet`] — the candidate row ids one table operator hands the
 //!   next: a bitmap over their span when dense, a sorted vector when
 //!   sparse.
-//! * [`QueryMetrics`] / [`RunMetrics`] — the wait/refinement/conflict
-//!   breakdown the paper's evaluation reports (Figures 13–15).
+//! * [`QueryMetrics`] — the wait/refinement/conflict breakdown the
+//!   paper's evaluation reports (Figures 13–15).
 //! * [`SharedCrackerArray`] — the latch-mediated shared cracker array.
 //!
 //! Crate-internal: `piece_directory` owns what a piece *is* — the value →
@@ -78,7 +78,7 @@ pub use concurrent_index::{ConcurrentCracker, ReadAnswer, ReadShape, Snapshot, W
 pub use index::ColumnRead;
 pub use key_runs::{merge_join_pairs, KeyRun, KeyRuns, KeyRunsIter, MergeJoinStats};
 pub use merge_concurrent::ConcurrentAdaptiveMerge;
-pub use metrics::{Completion, LatencyBreakdown, QueryMetrics, RunMetrics, WindowThroughput};
+pub use metrics::QueryMetrics;
 pub use pending::{DeltaAdjust, DrainedDelta, PairView, PendingDelta};
 pub use protocol::{Aggregate, LatchProtocol, RefinementPolicy};
 pub use range_partitioned::resolve_ranges;

@@ -914,14 +914,16 @@ impl PieceDirectory {
         if delta_rows.is_empty() || state.piece_count() <= 1 {
             return;
         }
-        // piece start → (delta rows, piece span).
+        // piece start → (delta rows, piece span). Empty pieces share the
+        // start of the piece after them, so a start spans its widest piece.
         let mut per_piece: BTreeMap<usize, (u64, usize)> = BTreeMap::new();
         let mut at = None;
         for &(value, rows) in delta_rows {
             let (found, piece) = state.locate(Target::Key(value), at);
             at = Some(found);
             let piece = piece.expect("a key lookup finds a piece");
-            per_piece.entry(piece.start).or_insert((0, piece.len())).0 += rows;
+            let entry = per_piece.entry(piece.start).or_default();
+            *entry = (entry.0 + rows, entry.1.max(piece.len()));
         }
         let mut best: Option<(usize, f64, u64)> = None; // (start, density, watermark)
         for (&start, &(rows, span)) in per_piece.iter().filter(|(_, &(_, span))| span > 0) {
@@ -1650,6 +1652,16 @@ mod tests {
         let dir = PieceDirectory::new(n + 1);
         dir.install(n + 1, cracks, 0);
         dir
+    }
+
+    /// A delta row in an empty piece keys its start with span 0; the
+    /// non-empty piece at that start still steers the walk there.
+    #[test]
+    fn steer_walk_weighs_a_start_by_its_non_empty_piece() {
+        let dir = PieceDirectory::new(100);
+        dir.install(100, [(10, 5), (20, 5), (30, 60)], 0);
+        dir.steer_walk(&[(15, 1), (25, 100)]);
+        assert_eq!(dir.walk_cursor(), 5);
     }
 
     /// Empty pieces whose run crosses a leaf edge: they share the latch

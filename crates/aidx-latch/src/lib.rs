@@ -13,8 +13,8 @@
 //! This crate provides exactly those building blocks:
 //!
 //! * [`rwlatch::RwLatch`] — an instrumented read/write latch recording
-//!   acquisitions, contention, and wait time, so the experiment harness can
-//!   report conflict behaviour over a query sequence (Figures 13 and 15).
+//!   acquisitions, contention, and wait time, so a run can report
+//!   conflict behaviour over a query sequence (Figures 13 and 15).
 //! * [`ordered::OrderedWaitLatch`] — an exclusive latch whose waiters are
 //!   kept sorted by their crack bound and woken **middle-first**, the
 //!   scheduling optimisation of Section 5.3 that maximises the parallelism

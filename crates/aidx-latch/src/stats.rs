@@ -134,8 +134,8 @@ impl LatchStatsSnapshot {
 /// A process-wide registry of named latch statistics.
 ///
 /// Latches register themselves under a name (e.g. `"column:R.A"` or
-/// `"piece:R.A#17"`); the experiment harness pulls a merged snapshot at the
-/// end of a run.
+/// `"piece:R.A#17"`); a report pulls a merged snapshot at the end of a
+/// run.
 #[derive(Debug, Default)]
 pub struct LatchStatsRegistry {
     entries: Mutex<BTreeMap<String, Arc<LatchStats>>>,

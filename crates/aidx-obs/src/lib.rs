@@ -15,10 +15,9 @@
 //! - [`hist`] — [`LatencyHistogram`]: mergeable, saturating, log-bucketed
 //!   (~3.2% relative error) percentile summaries.
 //! - [`structure`] — [`StructureProbe`]/[`StructureStats`] snapshots of
-//!   piece layout, delta pressure, and per-range load, and a
-//!   [`StructureSampler`] that turns them into a convergence curve.
-//! - [`json`] — the dependency-free JSON writer/parser the above (and the
-//!   bench report builder) encode with.
+//!   piece layout, delta pressure, and per-range load.
+//! - [`json`] — the dependency-free JSON writer/parser the above encode
+//!   with.
 
 #![warn(missing_docs)]
 
@@ -31,7 +30,7 @@ pub mod trace;
 pub use event::{LatchMode, TraceEvent, TraceRecord};
 pub use hist::LatencyHistogram;
 pub use json::Json;
-pub use structure::{Dist, StructureProbe, StructureSample, StructureSampler, StructureStats};
+pub use structure::{Dist, StructureProbe, StructureStats};
 pub use trace::{
     disable, drain, drain_into, drain_jsonl, dropped_events, emit, enable, enable_with_capacity,
     enabled, JsonlSink, NoopSink, TraceSink, VecSink, DEFAULT_RING_CAPACITY,

@@ -1,14 +1,12 @@
 //! Index-structure introspection: piece layout, delta pressure, and
-//! per-range load, sampled over a run to expose *convergence*.
+//! per-range load, the state that exposes *convergence*.
 //!
 //! Adaptive indexing's defining claim is that structure emerges as a side
 //! effect of queries: piece counts grow, piece sizes shrink toward the
 //! query grain, and (after PR 3/4) the pending delta and hole counts stay
 //! bounded. A [`StructureProbe`] is one raw observation of that state —
 //! cheap to take, mergeable across partitions/columns — and a
-//! [`StructureStats`] is its human/JSON summary. A [`StructureSampler`]
-//! takes probes on a query-count cadence so a run yields a convergence
-//! *curve*, not just a final snapshot.
+//! [`StructureStats`] is its human/JSON summary.
 
 use crate::hist::LatencyHistogram;
 use crate::json::Json;
@@ -212,93 +210,6 @@ impl StructureStats {
     }
 }
 
-/// One point on a convergence curve: the structure after `query_index`
-/// operations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StructureSample {
-    /// How many operations had completed when the sample was taken.
-    pub query_index: u64,
-    /// The structure at that point.
-    pub stats: StructureStats,
-}
-
-impl StructureSample {
-    /// Encodes the sample as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("query_index", Json::UInt(self.query_index)),
-            ("structure", self.stats.to_json()),
-        ])
-    }
-}
-
-/// Samples structure on a query-count cadence, accumulating a convergence
-/// curve.
-#[derive(Debug, Clone)]
-pub struct StructureSampler {
-    cadence: u64,
-    next_at: u64,
-    samples: Vec<StructureSample>,
-}
-
-impl StructureSampler {
-    /// Creates a sampler that fires every `cadence` operations (clamped to
-    /// at least 1).
-    pub fn new(cadence: u64) -> Self {
-        let cadence = cadence.max(1);
-        StructureSampler {
-            cadence,
-            next_at: cadence,
-            samples: Vec::new(),
-        }
-    }
-
-    /// The sampling cadence, in operations.
-    pub fn cadence(&self) -> u64 {
-        self.cadence
-    }
-
-    /// Called after each operation with the running operation count; when
-    /// the cadence boundary is crossed, `probe` is invoked and its result
-    /// recorded. Returns true if a sample was taken.
-    pub fn maybe_sample(
-        &mut self,
-        completed_ops: u64,
-        probe: impl FnOnce() -> StructureStats,
-    ) -> bool {
-        if completed_ops < self.next_at {
-            return false;
-        }
-        self.samples.push(StructureSample {
-            query_index: completed_ops,
-            stats: probe(),
-        });
-        // Skip boundaries already passed (batched completions).
-        while self.next_at <= completed_ops {
-            self.next_at += self.cadence;
-        }
-        true
-    }
-
-    /// Records a final sample regardless of cadence (end of run).
-    pub fn sample_now(&mut self, completed_ops: u64, stats: StructureStats) {
-        self.samples.push(StructureSample {
-            query_index: completed_ops,
-            stats,
-        });
-    }
-
-    /// The accumulated convergence curve.
-    pub fn samples(&self) -> &[StructureSample] {
-        &self.samples
-    }
-
-    /// Encodes the curve as a JSON array.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(self.samples.iter().map(StructureSample::to_json).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,36 +296,5 @@ mod tests {
             ..StructureProbe::default()
         };
         assert_eq!(idle.partition_imbalance(), 1.0);
-    }
-
-    #[test]
-    fn sampler_fires_on_cadence_boundaries() {
-        let mut s = StructureSampler::new(10);
-        let mk = || StructureStats::default();
-        assert!(!s.maybe_sample(5, mk));
-        assert!(s.maybe_sample(10, mk));
-        assert!(!s.maybe_sample(11, mk));
-        // Batched completions skip boundaries but sample once.
-        assert!(s.maybe_sample(45, mk));
-        assert!(!s.maybe_sample(49, mk));
-        assert!(s.maybe_sample(50, mk));
-        assert_eq!(s.samples().len(), 3);
-        assert_eq!(
-            s.samples()
-                .iter()
-                .map(|x| x.query_index)
-                .collect::<Vec<_>>(),
-            vec![10, 45, 50]
-        );
-        let json = s.to_json();
-        assert_eq!(json.as_arr().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn sampler_cadence_clamped_to_one() {
-        let mut s = StructureSampler::new(0);
-        assert_eq!(s.cadence(), 1);
-        assert!(s.maybe_sample(1, StructureStats::default));
-        assert!(s.maybe_sample(2, StructureStats::default));
     }
 }

@@ -6,10 +6,13 @@
 //! plus a property test interleaving joins with tuple writes under
 //! aggressive incremental compaction.
 
+mod common;
+
 use aidx_core::{CompactionPolicy, LatchProtocol};
 use aidx_table::{
     CheckedTableEngine, ColumnPredicate, JoinStrategy, TableBackend, TableEngine, TableOp,
 };
+use common::draws;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -83,6 +86,85 @@ fn every_strategy_matches_the_dual_oracle_on_every_backend() {
                 dim_t.inner().name(),
                 strategy
             );
+        }
+    }
+}
+
+/// A table's rows as `(column 0, column 1)` pairs.
+type Rows = Vec<(i64, i64)>;
+
+/// A dimension of `dim` rows with unique keys `rank × stride` in shuffled
+/// row order and attributes in `[0, dim)`, and a fact of `fact` rows whose
+/// foreign keys are uniform over the key domain, or, when `skewed`,
+/// log-uniform over the dimension's ranks: zipfian, a few hot keys
+/// collecting most of the fact rows.
+fn scenario(dim: i64, fact: i64, stride: i64, skewed: bool) -> (Rows, Rows) {
+    let mut draw = draws(0xA11E);
+    let mut keys: Vec<i64> = (0..dim).map(|rank| rank * stride).collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, draw(i as i64 + 1) as usize);
+    }
+    let dim_rows = keys.into_iter().map(|key| (key, draw(dim))).collect();
+    let mut fk = || match skewed {
+        true => ((dim as f64).powf(draw(1 << 30) as f64 / (1 << 30) as f64) as i64 - 1) * stride,
+        false => draw(dim * stride),
+    };
+    let fact_rows = (0..fact).map(|val| (fk(), val)).collect();
+    (dim_rows, fact_rows)
+}
+
+/// The three join scenarios, every join checked against the dual oracle
+/// on the serial and the range backend under both strategies: aligned
+/// keys and zipfian foreign keys under key-window filters, and keys
+/// strided 16 apart (few fact rows match) under attribute filters, which
+/// leave the key window open.
+#[test]
+fn joins_in_three_scenarios_match_the_dual_oracle() {
+    let (dim, fact) = (512, 8_192);
+    for (name, stride, skewed) in [
+        ("aligned", 1, false),
+        ("zipf", 1, true),
+        ("strided", 16, false),
+    ] {
+        let (dim_rows, fact_rows) = scenario(dim, fact, stride, skewed);
+        let mut draw = draws(0x9E37);
+        let filters: Vec<ColumnPredicate> = (0..12)
+            .map(|_| match stride {
+                1 => {
+                    let low = draw(dim - dim / 50);
+                    ColumnPredicate::new(0, low, low + dim / 50)
+                }
+                _ => {
+                    let low = draw(dim - dim / 50);
+                    ColumnPredicate::new(1, low, low + dim / 50)
+                }
+            })
+            .collect();
+        for backend in [
+            TableBackend::Serial(LatchProtocol::Piece),
+            TableBackend::Range { partitions: 3 },
+        ] {
+            for strategy in strategies() {
+                let (dim_t, fact_t) = star_pair(backend, &dim_rows, &fact_rows);
+                let mut pairs = 0;
+                for filter in &filters {
+                    let result = dim_t.execute_join(
+                        &fact_t,
+                        0,
+                        0,
+                        std::slice::from_ref(filter),
+                        &[],
+                        strategy,
+                    );
+                    assert_eq!(result.value, result.pairs.len() as i128);
+                    pairs += result.pairs.len();
+                }
+                assert!(pairs > 0, "{name}: the joins match rows");
+                let label = format!("{name} {} {strategy:?}", dim_t.inner().name());
+                assert_eq!(dim_t.mismatches(), vec![], "{label}");
+                assert!(dim_t.inner().check_invariants(), "{label}");
+                assert!(fact_t.inner().check_invariants(), "{label}");
+            }
         }
     }
 }

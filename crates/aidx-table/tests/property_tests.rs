@@ -8,6 +8,8 @@
 //! readers concurrently and checks every read against the oracle at the
 //! commit sequence it reports, with a seeded mutation that must fail.
 
+mod common;
+
 use aidx_core::{ColumnRead, CompactionPolicy, LatchProtocol};
 use aidx_cracking::RowId;
 use aidx_table::checked::oracle_apply;
@@ -15,6 +17,7 @@ use aidx_table::{
     CheckedTableEngine, ColumnPredicate, JoinStrategy, TableBackend, TableEngine, TableOp,
     TableOpResult,
 };
+use common::{draws, table_op};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,23 +53,8 @@ proptest! {
                 CompactionPolicy::rows(threshold).incremental(step),
             );
             let checked = CheckedTableEngine::new(engine, &columns);
-            for &(kind, a, b, c) in &ops {
-                let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                let op = match kind {
-                    0 => TableOp::SelectMulti(vec![
-                        ColumnPredicate::new(0, low, high),
-                    ]),
-                    1 => TableOp::SelectMulti(vec![
-                        ColumnPredicate::new(0, low, high),
-                        ColumnPredicate::new(1, c.min(b), c.max(a)),
-                    ]),
-                    2 => TableOp::InsertTuple(vec![a, b]),
-                    _ => TableOp::DeleteWhere {
-                        column: (c.unsigned_abs() % 2) as usize,
-                        value: a,
-                    },
-                };
-                checked.execute(&op);
+            for &op in &ops {
+                checked.execute(&table_op(op));
             }
             prop_assert_eq!(
                 checked.mismatches(),
@@ -396,13 +384,7 @@ fn lazily_pinned_columns_fail_the_commit_order_check() {
     if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
         return;
     }
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut draw = |bound: i64| -> i64 {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (state >> 33) as i64 % bound
-    };
+    let mut draw = draws(0x9e37_79b9_7f4a_7c15);
     for _ in 0..500 {
         let rows: Vec<(i64, i64)> = (0..30).map(|_| (draw(40) - 20, draw(40) - 20)).collect();
         let mut ops = |kinds: i64| -> Vec<(u8, i64, i64, i64)> {

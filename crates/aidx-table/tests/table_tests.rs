@@ -2,9 +2,12 @@
 //! selections over every backend, positionally aligned writes, planner
 //! behaviour, and rowid stability across physical reorganisation.
 
-use aidx_core::{CompactionPolicy, LatchProtocol};
+mod common;
+
+use aidx_core::{ColumnRead, CompactionPolicy, LatchProtocol};
 use aidx_cracking::RowId;
 use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
+use common::draws;
 
 /// Deterministic pseudo-shuffled column: a permutation-ish stream over
 /// `[0, n)` (same recipe the single-column tests use), offset per column
@@ -81,6 +84,100 @@ fn conjunctive_selects_match_the_scan_on_every_backend() {
             );
             assert_eq!(result.value, expected.len() as i128);
             assert_eq!(result.metrics.result_count, expected.len() as u64);
+        }
+        assert!(engine.check_invariants(), "{}", engine.name());
+    }
+}
+
+/// Four columns over `[0, n)`: the identity, whose selections are dense
+/// row-id runs, and three decorrelated permutations.
+fn four_columns(n: usize) -> Vec<Vec<i64>> {
+    let mut columns = vec![(0..n as i64).collect::<Vec<i64>>()];
+    columns.extend((1..4).map(|salt| column_data(n, salt * 1013)));
+    columns
+}
+
+fn named(columns: &[Vec<i64>]) -> Vec<(String, Vec<i64>)> {
+    let names = columns.iter().enumerate().map(|(i, _)| format!("c{i}"));
+    names.zip(columns.iter().cloned()).collect()
+}
+
+/// 1–4 predicate selects in two shapes: graded widths (0.5 %, 2 %, 10 %,
+/// 30 % of the keys, column by column), and a driver on the identity
+/// column 1, 100 or 10 000 times narrower than the others' 20 %. Every
+/// answer equals a scan, on the serial and the range backend.
+#[test]
+fn conjunctive_selects_match_a_scan_at_graded_and_skewed_selectivities() {
+    let n = 20_000i64;
+    let columns = four_columns(n as usize);
+    let mut draw = draws(0xC0FFEE);
+    let mut window = |column: usize, width: i64| {
+        let low = draw(n - width + 1);
+        ColumnPredicate::new(column, low, low + width)
+    };
+    let mut queries: Vec<Vec<ColumnPredicate>> = Vec::new();
+    for predicates in 1..=4 {
+        for _ in 0..16 {
+            let widths = [n / 200, n / 50, n / 10, n * 3 / 10];
+            queries.push((0..predicates).map(|c| window(c, widths[c])).collect());
+        }
+        for ratio in [1, 100, 10_000] {
+            let width = |c: usize| {
+                if c == 0 {
+                    (n / 5 / ratio).max(1)
+                } else {
+                    n / 5
+                }
+            };
+            queries.push((0..predicates).map(|c| window(c, width(c))).collect());
+        }
+    }
+    for backend in [
+        TableBackend::Serial(LatchProtocol::Piece),
+        TableBackend::Range { partitions: 3 },
+    ] {
+        let engine = TableEngine::new("r", named(&columns), backend, CompactionPolicy::disabled());
+        for predicates in &queries {
+            let result = engine.execute(&TableOp::SelectMulti(predicates.clone()));
+            let expected = scan_select(&columns, predicates);
+            assert_eq!(
+                result.rowids,
+                expected,
+                "{} on {predicates:?}",
+                engine.name()
+            );
+        }
+        assert!(engine.check_invariants(), "{}", engine.name());
+    }
+}
+
+/// Half of the identity column is one dense run of row ids, held as a
+/// bitmap under a flat vector's 4 bytes a row. 1/256 of a permuted
+/// column's keys scatters its ids over the whole table, one per ~256 of
+/// span, held as a sorted vector at exactly 4 bytes a row. Each set
+/// decodes to the flat read and reports its own footprint.
+#[test]
+fn candidate_sets_are_bitmaps_when_dense_and_sorted_vectors_when_sparse() {
+    let n = 20_000i64;
+    let columns = four_columns(n as usize);
+    for backend in [
+        TableBackend::Serial(LatchProtocol::Piece),
+        TableBackend::Range { partitions: 3 },
+    ] {
+        let engine = TableEngine::new("r", named(&columns), backend, CompactionPolicy::disabled());
+        for (column, low, high, dense) in [
+            (0, n / 4, n * 3 / 4, true),
+            (1, n / 3, n / 3 + n / 256, false),
+        ] {
+            let index = engine.column_index(column);
+            let (set, metrics) = index.select_rowid_set(low, high);
+            assert_eq!(set.to_vec(), index.select_rowids(low, high).0);
+            assert_eq!(metrics.candidate_set_bytes, set.heap_bytes() as u64);
+            assert_eq!(set.is_bitmap(), dense, "{} column {column}", engine.name());
+            match dense {
+                true => assert!(set.heap_bytes() < 4 * set.len()),
+                false => assert_eq!(set.heap_bytes(), 4 * set.len()),
+            }
         }
         assert!(engine.check_invariants(), "{}", engine.name());
     }

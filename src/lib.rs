@@ -21,8 +21,7 @@
 //! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
 //! | [`cracking`] | the serial structures and baselines: row ids, cracker array, piece map (table of contents), read-only plain-cracking index, partitioned B-tree, adaptive merging, read-only hybrid crack-sort, key-range locks, scan/sort baselines, scan operators, data generator |
 //! | [`core`] | **the paper's contribution**: the concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, range partitioning as cracks made at build, pinned snapshots, the one `ColumnRead` surface of a cracker and its pins, metrics |
-//! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection |
-//! | [`workload`] | Q1/Q2 + multi-column workload generation, multi-client runner, experiment configs |
+//! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection, equi-joins, and the `gates` example that times them against a scan and a nested loop |
 //!
 //! ## Quick start
 //!
@@ -70,13 +69,12 @@ pub use aidx_core as core;
 pub use aidx_cracking as cracking;
 pub use aidx_latch as latch;
 pub use aidx_table as table;
-pub use aidx_workload as workload;
 
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use aidx_core::{
         resolve_ranges, Aggregate, ColumnRead, ConcurrentAdaptiveMerge, ConcurrentCracker,
-        LatchProtocol, QueryMetrics, RefinementPolicy, RunMetrics, Snapshot, WriteOp,
+        LatchProtocol, QueryMetrics, RefinementPolicy, Snapshot, WriteOp,
     };
     pub use aidx_cracking::{
         generate_unique_shuffled, AdaptiveMergeIndex, CrackerIndex, HybridCrackSort,
@@ -84,10 +82,6 @@ pub mod prelude {
     };
     pub use aidx_latch::{LockManager, LockMode, LockResource};
     pub use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
-    pub use aidx_workload::{
-        run_experiment, AdaptiveEngine, Approach, ExperimentConfig, IndexEngine, MultiClientRunner,
-        MultiColumnWorkload, Operation, QuerySpec, WorkloadGenerator,
-    };
 }
 
 #[cfg(test)]

@@ -1,26 +1,27 @@
 //! Cross-crate integration tests for the concurrent adaptive-indexing stack.
 //!
-//! These exercise the full path the paper's experiments take: workload
-//! generator → multi-client runner → concurrent cracker / baselines, and
-//! check the paper's qualitative claims (correctness under concurrency,
-//! equivalence of the latch protocols, decaying conflicts).
+//! These exercise the path the paper's experiments take: a seeded query
+//! sequence replayed by concurrent clients against the concurrent cracker
+//! and adaptive merging, and check the paper's qualitative claims
+//! (correctness under concurrency, equivalence of the latch protocols,
+//! decaying conflicts).
+
+mod common;
 
 use adaptive_indexing::prelude::*;
-use adaptive_indexing::workload::CheckedEngine;
-use adaptive_indexing::workload::{MergeEngine, ScanEngine, SortEngine};
-use std::sync::Arc;
+use common::{answers, expected, merging, ops, run_clients, Column, Op};
+use std::time::Duration;
 
 fn shuffled(n: usize) -> Vec<i64> {
     generate_unique_shuffled(n, 0xBEEF)
 }
 
-fn crack(values: &[i64], protocol: LatchProtocol) -> IndexEngine {
-    let index = ConcurrentCracker::from_values(values.to_vec(), protocol);
-    IndexEngine::new(format!("crack-{protocol}"), index)
+fn crack(values: &[i64], protocol: LatchProtocol) -> ConcurrentCracker {
+    ConcurrentCracker::from_values(values.to_vec(), protocol)
 }
 
-fn workload(n: usize, queries: usize, selectivity: f64, agg: Aggregate) -> Vec<QuerySpec> {
-    WorkloadGenerator::new(n as u64, selectivity, agg, 0x5EED).generate(queries)
+fn workload(n: usize, queries: usize, selectivity: f64, agg: Aggregate) -> Vec<Op> {
+    ops(n as u64, queries, selectivity, agg, 0.0, 0x5EED)
 }
 
 #[test]
@@ -29,24 +30,26 @@ fn all_approaches_return_identical_answers_sequentially() {
     let values = shuffled(n);
     let queries = workload(n, 64, 0.01, Aggregate::Sum);
 
-    let scan = ScanEngine::new(values.clone());
-    let engines: Vec<Box<dyn AdaptiveEngine>> = vec![
-        Box::new(SortEngine::new(values.clone())),
-        Box::new(crack(&values, LatchProtocol::Piece)),
-        Box::new(crack(&values, LatchProtocol::Column)),
-        Box::new(crack(&values, LatchProtocol::None)),
-        Box::new(MergeEngine::new(values.clone(), 4096)),
+    let sorted = SortIndex::build_from_values(values.clone());
+    let arms: Vec<(&str, Box<dyn Column>)> = vec![
+        (
+            "crack-piece",
+            Box::new(crack(&values, LatchProtocol::Piece)),
+        ),
+        (
+            "crack-column",
+            Box::new(crack(&values, LatchProtocol::Column)),
+        ),
+        ("crack-none", Box::new(crack(&values, LatchProtocol::None))),
+        ("adaptive-merge", Box::new(merging(&values, 4096))),
     ];
-    for q in &queries {
-        let (expected, _) = scan.select(q);
-        for engine in &engines {
-            let (got, _) = engine.select(q);
-            assert_eq!(
-                got,
-                expected,
-                "{} disagrees with scan on {q:?}",
-                engine.name()
-            );
+    for (&q, expected) in queries.iter().zip(expected(&values, &queries)) {
+        let Op::Sum(low, high) = q else {
+            unreachable!("a read-only sum stream")
+        };
+        assert_eq!(sorted.sum(low, high), expected, "sort disagrees on {q:?}");
+        for (label, arm) in &arms {
+            assert_eq!(arm.apply(q).0, expected, "{label} disagrees on {q:?}");
         }
     }
 }
@@ -56,17 +59,9 @@ fn concurrent_piece_latch_cracking_is_correct_under_load() {
     let n = 100_000;
     let values = shuffled(n);
     let queries = workload(n, 192, 0.001, Aggregate::Sum);
-    let engine = Arc::new(CheckedEngine::new(
-        crack(&values, LatchProtocol::Piece),
-        values,
-    ));
-    let run = MultiClientRunner::new(8).run(engine.clone(), &queries);
-    assert_eq!(run.query_count(), queries.len());
-    assert!(
-        engine.mismatches().is_empty(),
-        "concurrent execution produced wrong answers: {:?}",
-        engine.mismatches()
-    );
+    let cracker = crack(&values, LatchProtocol::Piece);
+    let run = run_clients(&cracker, &queries, 8);
+    assert_eq!(answers(&run), expected(&values, &queries));
 }
 
 #[test]
@@ -74,13 +69,9 @@ fn concurrent_column_latch_cracking_is_correct_under_load() {
     let n = 60_000;
     let values = shuffled(n);
     let queries = workload(n, 128, 0.01, Aggregate::Count);
-    let engine = Arc::new(CheckedEngine::new(
-        crack(&values, LatchProtocol::Column),
-        values,
-    ));
-    let run = MultiClientRunner::new(6).run(engine.clone(), &queries);
-    assert_eq!(run.query_count(), 128);
-    assert!(engine.mismatches().is_empty());
+    let cracker = crack(&values, LatchProtocol::Column);
+    let run = run_clients(&cracker, &queries, 6);
+    assert_eq!(answers(&run), expected(&values, &queries));
 }
 
 #[test]
@@ -93,59 +84,51 @@ fn protocols_converge_to_the_same_index_state() {
     let queries = workload(n, 50, 0.005, Aggregate::Count);
     let piece = crack(&values, LatchProtocol::Piece);
     let column = crack(&values, LatchProtocol::Column);
-    for q in &queries {
-        piece.select(q);
-        column.select(q);
+    for &q in &queries {
+        piece.apply(q);
+        column.apply(q);
     }
-    assert_eq!(piece.index().crack_count(), column.index().crack_count());
-    assert_eq!(piece.index().piece_count(), column.index().piece_count());
-    assert!(piece.index().check_invariants());
-    assert!(column.index().check_invariants());
+    assert_eq!(piece.crack_count(), column.crack_count());
+    assert_eq!(piece.piece_count(), column.piece_count());
+    assert!(piece.check_invariants());
+    assert!(column.check_invariants());
 }
 
 #[test]
 fn conflicts_decay_over_the_query_sequence() {
     // The paper's Figure 15: waiting time / conflicts concentrate in the
     // early queries (when pieces are huge) and fall off as the index
-    // refines. We check the aggregate trend: the first third of the
-    // completed queries carries at least as much waiting time as the last
-    // third. Run with several clients to actually generate contention.
+    // refines. We check the aggregate trend: the first third of each
+    // client's queries carries at least as much waiting and refinement
+    // time as the last third. Several clients generate the contention.
     let n = 200_000;
     let clients = 8usize;
     let values = shuffled(n);
     let queries = workload(n, 240, 0.05, Aggregate::Sum);
-    let engine = Arc::new(crack(&values, LatchProtocol::Piece));
-    let run = MultiClientRunner::new(clients).run(engine.clone(), &queries);
-    assert_eq!(run.query_count(), 240);
+    let cracker = crack(&values, LatchProtocol::Piece);
+    let metrics = run_clients(&cracker, &queries, clients);
 
-    // `per_query` is ordered client by client, and within each client in
-    // execution order. All clients start against the cold index, so within
-    // every client's slice the early queries carry the bulk of the waiting
-    // and refinement effort. Compare the first and last thirds of each
-    // client's slice, summed over clients.
-    let per_client = run.per_query.len() / clients;
+    // Client `c` ran ops `c, c + clients, …` in that order, all of them
+    // starting against the cold index.
+    let per_client = queries.len() / clients;
     let third = per_client / 3;
-    let mut early_wait = std::time::Duration::ZERO;
-    let mut late_wait = std::time::Duration::ZERO;
-    let mut early_crack = std::time::Duration::ZERO;
-    let mut late_crack = std::time::Duration::ZERO;
-    for slice in run.per_query.chunks(per_client) {
-        early_wait += slice[..third]
+    let (mut early_wait, mut late_wait) = (Duration::ZERO, Duration::ZERO);
+    let (mut early_crack, mut late_crack) = (Duration::ZERO, Duration::ZERO);
+    for c in 0..clients {
+        let slice: Vec<&QueryMetrics> = metrics
             .iter()
-            .map(|m| m.wait_time)
-            .sum::<std::time::Duration>();
-        late_wait += slice[slice.len() - third..]
-            .iter()
-            .map(|m| m.wait_time)
-            .sum::<std::time::Duration>();
-        early_crack += slice[..third]
-            .iter()
-            .map(|m| m.crack_time)
-            .sum::<std::time::Duration>();
-        late_crack += slice[slice.len() - third..]
-            .iter()
-            .map(|m| m.crack_time)
-            .sum::<std::time::Duration>();
+            .skip(c)
+            .step_by(clients)
+            .map(|(_, m)| m)
+            .collect();
+        for m in &slice[..third] {
+            early_wait += m.wait_time;
+            early_crack += m.crack_time;
+        }
+        for m in &slice[slice.len() - third..] {
+            late_wait += m.wait_time;
+            late_crack += m.crack_time;
+        }
     }
     assert!(
         early_wait >= late_wait,
@@ -155,7 +138,7 @@ fn conflicts_decay_over_the_query_sequence() {
         early_crack >= late_crack,
         "expected early crack time ({early_crack:?}) >= late crack time ({late_crack:?})"
     );
-    assert!(engine.index().check_invariants());
+    assert!(cracker.check_invariants());
 }
 
 #[test]
@@ -163,20 +146,13 @@ fn skip_on_contention_never_gives_wrong_answers_and_skips_under_load() {
     let n = 150_000;
     let values = shuffled(n);
     let queries = workload(n, 160, 0.02, Aggregate::Sum);
-    let engine = Arc::new(CheckedEngine::new(
-        IndexEngine::new(
-            "crack-piece-skip",
-            ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece)
-                .with_policy(RefinementPolicy::SkipOnContention),
-        ),
-        values,
-    ));
-    let run = MultiClientRunner::new(8).run(engine.clone(), &queries);
-    assert_eq!(run.query_count(), 160);
-    assert!(engine.mismatches().is_empty());
-    // Skipping is workload-dependent; we only require that the run recorded
-    // metrics coherently (skips never exceed two per query).
-    assert!(run.per_query.iter().all(|m| m.refinements_skipped <= 2));
+    let cracker =
+        crack(&values, LatchProtocol::Piece).with_policy(RefinementPolicy::SkipOnContention);
+    let run = run_clients(&cracker, &queries, 8);
+    assert_eq!(answers(&run), expected(&values, &queries));
+    // Skipping is workload-dependent; we only require that the metrics
+    // stay coherent (skips never exceed two per query).
+    assert!(run.iter().all(|(_, m)| m.refinements_skipped <= 2));
 }
 
 #[test]
@@ -203,16 +179,9 @@ fn adaptive_merge_and_cracking_agree_under_concurrency() {
     let n = 40_000;
     let values = shuffled(n);
     let queries = workload(n, 96, 0.01, Aggregate::Count);
-    let crack = Arc::new(CheckedEngine::new(
-        crack(&values, LatchProtocol::Piece),
-        values.clone(),
-    ));
-    let merge = Arc::new(CheckedEngine::new(
-        MergeEngine::new(values.clone(), 4096),
-        values,
-    ));
-    MultiClientRunner::new(4).run(crack.clone(), &queries);
-    MultiClientRunner::new(4).run(merge.clone(), &queries);
-    assert!(crack.mismatches().is_empty());
-    assert!(merge.mismatches().is_empty());
+    let expected = expected(&values, &queries);
+    let cracker = crack(&values, LatchProtocol::Piece);
+    assert_eq!(answers(&run_clients(&cracker, &queries, 4)), expected);
+    let merge = merging(&values, 4096);
+    assert_eq!(answers(&run_clients(&merge, &queries, 4)), expected);
 }

@@ -11,10 +11,11 @@
 //! representable bound, and keeping all of it correct when compaction
 //! rebuilds the structure mid-sequence.
 
+mod common;
+
 use adaptive_indexing::prelude::*;
-use aidx_core::LatchProtocol;
-use aidx_workload::CheckedEngine;
-use std::sync::Arc;
+use aidx_core::CompactionPolicy;
+use common::{merging, ranged, run_checked, Column, Op};
 
 const ROWS: usize = 500;
 
@@ -26,47 +27,59 @@ fn edge_values() -> Vec<i64> {
 }
 
 /// A write/read sequence that lives at the edges of the key domain.
-fn edge_ops() -> Vec<Operation> {
+fn edge_ops() -> Vec<Op> {
     vec![
-        Operation::Select(QuerySpec::count(i64::MIN, i64::MAX)),
-        Operation::Select(QuerySpec::sum(i64::MIN, i64::MIN + 1)),
-        Operation::Select(QuerySpec::count(i64::MAX - 1, i64::MAX)),
-        Operation::Insert(i64::MAX),
-        Operation::Insert(i64::MIN),
-        Operation::Insert(i64::MAX),
-        Operation::Select(QuerySpec::count(i64::MIN, i64::MAX)),
-        Operation::Delete(i64::MAX), // 4 rows: 2 seeded + 2 inserted
-        Operation::Select(QuerySpec::count(i64::MIN, i64::MAX)),
-        Operation::Select(QuerySpec::sum(i64::MAX - 1, i64::MAX)),
-        Operation::Delete(i64::MIN), // 2 rows: 1 seeded + 1 inserted
-        Operation::Select(QuerySpec::count(i64::MIN, i64::MIN + 2)),
-        Operation::Insert(i64::MAX), // re-insert after delete at the edge
-        Operation::Delete(i64::MAX),
-        Operation::Delete(i64::MAX), // delete with nothing left
-        Operation::Delete(i64::MIN + 1),
-        Operation::Delete(i64::MAX - 1),
-        Operation::Select(QuerySpec::sum(i64::MIN, i64::MAX)),
-        Operation::Select(QuerySpec::count(i64::MIN, i64::MAX)),
+        Op::Count(i64::MIN, i64::MAX),
+        Op::Sum(i64::MIN, i64::MIN + 1),
+        Op::Count(i64::MAX - 1, i64::MAX),
+        Op::Insert(i64::MAX),
+        Op::Insert(i64::MIN),
+        Op::Insert(i64::MAX),
+        Op::Count(i64::MIN, i64::MAX),
+        Op::Delete(i64::MAX), // 4 rows: 2 seeded + 2 inserted
+        Op::Count(i64::MIN, i64::MAX),
+        Op::Sum(i64::MAX - 1, i64::MAX),
+        Op::Delete(i64::MIN), // 2 rows: 1 seeded + 1 inserted
+        Op::Count(i64::MIN, i64::MIN + 2),
+        Op::Insert(i64::MAX), // re-insert after delete at the edge
+        Op::Delete(i64::MAX),
+        Op::Delete(i64::MAX), // delete with nothing left
+        Op::Delete(i64::MIN + 1),
+        Op::Delete(i64::MAX - 1),
+        Op::Sum(i64::MIN, i64::MAX),
+        Op::Count(i64::MIN, i64::MAX),
     ]
 }
 
-fn run_edges(engine: Arc<dyn AdaptiveEngine>, label: &str) {
-    let checked = CheckedEngine::new(engine, edge_values());
-    for op in edge_ops() {
-        checked.execute(op);
-    }
-    assert_eq!(
-        checked.mismatches(),
-        vec![],
-        "{label} diverged from the oracle at the domain edges"
-    );
+/// Every arm over the edge values: the cracker under both latch
+/// protocols, with conflict avoidance, range-cracked at the core count,
+/// each with `compaction`, and adaptive merging.
+fn arms(compaction: CompactionPolicy) -> Vec<(String, Box<dyn Column>)> {
+    let values = edge_values();
+    let crack = |protocol| {
+        ConcurrentCracker::from_values(values.clone(), protocol).with_compaction(compaction)
+    };
+    let skip = crack(LatchProtocol::Piece).with_policy(RefinementPolicy::SkipOnContention);
+    vec![
+        (
+            "crack-column".into(),
+            Box::new(crack(LatchProtocol::Column)),
+        ),
+        ("crack-piece".into(), Box::new(crack(LatchProtocol::Piece))),
+        ("crack-piece-skip".into(), Box::new(skip)),
+        ("adaptive-merge".into(), Box::new(merging(&values, 1024))),
+        (
+            format!("range-{}", resolve_ranges(0)),
+            Box::new(ranged(&values, resolve_ranges(0), compaction)),
+        ),
+    ]
 }
 
 #[test]
 fn every_arm_survives_the_domain_edges() {
-    for approach in Approach::all() {
-        let config = ExperimentConfig::new(approach).rows(ROWS);
-        run_edges(config.build_engine_with(edge_values()), &approach.label());
+    for (label, arm) in arms(CompactionPolicy::disabled()) {
+        let mismatches = run_checked(arm.as_ref(), &edge_values(), &edge_ops(), 1);
+        assert_eq!(mismatches, vec![], "{label} diverged at the domain edges");
     }
 }
 
@@ -74,41 +87,33 @@ fn every_arm_survives_the_domain_edges() {
 fn every_arm_survives_the_domain_edges_with_compaction() {
     // Compact every 2 delta rows: the edge writes themselves trip
     // rebuilds, so the compaction path must place extreme keys correctly.
-    for approach in Approach::all() {
-        let config = ExperimentConfig::new(approach)
-            .rows(ROWS)
-            .compaction_threshold(2);
-        run_edges(
-            config.build_engine_with(edge_values()),
-            &format!("{} (compaction)", approach.label()),
-        );
+    for (label, arm) in arms(CompactionPolicy::rows(2)) {
+        let mismatches = run_checked(arm.as_ref(), &edge_values(), &edge_ops(), 1);
+        assert_eq!(mismatches, vec![], "{label} (compaction) diverged");
     }
 }
 
 #[test]
 fn edge_keys_survive_concurrent_clients() {
     // Four clients hammer the edges concurrently; per-op answers are
-    // checked against the oracle under the CheckedEngine's linearization
-    // lock.
-    for approach in [
-        Approach::Crack(LatchProtocol::Piece),
-        Approach::Crack(LatchProtocol::Column),
-        Approach::ParallelRange { partitions: 3 },
-    ] {
-        let config = ExperimentConfig::new(approach)
-            .rows(ROWS)
-            .compaction_threshold(4);
-        let engine = Arc::new(CheckedEngine::new(
-            config.build_engine_with(edge_values()),
-            edge_values(),
-        ));
-        let ops: Vec<Operation> = (0..4).flat_map(|_| edge_ops()).collect();
-        MultiClientRunner::new(4).run_ops(engine.clone(), &ops);
+    // checked against the oracle locked across each call.
+    let values = edge_values();
+    let compaction = CompactionPolicy::rows(4);
+    let crack = |protocol| {
+        ConcurrentCracker::from_values(values.clone(), protocol).with_compaction(compaction)
+    };
+    let arms: Vec<(&str, Box<dyn Column>)> = vec![
+        ("crack-piece", Box::new(crack(LatchProtocol::Piece))),
+        ("crack-column", Box::new(crack(LatchProtocol::Column))),
+        ("range-3", Box::new(ranged(&values, 3, compaction))),
+    ];
+    let ops: Vec<Op> = (0..4).flat_map(|_| edge_ops()).collect();
+    for (label, arm) in arms {
+        let mismatches = run_checked(arm.as_ref(), &values, &ops, 4);
         assert_eq!(
-            engine.mismatches(),
+            mismatches,
             vec![],
-            "{} diverged under concurrent edge writes",
-            approach.label()
+            "{label} diverged under concurrent edge writes"
         );
     }
 }

@@ -1,108 +1,64 @@
-//! Cross-engine parity: every `AdaptiveEngine` arm — scan, sort, crack
-//! (column and piece latches, with and without conflict avoidance),
-//! adaptive merging, and the range-partitioned arm — replays
-//! the same workload through `MultiClientRunner` and must produce
-//! identical per-operation results, for read-only *and* mixed read/write
-//! sequences (checked against a `BTreeMap` multiset oracle).
+//! Cross-arm parity: the cracker under every latch protocol (with and
+//! without conflict avoidance), the range-cracked cracker and adaptive
+//! merging replay the same op stream from one or several clients, and
+//! every answer must equal the `BTreeMap` multiset oracle's, for
+//! read-only *and* mixed read/write streams.
+
+mod common;
 
 use adaptive_indexing::prelude::*;
-use aidx_core::Aggregate;
-use aidx_workload::{CheckedEngine, OpResult};
-use std::sync::Arc;
+use common::{
+    answers, expected, merging, ops, ranged, run_checked, run_clients, Column, Op, Oracle,
+    RANGE_COMPACTION,
+};
 
 const ROWS: usize = 8_000;
 const QUERIES: usize = 64;
+const SEED: u64 = 0xC0FFEE;
 
 fn values() -> Vec<i64> {
     generate_unique_shuffled(ROWS, 7)
 }
 
-fn approaches() -> Vec<Approach> {
-    let mut arms = Approach::all();
-    // `all()` uses per-core worker counts; pin a few explicit shapes so the
-    // parity run exercises several build-cracked ranges even on small CI
-    // machines.
-    arms.push(Approach::ParallelRange { partitions: 4 });
+/// Every arm, named. The unlatched cracker is only safe for one client,
+/// so it joins only then. The range-cracked arm runs at the core count
+/// and at 4 ranges, so several build-cracked ranges are exercised even
+/// on small machines.
+fn arms(values: &[i64], clients: usize) -> Vec<(String, Box<dyn Column>)> {
+    let mut protocols = vec![LatchProtocol::Column, LatchProtocol::Piece];
+    if clients == 1 {
+        protocols.push(LatchProtocol::None);
+    }
+    let mut arms: Vec<(String, Box<dyn Column>)> = protocols
+        .into_iter()
+        .map(|p| {
+            let cracker = ConcurrentCracker::from_values(values.to_vec(), p);
+            (format!("crack-{p}"), Box::new(cracker) as Box<dyn Column>)
+        })
+        .collect();
+    let skip = ConcurrentCracker::from_values(values.to_vec(), LatchProtocol::Piece)
+        .with_policy(RefinementPolicy::SkipOnContention);
+    arms.push(("crack-piece-skip".into(), Box::new(skip)));
+    arms.push(("adaptive-merge".into(), Box::new(merging(values, 1024))));
+    for ranges in [resolve_ranges(0), 4] {
+        let cracker = ranged(values, ranges, RANGE_COMPACTION);
+        arms.push((format!("range-{ranges}"), Box::new(cracker)));
+    }
     arms
 }
 
-fn config(approach: Approach, aggregate: Aggregate, clients: usize) -> ExperimentConfig {
-    ExperimentConfig::new(approach)
-        .rows(ROWS)
-        .queries(QUERIES)
-        .clients(clients)
-        .selectivity(0.02)
-        .aggregate(aggregate)
-}
-
-/// An engine wrapper that records every (query, answer) pair so the runs
-/// of different engines can be compared query by query afterwards.
-struct RecordingEngine {
-    inner: Arc<dyn AdaptiveEngine>,
-    log: std::sync::Mutex<Vec<(QuerySpec, i128)>>,
-}
-
-impl RecordingEngine {
-    fn new(inner: Arc<dyn AdaptiveEngine>) -> Self {
-        RecordingEngine {
-            inner,
-            log: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    fn answers_in_query_order(&self, queries: &[QuerySpec]) -> Vec<i128> {
-        // Concurrent clients complete out of order; re-key by query. The
-        // workload generator may repeat a query spec, so consume matches.
-        let mut log = self.log.lock().unwrap().clone();
-        queries
-            .iter()
-            .map(|q| {
-                let pos = log
-                    .iter()
-                    .position(|(lq, _)| lq == q)
-                    .expect("query executed but not logged");
-                log.swap_remove(pos).1
-            })
-            .collect()
-    }
-}
-
-impl AdaptiveEngine for RecordingEngine {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn execute(&self, op: Operation) -> OpResult {
-        let result = self.inner.execute(op);
-        if let Operation::Select(q) = op {
-            self.log.lock().unwrap().push((q, result.value));
-        }
-        result
-    }
-}
-
+/// Read-only: every arm's answers, in op order, equal the oracle's.
 fn parity_run(aggregate: Aggregate, clients: usize) {
-    let shared_values = values();
-    let queries = config(Approach::Scan, aggregate, clients).generate_queries();
-
-    let mut reference: Option<(String, Vec<i128>)> = None;
-    for approach in approaches() {
-        let engine = config(approach, aggregate, clients).build_engine_with(shared_values.clone());
-        let label = engine.name().to_string();
-        let recording = Arc::new(RecordingEngine::new(engine));
-        let run = MultiClientRunner::new(clients).run(recording.clone(), &queries);
-        assert_eq!(run.query_count(), QUERIES, "{label}: lost queries");
-
-        let answers = recording.answers_in_query_order(&queries);
-        match &reference {
-            None => reference = Some((label, answers)),
-            Some((ref_label, expected)) => {
-                assert_eq!(
-                    &answers, expected,
-                    "{label} disagrees with {ref_label} ({aggregate:?}, {clients} clients)"
-                );
-            }
-        }
+    let values = values();
+    let ops = ops(ROWS as u64, QUERIES, 0.02, aggregate, 0.0, SEED);
+    let expected = expected(&values, &ops);
+    for (label, arm) in arms(&values, clients) {
+        let run = run_clients(arm.as_ref(), &ops, clients);
+        assert_eq!(
+            answers(&run),
+            expected,
+            "{label} ({aggregate:?}, {clients} clients)"
+        );
     }
 }
 
@@ -122,26 +78,23 @@ fn all_engines_agree_with_four_concurrent_clients() {
     parity_run(Aggregate::Count, 4);
 }
 
-/// The acceptance workload: a 10%-write interleaved operation sequence,
-/// every arm checked op by op against the `BTreeMap` oracle. The checked
-/// wrapper holds the oracle across each engine call, so the oracle replays
-/// the engine's linearization order even with concurrent clients.
+/// Mixed reads and writes, every arm checked op by op against the oracle
+/// locked across each call, so the oracle replays the clients' one
+/// linear order.
 fn oracle_parity_run(write_ratio: f64, clients: usize) {
-    let shared_values = values();
-    for approach in approaches() {
-        let cfg = config(approach, Aggregate::Sum, clients).write_ratio(write_ratio);
-        let ops = cfg.generate_operations();
-        assert!(
-            write_ratio == 0.0 || ops.iter().any(Operation::is_write),
-            "workload must actually contain writes"
-        );
-        let engine = cfg.build_engine_with(shared_values.clone());
-        let label = engine.name().to_string();
-        let checked = Arc::new(CheckedEngine::new(engine, shared_values.clone()));
-        let run = MultiClientRunner::new(clients).run_ops(checked.clone(), &ops);
-        assert_eq!(run.query_count(), QUERIES, "{label}: lost operations");
+    let values = values();
+    let ops = ops(
+        ROWS as u64,
+        QUERIES,
+        0.02,
+        Aggregate::Sum,
+        write_ratio,
+        SEED,
+    );
+    assert!(ops.iter().any(Op::is_write), "the stream writes");
+    for (label, arm) in arms(&values, clients) {
         assert_eq!(
-            checked.mismatches(),
+            run_checked(arm.as_ref(), &values, &ops, clients),
             vec![],
             "{label} diverged from the oracle ({}% writes, {clients} clients)",
             write_ratio * 100.0
@@ -164,60 +117,107 @@ fn all_arms_pass_oracle_parity_with_heavy_writes() {
     oracle_parity_run(0.5, 2);
 }
 
-/// Unserialized concurrency: writers run truly in parallel with readers
-/// (no oracle lock). Writes use domains disjoint from each other and from
-/// the initial data, so the final state is interleaving-independent and
-/// can be compared exactly across every arm.
+/// Writers run truly in parallel with readers, no oracle lock. The writes
+/// use keys disjoint from each other and from the ones they replace, so
+/// the final state does not depend on the interleaving.
 #[test]
 fn concurrent_writers_reach_the_same_final_state_on_every_arm() {
-    let shared_values = values();
-    let queries = config(Approach::Scan, Aggregate::Sum, 4).generate_queries();
-    let mut ops: Vec<Operation> = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        ops.push(Operation::Select(*q));
-        // Every 4th op-pair adds one unique insert and one unique delete.
+    let values = values();
+    let reads = ops(ROWS as u64, QUERIES, 0.02, Aggregate::Sum, 0.0, SEED);
+    let mut stream = Vec::new();
+    for (i, &read) in reads.iter().enumerate() {
+        stream.push(read);
         if i % 4 == 0 {
-            ops.push(Operation::Insert((ROWS + i) as i64));
-            ops.push(Operation::Delete(i as i64));
+            stream.push(Op::Insert((ROWS + i) as i64));
+            stream.push(Op::Delete(i as i64));
         }
     }
-    let inserted = queries
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i % 4 == 0)
-        .count() as i128;
-    let expected_count = ROWS as i128; // one insert per delete, all hit
-    let expected_sum: i128 = shared_values.iter().map(|&v| v as i128).sum::<i128>()
-        + (0..QUERIES)
-            .step_by(4)
-            .map(|i| (ROWS + i) as i128 - i as i128)
-            .sum::<i128>();
-
-    for approach in approaches() {
-        let engine = config(approach, Aggregate::Sum, 4).build_engine_with(shared_values.clone());
-        let label = engine.name().to_string();
-        let run = MultiClientRunner::new(4).run_ops(engine.clone(), &ops);
-        assert_eq!(run.query_count(), ops.len(), "{label}: lost operations");
-        let totals = run.totals();
-        assert_eq!(totals.inserts_applied as i128, inserted, "{label}");
-        assert_eq!(totals.deletes_applied as i128, inserted, "{label}");
-        let (final_count, _) = engine.select(&QuerySpec::count(i64::MIN, i64::MAX));
-        let (final_sum, _) = engine.select(&QuerySpec::sum(i64::MIN, i64::MAX));
-        assert_eq!(final_count, expected_count, "{label}: final count");
-        assert_eq!(final_sum, expected_sum, "{label}: final sum");
+    let mut oracle = Oracle::new(&values);
+    for &op in stream.iter().filter(|op| op.is_write()) {
+        oracle.apply(op);
+    }
+    let whole = [Op::Count(i64::MIN, i64::MAX), Op::Sum(i64::MIN, i64::MAX)];
+    for (label, arm) in arms(&values, 4) {
+        let run = run_clients(arm.as_ref(), &stream, 4);
+        let missed = stream
+            .iter()
+            .zip(answers(&run))
+            .any(|(op, rows)| op.is_write() && rows != 1);
+        assert!(!missed, "{label}: a write missed");
+        for op in whole {
+            assert_eq!(arm.apply(op).0, oracle.apply(op), "{label}: final {op:?}");
+        }
     }
 }
 
 #[test]
 fn checked_engine_confirms_parallel_arms_under_concurrency() {
-    let shared_values = values();
-    let queries = WorkloadGenerator::new(ROWS as u64, 0.05, Aggregate::Sum, 21).generate(QUERIES);
-    let range_engine = Arc::new(CheckedEngine::new(
-        ExperimentConfig::new(Approach::ParallelRange { partitions: 4 })
-            .build_engine_with(shared_values.clone()),
-        shared_values,
-    ));
-    let run = MultiClientRunner::new(8).run(range_engine.clone(), &queries);
-    assert_eq!(run.query_count(), QUERIES);
-    assert!(range_engine.mismatches().is_empty(), "range mismatches");
+    let values = values();
+    let ops = ops(ROWS as u64, QUERIES, 0.05, Aggregate::Sum, 0.0, 21);
+    let range = ranged(&values, 4, RANGE_COMPACTION);
+    let run = run_clients(&range, &ops, 8);
+    assert_eq!(answers(&run), expected(&values, &ops));
+}
+
+/// A fixed interleaving of reads, duplicate inserts, deletes of present
+/// and absent keys, on every concurrent arm.
+#[test]
+fn all_engines_agree_under_interleaved_writes() {
+    let values: Vec<i64> = (0..1000).map(|i| (i * 48271) % 1000).collect();
+    let ops = [
+        Op::Sum(100, 600),
+        Op::Insert(250),
+        Op::Insert(250),
+        Op::Delete(500),
+        Op::Count(200, 600),
+        Op::Insert(5000),
+        Op::Delete(250),
+        Op::Sum(0, 6000),
+        Op::Delete(123_456),
+        Op::Count(0, 6000),
+    ];
+    let range = ranged(&values, 3, RANGE_COMPACTION);
+    let arms: Vec<(&str, Box<dyn Column>)> = vec![
+        ("adaptive-merge", Box::new(merging(&values, 256))),
+        ("range-3", Box::new(range)),
+        (
+            "crack-piece",
+            Box::new(ConcurrentCracker::from_values(
+                values.clone(),
+                LatchProtocol::Piece,
+            )),
+        ),
+        (
+            "crack-column",
+            Box::new(ConcurrentCracker::from_values(
+                values.clone(),
+                LatchProtocol::Column,
+            )),
+        ),
+    ];
+    for (label, arm) in arms {
+        assert_eq!(
+            run_checked(arm.as_ref(), &values, &ops, 1),
+            vec![],
+            "{label}"
+        );
+    }
+}
+
+/// A range-cracked column merging incrementally past 10 % of the column
+/// keeps a sustained insert stream from piling up pending rows.
+#[test]
+fn default_range_engine_keeps_the_delta_bounded() {
+    let values: Vec<i64> = (0..2000).map(|i| (i * 48271) % 2000).collect();
+    let range = ranged(&values, 2, RANGE_COMPACTION);
+    range.sum(0, 2000);
+    for i in 0..2000 {
+        range.insert(10_000 + i);
+    }
+    let stats = range.structure_probe().summarize();
+    let pending = stats.pending_inserts + stats.tombstoned_rows;
+    assert!(pending < 2000, "the delta stays bounded, saw {pending}");
+    assert!(stats.compactions + stats.compaction_steps > 0, "merges ran");
+    assert_eq!(range.count(10_000, 12_000).0, 2000);
+    assert_eq!(stats.partitions, 2);
 }

@@ -2,9 +2,16 @@
 //! compaction: a scan holding a snapshot open across at least three
 //! incremental compaction steps must return exactly the `BTreeMap`
 //! oracle's answer at the snapshot epoch — for the serial cracker (every
-//! latch protocol) and the range-partitioned cracker.
+//! latch protocol) and the range-partitioned cracker. A churn stream keeps
+//! long scans and a stream-long pin exact under quiescing and incremental
+//! compaction, and pinned reads stay exact among concurrent writers.
 
-use adaptive_indexing::core::{ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol};
+mod common;
+
+use adaptive_indexing::core::{
+    Aggregate, ColumnRead, CompactionPolicy, ConcurrentCracker, LatchProtocol,
+};
+use common::{ops, ranged, run_checked, Column, Pinned};
 use std::collections::BTreeMap;
 
 fn shuffled(n: usize) -> Vec<i64> {
@@ -130,4 +137,81 @@ fn range_snapshot_scan_across_incremental_steps_matches_the_oracle() {
     drop(snap);
     assert_eq!(idx.count(0, 4096).0, 4096, "live view converged");
     assert!(idx.check_invariants());
+}
+
+/// Each pair deletes one distinct seeded key, whose row the delete's own
+/// crack reclaims, and re-inserts it into the delta, so the delta grows a
+/// row per pair until compaction trips: a quiescing rebuild, or a walk of
+/// 4 pieces a step. Between pairs the column equals the seed, so every
+/// interleaved scan through a fresh pin has a closed-form answer; a pin
+/// held across the whole stream answers as of its epoch; and the delta
+/// never passes the threshold.
+#[test]
+fn churned_snapshot_scans_and_a_stream_long_pin_match_the_oracle() {
+    let (rows, pairs, threshold) = (20_000usize, 4_000usize, 256u64);
+    let values = shuffled(rows);
+    let expected_sum: i128 = values.iter().map(|&v| v as i128).sum();
+    for policy in [
+        CompactionPolicy::rows(threshold),
+        CompactionPolicy::rows(threshold).incremental(4),
+    ] {
+        let idx = ConcurrentCracker::from_values(values.clone(), LatchProtocol::Piece)
+            .with_compaction(policy);
+        idx.sum(0, rows as i64 / 2);
+        idx.sum(rows as i64 / 4, rows as i64);
+        let pinned = idx.pin();
+        let mut max_delta = 0;
+        for i in 0..pairs {
+            let key = i as i64;
+            assert_eq!(
+                idx.delete(key).0,
+                1,
+                "{policy:?}: churned keys are distinct"
+            );
+            idx.insert(key);
+            max_delta = max_delta.max(idx.delta_rows());
+            if i % 20 == 19 {
+                let whole = (i64::MIN, i64::MAX);
+                assert_eq!(
+                    idx.pin().sum(whole.0, whole.1).0,
+                    expected_sum,
+                    "{policy:?} {i}"
+                );
+                assert_eq!(idx.count(whole.0, whole.1).0, rows as u64, "{policy:?} {i}");
+            }
+        }
+        assert_eq!(pinned.sum(i64::MIN, i64::MAX).0, expected_sum, "{policy:?}");
+        assert_eq!(
+            pinned.count(i64::MIN, i64::MAX).0,
+            rows as u64,
+            "{policy:?}"
+        );
+        drop(pinned);
+        assert!(max_delta <= threshold, "{policy:?}: delta {max_delta}");
+        let merges = idx.compactions_performed() + idx.compaction_steps_performed();
+        assert!(merges > 0, "{policy:?}: compaction ran");
+        assert!(idx.check_invariants(), "{policy:?}");
+    }
+}
+
+/// Every read through a pin of its own while four clients write half the
+/// time and incremental compaction merges every 8 delta rows: the oracle,
+/// locked across each call, agrees op for op.
+#[test]
+fn snapshot_scan_runs_stay_oracle_correct_under_concurrency() {
+    let values = shuffled(5_000);
+    let ops = ops(5_000, 64, 0.01, Aggregate::Sum, 0.5, 0xC0FFEE);
+    let policy = CompactionPolicy::rows(8).incremental(4);
+    let crack = |protocol| {
+        Pinned(ConcurrentCracker::from_values(values.clone(), protocol).with_compaction(policy))
+    };
+    let arms: Vec<(&str, Box<dyn Column>)> = vec![
+        ("crack-piece", Box::new(crack(LatchProtocol::Piece))),
+        ("crack-column", Box::new(crack(LatchProtocol::Column))),
+        ("range-3", Box::new(Pinned(ranged(&values, 3, policy)))),
+    ];
+    for (label, arm) in arms {
+        let mismatches = run_checked(arm.as_ref(), &values, &ops, 4);
+        assert_eq!(mismatches, vec![], "{label} pinned reads diverged");
+    }
 }
