@@ -84,6 +84,22 @@ pub mod prelude {
     pub use aidx_table::{CheckedTableEngine, ColumnPredicate, TableBackend, TableEngine, TableOp};
 }
 
+// Unit tests of the concurrent engines (`engine`), and of the op stream
+// (`generator`) and scoped-thread clients (`runner`) that the integration
+// tests replay against a `BTreeMap` oracle. They share the integration
+// tests' helpers, which name this crate as an outside user would.
+#[cfg(test)]
+extern crate self as adaptive_indexing;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+#[cfg(test)]
+mod engine;
+#[cfg(test)]
+mod generator;
+#[cfg(test)]
+mod runner;
+
 #[cfg(test)]
 mod tests {
     use super::prelude::*;

@@ -1,6 +1,7 @@
-//! What the root integration tests share: a seeded single-column op
-//! stream, a `BTreeMap` multiset oracle, one `Column` surface over the
-//! indexes under test, and clients on scoped threads.
+//! What the root integration tests and the facade's unit tests share: a
+//! seeded single-column op stream, a `BTreeMap` multiset oracle, one
+//! `Column` surface over the indexes under test, and clients on scoped
+//! threads.
 
 // Each test binary compiles this module and uses a different part of it.
 #![allow(dead_code)]
@@ -39,17 +40,19 @@ pub fn ops(
     seed: u64,
 ) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let width = ((selectivity * domain as f64) as u64).clamp(1, domain);
+    // An empty domain still yields ops: writes of key 0, reads of [0, 1).
+    let keys = domain.max(1);
+    let width = ((selectivity * domain as f64) as u64).clamp(1, keys);
     (0..n)
         .map(|_| {
             if rng.gen_bool(write_ratio) {
-                let key = rng.gen_range(0..domain) as i64;
+                let key = rng.gen_range(0..keys) as i64;
                 return match rng.gen_bool(0.5) {
                     true => Op::Insert(key),
                     false => Op::Delete(key),
                 };
             }
-            let low = rng.gen_range(0..=domain - width) as i64;
+            let low = rng.gen_range(0..=keys - width) as i64;
             let high = low + width as i64;
             match aggregate {
                 Aggregate::Count => Op::Count(low, high),

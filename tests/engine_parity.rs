@@ -158,66 +158,3 @@ fn checked_engine_confirms_parallel_arms_under_concurrency() {
     let run = run_clients(&range, &ops, 8);
     assert_eq!(answers(&run), expected(&values, &ops));
 }
-
-/// A fixed interleaving of reads, duplicate inserts, deletes of present
-/// and absent keys, on every concurrent arm.
-#[test]
-fn all_engines_agree_under_interleaved_writes() {
-    let values: Vec<i64> = (0..1000).map(|i| (i * 48271) % 1000).collect();
-    let ops = [
-        Op::Sum(100, 600),
-        Op::Insert(250),
-        Op::Insert(250),
-        Op::Delete(500),
-        Op::Count(200, 600),
-        Op::Insert(5000),
-        Op::Delete(250),
-        Op::Sum(0, 6000),
-        Op::Delete(123_456),
-        Op::Count(0, 6000),
-    ];
-    let range = ranged(&values, 3, RANGE_COMPACTION);
-    let arms: Vec<(&str, Box<dyn Column>)> = vec![
-        ("adaptive-merge", Box::new(merging(&values, 256))),
-        ("range-3", Box::new(range)),
-        (
-            "crack-piece",
-            Box::new(ConcurrentCracker::from_values(
-                values.clone(),
-                LatchProtocol::Piece,
-            )),
-        ),
-        (
-            "crack-column",
-            Box::new(ConcurrentCracker::from_values(
-                values.clone(),
-                LatchProtocol::Column,
-            )),
-        ),
-    ];
-    for (label, arm) in arms {
-        assert_eq!(
-            run_checked(arm.as_ref(), &values, &ops, 1),
-            vec![],
-            "{label}"
-        );
-    }
-}
-
-/// A range-cracked column merging incrementally past 10 % of the column
-/// keeps a sustained insert stream from piling up pending rows.
-#[test]
-fn default_range_engine_keeps_the_delta_bounded() {
-    let values: Vec<i64> = (0..2000).map(|i| (i * 48271) % 2000).collect();
-    let range = ranged(&values, 2, RANGE_COMPACTION);
-    range.sum(0, 2000);
-    for i in 0..2000 {
-        range.insert(10_000 + i);
-    }
-    let stats = range.structure_probe().summarize();
-    let pending = stats.pending_inserts + stats.tombstoned_rows;
-    assert!(pending < 2000, "the delta stays bounded, saw {pending}");
-    assert!(stats.compactions + stats.compaction_steps > 0, "merges ran");
-    assert_eq!(range.count(10_000, 12_000).0, 2000);
-    assert_eq!(stats.partitions, 2);
-}
