@@ -192,8 +192,6 @@ impl ConcurrentCracker {
                     let rowids: Vec<RowId> = rows.iter().map(|&(_, r)| r).collect();
                     self.data.write_rows(live_end, &values, &rowids);
                     self.dir.fill_holes(piece.start, merged);
-                    self.pending_compacted
-                        .fetch_add(merged as u64, Ordering::Relaxed);
                 }
                 self.shrink_epoch.fetch_add(1, Ordering::AcqRel); // even: done
             }
@@ -247,9 +245,6 @@ impl ConcurrentCracker {
         drop(column_guard);
         drop(quiesce);
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        self.pending_compacted.fetch_add(merged, Ordering::Relaxed);
-        self.tombstones_reclaimed
-            .fetch_add(reclaimed, Ordering::Relaxed);
         metrics.compactions_performed += 1;
         let rebuild_time = start.elapsed();
         metrics.compaction_time += rebuild_time;

@@ -131,13 +131,8 @@ pub struct ConcurrentCracker {
     /// keep their original ids).
     next_rowid: AtomicU64,
     cracks: AtomicU64,
-    inserts: AtomicU64,
-    deletes: AtomicU64,
     compactions: AtomicU64,
     incremental_steps: AtomicU64,
-    pending_compacted: AtomicU64,
-    tombstones_reclaimed: AtomicU64,
-    shrinks: AtomicU64,
     /// The key ranges the build cracked at, with their op counters (none
     /// unless built [`ConcurrentCracker::with_cracks`]).
     ranges: BuildRanges,
@@ -179,13 +174,8 @@ impl ConcurrentCracker {
             reclaim_pause: AtomicU64::new(0),
             next_rowid: AtomicU64::new(next_rowid),
             cracks: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             incremental_steps: AtomicU64::new(0),
-            pending_compacted: AtomicU64::new(0),
-            tombstones_reclaimed: AtomicU64::new(0),
-            shrinks: AtomicU64::new(0),
             ranges: BuildRanges::default(),
         };
         idx.column_latch
@@ -331,16 +321,6 @@ impl ConcurrentCracker {
         self.cracks.load(Ordering::Relaxed)
     }
 
-    /// Total insert operations applied so far.
-    pub fn inserts_applied(&self) -> u64 {
-        self.inserts.load(Ordering::Relaxed)
-    }
-
-    /// Total delete operations applied so far.
-    pub fn deletes_applied(&self) -> u64 {
-        self.deletes.load(Ordering::Relaxed)
-    }
-
     /// Rows currently sitting in the pending-insert delta.
     pub fn pending_inserts(&self) -> u64 {
         self.delta.pending_inserts()
@@ -374,24 +354,6 @@ impl ConcurrentCracker {
     /// walk and column-wide by full rebuilds.
     pub fn compacted_through(&self) -> u64 {
         self.dir.compacted_through()
-    }
-
-    /// Pending inserted rows physically merged into the main array by
-    /// compactions so far.
-    pub fn pending_rows_compacted(&self) -> u64 {
-        self.pending_compacted.load(Ordering::Relaxed)
-    }
-
-    /// Tombstoned rows physically reclaimed so far, by piece shrinks and
-    /// compactions together.
-    pub fn tombstones_reclaimed(&self) -> u64 {
-        self.tombstones_reclaimed.load(Ordering::Relaxed)
-    }
-
-    /// Delete-aware piece shrinks performed so far (cracks that swept
-    /// tombstoned rows out of their piece).
-    pub fn piece_shrinks(&self) -> u64 {
-        self.shrinks.load(Ordering::Relaxed)
     }
 
     /// Dead (hole) slots currently awaiting reclamation by the next

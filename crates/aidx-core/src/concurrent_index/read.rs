@@ -1246,7 +1246,8 @@ impl ConcurrentCracker {
         metrics: &mut QueryMetrics,
     ) -> Resolved {
         let crack_start = Instant::now();
-        let (live_end, _) = self.shrink_piece_locked(piece);
+        let (live_end, swept) = self.shrink_piece_locked(piece);
+        metrics.rows_reclaimed += swept as u64;
         // One pass over a sub-piece's live rows; the dead tail stays on the
         // topmost sub-piece, whose end is the piece's.
         let pass = |sub: &Piece, value: i64| {

@@ -99,7 +99,6 @@ impl ConcurrentCracker {
         self.ranges.charge(op.key(), op.key());
         let affected = match op {
             WriteOp::Insert { value, rowid } => {
-                self.inserts.fetch_add(1, Ordering::Relaxed);
                 metrics.inserts_applied = 1;
                 // Self-assigned ids must never collide with externally
                 // assigned ones, so the counter stays past the largest seen.
@@ -110,7 +109,6 @@ impl ConcurrentCracker {
                 1
             }
             WriteOp::Delete { value } | WriteOp::DeleteRow { value, .. } => {
-                self.deletes.fetch_add(1, Ordering::Relaxed);
                 metrics.deletes_applied = 1;
                 let only = match op {
                     WriteOp::DeleteRow { rowid, .. } => Some(rowid),
@@ -133,8 +131,8 @@ impl ConcurrentCracker {
                     // contiguous in exactly one, since no crack value lies
                     // strictly between `value` and `value + 1` — and retire
                     // the tombstones just raised.
-                    let sweep = |piece: &Piece, _: &mut QueryMetrics| {
-                        self.shrink_piece_locked(piece);
+                    let sweep = |piece: &Piece, metrics: &mut QueryMetrics| {
+                        metrics.rows_reclaimed += self.shrink_piece_locked(piece).1 as u64;
                     };
                     let always = RefinementPolicy::Always;
                     self.write_piece(Target::Key(value), None, always, false, &mut metrics, sweep)
@@ -217,9 +215,6 @@ impl ConcurrentCracker {
             let retired = self.delta.retire_tombstones(&removed);
             debug_assert_eq!(retired as usize, moved, "tombstones are exact");
             self.dir.add_holes(piece.start, moved);
-            self.shrinks.fetch_add(1, Ordering::Relaxed);
-            self.tombstones_reclaimed
-                .fetch_add(moved as u64, Ordering::Relaxed);
         }
         self.shrink_epoch.fetch_add(1, Ordering::AcqRel); // even: done
         (new_live_end, moved)

@@ -25,7 +25,7 @@ use crate::protocol::RefinementPolicy;
 use aidx_cracking::{AdaptiveMergeIndex, KeyRangeLockTable, MergeStats, RowId};
 use aidx_latch::facade::Mutex;
 use aidx_latch::lockmgr::{LockManager, LockMode, TxnId};
-use aidx_latch::rwlatch::RwLatch;
+use aidx_latch::ordered::OrderedWaitLatch;
 use aidx_latch::systxn::{SystemTxnManager, SystemTxnStats};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,7 +35,7 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct ConcurrentAdaptiveMerge {
     index: Mutex<AdaptiveMergeIndex>,
-    latch: RwLatch,
+    latch: OrderedWaitLatch,
     locks: Mutex<KeyRangeLockTable>,
     systxn: SystemTxnManager,
     policy: RefinementPolicy,
@@ -57,7 +57,7 @@ impl ConcurrentAdaptiveMerge {
     ) -> Self {
         ConcurrentAdaptiveMerge {
             index: Mutex::new(AdaptiveMergeIndex::build_from_values(values, run_size)),
-            latch: RwLatch::new("adaptive-merge"),
+            latch: OrderedWaitLatch::new(),
             locks: Mutex::new(KeyRangeLockTable::new("adaptive-merge", lock_manager)),
             systxn: SystemTxnManager::new(),
             policy: RefinementPolicy::Always,
@@ -135,8 +135,8 @@ impl ConcurrentAdaptiveMerge {
         );
         if refine_allowed {
             let guard = match self.policy {
-                RefinementPolicy::Always => Some(self.latch.write()),
-                RefinementPolicy::SkipOnContention => self.latch.try_write(),
+                RefinementPolicy::Always => Some(self.latch.acquire_write(low)),
+                RefinementPolicy::SkipOnContention => self.latch.try_acquire_write(),
             };
             if let Some(_g) = guard {
                 let crack_start = Instant::now();
@@ -168,7 +168,7 @@ impl ConcurrentAdaptiveMerge {
 
         // Read-only fallback: answer from the current state under a shared
         // latch, without any merging.
-        let read_guard = self.latch.read();
+        let read_guard = self.latch.acquire_read();
         let agg_start = Instant::now();
         let mut result = self.index.lock().tree().range_all_partitions(low, high);
         result.sort_unstable();
@@ -187,7 +187,7 @@ impl ConcurrentAdaptiveMerge {
         let start = Instant::now();
         let mut metrics = QueryMetrics::default();
         {
-            let _guard = self.latch.write();
+            let _guard = self.latch.acquire_write(key);
             self.index.lock().insert(key);
         }
         metrics.inserts_applied = 1;
@@ -202,7 +202,7 @@ impl ConcurrentAdaptiveMerge {
         let start = Instant::now();
         let mut metrics = QueryMetrics::default();
         let removed = {
-            let _guard = self.latch.write();
+            let _guard = self.latch.acquire_write(key);
             self.index.lock().delete(key)
         };
         metrics.deletes_applied = 1;

@@ -39,9 +39,10 @@ pub struct QueryMetrics {
     /// shrink-epoch seqlock around its main-phase + delta-snapshot pair)
     /// failed and the read was retried.
     pub snapshot_retries: u32,
-    /// Rows physically reclaimed or merged in place by this operation's
-    /// incremental compaction steps (tombstoned rows swept into holes plus
-    /// pending inserts placed into holes).
+    /// Rows physically reclaimed or merged in place by this operation:
+    /// tombstoned rows its piece shrinks and incremental compaction steps
+    /// swept into holes, plus pending inserts its steps placed into holes.
+    /// A full rebuild is counted in `compactions_performed` instead.
     pub rows_reclaimed: u64,
     /// Number of latch acquisitions that had to wait (conflicts).
     pub conflicts: u32,

@@ -472,9 +472,7 @@ fn structure_probe_merges_partitions_and_reports_routed_load() {
         20 + 4,
         "a read counts in every range it overlaps"
     );
-    let stats = probe.summarize();
-    assert_eq!(stats.partitions, 4);
-    assert!(stats.partition_load.max >= 20);
+    assert!(load.iter().max() >= Some(&20));
 }
 
 #[test]

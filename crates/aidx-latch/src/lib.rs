@@ -12,13 +12,13 @@
 //!
 //! This crate provides exactly those building blocks:
 //!
-//! * [`rwlatch::RwLatch`] — an instrumented read/write latch recording
-//!   acquisitions, contention, and wait time, so a run can report
-//!   conflict behaviour over a query sequence (Figures 13 and 15).
-//! * [`ordered::OrderedWaitLatch`] — an exclusive latch whose waiters are
-//!   kept sorted by their crack bound and woken **middle-first**, the
-//!   scheduling optimisation of Section 5.3 that maximises the parallelism
-//!   available after each release.
+//! * [`ordered::OrderedWaitLatch`] — the one latch: shared or exclusive,
+//!   with its write waiters kept sorted by their crack bound and woken
+//!   **middle-first**, the scheduling optimisation of Section 5.3 that
+//!   maximises the parallelism available after each release. It counts
+//!   its acquisitions, conflicts and wait time inside its own mutex, and
+//!   hands them out as a [`stats::LatchStatsSnapshot`], so a run can
+//!   report conflict behaviour over a query sequence (Figures 13 and 15).
 //! * [`lockmgr::LockManager`] — a hierarchical lock manager (S/X/IS/IX/SIX/U
 //!   modes over table → column → piece resources). Adaptive indexing's
 //!   system transactions use it only to *verify* that no conflicting user
@@ -28,8 +28,6 @@
 //!   transactions in which structural refinement runs, with support for
 //!   abandoning work under contention (conflict avoidance) and committing a
 //!   prefix of the planned work (adaptive early termination).
-//! * [`stats::LatchStatsRegistry`] — a process-wide registry aggregating
-//!   latch statistics per named object.
 //!
 //! Two correctness-tooling layers ride on top (PR 8):
 //!
@@ -46,12 +44,12 @@ pub mod dcheck;
 pub mod facade;
 pub mod lockmgr;
 pub mod ordered;
-pub mod rwlatch;
+mod rwlatch;
 pub mod stats;
 pub mod systxn;
 
 pub use lockmgr::{LockManager, LockMode, LockRequest, LockResource, WaitsForEdge};
 pub use ordered::{OrderedWaitLatch, WaitOutcome};
-pub use rwlatch::{RwLatch, RwLatchReadGuard, RwLatchWriteGuard};
-pub use stats::{LatchStats, LatchStatsRegistry, LatchStatsSnapshot};
+pub use rwlatch::RwLatch;
+pub use stats::LatchStatsSnapshot;
 pub use systxn::{SystemTransaction, SystemTxnManager, SystemTxnOutcome, SystemTxnState};

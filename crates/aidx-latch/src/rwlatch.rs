@@ -1,289 +1,74 @@
-//! Instrumented read/write latches.
+//! `RwLatch`, a name the benchmark's latch probe still uses.
 //!
-//! [`RwLatch`] wraps a `parking_lot::RwLock` and records, per latch, the
-//! acquisition and conflict counters that the evaluation reports (Figures
-//! 13 and 15). A latch can optionally be disabled, in which case guards are
-//! handed out without any synchronisation — this is how the Figure 13
-//! experiment ("concurrency control enabled vs. disabled", sequential
-//! execution) measures pure administration overhead.
-//!
-//! Latches protect in-memory structures for short critical sections only;
-//! guards must not be held across query-plan operators other than the one
-//! that needs them (Section 5.1: a column is only touched for a brief part
-//! of the plan).
+//! Every latch in the workspace is an [`OrderedWaitLatch`]. `RwLatch` wraps
+//! one under its old name, so a probe timing `read()` and `write()` times
+//! the latch the cracker takes on its pieces.
 
-use crate::facade::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use crate::stats::{LatchStats, LatchStatsSnapshot};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use crate::ordered::{OrderedReadGuard, OrderedWaitLatch, OrderedWriteGuard};
 
-/// An instrumented read/write latch.
-///
-/// The latch owns no data; it guards an external structure by convention,
-/// exactly like a database latch guards a page or an in-memory index node.
-#[derive(Debug)]
-pub struct RwLatch {
-    name: String,
-    inner: RwLock<()>,
-    stats: Arc<LatchStats>,
-    enabled: bool,
-}
-
-/// Guard proving shared (read) access through an [`RwLatch`].
-#[derive(Debug)]
-pub struct RwLatchReadGuard<'a> {
-    _guard: Option<RwLockReadGuard<'a, ()>>,
-}
-
-/// Guard proving exclusive (write) access through an [`RwLatch`].
-#[derive(Debug)]
-pub struct RwLatchWriteGuard<'a> {
-    _guard: Option<RwLockWriteGuard<'a, ()>>,
-}
+/// An [`OrderedWaitLatch`] with read/write method names.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct RwLatch(OrderedWaitLatch);
 
 impl RwLatch {
-    /// Creates a new enabled latch with its own statistics block.
-    pub fn new(name: impl Into<String>) -> Self {
-        RwLatch {
-            name: name.into(),
-            inner: RwLock::new(()),
-            stats: Arc::new(LatchStats::new()),
-            enabled: true,
-        }
+    /// A free latch; the name is not kept.
+    pub fn new(_name: &str) -> Self {
+        RwLatch::default()
     }
 
-    /// Creates a latch that shares an externally owned statistics block
-    /// (e.g. one registered in a [`crate::stats::LatchStatsRegistry`]).
-    pub fn with_stats(name: impl Into<String>, stats: Arc<LatchStats>) -> Self {
-        RwLatch {
-            name: name.into(),
-            inner: RwLock::new(()),
-            stats,
-            enabled: true,
-        }
+    /// Acquires the latch in shared mode.
+    pub fn read(&self) -> OrderedReadGuard<'_> {
+        self.0.acquire_read()
     }
 
-    /// Creates a *disabled* latch: acquisitions always succeed immediately
-    /// and perform no synchronisation. Only sound for single-threaded runs;
-    /// used to measure concurrency-control administration overhead.
-    pub fn disabled(name: impl Into<String>) -> Self {
-        RwLatch {
-            name: name.into(),
-            inner: RwLock::new(()),
-            stats: Arc::new(LatchStats::new()),
-            enabled: false,
-        }
-    }
-
-    /// The latch's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Whether this latch actually synchronises.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Acquires the latch in shared mode, blocking if necessary.
-    pub fn read(&self) -> RwLatchReadGuard<'_> {
-        if !self.enabled {
-            self.stats.record_read(false, Duration::ZERO);
-            return RwLatchReadGuard { _guard: None };
-        }
-        if let Some(guard) = self.inner.try_read() {
-            self.stats.record_read(false, Duration::ZERO);
-            return RwLatchReadGuard {
-                _guard: Some(guard),
-            };
-        }
-        let start = Instant::now();
-        let guard = self.inner.read();
-        self.stats.record_read(true, start.elapsed());
-        RwLatchReadGuard {
-            _guard: Some(guard),
-        }
-    }
-
-    /// Acquires the latch in exclusive mode, blocking if necessary.
-    pub fn write(&self) -> RwLatchWriteGuard<'_> {
-        if !self.enabled {
-            self.stats.record_write(false, Duration::ZERO);
-            return RwLatchWriteGuard { _guard: None };
-        }
-        if let Some(guard) = self.inner.try_write() {
-            self.stats.record_write(false, Duration::ZERO);
-            return RwLatchWriteGuard {
-                _guard: Some(guard),
-            };
-        }
-        let start = Instant::now();
-        let guard = self.inner.write();
-        self.stats.record_write(true, start.elapsed());
-        RwLatchWriteGuard {
-            _guard: Some(guard),
-        }
-    }
-
-    /// Attempts to acquire shared mode without waiting.
-    ///
-    /// Returns `None` (and counts an abandoned acquisition) if the latch is
-    /// currently held exclusively — the caller is expected to practice
-    /// conflict avoidance and simply skip its optional work.
-    pub fn try_read(&self) -> Option<RwLatchReadGuard<'_>> {
-        if !self.enabled {
-            self.stats.record_read(false, Duration::ZERO);
-            return Some(RwLatchReadGuard { _guard: None });
-        }
-        match self.inner.try_read() {
-            Some(guard) => {
-                self.stats.record_read(false, Duration::ZERO);
-                Some(RwLatchReadGuard {
-                    _guard: Some(guard),
-                })
-            }
-            None => {
-                self.stats.record_abandoned();
-                None
-            }
-        }
-    }
-
-    /// Attempts to acquire exclusive mode without waiting.
-    pub fn try_write(&self) -> Option<RwLatchWriteGuard<'_>> {
-        if !self.enabled {
-            self.stats.record_write(false, Duration::ZERO);
-            return Some(RwLatchWriteGuard { _guard: None });
-        }
-        match self.inner.try_write() {
-            Some(guard) => {
-                self.stats.record_write(false, Duration::ZERO);
-                Some(RwLatchWriteGuard {
-                    _guard: Some(guard),
-                })
-            }
-            None => {
-                self.stats.record_abandoned();
-                None
-            }
-        }
-    }
-
-    /// Snapshot of this latch's statistics.
-    pub fn stats(&self) -> LatchStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// The shared statistics block (for registry-owned aggregation).
-    pub fn stats_handle(&self) -> Arc<LatchStats> {
-        Arc::clone(&self.stats)
+    /// Acquires the latch exclusively.
+    pub fn write(&self) -> OrderedWriteGuard<'_> {
+        self.0.acquire_write(i64::MIN)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
     fn uncontended_acquisitions_do_not_count_conflicts() {
         let latch = RwLatch::new("x");
-        {
-            let _r = latch.read();
-        }
-        {
-            let _w = latch.write();
-        }
-        let s = latch.stats();
-        assert_eq!(s.read_acquisitions, 1);
-        assert_eq!(s.write_acquisitions, 1);
+        drop(latch.read());
+        drop(latch.write());
+        let s = latch.0.stats();
+        assert_eq!((s.read_acquisitions, s.write_acquisitions), (1, 1));
         assert_eq!(s.total_conflicts(), 0);
     }
 
     #[test]
     fn multiple_readers_coexist() {
         let latch = RwLatch::new("x");
-        let r1 = latch.read();
-        let r2 = latch.read();
-        assert!(latch.try_write().is_none());
-        drop(r1);
-        drop(r2);
-        assert!(latch.try_write().is_some());
-    }
-
-    #[test]
-    fn try_read_fails_under_writer_and_counts_abandoned() {
-        let latch = RwLatch::new("x");
-        let w = latch.write();
-        assert!(latch.try_read().is_none());
-        assert!(latch.try_write().is_none());
-        drop(w);
-        assert_eq!(latch.stats().abandoned, 2);
-        assert!(latch.try_read().is_some());
-    }
-
-    #[test]
-    fn disabled_latch_never_blocks() {
-        let latch = RwLatch::disabled("x");
-        assert!(!latch.is_enabled());
-        let _w1 = latch.write();
-        // A second "exclusive" acquisition succeeds because nothing is held.
-        let _w2 = latch.write();
-        let _r = latch.try_read().unwrap();
-        assert_eq!(latch.stats().write_acquisitions, 2);
-    }
-
-    #[test]
-    fn writer_excludes_readers_across_threads() {
-        let latch = Arc::new(RwLatch::new("x"));
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let latch = Arc::clone(&latch);
-            let counter = Arc::clone(&counter);
-            handles.push(thread::spawn(move || {
-                for _ in 0..100 {
-                    let _w = latch.write();
-                    // Non-atomic read-modify-write protected by the latch.
-                    let v = counter.load(Ordering::Relaxed);
-                    counter.store(v + 1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 400);
-        assert_eq!(latch.stats().write_acquisitions, 400);
+        let (r1, r2) = (latch.read(), latch.read());
+        assert!(latch.0.try_acquire_write().is_none(), "read is shared");
+        drop((r1, r2));
+        assert!(latch.0.try_acquire_write().is_some());
     }
 
     #[test]
     fn contended_write_records_wait_time() {
         let latch = Arc::new(RwLatch::new("x"));
-        let l2 = Arc::clone(&latch);
         let r = latch.read();
-        let handle = thread::spawn(move || {
-            let _w = l2.write(); // must wait for the reader
-        });
-        thread::sleep(Duration::from_millis(20));
+        let writer = {
+            let latch = Arc::clone(&latch);
+            thread::spawn(move || drop(latch.write()))
+        };
+        // The writer is queued behind the reader before the reader leaves.
+        while latch.0.queued_writers() == 0 {
+            thread::yield_now();
+        }
         drop(r);
-        handle.join().unwrap();
-        let s = latch.stats();
-        assert_eq!(s.write_acquisitions, 1);
-        assert_eq!(s.write_conflicts, 1);
+        writer.join().unwrap();
+        let s = latch.0.stats();
+        assert_eq!((s.write_acquisitions, s.write_conflicts), (1, 1));
         assert!(s.wait_nanos > 0);
-    }
-
-    #[test]
-    fn shared_stats_block() {
-        let stats = Arc::new(LatchStats::new());
-        let a = RwLatch::with_stats("a", Arc::clone(&stats));
-        let b = RwLatch::with_stats("b", Arc::clone(&stats));
-        let _ = a.read();
-        let _ = b.read();
-        assert_eq!(stats.snapshot().read_acquisitions, 2);
-        assert_eq!(a.name(), "a");
-        assert_eq!(b.name(), "b");
     }
 }

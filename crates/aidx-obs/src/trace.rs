@@ -235,71 +235,16 @@ pub fn dropped_events() -> u64 {
         .sum()
 }
 
-/// A destination for drained trace records.
-pub trait TraceSink {
-    /// Consumes one record.
-    fn record(&mut self, record: &TraceRecord);
-}
-
-/// Discards everything (the explicit "tracing off" sink).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _: &TraceRecord) {}
-}
-
-/// Collects records into a vector (tests, in-process analysis).
-#[derive(Debug, Default)]
-pub struct VecSink {
-    /// The collected records.
-    pub records: Vec<TraceRecord>,
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, record: &TraceRecord) {
-        self.records.push(*record);
-    }
-}
-
-/// Writes each record as one JSON object per line (JSONL).
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink { writer }
-    }
-
-    /// Unwraps the writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, record: &TraceRecord) {
-        let _ = writeln!(self.writer, "{}", record.to_json().render());
-    }
-}
-
-/// Drains all buffered events into a sink; returns how many were written.
-pub fn drain_into(sink: &mut dyn TraceSink) -> usize {
+/// Drains all buffered events as JSONL into a writer, one record per
+/// line; returns how many lines were written. Stops at the first write
+/// error and returns it: the records drained but not written are lost
+/// (the rings hold them no longer), and the caller learns so.
+pub fn drain_jsonl<W: Write>(mut writer: W) -> std::io::Result<usize> {
     let records = drain();
     for record in &records {
-        sink.record(record);
+        writeln!(writer, "{}", record.to_json().render())?;
     }
-    records.len()
-}
-
-/// Drains all buffered events as JSONL into a writer; returns how many
-/// lines were written.
-pub fn drain_jsonl<W: Write>(writer: W) -> usize {
-    let mut sink = JsonlSink::new(writer);
-    drain_into(&mut sink)
+    Ok(records.len())
 }
 
 #[cfg(test)]
@@ -390,7 +335,7 @@ mod tests {
         });
         disable();
         let mut buf = Vec::new();
-        let written = drain_jsonl(&mut buf);
+        let written = drain_jsonl(&mut buf).expect("a Vec takes every line");
         assert_eq!(written, 2);
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -399,6 +344,44 @@ mod tests {
             let json = Json::parse(line).expect("each line parses");
             assert!(json.get("ev").is_some());
         }
+    }
+
+    /// A writer that takes `budget` bytes, then fails every write.
+    struct FailAfter {
+        budget: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget == 0 {
+                return Err(std::io::Error::other("device full"));
+            }
+            let n = buf.len().min(self.budget);
+            self.budget -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    #[cfg(feature = "trace")]
+    fn jsonl_drain_reports_a_failing_writer() {
+        let _guard = TEST_LOCK.lock();
+        drain();
+        enable();
+        for i in 0..4 {
+            emit(event(i));
+        }
+        disable();
+        let err = drain_jsonl(FailAfter { budget: 40 }).expect_err("the writer fails");
+        assert_eq!(err.to_string(), "device full");
+        assert!(
+            drain().is_empty(),
+            "the failed drain still emptied the rings"
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ use aidx_core::{
     LatchProtocol, QueryMetrics, ReadShape, RowIdSet, Snapshot,
 };
 use aidx_cracking::RowId;
-use aidx_obs::{emit, StructureProbe, StructureStats, TraceEvent};
+use aidx_obs::{emit, StructureProbe, TraceEvent};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::str::FromStr;
@@ -674,16 +674,6 @@ impl TableEngine {
         }
         probe.candidate_set_bytes = self.candidate_set_bytes_total.load(Ordering::Relaxed);
         probe
-    }
-
-    /// Per-column structure summaries, in column order — which columns
-    /// the workload actually refined, and how far each has converged.
-    pub fn column_structure_stats(&self) -> Vec<(String, StructureStats)> {
-        self.column_names
-            .iter()
-            .zip(&self.indexes)
-            .map(|(name, index)| (name.clone(), index.structure_probe().summarize()))
-            .collect()
     }
 
     /// Quiescent structural self-check across every column index.

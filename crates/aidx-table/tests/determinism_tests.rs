@@ -1,9 +1,10 @@
 //! Plan determinism: the table planner decides from counts alone, so two
 //! fresh engines fed one op stream make the same plan for every op —
 //! the same cracks, the same candidate sets, the same joins — and
-//! end with the same per-column piece structure.
+//! end with the same structure in every column.
 
 use aidx_core::{CompactionPolicy, LatchProtocol};
+use aidx_obs::StructureProbe;
 use aidx_table::{ColumnPredicate, JoinStrategy, TableBackend, TableEngine, TableOp};
 use rand::prelude::*;
 
@@ -78,11 +79,13 @@ impl Pair {
         ]
     }
 
-    fn piece_counts(&self) -> Vec<u64> {
+    /// Every column's structure record, fact columns first: piece sizes
+    /// in position order, delta and hole counts, compaction counters and
+    /// per-range load.
+    fn column_probes(&self) -> Vec<StructureProbe> {
         [&self.fact, &self.dim]
             .iter()
-            .flat_map(|t| t.column_structure_stats())
-            .map(|(_, stats)| stats.piece_count)
+            .flat_map(|t| (0..t.column_count()).map(|c| t.column_index(c).structure_probe()))
             .collect()
     }
 }
@@ -196,6 +199,6 @@ fn plans_are_a_function_of_the_ops_and_the_data() {
         let joins = a.fact.join_strategy_counts();
         assert_eq!(joins, b.fact.join_strategy_counts(), "{}", a.fact.name());
         assert!(joins.1 > 0, "{}: the stream ran no join", a.fact.name());
-        assert_eq!(a.piece_counts(), b.piece_counts(), "{}", a.fact.name());
+        assert_eq!(a.column_probes(), b.column_probes(), "{}", a.fact.name());
     }
 }

@@ -331,11 +331,10 @@ fn a_join_filtered_on_its_key_builds_no_candidate_set() {
 /// that ran a select over the same window on each join column.
 #[test]
 fn a_key_window_join_cracks_like_a_select_over_the_window() {
-    let pieces = |t: &CheckedTableEngine| -> Vec<u64> {
-        t.inner()
-            .column_structure_stats()
-            .into_iter()
-            .map(|(_, stats)| stats.piece_count)
+    let pieces = |t: &CheckedTableEngine| -> Vec<usize> {
+        let t = t.inner();
+        (0..t.column_count())
+            .map(|c| t.column_index(c).piece_count())
             .collect()
     };
     for backend in backends() {

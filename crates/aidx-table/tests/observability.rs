@@ -85,7 +85,7 @@ fn traced_run_emits_every_event_type_as_parseable_jsonl() {
     let joined = dim.execute_join(&fact, 0, 0, &[], &[], JoinStrategy::Auto);
     assert_eq!(joined.value, 512);
 
-    aidx_obs::drain_jsonl(&mut jsonl);
+    aidx_obs::drain_jsonl(&mut jsonl).expect("a Vec takes every line");
 
     // A snapshot retry needs a reclamation racing a read: churn
     // delete-heavy rounds on fresh crackers until one shows up (each
@@ -99,7 +99,7 @@ fn traced_run_emits_every_event_type_as_parseable_jsonl() {
             "no snapshot retry observed after {rounds} churn rounds"
         );
         churn(&values, 60, 100 + rounds);
-        aidx_obs::drain_jsonl(&mut jsonl);
+        aidx_obs::drain_jsonl(&mut jsonl).expect("a Vec takes every line");
     }
     aidx_obs::disable();
 

@@ -485,16 +485,19 @@ fn structure_probes_span_every_column_and_backend() {
             "{}: the select cracked something",
             engine.name()
         );
-        let per_column = engine.column_structure_stats();
-        assert_eq!(per_column.len(), 2);
-        assert_eq!(per_column[0].0, "a");
-        assert_eq!(per_column[1].0, "b");
-        for (name, stats) in &per_column {
-            assert_eq!(stats.rows, n as u64, "{}: column {name}", engine.name());
+        assert_eq!(engine.column_names(), ["a", "b"]);
+        let per_column: Vec<_> = (0..engine.column_count())
+            .map(|c| engine.column_index(c).structure_probe())
+            .collect();
+        for (name, column) in engine.column_names().iter().zip(&per_column) {
+            assert_eq!(column.rows, n as u64, "{}: column {name}", engine.name());
         }
         assert_eq!(
-            per_column.iter().map(|(_, s)| s.piece_count).sum::<u64>() as usize,
-            probe.piece_count(),
+            per_column
+                .iter()
+                .flat_map(|column| column.piece_sizes.iter().copied())
+                .collect::<Vec<_>>(),
+            probe.piece_sizes,
             "{}: merged probe is the union of the columns",
             engine.name()
         );

@@ -18,7 +18,7 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`latch`] | instrumented latches, ordered wait queues, hierarchical lock manager, system transactions |
+//! | [`latch`] | the one latch (`OrderedWaitLatch`: shared/exclusive, bound-ordered write waiters woken middle-first, in-mutex counts), hierarchical lock manager, system transactions |
 //! | [`cracking`] | the serial structures and baselines: row ids, cracker array, piece map (table of contents), read-only plain-cracking index, partitioned B-tree, adaptive merging, read-only hybrid crack-sort, key-range locks, scan/sort baselines, scan operators, data generator |
 //! | [`core`] | **the paper's contribution**: the concurrent cracker with column/piece latch protocols, conflict avoidance, a data-driven pivot policy for oversized pieces, range partitioning as cracks made at build, pinned snapshots, the one `ColumnRead` surface of a cracker and its pins, metrics |
 //! | [`table`] | table-level engine: rowid-preserving crackers per column, multi-column selections via rowid intersection, equi-joins, and the `gates` example that times them against a scan and a nested loop |
